@@ -11,7 +11,7 @@
 //! 100k × 1M on the `paper` axis — session ops/sec, selection-index
 //! sublinearity, and peak RSS per point), runs the `fig_tenants`
 //! multi-tenant QoS sweep (per-tier success and Jain fairness vs
-//! offered load), and writes the numbers to `BENCH_7.json` (override
+//! offered load), and writes the numbers to `BENCH_9.json` (override
 //! with `--out-file`):
 //!
 //! ```text
@@ -113,7 +113,7 @@ fn main() {
     let mut scale_name = "quick".to_string();
     let mut seed = 42u64;
     let mut repeat = 3usize;
-    let mut out_file = PathBuf::from("BENCH_7.json");
+    let mut out_file = PathBuf::from("BENCH_9.json");
     let mut scale_axis_name: Option<String> = None;
     while let Some(flag) = args.next() {
         match flag.as_str() {
@@ -361,8 +361,9 @@ fn main() {
             eprintln!("  fig_scale: {nodes} nodes x {sessions} sessions...");
             let point = run_scale_point(&cfg);
             eprintln!(
-                "    {:.0} session ops/s, examined {:.1} of {:.0} candidates per selection ({:.2}%), peak RSS {:.0} MiB",
+                "    {:.0} session ops/s, commit {:.2} us/op, examined {:.1} of {:.0} candidates per selection ({:.2}%), peak RSS {:.0} MiB",
                 point.ops_per_sec,
+                point.commit_us_per_op(),
                 point.examined_per_selection(),
                 point.overhead.selection_candidates as f64
                     / (point.committed + point.rejected).max(1) as f64,

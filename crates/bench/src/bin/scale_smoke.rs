@@ -2,7 +2,10 @@
 //! of the memory-layout sweep (10k nodes × 50k concurrent sessions) and
 //! asserts the properties the sweep exists to protect — every arrival
 //! processed, ranked selection measurably sublinear in the candidate
-//! list, and peak RSS under a hard ceiling. Flags `--nodes`, `--sessions`
+//! list, and peak RSS under a hard ceiling. It prints the mean commit
+//! cost next to the examined fraction: commit is flat in the node count,
+//! so a figure here in the tens of microseconds means a per-commit scan
+//! of the node or link tables has crept back in. Flags `--nodes`, `--sessions`
 //! and `--rss-ceiling-mib` override the defaults.
 
 use acp_bench::{churn_for, peak_rss_mib, run_scale_point, ScaleConfig};
@@ -66,8 +69,9 @@ fn main() {
     );
     println!(
         "fig_scale smoke OK: {nodes} nodes x {sessions} sessions, {:.0} session ops/s, \
-         examined {:.1}% of candidates, peak RSS {rss:.0} MiB (ceiling {ceiling:.0})",
+         examined {:.1}% of candidates, commit {:.2} us/op, peak RSS {rss:.0} MiB (ceiling {ceiling:.0})",
         point.ops_per_sec,
         fraction * 100.0,
+        point.commit_us_per_op(),
     );
 }

@@ -82,6 +82,9 @@ pub struct ScalePoint {
     pub wall_seconds: f64,
     /// Session operations (commits + closes) per wall-clock second.
     pub ops_per_sec: f64,
+    /// Wall-clock spent inside `commit_session` alone, summed over every
+    /// call — commit must not grow with the node count.
+    pub commit_seconds: f64,
     /// Peak resident set size of the whole process so far, in MiB
     /// (`VmHWM`; 0 when `/proc/self/status` is unavailable).
     pub peak_rss_mib: f64,
@@ -92,6 +95,11 @@ impl ScalePoint {
     pub fn examined_per_selection(&self) -> f64 {
         let sels = self.overhead.global_state_queries.max(1);
         self.overhead.selection_examined as f64 / sels as f64
+    }
+
+    /// Mean wall-clock microseconds per `commit_session` call.
+    pub fn commit_us_per_op(&self) -> f64 {
+        self.commit_seconds * 1e6 / (self.committed + self.rejected).max(1) as f64
     }
 
     /// `examined / candidates` — the measured sublinearity of indexed
@@ -173,6 +181,7 @@ pub fn run_scale_point(cfg: &ScaleConfig) -> ScalePoint {
     let mut buf = Vec::new();
     let (mut committed, mut closed, mut rejected) = (0u64, 0u64, 0u64);
     let mut update_messages = 0u64;
+    let mut commit_seconds = 0.0f64;
     let mut epoch_end = SimTime::from_minutes(1);
     let epoch = acp_simcore::SimDuration::from_minutes(1);
 
@@ -212,7 +221,10 @@ pub fn run_scale_point(cfg: &ScaleConfig) -> ScalePoint {
             }
             let composition =
                 Composition { assignment: vec![plan.component], links: Vec::new() };
-            match system.commit_session(&request, composition) {
+            let commit_start = Instant::now();
+            let outcome = system.commit_session(&request, composition);
+            commit_seconds += commit_start.elapsed().as_secs_f64();
+            match outcome {
                 Ok(id) => {
                     live.push_back(id);
                     committed += 1;
@@ -240,6 +252,7 @@ pub fn run_scale_point(cfg: &ScaleConfig) -> ScalePoint {
         overhead: stats,
         wall_seconds,
         ops_per_sec: ops as f64 / wall_seconds.max(1e-9),
+        commit_seconds,
         peak_rss_mib: peak_rss_mib(),
     }
 }

@@ -449,9 +449,9 @@ pub fn compose_with_mode<M: SetupMode, R: Rng + ?Sized>(
 
 /// [`compose_with_mode`] under an optional [`ShardedRuntime`]: with
 /// `Some` (and more than one shard) the RNG-free stages — ranked per-hop
-/// candidate scoring, final-selection qualification/φ scoring, and the
-/// backoff-time reclamation sweep — fan out across shard workers and
-/// merge deterministically, byte-identical to the sequential path. All
+/// candidate scoring and final-selection qualification/φ scoring — fan
+/// out across shard workers and merge deterministically, byte-identical
+/// to the sequential path. All
 /// result-affecting RNG draws (random hop selection, random final pick,
 /// fault sampling, backoff jitter) stay on the coordinator in sequential
 /// order. `None` (or one shard) is exactly [`compose_with_mode`].
@@ -537,13 +537,8 @@ pub fn compose_with_mode_in<M: SetupMode, R: Rng + ?Sized>(
         // orphaned — when the request concludes below.
         attempt_now += mode.backoff_delay(attempts);
         // Backoff-time reclamation sweep: recover whatever leases (ours
-        // or other requests') have expired in the meantime. The sharded
-        // sweep applies per-entity drops in ascending index order —
-        // byte-identical to the sequential sweep.
-        setup_stats.leases_reclaimed += match shard.as_deref_mut() {
-            Some(rt) => rt.expire_transients(system, attempt_now) as u64,
-            None => system.expire_transients(attempt_now) as u64,
-        };
+        // or other requests') have expired in the meantime.
+        setup_stats.leases_reclaimed += system.expire_transients(attempt_now) as u64;
         if let Some(esc) = escalator.as_mut() {
             esc.record_failure();
             ratio = esc.ratio();

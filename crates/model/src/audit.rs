@@ -32,6 +32,9 @@
 //!   holds leases while its session is live, and — via
 //!   [`SystemAuditor::audit_at`] with a reference instant — no lease
 //!   outlives its expiry past the reclamation sweep.
+//! * **Lease-directory exactness**: the index of where leases live
+//!   ([`crate::lease`]) equals its recomputation by full scan — no
+//!   recorded site without a lease, no lease on an unrecorded site.
 //!
 //! End-to-end QoS (Eq. 3) is deliberately *not* re-audited: effective
 //! component delay inflates with node load, and the modelled system
@@ -204,6 +207,13 @@ pub enum AuditViolation {
         /// The request holding both a session and leases.
         request: u64,
     },
+    /// The lease directory disagrees with a full scan of the node and
+    /// link lease vectors: a release or sweep would miss a lease, or
+    /// visit a site that holds none.
+    LeaseDirectoryMismatch {
+        /// The row that disagrees.
+        detail: String,
+    },
     /// A tenant's ledger does not reconcile: admitted sessions are not
     /// all accounted for as closed + killed + preempted + live.
     TenantLedgerMismatch {
@@ -351,6 +361,9 @@ impl std::fmt::Display for AuditViolation {
             }
             AuditViolation::LeaseHeldByCommittedRequest { request } => {
                 write!(f, "request {request}: holds leases while a session is live")
+            }
+            AuditViolation::LeaseDirectoryMismatch { detail } => {
+                write!(f, "lease directory: {detail}")
             }
             AuditViolation::TenantLedgerMismatch {
                 tenant,
@@ -543,41 +556,17 @@ impl SystemAuditor {
         AuditReport { violations: out }
     }
 
-    /// Reservation-conservation pass: the lease ledger reconciles
-    /// (`created == expired + released + promoted + live`; combined with
-    /// the per-node Eq. 4 check above this is the paper-side invariant
-    /// committed + leased + residual = capacity), no request holds
-    /// leases while its session is live, and — when `now` is given — no
-    /// lease has outlived its expiry past the reclamation sweep.
+    /// Reservation-conservation pass: the global half
+    /// ([`Self::lease_ledger_violations`]) and — when `now` is given —
+    /// no lease has outlived its expiry past the reclamation sweep.
     fn audit_leases(
         &self,
         system: &StreamSystem,
         now: Option<SimTime>,
         out: &mut Vec<AuditViolation>,
     ) {
-        if !system.lease_accounting() {
-            // Without the ledger the reconciliation equation is
-            // meaningless (all counters frozen at zero); single-phase
-            // runs have no lease lifetimes to audit.
-            return;
-        }
-        let stats = system.lease_stats();
-        let live = system.live_lease_count() as u64;
-        if !stats.reconciles(live) {
-            out.push(AuditViolation::LeaseLedgerMismatch {
-                created: stats.created,
-                expired: stats.expired,
-                released: stats.released,
-                promoted: stats.promoted,
-                live,
-            });
-        }
-        for request in system.leased_requests() {
-            if system.has_session_for(crate::request::RequestId(request)) {
-                out.push(AuditViolation::LeaseHeldByCommittedRequest { request });
-            }
-        }
-        if let Some(now) = now {
+        self.lease_ledger_violations(system, out);
+        if let (true, Some(now)) = (system.lease_accounting(), now) {
             let (nodes, links) = self.lease_expiry_for_ranges(
                 system,
                 now,
@@ -734,8 +723,7 @@ impl SystemAuditor {
         // No double-commit: each request id backs at most one live
         // session, even mid-splice (the mini-session is removed within
         // the same event that grafts its segment).
-        let mut requests: Vec<u64> = sessions.iter().map(|s| s.request.0).collect();
-        requests.sort_unstable();
+        let requests = live_request_ids(system);
         let mut i = 0;
         while i < requests.len() {
             let mut j = i + 1;
@@ -762,7 +750,7 @@ impl SystemAuditor {
             }
         }
         for t in ledger.open_tickets() {
-            if system.has_session_for(t.request)
+            if requests.binary_search(&t.request.0).is_ok()
                 && !sessions.iter().any(|s| s.request == t.request && s.is_degraded())
             {
                 out.push(AuditViolation::RepairStateIncoherent {
@@ -773,14 +761,55 @@ impl SystemAuditor {
         }
     }
 
-    /// Ledger half of the lease pass (reconciliation + double-hold),
-    /// inherently global: it reads whole-system counters.
+    /// Global half of the lease pass, shared by the sequential pass and
+    /// the sharded coordinator: the lease ledger reconciles (`created ==
+    /// expired + released + promoted + live`; combined with the per-node
+    /// Eq. 4 check this is the paper-side invariant committed + leased +
+    /// residual = capacity), no request holds leases while its session
+    /// is live, and the lease directory equals its full-scan
+    /// recomputation.
     pub(crate) fn lease_ledger_violations(
         &self,
         system: &StreamSystem,
         out: &mut Vec<AuditViolation>,
     ) {
-        self.audit_leases(system, None, out);
+        // Without the ledger the reconciliation equation is meaningless
+        // (all counters frozen at zero) and single-phase runs have no
+        // lease lifetimes to audit; the directory is maintained either
+        // way, so its check always runs.
+        if system.lease_accounting() {
+            let stats = system.lease_stats();
+            // Counted from the lease vectors themselves, not through the
+            // directory, so a drifted directory cannot mask a leak.
+            let live = (0..system.node_count())
+                .map(|i| system.node(OverlayNodeId(i as u32)).transient_count())
+                .chain((0..system.link_count()).map(|i| system.link_transient_count(OverlayLinkId(i as u32))))
+                .sum::<usize>() as u64;
+            if !stats.reconciles(live) {
+                out.push(AuditViolation::LeaseLedgerMismatch {
+                    created: stats.created,
+                    expired: stats.expired,
+                    released: stats.released,
+                    promoted: stats.promoted,
+                    live,
+                });
+            }
+            let leased = system.leased_requests();
+            if !leased.is_empty() {
+                let committed = live_request_ids(system);
+                for request in leased {
+                    if committed.binary_search(&request).is_ok() {
+                        out.push(AuditViolation::LeaseHeldByCommittedRequest { request });
+                    }
+                }
+            }
+        }
+        out.extend(
+            system
+                .lease_directory_drift()
+                .into_iter()
+                .map(|detail| AuditViolation::LeaseDirectoryMismatch { detail }),
+        );
     }
 
     /// Expiry half of the lease pass over contiguous node/link index
@@ -1069,6 +1098,15 @@ pub(crate) fn sorted_sessions(system: &StreamSystem) -> Vec<&crate::system::Sess
     sessions
 }
 
+/// Request ids of the live sessions, ascending — built once per pass so
+/// "does this request hold a session" is a binary search, not a walk of
+/// the session arena per question.
+fn live_request_ids(system: &StreamSystem) -> Vec<u64> {
+    let mut ids: Vec<u64> = system.sessions().map(|s| s.request.0).collect();
+    ids.sort_unstable();
+    ids
+}
+
 /// Memoized virtual paths in ascending key order (the memo is a HashMap).
 pub(crate) fn sorted_cached_paths(
     system: &StreamSystem,
@@ -1335,6 +1373,50 @@ mod tests {
             v,
             AuditViolation::LeaseLedgerMismatch { .. }
         )));
+    }
+
+    #[test]
+    fn detects_lease_directory_drift_in_both_directions() {
+        let mut sys = build_system(10, 25);
+        let auditor = SystemAuditor::default();
+        let f = sys.registry().ids().find(|&f| !sys.candidates(f).is_empty()).unwrap();
+        let c = sys.candidates(f)[0];
+        let key = |request| crate::node::ReservationKey { request, component: c };
+        let expiry = acp_simcore::SimTime::from_secs(30);
+        assert!(sys.reserve_component_transient(RequestId(7), c, ResourceVector::new(0.5, 0.5), expiry));
+        assert!(auditor.audit(&sys).is_clean());
+        let drift = |sys: &StreamSystem| -> Vec<String> {
+            auditor
+                .audit(sys)
+                .violations()
+                .iter()
+                .filter_map(|v| match v {
+                    AuditViolation::LeaseDirectoryMismatch { detail } => Some(detail.clone()),
+                    _ => None,
+                })
+                .collect()
+        };
+        // A lease placed behind the directory's back: a release by
+        // request would never find it.
+        assert!(sys.node_mut(c.node).reserve_transient(key(8), ResourceVector::new(0.1, 0.1), expiry));
+        let rows = drift(&sys);
+        assert_eq!(rows.len(), 1, "{rows:?}");
+        assert!(rows[0].contains("request 8") && rows[0].contains("not recorded"), "{rows:?}");
+        // A lease removed behind its back: the directory keeps a row for
+        // request 7 (and, once the node is empty, a live site) that
+        // nothing backs.
+        assert!(sys.node_mut(c.node).release_transient(key(8)).is_some());
+        assert!(sys.node_mut(c.node).release_transient(key(7)).is_some());
+        let rows = drift(&sys);
+        assert_eq!(rows.len(), 2, "{rows:?}");
+        assert!(rows[0].contains("request 7") && rows[0].contains("holds no lease"), "{rows:?}");
+        assert!(rows[1].contains("live set"), "{rows:?}");
+        // The drift reaches the digest only because it fired.
+        assert_ne!(auditor.audit(&sys).digest(), AuditReport::default().digest());
+        // The same rows come out of the sharded coordinator pass.
+        let mut rt = crate::shard::ShardedRuntime::for_system(4, &sys);
+        let sharded = rt.audit_at(&auditor, &sys, None);
+        assert_eq!(sharded.violations(), auditor.audit(&sys).violations());
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! * [`component`] — deployed components and their interfaces.
 //! * [`node`] — stream nodes with capacity, committed allocations, and
 //!   transient (probe-time) reservations.
+//! * [`lease`] — the transient-reservation lease ledger, the directory
+//!   of where leases live, and every lease operation of the system
+//!   (reserve, release, expire), each costing O(sites touched).
 //! * [`request`] — composition requests `(ξ, Q^req, R^req)`.
 //! * [`composition`] — component graphs `λ = (C, L)` with QoS
 //!   aggregation over branch paths.
@@ -54,6 +57,7 @@ pub mod constraints;
 pub mod composition;
 pub mod fgraph;
 pub mod function;
+pub mod lease;
 pub mod metrics;
 pub mod node;
 pub mod qos;
@@ -75,6 +79,7 @@ pub mod prelude {
     pub use crate::composition::Composition;
     pub use crate::fgraph::{FunctionGraph, Template, TemplateLibrary, VertexId};
     pub use crate::function::{FunctionCategory, FunctionId, FunctionProfile, FunctionRegistry};
+    pub use crate::lease::LeaseStats;
     pub use crate::metrics::{congestion_aggregation, congestion_function, is_unqualified, risk_function};
     pub use crate::node::{ReservationKey, StreamNode};
     pub use crate::qos::{LossRate, Qos, QosRequirement};
@@ -83,8 +88,8 @@ pub mod prelude {
     pub use crate::resources::{ResourceKind, ResourceVector};
     pub use crate::shard::{ShardStats, ShardedRuntime};
     pub use crate::system::{
-        AdmissionError, DegradeOutcome, LeaseStats, Session, SessionHandle, SessionId,
-        StreamSystem, SystemConfig,
+        AdmissionError, DegradeOutcome, Session, SessionHandle, SessionId, StreamSystem,
+        SystemConfig,
     };
     pub use crate::tenant::{
         SessionCloseCause, TenantBinding, TenantId, TenantLedger, TenantStats, TenantTier,

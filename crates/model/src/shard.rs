@@ -6,7 +6,6 @@
 //! scenario over a persistent worker pool (one thread per shard, the
 //! coordinator running the last shard inline):
 //!
-//! * the transient-lease **expiry sweep** ([`Self::expire_transients`]),
 //! * the invariant **audit** ([`Self::audit_at`]),
 //! * and, via the generic [`Self::scatter`], the global-state refresh
 //!   (acp-state) and the composer's per-hop candidate scoring fan-out
@@ -37,7 +36,7 @@
 //! by design and deliberately excluded from digest comparisons.
 
 use acp_simcore::{ShardMap, ShardPool, SimTime};
-use acp_topology::{OverlayLinkId, OverlayNodeId};
+use acp_topology::OverlayNodeId;
 
 use crate::audit::{sorted_cached_paths, sorted_sessions, AuditReport, AuditViolation, SystemAuditor};
 use crate::system::StreamSystem;
@@ -177,44 +176,6 @@ impl ShardedRuntime {
         self.pool.scatter(f)
     }
 
-    /// The sharded expiry sweep: shard workers scan their node/link
-    /// ranges read-only for entities holding expired transients; the
-    /// coordinator applies the drops in ascending index order —
-    /// state, version bumps, and the lease ledger end up bit-identical
-    /// to [`StreamSystem::expire_transients`].
-    pub fn expire_transients(&mut self, system: &mut StreamSystem, now: SimTime) -> usize {
-        self.stats.scatter_epochs += 1;
-        let nodes = self.nodes;
-        let links = self.links;
-        let sys = &*system;
-        let flagged: Vec<(Vec<usize>, Vec<usize>)> = self.pool.scatter(|s| {
-            let node_hits: Vec<usize> = nodes
-                .range(s)
-                .filter(|&i| sys.node(OverlayNodeId(i as u32)).expired_transient_count(now) > 0)
-                .collect();
-            let link_hits: Vec<usize> = links
-                .range(s)
-                .filter(|&i| sys.link_expired_transient_count(OverlayLinkId(i as u32), now) > 0)
-                .collect();
-            (node_hits, link_hits)
-        });
-        // Merge step: shards own ascending ranges, so iterating shards in
-        // order applies entities in exactly the sequential sweep's order.
-        let mut dropped = 0;
-        for (node_hits, _) in &flagged {
-            for &i in node_hits {
-                dropped += system.expire_node_transients_at(i, now);
-            }
-        }
-        for (_, link_hits) in &flagged {
-            for &i in link_hits {
-                dropped += system.expire_link_transients_at(i, now);
-            }
-        }
-        system.record_expired_leases(dropped);
-        dropped
-    }
-
     /// The sharded invariant audit: every range/slice-parameterised pass
     /// of [`SystemAuditor`] fans out over the shards in one scatter; the
     /// merge concatenates per-shard violation lists pass by pass, which
@@ -338,28 +299,6 @@ mod tests {
             if let Some(path) = sys.virtual_path(c.node, peer.node) {
                 sys.reserve_path_transient(RequestId(500 + i as u64), i, &path, 1.0, expires);
             }
-        }
-    }
-
-    #[test]
-    fn sharded_expiry_matches_sequential_at_every_shard_count() {
-        let t0 = SimTime::from_secs(0);
-        let sweep = SimTime::from_secs(20);
-        let mut baseline = build_system(11, 24);
-        reserve_leases(&mut baseline, t0);
-        let dropped_seq = baseline.expire_transients(sweep);
-        assert!(dropped_seq > 0, "test needs expirable leases");
-
-        for shards in [1usize, 2, 3, 4, 8] {
-            let mut sys = build_system(11, 24);
-            reserve_leases(&mut sys, t0);
-            let mut rt = ShardedRuntime::for_system(shards, &sys);
-            let dropped = rt.expire_transients(&mut sys, sweep);
-            assert_eq!(dropped, dropped_seq, "shards={shards}");
-            assert_eq!(sys.lease_stats(), baseline.lease_stats(), "shards={shards}");
-            assert_eq!(sys.node_versions(), baseline.node_versions(), "shards={shards}");
-            assert_eq!(sys.link_versions(), baseline.link_versions(), "shards={shards}");
-            assert_eq!(sys.live_lease_count(), baseline.live_lease_count(), "shards={shards}");
         }
     }
 

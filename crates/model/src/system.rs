@@ -14,7 +14,8 @@ use crate::component::{Component, ComponentId, DenseComponentId};
 use crate::composition::Composition;
 use crate::constraints::{ComponentAttributes, LicenseClass, LicenseClassOrDefault, SecurityLevel};
 use crate::function::{FunctionId, FunctionRegistry};
-use crate::node::{ReservationKey, StreamNode};
+use crate::lease::{LeaseDirectory, LeaseStats, LinkTransient, Site};
+use crate::node::StreamNode;
 use crate::qos::Qos;
 use crate::repair::RepairLedger;
 use crate::request::{Request, RequestId};
@@ -31,26 +32,9 @@ impl std::fmt::Display for SessionId {
     }
 }
 
-/// Key for transient *bandwidth* reservations: one per request per graph
-/// edge per overlay link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LinkReservationKey {
-    /// The requesting composition.
-    pub request: u64,
-    /// Dependency-edge index within the request's function graph.
-    pub edge: usize,
-}
-
-#[derive(Debug, Clone)]
-struct LinkTransient {
-    key: LinkReservationKey,
-    kbps: f64,
-    expires: SimTime,
-}
-
 /// Bandwidth bookkeeping for one overlay link.
 #[derive(Debug, Clone)]
-struct LinkState {
+pub(crate) struct LinkState {
     /// Current capacity — `nominal_kbps` scaled down while degraded,
     /// unchanged by failure (failure zeroes *availability*, not the
     /// threshold base).
@@ -58,7 +42,7 @@ struct LinkState {
     /// Capacity as built from the overlay (restore target).
     nominal_kbps: f64,
     committed_kbps: f64,
-    transient: Vec<LinkTransient>,
+    pub(crate) transient: Vec<LinkTransient>,
     /// Bandwidth fail-stop: the link stays routable but carries nothing.
     failed: bool,
 }
@@ -68,11 +52,19 @@ impl LinkState {
         self.transient.iter().map(|t| t.kbps).sum()
     }
 
-    fn available(&self) -> f64 {
+    pub(crate) fn available(&self) -> f64 {
         if self.failed {
             return 0.0;
         }
         (self.capacity_kbps - self.committed_kbps - self.transient_total()).max(0.0)
+    }
+
+    /// Drops the leases `doomed` names, keeping the rest in order.
+    /// Returns how many went.
+    pub(crate) fn drop_leases(&mut self, doomed: impl Fn(&LinkTransient) -> bool) -> usize {
+        let before = self.transient.len();
+        self.transient.retain(|t| !doomed(t));
+        before - self.transient.len()
     }
 }
 
@@ -315,48 +307,13 @@ impl Default for SystemConfig {
     }
 }
 
-/// Running ledger of transient reservation *leases* — one entry per
-/// reservation the system ever placed (a path reservation counts one
-/// lease per overlay link). Every lease created must eventually be
-/// accounted for exactly once: dropped by the expiry sweep, released
-/// explicitly, or promoted to a committed residual by a confirmed
-/// session. The auditor's reconciliation invariant is
-/// `created == expired + released + promoted + live`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LeaseStats {
-    /// Leases placed (fresh reservations; idempotent refreshes don't
-    /// count).
-    pub created: u64,
-    /// Leases dropped by the reclamation sweep after their expiry.
-    pub expired: u64,
-    /// Leases released explicitly (losing candidates, failed
-    /// compositions, fault teardown).
-    pub released: u64,
-    /// Leases promoted to committed residuals by a session confirmation.
-    pub promoted: u64,
-    /// Idempotent refreshes of an already-held lease (footnote 7): a
-    /// retry re-probing the same `(request, component)` or
-    /// `(request, edge)` key extends the expiry instead of churning a
-    /// release/create pair. Not part of the reconciliation equation —
-    /// a refresh neither creates nor settles a lease.
-    pub reused: u64,
-}
-
-impl LeaseStats {
-    /// True when every lease ever created is accounted for, given `live`
-    /// leases currently outstanding.
-    pub fn reconciles(&self, live: u64) -> bool {
-        self.created == self.expired + self.released + self.promoted + live
-    }
-}
-
 /// The distributed stream-processing system.
 #[derive(Clone)]
 pub struct StreamSystem {
     registry: FunctionRegistry,
     overlay: Overlay,
-    nodes: Vec<StreamNode>,
-    links: Vec<LinkState>,
+    pub(crate) nodes: Vec<StreamNode>,
+    pub(crate) links: Vec<LinkState>,
     /// Function → live candidate components, indexed by `FunctionId.0`
     /// (the registry's ids are dense). Per-function insertion order is
     /// node/slot discovery order until the first migration re-appends.
@@ -369,19 +326,22 @@ pub struct StreamSystem {
     /// through [`Self::node_available`] / the node's component list
     /// (admission, teardown, transients, failure, migration). Incremental
     /// state maintenance skips nodes whose counter it has already seen.
-    node_versions: Vec<u64>,
+    pub(crate) node_versions: Vec<u64>,
     /// Per-link change counters, mirroring `node_versions` for bandwidth.
-    link_versions: Vec<u64>,
+    pub(crate) link_versions: Vec<u64>,
     /// Per node, per slot: the slot's [`DenseComponentId`] value, or
     /// `u32::MAX` for tombstones. Dense ids are never reused.
     dense_ids: Vec<Vec<u32>>,
     dense_count: u32,
-    lease_stats: LeaseStats,
+    /// Where transient leases live; maintained by `crate::lease`, which
+    /// also owns every operation on the three lease fields.
+    pub(crate) leases: LeaseDirectory,
+    pub(crate) lease_stats: LeaseStats,
     /// Whether the [`LeaseStats`] ledger is maintained. On by default;
     /// single-phase scenarios switch it off so the inert path pays no
     /// bookkeeping (and the lease audit, which is only meaningful with
     /// the ledger, is skipped).
-    lease_accounting: bool,
+    pub(crate) lease_accounting: bool,
     tenant_ledger: TenantLedger,
     /// Whether the [`TenantLedger`] is maintained. **Off** by default —
     /// tenant-less workloads pay nothing — and enabled explicitly by
@@ -616,6 +576,7 @@ impl StreamSystem {
             registry,
             node_versions: vec![0; nodes.len()],
             link_versions: vec![0; links.len()],
+            leases: LeaseDirectory::new(nodes.len(), links.len()),
             dense_ids,
             dense_count,
             overlay,
@@ -693,6 +654,11 @@ impl StreamSystem {
     /// Number of stream nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// Number of overlay links in the system.
+    pub fn link_count(&self) -> usize {
+        self.links.len()
     }
 
     /// A node's state.
@@ -801,184 +767,6 @@ impl StreamSystem {
     }
 
     // ------------------------------------------------------------------
-    // Transient (probe-time) reservations
-    // ------------------------------------------------------------------
-
-    /// Transiently reserves the end-system resources `amount` for
-    /// `(request, component)` on the component's node until `expires`.
-    /// Idempotent per key. Returns `false` when resources are missing.
-    pub fn reserve_component_transient(
-        &mut self,
-        request: RequestId,
-        component: ComponentId,
-        amount: ResourceVector,
-        expires: SimTime,
-    ) -> bool {
-        let key = ReservationKey { request: request.0, component };
-        let node = &mut self.nodes[component.node.index()];
-        // An idempotent re-reservation only refreshes the expiry — no
-        // observable availability change, so the version stays put.
-        let before = node.transient_count();
-        let ok = node.reserve_transient(key, amount, expires);
-        if ok && node.transient_count() != before {
-            if self.lease_accounting {
-                self.lease_stats.created += 1;
-            }
-            self.touch_node(component.node);
-        } else if ok && self.lease_accounting {
-            self.lease_stats.reused += 1;
-        }
-        ok
-    }
-
-    /// Releases the transient reservation for `(request, component)`.
-    pub fn release_component_transient(&mut self, request: RequestId, component: ComponentId) {
-        let key = ReservationKey { request: request.0, component };
-        if self.nodes[component.node.index()].release_transient(key).is_some() {
-            if self.lease_accounting {
-                self.lease_stats.released += 1;
-            }
-            self.touch_node(component.node);
-        }
-    }
-
-    /// Transiently reserves `kbps` along every overlay link of `path` for
-    /// the request's graph edge `edge`. All-or-nothing; idempotent per
-    /// `(request, edge)` on each link. Returns `false` on insufficient
-    /// bandwidth (nothing is reserved then).
-    pub fn reserve_path_transient(
-        &mut self,
-        request: RequestId,
-        edge: usize,
-        path: &OverlayPath,
-        kbps: f64,
-        expires: SimTime,
-    ) -> bool {
-        let key = LinkReservationKey { request: request.0, edge };
-        // Feasibility first (links not already holding this key must fit).
-        for &l in &path.links {
-            let state = &self.links[l.index()];
-            if state.transient.iter().any(|t| t.key == key) {
-                continue;
-            }
-            if state.available() < kbps {
-                return false;
-            }
-        }
-        for &l in &path.links {
-            let i = l.index();
-            let state = &mut self.links[i];
-            if let Some(existing) = state.transient.iter_mut().find(|t| t.key == key) {
-                if expires > existing.expires {
-                    existing.expires = expires;
-                }
-                if self.lease_accounting {
-                    self.lease_stats.reused += 1;
-                }
-            } else {
-                state.transient.push(LinkTransient { key, kbps, expires });
-                if self.lease_accounting {
-                    self.lease_stats.created += 1;
-                }
-                self.touch_link_index(i);
-            }
-        }
-        true
-    }
-
-    /// Releases all transient bandwidth held by `(request, edge)`.
-    pub fn release_path_transient(&mut self, request: RequestId, edge: usize) {
-        let key = LinkReservationKey { request: request.0, edge };
-        for (i, state) in self.links.iter_mut().enumerate() {
-            let before = state.transient.len();
-            state.transient.retain(|t| t.key != key);
-            if state.transient.len() != before {
-                if self.lease_accounting {
-                    self.lease_stats.released += (before - state.transient.len()) as u64;
-                }
-                self.link_versions[i] += 1;
-            }
-        }
-    }
-
-    /// Drops every transient reservation (node and link) that expired at
-    /// or before `now`. Returns the number dropped.
-    pub fn expire_transients(&mut self, now: SimTime) -> usize {
-        let mut dropped = 0;
-        for i in 0..self.nodes.len() {
-            dropped += self.expire_node_transients_at(i, now);
-        }
-        for i in 0..self.links.len() {
-            dropped += self.expire_link_transients_at(i, now);
-        }
-        self.record_expired_leases(dropped);
-        dropped
-    }
-
-    /// Number of overlay links in the system.
-    pub fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
-    /// Drops node `i`'s expired transients; the per-entity apply step
-    /// shared by [`Self::expire_transients`] and the sharded sweep (which
-    /// scans ranges in parallel but applies in ascending index order so
-    /// version bumps match the sequential run exactly).
-    pub(crate) fn expire_node_transients_at(&mut self, i: usize, now: SimTime) -> usize {
-        let d = self.nodes[i].expire_transients(now);
-        if d > 0 {
-            self.node_versions[i] += 1;
-        }
-        d
-    }
-
-    /// Drops link `i`'s expired transients; see
-    /// [`Self::expire_node_transients_at`].
-    pub(crate) fn expire_link_transients_at(&mut self, i: usize, now: SimTime) -> usize {
-        let state = &mut self.links[i];
-        let before = state.transient.len();
-        state.transient.retain(|t| t.expires > now);
-        let d = before - state.transient.len();
-        if d > 0 {
-            self.link_versions[i] += 1;
-        }
-        d
-    }
-
-    /// Folds a completed expiry sweep's drop count into the lease ledger.
-    pub(crate) fn record_expired_leases(&mut self, dropped: usize) {
-        if self.lease_accounting {
-            self.lease_stats.expired += dropped as u64;
-        }
-    }
-
-    /// Releases **all** transient reservations belonging to `request`
-    /// (dropped probes, failed compositions). Returns the number of
-    /// leases released.
-    pub fn release_request_transients(&mut self, request: RequestId) -> usize {
-        let mut dropped = 0;
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            let d = node.release_request_transients(request.0);
-            if d > 0 {
-                self.node_versions[i] += 1;
-            }
-            dropped += d;
-        }
-        for (i, state) in self.links.iter_mut().enumerate() {
-            let before = state.transient.len();
-            state.transient.retain(|t| t.key.request != request.0);
-            if state.transient.len() != before {
-                self.link_versions[i] += 1;
-            }
-            dropped += before - state.transient.len();
-        }
-        if self.lease_accounting {
-            self.lease_stats.released += dropped as u64;
-        }
-        dropped
-    }
-
-    // ------------------------------------------------------------------
     // Qualification and session lifecycle
     // ------------------------------------------------------------------
 
@@ -986,6 +774,17 @@ impl StreamSystem {
     /// *current* system state, ignoring any transient holds belonging to
     /// `request` itself. Does not mutate anything.
     pub fn qualify(&self, request: &Request, composition: &Composition) -> Result<(), AdmissionError> {
+        self.qualify_grouped(request, composition).map(|_| ())
+    }
+
+    /// [`Self::qualify`], returning the per-node and per-link demand
+    /// groups it validated so [`Self::commit_session`] applies exactly
+    /// those instead of regrouping.
+    fn qualify_grouped(
+        &self,
+        request: &Request,
+        composition: &Composition,
+    ) -> Result<(NodeAllocs, LinkAllocs), AdmissionError> {
         if !composition.is_shape_valid(&request.graph) {
             return Err(AdmissionError::MalformedComposition);
         }
@@ -1029,7 +828,7 @@ impl StreamSystem {
                 return Err(AdmissionError::InsufficientBandwidth { link: *link });
             }
         }
-        Ok(())
+        Ok((per_node, per_link))
     }
 
     /// Confirms a composition: converts/creates permanent allocations and
@@ -1048,26 +847,19 @@ impl StreamSystem {
         // lease ledger — confirmation is what turns a lease into a
         // committed residual (§3.3 step 4); a failed confirmation leaves
         // them counted as released.
-        let held = self.release_request_transients(request.id) as u64;
-        self.qualify(request, &composition)?;
+        let held = self.release_request_transients(request.id);
+        let (node_allocs, link_allocs) = self.qualify_grouped(request, &composition)?;
 
-        // Group node demand and link demand (validated above), then apply.
-        let node_allocs = group_node_demand(self, request, &composition);
         for &(node, demand) in &node_allocs {
             let ok = self.nodes[node.index()].commit(demand);
             debug_assert!(ok, "qualify() guaranteed feasibility");
             self.touch_node(node);
         }
-        let link_allocs = group_link_demand(request, &composition);
         for &(link, kbps) in &link_allocs {
             self.links[link.index()].committed_kbps += kbps;
             self.touch_link_index(link.index());
         }
-
-        if self.lease_accounting {
-            self.lease_stats.released -= held;
-            self.lease_stats.promoted += held;
-        }
+        self.promote_released_leases(held);
 
         if self.tenant_accounting {
             if let Some(binding) = request.tenant {
@@ -1151,19 +943,7 @@ impl StreamSystem {
     /// Returns the undeployed components and the terminated sessions'
     /// request specifications (for failover recomposition).
     pub fn fail_node(&mut self, v: OverlayNodeId) -> (Vec<ComponentId>, Vec<Request>) {
-        // Fail-stop drops the node's transient leases with it.
-        if self.lease_accounting {
-            self.lease_stats.released += self.nodes[v.index()].transient_count() as u64;
-        }
-        let undeployed: Vec<Component> = self.nodes[v.index()].fail();
-        self.touch_node(v);
-        let undeployed_ids: Vec<ComponentId> = undeployed.iter().map(|c| c.id).collect();
-        for id in &undeployed_ids {
-            self.dense_ids[v.index()][id.slot as usize] = u32::MAX;
-        }
-        for component in &undeployed {
-            self.discovery[component.function.0 as usize].retain(|&c| c != component.id);
-        }
+        let undeployed_ids = self.fail_processing_plane(v);
         // Terminate sessions placed (partly) on the failed node — and
         // sessions whose virtual links relay through it, since its
         // forwarding plane dies too — in ascending session-id order so
@@ -1178,6 +958,21 @@ impl StreamSystem {
         // recompositions that follow.
         self.overlay.set_node_down(v, true);
         (undeployed_ids, orphaned)
+    }
+
+    /// Shared head of the node fail-stops: the processing plane goes
+    /// down taking its transient leases with it, and every hosted
+    /// component is undeployed (tombstone, dense id retired, discovery
+    /// entry dropped). Returns the undeployed components.
+    fn fail_processing_plane(&mut self, v: OverlayNodeId) -> Vec<ComponentId> {
+        self.forget_site_leases(Site::Node(v.0));
+        let undeployed: Vec<Component> = self.nodes[v.index()].fail();
+        self.touch_node(v);
+        for component in &undeployed {
+            self.dense_ids[v.index()][component.id.slot as usize] = u32::MAX;
+            self.discovery[component.function.0 as usize].retain(|&c| c != component.id);
+        }
+        undeployed.iter().map(|c| c.id).collect()
     }
 
     /// Brings a failed node back online, empty: components must be
@@ -1226,17 +1021,25 @@ impl StreamSystem {
     /// composition streams over it is terminated. Returns the orphaned
     /// requests for failover recomposition.
     pub fn fail_link(&mut self, l: OverlayLinkId) -> Vec<Request> {
-        let i = l.index();
-        if self.links[i].failed {
+        if !self.fail_bandwidth(l) {
             return Vec::new();
         }
-        self.links[i].failed = true;
-        if self.lease_accounting {
-            self.lease_stats.released += self.links[i].transient.len() as u64;
+        self.terminate_sessions_where(|s| s.uses_link(l))
+    }
+
+    /// Shared head of the link fail-stops: marks `l` failed and drops its
+    /// transient leases. Returns `false` (nothing done) when it already
+    /// was failed.
+    fn fail_bandwidth(&mut self, l: OverlayLinkId) -> bool {
+        let i = l.index();
+        if self.links[i].failed {
+            return false;
         }
+        self.links[i].failed = true;
+        self.forget_site_leases(Site::Link(l.0));
         self.links[i].transient.clear();
         self.touch_link_index(i);
-        self.terminate_sessions_where(|s| s.uses_link(l))
+        true
     }
 
     /// Degrades overlay link `l` to `factor` of its nominal capacity
@@ -1319,10 +1122,7 @@ impl StreamSystem {
     /// until the expiry sweep.
     fn undeploy_crashed(&mut self, id: ComponentId) -> Option<Component> {
         let component = self.nodes[id.node.index()].undeploy(id.slot)?;
-        let reclaimed = self.nodes[id.node.index()].release_component_transients(id);
-        if reclaimed > 0 && self.lease_accounting {
-            self.lease_stats.released += reclaimed as u64;
-        }
+        self.reclaim_component_leases(id);
         self.dense_ids[id.node.index()][id.slot as usize] = u32::MAX;
         self.discovery[component.function.0 as usize].retain(|&c| c != id);
         self.touch_node(id.node);
@@ -1345,18 +1145,7 @@ impl StreamSystem {
         v: OverlayNodeId,
         now: SimTime,
     ) -> (Vec<ComponentId>, DegradeOutcome) {
-        if self.lease_accounting {
-            self.lease_stats.released += self.nodes[v.index()].transient_count() as u64;
-        }
-        let undeployed: Vec<Component> = self.nodes[v.index()].fail();
-        self.touch_node(v);
-        let undeployed_ids: Vec<ComponentId> = undeployed.iter().map(|c| c.id).collect();
-        for id in &undeployed_ids {
-            self.dense_ids[v.index()][id.slot as usize] = u32::MAX;
-        }
-        for component in &undeployed {
-            self.discovery[component.function.0 as usize].retain(|&c| c != component.id);
-        }
+        let undeployed_ids = self.fail_processing_plane(v);
         let outcome = self.degrade_sessions_where(now, |s| broken_span_for_node(s, v));
         self.overlay.set_node_down(v, true);
         (undeployed_ids, outcome)
@@ -1366,16 +1155,9 @@ impl StreamSystem {
     /// it are degraded instead of terminated (see
     /// [`Self::fail_node_degrading`]).
     pub fn fail_link_degrading(&mut self, l: OverlayLinkId, now: SimTime) -> DegradeOutcome {
-        let i = l.index();
-        if self.links[i].failed {
+        if !self.fail_bandwidth(l) {
             return DegradeOutcome::default();
         }
-        self.links[i].failed = true;
-        if self.lease_accounting {
-            self.lease_stats.released += self.links[i].transient.len() as u64;
-        }
-        self.links[i].transient.clear();
-        self.touch_link_index(i);
         self.degrade_sessions_where(now, |s| broken_span_for_link(s, l))
     }
 
@@ -1632,11 +1414,8 @@ impl StreamSystem {
         // Break half: absorb the mini-session (books move, not change)
         // and promote the boundary holds.
         let m = self.sessions.remove(mini).expect("checked above");
-        let held = self.release_request_transients(mini_request) as u64;
-        if self.lease_accounting {
-            self.lease_stats.released -= held;
-            self.lease_stats.promoted += held;
-        }
+        let held = self.release_request_transients(mini_request);
+        self.promote_released_leases(held);
         let mut boundary_allocs: Vec<(OverlayLinkId, f64)> = Vec::new();
         for p in prefix_path.iter().chain(suffix_path.iter()) {
             for &l in &p.links {
@@ -1814,100 +1593,6 @@ impl StreamSystem {
     }
 
     // ------------------------------------------------------------------
-    // Reservation-lease ledger
-    // ------------------------------------------------------------------
-
-    /// The running lease ledger (see [`LeaseStats`]).
-    pub fn lease_stats(&self) -> LeaseStats {
-        self.lease_stats
-    }
-
-    /// Whether the lease ledger is maintained (see
-    /// [`Self::set_lease_accounting`]).
-    pub fn lease_accounting(&self) -> bool {
-        self.lease_accounting
-    }
-
-    /// Enables or disables lease-ledger maintenance. Single-phase
-    /// scenarios disable it: with no two-phase setup there are no lease
-    /// lifetimes worth auditing, and the inert hot path should not pay
-    /// for the bookkeeping. Reservations themselves are unaffected —
-    /// only the [`LeaseStats`] counters (and the lease audit keyed off
-    /// them) stop updating.
-    pub fn set_lease_accounting(&mut self, enabled: bool) {
-        self.lease_accounting = enabled;
-    }
-
-    /// Transient reservation leases currently outstanding across every
-    /// node and overlay link.
-    pub fn live_lease_count(&self) -> usize {
-        self.nodes.iter().map(StreamNode::transient_count).sum::<usize>()
-            + self.links.iter().map(|l| l.transient.len()).sum::<usize>()
-    }
-
-    /// The earliest expiry among outstanding leases — when the next
-    /// reclamation sweep will actually drop something.
-    pub fn next_lease_expiry(&self) -> Option<SimTime> {
-        let node_min = self.nodes.iter().filter_map(StreamNode::earliest_transient_expiry).min();
-        let link_min =
-            self.links.iter().flat_map(|l| l.transient.iter().map(|t| t.expires)).min();
-        match (node_min, link_min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Outstanding leases whose expiry has already passed at `now` —
-    /// the leases a reclamation sweep at `now` would drop. Zero right
-    /// after a sweep; the lease auditor checks exactly that.
-    pub fn expired_lease_count(&self, now: SimTime) -> usize {
-        self.nodes.iter().map(|n| n.expired_transient_count(now)).sum::<usize>()
-            + self
-                .links
-                .iter()
-                .map(|l| l.transient.iter().filter(|t| t.expires <= now).count())
-                .sum::<usize>()
-    }
-
-    /// Outstanding transient leases on overlay link `l`.
-    pub fn link_transient_count(&self, l: OverlayLinkId) -> usize {
-        self.links[l.index()].transient.len()
-    }
-
-    /// Outstanding leases on overlay link `l` whose expiry has passed at
-    /// `now`.
-    pub fn link_expired_transient_count(&self, l: OverlayLinkId, now: SimTime) -> usize {
-        self.links[l.index()].transient.iter().filter(|t| t.expires <= now).count()
-    }
-
-    /// Outstanding leases (node and link) held by `request`.
-    pub fn request_lease_count(&self, request: RequestId) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| n.transient_requests().filter(|&r| r == request.0).count())
-            .sum::<usize>()
-            + self
-                .links
-                .iter()
-                .map(|l| l.transient.iter().filter(|t| t.key.request == request.0).count())
-                .sum::<usize>()
-    }
-
-    /// Request ids holding at least one outstanding lease, sorted and
-    /// deduplicated (deterministic audit order).
-    pub fn leased_requests(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = self
-            .nodes
-            .iter()
-            .flat_map(StreamNode::transient_requests)
-            .chain(self.links.iter().flat_map(|l| l.transient.iter().map(|t| t.key.request)))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    // ------------------------------------------------------------------
     // Tenant ledger
     // ------------------------------------------------------------------
 
@@ -1999,15 +1684,16 @@ impl StreamSystem {
     }
 }
 
+/// Committed end-system demand grouped per node.
+type NodeAllocs = Vec<(OverlayNodeId, ResourceVector)>;
+/// Committed bandwidth grouped per overlay link.
+type LinkAllocs = Vec<(OverlayLinkId, f64)>;
+
 /// Groups a composition's per-vertex demand by hosting node, in graph
 /// order. A composition touches only a handful of nodes, so a linear scan
 /// beats a hash map and keeps iteration deterministic.
-fn group_node_demand(
-    system: &StreamSystem,
-    request: &Request,
-    composition: &Composition,
-) -> Vec<(OverlayNodeId, ResourceVector)> {
-    let mut grouped: Vec<(OverlayNodeId, ResourceVector)> = Vec::with_capacity(request.graph.len());
+fn group_node_demand(system: &StreamSystem, request: &Request, composition: &Composition) -> NodeAllocs {
+    let mut grouped: NodeAllocs = Vec::with_capacity(request.graph.len());
     for v in request.graph.vertices() {
         let node = composition.assignment[v].node;
         let demand = request.vertex_demand(&system.registry, v);
@@ -2021,8 +1707,8 @@ fn group_node_demand(
 
 /// Groups a composition's bandwidth demand by overlay link (a link may
 /// carry several edges of the same composition), in edge order.
-fn group_link_demand(request: &Request, composition: &Composition) -> Vec<(OverlayLinkId, f64)> {
-    let mut grouped: Vec<(OverlayLinkId, f64)> = Vec::new();
+fn group_link_demand(request: &Request, composition: &Composition) -> LinkAllocs {
+    let mut grouped: LinkAllocs = Vec::new();
     for (_, l) in composition.overlay_links() {
         match grouped.iter_mut().find(|(x, _)| *x == l) {
             Some((_, total)) => *total += request.bandwidth_kbps,

@@ -251,6 +251,305 @@ mod lease_reconciliation {
     }
 }
 
+mod lease_directory {
+    use super::*;
+    use acp_model::audit::SystemAuditor;
+    use acp_simcore::SimTime;
+    use acp_topology::{InetConfig, Overlay, OverlayConfig, OverlayLinkId, OverlayNodeId};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Namespace bit of repair mini-requests (mirrors `acp_core::repair`).
+    const MINI: u64 = 1 << 63;
+
+    /// One system under a stream of lease / fault / session operations.
+    /// Every choice an operation makes is a function of its arguments
+    /// and the system's own state, so two drivers fed the same stream
+    /// stay in lockstep for as long as their systems agree.
+    struct Driver {
+        sys: StreamSystem,
+        sessions: Vec<SessionId>,
+        now: SimTime,
+    }
+
+    impl Driver {
+        fn new(seed: u64) -> Self {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let ip = InetConfig { nodes: 120, ..InetConfig::default() }.generate(&mut rng);
+            let overlay =
+                Overlay::build(&ip, &OverlayConfig { stream_nodes: 15, neighbors: 4 }, &mut rng);
+            let sys = StreamSystem::generate(
+                overlay,
+                FunctionRegistry::standard(),
+                &SystemConfig::default(),
+                &mut rng,
+            );
+            Driver { sys, sessions: Vec::new(), now: SimTime::ZERO }
+        }
+
+        fn hosted_functions(&self) -> Vec<FunctionId> {
+            self.sys.registry().ids().filter(|&f| !self.sys.candidates(f).is_empty()).collect()
+        }
+
+        /// A component picked from a deliberately small pool, so streams
+        /// revisit `(request, component)` keys and refresh them.
+        fn component(&self, pick: usize) -> Option<ComponentId> {
+            let fns = self.hosted_functions();
+            let cands = self.sys.candidates(*fns.get(pick % fns.len().max(1))?);
+            cands.get((pick / 5) % cands.len().max(1)).copied()
+        }
+
+        fn node(&self, pick: usize) -> OverlayNodeId {
+            OverlayNodeId((pick % self.sys.node_count()) as u32)
+        }
+
+        /// Applies one operation; the returned count (leases dropped,
+        /// sessions orphaned, …) must match between lockstep drivers.
+        fn apply(&mut self, (kind, pick, req): (u8, usize, u64)) -> usize {
+            let r = RequestId(req);
+            let lease = SimDuration::from_secs(5 + (pick % 4) as u64 * 10);
+            let done = match kind {
+                // Reserve end-system resources (fresh lease or refresh).
+                0 | 1 => match self.component(pick) {
+                    Some(c) => {
+                        let amount = ResourceVector::new(
+                            0.1 + (pick % 7) as f64 * 0.13,
+                            0.3 + (pick % 5) as f64 * 0.21,
+                        );
+                        usize::from(self.sys.reserve_component_transient(r, c, amount, self.now + lease))
+                    }
+                    None => 0,
+                },
+                // Reserve bandwidth along a virtual path.
+                2 => {
+                    let (a, b) = (self.node(pick), self.node(pick / 7 + 1));
+                    match self.sys.virtual_path(a, b) {
+                        Some(path) if a != b => {
+                            let kbps = 0.5 + (pick % 9) as f64 * 0.37;
+                            usize::from(self.sys.reserve_path_transient(
+                                r, pick % 3, &path, kbps, self.now + lease,
+                            ))
+                        }
+                        _ => 0,
+                    }
+                }
+                3 => self.sys.release_request_transients(r),
+                4 => {
+                    if let Some(c) = self.component(pick) {
+                        self.sys.release_component_transient(r, c);
+                    }
+                    0
+                }
+                5 => {
+                    self.sys.release_path_transient(r, pick % 3);
+                    0
+                }
+                // Time passes; the reclamation sweep runs.
+                6 => {
+                    self.now += SimDuration::from_secs((pick % 25) as u64);
+                    self.sys.expire_transients(self.now)
+                }
+                // Node fail-stop, recovered at once (it comes back empty).
+                7 => {
+                    let v = self.node(pick);
+                    if self.sys.is_node_failed(v) {
+                        0
+                    } else {
+                        let orphaned = self.sys.fail_node(v).1.len();
+                        self.sys.recover_node(v);
+                        orphaned
+                    }
+                }
+                8 => {
+                    let l = OverlayLinkId((pick % self.sys.link_count()) as u32);
+                    let orphaned = self.sys.fail_link(l).len();
+                    self.sys.restore_link(l);
+                    orphaned
+                }
+                9 => self.component(pick).map_or(0, |c| self.sys.crash_component(c).len()),
+                10 => match self.component(pick) {
+                    Some(c) => usize::from(self.sys.migrate_component(c, self.node(pick / 3)).is_ok()),
+                    None => 0,
+                },
+                11 => usize::from(self.commit(pick, r)),
+                12 => {
+                    if self.sessions.is_empty() {
+                        0
+                    } else {
+                        let sid = self.sessions.swap_remove(pick % self.sessions.len());
+                        usize::from(self.sys.close_session(sid))
+                    }
+                }
+                13 => self.degrade_and_splice(),
+                _ => unreachable!(),
+            };
+            self.sessions.retain(|&sid| self.sys.session(sid).is_some());
+            done
+        }
+
+        /// Commits a three-function path session under `r`, promoting
+        /// whatever leases `r` holds.
+        fn commit(&mut self, pick: usize, r: RequestId) -> bool {
+            let fns = self.hosted_functions();
+            if fns.len() < 3 || self.sys.has_session_for(r) {
+                return false;
+            }
+            let chain: Vec<FunctionId> = (0..3).map(|i| fns[(pick + i) % fns.len()]).collect();
+            let assignment: Vec<ComponentId> = chain
+                .iter()
+                .map(|&f| {
+                    let cands = self.sys.candidates(f);
+                    cands[(pick / 3) % cands.len()]
+                })
+                .collect();
+            let links: Option<Vec<_>> = assignment
+                .windows(2)
+                .map(|w| self.sys.virtual_path(w[0].node, w[1].node))
+                .collect();
+            let Some(links) = links else { return false };
+            let request = Request {
+                id: r,
+                graph: FunctionGraph::path(chain),
+                qos: QosRequirement::unconstrained(),
+                base_resources: ResourceVector::new(0.2, 1.0),
+                bandwidth_kbps: 2.0,
+                stream_rate_kbps: 50.0,
+                constraints: PlacementConstraints::none(),
+                tenant: None,
+            };
+            match self.sys.commit_session(&request, Composition { assignment, links }) {
+                Ok(sid) => {
+                    self.sessions.push(sid);
+                    true
+                }
+                Err(_) => false,
+            }
+        }
+
+        /// Crashes the middle component of the oldest healthy session
+        /// and repairs it make-before-break: commit a replacement
+        /// mini-session, lease the boundary paths under its request,
+        /// splice (which promotes those leases). A repair that cannot
+        /// complete is abandoned. Returns 2 for a landed splice.
+        fn degrade_and_splice(&mut self) -> usize {
+            let sys = &mut self.sys;
+            let Some(sid) = self
+                .sessions
+                .iter()
+                .copied()
+                .find(|&sid| sys.session(sid).is_some_and(|s| !s.is_degraded()))
+            else {
+                return 0;
+            };
+            let s = sys.session(sid).expect("just found");
+            let request = s.request_spec.clone();
+            let (c0, c1, c2) =
+                (s.composition.assignment[0], s.composition.assignment[1], s.composition.assignment[2]);
+            if !sys.crash_component_degrading(c1, self.now).degraded.contains(&sid) {
+                return 1;
+            }
+            let mid = request.graph.function(1);
+            let mini_request = Request {
+                id: RequestId(MINI | request.id.0),
+                graph: FunctionGraph::path(vec![mid]),
+                ..request.clone()
+            };
+            let expires = self.now + SimDuration::from_secs(30);
+            let replacements = sys.candidates(mid).to_vec();
+            for c in replacements {
+                let segment = Composition { assignment: vec![c], links: vec![] };
+                let Ok(mini) = sys.commit_session(&mini_request, segment) else { continue };
+                let (prefix, suffix) =
+                    (sys.virtual_path(c0.node, c.node), sys.virtual_path(c.node, c2.node));
+                let held = match (&prefix, &suffix) {
+                    (Some(p), Some(q)) => {
+                        sys.reserve_path_transient(mini_request.id, 0, p, request.bandwidth_kbps, expires)
+                            && sys.reserve_path_transient(mini_request.id, 1, q, request.bandwidth_kbps, expires)
+                    }
+                    _ => false,
+                };
+                if held
+                    && sys.splice_repair(sid, mini, mini_request.id, prefix, suffix, self.now).is_ok()
+                {
+                    return 2;
+                }
+                sys.release_request_transients(mini_request.id);
+                sys.close_session(mini);
+            }
+            sys.abandon_repair(sid);
+            1
+        }
+    }
+
+    /// The reference the directory is checked against: a lockstep twin
+    /// whose directory is thrown away and recomputed by a walk over every
+    /// node and every link around each operation. It therefore finds
+    /// leases the way the pre-directory full scans did, and the
+    /// maintained directory must never make the system under test behave
+    /// differently from it.
+    fn apply_with_full_scans(oracle: &mut Driver, op: (u8, usize, u64)) -> usize {
+        oracle.sys.rescan_lease_directory();
+        let done = oracle.apply(op);
+        oracle.sys.rescan_lease_directory();
+        done
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Under arbitrary interleavings of reserve / refresh, the three
+        /// releases, expiry, node and link fail-stop, crash, migration,
+        /// commit, close and splice, the directory-backed system and the
+        /// full-scan oracle agree after every operation on versions, the
+        /// lease ledger, availability and who holds leases — and the
+        /// auditor never finds the directory drifted.
+        #[test]
+        fn directory_matches_full_scan_oracle_under_churn(
+            seed in 0u64..6,
+            ops in prop::collection::vec((0u8..14, 0usize..512, 1u64..7), 1..64),
+        ) {
+            let mut sut = Driver::new(seed);
+            let mut oracle = Driver::new(seed);
+            let auditor = SystemAuditor::default();
+            for (step, op) in ops.into_iter().enumerate() {
+                let done = sut.apply(op);
+                let expected = apply_with_full_scans(&mut oracle, op);
+                prop_assert_eq!(done, expected, "step {} {:?}: outcome", step, op);
+                let (a, b) = (&sut.sys, &oracle.sys);
+                prop_assert_eq!(a.node_versions(), b.node_versions(), "step {} {:?}", step, op);
+                prop_assert_eq!(a.link_versions(), b.link_versions(), "step {} {:?}", step, op);
+                prop_assert_eq!(a.lease_stats(), b.lease_stats(), "step {} {:?}", step, op);
+                prop_assert_eq!(a.leased_requests(), b.leased_requests(), "step {} {:?}", step, op);
+                prop_assert_eq!(a.live_lease_count(), b.live_lease_count(), "step {} {:?}", step, op);
+                prop_assert_eq!(a.next_lease_expiry(), b.next_lease_expiry(), "step {} {:?}", step, op);
+                for i in 0..a.node_count() as u32 {
+                    let v = OverlayNodeId(i);
+                    prop_assert_eq!(a.node_available(v), b.node_available(v), "step {} {:?}: {}", step, op, v);
+                }
+                for i in 0..a.link_count() as u32 {
+                    let l = OverlayLinkId(i);
+                    prop_assert_eq!(
+                        a.link_available(l).to_bits(), b.link_available(l).to_bits(),
+                        "step {} {:?}: link {}", step, op, i
+                    );
+                }
+                prop_assert!(a.lease_stats().reconciles(a.live_lease_count() as u64));
+                let report = auditor.audit(a);
+                prop_assert!(
+                    !report.violations().iter().any(|v| matches!(v, AuditViolation::LeaseDirectoryMismatch { .. })),
+                    "step {} {:?}: {}", step, op, report
+                );
+            }
+            // One lease lifetime later nothing may survive the sweep.
+            sut.now += SimDuration::from_secs(60);
+            sut.sys.expire_transients(sut.now);
+            prop_assert_eq!(sut.sys.live_lease_count(), 0);
+            prop_assert!(sut.sys.leased_requests().is_empty());
+            prop_assert!(sut.sys.lease_stats().reconciles(0));
+        }
+    }
+}
+
 mod allocation_conservation {
     use super::*;
     use acp_topology::{InetConfig, Overlay, OverlayConfig};

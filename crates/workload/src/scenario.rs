@@ -659,19 +659,11 @@ impl ScenarioModel {
         self.composer.probing_ratio().unwrap_or(1.0)
     }
 
-    /// Expires stale transients, fanning the sweep over the shards when
-    /// the sharded runtime is live. Only the two-phase path can leave
+    /// Expires stale transients. Only the two-phase path can leave
     /// transients behind between events, so single-phase runs skip it.
     fn sweep_transients(&mut self, now: SimTime) {
         if self.config.setup.is_some() || self.config.repair.is_some() {
-            match self.shard.as_mut() {
-                Some(rt) => {
-                    rt.expire_transients(&mut self.system, now);
-                }
-                None => {
-                    self.system.expire_transients(now);
-                }
-            }
+            self.system.expire_transients(now);
         }
     }
 
@@ -1557,14 +1549,7 @@ pub fn run_scenario(config: ScenarioConfig) -> ScenarioResult {
     // outlived its maximum legitimate window — a leak.
     let leases_live_end = model.system.live_lease_count() as u64;
     let horizon = end + model.config.probing.transient_timeout;
-    match model.shard.as_mut() {
-        Some(rt) => {
-            rt.expire_transients(&mut model.system, horizon);
-        }
-        None => {
-            model.system.expire_transients(horizon);
-        }
-    }
+    model.system.expire_transients(horizon);
     let live_after_horizon = model.system.live_lease_count() as u64;
     let leases_leaked =
         live_after_horizon + u64::from(!model.system.lease_stats().reconciles(live_after_horizon));
