@@ -361,8 +361,10 @@ fn main() {
             eprintln!("  fig_scale: {nodes} nodes x {sessions} sessions...");
             let point = run_scale_point(&cfg);
             eprintln!(
-                "    {:.0} session ops/s, commit {:.2} us/op, examined {:.1} of {:.0} candidates per selection ({:.2}%), peak RSS {:.0} MiB",
+                "    {:.0} session ops/s, selection {:.2} us/op = {:.1} ns/row, commit {:.2} us/op, examined {:.1} of {:.0} candidates per selection ({:.2}%), peak RSS {:.0} MiB",
                 point.ops_per_sec,
+                point.selection_us_per_op(),
+                point.selection_ns_per_row(),
                 point.commit_us_per_op(),
                 point.examined_per_selection(),
                 point.overhead.selection_candidates as f64

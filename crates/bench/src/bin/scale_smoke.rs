@@ -5,7 +5,10 @@
 //! list, and peak RSS under a hard ceiling. It prints the mean commit
 //! cost next to the examined fraction: commit is flat in the node count,
 //! so a figure here in the tens of microseconds means a per-commit scan
-//! of the node or link tables has crept back in. Flags `--nodes`, `--sessions`
+//! of the node or link tables has crept back in. Beside it, the mean
+//! selection cost per call and per examined index row: a look reads one
+//! row and one flag (≈ 30 ns), so a figure near 75 ns means the walk is
+//! chasing the node and dense tables again. Flags `--nodes`, `--sessions`
 //! and `--rss-ceiling-mib` override the defaults.
 
 use acp_bench::{churn_for, peak_rss_mib, run_scale_point, ScaleConfig};
@@ -69,9 +72,12 @@ fn main() {
     );
     println!(
         "fig_scale smoke OK: {nodes} nodes x {sessions} sessions, {:.0} session ops/s, \
-         examined {:.1}% of candidates, commit {:.2} us/op, peak RSS {rss:.0} MiB (ceiling {ceiling:.0})",
+         examined {:.1}% of candidates, selection {:.2} us/op = {:.1} ns/row, commit {:.2} us/op, \
+         peak RSS {rss:.0} MiB (ceiling {ceiling:.0})",
         point.ops_per_sec,
         fraction * 100.0,
+        point.selection_us_per_op(),
+        point.selection_ns_per_row(),
         point.commit_us_per_op(),
     );
 }

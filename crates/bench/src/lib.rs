@@ -48,7 +48,9 @@ pub use repair::{
     REPAIR_CHURN_LEVELS,
 };
 pub use report::{write_results, CliArgs, Table};
-pub use scale::{churn_for, peak_rss_mib, run_scale_point, scale_axis, ScaleConfig, ScalePoint};
+pub use scale::{
+    churn_for, peak_rss_mib, run_scale_point, scale_axis, scale_request_config, ScaleConfig, ScalePoint,
+};
 pub use tenants::{
     fig_tenants, fig_tenants_threads, jain_index, sweep_mix, tenants_config, tenants_table,
     TenantPoint, LOAD_LEVELS,

@@ -85,6 +85,9 @@ pub struct ScalePoint {
     /// Wall-clock spent inside `commit_session` alone, summed over every
     /// call — commit must not grow with the node count.
     pub commit_seconds: f64,
+    /// Wall-clock spent inside ranked selection alone, summed over every
+    /// call.
+    pub selection_seconds: f64,
     /// Peak resident set size of the whole process so far, in MiB
     /// (`VmHWM`; 0 when `/proc/self/status` is unavailable).
     pub peak_rss_mib: f64,
@@ -100,6 +103,17 @@ impl ScalePoint {
     /// Mean wall-clock microseconds per `commit_session` call.
     pub fn commit_us_per_op(&self) -> f64 {
         self.commit_seconds * 1e6 / (self.committed + self.rejected).max(1) as f64
+    }
+
+    /// Mean wall-clock microseconds per ranked selection.
+    pub fn selection_us_per_op(&self) -> f64 {
+        self.selection_seconds * 1e6 / self.overhead.global_state_queries.max(1) as f64
+    }
+
+    /// Mean wall-clock nanoseconds per examined candidate-index row —
+    /// the price of one look.
+    pub fn selection_ns_per_row(&self) -> f64 {
+        self.selection_seconds * 1e9 / self.overhead.selection_examined.max(1) as f64
     }
 
     /// `examined / candidates` — the measured sublinearity of indexed
@@ -134,7 +148,7 @@ pub fn peak_rss_mib() -> f64 {
 /// a binding delay requirement (so the index's delay-ordered early exit
 /// engages), and a slack loss requirement (so risk is delay-dominated
 /// and the delay lower bound is tight).
-fn scale_request_config() -> RequestConfig {
+pub fn scale_request_config() -> RequestConfig {
     RequestConfig {
         per_hop_delay_ms: (150.0, 300.0),
         max_loss: (0.5, 0.9),
@@ -182,6 +196,7 @@ pub fn run_scale_point(cfg: &ScaleConfig) -> ScalePoint {
     let (mut committed, mut closed, mut rejected) = (0u64, 0u64, 0u64);
     let mut update_messages = 0u64;
     let mut commit_seconds = 0.0f64;
+    let mut selection_seconds = 0.0f64;
     let mut epoch_end = SimTime::from_minutes(1);
     let epoch = acp_simcore::SimDuration::from_minutes(1);
 
@@ -198,6 +213,7 @@ pub fn run_scale_point(cfg: &ScaleConfig) -> ScalePoint {
             }
             let request = arrival.request;
             let ctx = HopContext { request: &request, vertex: 0, predecessors: &[] };
+            let selection_start = Instant::now();
             let plans = select_candidates_with(
                 &mut system,
                 &board,
@@ -209,6 +225,7 @@ pub fn run_scale_point(cfg: &ScaleConfig) -> ScalePoint {
                 &mut stats,
                 &mut scratch,
             );
+            selection_seconds += selection_start.elapsed().as_secs_f64();
             let Some(plan) = plans.into_iter().next() else {
                 rejected += 1;
                 continue;
@@ -253,6 +270,7 @@ pub fn run_scale_point(cfg: &ScaleConfig) -> ScalePoint {
         wall_seconds,
         ops_per_sec: ops as f64 / wall_seconds.max(1e-9),
         commit_seconds,
+        selection_seconds,
         peak_rss_mib: peak_rss_mib(),
     }
 }

@@ -5,10 +5,13 @@
 //! `bench_function` / `bench_with_input`, `Bencher::iter` /
 //! `iter_batched`, `black_box`) over a simple wall-clock sampler:
 //! per bench it takes `sample_size` samples, each long enough to be
-//! timeable, and prints min / median / mean per iteration.
+//! timeable, and prints min / median / mean per iteration (and, for a
+//! group with a [`Throughput`], the median per element).
 //!
 //! Optional CLI filter: `cargo bench --bench composition -- acp` runs
-//! only benchmarks whose full name contains `acp`.
+//! only benchmarks whose full name contains `acp`. `--sample-size N`
+//! overrides every group's sample count, as in criterion; 2 is the
+//! shortest setting.
 
 use std::time::{Duration, Instant};
 
@@ -27,6 +30,14 @@ pub enum BatchSize {
     LargeInput,
     /// One setup per iteration.
     PerIteration,
+}
+
+/// The amount of work one iteration does; the report divides the median
+/// by it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Throughput {
+    /// Elements processed per iteration.
+    Elements(u64),
 }
 
 /// Identifier for one benchmark within a group.
@@ -107,7 +118,7 @@ fn human_time(secs: f64) -> String {
     }
 }
 
-fn report(name: &str, samples: &mut [f64]) {
+fn report(name: &str, samples: &mut [f64], throughput: Option<Throughput>) {
     if samples.is_empty() {
         println!("{name:<50} (no samples)");
         return;
@@ -116,8 +127,14 @@ fn report(name: &str, samples: &mut [f64]) {
     let min = samples[0];
     let median = samples[samples.len() / 2];
     let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+    let per_element = match throughput {
+        Some(Throughput::Elements(n)) if n > 0 => {
+            format!("   {}/elem over {n} elems", human_time(median / n as f64))
+        }
+        _ => String::new(),
+    };
     println!(
-        "{name:<50} min {:>11}   median {:>11}   mean {:>11}   ({} samples)",
+        "{name:<50} min {:>11}   median {:>11}   mean {:>11}   ({} samples){per_element}",
         human_time(min),
         human_time(median),
         human_time(mean),
@@ -129,41 +146,67 @@ fn report(name: &str, samples: &mut [f64]) {
 pub struct Criterion {
     filter: Option<String>,
     default_samples: usize,
+    /// `--sample-size N`: overrides the default and every group's own
+    /// setting.
+    forced_samples: Option<usize>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        // First positional CLI argument (if any) filters benchmarks by
-        // substring, like criterion. Flags (`--bench`, `--exact`, ...)
-        // that cargo forwards are ignored.
-        let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-        Criterion { filter, default_samples: 20 }
+        Criterion::from_args(std::env::args().skip(1))
     }
 }
 
 impl Criterion {
+    /// First positional argument (if any) filters benchmarks by
+    /// substring, like criterion; `--sample-size N` sets the sample
+    /// count. Other flags (`--bench`, `--exact`, ...) that cargo
+    /// forwards are ignored.
+    fn from_args(args: impl Iterator<Item = String>) -> Self {
+        let mut criterion = Criterion { filter: None, default_samples: 20, forced_samples: None };
+        let mut args = args;
+        while let Some(arg) = args.next() {
+            if arg == "--sample-size" {
+                let n: usize = args
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .expect("--sample-size needs a positive integer");
+                criterion.forced_samples = Some(n.max(2));
+            } else if !arg.starts_with('-') && criterion.filter.is_none() {
+                criterion.filter = Some(arg);
+            }
+        }
+        criterion
+    }
+
     fn should_run(&self, name: &str) -> bool {
         self.filter.as_deref().is_none_or(|f| name.contains(f))
     }
 
-    fn run_one(&self, name: &str, samples: usize, f: &mut dyn FnMut(&mut Bencher)) {
+    fn run_one(
+        &self,
+        name: &str,
+        samples: usize,
+        throughput: Option<Throughput>,
+        f: &mut dyn FnMut(&mut Bencher),
+    ) {
         if !self.should_run(name) {
             return;
         }
-        let mut bencher = Bencher::new(samples);
+        let mut bencher = Bencher::new(self.forced_samples.unwrap_or(samples));
         f(&mut bencher);
-        report(name, &mut bencher.recorded);
+        report(name, &mut bencher.recorded, throughput);
     }
 
     /// Runs a standalone benchmark.
     pub fn bench_function(&mut self, name: &str, mut f: impl FnMut(&mut Bencher)) -> &mut Self {
-        self.run_one(name, self.default_samples, &mut f);
+        self.run_one(name, self.default_samples, None, &mut f);
         self
     }
 
     /// Opens a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        BenchmarkGroup { criterion: self, name: name.into(), samples: None }
+        BenchmarkGroup { criterion: self, name: name.into(), samples: None, throughput: None }
     }
 }
 
@@ -172,9 +215,16 @@ pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
     name: String,
     samples: Option<usize>,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
+    /// Declares the work per iteration of the benchmarks that follow.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        self.throughput = Some(throughput);
+        self
+    }
+
     /// Overrides the number of samples per benchmark in this group.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.samples = Some(n.max(2));
@@ -189,7 +239,7 @@ impl BenchmarkGroup<'_> {
     pub fn bench_function(&mut self, id: impl Into<BenchmarkId>, mut f: impl FnMut(&mut Bencher)) -> &mut Self {
         let id: BenchmarkId = id.into();
         let full = format!("{}/{}", self.name, id.name);
-        self.criterion.run_one(&full, self.samples(), &mut f);
+        self.criterion.run_one(&full, self.samples(), self.throughput, &mut f);
         self
     }
 
@@ -201,7 +251,7 @@ impl BenchmarkGroup<'_> {
         mut f: impl FnMut(&mut Bencher, &I),
     ) -> &mut Self {
         let full = format!("{}/{}", self.name, id.name);
-        self.criterion.run_one(&full, self.samples(), &mut |b| f(b, input));
+        self.criterion.run_one(&full, self.samples(), self.throughput, &mut |b| f(b, input));
         self
     }
 
@@ -262,6 +312,20 @@ mod tests {
     }
 
     #[test]
+    fn cli_sample_size_is_not_taken_for_the_filter() {
+        let args = ["--bench", "--sample-size", "1", "ranked", "extra"].map(String::from);
+        let c = Criterion::from_args(args.into_iter());
+        assert_eq!(c.forced_samples, Some(2), "2 is the shortest setting");
+        assert_eq!(c.filter.as_deref(), Some("ranked"));
+        let mut ran = 0;
+        c.run_one("group/ranked", 20, Some(Throughput::Elements(8)), &mut |b| {
+            b.iter(|| black_box(1u64) + 1);
+            ran = b.recorded.len();
+        });
+        assert_eq!(ran, 2);
+    }
+
+    #[test]
     fn benchmark_ids_format() {
         assert_eq!(BenchmarkId::new("acp", 50).name, "acp/50");
         assert_eq!(BenchmarkId::from_parameter(0.3).name, "0.3");
@@ -269,7 +333,8 @@ mod tests {
 
     #[test]
     fn groups_run_and_finish() {
-        let mut c = Criterion { filter: Some("nothing-matches".into()), default_samples: 2 };
+        let mut c =
+            Criterion { filter: Some("nothing-matches".into()), default_samples: 2, forced_samples: None };
         let mut group = c.benchmark_group("g");
         group.sample_size(2);
         group.bench_function("skipped", |b| b.iter(|| 1 + 1));

@@ -47,6 +47,10 @@ pub struct CandidatePlan {
 pub struct SelectionScratch {
     ids: Vec<ComponentId>,
     ranked: Vec<(RankKey, CandidatePlan)>,
+    /// The row under examination's incoming virtual links: reused from
+    /// one rejected row to the next, moved into a [`CandidatePlan`] only
+    /// when the row enters the top-`quota`.
+    incoming: Vec<(usize, SharedPath)>,
 }
 
 /// Inputs to one hop's selection decision.
@@ -113,11 +117,10 @@ pub fn select_candidates_with<R: Rng + ?Sized>(
     if quota == 0 {
         return Vec::new();
     }
-    let rate = ctx.request.stream_rate_kbps;
-    let request = ctx.request;
-
     match strategy {
         HopSelection::Random => {
+            let rate = ctx.request.stream_rate_kbps;
+            let request = ctx.request;
             // Interface compatibility and placement constraints (both
             // static specifications known without probing).
             scratch.ids.clear();
@@ -139,85 +142,225 @@ pub fn select_candidates_with<R: Rng + ?Sized>(
         HopSelection::Ranked => {
             stats.global_state_queries += 1;
             stats.selection_candidates += k as u64;
-            let demand = ctx.request.vertex_demand(system.registry(), ctx.vertex);
-            let acc = accumulated_over(ctx.predecessors);
-            let acc_delay = acc.delay.as_secs_f64();
-            let entries = board.candidate_entries(function);
-            let ranked = &mut scratch.ranked;
-            ranked.clear();
-            for (pos, entry) in entries.iter().enumerate() {
-                if ranked.len() == quota {
-                    // The index walks ascending published delay, so this
-                    // delay-only risk lower bound is nondecreasing: the
-                    // first entry that cannot beat the kept worst ends
-                    // the walk for every remaining entry too.
-                    let d_lb =
-                        risk_delay_lower_bound(acc_delay, entry.qos.delay.as_secs_f64(), &ctx.request.qos);
-                    if cannot_beat(&ranked[ranked.len() - 1].0, d_lb, risk_epsilon) {
-                        break;
-                    }
-                }
-                stats.selection_examined += 1;
-                let cid = ComponentId::new(entry.node, entry.slot);
-                // Entries published before a crash/migration resolve to a
-                // dead or different dense id — drop them; the live
-                // replacement appears after its node's next publish.
-                match system.dense_of(cid) {
-                    Some(d) if d.0 == entry.dense => {}
-                    _ => {
-                        stats.selection_pruned_stale += 1;
-                        continue;
-                    }
-                }
-                let dense = DenseComponentId(entry.dense);
-                if rate > system.dense_max_rate_kbps(dense)
-                    || !request.constraints.admits(&system.dense_attributes(dense))
-                {
-                    stats.selection_pruned_static += 1;
-                    continue;
-                }
-                let avail = board.node_available(entry.node);
-                // Prescreen Eqs. 6–7 on published state with a neutral
-                // link (link QoS only ever adds, and Eq. 8 passes at ∞
-                // availability) — an exact necessary condition, so pruned
-                // entries never pay for a virtual-path lookup.
-                if is_unqualified(
-                    acc,
-                    entry.qos,
-                    Qos::ZERO,
-                    &ctx.request.qos,
-                    &avail,
-                    &demand,
-                    f64::INFINITY,
-                    ctx.request.bandwidth_kbps,
-                ) {
-                    stats.selection_prescreened += 1;
-                    continue;
-                }
-                let Some(plan) = plan_for(system, cid, ctx) else { continue };
-                let (link_qos, link_avail, acc_at) = incoming_summary(board, &plan, ctx);
-                if is_unqualified(
-                    acc_at,
-                    entry.qos,
-                    link_qos,
-                    &ctx.request.qos,
-                    &avail,
-                    &demand,
-                    link_avail,
-                    ctx.request.bandwidth_kbps,
-                ) {
-                    continue;
-                }
-                let d = risk_function(acc_at, entry.qos, link_qos, &ctx.request.qos);
-                let v = congestion_function(&avail, &demand, link_avail, ctx.request.bandwidth_kbps);
-                stats.selection_scored += 1;
-                insert_ranked(ranked, quota, RankKey::new(d, v, pos as u32, risk_epsilon), plan);
-            }
-            // Drain (rather than move) so the buffer's capacity is kept
-            // for the next hop.
-            ranked.drain(..).map(|(_, plan)| plan).collect()
+            ranked_walk(system, board, ctx, quota, risk_epsilon, stats, scratch)
         }
     }
+}
+
+/// The ranked walk over `ctx.vertex`'s candidate index: the best
+/// `quota` rows by [`RankKey`], best first.
+///
+/// Examining a row reads the row itself and the system's liveness flag,
+/// nothing else, until a row with predecessors reaches path resolution;
+/// the key is computed from the row and compared with the kept worst
+/// before anything is built, so a row that does not enter the top
+/// `quota` costs no [`CandidatePlan`] and no allocation. Deliberately
+/// not generic (ranking draws no randomness): the loop and every
+/// private helper compile together in this crate.
+fn ranked_walk(
+    system: &mut StreamSystem,
+    board: &GlobalStateBoard,
+    ctx: &HopContext<'_>,
+    quota: usize,
+    risk_epsilon: f64,
+    stats: &mut OverheadStats,
+    scratch: &mut SelectionScratch,
+) -> Vec<CandidatePlan> {
+    let hop = HopInputs::new(system, ctx.request, ctx.vertex);
+    let acc = accumulated_over(ctx.predecessors);
+    let acc_delay = acc.delay.as_secs_f64();
+    let entries = board.candidate_entries(hop.function);
+    let SelectionScratch { ranked, incoming, .. } = scratch;
+    ranked.clear();
+    for (pos, entry) in entries.iter().enumerate() {
+        if ranked.len() == quota {
+            // The index walks ascending published delay, so this
+            // delay-only risk lower bound is nondecreasing: the
+            // first entry that cannot beat the kept worst ends
+            // the walk for every remaining entry too.
+            let d_lb = risk_delay_lower_bound(acc_delay, entry.qos.delay.as_secs_f64(), hop.max_delay_secs);
+            if cannot_beat(&ranked[ranked.len() - 1].0, d_lb, risk_epsilon) {
+                break;
+            }
+        }
+        stats.selection_examined += 1;
+        if let Some(pruned) = screen_row(system, board, entry, &hop, acc) {
+            pruned.count(stats);
+            continue;
+        }
+        let link = if ctx.predecessors.is_empty() {
+            // No link: Eqs. 6–8 over the neutral link are exactly the
+            // prescreen the row just passed, so it is known qualified.
+            NEUTRAL_LINK
+        } else {
+            if !resolve_incoming(system, entry.node, ctx.predecessors, incoming) {
+                continue;
+            }
+            let Some(link) = requalify(board, entry, &hop, acc, incoming) else { continue };
+            link
+        };
+        let (d, v) = score_row(entry, &hop, acc, link);
+        stats.selection_scored += 1;
+        let key = RankKey::new(d, v, pos as u32, risk_epsilon);
+        if enters(ranked, quota, &key) {
+            let plan = CandidatePlan {
+                component: ComponentId::new(entry.node, entry.slot),
+                incoming: std::mem::take(incoming),
+            };
+            insert_ranked(ranked, quota, key, plan);
+        }
+    }
+    // Release the last examined row's shared paths.
+    incoming.clear();
+    // Drain (rather than move) so the buffer's capacity is kept
+    // for the next hop.
+    ranked.drain(..).map(|(_, plan)| plan).collect()
+}
+
+/// The request-side inputs of one hop's ranked walk, looked up and
+/// converted once per call instead of once per examined row.
+struct HopInputs {
+    function: FunctionId,
+    rate: f64,
+    constraints: PlacementConstraints,
+    qos: QosRequirement,
+    /// `qos.max_delay.as_secs_f64()` — the Eq. 9 delay divisor.
+    max_delay_secs: f64,
+    /// `qos.max_loss.log_survival()` — the Eq. 9 loss divisor.
+    max_loss: f64,
+    demand: ResourceVector,
+    bandwidth_kbps: f64,
+}
+
+impl HopInputs {
+    fn new(system: &StreamSystem, request: &Request, vertex: VertexId) -> HopInputs {
+        HopInputs {
+            function: request.graph.function(vertex),
+            rate: request.stream_rate_kbps,
+            constraints: request.constraints,
+            qos: request.qos,
+            max_delay_secs: request.qos.max_delay.as_secs_f64(),
+            max_loss: request.qos.max_loss.log_survival(),
+            demand: request.vertex_demand(system.registry(), vertex),
+            bandwidth_kbps: request.bandwidth_kbps,
+        }
+    }
+}
+
+/// Why the cascade dropped a row before path resolution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pruned {
+    /// The row's dense id was retired (crash, migration, node failure)
+    /// after its node's last publish; the live replacement appears
+    /// after the next one.
+    Stale,
+    /// Dropped by the static interface/placement filter.
+    Static,
+    /// Dropped by the published-state prescreen (Eqs. 6–7).
+    Prescreened,
+}
+
+impl Pruned {
+    fn count(self, stats: &mut OverheadStats) {
+        match self {
+            Pruned::Stale => stats.selection_pruned_stale += 1,
+            Pruned::Static => stats.selection_pruned_static += 1,
+            Pruned::Prescreened => stats.selection_prescreened += 1,
+        }
+    }
+}
+
+/// The stale → static → prescreen cascade over one index row — the one
+/// copy, shared by the sequential walk and the shard workers. Reads the
+/// row and the liveness flag only (`board` serves the debug check that
+/// the row's copies equal their sources).
+///
+/// The prescreen evaluates Eqs. 6–7 on published state with a neutral
+/// link (link QoS only ever adds, and Eq. 8 passes at ∞ availability) —
+/// an exact necessary condition, so pruned rows never pay for a
+/// virtual-path lookup.
+#[inline]
+fn screen_row(
+    system: &StreamSystem,
+    board: &GlobalStateBoard,
+    entry: &IndexEntry,
+    hop: &HopInputs,
+    acc: Qos,
+) -> Option<Pruned> {
+    let dense = DenseComponentId(entry.dense);
+    let retired = system.dense_is_retired(dense);
+    debug_assert_eq!(
+        retired,
+        system.dense_of(ComponentId::new(entry.node, entry.slot)) != Some(dense),
+        "retired flag diverges from the slot table for dense id {}",
+        entry.dense
+    );
+    if retired {
+        return Some(Pruned::Stale);
+    }
+    debug_assert!(
+        entry.available == board.node_available(entry.node)
+            && Some(entry.qos) == board.component_qos_dense(dense)
+            && entry.max_rate_kbps == system.dense_max_rate_kbps(dense)
+            && entry.attributes == system.dense_attributes(dense),
+        "index row drifted from its sources: {entry:?}"
+    );
+    if hop.rate > entry.max_rate_kbps || !hop.constraints.admits(&entry.attributes) {
+        return Some(Pruned::Static);
+    }
+    if is_unqualified(
+        acc,
+        entry.qos,
+        Qos::ZERO,
+        &hop.qos,
+        &entry.available,
+        &hop.demand,
+        f64::INFINITY,
+        hop.bandwidth_kbps,
+    ) {
+        return Some(Pruned::Prescreened);
+    }
+    None
+}
+
+/// A row's worst incoming virtual link under coarse state: `(link QoS,
+/// bottleneck availability)`.
+type LinkSummary = (Qos, f64);
+
+/// The link of a source vertex, which has none: it adds no QoS and
+/// passes Eq. 8 at any bandwidth — what the prescreen evaluates with.
+const NEUTRAL_LINK: LinkSummary = (Qos::ZERO, f64::INFINITY);
+
+/// Full qualification (Eqs. 6–8) of a screened row over its resolved
+/// incoming links: the links' summary, or `None` when unqualified.
+fn requalify(
+    board: &GlobalStateBoard,
+    entry: &IndexEntry,
+    hop: &HopInputs,
+    acc: Qos,
+    incoming: &[(usize, SharedPath)],
+) -> Option<LinkSummary> {
+    let (link_qos, link_avail) = incoming_summary(board, incoming);
+    let unqualified = is_unqualified(
+        acc,
+        entry.qos,
+        link_qos,
+        &hop.qos,
+        &entry.available,
+        &hop.demand,
+        link_avail,
+        hop.bandwidth_kbps,
+    );
+    (!unqualified).then_some((link_qos, link_avail))
+}
+
+/// The rank inputs of a qualified row: risk `D` (Eq. 9) and congestion
+/// `V` (Eq. 10) on coarse state, from the row and the hop alone.
+#[inline]
+fn score_row(entry: &IndexEntry, hop: &HopInputs, acc: Qos, (link_qos, link_avail): LinkSummary) -> (f64, f64) {
+    let d = (acc + entry.qos + link_qos).risk_ratio_against(hop.max_delay_secs, hop.max_loss);
+    let v = congestion_function(&entry.available, &hop.demand, link_avail, hop.bandwidth_kbps);
+    (d, v)
 }
 
 /// Ranking key reproducing the §3.5 order: "Candidates with smaller
@@ -258,17 +401,32 @@ impl RankKey {
     }
 }
 
-/// The ε-band of a risk value; `i64::MAX` for non-finite risks.
+/// The ε-band of a risk value, `⌊d / ε⌋` saturated to `i64`;
+/// `i64::MAX` for non-finite risks.
+///
+/// The floor is taken in integers: `as i64` truncates toward zero and
+/// saturates, and a truncation that rounded a negative quotient up is
+/// stepped back down. That equals `f64::floor` followed by the
+/// saturating cast for every quotient, without the libm call `floor`
+/// compiles to on the baseline x86-64 target — two per examined row.
+#[inline]
 fn risk_band(d: f64, risk_epsilon: f64) -> i64 {
     if risk_epsilon <= 0.0 || !d.is_finite() {
         return if d.is_finite() { 0 } else { i64::MAX };
     }
-    (d / risk_epsilon).floor().clamp(i64::MIN as f64, (i64::MAX - 1) as f64) as i64
+    let quotient = d / risk_epsilon;
+    let truncated = quotient as i64;
+    if (truncated as f64) > quotient {
+        truncated.saturating_sub(1)
+    } else {
+        truncated
+    }
 }
 
 /// Per-metric maximum of the predecessors' accumulated QoS — the
-/// plan-independent part of [`incoming_summary`], computable before any
-/// candidate work (it feeds the early-exit risk bound).
+/// accumulated QoS at arrival, excluding link and candidate. It is
+/// plan-independent, so it is computed once before any candidate work
+/// (it feeds the prescreen and the early-exit risk bound too).
 fn accumulated_over(predecessors: &[(usize, ComponentId, Qos)]) -> Qos {
     let mut acc = Qos::ZERO;
     for &(_, _, pred_acc) in predecessors {
@@ -285,12 +443,12 @@ fn accumulated_over(predecessors: &[(usize, ComponentId, Qos)]) -> Qos {
 /// Lower bound on a candidate's risk `D` (Eq. 9) from its published
 /// delay alone: the risk ratio is a max over per-metric ratios and link
 /// QoS only adds, so `D ≥ ratio(acc.delay + cand.delay, req.max_delay)`
-/// (same `ratio` semantics as [`Qos::risk_ratio`]).
-fn risk_delay_lower_bound(acc_delay_secs: f64, entry_delay_secs: f64, req: &QosRequirement) -> f64 {
-    let bound = req.max_delay.as_secs_f64();
+/// (same `ratio` semantics as [`Qos::risk_ratio`]; `max_delay_secs` is
+/// the requirement's `max_delay.as_secs_f64()`).
+fn risk_delay_lower_bound(acc_delay_secs: f64, entry_delay_secs: f64, max_delay_secs: f64) -> f64 {
     let value = acc_delay_secs + entry_delay_secs;
-    if bound > 0.0 {
-        value / bound
+    if max_delay_secs > 0.0 {
+        value / max_delay_secs
     } else if value == 0.0 {
         0.0
     } else {
@@ -310,20 +468,22 @@ fn cannot_beat(worst: &RankKey, d_lb: f64, risk_epsilon: f64) -> bool {
     }
 }
 
-/// Inserts into a bounded top-`quota` list kept ascending by
+/// True when `key` enters a bounded top-`quota` list kept ascending by
 /// [`RankKey`] (worst last). Keys are unique (`pos` differs), so a
 /// candidate equal-or-worse than the kept worst never enters.
+#[inline]
+fn enters(ranked: &[(RankKey, CandidatePlan)], quota: usize, key: &RankKey) -> bool {
+    ranked.len() < quota || ranked[ranked.len() - 1].0.cmp(key) == std::cmp::Ordering::Greater
+}
+
+/// Inserts a key that [`enters`] the top-`quota` list, dropping the
+/// displaced worst.
 fn insert_ranked(
     ranked: &mut Vec<(RankKey, CandidatePlan)>,
     quota: usize,
     key: RankKey,
     plan: CandidatePlan,
 ) {
-    if ranked.len() == quota
-        && ranked[ranked.len() - 1].0.cmp(&key) != std::cmp::Ordering::Greater
-    {
-        return;
-    }
     let at = ranked.partition_point(|(k, _)| k.cmp(&key) == std::cmp::Ordering::Less);
     ranked.insert(at, (key, plan));
     ranked.truncate(quota);
@@ -337,17 +497,13 @@ type ScoredItem = (f64, f64, Vec<(usize, SharedPath)>);
 /// mirroring the sequential loop's per-entry outcomes so the
 /// coordinator replay can bump the exact same counters.
 enum ItemVerdict {
-    /// The entry no longer resolves to a live dense id.
-    Stale,
-    /// Dropped by the static interface/placement filter.
-    Static,
-    /// Dropped by the published-state prescreen (Eqs. 6–7).
-    Prescreened,
+    /// Dropped by the cascade before path resolution.
+    Pruned(Pruned),
     /// The entry reached path resolution.
     Pathed {
         /// Path-memo lookups this item executed, in issue order
         /// (short-circuiting on an unreachable predecessor exactly like
-        /// [`plan_for`]). The coordinator replays them through
+        /// [`resolve_incoming`]). The coordinator replays them through
         /// [`StreamSystem::admit_virtual_path`] so memo contents and
         /// hit/miss counters match the sequential run byte for byte —
         /// but only for items the sequential walk would actually reach.
@@ -359,88 +515,48 @@ enum ItemVerdict {
 }
 
 /// Judges one candidate-index entry for one probe entirely read-only:
-/// the same stale/static/prescreen cascade as the sequential loop,
-/// then paths via memo peek or cache-neutral recompute, then the risk
-/// (Eq. 9) / congestion (Eq. 10) scoring on coarse board state. Every
-/// check is a pure function of system and board state, so a shard
-/// worker computes exactly the bytes [`select_candidates_with`] would.
-#[allow(clippy::too_many_arguments)] // mirrors the sequential loop's inputs
+/// the sequential walk's [`screen_row`] cascade, then paths via memo
+/// peek or cache-neutral recompute, then the walk's [`requalify`] and
+/// [`score_row`]. Every check is a pure function of system and
+/// board state, so a shard worker computes exactly the bytes
+/// [`select_candidates_with`] would.
 fn judge_item(
     system: &StreamSystem,
     board: &GlobalStateBoard,
-    request: &Request,
-    vertex: VertexId,
-    rate: f64,
-    demand: &ResourceVector,
+    hop: &HopInputs,
     acc: Qos,
     predecessors: &[(usize, ComponentId, Qos)],
     entry: &IndexEntry,
 ) -> ItemVerdict {
-    let cid = ComponentId::new(entry.node, entry.slot);
-    match system.dense_of(cid) {
-        Some(d) if d.0 == entry.dense => {}
-        _ => return ItemVerdict::Stale,
-    }
-    let dense = DenseComponentId(entry.dense);
-    if rate > system.dense_max_rate_kbps(dense)
-        || !request.constraints.admits(&system.dense_attributes(dense))
-    {
-        return ItemVerdict::Static;
-    }
-    let avail = board.node_available(entry.node);
-    if is_unqualified(
-        acc,
-        entry.qos,
-        Qos::ZERO,
-        &request.qos,
-        &avail,
-        demand,
-        f64::INFINITY,
-        request.bandwidth_kbps,
-    ) {
-        return ItemVerdict::Prescreened;
+    if let Some(pruned) = screen_row(system, board, entry, hop, acc) {
+        return ItemVerdict::Pruned(pruned);
     }
     let overlay = system.overlay();
     let mut queries = Vec::with_capacity(predecessors.len());
     let mut incoming = Vec::with_capacity(predecessors.len());
-    let mut reachable = true;
     for &(edge, pred, _) in predecessors {
-        let resolved = match overlay.peek_virtual_path(pred.node, cid.node) {
-            Some(entry) => entry,
+        let resolved = match overlay.peek_virtual_path(pred.node, entry.node) {
+            Some(memoized) => memoized,
             None => overlay
-                .compute_virtual_path_readonly(pred.node, cid.node)
+                .compute_virtual_path_readonly(pred.node, entry.node)
                 .map(SharedPath::new),
         };
-        queries.push((pred.node, cid.node, resolved.clone()));
+        queries.push((pred.node, entry.node, resolved.clone()));
         match resolved {
             Some(path) => incoming.push((edge, path)),
-            None => {
-                reachable = false;
-                break;
-            }
+            None => return ItemVerdict::Pathed { queries, scored: None },
         }
     }
-    if !reachable {
-        return ItemVerdict::Pathed { queries, scored: None };
-    }
-    let plan = CandidatePlan { component: cid, incoming };
-    let ctx = HopContext { request, vertex, predecessors };
-    let (link_qos, link_avail, acc_at) = incoming_summary(board, &plan, &ctx);
-    if is_unqualified(
-        acc_at,
-        entry.qos,
-        link_qos,
-        &request.qos,
-        &avail,
-        demand,
-        link_avail,
-        request.bandwidth_kbps,
-    ) {
-        return ItemVerdict::Pathed { queries, scored: None };
-    }
-    let d = risk_function(acc_at, entry.qos, link_qos, &request.qos);
-    let v = congestion_function(&avail, demand, link_avail, request.bandwidth_kbps);
-    ItemVerdict::Pathed { queries, scored: Some((d, v, plan.incoming)) }
+    let link = if predecessors.is_empty() {
+        Some(NEUTRAL_LINK)
+    } else {
+        requalify(board, entry, hop, acc, &incoming)
+    };
+    let scored = link.map(|link| {
+        let (d, v) = score_row(entry, hop, acc, link);
+        (d, v, incoming)
+    });
+    ItemVerdict::Pathed { queries, scored }
 }
 
 /// Sharded [`HopSelection::Ranked`] selection for one whole frontier:
@@ -469,18 +585,16 @@ pub fn select_frontier_sharded(
     rt: &mut ShardedRuntime,
     proposals: &mut Vec<(usize, usize, CandidatePlan)>,
 ) {
-    let function = request.graph.function(vertex);
+    let hop = HopInputs::new(system, request, vertex);
     let n_probes = pred_ranges.len();
     stats.discovery_lookups += n_probes as u64;
-    let k = system.candidates(function).len();
+    let k = system.candidates(hop.function).len();
     let quota = probe_quota(k, alpha);
     if quota == 0 {
         return;
     }
     stats.global_state_queries += n_probes as u64;
-    let rate = request.stream_rate_kbps;
-    let demand = request.vertex_demand(system.registry(), vertex);
-    let entries: Vec<IndexEntry> = board.candidate_entries(function).to_vec();
+    let entries: Vec<IndexEntry> = board.candidate_entries(hop.function).to_vec();
     // Accumulated QoS per probe — plan-independent, feeds both the
     // prescreen and the early-exit bound during replay.
     let accs: Vec<Qos> =
@@ -499,22 +613,13 @@ pub fn select_frontier_sharded(
     let work_ref = &work;
     let entries_ref = &entries;
     let accs_ref = &accs;
+    let hop_ref = &hop;
     let results: Vec<Vec<ItemVerdict>> = rt.scatter(|s| {
         work_ref[s]
             .iter()
             .map(|&(p, ei)| {
                 let (ps, pe) = pred_ranges[p];
-                judge_item(
-                    sys,
-                    board,
-                    request,
-                    vertex,
-                    rate,
-                    &demand,
-                    accs_ref[p],
-                    &pred_buf[ps..pe],
-                    &entries_ref[ei],
-                )
+                judge_item(sys, board, hop_ref, accs_ref[p], &pred_buf[ps..pe], &entries_ref[ei])
             })
             .collect()
     });
@@ -537,7 +642,7 @@ pub fn select_frontier_sharded(
         for (ei, entry) in entries.iter().enumerate() {
             if ranked.len() == quota {
                 let d_lb =
-                    risk_delay_lower_bound(acc_delay, entry.qos.delay.as_secs_f64(), &request.qos);
+                    risk_delay_lower_bound(acc_delay, entry.qos.delay.as_secs_f64(), hop.max_delay_secs);
                 if cannot_beat(&ranked[ranked.len() - 1].0, d_lb, risk_epsilon) {
                     break;
                 }
@@ -546,20 +651,21 @@ pub fn select_frontier_sharded(
             let verdict =
                 slots[p * entries.len() + ei].take().expect("every examined item judged exactly once");
             match verdict {
-                ItemVerdict::Stale => stats.selection_pruned_stale += 1,
-                ItemVerdict::Static => stats.selection_pruned_static += 1,
-                ItemVerdict::Prescreened => stats.selection_prescreened += 1,
+                ItemVerdict::Pruned(pruned) => pruned.count(stats),
                 ItemVerdict::Pathed { queries, scored } => {
                     for (from, to, resolved) in queries {
                         system.admit_virtual_path(from, to, resolved);
                     }
                     if let Some((d, v, incoming)) = scored {
                         stats.selection_scored += 1;
-                        let plan = CandidatePlan {
-                            component: ComponentId::new(entry.node, entry.slot),
-                            incoming,
-                        };
-                        insert_ranked(&mut ranked, quota, RankKey::new(d, v, ei as u32, risk_epsilon), plan);
+                        let key = RankKey::new(d, v, ei as u32, risk_epsilon);
+                        if enters(&ranked, quota, &key) {
+                            let plan = CandidatePlan {
+                                component: ComponentId::new(entry.node, entry.slot),
+                                incoming,
+                            };
+                            insert_ranked(&mut ranked, quota, key, plan);
+                        }
                     }
                 }
             }
@@ -570,29 +676,38 @@ pub fn select_frontier_sharded(
     }
 }
 
+/// Resolves the virtual link from every predecessor to `node` into
+/// `incoming` (cleared first), in predecessor order. `false` — stopping
+/// at the first lookup that fails — when some predecessor cannot reach
+/// `node`.
+fn resolve_incoming(
+    system: &mut StreamSystem,
+    node: OverlayNodeId,
+    predecessors: &[(usize, ComponentId, Qos)],
+    incoming: &mut Vec<(usize, SharedPath)>,
+) -> bool {
+    incoming.clear();
+    for &(edge, pred, _) in predecessors {
+        let Some(path) = system.virtual_path(pred.node, node) else { return false };
+        incoming.push((edge, path));
+    }
+    true
+}
+
 /// Builds the candidate's plan: virtual links from every assigned
 /// predecessor. `None` when some predecessor cannot reach the candidate.
 fn plan_for(system: &mut StreamSystem, component: ComponentId, ctx: &HopContext<'_>) -> Option<CandidatePlan> {
     let mut incoming = Vec::with_capacity(ctx.predecessors.len());
-    for &(edge, pred, _) in ctx.predecessors {
-        let path = system.virtual_path(pred.node, component.node)?;
-        incoming.push((edge, path));
-    }
-    Some(CandidatePlan { component, incoming })
+    resolve_incoming(system, component.node, ctx.predecessors, &mut incoming)
+        .then_some(CandidatePlan { component, incoming })
 }
 
 /// Summarises the incoming virtual links under **coarse** state: the
-/// worst-branch `(link QoS, bottleneck availability, accumulated QoS at
-/// arrival excluding the candidate itself)`.
-fn incoming_summary(board: &GlobalStateBoard, plan: &CandidatePlan, ctx: &HopContext<'_>) -> (Qos, f64, Qos) {
-    if ctx.predecessors.is_empty() {
-        return (Qos::ZERO, f64::INFINITY, Qos::ZERO);
-    }
+/// worst branch's QoS and the bottleneck availability.
+fn incoming_summary(board: &GlobalStateBoard, incoming: &[(usize, SharedPath)]) -> LinkSummary {
     let mut worst_link = Qos::ZERO;
     let mut min_avail = f64::INFINITY;
-    let mut acc = Qos::ZERO;
-    for (i, &(_, _, pred_acc)) in ctx.predecessors.iter().enumerate() {
-        let path = &plan.incoming[i].1;
+    for (_, path) in incoming {
         let link_qos = Qos::new(path.delay, LossRate::from_probability(path.loss_rate));
         min_avail = min_avail.min(board.path_available(path));
         if link_qos.delay > worst_link.delay {
@@ -601,15 +716,8 @@ fn incoming_summary(board: &GlobalStateBoard, plan: &CandidatePlan, ctx: &HopCon
         if link_qos.loss > worst_link.loss {
             worst_link.loss = link_qos.loss;
         }
-        let branch = pred_acc; // candidate + link added by caller formulas
-        if branch.delay > acc.delay {
-            acc.delay = branch.delay;
-        }
-        if branch.loss > acc.loss {
-            acc.loss = branch.loss;
-        }
     }
-    (worst_link, min_avail, acc)
+    (worst_link, min_avail)
 }
 
 /// Precise arrival accumulation at a candidate: per-metric maximum over
@@ -802,5 +910,418 @@ mod tests {
         let cand = Qos::from_delay(acp_simcore::SimDuration::from_millis(3));
         let acc = arrival_accumulated(&plan, &ctx, cand);
         assert_eq!(acc.delay, acp_simcore::SimDuration::from_millis(43));
+    }
+
+    /// The integer floor in [`risk_band`] against the `f64::floor`
+    /// formula it replaced, on the quotients' whole range: both signs,
+    /// exact integers, the saturation edges, infinities and NaN ε.
+    #[test]
+    fn risk_band_matches_the_floor_formula() {
+        let reference = differential::reference_risk_band;
+        let edges = [
+            0.0,
+            -0.0,
+            0.004_999,
+            0.01,
+            0.05,
+            0.3,
+            1.0,
+            7.5,
+            -7.5,
+            -1.0,
+            2f64.powi(52),
+            2f64.powi(53) + 2.0,
+            2f64.powi(62),
+            2f64.powi(63),
+            -(2f64.powi(63)),
+            -(2f64.powi(64)),
+            1e300,
+            -1e300,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for &d in &edges {
+            for &eps in &[0.0, -1.0, 0.01, 0.05, 1.0, 3.0, 1e-300, 1e300, f64::NAN] {
+                assert_eq!(risk_band(d, eps), reference(d, eps), "d={d:e} ε={eps:e}");
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(99);
+        for _ in 0..200_000 {
+            let d = f64::from_bits(rng.gen::<u64>());
+            let eps = [0.01, 0.05, rng.gen_range(1e-6..10.0)][rng.gen_range(0..3usize)];
+            assert_eq!(risk_band(d, eps), reference(d, eps), "d={d:e} ε={eps:e}");
+            let small = rng.gen_range(-50.0..50.0);
+            assert_eq!(risk_band(small, eps), reference(small, eps), "d={small:e} ε={eps:e}");
+        }
+    }
+
+    /// The selection kernel against the per-row loop it replaced.
+    mod differential {
+        use super::*;
+        use acp_simcore::SimDuration;
+        use proptest::prelude::*;
+
+        /// `risk_band` as it was: `f64::floor`, clamp, saturating cast.
+        pub(super) fn reference_risk_band(d: f64, risk_epsilon: f64) -> i64 {
+            if risk_epsilon <= 0.0 || !d.is_finite() {
+                return if d.is_finite() { 0 } else { i64::MAX };
+            }
+            (d / risk_epsilon).floor().clamp(i64::MIN as f64, (i64::MAX - 1) as f64) as i64
+        }
+
+        fn reference_key(d: f64, v: f64, pos: u32, risk_epsilon: f64) -> RankKey {
+            RankKey { band: reference_risk_band(d, risk_epsilon), d, v, pos, banded: risk_epsilon > 0.0 }
+        }
+
+        /// Ranked selection as it stood before the kernel: every examined
+        /// row re-assembles its inputs from the system's slot table and
+        /// statics and the board's node table, builds its plan before it
+        /// is scored, and evaluates Eqs. 6–8 twice. Kept verbatim as the
+        /// oracle (with the `floor`-based band).
+        pub(super) fn reference_select(
+            system: &mut StreamSystem,
+            board: &GlobalStateBoard,
+            ctx: &HopContext<'_>,
+            alpha: f64,
+            risk_epsilon: f64,
+            stats: &mut OverheadStats,
+        ) -> Vec<CandidatePlan> {
+            let function = ctx.request.graph.function(ctx.vertex);
+            stats.discovery_lookups += 1;
+            let k = system.candidates(function).len();
+            let quota = probe_quota(k, alpha);
+            if quota == 0 {
+                return Vec::new();
+            }
+            let rate = ctx.request.stream_rate_kbps;
+            let request = ctx.request;
+            stats.global_state_queries += 1;
+            stats.selection_candidates += k as u64;
+            let demand = request.vertex_demand(system.registry(), ctx.vertex);
+            let acc = accumulated_over(ctx.predecessors);
+            let acc_delay = acc.delay.as_secs_f64();
+            let mut ranked: Vec<(RankKey, CandidatePlan)> = Vec::new();
+            for (pos, entry) in board.candidate_entries(function).iter().enumerate() {
+                if ranked.len() == quota {
+                    let bound = request.qos.max_delay.as_secs_f64();
+                    let value = acc_delay + entry.qos.delay.as_secs_f64();
+                    let d_lb = if bound > 0.0 {
+                        value / bound
+                    } else if value == 0.0 {
+                        0.0
+                    } else {
+                        f64::INFINITY
+                    };
+                    let worst = &ranked[ranked.len() - 1].0;
+                    let cannot_beat = if risk_epsilon > 0.0 {
+                        reference_risk_band(d_lb, risk_epsilon) > worst.band
+                    } else {
+                        d_lb > worst.d
+                    };
+                    if cannot_beat {
+                        break;
+                    }
+                }
+                stats.selection_examined += 1;
+                let cid = ComponentId::new(entry.node, entry.slot);
+                match system.dense_of(cid) {
+                    Some(d) if d.0 == entry.dense => {}
+                    _ => {
+                        stats.selection_pruned_stale += 1;
+                        continue;
+                    }
+                }
+                let dense = DenseComponentId(entry.dense);
+                if rate > system.dense_max_rate_kbps(dense)
+                    || !request.constraints.admits(&system.dense_attributes(dense))
+                {
+                    stats.selection_pruned_static += 1;
+                    continue;
+                }
+                let avail = board.node_available(entry.node);
+                if is_unqualified(
+                    acc,
+                    entry.qos,
+                    Qos::ZERO,
+                    &request.qos,
+                    &avail,
+                    &demand,
+                    f64::INFINITY,
+                    request.bandwidth_kbps,
+                ) {
+                    stats.selection_prescreened += 1;
+                    continue;
+                }
+                let Some(plan) = plan_for(system, cid, ctx) else { continue };
+                let (link_qos, link_avail, acc_at) = reference_incoming_summary(board, &plan, ctx);
+                if is_unqualified(
+                    acc_at,
+                    entry.qos,
+                    link_qos,
+                    &request.qos,
+                    &avail,
+                    &demand,
+                    link_avail,
+                    request.bandwidth_kbps,
+                ) {
+                    continue;
+                }
+                let d = risk_function(acc_at, entry.qos, link_qos, &request.qos);
+                let v = congestion_function(&avail, &demand, link_avail, request.bandwidth_kbps);
+                stats.selection_scored += 1;
+                let key = reference_key(d, v, pos as u32, risk_epsilon);
+                if ranked.len() == quota
+                    && ranked[ranked.len() - 1].0.cmp(&key) != std::cmp::Ordering::Greater
+                {
+                    continue;
+                }
+                let at = ranked.partition_point(|(k, _)| k.cmp(&key) == std::cmp::Ordering::Less);
+                ranked.insert(at, (key, plan));
+                ranked.truncate(quota);
+            }
+            ranked.into_iter().map(|(_, plan)| plan).collect()
+        }
+
+        fn reference_incoming_summary(
+            board: &GlobalStateBoard,
+            plan: &CandidatePlan,
+            ctx: &HopContext<'_>,
+        ) -> (Qos, f64, Qos) {
+            if ctx.predecessors.is_empty() {
+                return (Qos::ZERO, f64::INFINITY, Qos::ZERO);
+            }
+            let mut worst_link = Qos::ZERO;
+            let mut min_avail = f64::INFINITY;
+            let mut acc = Qos::ZERO;
+            for (i, &(_, _, pred_acc)) in ctx.predecessors.iter().enumerate() {
+                let path = &plan.incoming[i].1;
+                let link_qos = Qos::new(path.delay, LossRate::from_probability(path.loss_rate));
+                min_avail = min_avail.min(board.path_available(path));
+                if link_qos.delay > worst_link.delay {
+                    worst_link.delay = link_qos.delay;
+                }
+                if link_qos.loss > worst_link.loss {
+                    worst_link.loss = link_qos.loss;
+                }
+                if pred_acc.delay > acc.delay {
+                    acc.delay = pred_acc.delay;
+                }
+                if pred_acc.loss > acc.loss {
+                    acc.loss = pred_acc.loss;
+                }
+            }
+            (worst_link, min_avail, acc)
+        }
+
+        /// 240 nodes hosting 3–6 of six functions each: k ≈ 180 rows per
+        /// function, drawn from ~2.4k distinct delays for the lightest
+        /// family, so published delays repeat (see
+        /// [`fixture_has_runs_of_equal_published_delay`]).
+        fn fixture(seed: u64) -> StreamSystem {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let overlay = Overlay::synthetic(240, 2, &mut rng);
+            StreamSystem::generate(overlay, FunctionRegistry::with_size(6), &SystemConfig::default(), &mut rng)
+        }
+
+        /// Split–merge over functions 0..4: vertex 0 has no predecessor,
+        /// vertex 1 one (edge 0), vertex 3 joins two (edges 2 and 3).
+        fn join_graph() -> FunctionGraph {
+            let f = FunctionId;
+            FunctionGraph::split_merge(vec![f(0)], vec![f(1)], vec![f(2)], f(3), Vec::new())
+        }
+
+        #[test]
+        fn fixture_has_runs_of_equal_published_delay() {
+            let sys = fixture(0);
+            let board = GlobalStateBoard::new(&sys, GlobalStateConfig::default());
+            let ties: usize = join_graph()
+                .vertices()
+                .map(|v| {
+                    let rows = board.candidate_entries(join_graph().function(v));
+                    rows.windows(2).filter(|w| w[0].qos.delay == w[1].qos.delay).count()
+                })
+                .sum();
+            assert!(ties >= 5, "only {ties} adjacent rows share a published delay");
+        }
+
+        /// One differential case: churn the fixture (load, crashes,
+        /// migrations, node failures, with and without a refresh in
+        /// between), then run the kernel and the oracle on clones and
+        /// compare plans, counters and path-memo accounting.
+        fn run_case(seed: u64, rng: &mut StdRng, scratch: &mut SelectionScratch) -> OverheadStats {
+            let mut sys = fixture(seed % 4);
+            let mut board = GlobalStateBoard::new(&sys, GlobalStateConfig::default());
+            let graph = join_graph();
+            let vertex = [0, 1, 3][rng.gen_range(0..3usize)];
+            let target = graph.function(vertex);
+
+            // Predecessors first, so churn below may take their nodes out.
+            let pred_acc = |rng: &mut StdRng| {
+                Qos::new(
+                    SimDuration::from_micros(rng.gen_range(0..30_000)),
+                    LossRate::from_probability(rng.gen_range(0.0..0.01)),
+                )
+            };
+            let pick = |sys: &StreamSystem, f: FunctionId, rng: &mut StdRng| {
+                let c = sys.candidates(f);
+                c[rng.gen_range(0..c.len())]
+            };
+            let predecessors: Vec<(usize, ComponentId, Qos)> = match vertex {
+                0 => Vec::new(),
+                1 => vec![(0, pick(&sys, graph.function(0), rng), pred_acc(rng))],
+                _ => vec![
+                    (2, pick(&sys, graph.function(1), rng), pred_acc(rng)),
+                    (3, pick(&sys, graph.function(2), rng), pred_acc(rng)),
+                ],
+            };
+
+            // Load: heavy single-function sessions on the target function
+            // move availability (V, the prescreen) and published delay.
+            for i in 0..rng.gen_range(0..40u64) {
+                let c = pick(&sys, target, rng);
+                let request = Request {
+                    id: RequestId(90_000 + i),
+                    graph: FunctionGraph::path(vec![target]),
+                    qos: QosRequirement::unconstrained(),
+                    base_resources: ResourceVector::new(rng.gen_range(2.0..25.0), rng.gen_range(20.0..300.0)),
+                    bandwidth_kbps: 0.0,
+                    stream_rate_kbps: 1.0,
+                    constraints: PlacementConstraints::none(),
+                    tenant: None,
+                };
+                let _ = sys.commit_session(&request, Composition { assignment: vec![c], links: Vec::new() });
+            }
+            if rng.gen_bool(0.7) {
+                board.refresh_nodes(&sys);
+            }
+            // Churn the board may or may not hear about: each op leaves
+            // stale rows until the next refresh.
+            for _ in 0..rng.gen_range(0..6) {
+                match rng.gen_range(0..4) {
+                    0 => {
+                        sys.crash_component(pick(&sys, target, rng));
+                    }
+                    1 => {
+                        let c = pick(&sys, target, rng);
+                        let to = OverlayNodeId(rng.gen_range(0..sys.node_count()) as u32);
+                        let _ = sys.migrate_component(c, to);
+                    }
+                    // A failed node mid-list: its rows go stale, and the
+                    // routes through it drop out of the memo.
+                    2 => {
+                        let rows = board.candidate_entries(target);
+                        let mid = rows[rows.len() / 2].node;
+                        if !sys.is_node_failed(mid) {
+                            sys.fail_node(mid);
+                        }
+                    }
+                    // A predecessor's node fails: every row is unreachable
+                    // from it.
+                    _ => {
+                        if let Some(&(_, pred, _)) = predecessors.first() {
+                            if rng.gen_bool(0.3) && !sys.is_node_failed(pred.node) {
+                                sys.fail_node(pred.node);
+                            }
+                        }
+                    }
+                }
+                if rng.gen_bool(0.25) {
+                    board.refresh_nodes(&sys);
+                }
+            }
+
+            let k = sys.candidates(target).len();
+            let alpha = [0.5 / k.max(1) as f64, 0.1, 1.0][rng.gen_range(0..3usize)]; // quota 1, mid, ≥ k
+            let risk_epsilon = [0.0, 0.01, 0.05][rng.gen_range(0..3usize)];
+            // Requirements: binding, slack, and a zero delay or loss bound
+            // (the ∞-ratio arm of Eq. 9, where every row is unqualified
+            // unless its own metric is zero too).
+            let qos = match rng.gen_range(0..12) {
+                0 => QosRequirement::new(SimDuration::ZERO, LossRate::from_probability(0.5)),
+                1 => QosRequirement::new(SimDuration::from_millis(200), LossRate::ZERO),
+                2 => QosRequirement::unconstrained(),
+                _ => QosRequirement::new(
+                    SimDuration::from_micros(rng.gen_range(15_000..250_000)),
+                    LossRate::from_probability(rng.gen_range(0.01..0.5)),
+                ),
+            };
+            let constraints = match rng.gen_range(0..4) {
+                0 | 1 => PlacementConstraints::none(),
+                2 => PlacementConstraints::secure(SecurityLevel(rng.gen_range(1..=3))),
+                _ => PlacementConstraints {
+                    min_security: SecurityLevel(rng.gen_range(0..=2)),
+                    licenses: LicenseSet::of(&[LicenseClass::Permissive, LicenseClass::Restricted]),
+                },
+            };
+            let request = Request {
+                id: RequestId(7),
+                graph,
+                qos,
+                base_resources: ResourceVector::new(rng.gen_range(0.1..12.0), rng.gen_range(1.0..150.0)),
+                bandwidth_kbps: rng.gen_range(0.0..200.0),
+                // Component interface limits span 600–2 000 kbit/s.
+                stream_rate_kbps: rng.gen_range(100.0..1_500.0),
+                constraints,
+                tenant: None,
+            };
+            let ctx = HopContext { request: &request, vertex, predecessors: &predecessors };
+
+            let (mut kernel_sys, mut oracle_sys) = (sys.clone(), sys);
+            let (mut kernel_stats, mut oracle_stats) = (OverheadStats::new(), OverheadStats::new());
+            // Twice over: the first pass fills the path memo (misses), the
+            // second reads it (hits).
+            for pass in ["cold", "warm"] {
+                let kernel = select_candidates_with(
+                    &mut kernel_sys,
+                    &board,
+                    &ctx,
+                    HopSelection::Ranked,
+                    alpha,
+                    risk_epsilon,
+                    rng,
+                    &mut kernel_stats,
+                    scratch,
+                );
+                let oracle =
+                    reference_select(&mut oracle_sys, &board, &ctx, alpha, risk_epsilon, &mut oracle_stats);
+                let case = format!("seed {seed} {pass} vertex {vertex} α {alpha} ε {risk_epsilon} {qos:?}");
+                assert_eq!(kernel.len(), oracle.len(), "{case}: plan count");
+                for (rank, (got, want)) in kernel.iter().zip(&oracle).enumerate() {
+                    assert_eq!(got.component, want.component, "{case}: rank {rank} component");
+                    assert_eq!(got.incoming, want.incoming, "{case}: rank {rank} incoming links");
+                }
+                assert_eq!(kernel_stats, oracle_stats, "{case}: overhead counters");
+                assert_eq!(kernel_sys.path_cache_stats(), oracle_sys.path_cache_stats(), "{case}: path memo");
+            }
+            kernel_stats
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1))]
+
+            /// 400 churned cases, two passes each, through one shared
+            /// scratch; the coverage totals at the end keep the generator
+            /// honest about reaching every arm the kernel has.
+            #[test]
+            fn kernel_matches_the_reference_loop(master in any::<u64>()) {
+                let mut rng = StdRng::seed_from_u64(master);
+                let mut scratch = SelectionScratch::default();
+                let mut total = OverheadStats::new();
+                for seed in 0..400 {
+                    total += run_case(seed, &mut rng, &mut scratch);
+                }
+                prop_assert!(total.selection_pruned_stale > 200, "stale rows: {total:?}");
+                prop_assert!(total.selection_pruned_static > 10_000, "static rejections: {total:?}");
+                prop_assert!(total.selection_prescreened > 5_000, "prescreened rows: {total:?}");
+                prop_assert!(total.selection_scored > 10_000, "scored rows: {total:?}");
+                prop_assert!(
+                    total.selection_examined * 20 < total.selection_candidates * 19,
+                    "the early exit hardly engaged: {total:?}"
+                );
+            }
+        }
     }
 }

@@ -25,6 +25,7 @@ impl SecurityLevel {
     pub const CERTIFIED: SecurityLevel = SecurityLevel(4);
 
     /// True when this level satisfies a required minimum.
+    #[inline]
     pub fn satisfies(self, minimum: SecurityLevel) -> bool {
         self >= minimum
     }
@@ -93,6 +94,7 @@ impl LicenseSet {
     }
 
     /// True when `class` is acceptable.
+    #[inline]
     pub fn accepts(self, class: LicenseClass) -> bool {
         self.0 & class.bit() != 0
     }
@@ -165,6 +167,7 @@ impl PlacementConstraints {
     }
 
     /// True when a component with `attributes` is admissible.
+    #[inline]
     pub fn admits(&self, attributes: &ComponentAttributes) -> bool {
         attributes.security.satisfies(self.min_security) && self.licenses.accepts(attributes.license.0)
     }

@@ -99,6 +99,7 @@ pub fn congestion_aggregation(system: &StreamSystem, request: &Request, composit
 /// candidate `c_i` (over virtual link QoS `link_qos`) would push the
 /// partial composition's accumulated QoS `accumulated` toward the
 /// requirement. Smaller is better; values above `1` indicate violation.
+#[inline]
 pub fn risk_function(accumulated: Qos, candidate_qos: Qos, link_qos: Qos, req: &QosRequirement) -> f64 {
     (accumulated + candidate_qos + link_qos).risk_ratio(req)
 }
@@ -113,6 +114,7 @@ pub fn risk_function(accumulated: Qos, candidate_qos: Qos, link_qos: Qos, req: &
 /// computed for one candidate component (`availability` on its node) and
 /// the virtual link leading to it. Smaller means less loaded. Returns
 /// `f64::INFINITY` when the candidate cannot fit at all.
+#[inline]
 pub fn congestion_function(
     availability: &ResourceVector,
     demand: &ResourceVector,
@@ -146,6 +148,7 @@ pub fn congestion_function(
 /// the candidate is **unqualified** — QoS accumulation would violate the
 /// requirement, the node lacks end-system resources, or the virtual link
 /// lacks bandwidth.
+#[inline]
 #[allow(clippy::too_many_arguments)] // mirrors the paper's Eq. 6–8 inputs
 pub fn is_unqualified(
     accumulated: Qos,

@@ -64,6 +64,7 @@ impl LossRate {
     }
 
     /// The raw additive (log-survival) value.
+    #[inline]
     pub fn log_survival(self) -> f64 {
         self.0
     }
@@ -76,6 +77,7 @@ impl LossRate {
 
 impl Add for LossRate {
     type Output = LossRate;
+    #[inline]
     fn add(self, rhs: LossRate) -> LossRate {
         LossRate(self.0 + rhs.0)
     }
@@ -121,6 +123,7 @@ impl Qos {
     }
 
     /// True when both metrics are within `req`.
+    #[inline]
     pub fn satisfies(&self, req: &QosRequirement) -> bool {
         self.delay <= req.max_delay && self.loss <= req.max_loss
     }
@@ -131,13 +134,24 @@ impl Qos {
     ///
     /// A zero requirement in a dimension makes that dimension's ratio
     /// `∞` unless the value is also zero.
+    #[inline]
     pub fn risk_ratio(&self, req: &QosRequirement) -> f64 {
-        let delay_ratio = ratio(self.delay.as_secs_f64(), req.max_delay.as_secs_f64());
-        let loss_ratio = ratio(self.loss.log_survival(), req.max_loss.log_survival());
+        self.risk_ratio_against(req.max_delay.as_secs_f64(), req.max_loss.log_survival())
+    }
+
+    /// [`Self::risk_ratio`] against a requirement already converted to
+    /// its two divisors — `max_delay.as_secs_f64()` and
+    /// `max_loss.log_survival()` — so a loop ranking many candidates
+    /// for one request converts once.
+    #[inline]
+    pub fn risk_ratio_against(&self, max_delay_secs: f64, max_loss_log_survival: f64) -> f64 {
+        let delay_ratio = ratio(self.delay.as_secs_f64(), max_delay_secs);
+        let loss_ratio = ratio(self.loss.log_survival(), max_loss_log_survival);
         delay_ratio.max(loss_ratio)
     }
 }
 
+#[inline]
 fn ratio(value: f64, bound: f64) -> f64 {
     if bound > 0.0 {
         value / bound
@@ -150,6 +164,7 @@ fn ratio(value: f64, bound: f64) -> f64 {
 
 impl Add for Qos {
     type Output = Qos;
+    #[inline]
     fn add(self, rhs: Qos) -> Qos {
         Qos { delay: self.delay + rhs.delay, loss: self.loss + rhs.loss }
     }

@@ -79,6 +79,7 @@ impl ResourceVector {
 
     /// True when every component of `self` is ≥ the matching component of
     /// `other` — i.e. `self` can accommodate a demand of `other`.
+    #[inline]
     pub fn dominates(&self, other: &ResourceVector) -> bool {
         self.cpu >= other.cpu && self.memory_mb >= other.memory_mb
     }

@@ -6,6 +6,8 @@
 //! bandwidth bookkeeping, the function→components discovery index, and the
 //! session table of the middleware's `Find`/`Process`/`Close` interface.
 
+use std::collections::VecDeque;
+
 use acp_simcore::SimTime;
 use acp_topology::{Overlay, OverlayLinkId, OverlayNodeId, OverlayPath, SharedPath};
 use rand::Rng;
@@ -154,7 +156,9 @@ pub struct SessionHandle {
 /// failover ordering all key off them); internally a LIFO free list
 /// recycles slots, so million-session churn reuses a compact,
 /// cache-warm region instead of rehashing a map. `slot_of` maps
-/// `SessionId.0 → slot` for O(1) lookup of any live id.
+/// `SessionId.0 → slot` for O(1) lookup of any live id, as a window
+/// over `[oldest live id, next_id)`: storage follows the live id span,
+/// not the number of sessions ever opened.
 #[derive(Debug, Clone, Default)]
 struct SessionArena {
     /// Slot storage; vacant slots hold `None` and sit on `free`.
@@ -163,8 +167,12 @@ struct SessionArena {
     generations: Vec<u32>,
     /// LIFO free list of vacant slot indices.
     free: Vec<u32>,
-    /// Indexed by `SessionId.0`; `u32::MAX` marks closed sessions.
-    slot_of: Vec<u32>,
+    /// Indexed by `SessionId.0 - base_id`; `u32::MAX` marks closed
+    /// sessions. The front entry is always live: `remove` trims the
+    /// closed prefix, so `base_id + slot_of.len() == next_id`.
+    slot_of: VecDeque<u32>,
+    /// The id `slot_of[0]` stands for; every id below it is closed.
+    base_id: u64,
     /// Monotonic id allocator (never reused).
     next_id: u64,
     live: usize,
@@ -183,47 +191,46 @@ impl SessionArena {
             }
         };
         self.slots[slot as usize] = Some(make(id));
-        debug_assert_eq!(self.slot_of.len() as u64, id.0, "ids are dense");
-        self.slot_of.push(slot);
+        debug_assert_eq!(self.base_id + self.slot_of.len() as u64, id.0, "ids are dense");
+        self.slot_of.push_back(slot);
         self.live += 1;
         id
     }
 
+    /// The slot holding live session `id`; `None` for closed (below the
+    /// window or tombstoned inside it) and never-issued ids.
+    fn slot_index(&self, id: SessionId) -> Option<usize> {
+        let offset = usize::try_from(id.0.checked_sub(self.base_id)?).ok()?;
+        let slot = *self.slot_of.get(offset)?;
+        (slot != u32::MAX).then_some(slot as usize)
+    }
+
     fn remove(&mut self, id: SessionId) -> Option<Session> {
-        let slot = *self.slot_of.get(id.0 as usize)?;
-        if slot == u32::MAX {
-            return None;
+        let slot = self.slot_index(id)?;
+        let session = self.slots[slot].take().expect("live slot");
+        self.slot_of[(id.0 - self.base_id) as usize] = u32::MAX;
+        while self.slot_of.front() == Some(&u32::MAX) {
+            self.slot_of.pop_front();
+            self.base_id += 1;
         }
-        let session = self.slots[slot as usize].take().expect("live slot");
-        self.slot_of[id.0 as usize] = u32::MAX;
-        self.generations[slot as usize] += 1;
-        self.free.push(slot);
+        self.generations[slot] += 1;
+        self.free.push(slot as u32);
         self.live -= 1;
         Some(session)
     }
 
     fn get(&self, id: SessionId) -> Option<&Session> {
-        let slot = *self.slot_of.get(id.0 as usize)?;
-        if slot == u32::MAX {
-            return None;
-        }
-        self.slots[slot as usize].as_ref()
+        self.slots[self.slot_index(id)?].as_ref()
     }
 
     fn get_mut(&mut self, id: SessionId) -> Option<&mut Session> {
-        let slot = *self.slot_of.get(id.0 as usize)?;
-        if slot == u32::MAX {
-            return None;
-        }
-        self.slots[slot as usize].as_mut()
+        let slot = self.slot_index(id)?;
+        self.slots[slot].as_mut()
     }
 
     fn handle(&self, id: SessionId) -> Option<SessionHandle> {
-        let slot = *self.slot_of.get(id.0 as usize)?;
-        if slot == u32::MAX {
-            return None;
-        }
-        Some(SessionHandle { slot, generation: self.generations[slot as usize] })
+        let slot = self.slot_index(id)?;
+        Some(SessionHandle { slot: slot as u32, generation: self.generations[slot] })
     }
 
     fn resolve(&self, h: SessionHandle) -> Option<&Session> {
@@ -333,6 +340,12 @@ pub struct StreamSystem {
     /// `u32::MAX` for tombstones. Dense ids are never reused.
     dense_ids: Vec<Vec<u32>>,
     dense_count: u32,
+    /// Per dense id: true once the id is tombstoned in `dense_ids`.
+    /// Dense ids are never reused and never move, so this is the flat
+    /// form of `dense_of(cid) != Some(dense)` for the `cid` the id was
+    /// issued to. Written only by [`Self::retire_dense`] and by
+    /// [`Self::migrate_component`]'s fresh `false`.
+    dense_retired: Vec<bool>,
     /// Where transient leases live; maintained by `crate::lease`, which
     /// also owns every operation on the three lease fields.
     pub(crate) leases: LeaseDirectory,
@@ -578,6 +591,7 @@ impl StreamSystem {
             link_versions: vec![0; links.len()],
             leases: LeaseDirectory::new(nodes.len(), links.len()),
             dense_ids,
+            dense_retired: vec![false; dense_count as usize],
             dense_count,
             overlay,
             nodes,
@@ -629,6 +643,21 @@ impl StreamSystem {
             .copied()
             .filter(|&d| d != u32::MAX)
             .map(DenseComponentId)
+    }
+
+    /// True once dense id `d` has been retired (its component crashed,
+    /// migrated away, or its node failed) — equivalent to
+    /// `dense_of(cid) != Some(d)` for the component id `d` was issued
+    /// to, in one flat load.
+    #[inline]
+    pub fn dense_is_retired(&self, d: DenseComponentId) -> bool {
+        self.dense_retired[d.index()]
+    }
+
+    /// Tombstones live component `id`'s slot and retires its dense id.
+    fn retire_dense(&mut self, id: ComponentId) {
+        let d = std::mem::replace(&mut self.dense_ids[id.node.index()][id.slot as usize], u32::MAX);
+        self.dense_retired[d as usize] = true;
     }
 
     #[inline]
@@ -969,7 +998,7 @@ impl StreamSystem {
         let undeployed: Vec<Component> = self.nodes[v.index()].fail();
         self.touch_node(v);
         for component in &undeployed {
-            self.dense_ids[v.index()][component.id.slot as usize] = u32::MAX;
+            self.retire_dense(component.id);
             self.discovery[component.function.0 as usize].retain(|&c| c != component.id);
         }
         undeployed.iter().map(|c| c.id).collect()
@@ -1123,7 +1152,7 @@ impl StreamSystem {
     fn undeploy_crashed(&mut self, id: ComponentId) -> Option<Component> {
         let component = self.nodes[id.node.index()].undeploy(id.slot)?;
         self.reclaim_component_leases(id);
-        self.dense_ids[id.node.index()][id.slot as usize] = u32::MAX;
+        self.retire_dense(id);
         self.discovery[component.function.0 as usize].retain(|&c| c != id);
         self.touch_node(id.node);
         Some(component)
@@ -1531,13 +1560,14 @@ impl StreamSystem {
         // Undeploy, re-deploy, fix the discovery and dense indices.
         let taken = self.nodes[id.node.index()].undeploy(id.slot).expect("checked live");
         let new_id = self.nodes[to.index()].deploy_with(|new_id| Component { id: new_id, ..taken });
-        self.dense_ids[id.node.index()][id.slot as usize] = u32::MAX;
+        self.retire_dense(id);
         let slots = &mut self.dense_ids[to.index()];
         if slots.len() <= new_id.slot as usize {
             slots.resize(new_id.slot as usize + 1, u32::MAX);
         }
         slots[new_id.slot as usize] = self.dense_count;
         self.dense_count += 1;
+        self.dense_retired.push(false);
         // Fresh dense id ⇒ fresh statics row (same component record).
         self.statics.push(self.nodes[to.index()].component(new_id.slot).expect("just deployed"));
         self.touch_node(id.node);
@@ -2005,6 +2035,134 @@ mod tests {
         let replacement = commit_n(&mut sys, &request, &composition, 2000, 1)[0];
         assert!(sys.session(replacement).is_some());
         assert!(sys.resolve_session(h1).is_none(), "stale handle aliases recycled slot");
+    }
+
+    fn arena_session(id: SessionId) -> Session {
+        let request = Request {
+            id: RequestId(id.0),
+            graph: FunctionGraph::path(vec![FunctionId(0)]),
+            qos: QosRequirement::unconstrained(),
+            base_resources: ResourceVector::ZERO,
+            bandwidth_kbps: 0.0,
+            stream_rate_kbps: 0.0,
+            constraints: PlacementConstraints::none(),
+            tenant: None,
+        };
+        Session {
+            id,
+            request: request.id,
+            request_spec: request,
+            composition: Composition { assignment: Vec::new(), links: Vec::new() },
+            node_allocs: Vec::new(),
+            link_allocs: Vec::new(),
+            broken: None,
+        }
+    }
+
+    /// The id → slot map follows the live id span: a million FIFO
+    /// open/close pairs with ≤ 1k live never hold more than 2k entries.
+    #[test]
+    fn arena_id_map_is_bounded_by_the_live_span() {
+        let mut arena = SessionArena::default();
+        let mut live = VecDeque::new();
+        let mut widest = 0;
+        for _ in 0..1_000_000u32 {
+            if live.len() == 1_000 {
+                let oldest = live.pop_front().expect("at the live target");
+                assert!(arena.remove(oldest).is_some());
+            }
+            live.push_back(arena.insert(arena_session));
+            widest = widest.max(arena.slot_of.capacity());
+        }
+        assert!(widest <= 2_000, "id map grew to {widest} entries");
+        assert_eq!(arena.slot_of.len(), 1_000);
+        assert_eq!(arena.len(), 1_000);
+        assert!(arena.get(SessionId(0)).is_none(), "ids below the window are closed");
+        assert_eq!(arena.get(live[0]).map(|s| s.id), Some(live[0]));
+        assert!(arena.get(SessionId(arena.next_id)).is_none(), "never-issued id");
+    }
+
+    /// Out-of-order closes: every live id resolves, every closed one is
+    /// rejected, and the window trims only up to the oldest live id.
+    #[test]
+    fn arena_resolves_across_out_of_order_closes() {
+        let mut arena = SessionArena::default();
+        let ids: Vec<SessionId> = (0..64).map(|_| arena.insert(arena_session)).collect();
+        let check = |arena: &SessionArena, closed: &[usize]| {
+            for (i, &id) in ids.iter().enumerate() {
+                let live = !closed.contains(&i);
+                assert_eq!(arena.get(id).map(|s| s.id), live.then_some(id), "id {i}");
+                assert_eq!(arena.handle(id).is_some(), live, "handle {i}");
+            }
+        };
+        // Close a middle run, then the newest: the oldest pins the window.
+        let mut closed: Vec<usize> = (10..30).chain([63]).collect();
+        for &i in &closed {
+            assert!(arena.remove(ids[i]).is_some());
+        }
+        assert_eq!((arena.base_id, arena.slot_of.len()), (0, 64));
+        check(&arena, &closed);
+        assert!(arena.remove(ids[15]).is_none(), "double close");
+        // Closing 0..10 lets the window skip the whole closed run.
+        for i in (0..10).rev() {
+            assert!(arena.remove(ids[i]).is_some());
+            closed.push(i);
+        }
+        assert_eq!((arena.base_id, arena.slot_of.len()), (30, 34));
+        check(&arena, &closed);
+        let fresh = arena.insert(arena_session);
+        assert_eq!(fresh, SessionId(64), "external ids stay monotonic");
+        assert_eq!(arena.get(fresh).map(|s| s.id), Some(fresh));
+        assert!(arena.get_mut(ids[40]).is_some());
+        // Draining everything empties the window at the allocator.
+        for i in (30..63).chain([64]) {
+            assert!(arena.remove(SessionId(i)).is_some());
+        }
+        assert_eq!((arena.base_id, arena.slot_of.len(), arena.len()), (65, 0, 0));
+    }
+
+    /// The flat retired flag is `dense_of(cid) != Some(dense)` for every
+    /// `(cid, dense)` pair ever issued, through all three writers.
+    #[test]
+    fn retired_flag_matches_dense_of_through_churn() {
+        let mut sys = build_system(14, 30);
+        let mut issued: Vec<(ComponentId, DenseComponentId)> = Vec::new();
+        let record = |sys: &StreamSystem, issued: &mut Vec<(ComponentId, DenseComponentId)>| {
+            for v in sys.overlay().nodes() {
+                for c in sys.node(v).components() {
+                    let pair = (c.id, sys.dense_of(c.id).expect("live component"));
+                    if !issued.contains(&pair) {
+                        issued.push(pair);
+                    }
+                }
+            }
+        };
+        let check = |sys: &StreamSystem, issued: &[(ComponentId, DenseComponentId)]| {
+            for &(cid, d) in issued {
+                assert_eq!(sys.dense_is_retired(d), sys.dense_of(cid) != Some(d), "{cid} {d:?}");
+            }
+        };
+        record(&sys, &mut issued);
+        check(&sys, &issued);
+        // Crash one component, then migrate another into the freed slot's
+        // node (slot reuse: the old row must read retired, the new live).
+        let crashed = sys.node(OverlayNodeId(2)).components().next().expect("hosts some").id;
+        sys.crash_component(crashed);
+        let mover = sys
+            .overlay()
+            .nodes()
+            .filter(|&v| v != OverlayNodeId(2))
+            .flat_map(|v| sys.node(v).components().map(|c| c.id).collect::<Vec<_>>())
+            .find(|&c| sys.clone().migrate_component(c, OverlayNodeId(2)).is_ok())
+            .expect("some component can move to node 2");
+        let moved = sys.migrate_component(mover, OverlayNodeId(2)).expect("checked on a clone");
+        record(&sys, &mut issued);
+        assert!(!sys.dense_is_retired(sys.dense_of(moved).expect("live")));
+        check(&sys, &issued);
+        sys.fail_node(OverlayNodeId(5));
+        sys.fail_node_degrading(OverlayNodeId(7), SimTime::ZERO);
+        check(&sys, &issued);
+        assert!(issued.iter().filter(|&&(_, d)| sys.dense_is_retired(d)).count() >= 4);
     }
 
     /// A three-function path request whose middle function has at least

@@ -117,6 +117,7 @@ impl SimDuration {
     }
 
     /// Duration in (possibly fractional) seconds.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / MICROS_PER_SEC as f64
     }
@@ -172,6 +173,7 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0 + rhs.0)
     }

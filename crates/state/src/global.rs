@@ -75,22 +75,39 @@ impl ScanStats {
 
 /// One row of the per-function candidate index: a currently published
 /// component providing the function, carrying everything ranked
-/// selection needs to prescreen it without touching the component
-/// record — its published QoS, dense id, and location.
+/// selection reads to filter, prescreen and score it — 56 bytes, so
+/// examining a candidate is one sequential row plus the system's
+/// liveness flag, with no lookup into the board's or the system's
+/// node- and dense-indexed tables.
+///
+/// `qos` and `available` are copies of board state (`component_qos`,
+/// `node_available`), `max_rate_kbps` and `attributes` of the system's
+/// immutable per-dense-id statics. The copies cannot drift: a row is
+/// only ever written whole, by the publish that writes the originals
+/// ([`GlobalStateBoard::new`] and the node's next publish, which
+/// re-inserts every row of the node), and the audit compares the index
+/// against [`GlobalStateBoard::rebuilt_index`], which re-derives every
+/// field from the originals.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IndexEntry {
     /// The component's QoS as of its node's last publish (identical to
-    /// `component_qos_dense` — the index is a resorted view, never a
-    /// second source of truth).
+    /// `component_qos_dense`).
     pub qos: Qos,
-    /// Dense component id. Selection re-checks this against
-    /// [`StreamSystem::dense_of`] to drop entries whose component
-    /// crashed or migrated since the node's last publish.
+    /// The hosting node's availability as of that same publish
+    /// (identical to [`GlobalStateBoard::node_available`]).
+    pub available: ResourceVector,
+    /// The component's interface rate limit (kbit/s).
+    pub max_rate_kbps: f64,
+    /// Dense component id. Selection checks
+    /// [`StreamSystem::dense_is_retired`] on it to drop entries whose
+    /// component crashed or migrated since the node's last publish.
     pub dense: u32,
     /// Hosting node.
     pub node: OverlayNodeId,
     /// Slot on the hosting node.
     pub slot: u16,
+    /// The component's placement attributes.
+    pub attributes: ComponentAttributes,
 }
 
 impl IndexEntry {
@@ -100,6 +117,27 @@ impl IndexEntry {
     /// is nondecreasing along the walk.
     fn key(&self) -> (acp_simcore::SimDuration, u32) {
         (self.qos.delay, self.dense)
+    }
+
+    /// The row for dense id `dense`, published with `qos` from a node
+    /// publishing `available`.
+    fn publish(
+        system: &StreamSystem,
+        dense: DenseComponentId,
+        qos: Qos,
+        available: ResourceVector,
+        node: OverlayNodeId,
+        slot: u16,
+    ) -> IndexEntry {
+        IndexEntry {
+            qos,
+            available,
+            max_rate_kbps: system.dense_max_rate_kbps(dense),
+            dense: dense.0,
+            node,
+            slot,
+            attributes: system.dense_attributes(dense),
+        }
     }
 }
 
@@ -116,8 +154,21 @@ pub struct CandidateIndex {
 }
 
 impl CandidateIndex {
-    fn sized(functions: usize) -> Self {
-        CandidateIndex { by_function: vec![Vec::new(); functions] }
+    /// Builds the index from rows in any order: one push per row into
+    /// lists pre-sized from the discovery lists, then one sort per
+    /// function. Keys are unique (the dense id), so the result is the
+    /// one row-by-row [`Self::insert`] would give, without its O(k)
+    /// memmove per row.
+    fn bulk(system: &StreamSystem, rows: impl Iterator<Item = (FunctionId, IndexEntry)>) -> Self {
+        let mut by_function: Vec<Vec<IndexEntry>> =
+            system.registry().ids().map(|f| Vec::with_capacity(system.candidates(f).len())).collect();
+        for (function, entry) in rows {
+            by_function[function.0 as usize].push(entry);
+        }
+        for list in &mut by_function {
+            list.sort_unstable_by_key(IndexEntry::key);
+        }
+        CandidateIndex { by_function }
     }
 
     /// Published candidates for `function`, sorted by ascending
@@ -144,8 +195,7 @@ impl CandidateIndex {
 
     fn remove(&mut self, function: FunctionId, qos: Qos, dense: u32) {
         let list = &mut self.by_function[function.0 as usize];
-        let probe = IndexEntry { qos, dense, node: OverlayNodeId(0), slot: 0 };
-        if let Ok(at) = list.binary_search_by(|e| e.key().cmp(&probe.key())) {
+        if let Ok(at) = list.binary_search_by_key(&(qos.delay, dense), IndexEntry::key) {
             list.remove(at);
         } else {
             debug_assert!(false, "index entry missing for dense id {dense}");
@@ -189,29 +239,26 @@ impl GlobalStateBoard {
         let mut node_capacity = Vec::with_capacity(n);
         let mut component_qos = vec![None; system.dense_component_count()];
         let mut published = Vec::with_capacity(n);
-        let mut index = CandidateIndex::sized(system.registry().len());
         for v in system.overlay().nodes() {
             node_available.push(system.node_available(v));
             node_capacity.push(system.node(v).capacity());
             let mut list = Vec::new();
             for c in system.node(v).components() {
                 let dense = system.dense_of(c.id).expect("live component has a dense id");
-                let qos = system.effective_component_qos(c.id);
-                component_qos[dense.index()] = Some(qos);
-                index.insert(c.function, IndexEntry { qos, dense: dense.0, node: v, slot: c.id.slot });
+                component_qos[dense.index()] = Some(system.effective_component_qos(c.id));
                 list.push((c.id.slot, dense.0));
             }
             published.push(list);
         }
         let link_available: Vec<f64> = system.overlay().links().map(|l| system.link_available(l)).collect();
         let link_capacity: Vec<f64> = system.overlay().links().map(|l| system.link_capacity(l)).collect();
-        GlobalStateBoard {
+        let mut board = GlobalStateBoard {
             config,
             node_available,
             node_capacity,
             component_qos,
             published,
-            index,
+            index: CandidateIndex::default(),
             link_available,
             link_capacity,
             seen_node_versions: system.node_versions().to_vec(),
@@ -220,7 +267,9 @@ impl GlobalStateBoard {
             update_messages: 0,
             aggregation_rounds: 0,
             aggregation_cursor: 0,
-        }
+        };
+        board.index = board.rebuilt_index(system);
+        board
     }
 
     // ------------------------------------------------------------------
@@ -269,19 +318,25 @@ impl GlobalStateBoard {
     /// per-node lists — the oracle that incremental maintenance must
     /// match entry-for-entry (property-tested in `tests/properties.rs`).
     pub fn rebuilt_index(&self, system: &StreamSystem) -> CandidateIndex {
-        let mut index = CandidateIndex::sized(system.registry().len());
-        for (i, list) in self.published.iter().enumerate() {
-            for &(slot, dense) in list {
+        CandidateIndex::bulk(system, self.published_rows(system))
+    }
+
+    /// Every published component's index row, re-derived from the
+    /// board's own tables and the system's statics, in node order.
+    fn published_rows<'a>(
+        &'a self,
+        system: &'a StreamSystem,
+    ) -> impl Iterator<Item = (FunctionId, IndexEntry)> + 'a {
+        self.published.iter().enumerate().flat_map(move |(i, list)| {
+            list.iter().map(move |&(slot, dense)| {
                 let qos = self.component_qos[dense as usize]
                     .expect("published list entries always carry a QoS");
-                let function = system.dense_function(DenseComponentId(dense));
-                index.insert(
-                    function,
-                    IndexEntry { qos, dense, node: OverlayNodeId(i as u32), slot },
-                );
-            }
-        }
-        index
+                let dense = DenseComponentId(dense);
+                let node = OverlayNodeId(i as u32);
+                let entry = IndexEntry::publish(system, dense, qos, self.node_available[i], node, slot);
+                (system.dense_function(dense), entry)
+            })
+        })
     }
 
     /// Coarse available bandwidth of overlay link `l`.
@@ -422,11 +477,13 @@ impl GlobalStateBoard {
     /// Publishes node `v`'s full current state onto the board.
     fn apply_node_publish(&mut self, system: &StreamSystem, v: OverlayNodeId) {
         let i = v.index();
-        self.node_available[i] = system.node_available(v);
+        let available = system.node_available(v);
+        self.node_available[i] = available;
         // Re-publish this node's full component list; drop stale
         // entries for components that left the node. The candidate
-        // index shadows `component_qos` exactly, so each withdrawal /
-        // re-publish edits both.
+        // index shadows `component_qos` and `node_available` exactly, so
+        // each withdrawal / re-publish edits both: every row of the node
+        // is re-inserted here, carrying the availability just written.
         for &(_, dense) in &self.published[i] {
             let old = self.component_qos[dense as usize]
                 .take()
@@ -439,8 +496,10 @@ impl GlobalStateBoard {
             let dense = system.dense_of(comp.id).expect("live component has a dense id");
             let qos = system.effective_component_qos(comp.id);
             self.component_qos[dense.index()] = Some(qos);
-            self.index
-                .insert(comp.function, IndexEntry { qos, dense: dense.0, node: v, slot: comp.id.slot });
+            self.index.insert(
+                comp.function,
+                IndexEntry::publish(system, dense, qos, available, v, comp.id.slot),
+            );
             self.published[i].push((comp.id.slot, dense.0));
         }
     }
@@ -845,26 +904,49 @@ mod tests {
         );
     }
 
+    /// The index the published rows give when inserted one by one — the
+    /// pre-bulk construction, kept as the oracle for [`CandidateIndex::bulk`].
+    fn incrementally_built(board: &GlobalStateBoard, sys: &StreamSystem) -> CandidateIndex {
+        let mut index = CandidateIndex { by_function: vec![Vec::new(); sys.registry().len()] };
+        for (function, entry) in board.published_rows(sys) {
+            index.insert(function, entry);
+        }
+        index
+    }
+
+    /// Every row's copies equal the tables they were copied from.
+    fn assert_rows_self_contained(board: &GlobalStateBoard, sys: &StreamSystem) {
+        for f in sys.registry().ids() {
+            for e in board.candidate_entries(f) {
+                let dense = DenseComponentId(e.dense);
+                assert_eq!(board.component_qos_dense(dense), Some(e.qos), "index shadows the QoS store");
+                assert_eq!(e.available, board.node_available(e.node), "row carries its node's publish");
+                assert_eq!(e.max_rate_kbps, sys.dense_max_rate_kbps(dense));
+                assert_eq!(e.attributes, sys.dense_attributes(dense));
+                assert_eq!(sys.dense_function(dense), f);
+            }
+        }
+    }
+
+    #[test]
+    fn index_row_is_56_bytes() {
+        assert_eq!(std::mem::size_of::<IndexEntry>(), 56);
+    }
+
     #[test]
     fn candidate_index_tracks_publish_and_churn() {
         let mut sys = build();
         let mut board = GlobalStateBoard::new(&sys, GlobalStateConfig::default());
         assert_eq!(board.candidate_index(), &board.rebuilt_index(&sys), "fresh board coherent");
-        // Entries are sorted by published delay and mirror component_qos.
+        assert_eq!(board.candidate_index(), &incrementally_built(&board, &sys), "bulk = row by row");
+        // Entries are sorted by published delay and mirror the tables
+        // they copy.
         for f in sys.registry().ids() {
-            let entries = board.candidate_entries(f);
-            for w in entries.windows(2) {
+            for w in board.candidate_entries(f).windows(2) {
                 assert!((w[0].qos.delay, w[0].dense) < (w[1].qos.delay, w[1].dense));
             }
-            for e in entries {
-                assert_eq!(
-                    board.component_qos_dense(DenseComponentId(e.dense)),
-                    Some(e.qos),
-                    "index shadows the QoS store"
-                );
-                assert_eq!(sys.dense_function(DenseComponentId(e.dense)), f);
-            }
         }
+        assert_rows_self_contained(&board, &sys);
         let total: usize = sys.registry().ids().map(|f| board.candidate_entries(f).len()).sum();
         assert_eq!(total, sys.dense_component_count(), "every component indexed at bootstrap");
         // Churn: load (QoS republish), fail a node (withdrawals), then a
@@ -872,10 +954,24 @@ mod tests {
         load_some_node(&mut sys, 1, true);
         board.refresh_nodes(&sys);
         assert_eq!(board.candidate_index(), &board.rebuilt_index(&sys), "after republish");
+        assert_rows_self_contained(&board, &sys);
         let failed = OverlayNodeId(3);
         sys.fail_node(failed);
+        let mover = sys
+            .registry()
+            .ids()
+            .find_map(|f| sys.candidates(f).first().copied())
+            .expect("some function is hosted");
+        let target = sys
+            .overlay()
+            .nodes()
+            .find(|&v| sys.clone().migrate_component(mover, v).is_ok())
+            .expect("some node can take the component");
+        sys.migrate_component(mover, target).expect("checked on a clone");
         board.refresh_nodes(&sys);
-        assert_eq!(board.candidate_index(), &board.rebuilt_index(&sys), "after node failure");
+        assert_eq!(board.candidate_index(), &board.rebuilt_index(&sys), "after failure and migration");
+        assert_eq!(board.candidate_index(), &incrementally_built(&board, &sys), "bulk = row by row");
+        assert_rows_self_contained(&board, &sys);
         assert!(
             sys.registry()
                 .ids()

@@ -65,6 +65,26 @@ step "perf-ratio gate (quick snapshot vs BENCH_baseline.json)" \
 step "criterion benches compile" \
     cargo bench --workspace --no-run
 
+# The two kernel benches are also run, at the sampler's shortest setting
+# (2 samples of ~2 ms per bench): a selection or commit regression shows
+# here as a number, not only in the benchmark. Medians are repeated
+# beside the step timings below.
+KERNEL_BENCH_LINES=""
+run_kernel_benches() {
+    local bench out
+    for bench in selection commit_close; do
+        out="$(cargo bench -q -p acp-bench --bench "$bench" -- --sample-size 2)"
+        echo "$out"
+        KERNEL_BENCH_LINES+="$out"$'\n'
+    done
+}
+step "kernel benches run (selection, commit_close; --sample-size 2)" \
+    run_kernel_benches
+
+echo
+echo "Kernel bench medians:"
+printf '%s' "$KERNEL_BENCH_LINES" |
+    sed -n 's/^\([^ ]*\) .* median *\([0-9.]* [^ ]*\) .*samples)\(.*\)$/  \2  \1\3/p'
 echo
 echo "Step timings:"
 for i in "${!STEP_NAMES[@]}"; do
