@@ -10,10 +10,7 @@
 //! non-zero on any audit violation — the CI gate used by
 //! `scripts/check.sh`. `--assert-no-leaks` additionally fails the run
 //! if any reservation lease survives a run's post-horizon reclamation
-//! sweep. `--shards N` runs every cell on the sharded single-run
-//! runtime — results are byte-identical to `--shards 1` by contract, so
-//! the smoke gate doubles as a sharded-chaos equivalence check.
-//! `--tenants` attaches the standard multi-tenant mix (admission
+//! sweep. `--tenants` attaches the standard multi-tenant mix (admission
 //! shedding, best-effort preemption, tenant-isolation audits) to every
 //! cell and fails the run on any tenant-isolation violation.
 //! `--repair` additionally runs the live-repair sweep (both arms per
@@ -22,9 +19,9 @@
 //! dirty, or leaks a lease.
 
 use acp_bench::{
-    chaos_grid_sharded, chaos_grid_tenanted, chaos_table, fig_repair_sharded, loss_grid_sharded,
-    loss_grid_tenanted, loss_table, repair_table, soak_sharded, soak_tenanted, thread_count,
-    write_results, Scale,
+    chaos_grid_tenanted, chaos_grid_threads, chaos_table, fig_repair_threads, loss_grid_tenanted,
+    loss_grid_threads, loss_table, repair_table, soak, soak_tenanted, thread_count, write_results,
+    Scale,
 };
 
 fn main() {
@@ -35,7 +32,6 @@ fn main() {
     let mut assert_no_leaks = false;
     let mut tenants = false;
     let mut repair = false;
-    let mut shards: usize = 1;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         match flag.as_str() {
@@ -48,17 +44,9 @@ fn main() {
             "--assert-no-leaks" => assert_no_leaks = true,
             "--tenants" => tenants = true,
             "--repair" => repair = true,
-            "--shards" => {
-                shards = args
-                    .next()
-                    .expect("--shards needs a value")
-                    .parse()
-                    .expect("shards must be a positive integer");
-                assert!(shards >= 1, "--shards must be >= 1");
-            }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: [--scale quick|paper] [--seed N] [--out DIR] [--smoke] [--assert-no-leaks] [--tenants] [--repair] [--shards N]"
+                    "usage: [--scale quick|paper] [--seed N] [--out DIR] [--smoke] [--assert-no-leaks] [--tenants] [--repair]"
                 );
                 std::process::exit(0);
             }
@@ -69,26 +57,25 @@ fn main() {
     let scale = Scale::from_name(&scale_name);
     let threads = thread_count();
     eprintln!(
-        "running chaos grid at scale '{}' (seed {}, shards {}{})…",
+        "running chaos grid at scale '{}' (seed {}{})…",
         scale.name,
         seed,
-        shards,
         if tenants { ", tenanted" } else { "" }
     );
     let start = std::time::Instant::now();
     let cells = if tenants {
-        chaos_grid_tenanted(&scale, seed, threads, shards)
+        chaos_grid_tenanted(&scale, seed, threads)
     } else {
-        chaos_grid_sharded(&scale, seed, threads, shards)
+        chaos_grid_threads(&scale, seed, threads)
     };
     let table = chaos_table(&scale, &cells);
     println!("{}", table.render());
 
-    eprintln!("running probe-loss grid at scale '{}' (seed {}, shards {})…", scale.name, seed, shards);
+    eprintln!("running probe-loss grid at scale '{}' (seed {})…", scale.name, seed);
     let loss_cells = if tenants {
-        loss_grid_tenanted(&scale, seed, threads, shards)
+        loss_grid_tenanted(&scale, seed, threads)
     } else {
-        loss_grid_sharded(&scale, seed, threads, shards)
+        loss_grid_threads(&scale, seed, threads)
     };
     let loss = loss_table(&scale, &loss_cells);
     println!("{}", loss.render());
@@ -99,11 +86,8 @@ fn main() {
         + loss_cells.iter().map(|c| c.leases_leaked).sum::<u64>();
 
     if repair {
-        eprintln!(
-            "running repair-vs-restart sweep at scale '{}' (seed {}, shards {})…",
-            scale.name, seed, shards
-        );
-        let repair_cells = fig_repair_sharded(&scale, seed, threads, shards);
+        eprintln!("running repair-vs-restart sweep at scale '{}' (seed {})…", scale.name, seed);
+        let repair_cells = fig_repair_threads(&scale, seed, threads);
         let repair_report = repair_table(&scale, &repair_cells);
         println!("{}", repair_report.render());
         grid_violations += repair_cells.iter().map(|c| c.audit_violations).sum::<u64>();
@@ -130,9 +114,9 @@ fn main() {
         let minutes = if scale.name == "paper" { 150 } else { 60 };
         eprintln!("soaking {} simulated minutes at 2x churn…", minutes);
         let result = if tenants {
-            soak_tenanted(&scale, seed, 2.0, minutes, shards)
+            soak_tenanted(&scale, seed, 2.0, minutes)
         } else {
-            soak_sharded(&scale, seed, 2.0, minutes, shards)
+            soak(&scale, seed, 2.0, minutes)
         };
         soak_violations = result.audit_violations;
         tenant_violations += result.tenant_violations;

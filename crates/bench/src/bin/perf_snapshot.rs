@@ -5,8 +5,7 @@
 //! `Overlay::virtual_path` memo hit rate and the global-state board's
 //! refresh-scan savings on a Fig. 6 workload, measures the two-phase
 //! setup path's overhead against the plain path at zero fault rate
-//! (median of alternating iterations at figure-loop scale), times the
-//! sharded single-run runtime at increasing shard counts, runs the
+//! (median of alternating iterations at figure-loop scale), runs the
 //! `fig_scale` memory-layout sweep (nodes × concurrent sessions, up to
 //! 100k × 1M on the `paper` axis — session ops/sec, selection-index
 //! sublinearity, and peak RSS per point), runs the `fig_tenants`
@@ -84,28 +83,6 @@ const SETUP_PATH_BATCH: usize = 25;
 /// scheduler noise dominated its perf-gate row. Batching puts the
 /// sample in the same regime as the other figures.
 const FIG8_BATCH: usize = 5;
-
-/// Anchor-point runs per sharded timed sample (same regime as
-/// [`SETUP_PATH_BATCH`]).
-const SHARD_BATCH: usize = 25;
-
-/// Shard counts for the scaling-curve rows.
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// One row of the sharded scaling curve. Memo/scan counters are summed
-/// over every run in the timed batch — overwriting with the last run's
-/// counters would under-report the batch's actual work 25×.
-struct ShardRow {
-    shards: usize,
-    wall_seconds: f64,
-    runs_per_sec: f64,
-    session_digest: u64,
-    cross_rate: f64,
-    cache_hits: u64,
-    cache_misses: u64,
-    nodes_scanned: u64,
-    nodes_total: u64,
-}
 
 fn main() {
     // Reuse the figure binaries' flags; `--out-file` picks the JSON path.
@@ -186,63 +163,6 @@ fn main() {
     });
     let tenant_violations: u64 = tenant_points.iter().map(|p| p.tenant_violations).sum();
     assert_eq!(tenant_violations, 0, "tenant-isolation invariants must hold in the snapshot");
-
-    // Sharded single-run runtime: the same Fig. 6 anchor point at
-    // increasing shard counts. Byte-identity across shard counts is
-    // enforced by the equivalence suite (and re-checked on the digests
-    // here); these rows record the scaling curve — runs/sec vs shards —
-    // and the cross-shard traffic rate. On a single-core machine the
-    // curve is flat-to-negative (barrier overhead with no parallelism);
-    // the speedup column only means something with cores to spend.
-    let mut shard_rows: Vec<ShardRow> = Vec::new();
-    for &shards in &SHARD_COUNTS {
-        let mut shard_config = scale.base_config(seed);
-        shard_config.algorithm = AlgorithmKind::Acp;
-        shard_config.schedule = RateSchedule::constant(scale.anchor_rate);
-        shard_config.shards = shards;
-        let mut walls = Vec::with_capacity(repeat);
-        let (mut digest, mut cross_rate) = (0u64, 0.0f64);
-        let (mut cache_hits, mut cache_misses) = (0u64, 0u64);
-        let (mut nodes_scanned, mut nodes_total) = (0u64, 0u64);
-        for _ in 0..repeat {
-            (cache_hits, cache_misses, nodes_scanned, nodes_total) = (0, 0, 0, 0);
-            let start = Instant::now();
-            for _ in 0..SHARD_BATCH {
-                let r = run_scenario(shard_config.clone());
-                digest = r.session_digest;
-                cross_rate = r.shard_stats.cross_rate();
-                cache_hits += r.path_cache.hits;
-                cache_misses += r.path_cache.misses;
-                nodes_scanned += r.state_scans.nodes_scanned;
-                nodes_total += r.state_scans.nodes_total;
-            }
-            walls.push(start.elapsed().as_secs_f64());
-        }
-        let wall_seconds = median(&mut walls);
-        eprintln!(
-            "  shards={shards}: {SHARD_BATCH} runs in {wall_seconds:.2}s ({:.2} runs/s, cross-rate {:.2})",
-            SHARD_BATCH as f64 / wall_seconds.max(1e-9),
-            cross_rate,
-        );
-        shard_rows.push(ShardRow {
-            shards,
-            wall_seconds,
-            runs_per_sec: SHARD_BATCH as f64 / wall_seconds.max(1e-9),
-            session_digest: digest,
-            cross_rate,
-            cache_hits,
-            cache_misses,
-            nodes_scanned,
-            nodes_total,
-        });
-    }
-    for row in &shard_rows[1..] {
-        assert_eq!(
-            row.session_digest, shard_rows[0].session_digest,
-            "shards={} diverged from the sequential digest",
-            row.shards
-        );
-    }
 
     // Setup-path overhead, measured the way the figure loop actually
     // runs the composer: the same Fig. 6 anchor point, single-phase vs
@@ -415,26 +335,6 @@ fn main() {
     json.push_str(&format!("    \"links_total\": {},\n", scans.links_total));
     json.push_str(&format!("    \"link_skip_rate\": {:.4}\n", scans.link_skip_rate()));
     json.push_str("  },\n");
-    json.push_str("  \"sharded\": [\n");
-    let seq_rps = shard_rows[0].runs_per_sec;
-    for (i, row) in shard_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"shards\": {}, \"batch_runs\": {}, \"wall_seconds\": {:.3}, \"runs_per_sec\": {:.3}, \"speedup_vs_sequential\": {:.3}, \"cross_rate\": {:.3}, \"session_digest\": \"{:#018x}\", \"cache_hits\": {}, \"cache_misses\": {}, \"nodes_scanned\": {}, \"nodes_total\": {}}}{}\n",
-            row.shards,
-            SHARD_BATCH,
-            row.wall_seconds,
-            row.runs_per_sec,
-            row.runs_per_sec / seq_rps.max(1e-9),
-            row.cross_rate,
-            row.session_digest,
-            row.cache_hits,
-            row.cache_misses,
-            row.nodes_scanned,
-            row.nodes_total,
-            if i + 1 < shard_rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
     json.push_str(&format!("  \"fig_scale_axis\": {},\n", json_string(&axis)));
     json.push_str("  \"fig_scale\": [\n");
     for (i, (cfg, p)) in scale_rows.iter().enumerate() {
@@ -487,6 +387,9 @@ fn main() {
     json.push_str(&format!("    \"batch_runs\": {SETUP_PATH_BATCH},\n"));
     json.push_str(&format!("    \"single_phase_wall_seconds\": {single_wall:.3},\n"));
     json.push_str(&format!("    \"two_phase_wall_seconds\": {two_wall:.3},\n"));
+    // The Fig. 6 anchor digest of the single-phase batch: a snapshot
+    // whose numbers moved because behaviour moved shows it here.
+    json.push_str(&format!("    \"session_digest\": \"{:#018x}\",\n", probe_point.session_digest));
     json.push_str(&format!("    \"overhead_pct\": {setup_overhead_pct:.2},\n"));
     json.push_str(&format!("    \"compositions\": {},\n", two_phase.total_requests));
     json.push_str(&format!("    \"attempts\": {},\n", two_phase.setup_stats.attempts));

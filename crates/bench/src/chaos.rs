@@ -109,31 +109,17 @@ pub fn chaos_grid(scale: &Scale, seed: u64) -> Vec<ChaosCell> {
 /// [`chaos_grid`] with an explicit worker-thread count. Output depends
 /// only on `(scale, seed)`, never on `threads`.
 pub fn chaos_grid_threads(scale: &Scale, seed: u64, threads: usize) -> Vec<ChaosCell> {
-    chaos_grid_sharded(scale, seed, threads, 1)
+    chaos_grid_run(scale, seed, threads, false)
 }
 
-/// [`chaos_grid_threads`] with every cell run on the sharded single-run
-/// runtime at `shards` shards. Output depends only on `(scale, seed)` —
-/// never on `threads` or `shards` (byte-identity is the sharded
-/// runtime's contract, and the chaos-soak smoke gate exercises it).
-pub fn chaos_grid_sharded(scale: &Scale, seed: u64, threads: usize, shards: usize) -> Vec<ChaosCell> {
-    chaos_grid_run(scale, seed, threads, shards, false)
-}
-
-/// [`chaos_grid_sharded`] with the standard tenant mix attached to
+/// [`chaos_grid_threads`] with the standard tenant mix attached to
 /// every cell: admission shedding, best-effort preemption, and the
 /// tenant-isolation audit pass all run under the same churn.
-pub fn chaos_grid_tenanted(scale: &Scale, seed: u64, threads: usize, shards: usize) -> Vec<ChaosCell> {
-    chaos_grid_run(scale, seed, threads, shards, true)
+pub fn chaos_grid_tenanted(scale: &Scale, seed: u64, threads: usize) -> Vec<ChaosCell> {
+    chaos_grid_run(scale, seed, threads, true)
 }
 
-fn chaos_grid_run(
-    scale: &Scale,
-    seed: u64,
-    threads: usize,
-    shards: usize,
-    tenanted: bool,
-) -> Vec<ChaosCell> {
+fn chaos_grid_run(scale: &Scale, seed: u64, threads: usize, tenanted: bool) -> Vec<ChaosCell> {
     let streams = acp_simcore::DeterministicRng::new(seed);
     let points: Vec<(usize, f64)> = scale
         .node_counts
@@ -143,7 +129,6 @@ fn chaos_grid_run(
     run_indexed(threads, &points, |i, &(nodes, churn)| {
         let mut config =
             chaos_config(scale, streams.seed_for_indexed("chaos", i as u64), nodes, churn);
-        config.shards = shards;
         if tenanted {
             config.tenants = Some(crate::tenants::sweep_mix());
         }
@@ -295,28 +280,16 @@ pub fn loss_grid(scale: &Scale, seed: u64) -> Vec<LossCell> {
 /// [`loss_grid`] with an explicit worker-thread count. Output depends
 /// only on `(scale, seed)`, never on `threads`.
 pub fn loss_grid_threads(scale: &Scale, seed: u64, threads: usize) -> Vec<LossCell> {
-    loss_grid_sharded(scale, seed, threads, 1)
+    loss_grid_run(scale, seed, threads, false)
 }
 
-/// [`loss_grid_threads`] with every cell run on the sharded single-run
-/// runtime at `shards` shards; output is independent of both knobs.
-pub fn loss_grid_sharded(scale: &Scale, seed: u64, threads: usize, shards: usize) -> Vec<LossCell> {
-    loss_grid_run(scale, seed, threads, shards, false)
-}
-
-/// [`loss_grid_sharded`] with the standard tenant mix attached to every
+/// [`loss_grid_threads`] with the standard tenant mix attached to every
 /// cell: tenant isolation must also survive lossy two-phase transport.
-pub fn loss_grid_tenanted(scale: &Scale, seed: u64, threads: usize, shards: usize) -> Vec<LossCell> {
-    loss_grid_run(scale, seed, threads, shards, true)
+pub fn loss_grid_tenanted(scale: &Scale, seed: u64, threads: usize) -> Vec<LossCell> {
+    loss_grid_run(scale, seed, threads, true)
 }
 
-fn loss_grid_run(
-    scale: &Scale,
-    seed: u64,
-    threads: usize,
-    shards: usize,
-    tenanted: bool,
-) -> Vec<LossCell> {
+fn loss_grid_run(scale: &Scale, seed: u64, threads: usize, tenanted: bool) -> Vec<LossCell> {
     let streams = acp_simcore::DeterministicRng::new(seed);
     let points: Vec<(usize, f64)> = scale
         .node_counts
@@ -325,7 +298,6 @@ fn loss_grid_run(
         .collect();
     run_indexed(threads, &points, |i, &(nodes, loss)| {
         let mut config = loss_config(scale, streams.seed_for_indexed("loss", i as u64), nodes, loss);
-        config.shards = shards;
         if tenanted {
             config.tenants = Some(crate::tenants::sweep_mix());
         }
@@ -382,43 +354,18 @@ pub fn loss_table(scale: &Scale, cells: &[LossCell]) -> Table {
 /// fault rates. The acceptance bar: tens of thousands of events,
 /// several concurrent fault classes, zero audit violations.
 pub fn soak(scale: &Scale, seed: u64, churn: f64, minutes: u64) -> ScenarioResult {
-    soak_sharded(scale, seed, churn, minutes, 1)
+    soak_run(scale, seed, churn, minutes, false)
 }
 
-/// [`soak`] on the sharded single-run runtime at `shards` shards.
-pub fn soak_sharded(
-    scale: &Scale,
-    seed: u64,
-    churn: f64,
-    minutes: u64,
-    shards: usize,
-) -> ScenarioResult {
-    soak_run(scale, seed, churn, minutes, shards, false)
+/// [`soak`] with the standard tenant mix attached.
+pub fn soak_tenanted(scale: &Scale, seed: u64, churn: f64, minutes: u64) -> ScenarioResult {
+    soak_run(scale, seed, churn, minutes, true)
 }
 
-/// [`soak_sharded`] with the standard tenant mix attached.
-pub fn soak_tenanted(
-    scale: &Scale,
-    seed: u64,
-    churn: f64,
-    minutes: u64,
-    shards: usize,
-) -> ScenarioResult {
-    soak_run(scale, seed, churn, minutes, shards, true)
-}
-
-fn soak_run(
-    scale: &Scale,
-    seed: u64,
-    churn: f64,
-    minutes: u64,
-    shards: usize,
-    tenanted: bool,
-) -> ScenarioResult {
+fn soak_run(scale: &Scale, seed: u64, churn: f64, minutes: u64, tenanted: bool) -> ScenarioResult {
     let mut config = chaos_config(scale, seed, scale.stream_nodes, churn);
     config.schedule = RateSchedule::constant(scale.anchor_rate * 3.0);
     config.duration = SimDuration::from_minutes(minutes);
-    config.shards = shards;
     if tenanted {
         config.tenants = Some(crate::tenants::sweep_mix());
     }
@@ -468,7 +415,7 @@ mod tests {
     #[test]
     fn tenanted_grid_is_live_deterministic_and_isolation_clean() {
         let scale = Scale::quick();
-        let cells = chaos_grid_tenanted(&scale, 42, 2, 1);
+        let cells = chaos_grid_tenanted(&scale, 42, 2);
         assert_eq!(cells.len(), scale.node_counts.len() * CHURN_LEVELS.len());
         for cell in &cells {
             assert_eq!(cell.tenant_violations, 0, "isolation must hold under churn");
@@ -476,13 +423,13 @@ mod tests {
         }
         // The mix must actually engage, not ride along inertly: the
         // seeded grid diverges from its tenant-less twin somewhere.
-        let plain = chaos_grid_sharded(&scale, 42, 2, 1);
+        let plain = chaos_grid_threads(&scale, 42, 2);
         assert!(
             cells.iter().zip(&plain).any(|(t, p)| t.chaos_digest != p.chaos_digest),
             "tenanted grid must shed or preempt at some cell"
         );
         // …and stays deterministic across thread counts.
-        let again = chaos_grid_tenanted(&scale, 42, 4, 1);
+        let again = chaos_grid_tenanted(&scale, 42, 4);
         assert_eq!(cells, again);
     }
 }

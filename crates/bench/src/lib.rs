@@ -24,6 +24,8 @@
 //! topology generation, routing, candidate selection) live under
 //! `benches/`.
 
+#![forbid(unsafe_code)]
+
 pub mod ablation;
 pub mod chaos;
 pub mod experiments;
@@ -35,17 +37,16 @@ pub mod tenants;
 
 pub use ablation::{ablation_bcp, ablation_risk_epsilon, ablation_state_threshold, ablation_tuning};
 pub use chaos::{
-    chaos_grid, chaos_grid_sharded, chaos_grid_tenanted, chaos_grid_threads, chaos_table,
-    loss_config, loss_grid, loss_grid_sharded, loss_grid_tenanted, loss_grid_threads, loss_table,
-    soak, soak_sharded, soak_tenanted, ChaosCell, LossCell, CHURN_LEVELS, PROBE_LOSS_LEVELS,
+    chaos_grid, chaos_grid_tenanted, chaos_grid_threads, chaos_table, loss_config, loss_grid,
+    loss_grid_tenanted, loss_grid_threads, loss_table, soak, soak_tenanted, ChaosCell, LossCell,
+    CHURN_LEVELS, PROBE_LOSS_LEVELS,
 };
 pub use experiments::{
     fig5, fig5_threads, fig6, fig6_threads, fig7, fig7_threads, fig8, fig8_threads, Scale,
 };
 pub use parallel::{run_indexed, thread_count};
 pub use repair::{
-    fig_repair, fig_repair_sharded, fig_repair_threads, repair_config, repair_table, RepairCell,
-    REPAIR_CHURN_LEVELS,
+    fig_repair, fig_repair_threads, repair_config, repair_table, RepairCell, REPAIR_CHURN_LEVELS,
 };
 pub use report::{write_results, CliArgs, Table};
 pub use scale::{

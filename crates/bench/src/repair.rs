@@ -139,17 +139,6 @@ pub fn fig_repair(scale: &Scale, seed: u64) -> Vec<RepairCell> {
 /// [`fig_repair`] with an explicit worker-thread count. Output depends
 /// only on `(scale, seed)`, never on `threads`.
 pub fn fig_repair_threads(scale: &Scale, seed: u64, threads: usize) -> Vec<RepairCell> {
-    fig_repair_sharded(scale, seed, threads, 1)
-}
-
-/// [`fig_repair_threads`] with every cell run on the sharded single-run
-/// runtime at `shards` shards; output is independent of both knobs.
-pub fn fig_repair_sharded(
-    scale: &Scale,
-    seed: u64,
-    threads: usize,
-    shards: usize,
-) -> Vec<RepairCell> {
     let streams = acp_simcore::DeterministicRng::new(seed);
     let points: Vec<(usize, f64, RepairPolicy)> = REPAIR_CHURN_LEVELS
         .iter()
@@ -162,9 +151,7 @@ pub fn fig_repair_sharded(
         // Seed by churn level, not grid index: both arms of a level
         // replay the identical fault plan.
         let seed = streams.seed_for_indexed("repair", level as u64);
-        let mut config = repair_config(scale, seed, churn, policy);
-        config.shards = shards;
-        let result = acp_workload::run_scenario(config);
+        let result = acp_workload::run_scenario(repair_config(scale, seed, churn, policy));
         RepairCell::from_result(churn, policy, &result)
     })
 }

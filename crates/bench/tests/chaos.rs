@@ -5,9 +5,9 @@
 
 use acp_bench::chaos::{chaos_config, chaos_grid_threads, loss_grid_threads, soak, PROBE_LOSS_LEVELS};
 use acp_bench::experiments::{run_point, Scale};
-use acp_core::prelude::AlgorithmKind;
-use acp_simcore::{FaultPlan, FaultPlanConfig, SimDuration};
-use acp_workload::{run_scenario, ChurnConfig};
+use acp_core::prelude::{AlgorithmKind, SetupConfig};
+use acp_simcore::{DetectionLatency, FaultPlan, FaultPlanConfig, MessageFaultConfig, SimDuration};
+use acp_workload::{run_scenario, ChurnConfig, RepairScenarioConfig, ScenarioConfig};
 
 /// A deliberately tiny scale so the grid finishes in seconds while
 /// still sweeping several (nodes × churn) cells.
@@ -65,6 +65,39 @@ fn quick_figure_points_audit_clean() {
     config.duration = SimDuration::from_minutes(12);
     let result = run_scenario(config);
     assert_eq!(result.audit_violations, 0);
+    // Lossy two-phase transport under churn: retries, failover
+    // recomposition and reclamation sweeps in one run.
+    let mut config = ScenarioConfig::small(46);
+    config.duration = SimDuration::from_minutes(12);
+    config.churn = Some(ChurnConfig::default());
+    config.setup = Some(SetupConfig {
+        faults: MessageFaultConfig {
+            probe_drop: 0.10,
+            confirm_loss: 0.05,
+            ..MessageFaultConfig::default()
+        },
+        ..SetupConfig::default()
+    });
+    let result = run_scenario(config.clone());
+    assert!(result.fault_events > 0, "plan must contain faults");
+    assert!(result.fault_hit_requests > 0, "message faults must land");
+    assert_eq!(result.audit_violations, 0);
+    assert_eq!(result.leases_leaked, 0);
+    // Two-phase repair with a uniform detection latency: splice probing
+    // over inert two-phase setup, repair leases interleaved with churn.
+    config.seed = 51;
+    config.setup = Some(SetupConfig::default());
+    config.repair = Some(RepairScenarioConfig {
+        detection: DetectionLatency::Uniform {
+            min: SimDuration::from_millis(500),
+            max: SimDuration::from_secs(3),
+        },
+        ..RepairScenarioConfig::default()
+    });
+    let result = run_scenario(config);
+    assert!(result.repair_opened > 0, "churn must open repair tickets");
+    assert_eq!(result.audit_violations, 0);
+    assert_eq!(result.leases_leaked, 0);
 }
 
 #[test]

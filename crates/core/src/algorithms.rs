@@ -20,8 +20,8 @@ use crate::naive::{blind_compose, BlindStrategy};
 use crate::optimal::{optimal_compose, OptimalConfig};
 use crate::overhead::OverheadStats;
 use crate::protocol::{
-    compose_with_mode, compose_with_mode_in, FinalSelection, ProbingConfig, SetupConfig, SetupMode,
-    SetupState, SetupStats, SinglePhase,
+    compose_with_mode, FinalSelection, ProbingConfig, SetupConfig, SetupMode, SetupState,
+    SetupStats, SinglePhase,
 };
 use crate::selection::HopSelection;
 
@@ -54,22 +54,6 @@ pub trait Composer {
         request: &Request,
         now: SimTime,
     ) -> ComposeOutcome;
-
-    /// Like [`Self::compose`], under a [`ShardedRuntime`]: probing
-    /// algorithms fan their RNG-free stages out across shard workers
-    /// (byte-identical results at any shard count); algorithms without a
-    /// parallelizable stage fall back to [`Self::compose`].
-    fn compose_sharded(
-        &mut self,
-        system: &mut StreamSystem,
-        board: &GlobalStateBoard,
-        request: &Request,
-        now: SimTime,
-        rt: &mut ShardedRuntime,
-    ) -> ComposeOutcome {
-        let _ = rt;
-        self.compose(system, board, request, now)
-    }
 
     /// Updates the probing ratio, for algorithms that have one. Default:
     /// no-op.
@@ -145,27 +129,6 @@ impl<M: SetupMode> Composer for AcpComposer<M> {
         ComposeOutcome { session: out.session, stats: out.stats, attempts: out.attempts, setup: out.setup }
     }
 
-    fn compose_sharded(
-        &mut self,
-        system: &mut StreamSystem,
-        board: &GlobalStateBoard,
-        request: &Request,
-        now: SimTime,
-        rt: &mut ShardedRuntime,
-    ) -> ComposeOutcome {
-        let out = compose_with_mode_in(
-            system,
-            board,
-            request,
-            now,
-            &self.config,
-            &mut self.mode,
-            &mut self.rng,
-            Some(rt),
-        );
-        ComposeOutcome { session: out.session, stats: out.stats, attempts: out.attempts, setup: out.setup }
-    }
-
     fn set_probing_ratio(&mut self, alpha: f64) {
         self.config.probing_ratio = alpha.clamp(0.0, 1.0);
     }
@@ -222,27 +185,6 @@ impl<M: SetupMode> Composer for SelectiveProbingComposer<M> {
             &self.config,
             &mut self.mode,
             &mut self.rng,
-        );
-        ComposeOutcome { session: out.session, stats: out.stats, attempts: out.attempts, setup: out.setup }
-    }
-
-    fn compose_sharded(
-        &mut self,
-        system: &mut StreamSystem,
-        board: &GlobalStateBoard,
-        request: &Request,
-        now: SimTime,
-        rt: &mut ShardedRuntime,
-    ) -> ComposeOutcome {
-        let out = compose_with_mode_in(
-            system,
-            board,
-            request,
-            now,
-            &self.config,
-            &mut self.mode,
-            &mut self.rng,
-            Some(rt),
         );
         ComposeOutcome { session: out.session, stats: out.stats, attempts: out.attempts, setup: out.setup }
     }
@@ -304,27 +246,6 @@ impl<M: SetupMode> Composer for RandomProbingComposer<M> {
             &self.config,
             &mut self.mode,
             &mut self.rng,
-        );
-        ComposeOutcome { session: out.session, stats: out.stats, attempts: out.attempts, setup: out.setup }
-    }
-
-    fn compose_sharded(
-        &mut self,
-        system: &mut StreamSystem,
-        board: &GlobalStateBoard,
-        request: &Request,
-        now: SimTime,
-        rt: &mut ShardedRuntime,
-    ) -> ComposeOutcome {
-        let out = compose_with_mode_in(
-            system,
-            board,
-            request,
-            now,
-            &self.config,
-            &mut self.mode,
-            &mut self.rng,
-            Some(rt),
         );
         ComposeOutcome { session: out.session, stats: out.stats, attempts: out.attempts, setup: out.setup }
     }
@@ -406,27 +327,6 @@ impl<M: SetupMode> Composer for BoundedProbingComposer<M> {
             &self.config,
             &mut self.mode,
             &mut self.rng,
-        );
-        ComposeOutcome { session: out.session, stats: out.stats, attempts: out.attempts, setup: out.setup }
-    }
-
-    fn compose_sharded(
-        &mut self,
-        system: &mut StreamSystem,
-        board: &GlobalStateBoard,
-        request: &Request,
-        now: SimTime,
-        rt: &mut ShardedRuntime,
-    ) -> ComposeOutcome {
-        let out = compose_with_mode_in(
-            system,
-            board,
-            request,
-            now,
-            &self.config,
-            &mut self.mode,
-            &mut self.rng,
-            Some(rt),
         );
         ComposeOutcome { session: out.session, stats: out.stats, attempts: out.attempts, setup: out.setup }
     }
@@ -773,62 +673,6 @@ mod tests {
         let mut large = BoundedProbingComposer::new(4, ProbingConfig::default(), 3);
         let out_large = large.compose(&mut sys0.clone(), &board, &req, SimTime::ZERO);
         assert!(out_large.stats.probe_messages > out_small.stats.probe_messages);
-    }
-
-    fn dense_request(sys: &StreamSystem, id: u64) -> Request {
-        let fns: Vec<FunctionId> =
-            sys.registry().ids().filter(|&f| sys.candidates(f).len() >= 5).take(3).collect();
-        assert_eq!(fns.len(), 3, "dense system should have populous functions");
-        Request {
-            id: RequestId(id),
-            graph: FunctionGraph::path(fns),
-            qos: QosRequirement::unconstrained(),
-            base_resources: ResourceVector::new(0.3, 1.5),
-            bandwidth_kbps: 3.0,
-            stream_rate_kbps: 64.0,
-            constraints: PlacementConstraints::none(),
-            tenant: None,
-        }
-    }
-
-    /// The tentpole guarantee at the composer level: a probing composer
-    /// under a multi-shard runtime must produce byte-identical sessions,
-    /// message ledgers, path-cache accounting, lease stats, and node
-    /// version vectors to the sequential composer — for ranked (ACP),
-    /// random-final (SP), and random-hop (RP) strategies alike.
-    #[test]
-    fn compose_sharded_matches_compose_byte_for_byte() {
-        let (sys0, board) = build_dense(15);
-        for kind in [AlgorithmKind::Acp, AlgorithmKind::Sp, AlgorithmKind::Rp] {
-            let mut sys_a = sys0.clone();
-            let mut comp_a = kind.build(ProbingConfig::default(), 9);
-            let mut outs_a = Vec::new();
-            for id in 0..5u64 {
-                let req = dense_request(&sys_a, 50 + id);
-                outs_a.push(comp_a.compose(&mut sys_a, &board, &req, SimTime::ZERO));
-            }
-            for shards in [2usize, 4, 8] {
-                let mut sys_b = sys0.clone();
-                let mut comp_b = kind.build(ProbingConfig::default(), 9);
-                let mut rt = ShardedRuntime::for_system(shards, &sys_b);
-                for (id, a) in outs_a.iter().enumerate() {
-                    let req = dense_request(&sys_b, 50 + id as u64);
-                    let b = comp_b.compose_sharded(&mut sys_b, &board, &req, SimTime::ZERO, &mut rt);
-                    assert_eq!(b.session, a.session, "{kind} shards={shards} req {id}");
-                    assert_eq!(b.stats, a.stats, "{kind} shards={shards} req {id}");
-                    assert_eq!(b.attempts, a.attempts, "{kind} shards={shards} req {id}");
-                }
-                assert_eq!(
-                    sys_a.path_cache_stats(),
-                    sys_b.path_cache_stats(),
-                    "{kind} shards={shards}: cache accounting must replay identically"
-                );
-                assert_eq!(sys_a.lease_stats(), sys_b.lease_stats(), "{kind} shards={shards}");
-                assert_eq!(sys_a.node_versions(), sys_b.node_versions(), "{kind} shards={shards}");
-                assert_eq!(sys_a.session_count(), sys_b.session_count());
-                assert!(rt.stats().scatter_epochs > 0 || kind == AlgorithmKind::Rp);
-            }
-        }
     }
 
     #[test]

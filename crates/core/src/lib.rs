@@ -61,6 +61,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod algorithms;
 pub mod middleware;
@@ -94,16 +96,14 @@ pub mod prelude {
     pub use crate::overhead::{centralized_update_messages_per_minute, OverheadStats};
     pub use crate::probe::Probe;
     pub use crate::protocol::{
-        compose_with_mode, compose_with_mode_in, probe_compose, probe_compose_with, FinalSelection,
-        ProbingConfig, ProbingOutcome, SetupConfig, SetupMode, SetupState, SetupStats, SinglePhase,
-        TwoPhase,
+        compose_with_mode, probe_compose, probe_compose_with, FinalSelection, ProbingConfig,
+        ProbingOutcome, SetupConfig, SetupMode, SetupState, SetupStats, SinglePhase, TwoPhase,
     };
     pub use crate::repair::{
         RepairAttempt, RepairFailure, RepairPlanner, RepairVerdict, MINI_REQUEST_BIT,
     };
     pub use crate::selection::{
-        probe_quota, select_candidates, select_candidates_with, select_frontier_sharded,
-        HopSelection, SelectionScratch,
+        probe_quota, select_candidates, select_candidates_with, HopSelection, SelectionScratch,
     };
     pub use crate::tuning::{ProbingRatioTuner, TunerConfig};
     pub use crate::tuning_control::{

@@ -444,28 +444,6 @@ pub fn compose_with_mode<M: SetupMode, R: Rng + ?Sized>(
     mode: &mut M,
     rng: &mut R,
 ) -> ProbingOutcome {
-    compose_with_mode_in(system, board, request, now, config, mode, rng, None)
-}
-
-/// [`compose_with_mode`] under an optional [`ShardedRuntime`]: with
-/// `Some` (and more than one shard) the RNG-free stages — ranked per-hop
-/// candidate scoring and final-selection qualification/φ scoring — fan
-/// out across shard workers and merge deterministically, byte-identical
-/// to the sequential path. All
-/// result-affecting RNG draws (random hop selection, random final pick,
-/// fault sampling, backoff jitter) stay on the coordinator in sequential
-/// order. `None` (or one shard) is exactly [`compose_with_mode`].
-#[allow(clippy::too_many_arguments)] // the sharded variant of an 8-parameter entry point
-pub fn compose_with_mode_in<M: SetupMode, R: Rng + ?Sized>(
-    system: &mut StreamSystem,
-    board: &GlobalStateBoard,
-    request: &Request,
-    now: SimTime,
-    config: &ProbingConfig,
-    mode: &mut M,
-    rng: &mut R,
-    mut shard: Option<&mut ShardedRuntime>,
-) -> ProbingOutcome {
     let mut stats = OverheadStats::new();
     let mut setup_stats = SetupStats::default();
     let mut pending_stale: Option<Composition> = None;
@@ -512,7 +490,6 @@ pub fn compose_with_mode_in<M: SetupMode, R: Rng + ?Sized>(
             &mut stats,
             &mut setup_stats,
             &mut pending_stale,
-            shard.as_deref_mut(),
         );
         completed += out.completed;
         qualified += out.qualified;
@@ -607,7 +584,6 @@ fn probe_attempt<M: SetupMode, R: Rng + ?Sized>(
     stats: &mut OverheadStats,
     setup_stats: &mut SetupStats,
     pending_stale: &mut Option<Composition>,
-    mut shard: Option<&mut ShardedRuntime>,
 ) -> AttemptOutcome {
     let mut faulted = false;
     let expiry = now + config.transient_timeout;
@@ -671,43 +647,21 @@ fn probe_attempt<M: SetupMode, R: Rng + ?Sized>(
             }
             pred_ranges.push((start, pred_buf.len()));
         }
-        // Ranked selection is RNG-free, so the whole frontier's candidate
-        // scoring can fan out across shard workers; Random selection
-        // draws from the coordinator RNG and stays sequential.
-        let sharded_ranked = config.hop_selection == HopSelection::Ranked
-            && shard.as_ref().is_some_and(|rt| rt.shards() > 1);
-        if sharded_ranked {
-            let rt = shard.as_deref_mut().expect("checked above");
-            crate::selection::select_frontier_sharded(
+        for (probe_idx, &(s, e)) in pred_ranges.iter().enumerate() {
+            let ctx = HopContext { request, vertex, predecessors: &pred_buf[s..e] };
+            let plans = select_candidates_with(
                 system,
                 board,
-                request,
-                vertex,
-                &pred_buf,
-                &pred_ranges,
+                &ctx,
+                config.hop_selection,
                 config.probing_ratio,
                 config.risk_epsilon,
+                rng,
                 stats,
-                rt,
-                &mut proposals,
+                &mut scratch,
             );
-        } else {
-            for (probe_idx, &(s, e)) in pred_ranges.iter().enumerate() {
-                let ctx = HopContext { request, vertex, predecessors: &pred_buf[s..e] };
-                let plans = select_candidates_with(
-                    system,
-                    board,
-                    &ctx,
-                    config.hop_selection,
-                    config.probing_ratio,
-                    config.risk_epsilon,
-                    rng,
-                    stats,
-                    &mut scratch,
-                );
-                for (rank, plan) in plans.into_iter().enumerate() {
-                    proposals.push((rank, probe_idx, plan));
-                }
+            for (rank, plan) in plans.into_iter().enumerate() {
+                proposals.push((rank, probe_idx, plan));
             }
         }
         // Fill the per-function quota best-rank-first, breaking rank ties
@@ -737,16 +691,6 @@ fn probe_attempt<M: SetupMode, R: Rng + ?Sized>(
             // Spawn and forward the probe (one hop message).
             stats.probes_spawned += 1;
             stats.probe_messages += 1;
-            if let Some(rt) = shard.as_deref_mut() {
-                // Classify the hop message by shard ownership: from the
-                // proposing probe's current node (the deputy spawn for the
-                // source vertex counts as local) to the candidate's node.
-                let from = ctx
-                    .predecessors
-                    .last()
-                    .map_or(plan.component.node, |&(_, pred, _)| pred.node);
-                rt.record_probe(from, plan.component.node);
-            }
 
             // --- transport: the hop message may be dropped or delayed.
             // Disabled fault classes consume no randomness, so with all
@@ -842,50 +786,20 @@ fn probe_attempt<M: SetupMode, R: Rng + ?Sized>(
     // counted as qualified at this stage because the request's own
     // transient holds still depress availability — the commit path
     // releases them before re-checking.
-    // Qualification and φ are pure reads of system state, so with a
-    // multi-shard runtime both fan out over contiguous composition
-    // chunks; the merge keeps the original order, making the counts and
-    // the sort below byte-identical to the sequential loop. The random
-    // final pick still draws from the coordinator RNG.
-    let qualify_one = |system: &StreamSystem, c: &Composition| {
-        matches!(
-            system.qualify(request, c),
-            Ok(())
-                | Err(AdmissionError::InsufficientResources { .. })
-                | Err(AdmissionError::InsufficientBandwidth { .. })
-        )
-    };
-    let qualified;
+    let qualified = compositions
+        .iter()
+        .filter(|c| {
+            matches!(
+                system.qualify(request, c),
+                Ok(())
+                    | Err(AdmissionError::InsufficientResources { .. })
+                    | Err(AdmissionError::InsufficientBandwidth { .. })
+            )
+        })
+        .count();
     let mut phi: Vec<f64> = Vec::new();
-    let want_phi = config.final_selection == FinalSelection::MinCongestion;
-    match shard.as_deref_mut() {
-        Some(rt) if rt.shards() > 1 && compositions.len() > 1 => {
-            let map = acp_simcore::ShardMap::new(compositions.len(), rt.shards());
-            let comps: &[Composition] = &compositions;
-            let sys: &StreamSystem = system;
-            let verdicts: Vec<Vec<(bool, f64)>> = rt.scatter(|s| {
-                map.range(s)
-                    .map(|i| {
-                        let c = &comps[i];
-                        let q = qualify_one(sys, c);
-                        let k = if want_phi { congestion_aggregation(sys, request, c) } else { 0.0 };
-                        (q, k)
-                    })
-                    .collect()
-            });
-            let mut q_count = 0;
-            for (q, k) in verdicts.into_iter().flatten() {
-                q_count += usize::from(q);
-                phi.push(k);
-            }
-            qualified = q_count;
-        }
-        _ => {
-            qualified = compositions.iter().filter(|c| qualify_one(system, c)).count();
-            if want_phi {
-                phi.extend(compositions.iter().map(|c| congestion_aggregation(system, request, c)));
-            }
-        }
+    if config.final_selection == FinalSelection::MinCongestion {
+        phi.extend(compositions.iter().map(|c| congestion_aggregation(system, request, c)));
     }
 
     match config.final_selection {
@@ -908,9 +822,6 @@ fn probe_attempt<M: SetupMode, R: Rng + ?Sized>(
     let mut session = None;
     for composition in compositions {
         let assignment_len = composition.assignment.len() as u64;
-        let confirm_nodes: Option<Vec<acp_topology::OverlayNodeId>> = shard
-            .is_some()
-            .then(|| composition.assignment.iter().map(|c| c.node).collect());
         if M::TWO_PHASE && mode.confirm_lost() {
             setup_stats.confirms_lost += 1;
             // The confirmation vanished in transit; the deputy times
@@ -927,16 +838,6 @@ fn probe_attempt<M: SetupMode, R: Rng + ?Sized>(
         match system.commit_session(request, composition) {
             Ok(sid) => {
                 stats.confirmation_messages += assignment_len;
-                // Confirmations fan out from the deputy (the winner's
-                // first component's node) to every assigned node;
-                // classify each by shard ownership.
-                if let (Some(rt), Some(nodes)) = (shard.as_deref_mut(), confirm_nodes) {
-                    if let Some(&from) = nodes.first() {
-                        for &to in &nodes {
-                            rt.record_confirm(from, to);
-                        }
-                    }
-                }
                 session = Some(sid);
                 break;
             }

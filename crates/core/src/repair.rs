@@ -12,7 +12,7 @@
 //!    and suffix already consume) and the original rates, resources, and
 //!    placement constraints.
 //! 2. **Segment probing** — the sub-request runs through the existing
-//!    two-phase probing machinery ([`compose_with_mode_in`]): transient
+//!    two-phase probing machinery ([`compose_with_mode`]): transient
 //!    leases, per-hop qualification, φ-optimal selection, commit. The
 //!    mini-session's resources are now *held* alongside the healthy
 //!    remainder — make-before-break, never double-committed (the broken
@@ -37,7 +37,7 @@ use acp_state::GlobalStateBoard;
 use acp_topology::{OverlayNodeId, SharedPath};
 use rand::Rng;
 
-use crate::protocol::{compose_with_mode_in, ProbingConfig, ProbingOutcome, SetupMode};
+use crate::protocol::{compose_with_mode, ProbingConfig, ProbingOutcome, SetupMode};
 
 /// High-bit namespace for repair mini-requests: real workload request
 /// ids stay below it, so a mini-request can never collide with (or be
@@ -94,9 +94,8 @@ pub struct RepairAttempt {
 }
 
 /// Plans and executes make-before-break segment repairs. Stateful only
-/// for the mini-request counter, which must advance in the same order on
-/// every shard count — drive repairs in canonical (ascending session id)
-/// order from the coordinator.
+/// for the mini-request counter: drive repairs in canonical (ascending
+/// session id) order so mini-request ids replay identically.
 #[derive(Debug, Clone, Default)]
 pub struct RepairPlanner {
     mini_counter: u64,
@@ -118,7 +117,7 @@ impl RepairPlanner {
     /// path, bridges the boundaries, and splices. Charges one ledger
     /// attempt when repair accounting is on. See the module docs for the
     /// phase breakdown and failure semantics.
-    #[allow(clippy::too_many_arguments)] // mirrors compose_with_mode_in, which it wraps
+    #[allow(clippy::too_many_arguments)] // mirrors compose_with_mode, which it wraps
     pub fn repair_session<M: SetupMode, R: Rng + ?Sized>(
         &mut self,
         system: &mut StreamSystem,
@@ -128,7 +127,6 @@ impl RepairPlanner {
         config: &ProbingConfig,
         mode: &mut M,
         rng: &mut R,
-        shard: Option<&mut ShardedRuntime>,
     ) -> RepairAttempt {
         // Snapshot what the borrow checker won't let us read later.
         let Some(session) = system.session(sid) else {
@@ -180,16 +178,7 @@ impl RepairPlanner {
         };
 
         // Phase 1+2: probe and commit the replacement segment.
-        let probing = compose_with_mode_in(
-            system,
-            board,
-            &mini_request,
-            now,
-            config,
-            mode,
-            rng,
-            shard,
-        );
+        let probing = compose_with_mode(system, board, &mini_request, now, config, mode, rng);
         let Some(mini_sid) = probing.session else {
             self.attempt_failed(system, request.id);
             return RepairAttempt {
@@ -360,7 +349,6 @@ mod tests {
             &cfg,
             &mut SinglePhase,
             &mut rng,
-            None,
         );
         assert_eq!(attempt.verdict, RepairVerdict::Repaired, "{attempt:?}");
         let s = sys.session(sid).expect("repaired in place");
@@ -395,7 +383,6 @@ mod tests {
             &cfg,
             &mut SinglePhase,
             &mut rng,
-            None,
         );
         assert_eq!(attempt.verdict, RepairVerdict::NotDegraded);
         assert_eq!(planner.minis_issued(), 0);
@@ -432,7 +419,6 @@ mod tests {
             &cfg,
             &mut SinglePhase,
             &mut rng,
-            None,
         );
         assert_eq!(
             attempt.verdict,

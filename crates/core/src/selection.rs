@@ -270,8 +270,7 @@ impl Pruned {
     }
 }
 
-/// The stale → static → prescreen cascade over one index row — the one
-/// copy, shared by the sequential walk and the shard workers. Reads the
+/// The stale → static → prescreen cascade over one index row. Reads the
 /// row and the liveness flag only (`board` serves the debug check that
 /// the row's copies equal their sources).
 ///
@@ -487,193 +486,6 @@ fn insert_ranked(
     let at = ranked.partition_point(|(k, _)| k.cmp(&key) == std::cmp::Ordering::Less);
     ranked.insert(at, (key, plan));
     ranked.truncate(quota);
-}
-
-/// `(risk, congestion, incoming virtual links)` for a candidate that
-/// survived reachability and full qualification on a shard worker.
-type ScoredItem = (f64, f64, Vec<(usize, SharedPath)>);
-
-/// One shard worker's verdict on a `(probe, index entry)` item,
-/// mirroring the sequential loop's per-entry outcomes so the
-/// coordinator replay can bump the exact same counters.
-enum ItemVerdict {
-    /// Dropped by the cascade before path resolution.
-    Pruned(Pruned),
-    /// The entry reached path resolution.
-    Pathed {
-        /// Path-memo lookups this item executed, in issue order
-        /// (short-circuiting on an unreachable predecessor exactly like
-        /// [`resolve_incoming`]). The coordinator replays them through
-        /// [`StreamSystem::admit_virtual_path`] so memo contents and
-        /// hit/miss counters match the sequential run byte for byte —
-        /// but only for items the sequential walk would actually reach.
-        queries: Vec<(OverlayNodeId, OverlayNodeId, Option<SharedPath>)>,
-        /// `Some(risk, congestion, incoming links)` when the candidate
-        /// survived reachability and full qualification.
-        scored: Option<ScoredItem>,
-    },
-}
-
-/// Judges one candidate-index entry for one probe entirely read-only:
-/// the sequential walk's [`screen_row`] cascade, then paths via memo
-/// peek or cache-neutral recompute, then the walk's [`requalify`] and
-/// [`score_row`]. Every check is a pure function of system and
-/// board state, so a shard worker computes exactly the bytes
-/// [`select_candidates_with`] would.
-fn judge_item(
-    system: &StreamSystem,
-    board: &GlobalStateBoard,
-    hop: &HopInputs,
-    acc: Qos,
-    predecessors: &[(usize, ComponentId, Qos)],
-    entry: &IndexEntry,
-) -> ItemVerdict {
-    if let Some(pruned) = screen_row(system, board, entry, hop, acc) {
-        return ItemVerdict::Pruned(pruned);
-    }
-    let overlay = system.overlay();
-    let mut queries = Vec::with_capacity(predecessors.len());
-    let mut incoming = Vec::with_capacity(predecessors.len());
-    for &(edge, pred, _) in predecessors {
-        let resolved = match overlay.peek_virtual_path(pred.node, entry.node) {
-            Some(memoized) => memoized,
-            None => overlay
-                .compute_virtual_path_readonly(pred.node, entry.node)
-                .map(SharedPath::new),
-        };
-        queries.push((pred.node, entry.node, resolved.clone()));
-        match resolved {
-            Some(path) => incoming.push((edge, path)),
-            None => return ItemVerdict::Pathed { queries, scored: None },
-        }
-    }
-    let link = if predecessors.is_empty() {
-        Some(NEUTRAL_LINK)
-    } else {
-        requalify(board, entry, hop, acc, &incoming)
-    };
-    let scored = link.map(|link| {
-        let (d, v) = score_row(entry, hop, acc, link);
-        (d, v, incoming)
-    });
-    ItemVerdict::Pathed { queries, scored }
-}
-
-/// Sharded [`HopSelection::Ranked`] selection for one whole frontier:
-/// every live probe's candidate-index items fan out to the shard that
-/// owns the candidate's node, run read-only behind the scatter barrier,
-/// and merge on the coordinator by replaying each probe's index walk in
-/// sequential order — early exit, counter bumps, path-memo admissions,
-/// hit/miss accounting, rankings, and the emitted `(rank, probe, plan)`
-/// proposals are byte-identical to calling [`select_candidates_with`]
-/// once per probe. Items past a probe's early-exit point are judged
-/// speculatively by the workers but dropped unadmitted by the replay,
-/// so the memo never learns paths the sequential walk would not have
-/// asked for. Ranked selection draws no randomness, which is what makes
-/// the fan-out safe; `Random` selection stays sequential.
-#[allow(clippy::too_many_arguments)] // mirrors the sequential entry point
-pub fn select_frontier_sharded(
-    system: &mut StreamSystem,
-    board: &GlobalStateBoard,
-    request: &Request,
-    vertex: VertexId,
-    pred_buf: &[(usize, ComponentId, Qos)],
-    pred_ranges: &[(usize, usize)],
-    alpha: f64,
-    risk_epsilon: f64,
-    stats: &mut OverheadStats,
-    rt: &mut ShardedRuntime,
-    proposals: &mut Vec<(usize, usize, CandidatePlan)>,
-) {
-    let hop = HopInputs::new(system, request, vertex);
-    let n_probes = pred_ranges.len();
-    stats.discovery_lookups += n_probes as u64;
-    let k = system.candidates(hop.function).len();
-    let quota = probe_quota(k, alpha);
-    if quota == 0 {
-        return;
-    }
-    stats.global_state_queries += n_probes as u64;
-    let entries: Vec<IndexEntry> = board.candidate_entries(hop.function).to_vec();
-    // Accumulated QoS per probe — plan-independent, feeds both the
-    // prescreen and the early-exit bound during replay.
-    let accs: Vec<Qos> =
-        pred_ranges.iter().map(|&(ps, pe)| accumulated_over(&pred_buf[ps..pe])).collect();
-
-    // Fan out: each (probe, index entry) item goes to the shard owning
-    // the candidate's node — the probe message crossing into that shard.
-    let shards = rt.shards();
-    let mut work: Vec<Vec<(usize, usize)>> = vec![Vec::new(); shards];
-    for p in 0..n_probes {
-        for (ei, entry) in entries.iter().enumerate() {
-            work[rt.node_owner(entry.node)].push((p, ei));
-        }
-    }
-    let sys: &StreamSystem = system;
-    let work_ref = &work;
-    let entries_ref = &entries;
-    let accs_ref = &accs;
-    let hop_ref = &hop;
-    let results: Vec<Vec<ItemVerdict>> = rt.scatter(|s| {
-        work_ref[s]
-            .iter()
-            .map(|&(p, ei)| {
-                let (ps, pe) = pred_ranges[p];
-                judge_item(sys, board, hop_ref, accs_ref[p], &pred_buf[ps..pe], &entries_ref[ei])
-            })
-            .collect()
-    });
-    let mut slots: Vec<Option<ItemVerdict>> = Vec::with_capacity(n_probes * entries.len());
-    slots.resize_with(n_probes * entries.len(), || None);
-    for (items, assignment) in results.into_iter().zip(&work) {
-        for (item, &(p, ei)) in items.into_iter().zip(assignment) {
-            slots[p * entries.len() + ei] = Some(item);
-        }
-    }
-
-    // Deterministic merge: replay each probe's index walk in sequential
-    // order with the same early exit, admitting path-memo entries only
-    // for items the walk reaches, then emit under the per-probe quota.
-    let mut ranked: Vec<(RankKey, CandidatePlan)> = Vec::new();
-    for p in 0..n_probes {
-        ranked.clear();
-        stats.selection_candidates += k as u64;
-        let acc_delay = accs[p].delay.as_secs_f64();
-        for (ei, entry) in entries.iter().enumerate() {
-            if ranked.len() == quota {
-                let d_lb =
-                    risk_delay_lower_bound(acc_delay, entry.qos.delay.as_secs_f64(), hop.max_delay_secs);
-                if cannot_beat(&ranked[ranked.len() - 1].0, d_lb, risk_epsilon) {
-                    break;
-                }
-            }
-            stats.selection_examined += 1;
-            let verdict =
-                slots[p * entries.len() + ei].take().expect("every examined item judged exactly once");
-            match verdict {
-                ItemVerdict::Pruned(pruned) => pruned.count(stats),
-                ItemVerdict::Pathed { queries, scored } => {
-                    for (from, to, resolved) in queries {
-                        system.admit_virtual_path(from, to, resolved);
-                    }
-                    if let Some((d, v, incoming)) = scored {
-                        stats.selection_scored += 1;
-                        let key = RankKey::new(d, v, ei as u32, risk_epsilon);
-                        if enters(&ranked, quota, &key) {
-                            let plan = CandidatePlan {
-                                component: ComponentId::new(entry.node, entry.slot),
-                                incoming,
-                            };
-                            insert_ranked(&mut ranked, quota, key, plan);
-                        }
-                    }
-                }
-            }
-        }
-        for (rank, (_, plan)) in ranked.drain(..).enumerate() {
-            proposals.push((rank, p, plan));
-        }
-    }
 }
 
 /// Resolves the virtual link from every predecessor to `node` into

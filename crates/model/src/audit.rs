@@ -538,11 +538,6 @@ impl SystemAuditor {
     /// Audits every invariant; when `now` is given (an instant at or
     /// after the latest reclamation sweep), additionally checks that no
     /// transient lease has outlived its expiry.
-    ///
-    /// The pass bodies are range/slice-parameterised so the sharded
-    /// runtime (`crate::shard`) can fan the same code over worker
-    /// threads; this sequential entry point simply runs each pass over
-    /// the full range, so the two paths cannot drift apart.
     pub fn audit_at(&self, system: &StreamSystem, now: Option<SimTime>) -> AuditReport {
         let mut out = Vec::new();
         self.audit_nodes(system, &mut out);
@@ -556,7 +551,7 @@ impl SystemAuditor {
         AuditReport { violations: out }
     }
 
-    /// Reservation-conservation pass: the global half
+    /// Reservation-conservation pass: the ledger half
     /// ([`Self::lease_ledger_violations`]) and — when `now` is given —
     /// no lease has outlived its expiry past the reclamation sweep.
     fn audit_leases(
@@ -567,14 +562,20 @@ impl SystemAuditor {
     ) {
         self.lease_ledger_violations(system, out);
         if let (true, Some(now)) = (system.lease_accounting(), now) {
-            let (nodes, links) = self.lease_expiry_for_ranges(
-                system,
-                now,
-                0..system.node_count(),
-                0..system.link_count(),
-            );
-            out.extend(nodes);
-            out.extend(links);
+            for i in 0..system.node_count() {
+                let v = OverlayNodeId(i as u32);
+                let count = system.node(v).expired_transient_count(now);
+                if count > 0 {
+                    out.push(AuditViolation::NodeLeaseOutlivedExpiry { node: v, count });
+                }
+            }
+            for i in 0..system.link_count() {
+                let l = OverlayLinkId(i as u32);
+                let count = system.link_expired_transient_count(l, now);
+                if count > 0 {
+                    out.push(AuditViolation::LinkLeaseOutlivedExpiry { link: l, count });
+                }
+            }
         }
     }
 
@@ -587,11 +588,7 @@ impl SystemAuditor {
     /// preemption counts exist only on `BestEffort` tenants, and no
     /// `Gold` tenant was starved by the congestion gate while lower
     /// tiers held live sessions.
-    ///
-    /// Inherently global (whole-ledger + whole-session-table reads): the
-    /// sharded runtime runs it on the coordinator after the fanned-out
-    /// passes, as the final pass in both audit paths.
-    pub(crate) fn audit_tenants(&self, system: &StreamSystem, out: &mut Vec<AuditViolation>) {
+    fn audit_tenants(&self, system: &StreamSystem, out: &mut Vec<AuditViolation>) {
         if !system.tenant_accounting() {
             // Without the ledger there is nothing to reconcile against;
             // tenant-less runs skip the pass entirely.
@@ -599,8 +596,7 @@ impl SystemAuditor {
         }
         let ledger = system.tenant_ledger();
         // Re-derive per-tenant live counts and committed sums from the
-        // session table in ascending id order — a deterministic f64 fold,
-        // identical on the sequential and sharded audit paths.
+        // session table in ascending id order — a deterministic f64 fold.
         let sessions = sorted_sessions(system);
         let width = ledger
             .iter()
@@ -692,11 +688,7 @@ impl SystemAuditor {
     /// must never outlive its graft — that would be a double-commit),
     /// and the per-session degraded flag stays coherent with the open
     /// tickets.
-    ///
-    /// Inherently global (whole-ledger + whole-session-table reads): the
-    /// sharded runtime runs it on the coordinator after `audit_tenants`,
-    /// mirroring the sequential order.
-    pub(crate) fn audit_repair(&self, system: &StreamSystem, out: &mut Vec<AuditViolation>) {
+    fn audit_repair(&self, system: &StreamSystem, out: &mut Vec<AuditViolation>) {
         if !system.repair_accounting() {
             // Without the ledger there are no tickets to reconcile and
             // no degraded sessions to cross-check.
@@ -761,14 +753,13 @@ impl SystemAuditor {
         }
     }
 
-    /// Global half of the lease pass, shared by the sequential pass and
-    /// the sharded coordinator: the lease ledger reconciles (`created ==
-    /// expired + released + promoted + live`; combined with the per-node
-    /// Eq. 4 check this is the paper-side invariant committed + leased +
-    /// residual = capacity), no request holds leases while its session
-    /// is live, and the lease directory equals its full-scan
-    /// recomputation.
-    pub(crate) fn lease_ledger_violations(
+    /// Ledger half of the lease pass: the lease ledger reconciles
+    /// (`created == expired + released + promoted + live`; combined with
+    /// the per-node Eq. 4 check this is the paper-side invariant
+    /// committed + leased + residual = capacity), no request holds leases
+    /// while its session is live, and the lease directory equals its
+    /// full-scan recomputation.
+    fn lease_ledger_violations(
         &self,
         system: &StreamSystem,
         out: &mut Vec<AuditViolation>,
@@ -812,36 +803,7 @@ impl SystemAuditor {
         );
     }
 
-    /// Expiry half of the lease pass over contiguous node/link index
-    /// ranges, returned separately so the merge can keep the sequential
-    /// order (all node violations ascending, then all link violations).
-    pub(crate) fn lease_expiry_for_ranges(
-        &self,
-        system: &StreamSystem,
-        now: SimTime,
-        node_range: std::ops::Range<usize>,
-        link_range: std::ops::Range<usize>,
-    ) -> (Vec<AuditViolation>, Vec<AuditViolation>) {
-        let mut nodes = Vec::new();
-        for i in node_range {
-            let v = OverlayNodeId(i as u32);
-            let count = system.node(v).expired_transient_count(now);
-            if count > 0 {
-                nodes.push(AuditViolation::NodeLeaseOutlivedExpiry { node: v, count });
-            }
-        }
-        let mut links = Vec::new();
-        for i in link_range {
-            let l = OverlayLinkId(i as u32);
-            let count = system.link_expired_transient_count(l, now);
-            if count > 0 {
-                links.push(AuditViolation::LinkLeaseOutlivedExpiry { link: l, count });
-            }
-        }
-        (nodes, links)
-    }
-
-    pub(crate) fn audit_nodes(&self, system: &StreamSystem, out: &mut Vec<AuditViolation>) {
+    fn audit_nodes(&self, system: &StreamSystem, out: &mut Vec<AuditViolation>) {
         let mut seen_dense = vec![false; system.dense_component_count()];
         for i in 0..system.node_count() {
             let v = OverlayNodeId(i as u32);
@@ -906,79 +868,38 @@ impl SystemAuditor {
     /// Conservation: the session table is the ground truth for committed
     /// resources; node and link books must agree with its sums.
     fn audit_conservation(&self, system: &StreamSystem, out: &mut Vec<AuditViolation>) {
-        let sessions = sorted_sessions(system);
-        let (nodes, links) = self.conservation_for_ranges(
-            system,
-            &sessions,
-            0..system.node_count(),
-            0..system.link_count(),
-        );
-        out.extend(nodes);
-        out.extend(links);
-    }
-
-    /// Conservation checks restricted to contiguous node/link ranges.
-    ///
-    /// Each entity in range is summed **fully** by this call, folding the
-    /// sessions in the caller-supplied (id-sorted) order — never from
-    /// merged partial sums — so the f64 accumulation bracketing, and
-    /// therefore every emitted violation, is bit-identical to the
-    /// sequential pass no matter how the ranges are partitioned.
-    pub(crate) fn conservation_for_ranges(
-        &self,
-        system: &StreamSystem,
-        sessions: &[&crate::system::Session],
-        node_range: std::ops::Range<usize>,
-        link_range: std::ops::Range<usize>,
-    ) -> (Vec<AuditViolation>, Vec<AuditViolation>) {
-        let mut node_sum = vec![ResourceVector::ZERO; node_range.len()];
-        let mut link_sum = vec![0.0f64; link_range.len()];
-        for s in sessions {
+        let mut node_sum = vec![ResourceVector::ZERO; system.node_count()];
+        let mut link_sum = vec![0.0f64; system.link_count()];
+        for s in sorted_sessions(system) {
             for &(node, amount) in s.node_allocations() {
-                if node_range.contains(&node.index()) {
-                    node_sum[node.index() - node_range.start] += amount;
-                }
+                node_sum[node.index()] += amount;
             }
             for &(link, kbps) in s.link_allocations() {
-                if link_range.contains(&link.index()) {
-                    link_sum[link.index() - link_range.start] += kbps;
-                }
+                link_sum[link.index()] += kbps;
             }
         }
-        let mut nodes = Vec::new();
-        for (off, expected) in node_sum.iter().enumerate() {
-            let v = OverlayNodeId((node_range.start + off) as u32);
+        for (i, expected) in node_sum.iter().enumerate() {
+            let v = OverlayNodeId(i as u32);
             let committed = system.node(v).committed();
             for (kind, want) in expected.iter() {
                 let got = committed.get(kind);
                 if (got - want).abs() > self.tolerance(want) {
-                    nodes.push(AuditViolation::NodeConservation { node: v, kind, committed: got, expected: want });
+                    out.push(AuditViolation::NodeConservation { node: v, kind, committed: got, expected: want });
                 }
             }
         }
-        let mut links = Vec::new();
-        for (off, &want) in link_sum.iter().enumerate() {
-            let l = OverlayLinkId((link_range.start + off) as u32);
+        for (i, &want) in link_sum.iter().enumerate() {
+            let l = OverlayLinkId(i as u32);
             let got = system.link_committed(l);
             if (got - want).abs() > self.tolerance(want) {
-                links.push(AuditViolation::LinkConservation { link: l, committed: got, expected: want });
+                out.push(AuditViolation::LinkConservation { link: l, committed: got, expected: want });
             }
         }
-        (nodes, links)
     }
 
+    /// Link capacity / fail-stop checks.
     fn audit_links(&self, system: &StreamSystem, out: &mut Vec<AuditViolation>) {
-        out.extend(self.link_state_for_range(system, 0..system.link_count()));
-    }
-
-    /// Link capacity / fail-stop checks over a contiguous link range.
-    pub(crate) fn link_state_for_range(
-        &self,
-        system: &StreamSystem,
-        link_range: std::ops::Range<usize>,
-    ) -> Vec<AuditViolation> {
-        let mut out = Vec::new();
-        for i in link_range {
+        for i in 0..system.link_count() {
             let l = OverlayLinkId(i as u32);
             let committed = system.link_committed(l);
             let capacity = system.link_capacity(l);
@@ -989,24 +910,11 @@ impl SystemAuditor {
                 out.push(AuditViolation::FailedLinkCarries { link: l, available: system.link_available(l) });
             }
         }
-        out
     }
 
+    /// Session coverage / failed-route checks, sessions in id order.
     fn audit_sessions(&self, system: &StreamSystem, out: &mut Vec<AuditViolation>) {
-        let sessions = sorted_sessions(system);
-        out.extend(self.session_violations_for_slice(system, &sessions));
-    }
-
-    /// Session coverage / failed-route checks over a slice of the
-    /// id-sorted session list. Violations come out in slice order, so
-    /// concatenating contiguous slices reproduces the sequential order.
-    pub(crate) fn session_violations_for_slice(
-        &self,
-        system: &StreamSystem,
-        sessions: &[&crate::system::Session],
-    ) -> Vec<AuditViolation> {
-        let mut out = Vec::new();
-        for s in sessions {
+        for s in sorted_sessions(system) {
             let request = &s.request_spec;
             if !s.composition.is_shape_valid(&request.graph) {
                 out.push(AuditViolation::SessionCoverage {
@@ -1060,29 +968,17 @@ impl SystemAuditor {
                 out.push(AuditViolation::SessionOnFailedRoute { session: s.id, detail: "a failed relay node" });
             }
         }
-        out
     }
 
+    /// Failed-node scan over the memoized paths, in key order.
     fn audit_path_cache(&self, system: &StreamSystem, out: &mut Vec<AuditViolation>) {
-        let entries = sorted_cached_paths(system);
-        out.extend(self.path_violations_for_entries(system, &entries));
-    }
-
-    /// Failed-node scan over a slice of the key-sorted cached-path list.
-    pub(crate) fn path_violations_for_entries(
-        &self,
-        system: &StreamSystem,
-        entries: &[((OverlayNodeId, OverlayNodeId), &acp_topology::SharedPath)],
-    ) -> Vec<AuditViolation> {
-        let mut out = Vec::new();
-        for &((from, to), path) in entries {
+        for ((from, to), path) in sorted_cached_paths(system) {
             for &via in &path.nodes {
                 if system.is_node_failed(via) {
                     out.push(AuditViolation::CachedPathThroughFailed { from, to, via });
                 }
             }
         }
-        out
     }
 
     fn tolerance(&self, magnitude: f64) -> f64 {
@@ -1092,7 +988,7 @@ impl SystemAuditor {
 
 /// Live sessions in ascending id order (the session table is a HashMap,
 /// so its natural order is not deterministic).
-pub(crate) fn sorted_sessions(system: &StreamSystem) -> Vec<&crate::system::Session> {
+fn sorted_sessions(system: &StreamSystem) -> Vec<&crate::system::Session> {
     let mut sessions: Vec<_> = system.sessions().collect();
     sessions.sort_unstable_by_key(|s| s.id);
     sessions
@@ -1108,7 +1004,7 @@ fn live_request_ids(system: &StreamSystem) -> Vec<u64> {
 }
 
 /// Memoized virtual paths in ascending key order (the memo is a HashMap).
-pub(crate) fn sorted_cached_paths(
+fn sorted_cached_paths(
     system: &StreamSystem,
 ) -> Vec<((OverlayNodeId, OverlayNodeId), &acp_topology::SharedPath)> {
     let mut entries: Vec<_> = system
@@ -1413,10 +1309,6 @@ mod tests {
         assert!(rows[1].contains("live set"), "{rows:?}");
         // The drift reaches the digest only because it fired.
         assert_ne!(auditor.audit(&sys).digest(), AuditReport::default().digest());
-        // The same rows come out of the sharded coordinator pass.
-        let mut rt = crate::shard::ShardedRuntime::for_system(4, &sys);
-        let sharded = rt.audit_at(&auditor, &sys, None);
-        assert_eq!(sharded.violations(), auditor.audit(&sys).violations());
     }
 
     #[test]

@@ -27,10 +27,6 @@
 //! * [`audit`] — the [`SystemAuditor`](audit::SystemAuditor), re-checking
 //!   the conservation invariants (Eqs. 2/4/5, dense-index and path-cache
 //!   coherence) after the fact for chaos experiments.
-//! * [`shard`] — the [`ShardedRuntime`](shard::ShardedRuntime): one
-//!   scenario across all cores via per-shard node-range ownership,
-//!   read-only range scans behind a scatter barrier, and a deterministic
-//!   coordinator-side merge (byte-identical at any shard count).
 //!
 //! # Example
 //!
@@ -51,6 +47,8 @@
 //! assert_eq!(system.node_count(), 20);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod audit;
 pub mod component;
 pub mod constraints;
@@ -64,7 +62,6 @@ pub mod qos;
 pub mod repair;
 pub mod request;
 pub mod resources;
-pub mod shard;
 pub mod system;
 pub mod tenant;
 
@@ -86,7 +83,6 @@ pub mod prelude {
     pub use crate::repair::{RepairLedger, RepairPhase, RepairTicket};
     pub use crate::request::{Request, RequestId};
     pub use crate::resources::{ResourceKind, ResourceVector};
-    pub use crate::shard::{ShardStats, ShardedRuntime};
     pub use crate::system::{
         AdmissionError, DegradeOutcome, Session, SessionHandle, SessionId, StreamSystem,
         SystemConfig,

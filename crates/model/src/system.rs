@@ -769,20 +769,6 @@ impl StreamSystem {
         self.overlay.virtual_path(from, to)
     }
 
-    /// Replays one memoized path lookup with a shard-computed result —
-    /// see [`Overlay::admit_virtual_path`]. The shard coordinator calls
-    /// this in the exact order the sequential run would issue
-    /// [`Self::virtual_path`], keeping memo contents and hit/miss
-    /// counters byte-identical.
-    pub fn admit_virtual_path(
-        &mut self,
-        from: OverlayNodeId,
-        to: OverlayNodeId,
-        computed: Option<SharedPath>,
-    ) -> Option<SharedPath> {
-        self.overlay.admit_virtual_path(from, to, computed)
-    }
-
     /// Hit/miss counters of the overlay's virtual-path memo.
     pub fn path_cache_stats(&self) -> acp_topology::PathCacheStats {
         self.overlay.path_cache_stats()

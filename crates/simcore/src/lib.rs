@@ -19,9 +19,6 @@
 //!   simple summary statistics).
 //! * [`fault`] — seeded fault schedules ([`FaultPlan`]) and their replay
 //!   cursor ([`FaultScheduler`]) for deterministic chaos experiments.
-//! * [`shard`] — contiguous index partitions ([`ShardMap`]) and a
-//!   persistent scatter-barrier worker pool ([`ShardPool`]) for running
-//!   one simulation across cores without losing byte-identity.
 //!
 //! # Example
 //!
@@ -46,12 +43,13 @@
 //! assert_eq!(sim.model().fired, 10);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod fault;
 pub mod queue;
 pub mod rng;
 pub mod series;
-pub mod shard;
 pub mod time;
 
 pub use engine::{Model, Simulation};
@@ -62,5 +60,4 @@ pub use fault::{
 pub use queue::{EventQueue, ScheduledEvent};
 pub use rng::DeterministicRng;
 pub use series::{Histogram, SummaryStats, TimeSeries, WindowedCounter};
-pub use shard::{ShardMap, ShardPool};
 pub use time::{SimDuration, SimTime};

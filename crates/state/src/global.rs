@@ -387,52 +387,6 @@ impl GlobalStateBoard {
         messages
     }
 
-    /// Sharded node refresh: shard workers run the per-node significance
-    /// checks read-only over their node ranges (a node's check touches
-    /// only its own board entries — dense ids are never shared between
-    /// nodes — so parallel decisions equal sequential ones); the
-    /// coordinator applies the publishes in ascending node order.
-    /// Published state, message counts, and scan stats are bit-identical
-    /// to [`Self::refresh_nodes`].
-    pub fn refresh_nodes_sharded(
-        &mut self,
-        system: &StreamSystem,
-        rt: &mut acp_model::shard::ShardedRuntime,
-    ) -> u64 {
-        if self.component_qos.len() < system.dense_component_count() {
-            self.component_qos.resize(system.dense_component_count(), None);
-        }
-        let versions = system.node_versions();
-        let ranges: Vec<std::ops::Range<usize>> =
-            (0..rt.shards()).map(|s| rt.node_range(s)).collect();
-        let board = &*self;
-        let incremental = board.config.incremental;
-        // Per shard: (scanned node index, publish decision) in range order.
-        let scans: Vec<Vec<(usize, bool)>> = rt.scatter(|s| {
-            ranges[s]
-                .clone()
-                .filter(|&i| !(incremental && board.seen_node_versions[i] == versions[i]))
-                .map(|i| {
-                    (i, board.node_publish_significant(system, OverlayNodeId(i as u32)))
-                })
-                .collect()
-        });
-        let mut messages = 0;
-        for shard in scans {
-            for (i, significant) in shard {
-                self.scan.nodes_scanned += 1;
-                self.seen_node_versions[i] = versions[i];
-                if significant {
-                    self.apply_node_publish(system, OverlayNodeId(i as u32));
-                    messages += 1;
-                }
-            }
-        }
-        self.scan.nodes_total += system.node_count() as u64;
-        self.update_messages += messages;
-        messages
-    }
-
     /// Whether node `v`'s true state has drifted past the publish
     /// threshold relative to the board (read-only; entry-local).
     fn node_publish_significant(&self, system: &StreamSystem, v: OverlayNodeId) -> bool {
@@ -526,44 +480,10 @@ impl GlobalStateBoard {
                 messages += 1; // report to the aggregation node
             }
         }
-        self.finish_aggregation_round(system, &mut messages);
-        messages
-    }
-
-    /// Sharded aggregation round: workers scan their link ranges
-    /// read-only (each link's threshold check touches only its own board
-    /// entry), the coordinator applies the changed-bandwidth reports in
-    /// ascending link order. Bit-identical to [`Self::aggregate_links`].
-    pub fn aggregate_links_sharded(
-        &mut self,
-        system: &StreamSystem,
-        rt: &mut acp_model::shard::ShardedRuntime,
-    ) -> u64 {
-        let versions = system.link_versions();
-        let ranges: Vec<std::ops::Range<usize>> =
-            (0..rt.shards()).map(|s| rt.link_range(s)).collect();
-        let board = &*self;
-        let incremental = board.config.incremental;
-        let scans: Vec<Vec<(usize, bool)>> = rt.scatter(|s| {
-            ranges[s]
-                .clone()
-                .filter(|&i| !(incremental && board.seen_link_versions[i] == versions[i]))
-                .map(|i| (i, board.link_report_changed(system, OverlayLinkId(i as u32))))
-                .collect()
-        });
-        let mut messages = 0;
-        for shard in scans {
-            for (i, changed) in shard {
-                self.scan.links_scanned += 1;
-                self.seen_link_versions[i] = versions[i];
-                if changed {
-                    self.link_available[i] = system.link_available(OverlayLinkId(i as u32));
-                    messages += 1; // report to the aggregation node
-                }
-            }
-        }
-        self.scan.links_total += system.link_count() as u64;
-        self.finish_aggregation_round(system, &mut messages);
+        messages += 1; // the aggregation node's global-state publish
+        self.update_messages += messages;
+        self.aggregation_rounds += 1;
+        self.aggregation_cursor = (self.aggregation_cursor + 1) % system.node_count() as u32;
         messages
     }
 
@@ -574,14 +494,6 @@ impl GlobalStateBoard {
         let actual = system.link_available(l);
         let max = self.link_capacity[i];
         max > 0.0 && (actual - self.link_available[i]).abs() > self.config.threshold * max
-    }
-
-    /// Books the aggregation node's final publish and rotates the role.
-    fn finish_aggregation_round(&mut self, system: &StreamSystem, messages: &mut u64) {
-        *messages += 1; // the aggregation node's global-state publish
-        self.update_messages += *messages;
-        self.aggregation_rounds += 1;
-        self.aggregation_cursor = (self.aggregation_cursor + 1) % system.node_count() as u32;
     }
 
     /// The node currently holding the aggregation role.
@@ -1017,43 +929,5 @@ mod tests {
         assert_eq!(inc_scan.nodes_total, full_scan.nodes_total);
         assert!(inc_scan.nodes_scanned < inc_scan.nodes_total, "incremental skips untouched nodes");
         assert!(inc_scan.links_scanned < inc_scan.links_total, "incremental skips untouched links");
-    }
-
-    #[test]
-    fn sharded_refresh_matches_sequential_at_every_shard_count() {
-        for shards in [1usize, 2, 3, 4, 8] {
-            let mut sys = build();
-            let mut seq = GlobalStateBoard::new(&sys, GlobalStateConfig::default());
-            let mut shd = GlobalStateBoard::new(&sys, GlobalStateConfig::default());
-            let mut rt = ShardedRuntime::for_system(shards, &sys);
-            for round in 0..4u64 {
-                load_some_node(&mut sys, round + 1, round % 2 == 0);
-                if round == 2 {
-                    sys.expire_transients(acp_simcore::SimTime::ZERO);
-                }
-                assert_eq!(
-                    seq.refresh_nodes(&sys),
-                    shd.refresh_nodes_sharded(&sys, &mut rt),
-                    "shards={shards} round {round}"
-                );
-                assert_eq!(
-                    seq.aggregate_links(&sys),
-                    shd.aggregate_links_sharded(&sys, &mut rt),
-                    "shards={shards} round {round}"
-                );
-                for v in sys.overlay().nodes() {
-                    assert_eq!(seq.node_available(v), shd.node_available(v));
-                    for c in sys.node(v).components() {
-                        assert_eq!(seq.component_qos(c.id), shd.component_qos(c.id));
-                    }
-                }
-                for l in sys.overlay().links() {
-                    assert_eq!(seq.link_available(l), shd.link_available(l));
-                }
-                assert_eq!(seq.update_messages(), shd.update_messages());
-                assert_eq!(seq.scan_stats(), shd.scan_stats(), "shards={shards} round {round}");
-                assert_eq!(seq.aggregation_node(), shd.aggregation_node());
-            }
-        }
     }
 }

@@ -15,6 +15,8 @@
 //! probes collect *local* precise state hop by hop; the deputy picks the
 //! final composition from the precise probe-collected values.
 
+#![forbid(unsafe_code)]
+
 pub mod global;
 pub mod local;
 

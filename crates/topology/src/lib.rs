@@ -26,6 +26,8 @@
 //! assert!(overlay.is_connected());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod graph;
 pub mod inet;
 pub mod overlay;

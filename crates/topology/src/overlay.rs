@@ -433,77 +433,6 @@ impl Overlay {
         })
     }
 
-    /// Read-only memo lookup: `Some(entry)` when the `(from, to)` pair is
-    /// memoized (`entry` is `None` for a negative/unreachable entry),
-    /// `None` when it is not. Touches neither the memo nor the hit/miss
-    /// counters — shard workers use this to resolve paths without racing
-    /// on cache accounting; the coordinator replays the lookups through
-    /// [`Self::admit_virtual_path`] in canonical order.
-    pub fn peek_virtual_path(
-        &self,
-        from: OverlayNodeId,
-        to: OverlayNodeId,
-    ) -> Option<Option<SharedPath>> {
-        self.path_cache.get(&(from, to)).cloned()
-    }
-
-    /// Read-only path extraction: bit-identical result to the
-    /// [`Self::virtual_path`] miss path, but mutates neither the memo nor
-    /// the routing-tree cache (an already-cached tree is reused; a missing
-    /// one is computed and dropped). Path extraction is a pure function
-    /// of the mesh and the down set, so concurrent shard workers and the
-    /// sequential path produce the same bytes.
-    pub fn compute_virtual_path_readonly(
-        &self,
-        from: OverlayNodeId,
-        to: OverlayNodeId,
-    ) -> Option<OverlayPath> {
-        if self.down[from.index()] || self.down[to.index()] {
-            return None;
-        }
-        if from == to {
-            return Some(OverlayPath::colocated(from));
-        }
-        let owned;
-        let tree = match self.route_cache.get(&from) {
-            Some(tree) => tree,
-            None => {
-                owned = ShortestPathTree::compute_excluding(&self.mesh, NodeId(from.0), &self.down);
-                &owned
-            }
-        };
-        let ip = tree.path_to(&self.mesh, NodeId(to.0))?;
-        Some(OverlayPath {
-            nodes: ip.nodes.iter().map(|n| OverlayNodeId(n.0)).collect(),
-            links: ip.edges.iter().map(|e| OverlayLinkId(e.0)).collect(),
-            delay: ip.delay,
-            bottleneck_kbps: ip.bottleneck_kbps,
-            loss_rate: ip.loss_rate,
-        })
-    }
-
-    /// Replays one [`Self::virtual_path`] lookup with a pre-computed
-    /// result: a memoized pair counts a hit and returns the cached entry
-    /// (the sequential behaviour when an earlier lookup in the same batch
-    /// already admitted it); otherwise counts a miss and admits
-    /// `computed`. Called by the shard coordinator in the exact order the
-    /// sequential run would issue the lookups, so memo contents and
-    /// hit/miss counters stay byte-identical.
-    pub fn admit_virtual_path(
-        &mut self,
-        from: OverlayNodeId,
-        to: OverlayNodeId,
-        computed: Option<SharedPath>,
-    ) -> Option<SharedPath> {
-        if let Some(cached) = self.path_cache.get(&(from, to)) {
-            self.cache_stats.hits += 1;
-            return cached.clone();
-        }
-        self.cache_stats.misses += 1;
-        self.path_cache.insert((from, to), computed.clone());
-        computed
-    }
-
     /// Hit/miss counters of the `(from, to)` path memo (cumulative; not
     /// reset by invalidation).
     pub fn path_cache_stats(&self) -> PathCacheStats {

@@ -54,6 +54,31 @@ impl IpPath {
     }
 }
 
+/// A Dijkstra frontier entry, ordered so that [`std::collections::BinaryHeap`]
+/// (a max-heap) pops the smallest `(dist, node)` first. A named type
+/// with its own `Ord`, not `Reverse<(SimDuration, u32)>`: the tuple's
+/// comparison compiles to two compares or to a three-way
+/// `Option<Ordering>` chain depending on what else shares the codegen
+/// unit — a 19 % swing in `build_system` (EXPERIMENTS.md, "BENCH_10 →
+/// BENCH_11").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Frontier {
+    dist: SimDuration,
+    node: u32,
+}
+
+impl Ord for Frontier {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other.dist.cmp(&self.dist).then_with(|| other.node.cmp(&self.node))
+    }
+}
+
+impl PartialOrd for Frontier {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 /// Single-source shortest-path tree (by delay).
 #[derive(Debug, Clone)]
 pub struct ShortestPathTree {
@@ -85,9 +110,9 @@ impl ShortestPathTree {
         let mut heap = std::collections::BinaryHeap::new();
 
         dist[source.index()] = Some(SimDuration::ZERO);
-        heap.push(std::cmp::Reverse((SimDuration::ZERO, source.0)));
+        heap.push(Frontier { dist: SimDuration::ZERO, node: source.0 });
 
-        while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
+        while let Some(Frontier { dist: d, node: u }) = heap.pop() {
             let u = NodeId(u);
             if done[u.index()] {
                 continue;
@@ -101,7 +126,7 @@ impl ShortestPathTree {
                 if dist[v.index()].is_none_or(|cur| cand < cur) {
                     dist[v.index()] = Some(cand);
                     prev[v.index()] = Some((u, e));
-                    heap.push(std::cmp::Reverse((cand, v.0)));
+                    heap.push(Frontier { dist: cand, node: v.0 });
                 }
             }
         }

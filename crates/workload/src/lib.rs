@@ -14,6 +14,8 @@
 //! * [`streaming`] — lazy per-epoch arrival generation for the scale
 //!   experiments (the workload is pulled, never materialized whole).
 
+#![forbid(unsafe_code)]
+
 pub mod arrivals;
 pub mod requests;
 pub mod scenario;

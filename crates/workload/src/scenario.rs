@@ -288,11 +288,6 @@ pub struct ScenarioConfig {
     /// recomposition with detection latency and retry budgets); `None`
     /// keeps the kill-and-failover behaviour byte-identical to today.
     pub repair: Option<RepairScenarioConfig>,
-    /// Shard count for the sharded single-run runtime. `1` (the default)
-    /// compiles down to the sequential path — no worker pool, no
-    /// [`ShardedRuntime`] at all. Any count produces byte-identical
-    /// results; only wall-clock time and [`ShardStats`] change.
-    pub shards: usize,
 }
 
 impl Default for ScenarioConfig {
@@ -326,7 +321,6 @@ impl Default for ScenarioConfig {
             setup: None,
             tenants: None,
             repair: None,
-            shards: 1,
         }
     }
 }
@@ -462,11 +456,6 @@ pub struct ScenarioResult {
     pub mttr_p50: f64,
     /// 99th-percentile MTTR in seconds (0 with no recoveries).
     pub mttr_p99: f64,
-    /// Shard count the run executed with (1 = sequential path).
-    pub shards: usize,
-    /// Cross-shard traffic classification (all zero on sequential runs).
-    /// Shard-count-dependent by design — excluded from every digest.
-    pub shard_stats: ShardStats,
 }
 
 impl ScenarioResult {
@@ -649,9 +638,6 @@ struct ScenarioModel {
     setup_totals: SetupStats,
     fault_hit_requests: u64,
     fault_hit_successes: u64,
-    /// Built only when `config.shards > 1`; `None` is the sequential
-    /// path, byte-identical by construction.
-    shard: Option<ShardedRuntime>,
 }
 
 impl ScenarioModel {
@@ -667,31 +653,6 @@ impl ScenarioModel {
         }
     }
 
-    /// Composes one request, through the sharded probing fan-out when
-    /// the runtime is live.
-    fn compose_request(&mut self, request: &Request, now: SimTime) -> ComposeOutcome {
-        match self.shard.as_mut() {
-            Some(rt) => self.composer.compose_sharded(&mut self.system, &self.board, request, now, rt),
-            None => self.composer.compose(&mut self.system, &self.board, request, now),
-        }
-    }
-
-    /// One local-state refresh round, sharded when the runtime is live.
-    fn refresh_board(&mut self) -> u64 {
-        match self.shard.as_mut() {
-            Some(rt) => self.board.refresh_nodes_sharded(&self.system, rt),
-            None => self.board.refresh_nodes(&self.system),
-        }
-    }
-
-    /// One virtual-link aggregation round, sharded when the runtime is live.
-    fn aggregate_board(&mut self) -> u64 {
-        match self.shard.as_mut() {
-            Some(rt) => self.board.aggregate_links_sharded(&self.system, rt),
-            None => self.board.aggregate_links(&self.system),
-        }
-    }
-
     /// Runs the reclamation sweep, then the system auditor (including
     /// the lease-expiry checks at `now`) plus the board coherence audit,
     /// and folds the report into the running digest. Violations
@@ -701,10 +662,7 @@ impl ScenarioModel {
     /// recovery path for leases orphaned by lost confirmations.
     fn run_audit(&mut self, now: SimTime) {
         self.sweep_transients(now);
-        let mut report = match self.shard.as_mut() {
-            Some(rt) => rt.audit_at(&self.auditor, &self.system, Some(now)),
-            None => self.auditor.audit_at(&self.system, Some(now)),
-        };
+        let mut report = self.auditor.audit_at(&self.system, Some(now));
         report.merge(AuditReport::from_violations(self.board.audit_against(&self.system)));
         self.audit_violations += report.len() as u64;
         self.tenant_violations += report
@@ -755,14 +713,14 @@ impl ScenarioModel {
                         let (_, victims) = self.system.fail_node(v);
                         orphaned = victims;
                     }
-                    self.overhead.state_update_messages += self.refresh_board();
+                    self.overhead.state_update_messages += self.board.refresh_nodes(&self.system);
                 }
             }
             FaultKind::NodeRecover { node } => {
                 let v = OverlayNodeId(node % node_count);
                 if self.system.is_node_failed(v) {
                     self.system.recover_node(v);
-                    self.overhead.state_update_messages += self.refresh_board();
+                    self.overhead.state_update_messages += self.board.refresh_nodes(&self.system);
                 }
             }
             FaultKind::LinkFail { link } => {
@@ -776,7 +734,8 @@ impl ScenarioModel {
                         } else {
                             orphaned = self.system.fail_link(l);
                         }
-                        self.overhead.state_update_messages += self.aggregate_board();
+                        self.overhead.state_update_messages +=
+                            self.board.aggregate_links(&self.system);
                     }
                 }
             }
@@ -790,7 +749,7 @@ impl ScenarioModel {
                     } else {
                         orphaned = self.system.degrade_link(l, factor);
                     }
-                    self.overhead.state_update_messages += self.aggregate_board();
+                    self.overhead.state_update_messages += self.board.aggregate_links(&self.system);
                 }
             }
             FaultKind::LinkRestore { link } => {
@@ -804,7 +763,8 @@ impl ScenarioModel {
                         .is_some_and(|c| c.partition_refs.get(l.index()).is_some_and(|&r| r > 0));
                     if !held {
                         self.system.restore_link(l);
-                        self.overhead.state_update_messages += self.aggregate_board();
+                        self.overhead.state_update_messages +=
+                            self.board.aggregate_links(&self.system);
                     }
                 }
             }
@@ -821,7 +781,7 @@ impl ScenarioModel {
                     } else {
                         orphaned = self.system.crash_component(id);
                     }
-                    self.overhead.state_update_messages += self.refresh_board();
+                    self.overhead.state_update_messages += self.board.refresh_nodes(&self.system);
                 }
             }
             FaultKind::Partition { first, count } => {
@@ -908,7 +868,7 @@ impl ScenarioModel {
             }
         }
         if touched {
-            self.overhead.state_update_messages += self.aggregate_board();
+            self.overhead.state_update_messages += self.board.aggregate_links(&self.system);
         }
     }
 
@@ -950,7 +910,7 @@ impl ScenarioModel {
             }
         }
         if touched {
-            self.overhead.state_update_messages += self.aggregate_board();
+            self.overhead.state_update_messages += self.board.aggregate_links(&self.system);
         }
     }
 
@@ -1024,7 +984,8 @@ impl Model for ScenarioModel {
                 }
                 if admitted {
                     self.trace.record(request.clone());
-                    let outcome = self.compose_request(&request, now);
+                    let outcome =
+                        self.composer.compose(&mut self.system, &self.board, &request, now);
                     self.probe_histogram.add(outcome.stats.probe_messages as f64);
                     self.overhead += outcome.stats;
                     self.setup_totals += outcome.setup;
@@ -1090,14 +1051,14 @@ impl Model for ScenarioModel {
             }
             Event::LocalRefresh => {
                 self.sweep_transients(now);
-                let msgs = self.refresh_board();
+                let msgs = self.board.refresh_nodes(&self.system);
                 self.overhead.state_update_messages += msgs;
                 if now + self.config.local_refresh <= SimTime::ZERO + self.config.duration {
                     queue.schedule(now + self.config.local_refresh, Event::LocalRefresh);
                 }
             }
             Event::Aggregate => {
-                let msgs = self.aggregate_board();
+                let msgs = self.board.aggregate_links(&self.system);
                 self.overhead.state_update_messages += msgs;
                 if now + self.config.aggregation_interval <= SimTime::ZERO + self.config.duration {
                     queue.schedule(now + self.config.aggregation_interval, Event::Aggregate);
@@ -1130,7 +1091,8 @@ impl Model for ScenarioModel {
                     }
                 });
                 for (fail_time, request) in due {
-                    let outcome = self.compose_request(&request, now);
+                    let outcome =
+                        self.composer.compose(&mut self.system, &self.board, &request, now);
                     self.overhead += outcome.stats;
                     self.setup_totals += outcome.setup;
                     match outcome.session {
@@ -1196,8 +1158,7 @@ impl Model for ScenarioModel {
                         true
                     }
                 });
-                // Canonical coordinator order: ascending session id, so
-                // sharded runs replay repairs byte-identically.
+                // Canonical order: ascending session id.
                 due.sort_unstable();
                 due.dedup();
                 let RepairRuntime { config: repair_config, planner, compose_rng, mode, pending, .. } =
@@ -1212,7 +1173,6 @@ impl Model for ScenarioModel {
                             &self.config.probing,
                             m,
                             compose_rng,
-                            self.shard.as_mut(),
                         ),
                         RepairComposeMode::Two(m) => planner.repair_session(
                             &mut self.system,
@@ -1222,7 +1182,6 @@ impl Model for ScenarioModel {
                             &self.config.probing,
                             m.as_mut(),
                             compose_rng,
-                            self.shard.as_mut(),
                         ),
                     };
                     if let Some(probing) = attempt.probing {
@@ -1292,7 +1251,7 @@ impl Model for ScenarioModel {
                     if let Some(churn) = self.churn.as_mut() {
                         churn.rebalancer.rebalance_round(&mut self.system);
                     }
-                    let msgs = self.refresh_board();
+                    let msgs = self.board.refresh_nodes(&self.system);
                     self.overhead.state_update_messages += msgs;
                     let interval = self.churn.as_ref().and_then(|c| c.config.rebalance_interval);
                     if let Some(interval) = interval {
@@ -1311,7 +1270,8 @@ impl Model for ScenarioModel {
                             tenants.preemptions += reclaimed.len() as u64;
                             // Preempted capacity is only useful if the
                             // coarse state advertises it.
-                            self.overhead.state_update_messages += self.refresh_board();
+                            self.overhead.state_update_messages +=
+                                self.board.refresh_nodes(&self.system);
                         }
                     }
                     if now + preemption.interval <= SimTime::ZERO + self.config.duration {
@@ -1482,12 +1442,7 @@ pub fn run_scenario(config: ScenarioConfig) -> ScenarioResult {
         }
     });
 
-    // shards = 1 builds no runtime at all: the sequential path runs
-    // exactly as before, with zero threads and zero scatter barriers.
-    let shard = (config.shards > 1).then(|| ShardedRuntime::for_system(config.shards, &system));
-
     let model = ScenarioModel {
-        shard,
         system,
         board,
         composer,
@@ -1622,8 +1577,6 @@ pub fn run_scenario(config: ScenarioConfig) -> ScenarioResult {
         tenant_tiers,
         tenant_preemptions: model.tenants.as_ref().map_or(0, |t| t.preemptions),
         tenant_violations: model.tenant_violations,
-        shards: model.config.shards.max(1),
-        shard_stats: model.shard.as_ref().map(|rt| rt.stats()).unwrap_or_default(),
     }
 }
 

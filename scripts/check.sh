@@ -32,9 +32,7 @@ step "cargo clippy --workspace --all-targets -- -D warnings" \
     cargo clippy --workspace --all-targets -- -D warnings
 
 # The workspace run above already executes the determinism, equivalence,
-# chaos, failover, sharding, model-property and tenant suites. They used
-# to be re-run here one by one: 8 s warm on the 2-core box (sharding 4 s,
-# chaos and determinism 1 s each), reported with the timings below.
+# chaos, failover, model-property and tenant suites.
 
 # The benchmark package is its own workspace and may not be edited by a
 # change that claims a gain; its tests compile every import of
@@ -46,9 +44,6 @@ step "benchmark package tests (API drift against benchmark/src/sut.rs)" \
 
 step "chaos smoke (quick grid, seed 42, audit must be clean)" \
     cargo run --release -q -p acp-bench --bin chaos_soak -- --smoke --seed 42 --assert-no-leaks
-
-step "sharded chaos smoke (shards=4, byte-identical by contract)" \
-    cargo run --release -q -p acp-bench --bin chaos_soak -- --smoke --seed 42 --shards 4 --assert-no-leaks
 
 step "tenanted chaos smoke (standard mix, isolation must hold)" \
     cargo run --release -q -p acp-bench --bin chaos_soak -- --smoke --seed 42 --tenants --assert-no-leaks
@@ -90,6 +85,5 @@ echo "Step timings:"
 for i in "${!STEP_NAMES[@]}"; do
     printf '  %4ss  %s\n' "${STEP_SECS[$i]}" "${STEP_NAMES[$i]}"
 done
-printf 'Total: %ss (7 suites no longer re-run after the workspace tests: ~8s saved)\n' \
-    "$((SECONDS - TOTAL_START))"
+printf 'Total: %ss\n' "$((SECONDS - TOTAL_START))"
 echo "All checks passed."

@@ -35,6 +35,8 @@
 //! println!("composed: {:?}", outcome.session.is_some());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use acp_core as core;
 pub use acp_model as model;
 pub use acp_simcore as simcore;
