@@ -3,7 +3,8 @@
 //! Quantifies the two probe-path optimisations:
 //!
 //! * `Overlay::virtual_path` memoisation — cache hit vs the cold compute
-//!   (tree extraction behind a `(from, to)` lookup),
+//!   (tree extraction behind a `(from, to)` lookup), and what the memo
+//!   is worth straight after a node failed and recovered,
 //! * the `probe_compose` inner loop with shared `Arc` paths and reused
 //!   selection/frontier scratch buffers.
 
@@ -48,6 +49,29 @@ fn bench_virtual_path(c: &mut Criterion) {
             });
         });
     }
+
+    // Node churn under a warm memo, the unit a fault scenario pays per
+    // recovery: every source has a tree, one node fails and returns,
+    // then 64 warm pairs are looked up again. Trees and memo entries the
+    // node never touched must still answer.
+    group.bench_function(BenchmarkId::new("fail_recover_lookup", 400), |b| {
+        let mut overlay = built_overlay(400);
+        for a in 0..400u32 {
+            overlay.virtual_path(OverlayNodeId(a), OverlayNodeId((a + 1) % 400));
+        }
+        let pairs: Vec<(OverlayNodeId, OverlayNodeId)> =
+            (0..64u32).map(|i| (OverlayNodeId(i * 5 % 400), OverlayNodeId((i * 37 + 11) % 400))).collect();
+        for &(from, to) in &pairs {
+            overlay.virtual_path(from, to);
+        }
+        let mut victim = 0u32;
+        b.iter(|| {
+            victim = (victim + 7) % 400;
+            overlay.set_node_down(OverlayNodeId(victim), true);
+            overlay.set_node_down(OverlayNodeId(victim), false);
+            pairs.iter().filter_map(|&(from, to)| overlay.virtual_path(from, to)).count()
+        });
+    });
     group.finish();
 }
 

@@ -970,15 +970,25 @@ impl SystemAuditor {
         }
     }
 
-    /// Failed-node scan over the memoized paths, in key order.
+    /// Failed-node scan over the memoized paths, reported in key order.
+    /// The memo is a HashMap and outlives node recoveries, so the scan
+    /// runs in its order and only the violations — normally none — are
+    /// sorted, by `(from, to, position on the path)`.
     fn audit_path_cache(&self, system: &StreamSystem, out: &mut Vec<AuditViolation>) {
-        for ((from, to), path) in sorted_cached_paths(system) {
-            for &via in &path.nodes {
+        let mut through_failed = Vec::new();
+        for ((from, to), path) in system.overlay().cached_paths() {
+            for (position, &via) in path.into_iter().flat_map(|p| p.nodes.iter().enumerate()) {
                 if system.is_node_failed(via) {
-                    out.push(AuditViolation::CachedPathThroughFailed { from, to, via });
+                    through_failed.push((from, to, position, via));
                 }
             }
         }
+        through_failed.sort_unstable();
+        out.extend(
+            through_failed
+                .into_iter()
+                .map(|(from, to, _, via)| AuditViolation::CachedPathThroughFailed { from, to, via }),
+        );
     }
 
     fn tolerance(&self, magnitude: f64) -> f64 {
@@ -1001,19 +1011,6 @@ fn live_request_ids(system: &StreamSystem) -> Vec<u64> {
     let mut ids: Vec<u64> = system.sessions().map(|s| s.request.0).collect();
     ids.sort_unstable();
     ids
-}
-
-/// Memoized virtual paths in ascending key order (the memo is a HashMap).
-fn sorted_cached_paths(
-    system: &StreamSystem,
-) -> Vec<((OverlayNodeId, OverlayNodeId), &acp_topology::SharedPath)> {
-    let mut entries: Vec<_> = system
-        .overlay()
-        .cached_paths()
-        .filter_map(|(key, path)| path.map(|p| (key, p)))
-        .collect();
-    entries.sort_unstable_by_key(|&(key, _)| key);
-    entries
 }
 
 #[cfg(test)]
@@ -1309,6 +1306,43 @@ mod tests {
         assert!(rows[1].contains("live set"), "{rows:?}");
         // The drift reaches the digest only because it fired.
         assert_ne!(auditor.audit(&sys).digest(), AuditReport::default().digest());
+    }
+
+    /// A node dead behind the overlay's back (the bug this check guards
+    /// against) is reported once per cached hop through it, in
+    /// `(from, to, position)` order whatever order the memo iterates in.
+    #[test]
+    fn cached_paths_through_a_failed_node_are_reported_in_key_order() {
+        let mut sys = build_system(7, 20);
+        let nodes: Vec<_> = sys.overlay().nodes().collect();
+        let mut relay = None;
+        for &a in &nodes {
+            for &b in &nodes {
+                let path = sys.virtual_path(a, b).expect("connected overlay");
+                relay = relay.or((path.nodes.len() > 2).then(|| path.nodes[1]));
+            }
+        }
+        let dead = relay.expect("some path has an interior node");
+        sys.nodes[dead.index()].fail();
+        let mut want: Vec<_> = sys
+            .overlay()
+            .cached_paths()
+            .filter(|(_, path)| path.is_some_and(|p| p.nodes.contains(&dead)))
+            .map(|((from, to), _)| AuditViolation::CachedPathThroughFailed { from, to, via: dead })
+            .collect();
+        want.sort_by_key(|v| match v {
+            AuditViolation::CachedPathThroughFailed { from, to, .. } => (*from, *to),
+            _ => unreachable!(),
+        });
+        assert!(want.len() >= 2 * nodes.len(), "the node relays as well as terminates");
+        let report = SystemAuditor::default().audit(&sys);
+        let got: Vec<_> = report
+            .violations()
+            .iter()
+            .filter(|v| matches!(v, AuditViolation::CachedPathThroughFailed { .. }))
+            .cloned()
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

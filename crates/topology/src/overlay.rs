@@ -187,41 +187,38 @@ impl Overlay {
         all.shuffle(rng);
         let mut ip_nodes: Vec<NodeId> = all.into_iter().take(config.stream_nodes).collect();
         ip_nodes.sort_unstable(); // canonical order for reproducibility
-        let ip_index: HashMap<NodeId, OverlayNodeId> = ip_nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, OverlayNodeId(i as u32)))
-            .collect();
 
-        // 2. IP-layer routing from every stream node.
-        let mut routing = RoutingTable::new();
         let n = ip_nodes.len();
         let mut mesh = Graph::new(n);
         let mut ip_hops: Vec<usize> = Vec::new();
 
-        // 3. k-nearest-neighbour mesh.
-        for i in 0..n {
-            let tree = routing.tree(ip_graph, ip_nodes[i]);
-            let mut dists: Vec<(SimDuration, usize)> = (0..n)
-                .filter(|&j| j != i)
-                .filter_map(|j| tree.distance(ip_nodes[j]).map(|d| (d, j)))
-                .collect();
-            dists.sort_unstable();
-            for &(_, j) in dists.iter().take(config.neighbors) {
-                let (a, b) = (OverlayNodeId(i as u32), OverlayNodeId(j as u32));
-                if !mesh.has_edge(NodeId(a.0), NodeId(b.0)) {
-                    let path = routing
-                        .path(ip_graph, ip_nodes[i], ip_nodes[j])
-                        .expect("distance implies path");
-                    mesh.add_edge(
-                        NodeId(a.0),
-                        NodeId(b.0),
-                        LinkProps::new(path.delay, path.bottleneck_kbps, path.loss_rate),
-                    );
+        // 2. k-nearest-neighbour mesh. `ip_nodes` is sorted and IP delays
+        //    are positive, so Dijkstra settles stream nodes in ascending
+        //    `(delay, overlay index)`: the first `neighbors` it settles
+        //    are the nearest peers, and the search stops there.
+        let mut stream_index: Vec<Option<usize>> = vec![None; ip_graph.node_count()];
+        for (i, &ip) in ip_nodes.iter().enumerate() {
+            stream_index[ip.index()] = Some(i);
+        }
+        let mut nearest: Vec<usize> = Vec::with_capacity(config.neighbors);
+        for (i, &src) in ip_nodes.iter().enumerate() {
+            nearest.clear();
+            let tree = ShortestPathTree::compute_until(ip_graph, src, |u| {
+                nearest.extend(stream_index[u.index()].filter(|&j| j != i));
+                nearest.len() == config.neighbors
+            });
+            for &j in &nearest {
+                let (a, b) = (NodeId(i as u32), NodeId(j as u32));
+                if !mesh.has_edge(a, b) {
+                    let path = tree.path_to(ip_graph, ip_nodes[j]).expect("settled nodes have paths");
+                    mesh.add_edge(a, b, LinkProps::new(path.delay, path.bottleneck_kbps, path.loss_rate));
                     ip_hops.push(path.hop_count());
                 }
             }
         }
+
+        // 3. Full IP routing trees, computed only if a bridge needs them.
+        let mut routing = RoutingTable::new();
 
         // 4. Bridge components (possible when the IP graph is disconnected
         //    or k-NN selection forms islands).
@@ -230,13 +227,16 @@ impl Overlay {
             if component.len() == mesh.node_count() {
                 break;
             }
-            let inside: std::collections::HashSet<usize> = component.iter().map(|c| c.index()).collect();
-            let outside: Vec<usize> = (0..n).filter(|i| !inside.contains(i)).collect();
-            // Connect the closest inside/outside pair.
+            let mut inside = vec![false; n];
+            for c in &component {
+                inside[c.index()] = true;
+            }
+            // Connect the closest inside/outside pair (ties: lowest
+            // outside, then inside, index).
             let mut best: Option<(SimDuration, usize, usize)> = None;
-            for &o in &outside {
+            for o in (0..n).filter(|&o| !inside[o]) {
                 let tree = routing.tree(ip_graph, ip_nodes[o]);
-                for &i in &inside {
+                for i in (0..n).filter(|&i| inside[i]) {
                     if let Some(d) = tree.distance(ip_nodes[i]) {
                         if best.is_none_or(|(bd, _, _)| d < bd) {
                             best = Some((d, o, i));
@@ -254,10 +254,15 @@ impl Overlay {
             ip_hops.push(path.hop_count());
         }
 
+        Self::with_cold_caches(ip_nodes, mesh, ip_hops)
+    }
+
+    /// An overlay over a finished mesh, all nodes up, nothing cached.
+    fn with_cold_caches(ip_nodes: Vec<NodeId>, mesh: Graph, ip_hops: Vec<usize>) -> Self {
         Overlay {
             down: vec![false; ip_nodes.len()],
+            ip_index: ip_nodes.iter().enumerate().map(|(i, &ip)| (ip, OverlayNodeId(i as u32))).collect(),
             ip_nodes,
-            ip_index,
             mesh,
             ip_hops,
             route_cache: HashMap::new(),
@@ -310,19 +315,7 @@ impl Overlay {
                 ip_hops.push(1);
             }
         }
-        let ip_nodes: Vec<NodeId> = (0..n).map(NodeId).collect();
-        let ip_index: HashMap<NodeId, OverlayNodeId> =
-            ip_nodes.iter().enumerate().map(|(i, &node)| (node, OverlayNodeId(i as u32))).collect();
-        Overlay {
-            down: vec![false; nodes],
-            ip_nodes,
-            ip_index,
-            mesh,
-            ip_hops,
-            route_cache: HashMap::new(),
-            path_cache: HashMap::new(),
-            cache_stats: PathCacheStats::default(),
-        }
+        Self::with_cold_caches((0..n).map(NodeId).collect(), mesh, ip_hops)
     }
 
     /// Number of stream-processing nodes.
@@ -393,9 +386,10 @@ impl Overlay {
     /// per-source routing-tree cache), so repeated queries — the common
     /// case during probing, where every candidate pair is examined many
     /// times per session — are a single hash lookup plus an `Arc` clone.
-    /// [`Self::invalidate_routes`] drops everything;
-    /// [`Self::invalidate_routes_for`] drops only entries a failed node
-    /// could affect.
+    /// Both caches always answer as a fresh overlay with the same down
+    /// set would: [`Self::set_node_down`] drops exactly the entries a
+    /// failure could change and keeps every tree a recovery provably
+    /// leaves alone.
     pub fn virtual_path(&mut self, from: OverlayNodeId, to: OverlayNodeId) -> Option<SharedPath> {
         if let Some(cached) = self.path_cache.get(&(from, to)) {
             self.cache_stats.hits += 1;
@@ -456,10 +450,10 @@ impl Overlay {
 
     /// Marks a node's forwarding plane down or up. While down, the node
     /// is refused as a `virtual_path` endpoint and routing never relays
-    /// through it. Taking a node down invalidates exactly the cached
-    /// routes its loss could change ([`Self::invalidate_routes_for`]);
-    /// bringing one back clears everything, since a returning relay can
-    /// create shorter routes anywhere. No-op when the flag is unchanged.
+    /// through it. Either way only the cached routes the change can
+    /// alter are dropped: a failure goes through
+    /// [`Self::invalidate_routes_for`], a recovery re-admits the node
+    /// into the cached trees. No-op when the flag is unchanged.
     pub fn set_node_down(&mut self, node: OverlayNodeId, down: bool) {
         if self.down[node.index()] == down {
             return;
@@ -468,8 +462,23 @@ impl Overlay {
         if down {
             self.invalidate_routes_for(node);
         } else {
-            self.invalidate_routes();
+            self.readmit_routes_for(node);
         }
+    }
+
+    /// Re-admits a recovered `node` into every cached tree
+    /// ([`ShortestPathTree::readmit`]): where it would be a leaf — in
+    /// this mesh, almost every tree — it is attached in place and the
+    /// tree stays; where it would forward traffic the tree is dropped,
+    /// as a failure drops it. A memoized path survives when its source's
+    /// tree did and neither endpoint is `node` (those were refusals);
+    /// without a surviving tree an entry can no longer be proven current.
+    fn readmit_routes_for(&mut self, node: OverlayNodeId) {
+        let (mesh, down) = (&self.mesh, &self.down);
+        self.route_cache.retain(|_, tree| tree.readmit(mesh, NodeId(node.0), down));
+        let trees = &self.route_cache;
+        self.path_cache
+            .retain(|&(from, to), _| from != node && to != node && trees.contains_key(&from));
     }
 
     /// True when `node`'s forwarding plane is marked down.
@@ -477,7 +486,8 @@ impl Overlay {
         self.down[node.index()]
     }
 
-    /// Drops all cached routing trees and memoized paths.
+    /// Drops all cached routing trees and memoized paths. Nothing on the
+    /// fault path calls this; it is the cold start the benches measure.
     pub fn invalidate_routes(&mut self) {
         self.route_cache.clear();
         self.path_cache.clear();
@@ -488,7 +498,9 @@ impl Overlay {
     /// (its failure would reroute those paths), and memoized paths that
     /// start at, end at, or traverse `node`. Trees and paths that never
     /// touch `node` remain valid — removing a node can only remove
-    /// routes, never create shorter ones.
+    /// routes, never create shorter ones. A kept tree retains `node`'s
+    /// own, now stale, leaf entry: no query reads it while the node is
+    /// down, and re-admission overwrites it.
     pub fn invalidate_routes_for(&mut self, node: OverlayNodeId) {
         self.route_cache.retain(|_, tree| !tree.routes_through(NodeId(node.0)));
         self.path_cache.retain(|&(from, to), path| {
@@ -697,6 +709,236 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The construction `Overlay::build` replaced, kept as its oracle:
+    /// one full IP tree per stream node, every peer's distance sorted by
+    /// `(delay, index)`, the first `neighbors` linked; then the shared
+    /// bridging rule. Returns `(a, b, props, ip_hops)` per link, in order,
+    /// and how many of them are bridges.
+    fn reference_mesh(
+        ip_graph: &Graph,
+        config: &OverlayConfig,
+        rng: &mut StdRng,
+    ) -> (Vec<(NodeId, NodeId, LinkProps, usize)>, usize) {
+        let mut all: Vec<NodeId> = ip_graph.nodes().collect();
+        all.shuffle(rng);
+        let mut ip_nodes: Vec<NodeId> = all.into_iter().take(config.stream_nodes).collect();
+        ip_nodes.sort_unstable();
+        let n = ip_nodes.len();
+        let mut routing = RoutingTable::new();
+        let mut mesh = Graph::new(n);
+        let mut links = Vec::new();
+        let mut link = |mesh: &mut Graph, routing: &mut RoutingTable, a: usize, b: usize| {
+            let path = routing.path(ip_graph, ip_nodes[a], ip_nodes[b]).expect("distance implies path");
+            let props = LinkProps::new(path.delay, path.bottleneck_kbps, path.loss_rate);
+            mesh.add_edge(NodeId(a as u32), NodeId(b as u32), props);
+            links.push((NodeId(a as u32), NodeId(b as u32), props, path.hop_count()));
+        };
+        for i in 0..n {
+            let tree = routing.tree(ip_graph, ip_nodes[i]);
+            let mut dists: Vec<(SimDuration, usize)> = (0..n)
+                .filter(|&j| j != i)
+                .filter_map(|j| tree.distance(ip_nodes[j]).map(|d| (d, j)))
+                .collect();
+            dists.sort_unstable();
+            for &(_, j) in dists.iter().take(config.neighbors) {
+                if !mesh.has_edge(NodeId(i as u32), NodeId(j as u32)) {
+                    link(&mut mesh, &mut routing, i, j);
+                }
+            }
+        }
+        let nearest_links = mesh.edge_count();
+        loop {
+            let component = mesh.connected_component(NodeId(0));
+            if component.len() == n {
+                break;
+            }
+            let inside: Vec<usize> = (0..n).filter(|&i| component.contains(&NodeId(i as u32))).collect();
+            let mut best: Option<(SimDuration, usize, usize)> = None;
+            for o in (0..n).filter(|o| !inside.contains(o)) {
+                for &i in &inside {
+                    if let Some(d) = routing.distance(ip_graph, ip_nodes[o], ip_nodes[i]) {
+                        if best.is_none_or(|(bd, _, _)| d < bd) {
+                            best = Some((d, o, i));
+                        }
+                    }
+                }
+            }
+            let (_, o, i) = best.expect("IP graph must connect the selected stream nodes");
+            link(&mut mesh, &mut routing, o, i);
+        }
+        let bridges = mesh.edge_count() - nearest_links;
+        (links, bridges)
+    }
+
+    /// The stopped k-nearest search builds the mesh the all-full-trees
+    /// construction built — edge order, endpoints, `LinkProps` bits and
+    /// IP hop counts — including the bridges `neighbors = 1` forces.
+    #[test]
+    fn build_matches_the_full_tree_reference() {
+        let mut bridged_builds = 0;
+        for seed in 0..16u64 {
+            for neighbors in [1usize, 2, 4, 6] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                // Delays of 1..=3 ms make equidistant peers the norm.
+                let ip = InetConfig { nodes: 240, delay_ms: (1, 3 + seed % 2 * 17), ..InetConfig::default() }
+                    .generate(&mut rng);
+                let config = OverlayConfig { stream_nodes: 40, neighbors };
+                let (want, bridges) = reference_mesh(&ip, &config, &mut rng.clone());
+                let ov = Overlay::build(&ip, &config, &mut rng);
+                let got: Vec<_> = ov
+                    .links()
+                    .map(|l| {
+                        let (a, b) = ov.mesh.endpoints(EdgeId(l.0));
+                        (a, b, *ov.link_props(l), ov.link_ip_hops(l))
+                    })
+                    .collect();
+                assert_eq!(got, want, "seed {seed}, {neighbors} neighbours");
+                assert!(ov.is_connected());
+                bridged_builds += usize::from(bridges > 0);
+            }
+        }
+        assert!(bridged_builds >= 16, "the bridging branch is compared too ({bridged_builds} builds)");
+    }
+
+    #[test]
+    #[should_panic(expected = "IP graph must connect the selected stream nodes")]
+    fn rejects_a_disconnected_ip_graph() {
+        let mut ip = Graph::new(4);
+        ip.add_edge(NodeId(0), NodeId(1), LinkProps::default());
+        ip.add_edge(NodeId(2), NodeId(3), LinkProps::default());
+        let mut rng = StdRng::seed_from_u64(0);
+        let _ = Overlay::build(&ip, &OverlayConfig { stream_nodes: 4, neighbors: 2 }, &mut rng);
+    }
+
+    /// An overlay over a hand-built mesh (no IP underlay).
+    fn from_mesh(mesh: Graph) -> Overlay {
+        let ip_hops = vec![1; mesh.edge_count()];
+        Overlay::with_cold_caches(mesh.nodes().collect(), mesh, ip_hops)
+    }
+
+    fn mesh_of(n: usize, links: &[(u32, u32, u64)]) -> Graph {
+        let mut g = Graph::new(n);
+        for &(a, b, ms) in links {
+            g.add_edge(NodeId(a), NodeId(b), LinkProps::new(SimDuration::from_millis(ms), 1_000.0, 0.0));
+        }
+        g
+    }
+
+    /// Every `(a, b)` answer of `ov` equals a cold overlay's over the
+    /// same mesh and down set.
+    fn assert_answers_fresh(ov: &mut Overlay, context: &str) {
+        let mut fresh = from_mesh(ov.mesh.clone());
+        fresh.down = ov.down.clone();
+        let nodes: Vec<_> = ov.nodes().collect();
+        for &a in &nodes {
+            for &b in &nodes {
+                assert_eq!(
+                    ov.virtual_path(a, b).as_deref(),
+                    fresh.virtual_path(a, b).as_deref(),
+                    "{context}: {a}->{b}"
+                );
+            }
+        }
+    }
+
+    /// A recovered leaf is attached in place: the trees and the memo
+    /// survive, and the next lookup of a surviving pair is a hit.
+    #[test]
+    fn a_recovered_leaf_keeps_trees_and_memo_warm() {
+        // Triangle 0-1-2 with leaf 3 hanging off 2.
+        let mut ov = from_mesh(mesh_of(4, &[(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 2)]));
+        assert_answers_fresh(&mut ov, "warm-up");
+        let leaf = OverlayNodeId(3);
+        ov.set_node_down(leaf, true);
+        assert_answers_fresh(&mut ov, "leaf down");
+        ov.set_node_down(leaf, false);
+        assert_eq!(ov.route_cache.len(), 3, "only the leaf's own tree went, at its failure");
+        assert!(ov.path_cache_len() > 0);
+        assert!(ov.cached_paths().all(|((a, b), _)| a != leaf && b != leaf), "refusals are dropped");
+        let hits = ov.path_cache_stats().hits;
+        assert!(ov.virtual_path(OverlayNodeId(0), OverlayNodeId(2)).is_some());
+        assert_eq!(ov.path_cache_stats().hits, hits + 1, "a surviving pair is a hit");
+        assert_answers_fresh(&mut ov, "leaf back");
+    }
+
+    /// A cut vertex makes unreachable nodes reachable when it returns:
+    /// the cached "no route" and the trees that held it must go.
+    #[test]
+    fn a_recovered_cut_vertex_drops_the_trees_it_reconnects() {
+        // 0 - 1 - 2 - 3 in a line; 2 is the cut vertex.
+        let mut ov = from_mesh(mesh_of(4, &[(0, 1, 1), (1, 2, 2), (2, 3, 3)]));
+        let cut = OverlayNodeId(2);
+        ov.set_node_down(cut, true);
+        assert_answers_fresh(&mut ov, "cut down");
+        assert!(ov.virtual_path(OverlayNodeId(0), OverlayNodeId(3)).is_none());
+        ov.set_node_down(cut, false);
+        // From either side, 2 relays to the other: no tree survives.
+        assert!(ov.route_cache.is_empty() && ov.path_cache_len() == 0);
+        assert!(ov.virtual_path(OverlayNodeId(0), OverlayNodeId(3)).is_some());
+        assert_answers_fresh(&mut ov, "cut back");
+    }
+
+    /// Equal-delay routes: the returning node takes over a neighbour when
+    /// it is the canonical predecessor — `(dist, id)` smaller than the
+    /// current one — and only then.
+    #[test]
+    fn a_recovered_node_that_wins_a_tie_drops_the_tree() {
+        // Two equal routes 0 -> 3: via 1 or via 2 (all 1 ms). Fresh
+        // Dijkstra picks 1, the lower id.
+        let links = [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)];
+        for (down, kept) in [(1u32, false), (2, true)] {
+            let mut ov = from_mesh(mesh_of(4, &links));
+            ov.set_node_down(OverlayNodeId(down), true);
+            let via = ov.virtual_path(OverlayNodeId(0), OverlayNodeId(3)).unwrap();
+            assert_eq!(via.nodes[1], OverlayNodeId(3 - down));
+            ov.set_node_down(OverlayNodeId(down), false);
+            assert_eq!(ov.route_cache.contains_key(&OverlayNodeId(0)), kept, "node {down}");
+            assert_answers_fresh(&mut ov, "tie");
+        }
+    }
+
+    /// Entries of down nodes in a kept tree are stale, and re-admission
+    /// must neither trust nor keep them. 1 and 2 fail as leaves of 0's
+    /// tree at different times; each recovers while the other's entry is
+    /// stale, and 1 — re-admitted while 2 was down — holds a shortcut to
+    /// 2 that is only real once both are up.
+    #[test]
+    fn stale_entries_of_down_nodes_are_neither_used_nor_kept() {
+        // 0 -1ms- 1 -1ms- 2, and the long way round 0 -5ms- 3 -5ms- 2.
+        let mut ov = from_mesh(mesh_of(4, &[(0, 1, 1), (1, 2, 1), (0, 3, 5), (3, 2, 5)]));
+        let (src, short, far) = (OverlayNodeId(0), OverlayNodeId(1), OverlayNodeId(2));
+        ov.set_node_down(short, true);
+        let ten = SimDuration::from_millis(10);
+        assert_eq!(ov.virtual_path(src, far).unwrap().delay, ten, "0's tree is built without 1");
+        for (node, down, context) in [
+            (far, true, "2 fails as a leaf"),
+            (short, false, "1 returns as a leaf: its other neighbour is down"),
+            (short, true, "1 fails as a leaf, leaving a 1 ms entry behind"),
+            (far, false, "2 returns next to that stale entry and must come in via 3"),
+        ] {
+            ov.set_node_down(node, down);
+            assert!(ov.route_cache.contains_key(&src), "{context}: 0's tree is kept");
+            assert_answers_fresh(&mut ov, context);
+        }
+        assert_eq!(ov.virtual_path(src, far).unwrap().delay, ten);
+        ov.set_node_down(short, false);
+        assert!(!ov.route_cache.contains_key(&src), "1 now relays to 2: the tree goes");
+        assert_eq!(ov.virtual_path(src, far).unwrap().delay, SimDuration::from_millis(2));
+        assert_answers_fresh(&mut ov, "all back");
+    }
+
+    /// Zero-delay mesh links void the canonical-predecessor rule, so
+    /// re-admission falls back to dropping every tree.
+    #[test]
+    fn zero_delay_links_fall_back_to_dropping_trees() {
+        let mut ov = from_mesh(mesh_of(4, &[(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 0)]));
+        assert_answers_fresh(&mut ov, "warm-up");
+        ov.set_node_down(OverlayNodeId(3), true);
+        ov.set_node_down(OverlayNodeId(3), false);
+        assert_eq!((ov.route_cache.len(), ov.path_cache_len()), (0, 0));
+        assert_answers_fresh(&mut ov, "after the fallback");
     }
 
     #[test]

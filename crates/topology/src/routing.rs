@@ -80,6 +80,18 @@ impl PartialOrd for Frontier {
 }
 
 /// Single-source shortest-path tree (by delay).
+///
+/// **Canonical predecessor.** Relaxation is strict (`cand < cur`) and
+/// [`Frontier`] pops the smallest `(dist, node)`, so when every edge
+/// delay is strictly positive nodes settle in ascending `(dist, id)` and
+/// `prev[x]` is the tight predecessor `u` (`dist[u] + w(u, x) ==
+/// dist[x]`) with the smallest `(dist[u], u)`. The tree is therefore a
+/// function of the graph alone, not of heap history — the fact
+/// [`Self::readmit`] and [`Self::compute_until`] rely on. Every delay
+/// this crate generates is positive (`InetConfig` 1..=20 ms per IP link,
+/// `Overlay::synthetic` 2–20 ms). A caller with a hand-built graph owns
+/// the invariant; `readmit` checks the links it reads — those at the
+/// returning node — and refuses on a zero delay.
 #[derive(Debug, Clone)]
 pub struct ShortestPathTree {
     source: NodeId,
@@ -99,6 +111,26 @@ impl ShortestPathTree {
     /// flag per graph node. A blocked source yields an all-unreachable
     /// tree.
     pub fn compute_excluding(graph: &Graph, source: NodeId, blocked: &[bool]) -> Self {
+        Self::search(graph, source, blocked, |_| false)
+    }
+
+    /// Runs Dijkstra from `source` until `stop` returns true for a node
+    /// it has just settled (the source included). Nodes settle in
+    /// ascending `(dist, id)`, and the entries of settled nodes — all
+    /// that [`Self::path_to`] reads on the way to one — equal the full
+    /// tree's; unsettled nodes may hold tentative entries, so query
+    /// settled nodes only.
+    pub fn compute_until(graph: &Graph, source: NodeId, stop: impl FnMut(NodeId) -> bool) -> Self {
+        Self::search(graph, source, &[], stop)
+    }
+
+    /// The one relaxation loop behind every constructor.
+    fn search(
+        graph: &Graph,
+        source: NodeId,
+        blocked: &[bool],
+        mut stop: impl FnMut(NodeId) -> bool,
+    ) -> Self {
         let n = graph.node_count();
         let mut dist: Vec<Option<SimDuration>> = vec![None; n];
         let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
@@ -118,6 +150,9 @@ impl ShortestPathTree {
                 continue;
             }
             done[u.index()] = true;
+            if stop(u) {
+                break;
+            }
             for &(v, e) in graph.neighbors(u) {
                 if done[v.index()] || is_blocked(v) {
                     continue;
@@ -131,6 +166,61 @@ impl ShortestPathTree {
             }
         }
         ShortestPathTree { source, dist, prev }
+    }
+
+    /// Brings `node` — up again in `blocked`, down or never reached when
+    /// this tree was last correct — back into the tree, and returns
+    /// whether the tree is now exactly what
+    /// [`Self::compute_excluding`] would build. `false` means the caller
+    /// must drop it.
+    ///
+    /// `node` gets its canonical entry from its up, reachable neighbours.
+    /// Then the mirror of [`Self::routes_through`]: would `node` forward?
+    /// It would iff, for some up neighbour `y`, the route through `node`
+    /// reaches a `y` that was unreachable, is strictly shorter, or ties
+    /// and `(dist[node], node)` precedes `y`'s current predecessor. If it
+    /// would not, no other entry changes and `node` is a leaf; if it
+    /// would (or `node` is the source, or an incident link has zero
+    /// delay, where the canonical rule does not hold) the answer is
+    /// `false` and the tree is left unspecified.
+    pub fn readmit(&mut self, graph: &Graph, node: NodeId, blocked: &[bool]) -> bool {
+        if node == self.source {
+            return false;
+        }
+        let is_up = |v: NodeId| !blocked.get(v.index()).copied().unwrap_or(false);
+        // The canonical predecessor `u`: least `(dist[node], dist[u], u)`.
+        // Its edge rides along; it never decides, `u` has one edge here.
+        let mut best: Option<(SimDuration, SimDuration, NodeId, EdgeId)> = None;
+        for &(u, e) in graph.neighbors(node) {
+            let w = graph.props(e).delay;
+            if w == SimDuration::ZERO {
+                return false;
+            }
+            if let Some(du) = self.dist[u.index()].filter(|_| is_up(u)) {
+                let key = (du + w, du, u, e);
+                best = Some(best.map_or(key, |b| b.min(key)));
+            }
+        }
+        if let Some((dv, ..)) = best {
+            for &(y, e) in graph.neighbors(node) {
+                if y == self.source || !is_up(y) {
+                    continue;
+                }
+                let via = dv + graph.props(e).delay;
+                let forwards = match (self.dist[y.index()], self.prev[y.index()]) {
+                    (Some(dy), Some((p, _))) => {
+                        via < dy || (via == dy && (Some(dv), node) < (self.dist[p.index()], p))
+                    }
+                    _ => true,
+                };
+                if forwards {
+                    return false;
+                }
+            }
+        }
+        self.dist[node.index()] = best.map(|(dv, ..)| dv);
+        self.prev[node.index()] = best.map(|(_, _, u, e)| (u, e));
+        true
     }
 
     /// Delay from the source to `dst`; `None` when unreachable.
@@ -370,6 +460,97 @@ mod tests {
         let dead = ShortestPathTree::compute_excluding(&g, NodeId(0), &blocked);
         for v in 0..4 {
             assert!(dead.distance(NodeId(v)).is_none());
+        }
+    }
+
+    /// Re-admission against its oracle, with ties forced (delays in
+    /// {1, 2, 3} ms): a tree built without `v` either becomes exactly the
+    /// tree built with `v` or is refused, and it is refused exactly when
+    /// `v` forwards in that tree — never for a leaf.
+    #[test]
+    fn readmit_is_exact_or_refuses() {
+        use rand::Rng;
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+        let (mut kept, mut refused) = (0, 0);
+        for _ in 0..40 {
+            let n = rng.gen_range(4..14);
+            let mut g = Graph::new(n);
+            for a in 0..n {
+                for b in (a + 1)..n {
+                    if rng.gen_bool(0.3) {
+                        g.add_edge(NodeId(a as u32), NodeId(b as u32), link(rng.gen_range(1..=3), 1_000.0, 0.0));
+                    }
+                }
+            }
+            // A second node stays down throughout: re-admission must not
+            // route through it or read its entries.
+            let other = NodeId(rng.gen_range(0..n) as u32);
+            for s in g.nodes().filter(|&s| s != other) {
+                for v in g.nodes().filter(|&v| v != s && v != other) {
+                    let mut blocked = vec![false; n];
+                    blocked[other.index()] = true;
+                    let want = ShortestPathTree::compute_excluding(&g, s, &blocked);
+                    blocked[v.index()] = true;
+                    let mut tree = ShortestPathTree::compute_excluding(&g, s, &blocked);
+                    blocked[v.index()] = false;
+                    if tree.readmit(&g, v, &blocked) {
+                        assert_eq!((&tree.dist, &tree.prev), (&want.dist, &want.prev), "{s} readmitting {v}");
+                        assert!(!want.routes_through(v));
+                        kept += 1;
+                    } else {
+                        assert!(want.routes_through(v), "{s}: leaf {v} was refused");
+                        refused += 1;
+                    }
+                }
+            }
+        }
+        assert!(kept > 500 && refused > 500, "both outcomes exercised: {kept} kept, {refused} refused");
+    }
+
+    /// The recovering node is never re-admitted into its own tree, and a
+    /// zero-delay incident link (where settle order is not `(dist, id)`
+    /// order, so the canonical-predecessor rule is void) refuses too.
+    #[test]
+    fn readmit_refuses_the_source_and_zero_delay_links() {
+        // 0 -1ms- 1 -1ms- 2, and 3 hanging off 2: a leaf in 0's tree.
+        let build = |leaf_ms: u64| {
+            let mut g = Graph::new(4);
+            g.add_edge(NodeId(0), NodeId(1), link(1, 1_000.0, 0.0));
+            g.add_edge(NodeId(1), NodeId(2), link(1, 1_000.0, 0.0));
+            g.add_edge(NodeId(2), NodeId(3), link(leaf_ms, 1_000.0, 0.0));
+            g
+        };
+        let without_3 = [false, false, false, true];
+        let g = build(1);
+        let mut tree = ShortestPathTree::compute_excluding(&g, NodeId(0), &without_3);
+        assert!(tree.readmit(&g, NodeId(3), &[]), "a positive-delay leaf is attached");
+        assert_eq!(tree.distance(NodeId(3)), Some(SimDuration::from_millis(3)));
+        assert!(!tree.readmit(&g, NodeId(0), &[]), "the source");
+
+        let g = build(0);
+        let mut tree = ShortestPathTree::compute_excluding(&g, NodeId(0), &without_3);
+        assert!(!tree.readmit(&g, NodeId(3), &[]), "zero-delay incident link");
+    }
+
+    /// A stopped search agrees with the full tree on every settled node,
+    /// and settles in ascending `(dist, id)`.
+    #[test]
+    fn compute_until_matches_the_full_tree_on_settled_nodes() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(16);
+        let g = crate::inet::InetConfig { nodes: 120, delay_ms: (1, 3), ..Default::default() }.generate(&mut rng);
+        let full = ShortestPathTree::compute(&g, NodeId(7));
+        let mut settled = Vec::new();
+        let tree = ShortestPathTree::compute_until(&g, NodeId(7), |u| {
+            settled.push(u);
+            settled.len() == 30
+        });
+        assert_eq!(settled.len(), 30);
+        let keys: Vec<_> = settled.iter().map(|&u| (full.distance(u).unwrap(), u)).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "settle order is (dist, id)");
+        for &u in &settled {
+            assert_eq!(tree.path_to(&g, u), full.path_to(&g, u));
         }
     }
 

@@ -1,7 +1,9 @@
 //! Property-based tests for the topology substrate.
 
 use acp_simcore::SimDuration;
-use acp_topology::{Graph, InetConfig, LinkProps, NodeId, RoutingTable};
+use acp_topology::{
+    Graph, InetConfig, LinkProps, NodeId, Overlay, OverlayConfig, OverlayNodeId, RoutingTable,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng as _;
@@ -92,5 +94,99 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// A 60-node overlay with ties forced: every IP node is a stream node and
+/// IP delays are whole milliseconds in 1..=3, so mesh links cost a few
+/// milliseconds each and equal-delay routes are the norm. Few neighbours
+/// per node leave cut vertices.
+fn tied_overlay(seed: u64, neighbors: usize) -> Overlay {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let ip = InetConfig { nodes: 60, delay_ms: (1, 3), ..InetConfig::default() }.generate(&mut rng);
+    Overlay::build(&ip, &OverlayConfig { stream_nodes: 60, neighbors }, &mut rng)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Differential test of targeted invalidation and re-admission:
+    /// under random failures, recoveries and lookups, the warm overlay
+    /// answers every pair exactly as a cold overlay with the same down
+    /// set — and a recovery leaves a memo that still hits.
+    #[test]
+    fn warm_routes_match_a_fresh_overlay_under_node_churn(seed in any::<u64>(), neighbors in 1usize..4) {
+        let mut ov = tied_overlay(seed, neighbors);
+        let n = ov.node_count() as u32;
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xc0ffee);
+        let mut down: Vec<OverlayNodeId> = Vec::new();
+        // Churn stays inside one neighbourhood, so that adjacent nodes
+        // fail and return around each other's stale tree entries.
+        let mut hot = vec![OverlayNodeId(rng.gen_range(0..n))];
+        for i in 0..12 {
+            let Some(&v) = hot.get(i) else { break };
+            for (peer, _) in ov.neighbors(v) {
+                if !hot.contains(&peer) {
+                    hot.push(peer);
+                }
+            }
+        }
+        hot.truncate(12);
+        // What the run exercised: recoveries that left a warm memo, and
+        // up pairs a failed cut vertex separated.
+        let (mut warm_recoveries, mut separated_pairs) = (0u32, 0u32);
+
+        let check_all_pairs = |ov: &mut Overlay, down: &[OverlayNodeId], separated: &mut u32| {
+            let mut fresh = tied_overlay(seed, neighbors);
+            for &v in down {
+                fresh.set_node_down(v, true);
+            }
+            for a in 0..n {
+                for b in 0..n {
+                    let (a, b) = (OverlayNodeId(a), OverlayNodeId(b));
+                    let got = ov.virtual_path(a, b);
+                    prop_assert_eq!(got.as_deref(), fresh.virtual_path(a, b).as_deref(), "{}->{} with {:?} down", a, b, down);
+                    *separated += u32::from(got.is_none() && !down.contains(&a) && !down.contains(&b));
+                }
+            }
+        };
+
+        for step in 0..200 {
+            let mut recovered = false;
+            match rng.gen_range(0..4) {
+                0 => {
+                    let v = hot[rng.gen_range(0..hot.len())];
+                    if !ov.is_node_down(v) {
+                        ov.set_node_down(v, true);
+                        down.push(v);
+                    }
+                }
+                1 if !down.is_empty() => {
+                    let v = down.swap_remove(rng.gen_range(0..down.len()));
+                    ov.set_node_down(v, false);
+                    recovered = true;
+                    // The point of the change: whatever the memo kept
+                    // answers the next lookup without a recomputation.
+                    let kept = ov.cached_paths().map(|(pair, _)| pair).min();
+                    if let Some((a, b)) = kept {
+                        let hits = ov.path_cache_stats().hits;
+                        ov.virtual_path(a, b);
+                        prop_assert_eq!(ov.path_cache_stats().hits, hits + 1);
+                        warm_recoveries += 1;
+                    }
+                }
+                // Lookups, down endpoints included (those memoize refusals).
+                _ => {
+                    for _ in 0..8 {
+                        ov.virtual_path(OverlayNodeId(rng.gen_range(0..n)), OverlayNodeId(rng.gen_range(0..n)));
+                    }
+                }
+            }
+            if step % 10 == 9 || recovered {
+                check_all_pairs(&mut ov, &down, &mut separated_pairs);
+            }
+        }
+        prop_assert!(warm_recoveries >= 10, "only {} recoveries kept a warm memo", warm_recoveries);
+        prop_assert!(neighbors > 1 || separated_pairs > 0, "no failed cut vertex in a sparse mesh");
     }
 }
