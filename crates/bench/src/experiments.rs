@@ -230,6 +230,15 @@ fn charted_overhead(result: &ScenarioResult, minutes: f64) -> f64 {
     }
 }
 
+/// Last column of the Fig. 6(a)/7(a) success tables: how many of the
+/// row's Optimal searches hit the expansion cap, so that "optimal" is
+/// never printed over searches that gave up without saying so.
+const TRUNCATED_COLUMN: &str = "optimal-truncated";
+
+fn optimal_truncated(row: &[ScenarioResult]) -> u64 {
+    row.iter().map(|r| r.optimal_truncated).sum() // 0 for every algorithm but Optimal
+}
+
 /// Runs Fig. 6 (efficiency, 400 nodes, α = 0.3): returns
 /// `(success table, overhead table)`.
 pub fn fig6(scale: &Scale, seed: u64) -> (Table, Table) {
@@ -252,6 +261,7 @@ pub fn fig6_threads(scale: &Scale, seed: u64, threads: usize) -> (Table, Table) 
 
     let mut header: Vec<String> = vec!["rate".into()];
     header.extend(algos.iter().map(|a| a.label().to_string()));
+    header.push(TRUNCATED_COLUMN.into());
     let mut success = Table::new("Fig 6(a) success rate vs request rate", header);
 
     let mut overhead = Table::new(
@@ -264,6 +274,7 @@ pub fn fig6_threads(scale: &Scale, seed: u64, threads: usize) -> (Table, Table) 
         let per_algo = &results[ri * algos.len()..(ri + 1) * algos.len()];
         let mut srow = vec![format!("{rate:.0}")];
         srow.extend(per_algo.iter().map(|r| pct(r.overall_success)));
+        srow.push(optimal_truncated(per_algo).to_string());
         let mut orow = vec![format!("{rate:.0}")];
         for algo in [AlgorithmKind::Optimal, AlgorithmKind::Acp, AlgorithmKind::Rp] {
             let at = algos.iter().position(|&a| a == algo).expect("charted algorithm in ALL");
@@ -298,6 +309,7 @@ pub fn fig7_threads(scale: &Scale, seed: u64, threads: usize) -> (Table, Table) 
 
     let mut header: Vec<String> = vec!["nodes".into()];
     header.extend(algos.iter().map(|a| a.label().to_string()));
+    header.push(TRUNCATED_COLUMN.into());
     let mut success = Table::new("Fig 7(a) success rate vs node count", header);
 
     let mut overhead = Table::new(
@@ -310,6 +322,7 @@ pub fn fig7_threads(scale: &Scale, seed: u64, threads: usize) -> (Table, Table) 
         let per_algo = &results[ni * algos.len()..(ni + 1) * algos.len()];
         let mut srow = vec![format!("{nodes}")];
         srow.extend(per_algo.iter().map(|r| pct(r.overall_success)));
+        srow.push(optimal_truncated(per_algo).to_string());
         let mut orow = vec![format!("{nodes}")];
         for algo in [AlgorithmKind::Optimal, AlgorithmKind::Acp, AlgorithmKind::Rp] {
             let at = algos.iter().position(|&a| a == algo).expect("charted algorithm in ALL");

@@ -20,8 +20,8 @@ use crate::naive::{blind_compose, BlindStrategy};
 use crate::optimal::{optimal_compose, OptimalConfig};
 use crate::overhead::OverheadStats;
 use crate::protocol::{
-    compose_with_mode, FinalSelection, ProbingConfig, SetupConfig, SetupMode, SetupState,
-    SetupStats, SinglePhase,
+    compose_with_mode, FinalSelection, ProbingConfig, ProbingOutcome, SetupConfig, SetupMode,
+    SetupState, SetupStats, SinglePhase,
 };
 use crate::selection::HopSelection;
 
@@ -38,6 +38,30 @@ pub struct ComposeOutcome {
     /// Two-phase setup ledger (all-zero unless two-phase setup is
     /// enabled and faults fired).
     pub setup: SetupStats,
+    /// True when the search gave up before it finished: only the
+    /// exhaustive baseline can, when it hits its expansion cap, and its
+    /// answer is then the best found so far, not the optimum.
+    pub truncated: bool,
+}
+
+impl From<ProbingOutcome> for ComposeOutcome {
+    fn from(out: ProbingOutcome) -> Self {
+        ComposeOutcome {
+            session: out.session,
+            stats: out.stats,
+            attempts: out.attempts,
+            setup: out.setup,
+            truncated: false,
+        }
+    }
+}
+
+impl ComposeOutcome {
+    /// The outcome of an algorithm that commits directly: one attempt, no
+    /// two-phase setup.
+    fn direct(session: Option<SessionId>, stats: OverheadStats, truncated: bool) -> Self {
+        ComposeOutcome { session, stats, attempts: 1, setup: SetupStats::default(), truncated }
+    }
 }
 
 /// A composition algorithm: given the system, the coarse global state and
@@ -117,16 +141,7 @@ impl<M: SetupMode> Composer for AcpComposer<M> {
         request: &Request,
         now: SimTime,
     ) -> ComposeOutcome {
-        let out = compose_with_mode(
-            system,
-            board,
-            request,
-            now,
-            &self.config,
-            &mut self.mode,
-            &mut self.rng,
-        );
-        ComposeOutcome { session: out.session, stats: out.stats, attempts: out.attempts, setup: out.setup }
+        compose_with_mode(system, board, request, now, &self.config, &mut self.mode, &mut self.rng).into()
     }
 
     fn set_probing_ratio(&mut self, alpha: f64) {
@@ -177,16 +192,7 @@ impl<M: SetupMode> Composer for SelectiveProbingComposer<M> {
         request: &Request,
         now: SimTime,
     ) -> ComposeOutcome {
-        let out = compose_with_mode(
-            system,
-            board,
-            request,
-            now,
-            &self.config,
-            &mut self.mode,
-            &mut self.rng,
-        );
-        ComposeOutcome { session: out.session, stats: out.stats, attempts: out.attempts, setup: out.setup }
+        compose_with_mode(system, board, request, now, &self.config, &mut self.mode, &mut self.rng).into()
     }
 
     fn set_probing_ratio(&mut self, alpha: f64) {
@@ -238,16 +244,7 @@ impl<M: SetupMode> Composer for RandomProbingComposer<M> {
         request: &Request,
         now: SimTime,
     ) -> ComposeOutcome {
-        let out = compose_with_mode(
-            system,
-            board,
-            request,
-            now,
-            &self.config,
-            &mut self.mode,
-            &mut self.rng,
-        );
-        ComposeOutcome { session: out.session, stats: out.stats, attempts: out.attempts, setup: out.setup }
+        compose_with_mode(system, board, request, now, &self.config, &mut self.mode, &mut self.rng).into()
     }
 
     fn set_probing_ratio(&mut self, alpha: f64) {
@@ -319,16 +316,7 @@ impl<M: SetupMode> Composer for BoundedProbingComposer<M> {
         request: &Request,
         now: SimTime,
     ) -> ComposeOutcome {
-        let out = compose_with_mode(
-            system,
-            board,
-            request,
-            now,
-            &self.config,
-            &mut self.mode,
-            &mut self.rng,
-        );
-        ComposeOutcome { session: out.session, stats: out.stats, attempts: out.attempts, setup: out.setup }
+        compose_with_mode(system, board, request, now, &self.config, &mut self.mode, &mut self.rng).into()
     }
 }
 
@@ -358,12 +346,7 @@ impl Composer for OptimalComposer {
         now: SimTime,
     ) -> ComposeOutcome {
         let out = optimal_compose(system, request, now, &self.config);
-        ComposeOutcome {
-            session: out.session,
-            stats: out.stats,
-            attempts: 1,
-            setup: SetupStats::default(),
-        }
+        ComposeOutcome::direct(out.session, out.stats, out.truncated)
     }
 }
 
@@ -393,12 +376,7 @@ impl Composer for RandomComposer {
         now: SimTime,
     ) -> ComposeOutcome {
         let out = blind_compose(system, request, now, BlindStrategy::Random, &mut self.rng);
-        ComposeOutcome {
-            session: out.session,
-            stats: out.stats,
-            attempts: 1,
-            setup: SetupStats::default(),
-        }
+        ComposeOutcome::direct(out.session, out.stats, false)
     }
 }
 
@@ -428,12 +406,7 @@ impl Composer for StaticComposer {
         // rng unused by the static strategy
         let mut rng = StdRng::seed_from_u64(0);
         let out = blind_compose(system, request, now, BlindStrategy::Static, &mut rng);
-        ComposeOutcome {
-            session: out.session,
-            stats: out.stats,
-            attempts: 1,
-            setup: SetupStats::default(),
-        }
+        ComposeOutcome::direct(out.session, out.stats, false)
     }
 }
 

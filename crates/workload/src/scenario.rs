@@ -425,6 +425,10 @@ pub struct ScenarioResult {
     /// Fault-hit requests that still composed (recovered by retry,
     /// escalation, or a resurfaced stale ack).
     pub fault_hit_successes: u64,
+    /// Compositions whose search hit `OptimalConfig::max_expansions` and
+    /// answered with the best found so far instead of the optimum (0 for
+    /// every algorithm but Optimal). In no digest.
+    pub optimal_truncated: u64,
     /// Per-tier outcomes in [`tier_index`] order (all zero tenant-less).
     /// Mix-dependent by design — excluded from every digest.
     pub tenant_tiers: [TierSummary; 3],
@@ -638,6 +642,7 @@ struct ScenarioModel {
     setup_totals: SetupStats,
     fault_hit_requests: u64,
     fault_hit_successes: u64,
+    optimal_truncated: u64,
 }
 
 impl ScenarioModel {
@@ -989,6 +994,7 @@ impl Model for ScenarioModel {
                     self.probe_histogram.add(outcome.stats.probe_messages as f64);
                     self.overhead += outcome.stats;
                     self.setup_totals += outcome.setup;
+                    self.optimal_truncated += u64::from(outcome.truncated);
                     self.total_requests += 1;
                     let success = outcome.session.is_some();
                     if outcome.setup.fault_hit() {
@@ -1095,6 +1101,7 @@ impl Model for ScenarioModel {
                         self.composer.compose(&mut self.system, &self.board, &request, now);
                     self.overhead += outcome.stats;
                     self.setup_totals += outcome.setup;
+                    self.optimal_truncated += u64::from(outcome.truncated);
                     match outcome.session {
                         Some(sid) => {
                             churn.sessions_recovered += 1;
@@ -1470,6 +1477,7 @@ pub fn run_scenario(config: ScenarioConfig) -> ScenarioResult {
         setup_totals: SetupStats::default(),
         fault_hit_requests: 0,
         fault_hit_successes: 0,
+        optimal_truncated: 0,
         repair,
         config,
     };
@@ -1574,6 +1582,7 @@ pub fn run_scenario(config: ScenarioConfig) -> ScenarioResult {
         setup_stats: model.setup_totals,
         fault_hit_requests: model.fault_hit_requests,
         fault_hit_successes: model.fault_hit_successes,
+        optimal_truncated: model.optimal_truncated,
         tenant_tiers,
         tenant_preemptions: model.tenants.as_ref().map_or(0, |t| t.preemptions),
         tenant_violations: model.tenant_violations,
