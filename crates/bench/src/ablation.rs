@@ -155,7 +155,7 @@ pub fn ablation_bcp(scale: &Scale, seed: u64) -> Table {
     let variants: Vec<Option<usize>> = vec![Some(1), Some(2), Some(4), Some(8), None];
     let rows = run_indexed(thread_count(), &variants, |_, &variant| {
         let mut composer: Box<dyn Composer> = match variant {
-            Some(budget) => Box::new(BoundedProbingComposer::new(budget, ProbingConfig::default(), 11)),
+            Some(budget) => Box::new(ProbingComposer::bounded(budget, ProbingConfig::default(), 11)),
             None => Box::new(AcpComposer::new(ProbingConfig::default(), 11)),
         };
         let label = match variant {

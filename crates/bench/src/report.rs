@@ -207,11 +207,6 @@ impl CliArgs {
         );
         out
     }
-
-    /// True for the quick (laptop) scale.
-    pub fn is_quick(&self) -> bool {
-        self.scale == "quick"
-    }
 }
 
 #[cfg(test)]

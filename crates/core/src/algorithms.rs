@@ -89,38 +89,96 @@ pub trait Composer {
     }
 }
 
-/// The ACP algorithm: coarse-state-guided selective probing with
-/// min-φ(λ) final selection.
+/// The probing composers — ACP and its SP, RP and BCP variants — as one
+/// type: they run the same protocol and differ only in the per-hop and
+/// final selection rules their constructor pins in the [`ProbingConfig`].
 ///
 /// The setup mode is a type parameter: the default [`SinglePhase`]
 /// instantiation compiles the entire two-phase machinery (retry loop,
 /// fault sampling, backoff draws, lease accounting hooks) out of the hot
-/// path, while `AcpComposer<SetupState>` carries the lossy-transport
+/// path, while `ProbingComposer<SetupState>` carries the lossy-transport
 /// protocol. Dispatch happens once, at construction.
 #[derive(Debug)]
-pub struct AcpComposer<M: SetupMode = SinglePhase> {
+pub struct ProbingComposer<M: SetupMode = SinglePhase> {
+    name: &'static str,
     config: ProbingConfig,
     rng: StdRng,
     mode: M,
 }
 
-impl AcpComposer {
-    /// Creates a single-phase ACP composer with the given probing
-    /// configuration.
+/// The ACP algorithm: [`ProbingComposer::new`].
+pub type AcpComposer<M = SinglePhase> = ProbingComposer<M>;
+
+impl ProbingComposer {
+    /// Single-phase ACP: coarse-state-guided ranked per-hop selection
+    /// with min-φ(λ) final selection.
     pub fn new(config: ProbingConfig, seed: u64) -> Self {
-        AcpComposer::with_mode(config, seed, SinglePhase)
+        Self::with_mode(config, seed, SinglePhase)
+    }
+
+    /// Single-phase SP baseline: ACP's per-hop selection, random final
+    /// selection.
+    pub fn sp(config: ProbingConfig, seed: u64) -> Self {
+        Self::sp_with_mode(config, seed, SinglePhase)
+    }
+
+    /// Single-phase RP baseline: random per-hop selection (fully
+    /// distributed, no global state), ACP's min-φ(λ) final selection.
+    pub fn rp(config: ProbingConfig, seed: u64) -> Self {
+        Self::rp_with_mode(config, seed, SinglePhase)
+    }
+
+    /// Single-phase bounded composition probing (BCP) — the simpler ACP
+    /// variant the paper's PlanetLab prototype implements (footnote 10):
+    /// ACP's selection rules, but a **fixed** budget of `budget` probes
+    /// per function instead of a tunable probing ratio (and hence no
+    /// ratio tuner).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `budget` is zero.
+    pub fn bounded(budget: usize, config: ProbingConfig, seed: u64) -> Self {
+        Self::bounded_with_mode(budget, config, seed, SinglePhase)
     }
 }
 
-impl<M: SetupMode> AcpComposer<M> {
-    /// Creates an ACP composer running under an explicit setup mode.
+impl<M: SetupMode> ProbingComposer<M> {
+    fn build(
+        name: &'static str,
+        hop_selection: HopSelection,
+        final_selection: FinalSelection,
+        config: ProbingConfig,
+        seed: u64,
+        mode: M,
+    ) -> Self {
+        let config = ProbingConfig { hop_selection, final_selection, ..config };
+        ProbingComposer { name, config, rng: StdRng::seed_from_u64(seed), mode }
+    }
+
+    /// [`Self::new`] under an explicit setup mode.
     pub fn with_mode(config: ProbingConfig, seed: u64, mode: M) -> Self {
+        Self::build("acp", HopSelection::Ranked, FinalSelection::MinCongestion, config, seed, mode)
+    }
+
+    /// [`Self::sp`] under an explicit setup mode.
+    pub fn sp_with_mode(config: ProbingConfig, seed: u64, mode: M) -> Self {
+        Self::build("sp", HopSelection::Ranked, FinalSelection::Random, config, seed, mode)
+    }
+
+    /// [`Self::rp`] under an explicit setup mode.
+    pub fn rp_with_mode(config: ProbingConfig, seed: u64, mode: M) -> Self {
+        Self::build("rp", HopSelection::Random, FinalSelection::MinCongestion, config, seed, mode)
+    }
+
+    /// [`Self::bounded`] under an explicit setup mode.
+    pub fn bounded_with_mode(budget: usize, config: ProbingConfig, seed: u64, mode: M) -> Self {
+        assert!(budget > 0, "probe budget must be positive");
         let config = ProbingConfig {
-            hop_selection: HopSelection::Ranked,
-            final_selection: FinalSelection::MinCongestion,
+            probing_ratio: 1.0, // ranking considers every candidate…
+            quota_override: Some(budget), // …the budget caps the spawns
             ..config
         };
-        AcpComposer { config, rng: StdRng::seed_from_u64(seed), mode }
+        Self::build("bcp", HopSelection::Ranked, FinalSelection::MinCongestion, config, seed, mode)
     }
 
     /// The probing configuration in effect.
@@ -129,9 +187,9 @@ impl<M: SetupMode> AcpComposer<M> {
     }
 }
 
-impl<M: SetupMode> Composer for AcpComposer<M> {
+impl<M: SetupMode> Composer for ProbingComposer<M> {
     fn name(&self) -> &'static str {
-        "acp"
+        self.name
     }
 
     fn compose(
@@ -144,179 +202,15 @@ impl<M: SetupMode> Composer for AcpComposer<M> {
         compose_with_mode(system, board, request, now, &self.config, &mut self.mode, &mut self.rng).into()
     }
 
+    /// A fixed probe budget (`quota_override`) leaves no ratio to tune.
     fn set_probing_ratio(&mut self, alpha: f64) {
-        self.config.probing_ratio = alpha.clamp(0.0, 1.0);
+        if self.config.quota_override.is_none() {
+            self.config.probing_ratio = alpha.clamp(0.0, 1.0);
+        }
     }
 
     fn probing_ratio(&self) -> Option<f64> {
-        Some(self.config.probing_ratio)
-    }
-}
-
-/// The SP baseline: ACP's per-hop selection, random final selection.
-#[derive(Debug)]
-pub struct SelectiveProbingComposer<M: SetupMode = SinglePhase> {
-    config: ProbingConfig,
-    rng: StdRng,
-    mode: M,
-}
-
-impl SelectiveProbingComposer {
-    /// Creates a single-phase SP composer.
-    pub fn new(config: ProbingConfig, seed: u64) -> Self {
-        SelectiveProbingComposer::with_mode(config, seed, SinglePhase)
-    }
-}
-
-impl<M: SetupMode> SelectiveProbingComposer<M> {
-    /// Creates an SP composer running under an explicit setup mode.
-    pub fn with_mode(config: ProbingConfig, seed: u64, mode: M) -> Self {
-        let config = ProbingConfig {
-            hop_selection: HopSelection::Ranked,
-            final_selection: FinalSelection::Random,
-            ..config
-        };
-        SelectiveProbingComposer { config, rng: StdRng::seed_from_u64(seed), mode }
-    }
-}
-
-impl<M: SetupMode> Composer for SelectiveProbingComposer<M> {
-    fn name(&self) -> &'static str {
-        "sp"
-    }
-
-    fn compose(
-        &mut self,
-        system: &mut StreamSystem,
-        board: &GlobalStateBoard,
-        request: &Request,
-        now: SimTime,
-    ) -> ComposeOutcome {
-        compose_with_mode(system, board, request, now, &self.config, &mut self.mode, &mut self.rng).into()
-    }
-
-    fn set_probing_ratio(&mut self, alpha: f64) {
-        self.config.probing_ratio = alpha.clamp(0.0, 1.0);
-    }
-
-    fn probing_ratio(&self) -> Option<f64> {
-        Some(self.config.probing_ratio)
-    }
-}
-
-/// The RP baseline: random per-hop selection (fully distributed, no
-/// global state), ACP's min-φ(λ) final selection.
-#[derive(Debug)]
-pub struct RandomProbingComposer<M: SetupMode = SinglePhase> {
-    config: ProbingConfig,
-    rng: StdRng,
-    mode: M,
-}
-
-impl RandomProbingComposer {
-    /// Creates a single-phase RP composer.
-    pub fn new(config: ProbingConfig, seed: u64) -> Self {
-        RandomProbingComposer::with_mode(config, seed, SinglePhase)
-    }
-}
-
-impl<M: SetupMode> RandomProbingComposer<M> {
-    /// Creates an RP composer running under an explicit setup mode.
-    pub fn with_mode(config: ProbingConfig, seed: u64, mode: M) -> Self {
-        let config = ProbingConfig {
-            hop_selection: HopSelection::Random,
-            final_selection: FinalSelection::MinCongestion,
-            ..config
-        };
-        RandomProbingComposer { config, rng: StdRng::seed_from_u64(seed), mode }
-    }
-}
-
-impl<M: SetupMode> Composer for RandomProbingComposer<M> {
-    fn name(&self) -> &'static str {
-        "rp"
-    }
-
-    fn compose(
-        &mut self,
-        system: &mut StreamSystem,
-        board: &GlobalStateBoard,
-        request: &Request,
-        now: SimTime,
-    ) -> ComposeOutcome {
-        compose_with_mode(system, board, request, now, &self.config, &mut self.mode, &mut self.rng).into()
-    }
-
-    fn set_probing_ratio(&mut self, alpha: f64) {
-        self.config.probing_ratio = alpha.clamp(0.0, 1.0);
-    }
-
-    fn probing_ratio(&self) -> Option<f64> {
-        Some(self.config.probing_ratio)
-    }
-}
-
-/// Bounded composition probing (BCP) — the simpler ACP variant the
-/// paper's PlanetLab prototype implements (footnote 10): ranked per-hop
-/// selection and min-φ final selection like ACP, but with a **fixed**
-/// per-function probe budget instead of a tunable probing ratio (and
-/// hence no ratio tuner).
-#[derive(Debug)]
-pub struct BoundedProbingComposer<M: SetupMode = SinglePhase> {
-    config: ProbingConfig,
-    rng: StdRng,
-    mode: M,
-}
-
-impl BoundedProbingComposer {
-    /// Creates a single-phase BCP composer probing at most `budget`
-    /// candidates per function.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `budget` is zero.
-    pub fn new(budget: usize, config: ProbingConfig, seed: u64) -> Self {
-        BoundedProbingComposer::with_mode(budget, config, seed, SinglePhase)
-    }
-}
-
-impl<M: SetupMode> BoundedProbingComposer<M> {
-    /// Creates a BCP composer running under an explicit setup mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `budget` is zero.
-    pub fn with_mode(budget: usize, config: ProbingConfig, seed: u64, mode: M) -> Self {
-        assert!(budget > 0, "probe budget must be positive");
-        let config = ProbingConfig {
-            hop_selection: HopSelection::Ranked,
-            final_selection: FinalSelection::MinCongestion,
-            probing_ratio: 1.0, // ranking considers every candidate…
-            quota_override: Some(budget), // …the budget caps the spawns
-            ..config
-        };
-        BoundedProbingComposer { config, rng: StdRng::seed_from_u64(seed), mode }
-    }
-
-    /// The fixed per-function probe budget.
-    pub fn budget(&self) -> usize {
-        self.config.quota_override.expect("set in constructor")
-    }
-}
-
-impl<M: SetupMode> Composer for BoundedProbingComposer<M> {
-    fn name(&self) -> &'static str {
-        "bcp"
-    }
-
-    fn compose(
-        &mut self,
-        system: &mut StreamSystem,
-        board: &GlobalStateBoard,
-        request: &Request,
-        now: SimTime,
-    ) -> ComposeOutcome {
-        compose_with_mode(system, board, request, now, &self.config, &mut self.mode, &mut self.rng).into()
+        self.config.quota_override.is_none().then_some(self.config.probing_ratio)
     }
 }
 
@@ -450,22 +344,19 @@ impl AlgorithmKind {
         }
     }
 
-    /// Instantiates the composer with a probing configuration (used by
-    /// the probing algorithms, ignored by the others) and an RNG seed.
+    /// Instantiates the single-phase composer with a probing
+    /// configuration (used by the probing algorithms, ignored by the
+    /// others), the default exhaustive-search configuration, and an RNG
+    /// seed.
     pub fn build(self, probing: ProbingConfig, seed: u64) -> Box<dyn Composer> {
-        self.build_with(probing, OptimalConfig::default(), seed)
+        self.build_composer(probing, OptimalConfig::default(), seed, None)
     }
 
     /// Like [`Self::build`], with an explicit exhaustive-search
-    /// configuration for [`AlgorithmKind::Optimal`].
-    pub fn build_with(self, probing: ProbingConfig, optimal: OptimalConfig, seed: u64) -> Box<dyn Composer> {
-        self.build_composer(probing, optimal, seed, None)
-    }
-
-    /// Like [`Self::build_with`], selecting the setup mode at
-    /// construction time: `None` instantiates the probing algorithms
-    /// over [`SinglePhase`] (the two-phase machinery compiles away),
-    /// `Some((setup_seed, config))` over the fault-injecting
+    /// configuration for [`AlgorithmKind::Optimal`] and the setup mode
+    /// selected at construction time: `None` instantiates the probing
+    /// algorithms over [`SinglePhase`] (the two-phase machinery compiles
+    /// away), `Some((setup_seed, config))` over the fault-injecting
     /// [`SetupState`]. The non-probing algorithms commit directly and
     /// ignore the setup configuration either way.
     pub fn build_composer(
@@ -475,30 +366,17 @@ impl AlgorithmKind {
         seed: u64,
         setup: Option<(u64, SetupConfig)>,
     ) -> Box<dyn Composer> {
-        match self {
-            AlgorithmKind::Optimal => Box::new(OptimalComposer::new(optimal)),
-            AlgorithmKind::Random => Box::new(RandomComposer::new(seed)),
-            AlgorithmKind::Static => Box::new(StaticComposer::new()),
-            AlgorithmKind::Acp => match setup {
-                None => Box::new(AcpComposer::new(probing, seed)),
-                Some((s, cfg)) => {
-                    Box::new(AcpComposer::with_mode(probing, seed, SetupState::new(s, cfg)))
-                }
-            },
-            AlgorithmKind::Sp => match setup {
-                None => Box::new(SelectiveProbingComposer::new(probing, seed)),
-                Some((s, cfg)) => Box::new(SelectiveProbingComposer::with_mode(
-                    probing,
-                    seed,
-                    SetupState::new(s, cfg),
-                )),
-            },
-            AlgorithmKind::Rp => match setup {
-                None => Box::new(RandomProbingComposer::new(probing, seed)),
-                Some((s, cfg)) => {
-                    Box::new(RandomProbingComposer::with_mode(probing, seed, SetupState::new(s, cfg)))
-                }
-            },
+        let setup = setup.map(|(s, cfg)| SetupState::new(s, cfg));
+        match (self, setup) {
+            (AlgorithmKind::Optimal, _) => Box::new(OptimalComposer::new(optimal)),
+            (AlgorithmKind::Random, _) => Box::new(RandomComposer::new(seed)),
+            (AlgorithmKind::Static, _) => Box::new(StaticComposer::new()),
+            (AlgorithmKind::Acp, None) => Box::new(ProbingComposer::new(probing, seed)),
+            (AlgorithmKind::Acp, Some(mode)) => Box::new(ProbingComposer::with_mode(probing, seed, mode)),
+            (AlgorithmKind::Sp, None) => Box::new(ProbingComposer::sp(probing, seed)),
+            (AlgorithmKind::Sp, Some(mode)) => Box::new(ProbingComposer::sp_with_mode(probing, seed, mode)),
+            (AlgorithmKind::Rp, None) => Box::new(ProbingComposer::rp(probing, seed)),
+            (AlgorithmKind::Rp, Some(mode)) => Box::new(ProbingComposer::rp_with_mode(probing, seed, mode)),
         }
     }
 }
@@ -616,9 +494,12 @@ mod tests {
     fn bcp_composes_with_fixed_budget() {
         let (mut sys, board) = build(13);
         let req = request(&sys, 5);
-        let mut bcp = BoundedProbingComposer::new(2, ProbingConfig::default(), 3);
+        let mut bcp = ProbingComposer::bounded(2, ProbingConfig::default(), 3);
         assert_eq!(bcp.name(), "bcp");
-        assert_eq!(bcp.budget(), 2);
+        assert_eq!(bcp.config().quota_override, Some(2));
+        bcp.set_probing_ratio(0.1);
+        assert_eq!(bcp.probing_ratio(), None, "a fixed budget has no ratio to tune");
+        assert_eq!(bcp.config().probing_ratio, 1.0);
         let out = bcp.compose(&mut sys, &board, &req, SimTime::ZERO);
         assert!(out.session.is_some());
         // Budget 2 per function over a 3-function path: at most 6 probe
@@ -641,9 +522,9 @@ mod tests {
             constraints: PlacementConstraints::none(),
             tenant: None,
         };
-        let mut small = BoundedProbingComposer::new(1, ProbingConfig::default(), 3);
+        let mut small = ProbingComposer::bounded(1, ProbingConfig::default(), 3);
         let out_small = small.compose(&mut sys0.clone(), &board, &req, SimTime::ZERO);
-        let mut large = BoundedProbingComposer::new(4, ProbingConfig::default(), 3);
+        let mut large = ProbingComposer::bounded(4, ProbingConfig::default(), 3);
         let out_large = large.compose(&mut sys0.clone(), &board, &req, SimTime::ZERO);
         assert!(out_large.stats.probe_messages > out_small.stats.probe_messages);
     }

@@ -83,9 +83,8 @@ pub mod prelude {
         AdmissionConfig, AdmissionController, AdmissionDecision, AdmissionStats, TokenBucket,
     };
     pub use crate::algorithms::{
-        AcpComposer, AlgorithmKind, BoundedProbingComposer, ComposeOutcome, Composer,
-        OptimalComposer, RandomComposer, RandomProbingComposer, SelectiveProbingComposer,
-        StaticComposer,
+        AcpComposer, AlgorithmKind, ComposeOutcome, Composer, OptimalComposer, ProbingComposer,
+        RandomComposer, StaticComposer,
     };
     pub use crate::middleware::{FailoverReport, Middleware, ProcessReport};
     pub use crate::migration::{
@@ -96,8 +95,8 @@ pub mod prelude {
     pub use crate::overhead::{centralized_update_messages_per_minute, OverheadStats};
     pub use crate::probe::Probe;
     pub use crate::protocol::{
-        compose_with_mode, probe_compose, probe_compose_with, FinalSelection, ProbingConfig,
-        ProbingOutcome, SetupConfig, SetupMode, SetupState, SetupStats, SinglePhase, TwoPhase,
+        compose_with_mode, probe_compose, FinalSelection, ProbingConfig, ProbingOutcome,
+        SetupConfig, SetupMode, SetupState, SetupStats, SinglePhase, TwoPhase,
     };
     pub use crate::repair::{
         RepairAttempt, RepairFailure, RepairPlanner, RepairVerdict, MINI_REQUEST_BIT,

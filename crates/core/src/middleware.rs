@@ -13,7 +13,7 @@
 //! [`GlobalStateBoard`] behind exactly this interface.
 
 use acp_model::prelude::*;
-use acp_simcore::{SimDuration, SimTime};
+use acp_simcore::{FaultKind, SimDuration, SimTime};
 use acp_state::GlobalStateBoard;
 
 use crate::algorithms::Composer;
@@ -32,10 +32,10 @@ pub struct ProcessReport {
     pub loss_probability: f64,
 }
 
-/// Outcome of recovering from a node failure.
+/// Outcome of failing over from one fault.
 #[derive(Debug, Clone)]
 pub struct FailoverReport {
-    /// Components undeployed by the failure.
+    /// Components undeployed by the fault.
     pub undeployed: Vec<ComponentId>,
     /// Sessions re-established on new compositions: `(old request id,
     /// new session id)`.
@@ -106,90 +106,28 @@ impl<C: Composer> Middleware<C> {
         self.system.close_session(session)
     }
 
-    /// Handles a fail-stop node failure: terminates the affected
-    /// sessions, publishes the topology change to the coarse state, and
-    /// recomposes each orphaned request on the surviving components
-    /// ("for failure resilience, we connect distributed nodes using
-    /// application-level overlay links", §2.1 — the mesh survives, the
-    /// sessions fail over).
-    pub fn handle_node_failure(&mut self, node: acp_topology::OverlayNodeId, now: SimTime) -> FailoverReport {
-        let (undeployed, orphaned) = self.system.fail_node(node);
-        // The failure is immediately visible in the coarse state (a node
-        // death is the loudest possible state variation).
-        let msgs = self.board.refresh_nodes(&self.system);
-        self.overhead.state_update_messages += msgs;
-        self.recompose(undeployed, orphaned, now)
-    }
-
-    /// Handles a node coming back online: its (empty) capacity rejoins
-    /// the admission pool and its forwarding plane rejoins the mesh. The
-    /// coarse state learns of the reborn capacity immediately.
-    pub fn handle_node_recovery(&mut self, node: acp_topology::OverlayNodeId) {
-        self.system.recover_node(node);
-        let msgs = self.board.refresh_nodes(&self.system);
-        self.overhead.state_update_messages += msgs;
-    }
-
-    /// Handles a virtual-link bandwidth fail-stop: sessions streaming
-    /// over the link are terminated and recomposed on routes around it.
-    /// An emergency aggregation round publishes the dead link's state.
-    pub fn handle_link_failure(&mut self, link: acp_topology::OverlayLinkId, now: SimTime) -> FailoverReport {
-        let orphaned = self.system.fail_link(link);
-        let msgs = self.board.aggregate_links(&self.system);
-        self.overhead.state_update_messages += msgs;
-        self.recompose(Vec::new(), orphaned, now)
-    }
-
-    /// Handles a link degradation to `factor` of nominal capacity:
-    /// sessions evicted by the shrunken link are recomposed elsewhere.
-    pub fn handle_link_degrade(
-        &mut self,
-        link: acp_topology::OverlayLinkId,
-        factor: f64,
-        now: SimTime,
-    ) -> FailoverReport {
-        let evicted = self.system.degrade_link(link, factor);
-        let msgs = self.board.aggregate_links(&self.system);
-        self.overhead.state_update_messages += msgs;
-        self.recompose(Vec::new(), evicted, now)
-    }
-
-    /// Handles a link coming back to nominal capacity.
-    pub fn handle_link_restore(&mut self, link: acp_topology::OverlayLinkId) {
-        self.system.restore_link(link);
-        let msgs = self.board.aggregate_links(&self.system);
-        self.overhead.state_update_messages += msgs;
-    }
-
-    /// Handles a single component crash (its node keeps running):
-    /// sessions using the component are terminated and recomposed on the
-    /// surviving candidates.
-    pub fn handle_component_crash(&mut self, id: ComponentId, now: SimTime) -> FailoverReport {
-        let orphaned = self.system.crash_component(id);
-        let msgs = self.board.refresh_nodes(&self.system);
-        self.overhead.state_update_messages += msgs;
-        self.recompose(vec![id], orphaned, now)
-    }
-
-    /// Recomposes each orphaned request on the surviving components,
-    /// splitting them into recovered and lost.
-    fn recompose(
-        &mut self,
-        undeployed: Vec<ComponentId>,
-        orphaned: Vec<Request>,
-        now: SimTime,
-    ) -> FailoverReport {
-        let mut recovered = Vec::new();
-        let mut lost = Vec::new();
-        for request in orphaned {
+    /// Handles one fault: applies it to the system (sessions it strikes
+    /// are terminated — the middleware runs no repair planner),
+    /// publishes the stale half of the coarse state, and recomposes each
+    /// orphaned request on what survives ("for failure resilience, we
+    /// connect distributed nodes using application-level overlay links",
+    /// §2.1 — the mesh survives, the sessions fail over). This is
+    /// [`StreamSystem::apply_fault`], the call a churn scenario replays
+    /// its fault plan through; recoveries and restores report nothing.
+    pub fn handle_fault(&mut self, kind: FaultKind, now: SimTime) -> FailoverReport {
+        let fault = self.system.apply_fault(kind, RepairPolicy::Terminate, now);
+        self.overhead.state_update_messages += self.board.publish(&self.system, fault.stale);
+        let mut report =
+            FailoverReport { undeployed: fault.undeployed, recovered: Vec::new(), lost: Vec::new() };
+        for request in fault.broken.orphaned {
             let out = self.composer.compose(&mut self.system, &self.board, &request, now);
             self.overhead += out.stats;
             match out.session {
-                Some(sid) => recovered.push((request.id, sid)),
-                None => lost.push(request.id),
+                Some(sid) => report.recovered.push((request.id, sid)),
+                None => report.lost.push(request.id),
             }
         }
-        FailoverReport { undeployed, recovered, lost }
+        report
     }
 
     /// Audits the system invariants **and** the coarse view's structural
@@ -226,11 +164,6 @@ impl<C: Composer> Middleware<C> {
     /// Read access to the coarse global state.
     pub fn board(&self) -> &GlobalStateBoard {
         &self.board
-    }
-
-    /// The composition algorithm.
-    pub fn composer_mut(&mut self) -> &mut C {
-        &mut self.composer
     }
 }
 
@@ -342,7 +275,7 @@ mod tests {
             .next()
             .expect("sessions exist");
         let before_sessions = mw.system().session_count();
-        let report = mw.handle_node_failure(victim, SimTime::from_secs(1));
+        let report = mw.handle_fault(FaultKind::NodeFail { node: victim.0 }, SimTime::from_secs(1));
         assert!(mw.system().is_node_failed(victim));
         assert!(!report.undeployed.is_empty());
         assert!(!report.recovered.is_empty() || !report.lost.is_empty(), "some session was affected");
@@ -363,7 +296,7 @@ mod tests {
     fn failed_node_rejects_everything() {
         let mut mw = build();
         let victim = acp_topology::OverlayNodeId(0);
-        mw.handle_node_failure(victim, SimTime::ZERO);
+        mw.handle_fault(FaultKind::NodeFail { node: victim.0 }, SimTime::ZERO);
         let sys = mw.system_mut();
         assert_eq!(sys.node_available(victim), ResourceVector::ZERO);
         assert_eq!(sys.node(victim).component_count(), 0);
@@ -391,7 +324,7 @@ mod tests {
             .flat_map(|s| s.link_allocations().iter().map(|&(l, _)| l))
             .next();
         let link = used.unwrap_or(acp_topology::OverlayLinkId(0));
-        let report = mw.handle_link_failure(link, SimTime::from_secs(1));
+        let report = mw.handle_fault(FaultKind::LinkFail { link: link.0 }, SimTime::from_secs(1));
         assert!(mw.system().is_link_failed(link));
         assert_eq!(mw.system().link_available(link), 0.0);
         if used.is_some() {
@@ -404,7 +337,7 @@ mod tests {
         let audit = mw.audit();
         assert!(audit.is_clean(), "{audit}");
         // Restore re-opens the bandwidth.
-        mw.handle_link_restore(link);
+        mw.handle_fault(FaultKind::LinkRestore { link: link.0 }, SimTime::from_secs(2));
         assert!(!mw.system().is_link_failed(link));
         assert!(mw.audit().is_clean());
     }
@@ -422,7 +355,10 @@ mod tests {
             .flat_map(|s| s.composition.assignment.iter().copied())
             .next()
             .expect("sessions exist");
-        let report = mw.handle_component_crash(victim, SimTime::from_secs(1));
+        let ordinal =
+            mw.system().node(victim.node).components().position(|c| c.id == victim).expect("live");
+        let crash = FaultKind::ComponentCrash { node: victim.node.0, ordinal: ordinal as u64 };
+        let report = mw.handle_fault(crash, SimTime::from_secs(1));
         assert_eq!(report.undeployed, vec![victim]);
         assert!(!report.recovered.is_empty() || !report.lost.is_empty());
         // The crashed component serves nothing and is gone from discovery.
@@ -442,9 +378,9 @@ mod tests {
     fn node_recovery_rejoins_admission_and_mesh() {
         let mut mw = build();
         let victim = acp_topology::OverlayNodeId(1);
-        mw.handle_node_failure(victim, SimTime::ZERO);
+        mw.handle_fault(FaultKind::NodeFail { node: victim.0 }, SimTime::ZERO);
         assert!(mw.system().overlay().is_node_down(victim));
-        mw.handle_node_recovery(victim);
+        mw.handle_fault(FaultKind::NodeRecover { node: victim.0 }, SimTime::from_secs(1));
         assert!(!mw.system().is_node_failed(victim));
         assert!(!mw.system().overlay().is_node_down(victim));
         assert!(mw.system().node_available(victim).cpu > 0.0);

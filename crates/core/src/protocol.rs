@@ -25,8 +25,9 @@
 //! Steps 2 and 4 are the two phases of a reservation protocol: probes
 //! place **transient leases** on candidate nodes and links (phase 1), and
 //! the confirmation promotes the winner's leases to committed residuals
-//! (phase 2). [`probe_compose_with`] subjects both phases to message
-//! faults ([`MessageFaultConfig`]): probe messages may be dropped or
+//! (phase 2). [`compose_with_mode`] over a [`TwoPhase`] mode subjects
+//! both phases to message faults ([`MessageFaultConfig`]): probe
+//! messages may be dropped or
 //! delayed in transit (a probe whose cumulative transport delay reaches
 //! the lease timeout is stale and discarded), and the confirmation itself
 //! may be lost — leaving the winner's leases **orphaned** until the
@@ -388,7 +389,7 @@ struct AttemptOutcome {
 /// Probing consumes transient reservations; whatever the outcome, no
 /// transient state belonging to `request` survives this call (confirmation
 /// converts the winner's reservations, failure releases them). This is the
-/// plain (reliable-transport) path — see [`probe_compose_with`] for the
+/// plain (reliable-transport) path — see [`compose_with_mode`] for the
 /// two-phase path under message faults.
 pub fn probe_compose<R: Rng + ?Sized>(
     system: &mut StreamSystem,
@@ -399,25 +400,6 @@ pub fn probe_compose<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> ProbingOutcome {
     compose_with_mode(system, board, request, now, config, &mut SinglePhase, rng)
-}
-
-/// Runtime-dispatch compatibility wrapper over [`compose_with_mode`]:
-/// `None` selects [`SinglePhase`], `Some` the fault-injecting
-/// [`TwoPhase`]. New call sites should pick the mode at construction
-/// time instead (the composers in [`crate::algorithms`] do).
-pub fn probe_compose_with<R: Rng + ?Sized>(
-    system: &mut StreamSystem,
-    board: &GlobalStateBoard,
-    request: &Request,
-    now: SimTime,
-    config: &ProbingConfig,
-    setup: Option<&mut SetupState>,
-    rng: &mut R,
-) -> ProbingOutcome {
-    match setup {
-        Some(state) => compose_with_mode(system, board, request, now, config, state, rng),
-        None => compose_with_mode(system, board, request, now, config, &mut SinglePhase, rng),
-    }
 }
 
 /// The probing protocol, monomorphized over its [`SetupMode`].
@@ -1011,13 +993,13 @@ mod tests {
         let mut rng_b = StdRng::seed_from_u64(9);
         let mut setup = SetupState::new(77, SetupConfig::default());
         assert!(setup.is_inert());
-        let two = probe_compose_with(
+        let two = compose_with_mode(
             &mut sys_b,
             &board,
             &req,
             SimTime::ZERO,
             &cfg,
-            Some(&mut setup),
+            &mut setup,
             &mut rng_b,
         );
         assert_eq!(plain.session, two.session);
@@ -1091,7 +1073,7 @@ mod tests {
             sys.expire_transients(now);
             let req = path_request(&sys, 100 + id, 3);
             let out =
-                probe_compose_with(&mut sys, &board, &req, now, &cfg, Some(&mut setup), &mut rng);
+                compose_with_mode(&mut sys, &board, &req, now, &cfg, &mut setup, &mut rng);
             retried += out.setup.retries;
             if let Some(sid) = out.session {
                 composed += 1;
@@ -1117,13 +1099,13 @@ mod tests {
         };
         let mut setup = SetupState::new(3, setup_cfg);
         let mut rng = StdRng::seed_from_u64(3);
-        let out = probe_compose_with(
+        let out = compose_with_mode(
             &mut sys,
             &board,
             &req,
             SimTime::ZERO,
             &cfg,
-            Some(&mut setup),
+            &mut setup,
             &mut rng,
         );
         assert!(out.session.is_none(), "lost confirmation cannot establish a session");
@@ -1155,13 +1137,13 @@ mod tests {
         };
         let mut setup = SetupState::new(4, setup_cfg);
         let mut rng = StdRng::seed_from_u64(4);
-        let out = probe_compose_with(
+        let out = compose_with_mode(
             &mut sys,
             &board,
             &req,
             SimTime::ZERO,
             &cfg,
-            Some(&mut setup),
+            &mut setup,
             &mut rng,
         );
         // The trapped confirmation resurfaced and salvaged the request.
@@ -1192,13 +1174,13 @@ mod tests {
         let mut exercised = false;
         for id in 0..30u64 {
             let req = path_request(&sys, 200 + id, 3);
-            let out = probe_compose_with(
+            let out = compose_with_mode(
                 &mut sys,
                 &board,
                 &req,
                 SimTime::ZERO,
                 &cfg,
-                Some(&mut setup),
+                &mut setup,
                 &mut rng,
             );
             let sessions = sys.sessions().filter(|s| s.request == req.id).count();

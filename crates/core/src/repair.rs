@@ -335,7 +335,7 @@ mod tests {
         let victim = sys.session(sid).unwrap().composition.assignment[1];
 
         let t0 = SimTime::from_secs(20);
-        let outcome = sys.crash_component_degrading(victim, t0);
+        let outcome = sys.crash_component(victim, RepairPolicy::Repair, t0);
         assert_eq!(outcome.degraded, vec![sid]);
         assert!(sys.session(sid).unwrap().is_degraded());
 
@@ -404,9 +404,9 @@ mod tests {
         // Crash the session's middle hop, then every other candidate of
         // that function — probing has nothing left to splice.
         let victim = sys.session(sid).unwrap().composition.assignment[1];
-        sys.crash_component_degrading(victim, t0);
+        sys.crash_component(victim, RepairPolicy::Repair, t0);
         for c in sys.candidates(mid_function).to_vec() {
-            sys.crash_component_degrading(c, t0);
+            sys.crash_component(c, RepairPolicy::Repair, t0);
         }
         assert!(sys.candidates(mid_function).is_empty());
 

@@ -773,7 +773,7 @@ mod tests {
     /// The selection kernel against the per-row loop it replaced.
     mod differential {
         use super::*;
-        use acp_simcore::SimDuration;
+        use acp_simcore::{SimDuration, SimTime};
         use proptest::prelude::*;
 
         /// `risk_band` as it was: `f64::floor`, clamp, saturating cast.
@@ -1014,7 +1014,7 @@ mod tests {
             for _ in 0..rng.gen_range(0..6) {
                 match rng.gen_range(0..4) {
                     0 => {
-                        sys.crash_component(pick(&sys, target, rng));
+                        sys.crash_component(pick(&sys, target, rng), RepairPolicy::Terminate, SimTime::ZERO);
                     }
                     1 => {
                         let c = pick(&sys, target, rng);
@@ -1027,7 +1027,7 @@ mod tests {
                         let rows = board.candidate_entries(target);
                         let mid = rows[rows.len() / 2].node;
                         if !sys.is_node_failed(mid) {
-                            sys.fail_node(mid);
+                            sys.fail_node(mid, RepairPolicy::Terminate, SimTime::ZERO);
                         }
                     }
                     // A predecessor's node fails: every row is unreachable
@@ -1035,7 +1035,7 @@ mod tests {
                     _ => {
                         if let Some(&(_, pred, _)) = predecessors.first() {
                             if rng.gen_bool(0.3) && !sys.is_node_failed(pred.node) {
-                                sys.fail_node(pred.node);
+                                sys.fail_node(pred.node, RepairPolicy::Terminate, SimTime::ZERO);
                             }
                         }
                     }

@@ -1021,6 +1021,7 @@ mod tests {
     use crate::fgraph::FunctionGraph;
     use crate::function::FunctionRegistry;
     use crate::qos::QosRequirement;
+    use crate::repair::RepairPolicy;
     use crate::request::{Request, RequestId};
     use crate::system::SystemConfig;
     use acp_topology::{InetConfig, Overlay, OverlayConfig};
@@ -1091,21 +1092,21 @@ mod tests {
 
         // Node failure (+ its forwarding plane).
         let victim = OverlayNodeId(0);
-        sys.fail_node(victim);
+        sys.fail_node(victim, RepairPolicy::Terminate, SimTime::ZERO);
         let report = auditor.audit(&sys);
         assert!(report.is_clean(), "after fail_node: {report}");
 
         // Link faults.
         let link = OverlayLinkId(0);
-        sys.fail_link(link);
+        sys.fail_link(link, RepairPolicy::Terminate, SimTime::ZERO);
         assert!(auditor.audit(&sys).is_clean(), "after fail_link: {}", auditor.audit(&sys));
-        sys.degrade_link(OverlayLinkId(1), 0.3);
+        sys.degrade_link(OverlayLinkId(1), 0.3, RepairPolicy::Terminate, SimTime::ZERO);
         assert!(auditor.audit(&sys).is_clean(), "after degrade: {}", auditor.audit(&sys));
 
         // Component crash on a live node.
         let id = sys.node(OverlayNodeId(1)).components().next().map(|c| c.id);
         if let Some(id) = id {
-            sys.crash_component(id);
+            sys.crash_component(id, RepairPolicy::Terminate, SimTime::ZERO);
         }
         assert!(auditor.audit(&sys).is_clean(), "after crash: {}", auditor.audit(&sys));
 

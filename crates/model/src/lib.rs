@@ -21,6 +21,10 @@
 //!   aggregation over branch paths.
 //! * [`system`] — the ground-truth [`StreamSystem`]: discovery index,
 //!   allocation engine, qualification (Eqs. 2–5), session lifecycle.
+//! * [`faults`] — the fault path, a second `impl StreamSystem` block:
+//!   every fault operator under one [`RepairPolicy`] argument, the
+//!   fault-plan replay (`apply_fault`, the partition refcount), and the
+//!   degrade / splice / abandon half of live-session repair.
 //! * [`metrics`] — the optimisation metrics: congestion aggregation
 //!   `φ(λ)` (Eq. 1), risk `D(c_i)` (Eq. 9), congestion `V(c_i)` (Eq. 10),
 //!   and the per-hop qualification predicate (Eqs. 6–8).
@@ -53,6 +57,7 @@ pub mod audit;
 pub mod component;
 pub mod constraints;
 pub mod composition;
+pub mod faults;
 pub mod fgraph;
 pub mod function;
 pub mod lease;
@@ -74,18 +79,18 @@ pub mod prelude {
         SecurityLevel,
     };
     pub use crate::composition::Composition;
+    pub use crate::faults::{DegradeOutcome, FaultOutcome, StaleState};
     pub use crate::fgraph::{FunctionGraph, Template, TemplateLibrary, VertexId};
     pub use crate::function::{FunctionCategory, FunctionId, FunctionProfile, FunctionRegistry};
     pub use crate::lease::LeaseStats;
     pub use crate::metrics::{congestion_aggregation, congestion_function, is_unqualified, risk_function};
     pub use crate::node::{ReservationKey, StreamNode};
     pub use crate::qos::{LossRate, Qos, QosRequirement};
-    pub use crate::repair::{RepairLedger, RepairPhase, RepairTicket};
+    pub use crate::repair::{RepairLedger, RepairPhase, RepairPolicy, RepairTicket};
     pub use crate::request::{Request, RequestId};
     pub use crate::resources::{ResourceKind, ResourceVector};
     pub use crate::system::{
-        AdmissionError, DegradeOutcome, Session, SessionHandle, SessionId, StreamSystem,
-        SystemConfig,
+        AdmissionError, Session, SessionHandle, SessionId, StreamSystem, SystemConfig,
     };
     pub use crate::tenant::{
         SessionCloseCause, TenantBinding, TenantId, TenantLedger, TenantStats, TenantTier,

@@ -7,7 +7,7 @@
 //! * **Congestion function** `V(c_i)` (Eq. 10) — per-candidate load
 //!   measure, the tie-breaker among low-risk candidates.
 
-use acp_topology::{OverlayLinkId, OverlayNodeId, OverlayPath};
+use acp_topology::{OverlayLinkId, OverlayNodeId};
 
 use crate::composition::Composition;
 use crate::qos::{Qos, QosRequirement};
@@ -170,14 +170,6 @@ pub fn is_unqualified(
     }
     // Eq. 8 — bandwidth.
     link_availability_kbps < bandwidth_kbps
-}
-
-/// Reconstructs the virtual-link availability (bottleneck over overlay
-/// links) used by Eq. 8/10, delegating to
-/// [`StreamSystem::virtual_path_available`]; provided here so callers
-/// depending only on metrics semantics need not know the system API.
-pub fn virtual_link_availability(system: &StreamSystem, path: &OverlayPath) -> f64 {
-    system.virtual_path_available(path)
 }
 
 #[cfg(test)]

@@ -17,6 +17,21 @@ use acp_simcore::{Histogram, SimTime, SummaryStats};
 
 use crate::request::RequestId;
 
+/// What becomes of a live session a fault breaks — the one argument of
+/// every fault operator in [`crate::faults`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RepairPolicy {
+    /// Degrade path sessions in place — the broken segment's commitments
+    /// are released, the rest kept — so a freshly probed replacement
+    /// segment can be spliced in, make-before-break.
+    Repair,
+    /// Terminate-and-restart: the session is killed at fault time and
+    /// recomposed from scratch. With a repair ledger this is the baseline
+    /// arm (same detection latency, so MTTR is measured identically in
+    /// both arms); without one it is plain failover.
+    Terminate,
+}
+
 /// Phase of a session's repair state machine. `Healthy` is implicit (no
 /// open ticket); `Repaired`/`Abandoned` are terminal and recorded as
 /// ledger counters rather than held on a ticket.

@@ -8,7 +8,6 @@
 
 use std::collections::VecDeque;
 
-use acp_simcore::SimTime;
 use acp_topology::{Overlay, OverlayLinkId, OverlayNodeId, OverlayPath, SharedPath};
 use rand::Rng;
 
@@ -16,7 +15,7 @@ use crate::component::{Component, ComponentId, DenseComponentId};
 use crate::composition::Composition;
 use crate::constraints::{ComponentAttributes, LicenseClass, LicenseClassOrDefault, SecurityLevel};
 use crate::function::{FunctionId, FunctionRegistry};
-use crate::lease::{LeaseDirectory, LeaseStats, LinkTransient, Site};
+use crate::lease::{LeaseDirectory, LeaseStats, LinkTransient};
 use crate::node::StreamNode;
 use crate::qos::Qos;
 use crate::repair::RepairLedger;
@@ -40,13 +39,13 @@ pub(crate) struct LinkState {
     /// Current capacity — `nominal_kbps` scaled down while degraded,
     /// unchanged by failure (failure zeroes *availability*, not the
     /// threshold base).
-    capacity_kbps: f64,
+    pub(crate) capacity_kbps: f64,
     /// Capacity as built from the overlay (restore target).
-    nominal_kbps: f64,
-    committed_kbps: f64,
+    pub(crate) nominal_kbps: f64,
+    pub(crate) committed_kbps: f64,
     pub(crate) transient: Vec<LinkTransient>,
     /// Bandwidth fail-stop: the link stays routable but carries nothing.
-    failed: bool,
+    pub(crate) failed: bool,
 }
 
 impl LinkState {
@@ -83,14 +82,14 @@ pub struct Session {
     pub request_spec: Request,
     /// The chosen composition.
     pub composition: Composition,
-    node_allocs: Vec<(OverlayNodeId, ResourceVector)>,
-    link_allocs: Vec<(OverlayLinkId, f64)>,
+    pub(crate) node_allocs: Vec<(OverlayNodeId, ResourceVector)>,
+    pub(crate) link_allocs: Vec<(OverlayLinkId, f64)>,
     /// Broken-segment vertex span `(lo, hi)` (inclusive) while the
     /// session is degraded awaiting repair; `None` when healthy. The
     /// span's commitments were released at fault time; `assignment` and
     /// `links` entries inside it are stale until the splice rewrites
     /// them.
-    broken: Option<(usize, usize)>,
+    pub(crate) broken: Option<(usize, usize)>,
 }
 
 impl Session {
@@ -160,7 +159,7 @@ pub struct SessionHandle {
 /// over `[oldest live id, next_id)`: storage follows the live id span,
 /// not the number of sessions ever opened.
 #[derive(Debug, Clone, Default)]
-struct SessionArena {
+pub(crate) struct SessionArena {
     /// Slot storage; vacant slots hold `None` and sit on `free`.
     slots: Vec<Option<Session>>,
     /// Per-slot generation, bumped each time the slot is vacated.
@@ -205,7 +204,7 @@ impl SessionArena {
         (slot != u32::MAX).then_some(slot as usize)
     }
 
-    fn remove(&mut self, id: SessionId) -> Option<Session> {
+    pub(crate) fn remove(&mut self, id: SessionId) -> Option<Session> {
         let slot = self.slot_index(id)?;
         let session = self.slots[slot].take().expect("live slot");
         self.slot_of[(id.0 - self.base_id) as usize] = u32::MAX;
@@ -219,11 +218,11 @@ impl SessionArena {
         Some(session)
     }
 
-    fn get(&self, id: SessionId) -> Option<&Session> {
+    pub(crate) fn get(&self, id: SessionId) -> Option<&Session> {
         self.slots[self.slot_index(id)?].as_ref()
     }
 
-    fn get_mut(&mut self, id: SessionId) -> Option<&mut Session> {
+    pub(crate) fn get_mut(&mut self, id: SessionId) -> Option<&mut Session> {
         let slot = self.slot_index(id)?;
         self.slots[slot].as_mut()
     }
@@ -243,7 +242,7 @@ impl SessionArena {
     /// Iterates live sessions in slot order — deterministic (slot
     /// assignment is a pure function of the insert/remove history), but
     /// **not** id order; callers needing id order sort explicitly.
-    fn iter(&self) -> impl Iterator<Item = &Session> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Session> {
         self.slots.iter().filter_map(Option::as_ref)
     }
 
@@ -317,15 +316,15 @@ impl Default for SystemConfig {
 /// The distributed stream-processing system.
 #[derive(Clone)]
 pub struct StreamSystem {
-    registry: FunctionRegistry,
-    overlay: Overlay,
+    pub(crate) registry: FunctionRegistry,
+    pub(crate) overlay: Overlay,
     pub(crate) nodes: Vec<StreamNode>,
     pub(crate) links: Vec<LinkState>,
     /// Function → live candidate components, indexed by `FunctionId.0`
     /// (the registry's ids are dense). Per-function insertion order is
     /// node/slot discovery order until the first migration re-appends.
-    discovery: Vec<Vec<ComponentId>>,
-    sessions: SessionArena,
+    pub(crate) discovery: Vec<Vec<ComponentId>>,
+    pub(crate) sessions: SessionArena,
     /// Component statics in struct-of-arrays layout, keyed by dense id.
     statics: DenseStatics,
     load_delay_factor: f64,
@@ -355,17 +354,20 @@ pub struct StreamSystem {
     /// bookkeeping (and the lease audit, which is only meaningful with
     /// the ledger, is skipped).
     pub(crate) lease_accounting: bool,
-    tenant_ledger: TenantLedger,
+    pub(crate) tenant_ledger: TenantLedger,
     /// Whether the [`TenantLedger`] is maintained. **Off** by default —
     /// tenant-less workloads pay nothing — and enabled explicitly by
     /// tenanted scenarios (mirroring `lease_accounting`).
-    tenant_accounting: bool,
-    repair_ledger: RepairLedger,
+    pub(crate) tenant_accounting: bool,
+    pub(crate) repair_ledger: RepairLedger,
     /// Whether the [`RepairLedger`] is maintained. **Off** by default —
     /// repair-less workloads pay nothing and stay byte-identical — and
     /// enabled explicitly by repair scenarios (mirroring
     /// `tenant_accounting`).
-    repair_accounting: bool,
+    pub(crate) repair_accounting: bool,
+    /// Per overlay link, how many live partitions hold it down; owned by
+    /// `crate::faults` and empty until the first partition lands.
+    pub(crate) partition_refs: Vec<u32>,
 }
 
 impl std::fmt::Debug for StreamSystem {
@@ -459,57 +461,6 @@ impl std::fmt::Display for AdmissionError {
 }
 
 impl std::error::Error for AdmissionError {}
-
-/// Result of a repair-policy fault operator: which live sessions were
-/// degraded in place (awaiting segment repair) and which had to be
-/// terminated outright (non-path graphs — no well-defined broken
-/// segment), returned as orphaned requests for full restart.
-#[derive(Debug, Clone, Default)]
-pub struct DegradeOutcome {
-    /// Sessions degraded in place, ascending id order.
-    pub degraded: Vec<SessionId>,
-    /// Requests of sessions that fell back to terminate.
-    pub orphaned: Vec<Request>,
-}
-
-/// The vertex span of `s` broken by the fail-stop of node `v`: vertices
-/// placed on `v`, plus the downstream endpoint of every edge relaying
-/// through `v` (its virtual link died with the forwarding plane).
-fn broken_span_for_node(s: &Session, v: OverlayNodeId) -> Option<(usize, usize)> {
-    let last = s.composition.assignment.len() - 1;
-    let mut lo = usize::MAX;
-    let mut hi = 0usize;
-    for (i, c) in s.composition.assignment.iter().enumerate() {
-        if c.node == v {
-            lo = lo.min(i);
-            hi = hi.max(i);
-        }
-    }
-    for (e, p) in s.composition.links.iter().enumerate() {
-        if p.nodes.contains(&v) {
-            let b = (e + 1).min(last);
-            lo = lo.min(b);
-            hi = hi.max(b);
-        }
-    }
-    (lo != usize::MAX).then_some((lo, hi))
-}
-
-/// The vertex span of `s` broken by the failure of overlay link `l`:
-/// the downstream endpoint of every edge routed over it.
-fn broken_span_for_link(s: &Session, l: OverlayLinkId) -> Option<(usize, usize)> {
-    let last = s.composition.assignment.len() - 1;
-    let mut lo = usize::MAX;
-    let mut hi = 0usize;
-    for (e, p) in s.composition.links.iter().enumerate() {
-        if p.links.contains(&l) {
-            let b = (e + 1).min(last);
-            lo = lo.min(b);
-            hi = hi.max(b);
-        }
-    }
-    (lo != usize::MAX).then_some((lo, hi))
-}
 
 impl StreamSystem {
     /// Generates a system over `overlay`: every node receives a uniform
@@ -606,6 +557,7 @@ impl StreamSystem {
             tenant_accounting: false,
             repair_ledger: RepairLedger::default(),
             repair_accounting: false,
+            partition_refs: Vec::new(),
         }
     }
 
@@ -655,18 +607,18 @@ impl StreamSystem {
     }
 
     /// Tombstones live component `id`'s slot and retires its dense id.
-    fn retire_dense(&mut self, id: ComponentId) {
+    pub(crate) fn retire_dense(&mut self, id: ComponentId) {
         let d = std::mem::replace(&mut self.dense_ids[id.node.index()][id.slot as usize], u32::MAX);
         self.dense_retired[d as usize] = true;
     }
 
     #[inline]
-    fn touch_node(&mut self, v: OverlayNodeId) {
+    pub(crate) fn touch_node(&mut self, v: OverlayNodeId) {
         self.node_versions[v.index()] += 1;
     }
 
     #[inline]
-    fn touch_link_index(&mut self, i: usize) {
+    pub(crate) fn touch_link_index(&mut self, i: usize) {
         self.link_versions[i] += 1;
     }
 
@@ -800,27 +752,7 @@ impl StreamSystem {
         request: &Request,
         composition: &Composition,
     ) -> Result<(NodeAllocs, LinkAllocs), AdmissionError> {
-        if !composition.is_shape_valid(&request.graph) {
-            return Err(AdmissionError::MalformedComposition);
-        }
-        // Eq. 2 — function coverage; plus interface rate compatibility.
-        for v in request.graph.vertices() {
-            let c = self.component(composition.assignment[v]);
-            if c.function != request.graph.function(v) {
-                return Err(AdmissionError::WrongFunction { vertex: v });
-            }
-            if !c.accepts_rate(request.stream_rate_kbps) {
-                return Err(AdmissionError::RateIncompatible { vertex: v });
-            }
-            if !request.constraints.admits(&c.attributes) {
-                return Err(AdmissionError::ConstraintViolated { vertex: v });
-            }
-        }
-        // Eq. 3 — end-to-end QoS over critical branch path.
-        let qos = composition.aggregated_qos(&request.graph, |id| self.effective_component_qos(id));
-        if !qos.satisfies(&request.qos) {
-            return Err(AdmissionError::QosViolated);
-        }
+        self.check_assignment(request, composition)?;
         // Eq. 4 — end-system resources, grouped per node so co-located
         // components of this request share availability correctly. A
         // composition touches only a handful of nodes/links, so linear
@@ -844,6 +776,41 @@ impl StreamSystem {
             }
         }
         Ok((per_node, per_link))
+    }
+
+    /// The checks that need no availability: shape, Eq. 2 and Eq. 3. A
+    /// vertex assigned a component that is no longer deployed fails
+    /// Eq. 2 as [`AdmissionError::WrongFunction`].
+    pub(crate) fn check_assignment(
+        &self,
+        request: &Request,
+        composition: &Composition,
+    ) -> Result<(), AdmissionError> {
+        if !composition.is_shape_valid(&request.graph) {
+            return Err(AdmissionError::MalformedComposition);
+        }
+        // Eq. 2 — function coverage; plus interface rate compatibility.
+        for v in request.graph.vertices() {
+            let id = composition.assignment[v];
+            let Some(c) = self.nodes[id.node.index()].component(id.slot) else {
+                return Err(AdmissionError::WrongFunction { vertex: v });
+            };
+            if c.function != request.graph.function(v) {
+                return Err(AdmissionError::WrongFunction { vertex: v });
+            }
+            if !c.accepts_rate(request.stream_rate_kbps) {
+                return Err(AdmissionError::RateIncompatible { vertex: v });
+            }
+            if !request.constraints.admits(&c.attributes) {
+                return Err(AdmissionError::ConstraintViolated { vertex: v });
+            }
+        }
+        // Eq. 3 — end-to-end QoS over critical branch path.
+        let qos = composition.aggregated_qos(&request.graph, |id| self.effective_component_qos(id));
+        if !qos.satisfies(&request.qos) {
+            return Err(AdmissionError::QosViolated);
+        }
+        Ok(())
     }
 
     /// Confirms a composition: converts/creates permanent allocations and
@@ -917,7 +884,7 @@ impl StreamSystem {
 
     /// Shared teardown: releases allocations and records `cause` against
     /// the owning tenant (if any, and if tenant accounting is on).
-    fn close_session_with_cause(&mut self, id: SessionId, cause: SessionCloseCause) -> bool {
+    pub(crate) fn close_session_with_cause(&mut self, id: SessionId, cause: SessionCloseCause) -> bool {
         let Some(session) = self.sessions.remove(id) else {
             return false;
         };
@@ -947,158 +914,9 @@ impl StreamSystem {
         true
     }
 
-    /// Fails a node (fail-stop): every hosted component is undeployed
-    /// (leaving tombstones and shrinking the discovery index), every
-    /// session whose composition used one of them is terminated
-    /// (releasing its allocations elsewhere), and the node's overlay
-    /// forwarding plane goes down with it — fresh virtual paths route
-    /// around the node, and no cached path through it survives (the
-    /// invariant the system auditor checks).
-    ///
-    /// Returns the undeployed components and the terminated sessions'
-    /// request specifications (for failover recomposition).
-    pub fn fail_node(&mut self, v: OverlayNodeId) -> (Vec<ComponentId>, Vec<Request>) {
-        let undeployed_ids = self.fail_processing_plane(v);
-        // Terminate sessions placed (partly) on the failed node — and
-        // sessions whose virtual links relay through it, since its
-        // forwarding plane dies too — in ascending session-id order so
-        // failover recomposition is deterministic.
-        let orphaned = self.terminate_sessions_where(|s| {
-            s.composition.assignment.iter().any(|c| c.node == v)
-                || s.composition.links.iter().any(|p| p.nodes.contains(&v))
-        });
-        // Take the forwarding plane down too. This drops only the cached
-        // routes this failure could affect (trees and memoized paths
-        // touching `v`); everything else stays warm for the failover
-        // recompositions that follow.
-        self.overlay.set_node_down(v, true);
-        (undeployed_ids, orphaned)
-    }
-
-    /// Shared head of the node fail-stops: the processing plane goes
-    /// down taking its transient leases with it, and every hosted
-    /// component is undeployed (tombstone, dense id retired, discovery
-    /// entry dropped). Returns the undeployed components.
-    fn fail_processing_plane(&mut self, v: OverlayNodeId) -> Vec<ComponentId> {
-        self.forget_site_leases(Site::Node(v.0));
-        let undeployed: Vec<Component> = self.nodes[v.index()].fail();
-        self.touch_node(v);
-        for component in &undeployed {
-            self.retire_dense(component.id);
-            self.discovery[component.function.0 as usize].retain(|&c| c != component.id);
-        }
-        undeployed.iter().map(|c| c.id).collect()
-    }
-
-    /// Brings a failed node back online, empty: components must be
-    /// redeployed (e.g. via [`Self::migrate_component`]), but capacity
-    /// is immediately re-admittable and the forwarding plane rejoins
-    /// the mesh.
-    pub fn recover_node(&mut self, v: OverlayNodeId) {
-        self.nodes[v.index()].recover();
-        self.overlay.set_node_down(v, false);
-        self.touch_node(v);
-    }
-
     /// True when the node's processing plane is failed.
     pub fn is_node_failed(&self, v: OverlayNodeId) -> bool {
         self.nodes[v.index()].is_failed()
-    }
-
-    /// Closes every live session matching `predicate`, in ascending
-    /// session-id order, returning their request specifications for
-    /// failover recomposition. The arena iterates in slot order — a
-    /// deterministic function of the insert/close history, unlike the
-    /// hash-map iteration this replaced — and the explicit sort pins
-    /// the id order the failover contract promises regardless of how
-    /// slots were recycled.
-    fn terminate_sessions_where(&mut self, predicate: impl Fn(&Session) -> bool) -> Vec<Request> {
-        let mut victims: Vec<SessionId> =
-            self.sessions.iter().filter(|s| predicate(s)).map(|s| s.id).collect();
-        victims.sort_unstable();
-        let mut orphaned = Vec::with_capacity(victims.len());
-        for sid in victims {
-            if let Some(session) = self.sessions.get(sid) {
-                orphaned.push(session.request_spec.clone());
-            }
-            self.close_session_with_cause(sid, SessionCloseCause::Killed);
-        }
-        orphaned
-    }
-
-    // ------------------------------------------------------------------
-    // Virtual-link and component faults
-    // ------------------------------------------------------------------
-
-    /// Bandwidth fail-stop of overlay link `l`: the link stays routable
-    /// (its forwarding plane is part of the surviving mesh) but carries
-    /// nothing — availability drops to zero and every session whose
-    /// composition streams over it is terminated. Returns the orphaned
-    /// requests for failover recomposition.
-    pub fn fail_link(&mut self, l: OverlayLinkId) -> Vec<Request> {
-        if !self.fail_bandwidth(l) {
-            return Vec::new();
-        }
-        self.terminate_sessions_where(|s| s.uses_link(l))
-    }
-
-    /// Shared head of the link fail-stops: marks `l` failed and drops its
-    /// transient leases. Returns `false` (nothing done) when it already
-    /// was failed.
-    fn fail_bandwidth(&mut self, l: OverlayLinkId) -> bool {
-        let i = l.index();
-        if self.links[i].failed {
-            return false;
-        }
-        self.links[i].failed = true;
-        self.forget_site_leases(Site::Link(l.0));
-        self.links[i].transient.clear();
-        self.touch_link_index(i);
-        true
-    }
-
-    /// Degrades overlay link `l` to `factor` of its nominal capacity
-    /// (clamped to `[0, 1]`). Sessions are evicted **newest first**
-    /// until the remaining committed bandwidth fits the shrunken
-    /// capacity — the deterministic analogue of a congested path
-    /// shedding its most recent admissions. Returns the evicted
-    /// requests.
-    pub fn degrade_link(&mut self, l: OverlayLinkId, factor: f64) -> Vec<Request> {
-        let i = l.index();
-        let state = &mut self.links[i];
-        state.capacity_kbps = state.nominal_kbps * factor.clamp(0.0, 1.0);
-        self.touch_link_index(i);
-        if self.links[i].failed {
-            return Vec::new(); // already carries nothing
-        }
-        // Evict until the commitments fit (newest session first).
-        let mut users: Vec<SessionId> =
-            self.sessions.iter().filter(|s| s.uses_link(l)).map(|s| s.id).collect();
-        users.sort_unstable_by(|a, b| b.cmp(a));
-        let mut evicted = Vec::new();
-        for sid in users {
-            if self.links[i].committed_kbps <= self.links[i].capacity_kbps + 1e-9 {
-                break;
-            }
-            if let Some(session) = self.sessions.get(sid) {
-                evicted.push(session.request_spec.clone());
-            }
-            self.close_session_with_cause(sid, SessionCloseCause::Killed);
-        }
-        evicted
-    }
-
-    /// Restores overlay link `l` to nominal capacity, clearing both
-    /// failure and degradation. Idempotent.
-    pub fn restore_link(&mut self, l: OverlayLinkId) {
-        let i = l.index();
-        let state = &mut self.links[i];
-        if !state.failed && state.capacity_kbps == state.nominal_kbps {
-            return;
-        }
-        state.failed = false;
-        state.capacity_kbps = state.nominal_kbps;
-        self.touch_link_index(i);
     }
 
     /// True when overlay link `l` is bandwidth-fail-stopped.
@@ -1111,400 +929,6 @@ impl StreamSystem {
     /// [`Self::link_available`].
     pub fn link_committed(&self, l: OverlayLinkId) -> f64 {
         self.links[l.index()].committed_kbps
-    }
-
-    /// Nominal (as-built) capacity of overlay link `l`, the restore
-    /// target after degradation.
-    pub fn link_nominal_kbps(&self, l: OverlayLinkId) -> f64 {
-        self.links[l.index()].nominal_kbps
-    }
-
-    /// Crashes a single component: it is undeployed (tombstoned, dense
-    /// id retired, discovery entry dropped) while its node keeps
-    /// running, and every session using it is terminated. Returns the
-    /// orphaned requests; an unknown/tombstoned id is a no-op.
-    pub fn crash_component(&mut self, id: ComponentId) -> Vec<Request> {
-        let Some(component) = self.undeploy_crashed(id) else {
-            return Vec::new();
-        };
-        debug_assert_eq!(component.id, id);
-        self.terminate_sessions_where(|s| s.composition.assignment.contains(&id))
-    }
-
-    /// Shared crash head: undeploys the component, retires its dense id
-    /// and discovery entry, and reclaims any transient leases held *for*
-    /// it — a crash mid-two-phase-setup must not orphan the reservation
-    /// until the expiry sweep.
-    fn undeploy_crashed(&mut self, id: ComponentId) -> Option<Component> {
-        let component = self.nodes[id.node.index()].undeploy(id.slot)?;
-        self.reclaim_component_leases(id);
-        self.retire_dense(id);
-        self.discovery[component.function.0 as usize].retain(|&c| c != id);
-        self.touch_node(id.node);
-        Some(component)
-    }
-
-    // ------------------------------------------------------------------
-    // Live-session repair: degrade / splice / abandon
-    // ------------------------------------------------------------------
-
-    /// Fails a node under the *repair* policy: identical fail-stop
-    /// semantics to [`Self::fail_node`], but sessions touching the node
-    /// are **degraded** (their broken segment's commitments released,
-    /// the rest kept) instead of terminated, so a repair planner can
-    /// splice replacements in later. Non-path sessions — whose broken
-    /// "segment" is not well defined — fall back to terminate and are
-    /// returned as orphaned requests for full restart.
-    pub fn fail_node_degrading(
-        &mut self,
-        v: OverlayNodeId,
-        now: SimTime,
-    ) -> (Vec<ComponentId>, DegradeOutcome) {
-        let undeployed_ids = self.fail_processing_plane(v);
-        let outcome = self.degrade_sessions_where(now, |s| broken_span_for_node(s, v));
-        self.overlay.set_node_down(v, true);
-        (undeployed_ids, outcome)
-    }
-
-    /// Fails a link under the *repair* policy: sessions streaming over
-    /// it are degraded instead of terminated (see
-    /// [`Self::fail_node_degrading`]).
-    pub fn fail_link_degrading(&mut self, l: OverlayLinkId, now: SimTime) -> DegradeOutcome {
-        if !self.fail_bandwidth(l) {
-            return DegradeOutcome::default();
-        }
-        self.degrade_sessions_where(now, |s| broken_span_for_link(s, l))
-    }
-
-    /// Degrades a link's capacity under the *repair* policy: instead of
-    /// evicting the newest sessions outright, they are degraded (their
-    /// edges over `l` released) until the remaining commitments fit.
-    pub fn degrade_link_degrading(
-        &mut self,
-        l: OverlayLinkId,
-        factor: f64,
-        now: SimTime,
-    ) -> DegradeOutcome {
-        let i = l.index();
-        let state = &mut self.links[i];
-        state.capacity_kbps = state.nominal_kbps * factor.clamp(0.0, 1.0);
-        self.touch_link_index(i);
-        if self.links[i].failed {
-            return DegradeOutcome::default();
-        }
-        let mut users: Vec<SessionId> =
-            self.sessions.iter().filter(|s| s.uses_link(l)).map(|s| s.id).collect();
-        users.sort_unstable_by(|a, b| b.cmp(a));
-        let mut outcome = DegradeOutcome::default();
-        for sid in users {
-            if self.links[i].committed_kbps <= self.links[i].capacity_kbps + 1e-9 {
-                break;
-            }
-            let (span, is_path) = {
-                let s = self.sessions.get(sid).expect("listed above");
-                (broken_span_for_link(s, l), s.request_spec.graph.is_path())
-            };
-            let Some(span) = span else { continue };
-            if is_path {
-                self.degrade_session_span(sid, span, now);
-                outcome.degraded.push(sid);
-            } else {
-                if let Some(s) = self.sessions.get(sid) {
-                    outcome.orphaned.push(s.request_spec.clone());
-                }
-                self.close_session_with_cause(sid, SessionCloseCause::Killed);
-            }
-        }
-        outcome
-    }
-
-    /// Crashes a component under the *repair* policy: sessions using it
-    /// are degraded instead of terminated (see
-    /// [`Self::fail_node_degrading`]). The crashed component's transient
-    /// leases are reclaimed either way.
-    pub fn crash_component_degrading(&mut self, id: ComponentId, now: SimTime) -> DegradeOutcome {
-        if self.undeploy_crashed(id).is_none() {
-            return DegradeOutcome::default();
-        }
-        self.degrade_sessions_where(now, |s| {
-            let mut lo = usize::MAX;
-            let mut hi = 0usize;
-            for (i, c) in s.composition.assignment.iter().enumerate() {
-                if *c == id {
-                    lo = lo.min(i);
-                    hi = hi.max(i);
-                }
-            }
-            (lo != usize::MAX).then_some((lo, hi))
-        })
-    }
-
-    /// Degrades every live session matching `span_of` (in ascending
-    /// session-id order, like [`Self::terminate_sessions_where`]);
-    /// non-path sessions fall back to terminate.
-    fn degrade_sessions_where(
-        &mut self,
-        now: SimTime,
-        span_of: impl Fn(&Session) -> Option<(usize, usize)>,
-    ) -> DegradeOutcome {
-        let mut victims: Vec<(SessionId, (usize, usize), bool)> = self
-            .sessions
-            .iter()
-            .filter_map(|s| span_of(s).map(|span| (s.id, span, s.request_spec.graph.is_path())))
-            .collect();
-        victims.sort_unstable_by_key(|&(id, _, _)| id);
-        let mut outcome = DegradeOutcome::default();
-        for (sid, span, is_path) in victims {
-            if is_path {
-                self.degrade_session_span(sid, span, now);
-                outcome.degraded.push(sid);
-            } else {
-                if let Some(s) = self.sessions.get(sid) {
-                    outcome.orphaned.push(s.request_spec.clone());
-                }
-                self.close_session_with_cause(sid, SessionCloseCause::Killed);
-            }
-        }
-        outcome
-    }
-
-    /// Releases the commitments of `(lo, hi)`'s vertices and every edge
-    /// touching the span, merges the span into any prior broken range,
-    /// and opens (or keeps) the session's repair ticket. The healthy
-    /// prefix/suffix commitments are untouched — that is the
-    /// make-before-break half the splice relies on.
-    fn degrade_session_span(&mut self, sid: SessionId, (lo, hi): (usize, usize), now: SimTime) {
-        let (request, released_nodes, released_links, lo, hi) = {
-            let s = self.sessions.get(sid).expect("degrading a live session");
-            let old = s.broken;
-            let (lo, hi) = match old {
-                Some((a, b)) => (lo.min(a), hi.max(b)),
-                None => (lo, hi),
-            };
-            debug_assert!(hi < s.composition.assignment.len());
-            let in_old_span = |v: usize| matches!(old, Some((a, b)) if v >= a && v <= b);
-            let edge_in = |e: usize, a: usize, b: usize| e + 1 >= a && e <= b;
-            let in_old_edges = |e: usize| matches!(old, Some((a, b)) if edge_in(e, a, b));
-            let mut released_nodes: Vec<(OverlayNodeId, ResourceVector)> = Vec::new();
-            for v in lo..=hi {
-                if in_old_span(v) {
-                    continue;
-                }
-                let node = s.composition.assignment[v].node;
-                let demand = s.request_spec.vertex_demand(&self.registry, v);
-                released_nodes.push((node, demand));
-            }
-            let bw = s.request_spec.bandwidth_kbps;
-            let mut released_links: Vec<(OverlayLinkId, f64)> = Vec::new();
-            for (e, path) in s.composition.links.iter().enumerate() {
-                if !edge_in(e, lo, hi) || in_old_edges(e) {
-                    continue;
-                }
-                for &l in &path.links {
-                    released_links.push((l, bw));
-                }
-            }
-            (s.request, released_nodes, released_links, lo, hi)
-        };
-        for &(node, demand) in &released_nodes {
-            // On a freshly failed node `fail()` already zeroed the
-            // committed book; `release` saturates, keeping both sides of
-            // the conservation invariant in step.
-            self.nodes[node.index()].release(demand);
-            self.touch_node(node);
-        }
-        for &(l, bw) in &released_links {
-            let state = &mut self.links[l.index()];
-            state.committed_kbps = (state.committed_kbps - bw).max(0.0);
-            self.touch_link_index(l.index());
-        }
-        let s = self.sessions.get_mut(sid).expect("still live");
-        for &(node, demand) in &released_nodes {
-            if let Some(entry) = s.node_allocs.iter_mut().find(|(n, _)| *n == node) {
-                entry.1 = entry.1.saturating_sub(&demand);
-            }
-        }
-        for &(l, bw) in &released_links {
-            if let Some(entry) = s.link_allocs.iter_mut().find(|(link, _)| *link == l) {
-                entry.1 = (entry.1 - bw).max(0.0);
-            }
-        }
-        s.node_allocs.retain(|&(_, d)| d.cpu > 1e-9 || d.memory_mb > 1e-9);
-        s.link_allocs.retain(|&(_, kbps)| kbps > 1e-9);
-        s.broken = Some((lo, hi));
-        let binding = s.request_spec.tenant;
-        if self.tenant_accounting {
-            if let Some(binding) = binding {
-                let demand: ResourceVector = released_nodes.iter().map(|&(_, d)| d).sum();
-                let bw: f64 = released_links.iter().map(|&(_, k)| k).sum();
-                self.tenant_ledger.record_repair_release(binding, demand, bw);
-            }
-        }
-        if self.repair_accounting {
-            self.repair_ledger.open_ticket(request, now);
-        }
-    }
-
-    /// Splices a repaired segment into a degraded session —
-    /// make-before-break's "break" half. `mini` is a committed
-    /// mini-session covering exactly the broken span's functions (its
-    /// resources are already committed — the "make" half); the boundary
-    /// paths' bandwidth must be transiently held under `mini_request`
-    /// (and those must be the *only* leases `mini_request` still holds).
-    ///
-    /// Re-validates Eq. 2 and Eq. 3 end-to-end on the spliced
-    /// composition before any destructive step; on error nothing has
-    /// changed and the caller still owns the mini-session and its
-    /// leases. On success the mini-session's record is absorbed into
-    /// the original (its books move over untouched — never
-    /// double-committed), the boundary transients are promoted to
-    /// committed bandwidth, and the repair ticket settles as repaired.
-    pub fn splice_repair(
-        &mut self,
-        original: SessionId,
-        mini: SessionId,
-        mini_request: RequestId,
-        prefix_path: Option<SharedPath>,
-        suffix_path: Option<SharedPath>,
-        now: SimTime,
-    ) -> Result<(), AdmissionError> {
-        let (request_id, binding, spliced, bw, _lo, _hi) = {
-            let s = self.sessions.get(original).ok_or(AdmissionError::MalformedComposition)?;
-            let m = self.sessions.get(mini).ok_or(AdmissionError::MalformedComposition)?;
-            let (lo, hi) = s.broken.ok_or(AdmissionError::MalformedComposition)?;
-            let nv = s.composition.assignment.len();
-            let seg = hi - lo + 1;
-            if m.composition.assignment.len() != seg
-                || prefix_path.is_some() != (lo > 0)
-                || suffix_path.is_some() != (hi + 1 < nv)
-            {
-                return Err(AdmissionError::MalformedComposition);
-            }
-            debug_assert!(m.request_spec.tenant.is_none(), "mini-sessions are tenant-less");
-            let mut composition = s.composition.clone();
-            composition.assignment[lo..=hi].copy_from_slice(&m.composition.assignment);
-            for e in 0..seg.saturating_sub(1) {
-                composition.links[lo + e] = m.composition.links[e].clone();
-            }
-            if let Some(p) = &prefix_path {
-                composition.links[lo - 1] = p.clone();
-            }
-            if let Some(p) = &suffix_path {
-                composition.links[hi] = p.clone();
-            }
-            (s.request, s.request_spec.tenant, composition, s.request_spec.bandwidth_kbps, lo, hi)
-        };
-        // Eq. 2 + Eq. 3 end-to-end on the spliced composition. Eq. 4/5
-        // need no re-check: every spliced resource is either already
-        // committed (the mini segment) or transiently held (boundary
-        // bandwidth) — checking them against *availability* would
-        // double-count the very make-before-break holds protecting this
-        // splice.
-        {
-            let s = self.sessions.get(original).expect("checked above");
-            let request = &s.request_spec;
-            if !spliced.is_shape_valid(&request.graph) {
-                return Err(AdmissionError::MalformedComposition);
-            }
-            for v in request.graph.vertices() {
-                let id = spliced.assignment[v];
-                let Some(c) = self.nodes[id.node.index()].component(id.slot) else {
-                    return Err(AdmissionError::WrongFunction { vertex: v });
-                };
-                if c.function != request.graph.function(v) {
-                    return Err(AdmissionError::WrongFunction { vertex: v });
-                }
-                if !c.accepts_rate(request.stream_rate_kbps) {
-                    return Err(AdmissionError::RateIncompatible { vertex: v });
-                }
-                if !request.constraints.admits(&c.attributes) {
-                    return Err(AdmissionError::ConstraintViolated { vertex: v });
-                }
-            }
-            let qos = spliced.aggregated_qos(&request.graph, |id| self.effective_component_qos(id));
-            if !qos.satisfies(&request.qos) {
-                return Err(AdmissionError::QosViolated);
-            }
-        }
-        // Break half: absorb the mini-session (books move, not change)
-        // and promote the boundary holds.
-        let m = self.sessions.remove(mini).expect("checked above");
-        let held = self.release_request_transients(mini_request);
-        self.promote_released_leases(held);
-        let mut boundary_allocs: Vec<(OverlayLinkId, f64)> = Vec::new();
-        for p in prefix_path.iter().chain(suffix_path.iter()) {
-            for &l in &p.links {
-                self.links[l.index()].committed_kbps += bw;
-                self.touch_link_index(l.index());
-                boundary_allocs.push((l, bw));
-            }
-        }
-        let s = self.sessions.get_mut(original).expect("checked above");
-        s.composition = spliced;
-        for &(node, demand) in &m.node_allocs {
-            match s.node_allocs.iter_mut().find(|(n, _)| *n == node) {
-                Some(entry) => entry.1 += demand,
-                None => s.node_allocs.push((node, demand)),
-            }
-        }
-        for &(l, kbps) in m.link_allocs.iter().chain(boundary_allocs.iter()) {
-            match s.link_allocs.iter_mut().find(|(link, _)| *link == l) {
-                Some(entry) => entry.1 += kbps,
-                None => s.link_allocs.push((l, kbps)),
-            }
-        }
-        s.broken = None;
-        if self.tenant_accounting {
-            if let Some(binding) = binding {
-                let demand: ResourceVector = m.node_allocs.iter().map(|&(_, d)| d).sum();
-                let grow_bw: f64 = m.link_allocs.iter().map(|&(_, k)| k).sum::<f64>()
-                    + boundary_allocs.iter().map(|&(_, k)| k).sum::<f64>();
-                self.tenant_ledger.record_repair_grow(binding, demand, grow_bw);
-            }
-        }
-        if self.repair_accounting {
-            self.repair_ledger.record_repaired(request_id, now, true);
-        }
-        Ok(())
-    }
-
-    /// Gives up on a degraded session: settles its repair ticket as
-    /// abandoned and terminates the session (`Killed`). Returns `false`
-    /// for unknown sessions.
-    pub fn abandon_repair(&mut self, id: SessionId) -> bool {
-        let Some(request) = self.sessions.get(id).map(|s| s.request) else {
-            return false;
-        };
-        if self.repair_accounting {
-            self.repair_ledger.record_abandoned(request);
-        }
-        self.close_session_with_cause(id, SessionCloseCause::Killed)
-    }
-
-    /// Gives up on *splicing* a degraded session but hands it to the
-    /// restart path instead of settling its ticket: the session is
-    /// terminated (`Killed`) while the ticket stays open, to be settled
-    /// as restored or abandoned by the failover recompose. Returns the
-    /// request specification for that recompose, `None` for unknown
-    /// sessions.
-    pub fn terminate_for_restart(&mut self, id: SessionId) -> Option<Request> {
-        let spec = self.sessions.get(id)?.request_spec.clone();
-        // Suppress the close hook's ticket cancellation: the ticket
-        // must outlive this teardown so the restart settles it.
-        let accounting = self.repair_accounting;
-        self.repair_accounting = false;
-        self.close_session_with_cause(id, SessionCloseCause::Killed);
-        self.repair_accounting = accounting;
-        Some(spec)
-    }
-
-    /// Live degraded sessions, ascending id order (deterministic repair
-    /// scheduling and audit order).
-    pub fn degraded_sessions(&self) -> Vec<SessionId> {
-        let mut out: Vec<SessionId> =
-            self.sessions.iter().filter(|s| s.is_degraded()).map(|s| s.id).collect();
-        out.sort_unstable();
-        out
     }
 
     /// True when any live session's composition uses component `id`.
@@ -1769,16 +1193,18 @@ fn partial_shuffle<T, R: Rng + ?Sized>(items: &mut [T], count: usize, rng: &mut 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::constraints::PlacementConstraints;
     use crate::fgraph::FunctionGraph;
     use crate::qos::QosRequirement;
+    use crate::repair::RepairPolicy;
+    use acp_simcore::SimTime;
     use acp_topology::{InetConfig, OverlayConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn build_system(seed: u64, stream_nodes: usize) -> StreamSystem {
+    pub(crate) fn build_system(seed: u64, stream_nodes: usize) -> StreamSystem {
         let mut rng = StdRng::seed_from_u64(seed);
         let ip = InetConfig { nodes: 200, ..InetConfig::default() }.generate(&mut rng);
         let overlay = Overlay::build(&ip, &OverlayConfig { stream_nodes, neighbors: 4 }, &mut rng);
@@ -1787,7 +1213,7 @@ mod tests {
 
     /// Builds a request for a path of two functions that both have
     /// candidates, and a qualified composition for it.
-    fn request_and_composition(sys: &mut StreamSystem) -> (Request, Composition) {
+    pub(crate) fn request_and_composition(sys: &mut StreamSystem) -> (Request, Composition) {
         // find two functions with candidates
         let reg_len = sys.registry().len() as u16;
         let mut chosen = Vec::new();
@@ -1964,7 +1390,7 @@ mod tests {
     /// Commits `n` copies of the same qualified composition under
     /// distinct request ids `base..base+n`, returning the session ids
     /// in commit order.
-    fn commit_n(
+    pub(crate) fn commit_n(
         sys: &mut StreamSystem,
         request: &Request,
         composition: &Composition,
@@ -1978,29 +1404,6 @@ mod tests {
                 sys.commit_session(&r, composition.clone()).expect("qualified")
             })
             .collect()
-    }
-
-    /// Regression for the old HashMap-iteration hazard: termination
-    /// order must be ascending by session id even after arena slots
-    /// have been freed and recycled out of id order.
-    #[test]
-    fn terminate_order_is_ascending_after_slot_reuse() {
-        let mut sys = build_system(12, 30);
-        let (request, composition) = request_and_composition(&mut sys);
-        let ids = commit_n(&mut sys, &request, &composition, 1000, 4);
-        // Free slots 1 and 3 (LIFO free list: slot 3 is recycled first,
-        // so the newest session lands in a *lower* slot than an older
-        // one — exactly the case that breaks order-sensitive iteration).
-        assert!(sys.close_session(ids[1]));
-        assert!(sys.close_session(ids[3]));
-        let more = commit_n(&mut sys, &request, &composition, 2000, 2);
-        assert!(more.iter().all(|m| m > ids.last().unwrap()), "external ids stay monotonic");
-        let orphaned = sys.fail_node(composition.assignment[0].node).1;
-        assert_eq!(orphaned.len(), 4);
-        let order: Vec<u64> = orphaned.iter().map(|r| r.id.0).collect();
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(order, sorted, "failover recomposition order must be ascending by id");
     }
 
     #[test]
@@ -2133,7 +1536,7 @@ mod tests {
         // Crash one component, then migrate another into the freed slot's
         // node (slot reuse: the old row must read retired, the new live).
         let crashed = sys.node(OverlayNodeId(2)).components().next().expect("hosts some").id;
-        sys.crash_component(crashed);
+        sys.crash_component(crashed, RepairPolicy::Terminate, SimTime::ZERO);
         let mover = sys
             .overlay()
             .nodes()
@@ -2145,171 +1548,10 @@ mod tests {
         record(&sys, &mut issued);
         assert!(!sys.dense_is_retired(sys.dense_of(moved).expect("live")));
         check(&sys, &issued);
-        sys.fail_node(OverlayNodeId(5));
-        sys.fail_node_degrading(OverlayNodeId(7), SimTime::ZERO);
+        sys.fail_node(OverlayNodeId(5), RepairPolicy::Terminate, SimTime::ZERO);
+        sys.fail_node(OverlayNodeId(7), RepairPolicy::Repair, SimTime::ZERO);
         check(&sys, &issued);
         assert!(issued.iter().filter(|&&(_, d)| sys.dense_is_retired(d)).count() >= 4);
-    }
-
-    /// A three-function path request whose middle function has at least
-    /// two candidates (so the middle hop can be re-probed after a
-    /// crash), plus a qualified composition for it.
-    fn repairable_request_and_composition(sys: &mut StreamSystem) -> (Request, Composition) {
-        let reg_len = sys.registry().len() as u16;
-        let mid = (0..reg_len)
-            .map(FunctionId)
-            .find(|&f| sys.candidates(f).len() >= 2)
-            .expect("some function has two candidates");
-        let mut ends =
-            (0..reg_len).map(FunctionId).filter(|&f| f != mid && !sys.candidates(f).is_empty());
-        let first = ends.next().expect("enough hosted functions");
-        let last = ends.next().expect("enough hosted functions");
-        let request = Request {
-            id: RequestId(1),
-            graph: FunctionGraph::path(vec![first, mid, last]),
-            qos: QosRequirement::unconstrained(),
-            base_resources: ResourceVector::new(1.0, 4.0),
-            bandwidth_kbps: 10.0,
-            stream_rate_kbps: 100.0,
-            constraints: PlacementConstraints::none(),
-            tenant: None,
-        };
-        let c0 = sys.candidates(first)[0];
-        let c1 = sys.candidates(mid)[0];
-        let c2 = sys.candidates(last)[0];
-        let p01 = sys.virtual_path(c0.node, c1.node).expect("connected overlay");
-        let p12 = sys.virtual_path(c1.node, c2.node).expect("connected overlay");
-        let composition = Composition { assignment: vec![c0, c1, c2], links: vec![p01, p12] };
-        (request, composition)
-    }
-
-    #[test]
-    fn degrade_then_splice_repairs_in_place() {
-        let mut sys = build_system(41, 30);
-        sys.set_lease_accounting(true);
-        sys.set_repair_accounting(true);
-        let auditor = crate::audit::SystemAuditor::default();
-        let (request, composition) = repairable_request_and_composition(&mut sys);
-        let (c0, c1, c2) =
-            (composition.assignment[0], composition.assignment[1], composition.assignment[2]);
-        let sid = sys.commit_session(&request, composition).expect("qualified");
-        let t0 = SimTime::from_secs(10);
-
-        let outcome = sys.crash_component_degrading(c1, t0);
-        assert_eq!(outcome.degraded, vec![sid]);
-        assert!(outcome.orphaned.is_empty());
-        let s = sys.session(sid).expect("session survives the fault");
-        assert!(s.is_degraded());
-        assert_eq!(s.broken_span(), Some((1, 1)));
-        assert!(sys.repair_ledger().ticket(request.id).is_some());
-        let mid_audit = auditor.audit_at(&sys, Some(t0));
-        assert!(mid_audit.is_clean(), "degraded session must audit clean: {mid_audit}");
-
-        // Make-before-break: commit a replacement mini-session for the
-        // broken hop, hold the boundary paths transiently, then splice.
-        let mid = request.graph.function(1);
-        let replacements: Vec<ComponentId> =
-            sys.candidates(mid).iter().copied().filter(|&c| c != c1).collect();
-        assert!(!replacements.is_empty(), "crash leaves a replacement candidate");
-        let mini_request =
-            Request { id: RequestId(0x8000_0000_0000_0000 | 1), graph: FunctionGraph::path(vec![mid]), ..request.clone() };
-        let (c1b, mini) = replacements
-            .iter()
-            .find_map(|&c| {
-                sys.commit_session(&mini_request, Composition { assignment: vec![c], links: vec![] })
-                    .ok()
-                    .map(|m| (c, m))
-            })
-            .expect("a replacement segment commits");
-        let prefix = sys.virtual_path(c0.node, c1b.node).expect("connected overlay");
-        let suffix = sys.virtual_path(c1b.node, c2.node).expect("connected overlay");
-        let expires = SimTime::from_secs(60);
-        assert!(sys.reserve_path_transient(mini_request.id, 0, &prefix, request.bandwidth_kbps, expires));
-        assert!(sys.reserve_path_transient(mini_request.id, 1, &suffix, request.bandwidth_kbps, expires));
-
-        let t1 = SimTime::from_secs(14);
-        sys.splice_repair(sid, mini, mini_request.id, Some(prefix), Some(suffix), t1)
-            .expect("splice lands");
-
-        let s = sys.session(sid).expect("repaired in place");
-        assert!(!s.is_degraded());
-        assert_eq!(s.composition.assignment[1], c1b);
-        assert_eq!(sys.session_count(), 1, "mini-session absorbed, not left live");
-        assert!(!sys.has_session_for(mini_request.id));
-        let ledger = sys.repair_ledger();
-        assert_eq!((ledger.repaired, ledger.validated), (1, 1));
-        assert!(ledger.reconciles());
-        assert!((ledger.mttr_stats().sum - 4.0).abs() < 1e-9, "MTTR runs fault -> splice");
-        let report = auditor.audit_at(&sys, Some(t1));
-        assert!(report.is_clean(), "repaired session must audit clean: {report}");
-        assert!(sys.lease_stats().reconciles(sys.live_lease_count() as u64));
-    }
-
-    #[test]
-    fn abandon_repair_settles_ticket_and_frees_books() {
-        let mut sys = build_system(42, 30);
-        sys.set_repair_accounting(true);
-        let auditor = crate::audit::SystemAuditor::default();
-        let (request, composition) = repairable_request_and_composition(&mut sys);
-        let c1 = composition.assignment[1];
-        let sid = sys.commit_session(&request, composition).expect("qualified");
-        sys.crash_component_degrading(c1, SimTime::from_secs(5));
-        assert!(sys.abandon_repair(sid));
-        assert_eq!(sys.session_count(), 0);
-        let ledger = sys.repair_ledger();
-        assert_eq!(ledger.abandoned, 1);
-        assert_eq!(ledger.cancelled, 0, "abandon must not double-settle via the close hook");
-        assert!(ledger.reconciles());
-        let report = auditor.audit(&sys);
-        assert!(report.is_clean(), "{report}");
-        let _ = request;
-    }
-
-    #[test]
-    fn closing_a_degraded_session_cancels_its_ticket() {
-        let mut sys = build_system(43, 30);
-        sys.set_repair_accounting(true);
-        let (request, composition) = repairable_request_and_composition(&mut sys);
-        let c1 = composition.assignment[1];
-        let sid = sys.commit_session(&request, composition).expect("qualified");
-        sys.crash_component_degrading(c1, SimTime::from_secs(5));
-        assert!(sys.close_session(sid));
-        let ledger = sys.repair_ledger();
-        assert_eq!((ledger.cancelled, ledger.abandoned), (1, 0));
-        assert!(ledger.reconciles());
-        let _ = request;
-    }
-
-    /// Regression: a component crash while a two-phase setup holds a
-    /// transient lease on it must reclaim that lease — before the fix,
-    /// `crash_component` undeployed the component but left its node
-    /// leases live, leaking reserved capacity forever.
-    #[test]
-    fn crash_reclaims_in_flight_transient_leases() {
-        let mut sys = build_system(44, 30);
-        sys.set_lease_accounting(true);
-        let (request, composition) = request_and_composition(&mut sys);
-        let comp = composition.assignment[0];
-        let probe = RequestId(77);
-        assert!(sys.reserve_component_transient(
-            probe,
-            comp,
-            ResourceVector::new(0.5, 2.0),
-            SimTime::from_secs(60),
-        ));
-        assert_eq!(sys.node(comp.node).transient_count(), 1);
-        let orphaned = sys.crash_component(comp);
-        assert!(orphaned.is_empty());
-        assert_eq!(
-            sys.node(comp.node).transient_count(),
-            0,
-            "crash must reclaim the in-flight transient lease"
-        );
-        assert!(sys.node(comp.node).transient_total().is_zero());
-        assert!(sys.lease_stats().reconciles(sys.live_lease_count() as u64));
-        let report = crate::audit::SystemAuditor::default().audit_at(&sys, Some(SimTime::from_secs(0)));
-        assert!(report.is_clean(), "{report}");
-        let _ = request;
     }
 
     #[test]

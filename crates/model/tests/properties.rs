@@ -1,7 +1,7 @@
 //! Property-based tests for the system model.
 
 use acp_model::prelude::*;
-use acp_simcore::SimDuration;
+use acp_simcore::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 proptest! {
@@ -222,12 +222,12 @@ mod lease_reconciliation {
                         if pick % 2 == 0 {
                             let v = OverlayNodeId(pick as u32 % sys.node_count() as u32);
                             if !sys.is_node_failed(v) {
-                                sys.fail_node(v);
+                                sys.fail_node(v, RepairPolicy::Terminate, SimTime::ZERO);
                                 sys.recover_node(v);
                             }
                         } else {
                             let l = OverlayLinkId(pick as u32 % sys.overlay().link_count() as u32);
-                            sys.fail_link(l);
+                            sys.fail_link(l, RepairPolicy::Terminate, SimTime::ZERO);
                             sys.restore_link(l);
                         }
                     }
@@ -355,18 +355,18 @@ mod lease_directory {
                     if self.sys.is_node_failed(v) {
                         0
                     } else {
-                        let orphaned = self.sys.fail_node(v).1.len();
+                        let orphaned = self.sys.fail_node(v, RepairPolicy::Terminate, SimTime::ZERO).1.orphaned.len();
                         self.sys.recover_node(v);
                         orphaned
                     }
                 }
                 8 => {
                     let l = OverlayLinkId((pick % self.sys.link_count()) as u32);
-                    let orphaned = self.sys.fail_link(l).len();
+                    let orphaned = self.sys.fail_link(l, RepairPolicy::Terminate, SimTime::ZERO).orphaned.len();
                     self.sys.restore_link(l);
                     orphaned
                 }
-                9 => self.component(pick).map_or(0, |c| self.sys.crash_component(c).len()),
+                9 => self.component(pick).map_or(0, |c| self.sys.crash_component(c, RepairPolicy::Terminate, SimTime::ZERO).orphaned.len()),
                 10 => match self.component(pick) {
                     Some(c) => usize::from(self.sys.migrate_component(c, self.node(pick / 3)).is_ok()),
                     None => 0,
@@ -445,7 +445,7 @@ mod lease_directory {
             let request = s.request_spec.clone();
             let (c0, c1, c2) =
                 (s.composition.assignment[0], s.composition.assignment[1], s.composition.assignment[2]);
-            if !sys.crash_component_degrading(c1, self.now).degraded.contains(&sid) {
+            if !sys.crash_component(c1, RepairPolicy::Repair, self.now).degraded.contains(&sid) {
                 return 1;
             }
             let mid = request.graph.function(1);
@@ -711,7 +711,7 @@ mod tenant_isolation {
                     3 => {
                         let v = OverlayNodeId(pick as u32 % sys.node_count() as u32);
                         if !sys.is_node_failed(v) {
-                            sys.fail_node(v);
+                            sys.fail_node(v, RepairPolicy::Terminate, SimTime::ZERO);
                             sys.recover_node(v);
                         }
                     }
@@ -721,7 +721,7 @@ mod tenant_isolation {
                         let cands: Vec<ComponentId> =
                             sys.node(v).components().map(|c| c.id).collect();
                         if !cands.is_empty() {
-                            sys.crash_component(cands[pick % cands.len()]);
+                            sys.crash_component(cands[pick % cands.len()], RepairPolicy::Terminate, SimTime::ZERO);
                         }
                     }
                     // Preempt: reclaim a best-effort session the way

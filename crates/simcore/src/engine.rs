@@ -80,11 +80,6 @@ impl<M: Model> Simulation<M> {
         &self.model
     }
 
-    /// Exclusive access to the model.
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
     /// Exclusive access to the event queue (e.g. to seed initial events).
     pub fn queue_mut(&mut self) -> &mut EventQueue<M::Event> {
         &mut self.queue

@@ -146,11 +146,6 @@ impl WindowedCounter {
         self.window_start
     }
 
-    /// Attempts recorded in the current open window.
-    pub fn attempts_in_window(&self) -> u64 {
-        self.attempts
-    }
-
     /// Success rate over the counter's whole lifetime.
     pub fn lifetime_rate(&self) -> Option<f64> {
         if self.total_attempts == 0 {

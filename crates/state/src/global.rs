@@ -458,6 +458,18 @@ impl GlobalStateBoard {
         }
     }
 
+    /// Publishes the half of the coarse state a fault made stale (see
+    /// [`StreamSystem::apply_fault`]): a node fault is the loudest
+    /// possible state variation and is visible at once, a link fault
+    /// runs an emergency aggregation round. Returns the messages sent.
+    pub fn publish(&mut self, system: &StreamSystem, stale: Option<StaleState>) -> u64 {
+        match stale {
+            Some(StaleState::Nodes) => self.refresh_nodes(system),
+            Some(StaleState::Links) => self.aggregate_links(system),
+            None => 0,
+        }
+    }
+
     /// One virtual-link aggregation round (long interval, paper: 10 min):
     /// nodes report overlay links whose bandwidth moved beyond the
     /// threshold to the current aggregation node (one message per changed
@@ -868,7 +880,7 @@ mod tests {
         assert_eq!(board.candidate_index(), &board.rebuilt_index(&sys), "after republish");
         assert_rows_self_contained(&board, &sys);
         let failed = OverlayNodeId(3);
-        sys.fail_node(failed);
+        sys.fail_node(failed, RepairPolicy::Terminate, acp_simcore::SimTime::ZERO);
         let mover = sys
             .registry()
             .ids()

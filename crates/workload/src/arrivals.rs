@@ -70,18 +70,20 @@ impl RateSchedule {
         &self.segments
     }
 
-    /// Samples the next Poisson arrival after `now`. Returns `None` when
-    /// the rate at `now` is zero (no arrivals until the next segment — the
-    /// caller should re-poll at segment boundaries).
+    /// Samples the next Poisson arrival after `now`. In a zero-rate
+    /// segment nothing arrives until the next positive-rate segment, so
+    /// the draw is taken from that segment's start; `None` when no
+    /// positive rate follows. At a positive rate this is one exponential
+    /// inter-arrival from `now`, whatever the later segments say.
     pub fn next_arrival<R: Rng + ?Sized>(&self, now: SimTime, rng: &mut R) -> Option<SimTime> {
-        let rate = self.rate_at(now);
-        if rate <= 0.0 {
-            return None;
-        }
+        let (from, rate) = match self.rate_at(now) {
+            rate if rate > 0.0 => (now, rate),
+            _ => self.segments.iter().copied().find(|&(start, rate)| start > now && rate > 0.0)?,
+        };
         // Exponential inter-arrival with mean 1/rate minutes.
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
         let minutes = -u.ln() / rate;
-        Some(now + SimDuration::from_secs_f64(minutes * 60.0))
+        Some(from + SimDuration::from_secs_f64(minutes * 60.0))
     }
 }
 
@@ -127,12 +129,25 @@ mod tests {
         assert!((1_600..=2_000).contains(&count), "got {count}");
     }
 
+    /// A zero-rate segment yields no arrival of its own: the next one is
+    /// the first of the following live segment, drawn exactly as a call
+    /// at that segment's start would draw it.
     #[test]
-    fn zero_rate_yields_no_arrival() {
-        let s = RateSchedule::steps(vec![(SimTime::ZERO, 0.0), (SimTime::from_minutes(10), 5.0)]);
+    fn zero_rate_resumes_in_the_next_live_segment() {
+        let live = SimTime::from_minutes(10);
+        let s = RateSchedule::steps(vec![
+            (SimTime::ZERO, 0.0),
+            (SimTime::from_minutes(5), 0.0),
+            (live, 5.0),
+            (SimTime::from_minutes(20), 0.0),
+        ]);
+        let resumed = s.next_arrival(SimTime::from_minutes(1), &mut StdRng::seed_from_u64(2));
+        let direct = s.next_arrival(live, &mut StdRng::seed_from_u64(2));
+        assert!(resumed.is_some_and(|t| t > live));
+        assert_eq!(resumed, direct);
         let mut rng = StdRng::seed_from_u64(2);
-        assert!(s.next_arrival(SimTime::ZERO, &mut rng).is_none());
-        assert!(s.next_arrival(SimTime::from_minutes(10), &mut rng).is_some());
+        assert!(s.next_arrival(SimTime::from_minutes(25), &mut rng).is_none(), "nothing live follows");
+        assert!(RateSchedule::constant(0.0).next_arrival(SimTime::ZERO, &mut rng).is_none());
     }
 
     #[test]

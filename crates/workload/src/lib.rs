@@ -24,8 +24,11 @@ pub mod streaming;
 pub use arrivals::RateSchedule;
 pub use requests::{standard_universe, QosTier, RequestConfig, RequestGenerator, RequestTrace};
 pub use streaming::{Arrival, StreamingArrivals};
+// The policy argument of the model's fault operators; a scenario takes it
+// from its `repair` config.
+pub use acp_model::prelude::RepairPolicy;
 pub use scenario::{
-    build_system, run_scenario, session_digest, tier_index, ChurnConfig, RepairPolicy,
-    RepairScenarioConfig, ScenarioConfig, ScenarioResult, TenantPreemptionConfig, TenantSpec,
-    TenantsConfig, TierSummary, TIER_LABELS,
+    build_system, run_scenario, session_digest, tier_index, ChurnConfig, RepairScenarioConfig,
+    ScenarioConfig, ScenarioResult, TenantPreemptionConfig, TenantSpec, TenantsConfig, TierSummary,
+    TIER_LABELS,
 };

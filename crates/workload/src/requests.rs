@@ -167,7 +167,9 @@ impl RequestGenerator {
     }
 }
 
-fn sample<R: Rng + ?Sized>(rng: &mut R, (lo, hi): (f64, f64)) -> f64 {
+/// Uniform over `[lo, hi)`; a degenerate range is its one point and draws
+/// nothing.
+pub(crate) fn sample<R: Rng + ?Sized>(rng: &mut R, (lo, hi): (f64, f64)) -> f64 {
     if lo == hi {
         lo
     } else {

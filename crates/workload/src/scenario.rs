@@ -17,12 +17,12 @@ use acp_simcore::{
     WindowedCounter,
 };
 use acp_state::{GlobalStateBoard, GlobalStateConfig, ScanStats};
-use acp_topology::{InetConfig, Overlay, OverlayConfig, OverlayLinkId, OverlayNodeId};
+use acp_topology::{InetConfig, Overlay, OverlayConfig};
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::arrivals::RateSchedule;
-use crate::requests::{RequestConfig, RequestGenerator, RequestTrace};
+use crate::requests::{sample, RequestConfig, RequestGenerator, RequestTrace};
 
 /// Chaos (fault-injection) parameters for a scenario.
 ///
@@ -59,19 +59,6 @@ impl ChurnConfig {
     pub fn scaled(&self, churn: f64) -> Self {
         ChurnConfig { faults: self.faults.scaled(churn), ..self.clone() }
     }
-}
-
-/// What happens to a live session a fault breaks, under a repair-enabled
-/// scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RepairPolicy {
-    /// Splice a freshly probed replacement segment into the degraded
-    /// session in place, make-before-break (the tentpole arm).
-    Repair,
-    /// Terminate-and-restart baseline: the session is killed at fault
-    /// time and recomposed from scratch after the same detection
-    /// latency, so MTTR is measured identically in both arms.
-    Terminate,
 }
 
 /// Live-repair knob for a churn scenario.
@@ -341,6 +328,54 @@ impl ScenarioConfig {
             ..ScenarioConfig::default()
         }
     }
+
+    /// Checks, before anything is built, every precondition the run
+    /// would otherwise trip over deep inside a crate — or never: a zero
+    /// period re-schedules its event at `now + 0` without end.
+    ///
+    /// # Errors
+    ///
+    /// The first violated precondition, in words.
+    pub fn validate(&self) -> Result<(), String> {
+        let positive = |period: SimDuration| period > SimDuration::ZERO;
+        let preemption = self.tenants.as_ref().and_then(|t| t.preemption);
+        let checks = [
+            (self.stream_nodes >= 2, "stream_nodes: need at least two stream nodes"),
+            (self.overlay_neighbors >= 1, "overlay_neighbors: need at least one neighbour per node"),
+            (self.ip_nodes >= self.stream_nodes, "ip_nodes: IP graph smaller than the overlay"),
+            (self.functions >= 12, "functions: the template library needs at least 12"),
+            (positive(self.sampling_period), "sampling_period must be positive"),
+            (positive(self.local_refresh), "local_refresh must be positive"),
+            (positive(self.aggregation_interval), "aggregation_interval must be positive"),
+            (
+                self.churn.as_ref().and_then(|c| c.rebalance_interval).is_none_or(positive),
+                "churn.rebalance_interval must be positive",
+            ),
+            (preemption.is_none_or(|p| positive(p.interval)), "tenants.preemption.interval must be positive"),
+            (
+                self.system.components_per_node.0 <= self.system.components_per_node.1,
+                "system.components_per_node is an inverted range",
+            ),
+            (
+                self.requests.session_minutes.0 <= self.requests.session_minutes.1,
+                "requests.session_minutes is an inverted range",
+            ),
+            (
+                self.tenants.as_ref().is_none_or(|t| {
+                    !t.tenants.is_empty() && t.tenants.iter().all(|spec| spec.weight > 0.0)
+                }),
+                "tenants: need at least one tenant, all with positive weights",
+            ),
+            (
+                self.tuner.is_none() || self.controller.is_none(),
+                "tuner and controller are mutually exclusive",
+            ),
+        ];
+        match checks.iter().find(|(holds, _)| !holds) {
+            Some((_, why)) => Err((*why).to_string()),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Aggregated results of one run.
@@ -532,10 +567,6 @@ struct ChurnState {
     /// `due` is always `failed_at + failover_delay`; repair-enabled runs
     /// substitute the sampled detection latency.
     pending: Vec<(SimTime, SimTime, Request)>,
-    /// Per-overlay-link count of live partitions holding the link down.
-    /// A `LinkRestore` is deferred while its link's count is positive;
-    /// a `PartitionHeal` restores crossing links whose count drops to 0.
-    partition_refs: Vec<u32>,
     rebalancer: Rebalancer,
     fault_events: usize,
     fault_kinds: usize,
@@ -687,115 +718,23 @@ impl ScenarioModel {
         self.audit_digest = self.audit_digest.wrapping_mul(0x1_0000_0000_01b3);
     }
 
-    /// Applies one fault-plan event to the system. Victim indices are
-    /// taken modulo the live entity counts so a plan generated for any
-    /// topology replays cleanly.
+    /// Replays one fault-plan event through [`StreamSystem::apply_fault`]
+    /// and keeps what is the scenario's own: publishing the stale half
+    /// of the board, the detection draw, ticket opening, and scheduling
+    /// the two sweeps.
     ///
     /// Without a repair config, struck sessions are killed and queued
-    /// for the failover sweep `failover_delay` later — exactly the
-    /// pre-repair behaviour. Under [`RepairPolicy::Repair`], path
-    /// sessions are *degraded in place* through the make-before-break
-    /// operators and queued for a repair sweep after the sampled
-    /// detection latency; non-path sessions (and every session under
+    /// for the failover sweep `failover_delay` later. Under
+    /// [`RepairPolicy::Repair`], path sessions are *degraded in place*
+    /// and queued for a repair sweep after the sampled detection
+    /// latency; non-path sessions (and every session under
     /// [`RepairPolicy::Terminate`]) still die, but get a repair ticket
     /// so MTTR and survival are measured identically in both arms.
     fn apply_fault(&mut self, now: SimTime, kind: FaultKind, queue: &mut EventQueue<Event>) {
-        let node_count = self.system.node_count() as u32;
-        let link_count = self.system.overlay().link_count() as u32;
-        let repair_in_place =
-            self.repair.as_ref().is_some_and(|r| r.config.policy == RepairPolicy::Repair);
-        let mut orphaned: Vec<Request> = Vec::new();
-        let mut degraded: Vec<SessionId> = Vec::new();
-        match kind {
-            FaultKind::NodeFail { node } => {
-                let v = OverlayNodeId(node % node_count);
-                if !self.system.is_node_failed(v) {
-                    if repair_in_place {
-                        let (_, outcome) = self.system.fail_node_degrading(v, now);
-                        degraded = outcome.degraded;
-                        orphaned = outcome.orphaned;
-                    } else {
-                        let (_, victims) = self.system.fail_node(v);
-                        orphaned = victims;
-                    }
-                    self.overhead.state_update_messages += self.board.refresh_nodes(&self.system);
-                }
-            }
-            FaultKind::NodeRecover { node } => {
-                let v = OverlayNodeId(node % node_count);
-                if self.system.is_node_failed(v) {
-                    self.system.recover_node(v);
-                    self.overhead.state_update_messages += self.board.refresh_nodes(&self.system);
-                }
-            }
-            FaultKind::LinkFail { link } => {
-                if link_count > 0 {
-                    let l = OverlayLinkId(link % link_count);
-                    if !self.system.is_link_failed(l) {
-                        if repair_in_place {
-                            let outcome = self.system.fail_link_degrading(l, now);
-                            degraded = outcome.degraded;
-                            orphaned = outcome.orphaned;
-                        } else {
-                            orphaned = self.system.fail_link(l);
-                        }
-                        self.overhead.state_update_messages +=
-                            self.board.aggregate_links(&self.system);
-                    }
-                }
-            }
-            FaultKind::LinkDegrade { link, factor } => {
-                if link_count > 0 {
-                    let l = OverlayLinkId(link % link_count);
-                    if repair_in_place {
-                        let outcome = self.system.degrade_link_degrading(l, factor, now);
-                        degraded = outcome.degraded;
-                        orphaned = outcome.orphaned;
-                    } else {
-                        orphaned = self.system.degrade_link(l, factor);
-                    }
-                    self.overhead.state_update_messages += self.board.aggregate_links(&self.system);
-                }
-            }
-            FaultKind::LinkRestore { link } => {
-                if link_count > 0 {
-                    let l = OverlayLinkId(link % link_count);
-                    // A live partition still holds the link down; its
-                    // heal event will restore it.
-                    let held = self
-                        .churn
-                        .as_ref()
-                        .is_some_and(|c| c.partition_refs.get(l.index()).is_some_and(|&r| r > 0));
-                    if !held {
-                        self.system.restore_link(l);
-                        self.overhead.state_update_messages +=
-                            self.board.aggregate_links(&self.system);
-                    }
-                }
-            }
-            FaultKind::ComponentCrash { node, ordinal } => {
-                let v = OverlayNodeId(node % node_count);
-                let live: Vec<ComponentId> =
-                    self.system.node(v).components().map(|c| c.id).collect();
-                if !live.is_empty() {
-                    let id = live[(ordinal % live.len() as u64) as usize];
-                    if repair_in_place {
-                        let outcome = self.system.crash_component_degrading(id, now);
-                        degraded = outcome.degraded;
-                        orphaned = outcome.orphaned;
-                    } else {
-                        orphaned = self.system.crash_component(id);
-                    }
-                    self.overhead.state_update_messages += self.board.refresh_nodes(&self.system);
-                }
-            }
-            FaultKind::Partition { first, count } => {
-                self.apply_partition(now, first, count, repair_in_place, &mut degraded, &mut orphaned);
-            }
-            FaultKind::PartitionHeal { first, count } => {
-                self.heal_partition(first, count);
-            }
-        }
+        let policy = self.repair.as_ref().map_or(RepairPolicy::Terminate, |r| r.config.policy);
+        let fault = self.system.apply_fault(kind, policy, now);
+        self.overhead.state_update_messages += self.board.publish(&self.system, fault.stale);
+        let DegradeOutcome { degraded, orphaned } = fault.broken;
         if orphaned.is_empty() && degraded.is_empty() {
             return;
         }
@@ -812,7 +751,7 @@ impl ScenarioModel {
         if let Some(repair) = self.repair.as_mut() {
             // Killed sessions get restart tickets *after* the kill (so
             // the close hook cannot cancel them); degraded sessions had
-            // theirs opened by the degrading operator itself.
+            // theirs opened by the fault operator itself.
             for request in &orphaned {
                 self.system.repair_ledger_mut().open_ticket(request.id, now);
             }
@@ -824,98 +763,6 @@ impl ScenarioModel {
         if !orphaned.is_empty() {
             churn.pending.extend(orphaned.into_iter().map(|r| (due, now, r)));
             queue.schedule(due, Event::FailoverSweep);
-        }
-    }
-
-    /// Severs every overlay link with exactly one endpoint inside the
-    /// (clamped) contiguous range `first..first+count`, bumping each
-    /// link's partition refcount. Already-failed links just gain a
-    /// reference — severing is idempotent.
-    fn apply_partition(
-        &mut self,
-        now: SimTime,
-        first: u32,
-        count: u32,
-        repair_in_place: bool,
-        degraded: &mut Vec<SessionId>,
-        orphaned: &mut Vec<Request>,
-    ) {
-        let node_count = self.system.node_count() as u32;
-        if node_count == 0 || count == 0 {
-            return;
-        }
-        let first = first.min(node_count);
-        let hi = first.saturating_add(count).min(node_count);
-        let inside = |n: OverlayNodeId| n.0 >= first && n.0 < hi;
-        let crossing: Vec<OverlayLinkId> = self
-            .system
-            .overlay()
-            .links()
-            .filter(|&l| {
-                let (a, b) = self.system.overlay().link_endpoints(l);
-                inside(a) != inside(b)
-            })
-            .collect();
-        let mut touched = false;
-        for l in crossing {
-            if let Some(churn) = self.churn.as_mut() {
-                churn.partition_refs[l.index()] += 1;
-            }
-            if !self.system.is_link_failed(l) {
-                if repair_in_place {
-                    let outcome = self.system.fail_link_degrading(l, now);
-                    degraded.extend(outcome.degraded);
-                    orphaned.extend(outcome.orphaned);
-                } else {
-                    orphaned.extend(self.system.fail_link(l));
-                }
-                touched = true;
-            }
-        }
-        if touched {
-            self.overhead.state_update_messages += self.board.aggregate_links(&self.system);
-        }
-    }
-
-    /// Heals a partition cut: drops each crossing link's refcount and
-    /// restores the links no partition holds any more. A link an
-    /// individual `LinkFail` also downed comes back here too — the cut
-    /// healing re-establishes the forwarding plane — and its later
-    /// `LinkRestore` is then a no-op.
-    fn heal_partition(&mut self, first: u32, count: u32) {
-        let node_count = self.system.node_count() as u32;
-        if node_count == 0 || count == 0 {
-            return;
-        }
-        let first = first.min(node_count);
-        let hi = first.saturating_add(count).min(node_count);
-        let inside = |n: OverlayNodeId| n.0 >= first && n.0 < hi;
-        let crossing: Vec<OverlayLinkId> = self
-            .system
-            .overlay()
-            .links()
-            .filter(|&l| {
-                let (a, b) = self.system.overlay().link_endpoints(l);
-                inside(a) != inside(b)
-            })
-            .collect();
-        let mut touched = false;
-        for l in crossing {
-            let free = match self.churn.as_mut() {
-                Some(churn) => {
-                    let refs = &mut churn.partition_refs[l.index()];
-                    *refs = refs.saturating_sub(1);
-                    *refs == 0
-                }
-                None => true,
-            };
-            if free && self.system.is_link_failed(l) {
-                self.system.restore_link(l);
-                touched = true;
-            }
-        }
-        if touched {
-            self.overhead.state_update_messages += self.board.aggregate_links(&self.system);
         }
     }
 
@@ -1109,8 +956,8 @@ impl Model for ScenarioModel {
                             if self.repair.is_some() {
                                 self.system.repair_ledger_mut().record_restored(request.id, now);
                             }
-                            let (lo, hi) = self.config.requests.session_minutes;
-                            let minutes = churn.rng.gen_range(lo..hi);
+                            let minutes =
+                                sample(&mut churn.rng, self.config.requests.session_minutes);
                             let end = now + SimDuration::from_secs_f64(minutes * 60.0);
                             queue.schedule(end, Event::SessionEnd(sid));
                         }
@@ -1313,7 +1160,15 @@ pub fn build_system(config: &ScenarioConfig) -> (StreamSystem, GlobalStateBoard,
 }
 
 /// Runs one scenario to completion and reports the paper's measurements.
+///
+/// # Panics
+///
+/// Panics with the message of [`ScenarioConfig::validate`] when the
+/// configuration cannot run.
 pub fn run_scenario(config: ScenarioConfig) -> ScenarioResult {
+    if let Err(why) = config.validate() {
+        panic!("invalid scenario config: {why}");
+    }
     let (mut system, board, library) = build_system(&config);
     // The lease ledger (and the audit pass keyed off it) only means
     // anything when lease lifetimes can exist: the two-phase setup path,
@@ -1326,14 +1181,10 @@ pub fn run_scenario(config: ScenarioConfig) -> ScenarioResult {
     // And the repair ledger with its own audit pass.
     system.set_repair_accounting(config.repair.is_some());
     let streams = DeterministicRng::new(config.seed);
-    let workload_rng = streams.stream("workload");
+    let mut workload_rng = streams.stream("workload");
     let composer_seed = streams.seed_for("composer");
     let replay_seed = streams.seed_for("replay");
 
-    assert!(
-        config.tuner.is_none() || config.controller.is_none(),
-        "profiling tuner and PI controller are mutually exclusive"
-    );
     // The setup mode is picked here, once: without a setup config the
     // probing composers are monomorphized over `SinglePhase` and the
     // two-phase machinery is compiled out of the run entirely. The
@@ -1382,7 +1233,6 @@ pub fn run_scenario(config: ScenarioConfig) -> ScenarioResult {
             scheduler: plan.into_scheduler(),
             rng: streams.stream("churn"),
             pending: Vec::new(),
-            partition_refs: vec![0; system.overlay().link_count()],
             rebalancer: Rebalancer::new(RebalanceConfig::default()),
             sessions_killed: 0,
             sessions_recovered: 0,
@@ -1419,13 +1269,11 @@ pub fn run_scenario(config: ScenarioConfig) -> ScenarioResult {
     // arrival. The assignment stream is label-derived, so enabling
     // tenancy never perturbs the arrival or fault streams.
     let tenants = config.tenants.clone().map(|tenants_config| {
-        assert!(!tenants_config.tenants.is_empty(), "tenanted run needs at least one tenant");
         let mut bindings = Vec::with_capacity(tenants_config.tenants.len());
         let mut cumulative_weights = Vec::with_capacity(tenants_config.tenants.len());
         let mut admission = AdmissionController::new(tenants_config.admission);
         let mut acc = 0.0;
         for (i, spec) in tenants_config.tenants.iter().enumerate() {
-            assert!(spec.weight > 0.0, "tenant weights must be positive");
             let id = TenantId(i as u32);
             system.register_tenant(id, spec.tier);
             bindings.push(TenantBinding { tenant: id, tier: spec.tier });
@@ -1448,6 +1296,14 @@ pub fn run_scenario(config: ScenarioConfig) -> ScenarioResult {
             config: tenants_config,
         }
     });
+
+    // The arrival chain opens 1 µs in; a schedule that opens at rate zero
+    // opens it with the first arrival of its first live segment instead.
+    let first_arrival = if config.schedule.rate_at(SimTime::ZERO) > 0.0 {
+        Some(SimTime::ZERO + SimDuration::from_micros(1))
+    } else {
+        config.schedule.next_arrival(SimTime::ZERO, &mut workload_rng)
+    };
 
     let model = ScenarioModel {
         system,
@@ -1487,7 +1343,9 @@ pub fn run_scenario(config: ScenarioConfig) -> ScenarioResult {
     let tenant_interval =
         model.tenants.as_ref().and_then(|t| t.config.preemption.map(|p| p.interval));
     let mut sim = Simulation::new(model);
-    sim.queue_mut().schedule(SimTime::ZERO + SimDuration::from_micros(1), Event::Arrival);
+    if let Some(t) = first_arrival {
+        sim.queue_mut().schedule(t, Event::Arrival);
+    }
     sim.queue_mut().schedule(SimTime::ZERO + sampling, Event::Sample);
     sim.queue_mut().schedule(SimTime::ZERO + local_refresh, Event::LocalRefresh);
     sim.queue_mut().schedule(SimTime::ZERO + aggregation, Event::Aggregate);
@@ -2035,6 +1893,88 @@ mod tests {
         assert_eq!(result.leases_leaked, 0);
         let again = make(16);
         assert_eq!(result.chaos_digest(), again.chaos_digest(), "partitions replay deterministically");
+    }
+
+    /// Regression: a zero period used to re-schedule its event at
+    /// `now + 0` for ever (or, for `sampling_period`, panic deep inside
+    /// `WindowedCounter`); `validate` now names it before anything runs.
+    #[test]
+    fn validate_names_the_broken_precondition() {
+        assert_eq!(ScenarioConfig::small(3).validate(), Ok(()));
+        assert_eq!(ScenarioConfig::default().validate(), Ok(()));
+        let rejects = |what: &str, breakage: fn(&mut ScenarioConfig)| {
+            let mut config = ScenarioConfig::small(3);
+            config.churn = Some(ChurnConfig::default());
+            config.tenants = Some(TenantsConfig::standard_mix());
+            breakage(&mut config);
+            let why = config.validate().expect_err(what);
+            assert!(why.contains(what), "{what}: {why}");
+        };
+        rejects("local_refresh", |c| c.local_refresh = SimDuration::ZERO);
+        rejects("sampling_period", |c| c.sampling_period = SimDuration::ZERO);
+        rejects("aggregation_interval", |c| c.aggregation_interval = SimDuration::ZERO);
+        rejects("rebalance_interval", |c| {
+            c.churn.as_mut().unwrap().rebalance_interval = Some(SimDuration::ZERO)
+        });
+        rejects("preemption.interval", |c| {
+            c.tenants.as_mut().unwrap().preemption.as_mut().unwrap().interval = SimDuration::ZERO
+        });
+        rejects("stream_nodes", |c| c.stream_nodes = 1);
+        rejects("overlay_neighbors", |c| c.overlay_neighbors = 0);
+        rejects("ip_nodes", |c| c.ip_nodes = c.stream_nodes - 1);
+        rejects("functions", |c| c.functions = 11);
+        rejects("components_per_node", |c| c.system.components_per_node = (4, 3));
+        rejects("session_minutes", |c| c.requests.session_minutes = (6.0, 5.0));
+        rejects("tenants", |c| c.tenants.as_mut().unwrap().tenants.clear());
+        rejects("tenants", |c| c.tenants.as_mut().unwrap().tenants[1].weight = 0.0);
+        rejects("mutually exclusive", |c| {
+            c.tuner = Some(TunerConfig::default());
+            c.controller = Some(PiControllerConfig::default());
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid scenario config: local_refresh must be positive")]
+    fn run_scenario_refuses_an_invalid_config() {
+        run_scenario(ScenarioConfig { local_refresh: SimDuration::ZERO, ..ScenarioConfig::small(3) });
+    }
+
+    /// Regression: the failover sweep drew a recovered session's length
+    /// with its own `gen_range(lo..hi)`, which panics on the degenerate
+    /// range the request generator accepts.
+    #[test]
+    fn fixed_session_length_survives_churn() {
+        let mut config = ScenarioConfig::small(9);
+        config.requests.session_minutes = (5.0, 5.0);
+        config.churn = Some(ChurnConfig::default());
+        let result = run_scenario(config);
+        assert!(result.sessions_recovered > 0, "the sweep must have drawn a session length");
+        assert_eq!(result.audit_violations, 0);
+    }
+
+    /// Regression: the first arrival used to be unconditional and a
+    /// zero-rate segment ended the arrival chain for good.
+    #[test]
+    fn arrivals_follow_the_schedule_through_zero_rate_segments() {
+        let run = |schedule| run_scenario(ScenarioConfig { schedule, ..ScenarioConfig::small(5) });
+        let silent = run(RateSchedule::constant(0.0));
+        assert_eq!((silent.total_requests, silent.final_sessions), (0, 0));
+        assert_eq!(silent.audit_violations, 0);
+        // 20 simulated minutes: quiet, then 30 req/min from minute 5 to
+        // minute 10, then quiet again.
+        let burst = run(RateSchedule::steps(vec![
+            (SimTime::ZERO, 0.0),
+            (SimTime::from_minutes(5), 30.0),
+            (SimTime::from_minutes(10), 0.0),
+            (SimTime::from_minutes(15), 0.0),
+        ]));
+        assert!((100..=200).contains(&burst.total_requests), "≈ 150 arrivals, got {}", burst.total_requests);
+        // A window without attempts records no sample: the first is the
+        // 5–10 min window's, and at most the one arrival drawn before
+        // minute 10 that lands after it follows.
+        let samples = burst.success_series.samples();
+        assert_eq!(samples[0].0, SimTime::from_minutes(10), "{samples:?}");
+        assert!(samples.len() <= 2, "{samples:?}");
     }
 
     #[test]

@@ -34,10 +34,10 @@ pub struct Arrival {
 /// Lazy Poisson arrival stream over a piecewise-constant rate schedule.
 ///
 /// The internal clock starts at `t = 0` and advances monotonically with
-/// every sampled arrival; zero-rate segments are skipped by jumping to
-/// the next segment boundary (the re-poll [`RateSchedule::next_arrival`]
-/// documents). The stream itself is unbounded whenever some suffix of
-/// the schedule has positive rate — callers bound it with a horizon
+/// every sampled arrival; zero-rate segments are skipped (see
+/// [`RateSchedule::next_arrival`]). The stream itself is unbounded
+/// whenever some suffix of the schedule has positive rate — callers
+/// bound it with a horizon
 /// ([`next_before`](StreamingArrivals::next_before)) or an epoch batch
 /// ([`fill_epoch`](StreamingArrivals::fill_epoch)).
 #[derive(Debug, Clone)]
@@ -63,34 +63,12 @@ impl StreamingArrivals {
         self.generator.generated()
     }
 
-    /// The underlying generator (e.g. for QoS-tier sweeps).
-    pub fn generator_mut(&mut self) -> &mut RequestGenerator {
-        &mut self.generator
-    }
-
     /// Samples the next arrival strictly before `horizon`, advancing the
     /// clock. Returns `None` — leaving the clock and RNG untouched by any
     /// request draw — when the next arrival lands at or past the horizon
     /// or the remaining schedule is all zero-rate.
     pub fn next_before<R: Rng + ?Sized>(&mut self, horizon: SimTime, rng: &mut R) -> Option<Arrival> {
-        let at = loop {
-            match self.schedule.next_arrival(self.now, rng) {
-                Some(t) => break t,
-                // Zero rate here: hop to the next segment boundary, if any.
-                None => {
-                    let next_start = self
-                        .schedule
-                        .segments()
-                        .iter()
-                        .map(|&(start, _)| start)
-                        .find(|&start| start > self.now)?;
-                    if next_start >= horizon {
-                        return None;
-                    }
-                    self.now = next_start;
-                }
-            }
-        };
+        let at = self.schedule.next_arrival(self.now, rng)?;
         if at >= horizon {
             return None;
         }

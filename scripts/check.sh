@@ -32,7 +32,10 @@ step "cargo clippy --workspace --all-targets -- -D warnings" \
     cargo clippy --workspace --all-targets -- -D warnings
 
 # The workspace run above already executes the determinism, equivalence,
-# chaos, failover, model-property and tenant suites.
+# chaos, failover, model-property and tenant suites, the golden scenario
+# digests (crates/workload/tests/golden.rs, with the Fig. 6 anchor in
+# crates/bench/tests/determinism.rs) and the feature cross-product fuzz
+# (crates/workload/tests/fuzz.rs).
 
 # The benchmark package is its own workspace and may not be edited by a
 # change that claims a gain; its tests compile every import of

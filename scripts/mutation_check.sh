@@ -1,20 +1,22 @@
 #!/usr/bin/env bash
-# Shows that the differential oracles have teeth. Each suite names a
-# kernel file, the oracle test that compares it against its reference,
-# and mutations of the kernel; every mutation is seeded into a copy, one
-# at a time, and the oracle must pass on the pristine copy and fail on
-# every mutant.
+# Shows that the oracles have teeth. Each suite names a kernel file, the
+# oracle test that pins it (a differential test against a reference, or
+# the golden digests), and mutations of the kernel; every mutation is
+# seeded into a copy, one at a time, and the oracle must pass on the
+# pristine copy and fail on every mutant.
 #
-#   scripts/mutation_check.sh [selection|optimal] [WORKDIR]
+#   scripts/mutation_check.sh [selection|optimal|faults] [WORKDIR]
 #
-# No suite name runs both; WORKDIR defaults to target/mutation-check.
+# No suite name runs all three; WORKDIR defaults to target/mutation-check.
 # The repository itself is never edited; the copy and its cargo target
 # directory live under WORKDIR.
 set -euo pipefail
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 
-# kernel | oracle | mutants, each 'name|sed expression'
+# kernel | test target | oracle (test-name filter) | mutants, each
+# 'name|sed expression'
 selection_kernel=crates/core/src/selection.rs
+selection_target='-p acp-core --lib'
 selection_oracle=selection::tests::differential::kernel_matches_the_reference_loop
 selection_mutants=(
     'skipped stale check|s/^    if retired {$/    if false \&\& retired {/'
@@ -26,15 +28,27 @@ selection_mutants=(
 # every incoming edge instead of its tree edge alone (double counting,
 # on DAGs only).
 optimal_kernel=crates/core/src/optimal.rs
+optimal_target='-p acp-core --lib'
 optimal_oracle=optimal::tests::matches_the_reference_search
 optimal_mutants=(
     'max over successors in the to-go bound|s/^                    let mut cheapest = f64::INFINITY;$/                    let mut cheapest = 0.0f64;/; s/cheapest = cheapest\.min(/cheapest = cheapest.max(/'
     'non-tree edge charged in both subtrees|s/^                let tree_edge = preds\[w\]\[0\]\.0 == e;$/                let tree_edge = true;/'
 )
+# The fault path has no reference twin; its oracle is the nine golden
+# scenario digests. The first mutant degrades path sessions whatever the
+# policy says (so plain failover leaves them broken for ever); the second
+# lets an individual restore re-open a link a live partition still holds.
+faults_kernel=crates/model/src/faults.rs
+faults_target='-p acp-workload --test golden'
+faults_oracle= # every test of the target
+faults_mutants=(
+    'policy ignored in the victim walk|s/^        if policy == RepairPolicy::Repair \&\& s\.request_spec\.graph\.is_path() {$/        if s.request_spec.graph.is_path() {/'
+    'partition refcount not consulted by LinkRestore|s/^                    let held = self\.partition_refs\.get(l\.index())\.is_some_and(|\&r| r > 0);$/                    let held = false;/'
+)
 
-suites=(selection optimal)
+suites=(selection optimal faults)
 case "${1:-}" in
-    selection | optimal)
+    selection | optimal | faults)
         suites=("$1")
         shift
         ;;
@@ -49,15 +63,17 @@ cd "$work/src"
 
 caught=0
 for suite in "${suites[@]}"; do
-    kernel_var="${suite}_kernel" oracle_var="${suite}_oracle" mutants_var="${suite}_mutants[@]"
+    kernel_var="${suite}_kernel" target_var="${suite}_target" oracle_var="${suite}_oracle"
+    mutants_var="${suite}_mutants[@]"
     kernel="${!kernel_var}" oracle="${!oracle_var}" mutants=("${!mutants_var}")
+    read -r -a target <<<"${!target_var}"
     cp "$kernel" "$work/kernel.pristine"
     # tar keeps the repository's mtimes; a reused WORKDIR may hold a newer
     # build of the last mutant, which cargo would take for fresh.
     touch "$kernel"
 
     oracle_passes() {
-        cargo test -q --offline -p acp-core --lib "$oracle" >"$work/last.log" 2>&1
+        cargo test -q --offline "${target[@]}" ${oracle:+"$oracle"} >"$work/last.log" 2>&1
     }
 
     echo "==> pristine $kernel: the oracle must pass"

@@ -13,7 +13,7 @@
 //! | [`simcore`] | deterministic discrete-event simulation substrate |
 //! | [`topology`] | power-law IP topology, overlay mesh, delay routing |
 //! | [`model`] | QoS/resource algebra, components, function graphs, system state |
-//! | [`state`] | hierarchical state management (precise local / coarse global) |
+//! | [`state`] | the coarse global state board (probes read precise state from the [`model`] directly) |
 //! | [`core`] | ACP protocol, probing-ratio tuning, and all baselines |
 //! | [`workload`] | request generation and end-to-end experiment scenarios |
 //!
@@ -48,8 +48,8 @@ pub use acp_workload as workload;
 pub mod prelude {
     pub use acp_core::prelude::*;
     pub use acp_model::prelude::*;
-    pub use acp_simcore::{DeterministicRng, SimDuration, SimTime, TimeSeries};
-    pub use acp_state::{GlobalStateBoard, GlobalStateConfig, LocalStateView};
+    pub use acp_simcore::{DeterministicRng, FaultKind, SimDuration, SimTime, TimeSeries};
+    pub use acp_state::{GlobalStateBoard, GlobalStateConfig};
     pub use acp_topology::{
         inet::InetConfig,
         overlay::{Overlay, OverlayConfig, OverlayLinkId, OverlayNodeId, OverlayPath},

@@ -1,6 +1,8 @@
 //! Failure-injection integration tests: fail-stop node and link
-//! failures, session failover, recovery, and post-failure invariants
-//! across the whole stack.
+//! failures, link degradation, partitions, session failover, recovery,
+//! and post-failure invariants across the whole stack — all through
+//! [`Middleware::handle_fault`], the same `StreamSystem::apply_fault`
+//! call a churn scenario replays its fault plan through.
 //!
 //! Invariant checking goes through [`SystemAuditor`] (via
 //! [`Middleware::audit`]): resource conservation, Eq. 2/4/5, board
@@ -17,7 +19,7 @@ fn failover_preserves_resource_conservation() {
     let (mut mw, _sessions) = loaded_middleware(91);
     let victim = OverlayNodeId(3);
 
-    let report = mw.handle_node_failure(victim, SimTime::from_secs(5));
+    let report = mw.handle_fault(FaultKind::NodeFail { node: victim.0 }, SimTime::from_secs(5));
     assert_audit_clean(&mw, "node failure");
 
     // Close everything that remains; the auditor's conservation checks
@@ -42,7 +44,7 @@ fn recovered_sessions_are_fully_functional() {
         .flat_map(|s| s.composition.assignment.iter().map(|c| c.node))
         .next()
         .expect("sessions exist");
-    let report = mw.handle_node_failure(victim, SimTime::from_secs(1));
+    let report = mw.handle_fault(FaultKind::NodeFail { node: victim.0 }, SimTime::from_secs(1));
     for &(_, sid) in &report.recovered {
         let processed = mw.process(sid, 500).expect("recovered session processes");
         assert!(processed.expected_units_out > 0.0);
@@ -56,7 +58,7 @@ fn cascading_failures_degrade_gracefully() {
     let nodes: Vec<OverlayNodeId> = mw.system().overlay().nodes().take(10).collect();
     let mut lost_total = 0;
     for (i, v) in nodes.into_iter().enumerate() {
-        let report = mw.handle_node_failure(v, SimTime::from_secs(i as u64 + 1));
+        let report = mw.handle_fault(FaultKind::NodeFail { node: v.0 }, SimTime::from_secs(i as u64 + 1));
         lost_total += report.lost.len();
         // Every invariant holds after every failure.
         assert_eq!(mw.system().node(v).component_count(), 0);
@@ -84,7 +86,7 @@ fn board_reflects_failure_immediately() {
     let components_before: Vec<ComponentId> =
         mw.system().node(victim).components().map(|c| c.id).collect();
     assert!(!components_before.is_empty());
-    mw.handle_node_failure(victim, SimTime::ZERO);
+    mw.handle_fault(FaultKind::NodeFail { node: victim.0 }, SimTime::ZERO);
     // Coarse board: zero availability, no component entries.
     assert_eq!(mw.board().node_available(victim), ResourceVector::ZERO);
     for c in components_before {
@@ -107,7 +109,7 @@ fn virtual_link_failure_fails_over_its_sessions() {
         mw.system().sessions().filter(|s| s.uses_link(victim)).count();
     assert!(using_before > 0);
 
-    let report = mw.handle_link_failure(victim, SimTime::from_secs(3));
+    let report = mw.handle_fault(FaultKind::LinkFail { link: victim.0 }, SimTime::from_secs(3));
     assert_eq!(
         report.recovered.len() + report.lost.len(),
         using_before,
@@ -119,9 +121,83 @@ fn virtual_link_failure_fails_over_its_sessions() {
     assert_audit_clean(&mw, "virtual link failure");
 
     // Restoring the link rejoins it to admission.
-    mw.handle_link_restore(victim);
+    mw.handle_fault(FaultKind::LinkRestore { link: victim.0 }, SimTime::from_secs(4));
     assert!(!mw.system().is_link_failed(victim));
     assert_audit_clean(&mw, "link restore");
+}
+
+#[test]
+fn link_degrade_sheds_the_newest_sessions_until_the_rest_fit() {
+    let (mut mw, _) = loaded_middleware(97);
+    // The link carrying the most committed bandwidth.
+    let victim = mw
+        .system()
+        .overlay()
+        .links()
+        .max_by(|&a, &b| mw.system().link_committed(a).total_cmp(&mw.system().link_committed(b)))
+        .expect("overlay has links");
+    let committed = mw.system().link_committed(victim);
+    assert!(committed > 0.0, "loaded middleware streams over some link");
+    let mut users: Vec<SessionId> =
+        mw.system().sessions().filter(|s| s.uses_link(victim)).map(|s| s.id).collect();
+    users.sort_unstable();
+
+    // Shrink the link to just under what it carries: at least the newest
+    // user must go, and eviction stops as soon as the rest fit.
+    let factor = 0.9 * committed / mw.system().link_capacity(victim);
+    let report = mw.handle_fault(FaultKind::LinkDegrade { link: victim.0, factor }, SimTime::from_secs(3));
+    let shed = report.recovered.len() + report.lost.len();
+    assert!((1..=users.len()).contains(&shed), "shed {shed} of {} users", users.len());
+    assert!(report.undeployed.is_empty());
+    let (kept, evicted) = users.split_at(users.len() - shed);
+    assert!(kept.iter().all(|&sid| mw.system().session(sid).is_some()), "older users keep streaming");
+    assert!(evicted.iter().all(|&sid| mw.system().session(sid).is_none()), "newest users went first");
+    assert!(!mw.system().is_link_failed(victim), "degraded, not failed");
+    assert!(mw.system().link_committed(victim) <= mw.system().link_capacity(victim) + 1e-9);
+    assert_audit_clean(&mw, "link degrade");
+
+    mw.handle_fault(FaultKind::LinkRestore { link: victim.0 }, SimTime::from_secs(4));
+    assert_eq!(mw.board().link_available(victim), mw.system().link_available(victim));
+    assert_audit_clean(&mw, "restore after degrade");
+}
+
+#[test]
+fn a_partition_holds_its_links_down_until_it_heals() {
+    let (mut mw, _) = loaded_middleware(94);
+    let cut = FaultKind::Partition { first: 0, count: 10 };
+    let crossing: Vec<OverlayLinkId> = {
+        let overlay = mw.system().overlay();
+        overlay
+            .links()
+            .filter(|&l| {
+                let (a, b) = overlay.link_endpoints(l);
+                (a.0 < 10) != (b.0 < 10)
+            })
+            .collect()
+    };
+    assert!(!crossing.is_empty());
+    let spanning = mw
+        .system()
+        .sessions()
+        .filter(|s| crossing.iter().any(|&l| s.uses_link(l)))
+        .count();
+
+    let report = mw.handle_fault(cut, SimTime::from_secs(1));
+    assert_eq!(report.recovered.len() + report.lost.len(), spanning, "every spanning session failed over");
+    assert!(crossing.iter().all(|&l| mw.system().is_link_failed(l)));
+    assert!(mw.system().sessions().all(|s| crossing.iter().all(|&l| !s.uses_link(l))));
+    assert_audit_clean(&mw, "partition");
+
+    // An individual restore of a severed link is deferred: the cut holds it.
+    mw.handle_fault(FaultKind::LinkRestore { link: crossing[0].0 }, SimTime::from_secs(2));
+    assert!(mw.system().is_link_failed(crossing[0]), "a live partition holds the link down");
+    // Two overlapping cuts: the shared links come back only with the last heal.
+    mw.handle_fault(cut, SimTime::from_secs(3));
+    mw.handle_fault(FaultKind::PartitionHeal { first: 0, count: 10 }, SimTime::from_secs(4));
+    assert!(crossing.iter().all(|&l| mw.system().is_link_failed(l)), "one cut still stands");
+    mw.handle_fault(FaultKind::PartitionHeal { first: 0, count: 10 }, SimTime::from_secs(5));
+    assert!(crossing.iter().all(|&l| !mw.system().is_link_failed(l)), "healed at zero references");
+    assert_audit_clean(&mw, "partition heal");
 }
 
 #[test]
@@ -129,10 +205,10 @@ fn node_recovery_makes_freed_capacity_readmittable() {
     let (mut mw, _) = loaded_middleware(98);
     let victim = OverlayNodeId(2);
     let capacity = mw.system().node(victim).capacity();
-    mw.handle_node_failure(victim, SimTime::from_secs(1));
+    mw.handle_fault(FaultKind::NodeFail { node: victim.0 }, SimTime::from_secs(1));
     assert_eq!(mw.board().node_available(victim), ResourceVector::ZERO);
 
-    mw.handle_node_recovery(victim);
+    mw.handle_fault(FaultKind::NodeRecover { node: victim.0 }, SimTime::from_secs(2));
     assert!(!mw.system().is_node_failed(victim));
     assert!(!mw.system().overlay().is_node_down(victim), "forwarding plane rejoins");
     // The node lost its components at failure, so recovery returns it
@@ -181,7 +257,7 @@ fn path_cache_drops_every_route_through_a_failed_node() {
         .unwrap_or(nodes[1]);
 
     let warm = mw.system().path_cache_stats();
-    mw.handle_node_failure(victim, SimTime::from_secs(2));
+    mw.handle_fault(FaultKind::NodeFail { node: victim.0 }, SimTime::from_secs(2));
 
     // Targeted invalidation: no surviving entry starts at, ends at, or
     // relays through the victim…

@@ -71,7 +71,7 @@ fn preemption_reclaims_only_best_effort_through_middleware() {
 fn node_failure_keeps_tenant_ledgers_reconciled() {
     let (mut mw, _) = common::tenanted_middleware(103);
     let victim = OverlayNodeId(3);
-    mw.handle_node_failure(victim, SimTime::from_secs(5));
+    mw.handle_fault(FaultKind::NodeFail { node: victim.0 }, SimTime::from_secs(5));
     common::assert_audit_clean(&mw, "tenanted node failure");
     let mut killed_total = 0u64;
     for (id, stats) in mw.system().tenant_ledger().iter() {
