@@ -5,8 +5,8 @@
 //! * `Overlay::virtual_path` memoisation — cache hit vs the cold compute
 //!   (tree extraction behind a `(from, to)` lookup), and what the memo
 //!   is worth straight after a node failed and recovered,
-//! * the `probe_compose` inner loop with shared `Arc` paths and reused
-//!   selection/frontier scratch buffers.
+//! * the probing round as a composer runs it: paths read in place in
+//!   the memo, the probe tree in one `ProbeScratch` kept across requests.
 
 use acp_core::prelude::*;
 use acp_simcore::{DeterministicRng, SimTime};
@@ -29,7 +29,7 @@ fn bench_virtual_path(c: &mut Criterion) {
 
     for &nodes in &[50usize, 200] {
         // Cache hit: the pair has been resolved once; every further query
-        // is a HashMap lookup plus an Arc clone.
+        // is a hash lookup plus an Arc clone.
         group.bench_with_input(BenchmarkId::new("hit", nodes), &nodes, |b, &nodes| {
             let mut overlay = built_overlay(nodes);
             let (from, to) = (OverlayNodeId(0), OverlayNodeId(nodes as u32 - 1));
@@ -100,11 +100,22 @@ fn bench_probe_compose_loop(c: &mut Criterion) {
             &mut DeterministicRng::new(17).stream("warmup"),
         );
 
+        // One scratch for every iteration, as a composer keeps it.
+        let mut scratch = ProbeScratch::default();
         group.bench_with_input(BenchmarkId::from_parameter(nodes), &nodes, |b, _| {
             b.iter_batched(
                 || (system.clone(), DeterministicRng::new(17).stream("probe")),
                 |(mut sys, mut rng)| {
-                    probe_compose(&mut sys, &board, &request, SimTime::ZERO, &probing, &mut rng)
+                    compose_with_mode(
+                        &mut sys,
+                        &board,
+                        &request,
+                        SimTime::ZERO,
+                        &probing,
+                        &mut SinglePhase,
+                        &mut rng,
+                        &mut scratch,
+                    )
                 },
                 BatchSize::SmallInput,
             );

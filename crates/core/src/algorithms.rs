@@ -20,8 +20,8 @@ use crate::naive::{blind_compose, BlindStrategy};
 use crate::optimal::{optimal_compose, OptimalConfig};
 use crate::overhead::OverheadStats;
 use crate::protocol::{
-    compose_with_mode, FinalSelection, ProbingConfig, ProbingOutcome, SetupConfig, SetupMode,
-    SetupState, SetupStats, SinglePhase,
+    compose_with_mode, FinalSelection, ProbeScratch, ProbingConfig, ProbingOutcome, SetupConfig,
+    SetupMode, SetupState, SetupStats, SinglePhase,
 };
 use crate::selection::HopSelection;
 
@@ -104,6 +104,8 @@ pub struct ProbingComposer<M: SetupMode = SinglePhase> {
     config: ProbingConfig,
     rng: StdRng,
     mode: M,
+    /// The probe tree's storage, reused from request to request.
+    scratch: ProbeScratch,
 }
 
 /// The ACP algorithm: [`ProbingComposer::new`].
@@ -152,7 +154,7 @@ impl<M: SetupMode> ProbingComposer<M> {
         mode: M,
     ) -> Self {
         let config = ProbingConfig { hop_selection, final_selection, ..config };
-        ProbingComposer { name, config, rng: StdRng::seed_from_u64(seed), mode }
+        ProbingComposer { name, config, rng: StdRng::seed_from_u64(seed), mode, scratch: ProbeScratch::default() }
     }
 
     /// [`Self::new`] under an explicit setup mode.
@@ -199,7 +201,17 @@ impl<M: SetupMode> Composer for ProbingComposer<M> {
         request: &Request,
         now: SimTime,
     ) -> ComposeOutcome {
-        compose_with_mode(system, board, request, now, &self.config, &mut self.mode, &mut self.rng).into()
+        compose_with_mode(
+            system,
+            board,
+            request,
+            now,
+            &self.config,
+            &mut self.mode,
+            &mut self.rng,
+            &mut self.scratch,
+        )
+        .into()
     }
 
     /// A fixed probe budget (`quota_override`) leaves no ratio to tune.

@@ -95,8 +95,8 @@ pub mod prelude {
     pub use crate::overhead::{centralized_update_messages_per_minute, OverheadStats};
     pub use crate::probe::Probe;
     pub use crate::protocol::{
-        compose_with_mode, probe_compose, FinalSelection, ProbingConfig, ProbingOutcome,
-        SetupConfig, SetupMode, SetupState, SetupStats, SinglePhase, TwoPhase,
+        compose_with_mode, probe_compose, FinalSelection, ProbeScratch, ProbingConfig,
+        ProbingOutcome, SetupConfig, SetupMode, SetupState, SetupStats, SinglePhase, TwoPhase,
     };
     pub use crate::repair::{
         RepairAttempt, RepairFailure, RepairPlanner, RepairVerdict, MINI_REQUEST_BIT,

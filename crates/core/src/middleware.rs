@@ -95,7 +95,7 @@ impl<C: Composer> Middleware<C> {
         let comp = &record.composition;
         let mut qos: Qos = comp.assignment.iter().map(|&c| self.system.effective_component_qos(c)).sum();
         for path in &comp.links {
-            qos += Qos::new(path.delay, LossRate::from_probability(path.loss_rate));
+            qos += Qos::of_link(path);
         }
         qos
     }

@@ -309,7 +309,7 @@ impl Search {
                                     .fold(f64::INFINITY, |ba, &l| ba.min(link_avail[l.index()]));
                                 link_phi(b, ba)?
                             };
-                            let qos = Qos::new(path.delay, LossRate::from_probability(path.loss_rate));
+                            let qos = Qos::of_link(&path);
                             Some(Hop { path, qos, link_lb })
                         }));
                     }
@@ -840,7 +840,7 @@ mod reference {
                     let mut worst = Qos::ZERO;
                     for (&(_, u), (_, path)) in self.preds[vertex].iter().zip(&incoming) {
                         let acc = self.accumulated[u];
-                        let q = acc + Qos::new(path.delay, LossRate::from_probability(path.loss_rate));
+                        let q = acc + Qos::new(path.delay, LossRate::from_probability(path.loss_rate()));
                         if q.delay > worst.delay {
                             worst.delay = q.delay;
                         }

@@ -7,6 +7,13 @@
 //! function it already carries both branch choices, which is exactly the
 //! merged component graph the deputy would otherwise assemble from
 //! per-path probes (§3.3 step 3).
+//!
+//! [`Probe`] is a probe as a self-contained value. The protocol does not
+//! move its probes around in this form — a round keeps them as a
+//! parent-linked tree in caller-owned storage
+//! ([`ProbeScratch`](crate::protocol::ProbeScratch), DESIGN.md §3k) —
+//! but its `#[cfg(test)]` reference round does, and the two are held
+//! equal.
 
 use acp_model::prelude::*;
 use acp_simcore::SimDuration;

@@ -50,12 +50,13 @@ use acp_simcore::{
     DeterministicRng, MessageFaultConfig, MessageFaultInjector, SimDuration, SimTime, Transport,
 };
 use acp_state::GlobalStateBoard;
+use acp_topology::{OverlayNodeId, SharedPath};
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::overhead::OverheadStats;
 use crate::selection::{
-    arrival_accumulated, select_candidates_with, HopContext, HopSelection, SelectionScratch,
+    arrival_accumulated, resolved_link, select_into, HopInputs, HopSelection, SelectionScratch,
 };
 use crate::tuning_control::{AlphaEscalator, EscalationConfig};
 
@@ -389,8 +390,9 @@ struct AttemptOutcome {
 /// Probing consumes transient reservations; whatever the outcome, no
 /// transient state belonging to `request` survives this call (confirmation
 /// converts the winner's reservations, failure releases them). This is the
-/// plain (reliable-transport) path — see [`compose_with_mode`] for the
-/// two-phase path under message faults.
+/// plain (reliable-transport) path with throw-away buffers — see
+/// [`compose_with_mode`] for the two-phase path under message faults and
+/// for composing request after request.
 pub fn probe_compose<R: Rng + ?Sized>(
     system: &mut StreamSystem,
     board: &GlobalStateBoard,
@@ -399,7 +401,7 @@ pub fn probe_compose<R: Rng + ?Sized>(
     config: &ProbingConfig,
     rng: &mut R,
 ) -> ProbingOutcome {
-    compose_with_mode(system, board, request, now, config, &mut SinglePhase, rng)
+    compose_with_mode(system, board, request, now, config, &mut SinglePhase, rng, &mut ProbeScratch::default())
 }
 
 /// The probing protocol, monomorphized over its [`SetupMode`].
@@ -417,6 +419,10 @@ pub fn probe_compose<R: Rng + ?Sized>(
 /// failed attempt's leases in place: re-probing a still-leased candidate
 /// refreshes the existing reservation (an idempotent `reused` touch,
 /// footnote 7) instead of churning a release/create pair.
+///
+/// `scratch` is the caller's [`ProbeScratch`]: whoever composes request
+/// after request keeps one and hands it to every call.
+#[allow(clippy::too_many_arguments)] // one parameter per protocol input (Fig. 3), plus the buffers
 pub fn compose_with_mode<M: SetupMode, R: Rng + ?Sized>(
     system: &mut StreamSystem,
     board: &GlobalStateBoard,
@@ -425,6 +431,53 @@ pub fn compose_with_mode<M: SetupMode, R: Rng + ?Sized>(
     config: &ProbingConfig,
     mode: &mut M,
     rng: &mut R,
+    scratch: &mut ProbeScratch,
+) -> ProbingOutcome {
+    run_protocol(
+        system,
+        request,
+        now,
+        config,
+        mode,
+        rng,
+        |system, now, config, mode, rng, stats, setup_stats, pending_stale| {
+            probe_attempt(
+                system,
+                board,
+                request,
+                now,
+                config,
+                mode,
+                rng,
+                stats,
+                setup_stats,
+                pending_stale,
+                scratch,
+            )
+        },
+    )
+}
+
+/// The retry-and-settle loop around one probing round, `attempt`: the
+/// protocol as [`compose_with_mode`] documents it, whatever a round is
+/// made of (the tests run it over the round this module used to have).
+fn run_protocol<M: SetupMode, R: Rng + ?Sized>(
+    system: &mut StreamSystem,
+    request: &Request,
+    now: SimTime,
+    config: &ProbingConfig,
+    mode: &mut M,
+    rng: &mut R,
+    mut attempt: impl FnMut(
+        &mut StreamSystem,
+        SimTime,
+        &ProbingConfig,
+        &mut M,
+        &mut R,
+        &mut OverheadStats,
+        &mut SetupStats,
+        &mut Option<Composition>,
+    ) -> AttemptOutcome,
 ) -> ProbingOutcome {
     let mut stats = OverheadStats::new();
     let mut setup_stats = SetupStats::default();
@@ -461,10 +514,8 @@ pub fn compose_with_mode<M: SetupMode, R: Rng + ?Sized>(
             escalated = ProbingConfig { probing_ratio: ratio, ..config.clone() };
             &escalated
         };
-        let out = probe_attempt(
+        let out = attempt(
             system,
-            board,
-            request,
             attempt_now,
             attempt_config,
             mode,
@@ -551,6 +602,93 @@ pub fn compose_with_mode<M: SetupMode, R: Rng + ?Sized>(
     }
 }
 
+/// One probe of a round's tree: the candidate it was sent to, and what
+/// it carries on from there. Its vertex is implied by its generation;
+/// the rest of its partial assignment is its chain of parents.
+#[derive(Debug, Clone)]
+struct ProbeNode {
+    /// Tree index of the probe this one extends.
+    parent: usize,
+    /// The component probed (assigned to this generation's vertex).
+    component: ComponentId,
+    /// Accumulated critical-path QoS at that vertex: the per-metric
+    /// maximum over incoming branches of `acc(pred) + q(link)`, plus
+    /// the component's own — precise values collected at the hop.
+    acc: Qos,
+    /// Per-metric maximum of `acc` along the chain up to here: the
+    /// probe's risk position, carried forward instead of rescanned.
+    worst: Qos,
+    /// Cumulative *transport* delay suffered in transit (message-fault
+    /// injection, not stream QoS).
+    delay: SimDuration,
+    /// The virtual links into `component`, one per incoming edge of
+    /// its vertex: the run `links[links.0..links.1]` of the scratch.
+    links: (usize, usize),
+}
+
+impl ProbeNode {
+    /// The deputy's initial probe: nothing assigned, nothing accumulated.
+    /// It stands above generation 0, whose vertex (the source) has no
+    /// predecessor — so its `component`, a placeholder, is never read.
+    fn initial() -> ProbeNode {
+        ProbeNode {
+            parent: 0,
+            component: ComponentId::new(OverlayNodeId(u32::MAX), u16::MAX),
+            acc: Qos::ZERO,
+            worst: Qos::ZERO,
+            delay: SimDuration::ZERO,
+            links: (0, 0),
+        }
+    }
+}
+
+/// The probe tree of one probing round and every buffer the round
+/// fills. Whoever composes request after request — a
+/// [`ProbingComposer`](crate::algorithms::ProbingComposer), the
+/// [`RepairPlanner`](crate::repair::RepairPlanner) — owns one and hands
+/// it to [`compose_with_mode`], so a warm round allocates nothing for
+/// its tree. It carries no state from one round to the next: a round
+/// clears each buffer before it reads it, and lets go of the shared
+/// paths it held before it returns.
+#[derive(Debug, Default, Clone)]
+pub struct ProbeScratch {
+    /// The request's vertices in topological order: generation `g` of
+    /// the tree assigns `order[g]`.
+    order: Vec<VertexId>,
+    /// Working space of the topological sort.
+    indegree: Vec<usize>,
+    /// Vertex → its generation (its position in `order`).
+    generation: Vec<usize>,
+    /// Every probe spawned this round, generation after generation,
+    /// under `tree[0]`, the deputy's initial probe. A live probe's
+    /// predecessors are a walk of at most |V| parents.
+    tree: Vec<ProbeNode>,
+    /// `(graph edge, virtual link)` of every probe in `tree`.
+    links: Vec<(usize, SharedPath)>,
+    /// The current vertex's incoming edges: `(edge index, how many
+    /// generations above the frontier its source vertex was assigned)`.
+    pred_edges: Vec<(usize, usize)>,
+    /// The frontier's assigned predecessors, `(edge, component, acc)`:
+    /// `pred_edges.len()` per probe, in frontier order.
+    pred_buf: Vec<(usize, ComponentId, Qos)>,
+    /// Every frontier probe's proposals, best first, probe after probe:
+    /// probe `i`'s are `picks[pick_bounds[i]..pick_bounds[i + 1]]`.
+    picks: Vec<ComponentId>,
+    pick_bounds: Vec<usize>,
+    /// The frontier as `(risk, offset)`, ascending.
+    fill_order: Vec<(f64, usize)>,
+    /// The candidates probed for the current vertex, sorted.
+    probed: Vec<ComponentId>,
+    selection: SelectionScratch,
+    /// One completed probe's chain, leaf last, and the composition it
+    /// explored: the deputy looks at one completed probe at a time, and
+    /// the one it confirms is moved out.
+    chain: Vec<usize>,
+    composition: Composition,
+    /// The completed probes as `(φ, tree index)`, in commit order.
+    ranking: Vec<(f64, usize)>,
+}
+
 /// One probing round: phases 1 (lease placement via probes) and 2
 /// (confirmation) with transport faults injected, no retry and no final
 /// release — the caller owns both.
@@ -566,13 +704,41 @@ fn probe_attempt<M: SetupMode, R: Rng + ?Sized>(
     stats: &mut OverheadStats,
     setup_stats: &mut SetupStats,
     pending_stale: &mut Option<Composition>,
+    scratch: &mut ProbeScratch,
 ) -> AttemptOutcome {
+    let ProbeScratch {
+        order,
+        indegree,
+        generation,
+        tree,
+        links,
+        pred_edges,
+        pred_buf,
+        picks,
+        pick_bounds,
+        fill_order,
+        probed,
+        selection,
+        chain,
+        composition,
+        ranking,
+    } = scratch;
     let mut faulted = false;
     let expiry = now + config.transient_timeout;
-    let order = request.graph.topological_order();
+    let graph = &request.graph;
+    graph.topological_order_into(order, indegree);
+    generation.clear();
+    generation.resize(graph.len(), 0);
+    for (g, &v) in order.iter().enumerate() {
+        generation[v] = g;
+    }
 
     // Step 1: the deputy spawns the initial probe.
-    let mut frontier = vec![crate::probe::Probe::initial(&request.graph)];
+    tree.clear();
+    links.clear();
+    tree.push(ProbeNode::initial());
+    // The live probes: the last generation spawned, `tree[frontier]`.
+    let mut frontier = 0..1;
 
     // Step 2: distributed hop-by-hop probe processing.
     //
@@ -585,182 +751,152 @@ fn probe_attempt<M: SetupMode, R: Rng + ?Sized>(
     // probes never exceeds the per-function quota. This is what makes the
     // per-hop selection decision matter: a wasted pick cannot be papered
     // over by exponential probe fan-out.
-    // Scratch buffers hoisted out of the per-vertex loop: probing a
-    // figure-scale workload runs this loop thousands of times, and the
-    // per-hop vectors/sets below otherwise reallocate on every vertex.
-    let mut proposals: Vec<(usize, usize, crate::selection::CandidatePlan)> = Vec::new();
-    // Predecessor arena: all probes' `(edge, component, acc)` triples for
-    // the current vertex live contiguously in `pred_buf`; `pred_ranges`
-    // maps probe index → its slice. Hop contexts borrow from the arena, so
-    // advancing a vertex allocates nothing per probe.
-    let mut pred_buf: Vec<(usize, ComponentId, Qos)> = Vec::new();
-    let mut pred_ranges: Vec<(usize, usize)> = Vec::new();
-    let mut probed: std::collections::HashSet<ComponentId> = std::collections::HashSet::new();
-    let mut next_frontier: Vec<crate::probe::Probe> = Vec::new();
-    let mut scratch = SelectionScratch::default();
-
-    for &vertex in &order {
-        let function = request.graph.function(vertex);
-        let k = system.candidates(function).len();
+    for (g, &vertex) in order.iter().enumerate() {
+        // What is the same for every probe of this vertex.
+        let hop = HopInputs::new(system, request, vertex, config.probing_ratio);
+        let k = hop.candidates;
         let quota = match config.quota_override {
             Some(budget) => budget.clamp(usize::from(k > 0), k.max(1)),
             None => crate::selection::probe_quota(k, config.probing_ratio),
         }
         .min(config.max_live_probes);
-
-        // Every live probe proposes its ranked candidate plans. First
-        // gather all probes' assigned predecessors — (edge index,
-        // component, acc) — into the arena, then run selection borrowing
-        // slices of it.
-        proposals.clear();
-        pred_buf.clear();
-        pred_ranges.clear();
-        for probe in &frontier {
-            let start = pred_buf.len();
-            for (e, &(u, v)) in request.graph.edges().iter().enumerate() {
-                if v == vertex {
-                    debug_assert!(probe.assignment[u].is_some(), "topological order violated");
-                    pred_buf.push((
-                        e,
-                        probe.assignment[u].expect("predecessor assigned in topo order"),
-                        probe.accumulated[u].expect("accumulated set with assignment"),
-                    ));
-                }
+        pred_edges.clear();
+        for (e, &(u, v)) in graph.edges().iter().enumerate() {
+            if v == vertex {
+                debug_assert!(generation[u] < g, "topological order violated");
+                pred_edges.push((e, g - 1 - generation[u]));
             }
-            pred_ranges.push((start, pred_buf.len()));
         }
-        for (probe_idx, &(s, e)) in pred_ranges.iter().enumerate() {
-            let ctx = HopContext { request, vertex, predecessors: &pred_buf[s..e] };
-            let plans = select_candidates_with(
+        let per_probe = pred_edges.len();
+
+        // Every live probe proposes its ranked candidates. First gather
+        // all probes' assigned predecessors — (edge index, component,
+        // acc) — then run selection over slices of them.
+        pred_buf.clear();
+        for probe in frontier.clone() {
+            for &(edge, up) in pred_edges.iter() {
+                let mut at = probe;
+                for _ in 0..up {
+                    at = tree[at].parent;
+                }
+                pred_buf.push((edge, tree[at].component, tree[at].acc));
+            }
+        }
+        picks.clear();
+        pick_bounds.clear();
+        pick_bounds.push(0);
+        for i in 0..frontier.len() {
+            select_into(
                 system,
                 board,
-                &ctx,
+                &hop,
+                &pred_buf[i * per_probe..(i + 1) * per_probe],
                 config.hop_selection,
-                config.probing_ratio,
                 config.risk_epsilon,
                 rng,
                 stats,
-                &mut scratch,
+                selection,
+                picks,
             );
-            for (rank, plan) in plans.into_iter().enumerate() {
-                proposals.push((rank, probe_idx, plan));
-            }
+            pick_bounds.push(picks.len());
         }
+        let deepest = pick_bounds.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+
         // Fill the per-function quota best-rank-first, breaking rank ties
         // by the proposing probe's accumulated risk; at most one probe is
-        // forwarded per distinct candidate.
-        proposals.sort_by(|a, b| {
-            a.0.cmp(&b.0).then_with(|| {
-                let ra = frontier[a.1].worst_accumulated().risk_ratio(&request.qos);
-                let rb = frontier[b.1].worst_accumulated().risk_ratio(&request.qos);
-                ra.total_cmp(&rb)
-            })
-        });
+        // forwarded per distinct candidate. That is a stable sort of the
+        // proposals by (rank, risk), and they were made in (probe, rank)
+        // order — so it is this walk: rank by rank, the probes in
+        // ascending (risk, position), each probe's risk taken once.
+        fill_order.clear();
+        fill_order.extend(frontier.clone().enumerate().map(|(i, p)| (tree[p].worst.risk_ratio(&request.qos), i)));
+        fill_order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
+        // `probed` never holds more than `quota` components, and `quota`
+        // is a handful at the paper's settings but up to
+        // `max_live_probes` at α = 1: a sorted run answers both with a
+        // binary search, where a scan would be quadratic at the far end.
         probed.clear();
-        next_frontier.clear();
-        for (_, probe_idx, plan) in proposals.drain(..) {
-            if probed.len() >= quota {
-                break;
-            }
-            if !probed.insert(plan.component) {
-                continue; // candidate already probed for this request
-            }
-            let (s, e) = pred_ranges[probe_idx];
-            let ctx = HopContext { request, vertex, predecessors: &pred_buf[s..e] };
-            let probe = &frontier[probe_idx];
-
-            // Spawn and forward the probe (one hop message).
-            stats.probes_spawned += 1;
-            stats.probe_messages += 1;
-
-            // --- transport: the hop message may be dropped or delayed.
-            // Disabled fault classes consume no randomness, so with all
-            // rates at zero this block is byte-identical to not existing;
-            // for SinglePhase the whole block folds away at compile time.
-            let mut transit_delay = probe.delay;
-            if M::TWO_PHASE {
-                if mode.probe_dropped() {
-                    setup_stats.probes_lost += 1;
-                    faulted = true;
-                    continue;
+        let spawned_from = tree.len();
+        'fill: for rank in 0..deepest {
+            for &(_, i) in fill_order.iter() {
+                let Some(&component) = picks[pick_bounds[i]..pick_bounds[i + 1]].get(rank) else {
+                    continue; // this probe proposed fewer
+                };
+                if probed.len() >= quota {
+                    break 'fill;
                 }
-                let d = mode.probe_delay();
-                if d > SimDuration::ZERO {
-                    setup_stats.probes_delayed += 1;
-                    transit_delay += d;
-                    if transit_delay >= config.transient_timeout {
-                        // The probe limps in after the leases it placed
-                        // upstream have expired: stale, discard.
-                        setup_stats.stale_probes_discarded += 1;
+                // At most one probe per distinct candidate of this request.
+                let Err(at) = probed.binary_search(&component) else { continue };
+                probed.insert(at, component);
+                let parent = frontier.start + i;
+
+                // Spawn and forward the probe (one hop message).
+                stats.probes_spawned += 1;
+                stats.probe_messages += 1;
+
+                // --- transport: the hop message may be dropped or delayed.
+                // Disabled fault classes consume no randomness, so with all
+                // rates at zero this block is byte-identical to not existing;
+                // for SinglePhase the whole block folds away at compile time.
+                let mut transit_delay = tree[parent].delay;
+                if M::TWO_PHASE {
+                    if mode.probe_dropped() {
+                        setup_stats.probes_lost += 1;
                         faulted = true;
                         continue;
                     }
+                    let d = mode.probe_delay();
+                    if d > SimDuration::ZERO {
+                        setup_stats.probes_delayed += 1;
+                        transit_delay += d;
+                        if transit_delay >= config.transient_timeout {
+                            // The probe limps in after the leases it placed
+                            // upstream have expired: stale, discard.
+                            setup_stats.stale_probes_discarded += 1;
+                            faulted = true;
+                            continue;
+                        }
+                    }
                 }
-            }
 
-            // --- per-hop processing at the candidate's node, against
-            // --- precise local state ---
-            let cand_qos = system.effective_component_qos(plan.component);
-            let acc = arrival_accumulated(&plan, &ctx, cand_qos);
-            let demand = request.vertex_demand(system.registry(), vertex);
-            let avail = system.node_available(plan.component.node);
-            let link_avail = plan
-                .incoming
-                .iter()
-                .fold(f64::INFINITY, |m, (_, p)| m.min(system.virtual_path_available(p)));
-            // Eqs. 6–8 with precise values (candidate QoS and link QoS
-            // already folded into `acc`, so pass zeros for those).
-            if is_unqualified(
-                acc,
-                Qos::ZERO,
-                Qos::ZERO,
-                &request.qos,
-                &avail,
-                &demand,
-                link_avail,
-                request.bandwidth_kbps,
-            ) {
-                stats.probes_dropped += 1;
-                continue;
+                // The probe arrives: only now are its virtual links taken
+                // from the memo (selection read them in place).
+                let predecessors = &pred_buf[i * per_probe..(i + 1) * per_probe];
+                let first_link = links.len();
+                links.extend(predecessors.iter().map(|&(edge, pred, _)| {
+                    (edge, resolved_link(system, pred.node, component.node).clone())
+                }));
+                let Some(acc) =
+                    admit_probe(system, request, component, hop.demand, predecessors, &links[first_link..], expiry)
+                else {
+                    stats.probes_dropped += 1;
+                    links.truncate(first_link);
+                    continue;
+                };
+                let mut worst = tree[parent].worst;
+                worst.raise_to(acc);
+                tree.push(ProbeNode {
+                    parent,
+                    component,
+                    acc,
+                    worst,
+                    delay: transit_delay,
+                    links: (first_link, links.len()),
+                });
             }
-            // Transient resource allocation (idempotent per
-            // request+component; footnote 7).
-            if !system.reserve_component_transient(request.id, plan.component, demand, expiry) {
-                stats.probes_dropped += 1;
-                continue;
-            }
-            let mut link_ok = true;
-            for (edge, path) in &plan.incoming {
-                if !path.is_colocated()
-                    && !system.reserve_path_transient(request.id, *edge, path, request.bandwidth_kbps, expiry)
-                {
-                    link_ok = false;
-                    break;
-                }
-            }
-            if !link_ok {
-                stats.probes_dropped += 1;
-                continue;
-            }
-            let mut child = probe.extend(vertex, plan.component, &plan.incoming, acc);
-            child.delay = transit_delay;
-            next_frontier.push(child);
         }
-        std::mem::swap(&mut frontier, &mut next_frontier);
+        frontier = spawned_from..tree.len();
         if frontier.is_empty() {
             break;
         }
     }
 
-    // Step 3: completed probes return to the deputy.
-    let mut compositions: Vec<Composition> = frontier
-        .into_iter()
-        .filter(|p| p.is_complete())
-        .filter_map(|p| p.into_composition())
-        .collect();
-    stats.probes_returned += compositions.len() as u64;
-    let completed = compositions.len();
+    // Step 3: completed probes return to the deputy. The loop above ends
+    // early only on an empty frontier, so every probe left has been
+    // through every vertex.
+    let completed = frontier.len();
+    stats.probes_returned += completed as u64;
 
     // Qualification (Eqs. 2–5) is re-validated inside the commit; here we
     // order candidates per the final-selection policy and report how many
@@ -768,32 +904,32 @@ fn probe_attempt<M: SetupMode, R: Rng + ?Sized>(
     // counted as qualified at this stage because the request's own
     // transient holds still depress availability — the commit path
     // releases them before re-checking.
-    let qualified = compositions
-        .iter()
-        .filter(|c| {
-            matches!(
-                system.qualify(request, c),
-                Ok(())
-                    | Err(AdmissionError::InsufficientResources { .. })
-                    | Err(AdmissionError::InsufficientBandwidth { .. })
-            )
-        })
-        .count();
-    let mut phi: Vec<f64> = Vec::new();
-    if config.final_selection == FinalSelection::MinCongestion {
-        phi.extend(compositions.iter().map(|c| congestion_aggregation(system, request, c)));
+    let mut qualified = 0;
+    ranking.clear();
+    for leaf in frontier {
+        assemble(tree, links, generation, graph, chain, leaf, composition);
+        if matches!(
+            system.qualify(request, composition),
+            Ok(())
+                | Err(AdmissionError::InsufficientResources { .. })
+                | Err(AdmissionError::InsufficientBandwidth { .. })
+        ) {
+            qualified += 1;
+        }
+        let phi = match config.final_selection {
+            FinalSelection::MinCongestion => congestion_aggregation(system, request, composition),
+            FinalSelection::Random => 0.0,
+        };
+        ranking.push((phi, leaf));
     }
-
     match config.final_selection {
+        // Ascending φ, ties in the order the probes returned.
         FinalSelection::MinCongestion => {
-            let mut keyed: Vec<(f64, Composition)> =
-                phi.into_iter().zip(compositions).collect();
-            keyed.sort_by(|a, b| a.0.total_cmp(&b.0));
-            compositions = keyed.into_iter().map(|(_, c)| c).collect();
+            ranking.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         }
         FinalSelection::Random => {
             use rand::seq::SliceRandom;
-            compositions.shuffle(rng);
+            ranking.shuffle(rng);
         }
     }
 
@@ -802,8 +938,7 @@ fn probe_attempt<M: SetupMode, R: Rng + ?Sized>(
     // releases the request's transient holds (confirmation supersedes
     // reservation).
     let mut session = None;
-    for composition in compositions {
-        let assignment_len = composition.assignment.len() as u64;
+    for &(_, leaf) in ranking.iter() {
         if M::TWO_PHASE && mode.confirm_lost() {
             setup_stats.confirms_lost += 1;
             // The confirmation vanished in transit; the deputy times
@@ -812,22 +947,421 @@ fn probe_attempt<M: SetupMode, R: Rng + ?Sized>(
             // `stale_ack` the message was merely trapped and
             // resurfaces later as a duplicate delivery.
             if mode.stale_ack_resurfaces() {
-                *pending_stale = Some(composition);
+                assemble(tree, links, generation, graph, chain, leaf, composition);
+                *pending_stale = Some(std::mem::take(composition));
             }
             faulted = true;
             break;
         }
-        match system.commit_session(request, composition) {
+        assemble(tree, links, generation, graph, chain, leaf, composition);
+        match system.commit_session(request, std::mem::take(composition)) {
             Ok(sid) => {
-                stats.confirmation_messages += assignment_len;
+                stats.confirmation_messages += graph.len() as u64;
                 session = Some(sid);
                 break;
             }
             Err(_) => continue,
         }
     }
+    // Keep no path alive past the round.
+    links.clear();
+    composition.links.clear();
 
     AttemptOutcome { session, completed, qualified, faulted }
+}
+
+/// Per-hop processing of a delivered probe at the candidate's node,
+/// against precise local state: Eqs. 6–8, then the transient
+/// reservations. `incoming` are the candidate's virtual links, one per
+/// predecessor. Returns the QoS accumulated at the candidate, or `None`
+/// when the probe is dropped there.
+fn admit_probe(
+    system: &mut StreamSystem,
+    request: &Request,
+    component: ComponentId,
+    demand: ResourceVector,
+    predecessors: &[(usize, ComponentId, Qos)],
+    incoming: &[(usize, SharedPath)],
+    expiry: SimTime,
+) -> Option<Qos> {
+    let cand_qos = system.effective_component_qos(component);
+    let acc = arrival_accumulated(predecessors, incoming, cand_qos);
+    let avail = system.node_available(component.node);
+    let link_avail =
+        incoming.iter().fold(f64::INFINITY, |m, (_, p)| m.min(system.virtual_path_available(p)));
+    // Eqs. 6–8 with precise values (candidate QoS and link QoS
+    // already folded into `acc`, so pass zeros for those).
+    if is_unqualified(
+        acc,
+        Qos::ZERO,
+        Qos::ZERO,
+        &request.qos,
+        &avail,
+        &demand,
+        link_avail,
+        request.bandwidth_kbps,
+    ) {
+        return None;
+    }
+    // Transient resource allocation (idempotent per
+    // request+component; footnote 7).
+    if !system.reserve_component_transient(request.id, component, demand, expiry) {
+        return None;
+    }
+    for (edge, path) in incoming {
+        if !path.is_colocated()
+            && !system.reserve_path_transient(request.id, *edge, path, request.bandwidth_kbps, expiry)
+        {
+            return None;
+        }
+    }
+    Some(acc)
+}
+
+/// Writes the composition a completed probe explored into `out`. The
+/// chain from `leaf` up to the initial probe holds one probe per
+/// generation; each assigned its generation's vertex and carries that
+/// vertex's incoming links.
+fn assemble(
+    tree: &[ProbeNode],
+    links: &[(usize, SharedPath)],
+    generation: &[usize],
+    graph: &FunctionGraph,
+    chain: &mut Vec<usize>,
+    leaf: usize,
+    out: &mut Composition,
+) {
+    chain.clear();
+    chain.resize(graph.len(), leaf);
+    let mut at = leaf;
+    for slot in chain.iter_mut().rev() {
+        *slot = at;
+        at = tree[at].parent;
+    }
+    out.assignment.clear();
+    out.assignment.extend(graph.vertices().map(|v| tree[chain[generation[v]]].component));
+    out.links.clear();
+    out.links.extend(graph.edges().iter().enumerate().map(|(e, &(_, v))| {
+        let (first, end) = tree[chain[generation[v]]].links;
+        let (_, path) = links[first..end]
+            .iter()
+            .find(|(edge, _)| *edge == e)
+            .expect("a probe links every incoming edge of its vertex");
+        path.clone()
+    }));
+}
+
+/// The probing round as it stood before the probe tree moved into
+/// [`ProbeScratch`], kept verbatim as the oracle: a [`Probe`] cloned per
+/// spawn, a `Vec<CandidatePlan>` per selection, the proposals sorted by
+/// a comparator that recomputes each probe's risk, a hashed dedupe set,
+/// one `Composition` per completed probe. (Its one edit: the argument
+/// order of `arrival_accumulated`.) It runs inside the same
+/// [`run_protocol`] loop as the round that replaced it.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use crate::probe::Probe;
+    use crate::selection::{select_candidates_with, CandidatePlan, HopContext};
+
+    /// [`super::compose_with_mode`] over the old round.
+    pub(super) fn compose_with_mode<M: SetupMode, R: Rng + ?Sized>(
+        system: &mut StreamSystem,
+        board: &GlobalStateBoard,
+        request: &Request,
+        now: SimTime,
+        config: &ProbingConfig,
+        mode: &mut M,
+        rng: &mut R,
+    ) -> ProbingOutcome {
+        run_protocol(
+            system,
+            request,
+            now,
+            config,
+            mode,
+            rng,
+            |system, now, config, mode, rng, stats, setup_stats, pending_stale| {
+                probe_attempt(system, board, request, now, config, mode, rng, stats, setup_stats, pending_stale)
+            },
+        )
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn probe_attempt<M: SetupMode, R: Rng + ?Sized>(
+        system: &mut StreamSystem,
+        board: &GlobalStateBoard,
+        request: &Request,
+        now: SimTime,
+        config: &ProbingConfig,
+        mode: &mut M,
+        rng: &mut R,
+        stats: &mut OverheadStats,
+        setup_stats: &mut SetupStats,
+        pending_stale: &mut Option<Composition>,
+    ) -> AttemptOutcome {
+        let mut faulted = false;
+        let expiry = now + config.transient_timeout;
+        let order = request.graph.topological_order();
+
+        // Step 1: the deputy spawns the initial probe.
+        let mut frontier = vec![Probe::initial(&request.graph)];
+
+        // Step 2: distributed hop-by-hop probe processing.
+        //
+        // The probing ratio bounds the candidates probed **per function**:
+        // "if there are ten candidate components for the function F_i and the
+        // probing ratio α = 0.3, then we can probe 0.3 × 10 = 3 candidate
+        // components" (§3.4). Every live probe proposes ranked next-hop
+        // candidates; the quota of ⌈α·k⌉ *distinct* candidates is then filled
+        // best-proposal-first (one probe per candidate), so the set of live
+        // probes never exceeds the per-function quota. This is what makes the
+        // per-hop selection decision matter: a wasted pick cannot be papered
+        // over by exponential probe fan-out.
+        // Scratch buffers hoisted out of the per-vertex loop: probing a
+        // figure-scale workload runs this loop thousands of times, and the
+        // per-hop vectors/sets below otherwise reallocate on every vertex.
+        let mut proposals: Vec<(usize, usize, CandidatePlan)> = Vec::new();
+        // Predecessor arena: all probes' `(edge, component, acc)` triples for
+        // the current vertex live contiguously in `pred_buf`; `pred_ranges`
+        // maps probe index → its slice. Hop contexts borrow from the arena, so
+        // advancing a vertex allocates nothing per probe.
+        let mut pred_buf: Vec<(usize, ComponentId, Qos)> = Vec::new();
+        let mut pred_ranges: Vec<(usize, usize)> = Vec::new();
+        let mut probed: std::collections::HashSet<ComponentId> = std::collections::HashSet::new();
+        let mut next_frontier: Vec<Probe> = Vec::new();
+        let mut scratch = SelectionScratch::default();
+
+        for &vertex in &order {
+            let function = request.graph.function(vertex);
+            let k = system.candidates(function).len();
+            let quota = match config.quota_override {
+                Some(budget) => budget.clamp(usize::from(k > 0), k.max(1)),
+                None => crate::selection::probe_quota(k, config.probing_ratio),
+            }
+            .min(config.max_live_probes);
+
+            // Every live probe proposes its ranked candidate plans. First
+            // gather all probes' assigned predecessors — (edge index,
+            // component, acc) — into the arena, then run selection borrowing
+            // slices of it.
+            proposals.clear();
+            pred_buf.clear();
+            pred_ranges.clear();
+            for probe in &frontier {
+                let start = pred_buf.len();
+                for (e, &(u, v)) in request.graph.edges().iter().enumerate() {
+                    if v == vertex {
+                        debug_assert!(probe.assignment[u].is_some(), "topological order violated");
+                        pred_buf.push((
+                            e,
+                            probe.assignment[u].expect("predecessor assigned in topo order"),
+                            probe.accumulated[u].expect("accumulated set with assignment"),
+                        ));
+                    }
+                }
+                pred_ranges.push((start, pred_buf.len()));
+            }
+            for (probe_idx, &(s, e)) in pred_ranges.iter().enumerate() {
+                let ctx = HopContext { request, vertex, predecessors: &pred_buf[s..e] };
+                let plans = select_candidates_with(
+                    system,
+                    board,
+                    &ctx,
+                    config.hop_selection,
+                    config.probing_ratio,
+                    config.risk_epsilon,
+                    rng,
+                    stats,
+                    &mut scratch,
+                );
+                for (rank, plan) in plans.into_iter().enumerate() {
+                    proposals.push((rank, probe_idx, plan));
+                }
+            }
+            // Fill the per-function quota best-rank-first, breaking rank ties
+            // by the proposing probe's accumulated risk; at most one probe is
+            // forwarded per distinct candidate.
+            proposals.sort_by(|a, b| {
+                a.0.cmp(&b.0).then_with(|| {
+                    let ra = frontier[a.1].worst_accumulated().risk_ratio(&request.qos);
+                    let rb = frontier[b.1].worst_accumulated().risk_ratio(&request.qos);
+                    ra.total_cmp(&rb)
+                })
+            });
+
+            probed.clear();
+            next_frontier.clear();
+            for (_, probe_idx, plan) in proposals.drain(..) {
+                if probed.len() >= quota {
+                    break;
+                }
+                if !probed.insert(plan.component) {
+                    continue; // candidate already probed for this request
+                }
+                let (s, e) = pred_ranges[probe_idx];
+                let ctx = HopContext { request, vertex, predecessors: &pred_buf[s..e] };
+                let probe = &frontier[probe_idx];
+
+                // Spawn and forward the probe (one hop message).
+                stats.probes_spawned += 1;
+                stats.probe_messages += 1;
+
+                // --- transport: the hop message may be dropped or delayed.
+                // Disabled fault classes consume no randomness, so with all
+                // rates at zero this block is byte-identical to not existing;
+                // for SinglePhase the whole block folds away at compile time.
+                let mut transit_delay = probe.delay;
+                if M::TWO_PHASE {
+                    if mode.probe_dropped() {
+                        setup_stats.probes_lost += 1;
+                        faulted = true;
+                        continue;
+                    }
+                    let d = mode.probe_delay();
+                    if d > SimDuration::ZERO {
+                        setup_stats.probes_delayed += 1;
+                        transit_delay += d;
+                        if transit_delay >= config.transient_timeout {
+                            // The probe limps in after the leases it placed
+                            // upstream have expired: stale, discard.
+                            setup_stats.stale_probes_discarded += 1;
+                            faulted = true;
+                            continue;
+                        }
+                    }
+                }
+
+                // --- per-hop processing at the candidate's node, against
+                // --- precise local state ---
+                let cand_qos = system.effective_component_qos(plan.component);
+                let acc = arrival_accumulated(ctx.predecessors, &plan.incoming, cand_qos);
+                let demand = request.vertex_demand(system.registry(), vertex);
+                let avail = system.node_available(plan.component.node);
+                let link_avail = plan
+                    .incoming
+                    .iter()
+                    .fold(f64::INFINITY, |m, (_, p)| m.min(system.virtual_path_available(p)));
+                // Eqs. 6–8 with precise values (candidate QoS and link QoS
+                // already folded into `acc`, so pass zeros for those).
+                if is_unqualified(
+                    acc,
+                    Qos::ZERO,
+                    Qos::ZERO,
+                    &request.qos,
+                    &avail,
+                    &demand,
+                    link_avail,
+                    request.bandwidth_kbps,
+                ) {
+                    stats.probes_dropped += 1;
+                    continue;
+                }
+                // Transient resource allocation (idempotent per
+                // request+component; footnote 7).
+                if !system.reserve_component_transient(request.id, plan.component, demand, expiry) {
+                    stats.probes_dropped += 1;
+                    continue;
+                }
+                let mut link_ok = true;
+                for (edge, path) in &plan.incoming {
+                    if !path.is_colocated()
+                        && !system.reserve_path_transient(request.id, *edge, path, request.bandwidth_kbps, expiry)
+                    {
+                        link_ok = false;
+                        break;
+                    }
+                }
+                if !link_ok {
+                    stats.probes_dropped += 1;
+                    continue;
+                }
+                let mut child = probe.extend(vertex, plan.component, &plan.incoming, acc);
+                child.delay = transit_delay;
+                next_frontier.push(child);
+            }
+            std::mem::swap(&mut frontier, &mut next_frontier);
+            if frontier.is_empty() {
+                break;
+            }
+        }
+
+        // Step 3: completed probes return to the deputy.
+        let mut compositions: Vec<Composition> = frontier
+            .into_iter()
+            .filter(|p| p.is_complete())
+            .filter_map(|p| p.into_composition())
+            .collect();
+        stats.probes_returned += compositions.len() as u64;
+        let completed = compositions.len();
+
+        // Qualification (Eqs. 2–5) is re-validated inside the commit; here we
+        // order candidates per the final-selection policy and report how many
+        // completed probes look qualified. Resource/bandwidth rejections are
+        // counted as qualified at this stage because the request's own
+        // transient holds still depress availability — the commit path
+        // releases them before re-checking.
+        let qualified = compositions
+            .iter()
+            .filter(|c| {
+                matches!(
+                    system.qualify(request, c),
+                    Ok(())
+                        | Err(AdmissionError::InsufficientResources { .. })
+                        | Err(AdmissionError::InsufficientBandwidth { .. })
+                )
+            })
+            .count();
+        let mut phi: Vec<f64> = Vec::new();
+        if config.final_selection == FinalSelection::MinCongestion {
+            phi.extend(compositions.iter().map(|c| congestion_aggregation(system, request, c)));
+        }
+
+        match config.final_selection {
+            FinalSelection::MinCongestion => {
+                let mut keyed: Vec<(f64, Composition)> =
+                    phi.into_iter().zip(compositions).collect();
+                keyed.sort_by(|a, b| a.0.total_cmp(&b.0));
+                compositions = keyed.into_iter().map(|(_, c)| c).collect();
+            }
+            FinalSelection::Random => {
+                use rand::seq::SliceRandom;
+                compositions.shuffle(rng);
+            }
+        }
+
+        // Step 4 (phase 2): session setup — first composition whose
+        // confirmation lands and commits wins. The first commit attempt
+        // releases the request's transient holds (confirmation supersedes
+        // reservation).
+        let mut session = None;
+        for composition in compositions {
+            let assignment_len = composition.assignment.len() as u64;
+            if M::TWO_PHASE && mode.confirm_lost() {
+                setup_stats.confirms_lost += 1;
+                // The confirmation vanished in transit; the deputy times
+                // out waiting for the ack and gives this attempt up. The
+                // winner's leases stay orphaned. With probability
+                // `stale_ack` the message was merely trapped and
+                // resurfaces later as a duplicate delivery.
+                if mode.stale_ack_resurfaces() {
+                    *pending_stale = Some(composition);
+                }
+                faulted = true;
+                break;
+            }
+            match system.commit_session(request, composition) {
+                Ok(sid) => {
+                    stats.confirmation_messages += assignment_len;
+                    session = Some(sid);
+                    break;
+                }
+                Err(_) => continue,
+            }
+        }
+
+        AttemptOutcome { session, completed, qualified, faulted }
+    }
 }
 
 #[cfg(test)]
@@ -1001,6 +1535,7 @@ mod tests {
             &cfg,
             &mut setup,
             &mut rng_b,
+            &mut ProbeScratch::default(),
         );
         assert_eq!(plain.session, two.session);
         assert_eq!(plain.stats, two.stats);
@@ -1031,6 +1566,7 @@ mod tests {
             &cfg,
             &mut SinglePhase,
             &mut rng_a,
+            &mut ProbeScratch::default(),
         );
         let mut sys_b = sys0.clone();
         let mut rng_b = StdRng::seed_from_u64(13);
@@ -1044,6 +1580,7 @@ mod tests {
             &cfg,
             &mut mode,
             &mut rng_b,
+            &mut ProbeScratch::default(),
         );
         assert_eq!(plain.session, two.session);
         assert_eq!(plain.stats, two.stats);
@@ -1073,7 +1610,7 @@ mod tests {
             sys.expire_transients(now);
             let req = path_request(&sys, 100 + id, 3);
             let out =
-                compose_with_mode(&mut sys, &board, &req, now, &cfg, &mut setup, &mut rng);
+                compose_with_mode(&mut sys, &board, &req, now, &cfg, &mut setup, &mut rng, &mut ProbeScratch::default());
             retried += out.setup.retries;
             if let Some(sid) = out.session {
                 composed += 1;
@@ -1107,6 +1644,7 @@ mod tests {
             &cfg,
             &mut setup,
             &mut rng,
+            &mut ProbeScratch::default(),
         );
         assert!(out.session.is_none(), "lost confirmation cannot establish a session");
         assert_eq!(out.setup.confirms_lost, 1);
@@ -1145,6 +1683,7 @@ mod tests {
             &cfg,
             &mut setup,
             &mut rng,
+            &mut ProbeScratch::default(),
         );
         // The trapped confirmation resurfaced and salvaged the request.
         assert_eq!(out.setup.confirms_lost, 1);
@@ -1182,6 +1721,7 @@ mod tests {
                 &cfg,
                 &mut setup,
                 &mut rng,
+                &mut ProbeScratch::default(),
             );
             let sessions = sys.sessions().filter(|s| s.request == req.id).count();
             assert!(sessions <= 1, "request {id} double-committed residuals");
@@ -1242,5 +1782,205 @@ mod tests {
         }
         assert!(counted >= 5, "most requests should compose");
         assert!(phi_min <= phi_rand + 1e-9, "min-φ {phi_min} vs random {phi_rand}");
+    }
+
+    /// The probing round against the one it replaced ([`reference`]).
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// What the sequences reached, summed over every configuration.
+        #[derive(Debug, Default)]
+        struct Coverage {
+            composed: u64,
+            failed: u64,
+            retries: u64,
+            stale_acks: u64,
+            probes_dropped: u64,
+            stale_rows: u64,
+            dag_completions: u64,
+        }
+
+        /// Split–merge over five populated functions (a join with two
+        /// incoming links, then a suffix hop), or a path over four.
+        fn graph(sys: &StreamSystem, dag: bool, rng: &mut StdRng) -> FunctionGraph {
+            let mut fns: Vec<FunctionId> =
+                sys.registry().ids().filter(|&f| sys.candidates(f).len() >= 3).collect();
+            for i in 0..5 {
+                let j = rng.gen_range(i..fns.len());
+                fns.swap(i, j);
+            }
+            if dag {
+                FunctionGraph::split_merge(vec![fns[0]], vec![fns[1]], vec![fns[2]], fns[3], vec![fns[4]])
+            } else {
+                FunctionGraph::path(fns[..4].to_vec())
+            }
+        }
+
+        /// One configuration: a sequence of requests through the new
+        /// round (and the caller's one scratch) on `new_sys`, and
+        /// through the old round on its twin — sessions kept, leases
+        /// expiring, a node failing halfway — comparing everything a
+        /// caller or a later request could observe after each request.
+        fn run_sequence<M: SetupMode + Clone>(
+            case: &str,
+            base: &StreamSystem,
+            config: &ProbingConfig,
+            mode: &M,
+            rng: &mut StdRng,
+            scratch: &mut ProbeScratch,
+            coverage: &mut Coverage,
+        ) {
+            let (mut new_sys, mut old_sys) = (base.clone(), base.clone());
+            let mut board = GlobalStateBoard::new(&new_sys, GlobalStateConfig::default());
+            let (mut new_mode, mut old_mode) = (mode.clone(), mode.clone());
+            let select_seed = rng.gen::<u64>();
+            let (mut new_rng, mut old_rng) = (StdRng::seed_from_u64(select_seed), StdRng::seed_from_u64(select_seed));
+            for i in 0..8u64 {
+                let now = SimTime::ZERO + SimDuration::from_secs(12 * i);
+                assert_eq!(new_sys.expire_transients(now), old_sys.expire_transients(now), "{case} #{i}: expired");
+                if i % 3 == 2 {
+                    board.refresh_nodes(&new_sys);
+                }
+                let dag = rng.gen_bool(0.5);
+                let request = Request {
+                    id: RequestId(1_000 + i),
+                    graph: graph(&new_sys, dag, rng),
+                    // Binding for some requests, slack for others.
+                    qos: QosRequirement::new(
+                        SimDuration::from_millis(rng.gen_range(120..900)),
+                        LossRate::from_probability(rng.gen_range(0.02..0.4)),
+                    ),
+                    base_resources: ResourceVector::new(rng.gen_range(0.5..30.0), rng.gen_range(2.0..500.0)),
+                    bandwidth_kbps: rng.gen_range(1.0..1_500.0),
+                    stream_rate_kbps: rng.gen_range(50.0..900.0),
+                    constraints: PlacementConstraints::none(),
+                    tenant: None,
+                };
+                if i == 4 {
+                    // A node hosting one of the second hop's candidates
+                    // fails behind the board's back: its rows are stale
+                    // until the next refresh, and the routes through it
+                    // leave the memo.
+                    let hosts = new_sys.candidates(request.graph.function(1));
+                    let victim = hosts[rng.gen_range(0..hosts.len())].node;
+                    new_sys.fail_node(victim, RepairPolicy::Terminate, now);
+                    old_sys.fail_node(victim, RepairPolicy::Terminate, now);
+                }
+                let new = compose_with_mode(
+                    &mut new_sys,
+                    &board,
+                    &request,
+                    now,
+                    config,
+                    &mut new_mode,
+                    &mut new_rng,
+                    scratch,
+                );
+                let old = reference::compose_with_mode(
+                    &mut old_sys,
+                    &board,
+                    &request,
+                    now,
+                    config,
+                    &mut old_mode,
+                    &mut old_rng,
+                );
+                let case = format!("{case} #{i} {}", if dag { "dag" } else { "path" });
+                assert_eq!(new.session, old.session, "{case}: session");
+                assert_eq!(new.stats, old.stats, "{case}: overhead ledger");
+                assert_eq!(new.completed_probes, old.completed_probes, "{case}: completed probes");
+                assert_eq!(new.qualified_compositions, old.qualified_compositions, "{case}: qualified");
+                assert_eq!(new.attempts, old.attempts, "{case}: attempts");
+                assert_eq!(new.setup, old.setup, "{case}: setup ledger");
+                let table = |sys: &StreamSystem| -> Vec<(SessionId, RequestId, Composition)> {
+                    sys.sessions().map(|s| (s.id, s.request, s.composition.clone())).collect()
+                };
+                assert_eq!(table(&new_sys), table(&old_sys), "{case}: session table");
+                assert_eq!(new_sys.live_lease_count(), old_sys.live_lease_count(), "{case}: live leases");
+                assert_eq!(
+                    new_sys.request_lease_count(request.id),
+                    old_sys.request_lease_count(request.id),
+                    "{case}: the request's leases"
+                );
+                assert_eq!(new_sys.lease_stats(), old_sys.lease_stats(), "{case}: lease ledger");
+                assert_eq!(new_sys.path_cache_stats(), old_sys.path_cache_stats(), "{case}: path memo");
+                // Same position in every random stream: selection, the
+                // four transport classes, the backoff jitter.
+                assert_eq!(new_rng, old_rng, "{case}: selection stream");
+                assert_eq!(format!("{new_mode:?}"), format!("{old_mode:?}"), "{case}: transport streams");
+                assert!(SystemAuditor::default().audit_at(&new_sys, Some(now)).is_clean(), "{case}: audit");
+
+                coverage.composed += u64::from(new.session.is_some());
+                coverage.failed += u64::from(new.session.is_none());
+                coverage.retries += new.setup.retries;
+                coverage.stale_acks += new.setup.stale_acks_recovered + new.setup.stale_acks_rejected;
+                coverage.probes_dropped += new.stats.probes_dropped;
+                coverage.stale_rows += new.stats.selection_pruned_stale;
+                coverage.dag_completions += u64::from(dag) * new.completed_probes as u64;
+            }
+            assert_eq!(new_rng.gen::<u64>(), old_rng.gen::<u64>(), "{case}: next selection draw");
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1))]
+
+            /// Every combination of setup mode, α, quota override, hop
+            /// and final selection, four times over on fresh seeds: 288
+            /// sequences of eight requests, all through one scratch —
+            /// so a buffer that carried anything from one request (or
+            /// one configuration) into the next would show as a
+            /// difference from the old round, which starts every
+            /// attempt from fresh `Vec`s.
+            #[test]
+            fn round_matches_the_reference_round(master in any::<u64>()) {
+                let mut rng = StdRng::seed_from_u64(master);
+                let lossy = SetupConfig {
+                    faults: MessageFaultConfig {
+                        probe_drop: 0.05,
+                        confirm_loss: 0.025,
+                        stale_ack: 0.5,
+                        ..MessageFaultConfig::default()
+                    },
+                    ..SetupConfig::default()
+                };
+                let mut scratch = ProbeScratch::default();
+                let mut coverage = Coverage::default();
+                for round in 0..4 {
+                    let base = build(rng.gen(), [40, 60][round % 2]).0;
+                    for two_phase in [false, true] {
+                        for probing_ratio in [0.1, 0.3, 1.0] {
+                            for quota_override in [None, Some(1), Some(3)] {
+                                for hop_selection in [HopSelection::Ranked, HopSelection::Random] {
+                                    for final_selection in [FinalSelection::MinCongestion, FinalSelection::Random] {
+                                        let config = ProbingConfig {
+                                            probing_ratio,
+                                            quota_override,
+                                            hop_selection,
+                                            final_selection,
+                                            ..ProbingConfig::default()
+                                        };
+                                        let case = format!(
+                                            "master {master} round {round} two-phase {two_phase} α {probing_ratio} quota {quota_override:?} {hop_selection:?} {final_selection:?}"
+                                        );
+                                        if two_phase {
+                                            let mode = SetupState::new(rng.gen(), lossy.clone());
+                                            run_sequence(&case, &base, &config, &mode, &mut rng, &mut scratch, &mut coverage);
+                                        } else {
+                                            run_sequence(&case, &base, &config, &SinglePhase, &mut rng, &mut scratch, &mut coverage);
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+                prop_assert!(coverage.composed > 1_000 && coverage.failed > 300, "outcomes: {coverage:?}");
+                prop_assert!(coverage.retries > 100 && coverage.stale_acks > 3, "two-phase arms: {coverage:?}");
+                prop_assert!(coverage.probes_dropped > 600, "probes dropped at arrival: {coverage:?}");
+                prop_assert!(coverage.stale_rows > 100, "rows of the failed node: {coverage:?}");
+                prop_assert!(coverage.dag_completions > 600, "joins completed: {coverage:?}");
+            }
+        }
     }
 }

@@ -37,7 +37,7 @@ use acp_state::GlobalStateBoard;
 use acp_topology::{OverlayNodeId, SharedPath};
 use rand::Rng;
 
-use crate::protocol::{compose_with_mode, ProbingConfig, ProbingOutcome, SetupMode};
+use crate::protocol::{compose_with_mode, ProbeScratch, ProbingConfig, ProbingOutcome, SetupMode};
 
 /// High-bit namespace for repair mini-requests: real workload request
 /// ids stay below it, so a mini-request can never collide with (or be
@@ -99,6 +99,8 @@ pub struct RepairAttempt {
 #[derive(Debug, Clone, Default)]
 pub struct RepairPlanner {
     mini_counter: u64,
+    /// Probe-tree storage for the segment probes (buffers, not state).
+    scratch: ProbeScratch,
 }
 
 impl RepairPlanner {
@@ -178,7 +180,8 @@ impl RepairPlanner {
         };
 
         // Phase 1+2: probe and commit the replacement segment.
-        let probing = compose_with_mode(system, board, &mini_request, now, config, mode, rng);
+        let probing =
+            compose_with_mode(system, board, &mini_request, now, config, mode, rng, &mut self.scratch);
         let Some(mini_sid) = probing.session else {
             self.attempt_failed(system, request.id);
             return RepairAttempt {

@@ -39,18 +39,21 @@ pub struct CandidatePlan {
 }
 
 /// Reusable buffers for [`select_candidates_with`]. One selection call
-/// per probe per hop allocates a candidate-id list (for `Random`) or a
+/// per probe per hop fills a candidate-id list (for `Random`) or a
 /// bounded top-`quota` list (for `Ranked`); threading one scratch
 /// through a whole probing run keeps those allocations out of the hot
 /// loop.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct SelectionScratch {
     ids: Vec<ComponentId>,
-    ranked: Vec<(RankKey, CandidatePlan)>,
-    /// The row under examination's incoming virtual links: reused from
-    /// one rejected row to the next, moved into a [`CandidatePlan`] only
-    /// when the row enters the top-`quota`.
-    incoming: Vec<(usize, SharedPath)>,
+    /// The best `quota` rows so far, ascending by key. A row is its key
+    /// and its component, nothing else: its links are read by reference
+    /// while it is scored and resolved only if it is still here when
+    /// the walk ends.
+    ranked: Vec<(RankKey, ComponentId)>,
+    /// The selected components, best first, between the walk and the
+    /// [`CandidatePlan`]s built from them.
+    picks: Vec<ComponentId>,
 }
 
 /// Inputs to one hop's selection decision.
@@ -96,8 +99,10 @@ pub fn select_candidates<R: Rng + ?Sized>(
     select_candidates_with(system, board, ctx, strategy, alpha, risk_epsilon, rng, stats, &mut scratch)
 }
 
-/// [`select_candidates`] with caller-provided scratch buffers; the hot
-/// probing loop threads one [`SelectionScratch`] through every hop.
+/// [`select_candidates`] with caller-provided scratch buffers, for
+/// callers that select hop after hop. A thin wrapper: [`select_into`]
+/// decides, and each selected component's links are then read back from
+/// the path memo (uncounted — the decision already paid for them).
 #[allow(clippy::too_many_arguments)] // one parameter per protocol input (Fig. 3)
 pub fn select_candidates_with<R: Rng + ?Sized>(
     system: &mut StreamSystem,
@@ -110,67 +115,106 @@ pub fn select_candidates_with<R: Rng + ?Sized>(
     stats: &mut OverheadStats,
     scratch: &mut SelectionScratch,
 ) -> Vec<CandidatePlan> {
-    let function = ctx.request.graph.function(ctx.vertex);
+    let hop = HopInputs::new(system, ctx.request, ctx.vertex, alpha);
+    let mut picks = std::mem::take(&mut scratch.picks);
+    picks.clear();
+    select_into(system, board, &hop, ctx.predecessors, strategy, risk_epsilon, rng, stats, scratch, &mut picks);
+    let plans = picks
+        .iter()
+        .map(|&component| CandidatePlan {
+            component,
+            incoming: ctx
+                .predecessors
+                .iter()
+                .map(|&(edge, pred, _)| (edge, resolved_link(system, pred.node, component.node).clone()))
+                .collect(),
+        })
+        .collect();
+    scratch.picks = picks;
+    plans
+}
+
+/// One hop's selection decision in the form the probing loop keeps it:
+/// the components to probe, best first, appended to `picks`. Nothing is
+/// taken from the path memo — every virtual link is read by reference
+/// (one counted lookup per predecessor of each row that gets that far)
+/// — so a candidate that is only looked at costs arithmetic and reads.
+#[allow(clippy::too_many_arguments)] // select_candidates_with's inputs, per vertex and per probe
+pub(crate) fn select_into<R: Rng + ?Sized>(
+    system: &mut StreamSystem,
+    board: &GlobalStateBoard,
+    hop: &HopInputs,
+    predecessors: &[(usize, ComponentId, Qos)],
+    strategy: HopSelection,
+    risk_epsilon: f64,
+    rng: &mut R,
+    stats: &mut OverheadStats,
+    scratch: &mut SelectionScratch,
+    picks: &mut Vec<ComponentId>,
+) {
     stats.discovery_lookups += 1;
-    let k = system.candidates(function).len();
-    let quota = probe_quota(k, alpha);
-    if quota == 0 {
-        return Vec::new();
+    if hop.quota == 0 {
+        return;
     }
     match strategy {
         HopSelection::Random => {
-            let rate = ctx.request.stream_rate_kbps;
-            let request = ctx.request;
             // Interface compatibility and placement constraints (both
             // static specifications known without probing).
             scratch.ids.clear();
-            scratch.ids.extend_from_slice(system.candidates(function));
+            scratch.ids.extend_from_slice(system.candidates(hop.function));
             scratch.ids.retain(|&c| {
                 let component = system.component(c);
-                component.accepts_rate(rate) && request.constraints.admits(&component.attributes)
+                component.accepts_rate(hop.rate) && hop.constraints.admits(&component.attributes)
             });
             scratch.ids.shuffle(rng);
-            scratch.ids.truncate(quota);
-            let mut plans = Vec::with_capacity(scratch.ids.len());
+            scratch.ids.truncate(hop.quota);
             for &c in &scratch.ids {
-                if let Some(plan) = plan_for(system, c, ctx) {
-                    plans.push(plan);
+                // Stops at the first predecessor that cannot reach `c`.
+                if predecessors.iter().all(|&(_, pred, _)| system.virtual_path_ref(pred.node, c.node).is_some()) {
+                    picks.push(c);
                 }
             }
-            plans
         }
         HopSelection::Ranked => {
             stats.global_state_queries += 1;
-            stats.selection_candidates += k as u64;
-            ranked_walk(system, board, ctx, quota, risk_epsilon, stats, scratch)
+            stats.selection_candidates += hop.candidates as u64;
+            ranked_walk(system, board, hop, predecessors, risk_epsilon, stats, &mut scratch.ranked);
+            picks.extend(scratch.ranked.iter().map(|&(_, component)| component));
         }
     }
 }
 
-/// The ranked walk over `ctx.vertex`'s candidate index: the best
-/// `quota` rows by [`RankKey`], best first.
+/// The memoized virtual link of a selected candidate: `from` is one of
+/// its predecessors' nodes, `to` its own. The selection that picked it
+/// resolved the pair (and counted the lookup), and nothing drops memo
+/// entries while a request is being composed.
+pub(crate) fn resolved_link(system: &StreamSystem, from: OverlayNodeId, to: OverlayNodeId) -> &SharedPath {
+    system.overlay().memoized_path(from, to).expect("a selected candidate's links are memoized")
+}
+
+/// The ranked walk over the hop's candidate index: the best `hop.quota`
+/// rows by [`RankKey`], ascending, left in `ranked`.
 ///
 /// Examining a row reads the row itself and the system's liveness flag,
-/// nothing else, until a row with predecessors reaches path resolution;
-/// the key is computed from the row and compared with the kept worst
-/// before anything is built, so a row that does not enter the top
-/// `quota` costs no [`CandidatePlan`] and no allocation. Deliberately
-/// not generic (ranking draws no randomness): the loop and every
-/// private helper compile together in this crate.
+/// nothing else, until a row with predecessors reaches its links, which
+/// are read in place in the path memo; the key is computed from the row
+/// and compared with the kept worst before anything is kept, so a row
+/// that does not enter the top `quota` costs no refcount and no
+/// allocation. Deliberately not generic (ranking draws no randomness):
+/// the loop and every private helper compile together in this crate.
 fn ranked_walk(
     system: &mut StreamSystem,
     board: &GlobalStateBoard,
-    ctx: &HopContext<'_>,
-    quota: usize,
+    hop: &HopInputs,
+    predecessors: &[(usize, ComponentId, Qos)],
     risk_epsilon: f64,
     stats: &mut OverheadStats,
-    scratch: &mut SelectionScratch,
-) -> Vec<CandidatePlan> {
-    let hop = HopInputs::new(system, ctx.request, ctx.vertex);
-    let acc = accumulated_over(ctx.predecessors);
+    ranked: &mut Vec<(RankKey, ComponentId)>,
+) {
+    let quota = hop.quota;
+    let acc = accumulated_over(predecessors);
     let acc_delay = acc.delay.as_secs_f64();
     let entries = board.candidate_entries(hop.function);
-    let SelectionScratch { ranked, incoming, .. } = scratch;
     ranked.clear();
     for (pos, entry) in entries.iter().enumerate() {
         if ranked.len() == quota {
@@ -184,43 +228,39 @@ fn ranked_walk(
             }
         }
         stats.selection_examined += 1;
-        if let Some(pruned) = screen_row(system, board, entry, &hop, acc) {
+        if let Some(pruned) = screen_row(system, board, entry, hop, acc) {
             pruned.count(stats);
             continue;
         }
-        let link = if ctx.predecessors.is_empty() {
+        let link = if predecessors.is_empty() {
             // No link: Eqs. 6–8 over the neutral link are exactly the
             // prescreen the row just passed, so it is known qualified.
             NEUTRAL_LINK
         } else {
-            if !resolve_incoming(system, entry.node, ctx.predecessors, incoming) {
+            let Some(link) = incoming_summary(system, board, entry.node, predecessors) else { continue };
+            if !requalifies(entry, hop, acc, link) {
                 continue;
             }
-            let Some(link) = requalify(board, entry, &hop, acc, incoming) else { continue };
             link
         };
-        let (d, v) = score_row(entry, &hop, acc, link);
+        let (d, v) = score_row(entry, hop, acc, link);
         stats.selection_scored += 1;
         let key = RankKey::new(d, v, pos as u32, risk_epsilon);
         if enters(ranked, quota, &key) {
-            let plan = CandidatePlan {
-                component: ComponentId::new(entry.node, entry.slot),
-                incoming: std::mem::take(incoming),
-            };
-            insert_ranked(ranked, quota, key, plan);
+            insert_ranked(ranked, quota, key, ComponentId::new(entry.node, entry.slot));
         }
     }
-    // Release the last examined row's shared paths.
-    incoming.clear();
-    // Drain (rather than move) so the buffer's capacity is kept
-    // for the next hop.
-    ranked.drain(..).map(|(_, plan)| plan).collect()
 }
 
-/// The request-side inputs of one hop's ranked walk, looked up and
-/// converted once per call instead of once per examined row.
-struct HopInputs {
+/// The request-side inputs of one vertex's selection decisions, looked
+/// up and converted once per vertex instead of once per probe or per
+/// examined row.
+pub(crate) struct HopInputs {
     function: FunctionId,
+    /// `k`: the function's discovered candidates.
+    pub(crate) candidates: usize,
+    /// `⌈α·k⌉` ([`probe_quota`]): how many a selection returns.
+    quota: usize,
     rate: f64,
     constraints: PlacementConstraints,
     qos: QosRequirement,
@@ -228,14 +268,19 @@ struct HopInputs {
     max_delay_secs: f64,
     /// `qos.max_loss.log_survival()` — the Eq. 9 loss divisor.
     max_loss: f64,
-    demand: ResourceVector,
+    /// The end-system demand of the vertex's component.
+    pub(crate) demand: ResourceVector,
     bandwidth_kbps: f64,
 }
 
 impl HopInputs {
-    fn new(system: &StreamSystem, request: &Request, vertex: VertexId) -> HopInputs {
+    pub(crate) fn new(system: &StreamSystem, request: &Request, vertex: VertexId, alpha: f64) -> HopInputs {
+        let function = request.graph.function(vertex);
+        let candidates = system.candidates(function).len();
         HopInputs {
-            function: request.graph.function(vertex),
+            function,
+            candidates,
+            quota: probe_quota(candidates, alpha),
             rate: request.stream_rate_kbps,
             constraints: request.constraints,
             qos: request.qos,
@@ -330,17 +375,10 @@ type LinkSummary = (Qos, f64);
 /// passes Eq. 8 at any bandwidth — what the prescreen evaluates with.
 const NEUTRAL_LINK: LinkSummary = (Qos::ZERO, f64::INFINITY);
 
-/// Full qualification (Eqs. 6–8) of a screened row over its resolved
-/// incoming links: the links' summary, or `None` when unqualified.
-fn requalify(
-    board: &GlobalStateBoard,
-    entry: &IndexEntry,
-    hop: &HopInputs,
-    acc: Qos,
-    incoming: &[(usize, SharedPath)],
-) -> Option<LinkSummary> {
-    let (link_qos, link_avail) = incoming_summary(board, incoming);
-    let unqualified = is_unqualified(
+/// Full qualification (Eqs. 6–8) of a screened row over its incoming
+/// links' summary.
+fn requalifies(entry: &IndexEntry, hop: &HopInputs, acc: Qos, (link_qos, link_avail): LinkSummary) -> bool {
+    !is_unqualified(
         acc,
         entry.qos,
         link_qos,
@@ -349,8 +387,7 @@ fn requalify(
         &hop.demand,
         link_avail,
         hop.bandwidth_kbps,
-    );
-    (!unqualified).then_some((link_qos, link_avail))
+    )
 }
 
 /// The rank inputs of a qualified row: risk `D` (Eq. 9) and congestion
@@ -429,12 +466,7 @@ fn risk_band(d: f64, risk_epsilon: f64) -> i64 {
 fn accumulated_over(predecessors: &[(usize, ComponentId, Qos)]) -> Qos {
     let mut acc = Qos::ZERO;
     for &(_, _, pred_acc) in predecessors {
-        if pred_acc.delay > acc.delay {
-            acc.delay = pred_acc.delay;
-        }
-        if pred_acc.loss > acc.loss {
-            acc.loss = pred_acc.loss;
-        }
+        acc.raise_to(pred_acc);
     }
     acc
 }
@@ -471,85 +503,55 @@ fn cannot_beat(worst: &RankKey, d_lb: f64, risk_epsilon: f64) -> bool {
 /// [`RankKey`] (worst last). Keys are unique (`pos` differs), so a
 /// candidate equal-or-worse than the kept worst never enters.
 #[inline]
-fn enters(ranked: &[(RankKey, CandidatePlan)], quota: usize, key: &RankKey) -> bool {
+fn enters(ranked: &[(RankKey, ComponentId)], quota: usize, key: &RankKey) -> bool {
     ranked.len() < quota || ranked[ranked.len() - 1].0.cmp(key) == std::cmp::Ordering::Greater
 }
 
 /// Inserts a key that [`enters`] the top-`quota` list, dropping the
 /// displaced worst.
-fn insert_ranked(
-    ranked: &mut Vec<(RankKey, CandidatePlan)>,
-    quota: usize,
-    key: RankKey,
-    plan: CandidatePlan,
-) {
+fn insert_ranked(ranked: &mut Vec<(RankKey, ComponentId)>, quota: usize, key: RankKey, component: ComponentId) {
     let at = ranked.partition_point(|(k, _)| k.cmp(&key) == std::cmp::Ordering::Less);
-    ranked.insert(at, (key, plan));
+    ranked.insert(at, (key, component));
     ranked.truncate(quota);
 }
 
-/// Resolves the virtual link from every predecessor to `node` into
-/// `incoming` (cleared first), in predecessor order. `false` — stopping
-/// at the first lookup that fails — when some predecessor cannot reach
-/// `node`.
-fn resolve_incoming(
+/// Summarises the virtual links from every predecessor to `node` under
+/// **coarse** state — the worst branch's QoS and the bottleneck
+/// availability — reading each link in place in the path memo, in
+/// predecessor order. `None`, stopping at the first lookup that fails,
+/// when some predecessor cannot reach `node`.
+fn incoming_summary(
     system: &mut StreamSystem,
+    board: &GlobalStateBoard,
     node: OverlayNodeId,
     predecessors: &[(usize, ComponentId, Qos)],
-    incoming: &mut Vec<(usize, SharedPath)>,
-) -> bool {
-    incoming.clear();
-    for &(edge, pred, _) in predecessors {
-        let Some(path) = system.virtual_path(pred.node, node) else { return false };
-        incoming.push((edge, path));
-    }
-    true
-}
-
-/// Builds the candidate's plan: virtual links from every assigned
-/// predecessor. `None` when some predecessor cannot reach the candidate.
-fn plan_for(system: &mut StreamSystem, component: ComponentId, ctx: &HopContext<'_>) -> Option<CandidatePlan> {
-    let mut incoming = Vec::with_capacity(ctx.predecessors.len());
-    resolve_incoming(system, component.node, ctx.predecessors, &mut incoming)
-        .then_some(CandidatePlan { component, incoming })
-}
-
-/// Summarises the incoming virtual links under **coarse** state: the
-/// worst branch's QoS and the bottleneck availability.
-fn incoming_summary(board: &GlobalStateBoard, incoming: &[(usize, SharedPath)]) -> LinkSummary {
+) -> Option<LinkSummary> {
     let mut worst_link = Qos::ZERO;
     let mut min_avail = f64::INFINITY;
-    for (_, path) in incoming {
-        let link_qos = Qos::new(path.delay, LossRate::from_probability(path.loss_rate));
+    for &(_, pred, _) in predecessors {
+        let path = system.virtual_path_ref(pred.node, node)?;
+        worst_link.raise_to(Qos::of_link(path));
         min_avail = min_avail.min(board.path_available(path));
-        if link_qos.delay > worst_link.delay {
-            worst_link.delay = link_qos.delay;
-        }
-        if link_qos.loss > worst_link.loss {
-            worst_link.loss = link_qos.loss;
-        }
     }
-    (worst_link, min_avail)
+    Some((worst_link, min_avail))
 }
 
 /// Precise arrival accumulation at a candidate: per-metric maximum over
 /// incoming branches of `acc(pred) + q(link)`, plus the candidate's own
-/// (precise) QoS. Used by the per-hop probe processing.
-pub fn arrival_accumulated(plan: &CandidatePlan, ctx: &HopContext<'_>, candidate_qos: Qos) -> Qos {
+/// (precise) QoS. `incoming` holds the candidate's virtual links, one
+/// per predecessor and in the same order. Used by the per-hop probe
+/// processing.
+pub fn arrival_accumulated(
+    predecessors: &[(usize, ComponentId, Qos)],
+    incoming: &[(usize, SharedPath)],
+    candidate_qos: Qos,
+) -> Qos {
     let mut worst = Qos::ZERO;
-    if ctx.predecessors.is_empty() {
+    if predecessors.is_empty() {
         return candidate_qos;
     }
-    for (i, &(_, _, pred_acc)) in ctx.predecessors.iter().enumerate() {
-        let path = &plan.incoming[i].1;
-        let link_qos = Qos::new(path.delay, LossRate::from_probability(path.loss_rate));
-        let branch = pred_acc + link_qos;
-        if branch.delay > worst.delay {
-            worst.delay = branch.delay;
-        }
-        if branch.loss > worst.loss {
-            worst.loss = branch.loss;
-        }
+    for (&(_, _, pred_acc), (_, path)) in predecessors.iter().zip(incoming) {
+        worst.raise_to(pred_acc + Qos::of_link(path));
     }
     worst + candidate_qos
 }
@@ -720,7 +722,7 @@ mod tests {
             incoming: vec![(0, path_a.clone()), (1, path_a)],
         };
         let cand = Qos::from_delay(acp_simcore::SimDuration::from_millis(3));
-        let acc = arrival_accumulated(&plan, &ctx, cand);
+        let acc = arrival_accumulated(ctx.predecessors, &plan.incoming, cand);
         assert_eq!(acc.delay, acp_simcore::SimDuration::from_millis(43));
     }
 
@@ -897,6 +899,21 @@ mod tests {
             ranked.into_iter().map(|(_, plan)| plan).collect()
         }
 
+        /// The plan builder as it was: every link taken (cloned) from
+        /// the memo before the row is scored, stopping at the first
+        /// predecessor that cannot reach the candidate.
+        fn plan_for(
+            system: &mut StreamSystem,
+            component: ComponentId,
+            ctx: &HopContext<'_>,
+        ) -> Option<CandidatePlan> {
+            let mut incoming = Vec::with_capacity(ctx.predecessors.len());
+            for &(edge, pred, _) in ctx.predecessors {
+                incoming.push((edge, system.virtual_path(pred.node, component.node)?));
+            }
+            Some(CandidatePlan { component, incoming })
+        }
+
         fn reference_incoming_summary(
             board: &GlobalStateBoard,
             plan: &CandidatePlan,
@@ -910,7 +927,7 @@ mod tests {
             let mut acc = Qos::ZERO;
             for (i, &(_, _, pred_acc)) in ctx.predecessors.iter().enumerate() {
                 let path = &plan.incoming[i].1;
-                let link_qos = Qos::new(path.delay, LossRate::from_probability(path.loss_rate));
+                let link_qos = Qos::new(path.delay, LossRate::from_probability(path.loss_rate()));
                 min_avail = min_avail.min(board.path_available(path));
                 if link_qos.delay > worst_link.delay {
                     worst_link.delay = link_qos.delay;
@@ -963,7 +980,11 @@ mod tests {
         /// migrations, node failures, with and without a refresh in
         /// between), then run the kernel and the oracle on clones and
         /// compare plans, counters and path-memo accounting.
-        fn run_case(seed: u64, rng: &mut StdRng, scratch: &mut SelectionScratch) -> OverheadStats {
+        ///
+        /// Returns the kernel's counters, and whether the case was a
+        /// join whose first predecessor reaches the rows while its
+        /// second is down.
+        fn run_case(seed: u64, rng: &mut StdRng, scratch: &mut SelectionScratch) -> (OverheadStats, bool) {
             let mut sys = fixture(seed % 4);
             let mut board = GlobalStateBoard::new(&sys, GlobalStateConfig::default());
             let graph = join_graph();
@@ -1031,10 +1052,13 @@ mod tests {
                         }
                     }
                     // A predecessor's node fails: every row is unreachable
-                    // from it.
+                    // from it. At the join, the first one down ends each
+                    // row's link fold after one lookup; the second one
+                    // down ends it with the first link already folded in.
                     _ => {
-                        if let Some(&(_, pred, _)) = predecessors.first() {
-                            if rng.gen_bool(0.3) && !sys.is_node_failed(pred.node) {
+                        if !predecessors.is_empty() && rng.gen_bool(0.3) {
+                            let (_, pred, _) = predecessors[rng.gen_range(0..predecessors.len())];
+                            if !sys.is_node_failed(pred.node) {
                                 sys.fail_node(pred.node, RepairPolicy::Terminate, SimTime::ZERO);
                             }
                         }
@@ -1108,7 +1132,8 @@ mod tests {
                 assert_eq!(kernel_stats, oracle_stats, "{case}: overhead counters");
                 assert_eq!(kernel_sys.path_cache_stats(), oracle_sys.path_cache_stats(), "{case}: path memo");
             }
-            kernel_stats
+            let down = |i: usize| kernel_sys.is_node_failed(predecessors[i].1.node);
+            (kernel_stats, predecessors.len() == 2 && !down(0) && down(1))
         }
 
         proptest! {
@@ -1122,9 +1147,13 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(master);
                 let mut scratch = SelectionScratch::default();
                 let mut total = OverheadStats::new();
+                let mut half_reachable_joins = 0;
                 for seed in 0..400 {
-                    total += run_case(seed, &mut rng, &mut scratch);
+                    let (stats, half_reachable) = run_case(seed, &mut rng, &mut scratch);
+                    total += stats;
+                    half_reachable_joins += u32::from(half_reachable);
                 }
+                prop_assert!(half_reachable_joins >= 5, "joins with only the second predecessor down: {half_reachable_joins}");
                 prop_assert!(total.selection_pruned_stale > 200, "stale rows: {total:?}");
                 prop_assert!(total.selection_pruned_static > 10_000, "static rejections: {total:?}");
                 prop_assert!(total.selection_prescreened > 5_000, "prescreened rows: {total:?}");

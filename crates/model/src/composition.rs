@@ -9,10 +9,10 @@ use acp_topology::{OverlayLinkId, SharedPath};
 
 use crate::component::ComponentId;
 use crate::fgraph::{FunctionGraph, VertexId};
-use crate::qos::{LossRate, Qos};
+use crate::qos::Qos;
 
 /// A concrete component graph `λ`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Composition {
     /// Component chosen for each function-graph vertex (index-aligned
     /// with the request graph's vertices).
@@ -35,7 +35,7 @@ impl Composition {
             let from = self.assignment[u].node;
             let to = self.assignment[v].node;
             if from == to {
-                path.is_colocated() && path.nodes == vec![from]
+                path.is_colocated() && path.nodes == [from]
             } else {
                 path.nodes.first() == Some(&from) && path.nodes.last() == Some(&to)
             }
@@ -45,8 +45,13 @@ impl Composition {
     /// The QoS contribution of the virtual link on edge `e`: network delay
     /// plus composed loss.
     pub fn link_qos(&self, e: usize) -> Qos {
-        let p = &self.links[e];
-        Qos::new(p.delay, LossRate::from_probability(p.loss_rate))
+        Qos::of_link(&self.links[e])
+    }
+
+    /// Overlay links used, with multiplicity: the length of
+    /// [`Self::overlay_links`].
+    pub fn overlay_hops(&self) -> usize {
+        self.links.iter().map(|p| p.hop_count()).sum()
     }
 
     /// Iterates over every overlay link used, with multiplicity, paired
@@ -87,21 +92,34 @@ impl Composition {
 
     /// End-to-end QoS: the worst (per-metric maximum) over all
     /// source→sink branch paths — the critical path per metric.
+    ///
+    /// Computed as the arrival QoS at the sink, each vertex taking the
+    /// worst of its incoming branches before adding its own: additions
+    /// are monotone, so that is the maximum over the paths'
+    /// [`Self::path_qos`] sums (added in the same source-to-sink order)
+    /// without enumerating — or allocating — the paths.
     pub fn aggregated_qos<F>(&self, graph: &FunctionGraph, mut component_qos: F) -> Qos
     where
         F: FnMut(ComponentId) -> Qos,
     {
         let mut worst = Qos::ZERO;
-        for path in graph.source_to_sink_paths() {
-            let q = self.path_qos(graph, &path, &mut component_qos);
-            if q.delay > worst.delay {
-                worst.delay = q.delay;
-            }
-            if q.loss > worst.loss {
-                worst.loss = q.loss;
-            }
-        }
+        worst.raise_to(self.arrival_qos(graph, graph.sink(), &mut component_qos));
         worst
+    }
+
+    /// QoS accumulated from the source up to and including `v`, along
+    /// the worst branch per metric. Recurses over predecessors; a
+    /// vertex shared by several branches is revisited once per branch,
+    /// as enumerating the paths would.
+    fn arrival_qos<F>(&self, graph: &FunctionGraph, v: VertexId, component_qos: &mut F) -> Qos
+    where
+        F: FnMut(ComponentId) -> Qos,
+    {
+        let mut arrival = Qos::ZERO;
+        for (e, &(u, _)) in graph.edges().iter().enumerate().filter(|(_, &(_, w))| w == v) {
+            arrival.raise_to(self.arrival_qos(graph, u, component_qos) + self.link_qos(e));
+        }
+        arrival + component_qos(self.assignment[v])
     }
 }
 
@@ -114,8 +132,7 @@ impl std::fmt::Display for Composition {
             }
             write!(f, "{c}")?;
         }
-        let network_hops: usize = self.links.iter().map(|p| p.hop_count()).sum();
-        write!(f, "] ({} vlinks, {network_hops} overlay hops)", self.links.len())
+        write!(f, "] ({} vlinks, {} overlay hops)", self.links.len(), self.overlay_hops())
     }
 }
 
@@ -131,13 +148,13 @@ mod tests {
     }
 
     fn link_path(from: u32, to: u32, ms: u64, loss: f64) -> SharedPath {
-        SharedPath::new(OverlayPath {
-            nodes: vec![OverlayNodeId(from), OverlayNodeId(to)],
-            links: vec![OverlayLinkId(0)],
-            delay: SimDuration::from_millis(ms),
-            bottleneck_kbps: 1_000.0,
-            loss_rate: loss,
-        })
+        SharedPath::new(OverlayPath::new(
+            vec![OverlayNodeId(from), OverlayNodeId(to)],
+            vec![OverlayLinkId(0)],
+            SimDuration::from_millis(ms),
+            1_000.0,
+            loss,
+        ))
     }
 
     fn qos_ms(ms: u64) -> Qos {
@@ -224,6 +241,78 @@ mod tests {
         let q = c.aggregated_qos(&g, comp_qos);
         // slow branch: 1 + 1 + 50 + 1 + 1 = 54
         assert_eq!(q.delay, SimDuration::from_millis(54));
+    }
+
+    /// The critical path as it was defined: every source→sink path
+    /// enumerated, summed, and the per-metric worst kept. The recursion
+    /// must agree to the bit, on shapes where branches share vertices
+    /// and where the worst delay and the worst loss take different ways.
+    #[test]
+    fn aggregated_qos_matches_the_path_enumeration() {
+        use rand::{Rng, SeedableRng};
+        let f = FunctionId;
+        let diamonds = FunctionGraph::new(
+            (0..7).map(f).collect(),
+            vec![(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6)],
+        );
+        let graphs = [
+            FunctionGraph::path(vec![f(0), f(1), f(2), f(3)]),
+            FunctionGraph::split_merge(vec![f(0)], vec![f(1), f(2)], vec![f(3)], f(4), vec![f(5)]),
+            FunctionGraph::split_merge(vec![f(0), f(1)], vec![f(2)], vec![f(3), f(4)], f(5), vec![]),
+            diamonds,
+            FunctionGraph::path(vec![f(0)]),
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(20);
+        for round in 0..200 {
+            let graph = &graphs[round % graphs.len()];
+            let sample = |rng: &mut rand::rngs::StdRng| {
+                // Zero loss is `-0.0` in the additive domain: keep it in.
+                let loss = if rng.gen_bool(0.2) { 0.0 } else { rng.gen_range(0.0..0.2) };
+                (rng.gen_range(0..40_000u64), loss)
+            };
+            let component: Vec<Qos> = graph
+                .vertices()
+                .map(|_| {
+                    let (us, loss) = sample(&mut rng);
+                    Qos::new(SimDuration::from_micros(us), crate::qos::LossRate::from_probability(loss))
+                })
+                .collect();
+            let c = Composition {
+                assignment: graph.vertices().map(|v| comp(v as u32, 0)).collect(),
+                links: graph
+                    .edges()
+                    .iter()
+                    .map(|&(u, v)| {
+                        let (us, loss) = sample(&mut rng);
+                        SharedPath::new(OverlayPath::new(
+                            vec![OverlayNodeId(u as u32), OverlayNodeId(v as u32)],
+                            vec![OverlayLinkId(0)],
+                            SimDuration::from_micros(us),
+                            1_000.0,
+                            loss,
+                        ))
+                    })
+                    .collect(),
+            };
+            let qos_of = |id: ComponentId| component[id.node.index()];
+            let mut want = Qos::ZERO;
+            for path in graph.source_to_sink_paths() {
+                let q = c.path_qos(graph, &path, qos_of);
+                if q.delay > want.delay {
+                    want.delay = q.delay;
+                }
+                if q.loss > want.loss {
+                    want.loss = q.loss;
+                }
+            }
+            let got = c.aggregated_qos(graph, qos_of);
+            assert_eq!(got.delay, want.delay, "round {round}");
+            assert_eq!(
+                got.loss.log_survival().to_bits(),
+                want.loss.log_survival().to_bits(),
+                "round {round}: {got} vs {want}"
+            );
+        }
     }
 
     #[test]

@@ -181,22 +181,32 @@ impl FunctionGraph {
         self.try_topological_order().expect("validated at construction")
     }
 
-    fn try_topological_order(&self) -> Option<Vec<VertexId>> {
-        let n = self.len();
-        let mut indegree: Vec<usize> = (0..n).map(|v| self.preds[v].len()).collect();
-        let mut queue: std::collections::VecDeque<usize> =
-            (0..n).filter(|&v| indegree[v] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
+    /// [`Self::topological_order`] written into `order`, with `indegree`
+    /// as working space — for callers that order graph after graph and
+    /// keep both buffers. (On a cyclic graph, which only the constructor
+    /// can meet, `order` comes out short.)
+    pub fn topological_order_into(&self, order: &mut Vec<VertexId>, indegree: &mut Vec<usize>) {
+        indegree.clear();
+        indegree.extend(self.preds.iter().map(Vec::len));
+        // Kahn's algorithm; `order` is its own FIFO queue, read at `head`.
+        order.clear();
+        order.extend((0..self.len()).filter(|&v| indegree[v] == 0));
+        let mut head = 0;
+        while let Some(&v) = order.get(head) {
+            head += 1;
             for &s in &self.succs[v] {
                 indegree[s] -= 1;
                 if indegree[s] == 0 {
-                    queue.push_back(s);
+                    order.push(s);
                 }
             }
         }
-        (order.len() == n).then_some(order)
+    }
+
+    fn try_topological_order(&self) -> Option<Vec<VertexId>> {
+        let (mut order, mut indegree) = (Vec::new(), Vec::new());
+        self.topological_order_into(&mut order, &mut indegree);
+        (order.len() == self.len()).then_some(order)
     }
 
     fn is_weakly_connected(&self) -> bool {

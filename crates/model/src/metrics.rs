@@ -67,7 +67,7 @@ pub fn congestion_aggregation(system: &StreamSystem, request: &Request, composit
     // Virtual-link terms: Σ b / ba with ba the bottleneck availability of
     // the virtual link after accounting for this composition's own prior
     // claims on shared overlay links.
-    let mut used_on_link: Vec<(OverlayLinkId, f64)> = Vec::new();
+    let mut used_on_link: Vec<(OverlayLinkId, f64)> = Vec::with_capacity(composition.overlay_hops());
     let b = request.bandwidth_kbps;
     for path in &composition.links {
         if path.is_colocated() {

@@ -13,6 +13,7 @@
 use std::ops::{Add, AddAssign};
 
 use acp_simcore::SimDuration;
+use acp_topology::OverlayPath;
 
 /// A loss probability stored in the additive log-survival domain.
 ///
@@ -120,6 +121,28 @@ impl Qos {
     /// Delay-only QoS (zero loss).
     pub fn from_delay(delay: SimDuration) -> Self {
         Qos { delay, loss: LossRate::ZERO }
+    }
+
+    /// What a virtual link adds to a composition: the path's network
+    /// delay and its composed loss, read from the additive term the path
+    /// stores (`LossRate::from_probability(path.loss_rate())`, bit for
+    /// bit, without the `ln`).
+    #[inline]
+    pub fn of_link(path: &OverlayPath) -> Self {
+        Qos { delay: path.delay, loss: LossRate::from_log_survival(path.loss_log_survival()) }
+    }
+
+    /// Raises each metric to `other`'s where that is worse: the
+    /// per-metric maximum, in place. (Strict comparisons, so of two
+    /// equal values the one already here stays.)
+    #[inline]
+    pub fn raise_to(&mut self, other: Qos) {
+        if other.delay > self.delay {
+            self.delay = other.delay;
+        }
+        if other.loss > self.loss {
+            self.loss = other.loss;
+        }
     }
 
     /// True when both metrics are within `req`.

@@ -721,6 +721,13 @@ impl StreamSystem {
         self.overlay.virtual_path(from, to)
     }
 
+    /// [`Self::virtual_path`] by reference into the memo, counted the
+    /// same; see [`Overlay::virtual_path_ref`].
+    #[inline]
+    pub fn virtual_path_ref(&mut self, from: OverlayNodeId, to: OverlayNodeId) -> Option<&SharedPath> {
+        self.overlay.virtual_path_ref(from, to)
+    }
+
     /// Hit/miss counters of the overlay's virtual-path memo.
     pub fn path_cache_stats(&self) -> acp_topology::PathCacheStats {
         self.overlay.path_cache_stats()
@@ -1148,7 +1155,7 @@ fn group_node_demand(system: &StreamSystem, request: &Request, composition: &Com
 /// Groups a composition's bandwidth demand by overlay link (a link may
 /// carry several edges of the same composition), in edge order.
 fn group_link_demand(request: &Request, composition: &Composition) -> LinkAllocs {
-    let mut grouped: LinkAllocs = Vec::new();
+    let mut grouped: LinkAllocs = Vec::with_capacity(composition.overlay_hops());
     for (_, l) in composition.overlay_links() {
         match grouped.iter_mut().find(|(x, _)| *x == l) {
             Some((_, total)) => *total += request.bandwidth_kbps,

@@ -36,6 +36,7 @@ pub mod routing;
 pub use graph::{EdgeId, Graph, LinkProps, NodeId};
 pub use inet::InetConfig;
 pub use overlay::{
-    Overlay, OverlayConfig, OverlayLinkId, OverlayNodeId, OverlayPath, PathCacheStats, SharedPath,
+    Overlay, OverlayConfig, OverlayLinkId, OverlayNodeId, OverlayPath, PairHasher, PathCacheStats,
+    SharedPath,
 };
 pub use routing::{IpPath, RoutingTable};

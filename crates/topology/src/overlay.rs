@@ -12,7 +12,9 @@
 //! computes it with delay-based shortest-path routing on the mesh, again
 //! matching §4.1.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use acp_simcore::SimDuration;
@@ -78,8 +80,13 @@ pub struct OverlayPath {
     pub delay: SimDuration,
     /// Bottleneck capacity over the constituent overlay links, kbit/s.
     pub bottleneck_kbps: f64,
-    /// Composed loss probability.
-    pub loss_rate: f64,
+    /// Composed loss probability, in `[0, 1)`. Private with
+    /// `loss_log_survival` so the two cannot drift apart.
+    loss_rate: f64,
+    /// `-ln(1 - loss_rate)`, the form in which loss adds along a
+    /// composition. A path is immutable once memoized, so the `ln` is
+    /// taken here once instead of by every hop decision that reads it.
+    loss_log_survival: f64,
 }
 
 /// A shared, immutable [`OverlayPath`].
@@ -114,17 +121,42 @@ impl PathCacheStats {
 }
 
 impl OverlayPath {
+    /// A path over `nodes` and `links` with its aggregated QoS.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `loss_rate ∈ [0, 1)` — the check every reader of
+    /// the additive loss term would otherwise repeat.
+    pub fn new(
+        nodes: Vec<OverlayNodeId>,
+        links: Vec<OverlayLinkId>,
+        delay: SimDuration,
+        bottleneck_kbps: f64,
+        loss_rate: f64,
+    ) -> Self {
+        assert!((0.0..1.0).contains(&loss_rate), "loss probability must be in [0,1), got {loss_rate}");
+        let loss_log_survival = -(1.0 - loss_rate).ln();
+        OverlayPath { nodes, links, delay, bottleneck_kbps, loss_rate, loss_log_survival }
+    }
+
     /// A zero-length path (both components co-located on one node). Per
     /// the paper, co-located components have zero network delay and
-    /// unbounded virtual-link bandwidth.
+    /// unbounded virtual-link bandwidth. (Its additive loss term is
+    /// `-ln(1)` = `-0.0`, sign included.)
     pub fn colocated(node: OverlayNodeId) -> Self {
-        OverlayPath {
-            nodes: vec![node],
-            links: Vec::new(),
-            delay: SimDuration::ZERO,
-            bottleneck_kbps: f64::INFINITY,
-            loss_rate: 0.0,
-        }
+        OverlayPath::new(vec![node], Vec::new(), SimDuration::ZERO, f64::INFINITY, 0.0)
+    }
+
+    /// Composed loss probability, in `[0, 1)`.
+    pub fn loss_rate(&self) -> f64 {
+        self.loss_rate
+    }
+
+    /// The loss in additive form, `-ln(1 - loss_rate)`: non-negative
+    /// (or `-0.0`), computed once at construction.
+    #[inline]
+    pub fn loss_log_survival(&self) -> f64 {
+        self.loss_log_survival
     }
 
     /// Number of overlay hops.
@@ -138,6 +170,37 @@ impl OverlayPath {
     }
 }
 
+/// The path memo's hasher: the two `u32` halves of a `(from, to)` key
+/// rotated into one word, multiplied by an odd constant, and the high
+/// half folded down. The fold matters: the table indexes buckets by the
+/// *low* bits of the hash, and the low bits of a bare product depend on
+/// `to` alone. Not collision-resistant, and need not be — the keys are
+/// the program's own node ids, never outside input.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    /// Fallback for keys that are not made of `u32`s; the memo's are.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(5) ^ u64::from(b)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.0 = self.0.rotate_left(32) ^ u64::from(v);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let product = self.0.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        product ^ (product >> 32)
+    }
+}
+
+type PathCache = HashMap<(OverlayNodeId, OverlayNodeId), Option<SharedPath>, BuildHasherDefault<PairHasher>>;
+
 /// The overlay mesh of stream-processing nodes.
 #[derive(Clone)]
 pub struct Overlay {
@@ -146,7 +209,7 @@ pub struct Overlay {
     mesh: Graph,
     ip_hops: Vec<usize>,
     route_cache: HashMap<OverlayNodeId, ShortestPathTree>,
-    path_cache: HashMap<(OverlayNodeId, OverlayNodeId), Option<SharedPath>>,
+    path_cache: PathCache,
     cache_stats: PathCacheStats,
     /// Nodes whose forwarding plane is down; routing never traverses
     /// them and `virtual_path` refuses them as endpoints.
@@ -266,7 +329,7 @@ impl Overlay {
             mesh,
             ip_hops,
             route_cache: HashMap::new(),
-            path_cache: HashMap::new(),
+            path_cache: PathCache::default(),
             cache_stats: PathCacheStats::default(),
         }
     }
@@ -391,40 +454,34 @@ impl Overlay {
     /// failure could change and keeps every tree a recovery provably
     /// leaves alone.
     pub fn virtual_path(&mut self, from: OverlayNodeId, to: OverlayNodeId) -> Option<SharedPath> {
-        if let Some(cached) = self.path_cache.get(&(from, to)) {
-            self.cache_stats.hits += 1;
-            return cached.clone();
-        }
-        self.cache_stats.misses += 1;
-        let computed = self.compute_virtual_path(from, to).map(Arc::new);
-        self.path_cache.insert((from, to), computed.clone());
-        computed
+        self.virtual_path_ref(from, to).cloned()
     }
 
-    /// Uncached path extraction (still reuses the per-source tree cache).
-    /// Down nodes are refused as endpoints and never traversed, so no
-    /// computed (and hence no cached) path ever contains a down node.
-    fn compute_virtual_path(&mut self, from: OverlayNodeId, to: OverlayNodeId) -> Option<OverlayPath> {
-        if self.down[from.index()] || self.down[to.index()] {
-            return None;
+    /// [`Self::virtual_path`] by reference into the memo: the same
+    /// lookup, the same hit/miss counting and the same insert on a miss,
+    /// without the `Arc` clone. For callers that only read the path — a
+    /// hop decision looks at many candidates' paths and keeps few.
+    pub fn virtual_path_ref(&mut self, from: OverlayNodeId, to: OverlayNodeId) -> Option<&SharedPath> {
+        // The entry API finds the slot once for hit and miss alike.
+        match self.path_cache.entry((from, to)) {
+            Entry::Occupied(hit) => {
+                self.cache_stats.hits += 1;
+                hit.into_mut().as_ref()
+            }
+            Entry::Vacant(slot) => {
+                self.cache_stats.misses += 1;
+                let computed =
+                    compute_virtual_path(&self.mesh, &self.down, &mut self.route_cache, from, to);
+                slot.insert(computed.map(Arc::new)).as_ref()
+            }
         }
-        if from == to {
-            return Some(OverlayPath::colocated(from));
-        }
-        let mesh = &self.mesh;
-        let down = &self.down;
-        let tree = self
-            .route_cache
-            .entry(from)
-            .or_insert_with(|| ShortestPathTree::compute_excluding(mesh, NodeId(from.0), down));
-        let ip = tree.path_to(mesh, NodeId(to.0))?;
-        Some(OverlayPath {
-            nodes: ip.nodes.iter().map(|n| OverlayNodeId(n.0)).collect(),
-            links: ip.edges.iter().map(|e| OverlayLinkId(e.0)).collect(),
-            delay: ip.delay,
-            bottleneck_kbps: ip.bottleneck_kbps,
-            loss_rate: ip.loss_rate,
-        })
+    }
+
+    /// The memoized path from `from` to `to`, if the pair has been
+    /// resolved and is reachable. Counts nothing and computes nothing:
+    /// for re-reading an answer [`Self::virtual_path_ref`] already gave.
+    pub fn memoized_path(&self, from: OverlayNodeId, to: OverlayNodeId) -> Option<&SharedPath> {
+        self.path_cache.get(&(from, to))?.as_ref()
     }
 
     /// Hit/miss counters of the `(from, to)` path memo (cumulative; not
@@ -516,6 +573,37 @@ impl Overlay {
     }
 }
 
+/// Uncached path extraction (still reuses the per-source tree cache).
+/// Down nodes are refused as endpoints and never traversed, so no
+/// computed (and hence no cached) path ever contains a down node. A free
+/// function over the fields it needs, so the memo's entry can stay
+/// borrowed across the call.
+fn compute_virtual_path(
+    mesh: &Graph,
+    down: &[bool],
+    route_cache: &mut HashMap<OverlayNodeId, ShortestPathTree>,
+    from: OverlayNodeId,
+    to: OverlayNodeId,
+) -> Option<OverlayPath> {
+    if down[from.index()] || down[to.index()] {
+        return None;
+    }
+    if from == to {
+        return Some(OverlayPath::colocated(from));
+    }
+    let tree = route_cache
+        .entry(from)
+        .or_insert_with(|| ShortestPathTree::compute_excluding(mesh, NodeId(from.0), down));
+    let ip = tree.path_to(mesh, NodeId(to.0))?;
+    Some(OverlayPath::new(
+        ip.nodes.iter().map(|n| OverlayNodeId(n.0)).collect(),
+        ip.edges.iter().map(|e| OverlayLinkId(e.0)).collect(),
+        ip.delay,
+        ip.bottleneck_kbps,
+        ip.loss_rate,
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -592,7 +680,7 @@ mod tests {
         }
         assert_eq!(p.delay, delay);
         assert_eq!(p.bottleneck_kbps, bw);
-        assert!((p.loss_rate - (1.0 - pass)).abs() < 1e-12);
+        assert!((p.loss_rate() - (1.0 - pass)).abs() < 1e-12);
     }
 
     #[test]

@@ -1,8 +1,12 @@
 //! Property-based tests for the topology substrate.
 
+use std::hash::{BuildHasher, BuildHasherDefault};
+use std::sync::Arc;
+
 use acp_simcore::SimDuration;
 use acp_topology::{
-    Graph, InetConfig, LinkProps, NodeId, Overlay, OverlayConfig, OverlayNodeId, RoutingTable,
+    Graph, InetConfig, LinkProps, NodeId, Overlay, OverlayConfig, OverlayNodeId, OverlayPath, PairHasher,
+    RoutingTable,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -175,10 +179,26 @@ proptest! {
                         warm_recoveries += 1;
                     }
                 }
-                // Lookups, down endpoints included (those memoize refusals).
+                // Lookups, down endpoints included (those memoize refusals),
+                // by reference: a miss exactly when the pair is new to the
+                // memo, a hit otherwise — and what the reference points at
+                // is the `Arc` the cloning read then hands out, as a hit.
                 _ => {
                     for _ in 0..8 {
-                        ov.virtual_path(OverlayNodeId(rng.gen_range(0..n)), OverlayNodeId(rng.gen_range(0..n)));
+                        let (a, b) = (OverlayNodeId(rng.gen_range(0..n)), OverlayNodeId(rng.gen_range(0..n)));
+                        let (before, memoized) = (ov.path_cache_stats(), ov.path_cache_len());
+                        let by_ref = ov.virtual_path_ref(a, b).cloned();
+                        let first = ov.path_cache_stats();
+                        let inserted = (ov.path_cache_len() - memoized) as u64;
+                        prop_assert_eq!((first.hits, first.misses), (before.hits + 1 - inserted, before.misses + inserted));
+                        let cloned = ov.virtual_path(a, b);
+                        let second = ov.path_cache_stats();
+                        prop_assert_eq!((second.hits, second.misses), (first.hits + 1, first.misses));
+                        prop_assert_eq!(by_ref.is_some(), cloned.is_some());
+                        if let (Some(x), Some(y)) = (&by_ref, &cloned) {
+                            prop_assert!(Arc::ptr_eq(x, y), "{}->{}: two reads, two paths", a, b);
+                            prop_assert!(Arc::ptr_eq(x, ov.memoized_path(a, b).expect("just read")));
+                        }
                     }
                 }
             }
@@ -186,7 +206,61 @@ proptest! {
                 check_all_pairs(&mut ov, &down, &mut separated_pairs);
             }
         }
+        // Every memoized path carries its loss in additive form, exactly
+        // as a reader would have computed it.
+        let mut lossy = 0;
+        for (_, path) in ov.cached_paths() {
+            let Some(path) = path else { continue };
+            prop_assert_eq!(path.loss_log_survival().to_bits(), (-(1.0 - path.loss_rate()).ln()).to_bits());
+            lossy += u32::from(path.loss_log_survival() > 0.0);
+        }
+        prop_assert!(lossy > 100, "only {} memoized paths lose anything", lossy);
         prop_assert!(warm_recoveries >= 10, "only {} recoveries kept a warm memo", warm_recoveries);
         prop_assert!(neighbors > 1 || separated_pairs > 0, "no failed cut vertex in a sparse mesh");
     }
+}
+
+/// Co-located endpoints lose nothing: `-ln(1)`, whose sign is part of the
+/// bits every reader used to compute.
+#[test]
+fn a_colocated_path_stores_negative_zero() {
+    let path = OverlayPath::colocated(OverlayNodeId(3));
+    assert_eq!(path.loss_rate(), 0.0);
+    assert_eq!(path.loss_log_survival().to_bits(), (-0.0f64).to_bits());
+    assert_eq!(path.loss_log_survival().to_bits(), (-(1.0f64 - 0.0).ln()).to_bits());
+}
+
+#[test]
+#[should_panic(expected = "loss probability")]
+fn a_path_that_loses_everything_is_refused_at_construction() {
+    let _ = OverlayPath::new(vec![OverlayNodeId(0), OverlayNodeId(1)], Vec::new(), SimDuration::ZERO, 1.0, 1.0);
+}
+
+/// The memo's hasher over every `(from, to)` of a 512-node id space. The
+/// table picks a bucket from the low bits of the hash, so that is where
+/// the keys must spread: 262 144 keys thrown uniformly into 65 536
+/// buckets leave 64 336 of them occupied on average (197 808
+/// collisions), a perfect spread 65 536 (196 608). A bare multiply,
+/// without the fold, reaches 512.
+#[test]
+fn pair_hasher_spreads_the_low_bits_and_tells_direction() {
+    let hasher = BuildHasherDefault::<PairHasher>::default();
+    let hash = |a: u32, b: u32| hasher.hash_one((OverlayNodeId(a), OverlayNodeId(b)));
+    let mut occupied = vec![false; 1 << 16];
+    for a in 0..512 {
+        for b in 0..512 {
+            occupied[(hash(a, b) & 0xffff) as usize] = true;
+            assert!(a == b || hash(a, b) != hash(b, a), "({a}, {b}) and its reverse collide");
+        }
+    }
+    let collisions = 512 * 512 - occupied.iter().filter(|&&hit| hit).count();
+    assert!(collisions <= 200_000, "{collisions} collisions in the low 16 bits");
+    // The control byte comes from the top seven bits.
+    let mut tags = [0u32; 128];
+    for a in 0..512 {
+        for b in 0..512 {
+            tags[(hash(a, b) >> 57) as usize] += 1;
+        }
+    }
+    assert!(tags.iter().all(|&count| (1_024..=4_096).contains(&count)), "top bits: {tags:?}");
 }

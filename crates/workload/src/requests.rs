@@ -7,6 +7,8 @@
 //! high QoS" workloads ("higher QoS means shorter processing time and
 //! lower loss rate requirements").
 
+use std::collections::VecDeque;
+
 use acp_model::prelude::*;
 use acp_simcore::{SimDuration, SimTime};
 use rand::Rng;
@@ -189,22 +191,23 @@ pub fn standard_universe<R: Rng + ?Sized>(rng: &mut R) -> (FunctionRegistry, Tem
 /// actual workloads in the last sampling period", §3.4).
 #[derive(Debug, Clone, Default)]
 pub struct RequestTrace {
-    requests: Vec<Request>,
+    requests: VecDeque<Request>,
     capacity: usize,
 }
 
 impl RequestTrace {
-    /// Creates a trace buffer holding at most `capacity` requests.
+    /// Creates a trace buffer holding at most `capacity` requests
+    /// (`0`: unbounded).
     pub fn new(capacity: usize) -> Self {
-        RequestTrace { requests: Vec::new(), capacity }
+        RequestTrace { requests: VecDeque::new(), capacity }
     }
 
     /// Records a request (dropping the oldest beyond capacity).
     pub fn record(&mut self, request: Request) {
         if self.requests.len() == self.capacity && self.capacity > 0 {
-            self.requests.remove(0);
+            self.requests.pop_front();
         }
-        self.requests.push(request);
+        self.requests.push_back(request);
     }
 
     /// Clears the trace (called at each sampling boundary).
@@ -213,8 +216,8 @@ impl RequestTrace {
     }
 
     /// The recorded requests, oldest first.
-    pub fn requests(&self) -> &[Request] {
-        &self.requests
+    pub fn requests(&self) -> impl ExactSizeIterator<Item = &Request> {
+        self.requests.iter()
     }
 
     /// Number of recorded requests.
@@ -320,7 +323,7 @@ mod tests {
             trace.record(r);
         }
         assert_eq!(trace.len(), 3);
-        assert_eq!(trace.requests()[0].id, RequestId(2), "oldest evicted");
+        assert_eq!(trace.requests().next().map(|r| r.id), Some(RequestId(2)), "oldest evicted");
         let replayed = trace.replay_requests(1_000_000);
         assert_eq!(replayed[0].id, RequestId(1_000_000));
         trace.clear();

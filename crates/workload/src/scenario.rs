@@ -835,7 +835,10 @@ impl Model for ScenarioModel {
                     }
                 }
                 if admitted {
-                    self.trace.record(request.clone());
+                    // The replay trace has one reader, the tuner.
+                    if self.tuner.is_some() {
+                        self.trace.record(request.clone());
+                    }
                     let outcome =
                         self.composer.compose(&mut self.system, &self.board, &request, now);
                     self.probe_histogram.add(outcome.stats.probe_messages as f64);
@@ -1169,6 +1172,11 @@ pub fn run_scenario(config: ScenarioConfig) -> ScenarioResult {
     if let Err(why) = config.validate() {
         panic!("invalid scenario config: {why}");
     }
+    summarize(simulate(config))
+}
+
+/// Builds the scenario's model and runs its events up to the horizon.
+fn simulate(config: ScenarioConfig) -> ScenarioModel {
     let (mut system, board, library) = build_system(&config);
     // The lease ledger (and the audit pass keyed off it) only means
     // anything when lease lifetimes can exist: the two-phase setup path,
@@ -1212,7 +1220,6 @@ pub fn run_scenario(config: ScenarioConfig) -> ScenarioResult {
     let local_refresh = config.local_refresh;
     let aggregation = config.aggregation_interval;
     let duration = config.duration;
-    let algorithm = config.algorithm;
     let replay_capacity = config.replay_capacity;
 
     // Generate the full fault plan up front from its own seed stream:
@@ -1359,10 +1366,15 @@ pub fn run_scenario(config: ScenarioConfig) -> ScenarioResult {
         sim.queue_mut().schedule(SimTime::ZERO + interval, Event::TenantControl);
     }
     sim.run_until(SimTime::ZERO + duration);
+    sim.into_model()
+}
 
+/// The closing audit and sweep of a finished run, and its measurements.
+fn summarize(mut model: ScenarioModel) -> ScenarioResult {
+    let duration = model.config.duration;
+    let algorithm = model.config.algorithm;
     let minutes = duration.as_minutes_f64();
     let end = SimTime::ZERO + duration;
-    let mut model = sim.into_model();
     // Closing audit: the final state must satisfy every invariant too.
     model.run_audit(end);
     // Post-horizon reclamation sweep: after the final audit, sweep one
@@ -1528,6 +1540,29 @@ mod tests {
         for &(_, r) in result.ratio_series.samples() {
             assert!((0.0..=1.0).contains(&r));
         }
+    }
+
+    /// The replay trace has one reader, the tuner. The horizon is off
+    /// the five-minute sampling grid, so a run that records ends holding
+    /// its last three minutes of arrivals.
+    #[test]
+    fn replay_trace_is_recorded_only_for_a_tuner() {
+        let mut config = ScenarioConfig::small(6);
+        config.duration = SimDuration::from_minutes(18);
+        let plain = simulate(config.clone());
+        assert!(plain.total_requests > 100);
+        assert!(plain.trace.is_empty(), "{} requests cloned for no reader", plain.trace.len());
+
+        config.tuner = Some(TunerConfig { target_success: 0.9, ..TunerConfig::default() });
+        let tuned = simulate(config);
+        assert!(!tuned.trace.is_empty());
+        // The tuned run itself is what it was before the trace became a
+        // deque recorded on demand (values taken at the parent commit).
+        let profiling_runs = tuned.tuner.as_ref().map(|t| t.profiling_runs());
+        assert_eq!(
+            (session_digest(&tuned.system), tuned.total_successes, profiling_runs),
+            (0x98df_e77d_c744_93fc, 187, Some(1))
+        );
     }
 
     #[test]

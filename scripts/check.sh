@@ -63,23 +63,23 @@ step "perf-ratio gate (quick snapshot vs BENCH_baseline.json)" \
 step "criterion benches compile" \
     cargo bench --workspace --no-run
 
-# Five kernel benches are also run, at the sampler's shortest setting
-# (2 samples of ~2 ms per bench): a selection, commit, routing-churn,
-# mesh-build or exhaustive-search regression shows here as a number, not
-# only in the benchmark. Medians are repeated beside the step timings
-# below.
+# Seven kernel benches are also run, at the sampler's shortest setting
+# (2 samples of ~2 ms per bench): a selection, commit, memo-hit,
+# routing-churn, probing-round, mesh-build or exhaustive-search
+# regression shows here as a number, not only in the benchmark. Medians
+# are repeated beside the step timings below.
 KERNEL_BENCH_LINES=""
 run_kernel_benches() {
     local spec bench filter out
-    for spec in selection commit_close "probe_path fail_recover_lookup" "topology overlay_build/400" \
-        "composition compose_once/optimal"; do
+    for spec in selection commit_close "probe_path virtual_path/hit" "probe_path fail_recover_lookup" \
+        "probe_path probe_compose_loop" "topology overlay_build/400" "composition compose_once/optimal"; do
         read -r bench filter <<<"$spec"
         out="$(cargo bench -q -p acp-bench --bench "$bench" -- --sample-size 2 ${filter:+"$filter"})"
         echo "$out"
         KERNEL_BENCH_LINES+="$out"$'\n'
     done
 }
-step "kernel benches run (selection, commit_close, fail_recover_lookup, overlay_build/400, compose_once/optimal; --sample-size 2)" \
+step "kernel benches run (selection, commit_close, virtual_path/hit, fail_recover_lookup, probe_compose_loop, overlay_build/400, compose_once/optimal; --sample-size 2)" \
     run_kernel_benches
 
 echo

@@ -5,9 +5,9 @@
 # seeded into a copy, one at a time, and the oracle must pass on the
 # pristine copy and fail on every mutant.
 #
-#   scripts/mutation_check.sh [selection|optimal|faults] [WORKDIR]
+#   scripts/mutation_check.sh [selection|optimal|faults|compose] [WORKDIR]
 #
-# No suite name runs all three; WORKDIR defaults to target/mutation-check.
+# No suite name runs all four; WORKDIR defaults to target/mutation-check.
 # The repository itself is never edited; the copy and its cargo target
 # directory live under WORKDIR.
 set -euo pipefail
@@ -20,7 +20,7 @@ selection_target='-p acp-core --lib'
 selection_oracle=selection::tests::differential::kernel_matches_the_reference_loop
 selection_mutants=(
     'skipped stale check|s/^    if retired {$/    if false \&\& retired {/'
-    'plan built from the wrong row|s/^                component: ComponentId::new(entry.node, entry.slot),$/                component: ComponentId::new(entries[pos.saturating_sub(1)].node, entries[pos.saturating_sub(1)].slot),/'
+    'pick taken from the wrong row|s/^            insert_ranked(ranked, quota, key, ComponentId::new(entry.node, entry.slot));$/            insert_ranked(ranked, quota, key, ComponentId::new(entries[pos.saturating_sub(1)].node, entries[pos.saturating_sub(1)].slot));/'
     'off-by-one at admission|s/^    ranked.truncate(quota);$/    ranked.truncate(quota + 1);/'
 )
 # The first makes the φ bound inadmissible (the dearest successor in
@@ -46,9 +46,22 @@ faults_mutants=(
     'partition refcount not consulted by LinkRestore|s/^                    let held = self\.partition_refs\.get(l\.index())\.is_some_and(|\&r| r > 0);$/                    let held = false;/'
 )
 
-suites=(selection optimal faults)
+# The probing round against the round it replaced, request after
+# request through one scratch. The first mutant takes every incoming
+# link of a probed candidate from its first predecessor (wrong at a
+# join); the second skips the dedupe, so two probes of one vertex can
+# be sent to the same candidate.
+compose_kernel=crates/core/src/protocol.rs
+compose_target='-p acp-core --lib'
+compose_oracle=protocol::tests::differential::round_matches_the_reference_round
+compose_mutants=(
+    'links materialised from the first predecessor|s/(edge, resolved_link(system, pred\.node, component\.node)\.clone())/(edge, resolved_link(system, predecessors[0].1.node, component.node).clone())/'
+    'dedupe skipped|s/^                let Err(at) = probed\.binary_search(&component) else { continue };$/                let at = probed.binary_search(\&component).unwrap_or_else(|at| at);/'
+)
+
+suites=(selection optimal faults compose)
 case "${1:-}" in
-    selection | optimal | faults)
+    selection | optimal | faults | compose)
         suites=("$1")
         shift
         ;;
