@@ -54,34 +54,5 @@ fn bench_algorithms(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_probing_ratio(c: &mut Criterion) {
-    let mut group = c.benchmark_group("compose_vs_alpha");
-    group.sample_size(20);
-    let config = config_for(50);
-    let (system, board, library) = build_system(&config);
-    let mut generator = RequestGenerator::new(library, RequestConfig::default());
-    let mut rng = DeterministicRng::new(9).stream("bench-alpha");
-    let (request, _) = generator.next(&mut rng);
-
-    for alpha in [0.1, 0.3, 0.5, 1.0] {
-        group.bench_with_input(BenchmarkId::from_parameter(alpha), &alpha, |b, &alpha| {
-            b.iter_batched(
-                || {
-                    (
-                        system.clone(),
-                        AcpComposer::new(
-                            ProbingConfig { probing_ratio: alpha, ..ProbingConfig::default() },
-                            42,
-                        ),
-                    )
-                },
-                |(mut sys, mut composer)| composer.compose(&mut sys, &board, &request, SimTime::ZERO),
-                BatchSize::SmallInput,
-            );
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_algorithms, bench_probing_ratio);
+criterion_group!(benches, bench_algorithms);
 criterion_main!(benches);

@@ -2,8 +2,7 @@
 //!
 //! Quantifies the two probe-path optimisations:
 //!
-//! * `Overlay::virtual_path` memoisation — cache hit vs the cold compute
-//!   (tree extraction behind a `(from, to)` lookup), and what the memo
+//! * `Overlay::virtual_path` memoisation — a cache hit, and what the memo
 //!   is worth straight after a node failed and recovered,
 //! * the probing round as a composer runs it: paths read in place in
 //!   the memo, the probe tree in one `ProbeScratch` kept across requests.
@@ -35,18 +34,6 @@ fn bench_virtual_path(c: &mut Criterion) {
             let (from, to) = (OverlayNodeId(0), OverlayNodeId(nodes as u32 - 1));
             overlay.virtual_path(from, to);
             b.iter(|| overlay.virtual_path(from, to));
-        });
-
-        // Cache miss: a full invalidation forces the shortest-path-tree
-        // rebuild and path extraction every iteration (the pre-memo cost
-        // of a first-touch query).
-        group.bench_with_input(BenchmarkId::new("miss", nodes), &nodes, |b, &nodes| {
-            let mut overlay = built_overlay(nodes);
-            let (from, to) = (OverlayNodeId(0), OverlayNodeId(nodes as u32 - 1));
-            b.iter(|| {
-                overlay.invalidate_routes();
-                overlay.virtual_path(from, to)
-            });
         });
     }
 

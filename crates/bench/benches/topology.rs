@@ -1,52 +1,10 @@
-//! Topology substrate benchmarks: power-law generation, Dijkstra routing,
-//! and overlay construction at the paper's scales.
+//! Topology substrate benchmark: overlay construction (the k-nearest
+//! mesh build) at the paper's scales.
 
-use acp_topology::{InetConfig, NodeId, Overlay, OverlayConfig, RoutingTable};
+use acp_topology::{InetConfig, Overlay, OverlayConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-fn bench_inet_generation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("inet_generate");
-    group.sample_size(10);
-    for &nodes in &[400usize, 1_600, 3_200] {
-        group.bench_with_input(BenchmarkId::from_parameter(nodes), &nodes, |b, &nodes| {
-            let config = InetConfig { nodes, ..InetConfig::default() };
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                let mut rng = StdRng::seed_from_u64(seed);
-                config.generate(&mut rng)
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_routing(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(5);
-    let graph = InetConfig { nodes: 3_200, ..InetConfig::default() }.generate(&mut rng);
-    let mut group = c.benchmark_group("routing");
-    group.sample_size(20);
-
-    group.bench_function("dijkstra_single_source_3200", |b| {
-        let mut src = 0u32;
-        b.iter(|| {
-            src = (src + 1) % 3_200;
-            acp_topology::routing::ShortestPathTree::compute(&graph, NodeId(src))
-        });
-    });
-
-    group.bench_function("cached_path_queries_3200", |b| {
-        let mut table = RoutingTable::new();
-        let mut i = 0u32;
-        b.iter(|| {
-            i = i.wrapping_add(97);
-            table.path(&graph, NodeId(i % 64), NodeId((i * 31) % 3_200))
-        });
-    });
-    group.finish();
-}
 
 fn bench_overlay_build(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(6);
@@ -66,5 +24,5 @@ fn bench_overlay_build(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_inet_generation, bench_routing, bench_overlay_build);
+criterion_group!(benches, bench_overlay_build);
 criterion_main!(benches);

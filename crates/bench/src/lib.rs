@@ -20,9 +20,12 @@
 //! ACP_BENCH_THREADS=4 cargo run -p acp-bench --release --bin fig6 -- --scale quick
 //! ```
 //!
-//! Criterion micro-benchmarks (composition latency per algorithm,
-//! topology generation, routing, candidate selection) live under
-//! `benches/`.
+//! Criterion micro-benchmarks (composition latency per algorithm, the
+//! probing round, overlay construction, candidate selection, commit and
+//! close) live under `benches/`. `tests/counters.rs` and
+//! `tests/allocs.rs` pin what a seeded run costs in counts — messages,
+//! memo lookups, rows examined, leases, allocations — exactly; wall-clock
+//! is the repo benchmark's (`benchmark/`).
 
 #![forbid(unsafe_code)]
 
@@ -50,7 +53,7 @@ pub use repair::{
 };
 pub use report::{write_results, CliArgs, Table};
 pub use scale::{
-    churn_for, peak_rss_mib, run_scale_point, scale_axis, scale_request_config, ScaleConfig, ScalePoint,
+    churn_for, peak_rss_mib, run_scale_point, scale_request_config, ScaleConfig, ScalePoint,
 };
 pub use tenants::{
     fig_tenants, fig_tenants_threads, jain_index, sweep_mix, tenants_config, tenants_table,

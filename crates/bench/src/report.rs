@@ -100,7 +100,7 @@ impl Table {
 }
 
 /// Escapes a string as a JSON string literal.
-pub fn json_string(s: &str) -> String {
+fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

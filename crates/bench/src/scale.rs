@@ -275,17 +275,6 @@ pub fn run_scale_point(cfg: &ScaleConfig) -> ScalePoint {
     }
 }
 
-/// The sweep grid for a named axis: `(nodes, sessions)` pairs.
-/// `quick` tops out at 10k×50k (CI smoke scale); `paper` reaches the
-/// full 100k×1M headline point.
-pub fn scale_axis(name: &str) -> Vec<(usize, usize)> {
-    match name {
-        "quick" => vec![(2_000, 10_000), (10_000, 50_000)],
-        "paper" => vec![(10_000, 100_000), (50_000, 500_000), (100_000, 1_000_000)],
-        other => panic!("unknown scale axis {other} (expected quick|paper)"),
-    }
-}
-
 /// Standard churn sizing for a sweep point: 10% of the session target,
 /// at least 1000 ops.
 pub fn churn_for(sessions: usize) -> usize {

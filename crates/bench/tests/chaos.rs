@@ -111,7 +111,7 @@ fn soak_handles_10k_events_with_mixed_faults_cleanly() {
     assert_eq!(result.audit_violations, 0, "invariants must hold through the soak");
     assert_eq!(
         result.sessions_killed,
-        result.sessions_recovered + result.sessions_lost,
+        result.sessions_recovered + result.sessions_lost + result.sessions_pending,
         "orphan accounting must balance"
     );
 }

@@ -173,7 +173,7 @@ impl<M: SetupMode> ProbingComposer<M> {
     }
 
     /// [`Self::bounded`] under an explicit setup mode.
-    pub fn bounded_with_mode(budget: usize, config: ProbingConfig, seed: u64, mode: M) -> Self {
+    fn bounded_with_mode(budget: usize, config: ProbingConfig, seed: u64, mode: M) -> Self {
         assert!(budget > 0, "probe budget must be positive");
         let config = ProbingConfig {
             probing_ratio: 1.0, // ranking considers every candidate…

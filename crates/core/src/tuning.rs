@@ -120,7 +120,7 @@ impl ProbingRatioTuner {
 
     /// Runs a profiling sweep and re-selects the minimal ratio meeting the
     /// target (or the best-achieving ratio if the target is unreachable).
-    pub fn reprofile<F>(&mut self, replay: &mut F)
+    fn reprofile<F>(&mut self, replay: &mut F)
     where
         F: FnMut(f64) -> f64,
     {

@@ -198,11 +198,6 @@ impl FunctionRegistry {
     pub fn ids(&self) -> impl Iterator<Item = FunctionId> + '_ {
         (0..self.profiles.len() as u16).map(FunctionId)
     }
-
-    /// Samples a function id uniformly.
-    pub fn sample_id<R: Rng + ?Sized>(&self, rng: &mut R) -> FunctionId {
-        FunctionId(rng.gen_range(0..self.profiles.len() as u16))
-    }
 }
 
 #[cfg(test)]
@@ -262,16 +257,6 @@ mod tests {
         let p = reg.profile(FunctionId(0));
         let demand = p.component_demand(&base);
         assert!((demand.cpu - 10.0 * p.demand_factor).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sample_id_in_range() {
-        let reg = FunctionRegistry::with_size(7);
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..100 {
-            let id = reg.sample_id(&mut rng);
-            assert!(id.index() < 7);
-        }
     }
 
     #[test]

@@ -55,12 +55,6 @@ impl Request {
     pub fn vertex_demand(&self, registry: &FunctionRegistry, v: usize) -> ResourceVector {
         registry.profile(self.graph.function(v)).component_demand(&self.base_resources)
     }
-
-    /// Total end-system demand across all vertices (useful for admission
-    /// heuristics and capacity planning).
-    pub fn total_demand(&self, registry: &FunctionRegistry) -> ResourceVector {
-        self.graph.vertices().map(|v| self.vertex_demand(registry, v)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -95,13 +89,5 @@ mod tests {
         assert!((d0.cpu - 10.0 * f0).abs() < 1e-12);
         assert!((d1.cpu - 10.0 * f1).abs() < 1e-12);
         assert_ne!(d0, d1, "distinct function families demand differently");
-    }
-
-    #[test]
-    fn total_demand_is_sum() {
-        let (reg, req) = request();
-        let total = req.total_demand(&reg);
-        let expect = req.vertex_demand(&reg, 0) + req.vertex_demand(&reg, 1);
-        assert_eq!(total, expect);
     }
 }

@@ -70,11 +70,6 @@ impl<M: Model> Simulation<M> {
         self.now
     }
 
-    /// Total number of events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.processed
-    }
-
     /// Shared access to the model.
     pub fn model(&self) -> &M {
         &self.model
@@ -181,7 +176,6 @@ mod tests {
             sim.model().seen,
             vec![(SimTime::from_secs(1), 1), (SimTime::from_secs(2), 2)]
         );
-        assert_eq!(sim.events_processed(), 2);
     }
 
     #[test]

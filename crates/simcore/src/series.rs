@@ -76,11 +76,6 @@ impl TimeSeries {
             Some(self.samples.iter().map(|&(_, v)| v).sum::<f64>() / self.samples.len() as f64)
         }
     }
-
-    /// Iterates over `(minutes, value)` pairs — convenient for reports.
-    pub fn iter_minutes(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        self.samples.iter().map(|&(t, v)| (t.as_minutes_f64(), v))
-    }
 }
 
 /// Counts successes out of attempts within sampling windows, yielding a
@@ -92,8 +87,6 @@ pub struct WindowedCounter {
     window_start: SimTime,
     successes: u64,
     attempts: u64,
-    total_successes: u64,
-    total_attempts: u64,
 }
 
 impl WindowedCounter {
@@ -106,18 +99,14 @@ impl WindowedCounter {
             window_start: SimTime::ZERO,
             successes: 0,
             attempts: 0,
-            total_successes: 0,
-            total_attempts: 0,
         }
     }
 
     /// Records one attempt and its outcome.
     pub fn record(&mut self, success: bool) {
         self.attempts += 1;
-        self.total_attempts += 1;
         if success {
             self.successes += 1;
-            self.total_successes += 1;
         }
     }
 
@@ -144,20 +133,6 @@ impl WindowedCounter {
     /// Start of the current (open) window.
     pub fn window_start(&self) -> SimTime {
         self.window_start
-    }
-
-    /// Success rate over the counter's whole lifetime.
-    pub fn lifetime_rate(&self) -> Option<f64> {
-        if self.total_attempts == 0 {
-            None
-        } else {
-            Some(self.total_successes as f64 / self.total_attempts as f64)
-        }
-    }
-
-    /// Total attempts over the counter's whole lifetime.
-    pub fn lifetime_attempts(&self) -> u64 {
-        self.total_attempts
     }
 }
 
@@ -302,12 +277,6 @@ impl Histogram {
         self.overflow
     }
 
-    /// The left edge of bucket `i`.
-    pub fn bucket_lo(&self, i: usize) -> f64 {
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        self.lo + width * i as f64
-    }
-
     /// Approximate quantile `q ∈ [0, 1]` from the bucket midpoints
     /// (clamps to the range edges for under/overflowed mass). `None` when
     /// empty.
@@ -344,8 +313,6 @@ mod tests {
         s.push(SimTime::from_secs(2), 3.0);
         assert_eq!(s.mean(), Some(2.0));
         assert_eq!(s.name(), "x");
-        let pts: Vec<_> = s.iter_minutes().collect();
-        assert!((pts[0].0 - 1.0 / 60.0).abs() < 1e-9);
     }
 
     #[test]
@@ -368,8 +335,6 @@ mod tests {
         // next window is fresh
         let (_, rate2) = c.roll(SimTime::from_minutes(10));
         assert_eq!(rate2, None);
-        assert_eq!(c.lifetime_rate(), Some(0.75));
-        assert_eq!(c.lifetime_attempts(), 4);
     }
 
     #[test]
@@ -422,7 +387,6 @@ mod tests {
         assert_eq!(h.bucket_counts()[9], 1);
         assert_eq!(h.underflow(), 1);
         assert_eq!(h.overflow(), 1);
-        assert_eq!(h.bucket_lo(3), 30.0);
     }
 
     #[test]

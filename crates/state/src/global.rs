@@ -518,16 +518,9 @@ impl GlobalStateBoard {
         self.aggregation_rounds
     }
 
-    /// Total state-update messages since construction (or the last
-    /// [`Self::take_messages`]).
+    /// Total state-update messages since construction.
     pub fn update_messages(&self) -> u64 {
         self.update_messages
-    }
-
-    /// Returns and resets the message counter — for per-period overhead
-    /// reporting.
-    pub fn take_messages(&mut self) -> u64 {
-        std::mem::take(&mut self.update_messages)
     }
 
     /// The configured publish threshold.
@@ -773,16 +766,6 @@ mod tests {
         }
         let colocated = acp_topology::OverlayPath::colocated(a);
         assert_eq!(board.path_available(&colocated), f64::INFINITY);
-    }
-
-    #[test]
-    fn take_messages_resets_counter() {
-        let mut sys = build();
-        let mut board = GlobalStateBoard::new(&sys, GlobalStateConfig::default());
-        load_some_node(&mut sys, 1, true);
-        board.refresh_nodes(&sys);
-        assert!(board.take_messages() > 0);
-        assert_eq!(board.update_messages(), 0);
     }
 
     #[test]

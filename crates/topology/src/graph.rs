@@ -149,11 +149,6 @@ impl Graph {
         &self.edges[e.index()].props
     }
 
-    /// Mutable attributes of edge `e`.
-    pub fn props_mut(&mut self, e: EdgeId) -> &mut LinkProps {
-        &mut self.edges[e.index()].props
-    }
-
     /// Endpoints of edge `e` (in insertion order).
     pub fn endpoints(&self, e: EdgeId) -> (NodeId, NodeId) {
         let edge = &self.edges[e.index()];
@@ -282,14 +277,6 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(2), props());
         g.add_edge(NodeId(0), NodeId(3), props());
         assert_eq!(g.degree_sequence(), vec![3, 1, 1, 1]);
-    }
-
-    #[test]
-    fn props_mutation() {
-        let mut g = Graph::new(2);
-        let e = g.add_edge(NodeId(0), NodeId(1), props());
-        g.props_mut(e).bandwidth_kbps = 5_000.0;
-        assert_eq!(g.props(e).bandwidth_kbps, 5_000.0);
     }
 
     #[test]

@@ -543,13 +543,6 @@ impl Overlay {
         self.down[node.index()]
     }
 
-    /// Drops all cached routing trees and memoized paths. Nothing on the
-    /// fault path calls this; it is the cold start the benches measure.
-    pub fn invalidate_routes(&mut self) {
-        self.route_cache.clear();
-        self.path_cache.clear();
-    }
-
     /// Drops only the cached routes a failure of `node` could change:
     /// the tree rooted at `node`, any tree where `node` forwards traffic
     /// (its failure would reroute those paths), and memoized paths that
@@ -713,10 +706,6 @@ mod tests {
         let stats = ov.path_cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-        ov.invalidate_routes();
-        assert_eq!(ov.path_cache_len(), 0);
-        // Counters are cumulative across invalidations.
-        assert_eq!(ov.path_cache_stats().hits, 1);
     }
 
     #[test]

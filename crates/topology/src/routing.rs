@@ -28,7 +28,7 @@ pub struct IpPath {
 
 impl IpPath {
     /// A zero-length path (source == destination).
-    pub fn trivial(node: NodeId) -> Self {
+    fn trivial(node: NodeId) -> Self {
         IpPath {
             nodes: vec![node],
             edges: Vec::new(),

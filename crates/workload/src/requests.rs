@@ -118,11 +118,6 @@ impl RequestGenerator {
         &self.config
     }
 
-    /// Re-tiers subsequent requests (Fig. 5b sweeps).
-    pub fn set_qos_tier(&mut self, tier: QosTier) {
-        self.config.qos_tier = tier;
-    }
-
     /// Samples the next request plus its session duration.
     pub fn next<R: Rng + ?Sized>(&mut self, rng: &mut R) -> (Request, SimDuration) {
         let id = RequestId(self.next_id);
@@ -296,7 +291,7 @@ mod tests {
     fn tiers_tighten_requirements() {
         let (mut g_normal, mut rng1) = generator(3);
         let (mut g_tight, mut rng2) = generator(3); // same seed → same draws
-        g_tight.set_qos_tier(QosTier::VeryHigh);
+        g_tight.config.qos_tier = QosTier::VeryHigh;
         let (a, _) = g_normal.next(&mut rng1);
         let (b, _) = g_tight.next(&mut rng2);
         assert!(b.qos.max_delay < a.qos.max_delay);

@@ -433,6 +433,10 @@ pub struct ScenarioResult {
     pub sessions_recovered: u64,
     /// Fault-terminated sessions that could not be recomposed.
     pub sessions_lost: u64,
+    /// Fault-terminated sessions still queued for their failover sweep
+    /// when the run ended: `killed == recovered + lost + pending`. In no
+    /// digest.
+    pub sessions_pending: u64,
     /// Fault-to-recomposition latency of recovered sessions (seconds).
     pub recovery_latency: SummaryStats,
     /// Total audit violations across all audit passes (0 = invariants
@@ -1442,6 +1446,7 @@ fn summarize(mut model: ScenarioModel) -> ScenarioResult {
         sessions_killed: model.churn.as_ref().map_or(0, |c| c.sessions_killed),
         sessions_recovered: model.churn.as_ref().map_or(0, |c| c.sessions_recovered),
         sessions_lost: model.churn.as_ref().map_or(0, |c| c.sessions_lost),
+        sessions_pending: model.churn.as_ref().map_or(0, |c| c.pending.len() as u64),
         recovery_latency: model.churn.as_ref().map(|c| c.recovery_latency).unwrap_or_default(),
         audit_violations: model.audit_violations,
         audit_digest: model.audit_digest,
@@ -1599,8 +1604,8 @@ mod tests {
         assert!(result.sessions_killed > 0, "churn at these rates must orphan sessions");
         assert_eq!(
             result.sessions_killed,
-            result.sessions_recovered + result.sessions_lost,
-            "every orphan is either recomposed or lost"
+            result.sessions_recovered + result.sessions_lost + result.sessions_pending,
+            "every orphan is recomposed, lost or still queued"
         );
         assert_eq!(result.audit_violations, 0, "invariants must hold under churn");
         assert!(result.audit_digest != 0, "audit passes must have run");

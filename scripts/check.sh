@@ -33,9 +33,10 @@ step "cargo clippy --workspace --all-targets -- -D warnings" \
 
 # The workspace run above already executes the determinism, equivalence,
 # chaos, failover, model-property and tenant suites, the golden scenario
-# digests (crates/workload/tests/golden.rs, with the Fig. 6 anchor in
-# crates/bench/tests/determinism.rs) and the feature cross-product fuzz
-# (crates/workload/tests/fuzz.rs).
+# digests (crates/workload/tests/golden.rs), the feature cross-product
+# fuzz (crates/workload/tests/fuzz.rs) and the perf gate: the exact cost
+# counters and allocation counts of crates/bench/tests/counters.rs and
+# allocs.rs. Wall-clock is judged by benchmark/ only.
 
 # The benchmark package is its own workspace and may not be edited by a
 # change that claims a gain; its tests compile every import of
@@ -56,9 +57,6 @@ step "repair smoke (repair must dominate restart survival, audit clean)" \
 
 step "fig_scale smoke (10k nodes x 50k sessions, RSS ceiling)" \
     cargo run --release -q -p acp-bench --bin scale_smoke
-
-step "perf-ratio gate (quick snapshot vs BENCH_baseline.json)" \
-    bash scripts/perf_gate.sh
 
 step "criterion benches compile" \
     cargo bench --workspace --no-run

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Shows that the oracles have teeth. Each suite names a kernel file, the
-# oracle test that pins it (a differential test against a reference, or
-# the golden digests), and mutations of the kernel; every mutation is
-# seeded into a copy, one at a time, and the oracle must pass on the
-# pristine copy and fail on every mutant.
+# Shows that the oracles have teeth. Each suite names its kernel file(s),
+# the oracle test that pins them (a differential test against a
+# reference, the golden digests, or the exact cost counters), and
+# mutations of the kernel; every mutation is seeded into a copy, one at a
+# time, and the oracle must pass on the pristine copy and fail on every
+# mutant. A mutant named 'FILE.rs: ...' must fail inside that test file.
 #
-#   scripts/mutation_check.sh [selection|optimal|faults|compose] [WORKDIR]
+#   scripts/mutation_check.sh [selection|optimal|faults|compose|counters] [WORKDIR]
 #
-# No suite name runs all four; WORKDIR defaults to target/mutation-check.
+# No suite name runs all five; WORKDIR defaults to target/mutation-check.
 # The repository itself is never edited; the copy and its cargo target
 # directory live under WORKDIR.
 set -euo pipefail
@@ -59,9 +60,24 @@ compose_mutants=(
     'dedupe skipped|s/^                let Err(at) = probed\.binary_search(&component) else { continue };$/                let at = probed.binary_search(\&component).unwrap_or_else(|at| at);/'
 )
 
-suites=(selection optimal faults compose)
+# The perf gate: none of these changes what is composed (every digest
+# holds), only what composing costs, and the timed snapshot with its 10 %
+# tolerance, which this gate replaced, passed all three (EXPERIMENTS.md).
+# The first forgets the memo entry before every lookup; the second walks
+# the whole candidate index instead of stopping at the first row that
+# cannot enter the top k; the third clones the request once per compose.
+counters_kernel='crates/topology/src/overlay.rs crates/core/src/selection.rs crates/core/src/protocol.rs'
+counters_target='-p acp-bench --test counters --test allocs --no-fail-fast'
+counters_oracle= # every test of both targets
+counters_mutants=(
+    'counters.rs: memo lookup that always misses|s/^        match self.path_cache.entry((from, to)) {$/        self.path_cache.remove(\&(from, to));\n        match self.path_cache.entry((from, to)) {/'
+    'counters.rs: selection walk that ignores its stop rule|s/^        if ranked.len() == quota {$/        if false \&\& ranked.len() == quota {/'
+    'allocs.rs: one extra request.clone() per compose|/^pub fn compose_with_mode</,/^) -> ProbingOutcome {$/ s/^) -> ProbingOutcome {$/) -> ProbingOutcome {\n    let request = \&request.clone();/'
+)
+
+suites=(selection optimal faults compose counters)
 case "${1:-}" in
-    selection | optimal | faults | compose)
+    selection | optimal | faults | compose | counters)
         suites=("$1")
         shift
         ;;
@@ -78,25 +94,31 @@ caught=0
 for suite in "${suites[@]}"; do
     kernel_var="${suite}_kernel" target_var="${suite}_target" oracle_var="${suite}_oracle"
     mutants_var="${suite}_mutants[@]"
-    kernel="${!kernel_var}" oracle="${!oracle_var}" mutants=("${!mutants_var}")
+    oracle="${!oracle_var}" mutants=("${!mutants_var}")
+    read -r -a kernel <<<"${!kernel_var}"
     read -r -a target <<<"${!target_var}"
-    cp "$kernel" "$work/kernel.pristine"
+    rm -rf "$work/pristine"
+    mkdir "$work/pristine"
+    cp --parents "${kernel[@]}" "$work/pristine"
     # tar keeps the repository's mtimes; a reused WORKDIR may hold a newer
     # build of the last mutant, which cargo would take for fresh.
-    touch "$kernel"
+    touch "${kernel[@]}"
 
+    unchanged() {
+        for file in "${kernel[@]}"; do cmp -s "$work/pristine/$file" "$file" || return 1; done
+    }
     oracle_passes() {
         cargo test -q --offline "${target[@]}" ${oracle:+"$oracle"} >"$work/last.log" 2>&1
     }
 
-    echo "==> pristine $kernel: the oracle must pass"
+    echo "==> pristine ${kernel[*]}: the oracle must pass"
     oracle_passes || { cat "$work/last.log"; echo "oracle fails on the pristine kernel"; exit 1; }
 
     for mutant in "${mutants[@]}"; do
         name="${mutant%%|*}"
-        cp "$work/kernel.pristine" "$kernel"
-        sed -i "${mutant#*|}" "$kernel"
-        if cmp -s "$work/kernel.pristine" "$kernel"; then
+        cp -r "$work/pristine/." .
+        sed -i "${mutant#*|}" "${kernel[@]}"
+        if unchanged; then
             echo "mutation '$name' no longer applies: update its pattern in $0"
             exit 1
         fi
@@ -110,10 +132,16 @@ for suite in "${suites[@]}"; do
             echo "    mutant did not compile: fix the pattern"
             exit 1
         fi
-        grep -m1 "panicked at" -A1 "$work/last.log" | cut -c1-160 | sed 's/^/    /'
+        panic="panicked at"
+        [[ "$name" == *.rs:* ]] && panic="panicked at .*/${name%%:*}:"
+        if ! grep -m1 "$panic" -A1 "$work/last.log" | cut -c1-160 | sed 's/^/    /' | grep .; then
+            cat "$work/last.log"
+            echo "    failed, but with no panic in ${name%%:*}"
+            exit 1
+        fi
         echo "    caught"
         caught=$((caught + 1))
     done
-    cp "$work/kernel.pristine" "$kernel"
+    cp -r "$work/pristine/." .
 done
 echo "All $caught mutants caught."
