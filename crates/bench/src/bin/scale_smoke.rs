@@ -23,10 +23,12 @@ const DEFAULT_POINT: (usize, usize) = (10_000, 50_000);
 /// its candidate lists hold: the `fig_scale_10k_by_50k` pin.
 const DEFAULT_EXAMINED: (u64, u64) = (5_323_933, 27_439_674);
 
-/// Peak-RSS ceiling for the default point: twice the 40 MiB the
-/// dense/arena layout measures there, so a layout that doubles the
-/// footprint fails.
-const DEFAULT_RSS_CEILING_MIB: f64 = 80.0;
+/// Peak-RSS ceiling for the default point: twice the 30 MiB the
+/// dense/arena layout measures there with sessions sharing their
+/// templates' graphs, so a layout that doubles the footprint fails. (A
+/// graph copied per session reads 40 MiB: `tests/allocs.rs` is what
+/// catches that one.)
+const DEFAULT_RSS_CEILING_MIB: f64 = 60.0;
 
 fn main() {
     let mut args = std::env::args().skip(1);

@@ -22,6 +22,13 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+// A worker builds its point's system and requests and hands results
+// back: whatever those hold by reference count has to cross threads.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<(acp_model::StreamSystem, acp_model::Request)>()
+};
+
 /// Worker threads to use: `ACP_BENCH_THREADS` when set, otherwise the
 /// machine's available parallelism (1 when that cannot be determined).
 ///

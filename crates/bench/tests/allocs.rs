@@ -107,10 +107,18 @@ fn warm_operations_allocate_exactly_this_much() {
     let batch: Vec<Request> = (0..BATCH).map(|_| generator.next(&mut rng).0).collect();
     let probing = ProbingConfig::default();
 
+    // A request shares its template's graph: a copy — the session's, an
+    // orphan's, a trace entry's — is a reference count, and neither it
+    // nor the session holds the graph's vectors inline (64-bit sizes).
+    let ((), copying) = counted(|| batch.iter().for_each(|r| drop(std::hint::black_box(r.clone()))));
+    assert_eq!(copying, (0, 0), "Request::clone");
+    assert_eq!(std::mem::size_of::<Request>(), 80);
+    assert_eq!(std::mem::size_of::<Session>(), 216);
+
     // ACP, single-phase: the two-phase machinery is compiled out.
     let mut acp = ProbingComposer::new(probing.clone(), 42);
     let single = warm_compose_close(&mut acp, &system, &board, &batch);
-    assert_eq!(single, (200, (6_915, 575_706)), "ACP single-phase");
+    assert_eq!(single, (200, (4_529, 497_416)), "ACP single-phase");
 
     // ACP, two-phase over a fault-free transport: the retry loop and the
     // setup ledger around the same compositions. It reads what
@@ -121,12 +129,12 @@ fn warm_operations_allocate_exactly_this_much() {
     let setup = SetupState::new(43, SetupConfig::default());
     let mut acp_two_phase = ProbingComposer::with_mode(probing.clone(), 42, setup);
     let two_phase = warm_compose_close(&mut acp_two_phase, &leased, &board, &batch);
-    assert_eq!(two_phase, (200, (6_915, 575_706)), "ACP two-phase");
+    assert_eq!(two_phase, (200, (4_529, 497_416)), "ACP two-phase");
 
     // Optimal: the branch-and-bound under the figures' expansion cap.
     let mut optimal = OptimalComposer::new(OptimalConfig { max_expansions: 300_000 });
     let exhaustive = warm_compose_close(&mut optimal, &system, &board, &batch[..BATCH / 10]);
-    assert_eq!(exhaustive, (20, (1_995, 638_750)), "Optimal");
+    assert_eq!(exhaustive, (20, (1_548, 618_592)), "Optimal");
 
     // One commit/close pair per request, on the composition ACP found.
     let mut sys = system.clone();
@@ -145,7 +153,7 @@ fn warm_operations_allocate_exactly_this_much() {
             sys.close_session(session);
         }
     });
-    assert_eq!((pairs.len(), commit_close), (200, (3_186, 135_754)), "commit/close pairs");
+    assert_eq!((pairs.len(), commit_close), (200, (800, 57_464)), "commit/close pairs");
 
     // One repair splice: the middle hop of a three-function path crashes
     // and the planner splices a replacement in place.
@@ -165,5 +173,5 @@ fn warm_operations_allocate_exactly_this_much() {
         planner.repair_session(&mut sys, &board, session, now, &probing, &mut SinglePhase, &mut repair_rng)
     });
     assert_eq!(attempt.verdict, RepairVerdict::Repaired);
-    assert_eq!(splice, (63, 3_513), "repair splice");
+    assert_eq!(splice, (43, 3_099), "repair splice");
 }

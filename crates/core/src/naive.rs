@@ -41,10 +41,8 @@ pub fn blind_compose<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> BlindOutcome {
     let mut stats = OverheadStats::new();
-    let order = request.graph.topological_order();
-
     let mut assignment: Vec<Option<ComponentId>> = vec![None; request.graph.len()];
-    for &v in &order {
+    for &v in request.graph.topological_order() {
         stats.discovery_lookups += 1;
         let candidates = system.candidates(request.graph.function(v));
         if candidates.is_empty() {

@@ -101,7 +101,7 @@ fn compose_with(
     let mut stats = OverheadStats::new();
     {
         let mut in_flight: u64 = 1;
-        for v in request.graph.topological_order() {
+        for &v in request.graph.topological_order() {
             let k = system.candidates(request.graph.function(v)).len() as u64;
             in_flight = in_flight.saturating_mul(k);
             stats.probe_messages = stats.probe_messages.saturating_add(in_flight);
@@ -177,11 +177,10 @@ struct Placed {
 
 /// The branch-and-bound: the precomputed tables, then the DFS state.
 struct Search {
-    order: Vec<VertexId>,
-    /// Per vertex: incoming `(edge index, predecessor vertex)` pairs. The
-    /// first one is the vertex's *tree edge* in the spanning forest the
-    /// φ bound is attributed along.
-    preds: Vec<Vec<(usize, VertexId)>>,
+    /// The request's graph: vertices are placed in its topological
+    /// order, and a vertex's first incoming edge is its *tree edge* in
+    /// the spanning forest the φ bound is attributed along.
+    graph: FunctionGraph,
     /// Per vertex: end-system resource demand.
     demands: Vec<ResourceVector>,
     bandwidth: f64,
@@ -256,18 +255,6 @@ impl Search {
         let node_avail: Vec<ResourceVector> =
             system.overlay().nodes().map(|v| system.node_available(v)).collect();
         let link_avail: Vec<f64> = system.overlay().links().map(|l| system.link_available(l)).collect();
-        let preds: Vec<Vec<(usize, VertexId)>> = graph
-            .vertices()
-            .map(|vertex| {
-                graph
-                    .edges()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &(_, v))| v == vertex)
-                    .map(|(e, &(u, _))| (e, u))
-                    .collect()
-            })
-            .collect();
         let demands: Vec<ResourceVector> =
             graph.vertices().map(|v| request.vertex_demand(system.registry(), v)).collect();
 
@@ -334,7 +321,7 @@ impl Search {
                 let kw = cands[w].len();
                 // A vertex's subtree is charged to its first incoming edge
                 // alone; its other incoming edges are charged nothing.
-                let tree_edge = preds[w][0].0 == e;
+                let tree_edge = graph.in_edges(w)[0] == e;
                 let mut edge_lb = Vec::with_capacity(if tree_edge { k } else { 0 });
                 for c in 0..k {
                     let (mut least_delay, mut least_loss) = (UNREACHABLE_US, f64::INFINITY);
@@ -370,7 +357,7 @@ impl Search {
                 graph
                     .vertices()
                     .filter(|&w| position[w] > d)
-                    .filter_map(|w| preds[w].first().copied())
+                    .filter_map(|w| graph.incoming(w).next())
                     .filter(|&(_, parent)| position[parent] < d)
                     .collect()
             })
@@ -378,8 +365,7 @@ impl Search {
 
         let (node_count, link_count) = (node_avail.len(), link_avail.len());
         Search {
-            order,
-            preds,
+            graph: graph.clone(),
             demands,
             bandwidth: b,
             qos_req: request.qos,
@@ -411,14 +397,14 @@ impl Search {
             return;
         }
         let phi = self.phi_at[depth];
-        if depth == self.order.len() {
+        if depth == self.graph.len() {
             if phi < self.best_phi {
                 self.best_phi = phi;
                 self.best = Some(self.chosen.clone());
             }
             return;
         }
-        let vertex = self.order[depth];
+        let vertex = self.graph.topological_order()[depth];
         // What the subtrees hanging off earlier vertices must still add,
         // given where their parents sit. Recomputed from the tables at
         // every node: no running sum to drift.
@@ -454,7 +440,7 @@ impl Search {
         let demand = self.demands[vertex];
         let b = self.bandwidth;
         let k = self.cands[vertex].len();
-        let preds = &self.preds[vertex];
+        let incoming = self.graph.incoming(vertex);
         'candidates: for ci in 0..k {
             self.expansions += 1;
             if self.expansions >= self.max_expansions {
@@ -469,9 +455,9 @@ impl Search {
             }
             // Arrival QoS (critical path over incoming branches).
             let mut arrival = cand.qos;
-            if !preds.is_empty() {
+            if incoming.len() > 0 {
                 let mut worst = Qos::ZERO;
-                for &(e, u) in preds {
+                for (e, u) in incoming.clone() {
                     let Some(hop) = &self.hops[e][self.chosen[u] * k + ci] else {
                         continue 'candidates;
                     };
@@ -499,7 +485,7 @@ impl Search {
             // φ terms: the node, then each incoming virtual link at its
             // bottleneck availability.
             let mut delta_phi = node_phi(&demand, &avail);
-            for &(e, u) in preds {
+            for (e, u) in incoming.clone() {
                 let hop = self.hops[e][self.chosen[u] * k + ci].as_ref().expect("resolved above");
                 if hop.path.is_colocated() {
                     continue;
@@ -526,7 +512,7 @@ impl Search {
         let placed =
             Placed { node, node_used_before: self.node_used[node], link_undo_mark: self.link_undo.len() };
         self.node_used[node] += self.demands[vertex];
-        for &(e, u) in &self.preds[vertex] {
+        for (e, u) in self.graph.incoming(vertex) {
             let hop = self.hops[e][self.chosen[u] * k + m.cand].as_ref().expect("a feasible move");
             for &l in &hop.path.links {
                 self.link_undo.push((l.index(), self.link_used[l.index()]));
@@ -597,7 +583,7 @@ mod reference {
         request: &Request,
         max_expansions: u64,
     ) -> SearchOutcome {
-        let order = request.graph.topological_order();
+        let order = request.graph.topological_order().to_vec();
 
         // Ground truth is frozen for the duration of the search (the only
         // system mutation below is route memoisation), so availability,

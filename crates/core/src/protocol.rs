@@ -652,12 +652,8 @@ impl ProbeNode {
 /// paths it held before it returns.
 #[derive(Debug, Default, Clone)]
 pub struct ProbeScratch {
-    /// The request's vertices in topological order: generation `g` of
-    /// the tree assigns `order[g]`.
-    order: Vec<VertexId>,
-    /// Working space of the topological sort.
-    indegree: Vec<usize>,
-    /// Vertex → its generation (its position in `order`).
+    /// Vertex → its generation, its position in the graph's topological
+    /// order: generation `g` of the tree assigns the order's `g`-th vertex.
     generation: Vec<usize>,
     /// Every probe spawned this round, generation after generation,
     /// under `tree[0]`, the deputy's initial probe. A live probe's
@@ -707,8 +703,6 @@ fn probe_attempt<M: SetupMode, R: Rng + ?Sized>(
     scratch: &mut ProbeScratch,
 ) -> AttemptOutcome {
     let ProbeScratch {
-        order,
-        indegree,
         generation,
         tree,
         links,
@@ -726,7 +720,7 @@ fn probe_attempt<M: SetupMode, R: Rng + ?Sized>(
     let mut faulted = false;
     let expiry = now + config.transient_timeout;
     let graph = &request.graph;
-    graph.topological_order_into(order, indegree);
+    let order = graph.topological_order();
     generation.clear();
     generation.resize(graph.len(), 0);
     for (g, &v) in order.iter().enumerate() {
@@ -761,11 +755,9 @@ fn probe_attempt<M: SetupMode, R: Rng + ?Sized>(
         }
         .min(config.max_live_probes);
         pred_edges.clear();
-        for (e, &(u, v)) in graph.edges().iter().enumerate() {
-            if v == vertex {
-                debug_assert!(generation[u] < g, "topological order violated");
-                pred_edges.push((e, g - 1 - generation[u]));
-            }
+        for (e, u) in graph.incoming(vertex) {
+            debug_assert!(generation[u] < g, "topological order violated");
+            pred_edges.push((e, g - 1 - generation[u]));
         }
         let per_probe = pred_edges.len();
 
@@ -1055,8 +1047,9 @@ fn assemble(
 /// [`ProbeScratch`], kept verbatim as the oracle: a [`Probe`] cloned per
 /// spawn, a `Vec<CandidatePlan>` per selection, the proposals sorted by
 /// a comparator that recomputes each probe's risk, a hashed dedupe set,
-/// one `Composition` per completed probe. (Its one edit: the argument
-/// order of `arrival_accumulated`.) It runs inside the same
+/// one `Composition` per completed probe. (Its edits: the argument order
+/// of `arrival_accumulated`, and the topological order borrowed from
+/// the graph, which now keeps it.) It runs inside the same
 /// [`run_protocol`] loop as the round that replaced it.
 #[cfg(test)]
 mod reference {
@@ -1132,7 +1125,7 @@ mod reference {
         let mut next_frontier: Vec<Probe> = Vec::new();
         let mut scratch = SelectionScratch::default();
 
-        for &vertex in &order {
+        for &vertex in order {
             let function = request.graph.function(vertex);
             let k = system.candidates(function).len();
             let quota = match config.quota_override {

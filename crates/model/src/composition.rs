@@ -79,10 +79,9 @@ impl Composition {
             total += component_qos(self.assignment[v]);
             if i + 1 < path.len() {
                 let u = path[i + 1];
-                let e = graph
-                    .edges()
-                    .iter()
-                    .position(|&(a, b)| a == v && b == u)
+                let (e, _) = graph
+                    .incoming(u)
+                    .find(|&(_, from)| from == v)
                     .expect("consecutive path vertices must be graph edges");
                 total += self.link_qos(e);
             }
@@ -116,7 +115,7 @@ impl Composition {
         F: FnMut(ComponentId) -> Qos,
     {
         let mut arrival = Qos::ZERO;
-        for (e, &(u, _)) in graph.edges().iter().enumerate().filter(|(_, &(_, w))| w == v) {
+        for (e, u) in graph.incoming(v) {
             arrival.raise_to(self.arrival_qos(graph, u, component_qos) + self.link_qos(e));
         }
         arrival + component_qos(self.assignment[v])

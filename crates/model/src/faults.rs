@@ -283,8 +283,8 @@ impl StreamSystem {
             self.degrade_session_span(sid, span, now);
             outcome.degraded.push(sid);
         } else {
-            outcome.orphaned.push(s.request_spec.clone());
-            self.close_session_with_cause(sid, SessionCloseCause::Killed);
+            let killed = self.close_session_with_cause(sid, SessionCloseCause::Killed);
+            outcome.orphaned.push(killed.expect("struck sessions are live").request_spec);
         }
     }
 
@@ -588,7 +588,7 @@ impl StreamSystem {
         if self.repair_accounting {
             self.repair_ledger.record_abandoned(request);
         }
-        self.close_session_with_cause(id, SessionCloseCause::Killed)
+        self.close_session_with_cause(id, SessionCloseCause::Killed).is_some()
     }
 
     /// Gives up on *splicing* a degraded session but hands it to the
@@ -598,14 +598,13 @@ impl StreamSystem {
     /// request specification for that recompose, `None` for unknown
     /// sessions.
     pub fn terminate_for_restart(&mut self, id: SessionId) -> Option<Request> {
-        let spec = self.sessions.get(id)?.request_spec.clone();
         // Suppress the close hook's ticket cancellation: the ticket
         // must outlive this teardown so the restart settles it.
         let accounting = self.repair_accounting;
         self.repair_accounting = false;
-        self.close_session_with_cause(id, SessionCloseCause::Killed);
+        let closed = self.close_session_with_cause(id, SessionCloseCause::Killed);
         self.repair_accounting = accounting;
-        Some(spec)
+        closed.map(|s| s.request_spec)
     }
 }
 

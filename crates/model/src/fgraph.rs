@@ -7,6 +7,8 @@
 //! "either a path or a DAG with two branch paths", with each path or branch
 //! path containing 2–5 nodes. [`TemplateLibrary`] reproduces that library.
 
+use std::sync::Arc;
+
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -23,6 +25,14 @@ pub type VertexId = usize;
 /// * exactly one source (no predecessors) and one sink (no successors) —
 ///   streams enter at the source and leave at the sink.
 ///
+/// The value is a shared handle on immutable storage: a clone is a
+/// reference count, so every request drawn from a template, the session
+/// it becomes and whatever a fault queues of it read the template's one
+/// graph. What depends on the graph alone — adjacency, the topological
+/// order, source, sink, shape, critical-path length — is worked out once
+/// by the constructor and read by reference afterwards. Equality is by
+/// value (functions and edges).
+///
 /// # Example
 ///
 /// ```
@@ -33,12 +43,106 @@ pub type VertexId = usize;
 /// assert!(g.is_path());
 /// assert_eq!(g.source_to_sink_paths().len(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct FunctionGraph {
+#[derive(Debug, Clone)]
+pub struct FunctionGraph(Arc<Plan>);
+
+/// A graph's storage and everything derived from it.
+#[derive(Debug)]
+struct Plan {
     functions: Vec<FunctionId>,
     edges: Vec<(VertexId, VertexId)>,
-    preds: Vec<Vec<VertexId>>,
-    succs: Vec<Vec<VertexId>>,
+    adjacency: Adjacency,
+    /// Kahn's order with a FIFO queue: the order a probing round visits
+    /// the vertices in, and so the order it draws random numbers in.
+    order: Vec<VertexId>,
+    source: VertexId,
+    sink: VertexId,
+    is_path: bool,
+    critical_path_len: usize,
+}
+
+/// The adjacency lists, flat in one buffer. With `n` vertices and `m`
+/// edges: `[0, n]` is where each vertex's successor run starts (and the
+/// next one's, where it ends), `[n + 1, 2n + 1]` the same for its
+/// predecessor run, then come the `m` successors, the `m` predecessors
+/// and — `m` past each predecessor — the index of the edge it arrives
+/// by. Every run lists its vertex's edges in the order they were given.
+#[derive(Debug)]
+struct Adjacency {
+    index: Vec<usize>,
+    vertices: usize,
+    edges: usize,
+}
+
+impl Adjacency {
+    fn new(vertices: usize, edges: &[(VertexId, VertexId)]) -> Adjacency {
+        let (n, m) = (vertices, edges.len());
+        let runs = 2 * (n + 1);
+        let mut index = vec![0; runs + 3 * m];
+        // Degrees, summed into where each run starts.
+        for &(u, v) in edges {
+            assert!(u < n && v < n, "edge endpoint out of range");
+            assert!(u != v, "self-dependency is not allowed");
+            index[u + 1] += 1;
+            index[n + 1 + v + 1] += 1;
+        }
+        index[0] = runs;
+        index[n + 1] = runs + m;
+        for v in 0..n {
+            index[v + 1] += index[v];
+            index[n + 1 + v + 1] += index[n + 1 + v];
+        }
+        let mut next = index[..runs].to_vec();
+        for (e, &(u, v)) in edges.iter().enumerate() {
+            assert!(!index[index[u]..next[u]].contains(&v), "duplicate dependency edge");
+            index[next[u]] = v;
+            next[u] += 1;
+            let at = &mut next[n + 1 + v];
+            index[*at] = u;
+            index[*at + m] = e;
+            *at += 1;
+        }
+        Adjacency { index, vertices, edges: m }
+    }
+
+    fn successors(&self, v: VertexId) -> &[VertexId] {
+        &self.index[self.index[v]..self.index[v + 1]]
+    }
+
+    fn predecessors(&self, v: VertexId) -> &[VertexId] {
+        let run = self.vertices + 1 + v;
+        &self.index[self.index[run]..self.index[run + 1]]
+    }
+
+    fn in_edges(&self, v: VertexId) -> &[usize] {
+        let run = self.vertices + 1 + v;
+        &self.index[self.index[run] + self.edges..self.index[run + 1] + self.edges]
+    }
+
+    fn is_weakly_connected(&self) -> bool {
+        let n = self.vertices;
+        let mut seen = vec![false; n];
+        let mut stack = vec![0usize];
+        seen[0] = true;
+        let mut count = 1;
+        while let Some(v) = stack.pop() {
+            for &u in self.predecessors(v).iter().chain(self.successors(v)) {
+                if !seen[u] {
+                    seen[u] = true;
+                    count += 1;
+                    stack.push(u);
+                }
+            }
+        }
+        count == n
+    }
+}
+
+impl PartialEq for FunctionGraph {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+            || (self.0.functions == other.0.functions && self.0.edges == other.0.edges)
+    }
 }
 
 impl FunctionGraph {
@@ -50,23 +154,49 @@ impl FunctionGraph {
     pub fn new(functions: Vec<FunctionId>, edges: Vec<(VertexId, VertexId)>) -> Self {
         assert!(!functions.is_empty(), "function graph needs at least one vertex");
         let n = functions.len();
-        let mut preds = vec![Vec::new(); n];
-        let mut succs = vec![Vec::new(); n];
-        for &(u, v) in &edges {
-            assert!(u < n && v < n, "edge endpoint out of range");
-            assert!(u != v, "self-dependency is not allowed");
-            assert!(!succs[u].contains(&v), "duplicate dependency edge");
-            succs[u].push(v);
-            preds[v].push(u);
+        let adjacency = Adjacency::new(n, &edges);
+
+        // Kahn's algorithm; `order` is its own FIFO queue, read at `head`.
+        let mut indegree: Vec<usize> = (0..n).map(|v| adjacency.predecessors(v).len()).collect();
+        let mut order: Vec<VertexId> = Vec::with_capacity(n);
+        order.extend((0..n).filter(|&v| indegree[v] == 0));
+        let mut head = 0;
+        while let Some(&v) = order.get(head) {
+            head += 1;
+            for &s in adjacency.successors(v) {
+                indegree[s] -= 1;
+                if indegree[s] == 0 {
+                    order.push(s);
+                }
+            }
         }
-        let g = FunctionGraph { functions, edges, preds, succs };
-        assert!(g.try_topological_order().is_some(), "dependency edges form a cycle");
-        assert!(g.is_weakly_connected(), "function graph must be connected");
-        let sources = (0..n).filter(|&v| g.preds[v].is_empty()).count();
-        let sinks = (0..n).filter(|&v| g.succs[v].is_empty()).count();
+        assert!(order.len() == n, "dependency edges form a cycle");
+        assert!(adjacency.is_weakly_connected(), "function graph must be connected");
+        let sources = (0..n).filter(|&v| adjacency.predecessors(v).is_empty()).count();
+        let sinks = (0..n).filter(|&v| adjacency.successors(v).is_empty()).count();
         assert_eq!(sources, 1, "function graph must have exactly one source");
         assert_eq!(sinks, 1, "function graph must have exactly one sink");
-        g
+        // A topological order opens with a source and closes with a sink.
+        let (source, sink) = (order[0], order[n - 1]);
+        let is_path =
+            (0..n).all(|v| adjacency.predecessors(v).len() <= 1 && adjacency.successors(v).len() <= 1);
+        // Vertices on the longest path ending at each vertex, filled in
+        // topological order; every maximal path ends at the one sink.
+        let mut depth = indegree;
+        for &v in &order {
+            depth[v] = 1 + adjacency.predecessors(v).iter().map(|&u| depth[u]).max().unwrap_or(0);
+        }
+        let critical_path_len = depth[sink];
+        FunctionGraph(Arc::new(Plan {
+            functions,
+            edges,
+            adjacency,
+            order,
+            source,
+            sink,
+            is_path,
+            critical_path_len,
+        }))
     }
 
     /// Builds a linear pipeline.
@@ -128,109 +258,76 @@ impl FunctionGraph {
 
     /// Number of function vertices.
     pub fn len(&self) -> usize {
-        self.functions.len()
+        self.0.functions.len()
     }
 
     /// True when the graph has no vertices (never, by construction).
     pub fn is_empty(&self) -> bool {
-        self.functions.is_empty()
+        self.0.functions.is_empty()
     }
 
     /// The function required at vertex `v`.
     pub fn function(&self, v: VertexId) -> FunctionId {
-        self.functions[v]
+        self.0.functions[v]
     }
 
     /// All vertices in index order.
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> {
-        0..self.functions.len()
+        0..self.len()
     }
 
     /// The dependency edges.
     pub fn edges(&self) -> &[(VertexId, VertexId)] {
-        &self.edges
+        &self.0.edges
     }
 
     /// Direct predecessors of `v`.
     pub fn predecessors(&self, v: VertexId) -> &[VertexId] {
-        &self.preds[v]
+        self.0.adjacency.predecessors(v)
     }
 
     /// Direct successors of `v` (the "next-hop functions" of §3.3 step 2).
     pub fn successors(&self, v: VertexId) -> &[VertexId] {
-        &self.succs[v]
+        self.0.adjacency.successors(v)
+    }
+
+    /// Indices into [`Self::edges`] of the edges arriving at `v`,
+    /// ascending; entry `i` comes from `predecessors(v)[i]`.
+    pub fn in_edges(&self, v: VertexId) -> &[usize] {
+        self.0.adjacency.in_edges(v)
+    }
+
+    /// The edges arriving at `v` as `(edge index, predecessor)`, ascending
+    /// by edge index.
+    pub fn incoming(&self, v: VertexId) -> impl ExactSizeIterator<Item = (usize, VertexId)> + Clone + '_ {
+        self.in_edges(v).iter().copied().zip(self.predecessors(v).iter().copied())
     }
 
     /// The unique source vertex.
     pub fn source(&self) -> VertexId {
-        (0..self.len()).find(|&v| self.preds[v].is_empty()).expect("validated at construction")
+        self.0.source
     }
 
     /// The unique sink vertex.
     pub fn sink(&self) -> VertexId {
-        (0..self.len()).find(|&v| self.succs[v].is_empty()).expect("validated at construction")
+        self.0.sink
     }
 
     /// True when every vertex has at most one successor and predecessor.
     pub fn is_path(&self) -> bool {
-        (0..self.len()).all(|v| self.preds[v].len() <= 1 && self.succs[v].len() <= 1)
+        self.0.is_path
     }
 
-    /// A topological order of the vertices.
-    pub fn topological_order(&self) -> Vec<VertexId> {
-        self.try_topological_order().expect("validated at construction")
-    }
-
-    /// [`Self::topological_order`] written into `order`, with `indegree`
-    /// as working space — for callers that order graph after graph and
-    /// keep both buffers. (On a cyclic graph, which only the constructor
-    /// can meet, `order` comes out short.)
-    pub fn topological_order_into(&self, order: &mut Vec<VertexId>, indegree: &mut Vec<usize>) {
-        indegree.clear();
-        indegree.extend(self.preds.iter().map(Vec::len));
-        // Kahn's algorithm; `order` is its own FIFO queue, read at `head`.
-        order.clear();
-        order.extend((0..self.len()).filter(|&v| indegree[v] == 0));
-        let mut head = 0;
-        while let Some(&v) = order.get(head) {
-            head += 1;
-            for &s in &self.succs[v] {
-                indegree[s] -= 1;
-                if indegree[s] == 0 {
-                    order.push(s);
-                }
-            }
-        }
-    }
-
-    fn try_topological_order(&self) -> Option<Vec<VertexId>> {
-        let (mut order, mut indegree) = (Vec::new(), Vec::new());
-        self.topological_order_into(&mut order, &mut indegree);
-        (order.len() == self.len()).then_some(order)
-    }
-
-    fn is_weakly_connected(&self) -> bool {
-        let n = self.len();
-        let mut seen = vec![false; n];
-        let mut stack = vec![0usize];
-        seen[0] = true;
-        let mut count = 1;
-        while let Some(v) = stack.pop() {
-            for &u in self.preds[v].iter().chain(self.succs[v].iter()) {
-                if !seen[u] {
-                    seen[u] = true;
-                    count += 1;
-                    stack.push(u);
-                }
-            }
-        }
-        count == n
+    /// A topological order of the vertices: Kahn's, the ready vertices
+    /// taken first in, first out.
+    pub fn topological_order(&self) -> &[VertexId] {
+        &self.0.order
     }
 
     /// Number of vertices on the longest source→sink path — the depth
     /// that bounds end-to-end processing latency.
     pub fn critical_path_len(&self) -> usize {
-        self.source_to_sink_paths().iter().map(Vec::len).max().expect("at least one path")
+        self.0.critical_path_len
     }
 
     /// Enumerates every simple path from the source to the sink, as vertex
@@ -259,7 +356,7 @@ impl FunctionGraph {
             out.push(stack.clone());
             return;
         }
-        for &s in &self.succs[v] {
+        for &s in self.successors(v) {
             stack.push(s);
             self.dfs_paths(s, sink, stack, out);
             stack.pop();
@@ -379,14 +476,163 @@ impl TemplateLibrary {
     }
 }
 
+/// What [`FunctionGraph::new`] caches, as it was computed on every call
+/// before the graph became a shared handle: nested adjacency vectors, a
+/// fresh Kahn's run, the source→sink paths enumerated. The plan is
+/// checked against it.
+#[cfg(test)]
+mod reference {
+    use super::{FunctionGraph, VertexId};
+
+    pub(super) struct Reference {
+        pub(super) preds: Vec<Vec<VertexId>>,
+        pub(super) succs: Vec<Vec<VertexId>>,
+    }
+
+    impl Reference {
+        pub(super) fn of(graph: &FunctionGraph) -> Reference {
+            let mut preds = vec![Vec::new(); graph.len()];
+            let mut succs = vec![Vec::new(); graph.len()];
+            for &(u, v) in graph.edges() {
+                succs[u].push(v);
+                preds[v].push(u);
+            }
+            Reference { preds, succs }
+        }
+
+        fn len(&self) -> usize {
+            self.preds.len()
+        }
+
+        pub(super) fn source(&self) -> VertexId {
+            (0..self.len()).find(|&v| self.preds[v].is_empty()).expect("validated at construction")
+        }
+
+        pub(super) fn sink(&self) -> VertexId {
+            (0..self.len()).find(|&v| self.succs[v].is_empty()).expect("validated at construction")
+        }
+
+        pub(super) fn is_path(&self) -> bool {
+            (0..self.len()).all(|v| self.preds[v].len() <= 1 && self.succs[v].len() <= 1)
+        }
+
+        pub(super) fn topological_order(&self) -> Vec<VertexId> {
+            let mut indegree: Vec<usize> = self.preds.iter().map(Vec::len).collect();
+            // Kahn's algorithm; `order` is its own FIFO queue, read at `head`.
+            let mut order: Vec<VertexId> = (0..self.len()).filter(|&v| indegree[v] == 0).collect();
+            let mut head = 0;
+            while let Some(&v) = order.get(head) {
+                head += 1;
+                for &s in &self.succs[v] {
+                    indegree[s] -= 1;
+                    if indegree[s] == 0 {
+                        order.push(s);
+                    }
+                }
+            }
+            order
+        }
+
+        pub(super) fn in_edges(graph: &FunctionGraph, v: VertexId) -> Vec<usize> {
+            (0..graph.edges().len()).filter(|&e| graph.edges()[e].1 == v).collect()
+        }
+
+        pub(super) fn critical_path_len(&self) -> usize {
+            self.source_to_sink_paths().iter().map(Vec::len).max().expect("at least one path")
+        }
+
+        pub(super) fn source_to_sink_paths(&self) -> Vec<Vec<VertexId>> {
+            let mut out = Vec::new();
+            let mut stack = vec![self.source()];
+            self.dfs_paths(self.source(), self.sink(), &mut stack, &mut out);
+            out
+        }
+
+        fn dfs_paths(&self, v: VertexId, sink: VertexId, stack: &mut Vec<VertexId>, out: &mut Vec<Vec<VertexId>>) {
+            if v == sink {
+                out.push(stack.clone());
+                return;
+            }
+            for &s in &self.succs[v] {
+                stack.push(s);
+                self.dfs_paths(s, sink, stack, out);
+                stack.pop();
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::Reference;
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn f(i: u16) -> FunctionId {
         FunctionId(i)
+    }
+
+    /// Every cached fact against the computation it replaced.
+    fn assert_plan_matches_reference(g: &FunctionGraph) {
+        let r = Reference::of(g);
+        assert_eq!(g.topological_order(), r.topological_order(), "Kahn's FIFO order, element for element");
+        assert_eq!(g.critical_path_len(), r.critical_path_len());
+        assert_eq!(g.source(), r.source());
+        assert_eq!(g.sink(), r.sink());
+        assert_eq!(g.is_path(), r.is_path());
+        assert_eq!(g.source_to_sink_paths(), r.source_to_sink_paths());
+        for v in g.vertices() {
+            assert_eq!(g.predecessors(v), r.preds[v], "predecessors of {v}");
+            assert_eq!(g.successors(v), r.succs[v], "successors of {v}");
+            assert_eq!(g.in_edges(v), Reference::in_edges(g, v), "in-edges of {v}");
+        }
+    }
+
+    #[test]
+    fn hand_built_plans_match_the_reference() {
+        let diamonds = FunctionGraph::new(
+            (0..7).map(f).collect(),
+            vec![(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6)],
+        );
+        // Vertex numbering against the edge direction, edges out of order.
+        let backwards = FunctionGraph::new((0..4).map(f).collect(), vec![(1, 0), (3, 2), (2, 1), (3, 1)]);
+        for g in [
+            FunctionGraph::path(vec![f(0)]),
+            FunctionGraph::path(vec![f(3), f(1)]),
+            FunctionGraph::path((0..5).map(f).collect()),
+            FunctionGraph::split_merge(vec![f(0)], vec![f(1)], vec![f(2)], f(3), vec![]),
+            FunctionGraph::split_merge(vec![f(0), f(1)], vec![f(2), f(3)], vec![f(4)], f(5), vec![f(6)]),
+            diamonds,
+            backwards,
+        ] {
+            assert_plan_matches_reference(&g);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn library_plans_match_the_reference(seed in 0u64..1_000_000, count in 1usize..24) {
+            let reg = FunctionRegistry::standard();
+            let lib = TemplateLibrary::generate(&reg, count, &mut StdRng::seed_from_u64(seed));
+            for t in lib.iter() {
+                assert_plan_matches_reference(&t.graph);
+            }
+        }
+    }
+
+    #[test]
+    fn equality_is_by_value_and_a_clone_shares_storage() {
+        let a = FunctionGraph::split_merge(vec![f(0)], vec![f(1)], vec![f(2)], f(3), vec![]);
+        let b = FunctionGraph::new((0..4).map(f).collect(), vec![(0, 1), (0, 2), (1, 3), (2, 3)]);
+        assert!(!Arc::ptr_eq(&a.0, &b.0));
+        assert_eq!(a, b, "separately built, equal by value");
+        assert!(Arc::ptr_eq(&a.0, &a.clone().0));
+        assert_ne!(a, FunctionGraph::new((0..4).map(f).collect(), vec![(0, 2), (0, 1), (1, 3), (2, 3)]));
+        assert_ne!(a, FunctionGraph::split_merge(vec![f(0)], vec![f(1)], vec![f(2)], f(4), vec![]));
     }
 
     #[test]
@@ -399,7 +645,7 @@ mod tests {
         assert_eq!(g.function(1), f(1));
         assert_eq!(g.successors(0), &[1]);
         assert_eq!(g.predecessors(2), &[1]);
-        assert_eq!(g.topological_order(), vec![0, 1, 2]);
+        assert_eq!(g.topological_order(), [0, 1, 2]);
         assert_eq!(g.source_to_sink_paths(), vec![vec![0, 1, 2]]);
     }
 

@@ -28,7 +28,8 @@ impl std::fmt::Display for RequestId {
 pub struct Request {
     /// Unique request identity.
     pub id: RequestId,
-    /// Function graph ξ (usually instantiated from a template).
+    /// Function graph ξ (usually instantiated from a template, whose
+    /// storage it then shares: cloning a request copies no graph).
     pub graph: FunctionGraph,
     /// End-to-end QoS requirements.
     pub qos: QosRequirement,

@@ -873,7 +873,7 @@ impl StreamSystem {
     /// Tears down a session, releasing its allocations (the `Close`
     /// interface). Returns `false` for unknown sessions.
     pub fn close_session(&mut self, id: SessionId) -> bool {
-        self.close_session_with_cause(id, SessionCloseCause::Closed)
+        self.close_session_with_cause(id, SessionCloseCause::Closed).is_some()
     }
 
     /// Preempts a live session: teardown recorded as `Preempted` in the
@@ -884,17 +884,14 @@ impl StreamSystem {
     /// masked. Returns the request specification for bookkeeping, `None`
     /// for unknown sessions.
     pub fn preempt_session(&mut self, id: SessionId) -> Option<Request> {
-        let spec = self.sessions.get(id)?.request_spec.clone();
-        self.close_session_with_cause(id, SessionCloseCause::Preempted);
-        Some(spec)
+        self.close_session_with_cause(id, SessionCloseCause::Preempted).map(|s| s.request_spec)
     }
 
     /// Shared teardown: releases allocations and records `cause` against
-    /// the owning tenant (if any, and if tenant accounting is on).
-    pub(crate) fn close_session_with_cause(&mut self, id: SessionId, cause: SessionCloseCause) -> bool {
-        let Some(session) = self.sessions.remove(id) else {
-            return false;
-        };
+    /// the owning tenant (if any, and if tenant accounting is on). Hands
+    /// back the removed session, `None` for unknown sessions.
+    pub(crate) fn close_session_with_cause(&mut self, id: SessionId, cause: SessionCloseCause) -> Option<Session> {
+        let session = self.sessions.remove(id)?;
         for (node, amount) in &session.node_allocs {
             self.nodes[node.index()].release(*amount);
             self.node_versions[node.index()] += 1;
@@ -918,7 +915,7 @@ impl StreamSystem {
             // only catches genuinely unrelated teardowns.
             self.repair_ledger.cancel(session.request);
         }
-        true
+        Some(session)
     }
 
     /// True when the node's processing plane is failed.

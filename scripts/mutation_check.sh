@@ -33,7 +33,7 @@ optimal_target='-p acp-core --lib'
 optimal_oracle=optimal::tests::matches_the_reference_search
 optimal_mutants=(
     'max over successors in the to-go bound|s/^                    let mut cheapest = f64::INFINITY;$/                    let mut cheapest = 0.0f64;/; s/cheapest = cheapest\.min(/cheapest = cheapest.max(/'
-    'non-tree edge charged in both subtrees|s/^                let tree_edge = preds\[w\]\[0\]\.0 == e;$/                let tree_edge = true;/'
+    'non-tree edge charged in both subtrees|s/^                let tree_edge = graph\.in_edges(w)\[0\] == e;$/                let tree_edge = true;/'
 )
 # The fault path has no reference twin; its oracle is the nine golden
 # scenario digests. The first mutant degrades path sessions whatever the
@@ -65,14 +65,15 @@ compose_mutants=(
 # tolerance, which this gate replaced, passed all three (EXPERIMENTS.md).
 # The first forgets the memo entry before every lookup; the second walks
 # the whole candidate index instead of stopping at the first row that
-# cannot enter the top k; the third clones the request once per compose.
-counters_kernel='crates/topology/src/overlay.rs crates/core/src/selection.rs crates/core/src/protocol.rs'
+# cannot enter the top k; the third has every commit build its session a
+# function graph of its own instead of sharing the request's.
+counters_kernel='crates/topology/src/overlay.rs crates/core/src/selection.rs crates/model/src/system.rs'
 counters_target='-p acp-bench --test counters --test allocs --no-fail-fast'
 counters_oracle= # every test of both targets
 counters_mutants=(
     'counters.rs: memo lookup that always misses|s/^        match self.path_cache.entry((from, to)) {$/        self.path_cache.remove(\&(from, to));\n        match self.path_cache.entry((from, to)) {/'
     'counters.rs: selection walk that ignores its stop rule|s/^        if ranked.len() == quota {$/        if false \&\& ranked.len() == quota {/'
-    'allocs.rs: one extra request.clone() per compose|/^pub fn compose_with_mode</,/^) -> ProbingOutcome {$/ s/^) -> ProbingOutcome {$/) -> ProbingOutcome {\n    let request = \&request.clone();/'
+    'allocs.rs: a private graph per committed session|s/^            request_spec: request\.clone(),$/            request_spec: Request { graph: crate::fgraph::FunctionGraph::new(request.graph.vertices().map(|v| request.graph.function(v)).collect(), request.graph.edges().to_vec()), ..request.clone() },/'
 )
 
 suites=(selection optimal faults compose counters)
