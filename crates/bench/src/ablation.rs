@@ -16,30 +16,25 @@
 //!   per-function budget) against ratio-based ACP.
 //!
 //! Every sweep fans its variants over [`run_indexed`] worker threads.
-//! Unlike the figures, ablation points share the **base seed**: each
+//! Like the figures, ablation points build from the master seed: each
 //! variant sees the same workload, so differences in a row are caused by
-//! the knob alone (and the tables stay byte-identical to the original
-//! sequential implementation).
+//! the knob alone.
 
 use acp_core::prelude::*;
 use acp_workload::{RateSchedule, ScenarioResult};
 
 use crate::experiments::Scale;
-use crate::parallel::{run_indexed, thread_count};
-use crate::report::Table;
-
-fn pct(x: f64) -> String {
-    format!("{:.1}", x * 100.0)
-}
+use crate::parallel::run_indexed;
+use crate::report::{pct, Table};
 
 /// Sweeps the risk-tie epsilon of per-hop candidate ranking.
-pub fn ablation_risk_epsilon(scale: &Scale, seed: u64) -> Table {
+pub fn ablation_risk_epsilon(scale: &Scale, seed: u64, threads: usize) -> Table {
     let mut table = Table::new(
         "Ablation: risk-tie epsilon (per-hop ranking, ACP)",
         vec!["epsilon", "success %", "probe msgs/min"],
     );
     let epsilons = [0.0, 0.02, 0.05, 0.2, 1_000.0];
-    let results = run_indexed(thread_count(), &epsilons, |_, &eps| {
+    let results = run_indexed(threads, &epsilons, |&eps| {
         let mut config = scale.base_config(seed);
         config.schedule = RateSchedule::constant(scale.anchor_rate);
         config.probing.risk_epsilon = eps;
@@ -57,13 +52,13 @@ pub fn ablation_risk_epsilon(scale: &Scale, seed: u64) -> Table {
 }
 
 /// Sweeps the coarse-grain publish threshold θ.
-pub fn ablation_state_threshold(scale: &Scale, seed: u64) -> Table {
+pub fn ablation_state_threshold(scale: &Scale, seed: u64, threads: usize) -> Table {
     let mut table = Table::new(
         "Ablation: global-state publish threshold (ACP)",
         vec!["theta", "success %", "state msgs/min", "total msgs/min"],
     );
     let thetas = [0.0, 0.05, 0.10, 0.30, 1_000.0];
-    let results = run_indexed(thread_count(), &thetas, |_, &theta| {
+    let results = run_indexed(threads, &thetas, |&theta| {
         let mut config = scale.base_config(seed);
         config.schedule = RateSchedule::constant(scale.anchor_rate);
         config.global_state.threshold = theta;
@@ -85,7 +80,7 @@ pub fn ablation_state_threshold(scale: &Scale, seed: u64) -> Table {
 /// Compares probing-ratio governance under the Fig. 8 dynamic workload:
 /// fixed ratio, the paper's profiling tuner, and the PI-controller
 /// extension.
-pub fn ablation_tuning(scale: &Scale, seed: u64) -> Table {
+pub fn ablation_tuning(scale: &Scale, seed: u64, threads: usize) -> Table {
     let mut table = Table::new(
         "Ablation: probing-ratio governance under dynamic workload",
         vec!["strategy", "success %", "mean ratio", "probe msgs/min", "profiling sweeps"],
@@ -106,7 +101,7 @@ pub fn ablation_tuning(scale: &Scale, seed: u64) -> Table {
             Some(PiControllerConfig { target_success: 0.90, ..PiControllerConfig::default() }),
         ),
     ];
-    let results = run_indexed(thread_count(), &strategies, |_, (_, tuner, controller)| {
+    let results = run_indexed(threads, &strategies, |(_, tuner, controller)| {
         let mut config = scale.base_config(seed);
         config.schedule = scale.fig8_schedule.clone();
         config.duration = scale.fig8_duration;
@@ -130,9 +125,10 @@ pub fn ablation_tuning(scale: &Scale, seed: u64) -> Table {
 }
 
 /// Bounded composition probing budgets against ratio-based ACP.
-pub fn ablation_bcp(scale: &Scale, seed: u64) -> Table {
+pub fn ablation_bcp(scale: &Scale, seed: u64, threads: usize) -> Table {
     use acp_simcore::SimTime;
     use acp_workload::{build_system, RequestConfig, RequestGenerator};
+    use rand::SeedableRng;
 
     let mut table = Table::new(
         "Ablation: bounded composition probing (BCP) vs ratio-based ACP",
@@ -146,14 +142,14 @@ pub fn ablation_bcp(scale: &Scale, seed: u64) -> Table {
     let (system, board, library) = build_system(&config);
     let requests: Vec<_> = {
         let mut generator = RequestGenerator::new(library, RequestConfig::default());
-        let mut rng = acp_simcore::DeterministicRng::new(seed).stream("ablation-bcp");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         (0..300).map(|_| generator.next(&mut rng).0).collect()
     };
 
     // Variants as data (`Some(budget)` = BCP, `None` = ACP) so the
     // non-`Send` boxed composer is constructed inside each worker.
     let variants: Vec<Option<usize>> = vec![Some(1), Some(2), Some(4), Some(8), None];
-    let rows = run_indexed(thread_count(), &variants, |_, &variant| {
+    let rows = run_indexed(threads, &variants, |&variant| {
         let mut composer: Box<dyn Composer> = match variant {
             Some(budget) => Box::new(ProbingComposer::bounded(budget, ProbingConfig::default(), 11)),
             None => Box::new(AcpComposer::new(ProbingConfig::default(), 11)),
@@ -200,13 +196,13 @@ mod tests {
 
     #[test]
     fn risk_epsilon_sweep_produces_rows() {
-        let table = ablation_risk_epsilon(&tiny_scale(), 1);
+        let table = ablation_risk_epsilon(&tiny_scale(), 1, 2);
         assert_eq!(table.rows.len(), 5);
     }
 
     #[test]
     fn bcp_sweep_orders_budgets() {
-        let table = ablation_bcp(&tiny_scale(), 2);
+        let table = ablation_bcp(&tiny_scale(), 2, 2);
         assert_eq!(table.rows.len(), 5);
         // probe traffic grows with budget
         let msgs: Vec<f64> = table.rows.iter().take(4).map(|r| r[2].parse().unwrap()).collect();

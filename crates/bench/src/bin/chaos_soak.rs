@@ -19,9 +19,8 @@
 //! dirty, or leaks a lease.
 
 use acp_bench::{
-    chaos_grid_tenanted, chaos_grid_threads, chaos_table, fig_repair_threads, loss_grid_tenanted,
-    loss_grid_threads, loss_table, repair_table, soak, soak_tenanted, thread_count, write_results,
-    Scale,
+    chaos_grid, chaos_table, fig_repair, loss_grid, loss_table, repair_table, soak, thread_count,
+    write_results, Scale,
 };
 
 fn main() {
@@ -63,20 +62,12 @@ fn main() {
         if tenants { ", tenanted" } else { "" }
     );
     let start = std::time::Instant::now();
-    let cells = if tenants {
-        chaos_grid_tenanted(&scale, seed, threads)
-    } else {
-        chaos_grid_threads(&scale, seed, threads)
-    };
+    let cells = chaos_grid(&scale, seed, threads, tenants);
     let table = chaos_table(&scale, &cells);
     println!("{}", table.render());
 
     eprintln!("running probe-loss grid at scale '{}' (seed {})…", scale.name, seed);
-    let loss_cells = if tenants {
-        loss_grid_tenanted(&scale, seed, threads)
-    } else {
-        loss_grid_threads(&scale, seed, threads)
-    };
+    let loss_cells = loss_grid(&scale, seed, threads, tenants);
     let loss = loss_table(&scale, &loss_cells);
     println!("{}", loss.render());
 
@@ -87,7 +78,7 @@ fn main() {
 
     if repair {
         eprintln!("running repair-vs-restart sweep at scale '{}' (seed {})…", scale.name, seed);
-        let repair_cells = fig_repair_threads(&scale, seed, threads);
+        let repair_cells = fig_repair(&scale, seed, threads);
         let repair_report = repair_table(&scale, &repair_cells);
         println!("{}", repair_report.render());
         grid_violations += repair_cells.iter().map(|c| c.audit_violations).sum::<u64>();
@@ -113,11 +104,7 @@ fn main() {
     if !smoke {
         let minutes = if scale.name == "paper" { 150 } else { 60 };
         eprintln!("soaking {} simulated minutes at 2x churn…", minutes);
-        let result = if tenants {
-            soak_tenanted(&scale, seed, 2.0, minutes)
-        } else {
-            soak(&scale, seed, 2.0, minutes)
-        };
+        let result = soak(&scale, seed, 2.0, minutes, tenants);
         soak_violations = result.audit_violations;
         tenant_violations += result.tenant_violations;
         leaks += result.leases_leaked;

@@ -4,13 +4,15 @@
 //! stresses the same algorithms while nodes fail-stop, virtual links
 //! die or degrade, and components crash on the schedule of a seeded
 //! [`FaultPlan`](acp_simcore::FaultPlan). Each grid cell is one
-//! scenario at a `(stream nodes × churn multiplier)` point, run on the
-//! deterministic parallel driver: the whole grid is a pure function of
-//! `(scale, seed)` and byte-identical at any worker-thread count.
+//! scenario at a `(stream nodes × churn multiplier)` point built from
+//! the master seed and run on the deterministic parallel driver: the
+//! whole grid is a pure function of `(scale, seed)` and byte-identical
+//! at any worker-thread count.
 //!
 //! Reported per cell: composition success under churn, how many
-//! sessions faults killed, the share recovered by the failover sweep,
-//! mean fault-to-recomposition latency, and — the point of the
+//! sessions faults killed, how many of those the failover sweep
+//! recovered, lost, or still had queued at the horizon, mean
+//! fault-to-recomposition latency, and — the point of the
 //! exercise — the [`SystemAuditor`](acp_model::audit::SystemAuditor)
 //! violation count, which must be zero for every cell.
 
@@ -19,7 +21,7 @@ use acp_simcore::{MessageFaultConfig, SimDuration};
 use acp_workload::{ChurnConfig, RateSchedule, ScenarioConfig, ScenarioResult};
 
 use crate::experiments::Scale;
-use crate::parallel::{run_indexed, thread_count};
+use crate::parallel::grid;
 use crate::report::Table;
 
 /// One chaos-grid cell: measurements of a single churn scenario.
@@ -39,6 +41,11 @@ pub struct ChaosCell {
     pub killed: u64,
     /// Fault-terminated sessions recomposed by the failover sweep.
     pub recovered: u64,
+    /// Fault-terminated sessions the sweep gave up on.
+    pub lost: u64,
+    /// Fault-terminated sessions whose sweep fell past the horizon
+    /// (`killed == recovered + lost + pending`).
+    pub pending: u64,
     /// Mean fault-to-recomposition latency (seconds; 0 when nothing
     /// recovered).
     pub recovery_mean_s: f64,
@@ -72,6 +79,8 @@ impl ChaosCell {
             fault_kinds: result.fault_kinds,
             killed: result.sessions_killed,
             recovered: result.sessions_recovered,
+            lost: result.sessions_lost,
+            pending: result.sessions_pending,
             recovery_mean_s: result.recovery_latency.mean().unwrap_or(0.0),
             migrations: result.migrations,
             audit_violations: result.audit_violations,
@@ -101,40 +110,16 @@ pub fn chaos_config(scale: &Scale, seed: u64, nodes: usize, churn: f64) -> Scena
 
 /// Runs the chaos grid — every `scale.node_counts` overlay size at
 /// every [`CHURN_LEVELS`] fault-rate multiplier — and returns the cells
-/// in grid order (node-major).
-pub fn chaos_grid(scale: &Scale, seed: u64) -> Vec<ChaosCell> {
-    chaos_grid_threads(scale, seed, thread_count())
-}
-
-/// [`chaos_grid`] with an explicit worker-thread count. Output depends
-/// only on `(scale, seed)`, never on `threads`.
-pub fn chaos_grid_threads(scale: &Scale, seed: u64, threads: usize) -> Vec<ChaosCell> {
-    chaos_grid_run(scale, seed, threads, false)
-}
-
-/// [`chaos_grid_threads`] with the standard tenant mix attached to
-/// every cell: admission shedding, best-effort preemption, and the
-/// tenant-isolation audit pass all run under the same churn.
-pub fn chaos_grid_tenanted(scale: &Scale, seed: u64, threads: usize) -> Vec<ChaosCell> {
-    chaos_grid_run(scale, seed, threads, true)
-}
-
-fn chaos_grid_run(scale: &Scale, seed: u64, threads: usize, tenanted: bool) -> Vec<ChaosCell> {
-    let streams = acp_simcore::DeterministicRng::new(seed);
-    let points: Vec<(usize, f64)> = scale
-        .node_counts
-        .iter()
-        .flat_map(|&nodes| CHURN_LEVELS.iter().map(move |&churn| (nodes, churn)))
-        .collect();
-    run_indexed(threads, &points, |i, &(nodes, churn)| {
-        let mut config =
-            chaos_config(scale, streams.seed_for_indexed("chaos", i as u64), nodes, churn);
-        if tenanted {
-            config.tenants = Some(crate::tenants::sweep_mix());
-        }
-        let result = acp_workload::run_scenario(config);
-        ChaosCell::from_result(nodes, churn, &result)
-    })
+/// in grid order (node-major). `tenanted` attaches the standard tenant
+/// mix to every cell: admission shedding, best-effort preemption and
+/// the tenant-isolation audit pass all run under the same churn.
+pub fn chaos_grid(scale: &Scale, seed: u64, threads: usize, tenanted: bool) -> Vec<ChaosCell> {
+    let cells = grid(threads, &scale.node_counts, &CHURN_LEVELS, |&nodes, &churn| {
+        let mut config = chaos_config(scale, seed, nodes, churn);
+        config.tenants = tenanted.then(crate::tenants::sweep_mix);
+        ChaosCell::from_result(nodes, churn, &acp_workload::run_scenario(config))
+    });
+    cells.into_iter().flatten().collect()
 }
 
 /// Renders the grid as a report table (one row per cell).
@@ -149,6 +134,7 @@ pub fn chaos_table(scale: &Scale, cells: &[ChaosCell]) -> Table {
             "killed",
             "recovered",
             "lost",
+            "pending",
             "recovery s",
             "migrations",
             "audit violations",
@@ -162,7 +148,8 @@ pub fn chaos_table(scale: &Scale, cells: &[ChaosCell]) -> Table {
             format!("{}", c.fault_events),
             format!("{}", c.killed),
             format!("{}", c.recovered),
-            format!("{}", c.killed - c.recovered),
+            format!("{}", c.lost),
+            format!("{}", c.pending),
             format!("{:.2}", c.recovery_mean_s),
             format!("{}", c.migrations),
             format!("{}", c.audit_violations),
@@ -272,38 +259,16 @@ pub fn loss_config(scale: &Scale, seed: u64, nodes: usize, probe_loss: f64) -> S
 
 /// Runs the lossy-transport grid — every `scale.node_counts` overlay
 /// size at every [`PROBE_LOSS_LEVELS`] drop rate — and returns the
-/// cells in grid order (node-major).
-pub fn loss_grid(scale: &Scale, seed: u64) -> Vec<LossCell> {
-    loss_grid_threads(scale, seed, thread_count())
-}
-
-/// [`loss_grid`] with an explicit worker-thread count. Output depends
-/// only on `(scale, seed)`, never on `threads`.
-pub fn loss_grid_threads(scale: &Scale, seed: u64, threads: usize) -> Vec<LossCell> {
-    loss_grid_run(scale, seed, threads, false)
-}
-
-/// [`loss_grid_threads`] with the standard tenant mix attached to every
-/// cell: tenant isolation must also survive lossy two-phase transport.
-pub fn loss_grid_tenanted(scale: &Scale, seed: u64, threads: usize) -> Vec<LossCell> {
-    loss_grid_run(scale, seed, threads, true)
-}
-
-fn loss_grid_run(scale: &Scale, seed: u64, threads: usize, tenanted: bool) -> Vec<LossCell> {
-    let streams = acp_simcore::DeterministicRng::new(seed);
-    let points: Vec<(usize, f64)> = scale
-        .node_counts
-        .iter()
-        .flat_map(|&nodes| PROBE_LOSS_LEVELS.iter().map(move |&loss| (nodes, loss)))
-        .collect();
-    run_indexed(threads, &points, |i, &(nodes, loss)| {
-        let mut config = loss_config(scale, streams.seed_for_indexed("loss", i as u64), nodes, loss);
-        if tenanted {
-            config.tenants = Some(crate::tenants::sweep_mix());
-        }
-        let result = acp_workload::run_scenario(config);
-        LossCell::from_result(nodes, loss, &result)
-    })
+/// cells in grid order (node-major). `tenanted` attaches the standard
+/// tenant mix to every cell: tenant isolation must also survive lossy
+/// two-phase transport.
+pub fn loss_grid(scale: &Scale, seed: u64, threads: usize, tenanted: bool) -> Vec<LossCell> {
+    let cells = grid(threads, &scale.node_counts, &PROBE_LOSS_LEVELS, |&nodes, &loss| {
+        let mut config = loss_config(scale, seed, nodes, loss);
+        config.tenants = tenanted.then(crate::tenants::sweep_mix);
+        LossCell::from_result(nodes, loss, &acp_workload::run_scenario(config))
+    });
+    cells.into_iter().flatten().collect()
 }
 
 /// Renders the success-rate-vs-probe-loss grid as a report table.
@@ -353,22 +318,12 @@ pub fn loss_table(scale: &Scale, cells: &[LossCell]) -> Table {
 /// dominated by real work, with churn at `churn` times the default
 /// fault rates. The acceptance bar: tens of thousands of events,
 /// several concurrent fault classes, zero audit violations.
-pub fn soak(scale: &Scale, seed: u64, churn: f64, minutes: u64) -> ScenarioResult {
-    soak_run(scale, seed, churn, minutes, false)
-}
-
-/// [`soak`] with the standard tenant mix attached.
-pub fn soak_tenanted(scale: &Scale, seed: u64, churn: f64, minutes: u64) -> ScenarioResult {
-    soak_run(scale, seed, churn, minutes, true)
-}
-
-fn soak_run(scale: &Scale, seed: u64, churn: f64, minutes: u64, tenanted: bool) -> ScenarioResult {
+/// `tenanted` attaches the standard tenant mix.
+pub fn soak(scale: &Scale, seed: u64, churn: f64, minutes: u64, tenanted: bool) -> ScenarioResult {
     let mut config = chaos_config(scale, seed, scale.stream_nodes, churn);
     config.schedule = RateSchedule::constant(scale.anchor_rate * 3.0);
     config.duration = SimDuration::from_minutes(minutes);
-    if tenanted {
-        config.tenants = Some(crate::tenants::sweep_mix());
-    }
+    config.tenants = tenanted.then(crate::tenants::sweep_mix);
     acp_workload::run_scenario(config)
 }
 
@@ -396,7 +351,9 @@ mod tests {
                 fault_events: 12,
                 fault_kinds: 4,
                 killed: 5,
-                recovered: 4,
+                recovered: 3,
+                lost: 1,
+                pending: 1,
                 recovery_mean_s: 2.0,
                 migrations: 1,
                 audit_violations: 0,
@@ -412,10 +369,23 @@ mod tests {
         assert_eq!(table.to_csv().lines().count(), 5, "header + 4 rows");
     }
 
+    /// The table's three fates partition what the faults killed, on a
+    /// real cell: 2x churn at the quick scale's largest overlay.
+    #[test]
+    fn killed_is_recovered_plus_lost_plus_pending() {
+        let mut scale = Scale::quick();
+        scale.node_counts = vec![70];
+        let cells = chaos_grid(&scale, 42, 2, false);
+        for cell in &cells {
+            assert_eq!(cell.killed, cell.recovered + cell.lost + cell.pending, "{cell:?}");
+        }
+        assert!(cells.last().expect("three churn levels").killed > 0, "2x churn must orphan sessions");
+    }
+
     #[test]
     fn tenanted_grid_is_live_deterministic_and_isolation_clean() {
         let scale = Scale::quick();
-        let cells = chaos_grid_tenanted(&scale, 42, 2);
+        let cells = chaos_grid(&scale, 42, 2, true);
         assert_eq!(cells.len(), scale.node_counts.len() * CHURN_LEVELS.len());
         for cell in &cells {
             assert_eq!(cell.tenant_violations, 0, "isolation must hold under churn");
@@ -423,13 +393,13 @@ mod tests {
         }
         // The mix must actually engage, not ride along inertly: the
         // seeded grid diverges from its tenant-less twin somewhere.
-        let plain = chaos_grid_threads(&scale, 42, 2);
+        let plain = chaos_grid(&scale, 42, 2, false);
         assert!(
             cells.iter().zip(&plain).any(|(t, p)| t.chaos_digest != p.chaos_digest),
             "tenanted grid must shed or preempt at some cell"
         );
         // …and stays deterministic across thread counts.
-        let again = chaos_grid_tenanted(&scale, 42, 4);
+        let again = chaos_grid(&scale, 42, 4, true);
         assert_eq!(cells, again);
     }
 }

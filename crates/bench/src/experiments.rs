@@ -16,21 +16,21 @@
 //! Absolute numbers are simulator-dependent; the *shapes* are the
 //! reproduction target (see EXPERIMENTS.md).
 //!
-//! Every sweep point runs as an independent job on the deterministic
-//! parallel driver ([`crate::parallel::run_indexed`]): each point's
-//! scenario is seeded by `seed_for_indexed(figure, point_index)` from
-//! the master seed, so the output is a pure function of `(scale, seed)`
-//! and byte-identical at any thread count. The `*_threads` variants
-//! expose the worker count for the determinism regression test; the
-//! plain functions use [`crate::parallel::thread_count`]
-//! (`ACP_BENCH_THREADS` overrides it).
+//! **One seed is one universe.** Every point of every sweep builds from
+//! `scale.base_config(seed)` — the master seed — and differs from its
+//! neighbours only in what the figure's axes name: the six algorithms of
+//! a Fig. 6 row meet the same topology, placement and arrival stream
+//! (common random numbers). Replicates across universes are what
+//! `--seed` is for. Points run as independent jobs on the deterministic
+//! parallel driver ([`crate::parallel`]), so the output is a pure
+//! function of `(scale, seed)` and byte-identical at any `threads`.
 
 use acp_core::prelude::*;
-use acp_simcore::{DeterministicRng, SimDuration, SimTime};
+use acp_simcore::{SimDuration, SimTime};
 use acp_workload::{QosTier, RateSchedule, ScenarioConfig, ScenarioResult};
 
-use crate::parallel::{run_indexed, thread_count};
-use crate::report::Table;
+use crate::parallel::{grid, run_indexed};
+use crate::report::{pct, Table};
 
 /// Experiment scale: `paper` mirrors §4.1, `quick` is a laptop smoke run.
 #[derive(Debug, Clone)]
@@ -140,76 +140,43 @@ impl Scale {
     }
 }
 
-fn pct(x: f64) -> String {
-    format!("{:.1}", x * 100.0)
-}
-
-/// Runs Fig. 5: composition success rate as a function of the probing
-/// ratio, (a) under increasing request rate and (b) under increasingly
-/// strict QoS tiers. Returns `(fig5a, fig5b)`.
-pub fn fig5(scale: &Scale, seed: u64) -> (Table, Table) {
-    fig5_threads(scale, seed, thread_count())
-}
-
-/// [`fig5`] with an explicit worker-thread count. Output depends only on
-/// `(scale, seed)`, never on `threads`.
-pub fn fig5_threads(scale: &Scale, seed: u64, threads: usize) -> (Table, Table) {
-    let streams = DeterministicRng::new(seed);
-
-    // (a) — success vs α per request rate; one sweep point per cell.
-    let points_a: Vec<(f64, f64)> = scale
-        .alphas
-        .iter()
-        .flat_map(|&alpha| scale.fig5_rates.iter().map(move |&rate| (alpha, rate)))
-        .collect();
-    let success_a = run_indexed(threads, &points_a, |i, &(alpha, rate)| {
-        let mut config = scale.base_config(streams.seed_for_indexed("fig5a", i as u64));
+/// One Fig. 5 table: success vs α (rows) for each `(label, request
+/// rate, QoS tier)` column.
+fn alpha_sweep(scale: &Scale, seed: u64, threads: usize, title: &str, cols: &[(String, f64, QosTier)]) -> Table {
+    let success = grid(threads, &scale.alphas, cols, |&alpha, &(_, rate, tier)| {
+        let mut config = scale.base_config(seed);
         config.schedule = RateSchedule::constant(rate);
-        config.probing.probing_ratio = alpha;
-        acp_workload::run_scenario(config).overall_success
-    });
-    let mut header_a: Vec<String> = vec!["alpha".into()];
-    header_a.extend(scale.fig5_rates.iter().map(|r| format!("{r:.0} reqs/min")));
-    let mut table_a = Table::new("Fig 5(a) success rate vs probing ratio under request rates", header_a);
-    for (ai, &alpha) in scale.alphas.iter().enumerate() {
-        let mut row = vec![format!("{alpha:.2}")];
-        for ri in 0..scale.fig5_rates.len() {
-            row.push(pct(success_a[ai * scale.fig5_rates.len() + ri]));
-        }
-        table_a.push_row(row);
-    }
-
-    // (b) — success vs α per QoS tier at the anchor rate.
-    let points_b: Vec<(f64, QosTier)> = scale
-        .alphas
-        .iter()
-        .flat_map(|&alpha| QosTier::ALL.iter().map(move |&tier| (alpha, tier)))
-        .collect();
-    let success_b = run_indexed(threads, &points_b, |i, &(alpha, tier)| {
-        let mut config = scale.base_config(streams.seed_for_indexed("fig5b", i as u64));
-        config.schedule = RateSchedule::constant(scale.anchor_rate);
         config.probing.probing_ratio = alpha;
         config.requests.qos_tier = tier;
         acp_workload::run_scenario(config).overall_success
     });
-    let mut header_b: Vec<String> = vec!["alpha".into()];
-    header_b.extend(QosTier::ALL.iter().map(|t| format!("{} QoS", t.label())));
-    let mut table_b = Table::new("Fig 5(b) success rate vs probing ratio under QoS tiers", header_b);
-    for (ai, &alpha) in scale.alphas.iter().enumerate() {
-        let mut row = vec![format!("{alpha:.2}")];
-        for ti in 0..QosTier::ALL.len() {
-            row.push(pct(success_b[ai * QosTier::ALL.len() + ti]));
-        }
-        table_b.push_row(row);
+    let mut header: Vec<String> = vec!["alpha".into()];
+    header.extend(cols.iter().map(|(label, ..)| label.clone()));
+    let mut table = Table::new(title, header);
+    for (alpha, row) in scale.alphas.iter().zip(success) {
+        let mut cells = vec![format!("{alpha:.2}")];
+        cells.extend(row.into_iter().map(pct));
+        table.push_row(cells);
     }
-    (table_a, table_b)
+    table
 }
 
-/// One Fig. 6/7 sweep point.
-/// Runs one sweep point: `algorithm` at `rate` requests/min on a
-/// `nodes`-node overlay, for `scale.duration` simulated time. The
-/// building block of Figs. 6–7 (also used by the perf-snapshot binary to
-/// sample the path-cache hit rate of a Fig. 6 workload).
+/// Runs Fig. 5: composition success rate as a function of the probing
+/// ratio, (a) under increasing request rate and (b) under increasingly
+/// strict QoS tiers. Returns `[fig5a, fig5b]`.
+pub fn fig5(scale: &Scale, seed: u64, threads: usize) -> [Table; 2] {
+    let rates: Vec<_> =
+        scale.fig5_rates.iter().map(|&r| (format!("{r:.0} reqs/min"), r, QosTier::Normal)).collect();
+    let tiers: Vec<_> =
+        QosTier::ALL.iter().map(|&t| (format!("{} QoS", t.label()), scale.anchor_rate, t)).collect();
+    [
+        alpha_sweep(scale, seed, threads, "Fig 5(a) success rate vs probing ratio under request rates", &rates),
+        alpha_sweep(scale, seed, threads, "Fig 5(b) success rate vs probing ratio under QoS tiers", &tiers),
+    ]
+}
+
+/// Runs one Fig. 6/7 sweep point: `algorithm` at `rate` requests/min on
+/// a `nodes`-node overlay, for `scale.duration` simulated time.
 pub fn run_point(scale: &Scale, seed: u64, algorithm: AlgorithmKind, rate: f64, nodes: usize) -> ScenarioResult {
     let mut config = scale.base_config(seed);
     config.algorithm = algorithm;
@@ -230,124 +197,67 @@ fn charted_overhead(result: &ScenarioResult, minutes: f64) -> f64 {
     }
 }
 
-/// Last column of the Fig. 6(a)/7(a) success tables: how many of the
-/// row's Optimal searches hit the expansion cap, so that "optimal" is
-/// never printed over searches that gave up without saying so.
-const TRUNCATED_COLUMN: &str = "optimal-truncated";
+/// The body Figs. 6 and 7 share: every algorithm (columns) at each
+/// `(row label, request rate, node count)` of the figure's one axis.
+/// Returns `[success table, overhead table]`.
+fn algorithm_sweep(
+    scale: &Scale,
+    seed: u64,
+    threads: usize,
+    (fig, axis, versus): (&str, &str, &str),
+    rows: &[(String, f64, usize)],
+) -> [Table; 2] {
+    let algos = AlgorithmKind::ALL;
+    let results = grid(threads, rows, &algos, |&(_, rate, nodes), &algo| run_point(scale, seed, algo, rate, nodes));
 
-fn optimal_truncated(row: &[ScenarioResult]) -> u64 {
-    row.iter().map(|r| r.optimal_truncated).sum() // 0 for every algorithm but Optimal
+    let mut header: Vec<String> = vec![axis.into()];
+    header.extend(algos.iter().map(|a| a.label().to_string()));
+    // Last column: how many of the row's Optimal searches hit the expansion
+    // cap, so "optimal" is never printed over searches that gave up silently.
+    header.push("optimal-truncated".into());
+    let mut success = Table::new(format!("{fig}(a) success rate vs {versus}"), header);
+    let mut overhead = Table::new(
+        format!("{fig}(b) overhead (messages/minute) vs {versus}"),
+        vec![axis, "optimal", "acp", "rp", "centralized-n2"],
+    );
+
+    let minutes = scale.duration.as_minutes_f64();
+    for ((label, _, nodes), per_algo) in rows.iter().zip(&results) {
+        let mut srow = vec![label.clone()];
+        srow.extend(per_algo.iter().map(|r| pct(r.overall_success)));
+        // 0 for every algorithm but Optimal.
+        srow.push(per_algo.iter().map(|r| r.optimal_truncated).sum::<u64>().to_string());
+        let mut orow = vec![label.clone()];
+        for algo in [AlgorithmKind::Optimal, AlgorithmKind::Acp, AlgorithmKind::Rp] {
+            let at = algos.iter().position(|&a| a == algo).expect("charted algorithm in ALL");
+            orow.push(format!("{:.0}", charted_overhead(&per_algo[at], minutes)));
+        }
+        orow.push(format!("{}", centralized_update_messages_per_minute(*nodes)));
+        success.push_row(srow);
+        overhead.push_row(orow);
+    }
+    [success, overhead]
 }
 
 /// Runs Fig. 6 (efficiency, 400 nodes, α = 0.3): returns
-/// `(success table, overhead table)`.
-pub fn fig6(scale: &Scale, seed: u64) -> (Table, Table) {
-    fig6_threads(scale, seed, thread_count())
-}
-
-/// [`fig6`] with an explicit worker-thread count. Output depends only on
-/// `(scale, seed)`, never on `threads`.
-pub fn fig6_threads(scale: &Scale, seed: u64, threads: usize) -> (Table, Table) {
-    let streams = DeterministicRng::new(seed);
-    let algos = AlgorithmKind::ALL;
-    let points: Vec<(f64, AlgorithmKind)> = scale
-        .rates
-        .iter()
-        .flat_map(|&rate| algos.iter().map(move |&algo| (rate, algo)))
-        .collect();
-    let results = run_indexed(threads, &points, |i, &(rate, algo)| {
-        run_point(scale, streams.seed_for_indexed("fig6", i as u64), algo, rate, scale.stream_nodes)
-    });
-
-    let mut header: Vec<String> = vec!["rate".into()];
-    header.extend(algos.iter().map(|a| a.label().to_string()));
-    header.push(TRUNCATED_COLUMN.into());
-    let mut success = Table::new("Fig 6(a) success rate vs request rate", header);
-
-    let mut overhead = Table::new(
-        "Fig 6(b) overhead (messages/minute) vs request rate",
-        vec!["rate", "optimal", "acp", "rp", "centralized-n2"],
-    );
-
-    let minutes = scale.duration.as_minutes_f64();
-    for (ri, &rate) in scale.rates.iter().enumerate() {
-        let per_algo = &results[ri * algos.len()..(ri + 1) * algos.len()];
-        let mut srow = vec![format!("{rate:.0}")];
-        srow.extend(per_algo.iter().map(|r| pct(r.overall_success)));
-        srow.push(optimal_truncated(per_algo).to_string());
-        let mut orow = vec![format!("{rate:.0}")];
-        for algo in [AlgorithmKind::Optimal, AlgorithmKind::Acp, AlgorithmKind::Rp] {
-            let at = algos.iter().position(|&a| a == algo).expect("charted algorithm in ALL");
-            orow.push(format!("{:.0}", charted_overhead(&per_algo[at], minutes)));
-        }
-        orow.push(format!("{}", centralized_update_messages_per_minute(scale.stream_nodes)));
-        success.push_row(srow);
-        overhead.push_row(orow);
-    }
-    (success, overhead)
+/// `[success table, overhead table]`.
+pub fn fig6(scale: &Scale, seed: u64, threads: usize) -> [Table; 2] {
+    let rows: Vec<_> = scale.rates.iter().map(|&r| (format!("{r:.0}"), r, scale.stream_nodes)).collect();
+    algorithm_sweep(scale, seed, threads, ("Fig 6", "rate", "request rate"), &rows)
 }
 
 /// Runs Fig. 7 (scalability, 80 req/min, 200–600 nodes): returns
-/// `(success table, overhead table)`.
-pub fn fig7(scale: &Scale, seed: u64) -> (Table, Table) {
-    fig7_threads(scale, seed, thread_count())
-}
-
-/// [`fig7`] with an explicit worker-thread count. Output depends only on
-/// `(scale, seed)`, never on `threads`.
-pub fn fig7_threads(scale: &Scale, seed: u64, threads: usize) -> (Table, Table) {
-    let streams = DeterministicRng::new(seed);
-    let algos = AlgorithmKind::ALL;
-    let points: Vec<(usize, AlgorithmKind)> = scale
-        .node_counts
-        .iter()
-        .flat_map(|&nodes| algos.iter().map(move |&algo| (nodes, algo)))
-        .collect();
-    let results = run_indexed(threads, &points, |i, &(nodes, algo)| {
-        run_point(scale, streams.seed_for_indexed("fig7", i as u64), algo, scale.anchor_rate, nodes)
-    });
-
-    let mut header: Vec<String> = vec!["nodes".into()];
-    header.extend(algos.iter().map(|a| a.label().to_string()));
-    header.push(TRUNCATED_COLUMN.into());
-    let mut success = Table::new("Fig 7(a) success rate vs node count", header);
-
-    let mut overhead = Table::new(
-        "Fig 7(b) overhead (messages/minute) vs node count",
-        vec!["nodes", "optimal", "acp", "rp", "centralized-n2"],
-    );
-
-    let minutes = scale.duration.as_minutes_f64();
-    for (ni, &nodes) in scale.node_counts.iter().enumerate() {
-        let per_algo = &results[ni * algos.len()..(ni + 1) * algos.len()];
-        let mut srow = vec![format!("{nodes}")];
-        srow.extend(per_algo.iter().map(|r| pct(r.overall_success)));
-        srow.push(optimal_truncated(per_algo).to_string());
-        let mut orow = vec![format!("{nodes}")];
-        for algo in [AlgorithmKind::Optimal, AlgorithmKind::Acp, AlgorithmKind::Rp] {
-            let at = algos.iter().position(|&a| a == algo).expect("charted algorithm in ALL");
-            orow.push(format!("{:.0}", charted_overhead(&per_algo[at], minutes)));
-        }
-        orow.push(format!("{}", centralized_update_messages_per_minute(nodes)));
-        success.push_row(srow);
-        overhead.push_row(orow);
-    }
-    (success, overhead)
+/// `[success table, overhead table]`.
+pub fn fig7(scale: &Scale, seed: u64, threads: usize) -> [Table; 2] {
+    let rows: Vec<_> = scale.node_counts.iter().map(|&n| (n.to_string(), scale.anchor_rate, n)).collect();
+    algorithm_sweep(scale, seed, threads, ("Fig 7", "nodes", "node count"), &rows)
 }
 
 /// Runs Fig. 8 (adaptability under the dynamic workload): returns
-/// `(fixed-ratio timeline, adaptive-tuning timeline)`.
-pub fn fig8(scale: &Scale, seed: u64) -> (Table, Table) {
-    fig8_threads(scale, seed, thread_count())
-}
-
-/// [`fig8`] with an explicit worker-thread count. Output depends only on
-/// `(scale, seed)`, never on `threads`.
-pub fn fig8_threads(scale: &Scale, seed: u64, threads: usize) -> (Table, Table) {
-    let streams = DeterministicRng::new(seed);
-    let points = [false, true];
-    let mut results = run_indexed(threads, &points, |i, &tuned| {
-        let mut config = scale.base_config(streams.seed_for_indexed("fig8", i as u64));
+/// `[fixed-ratio timeline, adaptive-tuning timeline]`.
+pub fn fig8(scale: &Scale, seed: u64, threads: usize) -> [Table; 2] {
+    let mut results = run_indexed(threads, &[false, true], |&tuned| {
+        let mut config = scale.base_config(seed);
         config.schedule = scale.fig8_schedule.clone();
         config.duration = scale.fig8_duration;
         config.probing.probing_ratio = 0.3;
@@ -382,10 +292,10 @@ pub fn fig8_threads(scale: &Scale, seed: u64, threads: usize) -> (Table, Table) 
         table
     };
 
-    (
+    [
         timeline(&fixed, "Fig 8(a) fixed probing ratio 0.3 under dynamic workload", false),
         timeline(&tuned, "Fig 8(b) adaptive probing-ratio tuning (target 90%)", true),
-    )
+    ]
 }
 
 #[cfg(test)]

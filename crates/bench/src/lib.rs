@@ -13,11 +13,12 @@
 //!   count); outputs are byte-identical to a sequential run.
 //! * [`report`] — aligned-table rendering plus CSV/JSON export.
 //!
-//! Binaries `fig5`–`fig8` drive the experiments from the command line:
+//! The `figures` binary drives them from the command line (one seed is
+//! one universe; vary `--seed` for replicates):
 //!
 //! ```text
-//! cargo run -p acp-bench --release --bin fig6 -- --scale paper --seed 42
-//! ACP_BENCH_THREADS=4 cargo run -p acp-bench --release --bin fig6 -- --scale quick
+//! cargo run -p acp-bench --release --bin figures -- fig6 --scale paper --seed 42
+//! ACP_BENCH_THREADS=4 cargo run -p acp-bench --release --bin figures -- all --scale quick
 //! ```
 //!
 //! Criterion micro-benchmarks (composition latency per algorithm, the
@@ -39,23 +40,10 @@ pub mod scale;
 pub mod tenants;
 
 pub use ablation::{ablation_bcp, ablation_risk_epsilon, ablation_state_threshold, ablation_tuning};
-pub use chaos::{
-    chaos_grid, chaos_grid_tenanted, chaos_grid_threads, chaos_table, loss_config, loss_grid,
-    loss_grid_tenanted, loss_grid_threads, loss_table, soak, soak_tenanted, ChaosCell, LossCell,
-    CHURN_LEVELS, PROBE_LOSS_LEVELS,
-};
-pub use experiments::{
-    fig5, fig5_threads, fig6, fig6_threads, fig7, fig7_threads, fig8, fig8_threads, Scale,
-};
-pub use parallel::{run_indexed, thread_count};
-pub use repair::{
-    fig_repair, fig_repair_threads, repair_config, repair_table, RepairCell, REPAIR_CHURN_LEVELS,
-};
+pub use chaos::{chaos_grid, chaos_table, loss_grid, loss_table, soak};
+pub use experiments::{fig5, fig6, fig7, fig8, Scale};
+pub use parallel::thread_count;
+pub use repair::{fig_repair, repair_table};
 pub use report::{write_results, CliArgs, Table};
-pub use scale::{
-    churn_for, peak_rss_mib, run_scale_point, scale_request_config, ScaleConfig, ScalePoint,
-};
-pub use tenants::{
-    fig_tenants, fig_tenants_threads, jain_index, sweep_mix, tenants_config, tenants_table,
-    TenantPoint, LOAD_LEVELS,
-};
+pub use scale::{churn_for, peak_rss_mib, run_scale_point, scale_request_config, ScaleConfig};
+pub use tenants::{fig_tenants, tenants_table};

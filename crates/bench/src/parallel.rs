@@ -1,17 +1,19 @@
 //! Deterministic parallel sweep driver.
 //!
 //! Figure regeneration is embarrassingly parallel: every sweep point is
-//! an independent scenario with its own seed. [`run_indexed`] fans a
-//! point list out over scoped worker threads pulling from a shared
-//! atomic work queue, then reassembles results **in point order** — so
-//! the produced tables are byte-identical to a sequential run no matter
-//! the thread count or OS scheduling.
+//! an independent scenario built from the figure's one master seed.
+//! [`run_indexed`] fans a point list out over scoped worker threads
+//! pulling from a shared atomic work queue, then reassembles results
+//! **in point order**; [`grid`] does the same for a rows × columns
+//! cross product and hands the results back row-major. The produced
+//! tables are byte-identical to a sequential run no matter the thread
+//! count or OS scheduling.
 //!
 //! Determinism rests on two properties:
 //!
-//! 1. every point's closure depends only on the point itself (each
-//!    scenario derives its RNG streams from a per-point seed, never from
-//!    shared mutable state), and
+//! 1. every point's closure depends only on the point itself (a
+//!    scenario derives its RNG streams from its config's seed, never
+//!    from shared mutable state), and
 //! 2. results are written into a slot indexed by the point, so assembly
 //!    order is data order, not completion order.
 //!
@@ -61,11 +63,11 @@ pub fn run_indexed<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
-    F: Fn(usize, &T) -> R + Sync,
+    F: Fn(&T) -> R + Sync,
 {
     let workers = threads.clamp(1, items.len().max(1));
     if workers == 1 {
-        return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
+        return items.iter().map(f).collect();
     }
 
     let next = AtomicUsize::new(0);
@@ -77,7 +79,7 @@ where
                 if i >= items.len() {
                     break;
                 }
-                let result = f(i, &items[i]);
+                let result = f(&items[i]);
                 slots.lock().expect("a worker panicked holding the result lock")[i] = Some(result);
             });
         }
@@ -90,6 +92,22 @@ where
         .collect()
 }
 
+/// Runs `f` on every `(row, column)` pair of a sweep's two axes on up to
+/// `threads` workers and returns the results row-major: `out[r][c]` is
+/// `f(&rows[r], &cols[c])`, whatever the thread count. An empty column
+/// axis gives one empty vector per row.
+pub fn grid<R, C, O, F>(threads: usize, rows: &[R], cols: &[C], f: F) -> Vec<Vec<O>>
+where
+    R: Sync,
+    C: Sync,
+    O: Send,
+    F: Fn(&R, &C) -> O + Sync,
+{
+    let cells: Vec<(&R, &C)> = rows.iter().flat_map(|r| cols.iter().map(move |c| (r, c))).collect();
+    let mut flat = run_indexed(threads, &cells, |&(r, c)| f(r, c)).into_iter();
+    rows.iter().map(|_| flat.by_ref().take(cols.len()).collect()).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,41 +115,49 @@ mod tests {
     #[test]
     fn preserves_item_order() {
         let items: Vec<u64> = (0..97).collect();
-        let out = run_indexed(4, &items, |i, &x| {
-            assert_eq!(i as u64, x);
-            x * x
-        });
+        let out = run_indexed(4, &items, |&x| x * x);
         let expect: Vec<u64> = items.iter().map(|&x| x * x).collect();
         assert_eq!(out, expect);
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let items: Vec<u64> = (0..40).collect();
-        // A mildly stateful per-point computation (own RNG per point).
-        let compute = |i: usize, &x: &u64| {
-            let mut acc = x.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i as u64;
+    fn handles_empty_and_tiny_inputs() {
+        let empty: Vec<u8> = Vec::new();
+        assert!(run_indexed(4, &empty, |&x| x).is_empty());
+        assert_eq!(run_indexed(8, &[5u8], |&x| x + 1), vec![6]);
+        assert_eq!(run_indexed(64, &[1u8, 2, 3], |&x| x * 2), vec![2, 4, 6]);
+    }
+
+    /// The one thread-identity test every sweep leans on: a grid is
+    /// row-major and the same at any worker count, empty axes included.
+    #[test]
+    fn grid_is_row_major_and_thread_count_independent() {
+        let rows: Vec<u64> = (0..7).collect();
+        let cols: Vec<u64> = (0..5).collect();
+        // A mildly expensive pure function of the cell.
+        let cell = |&r: &u64, &c: &u64| {
+            let mut acc = (r << 32 | c).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             for _ in 0..100 {
                 acc = acc.rotate_left(7).wrapping_add(0xBF58_476D_1CE4_E5B9);
             }
-            acc
+            (r, c, acc)
         };
-        let seq = run_indexed(1, &items, compute);
-        let par = run_indexed(8, &items, compute);
-        assert_eq!(seq, par);
-    }
+        let seq = grid(1, &rows, &cols, cell);
+        assert_eq!(seq.len(), rows.len());
+        for (r, row) in seq.iter().enumerate() {
+            assert_eq!(row.len(), cols.len());
+            for (c, got) in row.iter().enumerate() {
+                assert_eq!(*got, cell(&rows[r], &cols[c]), "cell ({r}, {c})");
+            }
+        }
+        assert_eq!(grid(4, &rows, &cols, cell), seq);
+        assert_eq!(grid(64, &rows, &cols, cell), seq);
 
-    #[test]
-    fn handles_empty_and_tiny_inputs() {
-        let empty: Vec<u8> = Vec::new();
-        assert!(run_indexed(4, &empty, |_, &x| x).is_empty());
-        assert_eq!(run_indexed(8, &[5u8], |_, &x| x + 1), vec![6]);
-    }
-
-    #[test]
-    fn more_threads_than_items_is_fine() {
-        let items = [1u8, 2, 3];
-        assert_eq!(run_indexed(64, &items, |_, &x| x * 2), vec![2, 4, 6]);
+        let none: [u64; 0] = [];
+        for threads in [1, 4, 64] {
+            assert!(grid(threads, &none, &cols, cell).is_empty());
+            assert_eq!(grid(threads, &rows, &none, cell), vec![Vec::new(); rows.len()]);
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use acp_workload::{RateSchedule, RepairPolicy, RepairScenarioConfig, ScenarioCon
 
 use crate::chaos::chaos_config;
 use crate::experiments::Scale;
-use crate::parallel::{run_indexed, thread_count};
+use crate::parallel::grid;
 use crate::report::Table;
 
 /// Churn multipliers of the sweep, including a fault-free anchor point
@@ -130,30 +130,16 @@ pub fn repair_config(
 }
 
 /// Runs the sweep — every [`REPAIR_CHURN_LEVELS`] multiplier under both
-/// arms — and returns cells churn-major (repair arm first). Both arms
-/// of a level share a seed, hence a fault plan.
-pub fn fig_repair(scale: &Scale, seed: u64) -> Vec<RepairCell> {
-    fig_repair_threads(scale, seed, thread_count())
-}
-
-/// [`fig_repair`] with an explicit worker-thread count. Output depends
-/// only on `(scale, seed)`, never on `threads`.
-pub fn fig_repair_threads(scale: &Scale, seed: u64, threads: usize) -> Vec<RepairCell> {
-    let streams = acp_simcore::DeterministicRng::new(seed);
-    let points: Vec<(usize, f64, RepairPolicy)> = REPAIR_CHURN_LEVELS
-        .iter()
-        .enumerate()
-        .flat_map(|(i, &churn)| {
-            [(i, churn, RepairPolicy::Repair), (i, churn, RepairPolicy::Terminate)]
-        })
-        .collect();
-    run_indexed(threads, &points, |_, &(level, churn, policy)| {
-        // Seed by churn level, not grid index: both arms of a level
-        // replay the identical fault plan.
-        let seed = streams.seed_for_indexed("repair", level as u64);
+/// arms — and returns cells churn-major (repair arm first). Every cell
+/// builds from the master seed, so both arms of a level replay the
+/// identical fault plan.
+pub fn fig_repair(scale: &Scale, seed: u64, threads: usize) -> Vec<RepairCell> {
+    let arms = [RepairPolicy::Repair, RepairPolicy::Terminate];
+    let cells = grid(threads, &REPAIR_CHURN_LEVELS, &arms, |&churn, &policy| {
         let result = acp_workload::run_scenario(repair_config(scale, seed, churn, policy));
         RepairCell::from_result(churn, policy, &result)
-    })
+    });
+    cells.into_iter().flatten().collect()
 }
 
 /// Renders the sweep as a report table (one row per cell).
@@ -231,7 +217,7 @@ mod tests {
     #[test]
     fn sweep_repair_beats_terminate_at_quick_scale() {
         let scale = Scale::quick();
-        let cells = fig_repair_threads(&scale, 42, 2);
+        let cells = fig_repair(&scale, 42, 2);
         assert_eq!(cells.len(), REPAIR_CHURN_LEVELS.len() * 2);
         for pair in cells.chunks(2) {
             let (repair, terminate) = (&pair[0], &pair[1]);
@@ -264,13 +250,5 @@ mod tests {
                 terminate.killed
             );
         }
-    }
-
-    #[test]
-    fn sweep_is_thread_count_independent() {
-        let scale = Scale::quick();
-        let a = fig_repair_threads(&scale, 7, 1);
-        let b = fig_repair_threads(&scale, 7, 4);
-        assert_eq!(a, b, "cells must not depend on the worker-thread count");
     }
 }

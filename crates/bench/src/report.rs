@@ -99,6 +99,11 @@ impl Table {
     }
 }
 
+/// A success rate in `[0, 1]` as a percentage cell with one decimal.
+pub(crate) fn pct(x: f64) -> String {
+    format!("{:.1}", x * 100.0)
+}
+
 /// Escapes a string as a JSON string literal.
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -171,10 +176,12 @@ pub fn write_results(dir: &Path, name: &str, tables: &[Table]) -> std::io::Resul
     Ok(written)
 }
 
-/// Minimal CLI argument reader for the figure binaries: supports
-/// `--scale quick|paper`, `--seed N`, and `--out DIR`.
+/// Minimal CLI argument reader for the `figures` binary: one figure
+/// name, then `--scale quick|paper`, `--seed N`, and `--out DIR`.
 #[derive(Debug, Clone)]
 pub struct CliArgs {
+    /// Which figure to regenerate (`all` for every one).
+    pub figure: String,
     /// `quick` (laptop-scale, seconds) or `paper` (full-scale, minutes).
     pub scale: String,
     /// Master seed.
@@ -187,20 +194,29 @@ impl CliArgs {
     /// Parses `std::env::args`, with defaults `--scale paper --seed 42
     /// --out target/experiments`.
     pub fn parse() -> Self {
+        const USAGE: &str =
+            "usage: figures <fig5|fig6|fig7|fig8|ablation|repair|tenants|all> [--scale quick|paper] [--seed N] [--out DIR]";
         let mut args = std::env::args().skip(1);
-        let mut out = CliArgs { scale: "paper".into(), seed: 42, out: PathBuf::from("target/experiments") };
+        let mut out = CliArgs {
+            figure: String::new(),
+            scale: "paper".into(),
+            seed: 42,
+            out: PathBuf::from("target/experiments"),
+        };
         while let Some(flag) = args.next() {
             match flag.as_str() {
                 "--scale" => out.scale = args.next().expect("--scale needs a value"),
                 "--seed" => out.seed = args.next().expect("--seed needs a value").parse().expect("seed must be u64"),
                 "--out" => out.out = PathBuf::from(args.next().expect("--out needs a value")),
                 "--help" | "-h" => {
-                    eprintln!("usage: [--scale quick|paper] [--seed N] [--out DIR]");
+                    eprintln!("{USAGE}");
                     std::process::exit(0);
                 }
+                name if !name.starts_with('-') && out.figure.is_empty() => out.figure = flag,
                 other => panic!("unknown flag {other}"),
             }
         }
+        assert!(!out.figure.is_empty(), "{USAGE}");
         assert!(
             out.scale == "quick" || out.scale == "paper",
             "--scale must be quick or paper"

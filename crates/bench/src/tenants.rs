@@ -22,7 +22,7 @@ use acp_workload::{
 };
 
 use crate::experiments::Scale;
-use crate::parallel::{run_indexed, thread_count};
+use crate::parallel::run_indexed;
 use crate::report::Table;
 
 /// Offered-load multipliers applied to the scale's anchor rate.
@@ -117,19 +117,10 @@ pub fn tenants_config(scale: &Scale, seed: u64, load: f64) -> ScenarioConfig {
 
 /// Runs the sweep — every [`LOAD_LEVELS`] multiplier — and returns the
 /// points in load order.
-pub fn fig_tenants(scale: &Scale, seed: u64) -> Vec<TenantPoint> {
-    fig_tenants_threads(scale, seed, thread_count())
-}
-
-/// [`fig_tenants`] with an explicit worker-thread count. Output depends
-/// only on `(scale, seed)`, never on `threads`.
-pub fn fig_tenants_threads(scale: &Scale, seed: u64, threads: usize) -> Vec<TenantPoint> {
-    let streams = acp_simcore::DeterministicRng::new(seed);
-    run_indexed(threads, &LOAD_LEVELS, |i, &load| {
-        let config = tenants_config(scale, streams.seed_for_indexed("tenants", i as u64), load);
-        let rate = scale.anchor_rate * load;
-        let result = acp_workload::run_scenario(config);
-        TenantPoint::from_result(load, rate, &result)
+pub fn fig_tenants(scale: &Scale, seed: u64, threads: usize) -> Vec<TenantPoint> {
+    run_indexed(threads, &LOAD_LEVELS, |&load| {
+        let result = acp_workload::run_scenario(tenants_config(scale, seed, load));
+        TenantPoint::from_result(load, scale.anchor_rate * load, &result)
     })
 }
 
@@ -186,7 +177,7 @@ mod tests {
     #[test]
     fn sweep_tiers_order_and_audit_clean_at_quick_scale() {
         let scale = Scale::quick();
-        let points = fig_tenants_threads(&scale, 42, 2);
+        let points = fig_tenants(&scale, 42, 2);
         assert_eq!(points.len(), LOAD_LEVELS.len());
         for p in &points {
             assert!(
@@ -212,13 +203,5 @@ mod tests {
             "gold must dominate under overload"
         );
         assert!(top.jain < points[0].jain, "fairness must fall under overload");
-    }
-
-    #[test]
-    fn sweep_is_thread_count_independent() {
-        let scale = Scale::quick();
-        let a = fig_tenants_threads(&scale, 7, 1);
-        let b = fig_tenants_threads(&scale, 7, 4);
-        assert_eq!(a, b, "points must not depend on the worker-thread count");
     }
 }

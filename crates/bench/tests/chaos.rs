@@ -3,7 +3,7 @@
 //! count), and the invariant auditor stays clean through figure-style
 //! workloads and a long mixed-fault soak.
 
-use acp_bench::chaos::{chaos_config, chaos_grid_threads, loss_grid_threads, soak, PROBE_LOSS_LEVELS};
+use acp_bench::chaos::{chaos_config, chaos_grid, loss_grid, soak, PROBE_LOSS_LEVELS};
 use acp_bench::experiments::{run_point, Scale};
 use acp_core::prelude::{AlgorithmKind, SetupConfig};
 use acp_simcore::{DetectionLatency, FaultPlan, FaultPlanConfig, MessageFaultConfig, SimDuration};
@@ -35,8 +35,8 @@ fn fault_plan_is_deterministic() {
 fn chaos_grid_is_identical_at_1_and_4_threads() {
     let scale = tiny_scale();
     let seed = 20_260_806;
-    let seq = chaos_grid_threads(&scale, seed, 1);
-    let par = chaos_grid_threads(&scale, seed, 4);
+    let seq = chaos_grid(&scale, seed, 1, false);
+    let par = chaos_grid(&scale, seed, 4, false);
     assert_eq!(seq, par, "grid differs between 1 and 4 threads");
     // The comparison above covers every field, but the digests are the
     // contract: fault schedule, session table, and audit trail all
@@ -104,7 +104,7 @@ fn quick_figure_points_audit_clean() {
 fn soak_handles_10k_events_with_mixed_faults_cleanly() {
     let mut scale = Scale::quick();
     scale.duration = SimDuration::from_minutes(6);
-    let result = soak(&scale, 42, 2.0, 120);
+    let result = soak(&scale, 42, 2.0, 120, false);
     assert!(result.sim_events >= 10_000, "soak too small: {} events", result.sim_events);
     assert!(result.fault_kinds >= 3, "want >= 3 fault classes, got {}", result.fault_kinds);
     assert!(result.sessions_killed > 0, "faults must orphan sessions at 2x churn");
@@ -133,8 +133,8 @@ fn churn_config_scaling_scales_every_rate() {
 fn loss_grid_is_identical_at_1_and_4_threads() {
     let scale = tiny_scale();
     let seed = 20_260_806;
-    let seq = loss_grid_threads(&scale, seed, 1);
-    let par = loss_grid_threads(&scale, seed, 4);
+    let seq = loss_grid(&scale, seed, 1, false);
+    let par = loss_grid(&scale, seed, 4, false);
     assert_eq!(seq, par, "loss grid differs between 1 and 4 threads");
     for (s, p) in seq.iter().zip(&par) {
         assert_eq!(s.chaos_digest, p.chaos_digest);
@@ -144,7 +144,7 @@ fn loss_grid_is_identical_at_1_and_4_threads() {
 #[test]
 fn loss_grid_recovers_and_never_leaks() {
     let scale = tiny_scale();
-    let cells = loss_grid_threads(&scale, 42, 4);
+    let cells = loss_grid(&scale, 42, 4, false);
     assert_eq!(cells.len(), scale.node_counts.len() * PROBE_LOSS_LEVELS.len());
     assert!(cells.iter().all(|c| c.audit_violations == 0), "audits must be clean");
     assert!(cells.iter().all(|c| c.leases_leaked == 0), "sweep must reclaim every orphan");

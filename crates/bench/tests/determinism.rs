@@ -2,7 +2,7 @@
 //! guarantee: figure tables must be byte-identical regardless of the
 //! worker-thread count.
 
-use acp_bench::experiments::{fig6_threads, Scale};
+use acp_bench::experiments::{fig6, Scale};
 use acp_simcore::{SimDuration, SimTime};
 use acp_workload::RateSchedule;
 
@@ -23,8 +23,8 @@ fn fig6_parallel_output_is_byte_identical_to_sequential() {
     let scale = tiny_scale();
     let seed = 20_260_805;
 
-    let (success_seq, overhead_seq) = fig6_threads(&scale, seed, 1);
-    let (success_par, overhead_par) = fig6_threads(&scale, seed, 4);
+    let [success_seq, overhead_seq] = fig6(&scale, seed, 1);
+    let [success_par, overhead_par] = fig6(&scale, seed, 4);
 
     assert_eq!(success_seq, success_par, "Fig 6(a) differs between 1 and 4 threads");
     assert_eq!(overhead_seq, overhead_par, "Fig 6(b) differs between 1 and 4 threads");
@@ -38,7 +38,7 @@ fn fig6_parallel_output_is_byte_identical_to_sequential() {
 fn fig6_reruns_reproduce_exactly() {
     let scale = tiny_scale();
     let seed = 7;
-    let first = fig6_threads(&scale, seed, 2);
-    let second = fig6_threads(&scale, seed, 3);
+    let first = fig6(&scale, seed, 2);
+    let second = fig6(&scale, seed, 3);
     assert_eq!(first, second, "same (scale, seed) must give identical tables");
 }

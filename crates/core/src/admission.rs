@@ -35,7 +35,7 @@ impl TokenBucket {
 
     /// Takes one token at `now`, refilling for the elapsed interval
     /// first. `false` means the caller is over its contracted rate.
-    pub fn try_take(&mut self, now: SimTime) -> bool {
+    pub(crate) fn try_take(&mut self, now: SimTime) -> bool {
         let elapsed = now.saturating_since(self.last).as_secs_f64();
         self.last = now;
         self.tokens = (self.tokens + elapsed * self.refill_per_sec).min(self.capacity);
@@ -45,11 +45,6 @@ impl TokenBucket {
         } else {
             false
         }
-    }
-
-    /// Tokens currently available.
-    pub fn tokens(&self) -> f64 {
-        self.tokens
     }
 }
 

@@ -163,12 +163,12 @@ impl<M: SetupMode> ProbingComposer<M> {
     }
 
     /// [`Self::sp`] under an explicit setup mode.
-    pub fn sp_with_mode(config: ProbingConfig, seed: u64, mode: M) -> Self {
+    pub(crate) fn sp_with_mode(config: ProbingConfig, seed: u64, mode: M) -> Self {
         Self::build("sp", HopSelection::Ranked, FinalSelection::Random, config, seed, mode)
     }
 
     /// [`Self::rp`] under an explicit setup mode.
-    pub fn rp_with_mode(config: ProbingConfig, seed: u64, mode: M) -> Self {
+    pub(crate) fn rp_with_mode(config: ProbingConfig, seed: u64, mode: M) -> Self {
         Self::build("rp", HopSelection::Random, FinalSelection::MinCongestion, config, seed, mode)
     }
 

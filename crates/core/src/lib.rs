@@ -10,7 +10,7 @@
 //! * [`selection`] — per-hop candidate selection (§3.5): risk function
 //!   `D(c_i)` and congestion function `V(c_i)` ranking under the coarse
 //!   global state.
-//! * [`probe`] / [`protocol`] — the probing protocol (Fig. 3): per-hop
+//! * [`protocol`] — the probing protocol (Fig. 3): per-hop
 //!   qualification against precise local state, transient resource
 //!   allocation, probe spawning, optimal composition selection by the
 //!   congestion aggregation `φ(λ)`, and session setup.
@@ -70,7 +70,8 @@ pub mod migration;
 pub mod naive;
 pub mod optimal;
 pub mod overhead;
-pub mod probe;
+#[cfg(test)]
+mod probe;
 pub mod protocol;
 pub mod repair;
 pub mod selection;
@@ -93,7 +94,6 @@ pub mod prelude {
     pub use crate::naive::{blind_compose, BlindStrategy};
     pub use crate::optimal::{optimal_compose, OptimalConfig, OptimalOutcome};
     pub use crate::overhead::{centralized_update_messages_per_minute, OverheadStats};
-    pub use crate::probe::Probe;
     pub use crate::protocol::{
         compose_with_mode, probe_compose, FinalSelection, ProbeScratch, ProbingConfig,
         ProbingOutcome, SetupConfig, SetupMode, SetupState, SetupStats, SinglePhase, TwoPhase,

@@ -163,18 +163,12 @@ impl Default for PreemptionConfig {
 #[derive(Debug, Clone, Default)]
 pub struct Preemptor {
     config: PreemptionConfig,
-    total_preempted: u64,
 }
 
 impl Preemptor {
     /// Creates a preemptor with the given policy.
     pub fn new(config: PreemptionConfig) -> Self {
-        Preemptor { config, total_preempted: 0 }
-    }
-
-    /// Sessions preempted over the preemptor's lifetime.
-    pub fn total_preempted(&self) -> u64 {
-        self.total_preempted
+        Preemptor { config }
     }
 
     /// Runs one preemption round, returning the reclaimed requests (for
@@ -200,7 +194,6 @@ impl Preemptor {
                 }
                 if let Some(spec) = system.preempt_session(sid) {
                     reclaimed.push(spec);
-                    self.total_preempted += 1;
                 }
             }
         }

@@ -311,7 +311,7 @@ impl<T: Transport> TwoPhase<T> {
     /// Creates two-phase setup state over an explicit transport. The
     /// backoff-jitter stream derives from `seed`, independent of the
     /// transport's own randomness (if any).
-    pub fn with_transport(seed: u64, config: SetupConfig, transport: T) -> Self {
+    pub(crate) fn with_transport(seed: u64, config: SetupConfig, transport: T) -> Self {
         let root = DeterministicRng::new(seed);
         TwoPhase { transport, backoff_rng: root.stream("setup/backoff"), config }
     }

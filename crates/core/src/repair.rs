@@ -109,11 +109,6 @@ impl RepairPlanner {
         RepairPlanner::default()
     }
 
-    /// Mini-requests issued so far.
-    pub fn minis_issued(&self) -> u64 {
-        self.mini_counter
-    }
-
     /// Attempts to repair degraded session `sid`: derives the broken
     /// segment's sub-request, probes a replacement via `mode`'s setup
     /// path, bridges the boundaries, and splices. Charges one ledger
@@ -365,7 +360,7 @@ mod tests {
         let report = SystemAuditor::default().audit_at(&sys, Some(t1));
         assert!(report.is_clean(), "{report}");
         assert!(sys.lease_stats().reconciles(sys.live_lease_count() as u64));
-        assert_eq!(planner.minis_issued(), 1);
+        assert_eq!(planner.mini_counter, 1);
     }
 
     #[test]
@@ -388,7 +383,7 @@ mod tests {
             &mut rng,
         );
         assert_eq!(attempt.verdict, RepairVerdict::NotDegraded);
-        assert_eq!(planner.minis_issued(), 0);
+        assert_eq!(planner.mini_counter, 0);
         assert_eq!(sys.repair_ledger().attempts, 0);
     }
 

@@ -541,7 +541,7 @@ fn incoming_summary(
 /// (precise) QoS. `incoming` holds the candidate's virtual links, one
 /// per predecessor and in the same order. Used by the per-hop probe
 /// processing.
-pub fn arrival_accumulated(
+pub(crate) fn arrival_accumulated(
     predecessors: &[(usize, ComponentId, Qos)],
     incoming: &[(usize, SharedPath)],
     candidate_qos: Qos,

@@ -73,11 +73,6 @@ impl ProbingRatioTuner {
         self.ratio
     }
 
-    /// The success rate predicted for the current ratio, if profiled.
-    pub fn predicted_success(&self) -> Option<f64> {
-        self.predicted
-    }
-
     /// The most recent α → success-rate profile.
     pub fn profile(&self) -> &[(f64, f64)] {
         &self.profile
@@ -186,7 +181,7 @@ mod tests {
         let mut tuner = ProbingRatioTuner::new(TunerConfig::default());
         let ran = tuner.observe(Some(0.5), curve(0.3, 1.0));
         assert!(ran);
-        assert!(tuner.predicted_success().is_some());
+        assert!(tuner.predicted.is_some());
         assert_eq!(tuner.profiling_runs(), 1);
     }
 
@@ -204,7 +199,7 @@ mod tests {
         let mut tuner = ProbingRatioTuner::new(TunerConfig::default());
         tuner.observe(Some(0.1), curve(0.3, 1.0));
         let runs = tuner.profiling_runs();
-        let predicted = tuner.predicted_success().unwrap();
+        let predicted = tuner.predicted.unwrap();
         // measured within δ of predicted → no sweep
         let ran = tuner.observe(Some(predicted + 0.01), |_| panic!("must not replay"));
         assert!(!ran);
@@ -243,7 +238,7 @@ mod tests {
         tuner.observe(Some(0.1), curve(0.2, 0.7));
         assert!(tuner.ratio() <= 1.0);
         let best = tuner.profile().iter().map(|&(_, s)| s).fold(0.0, f64::max);
-        assert!((tuner.predicted_success().unwrap() - best).abs() < 1e-9);
+        assert!((tuner.predicted.unwrap() - best).abs() < 1e-9);
         // Saturation cut the sweep short of max_ratio.
         assert!(tuner.profile().len() < 10);
     }

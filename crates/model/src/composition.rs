@@ -50,43 +50,17 @@ impl Composition {
 
     /// Overlay links used, with multiplicity: the length of
     /// [`Self::overlay_links`].
-    pub fn overlay_hops(&self) -> usize {
+    pub(crate) fn overlay_hops(&self) -> usize {
         self.links.iter().map(|p| p.hop_count()).sum()
     }
 
     /// Iterates over every overlay link used, with multiplicity, paired
     /// with the graph edge using it.
-    pub fn overlay_links(&self) -> impl Iterator<Item = (usize, OverlayLinkId)> + '_ {
+    pub(crate) fn overlay_links(&self) -> impl Iterator<Item = (usize, OverlayLinkId)> + '_ {
         self.links
             .iter()
             .enumerate()
             .flat_map(|(e, p)| p.links.iter().map(move |&l| (e, l)))
-    }
-
-    /// Aggregates QoS along one source→sink vertex path given per-vertex
-    /// component QoS values supplied by `component_qos`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `path` contains consecutive vertices without a
-    /// corresponding edge in `graph`.
-    pub fn path_qos<F>(&self, graph: &FunctionGraph, path: &[VertexId], mut component_qos: F) -> Qos
-    where
-        F: FnMut(ComponentId) -> Qos,
-    {
-        let mut total = Qos::ZERO;
-        for (i, &v) in path.iter().enumerate() {
-            total += component_qos(self.assignment[v]);
-            if i + 1 < path.len() {
-                let u = path[i + 1];
-                let (e, _) = graph
-                    .incoming(u)
-                    .find(|&(_, from)| from == v)
-                    .expect("consecutive path vertices must be graph edges");
-                total += self.link_qos(e);
-            }
-        }
-        total
     }
 
     /// End-to-end QoS: the worst (per-metric maximum) over all
@@ -94,10 +68,10 @@ impl Composition {
     ///
     /// Computed as the arrival QoS at the sink, each vertex taking the
     /// worst of its incoming branches before adding its own: additions
-    /// are monotone, so that is the maximum over the paths'
-    /// [`Self::path_qos`] sums (added in the same source-to-sink order)
-    /// without enumerating — or allocating — the paths.
-    pub fn aggregated_qos<F>(&self, graph: &FunctionGraph, mut component_qos: F) -> Qos
+    /// are monotone, so that is the maximum over the paths' sums (added
+    /// in the same source-to-sink order) without enumerating — or
+    /// allocating — the paths.
+    pub(crate) fn aggregated_qos<F>(&self, graph: &FunctionGraph, mut component_qos: F) -> Qos
     where
         F: FnMut(ComponentId) -> Qos,
     {
@@ -160,6 +134,25 @@ mod tests {
         Qos::from_delay(SimDuration::from_millis(ms))
     }
 
+    /// QoS summed along one source→sink vertex path, components and
+    /// links in order: what `aggregated_qos` must be the maximum of.
+    fn path_qos(
+        c: &Composition,
+        graph: &FunctionGraph,
+        path: &[VertexId],
+        component_qos: impl Fn(ComponentId) -> Qos,
+    ) -> Qos {
+        let mut total = Qos::ZERO;
+        for (i, &v) in path.iter().enumerate() {
+            total += component_qos(c.assignment[v]);
+            if let Some(&u) = path.get(i + 1) {
+                let (e, _) = graph.incoming(u).find(|&(_, from)| from == v).expect("path follows graph edges");
+                total += c.link_qos(e);
+            }
+        }
+        total
+    }
+
     #[test]
     fn shape_validation() {
         let g = FunctionGraph::path(vec![FunctionId(0), FunctionId(1)]);
@@ -199,17 +192,6 @@ mod tests {
             links: vec![SharedPath::new(OverlayPath::colocated(OverlayNodeId(3)))],
         };
         assert!(c.is_shape_valid(&g));
-    }
-
-    #[test]
-    fn path_qos_sums_components_and_links() {
-        let g = FunctionGraph::path(vec![FunctionId(0), FunctionId(1)]);
-        let c = Composition {
-            assignment: vec![comp(0, 0), comp(1, 0)],
-            links: vec![link_path(0, 1, 5, 0.0)],
-        };
-        let q = c.path_qos(&g, &[0, 1], |_| qos_ms(10));
-        assert_eq!(q.delay, SimDuration::from_millis(25)); // 10 + 5 + 10
     }
 
     #[test]
@@ -296,7 +278,7 @@ mod tests {
             let qos_of = |id: ComponentId| component[id.node.index()];
             let mut want = Qos::ZERO;
             for path in graph.source_to_sink_paths() {
-                let q = c.path_qos(graph, &path, qos_of);
+                let q = path_qos(&c, graph, &path, qos_of);
                 if q.delay > want.delay {
                     want.delay = q.delay;
                 }

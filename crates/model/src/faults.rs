@@ -186,7 +186,7 @@ impl StreamSystem {
     /// **newest first** until the remaining committed bandwidth fits the
     /// shrunken capacity — the deterministic analogue of a congested
     /// path shedding its most recent admissions.
-    pub fn degrade_link(
+    pub(crate) fn degrade_link(
         &mut self,
         l: OverlayLinkId,
         factor: f64,

@@ -100,7 +100,7 @@ pub struct FunctionProfile {
 
 impl FunctionProfile {
     /// Samples the QoS of a concrete component instance of this function.
-    pub fn sample_component_qos<R: Rng + ?Sized>(&self, rng: &mut R) -> Qos {
+    pub(crate) fn sample_component_qos<R: Rng + ?Sized>(&self, rng: &mut R) -> Qos {
         let (lo, hi) = self.processing_delay;
         let delay = if lo == hi {
             lo
@@ -117,7 +117,7 @@ impl FunctionProfile {
 
     /// The per-component resource requirement for a request whose base
     /// requirement is `base` (`R^ci = demand_factor · base`).
-    pub fn component_demand(&self, base: &ResourceVector) -> ResourceVector {
+    pub(crate) fn component_demand(&self, base: &ResourceVector) -> ResourceVector {
         base.scaled(self.demand_factor)
     }
 }

@@ -559,7 +559,7 @@ impl StreamSystem {
 
     /// Whether the lease ledger is maintained (see
     /// [`Self::set_lease_accounting`]).
-    pub fn lease_accounting(&self) -> bool {
+    pub(crate) fn lease_accounting(&self) -> bool {
         self.lease_accounting
     }
 
@@ -585,21 +585,14 @@ impl StreamSystem {
         self.leases.live_sites().filter_map(|site| self.site_earliest_expiry(site)).min()
     }
 
-    /// Outstanding leases whose expiry has already passed at `now` —
-    /// the leases a reclamation sweep at `now` would drop. Zero right
-    /// after a sweep; the lease auditor checks exactly that.
-    pub fn expired_lease_count(&self, now: SimTime) -> usize {
-        self.leases.live_sites().map(|site| self.site_expired_count(site, now)).sum()
-    }
-
     /// Outstanding transient leases on overlay link `l`.
-    pub fn link_transient_count(&self, l: OverlayLinkId) -> usize {
+    pub(crate) fn link_transient_count(&self, l: OverlayLinkId) -> usize {
         self.links[l.index()].transient.len()
     }
 
     /// Outstanding leases on overlay link `l` whose expiry has passed at
     /// `now`.
-    pub fn link_expired_transient_count(&self, l: OverlayLinkId, now: SimTime) -> usize {
+    pub(crate) fn link_expired_transient_count(&self, l: OverlayLinkId, now: SimTime) -> usize {
         self.links[l.index()].transient.iter().filter(|t| t.expires <= now).count()
     }
 
@@ -905,9 +898,7 @@ mod tests {
         assert_eq!(sys.live_lease_count(), 1 + 2 * hops);
         assert_eq!(sys.leased_requests(), [1, 2]);
         assert_eq!(sys.next_lease_expiry(), Some(early));
-        assert_eq!(sys.expired_lease_count(early), hops);
         assert_eq!(sys.expire_transients(early), hops);
-        assert_eq!(sys.expired_lease_count(early), 0);
         assert_eq!(sys.leased_requests(), [1, 2], "request 1 keeps its node lease");
         assert_eq!(sys.release_request_transients(RequestId(1)), 1);
         assert_eq!(sys.leased_requests(), [2]);

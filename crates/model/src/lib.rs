@@ -90,7 +90,7 @@ pub mod prelude {
     pub use crate::request::{Request, RequestId};
     pub use crate::resources::{ResourceKind, ResourceVector};
     pub use crate::system::{
-        AdmissionError, Session, SessionHandle, SessionId, StreamSystem, SystemConfig,
+        AdmissionError, Session, SessionId, StreamSystem, SystemConfig,
     };
     pub use crate::tenant::{
         SessionCloseCause, TenantBinding, TenantId, TenantLedger, TenantStats, TenantTier,

@@ -64,7 +64,7 @@ impl StreamNode {
     /// True when the node has failed (fail-stop). A failed node hosts no
     /// components and admits nothing; at the system level its overlay
     /// forwarding plane goes down with it, so routing detours around it.
-    pub fn is_failed(&self) -> bool {
+    pub(crate) fn is_failed(&self) -> bool {
         self.failed
     }
 
@@ -99,7 +99,7 @@ impl StreamNode {
     }
 
     /// Sum of live transient reservations.
-    pub fn transient_total(&self) -> ResourceVector {
+    pub(crate) fn transient_total(&self) -> ResourceVector {
         self.transient.iter().map(|t| t.amount).sum()
     }
 
@@ -137,7 +137,7 @@ impl StreamNode {
     /// Deploys a component built by `make` in the first free slot and
     /// returns its identity. `make` receives the assigned
     /// [`ComponentId`].
-    pub fn deploy_with(&mut self, make: impl FnOnce(ComponentId) -> Component) -> ComponentId {
+    pub(crate) fn deploy_with(&mut self, make: impl FnOnce(ComponentId) -> Component) -> ComponentId {
         let slot = self
             .components
             .iter()
@@ -156,7 +156,7 @@ impl StreamNode {
 
     /// Undeploys the component in `slot`, leaving a tombstone. Returns
     /// the component, or `None` when the slot is empty.
-    pub fn undeploy(&mut self, slot: u16) -> Option<Component> {
+    pub(crate) fn undeploy(&mut self, slot: u16) -> Option<Component> {
         self.components.get_mut(slot as usize).and_then(Option::take)
     }
 
@@ -169,7 +169,7 @@ impl StreamNode {
     ///
     /// Returns `false` (and reserves nothing) when `amount` exceeds the
     /// currently available resources.
-    pub fn reserve_transient(&mut self, key: ReservationKey, amount: ResourceVector, expires: SimTime) -> bool {
+    pub(crate) fn reserve_transient(&mut self, key: ReservationKey, amount: ResourceVector, expires: SimTime) -> bool {
         if self.failed {
             return false;
         }
@@ -189,7 +189,7 @@ impl StreamNode {
 
     /// Releases the transient reservation held by `key`, if any; returns
     /// the released amount.
-    pub fn release_transient(&mut self, key: ReservationKey) -> Option<ResourceVector> {
+    pub(crate) fn release_transient(&mut self, key: ReservationKey) -> Option<ResourceVector> {
         let idx = self.transient.iter().position(|t| t.key == key)?;
         Some(self.transient.swap_remove(idx).amount)
     }
@@ -206,20 +206,10 @@ impl StreamNode {
     /// (any request) — a crashed component's leases die with it instead
     /// of lingering until the expiry sweep. Returns how many were
     /// dropped.
-    pub fn release_component_transients(&mut self, component: ComponentId) -> usize {
+    pub(crate) fn release_component_transients(&mut self, component: ComponentId) -> usize {
         let before = self.transient.len();
         self.transient.retain(|t| t.key.component != component);
         before - self.transient.len()
-    }
-
-    /// Converts `key`'s transient reservation into a permanent commitment
-    /// ("the confirmation message makes transient resource allocation
-    /// permanent", §3.3 step 4). Returns the committed amount, or `None`
-    /// if no live reservation exists — the caller must then re-admit.
-    pub fn confirm_transient(&mut self, key: ReservationKey) -> Option<ResourceVector> {
-        let amount = self.release_transient(key)?;
-        self.committed += amount;
-        Some(amount)
     }
 
     /// Directly commits resources (bypassing the transient stage), e.g.
@@ -258,17 +248,17 @@ impl StreamNode {
     /// Number of live transient reservations whose expiry has passed at
     /// `now` — the leases a reclamation sweep at `now` would drop. The
     /// lease auditor checks this is zero right after a sweep.
-    pub fn expired_transient_count(&self, now: SimTime) -> usize {
+    pub(crate) fn expired_transient_count(&self, now: SimTime) -> usize {
         self.transient.iter().filter(|t| t.expires <= now).count()
     }
 
     /// The earliest expiry among live transient reservations.
-    pub fn earliest_transient_expiry(&self) -> Option<SimTime> {
+    pub(crate) fn earliest_transient_expiry(&self) -> Option<SimTime> {
         self.transient.iter().map(|t| t.expires).min()
     }
 
     /// Request ids holding at least one live transient reservation here.
-    pub fn transient_requests(&self) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn transient_requests(&self) -> impl Iterator<Item = u64> + '_ {
         self.transient.iter().map(|t| t.key.request)
     }
 }
@@ -329,29 +319,6 @@ mod tests {
         assert!(n.reserve_transient(key(1, 0), ResourceVector::new(6.0, 6.0), t(10)));
         assert!(!n.reserve_transient(key(2, 0), ResourceVector::new(6.0, 6.0), t(10)), "conflicting admission blocked");
         assert!(n.reserve_transient(key(2, 1), ResourceVector::new(4.0, 4.0), t(10)));
-    }
-
-    #[test]
-    fn confirm_moves_transient_to_committed() {
-        let mut n = node(10.0, 10.0);
-        let k = key(1, 0);
-        n.reserve_transient(k, ResourceVector::new(4.0, 4.0), t(10));
-        let amount = n.confirm_transient(k).unwrap();
-        assert_eq!(amount, ResourceVector::new(4.0, 4.0));
-        assert_eq!(n.committed(), amount);
-        assert_eq!(n.transient_count(), 0);
-        assert_eq!(n.available(), ResourceVector::new(6.0, 6.0));
-    }
-
-    #[test]
-    fn confirm_after_expiry_returns_none() {
-        let mut n = node(10.0, 10.0);
-        let k = key(1, 0);
-        n.reserve_transient(k, ResourceVector::new(4.0, 4.0), t(10));
-        n.expire_transients(t(10));
-        assert!(n.confirm_transient(k).is_none());
-        // Caller falls back to direct commit.
-        assert!(n.commit(ResourceVector::new(4.0, 4.0)));
     }
 
     #[test]

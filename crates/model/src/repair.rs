@@ -157,7 +157,7 @@ impl RepairLedger {
     /// Settles the ticket as repaired (segment splice) at `now`,
     /// recording MTTR. `validated` marks a splice that passed the
     /// end-to-end Eq. 2/3 re-check.
-    pub fn record_repaired(&mut self, request: RequestId, now: SimTime, validated: bool) {
+    pub(crate) fn record_repaired(&mut self, request: RequestId, now: SimTime, validated: bool) {
         if let Some(t) = self.take(request) {
             self.repaired += 1;
             if validated {
@@ -218,7 +218,7 @@ impl RepairLedger {
     }
 
     /// Open tickets in ascending request-id order.
-    pub fn open_tickets(&self) -> &[RepairTicket] {
+    pub(crate) fn open_tickets(&self) -> &[RepairTicket] {
         &self.open
     }
 

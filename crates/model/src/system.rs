@@ -96,7 +96,7 @@ impl Session {
     /// The session's committed end-system allocations, grouped per node.
     /// The system-wide sum of these must equal each node's committed
     /// resources — the conservation invariant the auditor checks.
-    pub fn node_allocations(&self) -> &[(OverlayNodeId, ResourceVector)] {
+    pub(crate) fn node_allocations(&self) -> &[(OverlayNodeId, ResourceVector)] {
         &self.node_allocs
     }
 
@@ -125,7 +125,7 @@ impl Session {
     /// True when graph edge `e` touches the broken span (either
     /// endpoint). Such an edge's committed bandwidth was released at
     /// degrade time and its cached path is stale until the splice.
-    pub fn edge_is_broken(&self, e: usize) -> bool {
+    pub(crate) fn edge_is_broken(&self, e: usize) -> bool {
         match self.broken {
             Some((lo, hi)) => e + 1 >= lo && e <= hi,
             None => false,
@@ -133,24 +133,12 @@ impl Session {
     }
 
     /// True when vertex `v` lies in the broken span.
-    pub fn vertex_is_broken(&self, v: usize) -> bool {
+    pub(crate) fn vertex_is_broken(&self, v: usize) -> bool {
         matches!(self.broken, Some((lo, hi)) if v >= lo && v <= hi)
     }
 }
 
-/// Stable handle into the session arena: a slot index plus the
-/// generation the slot carried when the session was inserted. A handle
-/// resolves only while its session is live — once the slot is recycled
-/// the generation moves on and the stale handle yields `None` instead
-/// of silently aliasing the slot's new tenant. Ledgers and auditors can
-/// therefore hold handles across arbitrary churn without dangling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SessionHandle {
-    slot: u32,
-    generation: u32,
-}
-
-/// Generational arena of live sessions. External [`SessionId`]s stay
+/// Arena of live sessions. External [`SessionId`]s stay
 /// strictly monotonic (session digests, newest-first eviction, and
 /// failover ordering all key off them); internally a LIFO free list
 /// recycles slots, so million-session churn reuses a compact,
@@ -162,8 +150,6 @@ pub struct SessionHandle {
 pub(crate) struct SessionArena {
     /// Slot storage; vacant slots hold `None` and sit on `free`.
     slots: Vec<Option<Session>>,
-    /// Per-slot generation, bumped each time the slot is vacated.
-    generations: Vec<u32>,
     /// LIFO free list of vacant slot indices.
     free: Vec<u32>,
     /// Indexed by `SessionId.0 - base_id`; `u32::MAX` marks closed
@@ -185,7 +171,6 @@ impl SessionArena {
             Some(s) => s,
             None => {
                 self.slots.push(None);
-                self.generations.push(0);
                 (self.slots.len() - 1) as u32
             }
         };
@@ -212,7 +197,6 @@ impl SessionArena {
             self.slot_of.pop_front();
             self.base_id += 1;
         }
-        self.generations[slot] += 1;
         self.free.push(slot as u32);
         self.live -= 1;
         Some(session)
@@ -225,18 +209,6 @@ impl SessionArena {
     pub(crate) fn get_mut(&mut self, id: SessionId) -> Option<&mut Session> {
         let slot = self.slot_index(id)?;
         self.slots[slot].as_mut()
-    }
-
-    fn handle(&self, id: SessionId) -> Option<SessionHandle> {
-        let slot = self.slot_index(id)?;
-        Some(SessionHandle { slot: slot as u32, generation: self.generations[slot] })
-    }
-
-    fn resolve(&self, h: SessionHandle) -> Option<&Session> {
-        if *self.generations.get(h.slot as usize)? != h.generation {
-            return None;
-        }
-        self.slots[h.slot as usize].as_ref()
     }
 
     /// Iterates live sessions in slot order — deterministic (slot
@@ -1004,19 +976,6 @@ impl StreamSystem {
         self.sessions.get(id)
     }
 
-    /// A stable arena handle for a live session — cheaper to resolve
-    /// than an id lookup and safe to hold across churn: once the
-    /// session closes and its slot is recycled, the stale handle
-    /// resolves to `None` instead of the slot's new tenant.
-    pub fn session_handle(&self, id: SessionId) -> Option<SessionHandle> {
-        self.sessions.handle(id)
-    }
-
-    /// Resolves a [`SessionHandle`]; `None` once the session closed.
-    pub fn resolve_session(&self, h: SessionHandle) -> Option<&Session> {
-        self.sessions.resolve(h)
-    }
-
     /// Number of live sessions.
     pub fn session_count(&self) -> usize {
         self.sessions.len()
@@ -1047,7 +1006,7 @@ impl StreamSystem {
 
     /// Whether the tenant ledger is maintained (see
     /// [`Self::set_tenant_accounting`]).
-    pub fn tenant_accounting(&self) -> bool {
+    pub(crate) fn tenant_accounting(&self) -> bool {
         self.tenant_accounting
     }
 
@@ -1410,26 +1369,6 @@ pub(crate) mod tests {
             .collect()
     }
 
-    #[test]
-    fn session_handles_survive_churn_but_not_reuse() {
-        let mut sys = build_system(13, 30);
-        let (request, composition) = request_and_composition(&mut sys);
-        let ids = commit_n(&mut sys, &request, &composition, 1000, 3);
-        let h1 = sys.session_handle(ids[1]).expect("live");
-        assert_eq!(sys.resolve_session(h1).unwrap().id, ids[1]);
-        // Closing an unrelated session leaves the handle valid.
-        assert!(sys.close_session(ids[0]));
-        assert_eq!(sys.resolve_session(h1).unwrap().id, ids[1]);
-        // Closing the session invalidates the handle...
-        assert!(sys.close_session(ids[1]));
-        assert!(sys.resolve_session(h1).is_none());
-        assert!(sys.session_handle(ids[1]).is_none());
-        // ...and slot reuse must not resurrect it.
-        let replacement = commit_n(&mut sys, &request, &composition, 2000, 1)[0];
-        assert!(sys.session(replacement).is_some());
-        assert!(sys.resolve_session(h1).is_none(), "stale handle aliases recycled slot");
-    }
-
     fn arena_session(id: SessionId) -> Session {
         let request = Request {
             id: RequestId(id.0),
@@ -1485,7 +1424,6 @@ pub(crate) mod tests {
             for (i, &id) in ids.iter().enumerate() {
                 let live = !closed.contains(&i);
                 assert_eq!(arena.get(id).map(|s| s.id), live.then_some(id), "id {i}");
-                assert_eq!(arena.handle(id).is_some(), live, "handle {i}");
             }
         };
         // Close a middle run, then the newest: the oldest pins the window.

@@ -161,7 +161,7 @@ pub struct TenantLedger {
 impl TenantLedger {
     /// Registers a tenant with its tier; idempotent (an existing entry's
     /// tier is left untouched).
-    pub fn register(&mut self, id: TenantId, tier: TenantTier) {
+    pub(crate) fn register(&mut self, id: TenantId, tier: TenantTier) {
         let entry = self.entry(id);
         entry.get_or_insert_with(|| TenantStats::new(tier));
     }
@@ -210,7 +210,7 @@ impl TenantLedger {
 
     /// Records a committed session: `demand` is the session's summed node
     /// resources, `bw_kbps` its summed link bandwidth.
-    pub fn record_admit(&mut self, binding: TenantBinding, demand: ResourceVector, bw_kbps: f64) {
+    pub(crate) fn record_admit(&mut self, binding: TenantBinding, demand: ResourceVector, bw_kbps: f64) {
         let stats = self.touch(binding);
         stats.admitted += 1;
         stats.live += 1;
@@ -220,7 +220,7 @@ impl TenantLedger {
 
     /// Records a session teardown with its cause, returning the committed
     /// sums it releases.
-    pub fn record_close(
+    pub(crate) fn record_close(
         &mut self,
         binding: TenantBinding,
         cause: SessionCloseCause,
@@ -241,7 +241,7 @@ impl TenantLedger {
     /// Adjusts committed sums downward when a degraded session's broken
     /// segment releases resources ahead of repair. Lifecycle counters
     /// are untouched — the session stays live throughout.
-    pub fn record_repair_release(&mut self, binding: TenantBinding, demand: ResourceVector, bw_kbps: f64) {
+    pub(crate) fn record_repair_release(&mut self, binding: TenantBinding, demand: ResourceVector, bw_kbps: f64) {
         let stats = self.touch(binding);
         stats.committed -= demand;
         stats.committed_bw_kbps -= bw_kbps;
@@ -249,21 +249,21 @@ impl TenantLedger {
 
     /// Adjusts committed sums upward when a repair splice commits the
     /// replacement segment into a live session.
-    pub fn record_repair_grow(&mut self, binding: TenantBinding, demand: ResourceVector, bw_kbps: f64) {
+    pub(crate) fn record_repair_grow(&mut self, binding: TenantBinding, demand: ResourceVector, bw_kbps: f64) {
         let stats = self.touch(binding);
         stats.committed += demand;
         stats.committed_bw_kbps += bw_kbps;
     }
 
     /// Records an admission-control shed (rate limit or congestion gate).
-    pub fn record_shed(&mut self, binding: TenantBinding) {
+    pub(crate) fn record_shed(&mut self, binding: TenantBinding) {
         self.touch(binding).shed += 1;
     }
 
     /// Records a congestion-gate shed that happened while a lower tier
     /// held live sessions — the starvation event the auditor flags on
     /// `Gold` tenants.
-    pub fn record_starved(&mut self, binding: TenantBinding) {
+    pub(crate) fn record_starved(&mut self, binding: TenantBinding) {
         self.touch(binding).starved += 1;
     }
 }

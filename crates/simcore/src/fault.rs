@@ -426,7 +426,7 @@ impl FaultPlan {
 
     /// Events per class name — for asserting a soak exercised enough
     /// distinct fault types.
-    pub fn kind_counts(&self) -> Vec<(&'static str, usize)> {
+    pub(crate) fn kind_counts(&self) -> Vec<(&'static str, usize)> {
         let mut counts: Vec<(&'static str, usize)> = Vec::new();
         for e in &self.events {
             let class = e.kind.class();

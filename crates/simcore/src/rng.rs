@@ -55,11 +55,6 @@ impl DeterministicRng {
         DeterministicRng { master_seed }
     }
 
-    /// The master seed this factory was built from.
-    pub fn master_seed(&self) -> u64 {
-        self.master_seed
-    }
-
     /// Derives the 64-bit seed for a named stream.
     pub fn seed_for(&self, label: &str) -> u64 {
         splitmix64(self.master_seed ^ fnv1a(label))

@@ -129,11 +129,6 @@ impl WindowedCounter {
     pub fn window(&self) -> SimDuration {
         self.window
     }
-
-    /// Start of the current (open) window.
-    pub fn window_start(&self) -> SimTime {
-        self.window_start
-    }
 }
 
 /// Summary statistics over a set of observations.
@@ -147,20 +142,18 @@ pub struct SummaryStats {
     pub min: f64,
     /// Maximum observation (`f64::NEG_INFINITY` when empty).
     pub max: f64,
-    sum_sq: f64,
 }
 
 impl SummaryStats {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
-        SummaryStats { count: 0, sum: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY, sum_sq: 0.0 }
+        SummaryStats { count: 0, sum: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
     }
 
     /// Adds one observation.
     pub fn add(&mut self, v: f64) {
         self.count += 1;
         self.sum += v;
-        self.sum_sq += v * v;
         if v < self.min {
             self.min = v;
         }
@@ -178,18 +171,10 @@ impl SummaryStats {
         }
     }
 
-    /// Population standard deviation, `None` when empty.
-    pub fn std_dev(&self) -> Option<f64> {
-        let mean = self.mean()?;
-        let var = (self.sum_sq / self.count as f64 - mean * mean).max(0.0);
-        Some(var.sqrt())
-    }
-
     /// Merges another accumulator into this one.
     pub fn merge(&mut self, other: &SummaryStats) {
         self.count += other.count;
         self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
@@ -219,7 +204,6 @@ impl std::iter::FromIterator<f64> for SummaryStats {
 /// h.add(3.0);
 /// h.add(42.0); // overflow
 /// assert_eq!(h.count(), 3);
-/// assert_eq!(h.bucket_counts()[0], 1);
 /// assert_eq!(h.overflow(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -260,16 +244,6 @@ impl Histogram {
     /// Total observations recorded (including under/overflow).
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Per-bucket counts (in range order).
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
     }
 
     /// Observations at or above the range's upper bound.
@@ -350,8 +324,6 @@ mod tests {
         assert_eq!(s.mean(), Some(2.5));
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 4.0);
-        let sd = s.std_dev().unwrap();
-        assert!((sd - 1.118).abs() < 1e-3);
     }
 
     #[test]
@@ -363,14 +335,13 @@ mod tests {
         let whole: SummaryStats = [1.0, 2.0, 3.0, 4.0].into_iter().collect();
         assert_eq!(m.count, whole.count);
         assert!((m.mean().unwrap() - whole.mean().unwrap()).abs() < 1e-12);
-        assert!((m.std_dev().unwrap() - whole.std_dev().unwrap()).abs() < 1e-12);
+        assert_eq!((m.min, m.max), (whole.min, whole.max));
     }
 
     #[test]
     fn empty_stats_are_none() {
         let s = SummaryStats::new();
         assert_eq!(s.mean(), None);
-        assert_eq!(s.std_dev(), None);
     }
 
     #[test]
@@ -382,10 +353,6 @@ mod tests {
         h.add(-1.0);
         h.add(100.0);
         assert_eq!(h.count(), 6);
-        assert_eq!(h.bucket_counts()[0], 1);
-        assert_eq!(h.bucket_counts()[1], 2);
-        assert_eq!(h.bucket_counts()[9], 1);
-        assert_eq!(h.underflow(), 1);
         assert_eq!(h.overflow(), 1);
     }
 

@@ -70,11 +70,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked addition; `None` on overflow.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
 }
 
 impl SimDuration {
@@ -252,15 +247,6 @@ mod tests {
     fn ordering_is_by_tick() {
         assert!(SimTime::ZERO < SimTime::from_micros(1));
         assert!(SimTime::from_secs(59) < SimTime::from_minutes(1));
-    }
-
-    #[test]
-    fn checked_add_detects_overflow() {
-        assert!(SimTime::MAX.checked_add(SimDuration::from_micros(1)).is_none());
-        assert_eq!(
-            SimTime::ZERO.checked_add(SimDuration::from_secs(1)),
-            Some(SimTime::from_secs(1))
-        );
     }
 
     #[test]

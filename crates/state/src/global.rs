@@ -508,11 +508,6 @@ impl GlobalStateBoard {
         max > 0.0 && (actual - self.link_available[i]).abs() > self.config.threshold * max
     }
 
-    /// The node currently holding the aggregation role.
-    pub fn aggregation_node(&self) -> OverlayNodeId {
-        OverlayNodeId(self.aggregation_cursor)
-    }
-
     /// Number of completed aggregation rounds.
     pub fn aggregation_rounds(&self) -> u64 {
         self.aggregation_rounds
@@ -745,11 +740,11 @@ mod tests {
     fn aggregation_counts_and_rotates() {
         let sys = build();
         let mut board = GlobalStateBoard::new(&sys, GlobalStateConfig::default());
-        let first = board.aggregation_node();
+        let first = board.aggregation_cursor;
         let msgs = board.aggregate_links(&sys);
         assert_eq!(msgs, 1, "no link changed → only the publish message");
         assert_eq!(board.aggregation_rounds(), 1);
-        assert_ne!(board.aggregation_node(), first, "role rotates");
+        assert_ne!(board.aggregation_cursor, first, "role rotates");
     }
 
     #[test]

@@ -155,22 +155,6 @@ impl Graph {
         (edge.a, edge.b)
     }
 
-    /// Given one endpoint of edge `e`, returns the other.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is not an endpoint of `e`.
-    pub fn other_endpoint(&self, e: EdgeId, from: NodeId) -> NodeId {
-        let (a, b) = self.endpoints(e);
-        if from == a {
-            b
-        } else if from == b {
-            a
-        } else {
-            panic!("{from} is not an endpoint of edge {e:?}");
-        }
-    }
-
     /// True when every node is reachable from node 0 (vacuously true for
     /// the empty graph).
     pub fn is_connected(&self) -> bool {
@@ -178,7 +162,7 @@ impl Graph {
     }
 
     /// Nodes reachable from `start` (including `start`).
-    pub fn connected_component(&self, start: NodeId) -> Vec<NodeId> {
+    pub(crate) fn connected_component(&self, start: NodeId) -> Vec<NodeId> {
         if self.node_count() == 0 {
             return Vec::new();
         }
@@ -196,13 +180,6 @@ impl Graph {
             }
         }
         out
-    }
-
-    /// The degree sequence, sorted descending.
-    pub fn degree_sequence(&self) -> Vec<usize> {
-        let mut ds: Vec<usize> = self.nodes().map(|n| self.degree(n)).collect();
-        ds.sort_unstable_by(|a, b| b.cmp(a));
-        ds
     }
 }
 
@@ -227,8 +204,6 @@ mod tests {
         assert!(g.has_edge(NodeId(1), NodeId(0)));
         assert!(!g.has_edge(NodeId(0), NodeId(2)));
         assert_eq!(g.endpoints(e01), (NodeId(0), NodeId(1)));
-        assert_eq!(g.other_endpoint(e01, NodeId(0)), NodeId(1));
-        assert_eq!(g.other_endpoint(e01, NodeId(1)), NodeId(0));
     }
 
     #[test]
@@ -268,15 +243,6 @@ mod tests {
     fn empty_graph_is_connected() {
         assert!(Graph::new(0).is_connected());
         assert!(Graph::new(1).is_connected());
-    }
-
-    #[test]
-    fn degree_sequence_sorted() {
-        let mut g = Graph::new(4);
-        g.add_edge(NodeId(0), NodeId(1), props());
-        g.add_edge(NodeId(0), NodeId(2), props());
-        g.add_edge(NodeId(0), NodeId(3), props());
-        assert_eq!(g.degree_sequence(), vec![3, 1, 1, 1]);
     }
 
     #[test]

@@ -109,15 +109,6 @@ pub struct PathCacheStats {
 }
 
 impl PathCacheStats {
-    /// Fraction of lookups answered from the memo (0 when unused).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 impl OverlayPath {
@@ -205,9 +196,7 @@ type PathCache = HashMap<(OverlayNodeId, OverlayNodeId), Option<SharedPath>, Bui
 #[derive(Clone)]
 pub struct Overlay {
     ip_nodes: Vec<NodeId>,
-    ip_index: HashMap<NodeId, OverlayNodeId>,
     mesh: Graph,
-    ip_hops: Vec<usize>,
     route_cache: HashMap<OverlayNodeId, ShortestPathTree>,
     path_cache: PathCache,
     cache_stats: PathCacheStats,
@@ -253,7 +242,6 @@ impl Overlay {
 
         let n = ip_nodes.len();
         let mut mesh = Graph::new(n);
-        let mut ip_hops: Vec<usize> = Vec::new();
 
         // 2. k-nearest-neighbour mesh. `ip_nodes` is sorted and IP delays
         //    are positive, so Dijkstra settles stream nodes in ascending
@@ -275,7 +263,6 @@ impl Overlay {
                 if !mesh.has_edge(a, b) {
                     let path = tree.path_to(ip_graph, ip_nodes[j]).expect("settled nodes have paths");
                     mesh.add_edge(a, b, LinkProps::new(path.delay, path.bottleneck_kbps, path.loss_rate));
-                    ip_hops.push(path.hop_count());
                 }
             }
         }
@@ -314,20 +301,17 @@ impl Overlay {
                 NodeId(i as u32),
                 LinkProps::new(path.delay, path.bottleneck_kbps, path.loss_rate),
             );
-            ip_hops.push(path.hop_count());
         }
 
-        Self::with_cold_caches(ip_nodes, mesh, ip_hops)
+        Self::with_cold_caches(ip_nodes, mesh)
     }
 
     /// An overlay over a finished mesh, all nodes up, nothing cached.
-    fn with_cold_caches(ip_nodes: Vec<NodeId>, mesh: Graph, ip_hops: Vec<usize>) -> Self {
+    fn with_cold_caches(ip_nodes: Vec<NodeId>, mesh: Graph) -> Self {
         Overlay {
             down: vec![false; ip_nodes.len()],
-            ip_index: ip_nodes.iter().enumerate().map(|(i, &ip)| (ip, OverlayNodeId(i as u32))).collect(),
             ip_nodes,
             mesh,
-            ip_hops,
             route_cache: HashMap::new(),
             path_cache: PathCache::default(),
             cache_stats: PathCacheStats::default(),
@@ -353,7 +337,6 @@ impl Overlay {
         assert!(nodes >= 2, "need at least two stream nodes");
         let n = nodes as u32;
         let mut mesh = Graph::new(nodes);
-        let mut ip_hops = Vec::with_capacity(nodes * (1 + chords_per_node));
         let sample_props = |rng: &mut R| {
             LinkProps::new(
                 SimDuration::from_secs_f64(rng.gen_range(0.002..0.020)),
@@ -365,7 +348,6 @@ impl Overlay {
             let next = (i + 1) % n;
             let props = sample_props(rng);
             mesh.add_edge(NodeId(i), NodeId(next), props);
-            ip_hops.push(1);
         }
         for i in 0..n {
             for _ in 0..chords_per_node {
@@ -375,10 +357,9 @@ impl Overlay {
                 }
                 let props = sample_props(rng);
                 mesh.add_edge(NodeId(i), NodeId(j), props);
-                ip_hops.push(1);
-            }
+                }
         }
-        Self::with_cold_caches((0..n).map(NodeId).collect(), mesh, ip_hops)
+        Self::with_cold_caches((0..n).map(NodeId).collect(), mesh)
     }
 
     /// Number of stream-processing nodes.
@@ -401,16 +382,6 @@ impl Overlay {
         (0..self.mesh.edge_count() as u32).map(OverlayLinkId)
     }
 
-    /// The IP node hosting an overlay node.
-    pub fn ip_node(&self, v: OverlayNodeId) -> NodeId {
-        self.ip_nodes[v.index()]
-    }
-
-    /// The overlay node hosted on `ip`, if any.
-    pub fn overlay_node(&self, ip: NodeId) -> Option<OverlayNodeId> {
-        self.ip_index.get(&ip).copied()
-    }
-
     /// Attributes of an overlay link (delay/capacity/loss aggregated from
     /// its IP path).
     pub fn link_props(&self, l: OverlayLinkId) -> &LinkProps {
@@ -421,11 +392,6 @@ impl Overlay {
     pub fn link_endpoints(&self, l: OverlayLinkId) -> (OverlayNodeId, OverlayNodeId) {
         let (a, b) = self.mesh.endpoints(EdgeId(l.0));
         (OverlayNodeId(a.0), OverlayNodeId(b.0))
-    }
-
-    /// Number of IP-layer hops underlying an overlay link.
-    pub fn link_ip_hops(&self, l: OverlayLinkId) -> usize {
-        self.ip_hops[l.index()]
     }
 
     /// Overlay neighbours of `v` with their connecting links.
@@ -627,15 +593,6 @@ mod tests {
     }
 
     #[test]
-    fn ip_mapping_is_bijective() {
-        let ov = build_pair(3, 25, 3);
-        for v in ov.nodes() {
-            let ip = ov.ip_node(v);
-            assert_eq!(ov.overlay_node(ip), Some(v));
-        }
-    }
-
-    #[test]
     fn virtual_path_between_all_pairs() {
         let mut ov = build_pair(4, 20, 3);
         let nodes: Vec<_> = ov.nodes().collect();
@@ -677,12 +634,11 @@ mod tests {
     }
 
     #[test]
-    fn link_endpoints_and_hops() {
+    fn link_endpoints_are_distinct() {
         let ov = build_pair(6, 15, 2);
         for l in ov.links() {
             let (a, b) = ov.link_endpoints(l);
             assert_ne!(a, b);
-            assert!(ov.link_ip_hops(l) >= 1);
         }
     }
 
@@ -691,9 +647,7 @@ mod tests {
         let a = build_pair(7, 30, 4);
         let b = build_pair(7, 30, 4);
         assert_eq!(a.link_count(), b.link_count());
-        let ia: Vec<_> = a.nodes().map(|v| a.ip_node(v)).collect();
-        let ib: Vec<_> = b.nodes().map(|v| b.ip_node(v)).collect();
-        assert_eq!(ia, ib);
+        assert_eq!(a.ip_nodes, b.ip_nodes);
     }
 
     #[test]
@@ -705,7 +659,6 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &second), "second lookup must come from the memo");
         let stats = ov.path_cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -791,13 +744,13 @@ mod tests {
     /// The construction `Overlay::build` replaced, kept as its oracle:
     /// one full IP tree per stream node, every peer's distance sorted by
     /// `(delay, index)`, the first `neighbors` linked; then the shared
-    /// bridging rule. Returns `(a, b, props, ip_hops)` per link, in order,
+    /// bridging rule. Returns `(a, b, props)` per link, in order,
     /// and how many of them are bridges.
     fn reference_mesh(
         ip_graph: &Graph,
         config: &OverlayConfig,
         rng: &mut StdRng,
-    ) -> (Vec<(NodeId, NodeId, LinkProps, usize)>, usize) {
+    ) -> (Vec<(NodeId, NodeId, LinkProps)>, usize) {
         let mut all: Vec<NodeId> = ip_graph.nodes().collect();
         all.shuffle(rng);
         let mut ip_nodes: Vec<NodeId> = all.into_iter().take(config.stream_nodes).collect();
@@ -810,7 +763,7 @@ mod tests {
             let path = routing.path(ip_graph, ip_nodes[a], ip_nodes[b]).expect("distance implies path");
             let props = LinkProps::new(path.delay, path.bottleneck_kbps, path.loss_rate);
             mesh.add_edge(NodeId(a as u32), NodeId(b as u32), props);
-            links.push((NodeId(a as u32), NodeId(b as u32), props, path.hop_count()));
+            links.push((NodeId(a as u32), NodeId(b as u32), props));
         };
         for i in 0..n {
             let tree = routing.tree(ip_graph, ip_nodes[i]);
@@ -850,8 +803,8 @@ mod tests {
     }
 
     /// The stopped k-nearest search builds the mesh the all-full-trees
-    /// construction built — edge order, endpoints, `LinkProps` bits and
-    /// IP hop counts — including the bridges `neighbors = 1` forces.
+    /// construction built — edge order, endpoints and `LinkProps` bits —
+    /// including the bridges `neighbors = 1` forces.
     #[test]
     fn build_matches_the_full_tree_reference() {
         let mut bridged_builds = 0;
@@ -868,7 +821,7 @@ mod tests {
                     .links()
                     .map(|l| {
                         let (a, b) = ov.mesh.endpoints(EdgeId(l.0));
-                        (a, b, *ov.link_props(l), ov.link_ip_hops(l))
+                        (a, b, *ov.link_props(l))
                     })
                     .collect();
                 assert_eq!(got, want, "seed {seed}, {neighbors} neighbours");
@@ -891,8 +844,7 @@ mod tests {
 
     /// An overlay over a hand-built mesh (no IP underlay).
     fn from_mesh(mesh: Graph) -> Overlay {
-        let ip_hops = vec![1; mesh.edge_count()];
-        Overlay::with_cold_caches(mesh.nodes().collect(), mesh, ip_hops)
+        Overlay::with_cold_caches(mesh.nodes().collect(), mesh)
     }
 
     fn mesh_of(n: usize, links: &[(u32, u32, u64)]) -> Graph {
@@ -1025,9 +977,6 @@ mod tests {
         assert_eq!(ov.node_count(), 500);
         assert!(ov.is_connected(), "ring guarantees connectivity");
         assert!(ov.link_count() >= 500, "ring plus chords");
-        for v in ov.nodes() {
-            assert_eq!(ov.overlay_node(ov.ip_node(v)), Some(v));
-        }
         let p = ov.virtual_path(OverlayNodeId(0), OverlayNodeId(250)).expect("connected");
         assert!(p.hop_count() >= 1);
         assert!(p.delay > SimDuration::ZERO);
@@ -1044,7 +993,6 @@ mod tests {
         for l in a.links() {
             assert_eq!(a.link_endpoints(l), b.link_endpoints(l));
             assert_eq!(a.link_props(l), b.link_props(l));
-            assert_eq!(a.link_ip_hops(l), 1, "synthetic links have no IP underlay");
         }
     }
 

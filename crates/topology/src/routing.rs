@@ -110,7 +110,7 @@ impl ShortestPathTree {
     /// forwarding plane). `blocked` may be empty (nothing blocked) or one
     /// flag per graph node. A blocked source yields an all-unreachable
     /// tree.
-    pub fn compute_excluding(graph: &Graph, source: NodeId, blocked: &[bool]) -> Self {
+    pub(crate) fn compute_excluding(graph: &Graph, source: NodeId, blocked: &[bool]) -> Self {
         Self::search(graph, source, blocked, |_| false)
     }
 
@@ -120,7 +120,7 @@ impl ShortestPathTree {
     /// that [`Self::path_to`] reads on the way to one — equal the full
     /// tree's; unsettled nodes may hold tentative entries, so query
     /// settled nodes only.
-    pub fn compute_until(graph: &Graph, source: NodeId, stop: impl FnMut(NodeId) -> bool) -> Self {
+    pub(crate) fn compute_until(graph: &Graph, source: NodeId, stop: impl FnMut(NodeId) -> bool) -> Self {
         Self::search(graph, source, &[], stop)
     }
 
@@ -237,12 +237,12 @@ impl ShortestPathTree {
     /// or the predecessor of some reachable node. Paths to nodes whose
     /// chain never passes through `node` are unaffected by its failure,
     /// so trees for which this is false stay valid when `node` dies.
-    pub fn routes_through(&self, node: NodeId) -> bool {
+    pub(crate) fn routes_through(&self, node: NodeId) -> bool {
         self.source == node || self.prev.iter().flatten().any(|&(p, _)| p == node)
     }
 
     /// Materialises the routed path to `dst`; `None` when unreachable.
-    pub fn path_to(&self, graph: &Graph, dst: NodeId) -> Option<IpPath> {
+    pub(crate) fn path_to(&self, graph: &Graph, dst: NodeId) -> Option<IpPath> {
         self.dist[dst.index()]?;
         if dst == self.source {
             return Some(IpPath::trivial(dst));
@@ -314,11 +314,6 @@ impl RoutingTable {
         tree.path_to(graph, dst)
     }
 
-    /// Number of cached source trees.
-    pub fn cached_sources(&self) -> usize {
-        self.trees.len()
-    }
-
     /// Drops all cached trees (e.g. after the graph changes).
     pub fn invalidate(&mut self) {
         self.trees.clear();
@@ -382,9 +377,9 @@ mod tests {
         rt.path(&g, NodeId(0), NodeId(3));
         rt.path(&g, NodeId(0), NodeId(2));
         rt.path(&g, NodeId(1), NodeId(2));
-        assert_eq!(rt.cached_sources(), 2);
+        assert_eq!(rt.trees.len(), 2);
         rt.invalidate();
-        assert_eq!(rt.cached_sources(), 0);
+        assert_eq!(rt.trees.len(), 0);
     }
 
     /// Cross-check Dijkstra against Floyd–Warshall on random graphs.

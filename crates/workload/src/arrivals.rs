@@ -65,11 +65,6 @@ impl RateSchedule {
             .unwrap_or(self.segments[0].1)
     }
 
-    /// The segments of the schedule.
-    pub fn segments(&self) -> &[(SimTime, f64)] {
-        &self.segments
-    }
-
     /// Samples the next Poisson arrival after `now`. In a zero-rate
     /// segment nothing arrives until the next positive-rate segment, so
     /// the draw is taken from that segment's start; `None` when no

@@ -227,7 +227,7 @@ impl RequestTrace {
 
     /// The timestamp-free clone used by replay runs, re-keyed so replayed
     /// requests never collide with live reservation keys.
-    pub fn replay_requests(&self, key_offset: u64) -> Vec<Request> {
+    pub(crate) fn replay_requests(&self, key_offset: u64) -> Vec<Request> {
         self.requests
             .iter()
             .enumerate()

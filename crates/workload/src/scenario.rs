@@ -566,11 +566,11 @@ struct ChurnState {
     /// Session-duration stream for recovered sessions; separate from the
     /// workload stream so enabling churn never perturbs the arrivals.
     rng: StdRng,
-    /// Sessions orphaned by faults, as `(due, failed_at, request)`: the
+    /// Sessions orphaned by faults, as `(due, (failed_at, request))`: the
     /// sweep recomposes an orphan once `due` has passed. Without repair,
     /// `due` is always `failed_at + failover_delay`; repair-enabled runs
     /// substitute the sampled detection latency.
-    pending: Vec<(SimTime, SimTime, Request)>,
+    pending: Vec<(SimTime, (SimTime, Request))>,
     rebalancer: Rebalancer,
     fault_events: usize,
     fault_kinds: usize,
@@ -605,6 +605,27 @@ struct RepairRuntime {
     /// Degraded sessions awaiting their detection latency or retry
     /// delay, as `(due, session)`.
     pending: Vec<(SimTime, SessionId)>,
+}
+
+/// Takes the entries of a `(due, …)` retry list whose time has come,
+/// in list order; later ones wait for the sweep their own event
+/// scheduled.
+fn drain_due<T>(pending: &mut Vec<(SimTime, T)>, now: SimTime) -> Vec<T> {
+    pending.extract_if(.., |&mut (due, _)| due <= now).map(|(_, item)| item).collect()
+}
+
+/// The retry policy of both sweeps: a failed attempt on `request`'s
+/// repair ticket is tried again `retry_delay` from `now` while the
+/// ticket has attempts left in `retry_budget`. `None` — budget spent, or
+/// no ticket — means settle now.
+fn retry_at(
+    config: &RepairScenarioConfig,
+    ledger: &RepairLedger,
+    request: Option<RequestId>,
+    now: SimTime,
+) -> Option<SimTime> {
+    let ticket = ledger.ticket(request?)?;
+    (ticket.attempts < config.retry_budget).then_some(now + config.retry_delay)
 }
 
 /// Internal per-tier admission counters (offered/shed/composed/failed);
@@ -765,7 +786,7 @@ impl ScenarioModel {
             }
         }
         if !orphaned.is_empty() {
-            churn.pending.extend(orphaned.into_iter().map(|r| (due, now, r)));
+            churn.pending.extend(orphaned.into_iter().map(|r| (due, (now, r))));
             queue.schedule(due, Event::FailoverSweep);
         }
     }
@@ -941,16 +962,7 @@ impl Model for ScenarioModel {
                 self.sweep_transients(now);
                 // Only sessions whose due time has passed; later victims
                 // wait for the sweep scheduled by their own fault.
-                let mut due = Vec::new();
-                churn.pending.retain(|&(due_at, fail_time, ref request)| {
-                    if due_at <= now {
-                        due.push((fail_time, request.clone()));
-                        false
-                    } else {
-                        true
-                    }
-                });
-                for (fail_time, request) in due {
+                for (fail_time, request) in drain_due(&mut churn.pending, now) {
                     let outcome =
                         self.composer.compose(&mut self.system, &self.board, &request, now);
                     self.overhead += outcome.stats;
@@ -973,26 +985,22 @@ impl Model for ScenarioModel {
                             // retry budget and re-queue until it runs
                             // out. The terminate baseline stays
                             // single-shot by contract.
-                            let retry = self.repair.as_ref().and_then(|r| {
-                                (r.config.policy == RepairPolicy::Repair)
-                                    .then_some((r.config.retry_budget, r.config.retry_delay))
-                            });
+                            let retry = self
+                                .repair
+                                .as_ref()
+                                .filter(|r| r.config.policy == RepairPolicy::Repair)
+                                .and_then(|r| {
+                                    retry_at(&r.config, self.system.repair_ledger(), Some(request.id), now)
+                                });
                             match retry {
-                                Some((budget, delay))
-                                    if self
-                                        .system
-                                        .repair_ledger()
-                                        .ticket(request.id)
-                                        .is_some_and(|t| t.attempts < budget) =>
-                                {
+                                Some(at) => {
                                     let ledger = self.system.repair_ledger_mut();
                                     ledger.begin_attempt(request.id);
                                     ledger.attempt_failed(request.id);
-                                    let at = now + delay;
-                                    churn.pending.push((at, fail_time, request));
+                                    churn.pending.push((at, (fail_time, request)));
                                     queue.schedule(at, Event::FailoverSweep);
                                 }
-                                _ => {
+                                None => {
                                     churn.sessions_lost += 1;
                                     // A failed restart with no budget
                                     // left settles the ticket.
@@ -1010,15 +1018,7 @@ impl Model for ScenarioModel {
             Event::RepairSweep => {
                 let Some(mut repair) = self.repair.take() else { return };
                 self.sweep_transients(now);
-                let mut due: Vec<SessionId> = Vec::new();
-                repair.pending.retain(|&(due_at, sid)| {
-                    if due_at <= now {
-                        due.push(sid);
-                        false
-                    } else {
-                        true
-                    }
-                });
+                let mut due = drain_due(&mut repair.pending, now);
                 // Canonical order: ascending session id.
                 due.sort_unstable();
                 due.dedup();
@@ -1055,17 +1055,11 @@ impl Model for ScenarioModel {
                         // already healed — nothing left to do.
                         RepairVerdict::Repaired | RepairVerdict::NotDegraded => {}
                         RepairVerdict::Failed(ref failure) => {
-                            let attempts = self
-                                .system
-                                .session(sid)
-                                .map(|s| s.request)
-                                .and_then(|r| self.system.repair_ledger().ticket(r))
-                                .map_or(u32::MAX, |t| t.attempts);
-                            if failure.is_transient() && attempts < repair_config.retry_budget
-                            {
+                            let request = self.system.session(sid).map(|s| s.request);
+                            let retry = retry_at(repair_config, self.system.repair_ledger(), request, now);
+                            if let Some(retry) = retry.filter(|_| failure.is_transient()) {
                                 // Boundary contention eases within
                                 // seconds — re-splice, budget allowing.
-                                let retry = now + repair_config.retry_delay;
                                 pending.push((retry, sid));
                                 queue.schedule(retry, Event::RepairSweep);
                             } else {
@@ -1087,7 +1081,7 @@ impl Model for ScenarioModel {
                                             .map_or(now, |t| t.failed_at);
                                         let churn = self.churn.as_mut().expect("checked");
                                         churn.sessions_killed += 1;
-                                        churn.pending.push((now, fail_time, request));
+                                        churn.pending.push((now, (fail_time, request)));
                                         queue.schedule(now, Event::FailoverSweep);
                                     }
                                     Some(request) => {

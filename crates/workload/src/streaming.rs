@@ -67,7 +67,7 @@ impl StreamingArrivals {
     /// clock. Returns `None` — leaving the clock and RNG untouched by any
     /// request draw — when the next arrival lands at or past the horizon
     /// or the remaining schedule is all zero-rate.
-    pub fn next_before<R: Rng + ?Sized>(&mut self, horizon: SimTime, rng: &mut R) -> Option<Arrival> {
+    pub(crate) fn next_before<R: Rng + ?Sized>(&mut self, horizon: SimTime, rng: &mut R) -> Option<Arrival> {
         let at = self.schedule.next_arrival(self.now, rng)?;
         if at >= horizon {
             return None;

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Repo-wide gate: build, tests, lints, the benchmark package's own
-# tests, and the smoke runs. Run from the repository root.
+# Repo-wide gate, eleven steps: build, tests, lints, the benchmark
+# package's own tests, the three chaos smokes, the fig_scale smoke, every
+# figure regenerated at quick scale, and the criterion benches compiled
+# and (seven kernels) run. Run from the repository root.
 # Each step is timed; a per-step and total wall-clock summary prints at
 # the end so slow steps are easy to spot.
 set -euo pipefail
@@ -57,6 +59,13 @@ step "repair smoke (repair must dominate restart survival, audit clean)" \
 
 step "fig_scale smoke (10k nodes x 50k sessions, RSS ceiling)" \
     cargo run --release -q -p acp-bench --bin scale_smoke
+
+# Every table of every figure on one universe (~1 s): the only place
+# outside a terminal where the tenant-isolation assert of `figures
+# tenants`, the dominance/audit/leak asserts of `figures repair` and the
+# ablation tables run.
+step "figures all (quick scale, seed 42, repair and tenant asserts)" \
+    cargo run --release -q -p acp-bench --bin figures -- all --scale quick --seed 42 --out target/experiments
 
 step "criterion benches compile" \
     cargo bench --workspace --no-run
