@@ -22,6 +22,7 @@ use acp_bench::{
     chaos_grid, chaos_table, fig_repair, loss_grid, loss_table, repair_table, soak, thread_count,
     write_results, Scale,
 };
+use acp_workload::ScenarioResult;
 
 fn main() {
     let mut scale_name = String::from("quick");
@@ -71,43 +72,41 @@ fn main() {
     let loss = loss_table(&scale, &loss_cells);
     println!("{}", loss.render());
 
-    let mut grid_violations: u64 = cells.iter().map(|c| c.audit_violations).sum::<u64>()
-        + loss_cells.iter().map(|c| c.audit_violations).sum::<u64>();
-    let mut leaks: u64 = cells.iter().map(|c| c.leases_leaked).sum::<u64>()
-        + loss_cells.iter().map(|c| c.leases_leaked).sum::<u64>();
+    // What every run of the session — grid cell, repair arm or soak —
+    // must keep at zero.
+    let (mut violations, mut tenant_violations, mut leaks) = (0u64, 0u64, 0u64);
+    let mut tally = |r: &ScenarioResult| {
+        violations += r.audit_violations;
+        tenant_violations += r.tenant_violations;
+        leaks += r.leases_leaked;
+    };
+    cells.iter().chain(&loss_cells).for_each(|c| tally(&c.result));
 
     if repair {
         eprintln!("running repair-vs-restart sweep at scale '{}' (seed {})…", scale.name, seed);
         let repair_cells = fig_repair(&scale, seed, threads);
+        repair_cells.iter().for_each(|c| tally(&c.result));
         let repair_report = repair_table(&scale, &repair_cells);
         println!("{}", repair_report.render());
-        grid_violations += repair_cells.iter().map(|c| c.audit_violations).sum::<u64>();
-        leaks += repair_cells.iter().map(|c| c.leases_leaked).sum::<u64>();
         for pair in repair_cells.chunks(2) {
-            let (r, t) = (&pair[0], &pair[1]);
-            if r.churn > 0.0 && r.survival() < t.survival() {
+            let ((churn, _), r, t) = (pair[0].at, &pair[0].result, &pair[1].result);
+            if churn > 0.0 && r.survival() < t.survival() {
                 eprintln!(
-                    "REPAIR FAILED: survival {:.3} < restart baseline {:.3} at {:.1}x churn",
+                    "REPAIR FAILED: survival {:.3} < restart baseline {:.3} at {churn:.1}x churn",
                     r.survival(),
                     t.survival(),
-                    r.churn,
                 );
                 std::process::exit(1);
             }
         }
     }
-    let recovered: u64 = loss_cells.iter().map(|c| c.recovered).sum();
-    let fault_lost: u64 = loss_cells.iter().map(|c| c.fault_failed).sum();
-    let mut tenant_violations: u64 = cells.iter().map(|c| c.tenant_violations).sum::<u64>()
-        + loss_cells.iter().map(|c| c.tenant_violations).sum::<u64>();
-    let mut soak_violations = 0u64;
+    let recovered: u64 = loss_cells.iter().map(|c| c.result.fault_hit_successes).sum();
+    let fault_lost: u64 = loss_cells.iter().map(|c| c.result.setup_stats.fault_failures).sum();
     if !smoke {
         let minutes = if scale.name == "paper" { 150 } else { 60 };
         eprintln!("soaking {} simulated minutes at 2x churn…", minutes);
         let result = soak(&scale, seed, 2.0, minutes, tenants);
-        soak_violations = result.audit_violations;
-        tenant_violations += result.tenant_violations;
-        leaks += result.leases_leaked;
+        tally(&result);
         println!(
             "soak: {} events, {} faults ({} classes), {}/{} sessions recovered, \
              {} audit violations, chaos digest {:016x}",
@@ -123,8 +122,8 @@ fn main() {
     }
 
     eprintln!("done in {:.1}s", start.elapsed().as_secs_f64());
-    if grid_violations + soak_violations > 0 {
-        eprintln!("AUDIT FAILED: {} violations", grid_violations + soak_violations);
+    if violations > 0 {
+        eprintln!("AUDIT FAILED: {violations} violations");
         std::process::exit(1);
     }
     if tenant_violations > 0 {

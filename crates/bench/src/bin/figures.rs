@@ -42,15 +42,14 @@ fn run(figure: &str, scale: &Scale, seed: u64, threads: usize) -> Vec<Table> {
             let cells = fig_repair(scale, seed, threads);
             let tables = show(vec![repair_table(scale, &cells)]);
             for cell in &cells {
-                assert_eq!(cell.audit_violations, 0, "audits must pass at {:.1}x {:?}", cell.churn, cell.policy);
-                assert_eq!(cell.leases_leaked, 0, "no lease may leak at {:.1}x {:?}", cell.churn, cell.policy);
+                assert_eq!(cell.result.audit_violations, 0, "audits must pass at {:?}", cell.at);
+                assert_eq!(cell.result.leases_leaked, 0, "no lease may leak at {:?}", cell.at);
             }
             for pair in cells.chunks(2) {
-                let (repair, terminate) = (&pair[0], &pair[1]);
+                let ((churn, _), repair, terminate) = (pair[0].at, &pair[0].result, &pair[1].result);
                 assert!(
-                    repair.churn == 0.0 || repair.survival() >= terminate.survival(),
-                    "repair must dominate restart survival at {:.1}x churn",
-                    repair.churn
+                    churn == 0.0 || repair.survival() >= terminate.survival(),
+                    "repair must dominate restart survival at {churn:.1}x churn"
                 );
             }
             tables
@@ -58,7 +57,7 @@ fn run(figure: &str, scale: &Scale, seed: u64, threads: usize) -> Vec<Table> {
         "tenants" => {
             let points = fig_tenants(scale, seed, threads);
             let tables = show(vec![tenants_table(scale, &points)]);
-            let violations: u64 = points.iter().map(|p| p.tenant_violations).sum();
+            let violations: u64 = points.iter().map(|p| p.result.tenant_violations).sum();
             assert_eq!(violations, 0, "tenant-isolation invariants must hold at every load level");
             tables
         }

@@ -20,78 +20,8 @@ use acp_core::SetupConfig;
 use acp_simcore::{MessageFaultConfig, SimDuration};
 use acp_workload::{ChurnConfig, RateSchedule, ScenarioConfig, ScenarioResult};
 
-use crate::experiments::Scale;
-use crate::parallel::grid;
+use crate::experiments::{sweep, Point, Scale};
 use crate::report::Table;
-
-/// One chaos-grid cell: measurements of a single churn scenario.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosCell {
-    /// Stream-node count of the overlay.
-    pub nodes: usize,
-    /// Fault-rate multiplier applied to [`ChurnConfig::default`].
-    pub churn: f64,
-    /// Composition success rate over the run.
-    pub success: f64,
-    /// Faults in the generated plan.
-    pub fault_events: usize,
-    /// Distinct fault classes the plan contains.
-    pub fault_kinds: usize,
-    /// Sessions terminated by faults.
-    pub killed: u64,
-    /// Fault-terminated sessions recomposed by the failover sweep.
-    pub recovered: u64,
-    /// Fault-terminated sessions the sweep gave up on.
-    pub lost: u64,
-    /// Fault-terminated sessions whose sweep fell past the horizon
-    /// (`killed == recovered + lost + pending`).
-    pub pending: u64,
-    /// Mean fault-to-recomposition latency (seconds; 0 when nothing
-    /// recovered).
-    pub recovery_mean_s: f64,
-    /// Background migrations performed by the rebalancer.
-    pub migrations: u64,
-    /// Audit violations across every audit pass (must be 0).
-    pub audit_violations: u64,
-    /// Combined session + audit + fault-plan digest of the run.
-    pub chaos_digest: u64,
-    /// Simulation events handled over the run.
-    pub sim_events: u64,
-    /// Reservation leases that survived the post-horizon reclamation
-    /// sweep (must be 0: a leak means the sweep failed to recover an
-    /// orphan).
-    pub leases_leaked: u64,
-    /// Sessions preempted by the tenant pressure controller (0 on
-    /// tenant-less cells).
-    pub preemptions: u64,
-    /// Tenant-isolation audit violations (must be 0; always 0 on
-    /// tenant-less cells).
-    pub tenant_violations: u64,
-}
-
-impl ChaosCell {
-    fn from_result(nodes: usize, churn: f64, result: &ScenarioResult) -> Self {
-        ChaosCell {
-            nodes,
-            churn,
-            success: result.overall_success,
-            fault_events: result.fault_events,
-            fault_kinds: result.fault_kinds,
-            killed: result.sessions_killed,
-            recovered: result.sessions_recovered,
-            lost: result.sessions_lost,
-            pending: result.sessions_pending,
-            recovery_mean_s: result.recovery_latency.mean().unwrap_or(0.0),
-            migrations: result.migrations,
-            audit_violations: result.audit_violations,
-            chaos_digest: result.chaos_digest(),
-            sim_events: result.sim_events,
-            leases_leaked: result.leases_leaked,
-            preemptions: result.tenant_preemptions,
-            tenant_violations: result.tenant_violations,
-        }
-    }
-}
 
 /// Churn multipliers of the grid's fault-rate axis.
 pub const CHURN_LEVELS: [f64; 3] = [0.5, 1.0, 2.0];
@@ -110,20 +40,20 @@ pub fn chaos_config(scale: &Scale, seed: u64, nodes: usize, churn: f64) -> Scena
 
 /// Runs the chaos grid — every `scale.node_counts` overlay size at
 /// every [`CHURN_LEVELS`] fault-rate multiplier — and returns the cells
-/// in grid order (node-major). `tenanted` attaches the standard tenant
-/// mix to every cell: admission shedding, best-effort preemption and
-/// the tenant-isolation audit pass all run under the same churn.
-pub fn chaos_grid(scale: &Scale, seed: u64, threads: usize, tenanted: bool) -> Vec<ChaosCell> {
-    let cells = grid(threads, &scale.node_counts, &CHURN_LEVELS, |&nodes, &churn| {
+/// in grid order (node-major), each at its `(nodes, churn)`. `tenanted`
+/// attaches the standard tenant mix to every cell: admission shedding,
+/// best-effort preemption and the tenant-isolation audit pass all run
+/// under the same churn.
+pub fn chaos_grid(scale: &Scale, seed: u64, threads: usize, tenanted: bool) -> Vec<Point<(usize, f64)>> {
+    sweep(threads, &scale.node_counts, &CHURN_LEVELS, |nodes, churn| {
         let mut config = chaos_config(scale, seed, nodes, churn);
         config.tenants = tenanted.then(crate::tenants::sweep_mix);
-        ChaosCell::from_result(nodes, churn, &acp_workload::run_scenario(config))
-    });
-    cells.into_iter().flatten().collect()
+        config
+    })
 }
 
 /// Renders the grid as a report table (one row per cell).
-pub fn chaos_table(scale: &Scale, cells: &[ChaosCell]) -> Table {
+pub fn chaos_table(scale: &Scale, cells: &[Point<(usize, f64)>]) -> Table {
     let mut table = Table::new(
         format!("Chaos soak grid ({} scale): success and recovery under churn", scale.name),
         vec![
@@ -140,19 +70,19 @@ pub fn chaos_table(scale: &Scale, cells: &[ChaosCell]) -> Table {
             "audit violations",
         ],
     );
-    for c in cells {
+    for Point { at: (nodes, churn), result: r } in cells {
         table.push_row(vec![
-            format!("{}", c.nodes),
-            format!("{:.1}x", c.churn),
-            format!("{:.1}", c.success * 100.0),
-            format!("{}", c.fault_events),
-            format!("{}", c.killed),
-            format!("{}", c.recovered),
-            format!("{}", c.lost),
-            format!("{}", c.pending),
-            format!("{:.2}", c.recovery_mean_s),
-            format!("{}", c.migrations),
-            format!("{}", c.audit_violations),
+            format!("{nodes}"),
+            format!("{churn:.1}x"),
+            format!("{:.1}", r.overall_success * 100.0),
+            format!("{}", r.fault_events),
+            format!("{}", r.sessions_killed),
+            format!("{}", r.sessions_recovered),
+            format!("{}", r.sessions_lost),
+            format!("{}", r.sessions_pending),
+            format!("{:.2}", r.recovery_latency.mean().unwrap_or(0.0)),
+            format!("{}", r.migrations),
+            format!("{}", r.audit_violations),
         ]);
     }
     table
@@ -160,80 +90,6 @@ pub fn chaos_table(scale: &Scale, cells: &[ChaosCell]) -> Table {
 
 /// Probe-loss rates of the lossy-transport grid axis.
 pub const PROBE_LOSS_LEVELS: [f64; 4] = [0.0, 0.05, 0.10, 0.20];
-
-/// One lossy-transport grid cell: two-phase setup under message faults.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LossCell {
-    /// Stream-node count of the overlay.
-    pub nodes: usize,
-    /// Probe-drop rate of the cell (confirm loss rides at half this).
-    pub probe_loss: f64,
-    /// Composition success rate over the run.
-    pub success: f64,
-    /// Requests whose setup was touched by at least one message fault.
-    pub fault_hit: u64,
-    /// Fault-hit requests that still composed — the retry loop's
-    /// recovery count.
-    pub recovered: u64,
-    /// Requests lost *to faults*: failed with a fault-hit conclusive
-    /// attempt (fault-touched requests that a fault-free attempt proved
-    /// unserveable count as legitimate failures, not fault casualties).
-    pub fault_failed: u64,
-    /// Retry attempts beyond the first across all requests.
-    pub retries: u64,
-    /// Probe messages lost or discarded stale in transit.
-    pub probes_lost: u64,
-    /// Confirmations lost in transit (each orphans that attempt's
-    /// leases).
-    pub confirms_lost: u64,
-    /// Leases orphaned by in-flight faults.
-    pub leases_orphaned: u64,
-    /// Orphaned leases recovered by backoff-time reclamation sweeps.
-    pub leases_reclaimed: u64,
-    /// Leases that outlived the post-horizon sweep (must be 0).
-    pub leases_leaked: u64,
-    /// Audit violations across every audit pass (must be 0).
-    pub audit_violations: u64,
-    /// Tenant-isolation audit violations (must be 0; always 0 on
-    /// tenant-less cells).
-    pub tenant_violations: u64,
-    /// Combined session + audit digest of the run.
-    pub chaos_digest: u64,
-}
-
-impl LossCell {
-    fn from_result(nodes: usize, probe_loss: f64, result: &ScenarioResult) -> Self {
-        LossCell {
-            nodes,
-            probe_loss,
-            success: result.overall_success,
-            fault_hit: result.fault_hit_requests,
-            recovered: result.fault_hit_successes,
-            fault_failed: result.setup_stats.fault_failures,
-            retries: result.setup_stats.retries,
-            probes_lost: result.setup_stats.probes_lost + result.setup_stats.stale_probes_discarded,
-            confirms_lost: result.setup_stats.confirms_lost,
-            leases_orphaned: result.setup_stats.leases_orphaned,
-            leases_reclaimed: result.setup_stats.leases_reclaimed,
-            leases_leaked: result.leases_leaked,
-            audit_violations: result.audit_violations,
-            tenant_violations: result.tenant_violations,
-            chaos_digest: result.chaos_digest(),
-        }
-    }
-
-    /// Share of otherwise-failed compositions the retry loop recovered:
-    /// `recovered / (recovered + fault_failed)` (1.0 when no fault ever
-    /// caused a loss).
-    pub fn recovery_rate(&self) -> f64 {
-        let denom = self.recovered + self.fault_failed;
-        if denom == 0 {
-            1.0
-        } else {
-            self.recovered as f64 / denom as f64
-        }
-    }
-}
 
 /// The scenario of one lossy-transport cell: the scale's base config at
 /// the anchor rate on a healthy overlay (no churn — transport faults
@@ -259,20 +115,22 @@ pub fn loss_config(scale: &Scale, seed: u64, nodes: usize, probe_loss: f64) -> S
 
 /// Runs the lossy-transport grid — every `scale.node_counts` overlay
 /// size at every [`PROBE_LOSS_LEVELS`] drop rate — and returns the
-/// cells in grid order (node-major). `tenanted` attaches the standard
-/// tenant mix to every cell: tenant isolation must also survive lossy
-/// two-phase transport.
-pub fn loss_grid(scale: &Scale, seed: u64, threads: usize, tenanted: bool) -> Vec<LossCell> {
-    let cells = grid(threads, &scale.node_counts, &PROBE_LOSS_LEVELS, |&nodes, &loss| {
+/// cells in grid order (node-major), each at its `(nodes, probe loss)`.
+/// `tenanted` attaches the standard tenant mix to every cell: tenant
+/// isolation must also survive lossy two-phase transport.
+pub fn loss_grid(scale: &Scale, seed: u64, threads: usize, tenanted: bool) -> Vec<Point<(usize, f64)>> {
+    sweep(threads, &scale.node_counts, &PROBE_LOSS_LEVELS, |nodes, loss| {
         let mut config = loss_config(scale, seed, nodes, loss);
         config.tenants = tenanted.then(crate::tenants::sweep_mix);
-        LossCell::from_result(nodes, loss, &acp_workload::run_scenario(config))
-    });
-    cells.into_iter().flatten().collect()
+        config
+    })
 }
 
 /// Renders the success-rate-vs-probe-loss grid as a report table.
-pub fn loss_table(scale: &Scale, cells: &[LossCell]) -> Table {
+/// "fault lost" counts requests lost *to* faults (a fault-touched request
+/// that a fault-free attempt proved unserveable is a legitimate failure);
+/// "probes lost" includes probes discarded stale in transit.
+pub fn loss_table(scale: &Scale, cells: &[Point<(usize, f64)>]) -> Table {
     let mut table = Table::new(
         format!("Two-phase setup under probe loss ({} scale): success vs drop rate", scale.name),
         vec![
@@ -292,22 +150,23 @@ pub fn loss_table(scale: &Scale, cells: &[LossCell]) -> Table {
             "audit violations",
         ],
     );
-    for c in cells {
+    for Point { at: (nodes, loss), result: r } in cells {
+        let setup = &r.setup_stats;
         table.push_row(vec![
-            format!("{}", c.nodes),
-            format!("{:.0}", c.probe_loss * 100.0),
-            format!("{:.1}", c.success * 100.0),
-            format!("{}", c.fault_hit),
-            format!("{}", c.recovered),
-            format!("{}", c.fault_failed),
-            format!("{:.1}", c.recovery_rate() * 100.0),
-            format!("{}", c.retries),
-            format!("{}", c.probes_lost),
-            format!("{}", c.confirms_lost),
-            format!("{}", c.leases_orphaned),
-            format!("{}", c.leases_reclaimed),
-            format!("{}", c.leases_leaked),
-            format!("{}", c.audit_violations),
+            format!("{nodes}"),
+            format!("{:.0}", loss * 100.0),
+            format!("{:.1}", r.overall_success * 100.0),
+            format!("{}", r.fault_hit_requests),
+            format!("{}", r.fault_hit_successes),
+            format!("{}", setup.fault_failures),
+            format!("{:.1}", r.recovery_rate() * 100.0),
+            format!("{}", setup.retries),
+            format!("{}", setup.probes_lost + setup.stale_probes_discarded),
+            format!("{}", setup.confirms_lost),
+            format!("{}", setup.leases_orphaned),
+            format!("{}", setup.leases_reclaimed),
+            format!("{}", r.leases_leaked),
+            format!("{}", r.audit_violations),
         ]);
     }
     table
@@ -343,28 +202,8 @@ mod tests {
     #[test]
     fn table_has_one_row_per_cell() {
         let scale = Scale::quick();
-        let cells = vec![
-            ChaosCell {
-                nodes: 30,
-                churn: 1.0,
-                success: 0.9,
-                fault_events: 12,
-                fault_kinds: 4,
-                killed: 5,
-                recovered: 3,
-                lost: 1,
-                pending: 1,
-                recovery_mean_s: 2.0,
-                migrations: 1,
-                audit_violations: 0,
-                chaos_digest: 7,
-                sim_events: 1000,
-                leases_leaked: 0,
-                preemptions: 0,
-                tenant_violations: 0,
-            };
-            4
-        ];
+        let blank = ScenarioResult::new(acp_core::AlgorithmKind::Acp);
+        let cells = vec![Point { at: (30, 1.0), result: blank }; 4];
         let table = chaos_table(&scale, &cells);
         assert_eq!(table.to_csv().lines().count(), 5, "header + 4 rows");
     }
@@ -376,10 +215,12 @@ mod tests {
         let mut scale = Scale::quick();
         scale.node_counts = vec![70];
         let cells = chaos_grid(&scale, 42, 2, false);
-        for cell in &cells {
-            assert_eq!(cell.killed, cell.recovered + cell.lost + cell.pending, "{cell:?}");
+        for Point { at, result: r } in &cells {
+            let fates = r.sessions_recovered + r.sessions_lost + r.sessions_pending;
+            assert_eq!(r.sessions_killed, fates, "{at:?}");
         }
-        assert!(cells.last().expect("three churn levels").killed > 0, "2x churn must orphan sessions");
+        let top = &cells.last().expect("three churn levels").result;
+        assert!(top.sessions_killed > 0, "2x churn must orphan sessions");
     }
 
     #[test]
@@ -388,14 +229,14 @@ mod tests {
         let cells = chaos_grid(&scale, 42, 2, true);
         assert_eq!(cells.len(), scale.node_counts.len() * CHURN_LEVELS.len());
         for cell in &cells {
-            assert_eq!(cell.tenant_violations, 0, "isolation must hold under churn");
-            assert_eq!(cell.audit_violations, 0);
+            assert_eq!(cell.result.tenant_violations, 0, "isolation must hold under churn");
+            assert_eq!(cell.result.audit_violations, 0);
         }
         // The mix must actually engage, not ride along inertly: the
         // seeded grid diverges from its tenant-less twin somewhere.
         let plain = chaos_grid(&scale, 42, 2, false);
         assert!(
-            cells.iter().zip(&plain).any(|(t, p)| t.chaos_digest != p.chaos_digest),
+            cells.iter().zip(&plain).any(|(t, p)| t.result.chaos_digest() != p.result.chaos_digest()),
             "tenanted grid must shed or preempt at some cell"
         );
         // …and stays deterministic across thread counts.

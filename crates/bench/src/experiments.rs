@@ -140,6 +140,37 @@ impl Scale {
     }
 }
 
+/// One point of a sweep: where it sits on the sweep's axes, and the
+/// whole ledger of the run made there. Tables, asserts and tests read
+/// the [`ScenarioResult`] itself, so a column is never a second copy of
+/// a measurement.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Point<A> {
+    /// The axis values of the point (`(nodes, churn)`, a load level, …).
+    pub at: A,
+    /// Everything the run measured.
+    pub result: ScenarioResult,
+}
+
+/// Runs the scenario `config(row, column)` at every pair of a sweep's
+/// two axes on up to `threads` workers; points come back row-major.
+pub(crate) fn sweep<R, C>(
+    threads: usize,
+    rows: &[R],
+    cols: &[C],
+    config: impl Fn(R, C) -> ScenarioConfig + Sync,
+) -> Vec<Point<(R, C)>>
+where
+    R: Copy + Send + Sync,
+    C: Copy + Send + Sync,
+{
+    let points = grid(threads, rows, cols, |&row, &col| Point {
+        at: (row, col),
+        result: acp_workload::run_scenario(config(row, col)),
+    });
+    points.into_iter().flatten().collect()
+}
+
 /// One Fig. 5 table: success vs α (rows) for each `(label, request
 /// rate, QoS tier)` column.
 fn alpha_sweep(scale: &Scale, seed: u64, threads: usize, title: &str, cols: &[(String, f64, QosTier)]) -> Table {

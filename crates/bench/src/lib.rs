@@ -4,7 +4,9 @@
 //! paper's evaluation (§4):
 //!
 //! * [`experiments`] — one function per figure (5–8), parameterised by a
-//!   [`experiments::Scale`] (`paper` or `quick`).
+//!   [`experiments::Scale`] (`paper` or `quick`), and the
+//!   [`experiments::Point`] every other sweep returns: its axis values
+//!   beside the run's whole `ScenarioResult`.
 //! * [`chaos`] — the chaos-soak grid: the same scenarios under seeded
 //!   fault injection, with the system auditor re-checking every
 //!   conservation invariant throughout (`chaos_soak` binary).
@@ -41,7 +43,7 @@ pub mod tenants;
 
 pub use ablation::{ablation_bcp, ablation_risk_epsilon, ablation_state_threshold, ablation_tuning};
 pub use chaos::{chaos_grid, chaos_table, loss_grid, loss_table, soak};
-pub use experiments::{fig5, fig6, fig7, fig8, Scale};
+pub use experiments::{fig5, fig6, fig7, fig8, Point, Scale};
 pub use parallel::thread_count;
 pub use repair::{fig_repair, repair_table};
 pub use report::{write_results, CliArgs, Table};

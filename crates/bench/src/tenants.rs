@@ -17,11 +17,10 @@
 use acp_core::AdmissionConfig;
 use acp_model::prelude::TenantTier;
 use acp_workload::{
-    tier_index, RateSchedule, ScenarioConfig, ScenarioResult, TenantPreemptionConfig,
-    TenantsConfig, TierSummary,
+    tier_index, RateSchedule, ScenarioConfig, ScenarioResult, TenantPreemptionConfig, TenantsConfig,
 };
 
-use crate::experiments::Scale;
+use crate::experiments::{Point, Scale};
 use crate::parallel::run_indexed;
 use crate::report::Table;
 
@@ -48,48 +47,9 @@ pub fn jain_index(xs: &[f64]) -> f64 {
     sum * sum / (xs.len() as f64 * sq)
 }
 
-/// One point of the sweep: the standard mix at `load` times the anchor
-/// rate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TenantPoint {
-    /// Offered-load multiplier over the scale's anchor rate.
-    pub load: f64,
-    /// Offered request rate (requests/minute).
-    pub rate: f64,
-    /// Per-tier outcomes in [`tier_index`] order.
-    pub tiers: [TierSummary; 3],
-    /// Jain fairness index over the three tier success rates.
-    pub jain: f64,
-    /// Sessions preempted by the pressure controller.
-    pub preemptions: u64,
-    /// Tenant-isolation audit violations (must be 0).
-    pub tenant_violations: u64,
-    /// All audit violations (must be 0).
-    pub audit_violations: u64,
-    /// Combined session + audit digest of the run.
-    pub chaos_digest: u64,
-}
-
-impl TenantPoint {
-    fn from_result(load: f64, rate: f64, result: &ScenarioResult) -> Self {
-        let tiers = result.tenant_tiers;
-        let rates: Vec<f64> = tiers.iter().map(|t| t.success_rate()).collect();
-        TenantPoint {
-            load,
-            rate,
-            tiers,
-            jain: jain_index(&rates),
-            preemptions: result.tenant_preemptions,
-            tenant_violations: result.tenant_violations,
-            audit_violations: result.audit_violations,
-            chaos_digest: result.chaos_digest(),
-        }
-    }
-
-    /// Success rate of `tier` at this point.
-    pub fn success(&self, tier: TenantTier) -> f64 {
-        self.tiers[tier_index(tier)].success_rate()
-    }
+/// Jain fairness index over the run's three tier success rates.
+pub fn tier_fairness(result: &ScenarioResult) -> f64 {
+    jain_index(&result.tenant_tiers.map(|t| t.success_rate()))
 }
 
 /// The standard mix with the sweep thresholds and preemption armed at
@@ -116,16 +76,16 @@ pub fn tenants_config(scale: &Scale, seed: u64, load: f64) -> ScenarioConfig {
 }
 
 /// Runs the sweep — every [`LOAD_LEVELS`] multiplier — and returns the
-/// points in load order.
-pub fn fig_tenants(scale: &Scale, seed: u64, threads: usize) -> Vec<TenantPoint> {
-    run_indexed(threads, &LOAD_LEVELS, |&load| {
-        let result = acp_workload::run_scenario(tenants_config(scale, seed, load));
-        TenantPoint::from_result(load, scale.anchor_rate * load, &result)
+/// points in load order, each at its load multiplier.
+pub fn fig_tenants(scale: &Scale, seed: u64, threads: usize) -> Vec<Point<f64>> {
+    run_indexed(threads, &LOAD_LEVELS, |&load| Point {
+        at: load,
+        result: acp_workload::run_scenario(tenants_config(scale, seed, load)),
     })
 }
 
 /// Renders the sweep as a report table (one row per load level).
-pub fn tenants_table(scale: &Scale, points: &[TenantPoint]) -> Table {
+pub fn tenants_table(scale: &Scale, points: &[Point<f64>]) -> Table {
     let mut table = Table::new(
         format!("Multi-tenant QoS tiers ({} scale): success and fairness vs offered load", scale.name),
         vec![
@@ -140,18 +100,19 @@ pub fn tenants_table(scale: &Scale, points: &[TenantPoint]) -> Table {
             "tenant violations",
         ],
     );
-    for p in points {
-        let shed: u64 = p.tiers.iter().map(|t| t.shed).sum();
+    for Point { at: load, result: r } in points {
+        let success = |tier| r.tenant_tiers[tier_index(tier)].success_rate() * 100.0;
+        let shed: u64 = r.tenant_tiers.iter().map(|t| t.shed).sum();
         table.push_row(vec![
-            format!("{:.1}x", p.load),
-            format!("{:.0}", p.rate),
-            format!("{:.1}", p.success(TenantTier::Gold) * 100.0),
-            format!("{:.1}", p.success(TenantTier::Silver) * 100.0),
-            format!("{:.1}", p.success(TenantTier::BestEffort) * 100.0),
-            format!("{:.3}", p.jain),
+            format!("{load:.1}x"),
+            format!("{:.0}", scale.anchor_rate * load),
+            format!("{:.1}", success(TenantTier::Gold)),
+            format!("{:.1}", success(TenantTier::Silver)),
+            format!("{:.1}", success(TenantTier::BestEffort)),
+            format!("{:.3}", tier_fairness(r)),
             format!("{shed}"),
-            format!("{}", p.preemptions),
-            format!("{}", p.tenant_violations),
+            format!("{}", r.tenant_preemptions),
+            format!("{}", r.tenant_violations),
         ]);
     }
     table
@@ -179,29 +140,23 @@ mod tests {
         let scale = Scale::quick();
         let points = fig_tenants(&scale, 42, 2);
         assert_eq!(points.len(), LOAD_LEVELS.len());
-        for p in &points {
+        for Point { at: load, result: r } in &points {
+            let [gold, silver, best] = r.tenant_tiers.map(|t| t.success_rate());
             assert!(
-                p.success(TenantTier::Gold) >= p.success(TenantTier::Silver)
-                    && p.success(TenantTier::Silver) >= p.success(TenantTier::BestEffort),
-                "tier ordering must hold at {:.1}x: gold {} silver {} best {}",
-                p.load,
-                p.success(TenantTier::Gold),
-                p.success(TenantTier::Silver),
-                p.success(TenantTier::BestEffort),
+                gold >= silver && silver >= best,
+                "tier ordering must hold at {load:.1}x: gold {gold} silver {silver} best {best}",
             );
-            assert_eq!(p.tenant_violations, 0, "isolation must hold at {:.1}x", p.load);
-            assert_eq!(p.audit_violations, 0, "audits must pass at {:.1}x", p.load);
-            assert!((0.0..=1.0 + 1e-12).contains(&p.jain));
+            assert_eq!(r.tenant_violations, 0, "isolation must hold at {load:.1}x");
+            assert_eq!(r.audit_violations, 0, "audits must pass at {load:.1}x");
+            assert!((0.0..=1.0 + 1e-12).contains(&tier_fairness(r)));
         }
         // Overload must actually differentiate the tiers: at the top
         // load the gate sheds best-effort traffic and fairness drops
         // below the uncongested starting point.
-        let top = points.last().unwrap();
-        assert!(top.tiers[tier_index(TenantTier::BestEffort)].shed > 0, "top load must shed");
-        assert!(
-            top.success(TenantTier::Gold) > top.success(TenantTier::BestEffort),
-            "gold must dominate under overload"
-        );
-        assert!(top.jain < points[0].jain, "fairness must fall under overload");
+        let top = &points.last().unwrap().result;
+        let [gold, _, best] = top.tenant_tiers;
+        assert!(best.shed > 0, "top load must shed");
+        assert!(gold.success_rate() > best.success_rate(), "gold must dominate under overload");
+        assert!(tier_fairness(top) < tier_fairness(&points[0].result), "fairness must fall under overload");
     }
 }

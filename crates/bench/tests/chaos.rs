@@ -4,7 +4,7 @@
 //! workloads and a long mixed-fault soak.
 
 use acp_bench::chaos::{chaos_config, chaos_grid, loss_grid, soak, PROBE_LOSS_LEVELS};
-use acp_bench::experiments::{run_point, Scale};
+use acp_bench::experiments::{run_point, Point, Scale};
 use acp_core::prelude::{AlgorithmKind, SetupConfig};
 use acp_simcore::{DetectionLatency, FaultPlan, FaultPlanConfig, MessageFaultConfig, SimDuration};
 use acp_workload::{run_scenario, ChurnConfig, RepairScenarioConfig, ScenarioConfig};
@@ -31,21 +31,24 @@ fn fault_plan_is_deterministic() {
     assert_ne!(a.digest(), c.digest(), "seed must matter");
 }
 
+/// Whole `ScenarioResult`s are compared — both series, the probe
+/// histogram, every ledger — not a projection of them.
 #[test]
-fn chaos_grid_is_identical_at_1_and_4_threads() {
+fn chaos_grid_whole_results_are_identical_at_1_and_4_threads() {
     let scale = tiny_scale();
     let seed = 20_260_806;
     let seq = chaos_grid(&scale, seed, 1, false);
     let par = chaos_grid(&scale, seed, 4, false);
-    assert_eq!(seq, par, "grid differs between 1 and 4 threads");
-    // The comparison above covers every field, but the digests are the
-    // contract: fault schedule, session table, and audit trail all
-    // folded into one number per cell.
     for (s, p) in seq.iter().zip(&par) {
-        assert_eq!(s.chaos_digest, p.chaos_digest);
+        // The digest first, so a divergence names the contract — fault
+        // schedule, session table and audit trail in one number — before
+        // the field-by-field diff of everything else.
+        assert_eq!(s.result.chaos_digest(), p.result.chaos_digest(), "at {:?}", s.at);
     }
-    assert!(seq.iter().any(|c| c.killed > 0), "churn must orphan some sessions");
-    assert!(seq.iter().all(|c| c.audit_violations == 0), "audits must be clean");
+    assert_eq!(seq, par, "some field of some cell's whole result differs between 1 and 4 threads");
+    assert!(seq.iter().any(|c| !c.result.success_series.is_empty()), "the series compared must hold samples");
+    assert!(seq.iter().any(|c| c.result.sessions_killed > 0), "churn must orphan some sessions");
+    assert!(seq.iter().all(|c| c.result.audit_violations == 0), "audits must be clean");
 }
 
 #[test]
@@ -130,15 +133,16 @@ fn churn_config_scaling_scales_every_rate() {
 }
 
 #[test]
-fn loss_grid_is_identical_at_1_and_4_threads() {
+fn loss_grid_whole_results_are_identical_at_1_and_4_threads() {
     let scale = tiny_scale();
     let seed = 20_260_806;
     let seq = loss_grid(&scale, seed, 1, false);
     let par = loss_grid(&scale, seed, 4, false);
-    assert_eq!(seq, par, "loss grid differs between 1 and 4 threads");
     for (s, p) in seq.iter().zip(&par) {
-        assert_eq!(s.chaos_digest, p.chaos_digest);
+        assert_eq!(s.result.chaos_digest(), p.result.chaos_digest(), "at {:?}", s.at);
     }
+    assert_eq!(seq, par, "some field of some cell's whole result differs between 1 and 4 threads");
+    assert!(seq.iter().any(|c| c.result.probe_histogram.count() > 0), "the histograms compared must hold requests");
 }
 
 #[test]
@@ -146,23 +150,21 @@ fn loss_grid_recovers_and_never_leaks() {
     let scale = tiny_scale();
     let cells = loss_grid(&scale, 42, 4, false);
     assert_eq!(cells.len(), scale.node_counts.len() * PROBE_LOSS_LEVELS.len());
-    assert!(cells.iter().all(|c| c.audit_violations == 0), "audits must be clean");
-    assert!(cells.iter().all(|c| c.leases_leaked == 0), "sweep must reclaim every orphan");
+    assert!(cells.iter().all(|c| c.result.audit_violations == 0), "audits must be clean");
+    assert!(cells.iter().all(|c| c.result.leases_leaked == 0), "sweep must reclaim every orphan");
     // Zero-loss cells never see a fault; lossy cells must see them and
     // the retry loop must recover at least 90% of the hit requests.
-    for c in &cells {
-        if c.probe_loss == 0.0 {
-            assert_eq!(c.fault_hit, 0, "inert cell saw a fault at {} nodes", c.nodes);
-            assert_eq!(c.retries, 0);
+    for Point { at: (nodes, loss), result: r } in &cells {
+        if *loss == 0.0 {
+            assert_eq!(r.fault_hit_requests, 0, "inert cell saw a fault at {nodes} nodes");
+            assert_eq!(r.setup_stats.retries, 0);
         } else {
-            assert!(c.fault_hit > 0, "no fault landed at loss {} ({} nodes)", c.probe_loss, c.nodes);
+            assert!(r.fault_hit_requests > 0, "no fault landed at loss {loss} ({nodes} nodes)");
             assert!(
-                c.recovery_rate() >= 0.9,
-                "retry must recover >=90% of fault-hit requests at loss {} ({} nodes): {}/{}",
-                c.probe_loss,
-                c.nodes,
-                c.recovered,
-                c.fault_hit,
+                r.recovery_rate() >= 0.9,
+                "retry must recover >=90% of fault-hit requests at loss {loss} ({nodes} nodes): {}/{}",
+                r.fault_hit_successes,
+                r.fault_hit_requests,
             );
         }
     }
@@ -170,5 +172,5 @@ fn loss_grid_recovers_and_never_leaks() {
     // successful retry (`leases_orphaned` only counts requests that
     // ultimately fail, which a healthy retry loop avoids — orphan ageing
     // and sweep recovery are covered by the protocol/scenario tests).
-    assert!(cells.iter().any(|c| c.confirms_lost > 0), "confirm loss must land");
+    assert!(cells.iter().any(|c| c.result.setup_stats.confirms_lost > 0), "confirm loss must land");
 }

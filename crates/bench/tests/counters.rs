@@ -9,7 +9,7 @@
 //! moved it.
 
 use acp_bench::experiments::{run_point, Scale};
-use acp_bench::{churn_for, fig_tenants, run_scale_point, thread_count, ScaleConfig};
+use acp_bench::{churn_for, fig_tenants, run_scale_point, thread_count, Point, ScaleConfig};
 use acp_core::prelude::{AlgorithmKind, OverheadStats, SetupConfig, SetupStats};
 use acp_model::prelude::LeaseStats;
 use acp_simcore::MessageFaultConfig;
@@ -145,14 +145,14 @@ fn fig_tenants_quick_points() {
         ),
     ];
     assert_eq!(points.len(), want.len());
-    for (p, (chaos_digest, preemptions, tiers)) in points.iter().zip(want) {
-        assert_eq!(p.tenant_violations + p.audit_violations, 0, "load {}", p.load);
-        assert_eq!(p.chaos_digest, chaos_digest, "load {}: {:#018x}", p.load, p.chaos_digest);
-        assert_eq!(p.preemptions, preemptions, "load {}", p.load);
-        let got = p.tiers.map(|t: TierSummary| {
+    for (Point { at: load, result: r }, (chaos_digest, preemptions, tiers)) in points.iter().zip(want) {
+        assert_eq!(r.tenant_violations + r.audit_violations, 0, "load {load}");
+        assert_eq!(r.chaos_digest(), chaos_digest, "load {load}: {:#018x}", r.chaos_digest());
+        assert_eq!(r.tenant_preemptions, preemptions, "load {load}");
+        let got = r.tenant_tiers.map(|t: TierSummary| {
             [t.offered, t.shed, t.composed, t.failed, t.preempted, t.killed, t.live_end]
         });
-        assert_eq!(got, tiers, "load {}", p.load);
+        assert_eq!(got, tiers, "load {load}");
     }
 }
 

@@ -141,6 +141,25 @@ impl Default for SetupConfig {
     }
 }
 
+impl SetupConfig {
+    /// Backoff before the retry that follows failed attempt number
+    /// `attempt` (1-based), in seconds, before jitter.
+    fn backoff_secs(&self, attempt: u32) -> f64 {
+        self.backoff_base.as_secs_f64() * self.backoff_factor.powi(attempt as i32 - 1)
+    }
+
+    /// The longest a request's last probing round can start after its
+    /// first: every retry taken, every backoff at full jitter. A lease
+    /// reserved by a request that arrived at `t` expires no later than
+    /// `t + max_backoff() + transient_timeout`.
+    pub fn max_backoff(&self) -> SimDuration {
+        (1..self.max_attempts.max(1)).fold(SimDuration::ZERO, |ladder, attempt| {
+            let backoff = self.backoff_secs(attempt);
+            ladder + SimDuration::from_secs_f64(backoff + backoff * self.jitter_frac)
+        })
+    }
+}
+
 /// Per-request ledger of the two-phase setup path: transport faults
 /// suffered, retries spent, and lease housekeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -334,8 +353,7 @@ impl<T: Transport> SetupMode for TwoPhase<T> {
     }
 
     fn backoff_delay(&mut self, attempt: u32) -> SimDuration {
-        let backoff = self.config.backoff_base.as_secs_f64()
-            * self.config.backoff_factor.powi(attempt as i32 - 1);
+        let backoff = self.config.backoff_secs(attempt);
         let jitter = backoff * self.config.jitter_frac * self.backoff_rng.gen::<f64>();
         SimDuration::from_secs_f64(backoff + jitter)
     }

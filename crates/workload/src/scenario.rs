@@ -199,10 +199,7 @@ impl TierSummary {
     /// End-to-end success rate: composed over offered (shed counts
     /// against the tier).
     pub fn success_rate(&self) -> f64 {
-        if self.offered == 0 {
-            return 0.0;
-        }
-        self.composed as f64 / self.offered as f64
+        share(self.composed, self.offered, 0.0)
     }
 }
 
@@ -353,14 +350,6 @@ impl ScenarioConfig {
             ),
             (preemption.is_none_or(|p| positive(p.interval)), "tenants.preemption.interval must be positive"),
             (
-                self.system.components_per_node.0 <= self.system.components_per_node.1,
-                "system.components_per_node is an inverted range",
-            ),
-            (
-                self.requests.session_minutes.0 <= self.requests.session_minutes.1,
-                "requests.session_minutes is an inverted range",
-            ),
-            (
                 self.tenants.as_ref().is_none_or(|t| {
                     !t.tenants.is_empty() && t.tenants.iter().all(|spec| spec.weight > 0.0)
                 }),
@@ -371,15 +360,37 @@ impl ScenarioConfig {
                 "tuner and controller are mutually exclusive",
             ),
         ];
-        match checks.iter().find(|(holds, _)| !holds) {
-            Some((_, why)) => Err((*why).to_string()),
+        if let Some((_, why)) = checks.iter().find(|(holds, _)| !holds) {
+            return Err((*why).to_string());
+        }
+        // Every `(lo, hi)` the builders hand to `gen_range`: an inverted
+        // one panics there with "cannot sample empty range".
+        let (system, requests) = (&self.system, &self.requests);
+        let count = |(lo, hi): (usize, usize)| (lo as f64, hi as f64);
+        let ranges = [
+            ("system.components_per_node", count(system.components_per_node)),
+            ("system.node_cpu", system.node_cpu),
+            ("system.node_memory_mb", system.node_memory_mb),
+            ("system.component_max_rate_kbps", system.component_max_rate_kbps),
+            ("requests.per_hop_delay_ms", requests.per_hop_delay_ms),
+            ("requests.max_loss", requests.max_loss),
+            ("requests.base_cpu", requests.base_cpu),
+            ("requests.base_memory_mb", requests.base_memory_mb),
+            ("requests.bandwidth_kbps", requests.bandwidth_kbps),
+            ("requests.stream_rate_kbps", requests.stream_rate_kbps),
+            ("requests.session_minutes", requests.session_minutes),
+        ];
+        match ranges.iter().find(|(_, (lo, hi))| lo.partial_cmp(hi).is_none_or(|o| o.is_gt())) {
+            Some((name, _)) => Err(format!("{name} is an inverted range")),
             None => Ok(()),
         }
     }
 }
 
-/// Aggregated results of one run.
-#[derive(Debug, Clone)]
+/// The measurements of one run, and the one place they are kept: the
+/// event loop adds into the `ScenarioResult` it will return, so a
+/// measurement is one field here and one column where it is printed.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioResult {
     /// Algorithm that produced the result.
     pub algorithm: AlgorithmKind,
@@ -501,7 +512,93 @@ pub struct ScenarioResult {
     pub mttr_p99: f64,
 }
 
+/// `part / whole`, or `empty` when there is nothing to take a share of.
+fn share(part: u64, whole: u64, empty: f64) -> f64 {
+    if whole == 0 {
+        empty
+    } else {
+        part as f64 / whole as f64
+    }
+}
+
 impl ScenarioResult {
+    /// The ledger before the first event: every count zero, both series
+    /// and the probe histogram empty.
+    pub fn new(algorithm: AlgorithmKind) -> Self {
+        ScenarioResult {
+            algorithm,
+            success_series: TimeSeries::new("success_rate"),
+            ratio_series: TimeSeries::new("probing_ratio"),
+            overall_success: 0.0,
+            total_requests: 0,
+            total_successes: 0,
+            overhead: OverheadStats::new(),
+            messages_per_minute: 0.0,
+            probe_messages_per_minute: 0.0,
+            final_sessions: 0,
+            profiling_runs: 0,
+            probe_histogram: Histogram::new(0.0, 200.0, 40),
+            path_cache: acp_topology::PathCacheStats::default(),
+            state_scans: ScanStats::default(),
+            aggregation_rounds: 0,
+            session_digest: 0,
+            sim_events: 0,
+            fault_events: 0,
+            fault_kinds: 0,
+            fault_digest: 0,
+            sessions_killed: 0,
+            sessions_recovered: 0,
+            sessions_lost: 0,
+            sessions_pending: 0,
+            recovery_latency: SummaryStats::default(),
+            audit_violations: 0,
+            audit_digest: 0,
+            migrations: 0,
+            lease_stats: LeaseStats::default(),
+            leases_live_end: 0,
+            leases_leaked: 0,
+            setup_stats: SetupStats::default(),
+            fault_hit_requests: 0,
+            fault_hit_successes: 0,
+            optimal_truncated: 0,
+            tenant_tiers: [TierSummary::default(); 3],
+            tenant_preemptions: 0,
+            tenant_violations: 0,
+            repair_opened: 0,
+            repair_attempts: 0,
+            sessions_repaired: 0,
+            sessions_restored: 0,
+            repair_abandoned: 0,
+            repair_cancelled: 0,
+            mttr: SummaryStats::default(),
+            mttr_p50: 0.0,
+            mttr_p99: 0.0,
+        }
+    }
+
+    /// Share of otherwise-failed compositions the retry loop recovered:
+    /// fault-hit successes over those plus the requests lost *to* faults
+    /// (`setup_stats.fault_failures`); 1.0 when no fault caused a loss.
+    pub fn recovery_rate(&self) -> f64 {
+        let whole = self.fault_hit_successes + self.setup_stats.fault_failures;
+        share(self.fault_hit_successes, whole, 1.0)
+    }
+
+    /// Share of decisively settled repair incidents the session
+    /// survived: `(repaired + restored) / (repaired + restored +
+    /// abandoned)`. Cancelled tickets (the session closed naturally while
+    /// waiting) are excluded; 1.0 when nothing settled decisively.
+    pub fn survival(&self) -> f64 {
+        let survived = self.sessions_repaired + self.sessions_restored;
+        share(survived, survived + self.repair_abandoned, 1.0)
+    }
+
+    /// Share of recoveries that preserved the running session (in-place
+    /// splice rather than restart); 0 when nothing recovered.
+    pub fn continuity(&self) -> f64 {
+        share(self.sessions_repaired, self.sessions_repaired + self.sessions_restored, 0.0)
+    }
+
     /// The session digest with the audit digest folded in: two runs are
     /// equivalent only if they composed identically **and** audited
     /// identically.
@@ -572,13 +669,6 @@ struct ChurnState {
     /// substitute the sampled detection latency.
     pending: Vec<(SimTime, (SimTime, Request))>,
     rebalancer: Rebalancer,
-    fault_events: usize,
-    fault_kinds: usize,
-    fault_digest: u64,
-    sessions_killed: u64,
-    sessions_recovered: u64,
-    sessions_lost: u64,
-    recovery_latency: SummaryStats,
 }
 
 /// The setup mode repair composes run under: mirrors the scenario's
@@ -628,16 +718,6 @@ fn retry_at(
     (ticket.attempts < config.retry_budget).then_some(now + config.retry_delay)
 }
 
-/// Internal per-tier admission counters (offered/shed/composed/failed);
-/// preempted/killed/live come from the tenant ledger at the end.
-#[derive(Debug, Clone, Copy, Default)]
-struct TierCounters {
-    offered: u64,
-    shed: u64,
-    composed: u64,
-    failed: u64,
-}
-
 /// Live multi-tenant state carried by a tenanted scenario.
 struct TenantRuntime {
     config: TenantsConfig,
@@ -650,8 +730,6 @@ struct TenantRuntime {
     rng: StdRng,
     admission: AdmissionController,
     preemptor: Preemptor,
-    preemptions: u64,
-    tiers: [TierCounters; 3],
 }
 
 impl TenantRuntime {
@@ -680,25 +758,14 @@ struct ScenarioModel {
     workload_rng: StdRng,
     replay_seed: u64,
     counter: WindowedCounter,
-    probe_histogram: Histogram,
-    success_series: TimeSeries,
-    ratio_series: TimeSeries,
-    overhead: OverheadStats,
-    total_requests: u64,
-    total_successes: u64,
     replay_key_offset: u64,
     churn: Option<ChurnState>,
     repair: Option<RepairRuntime>,
     tenants: Option<TenantRuntime>,
-    tenant_violations: u64,
     auditor: SystemAuditor,
-    audit_violations: u64,
-    audit_digest: u64,
-    sim_events: u64,
-    setup_totals: SetupStats,
-    fault_hit_requests: u64,
-    fault_hit_successes: u64,
-    optimal_truncated: u64,
+    /// The run's ledger: every handler adds its measurements here, and
+    /// `summarize` returns it.
+    result: ScenarioResult,
 }
 
 impl ScenarioModel {
@@ -725,8 +792,8 @@ impl ScenarioModel {
         self.sweep_transients(now);
         let mut report = self.auditor.audit_at(&self.system, Some(now));
         report.merge(AuditReport::from_violations(self.board.audit_against(&self.system)));
-        self.audit_violations += report.len() as u64;
-        self.tenant_violations += report
+        self.result.audit_violations += report.len() as u64;
+        self.result.tenant_violations += report
             .violations()
             .iter()
             .filter(|v| {
@@ -739,8 +806,8 @@ impl ScenarioModel {
                 )
             })
             .count() as u64;
-        self.audit_digest ^= report.digest();
-        self.audit_digest = self.audit_digest.wrapping_mul(0x1_0000_0000_01b3);
+        self.result.audit_digest ^= report.digest();
+        self.result.audit_digest = self.result.audit_digest.wrapping_mul(0x1_0000_0000_01b3);
     }
 
     /// Replays one fault-plan event through [`StreamSystem::apply_fault`]
@@ -758,13 +825,13 @@ impl ScenarioModel {
     fn apply_fault(&mut self, now: SimTime, kind: FaultKind, queue: &mut EventQueue<Event>) {
         let policy = self.repair.as_ref().map_or(RepairPolicy::Terminate, |r| r.config.policy);
         let fault = self.system.apply_fault(kind, policy, now);
-        self.overhead.state_update_messages += self.board.publish(&self.system, fault.stale);
+        self.result.overhead.state_update_messages += self.board.publish(&self.system, fault.stale);
         let DegradeOutcome { degraded, orphaned } = fault.broken;
         if orphaned.is_empty() && degraded.is_empty() {
             return;
         }
         let churn = self.churn.as_mut().expect("faults imply churn");
-        churn.sessions_killed += orphaned.len() as u64;
+        self.result.sessions_killed += orphaned.len() as u64;
         // One detection draw per fault incident: every session the fault
         // struck is detected together. Repair-less runs keep the fixed
         // failover delay and draw nothing.
@@ -820,7 +887,7 @@ impl Model for ScenarioModel {
     type Event = Event;
 
     fn handle_event(&mut self, now: SimTime, event: Event, queue: &mut EventQueue<Event>) {
-        self.sim_events += 1;
+        self.result.sim_events += 1;
         match event {
             Event::Arrival => {
                 // Expire stale transients before admission, as nodes do.
@@ -842,10 +909,10 @@ impl Model for ScenarioModel {
                     request.tenant = Some(binding);
                     let congestion = self.board.congestion_estimate();
                     let decision = tenants.admission.admit(binding, now, congestion);
-                    let tier = tier_index(binding.tier);
-                    tenants.tiers[tier].offered += 1;
+                    let tier = &mut self.result.tenant_tiers[tier_index(binding.tier)];
+                    tier.offered += 1;
                     if !decision.admitted() {
-                        tenants.tiers[tier].shed += 1;
+                        tier.shed += 1;
                         self.system.record_tenant_shed(binding);
                         // The congestion gate never sheds Gold; if it
                         // ever does while lower tiers hold resources,
@@ -866,38 +933,33 @@ impl Model for ScenarioModel {
                     }
                     let outcome =
                         self.composer.compose(&mut self.system, &self.board, &request, now);
-                    self.probe_histogram.add(outcome.stats.probe_messages as f64);
-                    self.overhead += outcome.stats;
-                    self.setup_totals += outcome.setup;
-                    self.optimal_truncated += u64::from(outcome.truncated);
-                    self.total_requests += 1;
+                    let ledger = &mut self.result;
+                    ledger.probe_histogram.add(outcome.stats.probe_messages as f64);
+                    ledger.overhead += outcome.stats;
+                    ledger.setup_stats += outcome.setup;
+                    ledger.optimal_truncated += u64::from(outcome.truncated);
                     let success = outcome.session.is_some();
                     if outcome.setup.fault_hit() {
-                        self.fault_hit_requests += 1;
-                        if success {
-                            self.fault_hit_successes += 1;
-                        }
+                        ledger.fault_hit_requests += 1;
+                        ledger.fault_hit_successes += u64::from(success);
                     }
-                    if let (Some(tenants), Some(binding)) =
-                        (self.tenants.as_mut(), request.tenant)
-                    {
-                        let tier = tier_index(binding.tier);
+                    if let Some(binding) = request.tenant {
+                        let tier = &mut ledger.tenant_tiers[tier_index(binding.tier)];
                         if success {
-                            tenants.tiers[tier].composed += 1;
+                            tier.composed += 1;
                         } else {
-                            tenants.tiers[tier].failed += 1;
+                            tier.failed += 1;
                         }
                     }
-                    if success {
-                        self.total_successes += 1;
-                        let sid = outcome.session.expect("checked");
+                    if let Some(sid) = outcome.session {
+                        ledger.total_successes += 1;
                         queue.schedule(now + session_duration, Event::SessionEnd(sid));
                     }
                     self.counter.record(success);
                 } else {
-                    self.total_requests += 1;
                     self.counter.record(false);
                 }
+                self.result.total_requests += 1;
                 if let Some(next) = self.config.schedule.next_arrival(now, &mut self.workload_rng) {
                     if next <= SimTime::ZERO + self.config.duration {
                         queue.schedule(next, Event::Arrival);
@@ -910,9 +972,10 @@ impl Model for ScenarioModel {
             Event::Sample => {
                 let (_, rate) = self.counter.roll(now);
                 if let Some(r) = rate {
-                    self.success_series.push(now, r);
+                    self.result.success_series.push(now, r);
                 }
-                self.ratio_series.push(now, self.current_ratio());
+                let ratio = self.current_ratio();
+                self.result.ratio_series.push(now, ratio);
                 // Probing-ratio tuning on the fresh sample.
                 if let Some(mut tuner) = self.tuner.take() {
                     // Split borrows: the closure needs &mut self.
@@ -932,15 +995,13 @@ impl Model for ScenarioModel {
             }
             Event::LocalRefresh => {
                 self.sweep_transients(now);
-                let msgs = self.board.refresh_nodes(&self.system);
-                self.overhead.state_update_messages += msgs;
+                self.result.overhead.state_update_messages += self.board.refresh_nodes(&self.system);
                 if now + self.config.local_refresh <= SimTime::ZERO + self.config.duration {
                     queue.schedule(now + self.config.local_refresh, Event::LocalRefresh);
                 }
             }
             Event::Aggregate => {
-                let msgs = self.board.aggregate_links(&self.system);
-                self.overhead.state_update_messages += msgs;
+                self.result.overhead.state_update_messages += self.board.aggregate_links(&self.system);
                 if now + self.config.aggregation_interval <= SimTime::ZERO + self.config.duration {
                     queue.schedule(now + self.config.aggregation_interval, Event::Aggregate);
                 }
@@ -965,13 +1026,13 @@ impl Model for ScenarioModel {
                 for (fail_time, request) in drain_due(&mut churn.pending, now) {
                     let outcome =
                         self.composer.compose(&mut self.system, &self.board, &request, now);
-                    self.overhead += outcome.stats;
-                    self.setup_totals += outcome.setup;
-                    self.optimal_truncated += u64::from(outcome.truncated);
+                    self.result.overhead += outcome.stats;
+                    self.result.setup_stats += outcome.setup;
+                    self.result.optimal_truncated += u64::from(outcome.truncated);
                     match outcome.session {
                         Some(sid) => {
-                            churn.sessions_recovered += 1;
-                            churn.recovery_latency.add((now - fail_time).as_secs_f64());
+                            self.result.sessions_recovered += 1;
+                            self.result.recovery_latency.add((now - fail_time).as_secs_f64());
                             if self.repair.is_some() {
                                 self.system.repair_ledger_mut().record_restored(request.id, now);
                             }
@@ -1001,7 +1062,7 @@ impl Model for ScenarioModel {
                                     queue.schedule(at, Event::FailoverSweep);
                                 }
                                 None => {
-                                    churn.sessions_lost += 1;
+                                    self.result.sessions_lost += 1;
                                     // A failed restart with no budget
                                     // left settles the ticket.
                                     if self.repair.is_some() {
@@ -1046,8 +1107,8 @@ impl Model for ScenarioModel {
                         ),
                     };
                     if let Some(probing) = attempt.probing {
-                        self.overhead += probing.stats;
-                        self.setup_totals += probing.setup;
+                        self.result.overhead += probing.stats;
+                        self.result.setup_stats += probing.setup;
                     }
                     match attempt.verdict {
                         // Repaired settles the ticket in the ledger;
@@ -1080,7 +1141,7 @@ impl Model for ScenarioModel {
                                             .ticket(request.id)
                                             .map_or(now, |t| t.failed_at);
                                         let churn = self.churn.as_mut().expect("checked");
-                                        churn.sessions_killed += 1;
+                                        self.result.sessions_killed += 1;
                                         churn.pending.push((now, (fail_time, request)));
                                         queue.schedule(now, Event::FailoverSweep);
                                     }
@@ -1102,17 +1163,13 @@ impl Model for ScenarioModel {
                 self.run_audit(now);
             }
             Event::Rebalance => {
-                if self.churn.is_some() {
-                    if let Some(churn) = self.churn.as_mut() {
-                        churn.rebalancer.rebalance_round(&mut self.system);
-                    }
-                    let msgs = self.board.refresh_nodes(&self.system);
-                    self.overhead.state_update_messages += msgs;
-                    let interval = self.churn.as_ref().and_then(|c| c.config.rebalance_interval);
-                    if let Some(interval) = interval {
-                        if now + interval <= SimTime::ZERO + self.config.duration {
-                            queue.schedule(now + interval, Event::Rebalance);
-                        }
+                let Some(churn) = self.churn.as_mut() else { return };
+                let moved = churn.rebalancer.rebalance_round(&mut self.system);
+                self.result.migrations += moved.len() as u64;
+                self.result.overhead.state_update_messages += self.board.refresh_nodes(&self.system);
+                if let Some(interval) = churn.config.rebalance_interval {
+                    if now + interval <= SimTime::ZERO + self.config.duration {
+                        queue.schedule(now + interval, Event::Rebalance);
                     }
                 }
             }
@@ -1122,10 +1179,10 @@ impl Model for ScenarioModel {
                     if self.board.congestion_estimate() >= preemption.congestion_threshold {
                         let reclaimed = tenants.preemptor.preempt_round(&mut self.system);
                         if !reclaimed.is_empty() {
-                            tenants.preemptions += reclaimed.len() as u64;
+                            self.result.tenant_preemptions += reclaimed.len() as u64;
                             // Preempted capacity is only useful if the
                             // coarse state advertises it.
-                            self.overhead.state_update_messages +=
+                            self.result.overhead.state_update_messages +=
                                 self.board.refresh_nodes(&self.system);
                         }
                     }
@@ -1214,6 +1271,7 @@ fn simulate(config: ScenarioConfig) -> ScenarioModel {
     });
 
     let generator = RequestGenerator::new(library, config.requests.clone());
+    let mut result = ScenarioResult::new(config.algorithm);
     let sampling = config.sampling_period;
     let local_refresh = config.local_refresh;
     let aggregation = config.aggregation_interval;
@@ -1231,18 +1289,14 @@ fn simulate(config: ScenarioConfig) -> ScenarioModel {
             system.overlay().link_count(),
             duration,
         );
+        result.fault_events = plan.len();
+        result.fault_kinds = plan.distinct_kinds();
+        result.fault_digest = plan.digest();
         ChurnState {
-            fault_events: plan.len(),
-            fault_kinds: plan.distinct_kinds(),
-            fault_digest: plan.digest(),
             scheduler: plan.into_scheduler(),
             rng: streams.stream("churn"),
             pending: Vec::new(),
             rebalancer: Rebalancer::new(RebalanceConfig::default()),
-            sessions_killed: 0,
-            sessions_recovered: 0,
-            sessions_lost: 0,
-            recovery_latency: SummaryStats::default(),
             config: churn_config,
         }
     });
@@ -1296,8 +1350,6 @@ fn simulate(config: ScenarioConfig) -> ScenarioModel {
             bindings,
             cumulative_weights,
             admission,
-            preemptions: 0,
-            tiers: [TierCounters::default(); 3],
             config: tenants_config,
         }
     });
@@ -1321,24 +1373,11 @@ fn simulate(config: ScenarioConfig) -> ScenarioModel {
         workload_rng,
         replay_seed,
         counter: WindowedCounter::new(sampling),
-        probe_histogram: Histogram::new(0.0, 200.0, 40),
-        success_series: TimeSeries::new("success_rate"),
-        ratio_series: TimeSeries::new("probing_ratio"),
-        overhead: OverheadStats::new(),
-        total_requests: 0,
-        total_successes: 0,
         replay_key_offset: 0,
         churn,
         tenants,
-        tenant_violations: 0,
         auditor: SystemAuditor::default(),
-        audit_violations: 0,
-        audit_digest: 0,
-        sim_events: 0,
-        setup_totals: SetupStats::default(),
-        fault_hit_requests: 0,
-        fault_hit_successes: 0,
-        optimal_truncated: 0,
+        result,
         repair,
         config,
     };
@@ -1367,95 +1406,61 @@ fn simulate(config: ScenarioConfig) -> ScenarioModel {
     sim.into_model()
 }
 
-/// The closing audit and sweep of a finished run, and its measurements.
+/// The closing audit and the post-horizon sweep of a finished run, and
+/// what its ledger can only learn at the end.
 fn summarize(mut model: ScenarioModel) -> ScenarioResult {
-    let duration = model.config.duration;
-    let algorithm = model.config.algorithm;
-    let minutes = duration.as_minutes_f64();
-    let end = SimTime::ZERO + duration;
+    let minutes = model.config.duration.as_minutes_f64();
+    let end = SimTime::ZERO + model.config.duration;
     // Closing audit: the final state must satisfy every invariant too.
     model.run_audit(end);
-    // Post-horizon reclamation sweep: after the final audit, sweep one
-    // full lease lifetime past the end of the run. Anything that survives
-    // outlived its maximum legitimate window — a leak.
+    // Post-horizon reclamation sweep, to the latest expiry a lease can
+    // legitimately carry: a request arriving at `end` reserves with
+    // expiry `attempt + transient_timeout`, and under two-phase setup its
+    // last retry round runs the whole backoff ladder after `end`.
+    // Anything that survives outlived that window — a leak.
     let leases_live_end = model.system.live_lease_count() as u64;
-    let horizon = end + model.config.probing.transient_timeout;
-    model.system.expire_transients(horizon);
+    let backoff = model.config.setup.as_ref().map_or(SimDuration::ZERO, SetupConfig::max_backoff);
+    model.system.expire_transients(end + backoff + model.config.probing.transient_timeout);
     let live_after_horizon = model.system.live_lease_count() as u64;
-    let leases_leaked =
-        live_after_horizon + u64::from(!model.system.lease_stats().reconciles(live_after_horizon));
-    let overall = if model.total_requests == 0 {
-        0.0
-    } else {
-        model.total_successes as f64 / model.total_requests as f64
-    };
-    // Per-tier outcomes: admission counters from the runtime, session
-    // fates (preempted/killed/live) from the ledger.
-    let mut tenant_tiers = [TierSummary::default(); 3];
-    if let Some(tenants) = model.tenants.as_ref() {
-        for (i, c) in tenants.tiers.iter().enumerate() {
-            tenant_tiers[i].offered = c.offered;
-            tenant_tiers[i].shed = c.shed;
-            tenant_tiers[i].composed = c.composed;
-            tenant_tiers[i].failed = c.failed;
-        }
-        for (_, stats) in model.system.tenant_ledger().iter() {
-            let i = tier_index(stats.tier);
-            tenant_tiers[i].preempted += stats.preempted;
-            tenant_tiers[i].killed += stats.killed;
-            tenant_tiers[i].live_end += stats.live;
-        }
+
+    let ScenarioModel { mut result, system, board, tuner, churn, .. } = model;
+    result.leases_live_end = leases_live_end;
+    result.leases_leaked =
+        live_after_horizon + u64::from(!system.lease_stats().reconciles(live_after_horizon));
+    result.lease_stats = system.lease_stats();
+    result.overall_success = share(result.total_successes, result.total_requests, 0.0);
+    result.messages_per_minute = result.overhead.total_messages() as f64 / minutes;
+    result.probe_messages_per_minute = result.overhead.probe_messages as f64 / minutes;
+    result.final_sessions = system.session_count();
+    result.session_digest = session_digest(&system);
+    result.path_cache = system.path_cache_stats();
+    result.state_scans = board.scan_stats();
+    result.aggregation_rounds = board.aggregation_rounds();
+    if let Some(tuner) = &tuner {
+        result.profiling_runs = tuner.profiling_runs();
     }
-    let ledger = model.system.repair_ledger();
-    ScenarioResult {
-        algorithm,
-        repair_opened: ledger.opened,
-        repair_attempts: ledger.attempts,
-        sessions_repaired: ledger.repaired,
-        sessions_restored: ledger.restored,
-        repair_abandoned: ledger.abandoned,
-        repair_cancelled: ledger.cancelled,
-        mttr: *ledger.mttr_stats(),
-        mttr_p50: ledger.mttr_quantile(0.5).unwrap_or(0.0),
-        mttr_p99: ledger.mttr_quantile(0.99).unwrap_or(0.0),
-        overall_success: overall,
-        total_requests: model.total_requests,
-        total_successes: model.total_successes,
-        messages_per_minute: model.overhead.total_messages() as f64 / minutes,
-        probe_messages_per_minute: model.overhead.probe_messages as f64 / minutes,
-        overhead: model.overhead,
-        final_sessions: model.system.session_count(),
-        state_scans: model.board.scan_stats(),
-        aggregation_rounds: model.board.aggregation_rounds(),
-        session_digest: session_digest(&model.system),
-        profiling_runs: model.tuner.as_ref().map_or(0, |t| t.profiling_runs()),
-        probe_histogram: model.probe_histogram,
-        path_cache: model.system.path_cache_stats(),
-        success_series: model.success_series,
-        ratio_series: model.ratio_series,
-        sim_events: model.sim_events,
-        fault_events: model.churn.as_ref().map_or(0, |c| c.fault_events),
-        fault_kinds: model.churn.as_ref().map_or(0, |c| c.fault_kinds),
-        fault_digest: model.churn.as_ref().map_or(0, |c| c.fault_digest),
-        sessions_killed: model.churn.as_ref().map_or(0, |c| c.sessions_killed),
-        sessions_recovered: model.churn.as_ref().map_or(0, |c| c.sessions_recovered),
-        sessions_lost: model.churn.as_ref().map_or(0, |c| c.sessions_lost),
-        sessions_pending: model.churn.as_ref().map_or(0, |c| c.pending.len() as u64),
-        recovery_latency: model.churn.as_ref().map(|c| c.recovery_latency).unwrap_or_default(),
-        audit_violations: model.audit_violations,
-        audit_digest: model.audit_digest,
-        migrations: model.churn.as_ref().map_or(0, |c| c.rebalancer.total_migrations()),
-        lease_stats: model.system.lease_stats(),
-        leases_live_end,
-        leases_leaked,
-        setup_stats: model.setup_totals,
-        fault_hit_requests: model.fault_hit_requests,
-        fault_hit_successes: model.fault_hit_successes,
-        optimal_truncated: model.optimal_truncated,
-        tenant_tiers,
-        tenant_preemptions: model.tenants.as_ref().map_or(0, |t| t.preemptions),
-        tenant_violations: model.tenant_violations,
+    if let Some(churn) = &churn {
+        result.sessions_pending = churn.pending.len() as u64;
     }
+    // Session fates per tier (preempted / killed / live) are the tenant
+    // ledger's; the admission columns were counted as they happened.
+    for (_, stats) in system.tenant_ledger().iter() {
+        let tier = &mut result.tenant_tiers[tier_index(stats.tier)];
+        tier.preempted += stats.preempted;
+        tier.killed += stats.killed;
+        tier.live_end += stats.live;
+    }
+    let ledger = system.repair_ledger();
+    result.repair_opened = ledger.opened;
+    result.repair_attempts = ledger.attempts;
+    result.sessions_repaired = ledger.repaired;
+    result.sessions_restored = ledger.restored;
+    result.repair_abandoned = ledger.abandoned;
+    result.repair_cancelled = ledger.cancelled;
+    result.mttr = *ledger.mttr_stats();
+    result.mttr_p50 = ledger.mttr_quantile(0.5).unwrap_or(0.0);
+    result.mttr_p99 = ledger.mttr_quantile(0.99).unwrap_or(0.0);
+    result
 }
 
 #[cfg(test)]
@@ -1549,7 +1554,7 @@ mod tests {
         let mut config = ScenarioConfig::small(6);
         config.duration = SimDuration::from_minutes(18);
         let plain = simulate(config.clone());
-        assert!(plain.total_requests > 100);
+        assert!(plain.result.total_requests > 100);
         assert!(plain.trace.is_empty(), "{} requests cloned for no reader", plain.trace.len());
 
         config.tuner = Some(TunerConfig { target_success: 0.9, ..TunerConfig::default() });
@@ -1559,7 +1564,7 @@ mod tests {
         // deque recorded on demand (values taken at the parent commit).
         let profiling_runs = tuned.tuner.as_ref().map(|t| t.profiling_runs());
         assert_eq!(
-            (session_digest(&tuned.system), tuned.total_successes, profiling_runs),
+            (session_digest(&tuned.system), tuned.result.total_successes, profiling_runs),
             (0x98df_e77d_c744_93fc, 187, Some(1))
         );
     }
@@ -1957,8 +1962,20 @@ mod tests {
         rejects("overlay_neighbors", |c| c.overlay_neighbors = 0);
         rejects("ip_nodes", |c| c.ip_nodes = c.stream_nodes - 1);
         rejects("functions", |c| c.functions = 11);
-        rejects("components_per_node", |c| c.system.components_per_node = (4, 3));
-        rejects("session_minutes", |c| c.requests.session_minutes = (6.0, 5.0));
+        // Each of these reached `gen_range(lo..hi)` and panicked with
+        // "cannot sample empty range" while only the first and the last
+        // were checked.
+        rejects("system.components_per_node", |c| c.system.components_per_node = (4, 3));
+        rejects("system.node_cpu", |c| c.system.node_cpu = (80.0, 40.0));
+        rejects("system.node_memory_mb", |c| c.system.node_memory_mb = (1200.0, 400.0));
+        rejects("system.component_max_rate_kbps", |c| c.system.component_max_rate_kbps = (2e3, 600.0));
+        rejects("requests.per_hop_delay_ms", |c| c.requests.per_hop_delay_ms = (120.0, 50.0));
+        rejects("requests.max_loss", |c| c.requests.max_loss = (0.12, 0.04));
+        rejects("requests.base_cpu", |c| c.requests.base_cpu = (2.2, 1.0));
+        rejects("requests.base_memory_mb", |c| c.requests.base_memory_mb = (24.0, 10.0));
+        rejects("requests.bandwidth_kbps", |c| c.requests.bandwidth_kbps = (200.0, 50.0));
+        rejects("requests.stream_rate_kbps", |c| c.requests.stream_rate_kbps = (500.0, f64::NAN));
+        rejects("requests.session_minutes", |c| c.requests.session_minutes = (6.0, 5.0));
         rejects("tenants", |c| c.tenants.as_mut().unwrap().tenants.clear());
         rejects("tenants", |c| c.tenants.as_mut().unwrap().tenants[1].weight = 0.0);
         rejects("mutually exclusive", |c| {
@@ -2032,5 +2049,128 @@ mod tests {
         assert_eq!(a.setup_stats, b.setup_stats);
         assert_eq!(a.lease_stats, b.lease_stats);
         assert_eq!(a.fault_hit_requests, b.fault_hit_requests);
+    }
+
+    /// The full-stack golden configuration: doubled fault rates with
+    /// partitions, in-place repair, the tenant mix, lossy two-phase setup.
+    fn full_stack() -> ScenarioConfig {
+        let mut config = ScenarioConfig::small(16);
+        config.churn = Some(ChurnConfig {
+            faults: FaultPlanConfig { partition_per_min: 0.3, ..FaultPlanConfig::default() }.scaled(2.0),
+            ..ChurnConfig::default()
+        });
+        config.repair = Some(RepairScenarioConfig::default());
+        config.tenants = Some(TenantsConfig::standard_mix());
+        config.setup = Some(lossy_setup(0.05, 0.025));
+        config
+    }
+
+    fn lossy_setup(probe_drop: f64, confirm_loss: f64) -> SetupConfig {
+        SetupConfig {
+            faults: acp_simcore::MessageFaultConfig {
+                probe_drop,
+                confirm_loss,
+                stale_ack: 0.5,
+                ..acp_simcore::MessageFaultConfig::default()
+            },
+            ..SetupConfig::default()
+        }
+    }
+
+    /// What separate shadow counters made true by keeping in step, the
+    /// one ledger must make true by how its handlers add into it.
+    #[test]
+    fn ledger_identities_hold_on_the_full_stack() {
+        let config = full_stack();
+        let minutes = config.duration.as_minutes_f64();
+        let r = run_scenario(config);
+        assert!(r.sessions_killed > 0 && r.setup_stats.retries > 0, "faults of both kinds must land");
+        let tiers = |count: fn(&TierSummary) -> u64| r.tenant_tiers.iter().map(count).sum::<u64>();
+        assert_eq!(r.total_requests, tiers(|t| t.offered), "every arrival is offered to exactly one tier");
+        assert_eq!(r.total_successes, tiers(|t| t.composed));
+        assert_eq!(tiers(|t| t.offered), tiers(|t| t.shed + t.composed + t.failed), "shed, composed or failed");
+        assert_eq!(r.sessions_killed, r.sessions_recovered + r.sessions_lost + r.sessions_pending);
+        assert_eq!(r.recovery_latency.count, r.sessions_recovered, "one latency sample per recovery");
+        assert_eq!(r.sessions_restored, r.sessions_recovered, "every recompose settles its ticket as restored");
+        assert_eq!(r.messages_per_minute, r.overhead.total_messages() as f64 / minutes);
+        assert_eq!(r.probe_messages_per_minute, r.overhead.probe_messages as f64 / minutes);
+        assert_eq!(r.overall_success, r.total_successes as f64 / r.total_requests as f64);
+        // Arrivals land in the histogram; failover and repair composes
+        // add to the message and setup ledgers only.
+        assert_eq!(r.probe_histogram.count() + tiers(|t| t.shed), r.total_requests);
+        assert!(r.setup_stats.attempts > r.probe_histogram.count(), "sweeps' setup rounds are summed in");
+        assert!(r.fault_hit_successes <= r.fault_hit_requests && r.fault_hit_requests <= r.total_requests);
+        assert_eq!(r.profiling_runs, 0, "no tuner, no profiling");
+        assert_eq!((r.audit_violations, r.tenant_violations, r.leases_leaked), (0, 0, 0));
+    }
+
+    #[test]
+    fn derived_rates_have_their_empty_cases() {
+        let blank = ScenarioResult::new(AlgorithmKind::Acp);
+        assert_eq!((blank.recovery_rate(), blank.survival(), blank.continuity()), (1.0, 1.0, 0.0));
+        assert_eq!(blank.tenant_tiers[0].success_rate(), 0.0);
+        let settled = ScenarioResult {
+            sessions_repaired: 6,
+            sessions_restored: 2,
+            repair_abandoned: 1,
+            repair_cancelled: 1,
+            fault_hit_successes: 9,
+            setup_stats: SetupStats { fault_failures: 1, ..SetupStats::default() },
+            ..blank
+        };
+        assert!((settled.survival() - 8.0 / 9.0).abs() < 1e-12, "cancelled tickets are excluded");
+        assert!((settled.continuity() - 6.0 / 8.0).abs() < 1e-12);
+        assert!((settled.recovery_rate() - 0.9).abs() < 1e-12);
+    }
+
+    /// A loaded small system under heavy transport loss: requests fail
+    /// with a confirmation unaccounted for, so their leases stay orphaned
+    /// until expiry, up to the run's last second.
+    fn orphaning() -> ScenarioConfig {
+        let mut config = ScenarioConfig::small(6);
+        config.schedule = RateSchedule::constant(60.0);
+        config.setup = Some(lossy_setup(0.2, 0.3));
+        config
+    }
+
+    /// Regression: the gauge swept once at `end + transient_timeout`, but
+    /// a request arriving in the run's last seconds runs its retry rounds
+    /// *after* `end` (at `arrival + Σ backoff`) and reserves from there,
+    /// so its orphans legitimately outlive that horizon — this run read
+    /// "36 leaked".
+    #[test]
+    fn leak_gauge_sweeps_to_the_last_legitimate_expiry() {
+        let result = run_scenario(orphaning());
+        assert!(result.leases_live_end > 0, "the run must end holding orphaned leases");
+        assert_eq!(result.leases_leaked, 0, "every orphan expires within the retry ladder's reach");
+        assert!(result.lease_stats.reconciles(0), "{:?}", result.lease_stats);
+        assert_eq!(result.audit_violations, 0);
+    }
+
+    /// The gauge is not vacuous: it sweeps to a bound, not to whenever
+    /// the last lease happens to expire. A lease expiring exactly at the
+    /// bound is reclaimed; one a microsecond past it is a leak.
+    #[test]
+    fn a_lease_expiring_past_the_bound_is_still_a_leak() {
+        let config = orphaning();
+        let bound = SimTime::ZERO
+            + config.duration
+            + config.setup.as_ref().expect("two-phase").max_backoff()
+            + config.probing.transient_timeout;
+        let mut model = simulate(config);
+        let node = model.system.overlay().nodes().next().expect("nodes");
+        let mut hosted = model.system.node(node).components().map(|c| c.id);
+        let (at_bound, past_bound) = (hosted.next().expect("hosted"), hosted.next().expect("two hosted"));
+        drop(hosted);
+        let amount = ResourceVector::new(0.01, 0.01);
+        let stray = RequestId(u64::MAX);
+        assert!(model.system.reserve_component_transient(stray, at_bound, amount, bound));
+        assert!(model.system.reserve_component_transient(
+            stray,
+            past_bound,
+            amount,
+            bound + SimDuration::from_micros(1)
+        ));
+        assert_eq!(summarize(model).leases_leaked, 1);
     }
 }

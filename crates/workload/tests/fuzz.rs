@@ -19,11 +19,38 @@ fn pick<T: Clone>(rng: &mut StdRng, choices: &[T]) -> T {
     choices[rng.gen_range(0..choices.len())].clone()
 }
 
-/// One point of the cross-product. Half the systems are degenerate (2–6
-/// stream nodes, where most functions have no candidate at all), half
-/// are big enough for every feature to bite; all run ≤ 5 simulated
-/// minutes with the maintenance periods shortened to fire inside them.
-fn draw_config(rng: &mut StdRng) -> ScenarioConfig {
+/// Inverts one of the eleven `(lo, hi)` ranges the system and request
+/// builders sample from — strictly, whatever was drawn for it.
+fn invert_a_range(rng: &mut StdRng, config: &mut ScenarioConfig) {
+    let (system, requests) = (&mut config.system, &mut config.requests);
+    let ranges = [
+        &mut system.node_cpu,
+        &mut system.node_memory_mb,
+        &mut system.component_max_rate_kbps,
+        &mut requests.per_hop_delay_ms,
+        &mut requests.max_loss,
+        &mut requests.base_cpu,
+        &mut requests.base_memory_mb,
+        &mut requests.bandwidth_kbps,
+        &mut requests.stream_rate_kbps,
+        &mut requests.session_minutes,
+    ];
+    match rng.gen_range(0..=ranges.len()) {
+        i if i < ranges.len() => *ranges[i] = (ranges[i].1 + 1.0, ranges[i].0),
+        _ => {
+            let (lo, hi) = system.components_per_node;
+            system.components_per_node = (hi + 1, lo);
+        }
+    }
+}
+
+/// One point of the cross-product, and whether one of the preconditions
+/// `validate` exists for was broken on purpose. Half the systems are
+/// degenerate (2–6 stream nodes, where most functions have no candidate
+/// at all), half are big enough for every feature to bite; all run ≤ 5
+/// simulated minutes with the maintenance periods shortened to fire
+/// inside them.
+fn draw_config(rng: &mut StdRng) -> (ScenarioConfig, bool) {
     let stream_nodes = if rng.gen_bool(0.5) { rng.gen_range(2..=6) } else { rng.gen_range(16..=40) };
     let minutes = SimTime::from_minutes;
     let rate = rng.gen_range(60.0..240.0);
@@ -116,24 +143,28 @@ fn draw_config(rng: &mut StdRng) -> ScenarioConfig {
         config.controller = Some(PiControllerConfig::default());
     }
     // Now and then, one of the preconditions `validate` exists for.
-    match rng.gen_range(0..24) {
+    let edge = rng.gen_range(0..24);
+    match edge {
         0 => config.local_refresh = SimDuration::ZERO,
         1 => config.sampling_period = SimDuration::ZERO,
         2 => config.stream_nodes = 1,
-        3 => config.requests.session_minutes = (2.0, 1.0),
+        3 => invert_a_range(rng, &mut config),
         _ => {}
     }
-    config
+    (config, edge <= 3)
 }
 
 /// Draws one configuration and, unless `validate` refuses it, runs it.
 fn check(case_seed: u64) {
-    let config = draw_config(&mut StdRng::seed_from_u64(case_seed));
+    let (config, broken) = draw_config(&mut StdRng::seed_from_u64(case_seed));
     if config.validate().is_err() {
         return;
     }
     // compat-proptest does not shrink: name the failing configuration.
     let blame = |what: &str| format!("{what}\ncase seed {case_seed}: {config:#?}");
+    // A broken precondition is refused with a typed error, never run
+    // into the `gen_range` (or the endless re-scheduling) behind it.
+    assert!(!broken, "{}", blame("validate let a broken precondition through"));
     let r = match catch_unwind(AssertUnwindSafe(|| run_scenario(config.clone()))) {
         Ok(result) => result,
         Err(panic) => {
@@ -176,7 +207,7 @@ fn the_draw_reaches_both_outcomes() {
     let mut rng = StdRng::seed_from_u64(7);
     let (mut valid, mut refused) = (0, 0);
     for _ in 0..200 {
-        match draw_config(&mut rng).validate() {
+        match draw_config(&mut rng).0.validate() {
             Ok(()) => valid += 1,
             Err(_) => refused += 1,
         }

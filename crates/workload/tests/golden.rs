@@ -13,7 +13,8 @@
 use acp_core::SetupConfig;
 use acp_simcore::{FaultPlanConfig, MessageFaultConfig};
 use acp_workload::{
-    run_scenario, ChurnConfig, RepairPolicy, RepairScenarioConfig, ScenarioConfig, TenantsConfig,
+    run_scenario, ChurnConfig, RepairPolicy, RepairScenarioConfig, ScenarioConfig, ScenarioResult,
+    TenantsConfig,
 };
 
 /// What one feature set must reproduce.
@@ -30,7 +31,7 @@ struct Golden {
     repair: (u64, u64, u64, u64, u64),
 }
 
-fn check(name: &str, config: ScenarioConfig, want: Golden) {
+fn check(name: &str, config: ScenarioConfig, want: Golden) -> ScenarioResult {
     let got = run_scenario(config);
     assert_eq!(got.audit_violations, 0, "{name}: audit violations");
     assert_eq!(got.leases_leaked, 0, "{name}: leaked leases");
@@ -61,6 +62,7 @@ fn check(name: &str, config: ScenarioConfig, want: Golden) {
         want.repair,
         "{name}: opened / repaired / restored / abandoned / cancelled"
     );
+    got
 }
 
 fn base() -> ScenarioConfig {
@@ -235,7 +237,7 @@ fn full_stack() {
         }),
         ..with(partitions().scaled(2.0), Some(RepairPolicy::Repair))
     };
-    check(
+    let got = check(
         "full stack",
         config,
         Golden {
@@ -248,4 +250,7 @@ fn full_stack() {
             repair: (524, 95, 409, 20, 0),
         },
     );
+    // The one row with two-phase setup: arrivals, failover recomposes and
+    // repair splices all add their probing rounds to one setup ledger.
+    assert_eq!((got.setup_stats.attempts, got.setup_stats.retries), (1_128, 107), "full stack: setup rounds / retries");
 }

@@ -6,9 +6,9 @@
 # time, and the oracle must pass on the pristine copy and fail on every
 # mutant. A mutant named 'FILE.rs: ...' must fail inside that test file.
 #
-#   scripts/mutation_check.sh [selection|optimal|faults|compose|counters] [WORKDIR]
+#   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|leases|readmit|board] [WORKDIR]
 #
-# No suite name runs all five; WORKDIR defaults to target/mutation-check.
+# No suite name runs all nine; WORKDIR defaults to target/mutation-check.
 # The repository itself is never edited; the copy and its cargo target
 # directory live under WORKDIR.
 set -euo pipefail
@@ -76,9 +76,50 @@ counters_mutants=(
     'allocs.rs: a private graph per committed session|s/^            request_spec: request\.clone(),$/            request_spec: Request { graph: crate::fgraph::FunctionGraph::new(request.graph.vertices().map(|v| request.graph.function(v)).collect(), request.graph.edges().to_vec()), ..request.clone() },/'
 )
 
-suites=(selection optimal faults compose counters)
+# The scenario's one ledger: each handler adds its measurements into the
+# ScenarioResult the run returns, and nothing re-derives them, so a
+# handler that forgets to is caught only by a pinned number. The first
+# drops the failover path's recoveries (golden.rs pins killed / recovered
+# / lost); the second leaves repair splices' probing rounds out of the
+# setup ledger (golden.rs pins the full stack's rounds); the third books a
+# tenant's successful composition as a failure (counters.rs pins the
+# tenant sweep's tier rows).
+ledger_kernel=crates/workload/src/scenario.rs
+ledger_target='-p acp-workload -p acp-bench --test golden --test counters --test chaos --no-fail-fast'
+ledger_oracle= # every test of the three targets
+ledger_mutants=(
+    'golden.rs: recoveries not counted on the failover path|s/^                            self\.result\.sessions_recovered += 1;$/                            self.result.sessions_recovered += 0;/'
+    'golden.rs: setup ledger not summed for repair composes|s/^                        self\.result\.setup_stats += probing\.setup;$//'
+    'counters.rs: tier failed bumped on success|s/^                            tier\.composed += 1;$/                            tier.failed += 1;/'
+)
+
+# Three kernels kept exact by a differential proptest each. A site that
+# stays in the lease directory's live set after its last lease went; a
+# re-admission that ignores the tie its node would win, so a forwarding
+# node is attached as a leaf; a board that takes a node whose version
+# moved for one it has already compared.
+leases_kernel=crates/model/src/lease.rs
+leases_target='-p acp-model --lib'
+leases_oracle=lease::tests::sweeps_match_the_full_scans_they_replaced
+leases_mutants=(
+    'emptied site left in the live set|s/^            if after\.is_empty() {$/            if false \&\& after.is_empty() {/'
+)
+readmit_kernel=crates/topology/src/routing.rs
+readmit_target='-p acp-topology --lib'
+readmit_oracle=routing::tests::readmit_is_exact_or_refuses
+readmit_mutants=(
+    'a tie the node would win is not a forward|s/via < dy || (via == dy \&\& (Some(dv), node) < (self\.dist\[p\.index()\], p))/via < dy/'
+)
+board_kernel=crates/state/src/global.rs
+board_target='-p acp-state --lib'
+board_oracle=global::tests::incremental_matches_full_scan
+board_mutants=(
+    'node skipped though its version moved|s/self\.config\.incremental \&\& self\.seen_node_versions\[i\] == versions\[i\]/self.config.incremental \&\& self.seen_node_versions[i] <= versions[i]/'
+)
+
+suites=(selection optimal faults compose counters ledger leases readmit board)
 case "${1:-}" in
-    selection | optimal | faults | compose | counters)
+    selection | optimal | faults | compose | counters | ledger | leases | readmit | board)
         suites=("$1")
         shift
         ;;
