@@ -124,11 +124,9 @@ fn warm_operations_allocate_exactly_this_much() {
     // setup ledger around the same compositions. It reads what
     // single-phase reads: an inert setup path allocates nothing of its
     // own (the old wall-clock A/B between the two said "within noise").
-    let mut leased = system.clone();
-    leased.set_lease_accounting(true);
     let setup = SetupState::new(43, SetupConfig::default());
     let mut acp_two_phase = ProbingComposer::with_mode(probing.clone(), 42, setup);
-    let two_phase = warm_compose_close(&mut acp_two_phase, &leased, &board, &batch);
+    let two_phase = warm_compose_close(&mut acp_two_phase, &system, &board, &batch);
     assert_eq!(two_phase, (200, (4_529, 497_416)), "ACP two-phase");
 
     // Optimal: the branch-and-bound under the figures' expansion cap.
@@ -157,8 +155,7 @@ fn warm_operations_allocate_exactly_this_much() {
 
     // One repair splice: the middle hop of a three-function path crashes
     // and the planner splices a replacement in place.
-    let mut sys = leased;
-    sys.set_repair_accounting(true);
+    let mut sys = system.clone();
     let path = batch
         .iter()
         .find(|r| r.graph.len() == 3 && r.graph.is_path())

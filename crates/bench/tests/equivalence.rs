@@ -7,7 +7,7 @@
 
 use acp_bench::experiments::Scale;
 use acp_core::{AlgorithmKind, SetupConfig};
-use acp_model::prelude::{LeaseStats, TenantTier};
+use acp_model::prelude::TenantTier;
 use acp_simcore::SimDuration;
 use acp_state::GlobalStateConfig;
 use acp_workload::{
@@ -79,10 +79,10 @@ fn incremental_board_matches_full_scan_scenario() {
 ///
 /// This is also the monomorphization contract: the `plain` run
 /// instantiates the composer over `SinglePhase` (the two-phase retry
-/// loop, fault sampling, backoff draws, and lease-ledger bookkeeping
-/// are compiled out — `LeaseStats` stays exactly zero), the `two_phase`
-/// run over the full `TwoPhase` machinery, and at zero fault rates both
-/// instantiations must produce identical figure digests.
+/// loop, fault sampling and backoff draws are compiled out), the
+/// `two_phase` run over the full `TwoPhase` machinery, and at zero fault
+/// rates both instantiations must produce identical figure digests and
+/// identical lease ledgers.
 #[test]
 fn inert_two_phase_matches_single_phase_scenario() {
     let plain = fig6_style_point(true);
@@ -105,10 +105,10 @@ fn inert_two_phase_matches_single_phase_scenario() {
     assert_eq!(plain.aggregation_rounds, two_phase.aggregation_rounds);
     assert_eq!(plain.success_series.samples(), two_phase.success_series.samples());
 
-    // The single-phase instantiation performs no ledger accounting at
-    // all; the two-phase one maintains a ledger that reconciles.
-    assert_eq!(plain.lease_stats, LeaseStats::default(), "single-phase ledger must stay zero");
-    assert!(two_phase.lease_stats.created > 0, "two-phase ledger must be live");
+    // Both keep the lease ledger, and an inert two-phase round places
+    // and settles exactly the leases a single-phase one does.
+    assert_eq!(plain.lease_stats, two_phase.lease_stats, "lease ledgers diverged");
+    assert!(two_phase.lease_stats.created > 0, "the ledger must be live");
     assert!(
         two_phase.lease_stats.reconciles(two_phase.leases_live_end),
         "inert two-phase ledger must reconcile: {:?}",

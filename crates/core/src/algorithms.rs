@@ -32,9 +32,6 @@ pub struct ComposeOutcome {
     pub session: Option<SessionId>,
     /// Message ledger for this request.
     pub stats: OverheadStats,
-    /// Probing rounds run (1 unless fault-induced retries happened;
-    /// always 1 for the non-probing algorithms).
-    pub attempts: u32,
     /// Two-phase setup ledger (all-zero unless two-phase setup is
     /// enabled and faults fired).
     pub setup: SetupStats,
@@ -49,7 +46,6 @@ impl From<ProbingOutcome> for ComposeOutcome {
         ComposeOutcome {
             session: out.session,
             stats: out.stats,
-            attempts: out.attempts,
             setup: out.setup,
             truncated: false,
         }
@@ -57,10 +53,10 @@ impl From<ProbingOutcome> for ComposeOutcome {
 }
 
 impl ComposeOutcome {
-    /// The outcome of an algorithm that commits directly: one attempt, no
-    /// two-phase setup.
+    /// The outcome of an algorithm that commits directly: no two-phase
+    /// setup.
     fn direct(session: Option<SessionId>, stats: OverheadStats, truncated: bool) -> Self {
-        ComposeOutcome { session, stats, attempts: 1, setup: SetupStats::default(), truncated }
+        ComposeOutcome { session, stats, setup: SetupStats::default(), truncated }
     }
 }
 
@@ -95,7 +91,7 @@ pub trait Composer {
 ///
 /// The setup mode is a type parameter: the default [`SinglePhase`]
 /// instantiation compiles the entire two-phase machinery (retry loop,
-/// fault sampling, backoff draws, lease accounting hooks) out of the hot
+/// fault sampling, backoff draws, stale-ack replay) out of the hot
 /// path, while `ProbingComposer<SetupState>` carries the lossy-transport
 /// protocol. Dispatch happens once, at construction.
 #[derive(Debug)]

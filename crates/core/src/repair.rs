@@ -111,8 +111,8 @@ impl RepairPlanner {
 
     /// Attempts to repair degraded session `sid`: derives the broken
     /// segment's sub-request, probes a replacement via `mode`'s setup
-    /// path, bridges the boundaries, and splices. Charges one ledger
-    /// attempt when repair accounting is on. See the module docs for the
+    /// path, bridges the boundaries, and splices. Charges the ticket one
+    /// attempt. See the module docs for the
     /// phase breakdown and failure semantics.
     #[allow(clippy::too_many_arguments)] // mirrors compose_with_mode, which it wraps
     pub fn repair_session<M: SetupMode, R: Rng + ?Sized>(
@@ -137,9 +137,7 @@ impl RepairPlanner {
         let nv = composition.assignment.len();
         debug_assert!(request.graph.is_path(), "degrade ops terminate non-path sessions");
 
-        if system.repair_accounting() {
-            system.repair_ledger_mut().begin_attempt(request.id);
-        }
+        system.repair_ledger_mut().begin_attempt(request.id);
 
         // Residual QoS budget: what the healthy prefix and suffix leave
         // of the end-to-end requirement, under current load. Heuristic
@@ -274,9 +272,7 @@ impl RepairPlanner {
     }
 
     fn attempt_failed(&self, system: &mut StreamSystem, request: RequestId) {
-        if system.repair_accounting() {
-            system.repair_ledger_mut().attempt_failed(request);
-        }
+        system.repair_ledger_mut().attempt_failed(request);
     }
 }
 
@@ -323,8 +319,6 @@ mod tests {
     #[test]
     fn repairs_crashed_middle_hop_in_place() {
         let (mut sys, board) = build(31, 40);
-        sys.set_lease_accounting(true);
-        sys.set_repair_accounting(true);
         let req = path_request(&sys, 1, 3);
         let mut rng = StdRng::seed_from_u64(31);
         let cfg = ProbingConfig::default();
@@ -366,7 +360,6 @@ mod tests {
     #[test]
     fn healthy_session_is_not_repaired() {
         let (mut sys, board) = build(32, 40);
-        sys.set_repair_accounting(true);
         let req = path_request(&sys, 2, 3);
         let mut rng = StdRng::seed_from_u64(32);
         let cfg = ProbingConfig::default();
@@ -390,8 +383,6 @@ mod tests {
     #[test]
     fn failed_attempt_returns_ticket_to_degraded_and_leaves_no_residue() {
         let (mut sys, board) = build(33, 40);
-        sys.set_lease_accounting(true);
-        sys.set_repair_accounting(true);
         let req = path_request(&sys, 3, 3);
         let mut rng = StdRng::seed_from_u64(33);
         let cfg = ProbingConfig::default();

@@ -561,7 +561,7 @@ impl SystemAuditor {
         out: &mut Vec<AuditViolation>,
     ) {
         self.lease_ledger_violations(system, out);
-        if let (true, Some(now)) = (system.lease_accounting(), now) {
+        if let Some(now) = now {
             for i in 0..system.node_count() {
                 let v = OverlayNodeId(i as u32);
                 let count = system.node(v).expired_transient_count(now);
@@ -589,12 +589,11 @@ impl SystemAuditor {
     /// `Gold` tenant was starved by the congestion gate while lower
     /// tiers held live sessions.
     fn audit_tenants(&self, system: &StreamSystem, out: &mut Vec<AuditViolation>) {
-        if !system.tenant_accounting() {
-            // Without the ledger there is nothing to reconcile against;
-            // tenant-less runs skip the pass entirely.
+        let ledger = system.tenant_ledger();
+        if ledger.is_empty() && !system.sessions().any(|s| s.request_spec.tenant.is_some()) {
+            // Tenant-less: no ledger row and no session to hold one to.
             return;
         }
-        let ledger = system.tenant_ledger();
         // Re-derive per-tenant live counts and committed sums from the
         // session table in ascending id order — a deterministic f64 fold.
         let sessions = sorted_sessions(system);
@@ -689,12 +688,12 @@ impl SystemAuditor {
     /// and the per-session degraded flag stays coherent with the open
     /// tickets.
     fn audit_repair(&self, system: &StreamSystem, out: &mut Vec<AuditViolation>) {
-        if !system.repair_accounting() {
-            // Without the ledger there are no tickets to reconcile and
-            // no degraded sessions to cross-check.
+        let ledger = system.repair_ledger();
+        if ledger.opened == 0 && !system.sessions().any(|s| s.is_degraded()) {
+            // Repair-free: no ticket was ever opened and no session
+            // waits for one.
             return;
         }
-        let ledger = system.repair_ledger();
         if !ledger.reconciles() {
             out.push(AuditViolation::RepairLedgerMismatch {
                 opened: ledger.opened,
@@ -764,34 +763,28 @@ impl SystemAuditor {
         system: &StreamSystem,
         out: &mut Vec<AuditViolation>,
     ) {
-        // Without the ledger the reconciliation equation is meaningless
-        // (all counters frozen at zero) and single-phase runs have no
-        // lease lifetimes to audit; the directory is maintained either
-        // way, so its check always runs.
-        if system.lease_accounting() {
-            let stats = system.lease_stats();
-            // Counted from the lease vectors themselves, not through the
-            // directory, so a drifted directory cannot mask a leak.
-            let live = (0..system.node_count())
-                .map(|i| system.node(OverlayNodeId(i as u32)).transient_count())
-                .chain((0..system.link_count()).map(|i| system.link_transient_count(OverlayLinkId(i as u32))))
-                .sum::<usize>() as u64;
-            if !stats.reconciles(live) {
-                out.push(AuditViolation::LeaseLedgerMismatch {
-                    created: stats.created,
-                    expired: stats.expired,
-                    released: stats.released,
-                    promoted: stats.promoted,
-                    live,
-                });
-            }
-            let leased = system.leased_requests();
-            if !leased.is_empty() {
-                let committed = live_request_ids(system);
-                for request in leased {
-                    if committed.binary_search(&request).is_ok() {
-                        out.push(AuditViolation::LeaseHeldByCommittedRequest { request });
-                    }
+        let stats = system.lease_stats();
+        // Counted from the lease vectors themselves, not through the
+        // directory, so a drifted directory cannot mask a leak.
+        let live = (0..system.node_count())
+            .map(|i| system.node(OverlayNodeId(i as u32)).transient_count())
+            .chain((0..system.link_count()).map(|i| system.link_transient_count(OverlayLinkId(i as u32))))
+            .sum::<usize>() as u64;
+        if !stats.reconciles(live) {
+            out.push(AuditViolation::LeaseLedgerMismatch {
+                created: stats.created,
+                expired: stats.expired,
+                released: stats.released,
+                promoted: stats.promoted,
+                live,
+            });
+        }
+        let leased = system.leased_requests();
+        if !leased.is_empty() {
+            let committed = live_request_ids(system);
+            for request in leased {
+                if committed.binary_search(&request).is_ok() {
+                    out.push(AuditViolation::LeaseHeldByCommittedRequest { request });
                 }
             }
         }

@@ -467,17 +467,12 @@ impl StreamSystem {
         s.node_allocs.retain(|&(_, d)| d.cpu > 1e-9 || d.memory_mb > 1e-9);
         s.link_allocs.retain(|&(_, kbps)| kbps > 1e-9);
         s.broken = Some((lo, hi));
-        let binding = s.request_spec.tenant;
-        if self.tenant_accounting {
-            if let Some(binding) = binding {
-                let demand: ResourceVector = released_nodes.iter().map(|&(_, d)| d).sum();
-                let bw: f64 = released_links.iter().map(|&(_, k)| k).sum();
-                self.tenant_ledger.record_repair_release(binding, demand, bw);
-            }
+        if let Some(binding) = s.request_spec.tenant {
+            let demand: ResourceVector = released_nodes.iter().map(|&(_, d)| d).sum();
+            let bw: f64 = released_links.iter().map(|&(_, k)| k).sum();
+            self.tenant_ledger.record_repair_release(binding, demand, bw);
         }
-        if self.repair_accounting {
-            self.repair_ledger.open_ticket(request, now);
-        }
+        self.repair_ledger.open_ticket(request, now);
     }
 
     /// Splices a repaired segment into a degraded session —
@@ -564,17 +559,13 @@ impl StreamSystem {
             }
         }
         s.broken = None;
-        if self.tenant_accounting {
-            if let Some(binding) = binding {
-                let demand: ResourceVector = m.node_allocs.iter().map(|&(_, d)| d).sum();
-                let grow_bw: f64 = m.link_allocs.iter().map(|&(_, k)| k).sum::<f64>()
-                    + boundary_allocs.iter().map(|&(_, k)| k).sum::<f64>();
-                self.tenant_ledger.record_repair_grow(binding, demand, grow_bw);
-            }
+        if let Some(binding) = binding {
+            let demand: ResourceVector = m.node_allocs.iter().map(|&(_, d)| d).sum();
+            let grow_bw: f64 = m.link_allocs.iter().map(|&(_, k)| k).sum::<f64>()
+                + boundary_allocs.iter().map(|&(_, k)| k).sum::<f64>();
+            self.tenant_ledger.record_repair_grow(binding, demand, grow_bw);
         }
-        if self.repair_accounting {
-            self.repair_ledger.record_repaired(request_id, now, true);
-        }
+        self.repair_ledger.record_repaired(request_id, now, true);
         Ok(())
     }
 
@@ -585,9 +576,7 @@ impl StreamSystem {
         let Some(request) = self.sessions.get(id).map(|s| s.request) else {
             return false;
         };
-        if self.repair_accounting {
-            self.repair_ledger.record_abandoned(request);
-        }
+        self.repair_ledger.record_abandoned(request);
         self.close_session_with_cause(id, SessionCloseCause::Killed).is_some()
     }
 
@@ -598,13 +587,7 @@ impl StreamSystem {
     /// request specification for that recompose, `None` for unknown
     /// sessions.
     pub fn terminate_for_restart(&mut self, id: SessionId) -> Option<Request> {
-        // Suppress the close hook's ticket cancellation: the ticket
-        // must outlive this teardown so the restart settles it.
-        let accounting = self.repair_accounting;
-        self.repair_accounting = false;
-        let closed = self.close_session_with_cause(id, SessionCloseCause::Killed);
-        self.repair_accounting = accounting;
-        closed.map(|s| s.request_spec)
+        self.teardown_session(id, SessionCloseCause::Killed).map(|s| s.request_spec)
     }
 }
 
@@ -677,8 +660,6 @@ mod tests {
     #[test]
     fn degrade_then_splice_repairs_in_place() {
         let mut sys = build_system(41, 30);
-        sys.set_lease_accounting(true);
-        sys.set_repair_accounting(true);
         let auditor = crate::audit::SystemAuditor::default();
         let (request, composition) = repairable_request_and_composition(&mut sys);
         let (c0, c1, c2) =
@@ -739,7 +720,6 @@ mod tests {
     #[test]
     fn abandon_repair_settles_ticket_and_frees_books() {
         let mut sys = build_system(42, 30);
-        sys.set_repair_accounting(true);
         let auditor = crate::audit::SystemAuditor::default();
         let (request, composition) = repairable_request_and_composition(&mut sys);
         let c1 = composition.assignment[1];
@@ -759,7 +739,6 @@ mod tests {
     #[test]
     fn closing_a_degraded_session_cancels_its_ticket() {
         let mut sys = build_system(43, 30);
-        sys.set_repair_accounting(true);
         let (request, composition) = repairable_request_and_composition(&mut sys);
         let c1 = composition.assignment[1];
         let sid = sys.commit_session(&request, composition).expect("qualified");
@@ -771,6 +750,25 @@ mod tests {
         let _ = request;
     }
 
+    /// The repair ledger follows its data: a freshly generated system
+    /// tickets every session a node failure degrades.
+    #[test]
+    fn degrading_under_repair_always_opens_a_ticket() {
+        let mut sys = build_system(45, 30);
+        let (request, composition) = repairable_request_and_composition(&mut sys);
+        let node = composition.assignment[1].node;
+        let sids = commit_n(&mut sys, &request, &composition, 100, 3);
+        let (_, outcome) = sys.fail_node(node, RepairPolicy::Repair, SimTime::from_secs(5));
+        assert_eq!(outcome.degraded, sids);
+        for &sid in &sids {
+            let session = sys.session(sid).expect("degraded, not killed");
+            assert!(sys.repair_ledger().ticket(session.request).is_some(), "{sid:?} has no ticket");
+        }
+        assert_eq!(sys.repair_ledger().opened, sids.len() as u64);
+        let report = crate::audit::SystemAuditor::default().audit(&sys);
+        assert!(report.is_clean(), "{report}");
+    }
+
     /// Regression: a component crash while a two-phase setup holds a
     /// transient lease on it must reclaim that lease — before the fix,
     /// `crash_component` undeployed the component but left its node
@@ -778,7 +776,6 @@ mod tests {
     #[test]
     fn crash_reclaims_in_flight_transient_leases() {
         let mut sys = build_system(44, 30);
-        sys.set_lease_accounting(true);
         let (request, composition) = request_and_composition(&mut sys);
         let comp = composition.assignment[0];
         let probe = RequestId(77);

@@ -306,11 +306,9 @@ impl StreamSystem {
         if ok && node.transient_count() != before {
             let first_of_request = node.transient_requests().filter(|&r| r == request.0).count() == 1;
             self.leases.record(request.0, Site::Node(i as u32), first_of_request, before == 0);
-            if self.lease_accounting {
-                self.lease_stats.created += 1;
-            }
+            self.lease_stats.created += 1;
             self.node_versions[i] += 1;
-        } else if ok && self.lease_accounting {
+        } else if ok {
             self.lease_stats.reused += 1;
         }
         ok
@@ -346,17 +344,13 @@ impl StreamSystem {
                 if expires > existing.expires {
                     existing.expires = expires;
                 }
-                if self.lease_accounting {
-                    self.lease_stats.reused += 1;
-                }
+                self.lease_stats.reused += 1;
             } else {
                 let first_of_request = !state.transient.iter().any(|t| t.key.request == request.0);
                 state.transient.push(LinkTransient { key, kbps, expires });
                 let first_on_site = state.transient.len() == 1;
                 self.leases.record(request.0, Site::Link(i as u32), first_of_request, first_on_site);
-                if self.lease_accounting {
-                    self.lease_stats.created += 1;
-                }
+                self.lease_stats.created += 1;
                 self.link_versions[i] += 1;
             }
         }
@@ -390,9 +384,7 @@ impl StreamSystem {
             }
             dropped += d;
         }
-        if self.lease_accounting {
-            self.lease_stats.released += dropped as u64;
-        }
+        self.lease_stats.released += dropped as u64;
         dropped
     }
 
@@ -404,9 +396,7 @@ impl StreamSystem {
         let released =
             self.remove_at(site, |sys| usize::from(sys.nodes[i].release_transient(key).is_some()));
         if released > 0 {
-            if self.lease_accounting {
-                self.lease_stats.released += 1;
-            }
+            self.lease_stats.released += 1;
             self.touch_site(site);
         }
     }
@@ -418,9 +408,7 @@ impl StreamSystem {
             let Site::Link(i) = site else { continue };
             let released = self.remove_at(site, |sys| sys.links[i as usize].drop_leases(|t| t.key == key));
             if released > 0 {
-                if self.lease_accounting {
-                    self.lease_stats.released += released as u64;
-                }
+                self.lease_stats.released += released as u64;
                 self.touch_site(site);
             }
         }
@@ -444,9 +432,7 @@ impl StreamSystem {
             });
             self.touch_site(site);
         }
-        if self.lease_accounting {
-            self.lease_stats.expired += dropped as u64;
-        }
+        self.lease_stats.expired += dropped as u64;
         dropped
     }
 
@@ -454,10 +440,8 @@ impl StreamSystem {
     /// confirmation is what turns a lease into a committed residual
     /// (§3.3 step 4), while a failed one leaves them counted as released.
     pub(crate) fn promote_released_leases(&mut self, held: usize) {
-        if self.lease_accounting {
-            self.lease_stats.released -= held as u64;
-            self.lease_stats.promoted += held as u64;
-        }
+        self.lease_stats.released -= held as u64;
+        self.lease_stats.promoted += held as u64;
     }
 
     /// Reclaims every lease held *for* a crashed component — a crash
@@ -468,9 +452,7 @@ impl StreamSystem {
         let reclaimed = self.remove_at(Site::Node(i as u32), |sys| {
             sys.nodes[i].release_component_transients(component)
         });
-        if self.lease_accounting {
-            self.lease_stats.released += reclaimed as u64;
-        }
+        self.lease_stats.released += reclaimed as u64;
     }
 
     /// Strikes every lease on `site` from the ledger (as released) and
@@ -482,9 +464,7 @@ impl StreamSystem {
             self.leases.forget(request, site);
         }
         self.leases.retire(site);
-        if self.lease_accounting {
-            self.lease_stats.released += requests.len() as u64;
-        }
+        self.lease_stats.released += requests.len() as u64;
     }
 
     /// Runs `remove`, which drops some of `site`'s leases and returns how
@@ -557,21 +537,10 @@ impl StreamSystem {
         self.lease_stats
     }
 
-    /// Whether the lease ledger is maintained (see
-    /// [`Self::set_lease_accounting`]).
-    pub(crate) fn lease_accounting(&self) -> bool {
-        self.lease_accounting
-    }
-
-    /// Enables or disables lease-ledger maintenance. Single-phase
-    /// scenarios disable it: with no two-phase setup there are no lease
-    /// lifetimes worth auditing, and the inert hot path should not pay
-    /// for the bookkeeping. Reservations themselves — and the directory
-    /// that finds them — are unaffected; only the [`LeaseStats`]
-    /// counters (and the lease audit keyed off them) stop updating.
-    pub fn set_lease_accounting(&mut self, enabled: bool) {
-        self.lease_accounting = enabled;
-    }
+    /// Does nothing: the lease ledger is always kept. Kept only because
+    /// the benchmark package, which this crate may not edit, still calls
+    /// it.
+    pub fn set_lease_accounting(&mut self, _enabled: bool) {}
 
     /// Transient reservation leases currently outstanding across every
     /// node and overlay link.

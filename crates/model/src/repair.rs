@@ -66,8 +66,10 @@ pub struct RepairTicket {
 
 /// Running ledger of repair incidents, mirroring [`crate::tenant::TenantLedger`]:
 /// open tickets sorted by request id plus lifetime counters and MTTR
-/// accumulators. Maintained only when repair accounting is enabled on
-/// the [`crate::system::StreamSystem`].
+/// accumulators. A ticket is opened by every session degraded under
+/// [`RepairPolicy::Repair`] and by a restart driver; every other
+/// operation is a no-op without one, so a repair-free run leaves the
+/// ledger at zero.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairLedger {
     /// Open tickets, sorted by request id (deterministic audit order).

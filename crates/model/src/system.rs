@@ -320,23 +320,16 @@ pub struct StreamSystem {
     /// Where transient leases live; maintained by `crate::lease`, which
     /// also owns every operation on the three lease fields.
     pub(crate) leases: LeaseDirectory,
+    /// Every lease placed and settled, always kept: a counter add beside
+    /// each reservation the system makes anyway.
     pub(crate) lease_stats: LeaseStats,
-    /// Whether the [`LeaseStats`] ledger is maintained. On by default;
-    /// single-phase scenarios switch it off so the inert path pays no
-    /// bookkeeping (and the lease audit, which is only meaningful with
-    /// the ledger, is skipped).
-    pub(crate) lease_accounting: bool,
+    /// Per-tenant books, touched only by requests that carry a
+    /// [`TenantBinding`]; empty for tenant-less workloads.
     pub(crate) tenant_ledger: TenantLedger,
-    /// Whether the [`TenantLedger`] is maintained. **Off** by default —
-    /// tenant-less workloads pay nothing — and enabled explicitly by
-    /// tenanted scenarios (mirroring `lease_accounting`).
-    pub(crate) tenant_accounting: bool,
+    /// Repair tickets, opened only by degrading a session under
+    /// [`crate::repair::RepairPolicy::Repair`] or by a restart driver;
+    /// without a ticket every ledger operation is a no-op.
     pub(crate) repair_ledger: RepairLedger,
-    /// Whether the [`RepairLedger`] is maintained. **Off** by default —
-    /// repair-less workloads pay nothing and stay byte-identical — and
-    /// enabled explicitly by repair scenarios (mirroring
-    /// `tenant_accounting`).
-    pub(crate) repair_accounting: bool,
     /// Per overlay link, how many live partitions hold it down; owned by
     /// `crate::faults` and empty until the first partition lands.
     pub(crate) partition_refs: Vec<u32>,
@@ -524,11 +517,8 @@ impl StreamSystem {
             statics,
             load_delay_factor: config.load_delay_factor,
             lease_stats: LeaseStats::default(),
-            lease_accounting: true,
             tenant_ledger: TenantLedger::default(),
-            tenant_accounting: false,
             repair_ledger: RepairLedger::default(),
-            repair_accounting: false,
             partition_refs: Vec::new(),
         }
     }
@@ -822,12 +812,10 @@ impl StreamSystem {
         }
         self.promote_released_leases(held);
 
-        if self.tenant_accounting {
-            if let Some(binding) = request.tenant {
-                let demand: ResourceVector = node_allocs.iter().map(|&(_, d)| d).sum();
-                let bw: f64 = link_allocs.iter().map(|&(_, kbps)| kbps).sum();
-                self.tenant_ledger.record_admit(binding, demand, bw);
-            }
+        if let Some(binding) = request.tenant {
+            let demand: ResourceVector = node_allocs.iter().map(|&(_, d)| d).sum();
+            let bw: f64 = link_allocs.iter().map(|&(_, kbps)| kbps).sum();
+            self.tenant_ledger.record_admit(binding, demand, bw);
         }
 
         let id = self.sessions.insert(|id| Session {
@@ -859,10 +847,23 @@ impl StreamSystem {
         self.close_session_with_cause(id, SessionCloseCause::Preempted).map(|s| s.request_spec)
     }
 
-    /// Shared teardown: releases allocations and records `cause` against
-    /// the owning tenant (if any, and if tenant accounting is on). Hands
-    /// back the removed session, `None` for unknown sessions.
+    /// Shared teardown: [`Self::teardown_session`], then cancels the
+    /// session's repair ticket if it holds one. A session that closes
+    /// for an unrelated reason (natural end, preemption) while awaiting
+    /// repair is no longer the ticket's business; abandonment settles
+    /// the ticket *before* closing, so this only catches genuinely
+    /// unrelated teardowns.
     pub(crate) fn close_session_with_cause(&mut self, id: SessionId, cause: SessionCloseCause) -> Option<Session> {
+        let session = self.teardown_session(id, cause)?;
+        self.repair_ledger.cancel(session.request);
+        Some(session)
+    }
+
+    /// Removes a session and releases its allocations, recording `cause`
+    /// against the owning tenant if it has one. Leaves any repair ticket
+    /// open — the restart path needs exactly that. Hands back the removed
+    /// session, `None` for unknown sessions.
+    pub(crate) fn teardown_session(&mut self, id: SessionId, cause: SessionCloseCause) -> Option<Session> {
         let session = self.sessions.remove(id)?;
         for (node, amount) in &session.node_allocs {
             self.nodes[node.index()].release(*amount);
@@ -873,19 +874,10 @@ impl StreamSystem {
             state.committed_kbps = (state.committed_kbps - kbps).max(0.0);
             self.link_versions[link.index()] += 1;
         }
-        if self.tenant_accounting {
-            if let Some(binding) = session.request_spec.tenant {
-                let demand: ResourceVector = session.node_allocs.iter().map(|&(_, d)| d).sum();
-                let bw: f64 = session.link_allocs.iter().map(|&(_, kbps)| kbps).sum();
-                self.tenant_ledger.record_close(binding, cause, demand, bw);
-            }
-        }
-        if self.repair_accounting {
-            // A session that closes for an unrelated reason (natural
-            // end, preemption) while awaiting repair cancels its ticket.
-            // Abandonment settles the ticket *before* closing, so this
-            // only catches genuinely unrelated teardowns.
-            self.repair_ledger.cancel(session.request);
+        if let Some(binding) = session.request_spec.tenant {
+            let demand: ResourceVector = session.node_allocs.iter().map(|&(_, d)| d).sum();
+            let bw: f64 = session.link_allocs.iter().map(|&(_, kbps)| kbps).sum();
+            self.tenant_ledger.record_close(binding, cause, demand, bw);
         }
         Some(session)
     }
@@ -1004,19 +996,10 @@ impl StreamSystem {
         &self.tenant_ledger
     }
 
-    /// Whether the tenant ledger is maintained (see
-    /// [`Self::set_tenant_accounting`]).
-    pub(crate) fn tenant_accounting(&self) -> bool {
-        self.tenant_accounting
-    }
-
-    /// Enables or disables tenant-ledger maintenance. Off by default:
-    /// tenant-less workloads (every request's `tenant` is `None`) pay no
-    /// bookkeeping, and the tenant audit pass — only meaningful with the
-    /// ledger — is skipped.
-    pub fn set_tenant_accounting(&mut self, enabled: bool) {
-        self.tenant_accounting = enabled;
-    }
+    /// Does nothing: the tenant ledger is kept exactly for requests that
+    /// carry a [`TenantBinding`]. Kept only because the benchmark
+    /// package, which this crate may not edit, still calls it.
+    pub fn set_tenant_accounting(&mut self, _enabled: bool) {}
 
     /// Registers a tenant with its tier up front (idempotent), so the
     /// ledger reports zero rows for tenants that never sent traffic.
@@ -1024,21 +1007,16 @@ impl StreamSystem {
         self.tenant_ledger.register(id, tier);
     }
 
-    /// Records an admission-control shed for `binding` (no-op with
-    /// tenant accounting off).
+    /// Records an admission-control shed for `binding`.
     pub fn record_tenant_shed(&mut self, binding: TenantBinding) {
-        if self.tenant_accounting {
-            self.tenant_ledger.record_shed(binding);
-        }
+        self.tenant_ledger.record_shed(binding);
     }
 
     /// Records a congestion shed of `binding` that happened while a
     /// lower tier held live sessions — the starvation event the auditor
-    /// flags on `Gold` tenants (no-op with tenant accounting off).
+    /// flags on `Gold` tenants.
     pub fn record_tenant_starved(&mut self, binding: TenantBinding) {
-        if self.tenant_accounting {
-            self.tenant_ledger.record_starved(binding);
-        }
+        self.tenant_ledger.record_starved(binding);
     }
 
     // ------------------------------------------------------------------
@@ -1051,24 +1029,16 @@ impl StreamSystem {
     }
 
     /// Mutable ledger access for the repair driver (opening restart
-    /// tickets, charging attempts). Meaningful only with repair
-    /// accounting on.
+    /// tickets, charging attempts).
     pub fn repair_ledger_mut(&mut self) -> &mut RepairLedger {
         &mut self.repair_ledger
     }
 
-    /// Whether the repair ledger is maintained (see
-    /// [`Self::set_repair_accounting`]).
-    pub fn repair_accounting(&self) -> bool {
-        self.repair_accounting
-    }
-
-    /// Enables or disables repair-ledger maintenance. Off by default:
-    /// repair-less workloads pay no bookkeeping, and the repair audit
-    /// pass — only meaningful with the ledger — is skipped.
-    pub fn set_repair_accounting(&mut self, enabled: bool) {
-        self.repair_accounting = enabled;
-    }
+    /// Does nothing: the repair ledger holds tickets exactly for the
+    /// sessions a fault degraded or a restart driver ticketed. Kept only
+    /// because the benchmark package, which this crate may not edit,
+    /// still calls it.
+    pub fn set_repair_accounting(&mut self, _enabled: bool) {}
 
     /// Live `BestEffort` sessions placed (partly) on `node`, in
     /// ascending session-id order — the preemption candidates there.

@@ -20,9 +20,9 @@
 //! * admitted `Gold` tenants are never shed while lower tiers hold live
 //!   sessions (no starvation on resources held by lower tiers).
 //!
-//! Like the lease ledger, tenant accounting is **off by default** and
-//! enabled explicitly by tenanted scenarios, so tenant-less runs pay
-//! nothing and stay byte-identical.
+//! The ledger follows the bindings: only a request that carries one
+//! touches it, so a tenant-less run leaves it empty, pays nothing and
+//! stays byte-identical.
 
 use crate::resources::ResourceVector;
 

@@ -629,7 +629,6 @@ mod tenant_isolation {
             &SystemConfig::default(),
             &mut rng,
         );
-        sys.set_tenant_accounting(true);
         for (i, &tier) in TIERS.iter().enumerate() {
             sys.register_tenant(TenantId(i as u32), tier);
         }

@@ -773,14 +773,6 @@ impl ScenarioModel {
         self.composer.probing_ratio().unwrap_or(1.0)
     }
 
-    /// Expires stale transients. Only the two-phase path can leave
-    /// transients behind between events, so single-phase runs skip it.
-    fn sweep_transients(&mut self, now: SimTime) {
-        if self.config.setup.is_some() || self.config.repair.is_some() {
-            self.system.expire_transients(now);
-        }
-    }
-
     /// Runs the reclamation sweep, then the system auditor (including
     /// the lease-expiry checks at `now`) plus the board coherence audit,
     /// and folds the report into the running digest. Violations
@@ -789,7 +781,7 @@ impl ScenarioModel {
     /// (compositions never leave transients behind) and is exactly the
     /// recovery path for leases orphaned by lost confirmations.
     fn run_audit(&mut self, now: SimTime) {
-        self.sweep_transients(now);
+        self.system.expire_transients(now);
         let mut report = self.auditor.audit_at(&self.system, Some(now));
         report.merge(AuditReport::from_violations(self.board.audit_against(&self.system)));
         self.result.audit_violations += report.len() as u64;
@@ -892,9 +884,10 @@ impl Model for ScenarioModel {
             Event::Arrival => {
                 // Expire stale transients before admission, as nodes do.
                 // Only the two-phase path can leave transients behind
-                // between events (orphans from lost confirmations), so
-                // single-phase runs skip the sweep entirely.
-                self.sweep_transients(now);
+                // between events (orphans from lost confirmations); the
+                // sweep visits only sites holding leases, so single-phase
+                // runs find nothing to visit.
+                self.system.expire_transients(now);
                 let (mut request, session_duration) = self.generator.next(&mut self.workload_rng);
                 // Tenanted runs stamp the request with a tenant drawn
                 // from its own stream and consult the admission
@@ -994,7 +987,7 @@ impl Model for ScenarioModel {
                 }
             }
             Event::LocalRefresh => {
-                self.sweep_transients(now);
+                self.system.expire_transients(now);
                 self.result.overhead.state_update_messages += self.board.refresh_nodes(&self.system);
                 if now + self.config.local_refresh <= SimTime::ZERO + self.config.duration {
                     queue.schedule(now + self.config.local_refresh, Event::LocalRefresh);
@@ -1020,7 +1013,7 @@ impl Model for ScenarioModel {
             }
             Event::FailoverSweep => {
                 let Some(mut churn) = self.churn.take() else { return };
-                self.sweep_transients(now);
+                self.system.expire_transients(now);
                 // Only sessions whose due time has passed; later victims
                 // wait for the sweep scheduled by their own fault.
                 for (fail_time, request) in drain_due(&mut churn.pending, now) {
@@ -1078,7 +1071,7 @@ impl Model for ScenarioModel {
             }
             Event::RepairSweep => {
                 let Some(mut repair) = self.repair.take() else { return };
-                self.sweep_transients(now);
+                self.system.expire_transients(now);
                 let mut due = drain_due(&mut repair.pending, now);
                 // Canonical order: ascending session id.
                 due.sort_unstable();
@@ -1233,16 +1226,6 @@ pub fn run_scenario(config: ScenarioConfig) -> ScenarioResult {
 /// Builds the scenario's model and runs its events up to the horizon.
 fn simulate(config: ScenarioConfig) -> ScenarioModel {
     let (mut system, board, library) = build_system(&config);
-    // The lease ledger (and the audit pass keyed off it) only means
-    // anything when lease lifetimes can exist: the two-phase setup path,
-    // or repair (boundary bridges are transient reservations). Plain
-    // single-phase runs switch the bookkeeping off.
-    system.set_lease_accounting(config.setup.is_some() || config.repair.is_some());
-    // Likewise the per-tenant ledger (and its audit pass): only tenanted
-    // runs pay for the bookkeeping.
-    system.set_tenant_accounting(config.tenants.is_some());
-    // And the repair ledger with its own audit pass.
-    system.set_repair_accounting(config.repair.is_some());
     let streams = DeterministicRng::new(config.seed);
     let mut workload_rng = streams.stream("workload");
     let composer_seed = streams.seed_for("composer");
@@ -1429,8 +1412,10 @@ fn summarize(mut model: ScenarioModel) -> ScenarioResult {
         live_after_horizon + u64::from(!system.lease_stats().reconciles(live_after_horizon));
     result.lease_stats = system.lease_stats();
     result.overall_success = share(result.total_successes, result.total_requests, 0.0);
-    result.messages_per_minute = result.overhead.total_messages() as f64 / minutes;
-    result.probe_messages_per_minute = result.overhead.probe_messages as f64 / minutes;
+    // A zero-length run sent nothing in no time: 0, not 0/0.
+    let per_minute = |count: u64| if minutes == 0.0 { 0.0 } else { count as f64 / minutes };
+    result.messages_per_minute = per_minute(result.overhead.total_messages());
+    result.probe_messages_per_minute = per_minute(result.overhead.probe_messages);
     result.final_sessions = system.session_count();
     result.session_digest = session_digest(&system);
     result.path_cache = system.path_cache_stats();
@@ -1653,9 +1638,9 @@ mod tests {
         assert_eq!(plain.total_requests, two_phase.total_requests);
         assert_eq!(plain.total_successes, two_phase.total_successes);
         assert_eq!(plain.sim_events, two_phase.sim_events);
-        // Single-phase runs don't maintain the lease ledger at all; the
-        // two-phase run does, and the inert ledger must reconcile.
-        assert_eq!(plain.lease_stats, acp_model::prelude::LeaseStats::default());
+        // Both keep the lease ledger; an inert two-phase round places and
+        // settles exactly the leases a single-phase one does.
+        assert_eq!(plain.lease_stats, two_phase.lease_stats);
         assert!(two_phase.lease_stats.created > 0);
         assert!(two_phase.lease_stats.reconciles(two_phase.leases_live_end));
         assert_eq!(two_phase.setup_stats.retries, 0);
@@ -2121,6 +2106,16 @@ mod tests {
         assert!((settled.survival() - 8.0 / 9.0).abs() < 1e-12, "cancelled tickets are excluded");
         assert!((settled.continuity() - 6.0 / 8.0).abs() < 1e-12);
         assert!((settled.recovery_rate() - 0.9).abs() < 1e-12);
+    }
+
+    /// Regression: a zero-length run divided its message counts by zero
+    /// minutes, so its rates were NaN and the result unequal to itself.
+    #[test]
+    fn zero_duration_run_equals_itself() {
+        let config = ScenarioConfig { duration: SimDuration::ZERO, ..ScenarioConfig::small(3) };
+        let result = run_scenario(config.clone());
+        assert_eq!((result.messages_per_minute, result.probe_messages_per_minute), (0.0, 0.0));
+        assert_eq!(result, run_scenario(config));
     }
 
     /// A loaded small system under heavy transport loss: requests fail

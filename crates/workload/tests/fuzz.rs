@@ -189,6 +189,11 @@ fn check(case_seed: u64) {
     if config.repair.is_none() {
         assert_eq!(r.repair_opened, 0, "{}", blame("tickets without a repair config"));
     }
+    // A single-phase lease never outlives the compose that placed it.
+    if config.setup.is_none() && config.repair.is_none() {
+        let settled = r.lease_stats.expired == 0 && r.leases_live_end == 0 && r.lease_stats.reconciles(0);
+        assert!(settled, "{}", blame(&format!("single-phase lease outlived its compose: {:?}", r.lease_stats)));
+    }
 }
 
 proptest! {

@@ -38,13 +38,16 @@ optimal_mutants=(
 # The fault path has no reference twin; its oracle is the nine golden
 # scenario digests. The first mutant degrades path sessions whatever the
 # policy says (so plain failover leaves them broken for ever); the second
-# lets an individual restore re-open a link a live partition still holds.
+# lets an individual restore re-open a link a live partition still holds;
+# the third has the restart teardown cancel the repair ticket the restart
+# must settle (golden.rs pins each repair row's ticket tuple).
 faults_kernel=crates/model/src/faults.rs
 faults_target='-p acp-workload --test golden'
 faults_oracle= # every test of the target
 faults_mutants=(
     'policy ignored in the victim walk|s/^        if policy == RepairPolicy::Repair \&\& s\.request_spec\.graph\.is_path() {$/        if s.request_spec.graph.is_path() {/'
     'partition refcount not consulted by LinkRestore|s/^                    let held = self\.partition_refs\.get(l\.index())\.is_some_and(|\&r| r > 0);$/                    let held = false;/'
+    'golden.rs: restart teardown cancels the ticket it must leave open|s/^        self\.teardown_session(id, SessionCloseCause::Killed)/        self.close_session_with_cause(id, SessionCloseCause::Killed)/'
 )
 
 # The probing round against the round it replaced, request after

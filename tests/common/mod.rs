@@ -31,12 +31,11 @@ pub fn loaded_middleware(seed: u64) -> (Middleware<AcpComposer>, Vec<SessionId>)
     (mw, sessions)
 }
 
-/// [`loaded_middleware`] with tenant accounting live: three registered
+/// [`loaded_middleware`] with three registered
 /// tenants (Gold, Silver, BestEffort), every admitted session bound to
 /// one of them round-robin.
 pub fn tenanted_middleware(seed: u64) -> (Middleware<AcpComposer>, Vec<SessionId>) {
     let (mut system, board, library) = universe(seed);
-    system.set_tenant_accounting(true);
     for (i, tier) in [TenantTier::Gold, TenantTier::Silver, TenantTier::BestEffort]
         .into_iter()
         .enumerate()
