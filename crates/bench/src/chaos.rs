@@ -177,13 +177,41 @@ pub fn loss_table(scale: &Scale, cells: &[Point<(usize, f64)>]) -> Table {
 /// dominated by real work, with churn at `churn` times the default
 /// fault rates. The acceptance bar: tens of thousands of events,
 /// several concurrent fault classes, zero audit violations.
-/// `tenanted` attaches the standard tenant mix.
-pub fn soak(scale: &Scale, seed: u64, churn: f64, minutes: u64, tenanted: bool) -> ScenarioResult {
+pub fn soak(scale: &Scale, seed: u64, churn: f64, minutes: u64) -> ScenarioResult {
     let mut config = chaos_config(scale, seed, scale.stream_nodes, churn);
     config.schedule = RateSchedule::constant(scale.anchor_rate * 3.0);
     config.duration = SimDuration::from_minutes(minutes);
-    config.tenants = tenanted.then(crate::tenants::sweep_mix);
     acp_workload::run_scenario(config)
+}
+
+/// Renders one `minutes`-long soak run as a one-row report table.
+pub fn soak_table(scale: &Scale, minutes: u64, r: &ScenarioResult) -> Table {
+    let mut table = Table::new(
+        format!("Chaos soak ({} scale): one long run under mixed faults", scale.name),
+        vec![
+            "minutes",
+            "events",
+            "faults",
+            "fault classes",
+            "killed",
+            "recovered",
+            "leaked",
+            "audit violations",
+            "chaos digest",
+        ],
+    );
+    table.push_row(vec![
+        format!("{minutes}"),
+        format!("{}", r.sim_events),
+        format!("{}", r.fault_events),
+        format!("{}", r.fault_kinds),
+        format!("{}", r.sessions_killed),
+        format!("{}", r.sessions_recovered),
+        format!("{}", r.leases_leaked),
+        format!("{}", r.audit_violations),
+        format!("{:016x}", r.chaos_digest()),
+    ]);
+    table
 }
 
 #[cfg(test)]

@@ -7,9 +7,9 @@
 //!   [`experiments::Scale`] (`paper` or `quick`), and the
 //!   [`experiments::Point`] every other sweep returns: its axis values
 //!   beside the run's whole `ScenarioResult`.
-//! * [`chaos`] — the chaos-soak grid: the same scenarios under seeded
-//!   fault injection, with the system auditor re-checking every
-//!   conservation invariant throughout (`chaos_soak` binary).
+//! * [`chaos`] — the chaos-soak grids and the long soak: the same
+//!   scenarios under seeded fault injection, with the system auditor
+//!   re-checking every conservation invariant throughout (`figures chaos`).
 //! * [`parallel`] — the deterministic work-queue driver fanning sweep
 //!   points over worker threads (`ACP_BENCH_THREADS` overrides the
 //!   count); outputs are byte-identical to a sequential run.
@@ -42,7 +42,7 @@ pub mod scale;
 pub mod tenants;
 
 pub use ablation::{ablation_bcp, ablation_risk_epsilon, ablation_state_threshold, ablation_tuning};
-pub use chaos::{chaos_grid, chaos_table, loss_grid, loss_table, soak};
+pub use chaos::{chaos_grid, chaos_table, loss_grid, loss_table, soak, soak_table};
 pub use experiments::{fig5, fig6, fig7, fig8, Point, Scale};
 pub use parallel::thread_count;
 pub use repair::{fig_repair, repair_table};

@@ -195,7 +195,7 @@ impl CliArgs {
     /// --out target/experiments`.
     pub fn parse() -> Self {
         const USAGE: &str =
-            "usage: figures <fig5|fig6|fig7|fig8|ablation|repair|tenants|all> [--scale quick|paper] [--seed N] [--out DIR]";
+            "usage: figures <fig5|fig6|fig7|fig8|ablation|repair|tenants|chaos|all> [--scale quick|paper] [--seed N] [--out DIR]";
         let mut args = std::env::args().skip(1);
         let mut out = CliArgs {
             figure: String::new(),

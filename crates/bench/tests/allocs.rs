@@ -124,7 +124,7 @@ fn warm_operations_allocate_exactly_this_much() {
     // setup ledger around the same compositions. It reads what
     // single-phase reads: an inert setup path allocates nothing of its
     // own (the old wall-clock A/B between the two said "within noise").
-    let setup = SetupState::new(43, SetupConfig::default());
+    let setup = TwoPhase::new(43, SetupConfig::default());
     let mut acp_two_phase = ProbingComposer::with_mode(probing.clone(), 42, setup);
     let two_phase = warm_compose_close(&mut acp_two_phase, &system, &board, &batch);
     assert_eq!(two_phase, (200, (4_529, 497_416)), "ACP two-phase");

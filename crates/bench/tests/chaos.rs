@@ -107,7 +107,7 @@ fn quick_figure_points_audit_clean() {
 fn soak_handles_10k_events_with_mixed_faults_cleanly() {
     let mut scale = Scale::quick();
     scale.duration = SimDuration::from_minutes(6);
-    let result = soak(&scale, 42, 2.0, 120, false);
+    let result = soak(&scale, 42, 2.0, 120);
     assert!(result.sim_events >= 10_000, "soak too small: {} events", result.sim_events);
     assert!(result.fault_kinds >= 3, "want >= 3 fault classes, got {}", result.fault_kinds);
     assert!(result.sessions_killed > 0, "faults must orphan sessions at 2x churn");
@@ -145,12 +145,15 @@ fn loss_grid_whole_results_are_identical_at_1_and_4_threads() {
     assert!(seq.iter().any(|c| c.result.probe_histogram.count() > 0), "the histograms compared must hold requests");
 }
 
+/// Plain and tenanted: isolation and lease reclamation must both survive
+/// lossy two-phase transport.
 #[test]
 fn loss_grid_recovers_and_never_leaks() {
     let scale = tiny_scale();
-    let cells = loss_grid(&scale, 42, 4, false);
-    assert_eq!(cells.len(), scale.node_counts.len() * PROBE_LOSS_LEVELS.len());
+    let cells: Vec<_> = [false, true].into_iter().flat_map(|tenanted| loss_grid(&scale, 42, 4, tenanted)).collect();
+    assert_eq!(cells.len(), 2 * scale.node_counts.len() * PROBE_LOSS_LEVELS.len());
     assert!(cells.iter().all(|c| c.result.audit_violations == 0), "audits must be clean");
+    assert!(cells.iter().all(|c| c.result.tenant_violations == 0), "tenant isolation must hold");
     assert!(cells.iter().all(|c| c.result.leases_leaked == 0), "sweep must reclaim every orphan");
     // Zero-loss cells never see a fault; lossy cells must see them and
     // the retry loop must recover at least 90% of the hit requests.

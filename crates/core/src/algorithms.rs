@@ -21,12 +21,12 @@ use crate::optimal::{optimal_compose, OptimalConfig};
 use crate::overhead::OverheadStats;
 use crate::protocol::{
     compose_with_mode, FinalSelection, ProbeScratch, ProbingConfig, ProbingOutcome, SetupConfig,
-    SetupMode, SetupState, SetupStats, SinglePhase,
+    SetupMode, SetupStats, SinglePhase, TwoPhase,
 };
 use crate::selection::HopSelection;
 
 /// Result of one composition attempt.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ComposeOutcome {
     /// The established session, if composition succeeded.
     pub session: Option<SessionId>,
@@ -49,14 +49,6 @@ impl From<ProbingOutcome> for ComposeOutcome {
             setup: out.setup,
             truncated: false,
         }
-    }
-}
-
-impl ComposeOutcome {
-    /// The outcome of an algorithm that commits directly: no two-phase
-    /// setup.
-    fn direct(session: Option<SessionId>, stats: OverheadStats, truncated: bool) -> Self {
-        ComposeOutcome { session, stats, setup: SetupStats::default(), truncated }
     }
 }
 
@@ -92,7 +84,7 @@ pub trait Composer {
 /// The setup mode is a type parameter: the default [`SinglePhase`]
 /// instantiation compiles the entire two-phase machinery (retry loop,
 /// fault sampling, backoff draws, stale-ack replay) out of the hot
-/// path, while `ProbingComposer<SetupState>` carries the lossy-transport
+/// path, while `ProbingComposer<TwoPhase>` carries the lossy-transport
 /// protocol. Dispatch happens once, at construction.
 #[derive(Debug)]
 pub struct ProbingComposer<M: SetupMode = SinglePhase> {
@@ -247,8 +239,7 @@ impl Composer for OptimalComposer {
         request: &Request,
         now: SimTime,
     ) -> ComposeOutcome {
-        let out = optimal_compose(system, request, now, &self.config);
-        ComposeOutcome::direct(out.session, out.stats, out.truncated)
+        optimal_compose(system, request, now, &self.config)
     }
 }
 
@@ -277,8 +268,7 @@ impl Composer for RandomComposer {
         request: &Request,
         now: SimTime,
     ) -> ComposeOutcome {
-        let out = blind_compose(system, request, now, BlindStrategy::Random, &mut self.rng);
-        ComposeOutcome::direct(out.session, out.stats, false)
+        blind_compose(system, request, now, BlindStrategy::Random, &mut self.rng)
     }
 }
 
@@ -307,8 +297,7 @@ impl Composer for StaticComposer {
     ) -> ComposeOutcome {
         // rng unused by the static strategy
         let mut rng = StdRng::seed_from_u64(0);
-        let out = blind_compose(system, request, now, BlindStrategy::Static, &mut rng);
-        ComposeOutcome::direct(out.session, out.stats, false)
+        blind_compose(system, request, now, BlindStrategy::Static, &mut rng)
     }
 }
 
@@ -365,7 +354,7 @@ impl AlgorithmKind {
     /// selected at construction time: `None` instantiates the probing
     /// algorithms over [`SinglePhase`] (the two-phase machinery compiles
     /// away), `Some((setup_seed, config))` over the fault-injecting
-    /// [`SetupState`]. The non-probing algorithms commit directly and
+    /// [`TwoPhase`]. The non-probing algorithms commit directly and
     /// ignore the setup configuration either way.
     pub fn build_composer(
         self,
@@ -374,7 +363,7 @@ impl AlgorithmKind {
         seed: u64,
         setup: Option<(u64, SetupConfig)>,
     ) -> Box<dyn Composer> {
-        let setup = setup.map(|(s, cfg)| SetupState::new(s, cfg));
+        let setup = setup.map(|(s, cfg)| TwoPhase::new(s, cfg));
         match (self, setup) {
             (AlgorithmKind::Optimal, _) => Box::new(OptimalComposer::new(optimal)),
             (AlgorithmKind::Random, _) => Box::new(RandomComposer::new(seed)),

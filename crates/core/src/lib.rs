@@ -19,9 +19,8 @@
 //!   prediction error exceeds δ.
 //! * [`optimal`] / [`naive`] / [`algorithms`] — the evaluation's
 //!   comparison algorithms behind one [`Composer`] trait: exhaustive
-//!   optimal, SP, RP, random, and static.
-//! * [`middleware`] — the session-oriented `Find`/`Process`/`Close`
-//!   interface of §2.2.
+//!   optimal, SP, RP, random, and static. [`Composer::compose`] is §2.2's
+//!   `Find`; `Close` is `StreamSystem::close_session`.
 //! * [`overhead`] — message accounting for the efficiency/scalability
 //!   experiments.
 //!
@@ -65,7 +64,6 @@
 
 pub mod admission;
 pub mod algorithms;
-pub mod middleware;
 pub mod migration;
 pub mod naive;
 pub mod optimal;
@@ -87,16 +85,15 @@ pub mod prelude {
         AcpComposer, AlgorithmKind, ComposeOutcome, Composer, OptimalComposer, ProbingComposer,
         RandomComposer, StaticComposer,
     };
-    pub use crate::middleware::{FailoverReport, Middleware, ProcessReport};
     pub use crate::migration::{
         MigrationRecord, PreemptionConfig, Preemptor, RebalanceConfig, Rebalancer,
     };
     pub use crate::naive::{blind_compose, BlindStrategy};
-    pub use crate::optimal::{optimal_compose, OptimalConfig, OptimalOutcome};
+    pub use crate::optimal::{optimal_compose, OptimalConfig};
     pub use crate::overhead::{centralized_update_messages_per_minute, OverheadStats};
     pub use crate::protocol::{
         compose_with_mode, probe_compose, FinalSelection, ProbeScratch, ProbingConfig,
-        ProbingOutcome, SetupConfig, SetupMode, SetupState, SetupStats, SinglePhase, TwoPhase,
+        ProbingOutcome, SetupConfig, SetupMode, SetupStats, SinglePhase, TwoPhase,
     };
     pub use crate::repair::{
         RepairAttempt, RepairFailure, RepairPlanner, RepairVerdict, MINI_REQUEST_BIT,

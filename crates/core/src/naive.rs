@@ -11,7 +11,7 @@ use acp_model::prelude::*;
 use acp_simcore::SimTime;
 use rand::Rng;
 
-use crate::overhead::OverheadStats;
+use crate::algorithms::ComposeOutcome;
 
 /// Which blind strategy to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,31 +22,23 @@ pub enum BlindStrategy {
     Static,
 }
 
-/// Result of a blind composition attempt.
-#[derive(Debug, Clone)]
-pub struct BlindOutcome {
-    /// The established session, if admission succeeded.
-    pub session: Option<SessionId>,
-    /// Message ledger (one probe walking the graph + confirmations).
-    pub stats: OverheadStats,
-}
-
 /// Composes `request` by picking one candidate per vertex according to
-/// `strategy`, then attempting admission.
+/// `strategy`, then attempting admission. The message ledger counts one
+/// probe walking the graph plus the confirmations.
 pub fn blind_compose<R: Rng + ?Sized>(
     system: &mut StreamSystem,
     request: &Request,
     _now: SimTime,
     strategy: BlindStrategy,
     rng: &mut R,
-) -> BlindOutcome {
-    let mut stats = OverheadStats::new();
+) -> ComposeOutcome {
+    let mut out = ComposeOutcome::default();
     let mut assignment: Vec<Option<ComponentId>> = vec![None; request.graph.len()];
     for &v in request.graph.topological_order() {
-        stats.discovery_lookups += 1;
+        out.stats.discovery_lookups += 1;
         let candidates = system.candidates(request.graph.function(v));
         if candidates.is_empty() {
-            return BlindOutcome { session: None, stats };
+            return out;
         }
         let pick = match strategy {
             BlindStrategy::Random => candidates[rng.gen_range(0..candidates.len())],
@@ -54,8 +46,8 @@ pub fn blind_compose<R: Rng + ?Sized>(
         };
         assignment[v] = Some(pick);
         // The single setup probe visits the chosen component.
-        stats.probe_messages += 1;
-        stats.probes_spawned += 1;
+        out.stats.probe_messages += 1;
+        out.stats.probes_spawned += 1;
     }
     let assignment: Vec<ComponentId> = assignment.into_iter().map(|a| a.expect("all assigned")).collect();
 
@@ -64,20 +56,18 @@ pub fn blind_compose<R: Rng + ?Sized>(
     for &(u, v) in request.graph.edges() {
         match system.virtual_path(assignment[u].node, assignment[v].node) {
             Some(p) => links.push(p),
-            None => return BlindOutcome { session: None, stats },
+            None => return out,
         }
     }
-    stats.probes_returned += 1;
+    out.stats.probes_returned += 1;
 
     let composition = Composition { assignment, links };
     let len = composition.assignment.len() as u64;
-    match system.commit_session(request, composition) {
-        Ok(sid) => {
-            stats.confirmation_messages += len;
-            BlindOutcome { session: Some(sid), stats }
-        }
-        Err(_) => BlindOutcome { session: None, stats },
+    if let Ok(sid) = system.commit_session(request, composition) {
+        out.stats.confirmation_messages += len;
+        out.session = Some(sid);
     }
+    out
 }
 
 #[cfg(test)]

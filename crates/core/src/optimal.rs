@@ -30,6 +30,7 @@ use acp_model::prelude::*;
 use acp_simcore::SimTime;
 use acp_topology::SharedPath;
 
+use crate::algorithms::ComposeOutcome;
 use crate::overhead::OverheadStats;
 
 /// Tunables of the exhaustive baseline.
@@ -37,7 +38,7 @@ use crate::overhead::OverheadStats;
 pub struct OptimalConfig {
     /// Safety valve on branch-and-bound expansions. When hit, the search
     /// returns the best composition found so far and flags
-    /// [`OptimalOutcome::truncated`]. The default is high enough that the
+    /// [`ComposeOutcome::truncated`]. The default is high enough that the
     /// paper-scale experiments never hit it.
     pub max_expansions: u64,
 }
@@ -48,27 +49,15 @@ impl Default for OptimalConfig {
     }
 }
 
-/// Result of an exhaustive composition.
-#[derive(Debug, Clone)]
-pub struct OptimalOutcome {
-    /// The established session, if any qualified composition exists.
-    pub session: Option<SessionId>,
-    /// Message ledger: the cost of brute-force exhaustive probing.
-    pub stats: OverheadStats,
-    /// Best congestion aggregation φ(λ) achieved.
-    pub best_phi: Option<f64>,
-    /// True when the expansion cap interrupted the search.
-    pub truncated: bool,
-}
-
 /// Exhaustively finds the minimum-φ qualified composition for `request`
-/// and commits it. See the module docs for the search/accounting split.
+/// and commits it. See the module docs for the search/accounting split:
+/// the message ledger is the cost of brute-force exhaustive probing.
 pub fn optimal_compose(
     system: &mut StreamSystem,
     request: &Request,
     _now: SimTime,
     config: &OptimalConfig,
-) -> OptimalOutcome {
+) -> ComposeOutcome {
     compose_with(system, request, config, bounded_search)
 }
 
@@ -78,11 +67,10 @@ struct SearchOutcome {
     expansions: u64,
 }
 
-/// A complete qualified composition and its φ.
+/// A complete qualified composition.
 struct Found {
     assignment: Vec<ComponentId>,
     links: Vec<SharedPath>,
-    phi: f64,
 }
 
 /// A minimum-φ search over `request` with an expansion cap.
@@ -95,7 +83,7 @@ fn compose_with(
     request: &Request,
     config: &OptimalConfig,
     search: SearchFn,
-) -> OptimalOutcome {
+) -> ComposeOutcome {
     // Exhaustive-probing overhead: at hop h the brute-force search keeps
     // Π_{i≤h} k_i probes in flight; all complete probes return.
     let mut stats = OverheadStats::new();
@@ -113,9 +101,8 @@ fn compose_with(
 
     let SearchOutcome { best, expansions } = search(system, request, config.max_expansions);
     let truncated = expansions >= config.max_expansions;
-    let best_phi = best.as_ref().map(|found| found.phi);
 
-    let session = best.and_then(|Found { assignment, links, .. }| {
+    let session = best.and_then(|Found { assignment, links }| {
         let composition = Composition { assignment, links };
         let len = composition.assignment.len() as u64;
         match system.commit_session(request, composition) {
@@ -129,7 +116,7 @@ fn compose_with(
     if session.is_none() {
         system.release_request_transients(request.id);
     }
-    OptimalOutcome { session, stats, best_phi, truncated }
+    ComposeOutcome { session, stats, truncated, ..ComposeOutcome::default() }
 }
 
 /// A bound may only cut a branch when it clears the incumbent by more
@@ -542,7 +529,7 @@ impl Search {
                 hop.expect("the winner's links were resolved").path.clone()
             })
             .collect();
-        Found { assignment, links, phi: self.best_phi }
+        Found { assignment, links }
     }
 }
 
@@ -690,7 +677,7 @@ mod reference {
         };
         search.dfs(0);
         let expansions = search.expansions;
-        let best = search.best.take().map(|(assignment, links, phi)| Found { assignment, links, phi });
+        let best = search.best.take().map(|(assignment, links)| Found { assignment, links });
         SearchOutcome { best, expansions }
     }
 
@@ -732,7 +719,7 @@ mod reference {
         suffix_lb: Vec<f64>,
         phi: f64,
         best_phi: f64,
-        best: Option<(Vec<ComponentId>, Vec<SharedPath>, f64)>,
+        best: Option<(Vec<ComponentId>, Vec<SharedPath>)>,
         expansions: u64,
         max_expansions: u64,
     }
@@ -755,7 +742,6 @@ mod reference {
                     self.best = Some((
                         self.assignment.iter().map(|a| a.expect("complete")).collect(),
                         self.links.iter().map(|l| l.clone().expect("complete")).collect(),
-                        self.phi,
                     ));
                 }
                 return;
@@ -985,7 +971,6 @@ mod tests {
         let out = optimal_compose(&mut sys, &req, SimTime::ZERO, &OptimalConfig::default());
         assert!(out.session.is_some());
         assert!(!out.truncated);
-        assert!(out.best_phi.unwrap() > 0.0);
         assert_eq!(sys.session_count(), 1);
     }
 
@@ -1036,11 +1021,11 @@ mod tests {
             assert!(!out.truncated);
             match expected {
                 Some(phi) => {
-                    assert!(out.session.is_some(), "request {:?}", req.id);
+                    let sid = out.session.unwrap_or_else(|| panic!("request {:?}", req.id));
+                    let committed = congestion_aggregation(&sys, req, &scratch.session(sid).unwrap().composition);
                     assert!(
-                        (out.best_phi.unwrap() - phi).abs() < 1e-9,
-                        "B&B {} vs brute force {phi} on request {:?}",
-                        out.best_phi.unwrap(),
+                        (committed - phi).abs() < 1e-9,
+                        "B&B {committed} vs brute force {phi} on request {:?}",
                         req.id
                     );
                 }
@@ -1068,7 +1053,6 @@ mod tests {
         req.base_resources = ResourceVector::new(1e9, 1e9);
         let out = optimal_compose(&mut sys, &req, SimTime::ZERO, &OptimalConfig::default());
         assert!(out.session.is_none());
-        assert!(out.best_phi.is_none());
         assert_eq!(sys.session_count(), 0);
     }
 
@@ -1093,10 +1077,10 @@ mod tests {
         assert!(session.composition.is_shape_valid(&req.graph));
     }
 
-    /// The φ the search reports is Eq. 1 of the composition it is about
-    /// to commit — a pure function of the winning path, with none of the
-    /// add-then-subtract residue a running accumulator picks up over the
-    /// thousands of branches visited before it.
+    /// The φ the search prunes against is Eq. 1 of the composition it
+    /// commits, taken on the pre-commit system — a pure function of the
+    /// winning path, with none of the add-then-subtract residue a running
+    /// accumulator picks up over the thousands of branches visited before it.
     #[test]
     fn best_phi_is_the_committed_compositions_phi() {
         let mut sys = contended(7, 40);
@@ -1107,10 +1091,13 @@ mod tests {
             optimal_compose(&mut sys, &req, SimTime::ZERO, &OptimalConfig::default());
         }
         for req in [path_request(&sys, 7, 5), dag_request(&sys, 8, 1, 1)] {
-            let found = bounded_search(&mut sys, &req, u64::MAX).best.expect("a loose request composes");
-            let composition = Composition { assignment: found.assignment, links: found.links };
-            let phi = congestion_aggregation(&sys, &req, &composition);
-            assert!((found.phi - phi).abs() < 1e-9, "search {} vs Eq. 1 {phi}", found.phi);
+            let mut search = Search::build(&mut sys.clone(), &req, u64::MAX);
+            search.dfs(0);
+            let mut committed = sys.clone();
+            let out = optimal_compose(&mut committed, &req, SimTime::ZERO, &OptimalConfig::default());
+            let sid = out.session.expect("a loose request composes");
+            let phi = congestion_aggregation(&sys, &req, &committed.session(sid).unwrap().composition);
+            assert!((search.best_phi - phi).abs() < 1e-9, "search {} vs Eq. 1 {phi}", search.best_phi);
         }
     }
 
@@ -1119,7 +1106,8 @@ mod tests {
 
     /// Runs both searches on `sys` (which neither changes beyond the path
     /// memo) and requires the same verdict, the same assignment and the
-    /// same φ; then commits the winner, as [`compose_with`] would.
+    /// same virtual links (hence the same φ); then commits the winner, as
+    /// [`compose_with`] would.
     ///
     /// The commit can still refuse it: both searches check the incoming
     /// virtual links of one vertex against the bandwidth left *before*
@@ -1133,7 +1121,6 @@ mod tests {
         match (&new.best, &old.best) {
             (None, None) => {}
             (Some(n), Some(o)) => {
-                assert!((n.phi - o.phi).abs() < 1e-9, "φ {} vs reference {} on {:?}", n.phi, o.phi, req.id);
                 assert_eq!(n.assignment, o.assignment, "assignment on {:?}", req.id);
                 assert_eq!(n.links.len(), o.links.len());
                 for (a, b) in n.links.iter().zip(&o.links) {
@@ -1147,7 +1134,7 @@ mod tests {
                 o.is_some()
             ),
         }
-        let Found { assignment, links, .. } = new.best?;
+        let Found { assignment, links } = new.best?;
         sys.commit_session(req, Composition { assignment, links }).ok()
     }
 

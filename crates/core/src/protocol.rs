@@ -46,9 +46,7 @@
 //! randomness for disabled classes — so enabling it is byte-identical.
 
 use acp_model::prelude::*;
-use acp_simcore::{
-    DeterministicRng, MessageFaultConfig, MessageFaultInjector, SimDuration, SimTime, Transport,
-};
+use acp_simcore::{DeterministicRng, MessageFaultConfig, MessageFaultInjector, SimDuration, SimTime};
 use acp_state::GlobalStateBoard;
 use acp_topology::{OverlayNodeId, SharedPath};
 use rand::rngs::StdRng;
@@ -296,43 +294,28 @@ impl SetupMode for SinglePhase {
 }
 
 /// Mutable state of the two-phase setup path carried across requests:
-/// the message transport (usually a seeded
-/// [`MessageFaultInjector`], or any other [`Transport`]) and the seeded
-/// backoff-jitter stream.
+/// the seeded [`MessageFaultInjector`] and the seeded backoff-jitter
+/// stream.
 #[derive(Debug, Clone)]
-pub struct TwoPhase<T: Transport = MessageFaultInjector> {
+pub struct TwoPhase {
     config: SetupConfig,
-    transport: T,
+    transport: MessageFaultInjector,
     backoff_rng: StdRng,
 }
 
-/// The historical name of [`TwoPhase`] over the fault-injecting
-/// transport, kept for call sites predating the mode split.
-pub type SetupState = TwoPhase<MessageFaultInjector>;
-
-impl TwoPhase<MessageFaultInjector> {
+impl TwoPhase {
     /// Creates the setup state. All randomness derives from `seed` via
     /// label-separated streams, independent of the composer's selection
     /// RNG.
     pub fn new(seed: u64, config: SetupConfig) -> Self {
         let transport = MessageFaultInjector::new(seed, config.faults.clone());
-        TwoPhase::with_transport(seed, config, transport)
+        TwoPhase { transport, backoff_rng: DeterministicRng::new(seed).stream("setup/backoff"), config }
     }
 
     /// True when every fault class is disabled — the two-phase path then
     /// behaves byte-identically to the plain path.
     pub fn is_inert(&self) -> bool {
         self.config.faults.is_inert()
-    }
-}
-
-impl<T: Transport> TwoPhase<T> {
-    /// Creates two-phase setup state over an explicit transport. The
-    /// backoff-jitter stream derives from `seed`, independent of the
-    /// transport's own randomness (if any).
-    pub(crate) fn with_transport(seed: u64, config: SetupConfig, transport: T) -> Self {
-        let root = DeterministicRng::new(seed);
-        TwoPhase { transport, backoff_rng: root.stream("setup/backoff"), config }
     }
 
     /// The setup configuration in effect.
@@ -341,7 +324,7 @@ impl<T: Transport> TwoPhase<T> {
     }
 }
 
-impl<T: Transport> SetupMode for TwoPhase<T> {
+impl SetupMode for TwoPhase {
     const TWO_PHASE: bool = true;
 
     fn max_attempts(&self) -> u32 {
@@ -1536,7 +1519,7 @@ mod tests {
         let plain = probe_compose(&mut sys_a, &board, &req, SimTime::ZERO, &cfg, &mut rng_a);
         let mut sys_b = sys0.clone();
         let mut rng_b = StdRng::seed_from_u64(9);
-        let mut setup = SetupState::new(77, SetupConfig::default());
+        let mut setup = TwoPhase::new(77, SetupConfig::default());
         assert!(setup.is_inert());
         let two = compose_with_mode(
             &mut sys_b,
@@ -1560,48 +1543,6 @@ mod tests {
     }
 
     #[test]
-    fn reliable_transport_two_phase_is_byte_identical_to_single_phase() {
-        // The other monomorphization axis: TwoPhase over a no-op
-        // transport (rather than an inert injector) must also match the
-        // SinglePhase instantiation byte for byte.
-        let (sys0, board) = build(24, 40);
-        let req = path_request(&sys0, 24, 3);
-        let cfg = ProbingConfig::default();
-        let mut sys_a = sys0.clone();
-        let mut rng_a = StdRng::seed_from_u64(13);
-        let plain = compose_with_mode(
-            &mut sys_a,
-            &board,
-            &req,
-            SimTime::ZERO,
-            &cfg,
-            &mut SinglePhase,
-            &mut rng_a,
-            &mut ProbeScratch::default(),
-        );
-        let mut sys_b = sys0.clone();
-        let mut rng_b = StdRng::seed_from_u64(13);
-        let mut mode =
-            TwoPhase::with_transport(55, SetupConfig::default(), acp_simcore::ReliableTransport);
-        let two = compose_with_mode(
-            &mut sys_b,
-            &board,
-            &req,
-            SimTime::ZERO,
-            &cfg,
-            &mut mode,
-            &mut rng_b,
-            &mut ProbeScratch::default(),
-        );
-        assert_eq!(plain.session, two.session);
-        assert_eq!(plain.stats, two.stats);
-        assert_eq!(plain.completed_probes, two.completed_probes);
-        assert_eq!(two.attempts, 1);
-        assert_eq!(sys_a.lease_stats(), sys_b.lease_stats());
-        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
-    }
-
-    #[test]
     fn probe_loss_retries_with_escalation_and_recovers() {
         let (mut sys, board) = build(22, 50);
         let cfg = ProbingConfig::default();
@@ -1609,7 +1550,7 @@ mod tests {
             faults: MessageFaultConfig { probe_drop: 0.3, ..MessageFaultConfig::default() },
             ..SetupConfig::default()
         };
-        let mut setup = SetupState::new(5, setup_cfg);
+        let mut setup = TwoPhase::new(5, setup_cfg);
         let mut rng = StdRng::seed_from_u64(5);
         let mut retried = 0u64;
         let mut composed = 0u64;
@@ -1645,7 +1586,7 @@ mod tests {
             max_attempts: 1,
             ..SetupConfig::default()
         };
-        let mut setup = SetupState::new(3, setup_cfg);
+        let mut setup = TwoPhase::new(3, setup_cfg);
         let mut rng = StdRng::seed_from_u64(3);
         let out = compose_with_mode(
             &mut sys,
@@ -1684,7 +1625,7 @@ mod tests {
             max_attempts: 1,
             ..SetupConfig::default()
         };
-        let mut setup = SetupState::new(4, setup_cfg);
+        let mut setup = TwoPhase::new(4, setup_cfg);
         let mut rng = StdRng::seed_from_u64(4);
         let out = compose_with_mode(
             &mut sys,
@@ -1719,7 +1660,7 @@ mod tests {
             },
             ..SetupConfig::default()
         };
-        let mut setup = SetupState::new(11, setup_cfg);
+        let mut setup = TwoPhase::new(11, setup_cfg);
         let mut rng = StdRng::seed_from_u64(11);
         let mut exercised = false;
         for id in 0..30u64 {
@@ -1975,7 +1916,7 @@ mod tests {
                                             "master {master} round {round} two-phase {two_phase} α {probing_ratio} quota {quota_override:?} {hop_selection:?} {final_selection:?}"
                                         );
                                         if two_phase {
-                                            let mode = SetupState::new(rng.gen(), lossy.clone());
+                                            let mode = TwoPhase::new(rng.gen(), lossy.clone());
                                             run_sequence(&case, &base, &config, &mode, &mut rng, &mut scratch, &mut coverage);
                                         } else {
                                             run_sequence(&case, &base, &config, &SinglePhase, &mut rng, &mut scratch, &mut coverage);

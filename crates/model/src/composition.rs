@@ -71,7 +71,7 @@ impl Composition {
     /// are monotone, so that is the maximum over the paths' sums (added
     /// in the same source-to-sink order) without enumerating — or
     /// allocating — the paths.
-    pub(crate) fn aggregated_qos<F>(&self, graph: &FunctionGraph, mut component_qos: F) -> Qos
+    pub fn aggregated_qos<F>(&self, graph: &FunctionGraph, mut component_qos: F) -> Qos
     where
         F: FnMut(ComponentId) -> Qos,
     {

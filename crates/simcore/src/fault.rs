@@ -549,54 +549,6 @@ impl MessageFaultConfig {
     }
 }
 
-/// A message transport for the two-phase setup protocol: answers, per
-/// message, whether the transport mangled it in transit.
-///
-/// The two implementations are [`MessageFaultInjector`] (seeded,
-/// per-class fault sampling) and [`ReliableTransport`] (a zero-sized
-/// no-op whose answers are compile-time constants, so a composer
-/// monomorphized over it carries no fault-handling code at all).
-pub trait Transport: std::fmt::Debug {
-    /// Does this forwarded probe get dropped in transit?
-    fn probe_dropped(&mut self) -> bool;
-    /// Transit delay suffered by this forwarded probe.
-    fn probe_delay(&mut self) -> SimDuration;
-    /// Does this session-confirmation message get lost in transit?
-    fn confirm_lost(&mut self) -> bool;
-    /// Does a lost confirmation later resurface as a stale ack?
-    fn stale_ack_resurfaces(&mut self) -> bool;
-}
-
-/// The lossless transport: every message arrives intact, immediately.
-///
-/// A zero-rate [`MessageFaultInjector`] *behaves* the same but still
-/// carries four RNG states and a config through the probe loop; this
-/// type is the zero-cost version for paths that never inject faults.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReliableTransport;
-
-impl Transport for ReliableTransport {
-    #[inline(always)]
-    fn probe_dropped(&mut self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn probe_delay(&mut self) -> SimDuration {
-        SimDuration::ZERO
-    }
-
-    #[inline(always)]
-    fn confirm_lost(&mut self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn stale_ack_resurfaces(&mut self) -> bool {
-        false
-    }
-}
-
 /// Seeded per-message fault sampler for the setup protocol.
 ///
 /// Each fault class draws from its own [`DeterministicRng`] stream, so
@@ -671,24 +623,6 @@ impl MessageFaultInjector {
             return false;
         }
         self.stale_rng.gen::<f64>() < self.config.stale_ack
-    }
-}
-
-impl Transport for MessageFaultInjector {
-    fn probe_dropped(&mut self) -> bool {
-        MessageFaultInjector::probe_dropped(self)
-    }
-
-    fn probe_delay(&mut self) -> SimDuration {
-        MessageFaultInjector::probe_delay(self)
-    }
-
-    fn confirm_lost(&mut self) -> bool {
-        MessageFaultInjector::confirm_lost(self)
-    }
-
-    fn stale_ack_resurfaces(&mut self) -> bool {
-        MessageFaultInjector::stale_ack_resurfaces(self)
     }
 }
 

@@ -55,7 +55,7 @@ pub mod time;
 pub use engine::{Model, Simulation};
 pub use fault::{
     DetectionLatency, FaultEvent, FaultKind, FaultPlan, FaultPlanConfig, FaultScheduler,
-    MessageFaultConfig, MessageFaultInjector, ReliableTransport, Transport,
+    MessageFaultConfig, MessageFaultInjector,
 };
 pub use queue::{EventQueue, ScheduledEvent};
 pub use rng::DeterministicRng;

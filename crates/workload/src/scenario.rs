@@ -676,9 +676,9 @@ struct ChurnState {
 /// environment as arrival probing, with its own label-derived seed.
 enum RepairComposeMode {
     Single(SinglePhase),
-    // Boxed: SetupState is ~300 bytes vs SinglePhase's zero, and one
+    // Boxed: TwoPhase is ~300 bytes vs SinglePhase's zero, and one
     // lives per run, so the indirection is free.
-    Two(Box<SetupState>),
+    Two(Box<TwoPhase>),
 }
 
 /// Live repair state carried by a repair-enabled scenario.
@@ -1290,7 +1290,7 @@ fn simulate(config: ScenarioConfig) -> ScenarioModel {
     // lossy transport as arrival probing, on its own seed.
     let repair = config.repair.clone().map(|repair_config| {
         let mode = match &config.setup {
-            Some(setup) => RepairComposeMode::Two(Box::new(SetupState::new(
+            Some(setup) => RepairComposeMode::Two(Box::new(TwoPhase::new(
                 streams.seed_for("repair-setup"),
                 setup.clone(),
             ))),

@@ -1,5 +1,5 @@
 //! Quickstart: build a distributed stream-processing system, compose one
-//! application with ACP, push data through it, tear it down.
+//! application with ACP, read its end-to-end QoS, tear it down.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -9,7 +9,7 @@ fn main() {
     // A laptop-scale system: 50 stream-processing nodes selected from a
     // 400-node power-law IP graph, 20 functions, 3–5 components per node.
     let config = ScenarioConfig::small(7);
-    let (system, board, library) = build_system(&config);
+    let (mut system, board, library) = build_system(&config);
     println!(
         "system: {} stream nodes, {} overlay links, {} functions, {} templates",
         system.node_count(),
@@ -17,11 +17,6 @@ fn main() {
         system.registry().len(),
         library.len(),
     );
-
-    // The middleware wraps a composition algorithm behind the paper's
-    // session-oriented interface: Find / Process / Close.
-    let composer = AcpComposer::new(ProbingConfig::default(), 42);
-    let mut middleware = Middleware::new(system, board, composer);
 
     // Draw a request from the template library: a function graph plus QoS
     // and resource requirements.
@@ -36,19 +31,18 @@ fn main() {
         request.graph.source_to_sink_paths().len(),
     );
 
-    // Find: run adaptive composition probing.
-    let session = match middleware.find(&request, SimTime::ZERO) {
-        Some(sid) => sid,
-        None => {
-            println!("composition failed — no qualified component graph");
-            return;
-        }
+    // Find (§2.2): run adaptive composition probing.
+    let mut acp = AcpComposer::new(ProbingConfig::default(), 42);
+    let outcome = acp.compose(&mut system, &board, &request, SimTime::ZERO);
+    let Some(session) = outcome.session else {
+        println!("composition failed — no qualified component graph");
+        return;
     };
-    let record = middleware.system().session(session).expect("just created");
+    let record = system.session(session).expect("just created");
     println!("\ncomposed session {session}:");
     for (v, component) in record.composition.assignment.iter().enumerate() {
         let f = request.graph.function(v);
-        let name = &middleware.system().registry().profile(f).name;
+        let name = &system.registry().profile(f).name;
         println!("  vertex {v} ({name}) -> component {component} on node v{}", component.node.0);
     }
     for (e, path) in record.composition.links.iter().enumerate() {
@@ -59,17 +53,17 @@ fn main() {
         }
     }
 
-    // Process: stream 10 000 data units through the session.
-    let report = middleware.process(session, 10_000).expect("session is live");
+    // Process: the session's end-to-end QoS along its critical path
+    // (Eq. 3), at the system's current load.
+    let qos = record.composition.aggregated_qos(&request.graph, |c| system.effective_component_qos(c));
     println!(
-        "\nprocessed {} units: expect {:.0} delivered (loss {:.2}%), per-unit latency {}",
-        report.units_in,
-        report.expected_units_out,
-        report.loss_probability * 100.0,
-        report.per_unit_delay,
+        "\nend-to-end: delay {}, loss {:.2}% (required: {})",
+        qos.delay,
+        qos.loss.probability() * 100.0,
+        request.qos,
     );
 
     // Close: tear the session down, releasing every allocation.
-    assert!(middleware.close(session));
-    println!("\nsession closed; probing cost: {} probe messages", middleware.overhead().probe_messages);
+    assert!(system.close_session(session));
+    println!("\nsession closed; probing cost: {} probe messages", outcome.stats.probe_messages);
 }

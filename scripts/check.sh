@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Repo-wide gate, eleven steps: build, tests, lints, the benchmark
-# package's own tests, the three chaos smokes, the fig_scale smoke, every
-# figure regenerated at quick scale, and the criterion benches compiled
-# and (seven kernels) run. Run from the repository root.
+# Repo-wide gate, eight steps: build, tests, lints, the benchmark
+# package's own tests, the fig_scale smoke, every figure (chaos included)
+# regenerated at quick scale, and the criterion benches compiled and
+# (seven kernels) run. Run from the repository root.
 # Each step is timed; a per-step and total wall-clock summary prints at
 # the end so slow steps are easy to spot.
 set -euo pipefail
@@ -48,23 +48,15 @@ step "benchmark package tests (API drift against benchmark/src/sut.rs)" \
     env CARGO_TARGET_DIR="$PWD/target" \
     cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 
-step "chaos smoke (quick grid, seed 42, audit must be clean)" \
-    cargo run --release -q -p acp-bench --bin chaos_soak -- --smoke --seed 42 --assert-no-leaks
-
-step "tenanted chaos smoke (standard mix, isolation must hold)" \
-    cargo run --release -q -p acp-bench --bin chaos_soak -- --smoke --seed 42 --tenants --assert-no-leaks
-
-step "repair smoke (repair must dominate restart survival, audit clean)" \
-    cargo run --release -q -p acp-bench --bin chaos_soak -- --smoke --seed 42 --repair --assert-no-leaks
-
 step "fig_scale smoke (10k nodes x 50k sessions, RSS ceiling)" \
     cargo run --release -q -p acp-bench --bin scale_smoke
 
 # Every table of every figure on one universe (~1 s): the only place
 # outside a terminal where the tenant-isolation assert of `figures
-# tenants`, the dominance/audit/leak asserts of `figures repair` and the
+# tenants`, the dominance/audit/leak asserts of `figures repair`, the
+# audit/isolation/leak/recovery asserts of `figures chaos` and the
 # ablation tables run.
-step "figures all (quick scale, seed 42, repair and tenant asserts)" \
+step "figures all (quick scale, seed 42, repair, tenant and chaos asserts)" \
     cargo run --release -q -p acp-bench --bin figures -- all --scale quick --seed 42 --out target/experiments
 
 step "criterion benches compile" \

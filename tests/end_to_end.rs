@@ -4,12 +4,14 @@
 mod common;
 
 use acp_stream::prelude::*;
-use common::universe;
+use common::{meets_its_qos, universe};
 
+/// §2.2's `Find` / `Process` / `Close`: compose, check each session's
+/// Eq. 3 end-to-end QoS against its request, tear down.
 #[test]
-fn find_process_close_through_middleware() {
-    let (system, board, library) = universe(1);
-    let mut middleware = Middleware::new(system, board, AcpComposer::new(ProbingConfig::default(), 9));
+fn find_process_close_through_the_composer() {
+    let (mut system, board, library) = universe(1);
+    let mut acp = AcpComposer::new(ProbingConfig::default(), 9);
     let mut generator = RequestGenerator::new(library, RequestConfig::default());
     let mut rng = DeterministicRng::new(1).stream("it");
 
@@ -18,21 +20,19 @@ fn find_process_close_through_middleware() {
     while sessions.len() < 5 && attempts < 50 {
         let (request, _) = generator.next(&mut rng);
         attempts += 1;
-        if let Some(sid) = middleware.find(&request, SimTime::ZERO) {
-            sessions.push(sid);
-        }
+        sessions.extend(acp.compose(&mut system, &board, &request, SimTime::ZERO).session);
     }
     assert!(sessions.len() >= 5, "most requests should compose on an idle system");
 
     for &sid in &sessions {
-        let report = middleware.process(sid, 1_000).expect("live session");
-        assert!(report.expected_units_out > 0.0);
-        assert!(report.loss_probability < 1.0);
+        assert!(meets_its_qos(&system, sid), "session {sid} misses its QoS");
     }
     for &sid in &sessions {
-        assert!(middleware.close(sid));
+        assert!(system.close_session(sid));
+        assert!(system.session(sid).is_none(), "closed session gone");
+        assert!(!system.close_session(sid), "double close fails");
     }
-    assert_eq!(middleware.system().session_count(), 0);
+    assert_eq!(system.session_count(), 0);
 }
 
 /// ACP is an approximation of the optimal algorithm: whenever ACP admits
