@@ -1,9 +1,9 @@
 //! fig_scale smoke gate for `scripts/check.sh`: runs one mid-size point
 //! of the memory-layout sweep (10k nodes × 50k concurrent sessions) and
 //! asserts the properties the sweep exists to protect — every arrival
-//! processed, ranked selection examining exactly the index rows pinned in
-//! `tests/counters.rs` (under a fifth of the candidate lists), and peak
-//! RSS under twice its measured value. It prints the mean commit
+//! processed, ranked selection examining under half the candidate lists
+//! (the exact row count is `tests/counters.rs`'s `fig_scale_10k_by_50k`
+//! pin), and peak RSS under twice its measured value. It prints the mean commit
 //! cost next to the examined fraction: commit is flat in the node count,
 //! so a figure here in the tens of microseconds means a per-commit scan
 //! of the node or link tables has crept back in. Beside it, the mean
@@ -11,17 +11,12 @@
 //! row and one flag (≈ 30 ns), so a figure near 75 ns means the walk is
 //! chasing the node and dense tables again. Flags `--nodes`, `--sessions`
 //! and `--rss-ceiling-mib` run any other row of the sweep (the paper axis
-//! is 10k × 100k, 50k × 500k, 100k × 1M), where the selection check falls
-//! back to "examined under half the candidates".
+//! is 10k × 100k, 50k × 500k, 100k × 1M).
 
 use acp_bench::{churn_for, peak_rss_mib, run_scale_point, ScaleConfig};
 
 /// The default point: `(nodes, sessions)`.
 const DEFAULT_POINT: (usize, usize) = (10_000, 50_000);
-
-/// Index rows the ranked walk examines at the default point, of the rows
-/// its candidate lists hold: the `fig_scale_10k_by_50k` pin.
-const DEFAULT_EXAMINED: (u64, u64) = (5_323_933, 27_439_674);
 
 /// Peak-RSS ceiling for the default point: twice the 30 MiB the
 /// dense/arena layout measures there with sessions sharing their
@@ -71,19 +66,11 @@ fn main() {
         point.rejected,
     );
     let fraction = point.examined_fraction();
-    if (nodes, sessions) == DEFAULT_POINT {
-        assert_eq!(
-            (point.overhead.selection_examined, point.overhead.selection_candidates),
-            DEFAULT_EXAMINED,
-            "the ranked walk examined a different number of index rows",
-        );
-    } else {
-        assert!(
-            fraction < 0.5,
-            "ranked selection examined {:.1}% of candidates — the top-k index is not pruning",
-            fraction * 100.0,
-        );
-    }
+    assert!(
+        fraction < 0.5,
+        "ranked selection examined {:.1}% of candidates — the top-k index is not pruning",
+        fraction * 100.0,
+    );
     let rss = peak_rss_mib();
     assert!(
         rss <= ceiling,

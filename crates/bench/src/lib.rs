@@ -23,12 +23,10 @@
 //! ACP_BENCH_THREADS=4 cargo run -p acp-bench --release --bin figures -- all --scale quick
 //! ```
 //!
-//! Criterion micro-benchmarks (composition latency per algorithm, the
-//! probing round, overlay construction, candidate selection, commit and
-//! close) live under `benches/`. `tests/counters.rs` and
-//! `tests/allocs.rs` pin what a seeded run costs in counts — messages,
-//! memo lookups, rows examined, leases, allocations — exactly; wall-clock
-//! is the repo benchmark's (`benchmark/`).
+//! `tests/counters.rs` and `tests/allocs.rs` pin what a seeded run costs
+//! in counts — messages, memo lookups, rows examined, leases,
+//! allocations — exactly; wall-clock, kernel by kernel, is the repo
+//! benchmark's per-layer budget (`benchmark/`).
 
 #![forbid(unsafe_code)]
 
@@ -47,5 +45,5 @@ pub use experiments::{fig5, fig6, fig7, fig8, Point, Scale};
 pub use parallel::thread_count;
 pub use repair::{fig_repair, repair_table};
 pub use report::{write_results, CliArgs, Table};
-pub use scale::{churn_for, peak_rss_mib, run_scale_point, scale_request_config, ScaleConfig};
+pub use scale::{churn_for, peak_rss_mib, run_scale_point, ScaleConfig};
 pub use tenants::{fig_tenants, tenants_table};

@@ -148,7 +148,7 @@ pub fn peak_rss_mib() -> f64 {
 /// a binding delay requirement (so the index's delay-ordered early exit
 /// engages), and a slack loss requirement (so risk is delay-dominated
 /// and the delay lower bound is tight).
-pub fn scale_request_config() -> RequestConfig {
+fn scale_request_config() -> RequestConfig {
     RequestConfig {
         per_hop_delay_ms: (150.0, 300.0),
         max_loss: (0.5, 0.9),

@@ -92,15 +92,13 @@ pub mod prelude {
     pub use crate::optimal::{optimal_compose, OptimalConfig};
     pub use crate::overhead::{centralized_update_messages_per_minute, OverheadStats};
     pub use crate::protocol::{
-        compose_with_mode, probe_compose, FinalSelection, ProbeScratch, ProbingConfig,
-        ProbingOutcome, SetupConfig, SetupMode, SetupStats, SinglePhase, TwoPhase,
+        FinalSelection, ProbingConfig, ProbingOutcome, SetupConfig, SetupMode, SetupStats,
+        SinglePhase, TwoPhase,
     };
     pub use crate::repair::{
         RepairAttempt, RepairFailure, RepairPlanner, RepairVerdict, MINI_REQUEST_BIT,
     };
-    pub use crate::selection::{
-        probe_quota, select_candidates, select_candidates_with, HopSelection, SelectionScratch,
-    };
+    pub use crate::selection::{probe_quota, select_candidates_with, HopSelection, SelectionScratch};
     pub use crate::tuning::{ProbingRatioTuner, TunerConfig};
     pub use crate::tuning_control::{
         AlphaEscalator, EscalationConfig, PiControllerConfig, PiRatioController,

@@ -1,7 +1,8 @@
 //! The composition-probing protocol (Fig. 3 of the paper).
 //!
-//! [`probe_compose`] implements the distributed hop-by-hop probing shared
-//! by ACP and the two probing baselines:
+//! The probing round a [`ProbingComposer`](crate::algorithms::ProbingComposer)
+//! runs implements the distributed hop-by-hop probing shared by ACP and
+//! the two probing baselines:
 //!
 //! 1. **Initialisation** — the deputy node creates the initial probe
 //!    carrying the request and the probing ratio.
@@ -25,9 +26,8 @@
 //! Steps 2 and 4 are the two phases of a reservation protocol: probes
 //! place **transient leases** on candidate nodes and links (phase 1), and
 //! the confirmation promotes the winner's leases to committed residuals
-//! (phase 2). [`compose_with_mode`] over a [`TwoPhase`] mode subjects
-//! both phases to message faults ([`MessageFaultConfig`]): probe
-//! messages may be dropped or
+//! (phase 2). A [`TwoPhase`] setup mode subjects both phases to message
+//! faults ([`MessageFaultConfig`]): probe messages may be dropped or
 //! delayed in transit (a probe whose cumulative transport delay reaches
 //! the lease timeout is stale and discarded), and the confirmation itself
 //! may be lost — leaving the winner's leases **orphaned** until the
@@ -385,16 +385,10 @@ struct AttemptOutcome {
     faulted: bool,
 }
 
-/// Runs the probing protocol for `request` and, on success, commits the
-/// chosen composition as a session.
-///
-/// Probing consumes transient reservations; whatever the outcome, no
-/// transient state belonging to `request` survives this call (confirmation
-/// converts the winner's reservations, failure releases them). This is the
-/// plain (reliable-transport) path with throw-away buffers — see
-/// [`compose_with_mode`] for the two-phase path under message faults and
-/// for composing request after request.
-pub fn probe_compose<R: Rng + ?Sized>(
+/// [`compose_with_mode`] on the plain (reliable-transport) path with a
+/// throw-away [`ProbeScratch`], for tests that compose one request.
+#[cfg(test)]
+pub(crate) fn probe_compose<R: Rng + ?Sized>(
     system: &mut StreamSystem,
     board: &GlobalStateBoard,
     request: &Request,
@@ -424,7 +418,7 @@ pub fn probe_compose<R: Rng + ?Sized>(
 /// `scratch` is the caller's [`ProbeScratch`]: whoever composes request
 /// after request keeps one and hands it to every call.
 #[allow(clippy::too_many_arguments)] // one parameter per protocol input (Fig. 3), plus the buffers
-pub fn compose_with_mode<M: SetupMode, R: Rng + ?Sized>(
+pub(crate) fn compose_with_mode<M: SetupMode, R: Rng + ?Sized>(
     system: &mut StreamSystem,
     board: &GlobalStateBoard,
     request: &Request,
@@ -652,7 +646,7 @@ impl ProbeNode {
 /// clears each buffer before it reads it, and lets go of the shared
 /// paths it held before it returns.
 #[derive(Debug, Default, Clone)]
-pub struct ProbeScratch {
+pub(crate) struct ProbeScratch {
     /// Vertex → its generation, its position in the graph's topological
     /// order: generation `g` of the tree assigns the order's `g`-th vertex.
     generation: Vec<usize>,

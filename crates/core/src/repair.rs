@@ -12,7 +12,7 @@
 //!    and suffix already consume) and the original rates, resources, and
 //!    placement constraints.
 //! 2. **Segment probing** — the sub-request runs through the existing
-//!    two-phase probing machinery ([`compose_with_mode`]): transient
+//!    two-phase probing machinery (`compose_with_mode`): transient
 //!    leases, per-hop qualification, φ-optimal selection, commit. The
 //!    mini-session's resources are now *held* alongside the healthy
 //!    remainder — make-before-break, never double-committed (the broken

@@ -78,29 +78,13 @@ pub fn probe_quota(k: usize, alpha: f64) -> usize {
     ((alpha * k as f64).ceil() as usize).clamp(1, k)
 }
 
-/// Selects the candidates to probe for `ctx.vertex`.
+/// Selects the candidates to probe for `ctx.vertex`, through the
+/// caller's scratch buffers.
 ///
 /// `Ranked` consults the coarse [`GlobalStateBoard`]; `Random` touches no
 /// global state (counting no board query). Both honour the interface
 /// stream-rate compatibility check, which needs only statically-known
-/// component interface specifications.
-#[allow(clippy::too_many_arguments)] // one parameter per protocol input (Fig. 3)
-pub fn select_candidates<R: Rng + ?Sized>(
-    system: &mut StreamSystem,
-    board: &GlobalStateBoard,
-    ctx: &HopContext<'_>,
-    strategy: HopSelection,
-    alpha: f64,
-    risk_epsilon: f64,
-    rng: &mut R,
-    stats: &mut OverheadStats,
-) -> Vec<CandidatePlan> {
-    let mut scratch = SelectionScratch::default();
-    select_candidates_with(system, board, ctx, strategy, alpha, risk_epsilon, rng, stats, &mut scratch)
-}
-
-/// [`select_candidates`] with caller-provided scratch buffers, for
-/// callers that select hop after hop. A thin wrapper: [`select_into`]
+/// component interface specifications. A thin wrapper: `select_into`
 /// decides, and each selected component's links are then read back from
 /// the path memo (uncounted — the decision already paid for them).
 #[allow(clippy::too_many_arguments)] // one parameter per protocol input (Fig. 3)
@@ -613,7 +597,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut stats = OverheadStats::new();
         let k = sys.candidates(request.graph.function(0)).len();
-        let plans = select_candidates(&mut sys, &board, &ctx, HopSelection::Ranked, 0.5, 0.05, &mut rng, &mut stats);
+        let plans = select_candidates_with(
+            &mut sys, &board, &ctx, HopSelection::Ranked, 0.5, 0.05, &mut rng, &mut stats, &mut SelectionScratch::default(),
+        );
         assert!(!plans.is_empty());
         assert!(plans.len() <= probe_quota(k, 0.5));
         for p in &plans {
@@ -631,7 +617,9 @@ mod tests {
         let ctx = HopContext { request: &request, vertex: 0, predecessors: &[] };
         let mut rng = StdRng::seed_from_u64(2);
         let mut stats = OverheadStats::new();
-        let plans = select_candidates(&mut sys, &board, &ctx, HopSelection::Random, 0.5, 0.05, &mut rng, &mut stats);
+        let plans = select_candidates_with(
+            &mut sys, &board, &ctx, HopSelection::Random, 0.5, 0.05, &mut rng, &mut stats, &mut SelectionScratch::default(),
+        );
         assert!(!plans.is_empty());
         assert_eq!(stats.global_state_queries, 0, "RP never queries the global state");
     }
@@ -644,7 +632,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut stats = OverheadStats::new();
         let ctx = HopContext { request: &request, vertex: 0, predecessors: &[] };
-        let plans = select_candidates(&mut sys, &board, &ctx, HopSelection::Ranked, 0.3, 0.05, &mut rng, &mut stats);
+        let plans = select_candidates_with(
+            &mut sys, &board, &ctx, HopSelection::Ranked, 0.3, 0.05, &mut rng, &mut stats, &mut SelectionScratch::default(),
+        );
         let quota = probe_quota(sys.candidates(f).len(), 0.3);
         assert_eq!(plans.len(), quota.min(plans.len()));
         // the selected set should not contain a candidate strictly worse
@@ -667,7 +657,9 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(4);
         let mut stats = OverheadStats::new();
-        let plans = select_candidates(&mut sys, &board, &ctx, HopSelection::Ranked, 1.0, 0.05, &mut rng, &mut stats);
+        let plans = select_candidates_with(
+            &mut sys, &board, &ctx, HopSelection::Ranked, 1.0, 0.05, &mut rng, &mut stats, &mut SelectionScratch::default(),
+        );
         assert!(!plans.is_empty());
         for p in &plans {
             assert_eq!(p.incoming.len(), 1);
@@ -690,7 +682,9 @@ mod tests {
         let ctx = HopContext { request: &request, vertex: 0, predecessors: &[] };
         let mut rng = StdRng::seed_from_u64(5);
         let mut stats = OverheadStats::new();
-        let plans = select_candidates(&mut sys, &board, &ctx, HopSelection::Ranked, 1.0, 0.05, &mut rng, &mut stats);
+        let plans = select_candidates_with(
+            &mut sys, &board, &ctx, HopSelection::Ranked, 1.0, 0.05, &mut rng, &mut stats, &mut SelectionScratch::default(),
+        );
         assert!(plans.is_empty());
     }
 

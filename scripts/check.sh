@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
-# Repo-wide gate, eight steps: build, tests, lints, the benchmark
-# package's own tests, the fig_scale smoke, every figure (chaos included)
-# regenerated at quick scale, and the criterion benches compiled and
-# (seven kernels) run. Run from the repository root.
+# Repo-wide gate, six steps: build, tests, lints, the benchmark
+# package's own tests, the fig_scale smoke, and every figure (chaos
+# included) regenerated at quick scale. Run from the repository root.
 # Each step is timed; a per-step and total wall-clock summary prints at
 # the end so slow steps are easy to spot.
 set -euo pipefail
@@ -59,32 +58,6 @@ step "fig_scale smoke (10k nodes x 50k sessions, RSS ceiling)" \
 step "figures all (quick scale, seed 42, repair, tenant and chaos asserts)" \
     cargo run --release -q -p acp-bench --bin figures -- all --scale quick --seed 42 --out target/experiments
 
-step "criterion benches compile" \
-    cargo bench --workspace --no-run
-
-# Seven kernel benches are also run, at the sampler's shortest setting
-# (2 samples of ~2 ms per bench): a selection, commit, memo-hit,
-# routing-churn, probing-round, mesh-build or exhaustive-search
-# regression shows here as a number, not only in the benchmark. Medians
-# are repeated beside the step timings below.
-KERNEL_BENCH_LINES=""
-run_kernel_benches() {
-    local spec bench filter out
-    for spec in selection commit_close "probe_path virtual_path/hit" "probe_path fail_recover_lookup" \
-        "probe_path probe_compose_loop" "topology overlay_build/400" "composition compose_once/optimal"; do
-        read -r bench filter <<<"$spec"
-        out="$(cargo bench -q -p acp-bench --bench "$bench" -- --sample-size 2 ${filter:+"$filter"})"
-        echo "$out"
-        KERNEL_BENCH_LINES+="$out"$'\n'
-    done
-}
-step "kernel benches run (selection, commit_close, virtual_path/hit, fail_recover_lookup, probe_compose_loop, overlay_build/400, compose_once/optimal; --sample-size 2)" \
-    run_kernel_benches
-
-echo
-echo "Kernel bench medians:"
-printf '%s' "$KERNEL_BENCH_LINES" |
-    sed -n 's/^\([^ ]*\) .* median *\([0-9.]* [^ ]*\) .*samples)\(.*\)$/  \2  \1\3/p'
 echo
 echo "Step timings:"
 for i in "${!STEP_NAMES[@]}"; do

@@ -97,15 +97,18 @@ ledger_mutants=(
 )
 
 # Three kernels kept exact by a differential proptest each. A site that
-# stays in the lease directory's live set after its last lease went; a
-# re-admission that ignores the tie its node would win, so a forwarding
-# node is attached as a leaf; a board that takes a node whose version
-# moved for one it has already compared.
+# stays in the lease directory's live set after its last lease went, or
+# a request's release that takes other requests' leases at its sites
+# along (a commit or close must leave them alone); a re-admission that
+# ignores the tie its node would win, so a forwarding node is attached as
+# a leaf; a board that takes a node whose version moved for one it has
+# already compared.
 leases_kernel=crates/model/src/lease.rs
 leases_target='-p acp-model --lib'
 leases_oracle=lease::tests::sweeps_match_the_full_scans_they_replaced
 leases_mutants=(
     'emptied site left in the live set|s/^            if after\.is_empty() {$/            if false \&\& after.is_empty() {/'
+    'release takes foreign leases along|s/Site::Node(i) => self\.nodes\[i as usize\]\.release_request_transients(request\.0),/Site::Node(i) => self.nodes[i as usize].expire_transients(SimTime::MAX),/; s/Site::Link(i) => self\.links\[i as usize\]\.drop_leases(|t| t\.key\.request == request\.0),/Site::Link(i) => self.links[i as usize].drop_leases(|_| true),/'
 )
 readmit_kernel=crates/topology/src/routing.rs
 readmit_target='-p acp-topology --lib'
