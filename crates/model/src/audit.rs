@@ -966,8 +966,12 @@ impl SystemAuditor {
     /// Failed-node scan over the memoized paths, reported in key order.
     /// The memo is a HashMap and outlives node recoveries, so the scan
     /// runs in its order and only the violations — normally none — are
-    /// sorted, by `(from, to, position on the path)`.
+    /// sorted, by `(from, to, position on the path)`. With no node failed
+    /// there is nothing to report, and the memo is not walked.
     fn audit_path_cache(&self, system: &StreamSystem, out: &mut Vec<AuditViolation>) {
+        if !system.overlay().nodes().any(|v| system.is_node_failed(v)) {
+            return;
+        }
         let mut through_failed = Vec::new();
         for ((from, to), path) in system.overlay().cached_paths() {
             for (position, &via) in path.into_iter().flat_map(|p| p.nodes.iter().enumerate()) {

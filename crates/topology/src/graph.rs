@@ -89,12 +89,15 @@ struct Edge {
 pub struct Graph {
     adjacency: Vec<Vec<(NodeId, EdgeId)>>,
     edges: Vec<Edge>,
+    /// Each edge's delay in µs, by edge id: what a shortest-path
+    /// relaxation reads, without loading the whole [`Edge`] record.
+    edge_delay: Vec<u64>,
 }
 
 impl Graph {
     /// Creates a graph with `n` isolated nodes.
     pub fn new(n: usize) -> Self {
-        Graph { adjacency: vec![Vec::new(); n], edges: Vec::new() }
+        Graph { adjacency: vec![Vec::new(); n], edges: Vec::new(), edge_delay: Vec::new() }
     }
 
     /// Number of nodes.
@@ -123,6 +126,7 @@ impl Graph {
         assert!(!self.has_edge(a, b), "duplicate edge {a}-{b}");
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push(Edge { a, b, props });
+        self.edge_delay.push(props.delay.as_micros());
         self.adjacency[a.index()].push((b, id));
         self.adjacency[b.index()].push((a, id));
         id
@@ -147,6 +151,12 @@ impl Graph {
     /// Attributes of edge `e`.
     pub fn props(&self, e: EdgeId) -> &LinkProps {
         &self.edges[e.index()].props
+    }
+
+    /// Delay of edge `e` in µs: `props(e).delay`, from a flat array.
+    #[inline]
+    pub(crate) fn delay_us(&self, e: EdgeId) -> u64 {
+        self.edge_delay[e.index()]
     }
 
     /// Endpoints of edge `e` (in insertion order).

@@ -61,7 +61,12 @@ impl Default for InetConfig {
 impl InetConfig {
     /// Generates a connected power-law graph.
     ///
-    /// The result is deterministic in `rng`.
+    /// The graph — its edges, their order and their attributes — is a
+    /// function of the values `rng` yields. How many values the call
+    /// consumes, and so the rng's position afterwards, is not part of
+    /// that contract: generation stops drawing as soon as no further
+    /// edge can be added. Give the generator an rng of its own when later
+    /// draws must not depend on how it got there.
     ///
     /// # Panics
     ///
@@ -98,59 +103,62 @@ impl InetConfig {
     /// Connects all nodes into a tree; node `i` attaches to an existing
     /// node chosen proportionally to its remaining stubs.
     fn build_spanning_tree<R: Rng + ?Sized>(&self, graph: &mut Graph, stubs: &mut [i64], rng: &mut R) {
+        // Weighted choice among nodes [0, i) by max(stubs, 1) so nodes
+        // that exhausted their stubs can still be picked as a last resort
+        // (keeps the tree construction total).
+        let weight = |s: i64| s.max(1);
+        let mut weights = Fenwick::new(stubs.iter().map(|&s| weight(s)));
         for i in 1..self.nodes {
-            // Weighted choice among nodes [0, i) by max(stubs, 1) so nodes
-            // that exhausted their stubs can still be picked as a last
-            // resort (keeps the tree construction total).
-            let total: i64 = stubs[..i].iter().map(|&s| s.max(1)).sum();
-            let mut pick = rng.gen_range(0..total);
-            let mut target = 0usize;
-            for (j, &s) in stubs[..i].iter().enumerate() {
-                let w = s.max(1);
-                if pick < w {
-                    target = j;
-                    break;
-                }
-                pick -= w;
-            }
+            let pick = rng.gen_range(0..weights.prefix(i));
+            let target = weights.find(pick);
             graph.add_edge(NodeId(i as u32), NodeId(target as u32), self.sample_props(rng));
-            stubs[i] -= 1;
-            stubs[target] -= 1;
+            for j in [i, target] {
+                weights.add(j, weight(stubs[j] - 1) - weight(stubs[j]));
+                stubs[j] -= 1;
+            }
         }
     }
 
     /// Pairwise matches leftover stubs, preferring high-stub nodes.
+    ///
+    /// Stops early, and exactly, once an added edge leaves the nodes with
+    /// stubs left pairwise adjacent: every further draw would be
+    /// rejected, so the retries that remain could add no edge.
     fn match_remaining_stubs<R: Rng + ?Sized>(&self, graph: &mut Graph, stubs: &mut [i64], rng: &mut R) {
+        /// The clique check runs only at or below this many open nodes,
+        /// where it costs at most a few hundred `has_edge` calls.
+        const CLIQUE_CHECK_MAX: usize = 32;
+        let mut weights = Fenwick::new(stubs.iter().map(|&s| s.max(0)));
+        let mut total = weights.prefix(self.nodes);
+        // Pruned of closed nodes only when the clique check reads it.
         let mut open: Vec<usize> = (0..self.nodes).filter(|&i| stubs[i] > 0).collect();
+        let mut open_count = open.len();
         // Bounded retries keep generation O(E); a handful of unmatchable
         // stubs at the end is expected and harmless (Inet drops them too).
         let mut retries = 0usize;
         let max_retries = 20 * self.nodes;
-        while open.len() > 1 && retries < max_retries {
+        while open_count > 1 && retries < max_retries {
             // Pick two distinct endpoints, weighted by outstanding stubs.
-            let total: i64 = open.iter().map(|&i| stubs[i]).sum();
-            let a = Self::weighted_pick(&open, stubs, total, rng);
-            let b = Self::weighted_pick(&open, stubs, total, rng);
+            let a = weights.find(rng.gen_range(0..total));
+            let b = weights.find(rng.gen_range(0..total));
             if a == b || graph.has_edge(NodeId(a as u32), NodeId(b as u32)) {
                 retries += 1;
                 continue;
             }
             graph.add_edge(NodeId(a as u32), NodeId(b as u32), self.sample_props(rng));
-            stubs[a] -= 1;
-            stubs[b] -= 1;
-            open.retain(|&i| stubs[i] > 0);
-        }
-    }
-
-    fn weighted_pick<R: Rng + ?Sized>(open: &[usize], stubs: &[i64], total: i64, rng: &mut R) -> usize {
-        let mut pick = rng.gen_range(0..total.max(1));
-        for &i in open {
-            if pick < stubs[i] {
-                return i;
+            for j in [a, b] {
+                stubs[j] -= 1;
+                weights.add(j, -1);
+                open_count -= usize::from(stubs[j] == 0);
             }
-            pick -= stubs[i];
+            total -= 2;
+            if open_count <= CLIQUE_CHECK_MAX {
+                open.retain(|&i| stubs[i] > 0);
+                if is_clique(graph, &open) {
+                    break;
+                }
+            }
         }
-        *open.last().expect("open list is non-empty")
     }
 
     fn sample_props<R: Rng + ?Sized>(&self, rng: &mut R) -> LinkProps {
@@ -173,11 +181,199 @@ impl InetConfig {
     }
 }
 
+/// True when every two of `nodes` are adjacent.
+fn is_clique(graph: &Graph, nodes: &[usize]) -> bool {
+    nodes.iter().enumerate().all(|(k, &a)| {
+        nodes[k + 1..].iter().all(|&b| graph.has_edge(NodeId(a as u32), NodeId(b as u32)))
+    })
+}
+
+/// A Fenwick (binary-indexed) tree over non-negative integer weights:
+/// prefix sums, point updates and weighted picks in O(log n) each.
+struct Fenwick {
+    /// 1-based: `tree[i]` sums the weights of `(i - lowbit(i), i]`.
+    tree: Vec<i64>,
+}
+
+impl Fenwick {
+    /// A tree over `weights`, built in O(n).
+    fn new(weights: impl Iterator<Item = i64>) -> Self {
+        let mut tree: Vec<i64> = std::iter::once(0).chain(weights).collect();
+        for i in 1..tree.len() {
+            let parent = i + (i & i.wrapping_neg());
+            if parent < tree.len() {
+                tree[parent] += tree[i];
+            }
+        }
+        Fenwick { tree }
+    }
+
+    /// Sum of the weights of items `[0, end)`.
+    fn prefix(&self, end: usize) -> i64 {
+        let (mut i, mut sum) = (end, 0);
+        while i > 0 {
+            sum += self.tree[i];
+            i &= i - 1;
+        }
+        sum
+    }
+
+    /// Adds `delta` to item `item`'s weight.
+    fn add(&mut self, item: usize, delta: i64) {
+        let mut i = item + 1;
+        while i < self.tree.len() {
+            self.tree[i] += delta;
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// The item a linear scan would pick for `pick < total weight`: the
+    /// first whose running weight sum exceeds `pick`.
+    fn find(&self, mut pick: i64) -> usize {
+        let mut pos = 0;
+        let mut step = (self.tree.len() - 1).next_power_of_two();
+        while step > 0 {
+            if pos + step < self.tree.len() && self.tree[pos + step] <= pick {
+                pos += step;
+                pick -= self.tree[pos];
+            }
+            step >>= 1;
+        }
+        // `pos` items sum to at most the pick; the next one passes it.
+        pos
+    }
+}
+
+/// The generator the Fenwick picks and the clique exit replaced, kept as
+/// their oracle: a linear scan per weighted draw, and stub matching that
+/// retries until its budget runs out.
+#[cfg(test)]
+mod reference {
+    use rand::Rng;
+
+    use super::InetConfig;
+    use crate::graph::{Graph, NodeId};
+
+    pub fn generate<R: Rng + ?Sized>(config: &InetConfig, rng: &mut R) -> Graph {
+        let degrees = config.sample_degree_sequence(rng);
+        let mut graph = Graph::new(config.nodes);
+        let mut stubs: Vec<i64> = degrees.iter().map(|&d| d as i64).collect();
+        for i in 1..config.nodes {
+            let total: i64 = stubs[..i].iter().map(|&s| s.max(1)).sum();
+            let mut pick = rng.gen_range(0..total);
+            let mut target = 0usize;
+            for (j, &s) in stubs[..i].iter().enumerate() {
+                let w = s.max(1);
+                if pick < w {
+                    target = j;
+                    break;
+                }
+                pick -= w;
+            }
+            graph.add_edge(NodeId(i as u32), NodeId(target as u32), config.sample_props(rng));
+            stubs[i] -= 1;
+            stubs[target] -= 1;
+        }
+        let mut open: Vec<usize> = (0..config.nodes).filter(|&i| stubs[i] > 0).collect();
+        let mut retries = 0usize;
+        let max_retries = 20 * config.nodes;
+        while open.len() > 1 && retries < max_retries {
+            let total: i64 = open.iter().map(|&i| stubs[i]).sum();
+            let a = weighted_pick(&open, &stubs, total, rng);
+            let b = weighted_pick(&open, &stubs, total, rng);
+            if a == b || graph.has_edge(NodeId(a as u32), NodeId(b as u32)) {
+                retries += 1;
+                continue;
+            }
+            graph.add_edge(NodeId(a as u32), NodeId(b as u32), config.sample_props(rng));
+            stubs[a] -= 1;
+            stubs[b] -= 1;
+            open.retain(|&i| stubs[i] > 0);
+        }
+        graph
+    }
+
+    fn weighted_pick<R: Rng + ?Sized>(open: &[usize], stubs: &[i64], total: i64, rng: &mut R) -> usize {
+        let mut pick = rng.gen_range(0..total.max(1));
+        for &i in open {
+            if pick < stubs[i] {
+                return i;
+            }
+            pick -= stubs[i];
+        }
+        *open.last().expect("open list is non-empty")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Every edge in order: endpoints, then delay, bandwidth and loss
+    /// bit for bit.
+    fn edge_list(g: &Graph) -> Vec<(NodeId, NodeId, u64, u64, u64)> {
+        (0..g.edge_count() as u32)
+            .map(|e| {
+                let e = crate::graph::EdgeId(e);
+                let (a, b) = g.endpoints(e);
+                let p = g.props(e);
+                (a, b, p.delay.as_micros(), p.bandwidth_kbps.to_bits(), p.loss_rate.to_bits())
+            })
+            .collect()
+    }
+
+    /// The generator builds the reference's graph edge for edge, at
+    /// every size from the smallest to the paper's. Where the rng ends
+    /// up differs exactly when the clique exit skipped draws the
+    /// reference spent on hopeless retries; seed 0 at 3 200 nodes ends
+    /// with one node open instead, so both must stop in the same place.
+    #[test]
+    fn generate_matches_the_reference() {
+        use rand::Rng;
+        let (mut clique_exits, mut same_position) = (0, 0);
+        for nodes in [2usize, 3, 50, 300, 3_200] {
+            for seed in 0..8u64 {
+                let config = small_config(nodes);
+                let (mut rng, mut reference_rng) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let got = config.generate(&mut rng);
+                let want = reference::generate(&config, &mut reference_rng);
+                assert_eq!(edge_list(&got), edge_list(&want), "{nodes} nodes, seed {seed}");
+                let moved = rng.gen::<u64>() != reference_rng.gen::<u64>();
+                if nodes == 3_200 && seed == 0 {
+                    assert!(!moved, "one node left open: no clique exit");
+                }
+                clique_exits += usize::from(moved);
+                same_position += usize::from(!moved);
+            }
+        }
+        assert!(clique_exits >= 5 && same_position >= 5, "{clique_exits} clique exits, {same_position} full runs");
+    }
+
+    /// Fenwick picks are the linear scan's picks, zero weights included.
+    #[test]
+    fn fenwick_find_matches_a_linear_scan() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(5);
+        for n in 1..40 {
+            let mut weights: Vec<i64> = (0..n).map(|_| rng.gen_range(0..4)).collect();
+            weights[rng.gen_range(0..n)] += 1;
+            let mut tree = Fenwick::new(weights.iter().copied());
+            for _ in 0..20 {
+                let total: i64 = weights.iter().sum();
+                assert_eq!(tree.prefix(n), total);
+                for pick in 0..total {
+                    let scan = (0..n).find(|&j| weights[..=j].iter().sum::<i64>() > pick).unwrap();
+                    assert_eq!(tree.find(pick), scan, "weights {weights:?}, pick {pick}");
+                }
+                let j = rng.gen_range(0..n);
+                let delta = if weights[j] > 0 && rng.gen_bool(0.5) { -1 } else { 1 };
+                weights[j] += delta;
+                tree.add(j, delta);
+            }
+        }
+    }
 
     fn small_config(nodes: usize) -> InetConfig {
         InetConfig { nodes, ..InetConfig::default() }

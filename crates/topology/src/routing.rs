@@ -5,7 +5,8 @@
 //! Dijkstra per source on demand and caches the result, which keeps
 //! all-pairs queries affordable on the 3 200-node IP graph.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 use acp_simcore::SimDuration;
 
@@ -54,49 +55,52 @@ impl IpPath {
     }
 }
 
-/// A Dijkstra frontier entry, ordered so that [`std::collections::BinaryHeap`]
-/// (a max-heap) pops the smallest `(dist, node)` first. A named type
-/// with its own `Ord`, not `Reverse<(SimDuration, u32)>`: the tuple's
-/// comparison compiles to two compares or to a three-way
-/// `Option<Ordering>` chain depending on what else shares the codegen
-/// unit — a 19 % swing in `build_system` (EXPERIMENTS.md, "BENCH_10 →
-/// BENCH_11").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Frontier {
-    dist: SimDuration,
-    node: u32,
+/// `dist` of a node no search has reached.
+const UNREACHED: u64 = u64::MAX;
+/// `prev` of the source and of unreached nodes.
+const NO_PREV: (u32, u32) = (u32::MAX, u32::MAX);
+
+/// The heap key of a tentative `(dist, node)`: `dist` in the high 32
+/// bits, the node id in the low 32. While `dist < 2³²`, the keys'
+/// integer order is the `(dist, node)` order, so a min-heap of keys pops
+/// in `(dist, id)` order at one integer compare per sift step.
+#[inline]
+fn pack(dist: u64, node: u32) -> u64 {
+    dist << 32 | u64::from(node)
 }
 
-impl Ord for Frontier {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.dist.cmp(&self.dist).then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for Frontier {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+#[inline]
+fn unpack(key: u64) -> (u64, u32) {
+    (key >> 32, key as u32)
 }
 
 /// Single-source shortest-path tree (by delay).
 ///
 /// **Canonical predecessor.** Relaxation is strict (`cand < cur`) and
-/// [`Frontier`] pops the smallest `(dist, node)`, so when every edge
-/// delay is strictly positive nodes settle in ascending `(dist, id)` and
-/// `prev[x]` is the tight predecessor `u` (`dist[u] + w(u, x) ==
-/// dist[x]`) with the smallest `(dist[u], u)`. The tree is therefore a
-/// function of the graph alone, not of heap history — the fact
-/// [`Self::readmit`] and [`Self::compute_until`] rely on. Every delay
-/// this crate generates is positive (`InetConfig` 1..=20 ms per IP link,
-/// `Overlay::synthetic` 2–20 ms). A caller with a hand-built graph owns
-/// the invariant; `readmit` checks the links it reads — those at the
-/// returning node — and refuses on a zero delay.
+/// the heap pops the smallest `(dist, node)` — the integer order of the
+/// packed key `dist << 32 | node` — so when every edge delay is strictly
+/// positive nodes settle in ascending `(dist, id)` and `prev[x]` is the
+/// tight predecessor `u` (`dist[u] + w(u, x) == dist[x]`) with the
+/// smallest `(dist[u], u)`. The tree is therefore a function of the
+/// graph alone, not of heap history — the fact [`Self::readmit`] and
+/// [`Self::compute_until`] rely on. Every delay this crate generates is
+/// positive (`InetConfig` 1..=20 ms per IP link, `Overlay::synthetic`
+/// 2–20 ms). A caller with a hand-built graph owns the invariant;
+/// `readmit` checks the links it reads — those at the returning node —
+/// and refuses on a zero delay.
+///
+/// **Range.** Distances must stay below 2³² µs (about 71 minutes), the
+/// packed key's high half; a search whose relaxation would reach that
+/// panics. A `ScenarioConfig`'s IP links are 1–20 ms.
+///
+/// Per node the tree holds 16 bytes: the distance in µs (`u64::MAX`
+/// when unreached) and the predecessor with its edge (`u32::MAX` when
+/// none).
 #[derive(Debug, Clone)]
 pub struct ShortestPathTree {
     source: NodeId,
-    dist: Vec<Option<SimDuration>>,
-    prev: Vec<Option<(NodeId, EdgeId)>>,
+    dist: Vec<u64>,
+    prev: Vec<(u32, u32)>,
 }
 
 impl ShortestPathTree {
@@ -124,7 +128,8 @@ impl ShortestPathTree {
         Self::search(graph, source, &[], stop)
     }
 
-    /// The one relaxation loop behind every constructor.
+    /// The one relaxation loop behind every constructor. Blocked nodes
+    /// start out settled, so relaxation never enters them.
     fn search(
         graph: &Graph,
         source: NodeId,
@@ -132,40 +137,41 @@ impl ShortestPathTree {
         mut stop: impl FnMut(NodeId) -> bool,
     ) -> Self {
         let n = graph.node_count();
-        let mut dist: Vec<Option<SimDuration>> = vec![None; n];
-        let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
-        let is_blocked = |v: NodeId| blocked.get(v.index()).copied().unwrap_or(false);
-        if is_blocked(source) {
-            return ShortestPathTree { source, dist, prev };
+        let mut tree = ShortestPathTree { source, dist: vec![UNREACHED; n], prev: vec![NO_PREV; n] };
+        let mut done = blocked.to_vec();
+        done.resize(n, false);
+        if done[source.index()] {
+            return tree;
         }
-        let mut done = vec![false; n];
-        let mut heap = std::collections::BinaryHeap::new();
+        let (dist, prev) = (&mut tree.dist, &mut tree.prev);
+        let mut heap = BinaryHeap::new();
 
-        dist[source.index()] = Some(SimDuration::ZERO);
-        heap.push(Frontier { dist: SimDuration::ZERO, node: source.0 });
+        dist[source.index()] = 0;
+        heap.push(Reverse(pack(0, source.0)));
 
-        while let Some(Frontier { dist: d, node: u }) = heap.pop() {
-            let u = NodeId(u);
-            if done[u.index()] {
+        while let Some(Reverse(key)) = heap.pop() {
+            let (d, u) = unpack(key);
+            if done[u as usize] {
                 continue;
             }
-            done[u.index()] = true;
-            if stop(u) {
+            done[u as usize] = true;
+            if stop(NodeId(u)) {
                 break;
             }
-            for &(v, e) in graph.neighbors(u) {
-                if done[v.index()] || is_blocked(v) {
+            for &(v, e) in graph.neighbors(NodeId(u)) {
+                if done[v.index()] {
                     continue;
                 }
-                let cand = d + graph.props(e).delay;
-                if dist[v.index()].is_none_or(|cur| cand < cur) {
-                    dist[v.index()] = Some(cand);
-                    prev[v.index()] = Some((u, e));
-                    heap.push(Frontier { dist: cand, node: v.0 });
+                let cand = d + graph.delay_us(e);
+                if cand < dist[v.index()] {
+                    assert!(cand >> 32 == 0, "shortest-path distance reached 2^32 µs (71 min): {cand} µs");
+                    dist[v.index()] = cand;
+                    prev[v.index()] = (u, e.0);
+                    heap.push(Reverse(pack(cand, v.0)));
                 }
             }
         }
-        ShortestPathTree { source, dist, prev }
+        tree
     }
 
     /// Brings `node` — up again in `blocked`, down or never reached when
@@ -190,14 +196,15 @@ impl ShortestPathTree {
         let is_up = |v: NodeId| !blocked.get(v.index()).copied().unwrap_or(false);
         // The canonical predecessor `u`: least `(dist[node], dist[u], u)`.
         // Its edge rides along; it never decides, `u` has one edge here.
-        let mut best: Option<(SimDuration, SimDuration, NodeId, EdgeId)> = None;
+        let mut best: Option<(u64, u64, u32, u32)> = None;
         for &(u, e) in graph.neighbors(node) {
-            let w = graph.props(e).delay;
-            if w == SimDuration::ZERO {
+            let w = graph.delay_us(e);
+            if w == 0 {
                 return false;
             }
-            if let Some(du) = self.dist[u.index()].filter(|_| is_up(u)) {
-                let key = (du + w, du, u, e);
+            let du = self.dist[u.index()];
+            if du != UNREACHED && is_up(u) {
+                let key = (du + w, du, u.0, e.0);
                 best = Some(best.map_or(key, |b| b.min(key)));
             }
         }
@@ -206,26 +213,25 @@ impl ShortestPathTree {
                 if y == self.source || !is_up(y) {
                     continue;
                 }
-                let via = dv + graph.props(e).delay;
-                let forwards = match (self.dist[y.index()], self.prev[y.index()]) {
-                    (Some(dy), Some((p, _))) => {
-                        via < dy || (via == dy && (Some(dv), node) < (self.dist[p.index()], p))
-                    }
-                    _ => true,
-                };
+                let via = dv + graph.delay_us(e);
+                let (dy, (p, _)) = (self.dist[y.index()], self.prev[y.index()]);
+                let forwards = p == NO_PREV.0
+                    || via < dy
+                    || (via == dy && (dv, node.0) < (self.dist[p as usize], p));
                 if forwards {
                     return false;
                 }
             }
         }
-        self.dist[node.index()] = best.map(|(dv, ..)| dv);
-        self.prev[node.index()] = best.map(|(_, _, u, e)| (u, e));
+        (self.dist[node.index()], self.prev[node.index()]) =
+            best.map_or((UNREACHED, NO_PREV), |(dv, _, u, e)| (dv, (u, e)));
         true
     }
 
     /// Delay from the source to `dst`; `None` when unreachable.
     pub fn distance(&self, dst: NodeId) -> Option<SimDuration> {
-        self.dist[dst.index()]
+        let d = self.dist[dst.index()];
+        (d != UNREACHED).then_some(SimDuration::from_micros(d))
     }
 
     /// The node this tree is rooted at.
@@ -238,12 +244,12 @@ impl ShortestPathTree {
     /// chain never passes through `node` are unaffected by its failure,
     /// so trees for which this is false stay valid when `node` dies.
     pub(crate) fn routes_through(&self, node: NodeId) -> bool {
-        self.source == node || self.prev.iter().flatten().any(|&(p, _)| p == node)
+        self.source == node || self.prev.iter().any(|&(p, _)| p == node.0)
     }
 
     /// Materialises the routed path to `dst`; `None` when unreachable.
     pub(crate) fn path_to(&self, graph: &Graph, dst: NodeId) -> Option<IpPath> {
-        self.dist[dst.index()]?;
+        let delay = self.distance(dst)?;
         if dst == self.source {
             return Some(IpPath::trivial(dst));
         }
@@ -251,15 +257,15 @@ impl ShortestPathTree {
         let mut edges = Vec::new();
         let mut cur = dst;
         while cur != self.source {
-            let (p, e) = self.prev[cur.index()].expect("reachable nodes have predecessors");
-            edges.push(e);
-            nodes.push(p);
-            cur = p;
+            let (p, e) = self.prev[cur.index()];
+            assert!(p != NO_PREV.0, "reachable nodes have predecessors");
+            edges.push(EdgeId(e));
+            nodes.push(NodeId(p));
+            cur = NodeId(p);
         }
         nodes.reverse();
         edges.reverse();
 
-        let delay = self.dist[dst.index()].expect("checked above");
         let mut bottleneck = f64::INFINITY;
         let mut pass = 1.0f64;
         for &e in &edges {
@@ -317,6 +323,76 @@ impl RoutingTable {
     /// Drops all cached trees (e.g. after the graph changes).
     pub fn invalidate(&mut self) {
         self.trees.clear();
+    }
+}
+
+/// The search the packed-key kernel replaced, kept as its oracle:
+/// `Option` entries, a named frontier type, and a blocked check per arc.
+#[cfg(test)]
+mod reference {
+    use std::collections::BinaryHeap;
+
+    use acp_simcore::SimDuration;
+
+    use crate::graph::{EdgeId, Graph, NodeId};
+
+    /// Per node: the distance, or `None` when unreached.
+    pub type Dist = Vec<Option<SimDuration>>;
+    /// Per node: the predecessor and its edge, or `None`.
+    pub type Prev = Vec<Option<(NodeId, EdgeId)>>;
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Frontier {
+        dist: SimDuration,
+        node: u32,
+    }
+
+    impl Ord for Frontier {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            other.dist.cmp(&self.dist).then_with(|| other.node.cmp(&self.node))
+        }
+    }
+
+    impl PartialOrd for Frontier {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    pub fn search(graph: &Graph, source: NodeId, blocked: &[bool], mut stop: impl FnMut(NodeId) -> bool) -> (Dist, Prev) {
+        let n = graph.node_count();
+        let mut dist: Dist = vec![None; n];
+        let mut prev: Prev = vec![None; n];
+        let is_blocked = |v: NodeId| blocked.get(v.index()).copied().unwrap_or(false);
+        if is_blocked(source) {
+            return (dist, prev);
+        }
+        let mut done = vec![false; n];
+        let mut heap = BinaryHeap::new();
+        dist[source.index()] = Some(SimDuration::ZERO);
+        heap.push(Frontier { dist: SimDuration::ZERO, node: source.0 });
+        while let Some(Frontier { dist: d, node: u }) = heap.pop() {
+            let u = NodeId(u);
+            if done[u.index()] {
+                continue;
+            }
+            done[u.index()] = true;
+            if stop(u) {
+                break;
+            }
+            for &(v, e) in graph.neighbors(u) {
+                if done[v.index()] || is_blocked(v) {
+                    continue;
+                }
+                let cand = d + graph.props(e).delay;
+                if dist[v.index()].is_none_or(|cur| cand < cur) {
+                    dist[v.index()] = Some(cand);
+                    prev[v.index()] = Some((u, e));
+                    heap.push(Frontier { dist: cand, node: v.0 });
+                }
+            }
+        }
+        (dist, prev)
     }
 }
 
@@ -564,5 +640,71 @@ mod tests {
         assert_eq!(p.delay, delay);
         assert_eq!(p.bottleneck_kbps, bw);
         assert_eq!(p.edges.len() + 1, p.nodes.len());
+    }
+
+    /// A tree's entries in the reference's `Option` form.
+    fn entries(tree: &ShortestPathTree) -> (reference::Dist, reference::Prev) {
+        let dist = tree.dist.iter().map(|&d| (d != UNREACHED).then_some(SimDuration::from_micros(d))).collect();
+        let prev = tree.prev.iter().map(|&(p, e)| (p != NO_PREV.0).then_some((NodeId(p), EdgeId(e)))).collect();
+        (dist, prev)
+    }
+
+    /// The packed-key search against the search it replaced, on Inet
+    /// graphs whose 1..=3 ms links (every other seed) make equal-delay
+    /// routes the norm: `compute`, `compute_excluding` under random
+    /// blocked sets (the source's flag included) and `compute_until`
+    /// give identical `dist` and `prev` — tentative entries too — and
+    /// a stopped search settles the same nodes in the same order.
+    #[test]
+    fn search_matches_the_reference() {
+        use rand::{Rng, SeedableRng};
+        let (mut blocked_sources, mut stopped) = (0, 0);
+        for seed in 0..12u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let delay_ms = if seed % 2 == 0 { (1, 3) } else { (1, 20) };
+            let g = crate::inet::InetConfig { nodes: 50 + 50 * seed as usize, delay_ms, ..Default::default() }
+                .generate(&mut rng);
+            let n = g.node_count();
+            for _ in 0..6 {
+                let s = NodeId(rng.gen_range(0..n) as u32);
+                let full = ShortestPathTree::compute(&g, s);
+                assert_eq!(entries(&full), reference::search(&g, s, &[], |_| false), "seed {seed}, {s}");
+
+                let density = [0.02, 0.2, 0.5][rng.gen_range(0..3usize)];
+                let blocked: Vec<bool> = (0..n).map(|_| rng.gen_bool(density)).collect();
+                blocked_sources += usize::from(blocked[s.index()]);
+                let excluding = ShortestPathTree::compute_excluding(&g, s, &blocked);
+                assert_eq!(entries(&excluding), reference::search(&g, s, &blocked, |_| false), "seed {seed}, {s} blocked");
+
+                let limit = rng.gen_range(1..n + 2);
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                let until = ShortestPathTree::compute_until(&g, s, |u| {
+                    got.push(u);
+                    got.len() == limit
+                });
+                let reference = reference::search(&g, s, &[], |u| {
+                    want.push(u);
+                    want.len() == limit
+                });
+                assert_eq!(got, want, "seed {seed}, {s}: settle order");
+                assert_eq!(entries(&until), reference, "seed {seed}, {s} stopped after {limit}");
+                stopped += usize::from(limit < n);
+            }
+        }
+        assert!(blocked_sources >= 3 && stopped >= 40, "{blocked_sources} blocked sources, {stopped} stopped searches");
+    }
+
+    /// The packed key holds distances below 2³² µs; a search that would
+    /// reach past that refuses with a message rather than misorder.
+    #[test]
+    #[should_panic(expected = "shortest-path distance reached 2^32 µs (71 min)")]
+    fn distances_from_2_pow_32_us_panic() {
+        let forty_minutes = LinkProps::new(SimDuration::from_minutes(40), 1_000.0, 0.0);
+        let mut g = Graph::new(3);
+        g.add_edge(NodeId(0), NodeId(1), forty_minutes);
+        g.add_edge(NodeId(1), NodeId(2), forty_minutes);
+        let one_hop = ShortestPathTree::compute_until(&g, NodeId(0), |u| u == NodeId(1));
+        assert_eq!(one_hop.distance(NodeId(1)), Some(SimDuration::from_minutes(40)));
+        let _ = ShortestPathTree::compute(&g, NodeId(0));
     }
 }

@@ -1193,6 +1193,9 @@ impl Model for ScenarioModel {
 /// without running the workload. Useful for examples and benchmarks.
 pub fn build_system(config: &ScenarioConfig) -> (StreamSystem, GlobalStateBoard, TemplateLibrary) {
     let streams = DeterministicRng::new(config.seed);
+    // The generator gets a stream of its own: it stops drawing once no
+    // edge can be added, so how far it advances its rng is not pinned,
+    // and no later draw may depend on that.
     let mut topo_rng = streams.stream("topology");
     let ip = InetConfig { nodes: config.ip_nodes, ..InetConfig::default() }.generate(&mut topo_rng);
     let mut overlay_rng = streams.stream("overlay");

@@ -6,9 +6,9 @@
 # time, and the oracle must pass on the pristine copy and fail on every
 # mutant. A mutant named 'FILE.rs: ...' must fail inside that test file.
 #
-#   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|leases|readmit|board] [WORKDIR]
+#   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|leases|readmit|board|topology] [WORKDIR]
 #
-# No suite name runs all nine; WORKDIR defaults to target/mutation-check.
+# No suite name runs all ten; WORKDIR defaults to target/mutation-check.
 # The repository itself is never edited; the copy and its cargo target
 # directory live under WORKDIR.
 set -euo pipefail
@@ -114,7 +114,21 @@ readmit_kernel=crates/topology/src/routing.rs
 readmit_target='-p acp-topology --lib'
 readmit_oracle=routing::tests::readmit_is_exact_or_refuses
 readmit_mutants=(
-    'a tie the node would win is not a forward|s/via < dy || (via == dy \&\& (Some(dv), node) < (self\.dist\[p\.index()\], p))/via < dy/'
+    'a tie the node would win is not a forward|s/|| (via == dy \&\& (dv, node\.0) < (self\.dist\[p as usize\], p))//'
+)
+
+# The topology kernels against the generator and the search they
+# replaced (`mod reference` in each file). A heap key with the node in
+# the high bits pops by id, not by distance; a clique exit that trusts
+# the open count stops matching while edges can still be added; a
+# Fenwick descent one past the scan's index picks the wrong endpoint.
+topology_kernel='crates/topology/src/routing.rs crates/topology/src/inet.rs'
+topology_target='-p acp-topology --lib'
+topology_oracle= # every test of the target
+topology_mutants=(
+    'routing.rs: the packed key puts the node in the high bits|s/^    dist << 32 | u64::from(node)$/    u64::from(node) << 32 | dist/; s/^    (key >> 32, key as u32)$/    (key \& 0xffff_ffff, (key >> 32) as u32)/'
+    'inet.rs: the clique exit without the adjacency check|s/^                if is_clique(graph, \&open) {$/                if true {/'
+    'inet.rs: the Fenwick descent returns pos + 1|s/^        pos$/        pos + 1/'
 )
 board_kernel=crates/state/src/global.rs
 board_target='-p acp-state --lib'
@@ -123,9 +137,9 @@ board_mutants=(
     'node skipped though its version moved|s/self\.config\.incremental \&\& self\.seen_node_versions\[i\] == versions\[i\]/self.config.incremental \&\& self.seen_node_versions[i] <= versions[i]/'
 )
 
-suites=(selection optimal faults compose counters ledger leases readmit board)
+suites=(selection optimal faults compose counters ledger leases readmit board topology)
 case "${1:-}" in
-    selection | optimal | faults | compose | counters | ledger | leases | readmit | board)
+    selection | optimal | faults | compose | counters | ledger | leases | readmit | board | topology)
         suites=("$1")
         shift
         ;;
