@@ -596,15 +596,14 @@ impl SystemAuditor {
         }
         // Re-derive per-tenant live counts and committed sums from the
         // session table in ascending id order — a deterministic f64 fold.
-        let sessions = sorted_sessions(system);
         let width = ledger
             .iter()
             .map(|(id, _)| id.0 as usize + 1)
             .max()
             .unwrap_or(0)
             .max(
-                sessions
-                    .iter()
+                system
+                    .sessions()
                     .filter_map(|s| s.request_spec.tenant)
                     .map(|b| b.tenant.0 as usize + 1)
                     .max()
@@ -613,7 +612,7 @@ impl SystemAuditor {
         let mut live = vec![0u64; width];
         let mut committed = vec![ResourceVector::ZERO; width];
         let mut bw = vec![0.0f64; width];
-        for s in &sessions {
+        for s in system.sessions_by_id() {
             let Some(binding) = s.request_spec.tenant else { continue };
             let t = binding.tenant.0 as usize;
             live[t] += 1;
@@ -710,7 +709,6 @@ impl SystemAuditor {
                 validated: ledger.validated,
             });
         }
-        let sessions = sorted_sessions(system);
         // No double-commit: each request id backs at most one live
         // session, even mid-splice (the mini-session is removed within
         // the same event that grafts its segment).
@@ -732,7 +730,7 @@ impl SystemAuditor {
         // Degraded session ⇔ open ticket, both directions. Tickets
         // without a live session are legitimate: the terminate baseline
         // opens them after the kill, before the restart lands.
-        for s in &sessions {
+        for s in system.sessions_by_id() {
             if s.is_degraded() && ledger.ticket(s.request).is_none() {
                 out.push(AuditViolation::RepairStateIncoherent {
                     request: s.request.0,
@@ -742,7 +740,7 @@ impl SystemAuditor {
         }
         for t in ledger.open_tickets() {
             if requests.binary_search(&t.request.0).is_ok()
-                && !sessions.iter().any(|s| s.request == t.request && s.is_degraded())
+                && !system.sessions().any(|s| s.request == t.request && s.is_degraded())
             {
                 out.push(AuditViolation::RepairStateIncoherent {
                     request: t.request.0,
@@ -863,7 +861,7 @@ impl SystemAuditor {
     fn audit_conservation(&self, system: &StreamSystem, out: &mut Vec<AuditViolation>) {
         let mut node_sum = vec![ResourceVector::ZERO; system.node_count()];
         let mut link_sum = vec![0.0f64; system.link_count()];
-        for s in sorted_sessions(system) {
+        for s in system.sessions_by_id() {
             for &(node, amount) in s.node_allocations() {
                 node_sum[node.index()] += amount;
             }
@@ -907,7 +905,7 @@ impl SystemAuditor {
 
     /// Session coverage / failed-route checks, sessions in id order.
     fn audit_sessions(&self, system: &StreamSystem, out: &mut Vec<AuditViolation>) {
-        for s in sorted_sessions(system) {
+        for s in system.sessions_by_id() {
             let request = &s.request_spec;
             if !s.composition.is_shape_valid(&request.graph) {
                 out.push(AuditViolation::SessionCoverage {
@@ -991,14 +989,6 @@ impl SystemAuditor {
     fn tolerance(&self, magnitude: f64) -> f64 {
         self.epsilon + self.conservation_rtol * magnitude.abs()
     }
-}
-
-/// Live sessions in ascending id order (the session table is a HashMap,
-/// so its natural order is not deterministic).
-fn sorted_sessions(system: &StreamSystem) -> Vec<&crate::system::Session> {
-    let mut sessions: Vec<_> = system.sessions().collect();
-    sessions.sort_unstable_by_key(|s| s.id);
-    sessions
 }
 
 /// Request ids of the live sessions, ascending — built once per pass so

@@ -213,9 +213,18 @@ impl SessionArena {
 
     /// Iterates live sessions in slot order — deterministic (slot
     /// assignment is a pure function of the insert/remove history), but
-    /// **not** id order; callers needing id order sort explicitly.
+    /// **not** id order; [`Self::iter_by_id`] gives id order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &Session> {
         self.slots.iter().filter_map(Option::as_ref)
+    }
+
+    /// Iterates live sessions in ascending id order: the `slot_of`
+    /// window front to back, tombstones skipped.
+    pub(crate) fn iter_by_id(&self) -> impl Iterator<Item = &Session> {
+        self.slot_of
+            .iter()
+            .filter(|&&slot| slot != u32::MAX)
+            .map(|&slot| self.slots[slot as usize].as_ref().expect("live slot"))
     }
 
     fn len(&self) -> usize {
@@ -974,9 +983,16 @@ impl StreamSystem {
     }
 
     /// Iterates over live sessions in arena-slot order — deterministic
-    /// given the insert/close history, but not sorted by id.
+    /// given the insert/close history, but not sorted by id (see
+    /// [`Self::sessions_by_id`]).
     pub fn sessions(&self) -> impl Iterator<Item = &Session> {
         self.sessions.iter()
+    }
+
+    /// Iterates over live sessions in ascending id order, without a sort:
+    /// the arena keeps its id → slot window in id order.
+    pub fn sessions_by_id(&self) -> impl Iterator<Item = &Session> {
+        self.sessions.iter_by_id()
     }
 
     /// True when any live session serves `request` — the idempotent-
@@ -1384,8 +1400,16 @@ pub(crate) mod tests {
         assert!(arena.get(SessionId(arena.next_id)).is_none(), "never-issued id");
     }
 
+    /// The id-order walk is the slot-order walk sorted by id.
+    fn assert_walks_in_id_order(arena: &SessionArena) {
+        let mut sorted: Vec<SessionId> = arena.iter().map(|s| s.id).collect();
+        sorted.sort_unstable();
+        assert_eq!(arena.iter_by_id().map(|s| s.id).collect::<Vec<_>>(), sorted);
+    }
+
     /// Out-of-order closes: every live id resolves, every closed one is
-    /// rejected, and the window trims only up to the oldest live id.
+    /// rejected, the window trims only up to the oldest live id, and the
+    /// live sessions walk in id order.
     #[test]
     fn arena_resolves_across_out_of_order_closes() {
         let mut arena = SessionArena::default();
@@ -1395,6 +1419,7 @@ pub(crate) mod tests {
                 let live = !closed.contains(&i);
                 assert_eq!(arena.get(id).map(|s| s.id), live.then_some(id), "id {i}");
             }
+            assert_walks_in_id_order(arena);
         };
         // Close a middle run, then the newest: the oldest pins the window.
         let mut closed: Vec<usize> = (10..30).chain([63]).collect();
@@ -1414,6 +1439,8 @@ pub(crate) mod tests {
         let fresh = arena.insert(arena_session);
         assert_eq!(fresh, SessionId(64), "external ids stay monotonic");
         assert_eq!(arena.get(fresh).map(|s| s.id), Some(fresh));
+        assert_eq!(arena.iter().next().map(|s| s.id), Some(fresh), "the newest id took the first slot");
+        assert_walks_in_id_order(&arena);
         assert!(arena.get_mut(ids[40]).is_some());
         // Draining everything empties the window at the allocator.
         for i in (30..63).chain([64]) {

@@ -209,6 +209,9 @@ pub struct GlobalStateBoard {
     config: GlobalStateConfig,
     node_available: Vec<ResourceVector>,
     node_capacity: Vec<ResourceVector>,
+    /// [`Self::congestion_estimate`]: the fold over `node_available`,
+    /// redone whenever a node row is published.
+    congestion: f64,
     /// Published component QoS, indexed by [`DenseComponentId`]. `None`
     /// for dense ids the board has not (or no longer) published.
     component_qos: Vec<Option<Qos>>,
@@ -256,6 +259,7 @@ impl GlobalStateBoard {
             config,
             node_available,
             node_capacity,
+            congestion: 0.0,
             component_qos,
             published,
             index: CandidateIndex::default(),
@@ -269,6 +273,7 @@ impl GlobalStateBoard {
             aggregation_cursor: 0,
         };
         board.index = board.rebuilt_index(system);
+        board.congestion = board.fold_congestion();
         board
     }
 
@@ -382,6 +387,9 @@ impl GlobalStateBoard {
                 self.apply_node_publish(system, v);
                 messages += 1;
             }
+        }
+        if messages > 0 {
+            self.congestion = self.fold_congestion();
         }
         self.update_messages += messages;
         messages
@@ -535,8 +543,14 @@ impl GlobalStateBoard {
     /// Coarse by construction (the board is stale between refreshes) —
     /// exactly the signal an admission controller at the composition entry
     /// point can afford to consult per request without touching ground
-    /// truth.
+    /// truth. A read is a field load: the mean is folded again only when
+    /// a node row is published.
     pub fn congestion_estimate(&self) -> f64 {
+        self.congestion
+    }
+
+    /// The congestion estimate from scratch, over the nodes in order.
+    fn fold_congestion(&self) -> f64 {
         let mut total = 0.0;
         let mut counted = 0usize;
         for (avail, cap) in self.node_available.iter().zip(&self.node_capacity) {
@@ -734,6 +748,31 @@ mod tests {
         board.refresh_nodes(&sys);
         // No further changes → no further messages.
         assert_eq!(board.refresh_nodes(&sys), 0);
+    }
+
+    /// The stored congestion estimate is a fresh fold's bits after every
+    /// write to the published rows: a refresh that publishes, one that
+    /// publishes nothing, and a node fault published at once.
+    #[test]
+    fn congestion_estimate_is_kept_with_the_rows() {
+        let mut sys = build();
+        let mut board = GlobalStateBoard::new(&sys, GlobalStateConfig::default());
+        let kept = |board: &GlobalStateBoard| {
+            assert_eq!(board.congestion_estimate().to_bits(), board.fold_congestion().to_bits());
+            board.congestion_estimate()
+        };
+        let idle = kept(&board);
+        load_some_node(&mut sys, 1, true);
+        assert!(board.refresh_nodes(&sys) >= 1);
+        let loaded = kept(&board);
+        assert!(loaded > idle, "a heavy load raises the estimate: {idle} -> {loaded}");
+        load_some_node(&mut sys, 2, false);
+        assert_eq!(board.refresh_nodes(&sys), 0);
+        assert_eq!(kept(&board), loaded, "nothing published, nothing moved");
+        let fault = acp_simcore::FaultKind::NodeFail { node: 3 };
+        let outcome = sys.apply_fault(fault, RepairPolicy::Terminate, acp_simcore::SimTime::ZERO);
+        assert!(board.publish(&sys, outcome.stale) >= 1);
+        assert_ne!(kept(&board), loaded, "a failed node counts as saturated");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::graph::{EdgeId, Graph, LinkProps, NodeId};
-use crate::routing::{RoutingTable, ShortestPathTree};
+use crate::routing::{NearestTargets, RoutingTable, ShortestPathTree};
 
 /// Index of a stream-processing node within the overlay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -222,6 +222,15 @@ impl Overlay {
     /// routed delay), and then bridges any remaining components so the mesh
     /// is connected.
     ///
+    /// A node's peers come from one Dijkstra search that skips every
+    /// relaxation longer than `U`, the largest of the `neighbors` smallest
+    /// tentative peer distances, and so never below the true distance of
+    /// the last peer. Every node a search stopped at that peer would
+    /// settle is reached within that distance, and nothing skipped would
+    /// have been popped before the stop. The peers, their paths and the
+    /// mesh are therefore exactly those of the stopped search, ties
+    /// included.
+    ///
     /// # Panics
     ///
     /// Panics if the IP graph has fewer nodes than `config.stream_nodes`,
@@ -244,25 +253,20 @@ impl Overlay {
         let mut mesh = Graph::new(n);
 
         // 2. k-nearest-neighbour mesh. `ip_nodes` is sorted and IP delays
-        //    are positive, so Dijkstra settles stream nodes in ascending
-        //    `(delay, overlay index)`: the first `neighbors` it settles
-        //    are the nearest peers, and the search stops there.
-        let mut stream_index: Vec<Option<usize>> = vec![None; ip_graph.node_count()];
-        for (i, &ip) in ip_nodes.iter().enumerate() {
-            stream_index[ip.index()] = Some(i);
-        }
-        let mut nearest: Vec<usize> = Vec::with_capacity(config.neighbors);
-        for (i, &src) in ip_nodes.iter().enumerate() {
-            nearest.clear();
-            let tree = ShortestPathTree::compute_until(ip_graph, src, |u| {
-                nearest.extend(stream_index[u.index()].filter(|&j| j != i));
-                nearest.len() == config.neighbors
-            });
-            for &j in &nearest {
-                let (a, b) = (NodeId(i as u32), NodeId(j as u32));
-                if !mesh.has_edge(a, b) {
-                    let path = tree.path_to(ip_graph, ip_nodes[j]).expect("settled nodes have paths");
-                    mesh.add_edge(a, b, LinkProps::new(path.delay, path.bottleneck_kbps, path.loss_rate));
+        //    are positive, so each search settles stream nodes in
+        //    ascending `(delay, overlay index)`: the first `neighbors` it
+        //    settles are the nearest peers. The searches' shared scratch
+        //    is freed before bridging.
+        {
+            let mut search = NearestTargets::new(ip_graph, &ip_nodes);
+            let mut nearest: Vec<usize> = Vec::with_capacity(config.neighbors);
+            for (i, &src) in ip_nodes.iter().enumerate() {
+                search.search(src, config.neighbors, &mut nearest, |_| ());
+                for &j in &nearest {
+                    let (a, b) = (NodeId(i as u32), NodeId(j as u32));
+                    if !mesh.has_edge(a, b) {
+                        mesh.add_edge(a, b, search.link_props(ip_graph, ip_nodes[j]));
+                    }
                 }
             }
         }
@@ -323,9 +327,9 @@ impl Overlay {
     /// chords per node, with link properties sampled per link. Each
     /// overlay node maps to the identically-numbered synthetic IP node.
     ///
-    /// [`Self::build`] runs one Dijkstra per node over the IP graph plus
-    /// an all-pairs nearest-neighbour scan — quadratic and far too slow
-    /// past a few thousand nodes. The scale experiments need 100k-node
+    /// [`Self::build`] runs one Dijkstra search per node over the IP
+    /// graph — far too slow past a few thousand nodes. The scale
+    /// experiments need 100k-node
     /// overlays whose *structure* is irrelevant (they stress state-table
     /// and selection-index size, not routing); this constructor is O(n)
     /// and allocation-exact.
@@ -567,6 +571,7 @@ fn compute_virtual_path(
 mod tests {
     use super::*;
     use crate::inet::InetConfig;
+    use crate::routing::IpPath;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -741,16 +746,28 @@ mod tests {
         }
     }
 
-    /// The construction `Overlay::build` replaced, kept as its oracle:
-    /// one full IP tree per stream node, every peer's distance sorted by
-    /// `(delay, index)`, the first `neighbors` linked; then the shared
-    /// bridging rule. Returns `(a, b, props)` per link, in order,
-    /// and how many of them are bridges.
+    /// How a reference mesh finds each stream node's nearest peers.
+    #[derive(Debug, Clone, Copy)]
+    enum Nearest {
+        /// The construction `Overlay::build` replaced: one search per
+        /// stream node stopped at the `neighbors`-th peer it settles
+        /// (`compute_until`), each new link read off that tree.
+        StoppedSearch,
+        /// The definition: one full IP tree per stream node, every peer's
+        /// distance sorted by `(delay, index)`, the first `neighbors`
+        /// linked along the routing table's paths.
+        FullTree,
+    }
+
+    /// `Overlay::build` by a reference construction: the same stream
+    /// nodes, the peers `nearest` finds, then the shared bridging rule.
+    /// Returns the links in insertion order and how many are bridges.
     fn reference_mesh(
         ip_graph: &Graph,
         config: &OverlayConfig,
         rng: &mut StdRng,
-    ) -> (Vec<(NodeId, NodeId, LinkProps)>, usize) {
+        nearest: Nearest,
+    ) -> (Vec<LinkBits>, usize) {
         let mut all: Vec<NodeId> = ip_graph.nodes().collect();
         all.shuffle(rng);
         let mut ip_nodes: Vec<NodeId> = all.into_iter().take(config.stream_nodes).collect();
@@ -759,22 +776,39 @@ mod tests {
         let mut routing = RoutingTable::new();
         let mut mesh = Graph::new(n);
         let mut links = Vec::new();
-        let mut link = |mesh: &mut Graph, routing: &mut RoutingTable, a: usize, b: usize| {
-            let path = routing.path(ip_graph, ip_nodes[a], ip_nodes[b]).expect("distance implies path");
+        let mut link = |mesh: &mut Graph, a: usize, b: usize, path: IpPath| {
             let props = LinkProps::new(path.delay, path.bottleneck_kbps, path.loss_rate);
-            mesh.add_edge(NodeId(a as u32), NodeId(b as u32), props);
-            links.push((NodeId(a as u32), NodeId(b as u32), props));
+            let (a, b) = (NodeId(a as u32), NodeId(b as u32));
+            mesh.add_edge(a, b, props);
+            links.push(bits(a, b, &props));
         };
-        for i in 0..n {
-            let tree = routing.tree(ip_graph, ip_nodes[i]);
-            let mut dists: Vec<(SimDuration, usize)> = (0..n)
-                .filter(|&j| j != i)
-                .filter_map(|j| tree.distance(ip_nodes[j]).map(|d| (d, j)))
-                .collect();
-            dists.sort_unstable();
-            for &(_, j) in dists.iter().take(config.neighbors) {
+        let mut stream_index: Vec<Option<usize>> = vec![None; ip_graph.node_count()];
+        for (i, &ip) in ip_nodes.iter().enumerate() {
+            stream_index[ip.index()] = Some(i);
+        }
+        for (i, &src) in ip_nodes.iter().enumerate() {
+            let (peers, tree) = match nearest {
+                Nearest::StoppedSearch => {
+                    let mut peers = Vec::new();
+                    let tree = ShortestPathTree::compute_until(ip_graph, src, |u| {
+                        peers.extend(stream_index[u.index()].filter(|&j| j != i));
+                        peers.len() == config.neighbors
+                    });
+                    (peers, tree)
+                }
+                Nearest::FullTree => {
+                    let tree = routing.tree(ip_graph, src).clone();
+                    let mut dists: Vec<(SimDuration, usize)> = (0..n)
+                        .filter(|&j| j != i)
+                        .filter_map(|j| tree.distance(ip_nodes[j]).map(|d| (d, j)))
+                        .collect();
+                    dists.sort_unstable();
+                    (dists.iter().take(config.neighbors).map(|&(_, j)| j).collect(), tree)
+                }
+            };
+            for j in peers {
                 if !mesh.has_edge(NodeId(i as u32), NodeId(j as u32)) {
-                    link(&mut mesh, &mut routing, i, j);
+                    link(&mut mesh, i, j, tree.path_to(ip_graph, ip_nodes[j]).expect("settled nodes have paths"));
                 }
             }
         }
@@ -796,15 +830,45 @@ mod tests {
                 }
             }
             let (_, o, i) = best.expect("IP graph must connect the selected stream nodes");
-            link(&mut mesh, &mut routing, o, i);
+            let path = routing.path(ip_graph, ip_nodes[o], ip_nodes[i]).expect("distance implies path");
+            link(&mut mesh, o, i, path);
         }
         let bridges = mesh.edge_count() - nearest_links;
         (links, bridges)
     }
 
-    /// The stopped k-nearest search builds the mesh the all-full-trees
-    /// construction built — edge order, endpoints and `LinkProps` bits —
-    /// including the bridges `neighbors = 1` forces.
+    /// A mesh link as endpoints, delay and the bits of bandwidth and loss.
+    type LinkBits = (NodeId, NodeId, SimDuration, u64, u64);
+
+    fn bits(a: NodeId, b: NodeId, props: &LinkProps) -> LinkBits {
+        (a, b, props.delay, props.bandwidth_kbps.to_bits(), props.loss_rate.to_bits())
+    }
+
+    /// Asserts that `Overlay::build` links exactly what both reference
+    /// constructions link — edge order, endpoints and `LinkProps` bits —
+    /// and returns whether the build needed bridges.
+    fn assert_build_matches_references(ip: &Graph, config: OverlayConfig, rng: &StdRng, context: &str) -> bool {
+        let ov = Overlay::build(ip, &config, &mut rng.clone());
+        let got: Vec<_> = ov
+            .links()
+            .map(|l| {
+                let (a, b) = ov.mesh.endpoints(EdgeId(l.0));
+                bits(a, b, ov.link_props(l))
+            })
+            .collect();
+        assert!(ov.is_connected(), "{context}");
+        let mut bridged = false;
+        for nearest in [Nearest::StoppedSearch, Nearest::FullTree] {
+            let (want, bridges) = reference_mesh(ip, &config, &mut rng.clone(), nearest);
+            assert_eq!(got, want, "{context}: {nearest:?} reference");
+            bridged |= bridges > 0;
+        }
+        bridged
+    }
+
+    /// `Overlay::build` links each stream node to its nearest peers by
+    /// routed delay, as the full IP trees define them, including the
+    /// bridges `neighbors = 1` forces.
     #[test]
     fn build_matches_the_full_tree_reference() {
         let mut bridged_builds = 0;
@@ -815,18 +879,58 @@ mod tests {
                 let ip = InetConfig { nodes: 240, delay_ms: (1, 3 + seed % 2 * 17), ..InetConfig::default() }
                     .generate(&mut rng);
                 let config = OverlayConfig { stream_nodes: 40, neighbors };
-                let (want, bridges) = reference_mesh(&ip, &config, &mut rng.clone());
-                let ov = Overlay::build(&ip, &config, &mut rng);
-                let got: Vec<_> = ov
-                    .links()
-                    .map(|l| {
-                        let (a, b) = ov.mesh.endpoints(EdgeId(l.0));
-                        (a, b, *ov.link_props(l))
-                    })
-                    .collect();
-                assert_eq!(got, want, "seed {seed}, {neighbors} neighbours");
-                assert!(ov.is_connected());
-                bridged_builds += usize::from(bridges > 0);
+                let context = format!("seed {seed}, {neighbors} neighbours");
+                bridged_builds += usize::from(assert_build_matches_references(&ip, config, &rng, &context));
+            }
+        }
+        assert!(bridged_builds >= 16, "the bridging branch is compared too ({bridged_builds} builds)");
+    }
+
+    /// Two Inet graphs of `nodes` each, joined by one 200 ms link: every
+    /// few-neighbour mesh over them falls into islands the bridging step
+    /// must join.
+    fn two_clusters(nodes: usize, delay_ms: (u64, u64), rng: &mut StdRng) -> Graph {
+        let mut ip = Graph::new(2 * nodes);
+        for offset in [0, nodes as u32] {
+            let cluster = InetConfig { nodes, delay_ms, ..InetConfig::default() }.generate(rng);
+            for e in 0..cluster.edge_count() as u32 {
+                let (a, b) = cluster.endpoints(EdgeId(e));
+                ip.add_edge(NodeId(a.0 + offset), NodeId(b.0 + offset), *cluster.props(EdgeId(e)));
+            }
+        }
+        ip.add_edge(NodeId(0), NodeId(nodes as u32), LinkProps::new(SimDuration::from_millis(200), 1_000.0, 0.01));
+        ip
+    }
+
+    /// The bounded k-nearest search builds the mesh the stopped searches
+    /// and the full trees build. IP graphs of 50, 300 and 3 200 nodes,
+    /// whose 1..=3 ms links (every other seed) make equidistant peers the
+    /// norm; 1, 6 and all-but-one neighbours, and two stream nodes; and
+    /// two clusters one long link apart, so that the bridging step runs.
+    #[test]
+    fn build_matches_the_stopped_search_reference() {
+        let mut bridged_builds = 0;
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let delay_ms = (1, 3 + seed % 2 * 17);
+            // All-but-one neighbours on 400 stream nodes would cost seconds
+            // unoptimised; 50 of 3 200 keeps the sparse targets.
+            let sizes: [(usize, usize, &[usize]); 4] =
+                [(50, 20, &[1, 6, 19]), (300, 40, &[1, 6, 39]), (3_200, 50, &[1, 6, 49]), (3_200, 400, &[6])];
+            for (ip_nodes, stream_nodes, neighbors) in sizes {
+                let ip = InetConfig { nodes: ip_nodes, delay_ms, ..InetConfig::default() }.generate(&mut rng);
+                for &neighbors in neighbors {
+                    let context = format!("seed {seed}, {stream_nodes} of {ip_nodes} nodes, {neighbors} neighbours");
+                    assert_build_matches_references(&ip, OverlayConfig { stream_nodes, neighbors }, &rng, &context);
+                }
+                let context = format!("seed {seed}, two of {ip_nodes} nodes");
+                assert_build_matches_references(&ip, OverlayConfig { stream_nodes: 2, neighbors: 1 }, &rng, &context);
+            }
+            let ip = two_clusters(60, delay_ms, &mut rng);
+            for neighbors in [1, 6, 39] {
+                let context = format!("seed {seed}, two clusters, {neighbors} neighbours");
+                let config = OverlayConfig { stream_nodes: 40, neighbors };
+                bridged_builds += usize::from(assert_build_matches_references(&ip, config, &rng, &context));
             }
         }
         assert!(bridged_builds >= 16, "the bridging branch is compared too ({bridged_builds} builds)");

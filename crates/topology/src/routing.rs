@@ -10,7 +10,7 @@ use std::collections::{BinaryHeap, HashMap};
 
 use acp_simcore::SimDuration;
 
-use crate::graph::{EdgeId, Graph, NodeId};
+use crate::graph::{EdgeId, Graph, LinkProps, NodeId};
 
 /// A concrete routed path through a [`Graph`].
 #[derive(Debug, Clone, PartialEq)]
@@ -83,7 +83,7 @@ fn unpack(key: u64) -> (u64, u32) {
 /// tight predecessor `u` (`dist[u] + w(u, x) == dist[x]`) with the
 /// smallest `(dist[u], u)`. The tree is therefore a function of the
 /// graph alone, not of heap history — the fact [`Self::readmit`] and
-/// [`Self::compute_until`] rely on. Every delay this crate generates is
+/// [`NearestTargets`] rely on. Every delay this crate generates is
 /// positive (`InetConfig` 1..=20 ms per IP link, `Overlay::synthetic`
 /// 2–20 ms). A caller with a hand-built graph owns the invariant;
 /// `readmit` checks the links it reads — those at the returning node —
@@ -123,7 +123,8 @@ impl ShortestPathTree {
     /// ascending `(dist, id)`, and the entries of settled nodes — all
     /// that [`Self::path_to`] reads on the way to one — equal the full
     /// tree's; unsettled nodes may hold tentative entries, so query
-    /// settled nodes only.
+    /// settled nodes only. The oracle of [`NearestTargets`].
+    #[cfg(test)]
     pub(crate) fn compute_until(graph: &Graph, source: NodeId, stop: impl FnMut(NodeId) -> bool) -> Self {
         Self::search(graph, source, &[], stop)
     }
@@ -265,15 +266,205 @@ impl ShortestPathTree {
         }
         nodes.reverse();
         edges.reverse();
+        let (bottleneck_kbps, loss_rate) = bottleneck_and_loss(graph, edges.iter().copied());
+        Some(IpPath { nodes, edges, delay, bottleneck_kbps, loss_rate })
+    }
+}
 
-        let mut bottleneck = f64::INFINITY;
-        let mut pass = 1.0f64;
-        for &e in &edges {
-            let p = graph.props(e);
-            bottleneck = bottleneck.min(p.bandwidth_kbps);
-            pass *= 1.0 - p.loss_rate;
+/// The bottleneck bandwidth (kbit/s) and end-to-end loss of a path over
+/// `edges`, source first: `min b_e` and `1 - Π(1 - l_e)`, folded in path
+/// order. Every routed link's attributes come from here, so equal edge
+/// sequences give equal bits.
+fn bottleneck_and_loss(graph: &Graph, edges: impl Iterator<Item = EdgeId>) -> (f64, f64) {
+    let mut bottleneck = f64::INFINITY;
+    let mut pass = 1.0f64;
+    for e in edges {
+        let p = graph.props(e);
+        bottleneck = bottleneck.min(p.bandwidth_kbps);
+        pass *= 1.0 - p.loss_rate;
+    }
+    (bottleneck, 1.0 - pass)
+}
+
+/// An arc of [`NearestTargets`]' adjacency view, 12 bytes.
+#[derive(Debug, Clone, Copy)]
+struct DelayArc {
+    delay: u32,
+    node: u32,
+    edge: u32,
+}
+
+/// `target_of` of a node that is no target.
+const NOT_TARGET: u32 = u32::MAX;
+
+/// k-nearest-target searches over one graph: one adjacency view and one
+/// scratch shared by every search, reset between searches through the
+/// list of nodes the last one touched.
+///
+/// A search settles exactly what `compute_until` settles when it stops
+/// at the k-th target other than the source, in the same order and with
+/// the same `dist`/`prev`, but relaxes less. It keeps the `k` smallest
+/// tentative distances of distinct targets; once it has `k`, their
+/// maximum `U` is at least `D_k`, the k-th target's true distance, and a
+/// relaxation to more than `U` is skipped. Dijkstra pops distances in
+/// ascending order, so every node settled before the stop, and the
+/// relaxation that gives it its final entry, is within `D_k ≤ U`, while a
+/// skipped relaxation would have been popped after the stop — zero-delay
+/// links included.
+///
+/// Each node's arcs are sorted by `(delay, node, edge)`, so a scan stops
+/// at the first arc past `U`. Arc order changes no result: a node has one
+/// arc per neighbour, relaxation is strict, and heap keys are distinct.
+#[derive(Debug)]
+pub(crate) struct NearestTargets {
+    /// `arcs[first[u]..first[u + 1]]` are node `u`'s arcs.
+    first: Vec<u32>,
+    arcs: Vec<DelayArc>,
+    /// Per graph node, its index among the targets.
+    target_of: Vec<u32>,
+    dist: Vec<u64>,
+    prev: Vec<(u32, u32)>,
+    done: Vec<bool>,
+    /// The nodes whose `dist` the last search set.
+    touched: Vec<u32>,
+    heap: BinaryHeap<Reverse<u64>>,
+    /// The `k` smallest tentative `(dist, node)` of targets, unordered.
+    best: Vec<(u64, u32)>,
+    /// Edge ids of the path being read, destination first.
+    path: Vec<u32>,
+}
+
+impl NearestTargets {
+    /// Searches over `graph` for the nodes of `targets`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a link delay of 2³² µs or more.
+    pub(crate) fn new(graph: &Graph, targets: &[NodeId]) -> Self {
+        let n = graph.node_count();
+        let mut first = Vec::with_capacity(n + 1);
+        let mut arcs = Vec::with_capacity(2 * graph.edge_count());
+        first.push(0);
+        for u in graph.nodes() {
+            let start = arcs.len();
+            arcs.extend(graph.neighbors(u).iter().map(|&(v, e)| DelayArc {
+                delay: u32::try_from(graph.delay_us(e)).expect("link delay below 2^32 µs"),
+                node: v.0,
+                edge: e.0,
+            }));
+            arcs[start..].sort_unstable_by_key(|a| (a.delay, a.node, a.edge));
+            first.push(arcs.len() as u32);
         }
-        Some(IpPath { nodes, edges, delay, bottleneck_kbps: bottleneck, loss_rate: 1.0 - pass })
+        let mut target_of = vec![NOT_TARGET; n];
+        for (i, t) in targets.iter().enumerate() {
+            target_of[t.index()] = i as u32;
+        }
+        NearestTargets {
+            first,
+            arcs,
+            target_of,
+            dist: vec![UNREACHED; n],
+            prev: vec![NO_PREV; n],
+            done: vec![false; n],
+            touched: Vec::new(),
+            heap: BinaryHeap::new(),
+            best: Vec::new(),
+            path: Vec::new(),
+        }
+    }
+
+    /// Fills `nearest` with the target indices of the `k` targets nearest
+    /// to `source`, itself excluded, in the order they settle: ascending
+    /// `(delay, id)` when delays are positive. Fewer when fewer are
+    /// reachable. Every node settled is reported to `settled`.
+    pub(crate) fn search(
+        &mut self,
+        source: NodeId,
+        k: usize,
+        nearest: &mut Vec<usize>,
+        mut settled: impl FnMut(NodeId),
+    ) {
+        let NearestTargets { first, arcs, target_of, dist, prev, done, touched, heap, best, .. } = self;
+        for v in touched.drain(..) {
+            (dist[v as usize], prev[v as usize], done[v as usize]) = (UNREACHED, NO_PREV, false);
+        }
+        heap.clear();
+        best.clear();
+        nearest.clear();
+        let is_peer = |v: u32| target_of[v as usize] != NOT_TARGET && v != source.0;
+        let mut bound = UNREACHED;
+
+        dist[source.index()] = 0;
+        touched.push(source.0);
+        heap.push(Reverse(pack(0, source.0)));
+        while let Some(Reverse(key)) = heap.pop() {
+            let (d, u) = unpack(key);
+            if done[u as usize] {
+                continue;
+            }
+            done[u as usize] = true;
+            settled(NodeId(u));
+            if is_peer(u) {
+                nearest.push(target_of[u as usize] as usize);
+                if nearest.len() == k {
+                    break;
+                }
+            }
+            let out = &arcs[first[u as usize] as usize..first[u as usize + 1] as usize];
+            for &DelayArc { delay, node: v, edge } in out {
+                let cand = d + u64::from(delay);
+                if cand > bound {
+                    break;
+                }
+                if done[v as usize] || cand >= dist[v as usize] {
+                    continue;
+                }
+                assert!(cand >> 32 == 0, "shortest-path distance reached 2^32 µs (71 min): {cand} µs");
+                if dist[v as usize] == UNREACHED {
+                    touched.push(v);
+                }
+                dist[v as usize] = cand;
+                prev[v as usize] = (u, edge);
+                heap.push(Reverse(pack(cand, v)));
+                if is_peer(v) {
+                    bound = tighten(best, k, v, cand);
+                }
+            }
+        }
+    }
+
+    /// The link the last search's path to `target`, a node it settled,
+    /// makes: the same delay, bottleneck and loss bits as
+    /// [`ShortestPathTree::path_to`], through the same fold.
+    pub(crate) fn link_props(&mut self, graph: &Graph, target: NodeId) -> LinkProps {
+        self.path.clear();
+        let mut cur = target.0;
+        while self.prev[cur as usize] != NO_PREV {
+            let (p, e) = self.prev[cur as usize];
+            assert!(self.path.len() < self.prev.len(), "a predecessor chain visits each node once");
+            self.path.push(e);
+            cur = p;
+        }
+        let (bottleneck, loss) = bottleneck_and_loss(graph, self.path.iter().rev().map(|&e| EdgeId(e)));
+        LinkProps::new(SimDuration::from_micros(self.dist[target.index()]), bottleneck, loss)
+    }
+}
+
+/// Records target `v`'s tentative distance `d` among the `k` smallest of
+/// distinct targets, and returns the search bound: their maximum once
+/// there are `k` of them, unbounded before.
+fn tighten(best: &mut Vec<(u64, u32)>, k: usize, v: u32, d: u64) -> u64 {
+    if let Some(entry) = best.iter_mut().find(|e| e.1 == v) {
+        entry.0 = d;
+    } else if best.len() < k {
+        best.push((d, v));
+    } else if let Some(worst) = best.iter_mut().max_by_key(|e| e.0).filter(|w| d < w.0) {
+        *worst = (d, v);
+    }
+    if best.len() == k {
+        best.iter().map(|e| e.0).max().unwrap_or(UNREACHED)
+    } else {
+        UNREACHED
     }
 }
 
@@ -692,6 +883,59 @@ mod tests {
             }
         }
         assert!(blocked_sources >= 3 && stopped >= 40, "{blocked_sources} blocked sources, {stopped} stopped searches");
+    }
+
+    /// The bounded k-nearest search against the stopped search it
+    /// replaced, many searches through one scratch: the same nodes
+    /// settle in the same order with the same `dist`/`prev`, the peers
+    /// are the first `k` targets settled, and their link attributes are
+    /// the full tree's paths' bits. Delays of 0..=2 ms (every third
+    /// graph) add zero-delay links to the ties of 1..=3 ms.
+    #[test]
+    fn nearest_targets_settle_as_compute_until() {
+        use rand::{Rng, SeedableRng};
+        let mut pruned = 0;
+        for seed in 0..12u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let delay_ms = [(1, 3), (0, 2), (1, 20)][seed as usize % 3];
+            let g = crate::inet::InetConfig { nodes: 60 + 40 * seed as usize, delay_ms, ..Default::default() }
+                .generate(&mut rng);
+            let n = g.node_count();
+            let targets: Vec<NodeId> = g.nodes().filter(|v| v.0 < 2 || rng.gen_bool(0.2)).collect();
+            let mut search = NearestTargets::new(&g, &targets);
+            let mut nearest = Vec::new();
+            for _ in 0..12 {
+                let source = targets[rng.gen_range(0..targets.len())];
+                let k = [1, 2, 6, targets.len() - 1, targets.len()][rng.gen_range(0..5usize)];
+                let mut got = Vec::new();
+                search.search(source, k, &mut nearest, |u| got.push(u));
+                let (mut want, mut peers) = (Vec::new(), Vec::new());
+                let until = ShortestPathTree::compute_until(&g, source, |u| {
+                    want.push(u);
+                    if u != source {
+                        peers.extend(targets.iter().position(|&t| t == u));
+                    }
+                    peers.len() == k
+                });
+                let context = format!("seed {seed}, {source}, k = {k}");
+                assert_eq!(got, want, "{context}: settle order");
+                assert_eq!(nearest, peers, "{context}: peers");
+                for &u in &got {
+                    assert_eq!(search.dist[u.index()], until.dist[u.index()], "{context}: dist of {u}");
+                    assert_eq!(search.prev[u.index()], until.prev[u.index()], "{context}: prev of {u}");
+                }
+                let full = ShortestPathTree::compute(&g, source);
+                for &j in &nearest {
+                    let path = full.path_to(&g, targets[j]).expect("a settled peer is reachable");
+                    let props = search.link_props(&g, targets[j]);
+                    assert_eq!(props.delay, path.delay, "{context}");
+                    assert_eq!(props.bandwidth_kbps.to_bits(), path.bottleneck_kbps.to_bits(), "{context}");
+                    assert_eq!(props.loss_rate.to_bits(), path.loss_rate.to_bits(), "{context}");
+                }
+                pruned += usize::from(search.touched.len() < (0..n).filter(|&v| until.dist[v] != UNREACHED).count());
+            }
+        }
+        assert!(pruned >= 50, "the bound skipped relaxations in only {pruned} searches");
     }
 
     /// The packed key holds distances below 2³² µs; a search that would

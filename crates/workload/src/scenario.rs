@@ -611,18 +611,16 @@ impl ScenarioResult {
     }
 }
 
-/// FNV-1a digest over the sorted session table: session id, request id,
-/// and every assigned component. Two runs that composed identically end
-/// with equal digests.
+/// FNV-1a digest over the session table in id order: session id, request
+/// id, and every assigned component. Two runs that composed identically
+/// end with equal digests.
 pub fn session_digest(system: &StreamSystem) -> u64 {
-    let mut sessions: Vec<_> = system.sessions().collect();
-    sessions.sort_by_key(|s| s.id.0);
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |x: u64| {
         h ^= x;
         h = h.wrapping_mul(0x1_0000_0000_01b3);
     };
-    for s in &sessions {
+    for s in system.sessions_by_id() {
         mix(s.id.0);
         mix(s.request.0);
         for c in &s.composition.assignment {

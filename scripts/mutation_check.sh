@@ -8,7 +8,8 @@
 #
 #   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|leases|readmit|board|topology] [WORKDIR]
 #
-# No suite name runs all ten; WORKDIR defaults to target/mutation-check.
+# No suite name runs all ten, 26 mutants; WORKDIR defaults to
+# target/mutation-check.
 # The repository itself is never edited; the copy and its cargo target
 # directory live under WORKDIR.
 set -euo pipefail
@@ -117,11 +118,16 @@ readmit_mutants=(
     'a tie the node would win is not a forward|s/|| (via == dy \&\& (dv, node\.0) < (self\.dist\[p as usize\], p))//'
 )
 
-# The topology kernels against the generator and the search they
-# replaced (`mod reference` in each file). A heap key with the node in
+# The topology kernels against the generator and the searches they
+# replaced (`mod reference` in inet.rs and routing.rs, `compute_until`
+# and the stopped-search mesh in overlay.rs). A heap key with the node in
 # the high bits pops by id, not by distance; a clique exit that trusts
 # the open count stops matching while edges can still be added; a
 # Fenwick descent one past the scan's index picks the wrong endpoint.
+# The k-nearest search: a bound that also prunes relaxations equal to it
+# loses the peers tied at the k-th distance; a bound taken once the first
+# peer is found, not the k-th, prunes paths to nearer peers; and a scratch
+# not reset between searches starts from the last one's entries.
 topology_kernel='crates/topology/src/routing.rs crates/topology/src/inet.rs'
 topology_target='-p acp-topology --lib'
 topology_oracle= # every test of the target
@@ -129,6 +135,9 @@ topology_mutants=(
     'routing.rs: the packed key puts the node in the high bits|s/^    dist << 32 | u64::from(node)$/    u64::from(node) << 32 | dist/; s/^    (key >> 32, key as u32)$/    (key \& 0xffff_ffff, (key >> 32) as u32)/'
     'inet.rs: the clique exit without the adjacency check|s/^                if is_clique(graph, \&open) {$/                if true {/'
     'inet.rs: the Fenwick descent returns pos + 1|s/^        pos$/        pos + 1/'
+    'routing.rs: the bound prunes on >=|s/^                if cand > bound {$/                if cand >= bound {/'
+    'routing.rs: the bound set by the first peer found|s/^    if best.len() == k {$/    if !best.is_empty() {/'
+    'routing.rs: the scratch not reset between searches|s/^            (dist\[v as usize\], prev\[v as usize\], done\[v as usize\]) = (UNREACHED, NO_PREV, false);$/            let _ = v;/'
 )
 board_kernel=crates/state/src/global.rs
 board_target='-p acp-state --lib'
