@@ -115,19 +115,24 @@ fn warm_operations_allocate_exactly_this_much() {
     assert_eq!(std::mem::size_of::<Request>(), 80);
     assert_eq!(std::mem::size_of::<Session>(), 216);
 
-    // ACP, single-phase: the two-phase machinery is compiled out.
+    // ACP, single-phase: the two-phase machinery is compiled out. The
+    // deputy no longer calls `StreamSystem::qualify` on every completed
+    // probe (the commit validates Eqs. 2–5 on what it tries), so its two
+    // per-probe demand groupings are gone: 4 529 allocations became 3 095.
     let mut acp = ProbingComposer::new(probing.clone(), 42);
     let single = warm_compose_close(&mut acp, &system, &board, &batch);
-    assert_eq!(single, (200, (4_529, 497_416)), "ACP single-phase");
+    assert_eq!(single, (200, (3_095, 344_960)), "ACP single-phase");
 
     // ACP, two-phase over a fault-free transport: the retry loop and the
     // setup ledger around the same compositions. It reads what
     // single-phase reads: an inert setup path allocates nothing of its
     // own (the old wall-clock A/B between the two said "within noise").
+    // It fell from 4 529 with single-phase when the deputy's `qualify`
+    // call went.
     let setup = TwoPhase::new(43, SetupConfig::default());
     let mut acp_two_phase = ProbingComposer::with_mode(probing.clone(), 42, setup);
     let two_phase = warm_compose_close(&mut acp_two_phase, &system, &board, &batch);
-    assert_eq!(two_phase, (200, (4_529, 497_416)), "ACP two-phase");
+    assert_eq!(two_phase, (200, (3_095, 344_960)), "ACP two-phase");
 
     // Optimal: the branch-and-bound under the figures' expansion cap.
     let mut optimal = OptimalComposer::new(OptimalConfig { max_expansions: 300_000 });
@@ -154,7 +159,9 @@ fn warm_operations_allocate_exactly_this_much() {
     assert_eq!((pairs.len(), commit_close), (200, (800, 57_464)), "commit/close pairs");
 
     // One repair splice: the middle hop of a three-function path crashes
-    // and the planner splices a replacement in place.
+    // and the planner splices a replacement in place, probed by an ACP
+    // composer of its own. 43 allocations became 39 when the deputy's
+    // `qualify` call on each completed segment probe went.
     let mut sys = system.clone();
     let path = batch
         .iter()
@@ -164,11 +171,11 @@ fn warm_operations_allocate_exactly_this_much() {
     let victim = sys.session(session).expect("live").composition.assignment[1];
     sys.crash_component(victim, RepairPolicy::Repair, SimTime::from_secs(20));
     let mut planner = RepairPlanner::new();
-    let mut repair_rng = DeterministicRng::new(7).stream("repair");
+    let mut repair = ProbingComposer::new(probing.clone(), DeterministicRng::new(7).seed_for("repair"));
     let now = SimTime::from_secs(23);
     let (attempt, splice) = counted(|| {
-        planner.repair_session(&mut sys, &board, session, now, &probing, &mut SinglePhase, &mut repair_rng)
+        planner.repair_session(&mut sys, &board, session, now, &mut repair, probing.transient_timeout)
     });
     assert_eq!(attempt.verdict, RepairVerdict::Repaired);
-    assert_eq!(splice, (43, 3_099), "repair splice");
+    assert_eq!(splice, (39, 3_003), "repair splice");
 }

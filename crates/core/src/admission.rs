@@ -95,19 +95,6 @@ impl AdmissionDecision {
     }
 }
 
-/// Aggregate admission counters (all tenants).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdmissionStats {
-    /// Requests offered to the controller.
-    pub offered: u64,
-    /// Requests admitted.
-    pub admitted: u64,
-    /// Requests shed by a rate limit.
-    pub shed_rate: u64,
-    /// Requests shed by the congestion gate.
-    pub shed_congestion: u64,
-}
-
 /// The per-tenant admission controller at the composer entry path.
 #[derive(Debug, Clone)]
 pub struct AdmissionController {
@@ -115,13 +102,12 @@ pub struct AdmissionController {
     /// Per-tenant rate limiters, indexed by `TenantId.0`; `None` means
     /// uncapped.
     buckets: Vec<Option<TokenBucket>>,
-    stats: AdmissionStats,
 }
 
 impl AdmissionController {
     /// A controller with the given thresholds and no rate limits.
     pub fn new(config: AdmissionConfig) -> Self {
-        AdmissionController { config, buckets: Vec::new(), stats: AdmissionStats::default() }
+        AdmissionController { config, buckets: Vec::new() }
     }
 
     /// Caps `tenant` at `refill_per_sec` requests/s with `burst` tokens
@@ -142,24 +128,15 @@ impl AdmissionController {
         now: SimTime,
         congestion: f64,
     ) -> AdmissionDecision {
-        self.stats.offered += 1;
         if let Some(Some(bucket)) = self.buckets.get_mut(binding.tenant.0 as usize) {
             if !bucket.try_take(now) {
-                self.stats.shed_rate += 1;
                 return AdmissionDecision::ShedRateLimit;
             }
         }
         if congestion >= self.config.threshold(binding.tier) {
-            self.stats.shed_congestion += 1;
             return AdmissionDecision::ShedCongestion;
         }
-        self.stats.admitted += 1;
         AdmissionDecision::Admit
-    }
-
-    /// Aggregate counters so far.
-    pub fn stats(&self) -> AdmissionStats {
-        self.stats
     }
 
     /// The configured thresholds.
@@ -191,23 +168,19 @@ mod tests {
 
     #[test]
     fn tiers_shed_in_order_as_congestion_rises() {
+        use AdmissionDecision::{Admit, ShedCongestion};
         let mut ctl = AdmissionController::new(AdmissionConfig::default());
         let now = SimTime::ZERO;
         for (congestion, gold, silver, best) in [
-            (0.10, true, true, true),
-            (0.70, true, true, false),
-            (0.90, true, false, false),
-            (1.00, true, false, false),
+            (0.10, Admit, Admit, Admit),
+            (0.70, Admit, Admit, ShedCongestion),
+            (0.90, Admit, ShedCongestion, ShedCongestion),
+            (1.00, Admit, ShedCongestion, ShedCongestion),
         ] {
-            assert_eq!(ctl.admit(GOLD, now, congestion).admitted(), gold);
-            assert_eq!(ctl.admit(SILVER, now, congestion).admitted(), silver);
-            assert_eq!(ctl.admit(BEST, now, congestion).admitted(), best);
+            assert_eq!(ctl.admit(GOLD, now, congestion), gold);
+            assert_eq!(ctl.admit(SILVER, now, congestion), silver);
+            assert_eq!(ctl.admit(BEST, now, congestion), best);
         }
-        let stats = ctl.stats();
-        assert_eq!(stats.offered, 12);
-        assert_eq!(stats.admitted, 7);
-        assert_eq!(stats.shed_congestion, 5);
-        assert_eq!(stats.shed_rate, 0);
     }
 
     #[test]
@@ -218,7 +191,6 @@ mod tests {
         assert!(ctl.admit(BEST, now, 0.0).admitted());
         assert_eq!(ctl.admit(BEST, now, 0.0), AdmissionDecision::ShedRateLimit);
         assert!(ctl.admit(GOLD, now, 0.0).admitted(), "other tenants uncapped");
-        assert_eq!(ctl.stats().shed_rate, 1);
     }
 
     #[test]

@@ -20,8 +20,8 @@ use crate::naive::{blind_compose, BlindStrategy};
 use crate::optimal::{optimal_compose, OptimalConfig};
 use crate::overhead::OverheadStats;
 use crate::protocol::{
-    compose_with_mode, FinalSelection, ProbeScratch, ProbingConfig, ProbingOutcome, SetupConfig,
-    SetupMode, SetupStats, SinglePhase, TwoPhase,
+    compose_with_mode, FinalSelection, ProbeScratch, ProbingConfig, SetupConfig, SetupMode, SetupStats,
+    SinglePhase, TwoPhase,
 };
 use crate::selection::HopSelection;
 
@@ -39,17 +39,6 @@ pub struct ComposeOutcome {
     /// exhaustive baseline can, when it hits its expansion cap, and its
     /// answer is then the best found so far, not the optimum.
     pub truncated: bool,
-}
-
-impl From<ProbingOutcome> for ComposeOutcome {
-    fn from(out: ProbingOutcome) -> Self {
-        ComposeOutcome {
-            session: out.session,
-            stats: out.stats,
-            setup: out.setup,
-            truncated: false,
-        }
-    }
 }
 
 /// A composition algorithm: given the system, the coarse global state and
@@ -79,7 +68,8 @@ pub trait Composer {
 
 /// The probing composers — ACP and its SP, RP and BCP variants — as one
 /// type: they run the same protocol and differ only in the per-hop and
-/// final selection rules their constructor pins in the [`ProbingConfig`].
+/// final selection rules their constructor pins (BCP also pins a probe
+/// budget in the [`ProbingConfig`]).
 ///
 /// The setup mode is a type parameter: the default [`SinglePhase`]
 /// instantiation compiles the entire two-phase machinery (retry loop,
@@ -89,6 +79,8 @@ pub trait Composer {
 #[derive(Debug)]
 pub struct ProbingComposer<M: SetupMode = SinglePhase> {
     name: &'static str,
+    hop_selection: HopSelection,
+    final_selection: FinalSelection,
     config: ProbingConfig,
     rng: StdRng,
     mode: M,
@@ -141,8 +133,15 @@ impl<M: SetupMode> ProbingComposer<M> {
         seed: u64,
         mode: M,
     ) -> Self {
-        let config = ProbingConfig { hop_selection, final_selection, ..config };
-        ProbingComposer { name, config, rng: StdRng::seed_from_u64(seed), mode, scratch: ProbeScratch::default() }
+        ProbingComposer {
+            name,
+            hop_selection,
+            final_selection,
+            config,
+            rng: StdRng::seed_from_u64(seed),
+            mode,
+            scratch: ProbeScratch::default(),
+        }
     }
 
     /// [`Self::new`] under an explicit setup mode.
@@ -195,11 +194,11 @@ impl<M: SetupMode> Composer for ProbingComposer<M> {
             request,
             now,
             &self.config,
+            (self.hop_selection, self.final_selection),
             &mut self.mode,
             &mut self.rng,
             &mut self.scratch,
         )
-        .into()
     }
 
     /// A fixed probe budget (`quota_override`) leaves no ratio to tune.

@@ -78,9 +78,7 @@ pub mod tuning_control;
 
 /// One-stop imports for downstream crates.
 pub mod prelude {
-    pub use crate::admission::{
-        AdmissionConfig, AdmissionController, AdmissionDecision, AdmissionStats, TokenBucket,
-    };
+    pub use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision, TokenBucket};
     pub use crate::algorithms::{
         AcpComposer, AlgorithmKind, ComposeOutcome, Composer, OptimalComposer, ProbingComposer,
         RandomComposer, StaticComposer,
@@ -92,8 +90,7 @@ pub mod prelude {
     pub use crate::optimal::{optimal_compose, OptimalConfig};
     pub use crate::overhead::{centralized_update_messages_per_minute, OverheadStats};
     pub use crate::protocol::{
-        FinalSelection, ProbingConfig, ProbingOutcome, SetupConfig, SetupMode, SetupStats,
-        SinglePhase, TwoPhase,
+        FinalSelection, ProbingConfig, SetupConfig, SetupMode, SetupStats, SinglePhase, TwoPhase,
     };
     pub use crate::repair::{
         RepairAttempt, RepairFailure, RepairPlanner, RepairVerdict, MINI_REQUEST_BIT,

@@ -11,12 +11,14 @@
 //!    budget (the end-to-end requirement minus what the healthy prefix
 //!    and suffix already consume) and the original rates, resources, and
 //!    placement constraints.
-//! 2. **Segment probing** — the sub-request runs through the existing
-//!    two-phase probing machinery (`compose_with_mode`): transient
-//!    leases, per-hop qualification, φ-optimal selection, commit. The
-//!    mini-session's resources are now *held* alongside the healthy
-//!    remainder — make-before-break, never double-committed (the broken
-//!    segment released its commitments at degrade time).
+//! 2. **Segment probing** — the sub-request runs through the caller's
+//!    [`Composer`] (a scenario's is an ACP
+//!    [`ProbingComposer`](crate::algorithms::ProbingComposer) under the
+//!    run's setup mode): transient leases, per-hop qualification,
+//!    φ-optimal selection, commit. The mini-session's resources are now
+//!    *held* alongside the healthy remainder — make-before-break, never
+//!    double-committed (the broken segment released its commitments at
+//!    degrade time).
 //! 3. **Boundary bridging** — the virtual paths stitching the healthy
 //!    anchors to the new segment are reserved transiently under the
 //!    mini-request, so splice-time promotion is the standard two-phase
@@ -35,9 +37,8 @@ use acp_model::prelude::*;
 use acp_simcore::{SimDuration, SimTime};
 use acp_state::GlobalStateBoard;
 use acp_topology::{OverlayNodeId, SharedPath};
-use rand::Rng;
 
-use crate::protocol::{compose_with_mode, ProbeScratch, ProbingConfig, ProbingOutcome, SetupMode};
+use crate::algorithms::{ComposeOutcome, Composer};
 
 /// High-bit namespace for repair mini-requests: real workload request
 /// ids stay below it, so a mini-request can never collide with (or be
@@ -90,7 +91,7 @@ pub struct RepairAttempt {
     /// What happened.
     pub verdict: RepairVerdict,
     /// The mini-request's probing outcome, for overhead accounting.
-    pub probing: Option<ProbingOutcome>,
+    pub probing: Option<ComposeOutcome>,
 }
 
 /// Plans and executes make-before-break segment repairs. Stateful only
@@ -99,8 +100,6 @@ pub struct RepairAttempt {
 #[derive(Debug, Clone, Default)]
 pub struct RepairPlanner {
     mini_counter: u64,
-    /// Probe-tree storage for the segment probes (buffers, not state).
-    scratch: ProbeScratch,
 }
 
 impl RepairPlanner {
@@ -110,20 +109,18 @@ impl RepairPlanner {
     }
 
     /// Attempts to repair degraded session `sid`: derives the broken
-    /// segment's sub-request, probes a replacement via `mode`'s setup
-    /// path, bridges the boundaries, and splices. Charges the ticket one
-    /// attempt. See the module docs for the
-    /// phase breakdown and failure semantics.
-    #[allow(clippy::too_many_arguments)] // mirrors compose_with_mode, which it wraps
-    pub fn repair_session<M: SetupMode, R: Rng + ?Sized>(
+    /// segment's sub-request, composes a replacement with `composer`,
+    /// bridges the boundaries under leases that last `transient_timeout`,
+    /// and splices. Charges the ticket one attempt. See the module docs
+    /// for the phase breakdown and failure semantics.
+    pub fn repair_session(
         &mut self,
         system: &mut StreamSystem,
         board: &GlobalStateBoard,
         sid: SessionId,
         now: SimTime,
-        config: &ProbingConfig,
-        mode: &mut M,
-        rng: &mut R,
+        composer: &mut dyn Composer,
+        transient_timeout: SimDuration,
     ) -> RepairAttempt {
         // Snapshot what the borrow checker won't let us read later.
         let Some(session) = system.session(sid) else {
@@ -173,8 +170,7 @@ impl RepairPlanner {
         };
 
         // Phase 1+2: probe and commit the replacement segment.
-        let probing =
-            compose_with_mode(system, board, &mini_request, now, config, mode, rng, &mut self.scratch);
+        let probing = composer.compose(system, board, &mini_request, now);
         let Some(mini_sid) = probing.session else {
             self.attempt_failed(system, request.id);
             return RepairAttempt {
@@ -187,7 +183,7 @@ impl RepairPlanner {
         // mini-request so the splice promotes them like any other lease.
         let mini_assignment =
             system.session(mini_sid).expect("just committed").composition.assignment.clone();
-        let expiry = now + config.transient_timeout;
+        let expiry = now + transient_timeout;
         let bridge = |system: &mut StreamSystem,
                           anchor: OverlayNodeId,
                           end: OverlayNodeId,
@@ -279,7 +275,9 @@ impl RepairPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{probe_compose, SinglePhase};
+    use crate::algorithms::ProbingComposer;
+    use crate::protocol::{ProbingConfig, SetupConfig, TwoPhase};
+    use acp_simcore::MessageFaultConfig;
     use acp_state::GlobalStateConfig;
     use acp_topology::{InetConfig, Overlay, OverlayConfig};
     use rand::rngs::StdRng;
@@ -320,9 +318,9 @@ mod tests {
     fn repairs_crashed_middle_hop_in_place() {
         let (mut sys, board) = build(31, 40);
         let req = path_request(&sys, 1, 3);
-        let mut rng = StdRng::seed_from_u64(31);
         let cfg = ProbingConfig::default();
-        let out = probe_compose(&mut sys, &board, &req, SimTime::ZERO, &cfg, &mut rng);
+        let mut acp = ProbingComposer::new(cfg.clone(), 31);
+        let out = acp.compose(&mut sys, &board, &req, SimTime::ZERO);
         let sid = out.session.expect("loose request composes");
         let victim = sys.session(sid).unwrap().composition.assignment[1];
 
@@ -333,15 +331,7 @@ mod tests {
 
         let mut planner = RepairPlanner::new();
         let t1 = SimTime::from_secs(23);
-        let attempt = planner.repair_session(
-            &mut sys,
-            &board,
-            sid,
-            t1,
-            &cfg,
-            &mut SinglePhase,
-            &mut rng,
-        );
+        let attempt = planner.repair_session(&mut sys, &board, sid, t1, &mut acp, cfg.transient_timeout);
         assert_eq!(attempt.verdict, RepairVerdict::Repaired, "{attempt:?}");
         let s = sys.session(sid).expect("repaired in place");
         assert!(!s.is_degraded());
@@ -361,20 +351,13 @@ mod tests {
     fn healthy_session_is_not_repaired() {
         let (mut sys, board) = build(32, 40);
         let req = path_request(&sys, 2, 3);
-        let mut rng = StdRng::seed_from_u64(32);
         let cfg = ProbingConfig::default();
-        let out = probe_compose(&mut sys, &board, &req, SimTime::ZERO, &cfg, &mut rng);
+        let mut acp = ProbingComposer::new(cfg.clone(), 32);
+        let out = acp.compose(&mut sys, &board, &req, SimTime::ZERO);
         let sid = out.session.expect("composes");
         let mut planner = RepairPlanner::new();
-        let attempt = planner.repair_session(
-            &mut sys,
-            &board,
-            sid,
-            SimTime::from_secs(1),
-            &cfg,
-            &mut SinglePhase,
-            &mut rng,
-        );
+        let attempt =
+            planner.repair_session(&mut sys, &board, sid, SimTime::from_secs(1), &mut acp, cfg.transient_timeout);
         assert_eq!(attempt.verdict, RepairVerdict::NotDegraded);
         assert_eq!(planner.mini_counter, 0);
         assert_eq!(sys.repair_ledger().attempts, 0);
@@ -384,9 +367,9 @@ mod tests {
     fn failed_attempt_returns_ticket_to_degraded_and_leaves_no_residue() {
         let (mut sys, board) = build(33, 40);
         let req = path_request(&sys, 3, 3);
-        let mut rng = StdRng::seed_from_u64(33);
         let cfg = ProbingConfig::default();
-        let out = probe_compose(&mut sys, &board, &req, SimTime::ZERO, &cfg, &mut rng);
+        let mut acp = ProbingComposer::new(cfg.clone(), 33);
+        let out = acp.compose(&mut sys, &board, &req, SimTime::ZERO);
         let sid = out.session.expect("composes");
         let mid_function = req.graph.function(1);
         let t0 = SimTime::from_secs(10);
@@ -400,15 +383,8 @@ mod tests {
         assert!(sys.candidates(mid_function).is_empty());
 
         let mut planner = RepairPlanner::new();
-        let attempt = planner.repair_session(
-            &mut sys,
-            &board,
-            sid,
-            SimTime::from_secs(12),
-            &cfg,
-            &mut SinglePhase,
-            &mut rng,
-        );
+        let attempt =
+            planner.repair_session(&mut sys, &board, sid, SimTime::from_secs(12), &mut acp, cfg.transient_timeout);
         assert_eq!(
             attempt.verdict,
             RepairVerdict::Failed(RepairFailure::NoComposition),
@@ -426,6 +402,40 @@ mod tests {
         assert_eq!(sys.repair_ledger().abandoned, 1);
         assert!(sys.repair_ledger().reconciles());
         let report = SystemAuditor::default().audit(&sys);
+        assert!(report.is_clean(), "{report}");
+    }
+
+    /// The repair path under a lossy transport: the segment's probes are
+    /// dropped often enough that the first round comes back empty, the
+    /// setup path retries with an escalated ratio, and the splice lands.
+    #[test]
+    fn two_phase_repair_retries_through_probe_loss_and_splices() {
+        let (mut sys, board) = build(34, 40);
+        let req = path_request(&sys, 4, 3);
+        let cfg = ProbingConfig::default();
+        let out = ProbingComposer::new(cfg.clone(), 34).compose(&mut sys, &board, &req, SimTime::ZERO);
+        let sid = out.session.expect("composes");
+        let victim = sys.session(sid).unwrap().composition.assignment[1];
+        sys.crash_component(victim, RepairPolicy::Repair, SimTime::from_secs(20));
+
+        let lossy = SetupConfig {
+            faults: MessageFaultConfig { probe_drop: 0.5, ..MessageFaultConfig::default() },
+            ..SetupConfig::default()
+        };
+        let mut repair = ProbingComposer::with_mode(cfg.clone(), 35, TwoPhase::new(0, lossy));
+        let t1 = SimTime::from_secs(23);
+        let attempt =
+            RepairPlanner::new().repair_session(&mut sys, &board, sid, t1, &mut repair, cfg.transient_timeout);
+        assert_eq!(attempt.verdict, RepairVerdict::Repaired, "{attempt:?}");
+        let setup = attempt.probing.expect("the segment was probed").setup;
+        assert!(setup.probes_lost > 0 && setup.retries > 0, "{setup:?}");
+        assert_eq!(setup.attempts, setup.retries + 1);
+        let s = sys.session(sid).expect("repaired in place");
+        assert!(!s.is_degraded());
+        assert_ne!(s.composition.assignment[1], victim);
+        assert_eq!(sys.repair_ledger().repaired, 1);
+        assert!(sys.lease_stats().reconciles(sys.live_lease_count() as u64));
+        let report = SystemAuditor::default().audit_at(&sys, Some(t1));
         assert!(report.is_clean(), "{report}");
     }
 }

@@ -237,6 +237,48 @@ fn sample_exp<R: Rng + ?Sized>(rng: &mut R, mean_secs: f64) -> SimDuration {
     SimDuration::from_secs_f64(-mean_secs * u.ln())
 }
 
+/// Appends one class of paired faults to `events`: strikes at
+/// exponential gaps of mean `60 / per_min` seconds, each on a uniform
+/// victim among the `count` indices the class itself has up at that
+/// instant, and each paired with a restore after an exponential downtime
+/// of mean `mean_down`, unless that falls past `end`. `strike` names the
+/// fault and its restore for a victim; it may draw from `rng` (a degrade
+/// factor) after the victim and before the downtime.
+fn paired_faults(
+    events: &mut Vec<(SimTime, u64, FaultKind)>,
+    mut rng: StdRng,
+    per_min: f64,
+    count: usize,
+    mean_down: SimDuration,
+    end: SimTime,
+    mut strike: impl FnMut(&mut StdRng, u32) -> (FaultKind, FaultKind),
+) {
+    if !(per_min > 0.0 && count > 0) {
+        return;
+    }
+    let mean_gap = 60.0 / per_min;
+    let mut down_until = vec![SimTime::ZERO; count];
+    let mut t = SimTime::ZERO;
+    loop {
+        t += sample_exp(&mut rng, mean_gap);
+        if t >= end {
+            break;
+        }
+        let up: Vec<u32> = (0..count as u32).filter(|&v| down_until[v as usize] <= t).collect();
+        if up.is_empty() {
+            continue;
+        }
+        let victim = up[rng.gen_range(0..up.len())];
+        let (fault, restore) = strike(&mut rng, victim);
+        let back = t + sample_exp(&mut rng, mean_down.as_secs_f64());
+        down_until[victim as usize] = back;
+        events.push((t, events.len() as u64, fault));
+        if back < end {
+            events.push((back, events.len() as u64, restore));
+        }
+    }
+}
+
 impl FaultPlan {
     /// Generates the schedule for a system of `node_count` nodes and
     /// `link_count` links over `horizon`, from the `"faults"` family of
@@ -257,99 +299,45 @@ impl FaultPlan {
         horizon: SimDuration,
     ) -> Self {
         let streams = DeterministicRng::new(seed);
+        // `(time, generation sequence, kind)`: the sequence is the push
+        // index, so it is `events.len()` at every push.
         let mut events: Vec<(SimTime, u64, FaultKind)> = Vec::new();
-        let mut seq = 0u64;
         let end = SimTime::ZERO + horizon;
 
-        // Node fail/recover pairs.
-        if config.node_fail_per_min > 0.0 && node_count > 0 {
-            let mut rng: StdRng = streams.stream("faults/node");
-            let mean_gap = 60.0 / config.node_fail_per_min;
-            let mut down_until = vec![SimTime::ZERO; node_count];
-            let mut t = SimTime::ZERO;
-            loop {
-                t += sample_exp(&mut rng, mean_gap);
-                if t >= end {
-                    break;
-                }
-                // Uniform victim among nodes the plan has up at `t`.
-                let up: Vec<u32> = (0..node_count as u32).filter(|&v| down_until[v as usize] <= t).collect();
-                if up.is_empty() {
-                    continue;
-                }
-                let victim = up[rng.gen_range(0..up.len())];
-                let downtime = sample_exp(&mut rng, config.mean_node_downtime.as_secs_f64());
-                let back = t + downtime;
-                down_until[victim as usize] = back;
-                events.push((t, seq, FaultKind::NodeFail { node: victim }));
-                seq += 1;
-                if back < end {
-                    events.push((back, seq, FaultKind::NodeRecover { node: victim }));
-                    seq += 1;
-                }
-            }
-        }
-
-        // Link fail/restore pairs.
-        if config.link_fail_per_min > 0.0 && link_count > 0 {
-            let mut rng: StdRng = streams.stream("faults/link");
-            let mean_gap = 60.0 / config.link_fail_per_min;
-            let mut down_until = vec![SimTime::ZERO; link_count];
-            let mut t = SimTime::ZERO;
-            loop {
-                t += sample_exp(&mut rng, mean_gap);
-                if t >= end {
-                    break;
-                }
-                let up: Vec<u32> = (0..link_count as u32).filter(|&l| down_until[l as usize] <= t).collect();
-                if up.is_empty() {
-                    continue;
-                }
-                let victim = up[rng.gen_range(0..up.len())];
-                let downtime = sample_exp(&mut rng, config.mean_link_downtime.as_secs_f64());
-                let back = t + downtime;
-                down_until[victim as usize] = back;
-                events.push((t, seq, FaultKind::LinkFail { link: victim }));
-                seq += 1;
-                if back < end {
-                    events.push((back, seq, FaultKind::LinkRestore { link: victim }));
-                    seq += 1;
-                }
-            }
-        }
-
-        // Link degrade/restore pairs (share the link down-tracking only
-        // with themselves; a degraded link overlapping a failed one is
-        // harmless — restore is idempotent to nominal).
-        if config.link_degrade_per_min > 0.0 && link_count > 0 {
-            let mut rng: StdRng = streams.stream("faults/degrade");
-            let mean_gap = 60.0 / config.link_degrade_per_min;
-            let mut degraded_until = vec![SimTime::ZERO; link_count];
-            let mut t = SimTime::ZERO;
-            loop {
-                t += sample_exp(&mut rng, mean_gap);
-                if t >= end {
-                    break;
-                }
-                let up: Vec<u32> =
-                    (0..link_count as u32).filter(|&l| degraded_until[l as usize] <= t).collect();
-                if up.is_empty() {
-                    continue;
-                }
-                let victim = up[rng.gen_range(0..up.len())];
+        paired_faults(
+            &mut events,
+            streams.stream("faults/node"),
+            config.node_fail_per_min,
+            node_count,
+            config.mean_node_downtime,
+            end,
+            |_, node| (FaultKind::NodeFail { node }, FaultKind::NodeRecover { node }),
+        );
+        paired_faults(
+            &mut events,
+            streams.stream("faults/link"),
+            config.link_fail_per_min,
+            link_count,
+            config.mean_link_downtime,
+            end,
+            |_, link| (FaultKind::LinkFail { link }, FaultKind::LinkRestore { link }),
+        );
+        // Degrades share the link down-tracking only with themselves; a
+        // degraded link overlapping a failed one is harmless — restore is
+        // idempotent to nominal.
+        paired_faults(
+            &mut events,
+            streams.stream("faults/degrade"),
+            config.link_degrade_per_min,
+            link_count,
+            config.mean_link_downtime,
+            end,
+            |rng, link| {
                 let (lo, hi) = config.degrade_factor;
                 let factor = if lo >= hi { lo } else { rng.gen_range(lo..hi) };
-                let downtime = sample_exp(&mut rng, config.mean_link_downtime.as_secs_f64());
-                let back = t + downtime;
-                degraded_until[victim as usize] = back;
-                events.push((t, seq, FaultKind::LinkDegrade { link: victim, factor }));
-                seq += 1;
-                if back < end {
-                    events.push((back, seq, FaultKind::LinkRestore { link: victim }));
-                    seq += 1;
-                }
-            }
-        }
+                (FaultKind::LinkDegrade { link, factor }, FaultKind::LinkRestore { link })
+            },
+        );
 
         // Component crashes (no paired recovery: a crashed component is
         // gone until redeployed by migration/rebalancing).
@@ -364,8 +352,7 @@ impl FaultPlan {
                 }
                 let node = rng.gen_range(0..node_count as u32);
                 let ordinal: u64 = rng.gen();
-                events.push((t, seq, FaultKind::ComponentCrash { node, ordinal }));
-                seq += 1;
+                events.push((t, events.len() as u64, FaultKind::ComponentCrash { node, ordinal }));
             }
         }
 
@@ -393,11 +380,9 @@ impl FaultPlan {
                 let duration = sample_exp(&mut rng, config.mean_partition_duration.as_secs_f64());
                 let back = t + duration;
                 open_until = back;
-                events.push((t, seq, FaultKind::Partition { first, count: span }));
-                seq += 1;
+                events.push((t, events.len() as u64, FaultKind::Partition { first, count: span }));
                 if back < end {
-                    events.push((back, seq, FaultKind::PartitionHeal { first, count: span }));
-                    seq += 1;
+                    events.push((back, events.len() as u64, FaultKind::PartitionHeal { first, count: span }));
                 }
             }
         }
@@ -647,16 +632,6 @@ impl FaultScheduler {
         }
         self.plan.events[start..self.cursor].to_vec()
     }
-
-    /// Events not yet delivered.
-    pub fn remaining(&self) -> usize {
-        self.plan.events.len() - self.cursor
-    }
-
-    /// The underlying plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
 }
 
 #[cfg(test)]
@@ -759,7 +734,6 @@ mod tests {
             delivered += batch.len();
         }
         assert_eq!(delivered, total);
-        assert_eq!(sched.remaining(), 0);
         assert!(sched.pop_due(SimTime::MAX).is_empty());
     }
 

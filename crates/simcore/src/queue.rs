@@ -10,10 +10,6 @@ use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Identifier of a scheduled event, usable for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId(u64);
-
 /// An event together with its activation time, as stored in the queue.
 #[derive(Debug, Clone)]
 pub struct ScheduledEvent<E> {
@@ -21,8 +17,6 @@ pub struct ScheduledEvent<E> {
     pub time: SimTime,
     /// The event payload.
     pub event: E,
-    /// Identity assigned at scheduling time.
-    pub id: EventId,
 }
 
 struct Entry<E> {
@@ -70,85 +64,42 @@ impl<E> Ord for Entry<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    cancelled: std::collections::HashSet<u64>,
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            cancelled: std::collections::HashSet::new(),
-        }
+        EventQueue { heap: BinaryHeap::new(), next_seq: 0 }
     }
 
-    /// Schedules `event` to fire at `time` and returns its [`EventId`].
+    /// Schedules `event` to fire at `time`.
     ///
     /// Events scheduled for the same instant fire in scheduling order.
-    pub fn schedule(&mut self, time: SimTime, event: E) -> EventId {
+    pub fn schedule(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Entry { time, seq, event });
-        EventId(seq)
     }
 
-    /// Cancels a previously scheduled event.
-    ///
-    /// Returns `true` if the event had not yet fired (or been cancelled).
-    /// Cancellation is lazy: the entry stays in the heap and is skipped
-    /// when it reaches the front.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq {
-            return false;
-        }
-        self.cancelled.insert(id.0)
-    }
-
-    /// Removes and returns the earliest pending event, skipping cancelled
-    /// entries. `None` when the queue is exhausted.
+    /// Removes and returns the earliest pending event. `None` when the
+    /// queue is exhausted.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            return Some(ScheduledEvent {
-                time: entry.time,
-                event: entry.event,
-                id: EventId(entry.seq),
-            });
-        }
-        None
+        self.heap.pop().map(|entry| ScheduledEvent { time: entry.time, event: entry.event })
     }
 
-    /// Activation time of the earliest pending (non-cancelled) event.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.heap.peek() {
-            if self.cancelled.contains(&entry.seq) {
-                let seq = entry.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-                continue;
-            }
-            return Some(entry.time);
-        }
-        None
+    /// Activation time of the earliest pending event.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|entry| entry.time)
     }
 
-    /// Number of pending events, including lazily-cancelled ones.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len()
     }
 
-    /// True when no live events remain.
+    /// True when no events remain.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Discards all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.cancelled.clear();
+        self.heap.is_empty()
     }
 }
 
@@ -187,46 +138,6 @@ mod tests {
         for i in 0..100 {
             assert_eq!(q.pop().unwrap().event, i);
         }
-    }
-
-    #[test]
-    fn cancel_skips_event() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_secs(1), "a");
-        q.schedule(SimTime::from_secs(2), "b");
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a), "double-cancel reports false");
-        assert_eq!(q.pop().unwrap().event, "b");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_unknown_id_is_false() {
-        let mut q: EventQueue<u8> = EventQueue::new();
-        assert!(!q.cancel(EventId(42)));
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_secs(1), "a");
-        q.schedule(SimTime::from_secs(5), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(5)));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn len_accounts_for_cancellations() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_secs(1), ());
-        q.schedule(SimTime::from_secs(2), ());
-        assert_eq!(q.len(), 2);
-        q.cancel(a);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-        q.clear();
-        assert!(q.is_empty());
     }
 
     #[test]

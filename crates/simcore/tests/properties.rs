@@ -23,34 +23,6 @@ proptest! {
         }
     }
 
-    /// Cancelling an arbitrary subset removes exactly that subset.
-    #[test]
-    fn queue_cancellation_is_exact(
-        times in proptest::collection::vec(0u64..1_000, 1..100),
-        cancel_mask in proptest::collection::vec(any::<bool>(), 1..100),
-    ) {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (i, q.schedule(SimTime::from_micros(t), i)))
-            .collect();
-        let mut cancelled = std::collections::HashSet::new();
-        for (i, id) in &ids {
-            if *cancel_mask.get(*i % cancel_mask.len()).unwrap_or(&false) {
-                q.cancel(*id);
-                cancelled.insert(*i);
-            }
-        }
-        let mut survivors = std::collections::HashSet::new();
-        while let Some(ev) = q.pop() {
-            survivors.insert(ev.event);
-        }
-        for i in 0..times.len() {
-            prop_assert_eq!(survivors.contains(&i), !cancelled.contains(&i));
-        }
-    }
-
     /// Time arithmetic is consistent: (t + d) - t == d.
     #[test]
     fn time_add_sub_roundtrip(t in 0u64..u64::MAX / 4, d in 0u64..u64::MAX / 4) {

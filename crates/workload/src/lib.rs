@@ -30,5 +30,4 @@ pub use acp_model::prelude::RepairPolicy;
 pub use scenario::{
     build_system, run_scenario, session_digest, tier_index, ChurnConfig, RepairScenarioConfig,
     ScenarioConfig, ScenarioResult, TenantPreemptionConfig, TenantSpec, TenantsConfig, TierSummary,
-    TIER_LABELS,
 };

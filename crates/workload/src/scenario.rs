@@ -212,9 +212,6 @@ pub fn tier_index(tier: TenantTier) -> usize {
     }
 }
 
-/// Tier labels in `tier_index` order.
-pub const TIER_LABELS: [&str; 3] = ["gold", "silver", "best-effort"];
-
 /// Full description of one experiment run.
 #[derive(Debug, Clone)]
 pub struct ScenarioConfig {
@@ -669,16 +666,6 @@ struct ChurnState {
     rebalancer: Rebalancer,
 }
 
-/// The setup mode repair composes run under: mirrors the scenario's
-/// `setup` config so repair probing sees the same message-fault
-/// environment as arrival probing, with its own label-derived seed.
-enum RepairComposeMode {
-    Single(SinglePhase),
-    // Boxed: TwoPhase is ~300 bytes vs SinglePhase's zero, and one
-    // lives per run, so the indirection is free.
-    Two(Box<TwoPhase>),
-}
-
 /// Live repair state carried by a repair-enabled scenario.
 struct RepairRuntime {
     config: RepairScenarioConfig,
@@ -686,10 +673,11 @@ struct RepairRuntime {
     /// Detection-latency stream; label-derived, and the default `Fixed`
     /// distribution draws nothing at all.
     detect_rng: StdRng,
-    /// Probing randomness for repair composes, separate from the main
-    /// composer so enabling repair never perturbs arrival compositions.
-    compose_rng: StdRng,
-    mode: RepairComposeMode,
+    /// The ACP composer repair segments are probed with: its own seeds,
+    /// so enabling repair never perturbs arrival compositions, and the
+    /// scenario's setup mode, so repair probing fights the same lossy
+    /// transport as arrival probing.
+    composer: Box<dyn Composer>,
     /// Degraded sessions awaiting their detection latency or retry
     /// delay, as `(due, session)`.
     pending: Vec<(SimTime, SessionId)>,
@@ -1074,29 +1062,16 @@ impl Model for ScenarioModel {
                 // Canonical order: ascending session id.
                 due.sort_unstable();
                 due.dedup();
-                let RepairRuntime { config: repair_config, planner, compose_rng, mode, pending, .. } =
-                    &mut repair;
+                let RepairRuntime { config: repair_config, planner, composer, pending, .. } = &mut repair;
                 for sid in due {
-                    let attempt = match mode {
-                        RepairComposeMode::Single(m) => planner.repair_session(
-                            &mut self.system,
-                            &self.board,
-                            sid,
-                            now,
-                            &self.config.probing,
-                            m,
-                            compose_rng,
-                        ),
-                        RepairComposeMode::Two(m) => planner.repair_session(
-                            &mut self.system,
-                            &self.board,
-                            sid,
-                            now,
-                            &self.config.probing,
-                            m.as_mut(),
-                            compose_rng,
-                        ),
-                    };
+                    let attempt = planner.repair_session(
+                        &mut self.system,
+                        &self.board,
+                        sid,
+                        now,
+                        composer.as_mut(),
+                        self.config.probing.transient_timeout,
+                    );
                     if let Some(probing) = attempt.probing {
                         self.result.overhead += probing.stats;
                         self.result.setup_stats += probing.setup;
@@ -1286,25 +1261,20 @@ fn simulate(config: ScenarioConfig) -> ScenarioModel {
     });
 
     // Repair runtime: its streams are label-derived, so enabling repair
-    // never perturbs arrivals, faults, or the main composer. The compose
-    // mode mirrors the setup config — repair probing fights the same
-    // lossy transport as arrival probing, on its own seed.
-    let repair = config.repair.clone().map(|repair_config| {
-        let mode = match &config.setup {
-            Some(setup) => RepairComposeMode::Two(Box::new(TwoPhase::new(
-                streams.seed_for("repair-setup"),
-                setup.clone(),
-            ))),
-            None => RepairComposeMode::Single(SinglePhase),
-        };
-        RepairRuntime {
-            planner: RepairPlanner::new(),
-            detect_rng: streams.stream("repair"),
-            compose_rng: streams.stream("repair-compose"),
-            mode,
-            pending: Vec::new(),
-            config: repair_config,
-        }
+    // never perturbs arrivals, faults, or the main composer. Its composer
+    // is ACP whatever the run's algorithm, under the run's setup mode on
+    // a seed of its own.
+    let repair = config.repair.clone().map(|repair_config| RepairRuntime {
+        planner: RepairPlanner::new(),
+        detect_rng: streams.stream("repair"),
+        composer: AlgorithmKind::Acp.build_composer(
+            config.probing.clone(),
+            config.optimal,
+            streams.seed_for("repair-compose"),
+            config.setup.clone().map(|setup| (streams.seed_for("repair-setup"), setup)),
+        ),
+        pending: Vec::new(),
+        config: repair_config,
     });
 
     // Tenant population: ids are indices into the spec vec, registered

@@ -6,9 +6,9 @@
 # time, and the oracle must pass on the pristine copy and fail on every
 # mutant. A mutant named 'FILE.rs: ...' must fail inside that test file.
 #
-#   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|leases|readmit|board|topology] [WORKDIR]
+#   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|repair|leases|readmit|board|topology] [WORKDIR]
 #
-# No suite name runs all ten, 26 mutants; WORKDIR defaults to
+# No suite name runs all eleven, 27 mutants; WORKDIR defaults to
 # target/mutation-check.
 # The repository itself is never edited; the copy and its cargo target
 # directory live under WORKDIR.
@@ -97,6 +97,17 @@ ledger_mutants=(
     'counters.rs: tier failed bumped on success|s/^                            tier\.composed += 1;$/                            tier.failed += 1;/'
 )
 
+# The repair path's own randomness: its composer's transport must draw
+# from a stream no other composer draws from. Seeded from the arrival
+# composer's label instead, repair probing loses the probes arrival
+# probing loses (golden.rs pins the full stack's digest and setup rounds).
+repair_kernel=crates/workload/src/scenario.rs
+repair_target='-p acp-workload --test golden'
+repair_oracle= # every test of the target
+repair_mutants=(
+    'golden.rs: repair transport seeded from the arrival label|s/streams\.seed_for("repair-setup")/streams.seed_for("setup")/'
+)
+
 # Three kernels kept exact by a differential proptest each. A site that
 # stays in the lease directory's live set after its last lease went, or
 # a request's release that takes other requests' leases at its sites
@@ -146,9 +157,9 @@ board_mutants=(
     'node skipped though its version moved|s/self\.config\.incremental \&\& self\.seen_node_versions\[i\] == versions\[i\]/self.config.incremental \&\& self.seen_node_versions[i] <= versions[i]/'
 )
 
-suites=(selection optimal faults compose counters ledger leases readmit board topology)
+suites=(selection optimal faults compose counters ledger repair leases readmit board topology)
 case "${1:-}" in
-    selection | optimal | faults | compose | counters | ledger | leases | readmit | board | topology)
+    selection | optimal | faults | compose | counters | ledger | repair | leases | readmit | board | topology)
         suites=("$1")
         shift
         ;;
