@@ -108,9 +108,6 @@ pub struct PathCacheStats {
     pub misses: u64,
 }
 
-impl PathCacheStats {
-}
-
 impl OverlayPath {
     /// A path over `nodes` and `links` with its aggregated QoS.
     ///
@@ -361,7 +358,7 @@ impl Overlay {
                 }
                 let props = sample_props(rng);
                 mesh.add_edge(NodeId(i), NodeId(j), props);
-                }
+            }
         }
         Self::with_cold_caches((0..n).map(NodeId).collect(), mesh)
     }
@@ -420,9 +417,10 @@ impl Overlay {
     /// case during probing, where every candidate pair is examined many
     /// times per session — are a single hash lookup plus an `Arc` clone.
     /// Both caches always answer as a fresh overlay with the same down
-    /// set would: [`Self::set_node_down`] drops exactly the entries a
-    /// failure could change and keeps every tree a recovery provably
-    /// leaves alone.
+    /// set would: every cached tree is exactly the tree a fresh overlay
+    /// would build, because [`Self::set_node_down`] repairs each one in
+    /// place, and the memo loses only the pairs whose route a repair
+    /// changed.
     pub fn virtual_path(&mut self, from: OverlayNodeId, to: OverlayNodeId) -> Option<SharedPath> {
         self.virtual_path_ref(from, to).cloned()
     }
@@ -477,35 +475,47 @@ impl Overlay {
 
     /// Marks a node's forwarding plane down or up. While down, the node
     /// is refused as a `virtual_path` endpoint and routing never relays
-    /// through it. Either way only the cached routes the change can
-    /// alter are dropped: a failure goes through
-    /// [`Self::invalidate_routes_for`], a recovery re-admits the node
-    /// into the cached trees. No-op when the flag is unchanged.
+    /// through it. No-op when the flag is unchanged.
+    ///
+    /// Every cached tree is repaired in place
+    /// ([`ShortestPathTree::remove_node`] / [`ShortestPathTree::add_node`])
+    /// and reports the targets whose route changed; the memo loses
+    /// exactly those pairs of its row, plus the pairs keyed by `node`
+    /// itself — answered as refusals while it is down, and on a recovery
+    /// also the `(from, node)` refusals of sources without a tree. The
+    /// tree of a failed source, and a tree whose repair read a
+    /// zero-delay link, are dropped with their rows.
     pub fn set_node_down(&mut self, node: OverlayNodeId, down: bool) {
         if self.down[node.index()] == down {
             return;
         }
         self.down[node.index()] = down;
-        if down {
-            self.invalidate_routes_for(node);
-        } else {
-            self.readmit_routes_for(node);
+        let nodes = (0..self.node_count() as u32).map(OverlayNodeId);
+        let (mesh, blocked, path_cache) = (&self.mesh, &self.down, &mut self.path_cache);
+        let mut targets = Vec::new();
+        self.route_cache.retain(|&source, tree| {
+            let exact = if down {
+                tree.remove_node(mesh, NodeId(node.0), blocked, &mut targets)
+            } else {
+                tree.add_node(mesh, NodeId(node.0), blocked, &mut targets)
+            };
+            if exact {
+                for t in &targets {
+                    path_cache.remove(&(source, OverlayNodeId(t.0)));
+                }
+            } else {
+                for t in nodes.clone() {
+                    path_cache.remove(&(source, t));
+                }
+            }
+            exact
+        });
+        for t in nodes {
+            path_cache.remove(&(node, t));
+            if !down {
+                path_cache.remove(&(t, node));
+            }
         }
-    }
-
-    /// Re-admits a recovered `node` into every cached tree
-    /// ([`ShortestPathTree::readmit`]): where it would be a leaf — in
-    /// this mesh, almost every tree — it is attached in place and the
-    /// tree stays; where it would forward traffic the tree is dropped,
-    /// as a failure drops it. A memoized path survives when its source's
-    /// tree did and neither endpoint is `node` (those were refusals);
-    /// without a surviving tree an entry can no longer be proven current.
-    fn readmit_routes_for(&mut self, node: OverlayNodeId) {
-        let (mesh, down) = (&self.mesh, &self.down);
-        self.route_cache.retain(|_, tree| tree.readmit(mesh, NodeId(node.0), down));
-        let trees = &self.route_cache;
-        self.path_cache
-            .retain(|&(from, to), _| from != node && to != node && trees.contains_key(&from));
     }
 
     /// True when `node`'s forwarding plane is marked down.
@@ -513,21 +523,17 @@ impl Overlay {
         self.down[node.index()]
     }
 
-    /// Drops only the cached routes a failure of `node` could change:
-    /// the tree rooted at `node`, any tree where `node` forwards traffic
-    /// (its failure would reroute those paths), and memoized paths that
-    /// start at, end at, or traverse `node`. Trees and paths that never
-    /// touch `node` remain valid — removing a node can only remove
-    /// routes, never create shorter ones. A kept tree retains `node`'s
-    /// own, now stale, leaf entry: no query reads it while the node is
-    /// down, and re-admission overwrites it.
+    /// Forgets the cached trees `node` forwards in — its own included —
+    /// with their memo rows; changes no state. The next lookup from
+    /// those sources is a miss that builds its tree from scratch. Its one
+    /// caller is the benchmark's cold-lookup replay
+    /// (`benchmark/src/workloads/paper_steady.rs`), which ROADMAP item 2
+    /// can move onto [`Self::set_node_down`] — the source down, then up —
+    /// deleting this.
     pub fn invalidate_routes_for(&mut self, node: OverlayNodeId) {
         self.route_cache.retain(|_, tree| !tree.routes_through(NodeId(node.0)));
-        self.path_cache.retain(|&(from, to), path| {
-            from != node
-                && to != node
-                && path.as_ref().is_none_or(|p| !p.nodes.contains(&node))
-        });
+        let trees = &self.route_cache;
+        self.path_cache.retain(|(from, _), _| trees.contains_key(from));
     }
 
     /// The underlying mesh graph (read-only).
@@ -959,9 +965,14 @@ mod tests {
         g
     }
 
-    /// Every `(a, b)` answer of `ov` equals a cold overlay's over the
-    /// same mesh and down set.
+    /// Every cached tree of `ov` is exactly the tree a cold overlay
+    /// would build, and every `(a, b)` answer equals a cold overlay's
+    /// over the same mesh and down set.
     fn assert_answers_fresh(ov: &mut Overlay, context: &str) {
+        for (&source, tree) in &ov.route_cache {
+            let want = ShortestPathTree::compute_excluding(&ov.mesh, NodeId(source.0), &ov.down);
+            assert_eq!(tree, &want, "{context}: {source}'s tree");
+        }
         let mut fresh = from_mesh(ov.mesh.clone());
         fresh.down = ov.down.clone();
         let nodes: Vec<_> = ov.nodes().collect();
@@ -997,9 +1008,10 @@ mod tests {
     }
 
     /// A cut vertex makes unreachable nodes reachable when it returns:
-    /// the cached "no route" and the trees that held it must go.
+    /// the trees it reconnects are repaired in place, the cached "no
+    /// route" goes, and a pair it does not touch stays a hit.
     #[test]
-    fn a_recovered_cut_vertex_drops_the_trees_it_reconnects() {
+    fn a_recovered_cut_vertex_reconnects_the_trees_in_place() {
         // 0 - 1 - 2 - 3 in a line; 2 is the cut vertex.
         let mut ov = from_mesh(mesh_of(4, &[(0, 1, 1), (1, 2, 2), (2, 3, 3)]));
         let cut = OverlayNodeId(2);
@@ -1007,38 +1019,42 @@ mod tests {
         assert_answers_fresh(&mut ov, "cut down");
         assert!(ov.virtual_path(OverlayNodeId(0), OverlayNodeId(3)).is_none());
         ov.set_node_down(cut, false);
-        // From either side, 2 relays to the other: no tree survives.
-        assert!(ov.route_cache.is_empty() && ov.path_cache_len() == 0);
+        assert_eq!(ov.route_cache.len(), 3, "every up source keeps its tree");
+        assert!(ov.memoized_path(OverlayNodeId(0), OverlayNodeId(1)).is_some(), "0 -> 1 never met 2");
+        let hits = ov.path_cache_stats().hits;
         assert!(ov.virtual_path(OverlayNodeId(0), OverlayNodeId(3)).is_some());
+        assert_eq!(ov.path_cache_stats().hits, hits, "the cached \"no route\" went");
         assert_answers_fresh(&mut ov, "cut back");
     }
 
     /// Equal-delay routes: the returning node takes over a neighbour when
     /// it is the canonical predecessor — `(dist, id)` smaller than the
-    /// current one — and only then.
+    /// current one — and only then. Either way the tree stays, repaired
+    /// in place, and the memo loses the pair only when its route moved.
     #[test]
-    fn a_recovered_node_that_wins_a_tie_drops_the_tree() {
+    fn a_recovered_node_that_wins_a_tie_takes_over_in_place() {
         // Two equal routes 0 -> 3: via 1 or via 2 (all 1 ms). Fresh
         // Dijkstra picks 1, the lower id.
         let links = [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)];
-        for (down, kept) in [(1u32, false), (2, true)] {
+        let (src, dst) = (OverlayNodeId(0), OverlayNodeId(3));
+        for (down, takes_over) in [(1u32, true), (2, false)] {
             let mut ov = from_mesh(mesh_of(4, &links));
             ov.set_node_down(OverlayNodeId(down), true);
-            let via = ov.virtual_path(OverlayNodeId(0), OverlayNodeId(3)).unwrap();
+            let via = ov.virtual_path(src, dst).unwrap();
             assert_eq!(via.nodes[1], OverlayNodeId(3 - down));
             ov.set_node_down(OverlayNodeId(down), false);
-            assert_eq!(ov.route_cache.contains_key(&OverlayNodeId(0)), kept, "node {down}");
+            assert!(ov.route_cache.contains_key(&src), "node {down}: 0's tree is kept");
+            assert_eq!(ov.memoized_path(src, dst).is_none(), takes_over, "node {down}");
             assert_answers_fresh(&mut ov, "tie");
+            assert_eq!(ov.virtual_path(src, dst).unwrap().nodes[1], OverlayNodeId(1));
         }
     }
 
-    /// Entries of down nodes in a kept tree are stale, and re-admission
-    /// must neither trust nor keep them. 1 and 2 fail as leaves of 0's
-    /// tree at different times; each recovers while the other's entry is
-    /// stale, and 1 — re-admitted while 2 was down — holds a shortcut to
-    /// 2 that is only real once both are up.
+    /// Neighbours fail and return around each other, and 0's tree stays
+    /// exact throughout: a down node holds no entry to trust, and 1 —
+    /// back while 2 was down — relays to 2 only once both are up.
     #[test]
-    fn stale_entries_of_down_nodes_are_neither_used_nor_kept() {
+    fn churn_next_to_down_nodes_keeps_the_tree_exact() {
         // 0 -1ms- 1 -1ms- 2, and the long way round 0 -5ms- 3 -5ms- 2.
         let mut ov = from_mesh(mesh_of(4, &[(0, 1, 1), (1, 2, 1), (0, 3, 5), (3, 2, 5)]));
         let (src, short, far) = (OverlayNodeId(0), OverlayNodeId(1), OverlayNodeId(2));
@@ -1048,8 +1064,8 @@ mod tests {
         for (node, down, context) in [
             (far, true, "2 fails as a leaf"),
             (short, false, "1 returns as a leaf: its other neighbour is down"),
-            (short, true, "1 fails as a leaf, leaving a 1 ms entry behind"),
-            (far, false, "2 returns next to that stale entry and must come in via 3"),
+            (short, true, "1 fails as a leaf"),
+            (far, false, "2 returns, and must come in via 3"),
         ] {
             ov.set_node_down(node, down);
             assert!(ov.route_cache.contains_key(&src), "{context}: 0's tree is kept");
@@ -1057,13 +1073,13 @@ mod tests {
         }
         assert_eq!(ov.virtual_path(src, far).unwrap().delay, ten);
         ov.set_node_down(short, false);
-        assert!(!ov.route_cache.contains_key(&src), "1 now relays to 2: the tree goes");
+        assert!(ov.route_cache.contains_key(&src), "1 now relays to 2: the tree is repaired, not dropped");
         assert_eq!(ov.virtual_path(src, far).unwrap().delay, SimDuration::from_millis(2));
         assert_answers_fresh(&mut ov, "all back");
     }
 
-    /// Zero-delay mesh links void the canonical-predecessor rule, so
-    /// re-admission falls back to dropping every tree.
+    /// Zero-delay mesh links void the canonical-predecessor rule, so a
+    /// repair that reads one drops its tree and memo row instead.
     #[test]
     fn zero_delay_links_fall_back_to_dropping_trees() {
         let mut ov = from_mesh(mesh_of(4, &[(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 0)]));

@@ -82,12 +82,16 @@ fn unpack(key: u64) -> (u64, u32) {
 /// positive nodes settle in ascending `(dist, id)` and `prev[x]` is the
 /// tight predecessor `u` (`dist[u] + w(u, x) == dist[x]`) with the
 /// smallest `(dist[u], u)`. The tree is therefore a function of the
-/// graph alone, not of heap history — the fact [`Self::readmit`] and
-/// [`NearestTargets`] rely on. Every delay this crate generates is
+/// graph and the blocked set alone, not of heap history — the fact
+/// [`NearestTargets`] relies on, and the rule by which
+/// [`Self::remove_node`] and [`Self::add_node`] repair a tree in place
+/// into exactly what [`Self::compute_excluding`] would build. Blocked and
+/// unreachable nodes hold no entry. Every delay this crate generates is
 /// positive (`InetConfig` 1..=20 ms per IP link, `Overlay::synthetic`
-/// 2–20 ms). A caller with a hand-built graph owns the invariant;
-/// `readmit` checks the links it reads — those at the returning node —
-/// and refuses on a zero delay.
+/// 2–20 ms). A caller with a hand-built graph owns the invariant; the
+/// repairs check the links they read — every link at the node that
+/// changed, and at every node they re-settle — and refuse on a zero
+/// delay.
 ///
 /// **Range.** Distances must stay below 2³² µs (about 71 minutes), the
 /// packed key's high half; a search whose relaxation would reach that
@@ -96,7 +100,7 @@ fn unpack(key: u64) -> (u64, u32) {
 /// Per node the tree holds 16 bytes: the distance in µs (`u64::MAX`
 /// when unreached) and the predecessor with its edge (`u32::MAX` when
 /// none).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShortestPathTree {
     source: NodeId,
     dist: Vec<u64>,
@@ -175,57 +179,171 @@ impl ShortestPathTree {
         tree
     }
 
-    /// Brings `node` — up again in `blocked`, down or never reached when
-    /// this tree was last correct — back into the tree, and returns
-    /// whether the tree is now exactly what
-    /// [`Self::compute_excluding`] would build. `false` means the caller
-    /// must drop it.
+    /// Takes `node`, now set in `blocked` (one flag per graph node), out
+    /// of the tree in place, leaving exactly what
+    /// [`Self::compute_excluding`] builds under `blocked`. Fills
+    /// `targets` with the nodes whose route changed — `node`'s subtree,
+    /// ascending — and returns `true`; `false` means the caller must drop
+    /// the tree (`node` is the source, or a link read has zero delay).
     ///
-    /// `node` gets its canonical entry from its up, reachable neighbours.
-    /// Then the mirror of [`Self::routes_through`]: would `node` forward?
-    /// It would iff, for some up neighbour `y`, the route through `node`
-    /// reaches a `y` that was unreachable, is strictly shorter, or ties
-    /// and `(dist[node], node)` precedes `y`'s current predecessor. If it
-    /// would not, no other entry changes and `node` is a leaf; if it
-    /// would (or `node` is the source, or an incident link has zero
-    /// delay, where the canonical rule does not hold) the answer is
-    /// `false` and the tree is left unspecified.
-    pub fn readmit(&mut self, graph: &Graph, node: NodeId, blocked: &[bool]) -> bool {
+    /// The subtree is found through the adjacency — `v`'s children are
+    /// the neighbours whose predecessor is `v` — and its entries cleared.
+    /// Each of its nodes is seeded from its reachable neighbours outside
+    /// it by the least `(dist[u] + w, dist[u], u)`, and Dijkstra under the
+    /// canonical rule settles the subtree alone. No route outside it
+    /// changes: none passed through `node`, and a removal only lengthens
+    /// routes, so no node inside can offer a shorter or tie-winning one.
+    pub(crate) fn remove_node(
+        &mut self,
+        graph: &Graph,
+        node: NodeId,
+        blocked: &[bool],
+        targets: &mut Vec<NodeId>,
+    ) -> bool {
+        targets.clear();
         if node == self.source {
             return false;
         }
-        let is_up = |v: NodeId| !blocked.get(v.index()).copied().unwrap_or(false);
-        // The canonical predecessor `u`: least `(dist[node], dist[u], u)`.
-        // Its edge rides along; it never decides, `u` has one edge here.
-        let mut best: Option<(u64, u64, u32, u32)> = None;
-        for &(u, e) in graph.neighbors(node) {
-            let w = graph.delay_us(e);
-            if w == 0 {
-                return false;
-            }
-            let du = self.dist[u.index()];
-            if du != UNREACHED && is_up(u) {
-                let key = (du + w, du, u.0, e.0);
-                best = Some(best.map_or(key, |b| b.min(key)));
-            }
+        if self.dist[node.index()] == UNREACHED {
+            return true;
         }
-        if let Some((dv, ..)) = best {
-            for &(y, e) in graph.neighbors(node) {
-                if y == self.source || !is_up(y) {
-                    continue;
-                }
-                let via = dv + graph.delay_us(e);
-                let (dy, (p, _)) = (self.dist[y.index()], self.prev[y.index()]);
-                let forwards = p == NO_PREV.0
-                    || via < dy
-                    || (via == dy && (dv, node.0) < (self.dist[p as usize], p));
-                if forwards {
+        targets.push(node);
+        let mut next = 0;
+        while let Some(&v) = targets.get(next) {
+            next += 1;
+            for &(y, e) in graph.neighbors(v) {
+                if graph.delay_us(e) == 0 {
                     return false;
                 }
+                if self.prev[y.index()].0 == v.0 {
+                    targets.push(y);
+                }
             }
         }
-        (self.dist[node.index()], self.prev[node.index()]) =
-            best.map_or((UNREACHED, NO_PREV), |(dv, _, u, e)| (dv, (u, e)));
+        for v in targets.iter() {
+            (self.dist[v.index()], self.prev[v.index()]) = (UNREACHED, NO_PREV);
+        }
+        // Seeds read only entries outside the subtree: their distances
+        // are written once every seed is chosen.
+        let mut heap = BinaryHeap::new();
+        for &y in &targets[1..] {
+            if let Some((d, from)) = self.canonical_entry(graph, y) {
+                self.prev[y.index()] = from;
+                heap.push(Reverse(pack(d, y.0)));
+            }
+        }
+        for &Reverse(key) in heap.iter() {
+            let (d, y) = unpack(key);
+            self.dist[y as usize] = d;
+        }
+        let exact = self.propagate(graph, blocked, &mut heap, targets);
+        targets.sort_unstable();
+        targets.dedup();
+        exact
+    }
+
+    /// Brings `node`, now clear in `blocked` (one flag per graph node),
+    /// back into the tree in place, leaving exactly what
+    /// [`Self::compute_excluding`] builds under `blocked`. Fills
+    /// `targets` with the nodes whose route changed and returns `true`;
+    /// `false` means the caller must drop the tree (`node` is the source,
+    /// or a link read has zero delay).
+    ///
+    /// `node` takes its canonical entry from its reachable neighbours;
+    /// from there Dijkstra under the canonical rule spreads every strict
+    /// improvement and every tie `node`'s routes now win. A node whose
+    /// predecessor changed on a tie keeps its distance, and so do its
+    /// children, whose routes changed all the same: `targets` is the
+    /// changed nodes, ascending, then their new descendants, found
+    /// through the adjacency.
+    pub(crate) fn add_node(
+        &mut self,
+        graph: &Graph,
+        node: NodeId,
+        blocked: &[bool],
+        targets: &mut Vec<NodeId>,
+    ) -> bool {
+        targets.clear();
+        if node == self.source {
+            return false;
+        }
+        let Some((d, from)) = self.canonical_entry(graph, node) else {
+            return true;
+        };
+        (self.dist[node.index()], self.prev[node.index()]) = (d, from);
+        targets.push(node);
+        let mut heap = BinaryHeap::from(vec![Reverse(pack(d, node.0))]);
+        if !self.propagate(graph, blocked, &mut heap, targets) {
+            return false;
+        }
+        targets.sort_unstable();
+        targets.dedup();
+        let changed = targets.len();
+        let mut i = 0;
+        while let Some(&v) = targets.get(i) {
+            i += 1;
+            for &(y, _) in graph.neighbors(v) {
+                if self.prev[y.index()].0 == v.0 && targets[..changed].binary_search(&y).is_err() {
+                    targets.push(y);
+                }
+            }
+        }
+        true
+    }
+
+    /// `v`'s canonical entry from its reachable neighbours `u`: the least
+    /// `(dist[u] + w(u, v), dist[u], u, edge)`, as distance and
+    /// predecessor; `None` when no neighbour is reachable.
+    fn canonical_entry(&self, graph: &Graph, v: NodeId) -> Option<(u64, (u32, u32))> {
+        let (d, _, u, e) = graph
+            .neighbors(v)
+            .iter()
+            .filter(|&&(u, _)| self.dist[u.index()] != UNREACHED)
+            .map(|&(u, e)| (self.dist[u.index()] + graph.delay_us(e), self.dist[u.index()], u.0, e.0))
+            .min()?;
+        assert!(d >> 32 == 0, "shortest-path distance reached 2^32 µs (71 min): {d} µs");
+        Some((d, (u, e)))
+    }
+
+    /// Dijkstra from the entries on `heap`, never into a blocked node,
+    /// under the canonical rule made explicit: `v` takes `u` as its
+    /// predecessor when the route through `u` is shorter, or as short and
+    /// `(dist[u], u)` precedes `(dist[p], p)` of its current predecessor
+    /// `p`. Only a shorter route re-queues `v`. Pushes every node whose
+    /// entry changes to `changed`; `false` on a zero-delay link.
+    fn propagate(
+        &mut self,
+        graph: &Graph,
+        blocked: &[bool],
+        heap: &mut BinaryHeap<Reverse<u64>>,
+        changed: &mut Vec<NodeId>,
+    ) -> bool {
+        while let Some(Reverse(key)) = heap.pop() {
+            let (d, u) = unpack(key);
+            if d != self.dist[u as usize] {
+                continue;
+            }
+            for &(v, e) in graph.neighbors(NodeId(u)) {
+                let w = graph.delay_us(e);
+                if w == 0 {
+                    return false;
+                }
+                if blocked[v.index()] {
+                    continue;
+                }
+                let cand = d + w;
+                let (dv, (p, _)) = (self.dist[v.index()], self.prev[v.index()]);
+                if cand < dv {
+                    assert!(cand >> 32 == 0, "shortest-path distance reached 2^32 µs (71 min): {cand} µs");
+                    self.dist[v.index()] = cand;
+                    heap.push(Reverse(pack(cand, v.0)));
+                } else if !(cand == dv && (d, u) < (self.dist[p as usize], p)) {
+                    continue;
+                }
+                self.prev[v.index()] = (u, e.0);
+                changed.push(v);
+            }
+        }
         true
     }
 
@@ -725,56 +843,80 @@ mod tests {
         }
     }
 
-    /// Re-admission against its oracle, with ties forced (delays in
-    /// {1, 2, 3} ms): a tree built without `v` either becomes exactly the
-    /// tree built with `v` or is refused, and it is refused exactly when
-    /// `v` forwards in that tree — never for a leaf.
-    #[test]
-    fn readmit_is_exact_or_refuses() {
+    /// A connected graph of `n` nodes whose 1..=3 ms links make
+    /// equal-delay routes the norm: a random spanning tree, which leaves
+    /// cut vertices, plus each other pair linked with probability
+    /// `chords`.
+    fn tied_graph(rng: &mut rand::rngs::StdRng, n: usize, chords: f64) -> Graph {
         use rand::Rng;
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(15);
-        let (mut kept, mut refused) = (0, 0);
-        for _ in 0..40 {
-            let n = rng.gen_range(4..14);
-            let mut g = Graph::new(n);
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    if rng.gen_bool(0.3) {
-                        g.add_edge(NodeId(a as u32), NodeId(b as u32), link(rng.gen_range(1..=3), 1_000.0, 0.0));
-                    }
-                }
-            }
-            // A second node stays down throughout: re-admission must not
-            // route through it or read its entries.
-            let other = NodeId(rng.gen_range(0..n) as u32);
-            for s in g.nodes().filter(|&s| s != other) {
-                for v in g.nodes().filter(|&v| v != s && v != other) {
-                    let mut blocked = vec![false; n];
-                    blocked[other.index()] = true;
-                    let want = ShortestPathTree::compute_excluding(&g, s, &blocked);
-                    blocked[v.index()] = true;
-                    let mut tree = ShortestPathTree::compute_excluding(&g, s, &blocked);
-                    blocked[v.index()] = false;
-                    if tree.readmit(&g, v, &blocked) {
-                        assert_eq!((&tree.dist, &tree.prev), (&want.dist, &want.prev), "{s} readmitting {v}");
-                        assert!(!want.routes_through(v));
-                        kept += 1;
-                    } else {
-                        assert!(want.routes_through(v), "{s}: leaf {v} was refused");
-                        refused += 1;
-                    }
+        let mut g = Graph::new(n);
+        for b in 1..n {
+            let a = rng.gen_range(0..b);
+            g.add_edge(NodeId(a as u32), NodeId(b as u32), link(rng.gen_range(1..=3), 1_000.0, 0.0));
+        }
+        for a in 0..n {
+            for b in (a + 1)..n {
+                if !g.has_edge(NodeId(a as u32), NodeId(b as u32)) && rng.gen_bool(chords) {
+                    g.add_edge(NodeId(a as u32), NodeId(b as u32), link(rng.gen_range(1..=3), 1_000.0, 0.0));
                 }
             }
         }
-        assert!(kept > 500 && refused > 500, "both outcomes exercised: {kept} kept, {refused} refused");
+        g
     }
 
-    /// The recovering node is never re-admitted into its own tree, and a
-    /// zero-delay incident link (where settle order is not `(dist, id)`
-    /// order, so the canonical-predecessor rule is void) refuses too.
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Node churn repaired in place against its oracle: random block
+        /// and unblock steps on a tie-heavy graph, every node a source.
+        /// After each step every repaired tree's `dist`/`prev` equal a
+        /// fresh `compute_excluding` under the blocked set, and the
+        /// targets it returns are exactly the nodes whose `path_to`
+        /// changed. Only the blocked source's own tree is refused.
+        #[test]
+        fn repaired_trees_match_a_fresh_search(seed in proptest::any::<u64>(), n in 4usize..20, chords in 0.0f64..0.3) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let g = tied_graph(&mut rng, n, chords);
+            let mut blocked = vec![false; n];
+            let mut trees: Vec<Option<ShortestPathTree>> = g.nodes().map(|s| Some(ShortestPathTree::compute(&g, s))).collect();
+            let mut targets = Vec::new();
+            for step in 0..40 {
+                let v = NodeId(rng.gen_range(0..n) as u32);
+                blocked[v.index()] = !blocked[v.index()];
+                for s in g.nodes() {
+                    let Some(tree) = &mut trees[s.index()] else {
+                        trees[s.index()] = (!blocked[s.index()]).then(|| ShortestPathTree::compute_excluding(&g, s, &blocked));
+                        continue;
+                    };
+                    let before: Vec<_> = g.nodes().map(|t| tree.path_to(&g, t)).collect();
+                    let exact = if blocked[v.index()] {
+                        tree.remove_node(&g, v, &blocked, &mut targets)
+                    } else {
+                        tree.add_node(&g, v, &blocked, &mut targets)
+                    };
+                    let context = format!("seed {seed}, step {step}: {s}'s tree, {v} {}", if blocked[v.index()] { "down" } else { "up" });
+                    if !exact {
+                        proptest::prop_assert_eq!(s, v, "{}: refused", context);
+                        trees[s.index()] = None;
+                        continue;
+                    }
+                    let want = ShortestPathTree::compute_excluding(&g, s, &blocked);
+                    proptest::prop_assert_eq!((&tree.dist, &tree.prev), (&want.dist, &want.prev), "{}", context);
+                    let changed: Vec<NodeId> = g.nodes().filter(|&t| tree.path_to(&g, t) != before[t.index()]).collect();
+                    let mut got = targets.clone();
+                    got.sort_unstable();
+                    proptest::prop_assert_eq!(got, changed, "{}: targets", context);
+                }
+            }
+        }
+    }
+
+    /// The source's own tree and a zero-delay link at the changing node
+    /// are refused both ways; a positive-delay leaf is attached and
+    /// detached in place.
     #[test]
-    fn readmit_refuses_the_source_and_zero_delay_links() {
+    fn repairs_refuse_the_source_and_zero_delay_links() {
         // 0 -1ms- 1 -1ms- 2, and 3 hanging off 2: a leaf in 0's tree.
         let build = |leaf_ms: u64| {
             let mut g = Graph::new(4);
@@ -783,16 +925,21 @@ mod tests {
             g.add_edge(NodeId(2), NodeId(3), link(leaf_ms, 1_000.0, 0.0));
             g
         };
-        let without_3 = [false, false, false, true];
+        let (up, without_3) = ([false; 4], [false, false, false, true]);
+        let mut targets = Vec::new();
         let g = build(1);
         let mut tree = ShortestPathTree::compute_excluding(&g, NodeId(0), &without_3);
-        assert!(tree.readmit(&g, NodeId(3), &[]), "a positive-delay leaf is attached");
-        assert_eq!(tree.distance(NodeId(3)), Some(SimDuration::from_millis(3)));
-        assert!(!tree.readmit(&g, NodeId(0), &[]), "the source");
+        assert!(tree.add_node(&g, NodeId(3), &up, &mut targets), "a positive-delay leaf is attached");
+        assert_eq!((tree.distance(NodeId(3)), &targets[..]), (Some(SimDuration::from_millis(3)), &[NodeId(3)][..]));
+        assert!(tree.remove_node(&g, NodeId(3), &without_3, &mut targets), "and detached");
+        assert_eq!((tree.distance(NodeId(3)), &targets[..]), (None, &[NodeId(3)][..]));
+        assert!(!tree.remove_node(&g, NodeId(0), &[true, false, false, false], &mut targets), "the source");
 
         let g = build(0);
         let mut tree = ShortestPathTree::compute_excluding(&g, NodeId(0), &without_3);
-        assert!(!tree.readmit(&g, NodeId(3), &[]), "zero-delay incident link");
+        assert!(!tree.add_node(&g, NodeId(3), &up, &mut targets), "zero-delay link at a returning node");
+        let mut tree = ShortestPathTree::compute(&g, NodeId(0));
+        assert!(!tree.remove_node(&g, NodeId(3), &without_3, &mut targets), "zero-delay link at a failing node");
     }
 
     /// A stopped search agrees with the full tree on every settled node,

@@ -114,10 +114,10 @@ fn tied_overlay(seed: u64, neighbors: usize) -> Overlay {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Differential test of targeted invalidation and re-admission:
-    /// under random failures, recoveries and lookups, the warm overlay
-    /// answers every pair exactly as a cold overlay with the same down
-    /// set — and a recovery leaves a memo that still hits.
+    /// Differential test of the in-place route repairs: under random
+    /// failures, recoveries and lookups, the warm overlay answers every
+    /// pair exactly as a cold overlay with the same down set — and a
+    /// recovery or a relay's failure leaves a memo that still hits.
     #[test]
     fn warm_routes_match_a_fresh_overlay_under_node_churn(seed in any::<u64>(), neighbors in 1usize..4) {
         let mut ov = tied_overlay(seed, neighbors);
@@ -136,9 +136,9 @@ proptest! {
             }
         }
         hot.truncate(12);
-        // What the run exercised: recoveries that left a warm memo, and
-        // up pairs a failed cut vertex separated.
-        let (mut warm_recoveries, mut separated_pairs) = (0u32, 0u32);
+        // What the run exercised: recoveries that left a warm memo, relay
+        // failures that did, and up pairs a failed cut vertex separated.
+        let (mut warm_recoveries, mut warm_relay_failures, mut separated_pairs) = (0u32, 0u32, 0u32);
 
         let check_all_pairs = |ov: &mut Overlay, down: &[OverlayNodeId], separated: &mut u32| {
             let mut fresh = tied_overlay(seed, neighbors);
@@ -161,8 +161,28 @@ proptest! {
                 0 => {
                     let v = hot[rng.gen_range(0..hot.len())];
                     if !ov.is_node_down(v) {
+                        // A memoized pair whose path avoids `v`, from a
+                        // source whose tree `v` relays in: the repair keeps
+                        // it, and its next lookup is a hit.
+                        let mut relayed: Vec<OverlayNodeId> = ov
+                            .cached_paths()
+                            .filter(|&((a, b), p)| a != v && b != v && p.is_some_and(|p| p.nodes.contains(&v)))
+                            .map(|((a, _), _)| a)
+                            .collect();
+                        relayed.sort_unstable();
+                        let kept = ov
+                            .cached_paths()
+                            .filter(|&((a, b), p)| b != v && p.is_some_and(|p| !p.nodes.contains(&v)) && relayed.binary_search(&a).is_ok())
+                            .map(|(pair, _)| pair)
+                            .min();
                         ov.set_node_down(v, true);
                         down.push(v);
+                        if let Some((a, b)) = kept {
+                            let hits = ov.path_cache_stats().hits;
+                            ov.virtual_path(a, b);
+                            prop_assert_eq!(ov.path_cache_stats().hits, hits + 1, "{}->{} after relay {} failed", a, b, v);
+                            warm_relay_failures += 1;
+                        }
                     }
                 }
                 1 if !down.is_empty() => {
@@ -216,6 +236,7 @@ proptest! {
         }
         prop_assert!(lossy > 100, "only {} memoized paths lose anything", lossy);
         prop_assert!(warm_recoveries >= 10, "only {} recoveries kept a warm memo", warm_recoveries);
+        prop_assert!(warm_relay_failures >= 5, "only {} relay failures kept a warm memo", warm_relay_failures);
         prop_assert!(neighbors > 1 || separated_pairs > 0, "no failed cut vertex in a sparse mesh");
     }
 }

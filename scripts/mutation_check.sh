@@ -6,9 +6,9 @@
 # time, and the oracle must pass on the pristine copy and fail on every
 # mutant. A mutant named 'FILE.rs: ...' must fail inside that test file.
 #
-#   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|repair|leases|readmit|board|topology] [WORKDIR]
+#   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|repair|leases|routes|board|topology] [WORKDIR]
 #
-# No suite name runs all eleven, 27 mutants; WORKDIR defaults to
+# No suite name runs all eleven, 29 mutants; WORKDIR defaults to
 # target/mutation-check.
 # The repository itself is never edited; the copy and its cargo target
 # directory live under WORKDIR.
@@ -111,10 +111,11 @@ repair_mutants=(
 # Three kernels kept exact by a differential proptest each. A site that
 # stays in the lease directory's live set after its last lease went, or
 # a request's release that takes other requests' leases at its sites
-# along (a commit or close must leave them alone); a re-admission that
-# ignores the tie its node would win, so a forwarding node is attached as
-# a leaf; a board that takes a node whose version moved for one it has
-# already compared.
+# along (a commit or close must leave them alone); a route repair whose
+# tie rule compares distances only, a failure whose subtree stops at the
+# failed node's children, or a recovery that leaves the new descendants
+# of the nodes it changed out of its targets; a board that takes a node
+# whose version moved for one it has already compared.
 leases_kernel=crates/model/src/lease.rs
 leases_target='-p acp-model --lib'
 leases_oracle=lease::tests::sweeps_match_the_full_scans_they_replaced
@@ -122,11 +123,13 @@ leases_mutants=(
     'emptied site left in the live set|s/^            if after\.is_empty() {$/            if false \&\& after.is_empty() {/'
     'release takes foreign leases along|s/Site::Node(i) => self\.nodes\[i as usize\]\.release_request_transients(request\.0),/Site::Node(i) => self.nodes[i as usize].expire_transients(SimTime::MAX),/; s/Site::Link(i) => self\.links\[i as usize\]\.drop_leases(|t| t\.key\.request == request\.0),/Site::Link(i) => self.links[i as usize].drop_leases(|_| true),/'
 )
-readmit_kernel=crates/topology/src/routing.rs
-readmit_target='-p acp-topology --lib'
-readmit_oracle=routing::tests::readmit_is_exact_or_refuses
-readmit_mutants=(
-    'a tie the node would win is not a forward|s/|| (via == dy \&\& (dv, node\.0) < (self\.dist\[p as usize\], p))//'
+routes_kernel=crates/topology/src/routing.rs
+routes_target='-p acp-topology --lib'
+routes_oracle=routing::tests::repaired_trees_match_a_fresh_search
+routes_mutants=(
+    'the tie rule compares dist only|s/(cand == dv \&\& (d, u) < (self\.dist\[p as usize\], p))/(cand == dv \&\& d < self.dist[p as usize])/'
+    'the failure subtree stops at the direct children|s/^        while let Some(\&v) = targets\.get(next) {$/        while let Some(\&v) = targets.get(next).filter(|_| next == 0) {/'
+    'the recovery skips the new descendants|s/^                if self\.prev\[y\.index()\]\.0 == v\.0 \&\& targets\[\.\.changed\]/                if false \&\& targets[..changed]/'
 )
 
 # The topology kernels against the generator and the searches they
@@ -157,9 +160,9 @@ board_mutants=(
     'node skipped though its version moved|s/self\.config\.incremental \&\& self\.seen_node_versions\[i\] == versions\[i\]/self.config.incremental \&\& self.seen_node_versions[i] <= versions[i]/'
 )
 
-suites=(selection optimal faults compose counters ledger repair leases readmit board topology)
+suites=(selection optimal faults compose counters ledger repair leases routes board topology)
 case "${1:-}" in
-    selection | optimal | faults | compose | counters | ledger | repair | leases | readmit | board | topology)
+    selection | optimal | faults | compose | counters | ledger | repair | leases | routes | board | topology)
         suites=("$1")
         shift
         ;;
