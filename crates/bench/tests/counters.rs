@@ -12,7 +12,7 @@ use acp_bench::chaos::chaos_config;
 use acp_bench::experiments::{run_point, Scale};
 use acp_bench::{churn_for, fig_tenants, run_scale_point, thread_count, Point, ScaleConfig};
 use acp_core::prelude::{AlgorithmKind, OverheadStats, SetupConfig, SetupStats};
-use acp_model::prelude::LeaseStats;
+use acp_model::prelude::{AuditCounts, LeaseStats};
 use acp_simcore::MessageFaultConfig;
 use acp_state::ScanStats;
 use acp_topology::PathCacheStats;
@@ -121,10 +121,16 @@ fn lossy_two_phase_anchor() {
 /// a failure or recovery forgets only the pairs whose route it changed.
 /// When recoveries dropped every memo row whose tree they could not prove
 /// unchanged, the same run read 45 974 hits and 6 303 misses.
+///
+/// The same cell's audit passes are the auditor layer's (`AuditCursor`):
+/// the first pass is the only full one, and the whole memo is walked
+/// only on the passes after a node newly failed. When every pass was the
+/// full pass, all 18 walked it, since a node is down at each.
 #[test]
 fn churned_quick_memo() {
     let got = run_scenario(chaos_config(&Scale::quick(), SEED, 70, 2.0));
     assert_eq!(got.path_cache, PathCacheStats { hits: 48_002, misses: 4_275 });
+    assert_eq!(got.audit, AuditCounts { passes: 18, full_passes: 1, memo_walks: 10 });
 }
 
 /// The four `fig_tenants` quick points on the worker count

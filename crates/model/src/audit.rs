@@ -40,14 +40,39 @@
 //! component delay inflates with node load, and the modelled system
 //! keeps admitted sessions running through such drift rather than
 //! tearing them down.
+//!
+//! The conservation, lease, tenant and repair sections re-derive what
+//! they need from one walk over the session table in ascending id order
+//! (`SessionTotals`), so their f64 folds are the same in every pass.
+//!
+//! [`AuditCursor`] gives the same report at the cost of what changed
+//! since its last pass. Its rule: if the last pass was clean and
+//! everything dirty since then checks clean, the pass is clean;
+//! otherwise it runs the full [`SystemAuditor::audit_at`]. Nodes,
+//! conservation, links, leases, tenants and the repair ledger are
+//! checked in full on every pass. The two sections that dominated a full
+//! pass are checked by their dirty sets:
+//!
+//! * **Sessions**: the new ones (every id issued since the last pass),
+//!   the ones mutated since (the session arena's `get_mut` log), and,
+//!   when a node, link or dense id flipped its failed or retired flag,
+//!   every one hosted on, relaying through or streaming over it. That
+//!   last set comes from a scan of the sessions' own contents, not from
+//!   the system's bookkeeping.
+//! * **Path memo**: the entries the overlay's memo-miss arm logged since
+//!   the last pass; the whole memo only after a node newly failed.
+//!
+//! Each of the two logs has exactly one writer, and the cursor is their
+//! one reader.
 
 use acp_simcore::SimTime;
 use acp_topology::{OverlayLinkId, OverlayNodeId};
 
-use crate::component::ComponentId;
+use crate::component::{ComponentId, DenseComponentId};
 use crate::function::FunctionId;
 use crate::resources::{ResourceKind, ResourceVector};
-use crate::system::{SessionId, StreamSystem};
+use crate::request::RequestId;
+use crate::system::{Session, SessionId, StreamSystem};
 
 /// A single invariant violation found by [`SystemAuditor::audit`].
 #[derive(Debug, Clone, PartialEq)]
@@ -540,15 +565,28 @@ impl SystemAuditor {
     /// transient lease has outlived its expiry.
     pub fn audit_at(&self, system: &StreamSystem, now: Option<SimTime>) -> AuditReport {
         let mut out = Vec::new();
+        let totals = SessionTotals::of(system);
         self.audit_nodes(system, &mut out);
-        self.audit_conservation(system, &mut out);
+        self.audit_conservation(system, &totals, &mut out);
         self.audit_links(system, &mut out);
         self.audit_sessions(system, &mut out);
         self.audit_path_cache(system, &mut out);
-        self.audit_leases(system, now, &mut out);
-        self.audit_tenants(system, &mut out);
-        self.audit_repair(system, &mut out);
+        self.audit_ledgers(system, now, &totals, &mut out);
         AuditReport { violations: out }
+    }
+
+    /// The last three sections of the full pass, in its order: leases,
+    /// tenants, repair.
+    fn audit_ledgers(
+        &self,
+        system: &StreamSystem,
+        now: Option<SimTime>,
+        totals: &SessionTotals,
+        out: &mut Vec<AuditViolation>,
+    ) {
+        self.audit_leases(system, now, totals, out);
+        self.audit_tenants(system, totals, out);
+        self.audit_repair(system, totals, out);
     }
 
     /// Reservation-conservation pass: the ledger half
@@ -558,9 +596,10 @@ impl SystemAuditor {
         &self,
         system: &StreamSystem,
         now: Option<SimTime>,
+        totals: &SessionTotals,
         out: &mut Vec<AuditViolation>,
     ) {
-        self.lease_ledger_violations(system, out);
+        self.lease_ledger_violations(system, totals, out);
         if let Some(now) = now {
             for i in 0..system.node_count() {
                 let v = OverlayNodeId(i as u32);
@@ -588,44 +627,22 @@ impl SystemAuditor {
     /// preemption counts exist only on `BestEffort` tenants, and no
     /// `Gold` tenant was starved by the congestion gate while lower
     /// tiers held live sessions.
-    fn audit_tenants(&self, system: &StreamSystem, out: &mut Vec<AuditViolation>) {
+    fn audit_tenants(&self, system: &StreamSystem, totals: &SessionTotals, out: &mut Vec<AuditViolation>) {
         let ledger = system.tenant_ledger();
-        if ledger.is_empty() && !system.sessions().any(|s| s.request_spec.tenant.is_some()) {
+        let derived = &totals.tenants;
+        if ledger.is_empty() && derived.is_empty() {
             // Tenant-less: no ledger row and no session to hold one to.
             return;
         }
-        // Re-derive per-tenant live counts and committed sums from the
-        // session table in ascending id order — a deterministic f64 fold.
-        let width = ledger
-            .iter()
-            .map(|(id, _)| id.0 as usize + 1)
-            .max()
-            .unwrap_or(0)
-            .max(
-                system
-                    .sessions()
-                    .filter_map(|s| s.request_spec.tenant)
-                    .map(|b| b.tenant.0 as usize + 1)
-                    .max()
-                    .unwrap_or(0),
-            );
-        let mut live = vec![0u64; width];
-        let mut committed = vec![ResourceVector::ZERO; width];
-        let mut bw = vec![0.0f64; width];
-        for s in system.sessions_by_id() {
-            let Some(binding) = s.request_spec.tenant else { continue };
-            let t = binding.tenant.0 as usize;
-            live[t] += 1;
-            committed[t] += s.node_allocations().iter().map(|&(_, d)| d).sum::<ResourceVector>();
-            bw[t] += s.link_allocations().iter().map(|&(_, kbps)| kbps).sum::<f64>();
-        }
+        let width = ledger.iter().map(|(id, _)| id.0 as usize + 1).max().unwrap_or(0).max(derived.len());
         for t in 0..width {
+            let TenantTotals { live, committed, bw } = derived.get(t).copied().unwrap_or_default();
             let tenant = t as u32;
             let Some(stats) = ledger.stats(crate::tenant::TenantId(tenant)) else {
-                if live[t] > 0 {
+                if live > 0 {
                     out.push(AuditViolation::TenantConservation {
                         tenant,
-                        detail: format!("{} live session(s) but no ledger entry", live[t]),
+                        detail: format!("{} live session(s) but no ledger entry", live),
                     });
                 }
                 continue;
@@ -640,13 +657,13 @@ impl SystemAuditor {
                     live: stats.live,
                 });
             }
-            if stats.live != live[t] {
+            if stats.live != live {
                 out.push(AuditViolation::TenantConservation {
                     tenant,
-                    detail: format!("ledger live {} but sessions derive {}", stats.live, live[t]),
+                    detail: format!("ledger live {} but sessions derive {}", stats.live, live),
                 });
             }
-            for (kind, derived) in committed[t].iter() {
+            for (kind, derived) in committed.iter() {
                 let recorded = stats.committed.get(kind);
                 if (recorded - derived).abs() > self.tolerance(derived) {
                     out.push(AuditViolation::TenantConservation {
@@ -657,12 +674,12 @@ impl SystemAuditor {
                     });
                 }
             }
-            if (stats.committed_bw_kbps - bw[t]).abs() > self.tolerance(bw[t]) {
+            if (stats.committed_bw_kbps - bw).abs() > self.tolerance(bw) {
                 out.push(AuditViolation::TenantConservation {
                     tenant,
                     detail: format!(
                         "ledger bandwidth {} kbit/s but sessions sum to {}",
-                        stats.committed_bw_kbps, bw[t]
+                        stats.committed_bw_kbps, bw
                     ),
                 });
             }
@@ -686,7 +703,7 @@ impl SystemAuditor {
     /// must never outlive its graft — that would be a double-commit),
     /// and the per-session degraded flag stays coherent with the open
     /// tickets.
-    fn audit_repair(&self, system: &StreamSystem, out: &mut Vec<AuditViolation>) {
+    fn audit_repair(&self, system: &StreamSystem, totals: &SessionTotals, out: &mut Vec<AuditViolation>) {
         let ledger = system.repair_ledger();
         if ledger.opened == 0 && !system.sessions().any(|s| s.is_degraded()) {
             // Repair-free: no ticket was ever opened and no session
@@ -712,36 +729,33 @@ impl SystemAuditor {
         // No double-commit: each request id backs at most one live
         // session, even mid-splice (the mini-session is removed within
         // the same event that grafts its segment).
-        let requests = live_request_ids(system);
-        let mut i = 0;
-        while i < requests.len() {
-            let mut j = i + 1;
-            while j < requests.len() && requests[j] == requests[i] {
-                j += 1;
-            }
-            if j - i > 1 {
-                out.push(AuditViolation::DuplicateSessionRequest {
-                    request: requests[i],
-                    sessions: j - i,
-                });
-            }
-            i = j;
+        let requests = &totals.requests;
+        for run in requests.chunk_by(|a, b| a.request == b.request).filter(|run| run.len() > 1) {
+            out.push(AuditViolation::DuplicateSessionRequest { request: run[0].request, sessions: run.len() });
         }
         // Degraded session ⇔ open ticket, both directions. Tickets
         // without a live session are legitimate: the terminate baseline
         // opens them after the kill, before the restart lands.
-        for s in system.sessions_by_id() {
-            if s.is_degraded() && ledger.ticket(s.request).is_none() {
-                out.push(AuditViolation::RepairStateIncoherent {
-                    request: s.request.0,
-                    detail: "degraded session without an open repair ticket",
-                });
-            }
+        let mut unticketed: Vec<(SessionId, u64)> = requests
+            .iter()
+            .filter(|r| r.degraded && ledger.ticket(RequestId(r.request)).is_none())
+            .map(|r| (r.session, r.request))
+            .collect();
+        unticketed.sort_unstable();
+        for (_, request) in unticketed {
+            out.push(AuditViolation::RepairStateIncoherent {
+                request,
+                detail: "degraded session without an open repair ticket",
+            });
         }
         for t in ledger.open_tickets() {
-            if requests.binary_search(&t.request.0).is_ok()
-                && !system.sessions().any(|s| s.request == t.request && s.is_degraded())
-            {
+            // A request's degraded sessions sort after its healthy ones:
+            // the first session at or past `(request, degraded)` is
+            // degraded exactly when one is, and the one before it is the
+            // request's exactly when it has a healthy one.
+            let at = requests.partition_point(|r| (r.request, r.degraded) < (t.request.0, true));
+            let degraded = requests.get(at).is_some_and(|r| r.request == t.request.0);
+            if !degraded && at > 0 && requests[at - 1].request == t.request.0 {
                 out.push(AuditViolation::RepairStateIncoherent {
                     request: t.request.0,
                     detail: "open ticket but its live session is not degraded",
@@ -759,6 +773,7 @@ impl SystemAuditor {
     fn lease_ledger_violations(
         &self,
         system: &StreamSystem,
+        totals: &SessionTotals,
         out: &mut Vec<AuditViolation>,
     ) {
         let stats = system.lease_stats();
@@ -779,9 +794,8 @@ impl SystemAuditor {
         }
         let leased = system.leased_requests();
         if !leased.is_empty() {
-            let committed = live_request_ids(system);
             for request in leased {
-                if committed.binary_search(&request).is_ok() {
+                if totals.requests.binary_search_by_key(&request, |r| r.request).is_ok() {
                     out.push(AuditViolation::LeaseHeldByCommittedRequest { request });
                 }
             }
@@ -796,6 +810,7 @@ impl SystemAuditor {
 
     fn audit_nodes(&self, system: &StreamSystem, out: &mut Vec<AuditViolation>) {
         let mut seen_dense = vec![false; system.dense_component_count()];
+        let mut functions: Vec<FunctionId> = Vec::new();
         for i in 0..system.node_count() {
             let v = OverlayNodeId(i as u32);
             let node = system.node(v);
@@ -830,7 +845,8 @@ impl SystemAuditor {
             }
 
             // Distinct functions per node.
-            let mut functions: Vec<FunctionId> = node.components().map(|c| c.function).collect();
+            functions.clear();
+            functions.extend(node.components().map(|c| c.function));
             functions.sort_unstable();
             for pair in functions.windows(2) {
                 if pair[0] == pair[1] {
@@ -858,18 +874,8 @@ impl SystemAuditor {
 
     /// Conservation: the session table is the ground truth for committed
     /// resources; node and link books must agree with its sums.
-    fn audit_conservation(&self, system: &StreamSystem, out: &mut Vec<AuditViolation>) {
-        let mut node_sum = vec![ResourceVector::ZERO; system.node_count()];
-        let mut link_sum = vec![0.0f64; system.link_count()];
-        for s in system.sessions_by_id() {
-            for &(node, amount) in s.node_allocations() {
-                node_sum[node.index()] += amount;
-            }
-            for &(link, kbps) in s.link_allocations() {
-                link_sum[link.index()] += kbps;
-            }
-        }
-        for (i, expected) in node_sum.iter().enumerate() {
+    fn audit_conservation(&self, system: &StreamSystem, totals: &SessionTotals, out: &mut Vec<AuditViolation>) {
+        for (i, expected) in totals.node_sum.iter().enumerate() {
             let v = OverlayNodeId(i as u32);
             let committed = system.node(v).committed();
             for (kind, want) in expected.iter() {
@@ -879,7 +885,7 @@ impl SystemAuditor {
                 }
             }
         }
-        for (i, &want) in link_sum.iter().enumerate() {
+        for (i, &want) in totals.link_sum.iter().enumerate() {
             let l = OverlayLinkId(i as u32);
             let got = system.link_committed(l);
             if (got - want).abs() > self.tolerance(want) {
@@ -906,58 +912,66 @@ impl SystemAuditor {
     /// Session coverage / failed-route checks, sessions in id order.
     fn audit_sessions(&self, system: &StreamSystem, out: &mut Vec<AuditViolation>) {
         for s in system.sessions_by_id() {
-            let request = &s.request_spec;
-            if !s.composition.is_shape_valid(&request.graph) {
-                out.push(AuditViolation::SessionCoverage {
-                    session: s.id,
-                    vertex: usize::MAX,
-                    detail: "composition shape does not match the function graph",
-                });
+            self.audit_session(system, s, out);
+        }
+    }
+
+    /// Coverage and failed-route checks of one live session. They read
+    /// the session itself, the component records at its assignment, its
+    /// hosts' and relays' failed flags and its links' failed flags —
+    /// what an [`AuditCursor`]'s flip scan looks for.
+    fn audit_session(&self, system: &StreamSystem, s: &Session, out: &mut Vec<AuditViolation>) {
+        let request = &s.request_spec;
+        if !s.composition.is_shape_valid(&request.graph) {
+            out.push(AuditViolation::SessionCoverage {
+                session: s.id,
+                vertex: usize::MAX,
+                detail: "composition shape does not match the function graph",
+            });
+            return;
+        }
+        // Eq. 2 per vertex, against the *live* component records. A
+        // degraded session's broken span is exempt: its commitments
+        // were released at degrade time and its stale assignment
+        // entries are replaced (and re-validated end-to-end) by the
+        // splice — once `broken` clears, the full check applies.
+        for vertex in request.graph.vertices() {
+            if s.vertex_is_broken(vertex) {
                 continue;
             }
-            // Eq. 2 per vertex, against the *live* component records. A
-            // degraded session's broken span is exempt: its commitments
-            // were released at degrade time and its stale assignment
-            // entries are replaced (and re-validated end-to-end) by the
-            // splice — once `broken` clears, the full check applies.
-            for vertex in request.graph.vertices() {
-                if s.vertex_is_broken(vertex) {
-                    continue;
-                }
-                let id = s.composition.assignment[vertex];
-                let Some(component) = system.node(id.node).component(id.slot) else {
-                    out.push(AuditViolation::SessionCoverage { session: s.id, vertex, detail: "assigned a dead component" });
-                    continue;
-                };
-                if component.function != request.graph.function(vertex) {
-                    out.push(AuditViolation::SessionCoverage { session: s.id, vertex, detail: "assigned the wrong function" });
-                }
-                if system.node(id.node).is_failed() {
-                    out.push(AuditViolation::SessionCoverage { session: s.id, vertex, detail: "hosted on a failed node" });
-                }
-                if !component.accepts_rate(request.stream_rate_kbps) {
-                    out.push(AuditViolation::SessionCoverage { session: s.id, vertex, detail: "interface cannot accept the stream rate" });
-                }
-                if !request.constraints.admits(&component.attributes) {
-                    out.push(AuditViolation::SessionCoverage { session: s.id, vertex, detail: "violates placement constraints" });
-                }
+            let id = s.composition.assignment[vertex];
+            let Some(component) = system.node(id.node).component(id.slot) else {
+                out.push(AuditViolation::SessionCoverage { session: s.id, vertex, detail: "assigned a dead component" });
+                continue;
+            };
+            if component.function != request.graph.function(vertex) {
+                out.push(AuditViolation::SessionCoverage { session: s.id, vertex, detail: "assigned the wrong function" });
             }
-            // The session's streams must not cross failed links or relay
-            // through failed nodes.
-            for &(link, _) in s.link_allocations() {
-                if system.is_link_failed(link) {
-                    out.push(AuditViolation::SessionOnFailedRoute { session: s.id, detail: "a failed link" });
-                }
+            if system.node(id.node).is_failed() {
+                out.push(AuditViolation::SessionCoverage { session: s.id, vertex, detail: "hosted on a failed node" });
             }
-            if s.composition
-                .links
-                .iter()
-                .enumerate()
-                .filter(|&(e, _)| !s.edge_is_broken(e))
-                .any(|(_, p)| p.nodes.iter().any(|&n| system.is_node_failed(n)))
-            {
-                out.push(AuditViolation::SessionOnFailedRoute { session: s.id, detail: "a failed relay node" });
+            if !component.accepts_rate(request.stream_rate_kbps) {
+                out.push(AuditViolation::SessionCoverage { session: s.id, vertex, detail: "interface cannot accept the stream rate" });
             }
+            if !request.constraints.admits(&component.attributes) {
+                out.push(AuditViolation::SessionCoverage { session: s.id, vertex, detail: "violates placement constraints" });
+            }
+        }
+        // The session's streams must not cross failed links or relay
+        // through failed nodes.
+        for &(link, _) in s.link_allocations() {
+            if system.is_link_failed(link) {
+                out.push(AuditViolation::SessionOnFailedRoute { session: s.id, detail: "a failed link" });
+            }
+        }
+        if s.composition
+            .links
+            .iter()
+            .enumerate()
+            .filter(|&(e, _)| !s.edge_is_broken(e))
+            .any(|(_, p)| p.nodes.iter().any(|&n| system.is_node_failed(n)))
+        {
+            out.push(AuditViolation::SessionOnFailedRoute { session: s.id, detail: "a failed relay node" });
         }
     }
 
@@ -991,13 +1005,243 @@ impl SystemAuditor {
     }
 }
 
-/// Request ids of the live sessions, ascending — built once per pass so
-/// "does this request hold a session" is a binary search, not a walk of
-/// the session arena per question.
-fn live_request_ids(system: &StreamSystem) -> Vec<u64> {
-    let mut ids: Vec<u64> = system.sessions().map(|s| s.request.0).collect();
-    ids.sort_unstable();
-    ids
+/// What the conservation, lease, tenant and repair sections re-derive
+/// from the session table, in one walk in ascending id order: the f64
+/// folds are the same in every pass, and no section walks again.
+struct SessionTotals {
+    /// Per node, the live sessions' recorded allocations on it.
+    node_sum: Vec<ResourceVector>,
+    /// Per link, likewise (kbit/s).
+    link_sum: Vec<f64>,
+    /// Per tenant id, up to the largest one a session carries.
+    tenants: Vec<TenantTotals>,
+    /// Every live session by request, sorted.
+    requests: Vec<LiveRequest>,
+}
+
+/// One tenant's live sessions, as the session table derives them.
+#[derive(Debug, Clone, Copy, Default)]
+struct TenantTotals {
+    live: u64,
+    committed: ResourceVector,
+    bw: f64,
+}
+
+/// One live session, as the request-keyed sections see it. Sorts by
+/// request, healthy before degraded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct LiveRequest {
+    request: u64,
+    degraded: bool,
+    session: SessionId,
+}
+
+impl SessionTotals {
+    fn of(system: &StreamSystem) -> Self {
+        let mut totals = SessionTotals {
+            node_sum: vec![ResourceVector::ZERO; system.node_count()],
+            link_sum: vec![0.0; system.link_count()],
+            tenants: Vec::new(),
+            requests: Vec::with_capacity(system.session_count()),
+        };
+        for s in system.sessions_by_id() {
+            for &(node, amount) in s.node_allocations() {
+                totals.node_sum[node.index()] += amount;
+            }
+            for &(link, kbps) in s.link_allocations() {
+                totals.link_sum[link.index()] += kbps;
+            }
+            if let Some(binding) = s.request_spec.tenant {
+                let t = binding.tenant.0 as usize;
+                if t >= totals.tenants.len() {
+                    totals.tenants.resize(t + 1, TenantTotals::default());
+                }
+                let tenant = &mut totals.tenants[t];
+                tenant.live += 1;
+                tenant.committed += s.node_allocations().iter().map(|&(_, d)| d).sum::<ResourceVector>();
+                tenant.bw += s.link_allocations().iter().map(|&(_, kbps)| kbps).sum::<f64>();
+            }
+            totals.requests.push(LiveRequest { request: s.request.0, degraded: s.is_degraded(), session: s.id });
+        }
+        totals.requests.sort_unstable();
+        totals
+    }
+}
+
+/// What an [`AuditCursor`] did over its passes. In no digest.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AuditCounts {
+    /// Passes run.
+    pub passes: u64,
+    /// Passes that ran the full [`SystemAuditor::audit_at`]: the first,
+    /// each one after an unclean pass, and each one whose dirty set did
+    /// not check clean.
+    pub full_passes: u64,
+    /// Passes that walked the whole path memo, full passes included.
+    pub memo_walks: u64,
+}
+
+/// An incremental [`SystemAuditor::audit_at`] over one system: it keeps
+/// what its last pass saw, and its report equals the full pass's on
+/// every pass (the module doc gives the rule and the dirty sets).
+///
+/// It names *entities* by number: node `v` is entity `v`, link `l` is
+/// `nodes + l`, and dense id `d` is `nodes + links + d`.
+#[derive(Debug, Clone, Default)]
+pub struct AuditCursor {
+    auditor: SystemAuditor,
+    /// True when the last pass found nothing; false before the first.
+    clean: bool,
+    /// The first session id the last pass had not seen issued: every
+    /// session from it on is new.
+    unseen: u64,
+    /// Per entity, its flag at the last pass: node failed, link failed,
+    /// dense id retired.
+    flags: Vec<bool>,
+    counts: AuditCounts,
+    /// Scratch for the two drained logs.
+    memo_keys: Vec<(OverlayNodeId, OverlayNodeId)>,
+    mutated: Vec<SessionId>,
+}
+
+impl AuditCursor {
+    /// A cursor whose first pass is a full one.
+    pub fn new(auditor: SystemAuditor) -> Self {
+        AuditCursor { auditor, ..AuditCursor::default() }
+    }
+
+    /// The auditor the cursor falls back to.
+    pub fn auditor(&self) -> &SystemAuditor {
+        &self.auditor
+    }
+
+    /// What the cursor did so far.
+    pub fn counts(&self) -> AuditCounts {
+        self.counts
+    }
+
+    /// [`SystemAuditor::audit_at`]'s report, paying for what changed
+    /// since the last pass. Drains the system's two logs, so it must be
+    /// the only reader of them, and every pass must see the same system.
+    pub fn audit_at(&mut self, system: &mut StreamSystem, now: Option<SimTime>) -> AuditReport {
+        self.counts.passes += 1;
+        let memo_logged = system.overlay.drain_memo_inserts(&mut self.memo_keys);
+        system.sessions.drain_mutated(&mut self.mutated);
+        let system = &*system;
+        let clean = self.clean && self.dirty_set_is_clean(system, now, memo_logged);
+        self.unseen = system.sessions.next_id().0;
+        if clean {
+            return AuditReport::default();
+        }
+        self.counts.full_passes += 1;
+        if system.overlay().nodes().any(|v| system.is_node_failed(v)) {
+            self.counts.memo_walks += 1;
+        }
+        let report = self.auditor.audit_at(system, now);
+        self.clean = report.is_clean();
+        let count = system.node_count() + system.link_count() + system.dense_component_count();
+        self.flags = (0..count).map(|e| flag(system, e)).collect();
+        report
+    }
+
+    /// Checks what changed since a clean pass, updating the cursor's
+    /// flags as it goes. `false` as soon as anything fails; the full
+    /// pass then runs and resets the flags.
+    fn dirty_set_is_clean(&mut self, system: &StreamSystem, now: Option<SimTime>, memo_logged: bool) -> bool {
+        let auditor = self.auditor;
+        let mut out = Vec::new();
+        let totals = SessionTotals::of(system);
+        auditor.audit_nodes(system, &mut out);
+        auditor.audit_conservation(system, &totals, &mut out);
+        auditor.audit_links(system, &mut out);
+        auditor.audit_ledgers(system, now, &totals, &mut out);
+        if !out.is_empty() {
+            return false;
+        }
+
+        // Flags that flipped since, and dense ids issued since: a new id
+        // may be a new component at an old slot.
+        let (nodes, links) = (system.node_count(), system.link_count());
+        let (seen, count) = (self.flags.len(), nodes + links + system.dense_component_count());
+        let mut flipped = vec![false; count];
+        // Whether a node, a link, a dense id flipped.
+        let mut kinds = [false; 3];
+        let mut newly_failed = false;
+        self.flags.resize(count, false);
+        for (e, hit) in flipped.iter_mut().enumerate() {
+            let flag = flag(system, e);
+            if e >= seen || flag != self.flags[e] {
+                self.flags[e] = flag;
+                *hit = true;
+                kinds[usize::from(e >= nodes) + usize::from(e >= nodes + links)] = true;
+                newly_failed |= flag && e < nodes;
+            }
+        }
+
+        // Sessions to re-check: the new ones, the mutated ones, and every
+        // one that reads a flipped flag. A component without a dense id
+        // is dead, so its sessions are re-checked too.
+        let mut recheck: Vec<SessionId> = system.sessions.ids_from(SessionId(self.unseen)).collect();
+        recheck.extend_from_slice(&self.mutated);
+        if kinds.contains(&true) {
+            let [node, link, dense] = kinds;
+            let hosts = |s: &Session| s.composition.assignment.iter().any(|c| flipped[c.node.index()]);
+            let relays =
+                |s: &Session| s.composition.links.iter().any(|p| p.nodes.iter().any(|n| flipped[n.index()]));
+            let streams = |s: &Session| s.link_allocations().iter().any(|&(l, _)| flipped[nodes + l.index()]);
+            let components = |s: &Session| {
+                let dead_or_flipped = |c: &ComponentId| {
+                    system.dense_of(*c).is_none_or(|d| flipped[nodes + links + d.index()])
+                };
+                s.composition.assignment.iter().any(dead_or_flipped)
+            };
+            recheck.extend(
+                system
+                    .sessions()
+                    .filter(|s| (node && (hosts(s) || relays(s))) || (link && streams(s)) || (dense && components(s)))
+                    .map(|s| s.id),
+            );
+        }
+        recheck.sort_unstable();
+        recheck.dedup();
+        for s in recheck.into_iter().filter_map(|id| system.session(id)) {
+            auditor.audit_session(system, s, &mut out);
+            if !out.is_empty() {
+                return false;
+            }
+        }
+
+        // The memo: with no node failed there is nothing to find. Else
+        // the entries the miss arm inserted since, or all of them after a
+        // node newly failed (or the log overflowed).
+        if !self.flags[..nodes].contains(&true) {
+            return true;
+        }
+        if newly_failed || !memo_logged {
+            self.counts.memo_walks += 1;
+            auditor.audit_path_cache(system, &mut out);
+            return out.is_empty();
+        }
+        !self.memo_keys.iter().any(|&(from, to)| {
+            system
+                .overlay()
+                .memoized_path(from, to)
+                .is_some_and(|p| p.nodes.iter().any(|&n| system.is_node_failed(n)))
+        })
+    }
+}
+
+/// Entity `e`'s flag now (see [`AuditCursor`]): node failed, link
+/// failed, dense id retired.
+fn flag(system: &StreamSystem, e: usize) -> bool {
+    let (nodes, links) = (system.node_count(), system.link_count());
+    if e < nodes {
+        system.is_node_failed(OverlayNodeId(e as u32))
+    } else if e < nodes + links {
+        system.is_link_failed(OverlayLinkId((e - nodes) as u32))
+    } else {
+        system.dense_is_retired(DenseComponentId((e - nodes - links) as u32))
+    }
 }
 
 #[cfg(test)]
@@ -1331,6 +1575,104 @@ mod tests {
             .cloned()
             .collect();
         assert_eq!(got, want);
+    }
+
+    /// A corruption injected behind the system's back, given the cursor
+    /// so that it can stage a clean pass of its own first.
+    type Corruption = Box<dyn Fn(&mut StreamSystem, &mut AuditCursor)>;
+
+    /// The cursor's report against the full pass's, for each corruption
+    /// injected after a clean pass. Most show only in a section the
+    /// cursor checks by its dirty set, so a dirty mark it forgets makes
+    /// the two reports differ.
+    #[test]
+    fn cursor_reports_what_the_full_pass_reports() {
+        let mut base = build_system(11, 30);
+        let sessions = commit_sessions(&mut base, 12);
+        let auditor = SystemAuditor::default();
+        let now = Some(SimTime::ZERO);
+        let mut cursor = AuditCursor::new(auditor);
+        assert!(cursor.audit_at(&mut base, now).is_clean());
+        assert!(cursor.audit_at(&mut base, now).is_clean());
+        assert_eq!(cursor.counts(), AuditCounts { passes: 2, full_passes: 1, memo_walks: 0 });
+
+        let live: Vec<&Session> = sessions.iter().map(|&sid| base.session(sid).expect("live")).collect();
+        let hosts: Vec<OverlayNodeId> =
+            live.iter().flat_map(|s| s.composition.assignment.iter().map(|c| c.node)).collect();
+        let relays: Vec<OverlayNodeId> = live
+            .iter()
+            .flat_map(|s| s.composition.links.iter().flat_map(|p| p.nodes[1..p.nodes.len() - 1].iter().copied()))
+            .collect();
+        let relay = *relays.iter().find(|v| !hosts.contains(v)).expect("a session relays through a non-host");
+        let (sid, host, component) = (sessions[0], hosts[0], live[0].composition.assignment[1]);
+        let stranger = base
+            .node(host)
+            .components()
+            .map(|c| c.id)
+            .find(|&c| c != live[0].composition.assignment[0])
+            .expect("the host runs another function too");
+
+        let corruptions: Vec<(&str, Corruption)> = vec![
+            (
+                "a phantom commitment",
+                Box::new(|sys, _| assert!(sys.node_mut(OverlayNodeId(2)).commit(ResourceVector::new(1.0, 1.0)))),
+            ),
+            (
+                "a session on a failed host",
+                Box::new(move |sys, _| {
+                    sys.node_mut(host).fail();
+                    sys.overlay.set_node_down(host, true);
+                }),
+            ),
+            (
+                "a memoized path through a node failed only in the processing plane",
+                Box::new(move |sys, _| {
+                    sys.node_mut(relay).fail();
+                }),
+            ),
+            (
+                "a path memoized through a node failed only in the processing plane, after the pass that saw it fail",
+                Box::new(move |sys, cursor| {
+                    sys.fail_node(relay, RepairPolicy::Terminate, SimTime::ZERO);
+                    assert!(cursor.audit_at(sys, now).is_clean());
+                    sys.overlay.set_node_down_unrepaired(relay, false);
+                    let nodes: Vec<_> = sys.overlay().nodes().collect();
+                    for &a in &nodes {
+                        for &b in &nodes {
+                            sys.virtual_path(a, b);
+                        }
+                    }
+                    sys.overlay.set_node_down_unrepaired(relay, true);
+                }),
+            ),
+            (
+                "a dead component",
+                Box::new(move |sys, _| {
+                    sys.node_mut(component.node).undeploy(component.slot).expect("live component");
+                    sys.retire_dense(component);
+                }),
+            ),
+            (
+                "a failed relay node",
+                Box::new(move |sys, _| {
+                    sys.node_mut(relay).fail();
+                    sys.overlay.set_node_down(relay, true);
+                }),
+            ),
+            (
+                "a session mutated through get_mut",
+                Box::new(move |sys, _| {
+                    sys.sessions.get_mut(sid).expect("live").composition.assignment[0] = stranger;
+                }),
+            ),
+        ];
+        for (name, corrupt) in corruptions {
+            let (mut sys, mut cursor) = (base.clone(), cursor.clone());
+            corrupt(&mut sys, &mut cursor);
+            let want = auditor.audit_at(&sys, now);
+            assert!(!want.is_clean(), "{name}: the corruption must show");
+            assert_eq!(cursor.audit_at(&mut sys, now).violations(), want.violations(), "{name}");
+        }
     }
 
     #[test]

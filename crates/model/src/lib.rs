@@ -30,7 +30,9 @@
 //!   and the per-hop qualification predicate (Eqs. 6–8).
 //! * [`audit`] — the [`SystemAuditor`](audit::SystemAuditor), re-checking
 //!   the conservation invariants (Eqs. 2/4/5, dense-index and path-cache
-//!   coherence) after the fact for chaos experiments.
+//!   coherence) after the fact for chaos experiments, and the
+//!   [`AuditCursor`](audit::AuditCursor) that gives its report at the
+//!   cost of what changed since the last pass.
 //!
 //! # Example
 //!
@@ -72,7 +74,7 @@ pub mod tenant;
 
 /// One-stop imports for downstream crates.
 pub mod prelude {
-    pub use crate::audit::{AuditReport, AuditViolation, SystemAuditor};
+    pub use crate::audit::{AuditCounts, AuditCursor, AuditReport, AuditViolation, SystemAuditor};
     pub use crate::component::{Component, ComponentId, DenseComponentId};
     pub use crate::constraints::{
         ComponentAttributes, LicenseClass, LicenseClassOrDefault, LicenseSet, PlacementConstraints,

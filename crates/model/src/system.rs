@@ -6,7 +6,8 @@
 //! bandwidth bookkeeping, the function→components discovery index, and the
 //! session table of the middleware's `Find`/`Process`/`Close` interface.
 
-use std::collections::VecDeque;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 
 use acp_topology::{Overlay, OverlayLinkId, OverlayNodeId, OverlayPath, SharedPath};
 use rand::Rng;
@@ -146,6 +147,11 @@ impl Session {
 /// `SessionId.0 → slot` for O(1) lookup of any live id, as a window
 /// over `[oldest live id, next_id)`: storage follows the live id span,
 /// not the number of sessions ever opened.
+///
+/// Two side tables serve questions that would otherwise walk every
+/// session: a live count per request id, and the log of ids handed out
+/// by [`Self::get_mut`] — the only way to change a live session — which
+/// the incremental auditor drains.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SessionArena {
     /// Slot storage; vacant slots hold `None` and sit on `free`.
@@ -161,6 +167,14 @@ pub(crate) struct SessionArena {
     /// Monotonic id allocator (never reused).
     next_id: u64,
     live: usize,
+    /// Live sessions per request id, built by the first
+    /// [`Self::holds_request`] and kept from then on: a run that never
+    /// asks pays nothing. A count, not a flag: two live sessions can
+    /// share a request id (the auditor flags that as a double commit),
+    /// and closing one must not hide the other.
+    per_request: Option<HashMap<u64, u32>>,
+    /// Ids handed out by [`Self::get_mut`] since the last drain.
+    mutated: Vec<SessionId>,
 }
 
 impl SessionArena {
@@ -174,7 +188,11 @@ impl SessionArena {
                 (self.slots.len() - 1) as u32
             }
         };
-        self.slots[slot as usize] = Some(make(id));
+        let session = make(id);
+        if let Some(counts) = &mut self.per_request {
+            *counts.entry(session.request.0).or_insert(0) += 1;
+        }
+        self.slots[slot as usize] = Some(session);
         debug_assert_eq!(self.base_id + self.slot_of.len() as u64, id.0, "ids are dense");
         self.slot_of.push_back(slot);
         self.live += 1;
@@ -199,6 +217,12 @@ impl SessionArena {
         }
         self.free.push(slot as u32);
         self.live -= 1;
+        if let Some(Entry::Occupied(mut count)) = self.per_request.as_mut().map(|c| c.entry(session.request.0)) {
+            *count.get_mut() -= 1;
+            if *count.get() == 0 {
+                count.remove();
+            }
+        }
         Some(session)
     }
 
@@ -206,9 +230,49 @@ impl SessionArena {
         self.slots[self.slot_index(id)?].as_ref()
     }
 
+    /// The one mutable accessor of a live session; logs `id` for
+    /// [`Self::drain_mutated`]. A caller must not change the session's
+    /// request id, which [`Self::holds_request`] counts by.
     pub(crate) fn get_mut(&mut self, id: SessionId) -> Option<&mut Session> {
         let slot = self.slot_index(id)?;
+        self.mutated.push(id);
         self.slots[slot].as_mut()
+    }
+
+    /// Moves the ids [`Self::get_mut`] handed out since the last drain
+    /// into `into` (cleared first), in call order, repeats included.
+    pub(crate) fn drain_mutated(&mut self, into: &mut Vec<SessionId>) {
+        into.clear();
+        into.append(&mut self.mutated);
+    }
+
+    /// True when some live session serves `request`.
+    pub(crate) fn holds_request(&mut self, request: RequestId) -> bool {
+        if self.per_request.is_none() {
+            let mut counts = HashMap::new();
+            for s in self.iter() {
+                *counts.entry(s.request.0).or_insert(0) += 1;
+            }
+            self.per_request = Some(counts);
+        }
+        self.per_request.as_ref().is_some_and(|counts| counts.contains_key(&request.0))
+    }
+
+    /// The id the next session will get: every id below it was issued.
+    pub(crate) fn next_id(&self) -> SessionId {
+        SessionId(self.next_id)
+    }
+
+    /// The live session ids from `first` on, ascending, read off the id
+    /// window without touching a session.
+    pub(crate) fn ids_from(&self, first: SessionId) -> impl Iterator<Item = SessionId> + '_ {
+        let skip = first.0.saturating_sub(self.base_id).min(self.slot_of.len() as u64) as usize;
+        let base = self.base_id + skip as u64;
+        self.slot_of
+            .range(skip..)
+            .enumerate()
+            .filter(|&(_, &slot)| slot != u32::MAX)
+            .map(move |(offset, _)| SessionId(base + offset as u64))
     }
 
     /// Iterates live sessions in slot order — deterministic (slot
@@ -998,9 +1062,10 @@ impl StreamSystem {
     /// True when any live session serves `request` — the idempotent-
     /// commit guard of the two-phase protocol (a stale acknowledgement
     /// for a request that already holds a session must not commit a
-    /// second set of residuals).
-    pub fn has_session_for(&self, request: RequestId) -> bool {
-        self.sessions.iter().any(|s| s.request == request)
+    /// second set of residuals). One hash lookup, once the first call
+    /// has counted the live sessions per request.
+    pub fn has_session_for(&mut self, request: RequestId) -> bool {
+        self.sessions.holds_request(request)
     }
 
     // ------------------------------------------------------------------
@@ -1447,6 +1512,26 @@ pub(crate) mod tests {
             assert!(arena.remove(SessionId(i)).is_some());
         }
         assert_eq!((arena.base_id, arena.slot_of.len(), arena.len()), (65, 0, 0));
+    }
+
+    /// Two live sessions of one request: closing either leaves the
+    /// request held, closing both releases it, whether the sessions came
+    /// before or after the count was built.
+    #[test]
+    fn arena_counts_sessions_per_request() {
+        let mut arena = SessionArena::default();
+        let shared = |id| Session { request: RequestId(7), ..arena_session(id) };
+        let a = arena.insert(shared);
+        assert!(arena.holds_request(RequestId(7)), "the first question counts the live sessions");
+        let (b, other) = (arena.insert(shared), arena.insert(arena_session));
+        assert!(arena.holds_request(RequestId(other.0)), "later sessions are counted as they come");
+        assert!(arena.remove(b).is_some());
+        assert!(arena.holds_request(RequestId(7)), "one of the two is still live");
+        assert!(arena.remove(a).is_some());
+        assert!(!arena.holds_request(RequestId(7)));
+        assert!(arena.remove(other).is_some());
+        assert!(!arena.holds_request(RequestId(other.0)));
+        assert_eq!(arena.per_request, Some(HashMap::new()));
     }
 
     /// The flat retired flag is `dense_of(cid) != Some(dense)` for every

@@ -189,6 +189,28 @@ impl Hasher for PairHasher {
 
 type PathCache = HashMap<(OverlayNodeId, OverlayNodeId), Option<SharedPath>, BuildHasherDefault<PairHasher>>;
 
+/// How many memo inserts the insert log names between two drains. Past
+/// that it records only that it overflowed, so an overlay nobody drains
+/// holds a log of bounded size.
+const MEMO_LOG_CAP: usize = 1024;
+
+/// The keys the memo-miss arm inserted since the last drain.
+#[derive(Debug, Clone, Default)]
+struct InsertLog {
+    keys: Vec<(OverlayNodeId, OverlayNodeId)>,
+    overflowed: bool,
+}
+
+impl InsertLog {
+    fn record(&mut self, key: (OverlayNodeId, OverlayNodeId)) {
+        if self.keys.len() < MEMO_LOG_CAP {
+            self.keys.push(key);
+        } else {
+            self.overflowed = true;
+        }
+    }
+}
+
 /// The overlay mesh of stream-processing nodes.
 #[derive(Clone)]
 pub struct Overlay {
@@ -196,6 +218,9 @@ pub struct Overlay {
     mesh: Graph,
     route_cache: HashMap<OverlayNodeId, ShortestPathTree>,
     path_cache: PathCache,
+    /// Written by the memo-miss arm alone, read by
+    /// [`Self::drain_memo_inserts`].
+    memo_log: InsertLog,
     cache_stats: PathCacheStats,
     /// Nodes whose forwarding plane is down; routing never traverses
     /// them and `virtual_path` refuses them as endpoints.
@@ -315,6 +340,7 @@ impl Overlay {
             mesh,
             route_cache: HashMap::new(),
             path_cache: PathCache::default(),
+            memo_log: InsertLog::default(),
             cache_stats: PathCacheStats::default(),
         }
     }
@@ -438,6 +464,7 @@ impl Overlay {
             }
             Entry::Vacant(slot) => {
                 self.cache_stats.misses += 1;
+                self.memo_log.record((from, to));
                 let computed =
                     compute_virtual_path(&self.mesh, &self.down, &mut self.route_cache, from, to);
                 slot.insert(computed.map(Arc::new)).as_ref()
@@ -471,6 +498,19 @@ impl Overlay {
         &self,
     ) -> impl Iterator<Item = ((OverlayNodeId, OverlayNodeId), Option<&SharedPath>)> + '_ {
         self.path_cache.iter().map(|(&key, path)| (key, path.as_ref()))
+    }
+
+    /// Moves the keys the memo-miss arm inserted since the last drain
+    /// into `into` (cleared first) and returns `true`; returns `false`
+    /// when more came than the log holds, so any entry may be new. An
+    /// entry is never rewritten in place, so every memoized path not
+    /// named here was already in the memo at the last drain. The reader
+    /// is the incremental auditor, which checks these entries instead of
+    /// walking the memo.
+    pub fn drain_memo_inserts(&mut self, into: &mut Vec<(OverlayNodeId, OverlayNodeId)>) -> bool {
+        into.clear();
+        into.append(&mut self.memo_log.keys);
+        !std::mem::take(&mut self.memo_log.overflowed)
     }
 
     /// Marks a node's forwarding plane down or up. While down, the node
@@ -521,6 +561,16 @@ impl Overlay {
     /// True when `node`'s forwarding plane is marked down.
     pub fn is_node_down(&self, node: OverlayNodeId) -> bool {
         self.down[node.index()]
+    }
+
+    /// Flips `node`'s forwarding-plane flag and nothing else: no tree is
+    /// repaired and no memo entry dropped. This breaks, on purpose, the
+    /// invariant [`Self::set_node_down`] keeps. It stands in for a
+    /// routing bug, so that the system auditor's tests in other crates
+    /// can show the auditor notices one; nothing else calls it.
+    #[doc(hidden)]
+    pub fn set_node_down_unrepaired(&mut self, node: OverlayNodeId, down: bool) {
+        self.down[node.index()] = down;
     }
 
     /// Forgets the cached trees `node` forwards in — its own included —
@@ -670,6 +720,33 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &second), "second lookup must come from the memo");
         let stats = ov.path_cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    /// The next drain names every memo insert once, in insert order;
+    /// past the log's capacity it reports an overflow instead.
+    #[test]
+    fn memo_inserts_are_logged_until_the_log_overflows() {
+        let mut ov = build_pair(8, 20, 3);
+        let mut keys = Vec::new();
+        let key = |a, b| (OverlayNodeId(a), OverlayNodeId(b));
+        for (a, b) in [(0, 5), (5, 0), (2, 2), (0, 5)] {
+            ov.virtual_path(OverlayNodeId(a), OverlayNodeId(b));
+        }
+        assert!(ov.drain_memo_inserts(&mut keys));
+        assert_eq!(keys, [key(0, 5), key(5, 0), key(2, 2)], "the repeat was a hit");
+        assert!(ov.drain_memo_inserts(&mut keys) && keys.is_empty());
+        let nodes: Vec<_> = ov.nodes().collect();
+        while ov.path_cache_stats().misses <= (3 + MEMO_LOG_CAP) as u64 {
+            for &a in &nodes {
+                for &b in &nodes {
+                    ov.virtual_path(a, b);
+                }
+                ov.invalidate_routes_for(a);
+            }
+        }
+        assert!(!ov.drain_memo_inserts(&mut keys), "the log overflowed");
+        assert_eq!(keys.len(), MEMO_LOG_CAP);
+        assert!(ov.drain_memo_inserts(&mut keys) && keys.is_empty(), "a drain resets the overflow");
     }
 
     #[test]

@@ -454,6 +454,9 @@ pub struct ScenarioResult {
     /// thread-count-independent fingerprint of *when* and *how* the
     /// invariants were checked.
     pub audit_digest: u64,
+    /// What the incremental auditor did: passes, full fallbacks, whole
+    /// memo walks. The closing audit is not among them. In no digest.
+    pub audit: AuditCounts,
     /// Background migrations performed by the churn rebalancer.
     pub migrations: u64,
     /// Final reservation-lease ledger (created / expired / released /
@@ -550,6 +553,7 @@ impl ScenarioResult {
             recovery_latency: SummaryStats::default(),
             audit_violations: 0,
             audit_digest: 0,
+            audit: AuditCounts::default(),
             migrations: 0,
             lease_stats: LeaseStats::default(),
             leases_live_end: 0,
@@ -748,7 +752,7 @@ struct ScenarioModel {
     churn: Option<ChurnState>,
     repair: Option<RepairRuntime>,
     tenants: Option<TenantRuntime>,
-    auditor: SystemAuditor,
+    auditor: AuditCursor,
     /// The run's ledger: every handler adds its measurements here, and
     /// `summarize` returns it.
     result: ScenarioResult,
@@ -766,9 +770,30 @@ impl ScenarioModel {
     /// `audit_violations == 0`. The sweep is a no-op on fault-free runs
     /// (compositions never leave transients behind) and is exactly the
     /// recovery path for leases orphaned by lost confirmations.
+    ///
+    /// The system auditor is the incremental [`AuditCursor`]; debug
+    /// builds check its report against the full pass's on every pass.
     fn run_audit(&mut self, now: SimTime) {
         self.system.expire_transients(now);
-        let mut report = self.auditor.audit_at(&self.system, Some(now));
+        let report = self.auditor.audit_at(&mut self.system, Some(now));
+        debug_assert_eq!(
+            report.violations(),
+            self.auditor.auditor().audit_at(&self.system, Some(now)).violations(),
+            "the incremental audit at {now:?} differs from the full pass"
+        );
+        self.record_audit(report);
+    }
+
+    /// The run's last audit, always the full pass.
+    fn run_closing_audit(&mut self, now: SimTime) {
+        self.system.expire_transients(now);
+        let report = self.auditor.auditor().audit_at(&self.system, Some(now));
+        self.record_audit(report);
+    }
+
+    /// Folds one system audit, plus the board's coherence audit, into
+    /// the run's ledger.
+    fn record_audit(&mut self, mut report: AuditReport) {
         report.merge(AuditReport::from_violations(self.board.audit_against(&self.system)));
         self.result.audit_violations += report.len() as u64;
         self.result.tenant_violations += report
@@ -1330,7 +1355,7 @@ fn simulate(config: ScenarioConfig) -> ScenarioModel {
         replay_key_offset: 0,
         churn,
         tenants,
-        auditor: SystemAuditor::default(),
+        auditor: AuditCursor::default(),
         result,
         repair,
         config,
@@ -1366,7 +1391,7 @@ fn summarize(mut model: ScenarioModel) -> ScenarioResult {
     let minutes = model.config.duration.as_minutes_f64();
     let end = SimTime::ZERO + model.config.duration;
     // Closing audit: the final state must satisfy every invariant too.
-    model.run_audit(end);
+    model.run_closing_audit(end);
     // Post-horizon reclamation sweep, to the latest expiry a lease can
     // legitimately carry: a request arriving at `end` reserves with
     // expiry `attempt + transient_timeout`, and under two-phase setup its
@@ -1377,7 +1402,8 @@ fn summarize(mut model: ScenarioModel) -> ScenarioResult {
     model.system.expire_transients(end + backoff + model.config.probing.transient_timeout);
     let live_after_horizon = model.system.live_lease_count() as u64;
 
-    let ScenarioModel { mut result, system, board, tuner, churn, .. } = model;
+    let ScenarioModel { mut result, system, board, tuner, churn, auditor, .. } = model;
+    result.audit = auditor.counts();
     result.leases_live_end = leases_live_end;
     result.leases_leaked =
         live_after_horizon + u64::from(!system.lease_stats().reconciles(live_after_horizon));

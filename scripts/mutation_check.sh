@@ -6,9 +6,9 @@
 # time, and the oracle must pass on the pristine copy and fail on every
 # mutant. A mutant named 'FILE.rs: ...' must fail inside that test file.
 #
-#   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|repair|leases|routes|board|topology] [WORKDIR]
+#   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|repair|leases|routes|board|topology|audit] [WORKDIR]
 #
-# No suite name runs all eleven, 29 mutants; WORKDIR defaults to
+# No suite name runs all twelve, 32 mutants; WORKDIR defaults to
 # target/mutation-check.
 # The repository itself is never edited; the copy and its cargo target
 # directory live under WORKDIR.
@@ -160,9 +160,23 @@ board_mutants=(
     'node skipped though its version moved|s/self\.config\.incremental \&\& self\.seen_node_versions\[i\] == versions\[i\]/self.config.incremental \&\& self.seen_node_versions[i] <= versions[i]/'
 )
 
-suites=(selection optimal faults compose counters ledger repair leases routes board topology)
+# The incremental auditor against the full pass, corruption by
+# corruption: each of its dirty sets must be fed by the writer it relies
+# on. A session mutated through `get_mut` that the arena does not log, a
+# memo insert the overlay does not log, and a flip scan that matches a
+# session's hosts but not its relays each leave one corruption unseen.
+audit_kernel='crates/model/src/system.rs crates/topology/src/overlay.rs crates/model/src/audit.rs'
+audit_target='-p acp-model --lib'
+audit_oracle=audit::tests::cursor_reports_what_the_full_pass_reports
+audit_mutants=(
+    'audit.rs: get_mut stops logging|s/^        self\.mutated\.push(id);$//'
+    'audit.rs: the memo-miss arm stops logging|s/^                self\.memo_log\.record((from, to));$//'
+    'audit.rs: the flip scan matches hosts but not relays|s/(node \&\& (hosts(s) || relays(s)))/(node \&\& hosts(s))/'
+)
+
+suites=(selection optimal faults compose counters ledger repair leases routes board topology audit)
 case "${1:-}" in
-    selection | optimal | faults | compose | counters | ledger | repair | leases | routes | board | topology)
+    selection | optimal | faults | compose | counters | ledger | repair | leases | routes | board | topology | audit)
         suites=("$1")
         shift
         ;;
