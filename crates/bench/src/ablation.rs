@@ -92,13 +92,13 @@ pub fn ablation_tuning(scale: &Scale, seed: u64, threads: usize) -> Table {
         ("fixed 0.30", None, None),
         (
             "profiling tuner",
-            Some(TunerConfig { target_success: 0.90, ..TunerConfig::default() }),
+            Some(TunerConfig { target_success: 0.90 }),
             None,
         ),
         (
             "PI controller",
             None,
-            Some(PiControllerConfig { target_success: 0.90, ..PiControllerConfig::default() }),
+            Some(PiControllerConfig { target_success: 0.90 }),
         ),
     ];
     let results = run_indexed(threads, &strategies, |(_, tuner, controller)| {

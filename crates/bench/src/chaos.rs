@@ -106,7 +106,6 @@ pub fn loss_config(scale: &Scale, seed: u64, nodes: usize, probe_loss: f64) -> S
             probe_drop: probe_loss,
             confirm_loss: probe_loss / 2.0,
             stale_ack: if probe_loss > 0.0 { 0.5 } else { 0.0 },
-            ..MessageFaultConfig::default()
         },
         ..SetupConfig::default()
     });
@@ -161,7 +160,7 @@ pub fn loss_table(scale: &Scale, cells: &[Point<(usize, f64)>]) -> Table {
             format!("{}", setup.fault_failures),
             format!("{:.1}", r.recovery_rate() * 100.0),
             format!("{}", setup.retries),
-            format!("{}", setup.probes_lost + setup.stale_probes_discarded),
+            format!("{}", setup.probes_lost),
             format!("{}", setup.confirms_lost),
             format!("{}", setup.leases_orphaned),
             format!("{}", setup.leases_reclaimed),

@@ -293,7 +293,7 @@ pub fn fig8(scale: &Scale, seed: u64, threads: usize) -> [Table; 2] {
         config.duration = scale.fig8_duration;
         config.probing.probing_ratio = 0.3;
         if tuned {
-            config.tuner = Some(TunerConfig { target_success: 0.90, ..TunerConfig::default() });
+            config.tuner = Some(TunerConfig { target_success: 0.90 });
         }
         acp_workload::run_scenario(config)
     });

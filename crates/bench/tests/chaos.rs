@@ -6,7 +6,7 @@
 use acp_bench::chaos::{chaos_config, chaos_grid, loss_grid, soak, PROBE_LOSS_LEVELS};
 use acp_bench::experiments::{run_point, Point, Scale};
 use acp_core::prelude::{AlgorithmKind, SetupConfig};
-use acp_simcore::{DetectionLatency, FaultPlan, FaultPlanConfig, MessageFaultConfig, SimDuration};
+use acp_simcore::{FaultPlan, FaultPlanConfig, MessageFaultConfig, SimDuration};
 use acp_workload::{run_scenario, ChurnConfig, RepairScenarioConfig, ScenarioConfig};
 
 /// A deliberately tiny scale so the grid finishes in seconds while
@@ -86,17 +86,11 @@ fn quick_figure_points_audit_clean() {
     assert!(result.fault_hit_requests > 0, "message faults must land");
     assert_eq!(result.audit_violations, 0);
     assert_eq!(result.leases_leaked, 0);
-    // Two-phase repair with a uniform detection latency: splice probing
-    // over inert two-phase setup, repair leases interleaved with churn.
+    // Two-phase repair: splice probing over inert two-phase setup,
+    // repair leases interleaved with churn.
     config.seed = 51;
     config.setup = Some(SetupConfig::default());
-    config.repair = Some(RepairScenarioConfig {
-        detection: DetectionLatency::Uniform {
-            min: SimDuration::from_millis(500),
-            max: SimDuration::from_secs(3),
-        },
-        ..RepairScenarioConfig::default()
-    });
+    config.repair = Some(RepairScenarioConfig::default());
     let result = run_scenario(config);
     assert!(result.repair_opened > 0, "churn must open repair tickets");
     assert_eq!(result.audit_violations, 0);
@@ -129,7 +123,7 @@ fn churn_config_scaling_scales_every_rate() {
         (scaled.faults.component_crash_per_min - base.faults.component_crash_per_min * 2.0).abs()
             < 1e-12
     );
-    assert_eq!(scaled.failover_delay, base.failover_delay);
+    assert_eq!(scaled.rebalance_interval, base.rebalance_interval);
 }
 
 #[test]

@@ -92,7 +92,6 @@ fn lossy_two_phase_anchor() {
         probe_drop: 0.10,
         confirm_loss: 0.05,
         stale_ack: 0.5,
-        ..MessageFaultConfig::default()
     });
     assert_eq!(got.session_digest, 0xbc10_ea6c_d816_c340, "got {:#018x}", got.session_digest);
     assert_eq!((got.total_requests, got.total_successes), (214, 211));

@@ -20,7 +20,7 @@ use crate::naive::{blind_compose, BlindStrategy};
 use crate::optimal::{optimal_compose, OptimalConfig};
 use crate::overhead::OverheadStats;
 use crate::protocol::{
-    compose_with_mode, FinalSelection, ProbeScratch, ProbingConfig, SetupConfig, SetupMode, SetupStats,
+    compose_with_mode, FinalSelection, ProbeScratch, ProbingConfig, Rules, SetupConfig, SetupMode, SetupStats,
     SinglePhase, TwoPhase,
 };
 use crate::selection::HopSelection;
@@ -69,7 +69,7 @@ pub trait Composer {
 /// The probing composers — ACP and its SP, RP and BCP variants — as one
 /// type: they run the same protocol and differ only in the per-hop and
 /// final selection rules their constructor pins (BCP also pins a probe
-/// budget in the [`ProbingConfig`]).
+/// budget per function).
 ///
 /// The setup mode is a type parameter: the default [`SinglePhase`]
 /// instantiation compiles the entire two-phase machinery (retry loop,
@@ -81,6 +81,9 @@ pub struct ProbingComposer<M: SetupMode = SinglePhase> {
     name: &'static str,
     hop_selection: HopSelection,
     final_selection: FinalSelection,
+    /// BCP's fixed probe budget per function, clamped to the candidate
+    /// count; `None` probes `⌈α·k⌉`.
+    budget: Option<usize>,
     config: ProbingConfig,
     rng: StdRng,
     mode: M,
@@ -127,8 +130,7 @@ impl ProbingComposer {
 impl<M: SetupMode> ProbingComposer<M> {
     fn build(
         name: &'static str,
-        hop_selection: HopSelection,
-        final_selection: FinalSelection,
+        (hop_selection, final_selection, budget): Rules,
         config: ProbingConfig,
         seed: u64,
         mode: M,
@@ -137,6 +139,7 @@ impl<M: SetupMode> ProbingComposer<M> {
             name,
             hop_selection,
             final_selection,
+            budget,
             config,
             rng: StdRng::seed_from_u64(seed),
             mode,
@@ -146,33 +149,25 @@ impl<M: SetupMode> ProbingComposer<M> {
 
     /// [`Self::new`] under an explicit setup mode.
     pub fn with_mode(config: ProbingConfig, seed: u64, mode: M) -> Self {
-        Self::build("acp", HopSelection::Ranked, FinalSelection::MinCongestion, config, seed, mode)
+        Self::build("acp", (HopSelection::Ranked, FinalSelection::MinCongestion, None), config, seed, mode)
     }
 
     /// [`Self::sp`] under an explicit setup mode.
     pub(crate) fn sp_with_mode(config: ProbingConfig, seed: u64, mode: M) -> Self {
-        Self::build("sp", HopSelection::Ranked, FinalSelection::Random, config, seed, mode)
+        Self::build("sp", (HopSelection::Ranked, FinalSelection::Random, None), config, seed, mode)
     }
 
     /// [`Self::rp`] under an explicit setup mode.
     pub(crate) fn rp_with_mode(config: ProbingConfig, seed: u64, mode: M) -> Self {
-        Self::build("rp", HopSelection::Random, FinalSelection::MinCongestion, config, seed, mode)
+        Self::build("rp", (HopSelection::Random, FinalSelection::MinCongestion, None), config, seed, mode)
     }
 
     /// [`Self::bounded`] under an explicit setup mode.
     fn bounded_with_mode(budget: usize, config: ProbingConfig, seed: u64, mode: M) -> Self {
         assert!(budget > 0, "probe budget must be positive");
-        let config = ProbingConfig {
-            probing_ratio: 1.0, // ranking considers every candidate…
-            quota_override: Some(budget), // …the budget caps the spawns
-            ..config
-        };
-        Self::build("bcp", HopSelection::Ranked, FinalSelection::MinCongestion, config, seed, mode)
-    }
-
-    /// The probing configuration in effect.
-    pub fn config(&self) -> &ProbingConfig {
-        &self.config
+        // Ranking considers every candidate; the budget caps the spawns.
+        let config = ProbingConfig { probing_ratio: 1.0, ..config };
+        Self::build("bcp", (HopSelection::Ranked, FinalSelection::MinCongestion, Some(budget)), config, seed, mode)
     }
 }
 
@@ -194,22 +189,22 @@ impl<M: SetupMode> Composer for ProbingComposer<M> {
             request,
             now,
             &self.config,
-            (self.hop_selection, self.final_selection),
+            (self.hop_selection, self.final_selection, self.budget),
             &mut self.mode,
             &mut self.rng,
             &mut self.scratch,
         )
     }
 
-    /// A fixed probe budget (`quota_override`) leaves no ratio to tune.
+    /// A fixed probe budget leaves no ratio to tune.
     fn set_probing_ratio(&mut self, alpha: f64) {
-        if self.config.quota_override.is_none() {
+        if self.budget.is_none() {
             self.config.probing_ratio = alpha.clamp(0.0, 1.0);
         }
     }
 
     fn probing_ratio(&self) -> Option<f64> {
-        self.config.quota_override.is_none().then_some(self.config.probing_ratio)
+        self.budget.is_none().then_some(self.config.probing_ratio)
     }
 }
 
@@ -492,10 +487,10 @@ mod tests {
         let req = request(&sys, 5);
         let mut bcp = ProbingComposer::bounded(2, ProbingConfig::default(), 3);
         assert_eq!(bcp.name(), "bcp");
-        assert_eq!(bcp.config().quota_override, Some(2));
+        assert_eq!(bcp.budget, Some(2));
         bcp.set_probing_ratio(0.1);
         assert_eq!(bcp.probing_ratio(), None, "a fixed budget has no ratio to tune");
-        assert_eq!(bcp.config().probing_ratio, 1.0);
+        assert_eq!(bcp.config.probing_ratio, 1.0);
         let out = bcp.compose(&mut sys, &board, &req, SimTime::ZERO);
         assert!(out.session.is_some());
         // Budget 2 per function over a 3-function path: at most 6 probe

@@ -78,7 +78,7 @@ pub mod tuning_control;
 
 /// One-stop imports for downstream crates.
 pub mod prelude {
-    pub use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision, TokenBucket};
+    pub use crate::admission::{AdmissionConfig, AdmissionController};
     pub use crate::algorithms::{
         AcpComposer, AlgorithmKind, ComposeOutcome, Composer, OptimalComposer, ProbingComposer,
         RandomComposer, StaticComposer,
@@ -97,9 +97,7 @@ pub mod prelude {
     };
     pub use crate::selection::{probe_quota, select_candidates_with, HopSelection, SelectionScratch};
     pub use crate::tuning::{ProbingRatioTuner, TunerConfig};
-    pub use crate::tuning_control::{
-        AlphaEscalator, EscalationConfig, PiControllerConfig, PiRatioController,
-    };
+    pub use crate::tuning_control::{PiControllerConfig, PiRatioController};
 }
 
 pub use prelude::*;

@@ -139,8 +139,6 @@ impl Rebalancer {
 /// Preemption policy knobs (multi-tenant pressure relief).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PreemptionConfig {
-    /// Upper bound on sessions preempted per round.
-    pub max_preemptions_per_round: usize,
     /// Skip nodes below this utilisation — preemption is pressure
     /// relief, not garbage collection.
     pub min_node_utilization: f64,
@@ -148,9 +146,12 @@ pub struct PreemptionConfig {
 
 impl Default for PreemptionConfig {
     fn default() -> Self {
-        PreemptionConfig { max_preemptions_per_round: 4, min_node_utilization: 0.5 }
+        PreemptionConfig { min_node_utilization: 0.5 }
     }
 }
+
+/// Upper bound on sessions preempted per round.
+const MAX_PREEMPTIONS_PER_ROUND: usize = 4;
 
 /// Pressure-driven preemption of `BestEffort` sessions, sharing the
 /// [`Rebalancer`]'s utilisation ranking: when the congestion gate alone
@@ -189,7 +190,7 @@ impl Preemptor {
                 break;
             }
             for sid in system.best_effort_sessions_on(v) {
-                if reclaimed.len() >= self.config.max_preemptions_per_round {
+                if reclaimed.len() >= MAX_PREEMPTIONS_PER_ROUND {
                     break 'nodes;
                 }
                 if let Some(spec) = system.preempt_session(sid) {

@@ -924,7 +924,6 @@ mod tests {
             components_per_node: (3, 5),
             node_cpu: (4.0, 12.0),
             node_memory_mb: (40.0, 120.0),
-            ..SystemConfig::default()
         };
         StreamSystem::generate(overlay, FunctionRegistry::with_size(10), &config, &mut rng)
     }

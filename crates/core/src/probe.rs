@@ -16,7 +16,6 @@
 //! equal.
 
 use acp_model::prelude::*;
-use acp_simcore::SimDuration;
 use acp_topology::SharedPath;
 
 /// The state a probe has accumulated while traversing candidate
@@ -37,12 +36,6 @@ pub struct Probe {
     pub accumulated: Vec<Option<Qos>>,
     /// Hops travelled so far.
     pub hops: u64,
-    /// Cumulative *transport* delay suffered in transit (message-fault
-    /// injection, not stream QoS). A probe whose transport delay reaches
-    /// the transient-reservation timeout is stale: the leases it placed at
-    /// earlier hops expire before it can complete, so the protocol
-    /// discards it.
-    pub delay: SimDuration,
 }
 
 impl Probe {
@@ -53,7 +46,6 @@ impl Probe {
             links: vec![None; graph.edges().len()],
             accumulated: vec![None; graph.len()],
             hops: 0,
-            delay: SimDuration::ZERO,
         }
     }
 
@@ -189,16 +181,6 @@ mod tests {
         let worst = p.worst_accumulated();
         assert_eq!(worst.delay, SimDuration::from_millis(10));
         assert!((worst.loss.probability() - 0.05).abs() < 1e-12);
-    }
-
-    #[test]
-    fn transport_delay_propagates_through_extension() {
-        let g = graph();
-        let mut p = Probe::initial(&g);
-        assert_eq!(p.delay, SimDuration::ZERO);
-        p.delay = SimDuration::from_millis(7);
-        let child = p.extend(0, cid(0), &[], qos_ms(5));
-        assert_eq!(child.delay, SimDuration::from_millis(7));
     }
 
     #[test]

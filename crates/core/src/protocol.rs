@@ -27,20 +27,18 @@
 //! place **transient leases** on candidate nodes and links (phase 1), and
 //! the confirmation promotes the winner's leases to committed residuals
 //! (phase 2). A [`TwoPhase`] setup mode subjects both phases to message
-//! faults ([`MessageFaultConfig`]): probe messages may be dropped or
-//! delayed in transit (a probe whose cumulative transport delay reaches
-//! the lease timeout is stale and discarded), and the confirmation itself
-//! may be lost — leaving the winner's leases **orphaned** until the
-//! expiry-driven reclamation sweep recovers them ("cancelled after a
-//! timeout period if the node does not receive a confirmation message",
-//! §3.3). A lost confirmation may also resurface later as a duplicate
-//! delivery (stale ack); commits are idempotent per request, so a request
-//! that already holds a session rejects the duplicate instead of
-//! double-committing residuals.
+//! faults ([`MessageFaultConfig`]): probe messages may be dropped in
+//! transit, and the confirmation itself may be lost — leaving the
+//! winner's leases **orphaned** until the expiry-driven reclamation sweep
+//! recovers them ("cancelled after a timeout period if the node does not
+//! receive a confirmation message", §3.3). A lost confirmation may also
+//! resurface later as a duplicate delivery (stale ack); commits are
+//! idempotent per request, so a request that already holds a session
+//! rejects the duplicate instead of double-committing residuals.
 //!
 //! Fault-induced failures are retried with deterministic exponential
-//! backoff plus seeded jitter, escalating the probing ratio α via
-//! [`AlphaEscalator`] on consecutive failures. With every fault rate at
+//! backoff plus seeded jitter, escalating the probing ratio α
+//! geometrically on consecutive failures. With every fault rate at
 //! zero the two-phase path performs *exactly* the RNG draws and state
 //! mutations of the plain path — the fault injector consumes no
 //! randomness for disabled classes — so enabling it is byte-identical.
@@ -57,7 +55,6 @@ use crate::overhead::OverheadStats;
 use crate::selection::{
     arrival_accumulated, resolved_link, select_into, HopInputs, HopSelection, SelectionScratch,
 };
-use crate::tuning_control::{AlphaEscalator, EscalationConfig};
 
 /// How the deputy picks among qualified completed compositions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,9 +65,14 @@ pub enum FinalSelection {
     Random,
 }
 
-/// Tunables of the probing protocol. The per-hop and final selection
-/// rules are not among them: they are what tells ACP from its SP and RP
-/// variants, so each [`ProbingComposer`](crate::algorithms::ProbingComposer)
+/// What tells one probing algorithm from another: its per-hop selection,
+/// its final selection, and — BCP's alone — a fixed probe budget per
+/// function in place of `⌈α·k⌉`.
+pub(crate) type Rules = (HopSelection, FinalSelection, Option<usize>);
+
+/// Tunables of the probing protocol. The selection rules are not
+/// among them: they are what tells ACP from its SP, RP and BCP variants,
+/// so each [`ProbingComposer`](crate::algorithms::ProbingComposer)
 /// constructor pins its own.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProbingConfig {
@@ -86,12 +88,6 @@ pub struct ProbingConfig {
     /// overhead limit" of §3.4 (footnote 9). Lowest-risk probes survive
     /// truncation.
     pub max_live_probes: usize,
-    /// Fixed per-hop candidate budget overriding the ratio-derived quota
-    /// (still clamped to the candidate count). `None` uses `⌈α·k⌉`. This
-    /// is the PlanetLab prototype's *bounded composition probing*
-    /// (footnote 10): a simpler ACP variant with a constant probe budget
-    /// per function instead of a tunable ratio.
-    pub quota_override: Option<usize>,
 }
 
 impl Default for ProbingConfig {
@@ -101,7 +97,6 @@ impl Default for ProbingConfig {
             transient_timeout: SimDuration::from_secs(30),
             risk_epsilon: 0.05,
             max_live_probes: 4_096,
-            quota_override: None,
         }
     }
 }
@@ -113,45 +108,52 @@ pub struct SetupConfig {
     pub faults: MessageFaultConfig,
     /// Maximum probing rounds per request (1 = no retry).
     pub max_attempts: u32,
-    /// Backoff before the first retry.
-    pub backoff_base: SimDuration,
-    /// Multiplicative backoff growth per retry.
-    pub backoff_factor: f64,
-    /// Uniform jitter added to each backoff, as a fraction of it (drawn
-    /// from the seeded backoff stream — deterministic).
-    pub jitter_frac: f64,
-    /// Probing-ratio escalation on consecutive failed attempts.
-    pub escalation: EscalationConfig,
 }
 
 impl Default for SetupConfig {
     fn default() -> Self {
-        SetupConfig {
-            faults: MessageFaultConfig::default(),
-            max_attempts: 6,
-            backoff_base: SimDuration::from_millis(250),
-            backoff_factor: 2.0,
-            jitter_frac: 0.25,
-            escalation: EscalationConfig::default(),
-        }
+        SetupConfig { faults: MessageFaultConfig::default(), max_attempts: 6 }
     }
 }
 
-impl SetupConfig {
-    /// Backoff before the retry that follows failed attempt number
-    /// `attempt` (1-based), in seconds, before jitter.
-    fn backoff_secs(&self, attempt: u32) -> f64 {
-        self.backoff_base.as_secs_f64() * self.backoff_factor.powi(attempt as i32 - 1)
-    }
+/// Backoff before the first retry.
+const BACKOFF_BASE: SimDuration = SimDuration::from_millis(250);
+/// Multiplicative backoff growth per retry.
+const BACKOFF_FACTOR: f64 = 2.0;
+/// Uniform jitter added to each backoff, as a fraction of it (drawn from
+/// the seeded backoff stream — deterministic).
+const JITTER_FRAC: f64 = 0.25;
+/// Multiplicative probing-ratio bump per consecutive failed attempt.
+const ESCALATION_FACTOR: f64 = 1.6;
+/// Cap on the escalated probing ratio (the probing-overhead limit of
+/// footnote 9), unless the configured ratio is already above it.
+const ESCALATION_MAX_RATIO: f64 = 1.0;
 
+/// Backoff before the retry that follows failed attempt number `attempt`
+/// (1-based), in seconds, before jitter.
+fn backoff_secs(attempt: u32) -> f64 {
+    BACKOFF_BASE.as_secs_f64() * BACKOFF_FACTOR.powi(attempt as i32 - 1)
+}
+
+/// The probing ratio of the attempt that follows `failures` consecutive
+/// failed ones, from the configured `alpha`: `α · factor^failures`,
+/// capped. Each failed attempt widens the next one's probe fan-out, so a
+/// request whose probes were unlucky with a lossy transport buys itself
+/// redundancy instead of replaying the same thin probe tree.
+fn escalated_ratio(alpha: f64, failures: u32) -> f64 {
+    let base = alpha.max(f64::MIN_POSITIVE);
+    (base * ESCALATION_FACTOR.powi(failures as i32)).min(ESCALATION_MAX_RATIO.max(base))
+}
+
+impl SetupConfig {
     /// The longest a request's last probing round can start after its
     /// first: every retry taken, every backoff at full jitter. A lease
     /// reserved by a request that arrived at `t` expires no later than
     /// `t + max_backoff() + transient_timeout`.
     pub fn max_backoff(&self) -> SimDuration {
         (1..self.max_attempts.max(1)).fold(SimDuration::ZERO, |ladder, attempt| {
-            let backoff = self.backoff_secs(attempt);
-            ladder + SimDuration::from_secs_f64(backoff + backoff * self.jitter_frac)
+            let backoff = backoff_secs(attempt);
+            ladder + SimDuration::from_secs_f64(backoff + backoff * JITTER_FRAC)
         })
     }
 }
@@ -166,11 +168,6 @@ pub struct SetupStats {
     pub retries: u64,
     /// Probe messages dropped by the transport.
     pub probes_lost: u64,
-    /// Probe messages delayed by the transport.
-    pub probes_delayed: u64,
-    /// Probes discarded because transport delay outlived the lease
-    /// timeout.
-    pub stale_probes_discarded: u64,
     /// Confirmation messages lost before reaching the winner's nodes.
     pub confirms_lost: u64,
     /// Late duplicate confirmations rejected by the idempotent-commit
@@ -195,7 +192,7 @@ pub struct SetupStats {
 impl SetupStats {
     /// True when at least one message fault touched this request's setup.
     pub fn fault_hit(&self) -> bool {
-        self.probes_lost + self.probes_delayed + self.confirms_lost > 0
+        self.probes_lost + self.confirms_lost > 0
     }
 }
 
@@ -206,8 +203,6 @@ impl std::ops::Add for SetupStats {
             attempts: self.attempts + rhs.attempts,
             retries: self.retries + rhs.retries,
             probes_lost: self.probes_lost + rhs.probes_lost,
-            probes_delayed: self.probes_delayed + rhs.probes_delayed,
-            stale_probes_discarded: self.stale_probes_discarded + rhs.stale_probes_discarded,
             confirms_lost: self.confirms_lost + rhs.confirms_lost,
             stale_acks_rejected: self.stale_acks_rejected + rhs.stale_acks_rejected,
             stale_acks_recovered: self.stale_acks_recovered + rhs.stale_acks_recovered,
@@ -249,11 +244,6 @@ pub trait SetupMode: std::fmt::Debug {
         1
     }
 
-    /// Probing-ratio escalation applied on consecutive failed attempts.
-    fn escalation(&self) -> EscalationConfig {
-        EscalationConfig::default()
-    }
-
     /// Deterministic backoff (plus seeded jitter) before retrying after
     /// failed attempt number `attempt`.
     fn backoff_delay(&mut self, _attempt: u32) -> SimDuration {
@@ -263,11 +253,6 @@ pub trait SetupMode: std::fmt::Debug {
     /// Does this forwarded probe get dropped in transit?
     fn probe_dropped(&mut self) -> bool {
         false
-    }
-
-    /// Transit delay suffered by this forwarded probe.
-    fn probe_delay(&mut self) -> SimDuration {
-        SimDuration::ZERO
     }
 
     /// Does this session-confirmation message get lost in transit?
@@ -315,11 +300,6 @@ impl TwoPhase {
     pub fn is_inert(&self) -> bool {
         self.config.faults.is_inert()
     }
-
-    /// The setup configuration in effect.
-    pub fn config(&self) -> &SetupConfig {
-        &self.config
-    }
 }
 
 impl SetupMode for TwoPhase {
@@ -329,22 +309,14 @@ impl SetupMode for TwoPhase {
         self.config.max_attempts.max(1)
     }
 
-    fn escalation(&self) -> EscalationConfig {
-        self.config.escalation
-    }
-
     fn backoff_delay(&mut self, attempt: u32) -> SimDuration {
-        let backoff = self.config.backoff_secs(attempt);
-        let jitter = backoff * self.config.jitter_frac * self.backoff_rng.gen::<f64>();
+        let backoff = backoff_secs(attempt);
+        let jitter = backoff * JITTER_FRAC * self.backoff_rng.gen::<f64>();
         SimDuration::from_secs_f64(backoff + jitter)
     }
 
     fn probe_dropped(&mut self) -> bool {
         self.transport.probe_dropped()
-    }
-
-    fn probe_delay(&mut self) -> SimDuration {
-        self.transport.probe_delay()
     }
 
     fn confirm_lost(&mut self) -> bool {
@@ -359,8 +331,8 @@ impl SetupMode for TwoPhase {
 /// Result of one probing attempt inside the retry loop.
 struct AttemptOutcome {
     session: Option<SessionId>,
-    /// A message fault defeated this attempt (dropped/stale probe thinned
-    /// the tree, or the confirmation was lost).
+    /// A message fault defeated this attempt (a dropped probe thinned the
+    /// tree, or the confirmation was lost).
     faulted: bool,
 }
 
@@ -382,7 +354,7 @@ pub(crate) fn probe_compose<R: Rng + ?Sized>(
         request,
         now,
         config,
-        (HopSelection::Ranked, FinalSelection::MinCongestion),
+        (HopSelection::Ranked, FinalSelection::MinCongestion, None),
         &mut SinglePhase,
         rng,
         &mut ProbeScratch::default(),
@@ -405,9 +377,9 @@ pub(crate) fn probe_compose<R: Rng + ?Sized>(
 /// refreshes the existing reservation (an idempotent `reused` touch,
 /// footnote 7) instead of churning a release/create pair.
 ///
-/// `rules` are the per-hop and final selection rules of the caller's
-/// algorithm. `scratch` is the caller's [`ProbeScratch`]: whoever
-/// composes request after request keeps one and hands it to every call.
+/// `rules` are the selection [`Rules`] of the caller's algorithm.
+/// `scratch` is the caller's [`ProbeScratch`]: whoever composes request
+/// after request keeps one and hands it to every call.
 #[allow(clippy::too_many_arguments)] // one parameter per protocol input (Fig. 3), plus the buffers
 pub(crate) fn compose_with_mode<M: SetupMode, R: Rng + ?Sized>(
     system: &mut StreamSystem,
@@ -415,7 +387,7 @@ pub(crate) fn compose_with_mode<M: SetupMode, R: Rng + ?Sized>(
     request: &Request,
     now: SimTime,
     config: &ProbingConfig,
-    rules: (HopSelection, FinalSelection),
+    rules: Rules,
     mode: &mut M,
     rng: &mut R,
     scratch: &mut ProbeScratch,
@@ -475,16 +447,6 @@ fn run_protocol<M: SetupMode, R: Rng + ?Sized>(
     let mut attempts: u32 = 0;
     let mut last_faulted;
     let max_attempts = if M::TWO_PHASE { mode.max_attempts() } else { 1 };
-    let mut escalator = if M::TWO_PHASE {
-        let base = config.probing_ratio.max(f64::MIN_POSITIVE);
-        let esc = EscalationConfig {
-            max_ratio: mode.escalation().max_ratio.max(base),
-            ..mode.escalation()
-        };
-        Some(AlphaEscalator::new(base, esc))
-    } else {
-        None
-    };
     let mut ratio = config.probing_ratio;
 
     loop {
@@ -533,10 +495,7 @@ fn run_protocol<M: SetupMode, R: Rng + ?Sized>(
         // Backoff-time reclamation sweep: recover whatever leases (ours
         // or other requests') have expired in the meantime.
         setup_stats.leases_reclaimed += system.expire_transients(attempt_now) as u64;
-        if let Some(esc) = escalator.as_mut() {
-            esc.record_failure();
-            ratio = esc.ratio();
-        }
+        ratio = escalated_ratio(config.probing_ratio, attempts);
     }
 
     // Stale-ack replay: a duplicate delivery of a lost confirmation
@@ -595,9 +554,6 @@ struct ProbeNode {
     /// Per-metric maximum of `acc` along the chain up to here: the
     /// probe's risk position, carried forward instead of rescanned.
     worst: Qos,
-    /// Cumulative *transport* delay suffered in transit (message-fault
-    /// injection, not stream QoS).
-    delay: SimDuration,
     /// The virtual links into `component`, one per incoming edge of
     /// its vertex: the run `links[links.0..links.1]` of the scratch.
     links: (usize, usize),
@@ -613,7 +569,6 @@ impl ProbeNode {
             component: ComponentId::new(OverlayNodeId(u32::MAX), u16::MAX),
             acc: Qos::ZERO,
             worst: Qos::ZERO,
-            delay: SimDuration::ZERO,
             links: (0, 0),
         }
     }
@@ -671,7 +626,7 @@ fn probe_attempt<M: SetupMode, R: Rng + ?Sized>(
     request: &Request,
     now: SimTime,
     config: &ProbingConfig,
-    (hop_selection, final_selection): (HopSelection, FinalSelection),
+    (hop_selection, final_selection, budget): Rules,
     mode: &mut M,
     rng: &mut R,
     stats: &mut OverheadStats,
@@ -726,7 +681,7 @@ fn probe_attempt<M: SetupMode, R: Rng + ?Sized>(
         // What is the same for every probe of this vertex.
         let hop = HopInputs::new(system, request, vertex, config.probing_ratio);
         let k = hop.candidates;
-        let quota = match config.quota_override {
+        let quota = match budget {
             Some(budget) => budget.clamp(usize::from(k > 0), k.max(1)),
             None => crate::selection::probe_quota(k, config.probing_ratio),
         }
@@ -804,29 +759,14 @@ fn probe_attempt<M: SetupMode, R: Rng + ?Sized>(
                 stats.probes_spawned += 1;
                 stats.probe_messages += 1;
 
-                // --- transport: the hop message may be dropped or delayed.
-                // Disabled fault classes consume no randomness, so with all
-                // rates at zero this block is byte-identical to not existing;
-                // for SinglePhase the whole block folds away at compile time.
-                let mut transit_delay = tree[parent].delay;
-                if M::TWO_PHASE {
-                    if mode.probe_dropped() {
-                        setup_stats.probes_lost += 1;
-                        faulted = true;
-                        continue;
-                    }
-                    let d = mode.probe_delay();
-                    if d > SimDuration::ZERO {
-                        setup_stats.probes_delayed += 1;
-                        transit_delay += d;
-                        if transit_delay >= config.transient_timeout {
-                            // The probe limps in after the leases it placed
-                            // upstream have expired: stale, discard.
-                            setup_stats.stale_probes_discarded += 1;
-                            faulted = true;
-                            continue;
-                        }
-                    }
+                // --- transport: the hop message may be dropped. A disabled
+                // fault class consumes no randomness, so with all rates at
+                // zero this is byte-identical to not existing; for
+                // SinglePhase it folds away at compile time.
+                if M::TWO_PHASE && mode.probe_dropped() {
+                    setup_stats.probes_lost += 1;
+                    faulted = true;
+                    continue;
                 }
 
                 // The probe arrives: only now are its virtual links taken
@@ -845,14 +785,7 @@ fn probe_attempt<M: SetupMode, R: Rng + ?Sized>(
                 };
                 let mut worst = tree[parent].worst;
                 worst.raise_to(acc);
-                tree.push(ProbeNode {
-                    parent,
-                    component,
-                    acc,
-                    worst,
-                    delay: transit_delay,
-                    links: (first_link, links.len()),
-                });
+                tree.push(ProbeNode { parent, component, acc, worst, links: (first_link, links.len()) });
             }
         }
         frontier = spawned_from..tree.len();
@@ -1028,7 +961,7 @@ mod reference {
         request: &Request,
         now: SimTime,
         config: &ProbingConfig,
-        rules: (HopSelection, FinalSelection),
+        rules: Rules,
         mode: &mut M,
         rng: &mut R,
     ) -> ComposeOutcome {
@@ -1052,7 +985,7 @@ mod reference {
         request: &Request,
         now: SimTime,
         config: &ProbingConfig,
-        (hop_selection, final_selection): (HopSelection, FinalSelection),
+        (hop_selection, final_selection, budget): Rules,
         mode: &mut M,
         rng: &mut R,
         stats: &mut OverheadStats,
@@ -1094,7 +1027,7 @@ mod reference {
         for &vertex in order {
             let function = request.graph.function(vertex);
             let k = system.candidates(function).len();
-            let quota = match config.quota_override {
+            let quota = match budget {
                 Some(budget) => budget.clamp(usize::from(k > 0), k.max(1)),
                 None => crate::selection::probe_quota(k, config.probing_ratio),
             }
@@ -1166,29 +1099,11 @@ mod reference {
                 stats.probes_spawned += 1;
                 stats.probe_messages += 1;
 
-                // --- transport: the hop message may be dropped or delayed.
-                // Disabled fault classes consume no randomness, so with all
-                // rates at zero this block is byte-identical to not existing;
-                // for SinglePhase the whole block folds away at compile time.
-                let mut transit_delay = probe.delay;
-                if M::TWO_PHASE {
-                    if mode.probe_dropped() {
-                        setup_stats.probes_lost += 1;
-                        faulted = true;
-                        continue;
-                    }
-                    let d = mode.probe_delay();
-                    if d > SimDuration::ZERO {
-                        setup_stats.probes_delayed += 1;
-                        transit_delay += d;
-                        if transit_delay >= config.transient_timeout {
-                            // The probe limps in after the leases it placed
-                            // upstream have expired: stale, discard.
-                            setup_stats.stale_probes_discarded += 1;
-                            faulted = true;
-                            continue;
-                        }
-                    }
+                // --- transport: the hop message may be dropped.
+                if M::TWO_PHASE && mode.probe_dropped() {
+                    setup_stats.probes_lost += 1;
+                    faulted = true;
+                    continue;
                 }
 
                 // --- per-hop processing at the candidate's node, against
@@ -1235,9 +1150,7 @@ mod reference {
                     stats.probes_dropped += 1;
                     continue;
                 }
-                let mut child = probe.extend(vertex, plan.component, &plan.incoming, acc);
-                child.delay = transit_delay;
-                next_frontier.push(child);
+                next_frontier.push(probe.extend(vertex, plan.component, &plan.incoming, acc));
             }
             std::mem::swap(&mut frontier, &mut next_frontier);
             if frontier.is_empty() {
@@ -1315,7 +1228,7 @@ mod tests {
     use rand::SeedableRng;
 
     /// ACP's selection rules.
-    const ACP: (HopSelection, FinalSelection) = (HopSelection::Ranked, FinalSelection::MinCongestion);
+    const ACP: Rules = (HopSelection::Ranked, FinalSelection::MinCongestion, None);
 
     fn build(seed: u64, nodes: usize) -> (StreamSystem, GlobalStateBoard) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1524,6 +1437,22 @@ mod tests {
         );
     }
 
+    /// The escalated ratio starts at the base, a further failure never
+    /// shrinks it, and it never leaves `[base, max(base, cap)]`.
+    #[test]
+    fn escalated_ratio_grows_from_the_base_to_the_cap() {
+        for base in [f64::MIN_POSITIVE, 0.01, 0.1, 0.3, 0.7, 1.0, 1.5] {
+            assert_eq!(escalated_ratio(base, 0), base);
+            let mut prev = base;
+            for failures in 1..64 {
+                let ratio = escalated_ratio(base, failures);
+                assert!(ratio >= prev && ratio <= ESCALATION_MAX_RATIO.max(base), "{base} after {failures}: {ratio}");
+                prev = ratio;
+            }
+        }
+        assert_eq!(escalated_ratio(0.2, 2), 0.2 * 1.6 * 1.6);
+    }
+
     #[test]
     fn lost_confirm_orphans_leases_until_reclamation_sweep() {
         let (mut sys, board) = build(23, 40);
@@ -1532,7 +1461,6 @@ mod tests {
         let setup_cfg = SetupConfig {
             faults: MessageFaultConfig { confirm_loss: 1.0, ..MessageFaultConfig::default() },
             max_attempts: 1,
-            ..SetupConfig::default()
         };
         let mut setup = TwoPhase::new(3, setup_cfg);
         let mut rng = StdRng::seed_from_u64(3);
@@ -1572,7 +1500,6 @@ mod tests {
                 ..MessageFaultConfig::default()
             },
             max_attempts: 1,
-            ..SetupConfig::default()
         };
         let mut setup = TwoPhase::new(4, setup_cfg);
         let mut rng = StdRng::seed_from_u64(4);
@@ -1716,7 +1643,7 @@ mod tests {
             case: &str,
             base: &StreamSystem,
             config: &ProbingConfig,
-            rules: (HopSelection, FinalSelection),
+            rules: Rules,
             mode: &M,
             rng: &mut StdRng,
             scratch: &mut ProbeScratch,
@@ -1815,7 +1742,7 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(1))]
 
-            /// Every combination of setup mode, α, quota override, hop
+            /// Every combination of setup mode, α, probe budget, hop
             /// and final selection, four times over on fresh seeds: 288
             /// sequences of eight requests, all through one scratch —
             /// so a buffer that carried anything from one request (or
@@ -1830,7 +1757,6 @@ mod tests {
                         probe_drop: 0.05,
                         confirm_loss: 0.025,
                         stale_ack: 0.5,
-                        ..MessageFaultConfig::default()
                     },
                     ..SetupConfig::default()
                 };
@@ -1840,14 +1766,13 @@ mod tests {
                     let base = build(rng.gen(), [40, 60][round % 2]).0;
                     for two_phase in [false, true] {
                         for probing_ratio in [0.1, 0.3, 1.0] {
-                            for quota_override in [None, Some(1), Some(3)] {
+                            for budget in [None, Some(1), Some(3)] {
                                 for hop_selection in [HopSelection::Ranked, HopSelection::Random] {
                                     for final_selection in [FinalSelection::MinCongestion, FinalSelection::Random] {
-                                        let config =
-                                            ProbingConfig { probing_ratio, quota_override, ..ProbingConfig::default() };
-                                        let rules = (hop_selection, final_selection);
+                                        let config = ProbingConfig { probing_ratio, ..ProbingConfig::default() };
+                                        let rules = (hop_selection, final_selection, budget);
                                         let case = format!(
-                                            "master {master} round {round} two-phase {two_phase} α {probing_ratio} quota {quota_override:?} {hop_selection:?} {final_selection:?}"
+                                            "master {master} round {round} two-phase {two_phase} α {probing_ratio} budget {budget:?} {hop_selection:?} {final_selection:?}"
                                         );
                                         if two_phase {
                                             let mode = TwoPhase::new(rng.gen(), lossy.clone());

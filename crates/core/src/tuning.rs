@@ -10,37 +10,32 @@
 //! saturates or reaches the target — and then picks the minimal ratio
 //! predicted to meet the target.
 
-/// Tuner parameters (defaults follow §3.4 and §4.2).
+/// Tuner parameters. The paper fixes the rest of §3.4's tuner (δ, the
+/// base ratio, the step); the constants below hold those values.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TunerConfig {
     /// Target composition success rate `u*(t)` (Fig. 8 uses 0.90).
     pub target_success: f64,
-    /// Re-profiling trigger: |measured − predicted| > δ (paper: 0.02).
-    pub delta: f64,
-    /// Profiling starts from this ratio (paper: 0.1).
-    pub base_ratio: f64,
-    /// Profiling step (paper: 0.1).
-    pub step: f64,
-    /// Upper bound of the probing ratio (the probing-overhead limit of
-    /// footnote 9).
-    pub max_ratio: f64,
-    /// Saturation detection: stop profiling after the success rate
-    /// improves less than this across a step, twice in a row.
-    pub saturation_epsilon: f64,
 }
 
 impl Default for TunerConfig {
     fn default() -> Self {
-        TunerConfig {
-            target_success: 0.90,
-            delta: 0.02,
-            base_ratio: 0.1,
-            step: 0.1,
-            max_ratio: 1.0,
-            saturation_epsilon: 0.005,
-        }
+        TunerConfig { target_success: 0.90 }
     }
 }
+
+/// Re-profiling trigger: |measured − predicted| > δ (paper: 0.02).
+const DELTA: f64 = 0.02;
+/// Profiling starts from this ratio (paper: 0.1).
+const BASE_RATIO: f64 = 0.1;
+/// Profiling step (paper: 0.1).
+const STEP: f64 = 0.1;
+/// Upper bound of the probing ratio (the probing-overhead limit of
+/// footnote 9).
+const MAX_RATIO: f64 = 1.0;
+/// Saturation detection: stop profiling after the success rate improves
+/// less than this across a step, twice in a row.
+const SATURATION_EPSILON: f64 = 0.005;
 
 /// On-line profiler/controller for the probing ratio.
 #[derive(Debug, Clone)]
@@ -57,10 +52,8 @@ impl ProbingRatioTuner {
     /// first sample always triggers profiling).
     pub fn new(config: TunerConfig) -> Self {
         assert!(config.target_success > 0.0 && config.target_success <= 1.0);
-        assert!(config.base_ratio > 0.0 && config.base_ratio <= config.max_ratio);
-        assert!(config.step > 0.0);
         ProbingRatioTuner {
-            ratio: config.base_ratio,
+            ratio: BASE_RATIO,
             config,
             predicted: None,
             profile: Vec::new(),
@@ -83,11 +76,6 @@ impl ProbingRatioTuner {
         self.profiling_runs
     }
 
-    /// The tuner configuration.
-    pub fn config(&self) -> &TunerConfig {
-        &self.config
-    }
-
     /// Feeds one sampling-period measurement. `measured` is the success
     /// rate over the period (`None` when no requests arrived — ignored).
     /// `replay` evaluates a candidate ratio against a representative
@@ -104,7 +92,7 @@ impl ProbingRatioTuner {
         };
         let needs_profiling = match self.predicted {
             None => true,
-            Some(predicted) => (measured - predicted).abs() > self.config.delta,
+            Some(predicted) => (measured - predicted).abs() > DELTA,
         };
         if !needs_profiling {
             return false;
@@ -121,7 +109,7 @@ impl ProbingRatioTuner {
     {
         self.profiling_runs += 1;
         self.profile.clear();
-        let mut alpha = self.config.base_ratio;
+        let mut alpha = BASE_RATIO;
         let mut flat_steps = 0;
         let mut prev: Option<f64> = None;
         loop {
@@ -133,7 +121,7 @@ impl ProbingRatioTuner {
                 break;
             }
             if let Some(p) = prev {
-                if success - p < self.config.saturation_epsilon {
+                if success - p < SATURATION_EPSILON {
                     flat_steps += 1;
                     if flat_steps >= 2 {
                         break; // saturated below target
@@ -144,11 +132,11 @@ impl ProbingRatioTuner {
             }
             prev = Some(success);
             // Step, keeping within the overhead limit.
-            let next = alpha + self.config.step;
-            if next > self.config.max_ratio + 1e-9 {
+            let next = alpha + STEP;
+            if next > MAX_RATIO + 1e-9 {
                 break;
             }
-            alpha = next.min(self.config.max_ratio);
+            alpha = next.min(MAX_RATIO);
         }
         // Minimal ratio predicted to meet the target, else argmax.
         let chosen = self
@@ -231,7 +219,7 @@ mod tests {
 
     #[test]
     fn unreachable_target_stops_at_saturation() {
-        let cfg = TunerConfig { target_success: 0.95, ..TunerConfig::default() };
+        let cfg = TunerConfig { target_success: 0.95 };
         let mut tuner = ProbingRatioTuner::new(cfg);
         // Ceiling 0.7 regardless of α — profiling must terminate and pick
         // the best available ratio.
@@ -258,6 +246,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn rejects_invalid_config() {
-        let _ = ProbingRatioTuner::new(TunerConfig { base_ratio: 0.0, ..TunerConfig::default() });
+        let _ = ProbingRatioTuner::new(TunerConfig { target_success: 1.5 });
     }
 }

@@ -11,38 +11,32 @@
 //! measured success rate — at the cost of slower convergence after abrupt
 //! workload shifts. The `ablation` benchmark binary compares both.
 
-/// PI controller gains and actuator limits.
+/// PI controller parameters; its gains and actuator limits are the
+/// constants below.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PiControllerConfig {
     /// Success-rate setpoint `u*(t)`.
     pub target_success: f64,
-    /// Proportional gain applied to the current error.
-    pub kp: f64,
-    /// Integral gain applied to the accumulated error.
-    pub ki: f64,
-    /// Actuator lower bound.
-    pub min_ratio: f64,
-    /// Actuator upper bound (the probing-overhead limit of footnote 9).
-    pub max_ratio: f64,
-    /// Starting probing ratio.
-    pub initial_ratio: f64,
-    /// Anti-windup clamp on the absolute integral term.
-    pub integral_limit: f64,
 }
 
 impl Default for PiControllerConfig {
     fn default() -> Self {
-        PiControllerConfig {
-            target_success: 0.90,
-            kp: 0.8,
-            ki: 0.25,
-            min_ratio: 0.05,
-            max_ratio: 1.0,
-            initial_ratio: 0.1,
-            integral_limit: 0.4,
-        }
+        PiControllerConfig { target_success: 0.90 }
     }
 }
+
+/// Proportional gain applied to the current error.
+const KP: f64 = 0.8;
+/// Integral gain applied to the accumulated error.
+const KI: f64 = 0.25;
+/// Actuator lower bound.
+const MIN_RATIO: f64 = 0.05;
+/// Actuator upper bound (the probing-overhead limit of footnote 9).
+const MAX_RATIO: f64 = 1.0;
+/// Starting probing ratio.
+const INITIAL_RATIO: f64 = 0.1;
+/// Anti-windup clamp on the absolute integral term.
+const INTEGRAL_LIMIT: f64 = 0.4;
 
 /// A discrete PI controller over the probing ratio.
 ///
@@ -66,25 +60,14 @@ pub struct PiRatioController {
 }
 
 impl PiRatioController {
-    /// Creates a controller at the configured initial ratio.
+    /// Creates a controller at the initial ratio.
     ///
     /// # Panics
     ///
-    /// Panics on non-positive gains/limits or an initial ratio outside
-    /// the actuator bounds.
+    /// Panics on a target outside `(0, 1]`.
     pub fn new(config: PiControllerConfig) -> Self {
         assert!(config.target_success > 0.0 && config.target_success <= 1.0);
-        assert!(config.kp >= 0.0 && config.ki >= 0.0, "gains must be non-negative");
-        assert!(config.kp > 0.0 || config.ki > 0.0, "at least one gain must be positive");
-        assert!(
-            config.min_ratio > 0.0 && config.min_ratio <= config.max_ratio && config.max_ratio <= 1.0,
-            "actuator bounds must satisfy 0 < min <= max <= 1"
-        );
-        assert!(
-            (config.min_ratio..=config.max_ratio).contains(&config.initial_ratio),
-            "initial ratio outside actuator bounds"
-        );
-        PiRatioController { config, ratio: config.initial_ratio, integral: 0.0, updates: 0 }
+        PiRatioController { config, ratio: INITIAL_RATIO, integral: 0.0, updates: 0 }
     }
 
     /// The probing ratio currently in force.
@@ -95,11 +78,6 @@ impl PiRatioController {
     /// Number of control updates applied.
     pub fn updates(&self) -> u64 {
         self.updates
-    }
-
-    /// The controller configuration.
-    pub fn config(&self) -> &PiControllerConfig {
-        &self.config
     }
 
     /// Feeds one sampling-period measurement and updates the actuator.
@@ -119,14 +97,13 @@ impl PiRatioController {
         // Anti-windup, part 2 (conditional integration): freeze the
         // integral while the actuator is saturated in the error's
         // direction.
-        let saturated_high = self.ratio >= self.config.max_ratio && error > 0.0;
-        let saturated_low = self.ratio <= self.config.min_ratio && error < 0.0;
+        let saturated_high = self.ratio >= MAX_RATIO && error > 0.0;
+        let saturated_low = self.ratio <= MIN_RATIO && error < 0.0;
         if !saturated_high && !saturated_low {
-            self.integral = (self.integral + error)
-                .clamp(-self.config.integral_limit, self.config.integral_limit);
+            self.integral = (self.integral + error).clamp(-INTEGRAL_LIMIT, INTEGRAL_LIMIT);
         }
-        let delta = self.config.kp * error + self.config.ki * self.integral;
-        self.ratio = (self.ratio + delta).clamp(self.config.min_ratio, self.config.max_ratio);
+        let delta = KP * error + KI * self.integral;
+        self.ratio = (self.ratio + delta).clamp(MIN_RATIO, MAX_RATIO);
         self.updates += 1;
         self.ratio
     }
@@ -134,88 +111,6 @@ impl PiRatioController {
     /// Resets the integral state (e.g. on a known workload change).
     pub fn reset(&mut self) {
         self.integral = 0.0;
-    }
-}
-
-/// Escalation policy for the two-phase setup retry loop: how aggressively
-/// the probing ratio grows on consecutive failed attempts.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EscalationConfig {
-    /// Multiplicative ratio bump per consecutive failure.
-    pub factor: f64,
-    /// Actuator upper bound (the probing-overhead limit of footnote 9).
-    pub max_ratio: f64,
-}
-
-impl Default for EscalationConfig {
-    fn default() -> Self {
-        EscalationConfig { factor: 1.6, max_ratio: 1.0 }
-    }
-}
-
-/// Open-loop probing-ratio escalation for retries within one request.
-///
-/// Where [`PiRatioController`] tunes α across sampling periods from the
-/// measured success rate, the escalator reacts *within* a single request's
-/// setup: each failed attempt widens the next attempt's probe fan-out
-/// multiplicatively, so a request whose probes were unlucky with a lossy
-/// transport quickly buys itself redundancy instead of replaying the same
-/// thin probe tree.
-///
-/// # Example
-///
-/// ```
-/// use acp_core::tuning_control::{AlphaEscalator, EscalationConfig};
-///
-/// let mut esc = AlphaEscalator::new(0.3, EscalationConfig::default());
-/// assert_eq!(esc.ratio(), 0.3);
-/// esc.record_failure();
-/// assert!(esc.ratio() > 0.3);
-/// esc.record_success();
-/// assert_eq!(esc.ratio(), 0.3);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct AlphaEscalator {
-    config: EscalationConfig,
-    base: f64,
-    consecutive_failures: u32,
-}
-
-impl AlphaEscalator {
-    /// Creates an escalator starting from `base` (the configured probing
-    /// ratio).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-positive base, a factor below 1, or a cap below
-    /// the base.
-    pub fn new(base: f64, config: EscalationConfig) -> Self {
-        assert!(base > 0.0, "base ratio must be positive");
-        assert!(config.factor >= 1.0, "escalation factor must be >= 1");
-        assert!(config.max_ratio >= base, "cap must not undercut the base ratio");
-        AlphaEscalator { config, base, consecutive_failures: 0 }
-    }
-
-    /// The probing ratio for the next attempt:
-    /// `min(base · factor^failures, max_ratio)`.
-    pub fn ratio(&self) -> f64 {
-        (self.base * self.config.factor.powi(self.consecutive_failures as i32))
-            .min(self.config.max_ratio)
-    }
-
-    /// Consecutive failures observed since the last success.
-    pub fn consecutive_failures(&self) -> u32 {
-        self.consecutive_failures
-    }
-
-    /// Records a failed attempt, widening the next attempt's fan-out.
-    pub fn record_failure(&mut self) {
-        self.consecutive_failures = self.consecutive_failures.saturating_add(1);
-    }
-
-    /// Records a success, resetting to the base ratio.
-    pub fn record_success(&mut self) {
-        self.consecutive_failures = 0;
     }
 }
 
@@ -247,12 +142,13 @@ mod tests {
 
     #[test]
     fn lowers_ratio_when_above_target() {
-        let mut ctrl = PiRatioController::new(PiControllerConfig {
-            initial_ratio: 0.8,
-            ..PiControllerConfig::default()
-        });
+        let mut ctrl = PiRatioController::new(PiControllerConfig::default());
+        for _ in 0..3 {
+            ctrl.observe(Some(0.4));
+        }
+        let high = ctrl.ratio();
         ctrl.observe(Some(1.0));
-        assert!(ctrl.ratio() < 0.8);
+        assert!(ctrl.ratio() < high);
     }
 
     #[test]
@@ -322,41 +218,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "actuator bounds")]
-    fn rejects_bad_initial_ratio() {
-        let _ = PiRatioController::new(PiControllerConfig {
-            initial_ratio: 0.01,
-            ..PiControllerConfig::default()
-        });
-    }
-
-    #[test]
-    fn escalator_grows_geometrically_and_caps() {
-        let mut esc = AlphaEscalator::new(0.2, EscalationConfig { factor: 2.0, max_ratio: 1.0 });
-        assert_eq!(esc.ratio(), 0.2);
-        esc.record_failure();
-        assert!((esc.ratio() - 0.4).abs() < 1e-12);
-        esc.record_failure();
-        assert!((esc.ratio() - 0.8).abs() < 1e-12);
-        esc.record_failure();
-        assert_eq!(esc.ratio(), 1.0, "capped at max_ratio");
-        assert_eq!(esc.consecutive_failures(), 3);
-    }
-
-    #[test]
-    fn escalator_resets_on_success() {
-        let mut esc = AlphaEscalator::new(0.3, EscalationConfig::default());
-        esc.record_failure();
-        esc.record_failure();
-        assert!(esc.ratio() > 0.3);
-        esc.record_success();
-        assert_eq!(esc.ratio(), 0.3);
-        assert_eq!(esc.consecutive_failures(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cap must not undercut")]
-    fn escalator_rejects_cap_below_base() {
-        let _ = AlphaEscalator::new(0.5, EscalationConfig { factor: 1.5, max_ratio: 0.4 });
+    #[should_panic]
+    fn rejects_a_target_outside_the_unit_interval() {
+        let _ = PiRatioController::new(PiControllerConfig { target_success: 0.0 });
     }
 }

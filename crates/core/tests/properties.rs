@@ -254,39 +254,4 @@ proptest! {
             prop_assert_eq!(system.candidates(f).len(), count);
         }
     }
-
-    /// The α-escalator's invariants under any failure/success sequence:
-    /// the ratio never leaves `[base, max_ratio]`, a failure never
-    /// shrinks it, and any success resets it to the base exactly.
-    #[test]
-    fn alpha_escalator_stays_bounded_and_resets(
-        base in 0.01f64..1.0,
-        factor in 1.0f64..4.0,
-        headroom in 0.0f64..2.0,
-        events in proptest::collection::vec(any::<bool>(), 0..64),
-    ) {
-        let cap = base + headroom;
-        let mut esc = AlphaEscalator::new(base, EscalationConfig { factor, max_ratio: cap });
-        prop_assert_eq!(esc.ratio(), base, "fresh escalator starts at the base");
-        let mut prev = esc.ratio();
-        for &failed in &events {
-            if failed {
-                esc.record_failure();
-                prop_assert!(
-                    esc.ratio() >= prev - 1e-12,
-                    "a failure must not shrink the ratio: {} -> {}",
-                    prev,
-                    esc.ratio()
-                );
-            } else {
-                esc.record_success();
-                prop_assert_eq!(esc.ratio(), base, "success must reset to the base");
-                prop_assert_eq!(esc.consecutive_failures(), 0);
-            }
-            let ratio = esc.ratio();
-            prop_assert!(ratio >= base - 1e-12, "ratio {} undercut base {}", ratio, base);
-            prop_assert!(ratio <= cap + 1e-12, "ratio {} exceeded cap {}", ratio, cap);
-            prev = ratio;
-        }
-    }
 }

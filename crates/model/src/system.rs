@@ -327,21 +327,6 @@ pub struct SystemConfig {
     pub node_cpu: (f64, f64),
     /// Node memory capacity range (MB).
     pub node_memory_mb: (f64, f64),
-    /// Component interface limit range (kbit/s).
-    pub component_max_rate_kbps: (f64, f64),
-    /// Load sensitivity of component processing delay. The effective
-    /// delay follows an M/M/1-style queueing curve:
-    /// `base · (1 + factor · u/(1−u))`, capped at 10× — negligible on
-    /// lightly loaded nodes, explosive near saturation. This makes
-    /// component QoS state dynamic (so coarse-grain updates matter) and
-    /// punishes placement decisions that skew load.
-    pub load_delay_factor: f64,
-    /// Component security levels, sampled uniformly over this inclusive
-    /// range (future-work extension: application-specific constraints).
-    pub security_levels: (u8, u8),
-    /// Sampling weights for licence classes
-    /// `[permissive, commercial, restricted]`.
-    pub license_weights: [f64; 3],
 }
 
 impl Default for SystemConfig {
@@ -350,13 +335,26 @@ impl Default for SystemConfig {
             components_per_node: (3, 6),
             node_cpu: (60.0, 120.0),
             node_memory_mb: (512.0, 2048.0),
-            component_max_rate_kbps: (600.0, 2_000.0),
-            load_delay_factor: 2.0,
-            security_levels: (0, 4),
-            license_weights: [0.6, 0.25, 0.15],
         }
     }
 }
+
+/// Component interface limit range (kbit/s).
+const COMPONENT_MAX_RATE_KBPS: (f64, f64) = (600.0, 2_000.0);
+
+/// Load sensitivity of component processing delay. The effective delay
+/// follows an M/M/1-style queueing curve: `base · (1 + factor · u/(1−u))`,
+/// capped at 10× — negligible on lightly loaded nodes, explosive near
+/// saturation. This makes component QoS state dynamic (so coarse-grain
+/// updates matter) and punishes placement decisions that skew load.
+const LOAD_DELAY_FACTOR: f64 = 2.0;
+
+/// Component security levels, sampled uniformly over this inclusive range
+/// (future-work extension: application-specific constraints).
+const SECURITY_LEVELS: (u8, u8) = (0, 4);
+
+/// Sampling weights for licence classes `[permissive, commercial, restricted]`.
+const LICENSE_WEIGHTS: [f64; 3] = [0.6, 0.25, 0.15];
 
 /// The distributed stream-processing system.
 #[derive(Clone)]
@@ -372,7 +370,6 @@ pub struct StreamSystem {
     pub(crate) sessions: SessionArena,
     /// Component statics in struct-of-arrays layout, keyed by dense id.
     statics: DenseStatics,
-    load_delay_factor: f64,
     /// Per-node change counters: bumped on every mutation observable
     /// through [`Self::node_available`] / the node's component list
     /// (admission, teardown, transients, failure, migration). Incremental
@@ -532,8 +529,8 @@ impl StreamSystem {
                 .map(|(slot, function)| {
                     let id = ComponentId::new(v, slot as u16);
                     let qos = registry.profile(function).sample_component_qos(rng);
-                    let max_rate = sample_range(rng, config.component_max_rate_kbps);
-                    let attributes = sample_attributes(rng, config);
+                    let max_rate = sample_range(rng, COMPONENT_MAX_RATE_KBPS);
+                    let attributes = sample_attributes(rng);
                     discovery[function.0 as usize].push(id);
                     let c = Component { id, function, qos, max_input_rate_kbps: max_rate, attributes };
                     // Components are created in node/slot order — exactly
@@ -588,7 +585,6 @@ impl StreamSystem {
             discovery,
             sessions: SessionArena::default(),
             statics,
-            load_delay_factor: config.load_delay_factor,
             lease_stats: LeaseStats::default(),
             tenant_ledger: TenantLedger::default(),
             repair_ledger: RepairLedger::default(),
@@ -695,9 +691,8 @@ impl StreamSystem {
 
     /// The **effective** QoS of a component right now: its base QoS with
     /// processing delay inflated by the hosting node's utilisation along
-    /// an M/M/1-style queueing curve (see
-    /// [`SystemConfig::load_delay_factor`]). This is the value probes
-    /// collect and global-state updates propagate.
+    /// an M/M/1-style queueing curve (see `LOAD_DELAY_FACTOR`). This is
+    /// the value probes collect and global-state updates propagate.
     pub fn effective_component_qos(&self, id: ComponentId) -> Qos {
         let base = self.component(id).qos;
         let node = &self.nodes[id.node.index()];
@@ -707,7 +702,7 @@ impl StreamSystem {
         let inflation = if utilization >= 1.0 {
             10.0
         } else {
-            (1.0 + self.load_delay_factor * utilization / (1.0 - utilization)).min(10.0)
+            (1.0 + LOAD_DELAY_FACTOR * utilization / (1.0 - utilization)).min(10.0)
         };
         Qos::new(base.delay.mul_f64(inflation), base.loss)
     }
@@ -1172,10 +1167,9 @@ fn group_link_demand(request: &Request, composition: &Composition) -> LinkAllocs
     grouped
 }
 
-fn sample_attributes<R: Rng + ?Sized>(rng: &mut R, config: &SystemConfig) -> ComponentAttributes {
-    let (lo, hi) = config.security_levels;
-    let security = SecurityLevel(if lo >= hi { lo } else { rng.gen_range(lo..=hi) });
-    let weights = config.license_weights;
+fn sample_attributes<R: Rng + ?Sized>(rng: &mut R) -> ComponentAttributes {
+    let security = SecurityLevel(rng.gen_range(SECURITY_LEVELS.0..=SECURITY_LEVELS.1));
+    let weights = LICENSE_WEIGHTS;
     let total: f64 = weights.iter().sum();
     let mut pick = rng.gen_range(0.0..total.max(f64::MIN_POSITIVE));
     let mut license = LicenseClass::Permissive;

@@ -111,9 +111,9 @@ pub struct TenantStats {
     pub preempted: u64,
     /// Sessions currently live.
     pub live: u64,
-    /// Requests shed by admission control (rate limit or congestion
-    /// gate) before composition — never admitted, so not part of the
-    /// reconciliation equation.
+    /// Requests shed by admission control (the congestion gate) before
+    /// composition — never admitted, so not part of the reconciliation
+    /// equation.
     pub shed: u64,
     /// Times this tenant was shed by the congestion gate while a lower
     /// tier held live sessions. Non-zero on a `Gold` tenant is the
@@ -255,7 +255,7 @@ impl TenantLedger {
         stats.committed_bw_kbps += bw_kbps;
     }
 
-    /// Records an admission-control shed (rate limit or congestion gate).
+    /// Records an admission-control shed (the congestion gate).
     pub(crate) fn record_shed(&mut self, binding: TenantBinding) {
         self.touch(binding).shed += 1;
     }

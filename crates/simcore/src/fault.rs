@@ -134,8 +134,6 @@ pub struct FaultPlanConfig {
     pub mean_link_downtime: SimDuration,
     /// Link degradations per simulated minute.
     pub link_degrade_per_min: f64,
-    /// Remaining-capacity factor range for degradations (uniform).
-    pub degrade_factor: (f64, f64),
     /// Single-component crashes per simulated minute.
     pub component_crash_per_min: f64,
     /// Overlay partitions per simulated minute. **Zero by default** —
@@ -154,7 +152,6 @@ impl Default for FaultPlanConfig {
             link_fail_per_min: 0.5,
             mean_link_downtime: SimDuration::from_minutes(2),
             link_degrade_per_min: 0.5,
-            degrade_factor: (0.1, 0.6),
             component_crash_per_min: 0.5,
             partition_per_min: 0.0,
             mean_partition_duration: SimDuration::from_minutes(2),
@@ -178,56 +175,14 @@ impl FaultPlanConfig {
     }
 }
 
-/// How long a fault goes unnoticed before repair can begin — the
-/// detection-latency distribution a repair-enabled scenario samples per
-/// broken session. `Fixed` draws no randomness at all.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DetectionLatency {
-    /// A constant latency (no randomness consumed).
-    Fixed(SimDuration),
-    /// Uniform over `[min, max]`, quantised to whole microseconds.
-    Uniform {
-        /// Earliest possible detection delay.
-        min: SimDuration,
-        /// Latest possible detection delay.
-        max: SimDuration,
-    },
-    /// Exponential with the given mean, quantised to whole microseconds.
-    Exponential {
-        /// Mean detection delay.
-        mean: SimDuration,
-    },
-}
-
-impl Default for DetectionLatency {
-    fn default() -> Self {
-        DetectionLatency::Fixed(SimDuration::from_secs(1))
-    }
-}
-
-impl DetectionLatency {
-    /// Samples one detection delay. Deterministic given the rng state;
-    /// `Fixed` leaves the rng untouched.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> SimDuration {
-        match *self {
-            DetectionLatency::Fixed(d) => d,
-            DetectionLatency::Uniform { min, max } => {
-                if max <= min {
-                    min
-                } else {
-                    SimDuration::from_micros(rng.gen_range(min.as_micros()..=max.as_micros()))
-                }
-            }
-            DetectionLatency::Exponential { mean } => sample_exp(rng, mean.as_secs_f64()),
-        }
-    }
-}
-
 /// A pre-generated, time-ordered fault schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }
+
+/// Remaining-capacity factor range for degradations (uniform).
+const DEGRADE_FACTOR: (f64, f64) = (0.1, 0.6);
 
 /// Samples an exponential inter-arrival/holding time with mean
 /// `mean_secs`, quantised to whole microseconds (so schedules are exact
@@ -333,8 +288,7 @@ impl FaultPlan {
             config.mean_link_downtime,
             end,
             |rng, link| {
-                let (lo, hi) = config.degrade_factor;
-                let factor = if lo >= hi { lo } else { rng.gen_range(lo..hi) };
+                let factor = rng.gen_range(DEGRADE_FACTOR.0..DEGRADE_FACTOR.1);
                 (FaultKind::LinkDegrade { link, factor }, FaultKind::LinkRestore { link })
             },
         );
@@ -497,11 +451,6 @@ impl FaultPlan {
 pub struct MessageFaultConfig {
     /// Probability a forwarded probe is silently dropped in transit.
     pub probe_drop: f64,
-    /// Probability a forwarded probe is delayed (exponentially, with
-    /// mean [`mean_probe_delay`](Self::mean_probe_delay)).
-    pub probe_delay: f64,
-    /// Mean of the exponential transit delay for delayed probes.
-    pub mean_probe_delay: SimDuration,
     /// Probability the session-confirmation message is lost, leaving the
     /// winning composition's reservations orphaned until they expire.
     pub confirm_loss: f64,
@@ -514,8 +463,6 @@ impl Default for MessageFaultConfig {
     fn default() -> Self {
         MessageFaultConfig {
             probe_drop: 0.0,
-            probe_delay: 0.0,
-            mean_probe_delay: SimDuration::from_secs(10),
             confirm_loss: 0.0,
             stale_ack: 0.0,
         }
@@ -527,10 +474,7 @@ impl MessageFaultConfig {
     /// randomness and the setup path behaves exactly like the lossless
     /// single-phase protocol.
     pub fn is_inert(&self) -> bool {
-        self.probe_drop <= 0.0
-            && self.probe_delay <= 0.0
-            && self.confirm_loss <= 0.0
-            && self.stale_ack <= 0.0
+        self.probe_drop <= 0.0 && self.confirm_loss <= 0.0 && self.stale_ack <= 0.0
     }
 }
 
@@ -544,7 +488,6 @@ impl MessageFaultConfig {
 pub struct MessageFaultInjector {
     config: MessageFaultConfig,
     probe_drop_rng: StdRng,
-    probe_delay_rng: StdRng,
     confirm_rng: StdRng,
     stale_rng: StdRng,
 }
@@ -556,21 +499,9 @@ impl MessageFaultInjector {
         MessageFaultInjector {
             config,
             probe_drop_rng: streams.stream("msg/probe-drop"),
-            probe_delay_rng: streams.stream("msg/probe-delay"),
             confirm_rng: streams.stream("msg/confirm"),
             stale_rng: streams.stream("msg/stale-ack"),
         }
-    }
-
-    /// The configured rates.
-    pub fn config(&self) -> &MessageFaultConfig {
-        &self.config
-    }
-
-    /// True when every class is disabled (see
-    /// [`MessageFaultConfig::is_inert`]).
-    pub fn is_inert(&self) -> bool {
-        self.config.is_inert()
     }
 
     /// Does this forwarded probe get dropped in transit?
@@ -579,19 +510,6 @@ impl MessageFaultInjector {
             return false;
         }
         self.probe_drop_rng.gen::<f64>() < self.config.probe_drop
-    }
-
-    /// Transit delay suffered by this forwarded probe (`ZERO` for the
-    /// undelayed majority).
-    pub fn probe_delay(&mut self) -> SimDuration {
-        if self.config.probe_delay <= 0.0 {
-            return SimDuration::ZERO;
-        }
-        if self.probe_delay_rng.gen::<f64>() < self.config.probe_delay {
-            sample_exp(&mut self.probe_delay_rng, self.config.mean_probe_delay.as_secs_f64())
-        } else {
-            SimDuration::ZERO
-        }
     }
 
     /// Does this session-confirmation message get lost in transit?
@@ -798,53 +716,12 @@ mod tests {
     }
 
     #[test]
-    fn detection_latency_sampling() {
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(7);
-        // Fixed: constant, draws nothing (rng state must be unchanged).
-        let fixed = DetectionLatency::Fixed(SimDuration::from_millis(500));
-        let before: u64 = rng.gen();
-        let mut replay = StdRng::seed_from_u64(7);
-        let _: u64 = replay.gen();
-        assert_eq!(fixed.sample(&mut rng), SimDuration::from_millis(500));
-        assert_eq!(rng.gen::<u64>(), replay.gen::<u64>(), "Fixed must not consume randomness");
-        let _ = before;
-        // Uniform: stays in range; degenerate range returns min.
-        let uni = DetectionLatency::Uniform {
-            min: SimDuration::from_millis(100),
-            max: SimDuration::from_millis(200),
-        };
-        for _ in 0..200 {
-            let d = uni.sample(&mut rng);
-            assert!((100_000..=200_000).contains(&d.as_micros()), "{d}");
-        }
-        let point = DetectionLatency::Uniform {
-            min: SimDuration::from_secs(1),
-            max: SimDuration::from_secs(1),
-        };
-        assert_eq!(point.sample(&mut rng), SimDuration::from_secs(1));
-        // Exponential: positive, mean in the right ballpark.
-        let exp = DetectionLatency::Exponential { mean: SimDuration::from_secs(2) };
-        let n = 4000;
-        let total: f64 = (0..n).map(|_| exp.sample(&mut rng).as_secs_f64()).sum();
-        let mean = total / n as f64;
-        assert!((1.8..2.2).contains(&mean), "sample mean {mean}");
-        // Determinism: same seed, same sequence.
-        let mut a = StdRng::seed_from_u64(11);
-        let mut b = StdRng::seed_from_u64(11);
-        for _ in 0..64 {
-            assert_eq!(exp.sample(&mut a), exp.sample(&mut b));
-        }
-    }
-
-    #[test]
     fn inert_injector_never_faults() {
         let config = MessageFaultConfig::default();
         assert!(config.is_inert());
         let mut inj = MessageFaultInjector::new(42, config);
         for _ in 0..1000 {
             assert!(!inj.probe_dropped());
-            assert_eq!(inj.probe_delay(), SimDuration::ZERO);
             assert!(!inj.confirm_lost());
             assert!(!inj.stale_ack_resurfaces());
         }
@@ -871,13 +748,7 @@ mod tests {
 
     #[test]
     fn injector_is_deterministic_and_classes_are_independent() {
-        let config = MessageFaultConfig {
-            probe_drop: 0.2,
-            probe_delay: 0.2,
-            confirm_loss: 0.2,
-            stale_ack: 0.5,
-            ..MessageFaultConfig::default()
-        };
+        let config = MessageFaultConfig { probe_drop: 0.2, confirm_loss: 0.2, stale_ack: 0.5 };
         let mut a = MessageFaultInjector::new(11, config.clone());
         let mut b = MessageFaultInjector::new(11, config.clone());
         // b interleaves heavy draws on *other* classes; the probe-drop
@@ -887,7 +758,6 @@ mod tests {
             for _ in 0..3 {
                 b.confirm_lost();
                 b.stale_ack_resurfaces();
-                b.probe_delay();
             }
             assert_eq!(da, b.probe_dropped());
         }
@@ -900,18 +770,11 @@ mod tests {
 
     #[test]
     fn fault_rates_approximate_their_configured_probability() {
-        let config = MessageFaultConfig {
-            probe_drop: 0.25,
-            probe_delay: 0.5,
-            ..MessageFaultConfig::default()
-        };
+        let config = MessageFaultConfig { probe_drop: 0.25, ..MessageFaultConfig::default() };
         let mut inj = MessageFaultInjector::new(3, config);
         let n = 10_000;
         let drops = (0..n).filter(|_| inj.probe_dropped()).count();
-        let delayed = (0..n).filter(|_| inj.probe_delay() > SimDuration::ZERO).count();
         let drop_rate = drops as f64 / n as f64;
-        let delay_rate = delayed as f64 / n as f64;
         assert!((0.22..0.28).contains(&drop_rate), "drop rate {drop_rate}");
-        assert!((0.46..0.54).contains(&delay_rate), "delay rate {delay_rate}");
     }
 }

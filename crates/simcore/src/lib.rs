@@ -54,8 +54,8 @@ pub mod time;
 
 pub use engine::{Model, Simulation};
 pub use fault::{
-    DetectionLatency, FaultEvent, FaultKind, FaultPlan, FaultPlanConfig, FaultScheduler,
-    MessageFaultConfig, MessageFaultInjector,
+    FaultEvent, FaultKind, FaultPlan, FaultPlanConfig, FaultScheduler, MessageFaultConfig,
+    MessageFaultInjector,
 };
 pub use queue::{EventQueue, ScheduledEvent};
 pub use rng::DeterministicRng;

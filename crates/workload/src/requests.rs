@@ -72,10 +72,6 @@ pub struct RequestConfig {
     pub stream_rate_kbps: (f64, f64),
     /// Session duration range (minutes) — paper: [5, 15].
     pub session_minutes: (f64, f64),
-    /// Fraction of requests carrying application-specific placement
-    /// constraints (minimum security level + permissive-licence-only);
-    /// the paper's future-work extension. Zero by default.
-    pub constrained_fraction: f64,
 }
 
 impl Default for RequestConfig {
@@ -89,7 +85,6 @@ impl Default for RequestConfig {
             bandwidth_kbps: (50.0, 200.0),
             stream_rate_kbps: (50.0, 500.0),
             session_minutes: (5.0, 15.0),
-            constrained_fraction: 0.0,
         }
     }
 }
@@ -131,16 +126,6 @@ impl RequestGenerator {
             LossRate::from_probability(loss),
         )
         .tightened(self.config.qos_tier.factor());
-        let constraints = if self.config.constrained_fraction > 0.0
-            && rng.gen_bool(self.config.constrained_fraction.clamp(0.0, 1.0))
-        {
-            PlacementConstraints {
-                min_security: SecurityLevel::HARDENED,
-                licenses: LicenseSet::of(&[LicenseClass::Permissive]),
-            }
-        } else {
-            PlacementConstraints::none()
-        };
         let request = Request {
             id,
             graph: template.graph.clone(),
@@ -151,7 +136,7 @@ impl RequestGenerator {
             ),
             bandwidth_kbps: sample(rng, self.config.bandwidth_kbps),
             stream_rate_kbps: sample(rng, self.config.stream_rate_kbps),
-            constraints,
+            constraints: PlacementConstraints::none(),
             tenant: None,
         };
         let duration = SimDuration::from_secs_f64(sample(rng, self.config.session_minutes) * 60.0);
@@ -323,25 +308,6 @@ mod tests {
         assert_eq!(replayed[0].id, RequestId(1_000_000));
         trace.clear();
         assert!(trace.is_empty());
-    }
-
-    #[test]
-    fn constrained_fraction_yields_constrained_requests() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let (_, library) = standard_universe(&mut rng);
-        let config = RequestConfig { constrained_fraction: 0.5, ..RequestConfig::default() };
-        let mut g = RequestGenerator::new(library, config);
-        let mut constrained = 0;
-        for _ in 0..200 {
-            let (r, _) = g.next(&mut rng);
-            if r.constraints != PlacementConstraints::none() {
-                constrained += 1;
-                assert_eq!(r.constraints.min_security, SecurityLevel::HARDENED);
-                assert!(r.constraints.licenses.accepts(LicenseClass::Permissive));
-                assert!(!r.constraints.licenses.accepts(LicenseClass::Commercial));
-            }
-        }
-        assert!((60..=140).contains(&constrained), "~50% expected, got {constrained}");
     }
 
     #[test]

@@ -12,9 +12,8 @@
 use acp_core::prelude::*;
 use acp_model::prelude::*;
 use acp_simcore::{
-    DeterministicRng, DetectionLatency, EventQueue, FaultKind, FaultPlan, FaultPlanConfig,
-    FaultScheduler, Histogram, Model, SimDuration, SimTime, Simulation, SummaryStats, TimeSeries,
-    WindowedCounter,
+    DeterministicRng, EventQueue, FaultKind, FaultPlan, FaultPlanConfig, FaultScheduler, Histogram,
+    Model, SimDuration, SimTime, Simulation, SummaryStats, TimeSeries, WindowedCounter,
 };
 use acp_state::{GlobalStateBoard, GlobalStateConfig, ScanStats};
 use acp_topology::{InetConfig, Overlay, OverlayConfig};
@@ -29,16 +28,13 @@ use crate::requests::{sample, RequestConfig, RequestGenerator, RequestTrace};
 /// When present, a seeded [`FaultPlan`] is generated up front from the
 /// scenario's master seed and replayed against the running system,
 /// interleaved with the Poisson arrivals. Orphaned sessions are
-/// recomposed after `failover_delay` (detection plus re-probing
+/// recomposed after `FAILOVER_DELAY` (detection plus re-probing
 /// latency); the [`SystemAuditor`] re-checks every conservation
 /// invariant at each sampling point and after every failover sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChurnConfig {
     /// Per-class fault rates and downtime distributions.
     pub faults: FaultPlanConfig,
-    /// Delay between a fault landing and the failover sweep that
-    /// recomposes its orphaned sessions.
-    pub failover_delay: SimDuration,
     /// Period of background [`Rebalancer`] rounds under churn; `None`
     /// disables rebalancing.
     pub rebalance_interval: Option<SimDuration>,
@@ -48,7 +44,6 @@ impl Default for ChurnConfig {
     fn default() -> Self {
         ChurnConfig {
             faults: FaultPlanConfig::default(),
-            failover_delay: SimDuration::from_secs(2),
             rebalance_interval: Some(SimDuration::from_minutes(5)),
         }
     }
@@ -65,33 +60,22 @@ impl ChurnConfig {
 ///
 /// When present, fault-struck *path* sessions are degraded in place
 /// instead of killed (under [`RepairPolicy::Repair`]), a repair ticket
-/// is opened per incident, and detection-latency-delayed repair sweeps
-/// drive the [`RepairPlanner`] over the degraded set in ascending
-/// session order. `None` (the default) draws no randomness, schedules
-/// no events, and maintains no ledger — byte-identical to a repair-less
-/// run.
+/// is opened per incident, and repair sweeps `DETECTION` later drive
+/// the [`RepairPlanner`] over the degraded set in ascending session
+/// order. `None` (the default) draws no randomness, schedules no events,
+/// and maintains no ledger — byte-identical to a repair-less run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairScenarioConfig {
-    /// How long a fault goes unnoticed before its first repair (or
-    /// restart) sweep; sampled once per fault incident.
-    pub detection: DetectionLatency,
     /// Repair attempts per ticket before the session is abandoned
     /// (repair arm only — the restart baseline recomposes once).
     pub retry_budget: u32,
-    /// Delay between a failed repair attempt and its retry sweep.
-    pub retry_delay: SimDuration,
     /// Which arm this run exercises.
     pub policy: RepairPolicy,
 }
 
 impl Default for RepairScenarioConfig {
     fn default() -> Self {
-        RepairScenarioConfig {
-            detection: DetectionLatency::default(),
-            retry_budget: 3,
-            retry_delay: SimDuration::from_secs(2),
-            policy: RepairPolicy::Repair,
-        }
+        RepairScenarioConfig { retry_budget: 3, policy: RepairPolicy::Repair }
     }
 }
 
@@ -102,9 +86,6 @@ pub struct TenantSpec {
     pub tier: TenantTier,
     /// Relative share of the arrival mix (weights need not sum to 1).
     pub weight: f64,
-    /// Token-bucket rate limit as `(requests_per_sec, burst)`; `None`
-    /// leaves the tenant uncapped.
-    pub rate_limit: Option<(f64, f64)>,
 }
 
 /// Periodic preemption of best-effort sessions under pressure.
@@ -134,8 +115,8 @@ impl Default for TenantPreemptionConfig {
 /// When present, every arrival is stamped with a tenant drawn from its
 /// own label-derived stream (the workload stream is untouched) and must
 /// pass the [`AdmissionController`] before composing. `None` — and a
-/// single uncapped `Gold` tenant without preemption — are byte-identical
-/// to the tenant-less run.
+/// single `Gold` tenant without preemption — are byte-identical to the
+/// tenant-less run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantsConfig {
     /// The tenant population; `TenantId(i)` is the index into this vec.
@@ -148,20 +129,20 @@ pub struct TenantsConfig {
 }
 
 impl TenantsConfig {
-    /// A single uncapped `Gold` tenant with no preemption: admits every
-    /// request, so runs are byte-identical to the tenant-less path.
+    /// A single `Gold` tenant with no preemption: admits every request,
+    /// so runs are byte-identical to the tenant-less path.
     pub fn single_gold() -> Self {
         TenantsConfig {
-            tenants: vec![TenantSpec { tier: TenantTier::Gold, weight: 1.0, rate_limit: None }],
+            tenants: vec![TenantSpec { tier: TenantTier::Gold, weight: 1.0 }],
             admission: AdmissionConfig::default(),
             preemption: None,
         }
     }
 
     /// The benchmark mix: one `Gold`, one `Silver`, two `BestEffort`
-    /// tenants at equal weight, uncapped, with preemption enabled.
+    /// tenants at equal weight, with preemption enabled.
     pub fn standard_mix() -> Self {
-        let spec = |tier| TenantSpec { tier, weight: 1.0, rate_limit: None };
+        let spec = |tier| TenantSpec { tier, weight: 1.0 };
         TenantsConfig {
             tenants: vec![
                 spec(TenantTier::Gold),
@@ -181,7 +162,7 @@ impl TenantsConfig {
 pub struct TierSummary {
     /// Arrivals bound to this tier.
     pub offered: u64,
-    /// Arrivals shed by the admission controller (rate + congestion).
+    /// Arrivals shed by the admission controller.
     pub shed: u64,
     /// Admitted arrivals that composed successfully.
     pub composed: u64,
@@ -254,8 +235,6 @@ pub struct ScenarioConfig {
     /// Control-theoretic tuner (future-work extension); mutually
     /// exclusive with `tuner`.
     pub controller: Option<PiControllerConfig>,
-    /// Cap on requests kept for trace-replay profiling.
-    pub replay_capacity: usize,
     /// Fault injection (chaos) parameters; `None` runs fault-free.
     pub churn: Option<ChurnConfig>,
     /// Two-phase setup parameters (message faults on probe/confirm
@@ -263,11 +242,11 @@ pub struct ScenarioConfig {
     /// `Some` with all fault rates zero is byte-identical to `None`.
     pub setup: Option<SetupConfig>,
     /// Multi-tenant admission control; `None` runs tenant-less, and a
-    /// single uncapped `Gold` tenant is byte-identical to `None`.
+    /// single `Gold` tenant is byte-identical to `None`.
     pub tenants: Option<TenantsConfig>,
     /// Live session repair under churn (make-before-break suffix
-    /// recomposition with detection latency and retry budgets); `None`
-    /// keeps the kill-and-failover behaviour byte-identical to today.
+    /// recomposition after a detection latency, within a retry budget);
+    /// `None` keeps the kill-and-failover behaviour byte-identical to today.
     pub repair: Option<RepairScenarioConfig>,
 }
 
@@ -283,7 +262,6 @@ impl Default for ScenarioConfig {
                 components_per_node: (2, 3),
                 node_cpu: (40.0, 80.0),
                 node_memory_mb: (400.0, 1200.0),
-                ..SystemConfig::default()
             },
             global_state: GlobalStateConfig::default(),
             requests: RequestConfig::default(),
@@ -297,7 +275,6 @@ impl Default for ScenarioConfig {
             optimal: OptimalConfig::default(),
             tuner: None,
             controller: None,
-            replay_capacity: 60,
             churn: None,
             setup: None,
             tenants: None,
@@ -332,6 +309,8 @@ impl ScenarioConfig {
     /// The first violated precondition, in words.
     pub fn validate(&self) -> Result<(), String> {
         let positive = |period: SimDuration| period > SimDuration::ZERO;
+        // The tuners assert this; NaN fails it too.
+        let unit = |target: f64| target > 0.0 && target <= 1.0;
         let preemption = self.tenants.as_ref().and_then(|t| t.preemption);
         let checks = [
             (self.stream_nodes >= 2, "stream_nodes: need at least two stream nodes"),
@@ -356,6 +335,11 @@ impl ScenarioConfig {
                 self.tuner.is_none() || self.controller.is_none(),
                 "tuner and controller are mutually exclusive",
             ),
+            (self.tuner.is_none_or(|t| unit(t.target_success)), "tuner.target_success must lie in (0, 1]"),
+            (
+                self.controller.is_none_or(|c| unit(c.target_success)),
+                "controller.target_success must lie in (0, 1]",
+            ),
         ];
         if let Some((_, why)) = checks.iter().find(|(holds, _)| !holds) {
             return Err((*why).to_string());
@@ -368,7 +352,6 @@ impl ScenarioConfig {
             ("system.components_per_node", count(system.components_per_node)),
             ("system.node_cpu", system.node_cpu),
             ("system.node_memory_mb", system.node_memory_mb),
-            ("system.component_max_rate_kbps", system.component_max_rate_kbps),
             ("requests.per_hop_delay_ms", requests.per_hop_delay_ms),
             ("requests.max_loss", requests.max_loss),
             ("requests.base_cpu", requests.base_cpu),
@@ -655,6 +638,17 @@ enum Event {
     TenantControl,
 }
 
+/// Delay between a fault landing and the failover sweep that recomposes
+/// its orphaned sessions, in a run without repair.
+const FAILOVER_DELAY: SimDuration = SimDuration::from_secs(2);
+
+/// How long a fault goes unnoticed before its first repair (or restart)
+/// sweep, in a repair-enabled run.
+const DETECTION: SimDuration = SimDuration::from_secs(1);
+
+/// Cap on requests kept for trace-replay profiling.
+const REPLAY_CAPACITY: usize = 60;
+
 /// Live fault-injection state carried by a churn scenario.
 struct ChurnState {
     config: ChurnConfig,
@@ -664,8 +658,8 @@ struct ChurnState {
     rng: StdRng,
     /// Sessions orphaned by faults, as `(due, (failed_at, request))`: the
     /// sweep recomposes an orphan once `due` has passed. Without repair,
-    /// `due` is always `failed_at + failover_delay`; repair-enabled runs
-    /// substitute the sampled detection latency.
+    /// `due` is always `failed_at + FAILOVER_DELAY`; repair-enabled runs
+    /// substitute `DETECTION`.
     pending: Vec<(SimTime, (SimTime, Request))>,
     rebalancer: Rebalancer,
 }
@@ -674,9 +668,6 @@ struct ChurnState {
 struct RepairRuntime {
     config: RepairScenarioConfig,
     planner: RepairPlanner,
-    /// Detection-latency stream; label-derived, and the default `Fixed`
-    /// distribution draws nothing at all.
-    detect_rng: StdRng,
     /// The ACP composer repair segments are probed with: its own seeds,
     /// so enabling repair never perturbs arrival compositions, and the
     /// scenario's setup mode, so repair probing fights the same lossy
@@ -694,8 +685,11 @@ fn drain_due<T>(pending: &mut Vec<(SimTime, T)>, now: SimTime) -> Vec<T> {
     pending.extract_if(.., |&mut (due, _)| due <= now).map(|(_, item)| item).collect()
 }
 
+/// Delay between a failed repair attempt and its retry sweep.
+const RETRY_DELAY: SimDuration = SimDuration::from_secs(2);
+
 /// The retry policy of both sweeps: a failed attempt on `request`'s
-/// repair ticket is tried again `retry_delay` from `now` while the
+/// repair ticket is tried again `RETRY_DELAY` from `now` while the
 /// ticket has attempts left in `retry_budget`. `None` — budget spent, or
 /// no ticket — means settle now.
 fn retry_at(
@@ -705,7 +699,7 @@ fn retry_at(
     now: SimTime,
 ) -> Option<SimTime> {
     let ticket = ledger.ticket(request?)?;
-    (ticket.attempts < config.retry_budget).then_some(now + config.retry_delay)
+    (ticket.attempts < config.retry_budget).then_some(now + RETRY_DELAY)
 }
 
 /// Live multi-tenant state carried by a tenanted scenario.
@@ -815,16 +809,15 @@ impl ScenarioModel {
 
     /// Replays one fault-plan event through [`StreamSystem::apply_fault`]
     /// and keeps what is the scenario's own: publishing the stale half
-    /// of the board, the detection draw, ticket opening, and scheduling
-    /// the two sweeps.
+    /// of the board, ticket opening, and scheduling the two sweeps.
     ///
     /// Without a repair config, struck sessions are killed and queued
-    /// for the failover sweep `failover_delay` later. Under
+    /// for the failover sweep `FAILOVER_DELAY` later. Under
     /// [`RepairPolicy::Repair`], path sessions are *degraded in place*
-    /// and queued for a repair sweep after the sampled detection
-    /// latency; non-path sessions (and every session under
-    /// [`RepairPolicy::Terminate`]) still die, but get a repair ticket
-    /// so MTTR and survival are measured identically in both arms.
+    /// and queued for a repair sweep `DETECTION` later; non-path
+    /// sessions (and every session under [`RepairPolicy::Terminate`])
+    /// still die, but get a repair ticket so MTTR and survival are
+    /// measured identically in both arms.
     fn apply_fault(&mut self, now: SimTime, kind: FaultKind, queue: &mut EventQueue<Event>) {
         let policy = self.repair.as_ref().map_or(RepairPolicy::Terminate, |r| r.config.policy);
         let fault = self.system.apply_fault(kind, policy, now);
@@ -835,14 +828,8 @@ impl ScenarioModel {
         }
         let churn = self.churn.as_mut().expect("faults imply churn");
         self.result.sessions_killed += orphaned.len() as u64;
-        // One detection draw per fault incident: every session the fault
-        // struck is detected together. Repair-less runs keep the fixed
-        // failover delay and draw nothing.
-        let due = now
-            + match self.repair.as_mut() {
-                Some(repair) => repair.config.detection.sample(&mut repair.detect_rng),
-                None => churn.config.failover_delay,
-            };
+        // Every session the fault struck is detected together.
+        let due = now + if self.repair.is_some() { DETECTION } else { FAILOVER_DELAY };
         if let Some(repair) = self.repair.as_mut() {
             // Killed sessions get restart tickets *after* the kill (so
             // the close hook cannot cancel them); degraded sessions had
@@ -904,7 +891,7 @@ impl Model for ScenarioModel {
                 // from its own stream and consult the admission
                 // controller before composing; shed requests count as
                 // failures without composing (or entering the replay
-                // trace). A single uncapped Gold tenant admits every
+                // trace). A single Gold tenant admits every
                 // request, leaving the compose sequence byte-identical
                 // to the tenant-less path.
                 let mut admitted = true;
@@ -912,7 +899,7 @@ impl Model for ScenarioModel {
                     let binding = tenants.draw();
                     request.tenant = Some(binding);
                     let congestion = self.board.congestion_estimate();
-                    let decision = tenants.admission.admit(binding, now, congestion);
+                    let decision = tenants.admission.admit(binding, congestion);
                     let tier = &mut self.result.tenant_tiers[tier_index(binding.tier)];
                     tier.offered += 1;
                     if !decision.admitted() {
@@ -921,8 +908,7 @@ impl Model for ScenarioModel {
                         // The congestion gate never sheds Gold; if it
                         // ever does while lower tiers hold resources,
                         // the starvation counter trips the auditor.
-                        if decision == AdmissionDecision::ShedCongestion
-                            && binding.tier == TenantTier::Gold
+                        if binding.tier == TenantTier::Gold
                             && self.system.tenant_ledger().lower_tier_live(binding.tier)
                         {
                             self.system.record_tenant_starved(binding);
@@ -1260,7 +1246,6 @@ fn simulate(config: ScenarioConfig) -> ScenarioModel {
     let local_refresh = config.local_refresh;
     let aggregation = config.aggregation_interval;
     let duration = config.duration;
-    let replay_capacity = config.replay_capacity;
 
     // Generate the full fault plan up front from its own seed stream:
     // the schedule is fixed before the first arrival, so replaying the
@@ -1291,7 +1276,6 @@ fn simulate(config: ScenarioConfig) -> ScenarioModel {
     // a seed of its own.
     let repair = config.repair.clone().map(|repair_config| RepairRuntime {
         planner: RepairPlanner::new(),
-        detect_rng: streams.stream("repair"),
         composer: AlgorithmKind::Acp.build_composer(
             config.probing.clone(),
             config.optimal,
@@ -1309,7 +1293,7 @@ fn simulate(config: ScenarioConfig) -> ScenarioModel {
     let tenants = config.tenants.clone().map(|tenants_config| {
         let mut bindings = Vec::with_capacity(tenants_config.tenants.len());
         let mut cumulative_weights = Vec::with_capacity(tenants_config.tenants.len());
-        let mut admission = AdmissionController::new(tenants_config.admission);
+        let admission = AdmissionController::new(tenants_config.admission);
         let mut acc = 0.0;
         for (i, spec) in tenants_config.tenants.iter().enumerate() {
             let id = TenantId(i as u32);
@@ -1317,9 +1301,6 @@ fn simulate(config: ScenarioConfig) -> ScenarioModel {
             bindings.push(TenantBinding { tenant: id, tier: spec.tier });
             acc += spec.weight;
             cumulative_weights.push(acc);
-            if let Some((rate, burst)) = spec.rate_limit {
-                admission.set_rate_limit(id, rate, burst);
-            }
         }
         TenantRuntime {
             preemptor: Preemptor::new(
@@ -1348,7 +1329,7 @@ fn simulate(config: ScenarioConfig) -> ScenarioModel {
         tuner,
         controller,
         generator,
-        trace: RequestTrace::new(replay_capacity),
+        trace: RequestTrace::new(REPLAY_CAPACITY),
         workload_rng,
         replay_seed,
         counter: WindowedCounter::new(sampling),
@@ -1517,7 +1498,7 @@ mod tests {
     #[test]
     fn tuner_scenario_profiles_and_tracks_ratio() {
         let mut config = ScenarioConfig::small(6);
-        config.tuner = Some(TunerConfig { target_success: 0.9, ..TunerConfig::default() });
+        config.tuner = Some(TunerConfig { target_success: 0.9 });
         config.duration = SimDuration::from_minutes(25);
         let result = run_scenario(config);
         assert!(result.profiling_runs >= 1, "first sample must profile");
@@ -1539,7 +1520,7 @@ mod tests {
         assert!(plain.result.total_requests > 100);
         assert!(plain.trace.is_empty(), "{} requests cloned for no reader", plain.trace.len());
 
-        config.tuner = Some(TunerConfig { target_success: 0.9, ..TunerConfig::default() });
+        config.tuner = Some(TunerConfig { target_success: 0.9 });
         let tuned = simulate(config);
         assert!(!tuned.trace.is_empty());
         // The tuned run itself is what it was before the trace became a
@@ -1653,7 +1634,6 @@ mod tests {
                 probe_drop: 0.10,
                 confirm_loss: 0.05,
                 stale_ack: 0.5,
-                ..acp_simcore::MessageFaultConfig::default()
             },
             ..SetupConfig::default()
         });
@@ -1758,7 +1738,7 @@ mod tests {
         tenants.preemption = Some(TenantPreemptionConfig {
             interval: SimDuration::from_minutes(1),
             congestion_threshold: 0.0,
-            policy: PreemptionConfig { min_node_utilization: 0.05, ..PreemptionConfig::default() },
+            policy: PreemptionConfig { min_node_utilization: 0.05 },
         });
         config.tenants = Some(tenants);
         let result = run_scenario(config);
@@ -1771,31 +1751,6 @@ mod tests {
         assert_eq!(best.preempted, result.tenant_preemptions);
         assert_eq!(result.tenant_violations, 0, "ledger must reconcile through preemption");
         assert_eq!(result.audit_violations, 0);
-    }
-
-    #[test]
-    fn rate_limited_tenant_is_capped_independently() {
-        let mut config = ScenarioConfig::small(23);
-        config.tenants = Some(TenantsConfig {
-            tenants: vec![
-                TenantSpec { tier: TenantTier::Gold, weight: 1.0, rate_limit: None },
-                // ~10 req/min offered across two tenants; 0.02 req/s
-                // (1.2/min) caps the second well below its share.
-                TenantSpec {
-                    tier: TenantTier::BestEffort,
-                    weight: 1.0,
-                    rate_limit: Some((0.02, 2.0)),
-                },
-            ],
-            admission: AdmissionConfig::default(),
-            preemption: None,
-        });
-        let result = run_scenario(config);
-        let gold = result.tenant_tiers[tier_index(TenantTier::Gold)];
-        let best = result.tenant_tiers[tier_index(TenantTier::BestEffort)];
-        assert_eq!(gold.shed, 0, "uncapped tenant unaffected");
-        assert!(best.shed > 0, "rate limit must shed the capped tenant");
-        assert_eq!(result.tenant_violations, 0, "shed bookkeeping must reconcile");
     }
 
     #[test]
@@ -1831,13 +1786,7 @@ mod tests {
         let make = || {
             let mut config = ScenarioConfig::small(14);
             config.churn = Some(ChurnConfig::default().scaled(1.5));
-            config.repair = Some(RepairScenarioConfig {
-                detection: DetectionLatency::Uniform {
-                    min: SimDuration::from_millis(500),
-                    max: SimDuration::from_secs(4),
-                },
-                ..RepairScenarioConfig::default()
-            });
+            config.repair = Some(RepairScenarioConfig::default());
             run_scenario(config)
         };
         let a = make();
@@ -1950,7 +1899,6 @@ mod tests {
         rejects("system.components_per_node", |c| c.system.components_per_node = (4, 3));
         rejects("system.node_cpu", |c| c.system.node_cpu = (80.0, 40.0));
         rejects("system.node_memory_mb", |c| c.system.node_memory_mb = (1200.0, 400.0));
-        rejects("system.component_max_rate_kbps", |c| c.system.component_max_rate_kbps = (2e3, 600.0));
         rejects("requests.per_hop_delay_ms", |c| c.requests.per_hop_delay_ms = (120.0, 50.0));
         rejects("requests.max_loss", |c| c.requests.max_loss = (0.12, 0.04));
         rejects("requests.base_cpu", |c| c.requests.base_cpu = (2.2, 1.0));
@@ -1963,6 +1911,12 @@ mod tests {
         rejects("mutually exclusive", |c| {
             c.tuner = Some(TunerConfig::default());
             c.controller = Some(PiControllerConfig::default());
+        });
+        // Each of these passed and then panicked in the tuner's own
+        // `assert!` as it was built.
+        rejects("tuner.target_success", |c| c.tuner = Some(TunerConfig { target_success: 1.5 }));
+        rejects("controller.target_success", |c| {
+            c.controller = Some(PiControllerConfig { target_success: f64::NAN })
         });
     }
 
@@ -2053,7 +2007,6 @@ mod tests {
                 probe_drop,
                 confirm_loss,
                 stale_ack: 0.5,
-                ..acp_simcore::MessageFaultConfig::default()
             },
             ..SetupConfig::default()
         }

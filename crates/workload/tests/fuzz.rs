@@ -6,7 +6,7 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use acp_core::{AlgorithmKind, PiControllerConfig, PreemptionConfig, SetupConfig, TunerConfig};
-use acp_simcore::{DetectionLatency, FaultPlanConfig, MessageFaultConfig, SimDuration, SimTime};
+use acp_simcore::{FaultPlanConfig, MessageFaultConfig, SimDuration, SimTime};
 use acp_workload::{
     run_scenario, ChurnConfig, RateSchedule, RepairPolicy, RepairScenarioConfig, ScenarioConfig,
     TenantPreemptionConfig, TenantsConfig,
@@ -19,14 +19,13 @@ fn pick<T: Clone>(rng: &mut StdRng, choices: &[T]) -> T {
     choices[rng.gen_range(0..choices.len())].clone()
 }
 
-/// Inverts one of the eleven `(lo, hi)` ranges the system and request
+/// Inverts one of the ten `(lo, hi)` ranges the system and request
 /// builders sample from — strictly, whatever was drawn for it.
 fn invert_a_range(rng: &mut StdRng, config: &mut ScenarioConfig) {
     let (system, requests) = (&mut config.system, &mut config.requests);
     let ranges = [
         &mut system.node_cpu,
         &mut system.node_memory_mb,
-        &mut system.component_max_rate_kbps,
         &mut requests.per_hop_delay_ms,
         &mut requests.max_loss,
         &mut requests.base_cpu,
@@ -75,18 +74,18 @@ fn draw_config(rng: &mut StdRng) -> (ScenarioConfig, bool) {
             ],
         ),
         algorithm: if rng.gen_bool(0.4) { AlgorithmKind::Acp } else { pick(rng, &AlgorithmKind::ALL) },
-        replay_capacity: pick(rng, &[0, 60]),
         ..ScenarioConfig::default()
     };
     config.system.components_per_node = pick(rng, &[(0, 0), (1, 2), (2, 3), (3, 5)]);
     // Short sessions, so teardown interleaves with everything else.
     config.requests.session_minutes = pick(rng, &[(0.5, 2.0), (1.0, 1.0), (5.0, 15.0)]);
     config.probing.max_live_probes = pick(rng, &[0, 1, config.probing.max_live_probes]);
-    config.probing.quota_override = pick(rng, &[None, None, Some(0), Some(2)]);
+    // A lease that expires as it is placed, one that outlives a hop or
+    // two, and the default.
+    config.probing.transient_timeout =
+        pick(rng, &[SimDuration::ZERO, SimDuration::from_secs(1), config.probing.transient_timeout]);
     config.optimal.max_expansions = pick(rng, &[0, config.optimal.max_expansions]);
 
-    // Zero delays are an edge of their own.
-    let delay = SimDuration::from_secs(pick(rng, &[0, 2]));
     if rng.gen_bool(0.7) {
         let faults = FaultPlanConfig {
             partition_per_min: pick(rng, &[0.0, 0.5]),
@@ -97,14 +96,11 @@ fn draw_config(rng: &mut StdRng) -> (ScenarioConfig, bool) {
         };
         config.churn = Some(ChurnConfig {
             faults: faults.scaled(rng.gen_range(1.0..6.0)),
-            failover_delay: delay,
             rebalance_interval: pick(rng, &[None, Some(SimDuration::from_minutes(1))]),
         });
     }
     if rng.gen_bool(0.5) {
         config.repair = Some(RepairScenarioConfig {
-            detection: DetectionLatency::Fixed(delay),
-            retry_delay: delay,
             retry_budget: rng.gen_range(0..=3),
             policy: pick(rng, &[RepairPolicy::Repair, RepairPolicy::Terminate]),
         });
@@ -115,9 +111,9 @@ fn draw_config(rng: &mut StdRng) -> (ScenarioConfig, bool) {
                 probe_drop: 0.1,
                 confirm_loss: 0.05,
                 stale_ack: 0.5,
-                ..MessageFaultConfig::default()
             },
-            ..SetupConfig::default()
+            // No round at all, exactly one, or the default retries.
+            max_attempts: pick(rng, &[0, 1, SetupConfig::default().max_attempts]),
         });
     }
     if rng.gen_bool(0.4) {
@@ -130,7 +126,7 @@ fn draw_config(rng: &mut StdRng) -> (ScenarioConfig, bool) {
                 Some(TenantPreemptionConfig {
                     interval: SimDuration::from_secs(30),
                     congestion_threshold: 0.0,
-                    policy: PreemptionConfig { min_node_utilization: 0.05, ..PreemptionConfig::default() },
+                    policy: PreemptionConfig { min_node_utilization: 0.05 },
                 }),
             ],
         );

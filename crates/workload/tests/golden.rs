@@ -231,7 +231,6 @@ fn full_stack() {
                 probe_drop: 0.05,
                 confirm_loss: 0.025,
                 stale_ack: 0.5,
-                ..MessageFaultConfig::default()
             },
             ..SetupConfig::default()
         }),

@@ -19,7 +19,7 @@ fn scenario(seed: u64, tuned: bool) -> ScenarioConfig {
     ]);
     config.probing = ProbingConfig { probing_ratio: 0.3, ..ProbingConfig::default() };
     if tuned {
-        config.tuner = Some(TunerConfig { target_success: 0.9, ..TunerConfig::default() });
+        config.tuner = Some(TunerConfig { target_success: 0.9 });
     }
     config
 }

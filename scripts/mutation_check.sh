@@ -6,9 +6,9 @@
 # time, and the oracle must pass on the pristine copy and fail on every
 # mutant. A mutant named 'FILE.rs: ...' must fail inside that test file.
 #
-#   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|repair|leases|routes|board|topology|audit] [WORKDIR]
+#   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|repair|leases|routes|board|topology|audit|config] [WORKDIR]
 #
-# No suite name runs all twelve, 32 mutants; WORKDIR defaults to
+# No suite name runs all thirteen, 34 mutants; WORKDIR defaults to
 # target/mutation-check.
 # The repository itself is never edited; the copy and its cargo target
 # directory live under WORKDIR.
@@ -174,9 +174,21 @@ audit_mutants=(
     'audit.rs: the flip scan matches hosts but not relays|s/(node \&\& (hosts(s) || relays(s)))/(node \&\& hosts(s))/'
 )
 
-suites=(selection optimal faults compose counters ledger repair leases routes board topology audit)
+# The scenario's settings that are constants now, and the checks of the
+# ones that stay: `validate` letting a tuner target outside (0, 1] through
+# (to panic in the tuner's own assert), and a repair sweep that runs the
+# instant a fault lands (the 1 s detection floor under MTTR is gone).
+config_kernel=crates/workload/src/scenario.rs
+config_target='-p acp-workload --lib'
+config_oracle=scenario::tests
+config_mutants=(
+    'validate drops the target_success check|s/^        let unit = |target: f64| target > 0\.0 \&\& target <= 1\.0;$/        let unit = |_: f64| true;/'
+    'the detection const becomes 0|s/^const DETECTION: SimDuration = SimDuration::from_secs(1);$/const DETECTION: SimDuration = SimDuration::ZERO;/'
+)
+
+suites=(selection optimal faults compose counters ledger repair leases routes board topology audit config)
 case "${1:-}" in
-    selection | optimal | faults | compose | counters | ledger | repair | leases | routes | board | topology | audit)
+    selection | optimal | faults | compose | counters | ledger | repair | leases | routes | board | topology | audit | config)
         suites=("$1")
         shift
         ;;
