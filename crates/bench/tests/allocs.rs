@@ -112,8 +112,8 @@ fn warm_operations_allocate_exactly_this_much() {
     // nor the session holds the graph's vectors inline (64-bit sizes).
     let ((), copying) = counted(|| batch.iter().for_each(|r| drop(std::hint::black_box(r.clone()))));
     assert_eq!(copying, (0, 0), "Request::clone");
-    assert_eq!(std::mem::size_of::<Request>(), 80);
-    assert_eq!(std::mem::size_of::<Session>(), 216);
+    assert_eq!(std::mem::size_of::<Request>(), 72);
+    assert_eq!(std::mem::size_of::<Session>(), 208);
 
     // ACP, single-phase: the two-phase machinery is compiled out. The
     // deputy no longer calls `StreamSystem::qualify` on every completed

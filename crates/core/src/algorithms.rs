@@ -408,7 +408,6 @@ mod tests {
             base_resources: ResourceVector::new(0.3, 1.5),
             bandwidth_kbps: 3.0,
             stream_rate_kbps: 64.0,
-            constraints: PlacementConstraints::none(),
             tenant: None,
         }
     }
@@ -467,7 +466,6 @@ mod tests {
             base_resources: ResourceVector::new(0.3, 1.5),
             bandwidth_kbps: 3.0,
             stream_rate_kbps: 64.0,
-            constraints: PlacementConstraints::none(),
             tenant: None,
         };
         let mut msgs = std::collections::HashMap::new();
@@ -510,7 +508,6 @@ mod tests {
             base_resources: ResourceVector::new(0.3, 1.5),
             bandwidth_kbps: 3.0,
             stream_rate_kbps: 64.0,
-            constraints: PlacementConstraints::none(),
             tenant: None,
         };
         let mut small = ProbingComposer::bounded(1, ProbingConfig::default(), 3);

@@ -51,7 +51,6 @@
 //!     base_resources: ResourceVector::new(0.5, 2.0),
 //!     bandwidth_kbps: 5.0,
 //!     stream_rate_kbps: 100.0,
-//!     constraints: PlacementConstraints::none(),
 //!     tenant: None,
 //! };
 //! let mut acp = AcpComposer::new(ProbingConfig::default(), 42);

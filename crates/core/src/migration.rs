@@ -235,7 +235,6 @@ mod tests {
                 ),
                 bandwidth_kbps: 0.0,
                 stream_rate_kbps: 1.0,
-                constraints: PlacementConstraints::none(),
                 tenant: None,
             };
             let comp = Composition { assignment: vec![c], links: vec![] };

@@ -94,7 +94,6 @@ mod tests {
             base_resources: ResourceVector::new(0.2, 1.0),
             bandwidth_kbps: 2.0,
             stream_rate_kbps: 64.0,
-            constraints: PlacementConstraints::none(),
             tenant: None,
         }
     }
@@ -179,7 +178,6 @@ mod tests {
                 base_resources: ResourceVector::ZERO,
                 bandwidth_kbps: 0.0,
                 stream_rate_kbps: 0.0,
-                constraints: PlacementConstraints::none(),
                 tenant: None,
             };
             let mut rng = StdRng::seed_from_u64(4);

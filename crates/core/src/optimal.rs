@@ -257,10 +257,9 @@ impl Search {
                         let avail = node_avail[id.node.index()];
                         let qos = system.effective_component_qos(id);
                         let admissible = component.accepts_rate(request.stream_rate_kbps)
-                            && request.constraints.admits(&component.attributes)
                             && avail.dominates(&demand)
                             && qos.satisfies(&request.qos);
-                        admissible.then(|| Cand { id, qos, node_lb: node_phi(&demand, &avail) })
+                        admissible.then(|| Cand { id, qos, node_lb: node_congestion(&demand, &avail) })
                     })
                     .collect()
             })
@@ -471,7 +470,7 @@ impl Search {
             }
             // φ terms: the node, then each incoming virtual link at its
             // bottleneck availability.
-            let mut delta_phi = node_phi(&demand, &avail);
+            let mut delta_phi = node_congestion(&demand, &avail);
             for (e, u) in incoming.clone() {
                 let hop = self.hops[e][self.chosen[u] * k + ci].as_ref().expect("resolved above");
                 if hop.path.is_colocated() {
@@ -531,18 +530,6 @@ impl Search {
             .collect();
         Found { assignment, links }
     }
-}
-
-/// The node terms of Eq. 1: `Σ r / ra` over the demanded resource kinds.
-/// `avail` must dominate `demand`, so every demanded kind has `ra > 0`.
-fn node_phi(demand: &ResourceVector, avail: &ResourceVector) -> f64 {
-    let mut phi = 0.0;
-    for (kind, r) in demand.iter() {
-        if r > 0.0 {
-            phi += r / avail.get(kind);
-        }
-    }
-    phi
 }
 
 /// One virtual link's term of Eq. 1, `b / ba` at bottleneck availability
@@ -606,9 +593,7 @@ mod reference {
                     .to_vec()
                     .into_iter()
                     .map(|c| {
-                        let component = system.component(c);
-                        let static_ok = component.accepts_rate(request.stream_rate_kbps)
-                            && request.constraints.admits(&component.attributes);
+                        let static_ok = system.component(c).accepts_rate(request.stream_rate_kbps);
                         CandInfo { id: c, qos: system.effective_component_qos(c), static_ok }
                     })
                     .collect()
@@ -683,7 +668,7 @@ mod reference {
 
     /// Per-candidate facts resolved once per request: the candidate's id, its
     /// (precise) effective QoS, and whether it passes the static
-    /// rate/constraint admissibility checks.
+    /// interface-rate check.
     #[derive(Clone, Copy)]
     struct CandInfo {
         id: ComponentId,
@@ -943,7 +928,6 @@ mod tests {
             base_resources: ResourceVector::new(0.5, 2.0),
             bandwidth_kbps: 5.0,
             stream_rate_kbps: 100.0,
-            constraints: PlacementConstraints::none(),
             tenant: None,
         }
     }

@@ -35,8 +35,8 @@ pub struct OverheadStats {
     /// `examined / candidates` is the measured sublinearity of indexed
     /// selection — entries past the early-exit point are never visited.
     pub selection_examined: u64,
-    /// Entries dropped by the static filter (interface rate / placement
-    /// constraints) before any board or path work.
+    /// Entries dropped by the static filter (interface rate) before any
+    /// board or path work.
     pub selection_pruned_static: u64,
     /// Index entries dropped because their component no longer resolves
     /// to a live dense id (crashed/migrated since the last publish).

@@ -1255,7 +1255,6 @@ mod tests {
             base_resources: ResourceVector::new(0.5, 2.0),
             bandwidth_kbps: 5.0,
             stream_rate_kbps: 100.0,
-            constraints: PlacementConstraints::none(),
             tenant: None,
         }
     }
@@ -1295,7 +1294,6 @@ mod tests {
             base_resources: ResourceVector::new(0.3, 1.0),
             bandwidth_kbps: 2.0,
             stream_rate_kbps: 64.0,
-            constraints: PlacementConstraints::none(),
             tenant: None,
         };
         let mut rng = StdRng::seed_from_u64(2);
@@ -1672,7 +1670,6 @@ mod tests {
                     base_resources: ResourceVector::new(rng.gen_range(0.5..30.0), rng.gen_range(2.0..500.0)),
                     bandwidth_kbps: rng.gen_range(1.0..1_500.0),
                     stream_rate_kbps: rng.gen_range(50.0..900.0),
-                    constraints: PlacementConstraints::none(),
                     tenant: None,
                 };
                 if i == 4 {

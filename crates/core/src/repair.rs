@@ -9,8 +9,7 @@
 //! 1. **Sub-request derivation** — the broken span `[lo, hi]` becomes a
 //!    path sub-request over its functions, carrying the residual QoS
 //!    budget (the end-to-end requirement minus what the healthy prefix
-//!    and suffix already consume) and the original rates, resources, and
-//!    placement constraints.
+//!    and suffix already consume) and the original rates and resources.
 //! 2. **Segment probing** — the sub-request runs through the caller's
 //!    [`Composer`] (a scenario's is an ACP
 //!    [`ProbingComposer`](crate::algorithms::ProbingComposer) under the
@@ -309,7 +308,6 @@ mod tests {
             base_resources: ResourceVector::new(0.5, 2.0),
             bandwidth_kbps: 5.0,
             stream_rate_kbps: 100.0,
-            constraints: PlacementConstraints::none(),
             tenant: None,
         }
     }

@@ -142,14 +142,11 @@ pub(crate) fn select_into<R: Rng + ?Sized>(
     }
     match strategy {
         HopSelection::Random => {
-            // Interface compatibility and placement constraints (both
-            // static specifications known without probing).
+            // Interface compatibility (a static specification known
+            // without probing).
             scratch.ids.clear();
             scratch.ids.extend_from_slice(system.candidates(hop.function));
-            scratch.ids.retain(|&c| {
-                let component = system.component(c);
-                component.accepts_rate(hop.rate) && hop.constraints.admits(&component.attributes)
-            });
+            scratch.ids.retain(|&c| system.component(c).accepts_rate(hop.rate));
             scratch.ids.shuffle(rng);
             scratch.ids.truncate(hop.quota);
             for &c in &scratch.ids {
@@ -246,7 +243,6 @@ pub(crate) struct HopInputs {
     /// `⌈α·k⌉` ([`probe_quota`]): how many a selection returns.
     quota: usize,
     rate: f64,
-    constraints: PlacementConstraints,
     qos: QosRequirement,
     /// `qos.max_delay.as_secs_f64()` — the Eq. 9 delay divisor.
     max_delay_secs: f64,
@@ -266,7 +262,6 @@ impl HopInputs {
             candidates,
             quota: probe_quota(candidates, alpha),
             rate: request.stream_rate_kbps,
-            constraints: request.constraints,
             qos: request.qos,
             max_delay_secs: request.qos.max_delay.as_secs_f64(),
             max_loss: request.qos.max_loss.log_survival(),
@@ -283,7 +278,7 @@ enum Pruned {
     /// after its node's last publish; the live replacement appears
     /// after the next one.
     Stale,
-    /// Dropped by the static interface/placement filter.
+    /// Dropped by the static filter: the interface rate.
     Static,
     /// Dropped by the published-state prescreen (Eqs. 6–7).
     Prescreened,
@@ -329,11 +324,10 @@ fn screen_row(
     debug_assert!(
         entry.available == board.node_available(entry.node)
             && Some(entry.qos) == board.component_qos_dense(dense)
-            && entry.max_rate_kbps == system.dense_max_rate_kbps(dense)
-            && entry.attributes == system.dense_attributes(dense),
+            && entry.max_rate_kbps == system.dense_max_rate_kbps(dense),
         "index row drifted from its sources: {entry:?}"
     );
-    if hop.rate > entry.max_rate_kbps || !hop.constraints.admits(&entry.attributes) {
+    if hop.rate > entry.max_rate_kbps {
         return Some(Pruned::Static);
     }
     if is_unqualified(
@@ -573,7 +567,6 @@ mod tests {
             base_resources: ResourceVector::new(0.5, 2.0),
             bandwidth_kbps: 5.0,
             stream_rate_kbps: 100.0,
-            constraints: PlacementConstraints::none(),
             tenant: None,
         }
     }
@@ -682,10 +675,12 @@ mod tests {
         let ctx = HopContext { request: &request, vertex: 0, predecessors: &[] };
         let mut rng = StdRng::seed_from_u64(5);
         let mut stats = OverheadStats::new();
-        let plans = select_candidates_with(
-            &mut sys, &board, &ctx, HopSelection::Ranked, 1.0, 0.05, &mut rng, &mut stats, &mut SelectionScratch::default(),
-        );
-        assert!(plans.is_empty());
+        for strategy in [HopSelection::Ranked, HopSelection::Random] {
+            let plans = select_candidates_with(
+                &mut sys, &board, &ctx, strategy, 1.0, 0.05, &mut rng, &mut stats, &mut SelectionScratch::default(),
+            );
+            assert!(plans.is_empty(), "{strategy:?} kept an over-rate component");
+        }
     }
 
     #[test]
@@ -698,7 +693,6 @@ mod tests {
             base_resources: ResourceVector::ZERO,
             bandwidth_kbps: 0.0,
             stream_rate_kbps: 0.0,
-            constraints: PlacementConstraints::none(),
             tenant: None,
         };
         let slow = Qos::from_delay(acp_simcore::SimDuration::from_millis(40));
@@ -843,9 +837,7 @@ mod tests {
                     }
                 }
                 let dense = DenseComponentId(entry.dense);
-                if rate > system.dense_max_rate_kbps(dense)
-                    || !request.constraints.admits(&system.dense_attributes(dense))
-                {
+                if rate > system.dense_max_rate_kbps(dense) {
                     stats.selection_pruned_static += 1;
                     continue;
                 }
@@ -1016,7 +1008,6 @@ mod tests {
                     base_resources: ResourceVector::new(rng.gen_range(2.0..25.0), rng.gen_range(20.0..300.0)),
                     bandwidth_kbps: 0.0,
                     stream_rate_kbps: 1.0,
-                    constraints: PlacementConstraints::none(),
                     tenant: None,
                 };
                 let _ = sys.commit_session(&request, Composition { assignment: vec![c], links: Vec::new() });
@@ -1078,14 +1069,6 @@ mod tests {
                     LossRate::from_probability(rng.gen_range(0.01..0.5)),
                 ),
             };
-            let constraints = match rng.gen_range(0..4) {
-                0 | 1 => PlacementConstraints::none(),
-                2 => PlacementConstraints::secure(SecurityLevel(rng.gen_range(1..=3))),
-                _ => PlacementConstraints {
-                    min_security: SecurityLevel(rng.gen_range(0..=2)),
-                    licenses: LicenseSet::of(&[LicenseClass::Permissive, LicenseClass::Restricted]),
-                },
-            };
             let request = Request {
                 id: RequestId(7),
                 graph,
@@ -1094,7 +1077,6 @@ mod tests {
                 bandwidth_kbps: rng.gen_range(0.0..200.0),
                 // Component interface limits span 600–2 000 kbit/s.
                 stream_rate_kbps: rng.gen_range(100.0..1_500.0),
-                constraints,
                 tenant: None,
             };
             let ctx = HopContext { request: &request, vertex, predecessors: &predecessors };

@@ -43,7 +43,6 @@ fn random_request(system: &StreamSystem, seed: u64, id: u64) -> Request {
         base_resources: ResourceVector::new(rng.gen_range(0.1..4.0), rng.gen_range(1.0..32.0)),
         bandwidth_kbps: rng.gen_range(1.0..200.0),
         stream_rate_kbps: rng.gen_range(10.0..700.0),
-        constraints: PlacementConstraints::none(),
         tenant: None,
     }
 }

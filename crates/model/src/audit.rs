@@ -16,9 +16,9 @@
 //!   of sessions' bandwidth equals the link's committed kbit/s.
 //! * **Session coverage** (Eq. 2): every live session's assignment
 //!   matches its function graph — right function, live component,
-//!   non-failed host, compatible interface rate, admissible placement
-//!   attributes — and none of its virtual links crosses a failed link
-//!   or relays through a failed node.
+//!   non-failed host, compatible interface rate — and none of its
+//!   virtual links crosses a failed link or relays through a failed
+//!   node.
 //! * **Distinct functions**: no node hosts two live components of the
 //!   same function.
 //! * **Dense-index coherence**: every live component has a dense id,
@@ -953,9 +953,6 @@ impl SystemAuditor {
             if !component.accepts_rate(request.stream_rate_kbps) {
                 out.push(AuditViolation::SessionCoverage { session: s.id, vertex, detail: "interface cannot accept the stream rate" });
             }
-            if !request.constraints.admits(&component.attributes) {
-                out.push(AuditViolation::SessionCoverage { session: s.id, vertex, detail: "violates placement constraints" });
-            }
         }
         // The session's streams must not cross failed links or relay
         // through failed nodes.
@@ -1248,7 +1245,6 @@ fn flag(system: &StreamSystem, e: usize) -> bool {
 mod tests {
     use super::*;
     use crate::component::Component;
-    use crate::constraints::PlacementConstraints;
     use crate::fgraph::FunctionGraph;
     use crate::function::FunctionRegistry;
     use crate::qos::QosRequirement;
@@ -1293,7 +1289,6 @@ mod tests {
                 base_resources: ResourceVector::new(1.0, 4.0),
                 bandwidth_kbps: 10.0,
                 stream_rate_kbps: 50.0,
-                constraints: PlacementConstraints::none(),
                 tenant: None,
             };
             let composition =

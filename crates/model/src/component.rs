@@ -8,7 +8,6 @@
 
 use acp_topology::OverlayNodeId;
 
-use crate::constraints::ComponentAttributes;
 use crate::function::FunctionId;
 use crate::qos::Qos;
 
@@ -70,8 +69,6 @@ pub struct Component {
     /// Interface limit: the highest input stream rate (kbit/s) the
     /// component accepts.
     pub max_input_rate_kbps: f64,
-    /// Static placement attributes (security level, licence class).
-    pub attributes: ComponentAttributes,
 }
 
 impl Component {
@@ -93,7 +90,6 @@ mod tests {
             function: FunctionId(7),
             qos: Qos::new(SimDuration::from_millis(4), LossRate::from_probability(0.001)),
             max_input_rate_kbps: max_rate,
-            attributes: ComponentAttributes::default(),
         }
     }
 

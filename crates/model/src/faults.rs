@@ -596,7 +596,6 @@ mod tests {
     use super::*;
     use crate::component::ComponentId;
     use crate::composition::Composition;
-    use crate::constraints::PlacementConstraints;
     use crate::fgraph::FunctionGraph;
     use crate::function::FunctionId;
     use crate::qos::QosRequirement;
@@ -645,7 +644,6 @@ mod tests {
             base_resources: ResourceVector::new(1.0, 4.0),
             bandwidth_kbps: 10.0,
             stream_rate_kbps: 100.0,
-            constraints: PlacementConstraints::none(),
             tenant: None,
         };
         let c0 = sys.candidates(first)[0];

@@ -57,7 +57,6 @@
 
 pub mod audit;
 pub mod component;
-pub mod constraints;
 pub mod composition;
 pub mod faults;
 pub mod fgraph;
@@ -76,16 +75,14 @@ pub mod tenant;
 pub mod prelude {
     pub use crate::audit::{AuditCounts, AuditCursor, AuditReport, AuditViolation, SystemAuditor};
     pub use crate::component::{Component, ComponentId, DenseComponentId};
-    pub use crate::constraints::{
-        ComponentAttributes, LicenseClass, LicenseClassOrDefault, LicenseSet, PlacementConstraints,
-        SecurityLevel,
-    };
     pub use crate::composition::Composition;
     pub use crate::faults::{DegradeOutcome, FaultOutcome, StaleState};
     pub use crate::fgraph::{FunctionGraph, Template, TemplateLibrary, VertexId};
     pub use crate::function::{FunctionCategory, FunctionId, FunctionProfile, FunctionRegistry};
     pub use crate::lease::LeaseStats;
-    pub use crate::metrics::{congestion_aggregation, congestion_function, is_unqualified, risk_function};
+    pub use crate::metrics::{
+        congestion_aggregation, congestion_function, is_unqualified, node_congestion, risk_function,
+    };
     pub use crate::node::{ReservationKey, StreamNode};
     pub use crate::qos::{LossRate, Qos, QosRequirement};
     pub use crate::repair::{RepairLedger, RepairPhase, RepairPolicy, RepairTicket};

@@ -51,6 +51,9 @@ pub fn congestion_aggregation(system: &StreamSystem, request: &Request, composit
             }
         };
         let avail = system.node_available(id.node).saturating_sub(prior);
+        // The node terms of `node_congestion`, summed into φ directly: a
+        // per-vertex subtotal would re-associate the additions and move
+        // φ's bits.
         for (kind, r) in demand.iter() {
             let ra = avail.get(kind);
             if r == 0.0 {
@@ -104,6 +107,26 @@ pub fn risk_function(accumulated: Qos, candidate_qos: Qos, link_qos: Qos, req: &
     (accumulated + candidate_qos + link_qos).risk_ratio(req)
 }
 
+/// The node terms of Eqs. 1 and 10 for one component: `Σ_k r_k / ra_k`
+/// over the demanded resource kinds, summed from `0.0` in
+/// `demand.iter()` order and skipping zero demands. Returns
+/// `f64::INFINITY` when a demanded kind has no availability left.
+#[inline]
+pub fn node_congestion(demand: &ResourceVector, availability: &ResourceVector) -> f64 {
+    let mut v = 0.0;
+    for (kind, r) in demand.iter() {
+        if r == 0.0 {
+            continue;
+        }
+        let ra = availability.get(kind);
+        if ra <= 0.0 {
+            return f64::INFINITY;
+        }
+        v += r / ra;
+    }
+    v
+}
+
 /// The congestion function `V(c_i)` of Eq. 10:
 ///
 /// ```text
@@ -121,17 +144,7 @@ pub fn congestion_function(
     link_availability_kbps: f64,
     bandwidth_kbps: f64,
 ) -> f64 {
-    let mut v = 0.0;
-    for (kind, r) in demand.iter() {
-        if r == 0.0 {
-            continue;
-        }
-        let ra = availability.get(kind);
-        if ra <= 0.0 {
-            return f64::INFINITY;
-        }
-        v += r / ra;
-    }
+    let mut v = node_congestion(demand, availability);
     if bandwidth_kbps > 0.0 {
         if link_availability_kbps <= 0.0 {
             return f64::INFINITY;

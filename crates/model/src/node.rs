@@ -354,7 +354,6 @@ mod tests {
             function: FunctionId(2),
             qos: Qos::from_delay(SimDuration::from_millis(1)),
             max_input_rate_kbps: 100.0,
-            attributes: crate::constraints::ComponentAttributes::default(),
         };
         let n = StreamNode::new(OverlayNodeId(1), ResourceVector::new(1.0, 1.0), vec![c.clone()]);
         assert_eq!(n.component(0), Some(&c));

@@ -6,7 +6,6 @@
 //! bandwidth, plus the input stream rate used by interface compatibility
 //! checks).
 
-use crate::constraints::PlacementConstraints;
 use crate::fgraph::FunctionGraph;
 use crate::function::FunctionRegistry;
 use crate::qos::QosRequirement;
@@ -41,9 +40,6 @@ pub struct Request {
     pub bandwidth_kbps: f64,
     /// Input stream rate, checked against component interface limits.
     pub stream_rate_kbps: f64,
-    /// Application-specific placement constraints (security, licence) —
-    /// the paper's future-work extension (§6, item 2).
-    pub constraints: PlacementConstraints,
     /// Owning tenant and service tier; `None` for tenant-less workloads
     /// (the request belongs to the implicit single application of the
     /// source paper). Not part of any digest: session digests fold only
@@ -74,7 +70,6 @@ mod tests {
             base_resources: ResourceVector::new(10.0, 20.0),
             bandwidth_kbps: 300.0,
             stream_rate_kbps: 256.0,
-            constraints: PlacementConstraints::none(),
             tenant: None,
         };
         (reg, req)

@@ -14,7 +14,6 @@ use rand::Rng;
 
 use crate::component::{Component, ComponentId, DenseComponentId};
 use crate::composition::Composition;
-use crate::constraints::{ComponentAttributes, LicenseClass, LicenseClassOrDefault, SecurityLevel};
 use crate::function::{FunctionId, FunctionRegistry};
 use crate::lease::{LeaseDirectory, LeaseStats, LinkTransient};
 use crate::node::StreamNode;
@@ -298,7 +297,7 @@ impl SessionArena {
 
 /// Struct-of-arrays side tables for component statics, indexed by
 /// [`DenseComponentId`] (append-only: tombstoned ids keep their rows).
-/// The per-hop candidate filter reads exactly these three fields for
+/// The per-hop candidate filter reads exactly these two fields for
 /// every discovered candidate; flat arrays keep that scan inside a few
 /// cache lines per candidate instead of chasing node → slot →
 /// `Component` pointers across the heap.
@@ -306,14 +305,12 @@ impl SessionArena {
 struct DenseStatics {
     function: Vec<FunctionId>,
     max_rate_kbps: Vec<f64>,
-    attributes: Vec<ComponentAttributes>,
 }
 
 impl DenseStatics {
     fn push(&mut self, c: &Component) {
         self.function.push(c.function);
         self.max_rate_kbps.push(c.max_input_rate_kbps);
-        self.attributes.push(c.attributes);
     }
 }
 
@@ -349,11 +346,12 @@ const COMPONENT_MAX_RATE_KBPS: (f64, f64) = (600.0, 2_000.0);
 /// updates matter) and punishes placement decisions that skew load.
 const LOAD_DELAY_FACTOR: f64 = 2.0;
 
-/// Component security levels, sampled uniformly over this inclusive range
-/// (future-work extension: application-specific constraints).
+/// The range of the retired security-level draw (see
+/// [`skip_retired_attribute_draws`]).
 const SECURITY_LEVELS: (u8, u8) = (0, 4);
 
-/// Sampling weights for licence classes `[permissive, commercial, restricted]`.
+/// The weights of the retired licence-class draw, `[permissive,
+/// commercial, restricted]`; only their sum is still drawn against.
 const LICENSE_WEIGHTS: [f64; 3] = [0.6, 0.25, 0.15];
 
 /// The distributed stream-processing system.
@@ -461,12 +459,6 @@ pub enum AdmissionError {
         /// Vertex whose component rejects the rate.
         vertex: usize,
     },
-    /// A component violates the request's placement constraints
-    /// (security level / licence class).
-    ConstraintViolated {
-        /// Vertex whose component is inadmissible.
-        vertex: usize,
-    },
     /// End-to-end QoS requirement violated (Eq. 3).
     QosViolated,
     /// A node lacks end-system resources (Eq. 4).
@@ -487,7 +479,6 @@ impl std::fmt::Display for AdmissionError {
             AdmissionError::MalformedComposition => write!(f, "composition shape does not match request graph"),
             AdmissionError::WrongFunction { vertex } => write!(f, "vertex {vertex} assigned a component of the wrong function"),
             AdmissionError::RateIncompatible { vertex } => write!(f, "vertex {vertex} component cannot accept the stream rate"),
-            AdmissionError::ConstraintViolated { vertex } => write!(f, "vertex {vertex} component violates placement constraints"),
             AdmissionError::QosViolated => write!(f, "end-to-end QoS requirement violated"),
             AdmissionError::InsufficientResources { node } => write!(f, "insufficient resources on {node}"),
             AdmissionError::InsufficientBandwidth { link } => write!(f, "insufficient bandwidth on overlay link {}", link.0),
@@ -530,9 +521,9 @@ impl StreamSystem {
                     let id = ComponentId::new(v, slot as u16);
                     let qos = registry.profile(function).sample_component_qos(rng);
                     let max_rate = sample_range(rng, COMPONENT_MAX_RATE_KBPS);
-                    let attributes = sample_attributes(rng);
+                    skip_retired_attribute_draws(rng);
                     discovery[function.0 as usize].push(id);
-                    let c = Component { id, function, qos, max_input_rate_kbps: max_rate, attributes };
+                    let c = Component { id, function, qos, max_input_rate_kbps: max_rate };
                     // Components are created in node/slot order — exactly
                     // the order dense ids are assigned below — so the
                     // statics rows line up with the dense index.
@@ -724,11 +715,6 @@ impl StreamSystem {
         self.statics.max_rate_kbps[d.index()]
     }
 
-    /// The placement attributes of a dense component id.
-    pub fn dense_attributes(&self, d: DenseComponentId) -> ComponentAttributes {
-        self.statics.attributes[d.index()]
-    }
-
     /// Currently available end-system resources on `v` (capacity minus
     /// committed minus transient reservations).
     pub fn node_available(&self, v: OverlayNodeId) -> ResourceVector {
@@ -837,9 +823,6 @@ impl StreamSystem {
             }
             if !c.accepts_rate(request.stream_rate_kbps) {
                 return Err(AdmissionError::RateIncompatible { vertex: v });
-            }
-            if !request.constraints.admits(&c.attributes) {
-                return Err(AdmissionError::ConstraintViolated { vertex: v });
             }
         }
         // Eq. 3 — end-to-end QoS over critical branch path.
@@ -1167,20 +1150,16 @@ fn group_link_demand(request: &Request, composition: &Composition) -> LinkAllocs
     grouped
 }
 
-fn sample_attributes<R: Rng + ?Sized>(rng: &mut R) -> ComponentAttributes {
-    let security = SecurityLevel(rng.gen_range(SECURITY_LEVELS.0..=SECURITY_LEVELS.1));
-    let weights = LICENSE_WEIGHTS;
-    let total: f64 = weights.iter().sum();
-    let mut pick = rng.gen_range(0.0..total.max(f64::MIN_POSITIVE));
-    let mut license = LicenseClass::Permissive;
-    for (i, &w) in weights.iter().enumerate() {
-        if pick < w {
-            license = LicenseClass::ALL[i];
-            break;
-        }
-        pick -= w;
-    }
-    ComponentAttributes { security, license: LicenseClassOrDefault(license) }
+/// Makes the two draws that once sampled a component's security level
+/// and licence class, and discards them. Placement constraints are gone,
+/// but dropping the draws would shift every later draw of
+/// [`StreamSystem::generate`] (and so of the workload's `build_system`)
+/// and move every pinned digest; a re-bless of the digests (ROADMAP
+/// item 4) is what would retire this function.
+fn skip_retired_attribute_draws<R: Rng + ?Sized>(rng: &mut R) {
+    let _: u8 = rng.gen_range(SECURITY_LEVELS.0..=SECURITY_LEVELS.1);
+    let total: f64 = LICENSE_WEIGHTS.iter().sum();
+    let _: f64 = rng.gen_range(0.0..total.max(f64::MIN_POSITIVE));
 }
 
 fn sample_range<R: Rng + ?Sized>(rng: &mut R, (lo, hi): (f64, f64)) -> f64 {
@@ -1203,7 +1182,6 @@ fn partial_shuffle<T, R: Rng + ?Sized>(items: &mut [T], count: usize, rng: &mut 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::constraints::PlacementConstraints;
     use crate::fgraph::FunctionGraph;
     use crate::qos::QosRequirement;
     use crate::repair::RepairPolicy;
@@ -1242,7 +1220,6 @@ pub(crate) mod tests {
             base_resources: ResourceVector::new(1.0, 4.0),
             bandwidth_kbps: 10.0,
             stream_rate_kbps: 100.0,
-            constraints: PlacementConstraints::none(),
             tenant: None,
         };
         let c0 = sys.candidates(chosen[0])[0];
@@ -1422,7 +1399,6 @@ pub(crate) mod tests {
             base_resources: ResourceVector::ZERO,
             bandwidth_kbps: 0.0,
             stream_rate_kbps: 0.0,
-            constraints: PlacementConstraints::none(),
             tenant: None,
         };
         Session {

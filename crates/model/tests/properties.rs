@@ -207,7 +207,6 @@ mod lease_reconciliation {
                                             base_resources: ResourceVector::new(0.2, 1.0),
                                             bandwidth_kbps: 2.0,
                                             stream_rate_kbps: 50.0,
-                                            constraints: PlacementConstraints::none(),
                                             tenant: None,
                                         };
                                         let comp = Composition { assignment: vec![c0, c1], links: vec![path] };
@@ -414,7 +413,6 @@ mod lease_directory {
                 base_resources: ResourceVector::new(0.2, 1.0),
                 bandwidth_kbps: 2.0,
                 stream_rate_kbps: 50.0,
-                constraints: PlacementConstraints::none(),
                 tenant: None,
             };
             match self.sys.commit_session(&request, Composition { assignment, links }) {
@@ -583,7 +581,6 @@ mod allocation_conservation {
                 base_resources: ResourceVector::new(0.5, 2.0),
                 bandwidth_kbps: 5.0,
                 stream_rate_kbps: 50.0,
-                constraints: PlacementConstraints::none(),
                 tenant: None,
             };
             let c0 = sys.candidates(f0)[i % sys.candidates(f0).len()];
@@ -666,7 +663,6 @@ mod tenant_isolation {
             base_resources: ResourceVector::new(0.2, 1.0),
             bandwidth_kbps: 2.0,
             stream_rate_kbps: 50.0,
-            constraints: PlacementConstraints::none(),
             tenant: Some(binding(pick)),
         };
         let comp = Composition { assignment: vec![c0, c1], links: vec![path] };

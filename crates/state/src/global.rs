@@ -81,8 +81,8 @@ impl ScanStats {
 /// node- and dense-indexed tables.
 ///
 /// `qos` and `available` are copies of board state (`component_qos`,
-/// `node_available`), `max_rate_kbps` and `attributes` of the system's
-/// immutable per-dense-id statics. The copies cannot drift: a row is
+/// `node_available`), `max_rate_kbps` of the system's immutable
+/// per-dense-id statics. The copies cannot drift: a row is
 /// only ever written whole, by the publish that writes the originals
 /// ([`GlobalStateBoard::new`] and the node's next publish, which
 /// re-inserts every row of the node), and the audit compares the index
@@ -106,8 +106,6 @@ pub struct IndexEntry {
     pub node: OverlayNodeId,
     /// Slot on the hosting node.
     pub slot: u16,
-    /// The component's placement attributes.
-    pub attributes: ComponentAttributes,
 }
 
 impl IndexEntry {
@@ -136,7 +134,6 @@ impl IndexEntry {
             dense: dense.0,
             node,
             slot,
-            attributes: system.dense_attributes(dense),
         }
     }
 }
@@ -696,7 +693,6 @@ mod tests {
                 base_resources: base,
                 bandwidth_kbps: 1.0,
                 stream_rate_kbps: 1.0,
-                constraints: PlacementConstraints::none(),
                 tenant: None,
             };
             let path = sys.virtual_path(c0.node, c1.node).unwrap();
@@ -863,7 +859,6 @@ mod tests {
                 assert_eq!(board.component_qos_dense(dense), Some(e.qos), "index shadows the QoS store");
                 assert_eq!(e.available, board.node_available(e.node), "row carries its node's publish");
                 assert_eq!(e.max_rate_kbps, sys.dense_max_rate_kbps(dense));
-                assert_eq!(e.attributes, sys.dense_attributes(dense));
                 assert_eq!(sys.dense_function(dense), f);
             }
         }

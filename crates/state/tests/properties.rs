@@ -32,7 +32,6 @@ fn random_sessions(system: &mut StreamSystem, seed: u64, count: usize) -> Vec<Se
             base_resources: ResourceVector::new(rng.gen_range(0.5..6.0), rng.gen_range(4.0..48.0)),
             bandwidth_kbps: 0.0,
             stream_rate_kbps: 1.0,
-            constraints: PlacementConstraints::none(),
             tenant: None,
         };
         let composition = Composition { assignment: vec![c], links: vec![] };
@@ -139,7 +138,6 @@ proptest! {
                             ),
                             bandwidth_kbps: 0.0,
                             stream_rate_kbps: 1.0,
-                            constraints: PlacementConstraints::none(),
                             tenant: None,
                         };
                         next_request += 1;

@@ -136,7 +136,6 @@ impl RequestGenerator {
             ),
             bandwidth_kbps: sample(rng, self.config.bandwidth_kbps),
             stream_rate_kbps: sample(rng, self.config.stream_rate_kbps),
-            constraints: PlacementConstraints::none(),
             tenant: None,
         };
         let duration = SimDuration::from_secs_f64(sample(rng, self.config.session_minutes) * 60.0);

@@ -74,12 +74,16 @@ fn main() {
         .filter(|&&(t, _)| (25.0..=40.0).contains(&t.as_minutes_f64()))
         .map(|&(_, r)| r)
         .fold(0.0f64, f64::max);
+    let (fixed_mean, tuned_mean) = (surge_mean(&fixed), surge_mean(&tuned));
     println!(
         "\nthrough the surge: fixed α=0.3 averaged {:.1}% success; the tuner \
          raised α to {:.1} and averaged {:.1}% — extra probes are spent \
          exactly when the surge demands them, then released.",
-        surge_mean(&fixed) * 100.0,
+        fixed_mean * 100.0,
         surge_ratio,
-        surge_mean(&tuned) * 100.0,
+        tuned_mean * 100.0,
     );
+    assert!(tuned_mean >= fixed_mean, "the tuner's surge mean fell below the fixed α's");
+    let final_ratio = tuned.ratio_series.samples().last().map_or(f64::NAN, |&(_, r)| r);
+    assert!(final_ratio < surge_ratio, "the tuner held α at {final_ratio} after the surge");
 }

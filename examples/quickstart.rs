@@ -62,6 +62,7 @@ fn main() {
         qos.loss.probability() * 100.0,
         request.qos,
     );
+    assert!(qos.satisfies(&request.qos), "a committed session meets its requirement (Eq. 3)");
 
     // Close: tear the session down, releasing every allocation.
     assert!(system.close_session(session));

@@ -51,7 +51,6 @@ fn main() {
         base_resources: ResourceVector::new(0.97 * cap.cpu / factor, 0.97 * cap.memory_mb / factor),
         bandwidth_kbps: 0.0,
         stream_rate_kbps: 1.0,
-        constraints: PlacementConstraints::none(),
         tenant: None,
     };
     let composition = Composition { assignment: vec![other.id], links: vec![] };
@@ -72,7 +71,6 @@ fn main() {
         base_resources: ResourceVector::new(8.0, 64.0),
         bandwidth_kbps: 10.0,
         stream_rate_kbps: 64.0,
-        constraints: PlacementConstraints::none(),
         tenant: None,
     };
     let mut acp = AcpComposer::new(ProbingConfig::default(), 7);

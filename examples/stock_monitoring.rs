@@ -35,7 +35,6 @@ fn pipeline_request(system: &acp_stream::model::StreamSystem, id: u64) -> Reques
         base_resources: ResourceVector::new(4.0, 24.0),
         bandwidth_kbps: 120.0,
         stream_rate_kbps: 96.0,
-        constraints: PlacementConstraints::none(),
         tenant: None,
     }
 }
@@ -67,6 +66,7 @@ fn main() {
     println!("flooding the system with stock-tick pipelines until saturation…\n");
     println!("{:<8} {:>10} {:>14} {:>18}", "algo", "admitted", "util spread", "probe msgs");
 
+    let mut rows = Vec::new();
     for kind in [AlgorithmKind::Acp, AlgorithmKind::Rp, AlgorithmKind::Random, AlgorithmKind::Static] {
         let (mut system, mut board, _) = build_system(&config);
         let mut composer = kind.build(ProbingConfig::default(), 5);
@@ -83,13 +83,14 @@ fn main() {
             // 10-second local measurement cadence).
             board.refresh_nodes(&system);
         }
-        println!(
-            "{:<8} {:>7}/400 {:>13.3} {:>18}",
-            kind.label(),
-            admitted,
-            utilization_spread(&system),
-            probes
-        );
+        let spread = utilization_spread(&system);
+        println!("{:<8} {:>7}/400 {:>13.3} {:>18}", kind.label(), admitted, spread, probes);
+        rows.push((kind, admitted, spread));
+    }
+    let (_, acp_admitted, acp_spread) = rows[0];
+    for &(kind, admitted, spread) in &rows[1..] {
+        assert!(acp_admitted >= admitted, "{} admitted {admitted}, ACP {acp_admitted}", kind.label());
+        assert!(acp_spread <= spread, "{} spread {spread:.3}, ACP {acp_spread:.3}", kind.label());
     }
 
     println!(

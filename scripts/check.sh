@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Repo-wide gate, six steps: build, tests, lints, the benchmark
-# package's own tests, the fig_scale smoke, and every figure (chaos
-# included) regenerated at quick scale. Run from the repository root.
+# Repo-wide gate, seven steps: build, tests, lints, the benchmark
+# package's own tests, the fig_scale smoke, every figure (chaos
+# included) regenerated at quick scale, and every example, each of which
+# asserts the claims it prints. Run from the repository root.
 # Each step is timed; a per-step and total wall-clock summary prints at
 # the end so slow steps are easy to spot.
 set -euo pipefail
@@ -57,6 +58,19 @@ step "fig_scale smoke (10k nodes x 50k sessions, RSS ceiling)" \
 # ablation tables run.
 step "figures all (quick scale, seed 42, repair, tenant and chaos asserts)" \
     cargo run --release -q -p acp-bench --bin figures -- all --scale quick --seed 42 --out target/experiments
+
+# The examples assert what they print (admission counts, the tuner's
+# surge mean, the QoS of a committed session); stdout is dropped, an
+# assert's panic goes to stderr.
+run_examples() {
+    local example
+    for example in quickstart adaptive_tuning stock_monitoring video_surveillance rebalancing; do
+        echo "    example $example"
+        cargo run --release -q --example "$example" >/dev/null
+    done
+}
+step "examples (each asserts what it prints)" \
+    run_examples
 
 echo
 echo "Step timings:"

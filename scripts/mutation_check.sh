@@ -8,7 +8,7 @@
 #
 #   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|repair|leases|routes|board|topology|audit|config] [WORKDIR]
 #
-# No suite name runs all thirteen, 34 mutants; WORKDIR defaults to
+# No suite name runs all thirteen, 36 mutants; WORKDIR defaults to
 # target/mutation-check.
 # The repository itself is never edited; the copy and its cargo target
 # directory live under WORKDIR.
@@ -17,13 +17,18 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 
 # kernel | test target | oracle (test-name filter) | mutants, each
 # 'name|sed expression'
+# Ranked selection against its reference loop, and the static
+# interface-rate filter of both arms: dropping it from either is caught
+# by `incompatible_rate_filters_everything`, which runs both.
 selection_kernel=crates/core/src/selection.rs
 selection_target='-p acp-core --lib'
-selection_oracle=selection::tests::differential::kernel_matches_the_reference_loop
+selection_oracle=selection::tests
 selection_mutants=(
     'skipped stale check|s/^    if retired {$/    if false \&\& retired {/'
     'pick taken from the wrong row|s/^            insert_ranked(ranked, quota, key, ComponentId::new(entry.node, entry.slot));$/            insert_ranked(ranked, quota, key, ComponentId::new(entries[pos.saturating_sub(1)].node, entries[pos.saturating_sub(1)].slot));/'
     'off-by-one at admission|s/^    ranked.truncate(quota);$/    ranked.truncate(quota + 1);/'
+    'rate check dropped from the kernel|s/^    if hop\.rate > entry\.max_rate_kbps {$/    if false \&\& hop.rate > entry.max_rate_kbps {/'
+    'rate filter dropped from the Random arm|s/^            scratch\.ids\.retain(|\&c| system\.component(c)\.accepts_rate(hop\.rate));$//'
 )
 # The first makes the φ bound inadmissible (the dearest successor in
 # place of the cheapest); the second charges a merge vertex's subtree to

@@ -78,8 +78,10 @@ fn acp_success_implies_optimal_success() {
     assert!(checked >= 10);
 }
 
-/// The committed composition always satisfies the request's constraints
-/// at admission time — ACP never returns an unqualified composition.
+/// The committed composition qualifies at admission time — function
+/// coverage and interface rate (Eq. 2), end-to-end QoS (Eq. 3),
+/// end-system resources (Eq. 4) and link bandwidth (Eq. 5): ACP never
+/// returns an unqualified composition.
 #[test]
 fn committed_compositions_are_qualified() {
     let (mut system, board, library) = universe(3);
