@@ -7,11 +7,12 @@
 //! One seed is one universe: every point of every table is built from
 //! `--seed`, so rows and columns differ only in what their axes name.
 //! Vary `--seed` for replicates. `repair` fails unless the repair arm
-//! dominates restart survival at every churn level with clean audits
-//! and no leaked lease; `tenants` fails on any isolation violation;
-//! `chaos` (the churn grid, the probe-loss grid and one long soak) fails
-//! on any audit or isolation violation, any leaked lease, or a retry
-//! loop recovering under 90 % of the fault-hit compositions.
+//! kills fewer sessions outright than restart at every non-zero churn
+//! level, with clean audits and no leaked lease; `tenants` fails on any
+//! isolation violation; `chaos` (the churn grid, the probe-loss grid
+//! and one long soak) fails on any audit or isolation violation, any
+//! leaked lease, or a retry loop recovering under 90 % of the fault-hit
+//! compositions.
 
 use acp_bench::{
     ablation_bcp, ablation_risk_epsilon, ablation_state_threshold, ablation_tuning, chaos_grid,
@@ -49,11 +50,15 @@ fn run(figure: &str, scale: &Scale, seed: u64, threads: usize) -> Vec<Table> {
                 assert_eq!(cell.result.audit_violations, 0, "audits must pass at {:?}", cell.at);
                 assert_eq!(cell.result.leases_leaked, 0, "no lease may leak at {:?}", cell.at);
             }
+            // Survival is a replicate claim (`claims.rs`): one universe
+            // may lose it. Fewer sessions killed outright holds in each.
             for pair in cells.chunks(2) {
                 let ((churn, _), repair, terminate) = (pair[0].at, &pair[0].result, &pair[1].result);
                 assert!(
-                    churn == 0.0 || repair.survival() >= terminate.survival(),
-                    "repair must dominate restart survival at {churn:.1}x churn"
+                    churn == 0.0 || repair.sessions_killed < terminate.sessions_killed,
+                    "repair must kill fewer sessions than restart at {churn:.1}x churn: {} vs {}",
+                    repair.sessions_killed,
+                    terminate.sessions_killed
                 );
             }
             tables

@@ -66,7 +66,6 @@ pub fn chaos_table(scale: &Scale, cells: &[Point<(usize, f64)>]) -> Table {
             "lost",
             "pending",
             "recovery s",
-            "migrations",
             "audit violations",
         ],
     );
@@ -81,7 +80,6 @@ pub fn chaos_table(scale: &Scale, cells: &[Point<(usize, f64)>]) -> Table {
             format!("{}", r.sessions_lost),
             format!("{}", r.sessions_pending),
             format!("{:.2}", r.recovery_latency.mean().unwrap_or(0.0)),
-            format!("{}", r.migrations),
             format!("{}", r.audit_violations),
         ]);
     }

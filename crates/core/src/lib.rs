@@ -63,10 +63,10 @@
 
 pub mod admission;
 pub mod algorithms;
-pub mod migration;
 pub mod naive;
 pub mod optimal;
 pub mod overhead;
+pub mod preemption;
 #[cfg(test)]
 mod probe;
 pub mod protocol;
@@ -82,12 +82,10 @@ pub mod prelude {
         AcpComposer, AlgorithmKind, ComposeOutcome, Composer, OptimalComposer, ProbingComposer,
         RandomComposer, StaticComposer,
     };
-    pub use crate::migration::{
-        MigrationRecord, PreemptionConfig, Preemptor, RebalanceConfig, Rebalancer,
-    };
     pub use crate::naive::{blind_compose, BlindStrategy};
     pub use crate::optimal::{optimal_compose, OptimalConfig};
     pub use crate::overhead::{centralized_update_messages_per_minute, OverheadStats};
+    pub use crate::preemption::{PreemptionConfig, Preemptor};
     pub use crate::protocol::{
         FinalSelection, ProbingConfig, SetupConfig, SetupMode, SetupStats, SinglePhase, TwoPhase,
     };

@@ -274,9 +274,8 @@ impl HopInputs {
 /// Why the cascade dropped a row before path resolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Pruned {
-    /// The row's dense id was retired (crash, migration, node failure)
-    /// after its node's last publish; the live replacement appears
-    /// after the next one.
+    /// The row's dense id was retired (crash, node failure) after its
+    /// node's last publish; the next publish withdraws the row.
     Stale,
     /// Dropped by the static filter: the interface rate.
     Static,
@@ -962,8 +961,8 @@ mod tests {
             assert!(ties >= 5, "only {ties} adjacent rows share a published delay");
         }
 
-        /// One differential case: churn the fixture (load, crashes,
-        /// migrations, node failures, with and without a refresh in
+        /// One differential case: churn the fixture (load, crashes, node
+        /// failures, with and without a refresh in
         /// between), then run the kernel and the oracle on clones and
         /// compare plans, counters and path-memo accounting.
         ///
@@ -1018,18 +1017,13 @@ mod tests {
             // Churn the board may or may not hear about: each op leaves
             // stale rows until the next refresh.
             for _ in 0..rng.gen_range(0..6) {
-                match rng.gen_range(0..4) {
+                match rng.gen_range(0..3) {
                     0 => {
                         sys.crash_component(pick(&sys, target, rng), RepairPolicy::Terminate, SimTime::ZERO);
                     }
-                    1 => {
-                        let c = pick(&sys, target, rng);
-                        let to = OverlayNodeId(rng.gen_range(0..sys.node_count()) as u32);
-                        let _ = sys.migrate_component(c, to);
-                    }
                     // A failed node mid-list: its rows go stale, and the
                     // routes through it drop out of the memo.
-                    2 => {
+                    1 => {
                         let rows = board.candidate_entries(target);
                         let mid = rows[rows.len() / 2].node;
                         if !sys.is_node_failed(mid) {

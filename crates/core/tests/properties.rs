@@ -4,7 +4,7 @@ use acp_core::prelude::*;
 use acp_model::prelude::*;
 use acp_simcore::{SimDuration, SimTime};
 use acp_state::{GlobalStateBoard, GlobalStateConfig};
-use acp_topology::{InetConfig, Overlay, OverlayConfig, OverlayNodeId};
+use acp_topology::{InetConfig, Overlay, OverlayConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -156,101 +156,5 @@ proptest! {
             "spawned {} exceeds Σ quotas {quota_sum}",
             out.stats.probes_spawned
         );
-    }
-
-    /// However hard it churns, the rebalancer never violates the
-    /// distinct-functions-per-node invariant (or any other audited
-    /// invariant): the [`SystemAuditor`] stays clean after every round.
-    #[test]
-    fn rebalancer_preserves_audited_invariants(
-        sys_seed in 0u64..4,
-        load_seed in any::<u64>(),
-        gap in 0.05f64..0.6,
-        rounds in 1usize..4,
-    ) {
-        let (mut system, board) = build(sys_seed);
-        // Put uneven load on the system so the rebalancer has work.
-        let mut composer = AcpComposer::new(ProbingConfig::default(), load_seed);
-        for i in 0..12u64 {
-            let request = random_request(&system, load_seed.wrapping_add(i), 100 + i);
-            let _ = composer.compose(&mut system, &board, &request, SimTime::ZERO);
-        }
-        let mut rebalancer = Rebalancer::new(RebalanceConfig {
-            min_utilization_gap: gap,
-            max_migrations_per_round: 6,
-        });
-        let auditor = SystemAuditor::default();
-        for _ in 0..rounds {
-            rebalancer.rebalance_round(&mut system);
-            let report = auditor.audit(&system);
-            prop_assert!(report.is_clean(), "audit after rebalance:\n{report}");
-        }
-    }
-
-    /// The rebalancer only ever moves *idle* components: every component
-    /// serving a live session keeps its exact identity (node and slot)
-    /// across any number of rounds.
-    #[test]
-    fn rebalancer_never_moves_serving_components(
-        sys_seed in 0u64..4,
-        load_seed in any::<u64>(),
-        rounds in 1usize..4,
-    ) {
-        let (mut system, board) = build(sys_seed);
-        let mut composer = AcpComposer::new(ProbingConfig::default(), load_seed);
-        for i in 0..12u64 {
-            let request = random_request(&system, load_seed.wrapping_add(i), 200 + i);
-            let _ = composer.compose(&mut system, &board, &request, SimTime::ZERO);
-        }
-        let serving: Vec<(SessionId, Vec<ComponentId>)> = system
-            .sessions()
-            .map(|s| (s.id, s.composition.assignment.clone()))
-            .collect();
-        let mut rebalancer = Rebalancer::new(RebalanceConfig {
-            min_utilization_gap: 0.05,
-            max_migrations_per_round: 8,
-        });
-        let mut moved = Vec::new();
-        for _ in 0..rounds {
-            moved.extend(rebalancer.rebalance_round(&mut system));
-        }
-        for (sid, assignment) in serving {
-            let session = system.session(sid).expect("rebalancing never ends sessions");
-            prop_assert_eq!(&session.composition.assignment, &assignment);
-            for id in assignment {
-                prop_assert!(
-                    system.node(id.node).component(id.slot).is_some(),
-                    "serving component {id} was tombstoned"
-                );
-                prop_assert!(
-                    moved.iter().all(|m| m.from != id),
-                    "rebalancer moved serving component {id}"
-                );
-            }
-        }
-    }
-
-    /// Migration preserves the total candidate pool of every function.
-    #[test]
-    fn migration_conserves_candidates(sys_seed in 0u64..4, pick in any::<u64>()) {
-        let (mut system, _board) = build(sys_seed);
-        let totals: std::collections::HashMap<FunctionId, usize> =
-            system.registry().ids().map(|f| (f, system.candidates(f).len())).collect();
-        // migrate an arbitrary idle component somewhere feasible
-        let nodes: Vec<OverlayNodeId> = system.overlay().nodes().collect();
-        let source = nodes[(pick as usize) % nodes.len()];
-        let component = system.node(source).components().next().cloned();
-        if let Some(component) = component {
-            let target = nodes
-                .iter()
-                .copied()
-                .find(|&v| v != source && !system.node(v).hosts_function(component.function));
-            if let Some(target) = target {
-                let _ = system.migrate_component(component.id, target);
-            }
-        }
-        for (f, count) in totals {
-            prop_assert_eq!(system.candidates(f).len(), count);
-        }
     }
 }

@@ -1311,6 +1311,7 @@ mod tests {
     #[test]
     fn clean_across_fault_lifecycle() {
         let mut sys = build_system(2, 30);
+        let dense_at_build = sys.dense_component_count();
         let auditor = SystemAuditor::default();
         let sessions = commit_sessions(&mut sys, 8);
         assert!(!sessions.is_empty());
@@ -1336,8 +1337,13 @@ mod tests {
         }
         assert!(auditor.audit(&sys).is_clean(), "after crash: {}", auditor.audit(&sys));
 
-        // Recovery.
+        // Recovery: the node comes back empty for good, and no dense id
+        // is issued after build.
         sys.recover_node(victim);
+        assert_eq!(
+            (sys.node(victim).component_count(), sys.dense_component_count()),
+            (0, dense_at_build)
+        );
         sys.restore_link(link);
         sys.restore_link(OverlayLinkId(1));
         let report = auditor.audit(&sys);

@@ -147,10 +147,10 @@ impl StreamSystem {
         (undeployed.iter().map(|c| c.id).collect(), outcome)
     }
 
-    /// Brings a failed node back online, empty: components must be
-    /// redeployed (e.g. via [`Self::migrate_component`]), but capacity
-    /// is immediately re-admittable and the forwarding plane rejoins
-    /// the mesh.
+    /// Brings a failed node back online, empty, for good: its components
+    /// stay retired and nothing is redeployed there, but its forwarding
+    /// plane rejoins the mesh, so virtual paths may relay through it
+    /// again.
     pub fn recover_node(&mut self, v: OverlayNodeId) {
         self.nodes[v.index()].recover();
         self.overlay.set_node_down(v, false);

@@ -34,9 +34,7 @@ struct TransientAlloc {
 /// A stream-processing node: capacity, allocations, and hosted components.
 ///
 /// Component slots are **stable**: undeploying a component leaves a
-/// tombstone so other components' [`ComponentId`]s stay valid, and
-/// deploying reuses the first free slot. This supports the dynamic
-/// component migration extension (paper §6, item 3).
+/// tombstone so other components' [`ComponentId`]s stay valid.
 #[derive(Debug, Clone)]
 pub struct StreamNode {
     id: OverlayNodeId,
@@ -77,8 +75,8 @@ impl StreamNode {
         self.components.iter_mut().filter_map(Option::take).collect()
     }
 
-    /// Brings a failed node back (empty — components must be redeployed
-    /// or migrated in).
+    /// Brings a failed node back, empty for good: its components are
+    /// never redeployed.
     pub fn recover(&mut self) {
         self.failed = false;
     }
@@ -123,11 +121,6 @@ impl StreamNode {
         self.components.iter().flatten().count()
     }
 
-    /// True when a live component of `function` is hosted here.
-    pub fn hosts_function(&self, function: crate::function::FunctionId) -> bool {
-        self.components().any(|c| c.function == function)
-    }
-
     /// Component lookup by slot (`None` for out-of-range or tombstoned
     /// slots).
     pub fn component(&self, slot: u16) -> Option<&Component> {
@@ -137,6 +130,7 @@ impl StreamNode {
     /// Deploys a component built by `make` in the first free slot and
     /// returns its identity. `make` receives the assigned
     /// [`ComponentId`].
+    #[cfg(test)]
     pub(crate) fn deploy_with(&mut self, make: impl FnOnce(ComponentId) -> Component) -> ComponentId {
         let slot = self
             .components

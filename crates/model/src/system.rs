@@ -296,7 +296,8 @@ impl SessionArena {
 }
 
 /// Struct-of-arrays side tables for component statics, indexed by
-/// [`DenseComponentId`] (append-only: tombstoned ids keep their rows).
+/// [`DenseComponentId`] (filled at generation: tombstoned ids keep their
+/// rows).
 /// The per-hop candidate filter reads exactly these two fields for
 /// every discovered candidate; flat arrays keep that scan inside a few
 /// cache lines per candidate instead of chasing node → slot →
@@ -362,28 +363,26 @@ pub struct StreamSystem {
     pub(crate) nodes: Vec<StreamNode>,
     pub(crate) links: Vec<LinkState>,
     /// Function → live candidate components, indexed by `FunctionId.0`
-    /// (the registry's ids are dense). Per-function insertion order is
-    /// node/slot discovery order until the first migration re-appends.
+    /// (the registry's ids are dense), in node/slot discovery order.
     pub(crate) discovery: Vec<Vec<ComponentId>>,
     pub(crate) sessions: SessionArena,
     /// Component statics in struct-of-arrays layout, keyed by dense id.
     statics: DenseStatics,
     /// Per-node change counters: bumped on every mutation observable
     /// through [`Self::node_available`] / the node's component list
-    /// (admission, teardown, transients, failure, migration). Incremental
+    /// (admission, teardown, transients, failure). Incremental
     /// state maintenance skips nodes whose counter it has already seen.
     pub(crate) node_versions: Vec<u64>,
     /// Per-link change counters, mirroring `node_versions` for bandwidth.
     pub(crate) link_versions: Vec<u64>,
     /// Per node, per slot: the slot's [`DenseComponentId`] value, or
-    /// `u32::MAX` for tombstones. Dense ids are never reused.
+    /// `u32::MAX` for tombstones. Every dense id is issued when the
+    /// system is generated; faults only retire them.
     dense_ids: Vec<Vec<u32>>,
-    dense_count: u32,
     /// Per dense id: true once the id is tombstoned in `dense_ids`.
     /// Dense ids are never reused and never move, so this is the flat
     /// form of `dense_of(cid) != Some(dense)` for the `cid` the id was
-    /// issued to. Written only by [`Self::retire_dense`] and by
-    /// [`Self::migrate_component`]'s fresh `false`.
+    /// issued to. Written only by [`Self::retire_dense`].
     dense_retired: Vec<bool>,
     /// Where transient leases live; maintained by `crate::lease`, which
     /// also owns every operation on the three lease fields.
@@ -413,36 +412,6 @@ impl std::fmt::Debug for StreamSystem {
             .finish()
     }
 }
-
-/// Why a component migration was refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrationError {
-    /// No live component with that id exists.
-    UnknownComponent,
-    /// The component serves at least one live session.
-    InUse,
-    /// The target node already hosts a component of the same function
-    /// (nodes host distinct functions).
-    DuplicateFunction,
-    /// Source and target node are the same.
-    SameNode,
-    /// The target node's processing plane has failed.
-    TargetFailed,
-}
-
-impl std::fmt::Display for MigrationError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MigrationError::UnknownComponent => write!(f, "unknown component"),
-            MigrationError::InUse => write!(f, "component serves a live session"),
-            MigrationError::DuplicateFunction => write!(f, "target already hosts this function"),
-            MigrationError::SameNode => write!(f, "component already lives on the target node"),
-            MigrationError::TargetFailed => write!(f, "target node has failed"),
-        }
-    }
-}
-
-impl std::error::Error for MigrationError {}
 
 /// Why a composition could not be admitted.
 #[derive(Debug, Clone, PartialEq)]
@@ -569,7 +538,6 @@ impl StreamSystem {
             leases: LeaseDirectory::new(nodes.len(), links.len()),
             dense_ids,
             dense_retired: vec![false; dense_count as usize],
-            dense_count,
             overlay,
             nodes,
             links,
@@ -601,15 +569,15 @@ impl StreamSystem {
         &self.link_versions
     }
 
-    /// Total dense component ids ever assigned (live + tombstoned).
-    /// Dense-indexed side tables size themselves by this.
+    /// Total dense component ids ever assigned (live + tombstoned), all
+    /// of them at generation. Dense-indexed side tables size themselves
+    /// by this.
     pub fn dense_component_count(&self) -> usize {
-        self.dense_count as usize
+        self.dense_retired.len()
     }
 
     /// The dense index of a live component, or `None` for unknown /
-    /// undeployed ids. A migrated component gets a fresh dense id on its
-    /// new node; the old id is never reused.
+    /// undeployed ids.
     pub fn dense_of(&self, id: ComponentId) -> Option<DenseComponentId> {
         self.dense_ids
             .get(id.node.index())?
@@ -619,8 +587,8 @@ impl StreamSystem {
             .map(DenseComponentId)
     }
 
-    /// True once dense id `d` has been retired (its component crashed,
-    /// migrated away, or its node failed) — equivalent to
+    /// True once dense id `d` has been retired (its component crashed
+    /// or its node failed) — equivalent to
     /// `dense_of(cid) != Some(d)` for the component id `d` was issued
     /// to, in one flat load.
     #[inline]
@@ -948,63 +916,6 @@ impl StreamSystem {
     /// [`Self::link_available`].
     pub fn link_committed(&self, l: OverlayLinkId) -> f64 {
         self.links[l.index()].committed_kbps
-    }
-
-    /// True when any live session's composition uses component `id`.
-    pub fn component_in_use(&self, id: ComponentId) -> bool {
-        self.sessions.iter().any(|s| s.composition.assignment.contains(&id))
-    }
-
-    /// Migrates a component to another node — the paper's future-work
-    /// extension "integrating dynamic component placement (or migration)
-    /// with the component composition system" (§6, item 3).
-    ///
-    /// The component keeps its function, QoS profile, interface limit and
-    /// attributes but receives a new identity on the target node; the
-    /// discovery index is updated. Only idle components (serving no live
-    /// session) migrate, and the distinct-functions-per-node invariant is
-    /// preserved.
-    ///
-    /// # Errors
-    ///
-    /// [`MigrationError`] when the component is unknown, in use, already
-    /// on `to`, or `to` already hosts the function.
-    pub fn migrate_component(&mut self, id: ComponentId, to: OverlayNodeId) -> Result<ComponentId, MigrationError> {
-        if id.node == to {
-            return Err(MigrationError::SameNode);
-        }
-        let component = self.nodes[id.node.index()]
-            .component(id.slot)
-            .cloned()
-            .ok_or(MigrationError::UnknownComponent)?;
-        if self.component_in_use(id) {
-            return Err(MigrationError::InUse);
-        }
-        if self.nodes[to.index()].hosts_function(component.function) {
-            return Err(MigrationError::DuplicateFunction);
-        }
-        if self.nodes[to.index()].is_failed() {
-            return Err(MigrationError::TargetFailed);
-        }
-        // Undeploy, re-deploy, fix the discovery and dense indices.
-        let taken = self.nodes[id.node.index()].undeploy(id.slot).expect("checked live");
-        let new_id = self.nodes[to.index()].deploy_with(|new_id| Component { id: new_id, ..taken });
-        self.retire_dense(id);
-        let slots = &mut self.dense_ids[to.index()];
-        if slots.len() <= new_id.slot as usize {
-            slots.resize(new_id.slot as usize + 1, u32::MAX);
-        }
-        slots[new_id.slot as usize] = self.dense_count;
-        self.dense_count += 1;
-        self.dense_retired.push(false);
-        // Fresh dense id ⇒ fresh statics row (same component record).
-        self.statics.push(self.nodes[to.index()].component(new_id.slot).expect("just deployed"));
-        self.touch_node(id.node);
-        self.touch_node(to);
-        let entry = &mut self.discovery[component.function.0 as usize];
-        entry.retain(|&c| c != id);
-        entry.push(new_id);
-        Ok(new_id)
     }
 
     /// Mutable access to a node's raw bookkeeping, for tests that need
@@ -1505,42 +1416,23 @@ pub(crate) mod tests {
     }
 
     /// The flat retired flag is `dense_of(cid) != Some(dense)` for every
-    /// `(cid, dense)` pair ever issued, through all three writers.
+    /// `(cid, dense)` pair ever issued, through both faults that retire.
     #[test]
     fn retired_flag_matches_dense_of_through_churn() {
         let mut sys = build_system(14, 30);
-        let mut issued: Vec<(ComponentId, DenseComponentId)> = Vec::new();
-        let record = |sys: &StreamSystem, issued: &mut Vec<(ComponentId, DenseComponentId)>| {
-            for v in sys.overlay().nodes() {
-                for c in sys.node(v).components() {
-                    let pair = (c.id, sys.dense_of(c.id).expect("live component"));
-                    if !issued.contains(&pair) {
-                        issued.push(pair);
-                    }
-                }
-            }
-        };
+        let issued: Vec<(ComponentId, DenseComponentId)> = sys
+            .overlay()
+            .nodes()
+            .flat_map(|v| sys.node(v).components().map(|c| (c.id, sys.dense_of(c.id).expect("live component"))))
+            .collect();
         let check = |sys: &StreamSystem, issued: &[(ComponentId, DenseComponentId)]| {
             for &(cid, d) in issued {
                 assert_eq!(sys.dense_is_retired(d), sys.dense_of(cid) != Some(d), "{cid} {d:?}");
             }
         };
-        record(&sys, &mut issued);
         check(&sys, &issued);
-        // Crash one component, then migrate another into the freed slot's
-        // node (slot reuse: the old row must read retired, the new live).
         let crashed = sys.node(OverlayNodeId(2)).components().next().expect("hosts some").id;
         sys.crash_component(crashed, RepairPolicy::Terminate, SimTime::ZERO);
-        let mover = sys
-            .overlay()
-            .nodes()
-            .filter(|&v| v != OverlayNodeId(2))
-            .flat_map(|v| sys.node(v).components().map(|c| c.id).collect::<Vec<_>>())
-            .find(|&c| sys.clone().migrate_component(c, OverlayNodeId(2)).is_ok())
-            .expect("some component can move to node 2");
-        let moved = sys.migrate_component(mover, OverlayNodeId(2)).expect("checked on a clone");
-        record(&sys, &mut issued);
-        assert!(!sys.dense_is_retired(sys.dense_of(moved).expect("live")));
         check(&sys, &issued);
         sys.fail_node(OverlayNodeId(5), RepairPolicy::Terminate, SimTime::ZERO);
         sys.fail_node(OverlayNodeId(7), RepairPolicy::Repair, SimTime::ZERO);

@@ -366,12 +366,8 @@ mod lease_directory {
                     orphaned
                 }
                 9 => self.component(pick).map_or(0, |c| self.sys.crash_component(c, RepairPolicy::Terminate, SimTime::ZERO).orphaned.len()),
-                10 => match self.component(pick) {
-                    Some(c) => usize::from(self.sys.migrate_component(c, self.node(pick / 3)).is_ok()),
-                    None => 0,
-                },
-                11 => usize::from(self.commit(pick, r)),
-                12 => {
+                10 => usize::from(self.commit(pick, r)),
+                11 => {
                     if self.sessions.is_empty() {
                         0
                     } else {
@@ -379,7 +375,7 @@ mod lease_directory {
                         usize::from(self.sys.close_session(sid))
                     }
                 }
-                13 => self.degrade_and_splice(),
+                12 => self.degrade_and_splice(),
                 _ => unreachable!(),
             };
             self.sessions.retain(|&sid| self.sys.session(sid).is_some());
@@ -496,15 +492,15 @@ mod lease_directory {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Under arbitrary interleavings of reserve / refresh, the three
-        /// releases, expiry, node and link fail-stop, crash, migration,
-        /// commit, close and splice, the directory-backed system and the
+        /// releases, expiry, node and link fail-stop, crash, commit,
+        /// close and splice, the directory-backed system and the
         /// full-scan oracle agree after every operation on versions, the
         /// lease ledger, availability and who holds leases — and the
         /// auditor never finds the directory drifted.
         #[test]
         fn directory_matches_full_scan_oracle_under_churn(
             seed in 0u64..6,
-            ops in prop::collection::vec((0u8..14, 0usize..512, 1u64..7), 1..64),
+            ops in prop::collection::vec((0u8..13, 0usize..512, 1u64..7), 1..64),
         ) {
             let mut sut = Driver::new(seed);
             let mut oracle = Driver::new(seed);
@@ -759,32 +755,6 @@ mod tenant_isolation {
             }
             let report = auditor.audit_at(&sys, None);
             prop_assert!(report.is_clean(), "{}", report);
-        }
-
-        /// `migrate_component` relocates deployments, never sessions:
-        /// tenant ledgers are untouched by migration rounds.
-        #[test]
-        fn migration_preserves_tenant_ledgers(
-            seed in 0u64..4,
-            moves in prop::collection::vec((0usize..64, 0u32..15), 1..12),
-        ) {
-            let mut sys = build(seed);
-            for i in 0..8u64 {
-                commit(&mut sys, i as usize * 7 + 1, i + 1);
-            }
-            let before: Vec<_> =
-                sys.tenant_ledger().iter().map(|(id, s)| (id, *s)).collect();
-            for (pick, node) in moves {
-                let v = OverlayNodeId(node % sys.node_count() as u32);
-                let cands: Vec<ComponentId> =
-                    sys.node(v).components().map(|c| c.id).collect();
-                if let Some(&c) = cands.get(pick % cands.len().max(1)) {
-                    let to = OverlayNodeId((node + 1) % sys.node_count() as u32);
-                    let _ = sys.migrate_component(c, to);
-                }
-            }
-            let after: Vec<_> = sys.tenant_ledger().iter().map(|(id, s)| (id, *s)).collect();
-            prop_assert_eq!(before, after, "migration must not move tenant accounting");
         }
     }
 }

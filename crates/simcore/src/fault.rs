@@ -294,7 +294,7 @@ impl FaultPlan {
         );
 
         // Component crashes (no paired recovery: a crashed component is
-        // gone until redeployed by migration/rebalancing).
+        // gone for good).
         if config.component_crash_per_min > 0.0 && node_count > 0 {
             let mut rng: StdRng = streams.stream("faults/crash");
             let mean_gap = 60.0 / config.component_crash_per_min;

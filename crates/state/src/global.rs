@@ -285,12 +285,9 @@ impl GlobalStateBoard {
     }
 
     /// Coarse QoS of component `c` as of its node's last published
-    /// update. `None` for components the board has not yet learnt about
-    /// (e.g. freshly migrated ones before their node's next update).
-    ///
-    /// Resolves the slot through the node's published list, so a slot
-    /// reused by a *different* component after a migration correctly
-    /// reads as unknown rather than aliasing the old occupant's QoS.
+    /// update. `None` for components the board does not list: unknown
+    /// ids, and components that crashed or whose node failed, once the
+    /// node's next update withdrew them.
     pub fn component_qos(&self, c: ComponentId) -> Option<Qos> {
         let list = self.published.get(c.node.index())?;
         let &(_, dense) = list.iter().find(|&&(slot, _)| slot == c.slot)?;
@@ -300,7 +297,7 @@ impl GlobalStateBoard {
     /// Coarse QoS of the component with dense id `d` — the allocation-free
     /// hot-path lookup used by candidate selection.
     pub fn component_qos_dense(&self, d: DenseComponentId) -> Option<Qos> {
-        self.component_qos.get(d.index()).copied().flatten()
+        self.component_qos[d.index()]
     }
 
     /// The incrementally maintained per-function candidate index —
@@ -363,11 +360,6 @@ impl GlobalStateBoard {
     /// any resource dimension or component QoS metric moved more than
     /// `threshold × maximum`. Returns the number of update messages sent.
     pub fn refresh_nodes(&mut self, system: &StreamSystem) -> u64 {
-        // Migrations append fresh dense ids; grow the dense-indexed store
-        // to cover them (new slots start unpublished).
-        if self.component_qos.len() < system.dense_component_count() {
-            self.component_qos.resize(system.dense_component_count(), None);
-        }
         let versions = system.node_versions();
         let mut messages = 0;
         for v in system.overlay().nodes() {
@@ -407,29 +399,24 @@ impl GlobalStateBoard {
             return true;
         }
         // Component QoS variation check (delay metric vs its own
-        // published value, relative to the published maximum), and
-        // deployment changes (new/undeployed components are always
-        // significant).
+        // published value, relative to the published maximum). Every
+        // component is deployed at generation, so a live one is always
+        // on its node's published list.
         for comp in system.node(v).components() {
             let dense = system.dense_of(comp.id).expect("live component has a dense id");
-            let known = self.published[i].contains(&(comp.id.slot, dense.0));
+            let published_q = self.component_qos[dense.index()].expect("live components are published");
             let actual_q = system.effective_component_qos(comp.id);
-            match self.component_qos[dense.index()].filter(|_| known) {
-                None => return true, // newly deployed here
-                Some(published_q) => {
-                    let max = published_q.delay.as_secs_f64().max(actual_q.delay.as_secs_f64());
-                    if max > 0.0 {
-                        let delta =
-                            (actual_q.delay.as_secs_f64() - published_q.delay.as_secs_f64()).abs();
-                        if delta > self.config.threshold * max {
-                            return true;
-                        }
-                    }
+            let max = published_q.delay.as_secs_f64().max(actual_q.delay.as_secs_f64());
+            if max > 0.0 {
+                let delta = (actual_q.delay.as_secs_f64() - published_q.delay.as_secs_f64()).abs();
+                if delta > self.config.threshold * max {
+                    return true;
                 }
             }
         }
-        // Undeployment (migration away) is also always significant: the
-        // published list has entries the node no longer hosts.
+        // Undeployment (a crash or a node failure) is also always
+        // significant: the published list has entries the node no
+        // longer hosts.
         self.published[i].len() != system.node(v).component_count()
     }
 
@@ -885,27 +872,16 @@ mod tests {
         assert_rows_self_contained(&board, &sys);
         let total: usize = sys.registry().ids().map(|f| board.candidate_entries(f).len()).sum();
         assert_eq!(total, sys.dense_component_count(), "every component indexed at bootstrap");
-        // Churn: load (QoS republish), fail a node (withdrawals), then a
-        // migration (fresh dense id) — index stays the resorted view.
+        // Churn: load (QoS republish), then fail a node (withdrawals) —
+        // the index stays the resorted view.
         load_some_node(&mut sys, 1, true);
         board.refresh_nodes(&sys);
         assert_eq!(board.candidate_index(), &board.rebuilt_index(&sys), "after republish");
         assert_rows_self_contained(&board, &sys);
         let failed = OverlayNodeId(3);
         sys.fail_node(failed, RepairPolicy::Terminate, acp_simcore::SimTime::ZERO);
-        let mover = sys
-            .registry()
-            .ids()
-            .find_map(|f| sys.candidates(f).first().copied())
-            .expect("some function is hosted");
-        let target = sys
-            .overlay()
-            .nodes()
-            .find(|&v| sys.clone().migrate_component(mover, v).is_ok())
-            .expect("some node can take the component");
-        sys.migrate_component(mover, target).expect("checked on a clone");
         board.refresh_nodes(&sys);
-        assert_eq!(board.candidate_index(), &board.rebuilt_index(&sys), "after failure and migration");
+        assert_eq!(board.candidate_index(), &board.rebuilt_index(&sys), "after failure");
         assert_eq!(board.candidate_index(), &incrementally_built(&board, &sys), "bulk = row by row");
         assert_rows_self_contained(&board, &sys);
         assert!(

@@ -31,28 +31,16 @@ use crate::requests::{sample, RequestConfig, RequestGenerator, RequestTrace};
 /// recomposed after `FAILOVER_DELAY` (detection plus re-probing
 /// latency); the [`SystemAuditor`] re-checks every conservation
 /// invariant at each sampling point and after every failover sweep.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChurnConfig {
     /// Per-class fault rates and downtime distributions.
     pub faults: FaultPlanConfig,
-    /// Period of background [`Rebalancer`] rounds under churn; `None`
-    /// disables rebalancing.
-    pub rebalance_interval: Option<SimDuration>,
-}
-
-impl Default for ChurnConfig {
-    fn default() -> Self {
-        ChurnConfig {
-            faults: FaultPlanConfig::default(),
-            rebalance_interval: Some(SimDuration::from_minutes(5)),
-        }
-    }
 }
 
 impl ChurnConfig {
     /// A config with all fault rates scaled by `churn` (the grid knob).
     pub fn scaled(&self, churn: f64) -> Self {
-        ChurnConfig { faults: self.faults.scaled(churn), ..self.clone() }
+        ChurnConfig { faults: self.faults.scaled(churn) }
     }
 }
 
@@ -320,10 +308,6 @@ impl ScenarioConfig {
             (positive(self.sampling_period), "sampling_period must be positive"),
             (positive(self.local_refresh), "local_refresh must be positive"),
             (positive(self.aggregation_interval), "aggregation_interval must be positive"),
-            (
-                self.churn.as_ref().and_then(|c| c.rebalance_interval).is_none_or(positive),
-                "churn.rebalance_interval must be positive",
-            ),
             (preemption.is_none_or(|p| positive(p.interval)), "tenants.preemption.interval must be positive"),
             (
                 self.tenants.as_ref().is_none_or(|t| {
@@ -440,8 +424,6 @@ pub struct ScenarioResult {
     /// What the incremental auditor did: passes, full fallbacks, whole
     /// memo walks. The closing audit is not among them. In no digest.
     pub audit: AuditCounts,
-    /// Background migrations performed by the churn rebalancer.
-    pub migrations: u64,
     /// Final reservation-lease ledger (created / expired / released /
     /// promoted over the whole run).
     pub lease_stats: LeaseStats,
@@ -537,7 +519,6 @@ impl ScenarioResult {
             audit_violations: 0,
             audit_digest: 0,
             audit: AuditCounts::default(),
-            migrations: 0,
             lease_stats: LeaseStats::default(),
             leases_live_end: 0,
             leases_leaked: 0,
@@ -630,8 +611,6 @@ enum Event {
     /// delay) has elapsed. Scheduled only by repair-enabled runs, so
     /// every other configuration keeps an identical event stream.
     RepairSweep,
-    /// One background rebalancer round (churn only).
-    Rebalance,
     /// One tenant pressure-controller round (preemption only): scheduled
     /// solely when a `TenantsConfig` enables preemption, so every other
     /// configuration keeps an identical event stream.
@@ -651,7 +630,6 @@ const REPLAY_CAPACITY: usize = 60;
 
 /// Live fault-injection state carried by a churn scenario.
 struct ChurnState {
-    config: ChurnConfig,
     scheduler: FaultScheduler,
     /// Session-duration stream for recovered sessions; separate from the
     /// workload stream so enabling churn never perturbs the arrivals.
@@ -661,7 +639,6 @@ struct ChurnState {
     /// `due` is always `failed_at + FAILOVER_DELAY`; repair-enabled runs
     /// substitute `DETECTION`.
     pending: Vec<(SimTime, (SimTime, Request))>,
-    rebalancer: Rebalancer,
 }
 
 /// Live repair state carried by a repair-enabled scenario.
@@ -1139,17 +1116,6 @@ impl Model for ScenarioModel {
                 self.repair = Some(repair);
                 self.run_audit(now);
             }
-            Event::Rebalance => {
-                let Some(churn) = self.churn.as_mut() else { return };
-                let moved = churn.rebalancer.rebalance_round(&mut self.system);
-                self.result.migrations += moved.len() as u64;
-                self.result.overhead.state_update_messages += self.board.refresh_nodes(&self.system);
-                if let Some(interval) = churn.config.rebalance_interval {
-                    if now + interval <= SimTime::ZERO + self.config.duration {
-                        queue.schedule(now + interval, Event::Rebalance);
-                    }
-                }
-            }
             Event::TenantControl => {
                 let Some(mut tenants) = self.tenants.take() else { return };
                 if let Some(preemption) = tenants.config.preemption {
@@ -1250,7 +1216,7 @@ fn simulate(config: ScenarioConfig) -> ScenarioModel {
     // Generate the full fault plan up front from its own seed stream:
     // the schedule is fixed before the first arrival, so replaying the
     // same seed injects byte-identical faults regardless of workload.
-    let churn = config.churn.clone().map(|churn_config| {
+    let churn = config.churn.as_ref().map(|churn_config| {
         let plan = FaultPlan::generate(
             streams.seed_for("faults"),
             &churn_config.faults,
@@ -1265,8 +1231,6 @@ fn simulate(config: ScenarioConfig) -> ScenarioModel {
             scheduler: plan.into_scheduler(),
             rng: streams.stream("churn"),
             pending: Vec::new(),
-            rebalancer: Rebalancer::new(RebalanceConfig::default()),
-            config: churn_config,
         }
     });
 
@@ -1343,7 +1307,6 @@ fn simulate(config: ScenarioConfig) -> ScenarioModel {
     };
 
     let first_fault = model.churn.as_ref().and_then(|c| c.scheduler.next_time());
-    let rebalance_interval = model.churn.as_ref().and_then(|c| c.config.rebalance_interval);
     let tenant_interval =
         model.tenants.as_ref().and_then(|t| t.config.preemption.map(|p| p.interval));
     let mut sim = Simulation::new(model);
@@ -1355,9 +1318,6 @@ fn simulate(config: ScenarioConfig) -> ScenarioModel {
     sim.queue_mut().schedule(SimTime::ZERO + aggregation, Event::Aggregate);
     if let Some(t) = first_fault {
         sim.queue_mut().schedule(t, Event::Fault);
-    }
-    if let Some(interval) = rebalance_interval {
-        sim.queue_mut().schedule(SimTime::ZERO + interval, Event::Rebalance);
     }
     if let Some(interval) = tenant_interval {
         sim.queue_mut().schedule(SimTime::ZERO + interval, Event::TenantControl);
@@ -1851,7 +1811,6 @@ mod tests {
             let mut config = ScenarioConfig::small(seed);
             config.churn = Some(ChurnConfig {
                 faults: FaultPlanConfig { partition_per_min: 0.3, ..FaultPlanConfig::default() },
-                ..ChurnConfig::default()
             });
             config.repair = Some(RepairScenarioConfig::default());
             run_scenario(config)
@@ -1883,9 +1842,6 @@ mod tests {
         rejects("local_refresh", |c| c.local_refresh = SimDuration::ZERO);
         rejects("sampling_period", |c| c.sampling_period = SimDuration::ZERO);
         rejects("aggregation_interval", |c| c.aggregation_interval = SimDuration::ZERO);
-        rejects("rebalance_interval", |c| {
-            c.churn.as_mut().unwrap().rebalance_interval = Some(SimDuration::ZERO)
-        });
         rejects("preemption.interval", |c| {
             c.tenants.as_mut().unwrap().preemption.as_mut().unwrap().interval = SimDuration::ZERO
         });
@@ -1993,7 +1949,6 @@ mod tests {
         let mut config = ScenarioConfig::small(16);
         config.churn = Some(ChurnConfig {
             faults: FaultPlanConfig { partition_per_min: 0.3, ..FaultPlanConfig::default() }.scaled(2.0),
-            ..ChurnConfig::default()
         });
         config.repair = Some(RepairScenarioConfig::default());
         config.tenants = Some(TenantsConfig::standard_mix());

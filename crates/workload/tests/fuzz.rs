@@ -94,10 +94,7 @@ fn draw_config(rng: &mut StdRng) -> (ScenarioConfig, bool) {
             mean_partition_duration: SimDuration::from_secs(30),
             ..FaultPlanConfig::default()
         };
-        config.churn = Some(ChurnConfig {
-            faults: faults.scaled(rng.gen_range(1.0..6.0)),
-            rebalance_interval: pick(rng, &[None, Some(SimDuration::from_minutes(1))]),
-        });
+        config.churn = Some(ChurnConfig { faults: faults.scaled(rng.gen_range(1.0..6.0)) });
     }
     if rng.gen_bool(0.5) {
         config.repair = Some(RepairScenarioConfig {

@@ -53,7 +53,7 @@ step "fig_scale smoke (10k nodes x 50k sessions, RSS ceiling)" \
 
 # Every table of every figure on one universe (~1 s): the only place
 # outside a terminal where the tenant-isolation assert of `figures
-# tenants`, the dominance/audit/leak asserts of `figures repair`, the
+# tenants`, the kill/audit/leak asserts of `figures repair`, the
 # audit/isolation/leak/recovery asserts of `figures chaos` and the
 # ablation tables run.
 step "figures all (quick scale, seed 42, repair, tenant and chaos asserts)" \
@@ -64,7 +64,7 @@ step "figures all (quick scale, seed 42, repair, tenant and chaos asserts)" \
 # assert's panic goes to stderr.
 run_examples() {
     local example
-    for example in quickstart adaptive_tuning stock_monitoring video_surveillance rebalancing; do
+    for example in quickstart adaptive_tuning stock_monitoring video_surveillance; do
         echo "    example $example"
         cargo run --release -q --example "$example" >/dev/null
     done

@@ -6,9 +6,9 @@
 # time, and the oracle must pass on the pristine copy and fail on every
 # mutant. A mutant named 'FILE.rs: ...' must fail inside that test file.
 #
-#   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|repair|leases|routes|board|topology|audit|config] [WORKDIR]
+#   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|repair|leases|routes|board|topology|audit|config|claims] [WORKDIR]
 #
-# No suite name runs all thirteen, 36 mutants; WORKDIR defaults to
+# No suite name runs all fourteen, 37 mutants; WORKDIR defaults to
 # target/mutation-check.
 # The repository itself is never edited; the copy and its cargo target
 # directory live under WORKDIR.
@@ -191,9 +191,21 @@ config_mutants=(
     'the detection const becomes 0|s/^const DETECTION: SimDuration = SimDuration::from_secs(1);$/const DETECTION: SimDuration = SimDuration::ZERO;/'
 )
 
-suites=(selection optimal faults compose counters ledger repair leases routes board topology audit config)
+# The repair figure's replicate claim (`claims.rs`): a scenario that
+# strikes every fault under `Terminate`, whatever the arm, leaves the
+# repair arm killing as many sessions as restart does. Only the
+# per-universe kill claim notices; the survival lead over the 20
+# universes comes from restart retries, not splicing, and survives.
+claims_kernel=crates/workload/src/scenario.rs
+claims_target='-p acp-bench --test claims'
+claims_oracle=repair_kills_fewer_in_every_universe_and_survives_more_over_twenty
+claims_mutants=(
+    'claims.rs: faults struck under Terminate whatever the arm|s/^        let policy = self\.repair\.as_ref()\.map_or(RepairPolicy::Terminate, |r| r\.config\.policy);$/        let policy = RepairPolicy::Terminate;/'
+)
+
+suites=(selection optimal faults compose counters ledger repair leases routes board topology audit config claims)
 case "${1:-}" in
-    selection | optimal | faults | compose | counters | ledger | repair | leases | routes | board | topology | audit | config)
+    selection | optimal | faults | compose | counters | ledger | repair | leases | routes | board | topology | audit | config | claims)
         suites=("$1")
         shift
         ;;

@@ -69,7 +69,7 @@ fn component_crash_fails_over_its_sessions() {
     assert_eq!(undeployed, vec![victim]);
     assert_eq!(fates.len(), users, "every session using the component failed over");
     // The crashed component serves nothing and is gone from discovery.
-    assert!(!stack.system.component_in_use(victim));
+    assert!(stack.system.sessions().all(|s| !s.composition.assignment.contains(&victim)));
     for f in stack.system.registry().ids() {
         assert!(stack.system.candidates(f).iter().all(|&c| c != victim));
     }
