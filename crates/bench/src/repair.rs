@@ -87,8 +87,8 @@ pub fn repair_table(scale: &Scale, cells: &[Point<(f64, RepairPolicy)>]) -> Tabl
             format!("{:.1}", r.overall_success * 100.0),
             format!("{}", r.repair_opened),
             format!("{}", r.sessions_repaired),
-            format!("{}", r.sessions_restored),
-            format!("{}", r.repair_abandoned),
+            format!("{}", r.sessions_recovered),
+            format!("{}", r.sessions_lost),
             format!("{}", r.sessions_killed),
             format!("{:.1}", r.survival() * 100.0),
             format!("{:.2}", r.mttr_p50),

@@ -11,7 +11,8 @@ use acp_model::prelude::TenantTier;
 use acp_simcore::SimDuration;
 use acp_state::GlobalStateConfig;
 use acp_workload::{
-    run_scenario, tier_index, RateSchedule, ScenarioResult, TenantsConfig, TierSummary,
+    run_scenario, tier_index, ChurnConfig, RateSchedule, RepairPolicy, RepairScenarioConfig,
+    ScenarioResult, TenantsConfig, TierSummary,
 };
 
 fn fig6_style_point(incremental: bool) -> ScenarioResult {
@@ -163,35 +164,29 @@ fn single_gold_tenant_matches_tenant_less_scenario() {
     assert_eq!(tenanted.tenant_preemptions, 0);
 }
 
-/// The repair layer's inertness contract: a churn run with `repair:
-/// None` never touches the repair ledger, draws nothing from the repair
-/// RNG streams, and schedules no repair events — and attaching a repair
-/// config replays the *identical* fault plan (all repair randomness
-/// lives on label-derived streams), so the two runs differ only in how
-/// fault victims are recovered.
+/// One way back from a fault: a churn run without a repair config *is*
+/// the ticketed terminate-and-restart arm, field for field. And attaching
+/// the splice arm replays the *identical* fault plan (all repair
+/// randomness lives on label-derived streams), so the arms differ only in
+/// how fault victims are recovered.
 #[test]
-fn repair_less_churn_run_keeps_repair_ledger_silent_and_shares_fault_plan() {
+fn repair_less_churn_run_is_the_terminate_arm_and_shares_fault_plan() {
     let mut scale = Scale::quick();
     scale.duration = SimDuration::from_minutes(12);
     let mut config = scale.base_config(52);
     config.algorithm = AlgorithmKind::Acp;
     config.schedule = RateSchedule::constant(scale.anchor_rate);
-    config.churn = Some(acp_workload::ChurnConfig::default());
+    config.churn = Some(ChurnConfig::default());
     let plain = run_scenario(config.clone());
-
-    // Repair-less runs never touch the ledger.
-    assert_eq!(plain.repair_opened, 0, "no repair config, no tickets");
-    assert_eq!(plain.repair_attempts, 0);
-    assert_eq!(plain.sessions_repaired, 0);
-    assert_eq!(plain.sessions_restored, 0);
-    assert_eq!(plain.repair_abandoned, 0);
-    assert_eq!(plain.repair_cancelled, 0);
-    assert_eq!(plain.mttr.count, 0, "no recoveries, no MTTR samples");
     assert!(plain.fault_events > 0, "churn must inject faults");
+    assert!(plain.repair_opened > 0, "every kill opens a ticket");
 
-    // Same seed, repair attached: the fault plan and arrival schedule
+    config.repair = Some(RepairScenarioConfig { policy: RepairPolicy::Terminate, ..RepairScenarioConfig::default() });
+    assert_eq!(plain, run_scenario(config.clone()), "repair: None is the terminate arm");
+
+    // Same seed, splice arm attached: the fault plan and arrival schedule
     // are byte-identical — only the recovery path changes.
-    config.repair = Some(acp_workload::RepairScenarioConfig::default());
+    config.repair = Some(RepairScenarioConfig::default());
     let repaired = run_scenario(config);
     assert_eq!(plain.fault_digest, repaired.fault_digest, "repair must not perturb the fault plan");
     assert_eq!(plain.fault_events, repaired.fault_events);

@@ -294,12 +294,6 @@ impl TwoPhase {
         let transport = MessageFaultInjector::new(seed, config.faults.clone());
         TwoPhase { transport, backoff_rng: DeterministicRng::new(seed).stream("setup/backoff"), config }
     }
-
-    /// True when every fault class is disabled — the two-phase path then
-    /// behaves byte-identically to the plain path.
-    pub fn is_inert(&self) -> bool {
-        self.config.faults.is_inert()
-    }
 }
 
 impl SetupMode for TwoPhase {
@@ -1380,8 +1374,9 @@ mod tests {
         let plain = probe_compose(&mut sys_a, &board, &req, SimTime::ZERO, &cfg, &mut rng_a);
         let mut sys_b = sys0.clone();
         let mut rng_b = StdRng::seed_from_u64(9);
-        let mut setup = TwoPhase::new(77, SetupConfig::default());
-        assert!(setup.is_inert());
+        let config = SetupConfig::default();
+        assert_eq!(config.faults, MessageFaultConfig::default(), "every fault class disabled");
+        let mut setup = TwoPhase::new(77, config);
         let two = compose_with_mode(
             &mut sys_b,
             &board,

@@ -395,8 +395,10 @@ mod tests {
         assert_eq!(ticket.attempts, 1);
         assert_eq!(sys.session_count(), 1, "no mini-session residue");
         assert!(sys.lease_stats().reconciles(sys.live_lease_count() as u64));
-        // The budget-exhausted path abandons cleanly.
-        assert!(sys.abandon_repair(sid));
+        // The budget-exhausted path gives up cleanly, as a run does: the
+        // restart teardown, then the failed restart settles the ticket.
+        let restart = sys.terminate_for_restart(sid).expect("a live session");
+        sys.repair_ledger_mut().record_abandoned(restart.id);
         assert_eq!(sys.repair_ledger().abandoned, 1);
         assert!(sys.repair_ledger().reconciles());
         let report = SystemAuditor::default().audit(&sys);

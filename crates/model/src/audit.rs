@@ -706,7 +706,7 @@ impl SystemAuditor {
     fn audit_repair(&self, system: &StreamSystem, totals: &SessionTotals, out: &mut Vec<AuditViolation>) {
         let ledger = system.repair_ledger();
         if ledger.opened == 0 && !system.sessions().any(|s| s.is_degraded()) {
-            // Repair-free: no ticket was ever opened and no session
+            // Fault-free: no ticket was ever opened and no session
             // waits for one.
             return;
         }

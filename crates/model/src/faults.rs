@@ -569,17 +569,6 @@ impl StreamSystem {
         Ok(())
     }
 
-    /// Gives up on a degraded session: settles its repair ticket as
-    /// abandoned and terminates the session (`Killed`). Returns `false`
-    /// for unknown sessions.
-    pub fn abandon_repair(&mut self, id: SessionId) -> bool {
-        let Some(request) = self.sessions.get(id).map(|s| s.request) else {
-            return false;
-        };
-        self.repair_ledger.record_abandoned(request);
-        self.close_session_with_cause(id, SessionCloseCause::Killed).is_some()
-    }
-
     /// Gives up on *splicing* a degraded session but hands it to the
     /// restart path instead of settling its ticket: the session is
     /// terminated (`Killed`) while the ticket stays open, to be settled
@@ -715,23 +704,27 @@ mod tests {
         assert!(sys.lease_stats().reconciles(sys.live_lease_count() as u64));
     }
 
+    /// Giving up the way a run does: the restart teardown leaves the
+    /// ticket open, and the failed restart settles it as abandoned.
     #[test]
-    fn abandon_repair_settles_ticket_and_frees_books() {
+    fn giving_up_settles_ticket_and_frees_books() {
         let mut sys = build_system(42, 30);
         let auditor = crate::audit::SystemAuditor::default();
         let (request, composition) = repairable_request_and_composition(&mut sys);
         let c1 = composition.assignment[1];
         let sid = sys.commit_session(&request, composition).expect("qualified");
         sys.crash_component(c1, RepairPolicy::Repair, SimTime::from_secs(5));
-        assert!(sys.abandon_repair(sid));
+        let restart = sys.terminate_for_restart(sid).expect("a live session");
+        assert_eq!(restart.id, request.id);
         assert_eq!(sys.session_count(), 0);
+        assert!(sys.repair_ledger().ticket(request.id).is_some(), "the teardown leaves the ticket open");
+        sys.repair_ledger_mut().record_abandoned(request.id);
         let ledger = sys.repair_ledger();
         assert_eq!(ledger.abandoned, 1);
-        assert_eq!(ledger.cancelled, 0, "abandon must not double-settle via the close hook");
+        assert_eq!(ledger.cancelled, 0, "the teardown must not settle it via the close hook");
         assert!(ledger.reconciles());
         let report = auditor.audit(&sys);
         assert!(report.is_clean(), "{report}");
-        let _ = request;
     }
 
     #[test]

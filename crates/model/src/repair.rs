@@ -26,9 +26,10 @@ pub enum RepairPolicy {
     /// segment can be spliced in, make-before-break.
     Repair,
     /// Terminate-and-restart: the session is killed at fault time and
-    /// recomposed from scratch. With a repair ledger this is the baseline
+    /// recomposed from scratch, under a ticket of its own. The baseline
     /// arm (same detection latency, so MTTR is measured identically in
-    /// both arms); without one it is plain failover.
+    /// both arms), and what a churn scenario without a repair config
+    /// runs.
     Terminate,
 }
 
@@ -68,7 +69,7 @@ pub struct RepairTicket {
 /// open tickets sorted by request id plus lifetime counters and MTTR
 /// accumulators. A ticket is opened by every session degraded under
 /// [`RepairPolicy::Repair`] and by a restart driver; every other
-/// operation is a no-op without one, so a repair-free run leaves the
+/// operation is a no-op without one, so a fault-free run leaves the
 /// ledger at zero.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairLedger {
@@ -224,11 +225,6 @@ impl RepairLedger {
         &self.open
     }
 
-    /// Tickets settled successfully (either arm).
-    pub fn recovered(&self) -> u64 {
-        self.repaired + self.restored
-    }
-
     /// MTTR summary over settled (recovered) tickets, seconds.
     pub fn mttr_stats(&self) -> &SummaryStats {
         &self.mttr
@@ -293,7 +289,7 @@ mod tests {
         ledger.cancel(RequestId(2)); // second cancel is a no-op
         assert_eq!(ledger.restored, 1);
         assert_eq!(ledger.cancelled, 1);
-        assert_eq!(ledger.recovered(), 1);
+        assert_eq!((ledger.repaired, ledger.restored), (0, 1));
         assert!(ledger.reconciles());
         assert!(ledger.mttr_quantile(0.5).unwrap() < 10.0);
     }

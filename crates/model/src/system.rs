@@ -869,9 +869,10 @@ impl StreamSystem {
     /// Shared teardown: [`Self::teardown_session`], then cancels the
     /// session's repair ticket if it holds one. A session that closes
     /// for an unrelated reason (natural end, preemption) while awaiting
-    /// repair is no longer the ticket's business; abandonment settles
-    /// the ticket *before* closing, so this only catches genuinely
-    /// unrelated teardowns.
+    /// repair is no longer the ticket's business; a restart's teardown
+    /// ([`Self::terminate_for_restart`]) leaves the ticket open for the
+    /// restart to settle, so this only catches genuinely unrelated
+    /// teardowns.
     pub(crate) fn close_session_with_cause(&mut self, id: SessionId, cause: SessionCloseCause) -> Option<Session> {
         let session = self.teardown_session(id, cause)?;
         self.repair_ledger.cancel(session.request);

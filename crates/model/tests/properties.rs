@@ -470,7 +470,10 @@ mod lease_directory {
                 sys.release_request_transients(mini_request.id);
                 sys.close_session(mini);
             }
-            sys.abandon_repair(sid);
+            // Given up as a run gives up: the restart teardown, then
+            // the failed restart's settlement.
+            sys.terminate_for_restart(sid);
+            sys.repair_ledger_mut().record_abandoned(request.id);
             1
         }
     }

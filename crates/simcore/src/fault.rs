@@ -469,15 +469,6 @@ impl Default for MessageFaultConfig {
     }
 }
 
-impl MessageFaultConfig {
-    /// True when every fault class is disabled — the injector draws no
-    /// randomness and the setup path behaves exactly like the lossless
-    /// single-phase protocol.
-    pub fn is_inert(&self) -> bool {
-        self.probe_drop <= 0.0 && self.confirm_loss <= 0.0 && self.stale_ack <= 0.0
-    }
-}
-
 /// Seeded per-message fault sampler for the setup protocol.
 ///
 /// Each fault class draws from its own [`DeterministicRng`] stream, so
@@ -718,7 +709,7 @@ mod tests {
     #[test]
     fn inert_injector_never_faults() {
         let config = MessageFaultConfig::default();
-        assert!(config.is_inert());
+        assert_eq!((config.probe_drop, config.confirm_loss, config.stale_ack), (0.0, 0.0, 0.0));
         let mut inj = MessageFaultInjector::new(42, config);
         for _ in 0..1000 {
             assert!(!inj.probe_dropped());

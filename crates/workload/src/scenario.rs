@@ -27,10 +27,12 @@ use crate::requests::{sample, RequestConfig, RequestGenerator, RequestTrace};
 ///
 /// When present, a seeded [`FaultPlan`] is generated up front from the
 /// scenario's master seed and replayed against the running system,
-/// interleaved with the Poisson arrivals. Orphaned sessions are
-/// recomposed after `FAILOVER_DELAY` (detection plus re-probing
-/// latency); the [`SystemAuditor`] re-checks every conservation
-/// invariant at each sampling point and after every failover sweep.
+/// interleaved with the Poisson arrivals. Every session a fault strikes
+/// gets a repair ticket and is retried `DETECTION` later, as
+/// [`ScenarioConfig::repair`] says; without a repair config that is
+/// [`RepairPolicy::Terminate`], a restart from scratch. The
+/// [`SystemAuditor`] re-checks every conservation invariant at each
+/// sampling point and after every sweep.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChurnConfig {
     /// Per-class fault rates and downtime distributions.
@@ -44,14 +46,15 @@ impl ChurnConfig {
     }
 }
 
-/// Live-repair knob for a churn scenario.
+/// How a churn scenario brings fault-struck sessions back.
 ///
-/// When present, fault-struck *path* sessions are degraded in place
-/// instead of killed (under [`RepairPolicy::Repair`]), a repair ticket
-/// is opened per incident, and repair sweeps `DETECTION` later drive
+/// Every struck session gets a repair ticket. Under
+/// [`RepairPolicy::Repair`], fault-struck *path* sessions are degraded in
+/// place instead of killed, and repair sweeps `DETECTION` later drive
 /// the [`RepairPlanner`] over the degraded set in ascending session
-/// order. `None` (the default) draws no randomness, schedules no events,
-/// and maintains no ledger — byte-identical to a repair-less run.
+/// order; every other struck session is killed and restarted from
+/// scratch `DETECTION` later. A churn run without a repair config runs
+/// `RepairScenarioConfig { policy: RepairPolicy::Terminate, .. }`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairScenarioConfig {
     /// Repair attempts per ticket before the session is abandoned
@@ -232,9 +235,10 @@ pub struct ScenarioConfig {
     /// Multi-tenant admission control; `None` runs tenant-less, and a
     /// single `Gold` tenant is byte-identical to `None`.
     pub tenants: Option<TenantsConfig>,
-    /// Live session repair under churn (make-before-break suffix
-    /// recomposition after a detection latency, within a retry budget);
-    /// `None` keeps the kill-and-failover behaviour byte-identical to today.
+    /// How fault-struck sessions come back under churn: make-before-break
+    /// suffix recomposition or terminate-and-restart, after a detection
+    /// latency. `None` means `Some(RepairScenarioConfig { policy:
+    /// RepairPolicy::Terminate, .. })`.
     pub repair: Option<RepairScenarioConfig>,
 }
 
@@ -404,16 +408,16 @@ pub struct ScenarioResult {
     pub fault_digest: u64,
     /// Sessions terminated by faults.
     pub sessions_killed: u64,
-    /// Fault-terminated sessions successfully recomposed.
+    /// Fault-terminated sessions successfully recomposed: the repair
+    /// ledger's tickets settled as restored.
     pub sessions_recovered: u64,
-    /// Fault-terminated sessions that could not be recomposed.
+    /// Fault-terminated sessions that could not be recomposed: the
+    /// repair ledger's tickets settled as abandoned.
     pub sessions_lost: u64,
     /// Fault-terminated sessions still queued for their failover sweep
     /// when the run ended: `killed == recovered + lost + pending`. In no
     /// digest.
     pub sessions_pending: u64,
-    /// Fault-to-recomposition latency of recovered sessions (seconds).
-    pub recovery_latency: SummaryStats,
     /// Total audit violations across all audit passes (0 = invariants
     /// held throughout).
     pub audit_violations: u64,
@@ -454,18 +458,12 @@ pub struct ScenarioResult {
     /// global brackets at every audit point.
     pub tenant_violations: u64,
     /// Repair tickets opened (fault incidents on live sessions; 0
-    /// without a repair config).
+    /// without churn).
     pub repair_opened: u64,
     /// Repair/restart attempts charged across all tickets.
     pub repair_attempts: u64,
     /// Degraded sessions healed by an in-place segment splice.
     pub sessions_repaired: u64,
-    /// Ticketed sessions recovered by a full restart instead (the
-    /// terminate baseline, plus non-path sessions the planner cannot
-    /// segment).
-    pub sessions_restored: u64,
-    /// Tickets abandoned: retry budget exhausted or restart failed.
-    pub repair_abandoned: u64,
     /// Tickets cancelled by an unrelated session close while open.
     pub repair_cancelled: u64,
     /// Time-to-repair over recovered tickets, fault to settle, seconds
@@ -515,7 +513,6 @@ impl ScenarioResult {
             sessions_recovered: 0,
             sessions_lost: 0,
             sessions_pending: 0,
-            recovery_latency: SummaryStats::default(),
             audit_violations: 0,
             audit_digest: 0,
             audit: AuditCounts::default(),
@@ -532,8 +529,6 @@ impl ScenarioResult {
             repair_opened: 0,
             repair_attempts: 0,
             sessions_repaired: 0,
-            sessions_restored: 0,
-            repair_abandoned: 0,
             repair_cancelled: 0,
             mttr: SummaryStats::default(),
             mttr_p50: 0.0,
@@ -550,18 +545,18 @@ impl ScenarioResult {
     }
 
     /// Share of decisively settled repair incidents the session
-    /// survived: `(repaired + restored) / (repaired + restored +
-    /// abandoned)`. Cancelled tickets (the session closed naturally while
+    /// survived: `(repaired + recovered) / (repaired + recovered +
+    /// lost)`. Cancelled tickets (the session closed naturally while
     /// waiting) are excluded; 1.0 when nothing settled decisively.
     pub fn survival(&self) -> f64 {
-        let survived = self.sessions_repaired + self.sessions_restored;
-        share(survived, survived + self.repair_abandoned, 1.0)
+        let survived = self.sessions_repaired + self.sessions_recovered;
+        share(survived, survived + self.sessions_lost, 1.0)
     }
 
     /// Share of recoveries that preserved the running session (in-place
     /// splice rather than restart); 0 when nothing recovered.
     pub fn continuity(&self) -> f64 {
-        share(self.sessions_repaired, self.sessions_repaired + self.sessions_restored, 0.0)
+        share(self.sessions_repaired, self.sessions_repaired + self.sessions_recovered, 0.0)
     }
 
     /// The session digest with the audit digest folded in: two runs are
@@ -605,11 +600,12 @@ enum Event {
     Aggregate,
     /// Replay all fault-plan events due at this instant.
     Fault,
-    /// Recompose the sessions orphaned by recent faults.
+    /// Restart the sessions faults killed whose detection latency (or
+    /// retry delay) has elapsed.
     FailoverSweep,
     /// Repair the degraded sessions whose detection latency (or retry
-    /// delay) has elapsed. Scheduled only by repair-enabled runs, so
-    /// every other configuration keeps an identical event stream.
+    /// delay) has elapsed. Scheduled only under [`RepairPolicy::Repair`],
+    /// the one arm that degrades sessions.
     RepairSweep,
     /// One tenant pressure-controller round (preemption only): scheduled
     /// solely when a `TenantsConfig` enables preemption, so every other
@@ -617,33 +613,31 @@ enum Event {
     TenantControl,
 }
 
-/// Delay between a fault landing and the failover sweep that recomposes
-/// its orphaned sessions, in a run without repair.
-const FAILOVER_DELAY: SimDuration = SimDuration::from_secs(2);
-
 /// How long a fault goes unnoticed before its first repair (or restart)
-/// sweep, in a repair-enabled run.
+/// sweep.
 const DETECTION: SimDuration = SimDuration::from_secs(1);
 
 /// Cap on requests kept for trace-replay profiling.
 const REPLAY_CAPACITY: usize = 60;
 
-/// Live fault-injection state carried by a churn scenario.
-struct ChurnState {
+/// Live fault-injection and recovery state carried by a churn scenario.
+struct ChurnRuntime {
     scheduler: FaultScheduler,
-    /// Session-duration stream for recovered sessions; separate from the
+    /// How struck sessions come back: the run's repair config, or
+    /// terminate-and-restart without one.
+    repair: RepairScenarioConfig,
+    /// Session-duration stream for restarted sessions; separate from the
     /// workload stream so enabling churn never perturbs the arrivals.
     rng: StdRng,
-    /// Sessions orphaned by faults, as `(due, (failed_at, request))`: the
-    /// sweep recomposes an orphan once `due` has passed. Without repair,
-    /// `due` is always `failed_at + FAILOVER_DELAY`; repair-enabled runs
-    /// substitute `DETECTION`.
-    pending: Vec<(SimTime, (SimTime, Request))>,
+    /// Sessions killed by faults, as `(due, request)`: the failover sweep
+    /// restarts one once `due` has passed.
+    restarts: Vec<(SimTime, Request)>,
+    /// The in-place repair parts, under [`RepairPolicy::Repair`] only.
+    splicer: Option<Splicer>,
 }
 
-/// Live repair state carried by a repair-enabled scenario.
-struct RepairRuntime {
-    config: RepairScenarioConfig,
+/// What the splice arm needs beside the restart path.
+struct Splicer {
     planner: RepairPlanner,
     /// The ACP composer repair segments are probed with: its own seeds,
     /// so enabling repair never perturbs arrival compositions, and the
@@ -652,7 +646,7 @@ struct RepairRuntime {
     composer: Box<dyn Composer>,
     /// Degraded sessions awaiting their detection latency or retry
     /// delay, as `(due, session)`.
-    pending: Vec<(SimTime, SessionId)>,
+    degraded: Vec<(SimTime, SessionId)>,
 }
 
 /// Takes the entries of a `(due, …)` retry list whose time has come,
@@ -720,8 +714,7 @@ struct ScenarioModel {
     replay_seed: u64,
     counter: WindowedCounter,
     replay_key_offset: u64,
-    churn: Option<ChurnState>,
-    repair: Option<RepairRuntime>,
+    churn: Option<ChurnRuntime>,
     tenants: Option<TenantRuntime>,
     auditor: AuditCursor,
     /// The run's ledger: every handler adds its measurements here, and
@@ -788,39 +781,38 @@ impl ScenarioModel {
     /// and keeps what is the scenario's own: publishing the stale half
     /// of the board, ticket opening, and scheduling the two sweeps.
     ///
-    /// Without a repair config, struck sessions are killed and queued
-    /// for the failover sweep `FAILOVER_DELAY` later. Under
-    /// [`RepairPolicy::Repair`], path sessions are *degraded in place*
-    /// and queued for a repair sweep `DETECTION` later; non-path
-    /// sessions (and every session under [`RepairPolicy::Terminate`])
-    /// still die, but get a repair ticket so MTTR and survival are
-    /// measured identically in both arms.
-    fn apply_fault(&mut self, now: SimTime, kind: FaultKind, queue: &mut EventQueue<Event>) {
-        let policy = self.repair.as_ref().map_or(RepairPolicy::Terminate, |r| r.config.policy);
-        let fault = self.system.apply_fault(kind, policy, now);
+    /// Every session the fault struck is queued for a sweep `DETECTION`
+    /// later. Under [`RepairPolicy::Repair`], path sessions are
+    /// *degraded in place* and queued for a repair sweep; every other
+    /// struck session dies, gets a repair ticket, and is queued for the
+    /// failover sweep's restart, so MTTR and survival are measured
+    /// identically in both arms.
+    fn apply_fault(
+        &mut self,
+        churn: &mut ChurnRuntime,
+        now: SimTime,
+        kind: FaultKind,
+        queue: &mut EventQueue<Event>,
+    ) {
+        let fault = self.system.apply_fault(kind, churn.repair.policy, now);
         self.result.overhead.state_update_messages += self.board.publish(&self.system, fault.stale);
         let DegradeOutcome { degraded, orphaned } = fault.broken;
-        if orphaned.is_empty() && degraded.is_empty() {
-            return;
-        }
-        let churn = self.churn.as_mut().expect("faults imply churn");
         self.result.sessions_killed += orphaned.len() as u64;
         // Every session the fault struck is detected together.
-        let due = now + if self.repair.is_some() { DETECTION } else { FAILOVER_DELAY };
-        if let Some(repair) = self.repair.as_mut() {
-            // Killed sessions get restart tickets *after* the kill (so
-            // the close hook cannot cancel them); degraded sessions had
-            // theirs opened by the fault operator itself.
-            for request in &orphaned {
-                self.system.repair_ledger_mut().open_ticket(request.id, now);
-            }
-            if !degraded.is_empty() {
-                repair.pending.extend(degraded.into_iter().map(|sid| (due, sid)));
-                queue.schedule(due, Event::RepairSweep);
-            }
+        let due = now + DETECTION;
+        // Killed sessions get restart tickets *after* the kill (so the
+        // close hook cannot cancel them); degraded sessions had theirs
+        // opened by the fault operator itself.
+        for request in &orphaned {
+            self.system.repair_ledger_mut().open_ticket(request.id, now);
+        }
+        // Only the splice arm degrades, and only it has a splicer.
+        if let Some(splicer) = churn.splicer.as_mut().filter(|_| !degraded.is_empty()) {
+            splicer.degraded.extend(degraded.into_iter().map(|sid| (due, sid)));
+            queue.schedule(due, Event::RepairSweep);
         }
         if !orphaned.is_empty() {
-            churn.pending.extend(orphaned.into_iter().map(|r| (due, (now, r))));
+            churn.restarts.extend(orphaned.into_iter().map(|request| (due, request)));
             queue.schedule(due, Event::FailoverSweep);
         }
     }
@@ -974,146 +966,105 @@ impl Model for ScenarioModel {
                 }
             }
             Event::Fault => {
-                let due = match self.churn.as_mut() {
-                    Some(churn) => churn.scheduler.pop_due(now),
-                    None => Vec::new(),
-                };
-                for fault in due {
-                    self.apply_fault(now, fault.kind, queue);
+                let Some(mut churn) = self.churn.take() else { return };
+                for fault in churn.scheduler.pop_due(now) {
+                    self.apply_fault(&mut churn, now, fault.kind, queue);
                 }
-                if let Some(next) = self.churn.as_ref().and_then(|c| c.scheduler.next_time()) {
+                if let Some(next) = churn.scheduler.next_time() {
                     queue.schedule(next, Event::Fault);
                 }
+                self.churn = Some(churn);
             }
             Event::FailoverSweep => {
                 let Some(mut churn) = self.churn.take() else { return };
                 self.system.expire_transients(now);
                 // Only sessions whose due time has passed; later victims
                 // wait for the sweep scheduled by their own fault.
-                for (fail_time, request) in drain_due(&mut churn.pending, now) {
+                for request in drain_due(&mut churn.restarts, now) {
                     let outcome =
                         self.composer.compose(&mut self.system, &self.board, &request, now);
                     self.result.overhead += outcome.stats;
                     self.result.setup_stats += outcome.setup;
                     self.result.optimal_truncated += u64::from(outcome.truncated);
-                    match outcome.session {
-                        Some(sid) => {
-                            self.result.sessions_recovered += 1;
-                            self.result.recovery_latency.add((now - fail_time).as_secs_f64());
-                            if self.repair.is_some() {
-                                self.system.repair_ledger_mut().record_restored(request.id, now);
-                            }
-                            let minutes =
-                                sample(&mut churn.rng, self.config.requests.session_minutes);
-                            let end = now + SimDuration::from_secs_f64(minutes * 60.0);
-                            queue.schedule(end, Event::SessionEnd(sid));
+                    if let Some(sid) = outcome.session {
+                        self.system.repair_ledger_mut().record_restored(request.id, now);
+                        let minutes = sample(&mut churn.rng, self.config.requests.session_minutes);
+                        let end = now + SimDuration::from_secs_f64(minutes * 60.0);
+                        queue.schedule(end, Event::SessionEnd(sid));
+                        continue;
+                    }
+                    // Repair arm: restarts share the ticket's retry
+                    // budget and re-queue until it runs out. The
+                    // terminate arm stays single-shot by contract.
+                    let retry = if churn.repair.policy == RepairPolicy::Repair {
+                        retry_at(&churn.repair, self.system.repair_ledger(), Some(request.id), now)
+                    } else {
+                        None
+                    };
+                    let ledger = self.system.repair_ledger_mut();
+                    match retry {
+                        Some(at) => {
+                            ledger.begin_attempt(request.id);
+                            ledger.attempt_failed(request.id);
+                            churn.restarts.push((at, request));
+                            queue.schedule(at, Event::FailoverSweep);
                         }
-                        None => {
-                            // Repair arm: restarts share the ticket's
-                            // retry budget and re-queue until it runs
-                            // out. The terminate baseline stays
-                            // single-shot by contract.
-                            let retry = self
-                                .repair
-                                .as_ref()
-                                .filter(|r| r.config.policy == RepairPolicy::Repair)
-                                .and_then(|r| {
-                                    retry_at(&r.config, self.system.repair_ledger(), Some(request.id), now)
-                                });
-                            match retry {
-                                Some(at) => {
-                                    let ledger = self.system.repair_ledger_mut();
-                                    ledger.begin_attempt(request.id);
-                                    ledger.attempt_failed(request.id);
-                                    churn.pending.push((at, (fail_time, request)));
-                                    queue.schedule(at, Event::FailoverSweep);
-                                }
-                                None => {
-                                    self.result.sessions_lost += 1;
-                                    // A failed restart with no budget
-                                    // left settles the ticket.
-                                    if self.repair.is_some() {
-                                        self.system.repair_ledger_mut().record_abandoned(request.id);
-                                    }
-                                }
-                            }
-                        }
+                        // A failed restart with no budget left settles
+                        // the ticket.
+                        None => ledger.record_abandoned(request.id),
                     }
                 }
                 self.churn = Some(churn);
                 self.run_audit(now);
             }
             Event::RepairSweep => {
-                let Some(mut repair) = self.repair.take() else { return };
+                let Some(mut churn) = self.churn.take() else { return };
                 self.system.expire_transients(now);
-                let mut due = drain_due(&mut repair.pending, now);
-                // Canonical order: ascending session id.
-                due.sort_unstable();
-                due.dedup();
-                let RepairRuntime { config: repair_config, planner, composer, pending, .. } = &mut repair;
-                for sid in due {
-                    let attempt = planner.repair_session(
-                        &mut self.system,
-                        &self.board,
-                        sid,
-                        now,
-                        composer.as_mut(),
-                        self.config.probing.transient_timeout,
-                    );
-                    if let Some(probing) = attempt.probing {
-                        self.result.overhead += probing.stats;
-                        self.result.setup_stats += probing.setup;
-                    }
-                    match attempt.verdict {
+                if let Some(Splicer { planner, composer, degraded }) = churn.splicer.as_mut() {
+                    let mut due = drain_due(degraded, now);
+                    // Canonical order: ascending session id.
+                    due.sort_unstable();
+                    due.dedup();
+                    for sid in due {
+                        let attempt = planner.repair_session(
+                            &mut self.system,
+                            &self.board,
+                            sid,
+                            now,
+                            composer.as_mut(),
+                            self.config.probing.transient_timeout,
+                        );
+                        if let Some(probing) = attempt.probing {
+                            self.result.overhead += probing.stats;
+                            self.result.setup_stats += probing.setup;
+                        }
                         // Repaired settles the ticket in the ledger;
                         // NotDegraded means the session ended or was
                         // already healed — nothing left to do.
-                        RepairVerdict::Repaired | RepairVerdict::NotDegraded => {}
-                        RepairVerdict::Failed(ref failure) => {
-                            let request = self.system.session(sid).map(|s| s.request);
-                            let retry = retry_at(repair_config, self.system.repair_ledger(), request, now);
-                            if let Some(retry) = retry.filter(|_| failure.is_transient()) {
-                                // Boundary contention eases within
-                                // seconds — re-splice, budget allowing.
-                                pending.push((retry, sid));
-                                queue.schedule(retry, Event::RepairSweep);
-                            } else {
-                                // Structural failure (or budget spent):
-                                // a later re-splice of the same segment
-                                // is deterministic, so escalate to
-                                // terminate-restart now. The session
-                                // dies but its ticket stays open — the
-                                // failover recompose settles it as
-                                // restored or abandoned, so the repair
-                                // arm is never worse than the restart
-                                // baseline.
-                                match self.system.terminate_for_restart(sid) {
-                                    Some(request) if self.churn.is_some() => {
-                                        let fail_time = self
-                                            .system
-                                            .repair_ledger()
-                                            .ticket(request.id)
-                                            .map_or(now, |t| t.failed_at);
-                                        let churn = self.churn.as_mut().expect("checked");
-                                        self.result.sessions_killed += 1;
-                                        churn.pending.push((now, (fail_time, request)));
-                                        queue.schedule(now, Event::FailoverSweep);
-                                    }
-                                    Some(request) => {
-                                        // No churn runtime to restart
-                                        // through (defensive): settle as
-                                        // abandoned.
-                                        self.system
-                                            .repair_ledger_mut()
-                                            .record_abandoned(request.id);
-                                    }
-                                    None => {}
-                                }
-                            }
+                        let RepairVerdict::Failed(failure) = attempt.verdict else { continue };
+                        let request = self.system.session(sid).map(|s| s.request);
+                        let retry = retry_at(&churn.repair, self.system.repair_ledger(), request, now);
+                        if let Some(retry) = retry.filter(|_| failure.is_transient()) {
+                            // Boundary contention eases within seconds —
+                            // re-splice, budget allowing.
+                            degraded.push((retry, sid));
+                            queue.schedule(retry, Event::RepairSweep);
+                        } else if let Some(request) = self.system.terminate_for_restart(sid) {
+                            // Structural failure (or budget spent): a
+                            // later re-splice of the same segment is
+                            // deterministic, so escalate to
+                            // terminate-restart now. The session dies but
+                            // its ticket stays open — the failover
+                            // restart settles it as restored or
+                            // abandoned, so the repair arm is never worse
+                            // than the restart baseline.
+                            self.result.sessions_killed += 1;
+                            churn.restarts.push((now, request));
+                            queue.schedule(now, Event::FailoverSweep);
                         }
                     }
                 }
-                self.repair = Some(repair);
+                self.churn = Some(churn);
                 self.run_audit(now);
             }
             Event::TenantControl => {
@@ -1227,27 +1178,32 @@ fn simulate(config: ScenarioConfig) -> ScenarioModel {
         result.fault_events = plan.len();
         result.fault_kinds = plan.distinct_kinds();
         result.fault_digest = plan.digest();
-        ChurnState {
+        // Without a repair config, the terminate-and-restart arm.
+        let repair = config.repair.clone().unwrap_or(RepairScenarioConfig {
+            policy: RepairPolicy::Terminate,
+            ..RepairScenarioConfig::default()
+        });
+        // The splicer's streams are label-derived, so the splice arm never
+        // perturbs arrivals, faults, or the main composer. Its composer is
+        // ACP whatever the run's algorithm, under the run's setup mode on
+        // a seed of its own.
+        let splicer = (repair.policy == RepairPolicy::Repair).then(|| Splicer {
+            planner: RepairPlanner::new(),
+            composer: AlgorithmKind::Acp.build_composer(
+                config.probing.clone(),
+                config.optimal,
+                streams.seed_for("repair-compose"),
+                config.setup.clone().map(|setup| (streams.seed_for("repair-setup"), setup)),
+            ),
+            degraded: Vec::new(),
+        });
+        ChurnRuntime {
             scheduler: plan.into_scheduler(),
+            repair,
             rng: streams.stream("churn"),
-            pending: Vec::new(),
+            restarts: Vec::new(),
+            splicer,
         }
-    });
-
-    // Repair runtime: its streams are label-derived, so enabling repair
-    // never perturbs arrivals, faults, or the main composer. Its composer
-    // is ACP whatever the run's algorithm, under the run's setup mode on
-    // a seed of its own.
-    let repair = config.repair.clone().map(|repair_config| RepairRuntime {
-        planner: RepairPlanner::new(),
-        composer: AlgorithmKind::Acp.build_composer(
-            config.probing.clone(),
-            config.optimal,
-            streams.seed_for("repair-compose"),
-            config.setup.clone().map(|setup| (streams.seed_for("repair-setup"), setup)),
-        ),
-        pending: Vec::new(),
-        config: repair_config,
     });
 
     // Tenant population: ids are indices into the spec vec, registered
@@ -1302,7 +1258,6 @@ fn simulate(config: ScenarioConfig) -> ScenarioModel {
         tenants,
         auditor: AuditCursor::default(),
         result,
-        repair,
         config,
     };
 
@@ -1363,7 +1318,7 @@ fn summarize(mut model: ScenarioModel) -> ScenarioResult {
         result.profiling_runs = tuner.profiling_runs();
     }
     if let Some(churn) = &churn {
-        result.sessions_pending = churn.pending.len() as u64;
+        result.sessions_pending = churn.restarts.len() as u64;
     }
     // Session fates per tier (preempted / killed / live) are the tenant
     // ledger's; the admission columns were counted as they happened.
@@ -1377,8 +1332,8 @@ fn summarize(mut model: ScenarioModel) -> ScenarioResult {
     result.repair_opened = ledger.opened;
     result.repair_attempts = ledger.attempts;
     result.sessions_repaired = ledger.repaired;
-    result.sessions_restored = ledger.restored;
-    result.repair_abandoned = ledger.abandoned;
+    result.sessions_recovered = ledger.restored;
+    result.sessions_lost = ledger.abandoned;
     result.repair_cancelled = ledger.cancelled;
     result.mttr = *ledger.mttr_stats();
     result.mttr_p50 = ledger.mttr_quantile(0.5).unwrap_or(0.0);
@@ -1531,10 +1486,13 @@ mod tests {
         );
         assert_eq!(result.audit_violations, 0, "invariants must hold under churn");
         assert!(result.audit_digest != 0, "audit passes must have run");
-        if result.sessions_recovered > 0 {
-            let mean = result.recovery_latency.mean().expect("recovered sessions have latency");
-            assert!(mean >= 2.0, "failover delay floor is 2 s, mean {mean}");
-        }
+        // Without a repair config, the terminate arm: every kill is
+        // ticketed and restarted, nothing is spliced.
+        assert!(result.sessions_recovered > 0, "restarts must land");
+        assert_eq!(result.sessions_repaired, 0, "terminate arm never splices");
+        assert_eq!(result.repair_opened, result.sessions_killed, "every kill opens a ticket");
+        assert_eq!(result.repair_cancelled, 0, "a killed session has no close to cancel it");
+        assert!(result.mttr.min >= 1.0, "the detection latency floors MTTR, min {}", result.mttr.min);
     }
 
     #[test]
@@ -1726,8 +1684,8 @@ mod tests {
         // tickets still open at the horizon.
         assert!(
             result.sessions_repaired
-                + result.sessions_restored
-                + result.repair_abandoned
+                + result.sessions_recovered
+                + result.sessions_lost
                 + result.repair_cancelled
                 <= result.repair_opened
         );
@@ -1759,29 +1717,6 @@ mod tests {
         assert_eq!(a.repair_attempts, b.repair_attempts);
         assert_eq!(a.mttr, b.mttr);
         assert_eq!(a.sim_events, b.sim_events);
-    }
-
-    #[test]
-    fn terminate_policy_restores_instead_of_splicing() {
-        let mut config = ScenarioConfig::small(9);
-        config.churn = Some(ChurnConfig::default());
-        config.repair = Some(RepairScenarioConfig {
-            policy: RepairPolicy::Terminate,
-            ..RepairScenarioConfig::default()
-        });
-        let result = run_scenario(config);
-        assert_eq!(result.sessions_repaired, 0, "terminate arm never splices");
-        assert!(result.sessions_restored > 0, "restarts must land");
-        assert_eq!(
-            result.sessions_restored, result.sessions_recovered,
-            "every successful restart settles its ticket as restored"
-        );
-        assert_eq!(
-            result.repair_abandoned, result.sessions_lost,
-            "every failed restart settles its ticket as abandoned"
-        );
-        assert!(result.sessions_killed > 0, "terminate arm kills at fault time");
-        assert_eq!(result.audit_violations, 0);
     }
 
     #[test]
@@ -1980,8 +1915,7 @@ mod tests {
         assert_eq!(r.total_successes, tiers(|t| t.composed));
         assert_eq!(tiers(|t| t.offered), tiers(|t| t.shed + t.composed + t.failed), "shed, composed or failed");
         assert_eq!(r.sessions_killed, r.sessions_recovered + r.sessions_lost + r.sessions_pending);
-        assert_eq!(r.recovery_latency.count, r.sessions_recovered, "one latency sample per recovery");
-        assert_eq!(r.sessions_restored, r.sessions_recovered, "every recompose settles its ticket as restored");
+        assert_eq!(r.mttr.count, r.sessions_repaired + r.sessions_recovered, "one MTTR sample per recovery");
         assert_eq!(r.messages_per_minute, r.overhead.total_messages() as f64 / minutes);
         assert_eq!(r.probe_messages_per_minute, r.overhead.probe_messages as f64 / minutes);
         assert_eq!(r.overall_success, r.total_successes as f64 / r.total_requests as f64);
@@ -2001,8 +1935,8 @@ mod tests {
         assert_eq!(blank.tenant_tiers[0].success_rate(), 0.0);
         let settled = ScenarioResult {
             sessions_repaired: 6,
-            sessions_restored: 2,
-            repair_abandoned: 1,
+            sessions_recovered: 2,
+            sessions_lost: 1,
             repair_cancelled: 1,
             fault_hit_successes: 9,
             setup_stats: SetupStats { fault_failures: 1, ..SetupStats::default() },

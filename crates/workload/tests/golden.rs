@@ -1,14 +1,18 @@
 //! Golden digests: "byte-identical digests are the contract", as
-//! constants. `ScenarioConfig::small(16)` under nine feature sets, each
+//! constants. `ScenarioConfig::small(16)` under seven feature sets, each
 //! pinned on its chaos digest, event and probe counts, and the fault and
 //! repair ledgers. A refactor of the fault, repair, tenant or setup paths
 //! must leave every row untouched; a change that moves one on purpose
-//! re-records it here and says why. The eight churn rows were re-recorded
-//! when background component migration was deleted: they are what the
-//! old code computed with migration rounds switched off.
+//! re-records it here and says why. The churn rows were re-recorded when
+//! background component migration was deleted: they are what the old
+//! code computed with migration rounds switched off. The three repair-less
+//! rows were re-recorded again when the repair-less failover fork (a 2 s
+//! restart without a ticket) folded into the ticketed terminate arm: they
+//! are what the old code computed with `RepairPolicy::Terminate`, so the
+//! two terminate rows that pinned exactly that went with the fork.
 //!
 //! Partition faults are off at the default rates
-//! (`FaultPlanConfig::default().partition_per_min == 0.0`), so the four
+//! (`FaultPlanConfig::default().partition_per_min == 0.0`), so the three
 //! partition rows are the only place the cut, its per-link refcount and
 //! the heal run under a pinned digest.
 
@@ -27,10 +31,11 @@ struct Golden {
     probe_messages: u64,
     /// `(fault_events, fault_kinds)` of the generated plan.
     faults: (usize, usize),
-    /// `(killed, recovered, lost)`.
+    /// `(killed, recovered, lost)`; recovered and lost are the repair
+    /// ledger's restored and abandoned tickets.
     sessions: (u64, u64, u64),
-    /// `(opened, repaired, restored, abandoned, cancelled)`.
-    repair: (u64, u64, u64, u64, u64),
+    /// `(opened, repaired, cancelled)` tickets.
+    repair: (u64, u64, u64),
 }
 
 fn check(name: &str, config: ScenarioConfig, want: Golden) -> ScenarioResult {
@@ -54,15 +59,9 @@ fn check(name: &str, config: ScenarioConfig, want: Golden) -> ScenarioResult {
         "{name}: killed / recovered / lost"
     );
     assert_eq!(
-        (
-            got.repair_opened,
-            got.sessions_repaired,
-            got.sessions_restored,
-            got.repair_abandoned,
-            got.repair_cancelled
-        ),
+        (got.repair_opened, got.sessions_repaired, got.repair_cancelled),
         want.repair,
-        "{name}: opened / repaired / restored / abandoned / cancelled"
+        "{name}: opened / repaired / cancelled"
     );
     got
 }
@@ -97,7 +96,7 @@ fn plain() {
             probe_messages: 3_606,
             faults: (0, 0),
             sessions: (0, 0, 0),
-            repair: (0, 0, 0, 0, 0),
+            repair: (0, 0, 0),
         },
     );
 }
@@ -108,13 +107,13 @@ fn churn() {
         "churn",
         with(ChurnConfig::default(), None),
         Golden {
-            chaos_digest: 0xdad1_4026_eb3f_2ad2,
-            sim_events: 590,
+            chaos_digest: 0x718b_9989_daa4_b0bd,
+            sim_events: 594,
             total_successes: 210,
-            probe_messages: 7_409,
+            probe_messages: 7_504,
             faults: (57, 6),
-            sessions: (247, 246, 1),
-            repair: (0, 0, 0, 0, 0),
+            sessions: (252, 249, 3),
+            repair: (252, 0, 0),
         },
     );
 }
@@ -125,13 +124,13 @@ fn churn_scaled() {
         "churn x2",
         with(ChurnConfig::default().scaled(2.0), None),
         Golden {
-            chaos_digest: 0x4785_af8e_31b5_0cd4,
-            sim_events: 699,
+            chaos_digest: 0xb08c_cfff_daff_8a30,
+            sim_events: 702,
             total_successes: 210,
-            probe_messages: 6_496,
+            probe_messages: 6_727,
             faults: (118, 6),
-            sessions: (249, 247, 2),
-            repair: (0, 0, 0, 0, 0),
+            sessions: (266, 262, 4),
+            repair: (266, 0, 0),
         },
     );
 }
@@ -142,13 +141,13 @@ fn churn_with_partitions() {
         "partitions",
         with(partitions(), None),
         Golden {
-            chaos_digest: 0xa226_45a2_20cf_046b,
-            sim_events: 619,
+            chaos_digest: 0x7795_d751_7b87_de0a,
+            sim_events: 624,
             total_successes: 205,
-            probe_messages: 8_879,
+            probe_messages: 9_146,
             faults: (63, 8),
-            sessions: (352, 338, 14),
-            repair: (0, 0, 0, 0, 0),
+            sessions: (373, 357, 16),
+            repair: (373, 0, 0),
         },
     );
 }
@@ -165,24 +164,7 @@ fn churn_repair() {
             probe_messages: 6_834,
             faults: (57, 6),
             sessions: (166, 166, 0),
-            repair: (240, 74, 166, 0, 0),
-        },
-    );
-}
-
-#[test]
-fn churn_terminate() {
-    check(
-        "churn + terminate tickets",
-        with(ChurnConfig::default(), Some(RepairPolicy::Terminate)),
-        Golden {
-            chaos_digest: 0x718b_9989_daa4_b0bd,
-            sim_events: 594,
-            total_successes: 210,
-            probe_messages: 7_504,
-            faults: (57, 6),
-            sessions: (252, 249, 3),
-            repair: (252, 0, 249, 3, 0),
+            repair: (240, 74, 0),
         },
     );
 }
@@ -199,24 +181,7 @@ fn partitions_repair() {
             probe_messages: 8_567,
             faults: (63, 8),
             sessions: (252, 244, 8),
-            repair: (332, 79, 244, 8, 1),
-        },
-    );
-}
-
-#[test]
-fn partitions_terminate() {
-    check(
-        "partitions + terminate tickets",
-        with(partitions(), Some(RepairPolicy::Terminate)),
-        Golden {
-            chaos_digest: 0x7795_d751_7b87_de0a,
-            sim_events: 624,
-            total_successes: 205,
-            probe_messages: 9_146,
-            faults: (63, 8),
-            sessions: (373, 357, 16),
-            repair: (373, 0, 357, 16, 0),
+            repair: (332, 79, 1),
         },
     );
 }
@@ -247,7 +212,7 @@ fn full_stack() {
             probe_messages: 12_892,
             faults: (130, 8),
             sessions: (393, 375, 18),
-            repair: (488, 95, 375, 18, 0),
+            repair: (488, 95, 0),
         },
     );
     // The one row with two-phase setup: arrivals, failover recomposes and

@@ -6,9 +6,9 @@
 # time, and the oracle must pass on the pristine copy and fail on every
 # mutant. A mutant named 'FILE.rs: ...' must fail inside that test file.
 #
-#   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|repair|leases|routes|board|topology|audit|config|claims] [WORKDIR]
+#   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|repair|recovery|leases|routes|board|topology|audit|config|claims] [WORKDIR]
 #
-# No suite name runs all fourteen, 37 mutants; WORKDIR defaults to
+# No suite name runs all fifteen, 40 mutants; WORKDIR defaults to
 # target/mutation-check.
 # The repository itself is never edited; the copy and its cargo target
 # directory live under WORKDIR.
@@ -41,9 +41,9 @@ optimal_mutants=(
     'max over successors in the to-go bound|s/^                    let mut cheapest = f64::INFINITY;$/                    let mut cheapest = 0.0f64;/; s/cheapest = cheapest\.min(/cheapest = cheapest.max(/'
     'non-tree edge charged in both subtrees|s/^                let tree_edge = graph\.in_edges(w)\[0\] == e;$/                let tree_edge = true;/'
 )
-# The fault path has no reference twin; its oracle is the nine golden
+# The fault path has no reference twin; its oracle is the seven golden
 # scenario digests. The first mutant degrades path sessions whatever the
-# policy says (so plain failover leaves them broken for ever); the second
+# policy says (so the terminate arm leaves them broken for ever); the second
 # lets an individual restore re-open a link a live partition still holds;
 # the third has the restart teardown cancel the repair ticket the restart
 # must settle (golden.rs pins each repair row's ticket tuple).
@@ -88,8 +88,8 @@ counters_mutants=(
 # The scenario's one ledger: each handler adds its measurements into the
 # ScenarioResult the run returns, and nothing re-derives them, so a
 # handler that forgets to is caught only by a pinned number. The first
-# drops the failover path's recoveries (golden.rs pins killed / recovered
-# / lost); the second leaves repair splices' probing rounds out of the
+# drops the recoveries the summary reads off the repair ledger (golden.rs
+# pins killed / recovered / lost); the second leaves repair splices' probing rounds out of the
 # setup ledger (golden.rs pins the full stack's rounds); the third books a
 # tenant's successful composition as a failure (counters.rs pins the
 # tenant sweep's tier rows).
@@ -97,8 +97,8 @@ ledger_kernel=crates/workload/src/scenario.rs
 ledger_target='-p acp-workload -p acp-bench --test golden --test counters --test chaos --no-fail-fast'
 ledger_oracle= # every test of the three targets
 ledger_mutants=(
-    'golden.rs: recoveries not counted on the failover path|s/^                            self\.result\.sessions_recovered += 1;$/                            self.result.sessions_recovered += 0;/'
-    'golden.rs: setup ledger not summed for repair composes|s/^                        self\.result\.setup_stats += probing\.setup;$//'
+    'golden.rs: recoveries not read off the repair ledger|s/^    result\.sessions_recovered = ledger\.restored;$/    result.sessions_recovered = 0;/'
+    'golden.rs: setup ledger not summed for repair composes|s/^                            self\.result\.setup_stats += probing\.setup;$//'
     'counters.rs: tier failed bumped on success|s/^                            tier\.composed += 1;$/                            tier.failed += 1;/'
 )
 
@@ -111,6 +111,21 @@ repair_target='-p acp-workload --test golden'
 repair_oracle= # every test of the target
 repair_mutants=(
     'golden.rs: repair transport seeded from the arrival label|s/streams\.seed_for("repair-setup")/streams.seed_for("setup")/'
+)
+
+# One way back from a fault: every session a fault kills gets a repair
+# ticket, the failover sweep's restart settles it, and both happen one
+# detection latency after the fault. A kill left without a ticket, a
+# restart that leaves its ticket open, and a restart delay doubled (the
+# old repair-less fork's 2 s) each move a golden row's sessions or
+# tickets.
+recovery_kernel=crates/workload/src/scenario.rs
+recovery_target='-p acp-workload --test golden'
+recovery_oracle= # every test of the target
+recovery_mutants=(
+    'golden.rs: killed sessions get no ticket|s/^            self\.system\.repair_ledger_mut()\.open_ticket(request\.id, now);$//'
+    'golden.rs: a successful restart leaves its ticket open|s/^                        self\.system\.repair_ledger_mut()\.record_restored(request\.id, now);$//'
+    'golden.rs: the restart delay doubles|s/^            churn\.restarts\.extend(orphaned\.into_iter()\.map(|request| (due, request)));$/            churn.restarts.extend(orphaned.into_iter().map(|request| (due + DETECTION, request)));/; s/^            queue\.schedule(due, Event::FailoverSweep);$/            queue.schedule(due + DETECTION, Event::FailoverSweep);/'
 )
 
 # Three kernels kept exact by a differential proptest each. A site that
@@ -200,12 +215,12 @@ claims_kernel=crates/workload/src/scenario.rs
 claims_target='-p acp-bench --test claims'
 claims_oracle=repair_kills_fewer_in_every_universe_and_survives_more_over_twenty
 claims_mutants=(
-    'claims.rs: faults struck under Terminate whatever the arm|s/^        let policy = self\.repair\.as_ref()\.map_or(RepairPolicy::Terminate, |r| r\.config\.policy);$/        let policy = RepairPolicy::Terminate;/'
+    'claims.rs: faults struck under Terminate whatever the arm|s/^        let fault = self\.system\.apply_fault(kind, churn\.repair\.policy, now);$/        let fault = self.system.apply_fault(kind, RepairPolicy::Terminate, now);/'
 )
 
-suites=(selection optimal faults compose counters ledger repair leases routes board topology audit config claims)
+suites=(selection optimal faults compose counters ledger repair recovery leases routes board topology audit config claims)
 case "${1:-}" in
-    selection | optimal | faults | compose | counters | ledger | repair | leases | routes | board | topology | audit | config | claims)
+    selection | optimal | faults | compose | counters | ledger | repair | recovery | leases | routes | board | topology | audit | config | claims)
         suites=("$1")
         shift
         ;;
