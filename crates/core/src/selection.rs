@@ -181,8 +181,12 @@ pub(crate) fn resolved_link(system: &StreamSystem, from: OverlayNodeId, to: Over
 /// are read in place in the path memo; the key is computed from the row
 /// and compared with the kept worst before anything is kept, so a row
 /// that does not enter the top `quota` costs no refcount and no
-/// allocation. Deliberately not generic (ranking draws no randomness):
-/// the loop and every private helper compile together in this crate.
+/// allocation. Once the list is full, the kept worst's band is priced
+/// once per band change ([`Cutoffs`]): the early exit is an integer
+/// compare, a row past the band is dropped on its risk alone, and only
+/// a row that enters is divided by ε. Deliberately not generic (ranking
+/// draws no randomness): the loop and every private helper compile
+/// together in this crate.
 fn ranked_walk(
     system: &mut StreamSystem,
     board: &GlobalStateBoard,
@@ -196,16 +200,35 @@ fn ranked_walk(
     let acc = accumulated_over(predecessors);
     let acc_delay = acc.delay.as_secs_f64();
     let entries = board.candidate_entries(hop.function);
+    // The kept worst's cutoffs, and the band they were priced for:
+    // priced when a full list's next row is looked at, so a walk that
+    // runs out of rows as its list fills prices nothing; `None` until
+    // then, and where that band falls back.
+    let mut cut: Option<Cutoffs> = None;
+    let mut priced_band: Option<i64> = None;
+    let mut fell_back = false;
     ranked.clear();
     for (pos, entry) in entries.iter().enumerate() {
         if ranked.len() == quota {
-            // The index walks ascending published delay, so this
-            // delay-only risk lower bound is nondecreasing: the
-            // first entry that cannot beat the kept worst ends
-            // the walk for every remaining entry too.
-            let d_lb = risk_delay_lower_bound(acc_delay, entry.qos.delay.as_secs_f64(), hop.max_delay_secs);
-            if cannot_beat(&ranked[ranked.len() - 1].0, d_lb, risk_epsilon) {
-                break;
+            let band = ranked[quota - 1].0.band;
+            if priced_band != Some(band) {
+                priced_band = Some(band);
+                cut = Cutoffs::new(band, acc_delay, hop.max_delay_secs, risk_epsilon);
+            }
+            if let Some(cut) = cut {
+                if entry.qos.delay.as_micros() >= cut.exit_us {
+                    break;
+                }
+            } else {
+                fell_back = true;
+                // The index walks ascending published delay, so this
+                // delay-only risk lower bound is nondecreasing: the
+                // first entry that cannot beat the kept worst ends
+                // the walk for every remaining entry too.
+                let d_lb = risk_delay_lower_bound(acc_delay, entry.qos.delay.as_secs_f64(), hop.max_delay_secs);
+                if cannot_beat(&ranked[ranked.len() - 1].0, d_lb, risk_epsilon) {
+                    break;
+                }
             }
         }
         stats.selection_examined += 1;
@@ -213,7 +236,7 @@ fn ranked_walk(
             pruned.count(stats);
             continue;
         }
-        let link = if predecessors.is_empty() {
+        let (link_qos, link_avail) = if predecessors.is_empty() {
             // No link: Eqs. 6–8 over the neutral link are exactly the
             // prescreen the row just passed, so it is known qualified.
             NEUTRAL_LINK
@@ -224,12 +247,46 @@ fn ranked_walk(
             }
             link
         };
-        let (d, v) = score_row(entry, hop, acc, link);
+        // Risk `D` (Eq. 9) and congestion `V` (Eq. 10) on coarse state.
+        let d = (acc + entry.qos + link_qos).risk_ratio_against(hop.max_delay_secs, hop.max_loss);
         stats.selection_scored += 1;
-        let key = RankKey::new(d, v, pos as u32, risk_epsilon);
-        if enters(ranked, quota, &key) {
-            insert_ranked(ranked, quota, key, ComponentId::new(entry.node, entry.slot));
-        }
+        let key = match cut {
+            Some(cut) => {
+                // `D` is never NaN here: its delay ratio is a finite
+                // quotient by a positive bound, and `max` skips a NaN.
+                if d >= cut.hi {
+                    tally(Arm::DroppedAtHi);
+                    continue;
+                }
+                let v = congestion_function(&entry.available, &hop.demand, link_avail, hop.bandwidth_kbps);
+                if d < cut.lo {
+                    tally(Arm::LowerBand);
+                    RankKey::new(d, v, pos as u32, risk_epsilon)
+                } else {
+                    // The worst's band: ties go on (V, D), and `pos` is
+                    // larger than every kept row's.
+                    tally(Arm::SameBand);
+                    let worst = &ranked[quota - 1].0;
+                    if worst.v.total_cmp(&v).then_with(|| worst.d.total_cmp(&d)) != std::cmp::Ordering::Greater {
+                        continue;
+                    }
+                    debug_assert_eq!(risk_band(d, risk_epsilon), cut.band);
+                    RankKey { band: cut.band, d, v, pos: pos as u32, banded: true }
+                }
+            }
+            None => {
+                let v = congestion_function(&entry.available, &hop.demand, link_avail, hop.bandwidth_kbps);
+                let key = RankKey::new(d, v, pos as u32, risk_epsilon);
+                if !enters(ranked, quota, &key) {
+                    continue;
+                }
+                key
+            }
+        };
+        insert_ranked(ranked, quota, key, ComponentId::new(entry.node, entry.slot));
+    }
+    if fell_back {
+        tally(Arm::Fallback);
     }
 }
 
@@ -367,15 +424,6 @@ fn requalifies(entry: &IndexEntry, hop: &HopInputs, acc: Qos, (link_qos, link_av
     )
 }
 
-/// The rank inputs of a qualified row: risk `D` (Eq. 9) and congestion
-/// `V` (Eq. 10) on coarse state, from the row and the hop alone.
-#[inline]
-fn score_row(entry: &IndexEntry, hop: &HopInputs, acc: Qos, (link_qos, link_avail): LinkSummary) -> (f64, f64) {
-    let d = (acc + entry.qos + link_qos).risk_ratio_against(hop.max_delay_secs, hop.max_loss);
-    let v = congestion_function(&entry.available, &hop.demand, link_avail, hop.bandwidth_kbps);
-    (d, v)
-}
-
 /// Ranking key reproducing the §3.5 order: "Candidates with smaller
 /// risk values are better; if two have similar risk values, compare
 /// them by the congestion function." Raw ±ε closeness is not
@@ -476,6 +524,142 @@ fn cannot_beat(worst: &RankKey, d_lb: f64, risk_epsilon: f64) -> bool {
     }
 }
 
+/// What a full list's kept worst, of band `band`, lets the walk decide
+/// without dividing by ε. Each cutoff is the least value at which a
+/// nondecreasing map reaches an integer band ([`least_reaching`]), so
+/// every decision taken on it equals the division's:
+/// - `exit_us`: the least published delay, in µs, whose delay-only risk
+///   bound bands above `band` — [`cannot_beat`] as an integer compare;
+/// - `lo`, `hi`: the least risks that band at `band` and at `band + 1`.
+///   A row with `D ≥ hi` cannot enter, one with `D < lo` enters, and
+///   one in between ties the worst's band and is compared on `(V, D)`.
+#[derive(Debug, Clone, Copy)]
+struct Cutoffs {
+    band: i64,
+    exit_us: u64,
+    lo: f64,
+    hi: f64,
+}
+
+impl Cutoffs {
+    /// `None` keeps the division: an ε that is not positive and finite
+    /// (no bands, or one band for every finite risk), a zero delay bound
+    /// (the delay ratio is 0 or ∞), a band outside `[0, 2⁵²)` (an
+    /// infinite risk's `i64::MAX`, or an ε so small that risks band past
+    /// an `f64`'s integers), or a band no `u64` of µs reaches.
+    fn new(band: i64, acc_delay_secs: f64, max_delay_secs: f64, risk_epsilon: f64) -> Option<Cutoffs> {
+        let banded = risk_epsilon > 0.0 && risk_epsilon.is_finite() && max_delay_secs > 0.0;
+        if !banded || !(0..1 << 52).contains(&band) {
+            return None;
+        }
+        Some(Cutoffs {
+            band,
+            exit_us: exit_micros(band + 1, acc_delay_secs, max_delay_secs, risk_epsilon)?,
+            lo: risk_edge(band, risk_epsilon),
+            hi: risk_edge(band + 1, risk_epsilon),
+        })
+    }
+}
+
+/// The least non-negative risk whose ε-band ([`risk_band`]) is at least
+/// `band ≥ 0`. Non-negative `f64`s order as their bits do, and `∞` bands
+/// at `i64::MAX`, so the search always ends.
+fn risk_edge(band: i64, risk_epsilon: f64) -> f64 {
+    let guess = (band as f64 * risk_epsilon).to_bits();
+    let bits = least_reaching(guess, f64::INFINITY.to_bits(), band, |bits| {
+        risk_band(f64::from_bits(bits), risk_epsilon)
+    });
+    f64::from_bits(bits.expect("an infinite risk bands at i64::MAX"))
+}
+
+/// The least published delay, in µs, whose delay-only risk bound
+/// ([`risk_delay_lower_bound`] over `acc_delay_secs`) bands at `band` or
+/// above; `None` when no `u64` of µs does.
+fn exit_micros(band: i64, acc_delay_secs: f64, max_delay_secs: f64, risk_epsilon: f64) -> Option<u64> {
+    // Saturating: a negative guess is 0.
+    let guess = ((band as f64 * risk_epsilon * max_delay_secs - acc_delay_secs) * 1e6) as u64;
+    least_reaching(guess, u64::MAX, band, |us| {
+        let entry_delay_secs = acp_simcore::SimDuration::from_micros(us).as_secs_f64();
+        risk_band(risk_delay_lower_bound(acc_delay_secs, entry_delay_secs, max_delay_secs), risk_epsilon)
+    })
+}
+
+/// The least `u ≤ last` with `band_at(u) ≥ target`, for a nondecreasing
+/// `band_at`; `None` when `band_at(last)` falls short. Gallops from
+/// `guess` toward the crossing, doubling its step, then bisects the
+/// bracket it found — a few evaluations when the guess is close.
+fn least_reaching(guess: u64, last: u64, target: i64, band_at: impl Fn(u64) -> i64) -> Option<u64> {
+    // `band_at(hit) ≥ target`; `band_at(miss) < target`, `None` below 0.
+    let (mut miss, mut hit);
+    let guess = guess.min(last);
+    let mut step = 1u64;
+    if band_at(guess) >= target {
+        hit = guess;
+        miss = None;
+        while hit > 0 {
+            let probe = hit.saturating_sub(step);
+            if band_at(probe) < target {
+                miss = Some(probe);
+                break;
+            }
+            hit = probe;
+            step = step.saturating_mul(2);
+        }
+    } else {
+        let mut below = guess;
+        loop {
+            if below == last {
+                return None;
+            }
+            let probe = below.saturating_add(step).min(last);
+            if band_at(probe) >= target {
+                hit = probe;
+                break;
+            }
+            below = probe;
+            step = step.saturating_mul(2);
+        }
+        miss = Some(below);
+    }
+    if let Some(mut miss) = miss {
+        while hit - miss > 1 {
+            let mid = miss + (hit - miss) / 2;
+            if band_at(mid) >= target {
+                hit = mid;
+            } else {
+                miss = mid;
+            }
+        }
+    }
+    Some(hit)
+}
+
+/// The arms of a full list's decision, tallied under `cfg(test)` so the
+/// differential test can show it reached each; nothing otherwise.
+#[derive(Debug, Clone, Copy)]
+enum Arm {
+    /// `D ≥ hi`: dropped before `V`.
+    DroppedAtHi,
+    /// `lo ≤ D < hi`: compared with the worst on `(V, D)`.
+    SameBand,
+    /// `D < lo`: enters.
+    LowerBand,
+    /// A walk that kept the division for a full list (counted once).
+    Fallback,
+}
+
+#[inline(always)]
+fn tally(arm: Arm) {
+    #[cfg(test)]
+    tests::ARMS.with(|arms| {
+        let mut counts = arms.get();
+        counts[arm as usize] += 1;
+        arms.set(counts);
+    });
+    #[cfg(not(test))]
+    let _ = arm;
+}
+
 /// True when `key` enters a bounded top-`quota` list kept ascending by
 /// [`RankKey`] (worst last). Keys are unique (`pos` differs), so a
 /// candidate equal-or-worse than the kept worst never enters.
@@ -484,12 +668,20 @@ fn enters(ranked: &[(RankKey, ComponentId)], quota: usize, key: &RankKey) -> boo
     ranked.len() < quota || ranked[ranked.len() - 1].0.cmp(key) == std::cmp::Ordering::Greater
 }
 
-/// Inserts a key that [`enters`] the top-`quota` list, dropping the
-/// displaced worst.
+/// Inserts a key that [`enters`] the top-`quota` list from its tail:
+/// the key takes the displaced worst's slot (a new one while the list is
+/// short) and moves up past every kept key it beats, so the list never
+/// holds more than `quota` rows.
 fn insert_ranked(ranked: &mut Vec<(RankKey, ComponentId)>, quota: usize, key: RankKey, component: ComponentId) {
-    let at = ranked.partition_point(|(k, _)| k.cmp(&key) == std::cmp::Ordering::Less);
-    ranked.insert(at, (key, component));
-    ranked.truncate(quota);
+    if ranked.len() < quota {
+        ranked.push((key, component));
+    }
+    let mut at = ranked.len() - 1;
+    while at > 0 && ranked[at - 1].0.cmp(&key) == std::cmp::Ordering::Greater {
+        ranked[at] = ranked[at - 1];
+        at -= 1;
+    }
+    ranked[at] = (key, component);
 }
 
 /// Summarises the virtual links from every predecessor to `node` under
@@ -536,10 +728,16 @@ pub(crate) fn arrival_accumulated(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use acp_state::GlobalStateConfig;
     use acp_topology::{InetConfig, Overlay, OverlayConfig, OverlayNodeId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    thread_local! {
+        /// [`tally`]'s counts on this thread, indexed by [`Arm`].
+        pub(super) static ARMS: Cell<[u64; 4]> = const { Cell::new([0; 4]) };
+    }
 
     fn build() -> (StreamSystem, GlobalStateBoard) {
         let mut rng = StdRng::seed_from_u64(17);
@@ -756,6 +954,116 @@ mod tests {
             assert_eq!(risk_band(d, eps), reference(d, eps), "d={d:e} ε={eps:e}");
             let small = rng.gen_range(-50.0..50.0);
             assert_eq!(risk_band(small, eps), reference(small, eps), "d={small:e} ε={eps:e}");
+        }
+    }
+
+    /// The ε values the cutoff tests sweep: the default (0.05) and its
+    /// neighbours, one that bands every qualified risk at 0, and one
+    /// whose bands pass 2⁵² at risks far below 1.
+    const CUTOFF_EPSILONS: [f64; 6] = [0.01, 0.05, 0.1, 0.2, 1000.0, 1e-300];
+
+    /// `x` is the least non-negative risk that bands at `band` or above
+    /// (band 0 starts at 0 itself: risks are never negative).
+    fn assert_risk_edge(band: i64, eps: f64) {
+        let x = risk_edge(band, eps);
+        assert!(x >= 0.0 && risk_band(x, eps) >= band, "band {band} ε {eps:e}: edge {x:e} bands at {}", risk_band(x, eps));
+        if band == 0 {
+            assert_eq!(x.to_bits(), 0, "ε {eps:e}: band 0 starts at {x:e}");
+        } else {
+            let below = x.next_down();
+            assert!(risk_band(below, eps) < band, "band {band} ε {eps:e}: {below:e} below the edge {x:e} bands at {band}");
+        }
+    }
+
+    /// `m` is the least published delay (µs) that [`cannot_beat`] a kept
+    /// worst of band `band`.
+    fn assert_exit(band: i64, acc_delay: f64, max_delay: f64, eps: f64) {
+        let worst = RankKey { band, d: 0.0, v: 0.0, pos: 0, banded: true };
+        let exits = |us: u64| {
+            let d_lb = risk_delay_lower_bound(acc_delay, acp_simcore::SimDuration::from_micros(us).as_secs_f64(), max_delay);
+            cannot_beat(&worst, d_lb, eps)
+        };
+        let case = format!("band {band} acc {acc_delay:e} max {max_delay:e} ε {eps:e}");
+        let Some(m) = exit_micros(band + 1, acc_delay, max_delay, eps) else {
+            assert!(!exits(u64::MAX), "{case}: no exit found, but u64::MAX exits");
+            return;
+        };
+        assert!(exits(m), "{case}: {m} µs does not exit");
+        assert!(m == 0 || !exits(m - 1), "{case}: {} µs already exits", m - 1);
+    }
+
+    /// The risk edges against brute force: exact multiples `k·ε`, their
+    /// ulp neighbours, bands near 2⁵², and random risks.
+    #[test]
+    fn risk_edges_are_the_least_risk_in_their_band() {
+        let mut rng = StdRng::seed_from_u64(39);
+        for &eps in &CUTOFF_EPSILONS {
+            for k in (0..200).chain([1 << 20, (1 << 52) - 2, (1 << 52) - 1, 1 << 52]) {
+                assert_risk_edge(k, eps);
+            }
+            // Bands whose multiple `k·ε` sits an ulp either side of a risk.
+            for k in 1..200i64 {
+                let multiple = k as f64 * eps;
+                for x in [multiple.next_down(), multiple, multiple.next_up()] {
+                    let band = risk_band(x, eps);
+                    assert_risk_edge(band, eps);
+                    assert_risk_edge(band + 1, eps);
+                }
+            }
+            for _ in 0..2_000 {
+                let d = rng.gen_range(0.0..1.5);
+                let band = risk_band(d, eps);
+                if (0..1 << 52).contains(&band) {
+                    assert_risk_edge(band, eps);
+                    assert_risk_edge(band + 1, eps);
+                }
+            }
+        }
+        for _ in 0..20_000 {
+            let eps = rng.gen_range(1e-6..2.0);
+            let band = risk_band(rng.gen_range(0.0..1.5), eps);
+            assert_risk_edge(band, eps);
+            assert_risk_edge(band + 1, eps);
+        }
+    }
+
+    /// The exit thresholds against brute force, with and without an
+    /// accumulated delay ahead of the hop.
+    #[test]
+    fn exit_micros_is_the_least_delay_that_cannot_beat() {
+        let mut rng = StdRng::seed_from_u64(40);
+        for &eps in &CUTOFF_EPSILONS {
+            for &max_delay in &[1e-6, 0.015, 0.2, 0.25, 3.0, 1e6] {
+                for &acc_delay in &[0.0, 0.003, 0.029_999, 0.2] {
+                    for band in (0..64).chain([1 << 20, (1 << 52) - 2, (1 << 52) - 1]) {
+                        assert_exit(band, acc_delay, max_delay, eps);
+                    }
+                }
+            }
+        }
+        for _ in 0..20_000 {
+            let eps = [0.01, 0.05, rng.gen_range(1e-6..2.0)][rng.gen_range(0..3usize)];
+            let max_delay = rng.gen_range(0.001..1.0);
+            let acc_delay = if rng.gen_bool(0.3) { 0.0 } else { rng.gen_range(0.0..0.5) };
+            let band = risk_band(rng.gen_range(0.0..2.0), eps);
+            assert_exit(band, acc_delay, max_delay, eps);
+        }
+    }
+
+    /// The search itself on a step map whose crossing is known, from
+    /// guesses on both sides, far off and at the domain's ends.
+    #[test]
+    fn least_reaching_finds_the_crossing_from_any_guess() {
+        let mut rng = StdRng::seed_from_u64(41);
+        for _ in 0..5_000 {
+            let last = [u64::MAX, rng.gen_range(0..1_000u64), rng.gen::<u64>()][rng.gen_range(0..3usize)];
+            let crossing = rng.gen_range(0..=last);
+            let band_at = |u: u64| i64::from(u >= crossing);
+            for guess in [0, crossing, crossing.saturating_sub(1), crossing.saturating_add(1), last, rng.gen::<u64>()] {
+                assert_eq!(least_reaching(guess, last, 1, band_at), Some(crossing));
+                assert_eq!(least_reaching(guess, last, 0, band_at), Some(0));
+                assert_eq!(least_reaching(guess, last, 2, band_at), None);
+            }
         }
     }
 
@@ -1050,7 +1358,8 @@ mod tests {
 
             let k = sys.candidates(target).len();
             let alpha = [0.5 / k.max(1) as f64, 0.1, 1.0][rng.gen_range(0..3usize)]; // quota 1, mid, ≥ k
-            let risk_epsilon = [0.0, 0.01, 0.05][rng.gen_range(0..3usize)];
+            // 1e-17 bands every qualified risk past 2⁵²: the fallback.
+            let risk_epsilon = [0.0, 0.01, 0.05, 0.1, 1000.0, 1e-17][rng.gen_range(0..6usize)];
             // Requirements: binding, slack, and a zero delay or loss bound
             // (the ∞-ratio arm of Eq. 9, where every row is unqualified
             // unless its own metric is zero too).
@@ -1118,6 +1427,7 @@ mod tests {
                 let mut scratch = SelectionScratch::default();
                 let mut total = OverheadStats::new();
                 let mut half_reachable_joins = 0;
+                ARMS.set([0; 4]);
                 for seed in 0..400 {
                     let (stats, half_reachable) = run_case(seed, &mut rng, &mut scratch);
                     total += stats;
@@ -1132,6 +1442,12 @@ mod tests {
                     total.selection_examined * 20 < total.selection_candidates * 19,
                     "the early exit hardly engaged: {total:?}"
                 );
+                let arms = ARMS.get();
+                let [dropped_at_hi, same_band, lower_band, fallback_walks] = arms;
+                prop_assert!(dropped_at_hi > 1_000, "rows dropped at hi: {arms:?}");
+                prop_assert!(same_band > 1_000, "same-band (V, D) compares: {arms:?}");
+                prop_assert!(lower_band > 200, "lower-band entries: {arms:?}");
+                prop_assert!(fallback_walks > 40, "fallback walks: {arms:?}");
             }
         }
     }

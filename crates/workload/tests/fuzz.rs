@@ -84,6 +84,10 @@ fn draw_config(rng: &mut StdRng) -> (ScenarioConfig, bool) {
     // two, and the default.
     config.probing.transient_timeout =
         pick(rng, &[SimDuration::ZERO, SimDuration::from_secs(1), config.probing.transient_timeout]);
+    // Strict risk order (the division's arm), the paper's and the default
+    // ε-bands (the banded cutoffs), and one band for every qualified risk
+    // (rank by congestion alone).
+    config.probing.risk_epsilon = pick(rng, &[0.0, 0.01, config.probing.risk_epsilon, 1000.0]);
     config.optimal.max_expansions = pick(rng, &[0, config.optimal.max_expansions]);
 
     if rng.gen_bool(0.7) {

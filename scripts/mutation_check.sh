@@ -8,7 +8,7 @@
 #
 #   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|repair|recovery|leases|routes|board|topology|audit|config|claims] [WORKDIR]
 #
-# No suite name runs all fifteen, 40 mutants; WORKDIR defaults to
+# No suite name runs all fifteen, 42 mutants; WORKDIR defaults to
 # target/mutation-check.
 # The repository itself is never edited; the copy and its cargo target
 # directory live under WORKDIR.
@@ -17,16 +17,19 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 
 # kernel | test target | oracle (test-name filter) | mutants, each
 # 'name|sed expression'
-# Ranked selection against its reference loop, and the static
-# interface-rate filter of both arms: dropping it from either is caught
-# by `incompatible_rate_filters_everything`, which runs both.
+# Ranked selection against its reference loop, its ε-band cutoffs
+# against brute force, and the static interface-rate filter of both
+# arms: dropping it from either is caught by
+# `incompatible_rate_filters_everything`, which runs both.
 selection_kernel=crates/core/src/selection.rs
 selection_target='-p acp-core --lib'
 selection_oracle=selection::tests
 selection_mutants=(
     'skipped stale check|s/^    if retired {$/    if false \&\& retired {/'
-    'pick taken from the wrong row|s/^            insert_ranked(ranked, quota, key, ComponentId::new(entry.node, entry.slot));$/            insert_ranked(ranked, quota, key, ComponentId::new(entries[pos.saturating_sub(1)].node, entries[pos.saturating_sub(1)].slot));/'
-    'off-by-one at admission|s/^    ranked.truncate(quota);$/    ranked.truncate(quota + 1);/'
+    'pick taken from the wrong row|s/^        insert_ranked(ranked, quota, key, ComponentId::new(entry.node, entry.slot));$/        insert_ranked(ranked, quota, key, ComponentId::new(entries[pos.saturating_sub(1)].node, entries[pos.saturating_sub(1)].slot));/'
+    'off-by-one at admission|s/^    if ranked.len() < quota {$/    if ranked.len() <= quota {/'
+    'risk edge one ulp low|s/^    f64::from_bits(bits.expect("an infinite risk bands at i64::MAX"))$/    f64::from_bits(bits.expect("an infinite risk bands at i64::MAX")).next_down()/'
+    'exit threshold one µs early|s/^        let entry_delay_secs = acp_simcore::SimDuration::from_micros(us)\.as_secs_f64();$/        let entry_delay_secs = acp_simcore::SimDuration::from_micros(us.saturating_add(1)).as_secs_f64();/'
     'rate check dropped from the kernel|s/^    if hop\.rate > entry\.max_rate_kbps {$/    if false \&\& hop.rate > entry.max_rate_kbps {/'
     'rate filter dropped from the Random arm|s/^            scratch\.ids\.retain(|\&c| system\.component(c)\.accepts_rate(hop\.rate));$//'
 )
