@@ -49,7 +49,7 @@ fn main() {
         }
     }
 
-    let cfg = ScaleConfig { nodes, sessions, churn: churn_for(sessions), quota_target: 8, seed: 42 };
+    let cfg = ScaleConfig { nodes, sessions, churn: churn_for(sessions), seed: 42 };
     let point = run_scale_point(&cfg);
 
     let total = (cfg.sessions + cfg.churn) as u64;

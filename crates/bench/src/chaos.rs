@@ -25,7 +25,7 @@ use crate::experiments::{sweep, Point, Scale};
 use crate::report::Table;
 
 /// Churn multipliers of the grid's fault-rate axis.
-pub const CHURN_LEVELS: [f64; 3] = [0.5, 1.0, 2.0];
+const CHURN_LEVELS: [f64; 3] = [0.5, 1.0, 2.0];
 
 /// The scenario of one chaos-grid cell (also the soak configuration
 /// when given a longer duration): the scale's base config at the
@@ -94,7 +94,7 @@ pub const PROBE_LOSS_LEVELS: [f64; 4] = [0.0, 0.05, 0.10, 0.20];
 /// two-phase setup enabled at `probe_loss` drop rate, half that
 /// confirm-loss rate, and a 50% chance a lost confirmation's ack later
 /// resurfaces.
-pub fn loss_config(scale: &Scale, seed: u64, nodes: usize, probe_loss: f64) -> ScenarioConfig {
+fn loss_config(scale: &Scale, seed: u64, nodes: usize, probe_loss: f64) -> ScenarioConfig {
     let mut config = scale.base_config(seed);
     config.stream_nodes = nodes;
     config.schedule = RateSchedule::constant(scale.anchor_rate);

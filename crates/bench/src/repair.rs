@@ -35,7 +35,7 @@ pub const REPAIR_CHURN_LEVELS: [f64; 4] = [0.0, 0.5, 1.0, 2.0];
 /// run three times the scale's figure horizon — survival and MTTR are
 /// tail statistics, and a handful of incidents per cell would let one
 /// unlucky session dominate the arm comparison.
-pub fn repair_config(
+fn repair_config(
     scale: &Scale,
     seed: u64,
     churn: f64,

@@ -129,7 +129,7 @@ fn json_string_array(items: &[String]) -> String {
 }
 
 /// Renders a slice of tables as a pretty-printed JSON array.
-pub fn tables_to_json(tables: &[Table]) -> String {
+fn tables_to_json(tables: &[Table]) -> String {
     let mut out = String::from("[");
     for (i, table) in tables.iter().enumerate() {
         if i > 0 {

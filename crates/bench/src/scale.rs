@@ -40,20 +40,13 @@ pub struct ScaleConfig {
     pub sessions: usize,
     /// Close-oldest/commit-new operations after the ramp.
     pub churn: usize,
-    /// Desired ranked-selection quota per hop; `α` is derived from it
-    /// and the mean candidates-per-function so `⌈α·k⌉ ≈` this.
-    pub quota_target: usize,
     /// Master seed.
     pub seed: u64,
 }
 
-impl ScaleConfig {
-    /// Derives the probing ratio hitting [`Self::quota_target`] at mean
-    /// candidate-list size `k`.
-    fn alpha(&self, mean_k: f64) -> f64 {
-        (self.quota_target as f64 / mean_k.max(1.0)).min(1.0)
-    }
-}
+/// Desired ranked-selection quota per hop; `α` is derived from it and
+/// the mean candidates-per-function so `⌈α·k⌉ ≈` this.
+const QUOTA_TARGET: usize = 8;
 
 /// Measured results of one [`run_scale_point`] call. All counter fields
 /// are deterministic given the config; only the wall-clock and RSS
@@ -94,12 +87,6 @@ pub struct ScalePoint {
 }
 
 impl ScalePoint {
-    /// Mean candidate-index entries examined per ranked selection.
-    pub fn examined_per_selection(&self) -> f64 {
-        let sels = self.overhead.global_state_queries.max(1);
-        self.overhead.selection_examined as f64 / sels as f64
-    }
-
     /// Mean wall-clock microseconds per `commit_session` call.
     pub fn commit_us_per_op(&self) -> f64 {
         self.commit_seconds * 1e6 / (self.committed + self.rejected).max(1) as f64
@@ -178,7 +165,7 @@ pub fn run_scale_point(cfg: &ScaleConfig) -> ScalePoint {
 
     let components = system.dense_component_count();
     let mean_k = components as f64 / system.registry().len() as f64;
-    let alpha = cfg.alpha(mean_k);
+    let alpha = (QUOTA_TARGET as f64 / mean_k.max(1.0)).min(1.0);
     let risk_epsilon = 0.01;
 
     let library = TemplateLibrary::singletons(system.registry());
@@ -286,7 +273,7 @@ mod tests {
     use super::*;
 
     fn small_cfg(seed: u64) -> ScaleConfig {
-        ScaleConfig { nodes: 500, sessions: 2_000, churn: 500, quota_target: 8, seed }
+        ScaleConfig { nodes: 500, sessions: 2_000, churn: 500, seed }
     }
 
     #[test]
@@ -317,14 +304,6 @@ mod tests {
             p.overhead.selection_candidates,
             p.examined_fraction()
         );
-        // The quota-target derivation keeps per-selection work bounded.
-        assert!(p.examined_per_selection() < mean_k_bound(&p));
-    }
-
-    /// Half the mean candidate-list size — a loose ceiling on
-    /// per-selection examined entries.
-    fn mean_k_bound(p: &ScalePoint) -> f64 {
-        p.components as f64 / 80.0 / 2.0
     }
 
     #[test]

@@ -25,20 +25,20 @@ use crate::parallel::run_indexed;
 use crate::report::Table;
 
 /// Offered-load multipliers applied to the scale's anchor rate.
-pub const LOAD_LEVELS: [f64; 4] = [1.0, 2.0, 4.0, 6.0];
+const LOAD_LEVELS: [f64; 4] = [1.0, 2.0, 4.0, 6.0];
 
 /// Congestion thresholds for the sweep. The defaults in
 /// [`AdmissionConfig`] are placed for paper-scale utilization; the
 /// quick grids run smaller, cooler systems, so the sweep pins
 /// thresholds that actually bind inside the utilization band both
 /// scales reach — keeping the figure's shape scale-independent.
-pub const SWEEP_ADMISSION: AdmissionConfig =
+const SWEEP_ADMISSION: AdmissionConfig =
     AdmissionConfig { best_effort_threshold: 0.30, silver_threshold: 0.55 };
 
 /// Jain's fairness index over `xs`: `(Σx)² / (n·Σx²)`, 1.0 when all
 /// equal, → 1/n as one value dominates. Empty or all-zero input reads
 /// as perfectly fair (1.0).
-pub fn jain_index(xs: &[f64]) -> f64 {
+fn jain_index(xs: &[f64]) -> f64 {
     let sum: f64 = xs.iter().sum();
     let sq: f64 = xs.iter().map(|x| x * x).sum();
     if xs.is_empty() || sq == 0.0 {
@@ -48,7 +48,7 @@ pub fn jain_index(xs: &[f64]) -> f64 {
 }
 
 /// Jain fairness index over the run's three tier success rates.
-pub fn tier_fairness(result: &ScenarioResult) -> f64 {
+fn tier_fairness(result: &ScenarioResult) -> f64 {
     jain_index(&result.tenant_tiers.map(|t| t.success_rate()))
 }
 

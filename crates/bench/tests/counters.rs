@@ -182,7 +182,7 @@ fn fig_tenants_quick_points() {
 /// looks at (nothing is stale, filtered or prescreened here).
 fn scale_row(nodes: usize, sessions: usize, components: usize, updates: u64, candidates: u64, examined: u64) {
     let churn = churn_for(sessions);
-    let p = run_scale_point(&ScaleConfig { nodes, sessions, churn, quota_target: 8, seed: SEED });
+    let p = run_scale_point(&ScaleConfig { nodes, sessions, churn, seed: SEED });
     let arrivals = (sessions + churn) as u64;
     assert_eq!(
         (p.components, p.committed, p.closed, p.rejected, p.live_at_end, p.update_messages),

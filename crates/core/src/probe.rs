@@ -50,7 +50,7 @@ impl Probe {
     }
 
     /// Number of vertices assigned so far.
-    pub fn assigned_count(&self) -> usize {
+    fn assigned_count(&self) -> usize {
         self.assignment.iter().filter(|a| a.is_some()).count()
     }
 

@@ -106,7 +106,9 @@ impl Default for ProbingConfig {
 pub struct SetupConfig {
     /// Message-fault rates applied to probe and confirmation traffic.
     pub faults: MessageFaultConfig,
-    /// Maximum probing rounds per request (1 = no retry).
+    /// Maximum probing rounds per request (1 = no retry). A scenario
+    /// accepts at most 32: [`Self::max_backoff`] overflows the simulated
+    /// clock past 46.
     pub max_attempts: u32,
 }
 
@@ -1478,7 +1480,7 @@ mod tests {
         sys.expire_transients(horizon);
         assert_eq!(sys.live_lease_count(), 0, "sweep must reclaim all orphans");
         assert!(sys.lease_stats().reconciles(0));
-        assert!(SystemAuditor::default().audit_at(&sys, Some(horizon)).is_clean());
+        assert!(SystemAuditor.audit_at(&sys, Some(horizon)).is_clean());
     }
 
     #[test]
@@ -1718,7 +1720,7 @@ mod tests {
                 // four transport classes, the backoff jitter.
                 assert_eq!(new_rng, old_rng, "{case}: selection stream");
                 assert_eq!(format!("{new_mode:?}"), format!("{old_mode:?}"), "{case}: transport streams");
-                assert!(SystemAuditor::default().audit_at(&new_sys, Some(now)).is_clean(), "{case}: audit");
+                assert!(SystemAuditor.audit_at(&new_sys, Some(now)).is_clean(), "{case}: audit");
 
                 coverage.composed += u64::from(new.session.is_some());
                 coverage.failed += u64::from(new.session.is_none());

@@ -339,7 +339,7 @@ mod tests {
         assert_eq!((ledger.repaired, ledger.validated, ledger.attempts), (1, 1, 1));
         assert!(ledger.reconciles());
         assert!((ledger.mttr_stats().sum - 3.0).abs() < 1e-9, "MTTR fault -> splice");
-        let report = SystemAuditor::default().audit_at(&sys, Some(t1));
+        let report = SystemAuditor.audit_at(&sys, Some(t1));
         assert!(report.is_clean(), "{report}");
         assert!(sys.lease_stats().reconciles(sys.live_lease_count() as u64));
         assert_eq!(planner.mini_counter, 1);
@@ -401,7 +401,7 @@ mod tests {
         sys.repair_ledger_mut().record_abandoned(restart.id);
         assert_eq!(sys.repair_ledger().abandoned, 1);
         assert!(sys.repair_ledger().reconciles());
-        let report = SystemAuditor::default().audit(&sys);
+        let report = SystemAuditor.audit(&sys);
         assert!(report.is_clean(), "{report}");
     }
 
@@ -435,7 +435,7 @@ mod tests {
         assert_ne!(s.composition.assignment[1], victim);
         assert_eq!(sys.repair_ledger().repaired, 1);
         assert!(sys.lease_stats().reconciles(sys.live_lease_count() as u64));
-        let report = SystemAuditor::default().audit_at(&sys, Some(t1));
+        let report = SystemAuditor.audit_at(&sys, Some(t1));
         assert!(report.is_clean(), "{report}");
     }
 }

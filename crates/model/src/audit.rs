@@ -530,24 +530,18 @@ impl std::fmt::Display for AuditReport {
 ///     &SystemConfig::default(),
 ///     &mut rng,
 /// );
-/// let report = SystemAuditor::default().audit(&system);
+/// let report = SystemAuditor.audit(&system);
 /// assert!(report.is_clean(), "{report}");
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct SystemAuditor {
-    /// Absolute slack for capacity checks (the `1e-9`-style epsilon
-    /// previously scattered through tests).
-    pub epsilon: f64,
-    /// Relative slack for conservation sums, scaled by magnitude:
-    /// `|committed − Σ| ≤ epsilon + conservation_rtol · |Σ|`.
-    pub conservation_rtol: f64,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SystemAuditor;
 
-impl Default for SystemAuditor {
-    fn default() -> Self {
-        SystemAuditor { epsilon: 1e-6, conservation_rtol: 1e-9 }
-    }
-}
+/// Absolute slack for capacity checks (the `1e-9`-style epsilon
+/// previously scattered through tests).
+const EPSILON: f64 = 1e-6;
+/// Relative slack for conservation sums, scaled by magnitude:
+/// `|committed − Σ| ≤ EPSILON + CONSERVATION_RTOL · |Σ|`.
+const CONSERVATION_RTOL: f64 = 1e-9;
 
 impl SystemAuditor {
     /// Audits every invariant, returning all violations found (in
@@ -819,7 +813,7 @@ impl SystemAuditor {
             let used = node.committed() + node.transient_total();
             for (kind, amount) in used.iter() {
                 let cap = node.capacity().get(kind);
-                if amount > cap + self.epsilon {
+                if amount > cap + EPSILON {
                     out.push(AuditViolation::NodeOverCommitted { node: v, kind, used: amount, capacity: cap });
                 }
             }
@@ -900,7 +894,7 @@ impl SystemAuditor {
             let l = OverlayLinkId(i as u32);
             let committed = system.link_committed(l);
             let capacity = system.link_capacity(l);
-            if committed > capacity + self.epsilon {
+            if committed > capacity + EPSILON {
                 out.push(AuditViolation::LinkOverCommitted { link: l, committed, capacity });
             }
             if system.is_link_failed(l) && system.link_available(l) > 0.0 {
@@ -998,7 +992,7 @@ impl SystemAuditor {
     }
 
     fn tolerance(&self, magnitude: f64) -> f64 {
-        self.epsilon + self.conservation_rtol * magnitude.abs()
+        EPSILON + CONSERVATION_RTOL * magnitude.abs()
     }
 }
 
@@ -1086,7 +1080,6 @@ pub struct AuditCounts {
 /// `nodes + l`, and dense id `d` is `nodes + links + d`.
 #[derive(Debug, Clone, Default)]
 pub struct AuditCursor {
-    auditor: SystemAuditor,
     /// True when the last pass found nothing; false before the first.
     clean: bool,
     /// The first session id the last pass had not seen issued: every
@@ -1102,16 +1095,6 @@ pub struct AuditCursor {
 }
 
 impl AuditCursor {
-    /// A cursor whose first pass is a full one.
-    pub fn new(auditor: SystemAuditor) -> Self {
-        AuditCursor { auditor, ..AuditCursor::default() }
-    }
-
-    /// The auditor the cursor falls back to.
-    pub fn auditor(&self) -> &SystemAuditor {
-        &self.auditor
-    }
-
     /// What the cursor did so far.
     pub fn counts(&self) -> AuditCounts {
         self.counts
@@ -1134,7 +1117,7 @@ impl AuditCursor {
         if system.overlay().nodes().any(|v| system.is_node_failed(v)) {
             self.counts.memo_walks += 1;
         }
-        let report = self.auditor.audit_at(system, now);
+        let report = SystemAuditor.audit_at(system, now);
         self.clean = report.is_clean();
         let count = system.node_count() + system.link_count() + system.dense_component_count();
         self.flags = (0..count).map(|e| flag(system, e)).collect();
@@ -1145,7 +1128,7 @@ impl AuditCursor {
     /// flags as it goes. `false` as soon as anything fails; the full
     /// pass then runs and resets the flags.
     fn dirty_set_is_clean(&mut self, system: &StreamSystem, now: Option<SimTime>, memo_logged: bool) -> bool {
-        let auditor = self.auditor;
+        let auditor = SystemAuditor;
         let mut out = Vec::new();
         let totals = SessionTotals::of(system);
         auditor.audit_nodes(system, &mut out);
@@ -1303,7 +1286,7 @@ mod tests {
     #[test]
     fn clean_on_generated_system() {
         let sys = build_system(1, 25);
-        let report = SystemAuditor::default().audit(&sys);
+        let report = SystemAuditor.audit(&sys);
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.digest(), AuditReport::default().digest());
     }
@@ -1312,7 +1295,7 @@ mod tests {
     fn clean_across_fault_lifecycle() {
         let mut sys = build_system(2, 30);
         let dense_at_build = sys.dense_component_count();
-        let auditor = SystemAuditor::default();
+        let auditor = SystemAuditor;
         let sessions = commit_sessions(&mut sys, 8);
         assert!(!sessions.is_empty());
         assert!(auditor.audit(&sys).is_clean(), "{}", auditor.audit(&sys));
@@ -1355,7 +1338,7 @@ mod tests {
         let mut sys = build_system(3, 20);
         // A commitment with no session backing it breaks conservation.
         assert!(sys.node_mut(OverlayNodeId(2)).commit(ResourceVector::new(1.0, 1.0)));
-        let report = SystemAuditor::default().audit(&sys);
+        let report = SystemAuditor.audit(&sys);
         assert!(
             report
                 .violations()
@@ -1374,7 +1357,7 @@ mod tests {
         // system's back breaks both the distinct-function invariant and
         // the dense index (no dense id was allotted).
         sys.node_mut(node).deploy_with(|id| Component { id, ..existing });
-        let report = SystemAuditor::default().audit(&sys);
+        let report = SystemAuditor.audit(&sys);
         assert!(
             report.violations().iter().any(|v| matches!(v, AuditViolation::DuplicateFunction { .. })),
             "{report}"
@@ -1397,7 +1380,7 @@ mod tests {
         // teardown): the auditor must flag coverage and conservation.
         let host = sys.session(sessions[0]).unwrap().composition.assignment[0].node;
         sys.node_mut(host).fail();
-        let report = SystemAuditor::default().audit(&sys);
+        let report = SystemAuditor.audit(&sys);
         assert!(!report.is_clean());
         assert!(
             report
@@ -1411,7 +1394,7 @@ mod tests {
     #[test]
     fn lease_lifecycle_audits_clean() {
         let mut sys = build_system(7, 25);
-        let auditor = SystemAuditor::default();
+        let auditor = SystemAuditor;
         let now = acp_simcore::SimTime::from_secs(0);
         // Reserve a couple of leases for a request that never commits.
         let f = sys.registry().ids().find(|&f| !sys.candidates(f).is_empty()).unwrap();
@@ -1463,7 +1446,7 @@ mod tests {
         let stats = sys.lease_stats();
         assert_eq!(stats.promoted, held);
         assert!(stats.reconciles(sys.live_lease_count() as u64));
-        assert!(SystemAuditor::default().audit(&sys).is_clean());
+        assert!(SystemAuditor.audit(&sys).is_clean());
     }
 
     #[test]
@@ -1480,13 +1463,13 @@ mod tests {
             ResourceVector::new(0.5, 0.5),
             acp_simcore::SimTime::from_secs(30)
         ));
-        let report = SystemAuditor::default().audit(&sys);
+        let report = SystemAuditor.audit(&sys);
         assert!(report.violations().iter().any(|v| matches!(
             v,
             AuditViolation::LeaseHeldByCommittedRequest { request } if *request == rid.0
         )));
         sys.release_component_transient(rid, comp);
-        assert!(SystemAuditor::default().audit(&sys).is_clean());
+        assert!(SystemAuditor.audit(&sys).is_clean());
         // A reservation made behind the ledger's back breaks reconciliation.
         let node = comp.node;
         assert!(sys.node_mut(node).reserve_transient(
@@ -1494,7 +1477,7 @@ mod tests {
             ResourceVector::new(0.1, 0.1),
             acp_simcore::SimTime::from_secs(30)
         ));
-        let report = SystemAuditor::default().audit(&sys);
+        let report = SystemAuditor.audit(&sys);
         assert!(report.violations().iter().any(|v| matches!(
             v,
             AuditViolation::LeaseLedgerMismatch { .. }
@@ -1504,7 +1487,7 @@ mod tests {
     #[test]
     fn detects_lease_directory_drift_in_both_directions() {
         let mut sys = build_system(10, 25);
-        let auditor = SystemAuditor::default();
+        let auditor = SystemAuditor;
         let f = sys.registry().ids().find(|&f| !sys.candidates(f).is_empty()).unwrap();
         let c = sys.candidates(f)[0];
         let key = |request| crate::node::ReservationKey { request, component: c };
@@ -1568,7 +1551,7 @@ mod tests {
             _ => unreachable!(),
         });
         assert!(want.len() >= 2 * nodes.len(), "the node relays as well as terminates");
-        let report = SystemAuditor::default().audit(&sys);
+        let report = SystemAuditor.audit(&sys);
         let got: Vec<_> = report
             .violations()
             .iter()
@@ -1590,9 +1573,9 @@ mod tests {
     fn cursor_reports_what_the_full_pass_reports() {
         let mut base = build_system(11, 30);
         let sessions = commit_sessions(&mut base, 12);
-        let auditor = SystemAuditor::default();
+        let auditor = SystemAuditor;
         let now = Some(SimTime::ZERO);
-        let mut cursor = AuditCursor::new(auditor);
+        let mut cursor = AuditCursor::default();
         assert!(cursor.audit_at(&mut base, now).is_clean());
         assert!(cursor.audit_at(&mut base, now).is_clean());
         assert_eq!(cursor.counts(), AuditCounts { passes: 2, full_passes: 1, memo_walks: 0 });
@@ -1685,7 +1668,7 @@ mod tests {
             sys.node_mut(OverlayNodeId(1)).commit(ResourceVector::new(2.0, 2.0));
             sys.node_mut(OverlayNodeId(3)).commit(ResourceVector::new(1.0, 8.0));
         }
-        let auditor = SystemAuditor::default();
+        let auditor = SystemAuditor;
         let (ra, rb) = (auditor.audit(&a), auditor.audit(&b));
         assert!(!ra.is_clean());
         assert_eq!(ra.digest(), rb.digest());

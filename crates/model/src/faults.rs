@@ -647,7 +647,7 @@ mod tests {
     #[test]
     fn degrade_then_splice_repairs_in_place() {
         let mut sys = build_system(41, 30);
-        let auditor = crate::audit::SystemAuditor::default();
+        let auditor = crate::audit::SystemAuditor;
         let (request, composition) = repairable_request_and_composition(&mut sys);
         let (c0, c1, c2) =
             (composition.assignment[0], composition.assignment[1], composition.assignment[2]);
@@ -709,7 +709,7 @@ mod tests {
     #[test]
     fn giving_up_settles_ticket_and_frees_books() {
         let mut sys = build_system(42, 30);
-        let auditor = crate::audit::SystemAuditor::default();
+        let auditor = crate::audit::SystemAuditor;
         let (request, composition) = repairable_request_and_composition(&mut sys);
         let c1 = composition.assignment[1];
         let sid = sys.commit_session(&request, composition).expect("qualified");
@@ -756,7 +756,7 @@ mod tests {
             assert!(sys.repair_ledger().ticket(session.request).is_some(), "{sid:?} has no ticket");
         }
         assert_eq!(sys.repair_ledger().opened, sids.len() as u64);
-        let report = crate::audit::SystemAuditor::default().audit(&sys);
+        let report = crate::audit::SystemAuditor.audit(&sys);
         assert!(report.is_clean(), "{report}");
     }
 
@@ -786,7 +786,7 @@ mod tests {
         );
         assert!(sys.node(comp.node).transient_total().is_zero());
         assert!(sys.lease_stats().reconciles(sys.live_lease_count() as u64));
-        let report = crate::audit::SystemAuditor::default().audit_at(&sys, Some(SimTime::from_secs(0)));
+        let report = crate::audit::SystemAuditor.audit_at(&sys, Some(SimTime::from_secs(0)));
         assert!(report.is_clean(), "{report}");
         let _ = request;
     }

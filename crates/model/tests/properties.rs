@@ -149,7 +149,7 @@ mod lease_reconciliation {
             ops in prop::collection::vec((0u8..6, 0usize..64, 1u64..9), 1..48),
         ) {
             let mut sys = build(seed);
-            let auditor = SystemAuditor::default();
+            let auditor = SystemAuditor;
             let mut now = SimTime::ZERO;
             let lease = SimDuration::from_secs(30);
             let fns: Vec<FunctionId> =
@@ -507,7 +507,7 @@ mod lease_directory {
         ) {
             let mut sut = Driver::new(seed);
             let mut oracle = Driver::new(seed);
-            let auditor = SystemAuditor::default();
+            let auditor = SystemAuditor;
             for (step, op) in ops.into_iter().enumerate() {
                 let done = sut.apply(op);
                 let expected = apply_with_full_scans(&mut oracle, op);
@@ -683,7 +683,7 @@ mod tenant_isolation {
             ops in prop::collection::vec((0u8..6, 0usize..64, 1u64..64), 1..48),
         ) {
             let mut sys = build(seed);
-            let auditor = SystemAuditor::default();
+            let auditor = SystemAuditor;
             let mut live: Vec<SessionId> = Vec::new();
             for (kind, pick, req) in ops {
                 match kind {

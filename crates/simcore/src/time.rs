@@ -8,9 +8,9 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
 /// Number of microseconds in one second.
-pub const MICROS_PER_SEC: u64 = 1_000_000;
+const MICROS_PER_SEC: u64 = 1_000_000;
 /// Number of microseconds in one minute.
-pub const MICROS_PER_MIN: u64 = 60 * MICROS_PER_SEC;
+const MICROS_PER_MIN: u64 = 60 * MICROS_PER_SEC;
 
 /// An instant of simulated time, measured in microseconds since simulation
 /// start.

@@ -23,24 +23,17 @@ pub struct GlobalStateConfig {
     /// (paper: 0.10 — "update is triggered when the value variation of a
     /// resource or QoS metric exceeds 10 % of its maximum value").
     pub threshold: f64,
-    /// Skip nodes/links whose [`StreamSystem`] change counter is
-    /// unchanged since the board's last look. An untouched entry's ground
-    /// truth is bit-identical to what the previous scan already compared
-    /// against, so the published values and message counts are **exactly**
-    /// those of a full scan — only the scan work differs. `false` forces
-    /// the full rescan (the equivalence baseline).
-    pub incremental: bool,
 }
 
 impl Default for GlobalStateConfig {
     fn default() -> Self {
-        GlobalStateConfig { threshold: 0.10, incremental: true }
+        GlobalStateConfig { threshold: 0.10 }
     }
 }
 
-/// Scan-effort counters: entries visited vs. entries the dirty tracking
-/// allowed the board to skip. Purely observational — identical published
-/// state either way.
+/// Scan-effort counters: entries visited vs. entries the version skip
+/// passed over. Purely observational — a skipped entry is one a visit
+/// would not have published (debug builds assert it at the skip).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Nodes actually compared against their published state.
@@ -365,9 +358,10 @@ impl GlobalStateBoard {
         for v in system.overlay().nodes() {
             let i = v.index();
             self.scan.nodes_total += 1;
-            if self.config.incremental && self.seen_node_versions[i] == versions[i] {
+            if self.seen_node_versions[i] == versions[i] {
                 // Unchanged since our last comparison ⇒ a rescan would
                 // find exactly the state it already declined to publish.
+                debug_assert!(!self.node_publish_significant(system, v), "skipped {v:?} would publish");
                 continue;
             }
             self.scan.nodes_scanned += 1;
@@ -474,7 +468,8 @@ impl GlobalStateBoard {
         for l in system.overlay().links() {
             let i = l.index();
             self.scan.links_total += 1;
-            if self.config.incremental && self.seen_link_versions[i] == versions[i] {
+            if self.seen_link_versions[i] == versions[i] {
+                debug_assert!(!self.link_report_changed(system, l), "skipped {l:?} would report");
                 continue;
             }
             self.scan.links_scanned += 1;
@@ -789,7 +784,7 @@ mod tests {
     fn zero_threshold_publishes_everything() {
         let mut sys = build();
         let mut board =
-            GlobalStateBoard::new(&sys, GlobalStateConfig { threshold: 0.0, ..Default::default() });
+            GlobalStateBoard::new(&sys, GlobalStateConfig { threshold: 0.0 });
         load_some_node(&mut sys, 1, false);
         let msgs = board.refresh_nodes(&sys);
         assert!(msgs >= 1, "zero threshold behaves like precise maintenance");
@@ -893,41 +888,34 @@ mod tests {
         assert!(board.audit_against(&sys).is_empty());
     }
 
+    /// Load, transient expiry and a link failure, refreshed and
+    /// aggregated after each: every skipped node and link is checked in
+    /// place (debug builds) to be one a visit would not have published,
+    /// and untouched entries are skipped.
     #[test]
-    fn incremental_matches_full_scan() {
+    fn version_skip_holds_in_place_and_skips_untouched_entries() {
         let mut sys = build();
-        let mut full =
-            GlobalStateBoard::new(&sys, GlobalStateConfig { incremental: false, ..Default::default() });
-        let mut inc = GlobalStateBoard::new(&sys, GlobalStateConfig::default());
-        // Interleave mutations with refreshes/aggregations and check the
-        // two boards publish the same values and message counts.
+        let mut board = GlobalStateBoard::new(&sys, GlobalStateConfig::default());
         for round in 0..4u64 {
             load_some_node(&mut sys, round + 1, round % 2 == 0);
             if round == 2 {
                 sys.expire_transients(acp_simcore::SimTime::ZERO);
             }
-            assert_eq!(full.refresh_nodes(&sys), inc.refresh_nodes(&sys), "round {round}");
-            assert_eq!(full.aggregate_links(&sys), inc.aggregate_links(&sys), "round {round}");
+            if round == 3 {
+                let fault = acp_simcore::FaultKind::LinkFail { link: 0 };
+                sys.apply_fault(fault, RepairPolicy::Terminate, acp_simcore::SimTime::ZERO);
+            }
+            board.refresh_nodes(&sys);
+            assert_eq!(board.aggregate_links(&sys) > 1, round == 3, "only the failed link reports");
             for v in sys.overlay().nodes() {
-                assert_eq!(full.node_available(v), inc.node_available(v));
                 for c in sys.node(v).components() {
-                    assert_eq!(full.component_qos(c.id), inc.component_qos(c.id));
-                    assert_eq!(
-                        inc.component_qos(c.id),
-                        inc.component_qos_dense(sys.dense_of(c.id).expect("dense")),
-                    );
+                    let dense = sys.dense_of(c.id).expect("dense");
+                    assert_eq!(board.component_qos(c.id), board.component_qos_dense(dense));
                 }
             }
-            for l in sys.overlay().links() {
-                assert_eq!(full.link_available(l), inc.link_available(l));
-            }
-            assert_eq!(full.update_messages(), inc.update_messages());
         }
-        let full_scan = full.scan_stats();
-        let inc_scan = inc.scan_stats();
-        assert_eq!(full_scan.nodes_scanned, full_scan.nodes_total, "full scan visits everything");
-        assert_eq!(inc_scan.nodes_total, full_scan.nodes_total);
-        assert!(inc_scan.nodes_scanned < inc_scan.nodes_total, "incremental skips untouched nodes");
-        assert!(inc_scan.links_scanned < inc_scan.links_total, "incremental skips untouched links");
+        let scan = board.scan_stats();
+        assert!(scan.nodes_scanned < scan.nodes_total, "untouched nodes are skipped: {scan:?}");
+        assert!(scan.links_scanned < scan.links_total, "untouched links are skipped: {scan:?}");
     }
 }

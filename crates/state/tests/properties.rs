@@ -50,7 +50,7 @@ proptest! {
     #[test]
     fn board_error_is_threshold_bounded(seed in 0u64..50, load_seed in any::<u64>(), threshold in 0.01f64..0.5) {
         let mut system = build(seed);
-        let mut board = GlobalStateBoard::new(&system, GlobalStateConfig { threshold, ..Default::default() });
+        let mut board = GlobalStateBoard::new(&system, GlobalStateConfig { threshold });
         random_sessions(&mut system, load_seed, 30);
         board.refresh_nodes(&system);
         for v in system.overlay().nodes() {
@@ -73,7 +73,7 @@ proptest! {
     fn update_volume_is_monotone_in_threshold(seed in 0u64..50, load_seed in any::<u64>()) {
         let msgs = |threshold: f64| {
             let mut system = build(seed);
-            let mut board = GlobalStateBoard::new(&system, GlobalStateConfig { threshold, ..Default::default() });
+            let mut board = GlobalStateBoard::new(&system, GlobalStateConfig { threshold });
             random_sessions(&mut system, load_seed, 30);
             board.refresh_nodes(&system)
         };
@@ -108,7 +108,7 @@ proptest! {
         let mut system = build(seed);
         let mut board = GlobalStateBoard::new(
             &system,
-            GlobalStateConfig { threshold, ..Default::default() },
+            GlobalStateConfig { threshold },
         );
         prop_assert_eq!(board.candidate_index(), &board.rebuilt_index(&system));
         let mut rng = StdRng::seed_from_u64(churn_seed);
@@ -186,7 +186,7 @@ proptest! {
     #[test]
     fn board_recovers_after_teardown(seed in 0u64..50, load_seed in any::<u64>()) {
         let mut system = build(seed);
-        let mut board = GlobalStateBoard::new(&system, GlobalStateConfig { threshold: 0.0, ..Default::default() });
+        let mut board = GlobalStateBoard::new(&system, GlobalStateConfig { threshold: 0.0 });
         let initial: Vec<ResourceVector> =
             system.overlay().nodes().map(|v| board.node_available(v)).collect();
         let sessions = random_sessions(&mut system, load_seed, 20);

@@ -15,7 +15,7 @@
 //!    outstanding stubs, rejecting self-loops and parallel edges.
 //!
 //! Link attributes (delay, bandwidth, loss) are drawn uniformly from
-//! configurable ranges, as the paper does ("initial resource capacities and
+//! ranges, as the paper does ("initial resource capacities and
 //! QoS states ... are uniformly distributed within certain range based on
 //! the real-world measurements").
 
@@ -30,30 +30,27 @@ use crate::graph::{Graph, LinkProps, NodeId};
 pub struct InetConfig {
     /// Number of IP-layer nodes (paper: 3 200).
     pub nodes: usize,
-    /// Power-law frequency exponent `α` (Inet default ≈ 2.2).
-    pub alpha: f64,
-    /// Minimum node degree in the drawn sequence.
-    pub min_degree: usize,
-    /// Hard cap on any node's target degree, as a fraction of `nodes`.
-    pub max_degree_fraction: f64,
     /// Per-link delay range in milliseconds, sampled uniformly.
     pub delay_ms: (u64, u64),
     /// Per-link capacity range in kbit/s, sampled uniformly.
     pub bandwidth_kbps: (f64, f64),
-    /// Per-link loss-rate range, sampled uniformly.
-    pub loss_rate: (f64, f64),
 }
+
+/// Power-law frequency exponent `α` (Inet default ≈ 2.2).
+const ALPHA: f64 = 2.2;
+/// Minimum node degree in the drawn sequence.
+const MIN_DEGREE: usize = 1;
+/// Hard cap on any node's target degree, as a fraction of `nodes`.
+const MAX_DEGREE_FRACTION: f64 = 0.05;
+/// Per-link loss-rate range, sampled uniformly.
+const LOSS_RATE: (f64, f64) = (0.0, 0.001);
 
 impl Default for InetConfig {
     fn default() -> Self {
         InetConfig {
             nodes: 3_200,
-            alpha: 2.2,
-            min_degree: 1,
-            max_degree_fraction: 0.05,
             delay_ms: (1, 20),
             bandwidth_kbps: (20_000.0, 100_000.0),
-            loss_rate: (0.0, 0.001),
         }
     }
 }
@@ -70,10 +67,9 @@ impl InetConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `nodes < 2` or `alpha <= 1`.
+    /// Panics if `nodes < 2`.
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> Graph {
         assert!(self.nodes >= 2, "need at least two nodes");
-        assert!(self.alpha > 1.0, "power-law exponent must exceed 1");
 
         let degrees = self.sample_degree_sequence(rng);
         let mut graph = Graph::new(self.nodes);
@@ -87,13 +83,13 @@ impl InetConfig {
 
     /// Draws the target degree sequence (sorted descending).
     fn sample_degree_sequence<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<usize> {
-        let max_degree = ((self.nodes as f64 * self.max_degree_fraction) as usize).max(self.min_degree + 1);
-        let shape = self.alpha - 1.0; // Pareto CCDF exponent
+        let max_degree = ((self.nodes as f64 * MAX_DEGREE_FRACTION) as usize).max(MIN_DEGREE + 1);
+        let shape = ALPHA - 1.0; // Pareto CCDF exponent
         let mut degrees: Vec<usize> = (0..self.nodes)
             .map(|_| {
                 let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let d = self.min_degree as f64 * u.powf(-1.0 / shape);
-                (d.floor() as usize).clamp(self.min_degree, max_degree)
+                let d = MIN_DEGREE as f64 * u.powf(-1.0 / shape);
+                (d.floor() as usize).clamp(MIN_DEGREE, max_degree)
             })
             .collect();
         degrees.sort_unstable_by(|a, b| b.cmp(a));
@@ -172,11 +168,7 @@ impl InetConfig {
         } else {
             rng.gen_range(self.bandwidth_kbps.0..self.bandwidth_kbps.1)
         };
-        let loss = if self.loss_rate.0 == self.loss_rate.1 {
-            self.loss_rate.0
-        } else {
-            rng.gen_range(self.loss_rate.0..self.loss_rate.1)
-        };
+        let loss = rng.gen_range(LOSS_RATE.0..LOSS_RATE.1);
         LinkProps::new(SimDuration::from_millis(delay_ms), bw, loss)
     }
 }
@@ -436,7 +428,7 @@ mod tests {
 
     #[test]
     fn link_props_respect_ranges() {
-        let cfg = InetConfig { nodes: 50, delay_ms: (5, 10), bandwidth_kbps: (1_000.0, 2_000.0), loss_rate: (0.0, 0.01), ..InetConfig::default() };
+        let cfg = InetConfig { nodes: 50, delay_ms: (5, 10), bandwidth_kbps: (1_000.0, 2_000.0) };
         let mut rng = StdRng::seed_from_u64(4);
         let g = cfg.generate(&mut rng);
         for e in 0..g.edge_count() {
@@ -444,7 +436,7 @@ mod tests {
             let ms = p.delay.as_secs_f64() * 1e3;
             assert!((5.0..=10.0).contains(&ms));
             assert!((1_000.0..2_000.0).contains(&p.bandwidth_kbps));
-            assert!((0.0..0.01).contains(&p.loss_rate));
+            assert!((LOSS_RATE.0..LOSS_RATE.1).contains(&p.loss_rate));
         }
     }
 
@@ -452,12 +444,5 @@ mod tests {
     #[should_panic(expected = "at least two")]
     fn rejects_tiny_graphs() {
         let _ = small_config(1).generate(&mut StdRng::seed_from_u64(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed 1")]
-    fn rejects_bad_exponent() {
-        let cfg = InetConfig { alpha: 0.9, ..small_config(10) };
-        let _ = cfg.generate(&mut StdRng::seed_from_u64(0));
     }
 }

@@ -646,9 +646,9 @@ mod reference {
     use crate::graph::{EdgeId, Graph, NodeId};
 
     /// Per node: the distance, or `None` when unreached.
-    pub type Dist = Vec<Option<SimDuration>>;
+    pub(super) type Dist = Vec<Option<SimDuration>>;
     /// Per node: the predecessor and its edge, or `None`.
-    pub type Prev = Vec<Option<(NodeId, EdgeId)>>;
+    pub(super) type Prev = Vec<Option<(NodeId, EdgeId)>>;
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     struct Frontier {

@@ -82,8 +82,6 @@ pub struct TenantSpec {
 /// Periodic preemption of best-effort sessions under pressure.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantPreemptionConfig {
-    /// Period of preemption-controller rounds.
-    pub interval: SimDuration,
     /// Preempt only when the board congestion estimate is at or above
     /// this level.
     pub congestion_threshold: f64,
@@ -94,7 +92,6 @@ pub struct TenantPreemptionConfig {
 impl Default for TenantPreemptionConfig {
     fn default() -> Self {
         TenantPreemptionConfig {
-            interval: SimDuration::from_minutes(1),
             congestion_threshold: 0.75,
             policy: PreemptionConfig::default(),
         }
@@ -303,7 +300,6 @@ impl ScenarioConfig {
         let positive = |period: SimDuration| period > SimDuration::ZERO;
         // The tuners assert this; NaN fails it too.
         let unit = |target: f64| target > 0.0 && target <= 1.0;
-        let preemption = self.tenants.as_ref().and_then(|t| t.preemption);
         let checks = [
             (self.stream_nodes >= 2, "stream_nodes: need at least two stream nodes"),
             (self.overlay_neighbors >= 1, "overlay_neighbors: need at least one neighbour per node"),
@@ -312,7 +308,10 @@ impl ScenarioConfig {
             (positive(self.sampling_period), "sampling_period must be positive"),
             (positive(self.local_refresh), "local_refresh must be positive"),
             (positive(self.aggregation_interval), "aggregation_interval must be positive"),
-            (preemption.is_none_or(|p| positive(p.interval)), "tenants.preemption.interval must be positive"),
+            (
+                self.setup.as_ref().is_none_or(|s| s.max_attempts <= MAX_SETUP_ATTEMPTS),
+                "setup.max_attempts must be at most 32",
+            ),
             (
                 self.tenants.as_ref().is_none_or(|t| {
                     !t.tenants.is_empty() && t.tenants.iter().all(|spec| spec.weight > 0.0)
@@ -553,12 +552,6 @@ impl ScenarioResult {
         share(survived, survived + self.sessions_lost, 1.0)
     }
 
-    /// Share of recoveries that preserved the running session (in-place
-    /// splice rather than restart); 0 when nothing recovered.
-    pub fn continuity(&self) -> f64 {
-        share(self.sessions_repaired, self.sessions_repaired + self.sessions_recovered, 0.0)
-    }
-
     /// The session digest with the audit digest folded in: two runs are
     /// equivalent only if they composed identically **and** audited
     /// identically.
@@ -616,6 +609,14 @@ enum Event {
 /// How long a fault goes unnoticed before its first repair (or restart)
 /// sweep.
 const DETECTION: SimDuration = SimDuration::from_secs(1);
+
+/// The most probing rounds per request `validate` accepts. The backoff
+/// ladder before the 32nd round spans about 21 simulated years; past the
+/// 46th its sum overflows the simulated clock.
+const MAX_SETUP_ATTEMPTS: u32 = 32;
+
+/// Period of preemption-controller rounds.
+const PREEMPTION_INTERVAL: SimDuration = SimDuration::from_minutes(1);
 
 /// Cap on requests kept for trace-replay profiling.
 const REPLAY_CAPACITY: usize = 60;
@@ -742,7 +743,7 @@ impl ScenarioModel {
         let report = self.auditor.audit_at(&mut self.system, Some(now));
         debug_assert_eq!(
             report.violations(),
-            self.auditor.auditor().audit_at(&self.system, Some(now)).violations(),
+            SystemAuditor.audit_at(&self.system, Some(now)).violations(),
             "the incremental audit at {now:?} differs from the full pass"
         );
         self.record_audit(report);
@@ -751,7 +752,7 @@ impl ScenarioModel {
     /// The run's last audit, always the full pass.
     fn run_closing_audit(&mut self, now: SimTime) {
         self.system.expire_transients(now);
-        let report = self.auditor.auditor().audit_at(&self.system, Some(now));
+        let report = SystemAuditor.audit_at(&self.system, Some(now));
         self.record_audit(report);
     }
 
@@ -1080,8 +1081,8 @@ impl Model for ScenarioModel {
                                 self.board.refresh_nodes(&self.system);
                         }
                     }
-                    if now + preemption.interval <= SimTime::ZERO + self.config.duration {
-                        queue.schedule(now + preemption.interval, Event::TenantControl);
+                    if now + PREEMPTION_INTERVAL <= SimTime::ZERO + self.config.duration {
+                        queue.schedule(now + PREEMPTION_INTERVAL, Event::TenantControl);
                     }
                 }
                 self.tenants = Some(tenants);
@@ -1262,8 +1263,7 @@ fn simulate(config: ScenarioConfig) -> ScenarioModel {
     };
 
     let first_fault = model.churn.as_ref().and_then(|c| c.scheduler.next_time());
-    let tenant_interval =
-        model.tenants.as_ref().and_then(|t| t.config.preemption.map(|p| p.interval));
+    let preempting = model.tenants.as_ref().is_some_and(|t| t.config.preemption.is_some());
     let mut sim = Simulation::new(model);
     if let Some(t) = first_arrival {
         sim.queue_mut().schedule(t, Event::Arrival);
@@ -1274,8 +1274,8 @@ fn simulate(config: ScenarioConfig) -> ScenarioModel {
     if let Some(t) = first_fault {
         sim.queue_mut().schedule(t, Event::Fault);
     }
-    if let Some(interval) = tenant_interval {
-        sim.queue_mut().schedule(SimTime::ZERO + interval, Event::TenantControl);
+    if preempting {
+        sim.queue_mut().schedule(SimTime::ZERO + PREEMPTION_INTERVAL, Event::TenantControl);
     }
     sim.run_until(SimTime::ZERO + duration);
     sim.into_model()
@@ -1654,7 +1654,6 @@ mod tests {
         // An aggressive controller so preemption definitely fires: act
         // on any congestion, consider any loaded node.
         tenants.preemption = Some(TenantPreemptionConfig {
-            interval: SimDuration::from_minutes(1),
             congestion_threshold: 0.0,
             policy: PreemptionConfig { min_node_utilization: 0.05 },
         });
@@ -1777,8 +1776,10 @@ mod tests {
         rejects("local_refresh", |c| c.local_refresh = SimDuration::ZERO);
         rejects("sampling_period", |c| c.sampling_period = SimDuration::ZERO);
         rejects("aggregation_interval", |c| c.aggregation_interval = SimDuration::ZERO);
-        rejects("preemption.interval", |c| {
-            c.tenants.as_mut().unwrap().preemption.as_mut().unwrap().interval = SimDuration::ZERO
+        // Passed, then overflowed the simulated clock summing the
+        // backoff ladder (from 47 attempts on).
+        rejects("setup.max_attempts", |c| {
+            c.setup = Some(SetupConfig { max_attempts: MAX_SETUP_ATTEMPTS + 1, ..SetupConfig::default() })
         });
         rejects("stream_nodes", |c| c.stream_nodes = 1);
         rejects("overlay_neighbors", |c| c.overlay_neighbors = 0);
@@ -1902,6 +1903,21 @@ mod tests {
         }
     }
 
+    /// At the attempt bound, a transport that drops nine probes in ten
+    /// sends requests down the whole backoff ladder (a request that
+    /// fails faulted has run every round), and the run still ends with
+    /// its post-horizon sweep and audits clean.
+    #[test]
+    fn setup_attempts_at_the_bound_run_clean() {
+        let mut config = ScenarioConfig::small(23);
+        config.setup = Some(SetupConfig { max_attempts: MAX_SETUP_ATTEMPTS, ..lossy_setup(0.9, 0.0) });
+        assert_eq!(config.validate(), Ok(()));
+        let r = run_scenario(config);
+        assert!(r.setup_stats.fault_failures > 0, "{:?}", r.setup_stats);
+        assert_eq!(r.audit_violations, 0);
+        assert_eq!(r.leases_leaked, 0);
+    }
+
     /// What separate shadow counters made true by keeping in step, the
     /// one ledger must make true by how its handlers add into it.
     #[test]
@@ -1931,7 +1947,7 @@ mod tests {
     #[test]
     fn derived_rates_have_their_empty_cases() {
         let blank = ScenarioResult::new(AlgorithmKind::Acp);
-        assert_eq!((blank.recovery_rate(), blank.survival(), blank.continuity()), (1.0, 1.0, 0.0));
+        assert_eq!((blank.recovery_rate(), blank.survival()), (1.0, 1.0));
         assert_eq!(blank.tenant_tiers[0].success_rate(), 0.0);
         let settled = ScenarioResult {
             sessions_repaired: 6,
@@ -1943,7 +1959,6 @@ mod tests {
             ..blank
         };
         assert!((settled.survival() - 8.0 / 9.0).abs() < 1e-12, "cancelled tickets are excluded");
-        assert!((settled.continuity() - 6.0 / 8.0).abs() < 1e-12);
         assert!((settled.recovery_rate() - 0.9).abs() < 1e-12);
     }
 

@@ -125,7 +125,6 @@ fn draw_config(rng: &mut StdRng) -> (ScenarioConfig, bool) {
             &[
                 None,
                 Some(TenantPreemptionConfig {
-                    interval: SimDuration::from_secs(30),
                     congestion_threshold: 0.0,
                     policy: PreemptionConfig { min_node_utilization: 0.05 },
                 }),

@@ -8,7 +8,7 @@
 #
 #   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|repair|recovery|leases|routes|board|topology|audit|config|claims] [WORKDIR]
 #
-# No suite name runs all fifteen, 42 mutants; WORKDIR defaults to
+# No suite name runs all fifteen, 44 mutants; WORKDIR defaults to
 # target/mutation-check.
 # The repository itself is never edited; the copy and its cargo target
 # directory live under WORKDIR.
@@ -131,14 +131,13 @@ recovery_mutants=(
     'golden.rs: the restart delay doubles|s/^            churn\.restarts\.extend(orphaned\.into_iter()\.map(|request| (due, request)));$/            churn.restarts.extend(orphaned.into_iter().map(|request| (due + DETECTION, request)));/; s/^            queue\.schedule(due, Event::FailoverSweep);$/            queue.schedule(due + DETECTION, Event::FailoverSweep);/'
 )
 
-# Three kernels kept exact by a differential proptest each. A site that
+# Two kernels kept exact by a differential proptest each. A site that
 # stays in the lease directory's live set after its last lease went, or
 # a request's release that takes other requests' leases at its sites
 # along (a commit or close must leave them alone); a route repair whose
 # tie rule compares distances only, a failure whose subtree stops at the
 # failed node's children, or a recovery that leaves the new descendants
-# of the nodes it changed out of its targets; a board that takes a node
-# whose version moved for one it has already compared.
+# of the nodes it changed out of its targets.
 leases_kernel=crates/model/src/lease.rs
 leases_target='-p acp-model --lib'
 leases_oracle=lease::tests::sweeps_match_the_full_scans_they_replaced
@@ -176,11 +175,18 @@ topology_mutants=(
     'routing.rs: the bound set by the first peer found|s/^    if best.len() == k {$/    if !best.is_empty() {/'
     'routing.rs: the scratch not reset between searches|s/^            (dist\[v as usize\], prev\[v as usize\], done\[v as usize\]) = (UNREACHED, NO_PREV, false);$/            let _ = v;/'
 )
-board_kernel=crates/state/src/global.rs
+# The board's version skip, asserted in place: every skipped node or
+# link must be one a visit would not publish. A skip that also takes a
+# node or a link whose version moved, and a commit that forgets to bump
+# the versions of the nodes it loads, each skip a publish the assertion
+# sees.
+board_kernel='crates/state/src/global.rs crates/model/src/system.rs'
 board_target='-p acp-state --lib'
-board_oracle=global::tests::incremental_matches_full_scan
+board_oracle=global::tests::version_skip_holds_in_place_and_skips_untouched_entries
 board_mutants=(
-    'node skipped though its version moved|s/self\.config\.incremental \&\& self\.seen_node_versions\[i\] == versions\[i\]/self.config.incremental \&\& self.seen_node_versions[i] <= versions[i]/'
+    'node skipped though its version moved|s/^            if self\.seen_node_versions\[i\] == versions\[i\] {$/            if self.seen_node_versions[i] <= versions[i] {/'
+    'link skipped though its version moved|s/^            if self\.seen_link_versions\[i\] == versions\[i\] {$/            if self.seen_link_versions[i] <= versions[i] {/'
+    'commit forgets to bump the versions of its nodes|s/^            self\.touch_node(node);$//'
 )
 
 # The incremental auditor against the full pass, corruption by
@@ -221,7 +227,8 @@ claims_mutants=(
     'claims.rs: faults struck under Terminate whatever the arm|s/^        let fault = self\.system\.apply_fault(kind, churn\.repair\.policy, now);$/        let fault = self.system.apply_fault(kind, RepairPolicy::Terminate, now);/'
 )
 
-suites=(selection optimal faults compose counters ledger repair recovery leases routes board topology audit config claims)
+all_suites=(selection optimal faults compose counters ledger repair recovery leases routes board topology audit config claims)
+suites=("${all_suites[@]}")
 case "${1:-}" in
     selection | optimal | faults | compose | counters | ledger | repair | recovery | leases | routes | board | topology | audit | config | claims)
         suites=("$1")
@@ -235,6 +242,14 @@ mkdir -p "$work/src"
 (cd "$repo" && tar -cf - Cargo.toml Cargo.lock crates src tests examples) | tar -xf - -C "$work/src"
 export CARGO_TARGET_DIR="$work/target"
 cd "$work/src"
+# tar keeps the repository's mtimes; a reused WORKDIR may hold a newer
+# build of the last mutant of any suite (the board suite's reaches into
+# acp-model), which cargo would take for fresh.
+for suite in "${all_suites[@]}"; do
+    kernel_var="${suite}_kernel"
+    read -r -a kernel <<<"${!kernel_var}"
+    touch "${kernel[@]}"
+done
 
 caught=0
 for suite in "${suites[@]}"; do
@@ -246,9 +261,6 @@ for suite in "${suites[@]}"; do
     rm -rf "$work/pristine"
     mkdir "$work/pristine"
     cp --parents "${kernel[@]}" "$work/pristine"
-    # tar keeps the repository's mtimes; a reused WORKDIR may hold a newer
-    # build of the last mutant, which cargo would take for fresh.
-    touch "${kernel[@]}"
 
     unchanged() {
         for file in "${kernel[@]}"; do cmp -s "$work/pristine/$file" "$file" || return 1; done

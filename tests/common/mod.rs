@@ -35,7 +35,7 @@ impl Stack {
 
     /// Asserts the system invariants and the board's coherence in one pass.
     pub fn assert_audit_clean(&self, context: &str) {
-        let mut report = SystemAuditor::default().audit(&self.system);
+        let mut report = SystemAuditor.audit(&self.system);
         report.merge(AuditReport::from_violations(self.board.audit_against(&self.system)));
         assert!(report.is_clean(), "audit after {context}:\n{report}");
     }
