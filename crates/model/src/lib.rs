@@ -81,7 +81,8 @@ pub mod prelude {
     pub use crate::function::{FunctionCategory, FunctionId, FunctionProfile, FunctionRegistry};
     pub use crate::lease::LeaseStats;
     pub use crate::metrics::{
-        congestion_aggregation, congestion_function, is_unqualified, node_congestion, risk_function,
+        congestion_aggregation, congestion_function, is_unqualified, link_congestion, node_congestion,
+        risk_function,
     };
     pub use crate::node::{ReservationKey, StreamNode};
     pub use crate::qos::{LossRate, Qos, QosRequirement};

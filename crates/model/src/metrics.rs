@@ -81,12 +81,7 @@ pub fn congestion_aggregation(system: &StreamSystem, request: &Request, composit
             let prior = used_on_link.iter().find(|(x, _)| *x == l).map_or(0.0, |&(_, u)| u);
             ba = ba.min(system.link_available(l) - prior);
         }
-        if b > 0.0 {
-            if ba <= 0.0 {
-                return f64::INFINITY;
-            }
-            phi += b / ba;
-        }
+        phi += link_congestion(b, ba);
         for &l in &path.links {
             match used_on_link.iter_mut().find(|(x, _)| *x == l) {
                 Some((_, u)) => *u += b,
@@ -144,17 +139,24 @@ pub fn congestion_function(
     link_availability_kbps: f64,
     bandwidth_kbps: f64,
 ) -> f64 {
-    let mut v = node_congestion(demand, availability);
+    node_congestion(demand, availability) + link_congestion(bandwidth_kbps, link_availability_kbps)
+}
+
+/// The link term of Eqs. 1 and 10 for one virtual link: `b / ba`, `0.0`
+/// when nothing is carried, and `f64::INFINITY` when bandwidth is needed
+/// but none is available. A co-located link's infinite availability
+/// gives `+0.0`, which leaves a non-negative sum's bits unchanged.
+#[inline]
+pub fn link_congestion(bandwidth_kbps: f64, availability_kbps: f64) -> f64 {
     if bandwidth_kbps > 0.0 {
-        if link_availability_kbps <= 0.0 {
-            return f64::INFINITY;
+        if availability_kbps <= 0.0 {
+            f64::INFINITY
+        } else {
+            bandwidth_kbps / availability_kbps
         }
-        // Co-located candidates have infinite link availability ⇒ 0 term.
-        if link_availability_kbps.is_finite() {
-            v += bandwidth_kbps / link_availability_kbps;
-        }
+    } else {
+        0.0
     }
-    v
 }
 
 /// Per-hop qualification of a candidate (Eqs. 6–8): returns `true` when
@@ -228,6 +230,15 @@ mod tests {
         let demand = ResourceVector::new(10.0, 10.0);
         let v = congestion_function(&avail, &demand, f64::INFINITY, 200.0);
         assert!((v - 0.2).abs() < 1e-9);
+    }
+
+    #[test]
+    fn link_term_covers_its_three_cases() {
+        assert_eq!(link_congestion(200.0, 1_000.0), 0.2);
+        assert_eq!(link_congestion(0.0, 0.0), 0.0);
+        assert_eq!(link_congestion(200.0, 0.0), f64::INFINITY);
+        // A co-located link adds +0.0, which leaves a sum's bits alone.
+        assert_eq!(link_congestion(200.0, f64::INFINITY).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

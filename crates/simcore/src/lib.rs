@@ -5,14 +5,13 @@
 //!
 //! The paper ("Optimal Component Composition for Scalable Stream
 //! Processing", ICDCS 2005) evaluates ACP with an event-driven C++
-//! simulator. This crate provides the equivalent engine in Rust:
+//! simulator. This crate provides its substrate in Rust; the event loop
+//! itself lives with the one model it drives, `acp_workload`'s scenario.
 //!
 //! * [`time`] — microsecond-resolution simulated time ([`SimTime`],
 //!   [`SimDuration`]).
 //! * [`queue`] — a stable event queue: events at equal timestamps pop in
 //!   the order they were scheduled.
-//! * [`engine`] — the [`Simulation`] driver looping over a user-supplied
-//!   [`Model`].
 //! * [`rng`] — reproducible random-number streams derived from a single
 //!   master seed.
 //! * [`series`] — measurement helpers (time series, windowed counters,
@@ -22,37 +21,32 @@
 //!
 //! # Example
 //!
+//! A simulation is a loop over the queue: pop the earliest event, and let
+//! its handler schedule what follows.
+//!
 //! ```
-//! use acp_simcore::{Simulation, Model, EventQueue, SimTime, SimDuration};
+//! use acp_simcore::{EventQueue, SimDuration, SimTime};
 //!
-//! struct Counter { fired: u32 }
-//!
-//! impl Model for Counter {
-//!     type Event = ();
-//!     fn handle_event(&mut self, now: SimTime, _ev: (), queue: &mut EventQueue<()>) {
-//!         self.fired += 1;
-//!         if self.fired < 10 {
-//!             queue.schedule(now + SimDuration::from_secs(1), ());
-//!         }
+//! let mut queue = EventQueue::new();
+//! queue.schedule(SimTime::ZERO, ());
+//! let mut fired = 0;
+//! while let Some(scheduled) = queue.pop() {
+//!     fired += 1;
+//!     if fired < 10 {
+//!         queue.schedule(scheduled.time + SimDuration::from_secs(1), ());
 //!     }
 //! }
-//!
-//! let mut sim = Simulation::new(Counter { fired: 0 });
-//! sim.queue_mut().schedule(SimTime::ZERO, ());
-//! sim.run();
-//! assert_eq!(sim.model().fired, 10);
+//! assert_eq!(fired, 10);
 //! ```
 
 #![forbid(unsafe_code)]
 
-pub mod engine;
 pub mod fault;
 pub mod queue;
 pub mod rng;
 pub mod series;
 pub mod time;
 
-pub use engine::{Model, Simulation};
 pub use fault::{
     FaultEvent, FaultKind, FaultPlan, FaultPlanConfig, FaultScheduler, MessageFaultConfig,
     MessageFaultInjector,

@@ -8,9 +8,11 @@
 //! * [`requests`] — request sampling from the 20-template library with
 //!   uniform QoS/resource requirement distributions and the Fig. 5(b)
 //!   QoS tiers; request traces for profiling replay.
-//! * [`scenario`] — the full simulation loop of §4.1: topology → overlay
-//!   → deployment → event-driven workload with state maintenance,
-//!   sampling, and optional probing-ratio tuning.
+//! * [`scenario`] — the full simulation of §4.1: topology → overlay →
+//!   deployment → event-driven workload with state maintenance, sampling,
+//!   and optional probing-ratio tuning. Its config (what a user writes),
+//!   its result (what a run reports) and its event model (one loop over
+//!   its own queue) are three files.
 //! * [`streaming`] — lazy per-epoch arrival generation for the scale
 //!   experiments (the workload is pulled, never materialized whole).
 

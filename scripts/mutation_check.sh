@@ -8,7 +8,7 @@
 #
 #   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|repair|recovery|leases|routes|board|topology|audit|config|claims] [WORKDIR]
 #
-# No suite name runs all fifteen, 44 mutants; WORKDIR defaults to
+# No suite name runs all fifteen, 46 mutants; WORKDIR defaults to
 # target/mutation-check.
 # The repository itself is never edited; the copy and its cargo target
 # directory live under WORKDIR.
@@ -36,13 +36,16 @@ selection_mutants=(
 # The first makes the φ bound inadmissible (the dearest successor in
 # place of the cheapest); the second charges a merge vertex's subtree to
 # every incoming edge instead of its tree edge alone (double counting,
-# on DAGs only).
-optimal_kernel=crates/core/src/optimal.rs
+# on DAGs only); the third prices a virtual link by Eq. 1's residual form
+# taken literally, `b / (ba + b)`, in the link kernel Optimal shares with
+# Eqs. 1 and 10 (the reference search computes its own `b / ba`).
+optimal_kernel='crates/core/src/optimal.rs crates/model/src/metrics.rs'
 optimal_target='-p acp-core --lib'
 optimal_oracle=optimal::tests::matches_the_reference_search
 optimal_mutants=(
     'max over successors in the to-go bound|s/^                    let mut cheapest = f64::INFINITY;$/                    let mut cheapest = 0.0f64;/; s/cheapest = cheapest\.min(/cheapest = cheapest.max(/'
     'non-tree edge charged in both subtrees|s/^                let tree_edge = graph\.in_edges(w)\[0\] == e;$/                let tree_edge = true;/'
+    'the link term over ba + b|s/^            bandwidth_kbps \/ availability_kbps$/            bandwidth_kbps \/ (availability_kbps + bandwidth_kbps)/'
 )
 # The fault path has no reference twin; its oracle is the seven golden
 # scenario digests. The first mutant degrades path sessions whatever the
@@ -95,21 +98,24 @@ counters_mutants=(
 # pins killed / recovered / lost); the second leaves repair splices' probing rounds out of the
 # setup ledger (golden.rs pins the full stack's rounds); the third books a
 # tenant's successful composition as a failure (counters.rs pins the
-# tenant sweep's tier rows).
-ledger_kernel=crates/workload/src/scenario.rs
+# tenant sweep's tier rows). The fourth makes the event loop's horizon
+# exclusive, so the events due at the last instant never run (golden.rs
+# pins `sim_events`).
+ledger_kernel=crates/workload/src/scenario/model.rs
 ledger_target='-p acp-workload -p acp-bench --test golden --test counters --test chaos --no-fail-fast'
 ledger_oracle= # every test of the three targets
 ledger_mutants=(
     'golden.rs: recoveries not read off the repair ledger|s/^    result\.sessions_recovered = ledger\.restored;$/    result.sessions_recovered = 0;/'
-    'golden.rs: setup ledger not summed for repair composes|s/^                            self\.result\.setup_stats += probing\.setup;$//'
-    'counters.rs: tier failed bumped on success|s/^                            tier\.composed += 1;$/                            tier.failed += 1;/'
+    'golden.rs: setup ledger not summed for repair composes|s/^                    self\.result\.setup_stats += probing\.setup;$//'
+    'counters.rs: tier failed bumped on success|s/^                    tier\.composed += 1;$/                    tier.failed += 1;/'
+    'golden.rs: the horizon becomes exclusive|s/^        while self\.queue\.peek_time()\.is_some_and(|t| t <= horizon) {$/        while self.queue.peek_time().is_some_and(|t| t < horizon) {/'
 )
 
 # The repair path's own randomness: its composer's transport must draw
 # from a stream no other composer draws from. Seeded from the arrival
 # composer's label instead, repair probing loses the probes arrival
 # probing loses (golden.rs pins the full stack's digest and setup rounds).
-repair_kernel=crates/workload/src/scenario.rs
+repair_kernel=crates/workload/src/scenario/model.rs
 repair_target='-p acp-workload --test golden'
 repair_oracle= # every test of the target
 repair_mutants=(
@@ -122,13 +128,13 @@ repair_mutants=(
 # restart that leaves its ticket open, and a restart delay doubled (the
 # old repair-less fork's 2 s) each move a golden row's sessions or
 # tickets.
-recovery_kernel=crates/workload/src/scenario.rs
+recovery_kernel=crates/workload/src/scenario/model.rs
 recovery_target='-p acp-workload --test golden'
 recovery_oracle= # every test of the target
 recovery_mutants=(
     'golden.rs: killed sessions get no ticket|s/^            self\.system\.repair_ledger_mut()\.open_ticket(request\.id, now);$//'
-    'golden.rs: a successful restart leaves its ticket open|s/^                        self\.system\.repair_ledger_mut()\.record_restored(request\.id, now);$//'
-    'golden.rs: the restart delay doubles|s/^            churn\.restarts\.extend(orphaned\.into_iter()\.map(|request| (due, request)));$/            churn.restarts.extend(orphaned.into_iter().map(|request| (due + DETECTION, request)));/; s/^            queue\.schedule(due, Event::FailoverSweep);$/            queue.schedule(due + DETECTION, Event::FailoverSweep);/'
+    'golden.rs: a successful restart leaves its ticket open|s/^                self\.system\.repair_ledger_mut()\.record_restored(request\.id, now);$//'
+    'golden.rs: the restart delay doubles|s/^            churn\.restarts\.extend(orphaned\.into_iter()\.map(|request| (due, request)));$/            churn.restarts.extend(orphaned.into_iter().map(|request| (due + DETECTION, request)));/; s/^            self\.queue\.schedule(due, Event::FailoverSweep);$/            self.queue.schedule(due + DETECTION, Event::FailoverSweep);/'
 )
 
 # Two kernels kept exact by a differential proptest each. A site that
@@ -207,9 +213,9 @@ audit_mutants=(
 # ones that stay: `validate` letting a tuner target outside (0, 1] through
 # (to panic in the tuner's own assert), and a repair sweep that runs the
 # instant a fault lands (the 1 s detection floor under MTTR is gone).
-config_kernel=crates/workload/src/scenario.rs
+config_kernel='crates/workload/src/scenario/config.rs crates/workload/src/scenario/model.rs'
 config_target='-p acp-workload --lib'
-config_oracle=scenario::tests
+config_oracle=scenario::
 config_mutants=(
     'validate drops the target_success check|s/^        let unit = |target: f64| target > 0\.0 \&\& target <= 1\.0;$/        let unit = |_: f64| true;/'
     'the detection const becomes 0|s/^const DETECTION: SimDuration = SimDuration::from_secs(1);$/const DETECTION: SimDuration = SimDuration::ZERO;/'
@@ -220,7 +226,7 @@ config_mutants=(
 # repair arm killing as many sessions as restart does. Only the
 # per-universe kill claim notices; the survival lead over the 20
 # universes comes from restart retries, not splicing, and survives.
-claims_kernel=crates/workload/src/scenario.rs
+claims_kernel=crates/workload/src/scenario/model.rs
 claims_target='-p acp-bench --test claims'
 claims_oracle=repair_kills_fewer_in_every_universe_and_survives_more_over_twenty
 claims_mutants=(
