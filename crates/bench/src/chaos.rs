@@ -40,7 +40,7 @@ pub fn chaos_config(scale: &Scale, seed: u64, nodes: usize, churn: f64) -> Scena
 }
 
 /// Runs the chaos grid — every `scale.node_counts` overlay size at
-/// every [`CHURN_LEVELS`] fault-rate multiplier — and returns the cells
+/// every `CHURN_LEVELS` fault-rate multiplier — and returns the cells
 /// in grid order (node-major), each at its `(nodes, churn)`. `tenanted`
 /// attaches the standard tenant mix to every cell: admission shedding,
 /// best-effort preemption and the tenant-isolation audit pass all run

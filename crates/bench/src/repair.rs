@@ -4,7 +4,7 @@
 //! this sweep measures what make-before-break suffix recomposition buys
 //! over that baseline. Both arms replay the *same* seeded fault plan at
 //! each churn level — the only difference is the
-//! [`RepairPolicy`](acp_workload::RepairPolicy) — so per-level
+//! [`RepairPolicy`] — so per-level
 //! comparisons are apples-to-apples.
 //!
 //! Reported per cell: fault incidents (tickets opened), how many

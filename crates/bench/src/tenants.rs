@@ -75,7 +75,7 @@ pub fn tenants_config(scale: &Scale, seed: u64, load: f64) -> ScenarioConfig {
     config
 }
 
-/// Runs the sweep — every [`LOAD_LEVELS`] multiplier — and returns the
+/// Runs the sweep — every `LOAD_LEVELS` multiplier — and returns the
 /// points in load order, each at its load multiplier.
 pub fn fig_tenants(scale: &Scale, seed: u64, threads: usize) -> Vec<Point<f64>> {
     run_indexed(threads, &LOAD_LEVELS, |&load| Point {

@@ -115,24 +115,22 @@ fn warm_operations_allocate_exactly_this_much() {
     assert_eq!(std::mem::size_of::<Request>(), 72);
     assert_eq!(std::mem::size_of::<Session>(), 208);
 
-    // ACP, single-phase: the two-phase machinery is compiled out. The
-    // deputy no longer calls `StreamSystem::qualify` on every completed
-    // probe (the commit validates Eqs. 2–5 on what it tries), so its two
-    // per-probe demand groupings are gone: 4 529 allocations became 3 095.
+    // ACP over the default, fault-free transport. The deputy no longer
+    // calls `StreamSystem::qualify` on every completed probe (the commit
+    // validates Eqs. 2–5 on what it tries), so its two per-probe demand
+    // groupings are gone: 4 529 allocations became 3 095.
     let mut acp = ProbingComposer::new(probing.clone(), 42);
     let single = warm_compose_close(&mut acp, &system, &board, &batch);
-    assert_eq!(single, (200, (3_095, 344_960)), "ACP single-phase");
+    assert_eq!(single, (200, (3_095, 344_960)), "ACP, default transport");
 
-    // ACP, two-phase over a fault-free transport: the retry loop and the
-    // setup ledger around the same compositions. It reads what
-    // single-phase reads: an inert setup path allocates nothing of its
-    // own (the old wall-clock A/B between the two said "within noise").
-    // It fell from 4 529 with single-phase when the deputy's `qualify`
-    // call went.
+    // ACP over a fault-free transport attached on another seed, as a
+    // scenario with `setup: Some(SetupConfig::default())` builds it. It
+    // reads what the default reads: an inert transport draws nothing
+    // and allocates nothing of its own.
     let setup = TwoPhase::new(43, SetupConfig::default());
-    let mut acp_two_phase = ProbingComposer::with_mode(probing.clone(), 42, setup);
+    let mut acp_two_phase = ProbingComposer::new(probing.clone(), 42).with_setup(setup);
     let two_phase = warm_compose_close(&mut acp_two_phase, &system, &board, &batch);
-    assert_eq!(two_phase, (200, (3_095, 344_960)), "ACP two-phase");
+    assert_eq!(two_phase, (200, (3_095, 344_960)), "ACP, explicit fault-free transport");
 
     // Optimal: the branch-and-bound under the figures' expansion cap.
     let mut optimal = OptimalComposer::new(OptimalConfig { max_expansions: 300_000 });

@@ -1,5 +1,5 @@
 //! Inertness contracts at figure scale: a layer that is switched on but
-//! never acts — two-phase setup with every fault rate at zero, a single
+//! never acts — an explicit setup config with every fault rate at zero, a single
 //! uncapped `Gold` tenant, a repair config under `Terminate` — must
 //! leave a Fig. 6-style run byte-identical to the run without it.
 
@@ -23,18 +23,11 @@ fn fig6_style_point() -> ScenarioResult {
     run_scenario(config)
 }
 
-/// The two-phase setup path with every message-fault rate at zero must
-/// be byte-identical to the plain single-phase path: same compositions,
-/// same audit trail, same message ledger, same series, same event
-/// count. The lease machinery may only change behaviour when a fault
-/// actually lands.
-///
-/// This is also the monomorphization contract: the `plain` run
-/// instantiates the composer over `SinglePhase` (the two-phase retry
-/// loop, fault sampling and backoff draws are compiled out), the
-/// `two_phase` run over the full `TwoPhase` machinery, and at zero fault
-/// rates both instantiations must produce identical figure digests and
-/// identical lease ledgers.
+/// `setup: Some(SetupConfig::default())` must be byte-identical to
+/// `setup: None`, which runs the same fault-free transport on the
+/// composer's default seed: same compositions, same audit trail, same
+/// message ledger, same series, same event count, same lease ledger. A
+/// fault-free transport draws nothing, so its seed may change nothing.
 #[test]
 fn inert_two_phase_matches_single_phase_scenario() {
     let plain = fig6_style_point();
@@ -57,8 +50,8 @@ fn inert_two_phase_matches_single_phase_scenario() {
     assert_eq!(plain.aggregation_rounds, two_phase.aggregation_rounds);
     assert_eq!(plain.success_series.samples(), two_phase.success_series.samples());
 
-    // Both keep the lease ledger, and an inert two-phase round places
-    // and settles exactly the leases a single-phase one does.
+    // Both keep the lease ledger, and both place and settle exactly the
+    // same leases.
     assert_eq!(plain.lease_stats, two_phase.lease_stats, "lease ledgers diverged");
     assert!(two_phase.lease_stats.created > 0, "the ledger must be live");
     assert!(

@@ -20,8 +20,7 @@ use crate::naive::{blind_compose, BlindStrategy};
 use crate::optimal::{optimal_compose, OptimalConfig};
 use crate::overhead::OverheadStats;
 use crate::protocol::{
-    compose_with_mode, FinalSelection, ProbeScratch, ProbingConfig, Rules, SetupConfig, SetupMode, SetupStats,
-    SinglePhase, TwoPhase,
+    compose_with_setup, FinalSelection, ProbeScratch, ProbingConfig, Rules, SetupConfig, SetupStats, TwoPhase,
 };
 use crate::selection::HopSelection;
 
@@ -32,8 +31,9 @@ pub struct ComposeOutcome {
     pub session: Option<SessionId>,
     /// Message ledger for this request.
     pub stats: OverheadStats,
-    /// Two-phase setup ledger (all-zero unless two-phase setup is
-    /// enabled and faults fired).
+    /// Setup ledger: the probing rounds run (one per request over a
+    /// fault-free transport) and what message faults cost. All zero for
+    /// the algorithms that commit without probing.
     pub setup: SetupStats,
     /// True when the search gave up before it finished: only the
     /// exhaustive baseline can, when it hits its expansion cap, and its
@@ -71,13 +71,10 @@ pub trait Composer {
 /// final selection rules their constructor pins (BCP also pins a probe
 /// budget per function).
 ///
-/// The setup mode is a type parameter: the default [`SinglePhase`]
-/// instantiation compiles the entire two-phase machinery (retry loop,
-/// fault sampling, backoff draws, stale-ack replay) out of the hot
-/// path, while `ProbingComposer<TwoPhase>` carries the lossy-transport
-/// protocol. Dispatch happens once, at construction.
+/// Every constructor sets up over the fault-free transport of
+/// [`SetupConfig::default`]; [`Self::with_setup`] attaches another.
 #[derive(Debug)]
-pub struct ProbingComposer<M: SetupMode = SinglePhase> {
+pub struct ProbingComposer {
     name: &'static str,
     hop_selection: HopSelection,
     final_selection: FinalSelection,
@@ -86,54 +83,20 @@ pub struct ProbingComposer<M: SetupMode = SinglePhase> {
     budget: Option<usize>,
     config: ProbingConfig,
     rng: StdRng,
-    mode: M,
+    setup: TwoPhase,
     /// The probe tree's storage, reused from request to request.
     scratch: ProbeScratch,
 }
 
 /// The ACP algorithm: [`ProbingComposer::new`].
-pub type AcpComposer<M = SinglePhase> = ProbingComposer<M>;
+pub type AcpComposer = ProbingComposer;
 
 impl ProbingComposer {
-    /// Single-phase ACP: coarse-state-guided ranked per-hop selection
-    /// with min-φ(λ) final selection.
-    pub fn new(config: ProbingConfig, seed: u64) -> Self {
-        Self::with_mode(config, seed, SinglePhase)
-    }
-
-    /// Single-phase SP baseline: ACP's per-hop selection, random final
-    /// selection.
-    pub fn sp(config: ProbingConfig, seed: u64) -> Self {
-        Self::sp_with_mode(config, seed, SinglePhase)
-    }
-
-    /// Single-phase RP baseline: random per-hop selection (fully
-    /// distributed, no global state), ACP's min-φ(λ) final selection.
-    pub fn rp(config: ProbingConfig, seed: u64) -> Self {
-        Self::rp_with_mode(config, seed, SinglePhase)
-    }
-
-    /// Single-phase bounded composition probing (BCP) — the simpler ACP
-    /// variant the paper's PlanetLab prototype implements (footnote 10):
-    /// ACP's selection rules, but a **fixed** budget of `budget` probes
-    /// per function instead of a tunable probing ratio (and hence no
-    /// ratio tuner).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `budget` is zero.
-    pub fn bounded(budget: usize, config: ProbingConfig, seed: u64) -> Self {
-        Self::bounded_with_mode(budget, config, seed, SinglePhase)
-    }
-}
-
-impl<M: SetupMode> ProbingComposer<M> {
     fn build(
         name: &'static str,
         (hop_selection, final_selection, budget): Rules,
         config: ProbingConfig,
         seed: u64,
-        mode: M,
     ) -> Self {
         ProbingComposer {
             name,
@@ -142,36 +105,52 @@ impl<M: SetupMode> ProbingComposer<M> {
             budget,
             config,
             rng: StdRng::seed_from_u64(seed),
-            mode,
+            setup: TwoPhase::default(),
             scratch: ProbeScratch::default(),
         }
     }
 
-    /// [`Self::new`] under an explicit setup mode.
-    pub fn with_mode(config: ProbingConfig, seed: u64, mode: M) -> Self {
-        Self::build("acp", (HopSelection::Ranked, FinalSelection::MinCongestion, None), config, seed, mode)
+    /// ACP: coarse-state-guided ranked per-hop selection with min-φ(λ)
+    /// final selection.
+    pub fn new(config: ProbingConfig, seed: u64) -> Self {
+        Self::build("acp", (HopSelection::Ranked, FinalSelection::MinCongestion, None), config, seed)
     }
 
-    /// [`Self::sp`] under an explicit setup mode.
-    pub(crate) fn sp_with_mode(config: ProbingConfig, seed: u64, mode: M) -> Self {
-        Self::build("sp", (HopSelection::Ranked, FinalSelection::Random, None), config, seed, mode)
+    /// SP baseline: ACP's per-hop selection, random final selection.
+    pub fn sp(config: ProbingConfig, seed: u64) -> Self {
+        Self::build("sp", (HopSelection::Ranked, FinalSelection::Random, None), config, seed)
     }
 
-    /// [`Self::rp`] under an explicit setup mode.
-    pub(crate) fn rp_with_mode(config: ProbingConfig, seed: u64, mode: M) -> Self {
-        Self::build("rp", (HopSelection::Random, FinalSelection::MinCongestion, None), config, seed, mode)
+    /// RP baseline: random per-hop selection (fully distributed, no
+    /// global state), ACP's min-φ(λ) final selection.
+    pub fn rp(config: ProbingConfig, seed: u64) -> Self {
+        Self::build("rp", (HopSelection::Random, FinalSelection::MinCongestion, None), config, seed)
     }
 
-    /// [`Self::bounded`] under an explicit setup mode.
-    fn bounded_with_mode(budget: usize, config: ProbingConfig, seed: u64, mode: M) -> Self {
+    /// Bounded composition probing (BCP) — the simpler ACP variant the
+    /// paper's PlanetLab prototype implements (footnote 10): ACP's
+    /// selection rules, but a **fixed** budget of `budget` probes per
+    /// function instead of a tunable probing ratio (and hence no ratio
+    /// tuner).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `budget` is zero.
+    pub fn bounded(budget: usize, config: ProbingConfig, seed: u64) -> Self {
         assert!(budget > 0, "probe budget must be positive");
         // Ranking considers every candidate; the budget caps the spawns.
         let config = ProbingConfig { probing_ratio: 1.0, ..config };
-        Self::build("bcp", (HopSelection::Ranked, FinalSelection::MinCongestion, Some(budget)), config, seed, mode)
+        Self::build("bcp", (HopSelection::Ranked, FinalSelection::MinCongestion, Some(budget)), config, seed)
+    }
+
+    /// The same composer over the transport of `setup` in place of the
+    /// fault-free one.
+    pub fn with_setup(self, setup: TwoPhase) -> Self {
+        ProbingComposer { setup, ..self }
     }
 }
 
-impl<M: SetupMode> Composer for ProbingComposer<M> {
+impl Composer for ProbingComposer {
     fn name(&self) -> &'static str {
         self.name
     }
@@ -183,14 +162,14 @@ impl<M: SetupMode> Composer for ProbingComposer<M> {
         request: &Request,
         now: SimTime,
     ) -> ComposeOutcome {
-        compose_with_mode(
+        compose_with_setup(
             system,
             board,
             request,
             now,
             &self.config,
             (self.hop_selection, self.final_selection, self.budget),
-            &mut self.mode,
+            &mut self.setup,
             &mut self.rng,
             &mut self.scratch,
         )
@@ -335,21 +314,19 @@ impl AlgorithmKind {
         }
     }
 
-    /// Instantiates the single-phase composer with a probing
-    /// configuration (used by the probing algorithms, ignored by the
-    /// others), the default exhaustive-search configuration, and an RNG
-    /// seed.
+    /// Instantiates the composer with a probing configuration (used by
+    /// the probing algorithms, ignored by the others), the default
+    /// exhaustive-search configuration, and an RNG seed.
     pub fn build(self, probing: ProbingConfig, seed: u64) -> Box<dyn Composer> {
         self.build_composer(probing, OptimalConfig::default(), seed, None)
     }
 
     /// Like [`Self::build`], with an explicit exhaustive-search
-    /// configuration for [`AlgorithmKind::Optimal`] and the setup mode
-    /// selected at construction time: `None` instantiates the probing
-    /// algorithms over [`SinglePhase`] (the two-phase machinery compiles
-    /// away), `Some((setup_seed, config))` over the fault-injecting
-    /// [`TwoPhase`]. The non-probing algorithms commit directly and
-    /// ignore the setup configuration either way.
+    /// configuration for [`AlgorithmKind::Optimal`] and the probing
+    /// algorithms' setup transport: `Some((setup_seed, config))` builds
+    /// it as [`TwoPhase::new`] does, `None` is [`SetupConfig::default`],
+    /// the fault-free transport. The non-probing algorithms commit
+    /// directly and ignore the setup configuration either way.
     pub fn build_composer(
         self,
         probing: ProbingConfig,
@@ -357,18 +334,18 @@ impl AlgorithmKind {
         seed: u64,
         setup: Option<(u64, SetupConfig)>,
     ) -> Box<dyn Composer> {
-        let setup = setup.map(|(s, cfg)| TwoPhase::new(s, cfg));
-        match (self, setup) {
-            (AlgorithmKind::Optimal, _) => Box::new(OptimalComposer::new(optimal)),
-            (AlgorithmKind::Random, _) => Box::new(RandomComposer::new(seed)),
-            (AlgorithmKind::Static, _) => Box::new(StaticComposer::new()),
-            (AlgorithmKind::Acp, None) => Box::new(ProbingComposer::new(probing, seed)),
-            (AlgorithmKind::Acp, Some(mode)) => Box::new(ProbingComposer::with_mode(probing, seed, mode)),
-            (AlgorithmKind::Sp, None) => Box::new(ProbingComposer::sp(probing, seed)),
-            (AlgorithmKind::Sp, Some(mode)) => Box::new(ProbingComposer::sp_with_mode(probing, seed, mode)),
-            (AlgorithmKind::Rp, None) => Box::new(ProbingComposer::rp(probing, seed)),
-            (AlgorithmKind::Rp, Some(mode)) => Box::new(ProbingComposer::rp_with_mode(probing, seed, mode)),
+        let mut composer = match self {
+            AlgorithmKind::Optimal => return Box::new(OptimalComposer::new(optimal)),
+            AlgorithmKind::Random => return Box::new(RandomComposer::new(seed)),
+            AlgorithmKind::Static => return Box::new(StaticComposer::new()),
+            AlgorithmKind::Acp => ProbingComposer::new(probing, seed),
+            AlgorithmKind::Sp => ProbingComposer::sp(probing, seed),
+            AlgorithmKind::Rp => ProbingComposer::rp(probing, seed),
+        };
+        if let Some((setup_seed, config)) = setup {
+            composer = composer.with_setup(TwoPhase::new(setup_seed, config));
         }
+        Box::new(composer)
     }
 }
 

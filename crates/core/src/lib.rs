@@ -86,9 +86,7 @@ pub mod prelude {
     pub use crate::optimal::{optimal_compose, OptimalConfig};
     pub use crate::overhead::{centralized_update_messages_per_minute, OverheadStats};
     pub use crate::preemption::{PreemptionConfig, Preemptor};
-    pub use crate::protocol::{
-        FinalSelection, ProbingConfig, SetupConfig, SetupMode, SetupStats, SinglePhase, TwoPhase,
-    };
+    pub use crate::protocol::{FinalSelection, ProbingConfig, SetupConfig, SetupStats, TwoPhase};
     pub use crate::repair::{
         RepairAttempt, RepairFailure, RepairPlanner, RepairVerdict, MINI_REQUEST_BIT,
     };

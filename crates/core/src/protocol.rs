@@ -26,12 +26,13 @@
 //! Steps 2 and 4 are the two phases of a reservation protocol: probes
 //! place **transient leases** on candidate nodes and links (phase 1), and
 //! the confirmation promotes the winner's leases to committed residuals
-//! (phase 2). A [`TwoPhase`] setup mode subjects both phases to message
-//! faults ([`MessageFaultConfig`]): probe messages may be dropped in
-//! transit, and the confirmation itself may be lost — leaving the
-//! winner's leases **orphaned** until the expiry-driven reclamation sweep
-//! recovers them ("cancelled after a timeout period if the node does not
-//! receive a confirmation message", §3.3). A lost confirmation may also
+//! (phase 2). Both phases cross the transport of the [`TwoPhase`] setup
+//! state, subject to its message faults ([`MessageFaultConfig`]): probe
+//! messages may be dropped in transit, and the confirmation itself may
+//! be lost — leaving the winner's leases **orphaned** until the
+//! expiry-driven reclamation sweep recovers them ("cancelled after a
+//! timeout period if the node does not receive a confirmation message",
+//! §3.3). A lost confirmation may also
 //! resurface later as a duplicate delivery (stale ack); commits are
 //! idempotent per request, so a request that already holds a session
 //! rejects the duplicate instead of double-committing residuals.
@@ -39,9 +40,9 @@
 //! Fault-induced failures are retried with deterministic exponential
 //! backoff plus seeded jitter, escalating the probing ratio α
 //! geometrically on consecutive failures. With every fault rate at
-//! zero the two-phase path performs *exactly* the RNG draws and state
-//! mutations of the plain path — the fault injector consumes no
-//! randomness for disabled classes — so enabling it is byte-identical.
+//! zero, the default, the fault injector draws nothing and no attempt
+//! faults, so nothing retries: one probing round, as over a reliable
+//! transport.
 
 use acp_model::prelude::*;
 use acp_simcore::{DeterministicRng, MessageFaultConfig, MessageFaultInjector, SimDuration, SimTime};
@@ -227,60 +228,12 @@ impl std::iter::Sum for SetupStats {
     }
 }
 
-/// Compile-time selection of the setup path.
-///
-/// The probing protocol is generic over its setup mode; every fault,
-/// retry, and backoff branch is gated on [`SetupMode::TWO_PHASE`], a
-/// constant, so the [`SinglePhase`] monomorphization compiles down to
-/// the plain lossless protocol — no injector state, no backoff stream,
-/// no retry loop, no lease-ledger pressure — while [`TwoPhase`] carries
-/// the full reservation machinery. The state machine is identical in
-/// both; only the dispatch moved from run time to compile time.
-pub trait SetupMode: std::fmt::Debug {
-    /// `true` on the two-phase path. Gates every fault/retry branch, so
-    /// the single-phase composer carries none of them in its code.
-    const TWO_PHASE: bool;
-
-    /// Probing rounds allowed per request (1 = no retry).
-    fn max_attempts(&self) -> u32 {
-        1
-    }
-
-    /// Deterministic backoff (plus seeded jitter) before retrying after
-    /// failed attempt number `attempt`.
-    fn backoff_delay(&mut self, _attempt: u32) -> SimDuration {
-        SimDuration::ZERO
-    }
-
-    /// Does this forwarded probe get dropped in transit?
-    fn probe_dropped(&mut self) -> bool {
-        false
-    }
-
-    /// Does this session-confirmation message get lost in transit?
-    fn confirm_lost(&mut self) -> bool {
-        false
-    }
-
-    /// Does a lost confirmation later resurface as a stale ack?
-    fn stale_ack_resurfaces(&mut self) -> bool {
-        false
-    }
-}
-
-/// The plain single-phase setup path: reliable transport, one probing
-/// round, no retry state. A zero-sized type — composing with it is the
-/// pre-two-phase protocol, bit for bit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SinglePhase;
-
-impl SetupMode for SinglePhase {
-    const TWO_PHASE: bool = false;
-}
-
-/// Mutable state of the two-phase setup path carried across requests:
-/// the seeded [`MessageFaultInjector`] and the seeded backoff-jitter
-/// stream.
+/// The state of the §3.3 setup path carried across requests: the seeded
+/// [`MessageFaultInjector`] every probe and confirmation passes through,
+/// and the seeded backoff-jitter stream. A fault class whose rate is zero
+/// draws nothing, so over the default (fault-free) transport no message
+/// is lost, no attempt faults and nothing retries: that is the plain
+/// lossless protocol, on the same code path.
 #[derive(Debug, Clone)]
 pub struct TwoPhase {
     config: SetupConfig,
@@ -296,31 +249,21 @@ impl TwoPhase {
         let transport = MessageFaultInjector::new(seed, config.faults.clone());
         TwoPhase { transport, backoff_rng: DeterministicRng::new(seed).stream("setup/backoff"), config }
     }
-}
 
-impl SetupMode for TwoPhase {
-    const TWO_PHASE: bool = true;
-
-    fn max_attempts(&self) -> u32 {
-        self.config.max_attempts.max(1)
-    }
-
+    /// Deterministic backoff (plus seeded jitter) before retrying after
+    /// failed attempt number `attempt`.
     fn backoff_delay(&mut self, attempt: u32) -> SimDuration {
         let backoff = backoff_secs(attempt);
         let jitter = backoff * JITTER_FRAC * self.backoff_rng.gen::<f64>();
         SimDuration::from_secs_f64(backoff + jitter)
     }
+}
 
-    fn probe_dropped(&mut self) -> bool {
-        self.transport.probe_dropped()
-    }
-
-    fn confirm_lost(&mut self) -> bool {
-        self.transport.confirm_lost()
-    }
-
-    fn stale_ack_resurfaces(&mut self) -> bool {
-        self.transport.stale_ack_resurfaces()
+/// The fault-free transport of [`SetupConfig::default`]: it draws
+/// nothing, so its seed is never read.
+impl Default for TwoPhase {
+    fn default() -> Self {
+        TwoPhase::new(0, SetupConfig::default())
     }
 }
 
@@ -332,9 +275,9 @@ struct AttemptOutcome {
     faulted: bool,
 }
 
-/// [`compose_with_mode`] under ACP's selection rules on the plain
-/// (reliable-transport) path with a throw-away [`ProbeScratch`], for
-/// tests that compose one request.
+/// [`compose_with_setup`] under ACP's selection rules over the
+/// fault-free transport with a throw-away [`ProbeScratch`], for tests
+/// that compose one request.
 #[cfg(test)]
 pub(crate) fn probe_compose<R: Rng + ?Sized>(
     system: &mut StreamSystem,
@@ -344,31 +287,25 @@ pub(crate) fn probe_compose<R: Rng + ?Sized>(
     config: &ProbingConfig,
     rng: &mut R,
 ) -> ComposeOutcome {
-    compose_with_mode(
+    compose_with_setup(
         system,
         board,
         request,
         now,
         config,
         (HopSelection::Ranked, FinalSelection::MinCongestion, None),
-        &mut SinglePhase,
+        &mut TwoPhase::default(),
         rng,
         &mut ProbeScratch::default(),
     )
 }
 
-/// The probing protocol, monomorphized over its [`SetupMode`].
-///
-/// With [`SinglePhase`] this is the plain lossless path: the retry loop,
-/// fault sampling, backoff draws, and orphan accounting all compile away
-/// behind `M::TWO_PHASE`. With [`TwoPhase`] it is the setup path under a
-/// lossy message transport with fault-induced retries (see the module
-/// docs) — byte-identical to single-phase while every fault rate is
-/// zero. When a confirmation was lost in flight the request's leases are
-/// **not** released (the deputy cannot tell a lost confirm from a
-/// committed session whose ack was lost, so releasing is unsafe and
-/// cleanup is left to the expiry-driven reclamation sweep); every other
-/// failure releases them as before. A fault-induced retry also keeps the
+/// The probing protocol over the transport of `setup`, with
+/// fault-induced retries (see the module docs). When a confirmation was
+/// lost in flight the request's leases are **not** released (the deputy
+/// cannot tell a lost confirm from a committed session whose ack was
+/// lost, so releasing is unsafe and cleanup is left to the expiry-driven
+/// reclamation sweep); every other failure releases them. A fault-induced retry also keeps the
 /// failed attempt's leases in place: re-probing a still-leased candidate
 /// refreshes the existing reservation (an idempotent `reused` touch,
 /// footnote 7) instead of churning a release/create pair.
@@ -377,14 +314,14 @@ pub(crate) fn probe_compose<R: Rng + ?Sized>(
 /// `scratch` is the caller's [`ProbeScratch`]: whoever composes request
 /// after request keeps one and hands it to every call.
 #[allow(clippy::too_many_arguments)] // one parameter per protocol input (Fig. 3), plus the buffers
-pub(crate) fn compose_with_mode<M: SetupMode, R: Rng + ?Sized>(
+pub(crate) fn compose_with_setup<R: Rng + ?Sized>(
     system: &mut StreamSystem,
     board: &GlobalStateBoard,
     request: &Request,
     now: SimTime,
     config: &ProbingConfig,
     rules: Rules,
-    mode: &mut M,
+    setup: &mut TwoPhase,
     rng: &mut R,
     scratch: &mut ProbeScratch,
 ) -> ComposeOutcome {
@@ -393,9 +330,9 @@ pub(crate) fn compose_with_mode<M: SetupMode, R: Rng + ?Sized>(
         request,
         now,
         config,
-        mode,
+        setup,
         rng,
-        |system, now, config, mode, rng, stats, setup_stats, pending_stale| {
+        |system, now, config, setup, rng, stats, setup_stats, pending_stale| {
             probe_attempt(
                 system,
                 board,
@@ -403,7 +340,7 @@ pub(crate) fn compose_with_mode<M: SetupMode, R: Rng + ?Sized>(
                 now,
                 config,
                 rules,
-                mode,
+                setup,
                 rng,
                 stats,
                 setup_stats,
@@ -415,20 +352,20 @@ pub(crate) fn compose_with_mode<M: SetupMode, R: Rng + ?Sized>(
 }
 
 /// The retry-and-settle loop around one probing round, `attempt`: the
-/// protocol as [`compose_with_mode`] documents it, whatever a round is
+/// protocol as [`compose_with_setup`] documents it, whatever a round is
 /// made of (the tests run it over the round this module used to have).
-fn run_protocol<M: SetupMode, R: Rng + ?Sized>(
+fn run_protocol<R: Rng + ?Sized>(
     system: &mut StreamSystem,
     request: &Request,
     now: SimTime,
     config: &ProbingConfig,
-    mode: &mut M,
+    setup: &mut TwoPhase,
     rng: &mut R,
     mut attempt: impl FnMut(
         &mut StreamSystem,
         SimTime,
         &ProbingConfig,
-        &mut M,
+        &mut TwoPhase,
         &mut R,
         &mut OverheadStats,
         &mut SetupStats,
@@ -442,7 +379,7 @@ fn run_protocol<M: SetupMode, R: Rng + ?Sized>(
     let mut attempt_now = now;
     let mut attempts: u32 = 0;
     let mut last_faulted;
-    let max_attempts = if M::TWO_PHASE { mode.max_attempts() } else { 1 };
+    let max_attempts = setup.config.max_attempts.max(1);
     let mut ratio = config.probing_ratio;
 
     loop {
@@ -462,7 +399,7 @@ fn run_protocol<M: SetupMode, R: Rng + ?Sized>(
             system,
             attempt_now,
             attempt_config,
-            mode,
+            setup,
             rng,
             &mut stats,
             &mut setup_stats,
@@ -474,10 +411,9 @@ fn run_protocol<M: SetupMode, R: Rng + ?Sized>(
             break;
         }
         // Retry only fault-induced failures: a request the system
-        // legitimately cannot serve fails exactly as on the plain path.
-        // (`faulted` is constant-false for SinglePhase, so the whole
-        // retry arm folds away there.)
-        if !M::TWO_PHASE || !out.faulted || attempts >= max_attempts {
+        // legitimately cannot serve fails after one round, as it would
+        // over a reliable transport.
+        if !out.faulted || attempts >= max_attempts {
             break;
         }
         setup_stats.retries += 1;
@@ -487,7 +423,7 @@ fn run_protocol<M: SetupMode, R: Rng + ?Sized>(
         // confirmation that may still be in flight keeps its leases
         // regardless. Everything is settled — promoted, released, or
         // orphaned — when the request concludes below.
-        attempt_now += mode.backoff_delay(attempts);
+        attempt_now += setup.backoff_delay(attempts);
         // Backoff-time reclamation sweep: recover whatever leases (ours
         // or other requests') have expired in the meantime.
         setup_stats.leases_reclaimed += system.expire_transients(attempt_now) as u64;
@@ -498,29 +434,27 @@ fn run_protocol<M: SetupMode, R: Rng + ?Sized>(
     // resurfaces after the protocol concluded. Commits are idempotent per
     // request — a request that already holds a session rejects the
     // duplicate, so residuals are never committed twice.
-    if M::TWO_PHASE {
-        if let Some(composition) = pending_stale.take() {
-            if session.is_some() || system.has_session_for(request.id) {
-                setup_stats.stale_acks_rejected += 1;
-            } else {
-                let assignment_len = composition.assignment.len() as u64;
-                match system.commit_session(request, composition) {
-                    Ok(sid) => {
-                        stats.confirmation_messages += assignment_len;
-                        setup_stats.stale_acks_recovered += 1;
-                        session = Some(sid);
-                    }
-                    Err(_) => setup_stats.stale_acks_rejected += 1,
+    if let Some(composition) = pending_stale.take() {
+        if session.is_some() || system.has_session_for(request.id) {
+            setup_stats.stale_acks_rejected += 1;
+        } else {
+            let assignment_len = composition.assignment.len() as u64;
+            match system.commit_session(request, composition) {
+                Ok(sid) => {
+                    stats.confirmation_messages += assignment_len;
+                    setup_stats.stale_acks_recovered += 1;
+                    session = Some(sid);
                 }
+                Err(_) => setup_stats.stale_acks_rejected += 1,
             }
         }
     }
 
     if session.is_none() {
-        if M::TWO_PHASE && last_faulted {
+        if last_faulted {
             setup_stats.fault_failures += 1;
         }
-        if M::TWO_PHASE && setup_stats.confirms_lost > 0 {
+        if setup_stats.confirms_lost > 0 {
             // A confirmation is unaccounted for: the deputy cannot tell
             // a lost confirm from a committed session whose ack was
             // lost, so releasing is unsafe — leases stay orphaned and
@@ -573,7 +507,7 @@ impl ProbeNode {
 /// The probe tree of one probing round and every buffer the round
 /// fills. A [`ProbingComposer`](crate::algorithms::ProbingComposer) —
 /// the arrival path's or the repair path's — owns one and hands it to
-/// [`compose_with_mode`], so a warm round allocates nothing for its
+/// [`compose_with_setup`], so a warm round allocates nothing for its
 /// tree. It carries no state from one round to the next: a round
 /// clears each buffer before it reads it, and lets go of the shared
 /// paths it held before it returns.
@@ -616,14 +550,14 @@ pub(crate) struct ProbeScratch {
 /// (confirmation) with transport faults injected, no retry and no final
 /// release — the caller owns both.
 #[allow(clippy::too_many_arguments)]
-fn probe_attempt<M: SetupMode, R: Rng + ?Sized>(
+fn probe_attempt<R: Rng + ?Sized>(
     system: &mut StreamSystem,
     board: &GlobalStateBoard,
     request: &Request,
     now: SimTime,
     config: &ProbingConfig,
     (hop_selection, final_selection, budget): Rules,
-    mode: &mut M,
+    setup: &mut TwoPhase,
     rng: &mut R,
     stats: &mut OverheadStats,
     setup_stats: &mut SetupStats,
@@ -757,9 +691,8 @@ fn probe_attempt<M: SetupMode, R: Rng + ?Sized>(
 
                 // --- transport: the hop message may be dropped. A disabled
                 // fault class consumes no randomness, so with all rates at
-                // zero this is byte-identical to not existing; for
-                // SinglePhase it folds away at compile time.
-                if M::TWO_PHASE && mode.probe_dropped() {
+                // zero this draws nothing and drops nothing.
+                if setup.transport.probe_dropped() {
                     setup_stats.probes_lost += 1;
                     faulted = true;
                     continue;
@@ -820,14 +753,14 @@ fn probe_attempt<M: SetupMode, R: Rng + ?Sized>(
     // reservation).
     let mut session = None;
     for &(_, leaf) in ranking.iter() {
-        if M::TWO_PHASE && mode.confirm_lost() {
+        if setup.transport.confirm_lost() {
             setup_stats.confirms_lost += 1;
             // The confirmation vanished in transit; the deputy times
             // out waiting for the ack and gives this attempt up. The
             // winner's leases stay orphaned. With probability
             // `stale_ack` the message was merely trapped and
             // resurfaces later as a duplicate delivery.
-            if mode.stale_ack_resurfaces() {
+            if setup.transport.stale_ack_resurfaces() {
                 assemble(tree, links, generation, graph, chain, leaf, composition);
                 *pending_stale = Some(std::mem::take(composition));
             }
@@ -1098,6 +1031,10 @@ mod tests {
         assert!(out.session.is_some());
     }
 
+    /// The default transport (what a composer built without a setup
+    /// config runs) against an explicit `SetupConfig::default()` on
+    /// another seed: a fault-free transport draws nothing, so its seed
+    /// changes nothing.
     #[test]
     fn inert_two_phase_is_byte_identical_to_plain() {
         let (sys0, board) = build(21, 40);
@@ -1111,7 +1048,7 @@ mod tests {
         let config = SetupConfig::default();
         assert_eq!(config.faults, MessageFaultConfig::default(), "every fault class disabled");
         let mut setup = TwoPhase::new(77, config);
-        let two = compose_with_mode(
+        let two = compose_with_setup(
             &mut sys_b,
             &board,
             &req,
@@ -1150,7 +1087,7 @@ mod tests {
             sys.expire_transients(now);
             let req = path_request(&sys, 100 + id, 3);
             let out =
-                compose_with_mode(&mut sys, &board, &req, now, &cfg, ACP, &mut setup, &mut rng, &mut ProbeScratch::default());
+                compose_with_setup(&mut sys, &board, &req, now, &cfg, ACP, &mut setup, &mut rng, &mut ProbeScratch::default());
             retried += out.setup.retries;
             if let Some(sid) = out.session {
                 composed += 1;
@@ -1191,7 +1128,7 @@ mod tests {
         };
         let mut setup = TwoPhase::new(3, setup_cfg);
         let mut rng = StdRng::seed_from_u64(3);
-        let out = compose_with_mode(
+        let out = compose_with_setup(
             &mut sys,
             &board,
             &req,
@@ -1230,7 +1167,7 @@ mod tests {
         };
         let mut setup = TwoPhase::new(4, setup_cfg);
         let mut rng = StdRng::seed_from_u64(4);
-        let out = compose_with_mode(
+        let out = compose_with_setup(
             &mut sys,
             &board,
             &req,
@@ -1269,7 +1206,7 @@ mod tests {
         let mut exercised = false;
         for id in 0..30u64 {
             let req = path_request(&sys, 200 + id, 3);
-            let out = compose_with_mode(
+            let out = compose_with_setup(
                 &mut sys,
                 &board,
                 &req,
@@ -1366,19 +1303,19 @@ mod tests {
         /// expiring, a node failing halfway — comparing everything a
         /// caller or a later request could observe after each request.
         #[allow(clippy::too_many_arguments)]
-        fn run_sequence<M: SetupMode + Clone>(
+        fn run_sequence(
             case: &str,
             base: &StreamSystem,
             config: &ProbingConfig,
             rules: Rules,
-            mode: &M,
+            setup: &TwoPhase,
             rng: &mut StdRng,
             scratch: &mut ProbeScratch,
             coverage: &mut Coverage,
         ) {
             let (mut new_sys, mut old_sys) = (base.clone(), base.clone());
             let mut board = GlobalStateBoard::new(&new_sys, GlobalStateConfig::default());
-            let (mut new_mode, mut old_mode) = (mode.clone(), mode.clone());
+            let (mut new_setup, mut old_setup) = (setup.clone(), setup.clone());
             let select_seed = rng.gen::<u64>();
             let (mut new_rng, mut old_rng) = (StdRng::seed_from_u64(select_seed), StdRng::seed_from_u64(select_seed));
             for i in 0..8u64 {
@@ -1411,25 +1348,25 @@ mod tests {
                     new_sys.fail_node(victim, RepairPolicy::Terminate, now);
                     old_sys.fail_node(victim, RepairPolicy::Terminate, now);
                 }
-                let new = compose_with_mode(
+                let new = compose_with_setup(
                     &mut new_sys,
                     &board,
                     &request,
                     now,
                     config,
                     rules,
-                    &mut new_mode,
+                    &mut new_setup,
                     &mut new_rng,
                     scratch,
                 );
-                let old = reference::compose_with_mode(
+                let old = reference::compose_with_setup(
                     &mut old_sys,
                     &board,
                     &request,
                     now,
                     config,
                     rules,
-                    &mut old_mode,
+                    &mut old_setup,
                     &mut old_rng,
                 );
                 let case = format!("{case} #{i} {}", if dag { "dag" } else { "path" });
@@ -1451,7 +1388,7 @@ mod tests {
                 // Same position in every random stream: selection, the
                 // four transport classes, the backoff jitter.
                 assert_eq!(new_rng, old_rng, "{case}: selection stream");
-                assert_eq!(format!("{new_mode:?}"), format!("{old_mode:?}"), "{case}: transport streams");
+                assert_eq!(format!("{new_setup:?}"), format!("{old_setup:?}"), "{case}: transport streams");
                 assert!(SystemAuditor.audit_at(&new_sys, Some(now)).is_clean(), "{case}: audit");
 
                 coverage.composed += u64::from(new.session.is_some());
@@ -1468,7 +1405,7 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(1))]
 
-            /// Every combination of setup mode, α, probe budget, hop
+            /// Every combination of transport, α, probe budget, hop
             /// and final selection, four times over on fresh seeds: 288
             /// sequences of eight requests, all through one scratch —
             /// so a buffer that carried anything from one request (or
@@ -1490,7 +1427,7 @@ mod tests {
                 let mut coverage = Coverage::default();
                 for round in 0..4 {
                     let base = build(rng.gen(), [40, 60][round % 2]).0;
-                    for two_phase in [false, true] {
+                    for lossy_transport in [false, true] {
                         for probing_ratio in [0.1, 0.3, 1.0] {
                             for budget in [None, Some(1), Some(3)] {
                                 for hop_selection in [HopSelection::Ranked, HopSelection::Random] {
@@ -1498,14 +1435,14 @@ mod tests {
                                         let config = ProbingConfig { probing_ratio, ..ProbingConfig::default() };
                                         let rules = (hop_selection, final_selection, budget);
                                         let case = format!(
-                                            "master {master} round {round} two-phase {two_phase} α {probing_ratio} budget {budget:?} {hop_selection:?} {final_selection:?}"
+                                            "master {master} round {round} lossy {lossy_transport} α {probing_ratio} budget {budget:?} {hop_selection:?} {final_selection:?}"
                                         );
-                                        if two_phase {
-                                            let mode = TwoPhase::new(rng.gen(), lossy.clone());
-                                            run_sequence(&case, &base, &config, rules, &mode, &mut rng, &mut scratch, &mut coverage);
+                                        let setup = if lossy_transport {
+                                            TwoPhase::new(rng.gen(), lossy.clone())
                                         } else {
-                                            run_sequence(&case, &base, &config, rules, &SinglePhase, &mut rng, &mut scratch, &mut coverage);
-                                        }
+                                            TwoPhase::default()
+                                        };
+                                        run_sequence(&case, &base, &config, rules, &setup, &mut rng, &mut scratch, &mut coverage);
                                     }
                                 }
                             }

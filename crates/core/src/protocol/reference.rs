@@ -2,16 +2,16 @@ use super::*;
 use crate::probe::Probe;
 use crate::selection::{select_candidates_with, CandidatePlan, HopContext};
 
-/// [`super::compose_with_mode`] over the old round.
+/// [`super::compose_with_setup`] over the old round.
 #[allow(clippy::too_many_arguments)]
-pub(super) fn compose_with_mode<M: SetupMode, R: Rng + ?Sized>(
+pub(super) fn compose_with_setup<R: Rng + ?Sized>(
     system: &mut StreamSystem,
     board: &GlobalStateBoard,
     request: &Request,
     now: SimTime,
     config: &ProbingConfig,
     rules: Rules,
-    mode: &mut M,
+    setup: &mut TwoPhase,
     rng: &mut R,
 ) -> ComposeOutcome {
     run_protocol(
@@ -19,23 +19,23 @@ pub(super) fn compose_with_mode<M: SetupMode, R: Rng + ?Sized>(
         request,
         now,
         config,
-        mode,
+        setup,
         rng,
-        |system, now, config, mode, rng, stats, setup_stats, pending_stale| {
-            probe_attempt(system, board, request, now, config, rules, mode, rng, stats, setup_stats, pending_stale)
+        |system, now, config, setup, rng, stats, setup_stats, pending_stale| {
+            probe_attempt(system, board, request, now, config, rules, setup, rng, stats, setup_stats, pending_stale)
         },
     )
 }
 
 #[allow(clippy::too_many_arguments)]
-fn probe_attempt<M: SetupMode, R: Rng + ?Sized>(
+fn probe_attempt<R: Rng + ?Sized>(
     system: &mut StreamSystem,
     board: &GlobalStateBoard,
     request: &Request,
     now: SimTime,
     config: &ProbingConfig,
     (hop_selection, final_selection, budget): Rules,
-    mode: &mut M,
+    setup: &mut TwoPhase,
     rng: &mut R,
     stats: &mut OverheadStats,
     setup_stats: &mut SetupStats,
@@ -149,7 +149,7 @@ fn probe_attempt<M: SetupMode, R: Rng + ?Sized>(
             stats.probe_messages += 1;
 
             // --- transport: the hop message may be dropped.
-            if M::TWO_PHASE && mode.probe_dropped() {
+            if setup.transport.probe_dropped() {
                 setup_stats.probes_lost += 1;
                 faulted = true;
                 continue;
@@ -240,14 +240,14 @@ fn probe_attempt<M: SetupMode, R: Rng + ?Sized>(
     let mut session = None;
     for composition in compositions {
         let assignment_len = composition.assignment.len() as u64;
-        if M::TWO_PHASE && mode.confirm_lost() {
+        if setup.transport.confirm_lost() {
             setup_stats.confirms_lost += 1;
             // The confirmation vanished in transit; the deputy times
             // out waiting for the ack and gives this attempt up. The
             // winner's leases stay orphaned. With probability
             // `stale_ack` the message was merely trapped and
             // resurfaces later as a duplicate delivery.
-            if mode.stale_ack_resurfaces() {
+            if setup.transport.stale_ack_resurfaces() {
                 *pending_stale = Some(composition);
             }
             faulted = true;

@@ -2,7 +2,7 @@
 //!
 //! When a fault degrades a live path session (its broken segment's
 //! commitments released, a ticket opened in the
-//! [`RepairLedger`](acp_model::repair::RepairLedger)), the
+//! [`RepairLedger`]), the
 //! [`RepairPlanner`] re-probes replacements for *just the broken hops*
 //! instead of tearing the whole session down:
 //!
@@ -13,7 +13,7 @@
 //! 2. **Segment probing** — the sub-request runs through the caller's
 //!    [`Composer`] (a scenario's is an ACP
 //!    [`ProbingComposer`](crate::algorithms::ProbingComposer) under the
-//!    run's setup mode): transient leases, per-hop qualification,
+//!    run's setup transport): transient leases, per-hop qualification,
 //!    φ-optimal selection, commit. The mini-session's resources are now
 //!    *held* alongside the healthy remainder — make-before-break, never
 //!    double-committed (the broken segment released its commitments at
@@ -26,8 +26,8 @@
 //!    end-to-end on the spliced composition, absorbs the mini-session,
 //!    promotes the boundary holds, and settles the ticket as repaired.
 //!
-//! Any failure dismantles the mini-session and its leases and returns
-//! the ticket to `Degraded`; the caller owns the retry budget and the
+//! Any failure dismantles the mini-session and its leases and leaves
+//! the ticket open; the caller owns the retry budget and the
 //! repair-vs-abandon policy. Non-path sessions never reach the planner:
 //! the degrade operators terminate them outright (no well-defined broken
 //! segment), routing them through the restart arm.
@@ -44,8 +44,8 @@ use crate::algorithms::{ComposeOutcome, Composer};
 /// mistaken for) an admitted request in leases, ledgers, or digests.
 pub const MINI_REQUEST_BIT: u64 = 0x8000_0000_0000_0000;
 
-/// Why a repair attempt failed. The ticket returns to `Degraded` in all
-/// cases; the caller decides whether the budget allows another attempt.
+/// Why a repair attempt failed. The ticket stays open in all cases; the
+/// caller decides whether the budget allows another attempt.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RepairFailure {
     /// Probing found no qualified replacement segment.
@@ -171,7 +171,6 @@ impl RepairPlanner {
         // Phase 1+2: probe and commit the replacement segment.
         let probing = composer.compose(system, board, &mini_request, now);
         let Some(mini_sid) = probing.session else {
-            self.attempt_failed(system, request.id);
             return RepairAttempt {
                 verdict: RepairVerdict::Failed(RepairFailure::NoComposition),
                 probing: Some(probing),
@@ -211,7 +210,7 @@ impl RepairPlanner {
             match bridge(system, anchor, end, lo - 1) {
                 Ok(p) => prefix_path = Some(p),
                 Err(failure) => {
-                    self.dismantle(system, mini_sid, mini_request.id, request.id);
+                    dismantle(system, mini_sid, mini_request.id);
                     return RepairAttempt {
                         verdict: RepairVerdict::Failed(failure),
                         probing: Some(probing),
@@ -226,7 +225,7 @@ impl RepairPlanner {
             match bridge(system, end, anchor, hi) {
                 Ok(p) => suffix_path = Some(p),
                 Err(failure) => {
-                    self.dismantle(system, mini_sid, mini_request.id, request.id);
+                    dismantle(system, mini_sid, mini_request.id);
                     return RepairAttempt {
                         verdict: RepairVerdict::Failed(failure),
                         probing: Some(probing),
@@ -242,7 +241,7 @@ impl RepairPlanner {
                 RepairAttempt { verdict: RepairVerdict::Repaired, probing: Some(probing) }
             }
             Err(e) => {
-                self.dismantle(system, mini_sid, mini_request.id, request.id);
+                dismantle(system, mini_sid, mini_request.id);
                 RepairAttempt {
                     verdict: RepairVerdict::Failed(RepairFailure::SpliceRejected(e)),
                     probing: Some(probing),
@@ -250,25 +249,13 @@ impl RepairPlanner {
             }
         }
     }
+}
 
-    /// Unwinds a failed attempt after the mini-session committed: drop
-    /// the boundary holds, close the mini-session (returning its books),
-    /// and put the ticket back to `Degraded`.
-    fn dismantle(
-        &self,
-        system: &mut StreamSystem,
-        mini_sid: SessionId,
-        mini_id: RequestId,
-        original: RequestId,
-    ) {
-        system.release_request_transients(mini_id);
-        system.close_session(mini_sid);
-        self.attempt_failed(system, original);
-    }
-
-    fn attempt_failed(&self, system: &mut StreamSystem, request: RequestId) {
-        system.repair_ledger_mut().attempt_failed(request);
-    }
+/// Unwinds a failed attempt after the mini-session committed: drop the
+/// boundary holds and close the mini-session (returning its books).
+fn dismantle(system: &mut StreamSystem, mini_sid: SessionId, mini_id: RequestId) {
+    system.release_request_transients(mini_id);
+    system.close_session(mini_sid);
 }
 
 #[cfg(test)]
@@ -336,7 +323,7 @@ mod tests {
         assert_ne!(s.composition.assignment[1], victim);
         assert_eq!(sys.session_count(), 1, "mini-session absorbed");
         let ledger = sys.repair_ledger();
-        assert_eq!((ledger.repaired, ledger.validated, ledger.attempts), (1, 1, 1));
+        assert_eq!((ledger.repaired, ledger.validated), (1, 1));
         assert!(ledger.reconciles());
         assert!((ledger.mttr_stats().sum - 3.0).abs() < 1e-9, "MTTR fault -> splice");
         let report = SystemAuditor.audit_at(&sys, Some(t1));
@@ -358,11 +345,10 @@ mod tests {
             planner.repair_session(&mut sys, &board, sid, SimTime::from_secs(1), &mut acp, cfg.transient_timeout);
         assert_eq!(attempt.verdict, RepairVerdict::NotDegraded);
         assert_eq!(planner.mini_counter, 0);
-        assert_eq!(sys.repair_ledger().attempts, 0);
     }
 
     #[test]
-    fn failed_attempt_returns_ticket_to_degraded_and_leaves_no_residue() {
+    fn failed_attempt_keeps_the_ticket_open_and_leaves_no_residue() {
         let (mut sys, board) = build(33, 40);
         let req = path_request(&sys, 3, 3);
         let cfg = ProbingConfig::default();
@@ -391,7 +377,6 @@ mod tests {
         let s = sys.session(sid).expect("session still degraded, not torn down");
         assert!(s.is_degraded());
         let ticket = sys.repair_ledger().ticket(req.id).expect("ticket open");
-        assert_eq!(ticket.phase, RepairPhase::Degraded);
         assert_eq!(ticket.attempts, 1);
         assert_eq!(sys.session_count(), 1, "no mini-session residue");
         assert!(sys.lease_stats().reconciles(sys.live_lease_count() as u64));
@@ -422,7 +407,7 @@ mod tests {
             faults: MessageFaultConfig { probe_drop: 0.5, ..MessageFaultConfig::default() },
             ..SetupConfig::default()
         };
-        let mut repair = ProbingComposer::with_mode(cfg.clone(), 35, TwoPhase::new(0, lossy));
+        let mut repair = ProbingComposer::new(cfg.clone(), 35).with_setup(TwoPhase::new(0, lossy));
         let t1 = SimTime::from_secs(23);
         let attempt =
             RepairPlanner::new().repair_session(&mut sys, &board, sid, t1, &mut repair, cfg.transient_timeout);

@@ -9,7 +9,7 @@
 //! |---|---|---|---|
 //! | [`fail_node`](StreamSystem::fail_node) | sessions placed on or relaying through the node | killed | path sessions degraded over the span on/behind the node |
 //! | [`fail_link`](StreamSystem::fail_link) | sessions streaming over the link | killed | path sessions degraded behind every edge routed over it |
-//! | [`degrade_link`](StreamSystem::degrade_link) | the link's users, newest first, until the rest fit | killed | path sessions degraded likewise |
+//! | `degrade_link` | the link's users, newest first, until the rest fit | killed | path sessions degraded likewise |
 //! | [`crash_component`](StreamSystem::crash_component) | sessions using the component | killed | path sessions degraded at its vertices |
 //!
 //! A *killed* session is closed and its request returned in

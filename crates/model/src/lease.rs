@@ -5,7 +5,7 @@
 //! The leases themselves sit in per-node and per-link vectors — they are
 //! summed into availability in vector order, so their f64 bracketing is
 //! part of the digest contract and stays exactly as it was. The
-//! [`LeaseDirectory`] is a pure index over those vectors: which sites a
+//! `LeaseDirectory` is a pure index over those vectors: which sites a
 //! request holds leases on, and which sites hold any lease at all. A
 //! request's leases sit on the handful of nodes and links it probed, so
 //! release, commit and the expiry sweep visit those sites and nothing
@@ -24,7 +24,7 @@
 //!
 //! # Order
 //!
-//! [`Site`] orders nodes before links and ascending by index within
+//! `Site` orders nodes before links and ascending by index within
 //! each — the order a scan of the node table and then the link table
 //! meets them in. Sweeps walk sites in that order and apply to each the
 //! order-preserving `retain` such a scan would, so version bumps, the

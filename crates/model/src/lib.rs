@@ -28,10 +28,10 @@
 //! * [`metrics`] — the optimisation metrics: congestion aggregation
 //!   `φ(λ)` (Eq. 1), risk `D(c_i)` (Eq. 9), congestion `V(c_i)` (Eq. 10),
 //!   and the per-hop qualification predicate (Eqs. 6–8).
-//! * [`audit`] — the [`SystemAuditor`](audit::SystemAuditor), re-checking
+//! * [`audit`] — the [`SystemAuditor`], re-checking
 //!   the conservation invariants (Eqs. 2/4/5, dense-index and path-cache
 //!   coherence) after the fact for chaos experiments, and the
-//!   [`AuditCursor`](audit::AuditCursor) that gives its report at the
+//!   [`AuditCursor`] that gives its report at the
 //!   cost of what changed since the last pass.
 //!
 //! # Example
@@ -86,7 +86,7 @@ pub mod prelude {
     };
     pub use crate::node::{ReservationKey, StreamNode};
     pub use crate::qos::{LossRate, Qos, QosRequirement};
-    pub use crate::repair::{RepairLedger, RepairPhase, RepairPolicy, RepairTicket};
+    pub use crate::repair::{RepairLedger, RepairPolicy, RepairTicket};
     pub use crate::request::{Request, RequestId};
     pub use crate::resources::{ResourceKind, ResourceVector};
     pub use crate::system::{

@@ -5,8 +5,8 @@
 //! released, the session enters `Degraded`, and a ticket is opened here.
 //! The repair planner (acp-core) later re-probes replacement components
 //! for just the broken hops, splices them in make-before-break, and
-//! settles the ticket as `Repaired`; exhausting the retry budget settles
-//! it as `Abandoned`. The terminate-and-restart baseline shares the same
+//! settles the ticket as *repaired*; exhausting the retry budget settles
+//! it as *abandoned*. The terminate-and-restart baseline shares the same
 //! ledger: its tickets settle as *restored* (full recompose) instead of
 //! repaired, so MTTR and survival are measured identically in both arms.
 //!
@@ -33,21 +33,6 @@ pub enum RepairPolicy {
     Terminate,
 }
 
-/// Phase of a session's repair state machine. `Healthy` is implicit (no
-/// open ticket); `Repaired`/`Abandoned` are terminal and recorded as
-/// ledger counters rather than held on a ticket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RepairPhase {
-    /// Fault detected (or pending detection); broken segment released.
-    Degraded,
-    /// A repair attempt is in flight.
-    Repairing,
-    /// Splice succeeded (terminal).
-    Repaired,
-    /// Retry budget exhausted; session terminated (terminal).
-    Abandoned,
-}
-
 /// An open repair ticket: one broken session awaiting repair (or one
 /// killed session awaiting restart, in the terminate baseline). Keyed by
 /// the session's *request* id, which survives both splice (same session)
@@ -61,8 +46,6 @@ pub struct RepairTicket {
     pub failed_at: SimTime,
     /// Repair attempts spent so far.
     pub attempts: u32,
-    /// Current phase (`Degraded` or `Repairing` while open).
-    pub phase: RepairPhase,
 }
 
 /// Running ledger of repair incidents, mirroring [`crate::tenant::TenantLedger`]:
@@ -87,8 +70,6 @@ pub struct RepairLedger {
     /// Tickets cancelled because the session closed for an unrelated
     /// reason (natural end, preemption) while awaiting repair.
     pub cancelled: u64,
-    /// Total repair/restart attempts across all tickets.
-    pub attempts: u64,
     /// Splices that passed the end-to-end Eq. 2/3 re-validation. The
     /// auditor checks `validated == repaired`: every repaired session
     /// went through the full re-qualification at splice time.
@@ -108,7 +89,6 @@ impl Default for RepairLedger {
             restored: 0,
             abandoned: 0,
             cancelled: 0,
-            attempts: 0,
             validated: 0,
             mttr: SummaryStats::new(),
             // 0–10 minutes at 0.5 s resolution covers every detection
@@ -126,34 +106,21 @@ impl RepairLedger {
         match self.open.binary_search_by_key(&request, |t| t.request) {
             Ok(_) => {}
             Err(pos) => {
-                self.open.insert(
-                    pos,
-                    RepairTicket { request, failed_at, attempts: 0, phase: RepairPhase::Degraded },
-                );
+                self.open.insert(pos, RepairTicket { request, failed_at, attempts: 0 });
                 self.opened += 1;
             }
         }
     }
 
-    /// Marks the ticket `Repairing` and charges one attempt. Returns
-    /// `false` when no ticket is open for `request`.
+    /// Charges the ticket one attempt. Returns `false` when no ticket is
+    /// open for `request`.
     pub fn begin_attempt(&mut self, request: RequestId) -> bool {
         match self.ticket_mut(request) {
             Some(t) => {
-                t.phase = RepairPhase::Repairing;
                 t.attempts += 1;
-                self.attempts += 1;
                 true
             }
             None => false,
-        }
-    }
-
-    /// Returns a failed attempt's ticket to `Degraded` (budget permitting,
-    /// the planner will come back).
-    pub fn attempt_failed(&mut self, request: RequestId) {
-        if let Some(t) = self.ticket_mut(request) {
-            t.phase = RepairPhase::Degraded;
         }
     }
 
@@ -262,14 +229,11 @@ mod tests {
         assert!(ledger.reconciles());
 
         assert!(ledger.begin_attempt(RequestId(7)));
-        assert_eq!(ledger.ticket(RequestId(7)).unwrap().phase, RepairPhase::Repairing);
-        ledger.attempt_failed(RequestId(7));
-        assert_eq!(ledger.ticket(RequestId(7)).unwrap().phase, RepairPhase::Degraded);
         assert!(ledger.begin_attempt(RequestId(7)));
+        assert_eq!(ledger.ticket(RequestId(7)).unwrap().attempts, 2);
         ledger.record_repaired(RequestId(7), t(40), true);
         assert_eq!(ledger.repaired, 1);
         assert_eq!(ledger.validated, 1);
-        assert_eq!(ledger.attempts, 2);
         assert_eq!(ledger.mttr_stats().count, 1);
         assert!((ledger.mttr_stats().sum - 30.0).abs() < 1e-9);
 

@@ -5,7 +5,7 @@
 //! simulation-side half of that story: a [`FaultPlan`] is a seeded,
 //! pre-generated schedule of timed fault events (node fail/recover,
 //! virtual-link degrade/fail/restore, component crash) drawn from
-//! [`DeterministicRng`](crate::DeterministicRng) streams, and a
+//! [`DeterministicRng`] streams, and a
 //! [`FaultScheduler`] replays it inside a discrete-event simulation.
 //!
 //! Determinism contract (mirroring the parallel sweep driver): the plan

@@ -518,7 +518,7 @@ impl Overlay {
     /// through it. No-op when the flag is unchanged.
     ///
     /// Every cached tree is repaired in place
-    /// ([`ShortestPathTree::remove_node`] / [`ShortestPathTree::add_node`])
+    /// (`ShortestPathTree::remove_node` / `ShortestPathTree::add_node`)
     /// and reports the targets whose route changed; the memo loses
     /// exactly those pairs of its row, plus the pairs keyed by `node`
     /// itself — answered as refusals while it is down, and on a recovery

@@ -83,9 +83,9 @@ fn unpack(key: u64) -> (u64, u32) {
 /// tight predecessor `u` (`dist[u] + w(u, x) == dist[x]`) with the
 /// smallest `(dist[u], u)`. The tree is therefore a function of the
 /// graph and the blocked set alone, not of heap history — the fact
-/// [`NearestTargets`] relies on, and the rule by which
-/// [`Self::remove_node`] and [`Self::add_node`] repair a tree in place
-/// into exactly what [`Self::compute_excluding`] would build. Blocked and
+/// `NearestTargets` relies on, and the rule by which
+/// `remove_node` and `add_node` repair a tree in place
+/// into exactly what `compute_excluding` would build. Blocked and
 /// unreachable nodes hold no entry. Every delay this crate generates is
 /// positive (`InetConfig` 1..=20 ms per IP link, `Overlay::synthetic`
 /// 2–20 ms). A caller with a hand-built graph owns the invariant; the

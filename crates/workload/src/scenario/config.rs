@@ -175,9 +175,9 @@ pub struct ScenarioConfig {
     pub controller: Option<PiControllerConfig>,
     /// Fault injection (chaos) parameters; `None` runs fault-free.
     pub churn: Option<ChurnConfig>,
-    /// Two-phase setup parameters (message faults on probe/confirm
-    /// traffic, retry with escalation); `None` runs the plain path.
-    /// `Some` with all fault rates zero is byte-identical to `None`.
+    /// Setup-transport parameters (message faults on probe/confirm
+    /// traffic, retry with escalation); `None` is
+    /// `SetupConfig::default()`, the fault-free transport.
     pub setup: Option<SetupConfig>,
     /// Multi-tenant admission control; `None` runs tenant-less, and a
     /// single `Gold` tenant is byte-identical to `None`.

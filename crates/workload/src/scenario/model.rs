@@ -70,7 +70,7 @@ struct Splicer {
     planner: RepairPlanner,
     /// The ACP composer repair segments are probed with: its own seeds,
     /// so enabling repair never perturbs arrival compositions, and the
-    /// scenario's setup mode, so repair probing fights the same lossy
+    /// scenario's setup config, so repair probing fights the same lossy
     /// transport as arrival probing.
     composer: Box<dyn Composer>,
     /// Degraded sessions awaiting their detection latency or retry
@@ -301,10 +301,10 @@ impl ScenarioModel {
     /// One arrival: draw the request, pass it through tenant admission,
     /// compose it, and chain the next arrival.
     fn arrival(&mut self, now: SimTime) {
-        // Expire stale transients before admission, as nodes do. Only the
-        // two-phase path can leave transients behind between events
+        // Expire stale transients before admission, as nodes do. Only a
+        // lossy transport can leave transients behind between events
         // (orphans from lost confirmations); the sweep visits only sites
-        // holding leases, so single-phase runs find nothing to visit.
+        // holding leases, so fault-free runs find nothing to visit.
         self.system.expire_transients(now);
         let (mut request, session_duration) = self.generator.next(&mut self.workload_rng);
         // Tenanted runs stamp the request with a tenant drawn from its own
@@ -341,9 +341,7 @@ impl ScenarioModel {
             let outcome = self.composer.compose(&mut self.system, &self.board, &request, now);
             let ledger = &mut self.result;
             ledger.probe_histogram.add(outcome.stats.probe_messages as f64);
-            ledger.overhead += outcome.stats;
-            ledger.setup_stats += outcome.setup;
-            ledger.optimal_truncated += u64::from(outcome.truncated);
+            ledger.charge(&outcome);
             let success = outcome.session.is_some();
             if outcome.setup.fault_hit() {
                 ledger.fault_hit_requests += 1;
@@ -438,9 +436,7 @@ impl ScenarioModel {
         // the sweep scheduled by their own fault.
         for request in drain_due(&mut churn.restarts, now) {
             let outcome = self.composer.compose(&mut self.system, &self.board, &request, now);
-            self.result.overhead += outcome.stats;
-            self.result.setup_stats += outcome.setup;
-            self.result.optimal_truncated += u64::from(outcome.truncated);
+            self.result.charge(&outcome);
             if let Some(sid) = outcome.session {
                 self.system.repair_ledger_mut().record_restored(request.id, now);
                 let minutes = sample(&mut churn.rng, self.config.requests.session_minutes);
@@ -460,7 +456,6 @@ impl ScenarioModel {
             match retry {
                 Some(at) => {
                     ledger.begin_attempt(request.id);
-                    ledger.attempt_failed(request.id);
                     churn.restarts.push((at, request));
                     self.queue.schedule(at, Event::FailoverSweep);
                 }
@@ -491,9 +486,8 @@ impl ScenarioModel {
                     composer.as_mut(),
                     self.config.probing.transient_timeout,
                 );
-                if let Some(probing) = attempt.probing {
-                    self.result.overhead += probing.stats;
-                    self.result.setup_stats += probing.setup;
+                if let Some(probing) = &attempt.probing {
+                    self.result.charge(probing);
                 }
                 // Repaired settles the ticket in the ledger; NotDegraded
                 // means the session ended or was already healed — nothing
@@ -590,11 +584,9 @@ fn simulate(config: ScenarioConfig) -> ScenarioModel {
     let composer_seed = streams.seed_for("composer");
     let replay_seed = streams.seed_for("replay");
 
-    // The setup mode is picked here, once: without a setup config the
-    // probing composers are monomorphized over `SinglePhase` and the
-    // two-phase machinery is compiled out of the run entirely. The
-    // label-derived seed means enabling two-phase setup never perturbs
-    // any existing stream.
+    // Without a setup config the probing composers run over the
+    // fault-free transport, which draws nothing. The label-derived seed
+    // means a lossy transport never perturbs any existing stream.
     let mut composer = config.algorithm.build_composer(
         config.probing.clone(),
         config.optimal,
@@ -636,8 +628,8 @@ fn simulate(config: ScenarioConfig) -> ScenarioModel {
         });
         // The splicer's streams are label-derived, so the splice arm never
         // perturbs arrivals, faults, or the main composer. Its composer is
-        // ACP whatever the run's algorithm, under the run's setup mode on
-        // a seed of its own.
+        // ACP whatever the run's algorithm, under the run's setup config
+        // on a seed of its own.
         let splicer = (repair.policy == RepairPolicy::Repair).then(|| Splicer {
             planner: RepairPlanner::new(),
             composer: AlgorithmKind::Acp.build_composer(
@@ -987,8 +979,8 @@ mod tests {
         assert_eq!(plain.total_requests, two_phase.total_requests);
         assert_eq!(plain.total_successes, two_phase.total_successes);
         assert_eq!(plain.sim_events, two_phase.sim_events);
-        // Both keep the lease ledger; an inert two-phase round places and
-        // settles exactly the leases a single-phase one does.
+        // Both keep the lease ledger; an explicit fault-free transport
+        // places and settles exactly the leases the default one does.
         assert_eq!(plain.lease_stats, two_phase.lease_stats);
         assert!(two_phase.lease_stats.created > 0);
         assert!(two_phase.lease_stats.reconciles(two_phase.leases_live_end));

@@ -221,6 +221,14 @@ impl ScenarioResult {
         }
     }
 
+    /// Charges one composition's cost to the run: its messages, its
+    /// setup rounds, and whether the exhaustive search was cut short.
+    pub(super) fn charge(&mut self, outcome: &ComposeOutcome) {
+        self.overhead += outcome.stats;
+        self.setup_stats += outcome.setup;
+        self.optimal_truncated += u64::from(outcome.truncated);
+    }
+
     /// Share of otherwise-failed compositions the retry loop recovered:
     /// fault-hit successes over those plus the requests lost *to* faults
     /// (`setup_stats.fault_failures`); 1.0 when no fault caused a loss.

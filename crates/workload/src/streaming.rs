@@ -38,7 +38,7 @@ pub struct Arrival {
 /// [`RateSchedule::next_arrival`]). The stream itself is unbounded
 /// whenever some suffix of the schedule has positive rate — callers
 /// bound it with a horizon
-/// ([`next_before`](StreamingArrivals::next_before)) or an epoch batch
+/// (`next_before`) or an epoch batch
 /// ([`fill_epoch`](StreamingArrivals::fill_epoch)).
 #[derive(Debug, Clone)]
 pub struct StreamingArrivals {

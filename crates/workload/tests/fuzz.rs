@@ -185,13 +185,14 @@ fn check(case_seed: u64) {
     if config.churn.is_none() {
         assert_eq!(r.repair_opened, 0, "{}", blame("tickets without churn"));
     }
-    // A single-phase lease never outlives the compose that placed it.
+    // Over the fault-free transport a lease never outlives the compose
+    // that placed it.
     // The splice arm is exempt: it bridges segment boundaries under
     // leases of their own.
     let splicing = config.repair.as_ref().is_some_and(|r| r.policy == RepairPolicy::Repair);
     if config.setup.is_none() && !splicing {
         let settled = r.lease_stats.expired == 0 && r.leases_live_end == 0 && r.lease_stats.reconciles(0);
-        assert!(settled, "{}", blame(&format!("single-phase lease outlived its compose: {:?}", r.lease_stats)));
+        assert!(settled, "{}", blame(&format!("fault-free lease outlived its compose: {:?}", r.lease_stats)));
     }
 }
 

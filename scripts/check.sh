@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Repo-wide gate, seven steps: build, tests, lints, the benchmark
-# package's own tests, the fig_scale smoke, every figure (chaos
-# included) regenerated at quick scale, and every example, each of which
-# asserts the claims it prints. Run from the repository root.
+# Repo-wide gate, eight steps: build, tests, lints, the API docs with
+# rustdoc warnings as errors, the benchmark package's own tests, the
+# fig_scale smoke, every figure (chaos included) regenerated at quick
+# scale, and every example, each of which asserts the claims it prints.
+# Run from the repository root.
 # Each step is timed; a per-step and total wall-clock summary prints at
 # the end so slow steps are easy to spot.
 set -euo pipefail
@@ -32,6 +33,11 @@ step "cargo test -q --workspace" \
 
 step "cargo clippy --workspace --all-targets -- -D warnings" \
     cargo clippy --workspace --all-targets -- -D warnings
+
+# A doc link to a private or deleted item, or a redundant link target,
+# fails here.
+step "cargo doc --no-deps --workspace (rustdoc warnings are errors)" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # The workspace run above already executes the determinism, equivalence,
 # chaos, failover, model-property and tenant suites, the golden scenario

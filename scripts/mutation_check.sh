@@ -8,7 +8,7 @@
 #
 #   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|repair|recovery|leases|routes|board|topology|audit|config|claims] [WORKDIR]
 #
-# No suite name runs all fifteen, 46 mutants; WORKDIR defaults to
+# No suite name runs all fifteen, 47 mutants; WORKDIR defaults to
 # target/mutation-check.
 # The repository itself is never edited; the copy and its cargo target
 # directory live under WORKDIR.
@@ -52,14 +52,20 @@ optimal_mutants=(
 # policy says (so the terminate arm leaves them broken for ever); the second
 # lets an individual restore re-open a link a live partition still holds;
 # the third has the restart teardown cancel the repair ticket the restart
-# must settle (golden.rs pins each repair row's ticket tuple).
-faults_kernel=crates/model/src/faults.rs
+# must settle (golden.rs pins each repair row's ticket tuple). The fourth
+# drops `faulted` from the setup path's retry gate, so a round no message
+# fault touched is retried too. Every run takes that gate, and golden.rs's
+# churn rows, which have no setup config, see it (the plain row composes
+# every request, so nothing retries there; the compose suite cannot see it
+# at all: its reference round runs inside the same retry loop).
+faults_kernel='crates/model/src/faults.rs crates/core/src/protocol.rs'
 faults_target='-p acp-workload --test golden'
 faults_oracle= # every test of the target
 faults_mutants=(
     'policy ignored in the victim walk|s/^        if policy == RepairPolicy::Repair \&\& s\.request_spec\.graph\.is_path() {$/        if s.request_spec.graph.is_path() {/'
     'partition refcount not consulted by LinkRestore|s/^                    let held = self\.partition_refs\.get(l\.index())\.is_some_and(|\&r| r > 0);$/                    let held = false;/'
     'golden.rs: restart teardown cancels the ticket it must leave open|s/^        self\.teardown_session(id, SessionCloseCause::Killed)/        self.close_session_with_cause(id, SessionCloseCause::Killed)/'
+    'golden.rs: the retry gate ignores faulted|s/^        if !out\.faulted || attempts >= max_attempts {$/        if attempts >= max_attempts {/'
 )
 
 # The probing round against the round it replaced, request after
@@ -96,7 +102,7 @@ counters_mutants=(
 # handler that forgets to is caught only by a pinned number. The first
 # drops the recoveries the summary reads off the repair ledger (golden.rs
 # pins killed / recovered / lost); the second leaves repair splices' probing rounds out of the
-# setup ledger (golden.rs pins the full stack's rounds); the third books a
+# ledger (golden.rs pins the full stack's setup rounds); the third books a
 # tenant's successful composition as a failure (counters.rs pins the
 # tenant sweep's tier rows). The fourth makes the event loop's horizon
 # exclusive, so the events due at the last instant never run (golden.rs
@@ -106,7 +112,7 @@ ledger_target='-p acp-workload -p acp-bench --test golden --test counters --test
 ledger_oracle= # every test of the three targets
 ledger_mutants=(
     'golden.rs: recoveries not read off the repair ledger|s/^    result\.sessions_recovered = ledger\.restored;$/    result.sessions_recovered = 0;/'
-    'golden.rs: setup ledger not summed for repair composes|s/^                    self\.result\.setup_stats += probing\.setup;$//'
+    'golden.rs: repair composes not charged to the ledger|s/^                    self\.result\.charge(probing);$//'
     'counters.rs: tier failed bumped on success|s/^                    tier\.composed += 1;$/                    tier.failed += 1;/'
     'golden.rs: the horizon becomes exclusive|s/^        while self\.queue\.peek_time()\.is_some_and(|t| t <= horizon) {$/        while self.queue.peek_time().is_some_and(|t| t < horizon) {/'
 )
