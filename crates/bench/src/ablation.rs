@@ -40,13 +40,11 @@ pub fn ablation_risk_epsilon(scale: &Scale, seed: u64, threads: usize) -> Table 
         config.probing.risk_epsilon = eps;
         acp_workload::run_scenario(config)
     });
+    let minutes = scale.duration.as_minutes_f64();
     for (&eps, result) in epsilons.iter().zip(&results) {
+        let probe_per_min = result.overhead.probe_messages as f64 / minutes;
         let label = if eps >= 1_000.0 { "inf (pure V)".to_string() } else { format!("{eps:.2}") };
-        table.push_row(vec![
-            label,
-            pct(result.overall_success),
-            format!("{:.0}", result.probe_messages_per_minute),
-        ]);
+        table.push_row(vec![label, pct(result.overall_success()), format!("{probe_per_min:.0}")]);
     }
     table
 }
@@ -64,14 +62,16 @@ pub fn ablation_state_threshold(scale: &Scale, seed: u64, threads: usize) -> Tab
         config.global_state.threshold = theta;
         acp_workload::run_scenario(config)
     });
+    let minutes = scale.duration.as_minutes_f64();
     for (&theta, result) in thetas.iter().zip(&results) {
-        let state_per_min = result.overhead.state_update_messages as f64 / scale.duration.as_minutes_f64();
+        let state_per_min = result.overhead.state_update_messages as f64 / minutes;
+        let total_per_min = result.overhead.total_messages() as f64 / minutes;
         let label = if theta >= 1_000.0 { "frozen board".to_string() } else { format!("{theta:.2}") };
         table.push_row(vec![
             label,
-            pct(result.overall_success),
+            pct(result.overall_success()),
             format!("{state_per_min:.0}"),
-            format!("{:.0}", result.messages_per_minute),
+            format!("{total_per_min:.0}"),
         ]);
     }
     table
@@ -113,11 +113,12 @@ pub fn ablation_tuning(scale: &Scale, seed: u64, threads: usize) -> Table {
     for ((label, tuner, _), result) in strategies.iter().zip(&results) {
         // Only the profiling tuner reports sweep counts.
         let sweeps = if tuner.is_some() { result.profiling_runs.to_string() } else { "0".to_string() };
+        let probe_per_min = result.overhead.probe_messages as f64 / scale.fig8_duration.as_minutes_f64();
         table.push_row(vec![
             label.to_string(),
-            pct(result.overall_success),
+            pct(result.overall_success()),
             format!("{:.2}", mean_ratio(result)),
-            format!("{:.0}", result.probe_messages_per_minute),
+            format!("{probe_per_min:.0}"),
             sweeps,
         ]);
     }

@@ -73,7 +73,7 @@ pub fn chaos_table(scale: &Scale, cells: &[Point<(usize, f64)>]) -> Table {
         table.push_row(vec![
             format!("{nodes}"),
             format!("{churn:.1}x"),
-            format!("{:.1}", r.overall_success * 100.0),
+            format!("{:.1}", r.overall_success() * 100.0),
             format!("{}", r.fault_events),
             format!("{}", r.sessions_killed),
             format!("{}", r.sessions_recovered),
@@ -151,7 +151,7 @@ pub fn loss_table(scale: &Scale, cells: &[Point<(usize, f64)>]) -> Table {
         table.push_row(vec![
             format!("{nodes}"),
             format!("{:.0}", loss * 100.0),
-            format!("{:.1}", r.overall_success * 100.0),
+            format!("{:.1}", r.overall_success() * 100.0),
             format!("{}", r.fault_hit_requests),
             format!("{}", r.fault_hit_successes),
             format!("{}", setup.fault_failures),

@@ -179,7 +179,7 @@ fn alpha_sweep(scale: &Scale, seed: u64, threads: usize, title: &str, cols: &[(S
         config.schedule = RateSchedule::constant(rate);
         config.probing.probing_ratio = alpha;
         config.requests.qos_tier = tier;
-        acp_workload::run_scenario(config).overall_success
+        acp_workload::run_scenario(config).overall_success()
     });
     let mut header: Vec<String> = vec!["alpha".into()];
     header.extend(cols.iter().map(|(label, ..)| label.clone()));
@@ -255,7 +255,7 @@ fn algorithm_sweep(
     let minutes = scale.duration.as_minutes_f64();
     for ((label, _, nodes), per_algo) in rows.iter().zip(&results) {
         let mut srow = vec![label.clone()];
-        srow.extend(per_algo.iter().map(|r| pct(r.overall_success)));
+        srow.extend(per_algo.iter().map(|r| pct(r.overall_success())));
         // 0 for every algorithm but Optimal.
         srow.push(per_algo.iter().map(|r| r.optimal_truncated).sum::<u64>().to_string());
         let mut orow = vec![label.clone()];
@@ -358,7 +358,7 @@ mod tests {
         scale.rates = vec![5.0];
         let result = run_point(&scale, 3, AlgorithmKind::Acp, 5.0, scale.stream_nodes);
         assert!(result.total_requests > 0);
-        assert!(result.overall_success > 0.0);
+        assert!(result.overall_success() > 0.0);
         let oh = charted_overhead(&result, 5.0);
         assert!(oh > 0.0);
     }

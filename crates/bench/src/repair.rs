@@ -84,7 +84,7 @@ pub fn repair_table(scale: &Scale, cells: &[Point<(f64, RepairPolicy)>]) -> Tabl
         table.push_row(vec![
             format!("{churn:.1}x"),
             arm.to_string(),
-            format!("{:.1}", r.overall_success * 100.0),
+            format!("{:.1}", r.overall_success() * 100.0),
             format!("{}", r.repair_opened),
             format!("{}", r.sessions_repaired),
             format!("{}", r.sessions_recovered),

@@ -113,7 +113,7 @@ fn warm_operations_allocate_exactly_this_much() {
     let ((), copying) = counted(|| batch.iter().for_each(|r| drop(std::hint::black_box(r.clone()))));
     assert_eq!(copying, (0, 0), "Request::clone");
     assert_eq!(std::mem::size_of::<Request>(), 72);
-    assert_eq!(std::mem::size_of::<Session>(), 208);
+    assert_eq!(std::mem::size_of::<Session>(), 200);
 
     // ACP over the default, fault-free transport. The deputy no longer
     // calls `StreamSystem::qualify` on every completed probe (the commit

@@ -72,7 +72,7 @@ fn two_phase(faults: MessageFaultConfig) -> ScenarioResult {
 }
 
 /// No transport faults: the lease and ledger bookkeeping alone. Composes
-/// what the single-phase anchor composes.
+/// what the same run with `setup: None` composes.
 #[test]
 fn inert_two_phase_anchor() {
     let got = two_phase(MessageFaultConfig::default());

@@ -23,13 +23,13 @@ fn fig6_style_point() -> ScenarioResult {
     run_scenario(config)
 }
 
-/// `setup: Some(SetupConfig::default())` must be byte-identical to
-/// `setup: None`, which runs the same fault-free transport on the
-/// composer's default seed: same compositions, same audit trail, same
-/// message ledger, same series, same event count, same lease ledger. A
-/// fault-free transport draws nothing, so its seed may change nothing.
+/// `setup: None` against `setup: Some(SetupConfig::default())`: the
+/// scenario resolves `None` to that config, for both composers and the
+/// post-horizon sweep, so the two runs must be byte-identical: same
+/// compositions, same audit trail, same message ledger, same series,
+/// same event count, same lease ledger.
 #[test]
-fn inert_two_phase_matches_single_phase_scenario() {
+fn no_setup_config_matches_the_default_setup_config() {
     let plain = fig6_style_point();
 
     let mut scale = Scale::quick();

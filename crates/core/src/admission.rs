@@ -1,14 +1,14 @@
 //! Multi-tenant admission control at the composition entry point.
 //!
-//! Before a request reaches the probing protocol, the deputy consults an
-//! [`AdmissionController`]: a tier-specific congestion gate sheds
+//! Before a request reaches the probing protocol, the deputy asks
+//! [`AdmissionConfig::sheds`]: a tier-specific congestion gate sheds
 //! low-tier traffic when the φ-congestion estimate (derived from the
 //! coarse [`GlobalStateBoard`](acp_state::GlobalStateBoard) residual state
-//! via `congestion_estimate()`) crosses the tier's threshold —
+//! via `congestion_estimate()`) reaches the tier's threshold —
 //! `BestEffort` first, then `Silver`; `Gold` is never shed by the gate.
 //!
-//! The controller is pure policy: it never touches ground truth, draws
-//! no randomness, and decides from exactly (tier, congestion) — so a run
+//! The gate is pure policy: it never touches ground truth, draws no
+//! randomness, and decides from exactly (tier, congestion) — so a run
 //! with one `Gold` tenant makes the same compose calls as a tenant-less
 //! run, byte-identically.
 
@@ -41,42 +41,10 @@ impl AdmissionConfig {
             TenantTier::BestEffort => self.best_effort_threshold,
         }
     }
-}
 
-/// Outcome of one admission decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionDecision {
-    /// Forward to the composition protocol.
-    Admit,
-    /// Shed: the congestion estimate crossed the tier's threshold.
-    ShedCongestion,
-}
-
-impl AdmissionDecision {
-    /// True when the request proceeds to composition.
-    pub fn admitted(&self) -> bool {
-        matches!(self, AdmissionDecision::Admit)
-    }
-}
-
-/// The per-tenant admission controller at the composer entry path.
-#[derive(Debug, Clone)]
-pub struct AdmissionController {
-    config: AdmissionConfig,
-}
-
-impl AdmissionController {
-    /// A controller with the given thresholds.
-    pub fn new(config: AdmissionConfig) -> Self {
-        AdmissionController { config }
-    }
-
-    /// Decides one request at the tier's congestion gate.
-    pub fn admit(&self, binding: TenantBinding, congestion: f64) -> AdmissionDecision {
-        if congestion >= self.config.threshold(binding.tier) {
-            return AdmissionDecision::ShedCongestion;
-        }
-        AdmissionDecision::Admit
+    /// True when the gate sheds a `tier` request at `congestion`.
+    pub fn sheds(&self, tier: TenantTier, congestion: f64) -> bool {
+        congestion >= self.threshold(tier)
     }
 }
 
@@ -84,30 +52,29 @@ impl AdmissionController {
 mod tests {
     use super::*;
 
-    const GOLD: TenantBinding = TenantBinding { tenant: TenantId(0), tier: TenantTier::Gold };
-    const SILVER: TenantBinding = TenantBinding { tenant: TenantId(1), tier: TenantTier::Silver };
-    const BEST: TenantBinding = TenantBinding { tenant: TenantId(2), tier: TenantTier::BestEffort };
-
     #[test]
     fn tiers_shed_in_order_as_congestion_rises() {
-        use AdmissionDecision::{Admit, ShedCongestion};
-        let ctl = AdmissionController::new(AdmissionConfig::default());
+        let gate = AdmissionConfig::default();
+        // The rows at 0.60 and 0.85 sit on the thresholds themselves:
+        // the gate sheds at them, not only above.
         for (congestion, gold, silver, best) in [
-            (0.10, Admit, Admit, Admit),
-            (0.70, Admit, Admit, ShedCongestion),
-            (0.90, Admit, ShedCongestion, ShedCongestion),
-            (1.00, Admit, ShedCongestion, ShedCongestion),
+            (0.10, false, false, false),
+            (0.60, false, false, true),
+            (0.70, false, false, true),
+            (0.85, false, true, true),
+            (0.90, false, true, true),
+            (1.00, false, true, true),
         ] {
-            assert_eq!(ctl.admit(GOLD, congestion), gold);
-            assert_eq!(ctl.admit(SILVER, congestion), silver);
-            assert_eq!(ctl.admit(BEST, congestion), best);
+            assert_eq!(gate.sheds(TenantTier::Gold, congestion), gold, "gold at {congestion}");
+            assert_eq!(gate.sheds(TenantTier::Silver, congestion), silver, "silver at {congestion}");
+            assert_eq!(gate.sheds(TenantTier::BestEffort, congestion), best, "best effort at {congestion}");
         }
     }
 
     #[test]
     fn gold_is_never_congestion_shed() {
-        let ctl = AdmissionController::new(AdmissionConfig::default());
-        assert!(ctl.admit(GOLD, 1.0).admitted());
-        assert_eq!(AdmissionConfig::default().threshold(TenantTier::Gold), f64::INFINITY);
+        let gate = AdmissionConfig::default();
+        assert!(!gate.sheds(TenantTier::Gold, 1.0));
+        assert_eq!(gate.threshold(TenantTier::Gold), f64::INFINITY);
     }
 }

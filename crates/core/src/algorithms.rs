@@ -16,7 +16,7 @@ use acp_state::GlobalStateBoard;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::naive::{blind_compose, BlindStrategy};
+use crate::naive::BlindComposer;
 use crate::optimal::{optimal_compose, OptimalConfig};
 use crate::overhead::OverheadStats;
 use crate::protocol::{
@@ -216,64 +216,6 @@ impl Composer for OptimalComposer {
     }
 }
 
-/// The random baseline.
-#[derive(Debug)]
-pub struct RandomComposer {
-    rng: StdRng,
-}
-
-impl RandomComposer {
-    /// Creates a random composer.
-    pub fn new(seed: u64) -> Self {
-        RandomComposer { rng: StdRng::seed_from_u64(seed) }
-    }
-}
-
-impl Composer for RandomComposer {
-    fn name(&self) -> &'static str {
-        "random"
-    }
-
-    fn compose(
-        &mut self,
-        system: &mut StreamSystem,
-        _board: &GlobalStateBoard,
-        request: &Request,
-        now: SimTime,
-    ) -> ComposeOutcome {
-        blind_compose(system, request, now, BlindStrategy::Random, &mut self.rng)
-    }
-}
-
-/// The static baseline.
-#[derive(Debug, Default)]
-pub struct StaticComposer;
-
-impl StaticComposer {
-    /// Creates a static composer.
-    pub fn new() -> Self {
-        StaticComposer
-    }
-}
-
-impl Composer for StaticComposer {
-    fn name(&self) -> &'static str {
-        "static"
-    }
-
-    fn compose(
-        &mut self,
-        system: &mut StreamSystem,
-        _board: &GlobalStateBoard,
-        request: &Request,
-        now: SimTime,
-    ) -> ComposeOutcome {
-        // rng unused by the static strategy
-        let mut rng = StdRng::seed_from_u64(0);
-        blind_compose(system, request, now, BlindStrategy::Static, &mut rng)
-    }
-}
-
 /// The algorithms of the paper's evaluation, for driving sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AlgorithmKind {
@@ -336,8 +278,8 @@ impl AlgorithmKind {
     ) -> Box<dyn Composer> {
         let mut composer = match self {
             AlgorithmKind::Optimal => return Box::new(OptimalComposer::new(optimal)),
-            AlgorithmKind::Random => return Box::new(RandomComposer::new(seed)),
-            AlgorithmKind::Static => return Box::new(StaticComposer::new()),
+            AlgorithmKind::Random => return Box::new(BlindComposer::random(seed)),
+            AlgorithmKind::Static => return Box::new(BlindComposer::fixed()),
             AlgorithmKind::Acp => ProbingComposer::new(probing, seed),
             AlgorithmKind::Sp => ProbingComposer::sp(probing, seed),
             AlgorithmKind::Rp => ProbingComposer::rp(probing, seed),

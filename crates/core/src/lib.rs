@@ -77,15 +77,14 @@ pub mod tuning_control;
 
 /// One-stop imports for downstream crates.
 pub mod prelude {
-    pub use crate::admission::{AdmissionConfig, AdmissionController};
+    pub use crate::admission::AdmissionConfig;
     pub use crate::algorithms::{
         AcpComposer, AlgorithmKind, ComposeOutcome, Composer, OptimalComposer, ProbingComposer,
-        RandomComposer, StaticComposer,
     };
-    pub use crate::naive::{blind_compose, BlindStrategy};
+    pub use crate::naive::BlindComposer;
     pub use crate::optimal::{optimal_compose, OptimalConfig};
     pub use crate::overhead::{centralized_update_messages_per_minute, OverheadStats};
-    pub use crate::preemption::{PreemptionConfig, Preemptor};
+    pub use crate::preemption::preempt_round;
     pub use crate::protocol::{FinalSelection, ProbingConfig, SetupConfig, SetupStats, TwoPhase};
     pub use crate::repair::{
         RepairAttempt, RepairFailure, RepairPlanner, RepairVerdict, MINI_REQUEST_BIT,

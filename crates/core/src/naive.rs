@@ -9,73 +9,99 @@
 
 use acp_model::prelude::*;
 use acp_simcore::SimTime;
-use rand::Rng;
+use acp_state::GlobalStateBoard;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-use crate::algorithms::ComposeOutcome;
+use crate::algorithms::{ComposeOutcome, Composer};
 
-/// Which blind strategy to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlindStrategy {
-    /// Uniform random candidate per function.
-    Random,
-    /// The fixed first (lowest-id) candidate per function.
-    Static,
+/// The random and static baselines as one composer: they differ only in
+/// the pick, which the constructor pins. The message ledger counts one
+/// probe walking the graph plus the confirmations.
+#[derive(Debug)]
+pub struct BlindComposer {
+    /// The random pick's stream; `None` picks the fixed lowest-id
+    /// candidate.
+    rng: Option<StdRng>,
 }
 
-/// Composes `request` by picking one candidate per vertex according to
-/// `strategy`, then attempting admission. The message ledger counts one
-/// probe walking the graph plus the confirmations.
-pub fn blind_compose<R: Rng + ?Sized>(
-    system: &mut StreamSystem,
-    request: &Request,
-    _now: SimTime,
-    strategy: BlindStrategy,
-    rng: &mut R,
-) -> ComposeOutcome {
-    let mut out = ComposeOutcome::default();
-    let mut assignment: Vec<Option<ComponentId>> = vec![None; request.graph.len()];
-    for &v in request.graph.topological_order() {
-        out.stats.discovery_lookups += 1;
-        let candidates = system.candidates(request.graph.function(v));
-        if candidates.is_empty() {
-            return out;
-        }
-        let pick = match strategy {
-            BlindStrategy::Random => candidates[rng.gen_range(0..candidates.len())],
-            BlindStrategy::Static => *candidates.iter().min().expect("non-empty"),
-        };
-        assignment[v] = Some(pick);
-        // The single setup probe visits the chosen component.
-        out.stats.probe_messages += 1;
-        out.stats.probes_spawned += 1;
+impl BlindComposer {
+    /// The random baseline: a uniform random candidate per function.
+    pub fn random(seed: u64) -> Self {
+        BlindComposer { rng: Some(StdRng::seed_from_u64(seed)) }
     }
-    let assignment: Vec<ComponentId> = assignment.into_iter().map(|a| a.expect("all assigned")).collect();
 
-    // Materialise virtual links along the graph edges.
-    let mut links = Vec::with_capacity(request.graph.edges().len());
-    for &(u, v) in request.graph.edges() {
-        match system.virtual_path(assignment[u].node, assignment[v].node) {
-            Some(p) => links.push(p),
-            None => return out,
+    /// The static baseline: the fixed first (lowest-id) candidate per
+    /// function.
+    pub fn fixed() -> Self {
+        BlindComposer { rng: None }
+    }
+
+    /// Picks one candidate per vertex, then attempts admission.
+    fn commit(&mut self, system: &mut StreamSystem, request: &Request) -> ComposeOutcome {
+        let mut out = ComposeOutcome::default();
+        let mut assignment: Vec<Option<ComponentId>> = vec![None; request.graph.len()];
+        for &v in request.graph.topological_order() {
+            out.stats.discovery_lookups += 1;
+            let candidates = system.candidates(request.graph.function(v));
+            if candidates.is_empty() {
+                return out;
+            }
+            let pick = match self.rng.as_mut() {
+                Some(rng) => candidates[rng.gen_range(0..candidates.len())],
+                None => *candidates.iter().min().expect("non-empty"),
+            };
+            assignment[v] = Some(pick);
+            // The single setup probe visits the chosen component.
+            out.stats.probe_messages += 1;
+            out.stats.probes_spawned += 1;
+        }
+        let assignment: Vec<ComponentId> = assignment.into_iter().map(|a| a.expect("all assigned")).collect();
+
+        // Materialise virtual links along the graph edges.
+        let mut links = Vec::with_capacity(request.graph.edges().len());
+        for &(u, v) in request.graph.edges() {
+            match system.virtual_path(assignment[u].node, assignment[v].node) {
+                Some(p) => links.push(p),
+                None => return out,
+            }
+        }
+        out.stats.probes_returned += 1;
+
+        let composition = Composition { assignment, links };
+        let len = composition.assignment.len() as u64;
+        if let Ok(sid) = system.commit_session(request, composition) {
+            out.stats.confirmation_messages += len;
+            out.session = Some(sid);
+        }
+        out
+    }
+}
+
+impl Composer for BlindComposer {
+    fn name(&self) -> &'static str {
+        if self.rng.is_some() {
+            "random"
+        } else {
+            "static"
         }
     }
-    out.stats.probes_returned += 1;
 
-    let composition = Composition { assignment, links };
-    let len = composition.assignment.len() as u64;
-    if let Ok(sid) = system.commit_session(request, composition) {
-        out.stats.confirmation_messages += len;
-        out.session = Some(sid);
+    fn compose(
+        &mut self,
+        system: &mut StreamSystem,
+        _board: &GlobalStateBoard,
+        request: &Request,
+        _now: SimTime,
+    ) -> ComposeOutcome {
+        self.commit(system, request)
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use acp_topology::{InetConfig, Overlay, OverlayConfig};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn build(seed: u64) -> StreamSystem {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -102,8 +128,7 @@ mod tests {
     fn random_composes_loose_requests() {
         let mut sys = build(1);
         let req = request(&sys, 1);
-        let mut rng = StdRng::seed_from_u64(9);
-        let out = blind_compose(&mut sys, &req, SimTime::ZERO, BlindStrategy::Random, &mut rng);
+        let out = BlindComposer::random(9).commit(&mut sys, &req);
         assert!(out.session.is_some());
         assert_eq!(out.stats.probe_messages, 3);
         assert_eq!(out.stats.confirmation_messages, 3);
@@ -113,11 +138,10 @@ mod tests {
     fn static_always_picks_same_components() {
         let sys0 = build(2);
         let req = request(&sys0, 2);
-        let mut rng = StdRng::seed_from_u64(1);
         let mut sys_a = sys0.clone();
-        let a = blind_compose(&mut sys_a, &req, SimTime::ZERO, BlindStrategy::Static, &mut rng);
+        let a = BlindComposer::fixed().commit(&mut sys_a, &req);
         let mut sys_b = sys0.clone();
-        let b = blind_compose(&mut sys_b, &req, SimTime::ZERO, BlindStrategy::Static, &mut rng);
+        let b = BlindComposer::fixed().commit(&mut sys_b, &req);
         let ca = sys_a.session(a.session.unwrap()).unwrap().composition.clone();
         let cb = sys_b.session(b.session.unwrap()).unwrap().composition.clone();
         assert_eq!(ca.assignment, cb.assignment, "static choice is deterministic");
@@ -128,12 +152,12 @@ mod tests {
         // Repeatedly composing the same request must eventually fail for
         // the static algorithm — the load concentrates on fixed nodes.
         let mut sys = build(3);
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut fixed = BlindComposer::fixed();
         let mut failures = 0;
         for i in 0..200 {
             let mut req = request(&sys, 100 + i);
             req.base_resources = ResourceVector::new(3.0, 20.0);
-            let out = blind_compose(&mut sys, &req, SimTime::ZERO, BlindStrategy::Static, &mut rng);
+            let out = fixed.commit(&mut sys, &req);
             if out.session.is_none() {
                 failures += 1;
             }
@@ -150,14 +174,14 @@ mod tests {
         let mut ok_static = 0;
         let mut sys_r = sys0.clone();
         let mut sys_s = sys0;
-        let mut rng = StdRng::seed_from_u64(3);
+        let (mut random, mut fixed) = (BlindComposer::random(3), BlindComposer::fixed());
         for i in 0..150 {
             let mut req = request(&sys_r, 200 + i);
             req.base_resources = ResourceVector::new(3.0, 20.0);
-            if blind_compose(&mut sys_r, &req, SimTime::ZERO, BlindStrategy::Random, &mut rng).session.is_some() {
+            if random.commit(&mut sys_r, &req).session.is_some() {
                 ok_random += 1;
             }
-            if blind_compose(&mut sys_s, &req, SimTime::ZERO, BlindStrategy::Static, &mut rng).session.is_some() {
+            if fixed.commit(&mut sys_s, &req).session.is_some() {
                 ok_static += 1;
             }
         }
@@ -180,8 +204,7 @@ mod tests {
                 stream_rate_kbps: 0.0,
                 tenant: None,
             };
-            let mut rng = StdRng::seed_from_u64(4);
-            let out = blind_compose(&mut sys, &req, SimTime::ZERO, BlindStrategy::Random, &mut rng);
+            let out = BlindComposer::random(4).commit(&mut sys, &req);
             assert!(out.session.is_none());
         }
     }

@@ -236,7 +236,9 @@ impl std::iter::Sum for SetupStats {
 /// lossless protocol, on the same code path.
 #[derive(Debug, Clone)]
 pub struct TwoPhase {
-    config: SetupConfig,
+    /// [`SetupConfig::max_attempts`]; the fault rates live in the
+    /// transport.
+    max_attempts: u32,
     transport: MessageFaultInjector,
     backoff_rng: StdRng,
 }
@@ -246,8 +248,11 @@ impl TwoPhase {
     /// label-separated streams, independent of the composer's selection
     /// RNG.
     pub fn new(seed: u64, config: SetupConfig) -> Self {
-        let transport = MessageFaultInjector::new(seed, config.faults.clone());
-        TwoPhase { transport, backoff_rng: DeterministicRng::new(seed).stream("setup/backoff"), config }
+        TwoPhase {
+            max_attempts: config.max_attempts,
+            transport: MessageFaultInjector::new(seed, config.faults),
+            backoff_rng: DeterministicRng::new(seed).stream("setup/backoff"),
+        }
     }
 
     /// Deterministic backoff (plus seeded jitter) before retrying after
@@ -379,7 +384,7 @@ fn run_protocol<R: Rng + ?Sized>(
     let mut attempt_now = now;
     let mut attempts: u32 = 0;
     let mut last_faulted;
-    let max_attempts = setup.config.max_attempts.max(1);
+    let max_attempts = setup.max_attempts.max(1);
     let mut ratio = config.probing_ratio;
 
     loop {
@@ -1217,7 +1222,7 @@ mod tests {
                 &mut rng,
                 &mut ProbeScratch::default(),
             );
-            let sessions = sys.sessions().filter(|s| s.request == req.id).count();
+            let sessions = sys.sessions().filter(|s| s.request_spec.id == req.id).count();
             assert!(sessions <= 1, "request {id} double-committed residuals");
             if out.setup.confirms_lost > 0
                 && out.session.is_some()
@@ -1374,7 +1379,7 @@ mod tests {
                 assert_eq!(new.stats, old.stats, "{case}: overhead ledger");
                 assert_eq!(new.setup, old.setup, "{case}: setup ledger");
                 let table = |sys: &StreamSystem| -> Vec<(SessionId, RequestId, Composition)> {
-                    sys.sessions().map(|s| (s.id, s.request, s.composition.clone())).collect()
+                    sys.sessions().map(|s| (s.id, s.request_spec.id, s.composition.clone())).collect()
                 };
                 assert_eq!(table(&new_sys), table(&old_sys), "{case}: session table");
                 assert_eq!(new_sys.live_lease_count(), old_sys.live_lease_count(), "{case}: live leases");

@@ -1052,7 +1052,7 @@ impl SessionTotals {
                 tenant.committed += s.node_allocations().iter().map(|&(_, d)| d).sum::<ResourceVector>();
                 tenant.bw += s.link_allocations().iter().map(|&(_, kbps)| kbps).sum::<f64>();
             }
-            totals.requests.push(LiveRequest { request: s.request.0, degraded: s.is_degraded(), session: s.id });
+            totals.requests.push(LiveRequest { request: s.request_spec.id.0, degraded: s.is_degraded(), session: s.id });
         }
         totals.requests.sort_unstable();
         totals
@@ -1455,7 +1455,7 @@ mod tests {
         let sessions = commit_sessions(&mut sys, 2);
         assert!(!sessions.is_empty());
         let s = sys.session(sessions[0]).unwrap();
-        let (rid, comp) = (s.request, s.composition.assignment[0]);
+        let (rid, comp) = (s.request_spec.id, s.composition.assignment[0]);
         // A lease held by a request whose session is live is flagged.
         assert!(sys.reserve_component_transient(
             rid,

@@ -439,7 +439,7 @@ impl StreamSystem {
                     released_links.push((l, bw));
                 }
             }
-            (s.request, released_nodes, released_links, lo, hi)
+            (s.request_spec.id, released_nodes, released_links, lo, hi)
         };
         for &(node, demand) in &released_nodes {
             // On a freshly failed node `fail()` already zeroed the
@@ -529,7 +529,7 @@ impl StreamSystem {
             // double-count the very make-before-break holds protecting
             // this splice.
             self.check_assignment(&s.request_spec, &composition)?;
-            (s.request, s.request_spec.tenant, composition, s.request_spec.bandwidth_kbps)
+            (s.request_spec.id, s.request_spec.tenant, composition, s.request_spec.bandwidth_kbps)
         };
         // Break half: absorb the mini-session (books move, not change)
         // and promote the boundary holds.
@@ -753,7 +753,7 @@ mod tests {
         assert_eq!(outcome.degraded, sids);
         for &sid in &sids {
             let session = sys.session(sid).expect("degraded, not killed");
-            assert!(sys.repair_ledger().ticket(session.request).is_some(), "{sid:?} has no ticket");
+            assert!(sys.repair_ledger().ticket(session.request_spec.id).is_some(), "{sid:?} has no ticket");
         }
         assert_eq!(sys.repair_ledger().opened, sids.len() as u64);
         let report = crate::audit::SystemAuditor.audit(&sys);

@@ -75,10 +75,8 @@ impl LinkState {
 pub struct Session {
     /// Session identity.
     pub id: SessionId,
-    /// The request this session serves.
-    pub request: RequestId,
-    /// The full request specification (kept so failed sessions can be
-    /// recomposed).
+    /// The request this session serves (kept whole so failed sessions
+    /// can be recomposed).
     pub request_spec: Request,
     /// The chosen composition.
     pub composition: Composition,
@@ -189,7 +187,7 @@ impl SessionArena {
         };
         let session = make(id);
         if let Some(counts) = &mut self.per_request {
-            *counts.entry(session.request.0).or_insert(0) += 1;
+            *counts.entry(session.request_spec.id.0).or_insert(0) += 1;
         }
         self.slots[slot as usize] = Some(session);
         debug_assert_eq!(self.base_id + self.slot_of.len() as u64, id.0, "ids are dense");
@@ -216,7 +214,7 @@ impl SessionArena {
         }
         self.free.push(slot as u32);
         self.live -= 1;
-        if let Some(Entry::Occupied(mut count)) = self.per_request.as_mut().map(|c| c.entry(session.request.0)) {
+        if let Some(Entry::Occupied(mut count)) = self.per_request.as_mut().map(|c| c.entry(session.request_spec.id.0)) {
             *count.get_mut() -= 1;
             if *count.get() == 0 {
                 count.remove();
@@ -250,7 +248,7 @@ impl SessionArena {
         if self.per_request.is_none() {
             let mut counts = HashMap::new();
             for s in self.iter() {
-                *counts.entry(s.request.0).or_insert(0) += 1;
+                *counts.entry(s.request_spec.id.0).or_insert(0) += 1;
             }
             self.per_request = Some(counts);
         }
@@ -839,7 +837,6 @@ impl StreamSystem {
 
         let id = self.sessions.insert(|id| Session {
             id,
-            request: request.id,
             request_spec: request.clone(),
             composition,
             node_allocs,
@@ -875,7 +872,7 @@ impl StreamSystem {
     /// teardowns.
     pub(crate) fn close_session_with_cause(&mut self, id: SessionId, cause: SessionCloseCause) -> Option<Session> {
         let session = self.teardown_session(id, cause)?;
-        self.repair_ledger.cancel(session.request);
+        self.repair_ledger.cancel(session.request_spec.id);
         Some(session)
     }
 
@@ -1315,7 +1312,6 @@ pub(crate) mod tests {
         };
         Session {
             id,
-            request: request.id,
             request_spec: request,
             composition: Composition { assignment: Vec::new(), links: Vec::new() },
             node_allocs: Vec::new(),
@@ -1402,7 +1398,11 @@ pub(crate) mod tests {
     #[test]
     fn arena_counts_sessions_per_request() {
         let mut arena = SessionArena::default();
-        let shared = |id| Session { request: RequestId(7), ..arena_session(id) };
+        let shared = |id| {
+            let mut session = arena_session(id);
+            session.request_spec.id = RequestId(7);
+            session
+        };
         let a = arena.insert(shared);
         assert!(arena.holds_request(RequestId(7)), "the first question counts the live sessions");
         let (b, other) = (arena.insert(shared), arena.insert(arena_session));

@@ -218,9 +218,7 @@ pub struct GlobalStateBoard {
     seen_node_versions: Vec<u64>,
     seen_link_versions: Vec<u64>,
     scan: ScanStats,
-    update_messages: u64,
     aggregation_rounds: u64,
-    aggregation_cursor: u32,
 }
 
 impl GlobalStateBoard {
@@ -258,9 +256,7 @@ impl GlobalStateBoard {
             seen_node_versions: system.node_versions().to_vec(),
             seen_link_versions: system.link_versions().to_vec(),
             scan: ScanStats::default(),
-            update_messages: 0,
             aggregation_rounds: 0,
-            aggregation_cursor: 0,
         };
         board.index = board.rebuilt_index(system);
         board.congestion = board.fold_congestion();
@@ -374,7 +370,6 @@ impl GlobalStateBoard {
         if messages > 0 {
             self.congestion = self.fold_congestion();
         }
-        self.update_messages += messages;
         messages
     }
 
@@ -460,8 +455,9 @@ impl GlobalStateBoard {
     /// nodes report overlay links whose bandwidth moved beyond the
     /// threshold to the current aggregation node (one message per changed
     /// link), which then refreshes the global link states and publishes
-    /// once. The aggregation role rotates round-robin "for load sharing".
-    /// Returns the number of messages.
+    /// once. The paper rotates the aggregation role round-robin "for
+    /// load sharing"; which node holds it changes no message count, so
+    /// the board does not track it. Returns the number of messages.
     pub fn aggregate_links(&mut self, system: &StreamSystem) -> u64 {
         let versions = system.link_versions();
         let mut messages = 0;
@@ -480,9 +476,7 @@ impl GlobalStateBoard {
             }
         }
         messages += 1; // the aggregation node's global-state publish
-        self.update_messages += messages;
         self.aggregation_rounds += 1;
-        self.aggregation_cursor = (self.aggregation_cursor + 1) % system.node_count() as u32;
         messages
     }
 
@@ -498,11 +492,6 @@ impl GlobalStateBoard {
     /// Number of completed aggregation rounds.
     pub fn aggregation_rounds(&self) -> u64 {
         self.aggregation_rounds
-    }
-
-    /// Total state-update messages since construction.
-    pub fn update_messages(&self) -> u64 {
-        self.update_messages
     }
 
     /// The configured publish threshold.
@@ -694,7 +683,6 @@ mod tests {
         for l in sys.overlay().links() {
             assert_eq!(board.link_available(l), sys.link_available(l));
         }
-        assert_eq!(board.update_messages(), 0);
     }
 
     #[test]
@@ -757,11 +745,9 @@ mod tests {
     fn aggregation_counts_and_rotates() {
         let sys = build();
         let mut board = GlobalStateBoard::new(&sys, GlobalStateConfig::default());
-        let first = board.aggregation_cursor;
         let msgs = board.aggregate_links(&sys);
         assert_eq!(msgs, 1, "no link changed → only the publish message");
         assert_eq!(board.aggregation_rounds(), 1);
-        assert_ne!(board.aggregation_cursor, first, "role rotates");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 
 use acp_model::prelude::*;
-use acp_simcore::{SimDuration, SimTime};
+use acp_simcore::SimDuration;
 use rand::Rng;
 
 /// QoS strictness tiers of Fig. 5(b).
@@ -222,11 +222,6 @@ impl RequestTrace {
             })
             .collect()
     }
-}
-
-/// `SimTime`-stamped helper mirroring the paper's sampling periods.
-pub fn minutes(t: SimTime) -> f64 {
-    t.as_minutes_f64()
 }
 
 #[cfg(test)]

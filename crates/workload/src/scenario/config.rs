@@ -72,16 +72,14 @@ pub struct TenantPreemptionConfig {
     /// Preempt only when the board congestion estimate is at or above
     /// this level.
     pub congestion_threshold: f64,
-    /// Victim-selection policy (hottest nodes first, best-effort only).
-    pub policy: PreemptionConfig,
+    /// A round skips nodes below this utilisation (see
+    /// [`preempt_round`]).
+    pub min_node_utilization: f64,
 }
 
 impl Default for TenantPreemptionConfig {
     fn default() -> Self {
-        TenantPreemptionConfig {
-            congestion_threshold: 0.75,
-            policy: PreemptionConfig::default(),
-        }
+        TenantPreemptionConfig { congestion_threshold: 0.75, min_node_utilization: 0.5 }
     }
 }
 
@@ -89,9 +87,9 @@ impl Default for TenantPreemptionConfig {
 ///
 /// When present, every arrival is stamped with a tenant drawn from its
 /// own label-derived stream (the workload stream is untouched) and must
-/// pass the [`AdmissionController`] before composing. `None` — and a
-/// single `Gold` tenant without preemption — are byte-identical to the
-/// tenant-less run.
+/// pass the congestion gate, [`AdmissionConfig::sheds`], before
+/// composing. `None` — and a single `Gold` tenant without preemption —
+/// are byte-identical to the tenant-less run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantsConfig {
     /// The tenant population; `TenantId(i)` is the index into this vec.

@@ -3,7 +3,7 @@
 
 use acp_core::prelude::*;
 use acp_model::prelude::*;
-use acp_simcore::{Histogram, SummaryStats, TimeSeries};
+use acp_simcore::{SummaryStats, TimeSeries};
 use acp_state::ScanStats;
 
 /// Per-tier outcome counters of a tenanted run. Tier composition is
@@ -54,25 +54,16 @@ pub struct ScenarioResult {
     pub success_series: TimeSeries,
     /// Per-sampling-period probing ratio in force.
     pub ratio_series: TimeSeries,
-    /// Success rate over the whole run.
-    pub overall_success: f64,
     /// Total composition requests submitted.
     pub total_requests: u64,
     /// Total successful compositions.
     pub total_successes: u64,
     /// Total message overhead (probing + state maintenance).
     pub overhead: OverheadStats,
-    /// `overhead.total_messages()` per simulated minute.
-    pub messages_per_minute: f64,
-    /// Probe messages alone per simulated minute.
-    pub probe_messages_per_minute: f64,
     /// Live sessions at the end of the run.
     pub final_sessions: usize,
     /// Tuner profiling sweeps performed (0 without tuner).
     pub profiling_runs: u64,
-    /// Distribution of probe messages per request (buckets of 5, range
-    /// 0–200, overflow collected).
-    pub probe_histogram: Histogram,
     /// Hit/miss counters of the overlay's virtual-path memo over the
     /// whole run.
     pub path_cache: acp_topology::PathCacheStats,
@@ -139,7 +130,8 @@ pub struct ScenarioResult {
     /// Per-tier outcomes in [`tier_index`] order (all zero tenant-less).
     /// Mix-dependent by design — excluded from every digest.
     pub tenant_tiers: [TierSummary; 3],
-    /// Sessions preempted by the tenant pressure controller.
+    /// Sessions preempted by the tenant pressure controller: the sum of
+    /// the tiers' `preempted`.
     pub tenant_preemptions: u64,
     /// Tenant-isolation audit violations alone (also counted in
     /// `audit_violations`); 0 = per-tenant ledgers reconciled with the
@@ -162,7 +154,7 @@ pub struct ScenarioResult {
 }
 
 /// `part / whole`, or `empty` when there is nothing to take a share of.
-pub(super) fn share(part: u64, whole: u64, empty: f64) -> f64 {
+fn share(part: u64, whole: u64, empty: f64) -> f64 {
     if whole == 0 {
         empty
     } else {
@@ -172,21 +164,17 @@ pub(super) fn share(part: u64, whole: u64, empty: f64) -> f64 {
 
 impl ScenarioResult {
     /// The ledger before the first event: every count zero, both series
-    /// and the probe histogram empty.
+    /// empty.
     pub fn new(algorithm: AlgorithmKind) -> Self {
         ScenarioResult {
             algorithm,
             success_series: TimeSeries::new("success_rate"),
             ratio_series: TimeSeries::new("probing_ratio"),
-            overall_success: 0.0,
             total_requests: 0,
             total_successes: 0,
             overhead: OverheadStats::new(),
-            messages_per_minute: 0.0,
-            probe_messages_per_minute: 0.0,
             final_sessions: 0,
             profiling_runs: 0,
-            probe_histogram: Histogram::new(0.0, 200.0, 40),
             path_cache: acp_topology::PathCacheStats::default(),
             state_scans: ScanStats::default(),
             aggregation_rounds: 0,
@@ -229,6 +217,12 @@ impl ScenarioResult {
         self.optimal_truncated += u64::from(outcome.truncated);
     }
 
+    /// Success rate over the whole run: successes over requests, 0.0
+    /// when nothing arrived.
+    pub fn overall_success(&self) -> f64 {
+        share(self.total_successes, self.total_requests, 0.0)
+    }
+
     /// Share of otherwise-failed compositions the retry loop recovered:
     /// fault-hit successes over those plus the requests lost *to* faults
     /// (`setup_stats.fault_failures`); 1.0 when no fault caused a loss.
@@ -269,7 +263,7 @@ pub fn session_digest(system: &StreamSystem) -> u64 {
     };
     for s in system.sessions_by_id() {
         mix(s.id.0);
-        mix(s.request.0);
+        mix(s.request_spec.id.0);
         for c in &s.composition.assignment {
             mix(c.node.index() as u64);
             mix(u64::from(c.slot));
@@ -285,7 +279,7 @@ mod tests {
     #[test]
     fn derived_rates_have_their_empty_cases() {
         let blank = ScenarioResult::new(AlgorithmKind::Acp);
-        assert_eq!((blank.recovery_rate(), blank.survival()), (1.0, 1.0));
+        assert_eq!((blank.recovery_rate(), blank.survival(), blank.overall_success()), (1.0, 1.0, 0.0));
         assert_eq!(blank.tenant_tiers[0].success_rate(), 0.0);
         let settled = ScenarioResult {
             sessions_repaired: 6,

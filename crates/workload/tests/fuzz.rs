@@ -5,7 +5,7 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-use acp_core::{AlgorithmKind, PiControllerConfig, PreemptionConfig, SetupConfig, TunerConfig};
+use acp_core::{AlgorithmKind, PiControllerConfig, SetupConfig, TunerConfig};
 use acp_simcore::{FaultPlanConfig, MessageFaultConfig, SimDuration, SimTime};
 use acp_workload::{
     run_scenario, ChurnConfig, RateSchedule, RepairPolicy, RepairScenarioConfig, ScenarioConfig,
@@ -126,7 +126,7 @@ fn draw_config(rng: &mut StdRng) -> (ScenarioConfig, bool) {
                 None,
                 Some(TenantPreemptionConfig {
                     congestion_threshold: 0.0,
-                    policy: PreemptionConfig { min_node_utilization: 0.05 },
+                    min_node_utilization: 0.05,
                 }),
             ],
         );

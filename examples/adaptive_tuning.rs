@@ -40,7 +40,7 @@ fn print_timeline(label: &str, result: &ScenarioResult) {
     }
     println!(
         "overall: {:.1}% success over {} requests, {} profiling sweep(s)",
-        result.overall_success * 100.0,
+        result.overall_success() * 100.0,
         result.total_requests,
         result.profiling_runs,
     );

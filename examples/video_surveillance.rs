@@ -57,7 +57,7 @@ fn main() {
     let mut acp_system = system.clone();
     let acp_out = acp.compose(&mut acp_system, &board, &request, SimTime::ZERO);
 
-    let mut random = RandomComposer::new(11);
+    let mut random = BlindComposer::random(11);
     let rnd_out = random.compose(&mut system, &board, &request, SimTime::ZERO);
 
     match acp_out.session {

@@ -6,9 +6,9 @@
 # time, and the oracle must pass on the pristine copy and fail on every
 # mutant. A mutant named 'FILE.rs: ...' must fail inside that test file.
 #
-#   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|repair|recovery|leases|routes|board|topology|audit|config|claims] [WORKDIR]
+#   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|repair|recovery|leases|routes|board|topology|audit|config|claims|tenants] [WORKDIR]
 #
-# No suite name runs all fifteen, 47 mutants; WORKDIR defaults to
+# No suite name runs all sixteen, 50 mutants; WORKDIR defaults to
 # target/mutation-check.
 # The repository itself is never edited; the copy and its cargo target
 # directory live under WORKDIR.
@@ -239,10 +239,25 @@ claims_mutants=(
     'claims.rs: faults struck under Terminate whatever the arm|s/^        let fault = self\.system\.apply_fault(kind, churn\.repair\.policy, now);$/        let fault = self.system.apply_fault(kind, RepairPolicy::Terminate, now);/'
 )
 
-all_suites=(selection optimal faults compose counters ledger repair recovery leases routes board topology audit config claims)
+# The tenant controls: the congestion gate and preemption. A gate that
+# sheds only strictly above its threshold passes every row but the two
+# on the thresholds themselves; a preemption round that never picks a
+# victim, or one whose candidates are not only best-effort sessions, is
+# caught by the scenario test that preempts under load (the second also
+# by the auditor's `PreemptionOutsideBestEffort`, which it reads).
+tenants_kernel='crates/core/src/admission.rs crates/core/src/preemption.rs crates/model/src/system.rs'
+tenants_target='-p acp-core -p acp-workload --lib -- admission:: preemption_reclaims_only_best_effort_sessions'
+tenants_oracle= # the filters ride on the target: one per package
+tenants_mutants=(
+    'admission.rs: the gate sheds only above its threshold|s/^        congestion >= self\.threshold(tier)$/        congestion > self.threshold(tier)/'
+    'model.rs: a preemption round never picks a victim|s/^        if util < min_node_utilization {$/        if true {/'
+    'model.rs: preemption reaches Silver and Gold sessions|s/s\.request_spec\.tenant\.is_some_and(|b| b\.tier == TenantTier::BestEffort)/s.request_spec.tenant.is_some()/'
+)
+
+all_suites=(selection optimal faults compose counters ledger repair recovery leases routes board topology audit config claims tenants)
 suites=("${all_suites[@]}")
 case "${1:-}" in
-    selection | optimal | faults | compose | counters | ledger | repair | recovery | leases | routes | board | topology | audit | config | claims)
+    selection | optimal | faults | compose | counters | ledger | repair | recovery | leases | routes | board | topology | audit | config | claims | tenants)
         suites=("$1")
         shift
         ;;
