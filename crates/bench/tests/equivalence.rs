@@ -1,10 +1,10 @@
 //! Inertness contracts at figure scale: a layer that is switched on but
-//! never acts — an explicit setup config with every fault rate at zero, a single
-//! uncapped `Gold` tenant, a repair config under `Terminate` — must
-//! leave a Fig. 6-style run byte-identical to the run without it.
+//! never acts — a single uncapped `Gold` tenant, a repair config under
+//! `Terminate` — must leave a Fig. 6-style run byte-identical to the run
+//! without it.
 
 use acp_bench::experiments::Scale;
-use acp_core::{AlgorithmKind, SetupConfig};
+use acp_core::AlgorithmKind;
 use acp_model::prelude::TenantTier;
 use acp_simcore::SimDuration;
 use acp_workload::{
@@ -21,52 +21,6 @@ fn fig6_style_point() -> ScenarioResult {
     config.algorithm = AlgorithmKind::Acp;
     config.schedule = RateSchedule::constant(scale.anchor_rate);
     run_scenario(config)
-}
-
-/// `setup: None` against `setup: Some(SetupConfig::default())`: the
-/// scenario resolves `None` to that config, for both composers and the
-/// post-horizon sweep, so the two runs must be byte-identical: same
-/// compositions, same audit trail, same message ledger, same series,
-/// same event count, same lease ledger.
-#[test]
-fn no_setup_config_matches_the_default_setup_config() {
-    let plain = fig6_style_point();
-
-    let mut scale = Scale::quick();
-    scale.duration = SimDuration::from_minutes(12);
-    let mut config = scale.base_config(42);
-    config.algorithm = AlgorithmKind::Acp;
-    config.schedule = RateSchedule::constant(scale.anchor_rate);
-    config.setup = Some(SetupConfig::default());
-    let two_phase = run_scenario(config);
-
-    assert_eq!(plain.session_digest, two_phase.session_digest, "compositions diverged");
-    assert_eq!(plain.chaos_digest(), two_phase.chaos_digest(), "audit trails diverged");
-    assert_eq!(plain.overhead, two_phase.overhead, "message ledger diverged");
-    assert_eq!(plain.total_requests, two_phase.total_requests);
-    assert_eq!(plain.total_successes, two_phase.total_successes);
-    assert_eq!(plain.final_sessions, two_phase.final_sessions);
-    assert_eq!(plain.sim_events, two_phase.sim_events);
-    assert_eq!(plain.aggregation_rounds, two_phase.aggregation_rounds);
-    assert_eq!(plain.success_series.samples(), two_phase.success_series.samples());
-
-    // Both keep the lease ledger, and both place and settle exactly the
-    // same leases.
-    assert_eq!(plain.lease_stats, two_phase.lease_stats, "lease ledgers diverged");
-    assert!(two_phase.lease_stats.created > 0, "the ledger must be live");
-    assert!(
-        two_phase.lease_stats.reconciles(two_phase.leases_live_end),
-        "inert two-phase ledger must reconcile: {:?}",
-        two_phase.lease_stats
-    );
-
-    // The inert two-phase run still accounts attempts, but never faults,
-    // retries, or leaks.
-    assert_eq!(two_phase.setup_stats.attempts, two_phase.total_requests);
-    assert_eq!(two_phase.setup_stats.retries, 0);
-    assert_eq!(two_phase.fault_hit_requests, 0);
-    assert_eq!(two_phase.leases_live_end, 0);
-    assert_eq!(two_phase.leases_leaked, 0);
 }
 
 /// The tenant layer's inertness contract at figure scale: a single

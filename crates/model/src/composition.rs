@@ -35,7 +35,7 @@ impl Composition {
             let from = self.assignment[u].node;
             let to = self.assignment[v].node;
             if from == to {
-                path.is_colocated() && path.nodes == [from]
+                path.is_colocated() && path.nodes[..] == [from]
             } else {
                 path.nodes.first() == Some(&from) && path.nodes.last() == Some(&to)
             }
@@ -122,8 +122,8 @@ mod tests {
 
     fn link_path(from: u32, to: u32, ms: u64, loss: f64) -> SharedPath {
         SharedPath::new(OverlayPath::new(
-            vec![OverlayNodeId(from), OverlayNodeId(to)],
-            vec![OverlayLinkId(0)],
+            &[OverlayNodeId(from), OverlayNodeId(to)],
+            &[OverlayLinkId(0)],
             SimDuration::from_millis(ms),
             1_000.0,
             loss,
@@ -266,8 +266,8 @@ mod tests {
                     .map(|&(u, v)| {
                         let (us, loss) = sample(&mut rng);
                         SharedPath::new(OverlayPath::new(
-                            vec![OverlayNodeId(u as u32), OverlayNodeId(v as u32)],
-                            vec![OverlayLinkId(0)],
+                            &[OverlayNodeId(u as u32), OverlayNodeId(v as u32)],
+                            &[OverlayLinkId(0)],
                             SimDuration::from_micros(us),
                             1_000.0,
                             loss,
@@ -299,9 +299,13 @@ mod tests {
     #[test]
     fn overlay_links_enumerates_with_multiplicity() {
         let _g = FunctionGraph::path(vec![FunctionId(0), FunctionId(1), FunctionId(2)]);
-        let mut p2 = OverlayPath::clone(&link_path(1, 2, 3, 0.0));
-        p2.links = vec![OverlayLinkId(1), OverlayLinkId(2)];
-        p2.nodes = vec![OverlayNodeId(1), OverlayNodeId(9), OverlayNodeId(2)];
+        let p2 = OverlayPath::new(
+            &[OverlayNodeId(1), OverlayNodeId(9), OverlayNodeId(2)],
+            &[OverlayLinkId(1), OverlayLinkId(2)],
+            SimDuration::from_millis(3),
+            1_000.0,
+            0.0,
+        );
         let c = Composition {
             assignment: vec![comp(0, 0), comp(1, 0), comp(2, 0)],
             links: vec![link_path(0, 1, 5, 0.0), SharedPath::new(p2)],

@@ -30,6 +30,12 @@
 //! order-preserving `retain` such a scan would, so version bumps, the
 //! surviving leases' vector order (hence every f64 sum over them) and
 //! [`LeaseStats`] come out bit-identical to a full scan's.
+//!
+//! Release by request is the exception: it visits the request's sites in
+//! the order the directory recorded them. Each site is settled on its
+//! own — its own `retain` over its own vector, its own version bump, its
+//! own retirement — and a sum of counts, so no site's outcome depends on
+//! another's and the visiting order cannot show.
 
 use std::collections::BTreeMap;
 
@@ -366,10 +372,9 @@ impl StreamSystem {
     /// Visits exactly the sites the request holds leases on. Returns
     /// the number of leases released.
     pub fn release_request_transients(&mut self, request: RequestId) -> usize {
-        let Some(mut sites) = self.leases.by_request.remove(&request.0) else {
+        let Some(sites) = self.leases.by_request.remove(&request.0) else {
             return 0;
         };
-        sites.sort_unstable();
         let mut dropped = 0;
         for site in sites {
             let d = match site {

@@ -742,7 +742,7 @@ mod tests {
     }
 
     #[test]
-    fn aggregation_counts_and_rotates() {
+    fn aggregation_counts_messages_and_rounds() {
         let sys = build();
         let mut board = GlobalStateBoard::new(&sys, GlobalStateConfig::default());
         let msgs = board.aggregate_links(&sys);

@@ -28,17 +28,6 @@ pub struct IpPath {
 }
 
 impl IpPath {
-    /// A zero-length path (source == destination).
-    fn trivial(node: NodeId) -> Self {
-        IpPath {
-            nodes: vec![node],
-            edges: Vec::new(),
-            delay: SimDuration::ZERO,
-            bottleneck_kbps: f64::INFINITY,
-            loss_rate: 0.0,
-        }
-    }
-
     /// Number of hops (edges).
     pub fn hop_count(&self) -> usize {
         self.edges.len()
@@ -56,9 +45,76 @@ impl IpPath {
 }
 
 /// `dist` of a node no search has reached.
-const UNREACHED: u64 = u64::MAX;
-/// `prev` of the source and of unreached nodes.
-const NO_PREV: (u32, u32) = (u32::MAX, u32::MAX);
+const UNREACHED: u32 = u32::MAX;
+/// `via` of the source and of unreached nodes.
+const NO_LINK: u32 = u32::MAX;
+
+/// One node's entry in a search, 8 bytes: its distance from the source
+/// in µs ([`UNREACHED`] when unreached) and the link it is reached over
+/// ([`NO_LINK`] for the source and unreached nodes). The predecessor is
+/// that link's other endpoint: a [`Graph`] has no parallel edges, so the
+/// link names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Entry {
+    dist: u32,
+    via: u32,
+}
+
+/// The entry of a node no search has reached.
+const UNSET: Entry = Entry { dist: UNREACHED, via: NO_LINK };
+
+/// A tentative distance as an entry stores it.
+///
+/// # Panics
+///
+/// Panics at 2³² − 1 µs and beyond: that value is [`UNREACHED`], and the
+/// packed key's high half holds no more.
+#[inline]
+fn stored(dist: u64) -> u32 {
+    assert!(dist < u64::from(UNREACHED), "shortest-path distance reached 2^32 µs (71 min): {dist} µs");
+    dist as u32
+}
+
+/// True when a relaxation to `cand` beats the entry's distance: shorter,
+/// or the node unreached. A candidate past the stored range is refused
+/// by [`stored`], not taken for "no better".
+#[inline]
+fn improves(cand: u64, entry: Entry) -> bool {
+    cand < u64::from(entry.dist) || entry.dist == UNREACHED
+}
+
+/// The node an entry of `node` reached over link `via` comes from: the
+/// link's other endpoint.
+#[inline]
+fn predecessor(graph: &Graph, node: NodeId, via: u32) -> NodeId {
+    let (a, b) = graph.endpoints(EdgeId(via));
+    if a == node {
+        b
+    } else {
+        a
+    }
+}
+
+/// The route to `dst` recorded in `entries`, walked backwards: each link
+/// with the node it leads back to, destination first. Empty for the
+/// source and for unreached nodes.
+fn route_back<'a>(
+    graph: &'a Graph,
+    entries: &'a [Entry],
+    dst: NodeId,
+) -> impl Iterator<Item = (EdgeId, NodeId)> + 'a {
+    let (mut cur, mut hops) = (dst, 0);
+    std::iter::from_fn(move || {
+        let via = entries[cur.index()].via;
+        if via == NO_LINK {
+            return None;
+        }
+        hops += 1;
+        assert!(hops < entries.len(), "a predecessor chain visits each node once");
+        cur = predecessor(graph, cur, via);
+        Some((EdgeId(via), cur))
+    })
+}
 
 /// The heap key of a tentative `(dist, node)`: `dist` in the high 32
 /// bits, the node id in the low 32. While `dist < 2³²`, the keys'
@@ -79,10 +135,10 @@ fn unpack(key: u64) -> (u64, u32) {
 /// **Canonical predecessor.** Relaxation is strict (`cand < cur`) and
 /// the heap pops the smallest `(dist, node)` — the integer order of the
 /// packed key `dist << 32 | node` — so when every edge delay is strictly
-/// positive nodes settle in ascending `(dist, id)` and `prev[x]` is the
-/// tight predecessor `u` (`dist[u] + w(u, x) == dist[x]`) with the
-/// smallest `(dist[u], u)`. The tree is therefore a function of the
-/// graph and the blocked set alone, not of heap history — the fact
+/// positive nodes settle in ascending `(dist, id)` and each node's
+/// predecessor is the tight one `u` (`dist[u] + w(u, x) == dist[x]`)
+/// with the smallest `(dist[u], u)`. The tree is therefore a function of
+/// the graph and the blocked set alone, not of heap history — the fact
 /// `NearestTargets` relies on, and the rule by which
 /// `remove_node` and `add_node` repair a tree in place
 /// into exactly what `compute_excluding` would build. Blocked and
@@ -93,18 +149,16 @@ fn unpack(key: u64) -> (u64, u32) {
 /// changed, and at every node they re-settle — and refuse on a zero
 /// delay.
 ///
-/// **Range.** Distances must stay below 2³² µs (about 71 minutes), the
-/// packed key's high half; a search whose relaxation would reach that
-/// panics. A `ScenarioConfig`'s IP links are 1–20 ms.
+/// **Range.** Distances must stay below 2³² − 1 µs (about 71 minutes),
+/// the packed key's high half; a search whose relaxation would reach
+/// that panics. A `ScenarioConfig`'s IP links are 1–20 ms.
 ///
-/// Per node the tree holds 16 bytes: the distance in µs (`u64::MAX`
-/// when unreached) and the predecessor with its edge (`u32::MAX` when
-/// none).
+/// Per node the tree holds one 8-byte `Entry`: the distance in µs and
+/// the link to the predecessor, whose other endpoint the predecessor is.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShortestPathTree {
     source: NodeId,
-    dist: Vec<u64>,
-    prev: Vec<(u32, u32)>,
+    entries: Vec<Entry>,
 }
 
 impl ShortestPathTree {
@@ -142,16 +196,16 @@ impl ShortestPathTree {
         mut stop: impl FnMut(NodeId) -> bool,
     ) -> Self {
         let n = graph.node_count();
-        let mut tree = ShortestPathTree { source, dist: vec![UNREACHED; n], prev: vec![NO_PREV; n] };
+        let mut tree = ShortestPathTree { source, entries: vec![UNSET; n] };
         let mut done = blocked.to_vec();
         done.resize(n, false);
         if done[source.index()] {
             return tree;
         }
-        let (dist, prev) = (&mut tree.dist, &mut tree.prev);
+        let entries = &mut tree.entries;
         let mut heap = BinaryHeap::new();
 
-        dist[source.index()] = 0;
+        entries[source.index()].dist = 0;
         heap.push(Reverse(pack(0, source.0)));
 
         while let Some(Reverse(key)) = heap.pop() {
@@ -168,10 +222,8 @@ impl ShortestPathTree {
                     continue;
                 }
                 let cand = d + graph.delay_us(e);
-                if cand < dist[v.index()] {
-                    assert!(cand >> 32 == 0, "shortest-path distance reached 2^32 µs (71 min): {cand} µs");
-                    dist[v.index()] = cand;
-                    prev[v.index()] = (u, e.0);
+                if improves(cand, entries[v.index()]) {
+                    entries[v.index()] = Entry { dist: stored(cand), via: e.0 };
                     heap.push(Reverse(pack(cand, v.0)));
                 }
             }
@@ -187,12 +239,13 @@ impl ShortestPathTree {
     /// the tree (`node` is the source, or a link read has zero delay).
     ///
     /// The subtree is found through the adjacency — `v`'s children are
-    /// the neighbours whose predecessor is `v` — and its entries cleared.
-    /// Each of its nodes is seeded from its reachable neighbours outside
-    /// it by the least `(dist[u] + w, dist[u], u)`, and Dijkstra under the
-    /// canonical rule settles the subtree alone. No route outside it
-    /// changes: none passed through `node`, and a removal only lengthens
-    /// routes, so no node inside can offer a shorter or tie-winning one.
+    /// the neighbours reached over their link to `v` — and its entries
+    /// cleared. Each of its nodes is seeded from its reachable neighbours
+    /// outside it by the least `(dist[u] + w, dist[u], u)`, and Dijkstra
+    /// under the canonical rule settles the subtree alone. No route
+    /// outside it changes: none passed through `node`, and a removal only
+    /// lengthens routes, so no node inside can offer a shorter or
+    /// tie-winning one.
     pub(crate) fn remove_node(
         &mut self,
         graph: &Graph,
@@ -204,7 +257,7 @@ impl ShortestPathTree {
         if node == self.source {
             return false;
         }
-        if self.dist[node.index()] == UNREACHED {
+        if self.entries[node.index()].dist == UNREACHED {
             return true;
         }
         targets.push(node);
@@ -215,26 +268,26 @@ impl ShortestPathTree {
                 if graph.delay_us(e) == 0 {
                     return false;
                 }
-                if self.prev[y.index()].0 == v.0 {
+                if self.entries[y.index()].via == e.0 {
                     targets.push(y);
                 }
             }
         }
         for v in targets.iter() {
-            (self.dist[v.index()], self.prev[v.index()]) = (UNREACHED, NO_PREV);
+            self.entries[v.index()] = UNSET;
         }
         // Seeds read only entries outside the subtree: their distances
         // are written once every seed is chosen.
         let mut heap = BinaryHeap::new();
         for &y in &targets[1..] {
-            if let Some((d, from)) = self.canonical_entry(graph, y) {
-                self.prev[y.index()] = from;
-                heap.push(Reverse(pack(d, y.0)));
+            if let Some(seed) = self.canonical_entry(graph, y) {
+                self.entries[y.index()].via = seed.via;
+                heap.push(Reverse(pack(u64::from(seed.dist), y.0)));
             }
         }
         for &Reverse(key) in heap.iter() {
             let (d, y) = unpack(key);
-            self.dist[y as usize] = d;
+            self.entries[y as usize].dist = d as u32;
         }
         let exact = self.propagate(graph, blocked, &mut heap, targets);
         targets.sort_unstable();
@@ -267,12 +320,12 @@ impl ShortestPathTree {
         if node == self.source {
             return false;
         }
-        let Some((d, from)) = self.canonical_entry(graph, node) else {
+        let Some(entry) = self.canonical_entry(graph, node) else {
             return true;
         };
-        (self.dist[node.index()], self.prev[node.index()]) = (d, from);
+        self.entries[node.index()] = entry;
         targets.push(node);
-        let mut heap = BinaryHeap::from(vec![Reverse(pack(d, node.0))]);
+        let mut heap = BinaryHeap::from(vec![Reverse(pack(u64::from(entry.dist), node.0))]);
         if !self.propagate(graph, blocked, &mut heap, targets) {
             return false;
         }
@@ -282,8 +335,8 @@ impl ShortestPathTree {
         let mut i = 0;
         while let Some(&v) = targets.get(i) {
             i += 1;
-            for &(y, _) in graph.neighbors(v) {
-                if self.prev[y.index()].0 == v.0 && targets[..changed].binary_search(&y).is_err() {
+            for &(y, e) in graph.neighbors(v) {
+                if self.entries[y.index()].via == e.0 && targets[..changed].binary_search(&y).is_err() {
                     targets.push(y);
                 }
             }
@@ -292,17 +345,25 @@ impl ShortestPathTree {
     }
 
     /// `v`'s canonical entry from its reachable neighbours `u`: the least
-    /// `(dist[u] + w(u, v), dist[u], u, edge)`, as distance and
-    /// predecessor; `None` when no neighbour is reachable.
-    fn canonical_entry(&self, graph: &Graph, v: NodeId) -> Option<(u64, (u32, u32))> {
-        let (d, _, u, e) = graph
+    /// `(dist[u] + w(u, v), dist[u], u, edge)`, as distance and link;
+    /// `None` when no neighbour is reachable.
+    fn canonical_entry(&self, graph: &Graph, v: NodeId) -> Option<Entry> {
+        let (d, _, _, via) = graph
             .neighbors(v)
             .iter()
-            .filter(|&&(u, _)| self.dist[u.index()] != UNREACHED)
-            .map(|&(u, e)| (self.dist[u.index()] + graph.delay_us(e), self.dist[u.index()], u.0, e.0))
+            .filter(|&&(u, _)| self.entries[u.index()].dist != UNREACHED)
+            .map(|&(u, e)| {
+                let du = u64::from(self.entries[u.index()].dist);
+                (du + graph.delay_us(e), du, u.0, e.0)
+            })
             .min()?;
-        assert!(d >> 32 == 0, "shortest-path distance reached 2^32 µs (71 min): {d} µs");
-        Some((d, (u, e)))
+        Some(Entry { dist: stored(d), via })
+    }
+
+    /// `(dist, id)` of `node`, the order the canonical rule ranks
+    /// predecessors by.
+    fn rank(&self, node: NodeId) -> (u64, u32) {
+        (u64::from(self.entries[node.index()].dist), node.0)
     }
 
     /// Dijkstra from the entries on `heap`, never into a blocked node,
@@ -320,7 +381,7 @@ impl ShortestPathTree {
     ) -> bool {
         while let Some(Reverse(key)) = heap.pop() {
             let (d, u) = unpack(key);
-            if d != self.dist[u as usize] {
+            if d != u64::from(self.entries[u as usize].dist) {
                 continue;
             }
             for &(v, e) in graph.neighbors(NodeId(u)) {
@@ -332,15 +393,15 @@ impl ShortestPathTree {
                     continue;
                 }
                 let cand = d + w;
-                let (dv, (p, _)) = (self.dist[v.index()], self.prev[v.index()]);
-                if cand < dv {
-                    assert!(cand >> 32 == 0, "shortest-path distance reached 2^32 µs (71 min): {cand} µs");
-                    self.dist[v.index()] = cand;
+                let entry = self.entries[v.index()];
+                if improves(cand, entry) {
+                    self.entries[v.index()] = Entry { dist: stored(cand), via: e.0 };
                     heap.push(Reverse(pack(cand, v.0)));
-                } else if !(cand == dv && (d, u) < (self.dist[p as usize], p)) {
+                } else if cand == u64::from(entry.dist) && (d, u) < self.rank(predecessor(graph, v, entry.via)) {
+                    self.entries[v.index()].via = e.0;
+                } else {
                     continue;
                 }
-                self.prev[v.index()] = (u, e.0);
                 changed.push(v);
             }
         }
@@ -349,8 +410,8 @@ impl ShortestPathTree {
 
     /// Delay from the source to `dst`; `None` when unreachable.
     pub fn distance(&self, dst: NodeId) -> Option<SimDuration> {
-        let d = self.dist[dst.index()];
-        (d != UNREACHED).then_some(SimDuration::from_micros(d))
+        let d = self.entries[dst.index()].dist;
+        (d != UNREACHED).then(|| SimDuration::from_micros(u64::from(d)))
     }
 
     /// The node this tree is rooted at.
@@ -359,30 +420,31 @@ impl ShortestPathTree {
     }
 
     /// True when `node` forwards traffic in this tree: it is the source
-    /// or the predecessor of some reachable node. Paths to nodes whose
-    /// chain never passes through `node` are unaffected by its failure,
-    /// so trees for which this is false stay valid when `node` dies.
-    pub(crate) fn routes_through(&self, node: NodeId) -> bool {
-        self.source == node || self.prev.iter().any(|&(p, _)| p == node.0)
+    /// or the predecessor of some reachable node — a neighbour reached
+    /// over its link to `node`. Paths to nodes whose chain never passes
+    /// through `node` are unaffected by its failure, so trees for which
+    /// this is false stay valid when `node` dies.
+    pub(crate) fn routes_through(&self, graph: &Graph, node: NodeId) -> bool {
+        self.source == node || graph.neighbors(node).iter().any(|&(y, e)| self.entries[y.index()].via == e.0)
+    }
+
+    /// The routed path to `dst` walked backwards: each link with the
+    /// node it leads back to, destination first. Empty for the source
+    /// and for unreachable nodes.
+    pub(crate) fn route_back<'a>(
+        &'a self,
+        graph: &'a Graph,
+        dst: NodeId,
+    ) -> impl Iterator<Item = (EdgeId, NodeId)> + 'a {
+        route_back(graph, &self.entries, dst)
     }
 
     /// Materialises the routed path to `dst`; `None` when unreachable.
     pub(crate) fn path_to(&self, graph: &Graph, dst: NodeId) -> Option<IpPath> {
         let delay = self.distance(dst)?;
-        if dst == self.source {
-            return Some(IpPath::trivial(dst));
-        }
-        let mut nodes = vec![dst];
-        let mut edges = Vec::new();
-        let mut cur = dst;
-        while cur != self.source {
-            let (p, e) = self.prev[cur.index()];
-            assert!(p != NO_PREV.0, "reachable nodes have predecessors");
-            edges.push(EdgeId(e));
-            nodes.push(NodeId(p));
-            cur = NodeId(p);
-        }
+        let (mut edges, mut nodes): (Vec<EdgeId>, Vec<NodeId>) = self.route_back(graph, dst).unzip();
         nodes.reverse();
+        nodes.push(dst);
         edges.reverse();
         let (bottleneck_kbps, loss_rate) = bottleneck_and_loss(graph, edges.iter().copied());
         Some(IpPath { nodes, edges, delay, bottleneck_kbps, loss_rate })
@@ -393,7 +455,7 @@ impl ShortestPathTree {
 /// `edges`, source first: `min b_e` and `1 - Π(1 - l_e)`, folded in path
 /// order. Every routed link's attributes come from here, so equal edge
 /// sequences give equal bits.
-fn bottleneck_and_loss(graph: &Graph, edges: impl Iterator<Item = EdgeId>) -> (f64, f64) {
+pub(crate) fn bottleneck_and_loss(graph: &Graph, edges: impl Iterator<Item = EdgeId>) -> (f64, f64) {
     let mut bottleneck = f64::INFINITY;
     let mut pass = 1.0f64;
     for e in edges {
@@ -412,6 +474,9 @@ struct DelayArc {
     edge: u32,
 }
 
+/// The search bound before `k` targets have tentative distances.
+const UNBOUNDED: u64 = u64::MAX;
+
 /// `target_of` of a node that is no target.
 const NOT_TARGET: u32 = u32::MAX;
 
@@ -421,7 +486,7 @@ const NOT_TARGET: u32 = u32::MAX;
 ///
 /// A search settles exactly what `compute_until` settles when it stops
 /// at the k-th target other than the source, in the same order and with
-/// the same `dist`/`prev`, but relaxes less. It keeps the `k` smallest
+/// the same entries, but relaxes less. It keeps the `k` smallest
 /// tentative distances of distinct targets; once it has `k`, their
 /// maximum `U` is at least `D_k`, the k-th target's true distance, and a
 /// relaxation to more than `U` is skipped. Dijkstra pops distances in
@@ -440,10 +505,9 @@ pub(crate) struct NearestTargets {
     arcs: Vec<DelayArc>,
     /// Per graph node, its index among the targets.
     target_of: Vec<u32>,
-    dist: Vec<u64>,
-    prev: Vec<(u32, u32)>,
+    entries: Vec<Entry>,
     done: Vec<bool>,
-    /// The nodes whose `dist` the last search set.
+    /// The nodes whose entry the last search set.
     touched: Vec<u32>,
     heap: BinaryHeap<Reverse<u64>>,
     /// The `k` smallest tentative `(dist, node)` of targets, unordered.
@@ -481,8 +545,7 @@ impl NearestTargets {
             first,
             arcs,
             target_of,
-            dist: vec![UNREACHED; n],
-            prev: vec![NO_PREV; n],
+            entries: vec![UNSET; n],
             done: vec![false; n],
             touched: Vec::new(),
             heap: BinaryHeap::new(),
@@ -502,17 +565,17 @@ impl NearestTargets {
         nearest: &mut Vec<usize>,
         mut settled: impl FnMut(NodeId),
     ) {
-        let NearestTargets { first, arcs, target_of, dist, prev, done, touched, heap, best, .. } = self;
+        let NearestTargets { first, arcs, target_of, entries, done, touched, heap, best, .. } = self;
         for v in touched.drain(..) {
-            (dist[v as usize], prev[v as usize], done[v as usize]) = (UNREACHED, NO_PREV, false);
+            (entries[v as usize], done[v as usize]) = (UNSET, false);
         }
         heap.clear();
         best.clear();
         nearest.clear();
         let is_peer = |v: u32| target_of[v as usize] != NOT_TARGET && v != source.0;
-        let mut bound = UNREACHED;
+        let mut bound = UNBOUNDED;
 
-        dist[source.index()] = 0;
+        entries[source.index()].dist = 0;
         touched.push(source.0);
         heap.push(Reverse(pack(0, source.0)));
         while let Some(Reverse(key)) = heap.pop() {
@@ -534,15 +597,13 @@ impl NearestTargets {
                 if cand > bound {
                     break;
                 }
-                if done[v as usize] || cand >= dist[v as usize] {
+                if done[v as usize] || !improves(cand, entries[v as usize]) {
                     continue;
                 }
-                assert!(cand >> 32 == 0, "shortest-path distance reached 2^32 µs (71 min): {cand} µs");
-                if dist[v as usize] == UNREACHED {
+                if entries[v as usize].dist == UNREACHED {
                     touched.push(v);
                 }
-                dist[v as usize] = cand;
-                prev[v as usize] = (u, edge);
+                entries[v as usize] = Entry { dist: stored(cand), via: edge };
                 heap.push(Reverse(pack(cand, v)));
                 if is_peer(v) {
                     bound = tighten(best, k, v, cand);
@@ -556,21 +617,16 @@ impl NearestTargets {
     /// [`ShortestPathTree::path_to`], through the same fold.
     pub(crate) fn link_props(&mut self, graph: &Graph, target: NodeId) -> LinkProps {
         self.path.clear();
-        let mut cur = target.0;
-        while self.prev[cur as usize] != NO_PREV {
-            let (p, e) = self.prev[cur as usize];
-            assert!(self.path.len() < self.prev.len(), "a predecessor chain visits each node once");
-            self.path.push(e);
-            cur = p;
-        }
+        self.path.extend(route_back(graph, &self.entries, target).map(|(e, _)| e.0));
         let (bottleneck, loss) = bottleneck_and_loss(graph, self.path.iter().rev().map(|&e| EdgeId(e)));
-        LinkProps::new(SimDuration::from_micros(self.dist[target.index()]), bottleneck, loss)
+        let delay = SimDuration::from_micros(u64::from(self.entries[target.index()].dist));
+        LinkProps::new(delay, bottleneck, loss)
     }
 }
 
 /// Records target `v`'s tentative distance `d` among the `k` smallest of
 /// distinct targets, and returns the search bound: their maximum once
-/// there are `k` of them, unbounded before.
+/// there are `k` of them, [`UNBOUNDED`] before.
 fn tighten(best: &mut Vec<(u64, u32)>, k: usize, v: u32, d: u64) -> u64 {
     if let Some(entry) = best.iter_mut().find(|e| e.1 == v) {
         entry.0 = d;
@@ -580,9 +636,9 @@ fn tighten(best: &mut Vec<(u64, u32)>, k: usize, v: u32, d: u64) -> u64 {
         *worst = (d, v);
     }
     if best.len() == k {
-        best.iter().map(|e| e.0).max().unwrap_or(UNREACHED)
+        best.iter().map(|e| e.0).max().unwrap_or(UNBOUNDED)
     } else {
-        UNREACHED
+        UNBOUNDED
     }
 }
 
@@ -797,7 +853,7 @@ mod tests {
 
         /// Node churn repaired in place against its oracle: random block
         /// and unblock steps on a tie-heavy graph, every node a source.
-        /// After each step every repaired tree's `dist`/`prev` equal a
+        /// After each step every repaired tree's entries equal a
         /// fresh `compute_excluding` under the blocked set, and the
         /// targets it returns are exactly the nodes whose `path_to`
         /// changed. Only the blocked source's own tree is refused.
@@ -830,7 +886,7 @@ mod tests {
                         continue;
                     }
                     let want = ShortestPathTree::compute_excluding(&g, s, &blocked);
-                    proptest::prop_assert_eq!((&tree.dist, &tree.prev), (&want.dist, &want.prev), "{}", context);
+                    proptest::prop_assert_eq!(&tree.entries, &want.entries, "{}", context);
                     let changed: Vec<NodeId> = g.nodes().filter(|&t| tree.path_to(&g, t) != before[t.index()]).collect();
                     let mut got = targets.clone();
                     got.sort_unstable();
@@ -908,10 +964,15 @@ mod tests {
         assert_eq!(p.edges.len() + 1, p.nodes.len());
     }
 
-    /// A tree's entries in the reference's `Option` form.
-    fn entries(tree: &ShortestPathTree) -> (reference::Dist, reference::Prev) {
-        let dist = tree.dist.iter().map(|&d| (d != UNREACHED).then_some(SimDuration::from_micros(d))).collect();
-        let prev = tree.prev.iter().map(|&(p, e)| (p != NO_PREV.0).then_some((NodeId(p), EdgeId(e)))).collect();
+    /// A tree's entries in the reference's `Option` form, each
+    /// predecessor read off its link.
+    fn entries(g: &Graph, tree: &ShortestPathTree) -> (reference::Dist, reference::Prev) {
+        let dist = g.nodes().map(|v| tree.distance(v)).collect();
+        let prev = g
+            .nodes()
+            .zip(&tree.entries)
+            .map(|(v, e)| (e.via != NO_LINK).then(|| (predecessor(g, v, e.via), EdgeId(e.via))))
+            .collect();
         (dist, prev)
     }
 
@@ -919,7 +980,7 @@ mod tests {
     /// graphs whose 1..=3 ms links (every other seed) make equal-delay
     /// routes the norm: `compute`, `compute_excluding` under random
     /// blocked sets (the source's flag included) and `compute_until`
-    /// give identical `dist` and `prev` — tentative entries too — and
+    /// give identical distances and predecessors — tentative entries too — and
     /// a stopped search settles the same nodes in the same order.
     #[test]
     fn search_matches_the_reference() {
@@ -934,13 +995,13 @@ mod tests {
             for _ in 0..6 {
                 let s = NodeId(rng.gen_range(0..n) as u32);
                 let full = ShortestPathTree::compute(&g, s);
-                assert_eq!(entries(&full), reference::search(&g, s, &[], |_| false), "seed {seed}, {s}");
+                assert_eq!(entries(&g, &full), reference::search(&g, s, &[], |_| false), "seed {seed}, {s}");
 
                 let density = [0.02, 0.2, 0.5][rng.gen_range(0..3usize)];
                 let blocked: Vec<bool> = (0..n).map(|_| rng.gen_bool(density)).collect();
                 blocked_sources += usize::from(blocked[s.index()]);
                 let excluding = ShortestPathTree::compute_excluding(&g, s, &blocked);
-                assert_eq!(entries(&excluding), reference::search(&g, s, &blocked, |_| false), "seed {seed}, {s} blocked");
+                assert_eq!(entries(&g, &excluding), reference::search(&g, s, &blocked, |_| false), "seed {seed}, {s} blocked");
 
                 let limit = rng.gen_range(1..n + 2);
                 let (mut got, mut want) = (Vec::new(), Vec::new());
@@ -953,7 +1014,7 @@ mod tests {
                     want.len() == limit
                 });
                 assert_eq!(got, want, "seed {seed}, {s}: settle order");
-                assert_eq!(entries(&until), reference, "seed {seed}, {s} stopped after {limit}");
+                assert_eq!(entries(&g, &until), reference, "seed {seed}, {s} stopped after {limit}");
                 stopped += usize::from(limit < n);
             }
         }
@@ -962,7 +1023,7 @@ mod tests {
 
     /// The bounded k-nearest search against the stopped search it
     /// replaced, many searches through one scratch: the same nodes
-    /// settle in the same order with the same `dist`/`prev`, the peers
+    /// settle in the same order with the same entries, the peers
     /// are the first `k` targets settled, and their link attributes are
     /// the full tree's paths' bits. Delays of 0..=2 ms (every third
     /// graph) add zero-delay links to the ties of 1..=3 ms.
@@ -996,8 +1057,7 @@ mod tests {
                 assert_eq!(got, want, "{context}: settle order");
                 assert_eq!(nearest, peers, "{context}: peers");
                 for &u in &got {
-                    assert_eq!(search.dist[u.index()], until.dist[u.index()], "{context}: dist of {u}");
-                    assert_eq!(search.prev[u.index()], until.prev[u.index()], "{context}: prev of {u}");
+                    assert_eq!(search.entries[u.index()], until.entries[u.index()], "{context}: entry of {u}");
                 }
                 let full = ShortestPathTree::compute(&g, source);
                 for &j in &nearest {
@@ -1007,7 +1067,7 @@ mod tests {
                     assert_eq!(props.bandwidth_kbps.to_bits(), path.bottleneck_kbps.to_bits(), "{context}");
                     assert_eq!(props.loss_rate.to_bits(), path.loss_rate.to_bits(), "{context}");
                 }
-                pruned += usize::from(search.touched.len() < (0..n).filter(|&v| until.dist[v] != UNREACHED).count());
+                pruned += usize::from(search.touched.len() < (0..n).filter(|&v| until.entries[v].dist != UNREACHED).count());
             }
         }
         assert!(pruned >= 50, "the bound skipped relaxations in only {pruned} searches");

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use acp_simcore::SimDuration;
 use acp_topology::{
-    Graph, InetConfig, LinkProps, NodeId, Overlay, OverlayConfig, OverlayNodeId, OverlayPath, PairHasher,
+    Graph, InetConfig, LinkProps, NodeId, Overlay, OverlayConfig, OverlayLinkId, OverlayNodeId, OverlayPath, PairHasher,
     RoutingTable,
 };
 use proptest::prelude::*;
@@ -254,7 +254,7 @@ fn a_colocated_path_stores_negative_zero() {
 #[test]
 #[should_panic(expected = "loss probability")]
 fn a_path_that_loses_everything_is_refused_at_construction() {
-    let _ = OverlayPath::new(vec![OverlayNodeId(0), OverlayNodeId(1)], Vec::new(), SimDuration::ZERO, 1.0, 1.0);
+    let _ = OverlayPath::new(&[OverlayNodeId(0), OverlayNodeId(1)], &[OverlayLinkId(0)], SimDuration::ZERO, 1.0, 1.0);
 }
 
 /// The memo's hasher over every `(from, to)` of a 512-node id space. The

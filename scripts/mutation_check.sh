@@ -8,7 +8,7 @@
 #
 #   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|repair|recovery|leases|routes|board|topology|audit|config|claims|tenants] [WORKDIR]
 #
-# No suite name runs all sixteen, 50 mutants; WORKDIR defaults to
+# No suite name runs all sixteen, 52 mutants; WORKDIR defaults to
 # target/mutation-check.
 # The repository itself is never edited; the copy and its cargo target
 # directory live under WORKDIR.
@@ -149,7 +149,11 @@ recovery_mutants=(
 # along (a commit or close must leave them alone); a route repair whose
 # tie rule compares distances only, a failure whose subtree stops at the
 # failed node's children, or a recovery that leaves the new descendants
-# of the nodes it changed out of its targets.
+# of the nodes it changed out of its targets. A tree entry names the link
+# to its predecessor, not the node: a predecessor read off the link's
+# wrong endpoint is caught by the same proptest, and a memoized path past
+# its inline capacity that loses its last hop by the test that compares
+# paths of every length with the tree's.
 leases_kernel=crates/model/src/lease.rs
 leases_target='-p acp-model --lib'
 leases_oracle=lease::tests::sweeps_match_the_full_scans_they_replaced
@@ -157,13 +161,15 @@ leases_mutants=(
     'emptied site left in the live set|s/^            if after\.is_empty() {$/            if false \&\& after.is_empty() {/'
     'release takes foreign leases along|s/Site::Node(i) => self\.nodes\[i as usize\]\.release_request_transients(request\.0),/Site::Node(i) => self.nodes[i as usize].expire_transients(SimTime::MAX),/; s/Site::Link(i) => self\.links\[i as usize\]\.drop_leases(|t| t\.key\.request == request\.0),/Site::Link(i) => self.links[i as usize].drop_leases(|_| true),/'
 )
-routes_kernel=crates/topology/src/routing.rs
-routes_target='-p acp-topology --lib'
-routes_oracle=routing::tests::repaired_trees_match_a_fresh_search
+routes_kernel='crates/topology/src/routing.rs crates/topology/src/overlay.rs'
+routes_target='-p acp-topology --lib -- routing::tests::repaired_trees_match_a_fresh_search overlay::tests::virtual_paths_match_the_tree_paths_at_every_length'
+routes_oracle= # the filters ride on the target
 routes_mutants=(
-    'the tie rule compares dist only|s/(cand == dv \&\& (d, u) < (self\.dist\[p as usize\], p))/(cand == dv \&\& d < self.dist[p as usize])/'
+    'the tie rule compares dist only|s/ \&\& (d, u) < self\.rank(predecessor(graph, v, entry\.via)) {$/ \&\& d < self.rank(predecessor(graph, v, entry.via)).0 {/'
     'the failure subtree stops at the direct children|s/^        while let Some(\&v) = targets\.get(next) {$/        while let Some(\&v) = targets.get(next).filter(|_| next == 0) {/'
-    'the recovery skips the new descendants|s/^                if self\.prev\[y\.index()\]\.0 == v\.0 \&\& targets\[\.\.changed\]/                if false \&\& targets[..changed]/'
+    'the recovery skips the new descendants|s/^                if self\.entries\[y\.index()\]\.via == e\.0 \&\& targets\[\.\.changed\]/                if false \&\& targets[..changed]/'
+    'the predecessor read off the wrong end of its link|s/^    if a == node {$/    if a != node {/'
+    'overlay.rs: a path past the inline capacity loses its last hop|/fn deref(/,/^    }$/s/^            Ids::Spilled(ids) => ids,$/            Ids::Spilled(ids) => \&ids[..ids.len() - 1],/'
 )
 
 # The topology kernels against the generator and the searches they
@@ -185,7 +191,7 @@ topology_mutants=(
     'inet.rs: the Fenwick descent returns pos + 1|s/^        pos$/        pos + 1/'
     'routing.rs: the bound prunes on >=|s/^                if cand > bound {$/                if cand >= bound {/'
     'routing.rs: the bound set by the first peer found|s/^    if best.len() == k {$/    if !best.is_empty() {/'
-    'routing.rs: the scratch not reset between searches|s/^            (dist\[v as usize\], prev\[v as usize\], done\[v as usize\]) = (UNREACHED, NO_PREV, false);$/            let _ = v;/'
+    'routing.rs: the scratch not reset between searches|s/^            (entries\[v as usize\], done\[v as usize\]) = (UNSET, false);$/            let _ = v;/'
 )
 # The board's version skip, asserted in place: every skipped node or
 # link must be one a visit would not publish. A skip that also takes a
