@@ -14,10 +14,13 @@ const MAX_PREEMPTIONS_PER_ROUND: usize = 4;
 /// sessions on the hottest nodes are reclaimed, hottest node first,
 /// ascending session id within a node. Nodes below
 /// `min_node_utilization` are skipped: preemption is pressure relief,
-/// not garbage collection. By construction only best-effort sessions
-/// are ever touched; the tenant auditor independently verifies that no
-/// higher tier accrues preemptions. Returns the sessions preempted.
-pub fn preempt_round(system: &mut StreamSystem, min_node_utilization: f64) -> usize {
+/// not garbage collection. One walk over the live sessions ranks each
+/// best-effort session by the hottest eligible node it uses, so a
+/// session counts once, at the first node that reaches it. By
+/// construction only best-effort sessions are ever touched; the tenant
+/// auditor independently verifies that no higher tier accrues
+/// preemptions. Returns the sessions preempted, in the order preempted.
+pub fn preempt_round(system: &mut StreamSystem, min_node_utilization: f64) -> Vec<SessionId> {
     let mut ranked: Vec<(f64, OverlayNodeId)> = system
         .overlay()
         .nodes()
@@ -27,17 +30,23 @@ pub fn preempt_round(system: &mut StreamSystem, min_node_utilization: f64) -> us
         })
         .collect();
     ranked.sort_by(|a, b| b.0.total_cmp(&a.0));
-    let mut reclaimed = 0;
-    'nodes: for &(util, v) in &ranked {
-        if util < min_node_utilization {
-            break;
-        }
-        for sid in system.best_effort_sessions_on(v) {
-            if reclaimed >= MAX_PREEMPTIONS_PER_ROUND {
-                break 'nodes;
-            }
-            reclaimed += usize::from(system.preempt_session(sid).is_some());
-        }
+    // Hottest-first position of every eligible node; the rest never rank.
+    let mut position = vec![usize::MAX; system.node_count()];
+    for (i, &(_, v)) in ranked.iter().take_while(|&&(util, _)| util >= min_node_utilization).enumerate() {
+        position[v.index()] = i;
     }
-    reclaimed
+    let mut candidates: Vec<(usize, SessionId)> = system
+        .sessions()
+        .filter(|s| s.request_spec.tenant.is_some_and(|b| b.tier == TenantTier::BestEffort))
+        .filter_map(|s| {
+            let hottest = s.composition.assignment.iter().map(|c| position[c.node.index()]).min()?;
+            (hottest != usize::MAX).then_some((hottest, s.id))
+        })
+        .collect();
+    candidates.sort_unstable();
+    let victims: Vec<SessionId> = candidates.iter().take(MAX_PREEMPTIONS_PER_ROUND).map(|&(_, sid)| sid).collect();
+    for &sid in &victims {
+        system.preempt_session(sid);
+    }
+    victims
 }

@@ -35,6 +35,14 @@
 //! * **Lease-directory exactness**: the index of where leases live
 //!   ([`crate::lease`]) equals its recomputation by full scan — no
 //!   recorded site without a lease, no lease on an unrecorded site.
+//! * **Tenant isolation**: each tenant's event counts reconcile with its
+//!   live sessions (`admitted == closed + killed + preempted + live`,
+//!   `live` counted from the session table; the ledger keeps no live
+//!   count or resource sum of its own), only `BestEffort` tenants are
+//!   preempted, and no `Gold` tenant is starved.
+//! * **Repair state**: the repair ledger reconciles, every degraded
+//!   session holds an open ticket and every ticket of a live session is
+//!   degraded, and no request backs two live sessions.
 //!
 //! End-to-end QoS (Eq. 3) is deliberately *not* re-audited: effective
 //! component delay inflates with node load, and the modelled system
@@ -65,7 +73,7 @@
 //! Each of the two logs has exactly one writer, and the cursor is their
 //! one reader.
 
-use acp_simcore::SimTime;
+use acp_simcore::{digest, SimTime};
 use acp_topology::{OverlayLinkId, OverlayNodeId};
 
 use crate::component::{ComponentId, DenseComponentId};
@@ -239,8 +247,9 @@ pub enum AuditViolation {
         /// The row that disagrees.
         detail: String,
     },
-    /// A tenant's ledger does not reconcile: admitted sessions are not
-    /// all accounted for as closed + killed + preempted + live.
+    /// A tenant's ledger does not reconcile with the session table:
+    /// admitted sessions are not all accounted for as closed + killed +
+    /// preempted + live, with live counted from the session table.
     TenantLedgerMismatch {
         /// The tenant whose ledger is off.
         tenant: u32,
@@ -252,18 +261,15 @@ pub enum AuditViolation {
         killed: u64,
         /// Preemptions recorded.
         preempted: u64,
-        /// Live sessions per the ledger.
+        /// The tenant's live sessions in the session table.
         live: u64,
     },
-    /// A tenant's ledger disagrees with the live sessions: the recorded
-    /// live count or committed-resource sums don't match what the
-    /// session table derives (which the conservation pass in turn ties
-    /// to the global Eq. 2/4/5 brackets).
+    /// Live sessions carry a tenant the ledger has no entry for.
     TenantConservation {
-        /// The inconsistent tenant.
+        /// The unledgered tenant.
         tenant: u32,
-        /// What disagrees.
-        detail: String,
+        /// Its live sessions.
+        live: u64,
     },
     /// A tenant above `BestEffort` has preemptions recorded — preemption
     /// under pressure may only ever reclaim `BestEffort` sessions.
@@ -300,15 +306,6 @@ pub enum AuditViolation {
         cancelled: u64,
         /// Tickets still open.
         open: u64,
-    },
-    /// A repaired session skipped the end-to-end Eq. 2/3 re-validation
-    /// at splice time — every splice must re-qualify the whole session
-    /// before grafting, so `validated` must equal `repaired`.
-    RepairValidationGap {
-        /// Splices recorded as repaired.
-        repaired: u64,
-        /// Splices that passed the end-to-end re-check.
-        validated: u64,
     },
     /// A session's degraded state and the repair ledger's open tickets
     /// disagree (degraded session without a ticket, or an open ticket
@@ -403,8 +400,8 @@ impl std::fmt::Display for AuditViolation {
                     "tenant t{tenant}: ledger admitted {admitted} != closed {closed} + killed {killed} + preempted {preempted} + live {live}"
                 )
             }
-            AuditViolation::TenantConservation { tenant, detail } => {
-                write!(f, "tenant t{tenant}: ledger disagrees with sessions: {detail}")
+            AuditViolation::TenantConservation { tenant, live } => {
+                write!(f, "tenant t{tenant}: {live} live session(s) but no ledger entry")
             }
             AuditViolation::PreemptionOutsideBestEffort { tenant, tier, preempted } => {
                 write!(f, "tenant t{tenant} ({tier}): {preempted} preemption(s) recorded outside best-effort")
@@ -423,12 +420,6 @@ impl std::fmt::Display for AuditViolation {
                 write!(
                     f,
                     "repair ledger: opened {opened} != repaired {repaired} + restored {restored} + abandoned {abandoned} + cancelled {cancelled} + open {open}"
-                )
-            }
-            AuditViolation::RepairValidationGap { repaired, validated } => {
-                write!(
-                    f,
-                    "repair ledger: {repaired} repaired splice(s) but only {validated} passed end-to-end re-validation"
                 )
             }
             AuditViolation::RepairStateIncoherent { request, detail } => {
@@ -484,16 +475,9 @@ impl AuditReport {
     /// produce equal digests regardless of thread count or HashMap
     /// iteration order; a clean report digests to the FNV offset basis.
     pub fn digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for v in &self.violations {
-            for byte in v.to_string().bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            hash ^= u64::from(b'\n');
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+        self.violations.iter().fold(digest::OFFSET, |hash, v| {
+            digest::mix_bytes(digest::mix_bytes(hash, v.to_string().as_bytes()), b"\n")
+        })
     }
 }
 
@@ -612,69 +596,39 @@ impl SystemAuditor {
         }
     }
 
-    /// Tenant-isolation pass: every tenant's ledger reconciles
-    /// (`admitted == closed + killed + preempted + live`), the ledger's
-    /// live counts and committed-resource sums match what the session
-    /// table derives (the conservation pass above ties sessions to the
-    /// global Eq. 2/4/5 brackets, so matching the ledger to sessions
-    /// transitively sums the per-tenant partition to those brackets),
-    /// preemption counts exist only on `BestEffort` tenants, and no
-    /// `Gold` tenant was starved by the congestion gate while lower
-    /// tiers held live sessions.
+    /// Tenant-isolation pass: every tenant's ledger reconciles with its
+    /// live sessions (`admitted == closed + killed + preempted + live`,
+    /// `live` counted from the session table), every tenant a live
+    /// session carries has a ledger entry, preemption counts exist only
+    /// on `BestEffort` tenants, and no `Gold` tenant was starved by the
+    /// congestion gate while lower tiers held live sessions. What the
+    /// tenants' sessions hold is the node and link conservation passes'
+    /// business.
     fn audit_tenants(&self, system: &StreamSystem, totals: &SessionTotals, out: &mut Vec<AuditViolation>) {
         let ledger = system.tenant_ledger();
-        let derived = &totals.tenants;
+        let derived = &totals.tenant_live;
         if ledger.is_empty() && derived.is_empty() {
             // Tenant-less: no ledger row and no session to hold one to.
             return;
         }
         let width = ledger.iter().map(|(id, _)| id.0 as usize + 1).max().unwrap_or(0).max(derived.len());
         for t in 0..width {
-            let TenantTotals { live, committed, bw } = derived.get(t).copied().unwrap_or_default();
+            let live = derived.get(t).copied().unwrap_or(0);
             let tenant = t as u32;
             let Some(stats) = ledger.stats(crate::tenant::TenantId(tenant)) else {
                 if live > 0 {
-                    out.push(AuditViolation::TenantConservation {
-                        tenant,
-                        detail: format!("{} live session(s) but no ledger entry", live),
-                    });
+                    out.push(AuditViolation::TenantConservation { tenant, live });
                 }
                 continue;
             };
-            if !stats.reconciles() {
+            if !stats.reconciles(live) {
                 out.push(AuditViolation::TenantLedgerMismatch {
                     tenant,
                     admitted: stats.admitted,
                     closed: stats.closed,
                     killed: stats.killed,
                     preempted: stats.preempted,
-                    live: stats.live,
-                });
-            }
-            if stats.live != live {
-                out.push(AuditViolation::TenantConservation {
-                    tenant,
-                    detail: format!("ledger live {} but sessions derive {}", stats.live, live),
-                });
-            }
-            for (kind, derived) in committed.iter() {
-                let recorded = stats.committed.get(kind);
-                if (recorded - derived).abs() > self.tolerance(derived) {
-                    out.push(AuditViolation::TenantConservation {
-                        tenant,
-                        detail: format!(
-                            "ledger {kind:?} committed {recorded} but sessions sum to {derived}"
-                        ),
-                    });
-                }
-            }
-            if (stats.committed_bw_kbps - bw).abs() > self.tolerance(bw) {
-                out.push(AuditViolation::TenantConservation {
-                    tenant,
-                    detail: format!(
-                        "ledger bandwidth {} kbit/s but sessions sum to {}",
-                        stats.committed_bw_kbps, bw
-                    ),
+                    live,
                 });
             }
             if stats.preempted > 0 && stats.tier != crate::tenant::TenantTier::BestEffort {
@@ -691,8 +645,7 @@ impl SystemAuditor {
     }
 
     /// Repair pass: the repair ledger reconciles (`opened == repaired +
-    /// restored + abandoned + cancelled + open`), every repaired splice
-    /// passed the end-to-end Eq. 2/3 re-validation, no request id is
+    /// restored + abandoned + cancelled + open`), no request id is
     /// shared by two live sessions (the make-before-break mini-session
     /// must never outlive its graft — that would be a double-commit),
     /// and the per-session degraded flag stays coherent with the open
@@ -712,12 +665,6 @@ impl SystemAuditor {
                 abandoned: ledger.abandoned,
                 cancelled: ledger.cancelled,
                 open: ledger.open_tickets().len() as u64,
-            });
-        }
-        if ledger.validated != ledger.repaired {
-            out.push(AuditViolation::RepairValidationGap {
-                repaired: ledger.repaired,
-                validated: ledger.validated,
             });
         }
         // No double-commit: each request id backs at most one live
@@ -1004,18 +951,11 @@ struct SessionTotals {
     node_sum: Vec<ResourceVector>,
     /// Per link, likewise (kbit/s).
     link_sum: Vec<f64>,
-    /// Per tenant id, up to the largest one a session carries.
-    tenants: Vec<TenantTotals>,
+    /// Live sessions per tenant id, up to the largest one a session
+    /// carries.
+    tenant_live: Vec<u64>,
     /// Every live session by request, sorted.
     requests: Vec<LiveRequest>,
-}
-
-/// One tenant's live sessions, as the session table derives them.
-#[derive(Debug, Clone, Copy, Default)]
-struct TenantTotals {
-    live: u64,
-    committed: ResourceVector,
-    bw: f64,
 }
 
 /// One live session, as the request-keyed sections see it. Sorts by
@@ -1032,7 +972,7 @@ impl SessionTotals {
         let mut totals = SessionTotals {
             node_sum: vec![ResourceVector::ZERO; system.node_count()],
             link_sum: vec![0.0; system.link_count()],
-            tenants: Vec::new(),
+            tenant_live: Vec::new(),
             requests: Vec::with_capacity(system.session_count()),
         };
         for s in system.sessions_by_id() {
@@ -1044,13 +984,10 @@ impl SessionTotals {
             }
             if let Some(binding) = s.request_spec.tenant {
                 let t = binding.tenant.0 as usize;
-                if t >= totals.tenants.len() {
-                    totals.tenants.resize(t + 1, TenantTotals::default());
+                if t >= totals.tenant_live.len() {
+                    totals.tenant_live.resize(t + 1, 0);
                 }
-                let tenant = &mut totals.tenants[t];
-                tenant.live += 1;
-                tenant.committed += s.node_allocations().iter().map(|&(_, d)| d).sum::<ResourceVector>();
-                tenant.bw += s.link_allocations().iter().map(|&(_, kbps)| kbps).sum::<f64>();
+                totals.tenant_live[t] += 1;
             }
             totals.requests.push(LiveRequest { request: s.request_spec.id.0, degraded: s.is_degraded(), session: s.id });
         }

@@ -467,11 +467,6 @@ impl StreamSystem {
         s.node_allocs.retain(|&(_, d)| d.cpu > 1e-9 || d.memory_mb > 1e-9);
         s.link_allocs.retain(|&(_, kbps)| kbps > 1e-9);
         s.broken = Some((lo, hi));
-        if let Some(binding) = s.request_spec.tenant {
-            let demand: ResourceVector = released_nodes.iter().map(|&(_, d)| d).sum();
-            let bw: f64 = released_links.iter().map(|&(_, k)| k).sum();
-            self.tenant_ledger.record_repair_release(binding, demand, bw);
-        }
         self.repair_ledger.open_ticket(request, now);
     }
 
@@ -498,7 +493,7 @@ impl StreamSystem {
         suffix_path: Option<SharedPath>,
         now: SimTime,
     ) -> Result<(), AdmissionError> {
-        let (request_id, binding, spliced, bw) = {
+        let (request_id, spliced, bw) = {
             let s = self.sessions.get(original).ok_or(AdmissionError::MalformedComposition)?;
             let m = self.sessions.get(mini).ok_or(AdmissionError::MalformedComposition)?;
             let (lo, hi) = s.broken.ok_or(AdmissionError::MalformedComposition)?;
@@ -529,7 +524,7 @@ impl StreamSystem {
             // double-count the very make-before-break holds protecting
             // this splice.
             self.check_assignment(&s.request_spec, &composition)?;
-            (s.request_spec.id, s.request_spec.tenant, composition, s.request_spec.bandwidth_kbps)
+            (s.request_spec.id, composition, s.request_spec.bandwidth_kbps)
         };
         // Break half: absorb the mini-session (books move, not change)
         // and promote the boundary holds.
@@ -559,13 +554,7 @@ impl StreamSystem {
             }
         }
         s.broken = None;
-        if let Some(binding) = binding {
-            let demand: ResourceVector = m.node_allocs.iter().map(|&(_, d)| d).sum();
-            let grow_bw: f64 = m.link_allocs.iter().map(|&(_, k)| k).sum::<f64>()
-                + boundary_allocs.iter().map(|&(_, k)| k).sum::<f64>();
-            self.tenant_ledger.record_repair_grow(binding, demand, grow_bw);
-        }
-        self.repair_ledger.record_repaired(request_id, now, true);
+        self.repair_ledger.record_repaired(request_id, now);
         Ok(())
     }
 
@@ -696,12 +685,74 @@ mod tests {
         assert_eq!(sys.session_count(), 1, "mini-session absorbed, not left live");
         assert!(!sys.has_session_for(mini_request.id));
         let ledger = sys.repair_ledger();
-        assert_eq!((ledger.repaired, ledger.validated), (1, 1));
+        assert_eq!(ledger.repaired, 1);
         assert!(ledger.reconciles());
         assert!((ledger.mttr_stats().sum - 4.0).abs() < 1e-9, "MTTR runs fault -> splice");
         let report = auditor.audit_at(&sys, Some(t1));
         assert!(report.is_clean(), "repaired session must audit clean: {report}");
         assert!(sys.lease_stats().reconciles(sys.live_lease_count() as u64));
+    }
+
+    /// A splice that fails its end-to-end re-validation settles nothing:
+    /// a mini-session for the wrong function is grafted into the broken
+    /// hop, and the session stays degraded with its ticket open while
+    /// the mini-session keeps its books and its boundary holds for the
+    /// caller to unwind.
+    #[test]
+    fn a_rejected_splice_settles_nothing() {
+        let mut sys = build_system(41, 30);
+        let (request, composition) = repairable_request_and_composition(&mut sys);
+        let (c0, c1, c2) =
+            (composition.assignment[0], composition.assignment[1], composition.assignment[2]);
+        let sid = sys.commit_session(&request, composition).expect("qualified");
+        let t0 = SimTime::from_secs(10);
+        assert_eq!(sys.crash_component(c1, RepairPolicy::Repair, t0).degraded, vec![sid]);
+
+        let mid = request.graph.function(1);
+        let wrong = (0..sys.registry().len() as u16)
+            .map(FunctionId)
+            .filter(|&f| f != mid)
+            .flat_map(|f| sys.candidates(f).to_vec())
+            .find(|c| c.node != c0.node && c.node != c2.node && c.node != c1.node)
+            .expect("another function hosted elsewhere");
+        let mini_request = Request {
+            id: RequestId(0x8000_0000_0000_0000 | 1),
+            graph: FunctionGraph::path(vec![sys.component(wrong).function]),
+            ..request.clone()
+        };
+        let mini = sys
+            .commit_session(&mini_request, Composition { assignment: vec![wrong], links: vec![] })
+            .expect("the wrong segment commits on its own");
+        let prefix = sys.virtual_path(c0.node, wrong.node).expect("connected overlay");
+        let suffix = sys.virtual_path(wrong.node, c2.node).expect("connected overlay");
+        let expires = SimTime::from_secs(60);
+        assert!(sys.reserve_path_transient(mini_request.id, 0, &prefix, request.bandwidth_kbps, expires));
+        assert!(sys.reserve_path_transient(mini_request.id, 1, &suffix, request.bandwidth_kbps, expires));
+        let mini_allocs = sys.session(mini).expect("mini live").node_allocations().to_vec();
+        let leases = sys.live_lease_count();
+
+        let t1 = SimTime::from_secs(14);
+        let err = sys
+            .splice_repair(sid, mini, mini_request.id, Some(prefix), Some(suffix), t1)
+            .expect_err("a wrong-function segment fails re-validation");
+        assert_eq!(err, AdmissionError::WrongFunction { vertex: 1 });
+
+        let s = sys.session(sid).expect("still live");
+        assert!(s.is_degraded());
+        assert_eq!(s.broken_span(), Some((1, 1)));
+        assert_eq!(s.composition.assignment[1], c1, "nothing grafted");
+        let ledger = sys.repair_ledger();
+        assert!(ledger.ticket(request.id).is_some(), "the ticket stays open");
+        assert_eq!(ledger.repaired, 0);
+        assert!(ledger.reconciles());
+        assert_eq!(sys.session_count(), 2, "the mini-session is not absorbed");
+        assert_eq!(sys.session(mini).expect("mini live").node_allocations(), mini_allocs.as_slice());
+        assert_eq!(sys.live_lease_count(), leases, "the boundary holds stay held");
+        // The repair planner's unwind, after which the books audit clean.
+        sys.release_request_transients(mini_request.id);
+        assert!(sys.close_session(mini));
+        let report = crate::audit::SystemAuditor.audit_at(&sys, Some(t1));
+        assert!(report.is_clean(), "a rejected splice leaves the books whole: {report}");
     }
 
     /// Giving up the way a run does: the restart teardown leaves the

@@ -70,10 +70,6 @@ pub struct RepairLedger {
     /// Tickets cancelled because the session closed for an unrelated
     /// reason (natural end, preemption) while awaiting repair.
     pub cancelled: u64,
-    /// Splices that passed the end-to-end Eq. 2/3 re-validation. The
-    /// auditor checks `validated == repaired`: every repaired session
-    /// went through the full re-qualification at splice time.
-    pub validated: u64,
     /// Time-to-repair observations (seconds), fault to settle.
     mttr: SummaryStats,
     /// MTTR histogram (seconds) for p50/p99 readouts.
@@ -89,7 +85,6 @@ impl Default for RepairLedger {
             restored: 0,
             abandoned: 0,
             cancelled: 0,
-            validated: 0,
             mttr: SummaryStats::new(),
             // 0–10 minutes at 0.5 s resolution covers every detection
             // latency + retry schedule the scenarios exercise.
@@ -125,14 +120,11 @@ impl RepairLedger {
     }
 
     /// Settles the ticket as repaired (segment splice) at `now`,
-    /// recording MTTR. `validated` marks a splice that passed the
-    /// end-to-end Eq. 2/3 re-check.
-    pub(crate) fn record_repaired(&mut self, request: RequestId, now: SimTime, validated: bool) {
+    /// recording MTTR. Its one caller, the splice, re-validates the
+    /// spliced session end to end (Eq. 2/3) first.
+    pub(crate) fn record_repaired(&mut self, request: RequestId, now: SimTime) {
         if let Some(t) = self.take(request) {
             self.repaired += 1;
-            if validated {
-                self.validated += 1;
-            }
             let secs = now.saturating_since(t.failed_at).as_secs_f64();
             self.mttr.add(secs);
             self.mttr_hist.add(secs);
@@ -231,9 +223,8 @@ mod tests {
         assert!(ledger.begin_attempt(RequestId(7)));
         assert!(ledger.begin_attempt(RequestId(7)));
         assert_eq!(ledger.ticket(RequestId(7)).unwrap().attempts, 2);
-        ledger.record_repaired(RequestId(7), t(40), true);
+        ledger.record_repaired(RequestId(7), t(40));
         assert_eq!(ledger.repaired, 1);
-        assert_eq!(ledger.validated, 1);
         assert_eq!(ledger.mttr_stats().count, 1);
         assert!((ledger.mttr_stats().sum - 30.0).abs() < 1e-9);
 
@@ -261,7 +252,7 @@ mod tests {
     #[test]
     fn settling_unknown_tickets_is_inert() {
         let mut ledger = RepairLedger::default();
-        ledger.record_repaired(RequestId(9), t(1), true);
+        ledger.record_repaired(RequestId(9), t(1));
         ledger.record_restored(RequestId(9), t(1));
         ledger.record_abandoned(RequestId(9));
         assert!(!ledger.begin_attempt(RequestId(9)));

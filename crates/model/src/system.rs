@@ -830,9 +830,7 @@ impl StreamSystem {
         self.promote_released_leases(held);
 
         if let Some(binding) = request.tenant {
-            let demand: ResourceVector = node_allocs.iter().map(|&(_, d)| d).sum();
-            let bw: f64 = link_allocs.iter().map(|&(_, kbps)| kbps).sum();
-            self.tenant_ledger.record_admit(binding, demand, bw);
+            self.tenant_ledger.record_admit(binding);
         }
 
         let id = self.sessions.insert(|id| Session {
@@ -892,9 +890,7 @@ impl StreamSystem {
             self.link_versions[link.index()] += 1;
         }
         if let Some(binding) = session.request_spec.tenant {
-            let demand: ResourceVector = session.node_allocs.iter().map(|&(_, d)| d).sum();
-            let bw: f64 = session.link_allocs.iter().map(|&(_, kbps)| kbps).sum();
-            self.tenant_ledger.record_close(binding, cause, demand, bw);
+            self.tenant_ledger.record_close(binding, cause);
         }
         Some(session)
     }
@@ -964,6 +960,26 @@ impl StreamSystem {
         &self.tenant_ledger
     }
 
+    /// Live sessions per tenant, indexed by [`TenantId`]`.0`: one walk
+    /// over the session table, at least as long as the ledger.
+    pub fn tenant_live_counts(&self) -> Vec<u64> {
+        let mut live = vec![0; self.tenant_ledger.iter().last().map_or(0, |(id, _)| id.0 as usize + 1)];
+        for binding in self.sessions.iter().filter_map(|s| s.request_spec.tenant) {
+            let t = binding.tenant.0 as usize;
+            if t >= live.len() {
+                live.resize(t + 1, 0);
+            }
+            live[t] += 1;
+        }
+        live
+    }
+
+    /// True when any session of a tier strictly below `tier` is live —
+    /// the starvation predicate's "resources held by lower tiers" side.
+    pub fn lower_tier_live(&self, tier: TenantTier) -> bool {
+        self.sessions.iter().any(|s| s.request_spec.tenant.is_some_and(|b| b.tier > tier))
+    }
+
     /// Does nothing: the tenant ledger is kept exactly for requests that
     /// carry a [`TenantBinding`]. Kept only because the benchmark
     /// package, which this crate may not edit, still calls it.
@@ -1007,22 +1023,6 @@ impl StreamSystem {
     /// because the benchmark package, which this crate may not edit,
     /// still calls it.
     pub fn set_repair_accounting(&mut self, _enabled: bool) {}
-
-    /// Live `BestEffort` sessions placed (partly) on `node`, in
-    /// ascending session-id order — the preemption candidates there.
-    pub fn best_effort_sessions_on(&self, node: OverlayNodeId) -> Vec<SessionId> {
-        let mut out: Vec<SessionId> = self
-            .sessions
-            .iter()
-            .filter(|s| {
-                s.request_spec.tenant.is_some_and(|b| b.tier == TenantTier::BestEffort)
-                    && s.composition.assignment.iter().any(|c| c.node == node)
-            })
-            .map(|s| s.id)
-            .collect();
-        out.sort_unstable();
-        out
-    }
 }
 
 /// Committed end-system demand grouped per node.

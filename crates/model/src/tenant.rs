@@ -6,16 +6,15 @@
 //! spirit of Benoit et al.'s "Resource Allocation for Multiple Concurrent
 //! In-Network Stream-Processing Applications". Each request may carry a
 //! [`TenantBinding`] naming its tenant and service tier; the
-//! [`StreamSystem`](crate::system::StreamSystem) maintains a
-//! [`TenantLedger`] mirroring the session lifecycle per tenant, and the
-//! auditor checks the tenant-isolation invariants against it:
+//! [`StreamSystem`](crate::system::StreamSystem) keeps a [`TenantLedger`]
+//! that counts each tenant's session events (admissions, teardowns by
+//! cause, sheds). What a tenant holds now — its live sessions and their
+//! resources — is read off the session table, never kept here, and the
+//! auditor checks the tenant-isolation invariants against both:
 //!
-//! * every admitted session is eventually accounted for exactly once
-//!   (`admitted == closed + killed + preempted + live`),
-//! * per-tenant committed-resource sums partition the global Eq. 2/4/5
-//!   brackets (the per-node conservation pass ties sessions to residuals;
-//!   the tenant pass ties the ledger to sessions — transitively the
-//!   ledger sums to the global brackets),
+//! * every admitted session is accounted for exactly once
+//!   (`admitted == closed + killed + preempted + live`, `live` counted
+//!   from the session table),
 //! * preemption only ever touches `BestEffort` tenants,
 //! * admitted `Gold` tenants are never shed while lower tiers hold live
 //!   sessions (no starvation on resources held by lower tiers).
@@ -23,8 +22,6 @@
 //! The ledger follows the bindings: only a request that carries one
 //! touches it, so a tenant-less run leaves it empty, pays nothing and
 //! stays byte-identical.
-
-use crate::resources::ResourceVector;
 
 /// A tenant (application) identity. Ids are dense: the ledger is indexed
 /// by `TenantId.0`.
@@ -94,10 +91,10 @@ pub enum SessionCloseCause {
     Preempted,
 }
 
-/// Per-tenant mirror of the session lifecycle plus committed-resource
-/// running sums. Reconciliation invariant:
+/// Per-tenant counts of session events. Reconciliation invariant, with
+/// `live` the tenant's sessions in the session table:
 /// `admitted == closed + killed + preempted + live`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantStats {
     /// The tenant's tier (fixed at registration).
     pub tier: TenantTier,
@@ -109,8 +106,6 @@ pub struct TenantStats {
     pub killed: u64,
     /// Sessions reclaimed by preemption.
     pub preempted: u64,
-    /// Sessions currently live.
-    pub live: u64,
     /// Requests shed by admission control (the congestion gate) before
     /// composition — never admitted, so not part of the reconciliation
     /// equation.
@@ -119,13 +114,6 @@ pub struct TenantStats {
     /// tier held live sessions. Non-zero on a `Gold` tenant is the
     /// starvation audit violation.
     pub starved: u64,
-    /// Node resources currently committed to this tenant's live sessions
-    /// (running sum; the auditor re-derives it from sessions and compares
-    /// within tolerance).
-    pub committed: ResourceVector,
-    /// Link bandwidth (kbit/s) currently committed to this tenant's live
-    /// sessions.
-    pub committed_bw_kbps: f64,
 }
 
 impl TenantStats {
@@ -136,24 +124,22 @@ impl TenantStats {
             closed: 0,
             killed: 0,
             preempted: 0,
-            live: 0,
             shed: 0,
             starved: 0,
-            committed: ResourceVector::ZERO,
-            committed_bw_kbps: 0.0,
         }
     }
 
-    /// True when every admitted session is accounted for exactly once.
-    pub fn reconciles(&self) -> bool {
-        self.admitted == self.closed + self.killed + self.preempted + self.live
+    /// True when every admitted session is accounted for exactly once,
+    /// `live` being the tenant's sessions in the session table.
+    pub fn reconciles(&self, live: u64) -> bool {
+        self.admitted == self.closed + self.killed + self.preempted + live
     }
 }
 
 /// The per-tenant ledger, indexed by [`TenantId`]. Entries are created
 /// lazily on first touch (registration or first recorded event); ids are
 /// expected to be dense and small.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TenantLedger {
     tenants: Vec<Option<TenantStats>>,
 }
@@ -201,58 +187,19 @@ impl TenantLedger {
         self.len() == 0
     }
 
-    /// True when any tenant strictly below `tier` currently holds live
-    /// sessions — the starvation predicate's "resources held by lower
-    /// tiers" side.
-    pub fn lower_tier_live(&self, tier: TenantTier) -> bool {
-        self.iter().any(|(_, s)| s.tier > tier && s.live > 0)
+    /// Records a committed session.
+    pub(crate) fn record_admit(&mut self, binding: TenantBinding) {
+        self.touch(binding).admitted += 1;
     }
 
-    /// Records a committed session: `demand` is the session's summed node
-    /// resources, `bw_kbps` its summed link bandwidth.
-    pub(crate) fn record_admit(&mut self, binding: TenantBinding, demand: ResourceVector, bw_kbps: f64) {
-        let stats = self.touch(binding);
-        stats.admitted += 1;
-        stats.live += 1;
-        stats.committed += demand;
-        stats.committed_bw_kbps += bw_kbps;
-    }
-
-    /// Records a session teardown with its cause, returning the committed
-    /// sums it releases.
-    pub(crate) fn record_close(
-        &mut self,
-        binding: TenantBinding,
-        cause: SessionCloseCause,
-        demand: ResourceVector,
-        bw_kbps: f64,
-    ) {
+    /// Records a session teardown with its cause.
+    pub(crate) fn record_close(&mut self, binding: TenantBinding, cause: SessionCloseCause) {
         let stats = self.touch(binding);
         match cause {
             SessionCloseCause::Closed => stats.closed += 1,
             SessionCloseCause::Killed => stats.killed += 1,
             SessionCloseCause::Preempted => stats.preempted += 1,
         }
-        stats.live = stats.live.saturating_sub(1);
-        stats.committed -= demand;
-        stats.committed_bw_kbps -= bw_kbps;
-    }
-
-    /// Adjusts committed sums downward when a degraded session's broken
-    /// segment releases resources ahead of repair. Lifecycle counters
-    /// are untouched — the session stays live throughout.
-    pub(crate) fn record_repair_release(&mut self, binding: TenantBinding, demand: ResourceVector, bw_kbps: f64) {
-        let stats = self.touch(binding);
-        stats.committed -= demand;
-        stats.committed_bw_kbps -= bw_kbps;
-    }
-
-    /// Adjusts committed sums upward when a repair splice commits the
-    /// replacement segment into a live session.
-    pub(crate) fn record_repair_grow(&mut self, binding: TenantBinding, demand: ResourceVector, bw_kbps: f64) {
-        let stats = self.touch(binding);
-        stats.committed += demand;
-        stats.committed_bw_kbps += bw_kbps;
     }
 
     /// Records an admission-control shed (the congestion gate).
@@ -278,20 +225,18 @@ mod tests {
     #[test]
     fn ledger_reconciles_through_lifecycle() {
         let mut ledger = TenantLedger::default();
-        let d = ResourceVector::new(2.0, 16.0);
-        ledger.record_admit(GOLD, d, 100.0);
-        ledger.record_admit(GOLD, d, 100.0);
-        ledger.record_admit(BEST, d, 50.0);
-        ledger.record_close(GOLD, SessionCloseCause::Closed, d, 100.0);
-        ledger.record_close(BEST, SessionCloseCause::Preempted, d, 50.0);
+        ledger.record_admit(GOLD);
+        ledger.record_admit(GOLD);
+        ledger.record_admit(BEST);
+        ledger.record_close(GOLD, SessionCloseCause::Closed);
+        ledger.record_close(BEST, SessionCloseCause::Preempted);
         let gold = ledger.stats(TenantId(0)).unwrap();
-        assert!(gold.reconciles());
-        assert_eq!((gold.admitted, gold.closed, gold.live), (2, 1, 1));
+        assert_eq!((gold.admitted, gold.closed), (2, 1));
+        assert!(gold.reconciles(1));
+        assert!(!gold.reconciles(0), "one gold session is still live");
         let best = ledger.stats(TenantId(2)).unwrap();
-        assert!(best.reconciles());
-        assert_eq!((best.preempted, best.live), (1, 0));
-        assert_eq!(best.committed, ResourceVector::ZERO);
-        assert_eq!(best.committed_bw_kbps, 0.0);
+        assert_eq!(best.preempted, 1);
+        assert!(best.reconciles(0));
     }
 
     #[test]
@@ -308,13 +253,15 @@ mod tests {
 
     #[test]
     fn lower_tier_live_sees_only_strictly_lower_tiers() {
-        let mut ledger = TenantLedger::default();
-        ledger.record_admit(BEST, ResourceVector::ZERO, 0.0);
-        assert!(ledger.lower_tier_live(TenantTier::Gold));
-        assert!(ledger.lower_tier_live(TenantTier::Silver));
-        assert!(!ledger.lower_tier_live(TenantTier::BestEffort));
-        ledger.record_close(BEST, SessionCloseCause::Killed, ResourceVector::ZERO, 0.0);
-        assert!(!ledger.lower_tier_live(TenantTier::Gold));
+        let mut sys = crate::system::tests::build_system(5, 30);
+        let (mut request, composition) = crate::system::tests::request_and_composition(&mut sys);
+        request.tenant = Some(BEST);
+        let sid = sys.commit_session(&request, composition).expect("qualified");
+        assert!(sys.lower_tier_live(TenantTier::Gold));
+        assert!(sys.lower_tier_live(TenantTier::Silver));
+        assert!(!sys.lower_tier_live(TenantTier::BestEffort));
+        assert!(sys.close_session(sid));
+        assert!(!sys.lower_tier_live(TenantTier::Gold));
     }
 
     #[test]

@@ -672,11 +672,10 @@ mod tenant_isolation {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Under arbitrary commit / close / crash / migrate / preempt
-        /// churn, every per-tenant ledger entry reconciles at every
-        /// step, derived per-tenant sums agree with the session table
-        /// (the auditor's tenant pass stays clean alongside the global
-        /// conservation passes), and preemption victims are exclusively
-        /// best-effort.
+        /// churn, every per-tenant ledger entry reconciles with the
+        /// session table's live count at every step (the auditor's
+        /// tenant pass stays clean alongside the global conservation
+        /// passes), and preemption victims are exclusively best-effort.
         #[test]
         fn tenant_ledgers_reconcile_under_churn(
             seed in 0u64..6,
@@ -722,16 +721,25 @@ mod tenant_isolation {
                     // the pressure controller does.
                     5 => {
                         let v = OverlayNodeId(pick as u32 % sys.node_count() as u32);
-                        if let Some(&sid) = sys.best_effort_sessions_on(v).first() {
+                        let first = sys
+                            .sessions()
+                            .filter(|s| {
+                                s.request_spec.tenant.is_some_and(|b| b.tier == TenantTier::BestEffort)
+                                    && s.composition.assignment.iter().any(|c| c.node == v)
+                            })
+                            .map(|s| s.id)
+                            .min();
+                        if let Some(sid) = first {
                             prop_assert!(sys.preempt_session(sid).is_some());
                         }
                     }
                     _ => unreachable!(),
                 }
                 live.retain(|&sid| sys.sessions().any(|s| s.id == sid));
+                let tenant_live = sys.tenant_live_counts();
                 for (id, stats) in sys.tenant_ledger().iter() {
                     prop_assert!(
-                        stats.reconciles(),
+                        stats.reconciles(tenant_live[id.0 as usize]),
                         "tenant {id} ledger broken mid-run: {stats:?}"
                     );
                     if stats.tier != TenantTier::BestEffort {
@@ -744,17 +752,14 @@ mod tenant_isolation {
                 let report = auditor.audit_at(&sys, None);
                 prop_assert!(report.is_clean(), "{}", report);
             }
-            // Drain everything; the ledgers must return to zero live.
+            // Drain everything; the ledgers must reconcile with no
+            // session live.
             for sid in live {
                 sys.close_session(sid);
             }
+            prop_assert_eq!(sys.session_count(), 0, "sessions outlived the drain");
             for (id, stats) in sys.tenant_ledger().iter() {
-                prop_assert_eq!(stats.live, 0, "tenant {} still live: {:?}", id, stats);
-                prop_assert!(stats.reconciles(), "final ledger broken: {stats:?}");
-                prop_assert!(
-                    stats.committed.iter().all(|(_, v)| v.abs() < 1e-6),
-                    "tenant {} resources leaked: {:?}", id, stats
-                );
+                prop_assert!(stats.reconciles(0), "tenant {} final ledger broken: {:?}", id, stats);
             }
             let report = auditor.audit_at(&sys, None);
             prop_assert!(report.is_clean(), "{}", report);

@@ -22,6 +22,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::digest;
 use crate::rng::DeterministicRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -385,11 +386,8 @@ impl FaultPlan {
     /// FNV-1a digest over the full schedule (times, kinds, victims,
     /// factor bits) — byte-identical plans have equal digests.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |x: u64| {
-            h ^= x;
-            h = h.wrapping_mul(0x1_0000_0000_01b3);
-        };
+        let mut h = digest::OFFSET;
+        let mut mix = |x: u64| h = digest::mix(h, x);
         for e in &self.events {
             mix(e.time.as_micros());
             match e.kind {

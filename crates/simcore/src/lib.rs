@@ -41,6 +41,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod digest;
 pub mod fault;
 pub mod queue;
 pub mod rng;

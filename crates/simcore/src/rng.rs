@@ -9,6 +9,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::digest;
+
 /// Splitmix64 step — the standard 64-bit finalizer used to decorrelate
 /// seeds.
 fn splitmix64(mut x: u64) -> u64 {
@@ -20,12 +22,7 @@ fn splitmix64(mut x: u64) -> u64 {
 
 /// FNV-1a hash of a label, used to mix stream names into seeds.
 fn fnv1a(label: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    digest::mix_bytes(digest::OFFSET, label.as_bytes())
 }
 
 /// Factory for independent, reproducible random streams.

@@ -5,8 +5,8 @@
 use acp_core::prelude::*;
 use acp_model::prelude::*;
 use acp_simcore::{
-    DeterministicRng, EventQueue, FaultKind, FaultPlan, FaultScheduler, ScheduledEvent, SimDuration,
-    SimTime, WindowedCounter,
+    digest, DeterministicRng, EventQueue, FaultKind, FaultPlan, FaultScheduler, ScheduledEvent,
+    SimDuration, SimTime, WindowedCounter,
 };
 use acp_state::GlobalStateBoard;
 use acp_topology::{InetConfig, Overlay, OverlayConfig};
@@ -204,8 +204,7 @@ impl ScenarioModel {
                 )
             })
             .count() as u64;
-        self.result.audit_digest ^= report.digest();
-        self.result.audit_digest = self.result.audit_digest.wrapping_mul(0x1_0000_0000_01b3);
+        self.result.audit_digest = digest::mix(self.result.audit_digest, report.digest());
     }
 
     /// Replays one fault-plan event through [`StreamSystem::apply_fault`]
@@ -322,7 +321,7 @@ impl ScenarioModel {
                 // while lower tiers hold resources, the starvation
                 // counter trips the auditor.
                 if binding.tier == TenantTier::Gold
-                    && self.system.tenant_ledger().lower_tier_live(binding.tier)
+                    && self.system.lower_tier_live(binding.tier)
                 {
                     self.system.record_tenant_starved(binding);
                 }
@@ -516,7 +515,7 @@ impl ScenarioModel {
     fn tenant_control(&mut self, now: SimTime) {
         let Some(preemption) = self.tenants.as_ref().and_then(|t| t.config.preemption) else { return };
         if self.board.congestion_estimate() >= preemption.congestion_threshold
-            && preempt_round(&mut self.system, preemption.min_node_utilization) > 0
+            && !preempt_round(&mut self.system, preemption.min_node_utilization).is_empty()
         {
             // Preempted capacity is only useful if the coarse state
             // advertises it.
@@ -737,16 +736,17 @@ fn summarize(mut model: ScenarioModel) -> ScenarioResult {
     if let Some(churn) = &churn {
         result.sessions_pending = churn.restarts.len() as u64;
     }
-    // Sheds, preemptions and session fates per tier (preempted / killed
-    // / live) are the tenant ledger's; the arrival columns (offered,
-    // composed, failed) were counted as they happened.
-    for (_, stats) in system.tenant_ledger().iter() {
+    // Sheds, preemptions and kills per tier are the tenant ledger's,
+    // the sessions live at the end the session table's; the arrival
+    // columns (offered, composed, failed) were counted as they happened.
+    let live = system.tenant_live_counts();
+    for (id, stats) in system.tenant_ledger().iter() {
         let tier = &mut result.tenant_tiers[tier_index(stats.tier)];
         tier.shed += stats.shed;
         tier.preempted += stats.preempted;
         result.tenant_preemptions += stats.preempted;
         tier.killed += stats.killed;
-        tier.live_end += stats.live;
+        tier.live_end += live[id.0 as usize];
     }
     let ledger = system.repair_ledger();
     result.repair_opened = ledger.opened;

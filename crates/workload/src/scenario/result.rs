@@ -3,7 +3,7 @@
 
 use acp_core::prelude::*;
 use acp_model::prelude::*;
-use acp_simcore::{SummaryStats, TimeSeries};
+use acp_simcore::{digest, SummaryStats, TimeSeries};
 use acp_state::ScanStats;
 
 /// Per-tier outcome counters of a tenanted run. Tier composition is
@@ -244,11 +244,7 @@ impl ScenarioResult {
     /// equivalent only if they composed identically **and** audited
     /// identically.
     pub fn chaos_digest(&self) -> u64 {
-        let mut h = self.session_digest ^ 0x9e37_79b9_7f4a_7c15;
-        h ^= self.audit_digest;
-        h = h.wrapping_mul(0x1_0000_0000_01b3);
-        h ^= self.fault_digest;
-        h.wrapping_mul(0x1_0000_0000_01b3)
+        digest::mix(digest::mix(self.session_digest ^ 0x9e37_79b9_7f4a_7c15, self.audit_digest), self.fault_digest)
     }
 }
 
@@ -256,11 +252,8 @@ impl ScenarioResult {
 /// id, and every assigned component. Two runs that composed identically
 /// end with equal digests.
 pub fn session_digest(system: &StreamSystem) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |x: u64| {
-        h ^= x;
-        h = h.wrapping_mul(0x1_0000_0000_01b3);
-    };
+    let mut h = digest::OFFSET;
+    let mut mix = |x: u64| h = digest::mix(h, x);
     for s in system.sessions_by_id() {
         mix(s.id.0);
         mix(s.request_spec.id.0);

@@ -6,9 +6,9 @@
 # time, and the oracle must pass on the pristine copy and fail on every
 # mutant. A mutant named 'FILE.rs: ...' must fail inside that test file.
 #
-#   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|repair|recovery|leases|routes|board|topology|audit|config|claims|tenants] [WORKDIR]
+#   scripts/mutation_check.sh [selection|optimal|faults|compose|counters|ledger|repair|recovery|leases|routes|board|topology|audit|config|claims|tenants|splice] [WORKDIR]
 #
-# No suite name runs all sixteen, 52 mutants; WORKDIR defaults to
+# No suite name runs all seventeen, 54 mutants; WORKDIR defaults to
 # target/mutation-check.
 # The repository itself is never edited; the copy and its cargo target
 # directory live under WORKDIR.
@@ -247,23 +247,38 @@ claims_mutants=(
 
 # The tenant controls: the congestion gate and preemption. A gate that
 # sheds only strictly above its threshold passes every row but the two
-# on the thresholds themselves; a preemption round that never picks a
-# victim, or one whose candidates are not only best-effort sessions, is
-# caught by the scenario test that preempts under load (the second also
-# by the auditor's `PreemptionOutsideBestEffort`, which it reads).
-tenants_kernel='crates/core/src/admission.rs crates/core/src/preemption.rs crates/model/src/system.rs'
-tenants_target='-p acp-core -p acp-workload --lib -- admission:: preemption_reclaims_only_best_effort_sessions'
-tenants_oracle= # the filters ride on the target: one per package
+# on the thresholds themselves. A preemption round that never picks a
+# victim is caught by the test that compares each round's victims with
+# a per-node walk; one whose candidates are not only best-effort
+# sessions also by the scenario test that preempts under load (through
+# the auditor's `PreemptionOutsideBestEffort`, which it reads). A
+# preemption that records no close leaves the ledger short of the
+# session table's live count, which that comparison's reconciliation
+# reads.
+tenants_kernel='crates/core/src/admission.rs crates/core/src/preemption.rs crates/model/src/tenant.rs'
+tenants_target='-p acp-core -p acp-workload -p acp-stream --lib --test tenants --no-fail-fast -- admission:: preempt'
+tenants_oracle= # the filters ride on the target
 tenants_mutants=(
     'admission.rs: the gate sheds only above its threshold|s/^        congestion >= self\.threshold(tier)$/        congestion > self.threshold(tier)/'
-    'model.rs: a preemption round never picks a victim|s/^        if util < min_node_utilization {$/        if true {/'
+    'tenants.rs: a preemption round never picks a victim|s/candidates\.iter()\.take(MAX_PREEMPTIONS_PER_ROUND)/candidates.iter().take(0)/'
     'model.rs: preemption reaches Silver and Gold sessions|s/s\.request_spec\.tenant\.is_some_and(|b| b\.tier == TenantTier::BestEffort)/s.request_spec.tenant.is_some()/'
+    'tenants.rs: a Preempted teardown records no close|s/^            SessionCloseCause::Preempted => stats\.preempted += 1,$/            SessionCloseCause::Preempted => {}/'
 )
 
-all_suites=(selection optimal faults compose counters ledger repair recovery leases routes board topology audit config claims tenants)
+# A splice that fails its end-to-end Eq. 2/3 re-validation must settle
+# nothing: a splice that skips the re-validation grafts the wrong
+# function into a live session and settles its ticket as repaired.
+splice_kernel=crates/model/src/faults.rs
+splice_target='-p acp-model --lib'
+splice_oracle=faults::tests::a_rejected_splice_settles_nothing
+splice_mutants=(
+    'faults.rs: splice_repair skips check_assignment|s/^            self\.check_assignment(&s\.request_spec, &composition)?;$//'
+)
+
+all_suites=(selection optimal faults compose counters ledger repair recovery leases routes board topology audit config claims tenants splice)
 suites=("${all_suites[@]}")
 case "${1:-}" in
-    selection | optimal | faults | compose | counters | ledger | repair | recovery | leases | routes | board | topology | audit | config | claims | tenants)
+    selection | optimal | faults | compose | counters | ledger | repair | recovery | leases | routes | board | topology | audit | config | claims | tenants | splice)
         suites=("$1")
         shift
         ;;
